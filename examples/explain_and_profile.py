@@ -5,8 +5,10 @@ The workflow a performance engineer would follow with this library:
 1. profile a real training step to find which layers dominate wall clock;
 2. ask the machine model *why* each technique is fast or slow on the
    hottest convolution (per-lane breakdown, Secs. 3-4);
-3. autotune the layer with the host-measured backend (the paper's actual
-   deployment mechanism) and report the chosen engines.
+3. autotune the layers with the host-measured backend -- the paper's
+   actual deployment mechanism and what ``repro train`` uses: each
+   challenger is probed on one image, timed only if the probe is within
+   2x of the deployed engine, and must win by 10% to replace it.
 
 Run with:  python examples/explain_and_profile.py
 """
@@ -44,14 +46,27 @@ def main() -> None:
     ))
 
     print("\n== 3. Autotune on this host (measured backend) ==")
-    tuner = Autotuner(MeasuredCostBackend(batch=2, repeats=2))
+    backend = MeasuredCostBackend()
+    tuner = Autotuner(backend)
     for layer in net.conv_layers():
-        plan = tuner.plan_layer(layer.padded_spec, layer_name=layer.name,
-                                sparsity=0.85)
+        plan = tuner.plan_layer(
+            layer.padded_spec, layer_name=layer.name, sparsity=0.85,
+            deployed=(layer.fp_engine_name, layer.bp_engine_name),
+            # Training never reads the image gradient: the first conv's
+            # BP is dW only, and is timed as such.
+            input_error=layer is not net.layers[0],
+        )
         print(f"{layer.name}: FP -> {plan.fp_engine}, BP -> {plan.bp_engine}")
+        for phase, timings in (("FP", plan.fp_timings),
+                               ("BP", plan.bp_timings)):
+            print(f"  {phase} ms per {backend.batch} images: " + ", ".join(
+                f"{name} {seconds * 1e3:.2f}"
+                for name, seconds in sorted(timings.items(),
+                                            key=lambda item: item[1])))
         layer.set_fp_engine(plan.fp_engine)
         layer.set_bp_engine(plan.bp_engine)
-    print("engines deployed; training would now run with the chosen kernels.")
+    print(f"engines deployed ({backend.measured} candidates measured); "
+          "training would now run with the chosen kernels.")
 
 
 if __name__ == "__main__":

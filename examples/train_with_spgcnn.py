@@ -1,12 +1,15 @@
 """Train a CIFAR-style CNN under spg-CNN, watching the framework re-tune.
 
-Reproduces the paper's Sec. 4.4 behaviour end to end on synthetic data:
+Reproduces the paper's Sec. 4.4 behaviour end to end on synthetic data,
+priced by the model of the paper's Xeon (``repro train`` deploys by host
+measurement instead, see ``examples/explain_and_profile.py``):
 
-* the autotuner plans each conv layer (FP and BP) before training;
+* the autotuner plans each conv layer's FP before training; BP keeps
+  the layer's GEMM engine until an error sparsity has been measured;
 * training with ReLU + max pooling drives error-gradient sparsity up
   (the Fig. 3b dynamic);
-* at the periodic re-check, spg-CNN switches the BP engines over to the
-  sparse kernels and reports the switch.
+* at the periodic re-check, spg-CNN prices BP at that sparsity, switches
+  the BP engines over to the sparse kernels and reports the switch.
 
 Run with:  python examples/train_with_spgcnn.py
 """
@@ -28,7 +31,7 @@ def main() -> None:
         recheck_epochs=2,
     )
     plan = spg.optimize()
-    print("\nInitial plan (dense assumption):")
+    print("\nInitial plan (FP chosen, BP awaiting a measured sparsity):")
     print(plan.describe())
 
     data = make_dataset(64, 10, (3, 32, 32), noise=0.3, seed=0)

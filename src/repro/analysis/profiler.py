@@ -157,10 +157,10 @@ class NetworkProfiler:
                                 **{_MARK: token}):
                 return original_forward(inputs, training=training)
 
-        def timed_backward(out_error):
+        def timed_backward(out_error, **kwargs):
             with telemetry.span(f"{name}/bp", layer=name, phase="bp",
                                 **{_MARK: token}):
-                return original_backward(out_error)
+                return original_backward(out_error, **kwargs)
 
         layer.forward = timed_forward
         layer.backward = timed_backward

@@ -497,6 +497,11 @@ def verify_graph(graph: TaskGraph, crosscheck: bool = True) -> list[Finding]:
 # -- network / corpus entry points -------------------------------------------
 
 
+def _zero_error(network: Network, batch: int) -> np.ndarray:
+    out_shape = tuple(network.layer_shapes[-1])
+    return np.zeros((batch,) + out_shape, dtype=np.float32)
+
+
 def network_graphs(network: Network,
                    batch: int = 4) -> tuple[TaskGraph, TaskGraph]:
     """Compile the FP and BP graphs of a network over a zero batch.
@@ -507,17 +512,30 @@ def network_graphs(network: Network,
     inputs = np.zeros((batch,) + tuple(network.input_shape),
                       dtype=np.float32)
     forward, _ = build_forward_graph(network, inputs, training=True)
-    out_shape = tuple(network.layer_shapes[-1])
-    out_error = np.zeros((batch,) + out_shape, dtype=np.float32)
-    backward, _ = build_backward_graph(network, out_error)
+    backward, _ = build_backward_graph(network, _zero_error(network, batch))
     return forward, backward
+
+
+def step_backward_graph(network: Network, batch: int = 4) -> TaskGraph:
+    """The BP graph an SGD step runs: no input error requested, so the
+    conv fed by the images has no BP-data chain."""
+    graph, _ = build_backward_graph(network, _zero_error(network, batch),
+                                    need_input_error=False)
+    graph.name += "-step"
+    return graph
+
+
+def _verified_graphs(network: Network,
+                     batch: int) -> tuple[TaskGraph, TaskGraph, TaskGraph]:
+    return (*network_graphs(network, batch),
+            step_backward_graph(network, batch))
 
 
 def verify_network_graphs(network: Network, batch: int = 4,
                           crosscheck: bool = True) -> list[Finding]:
-    """Verify a network's forward and backward graphs."""
+    """Verify a network's forward graph and both backward graphs."""
     findings: list[Finding] = []
-    for graph in network_graphs(network, batch):
+    for graph in _verified_graphs(network, batch):
         findings.extend(verify_graph(graph, crosscheck=crosscheck))
     return findings
 
@@ -529,7 +547,7 @@ def verify_networks(networks: Sequence[Network], batch: int = 4
     graphs = 0
     nodes = 0
     for network in networks:
-        for graph in network_graphs(network, batch):
+        for graph in _verified_graphs(network, batch):
             graphs += 1
             nodes += len(graph)
             findings.extend(verify_graph(graph))
@@ -544,7 +562,7 @@ def preflight_dag(network: Network, batch_size: int = 4) -> CheckReport:
     declaration-drift finding before the first real batch runs.
     """
     findings = verify_network_graphs(network, batch=batch_size)
-    report = CheckReport(findings=findings, meta={"effect_graphs": 2})
+    report = CheckReport(findings=findings, meta={"effect_graphs": 3})
     telemetry.event(
         "check.preflight_dag", network=network.name,
         errors=len(report.errors), warnings=len(report.warnings),

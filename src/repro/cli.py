@@ -23,7 +23,9 @@ Commands:
   fails the kill/resume bit-identity check (CI chaos gate).
 * ``train [--net cifar|mnist] ...`` (alias: ``monitor``) -- run a
   training job under the live :class:`repro.obs.monitor.TrainingMonitor`
-  and write the final run report.
+  and write the final run report.  ``train`` and ``trace`` deploy the
+  engines this host measures fastest; the Xeon model prices ``plan``,
+  ``schedule`` and ``figure`` only.
 * ``bench [--repeats N] ...`` -- run the microbenchmark suite, write
   schema-versioned ``BENCH_<name>.json`` files and compare against the
   committed baseline; exits 1 on regression (perf gate).
@@ -172,8 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--scheduler", choices=("barrier", "dag"),
                        default="barrier",
                        help="per-layer barriers or the task-graph runtime")
-    trace.add_argument("--cores", type=int, default=16,
-                       help="cores assumed by the autotuner's cost model")
     trace.add_argument("--critical-path", action="store_true",
                        help="print the DAG critical-path / goodput "
                             "attribution table (needs --scheduler dag)")
@@ -248,8 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--scheduler", choices=("barrier", "dag"),
                        default="barrier",
                        help="per-layer barriers or the task-graph runtime")
-    train.add_argument("--cores", type=int, default=16,
-                       help="cores assumed by the autotuner's cost model")
     train.add_argument("--recheck", type=int, default=1,
                        help="re-check the BP choice every N epochs")
     train.add_argument("--every", type=int, default=0, metavar="N",
@@ -422,9 +420,14 @@ def _cmd_figure(args, out) -> int:
 
 
 def _build_training_job(args):
-    """Network + data + spg-CNN + loop shared by ``trace`` and ``train``."""
+    """Network + data + spg-CNN + loop shared by ``trace`` and ``train``.
+
+    Engines are deployed by what this host measures (the paper's
+    Sec. 4.4 procedure); the Xeon model serves ``plan``/``figure`` only.
+    """
     import numpy as np
 
+    from repro.core.autotuner import MeasuredCostBackend
     from repro.core.framework import SpgCNN
     from repro.data.synthetic import cifar10_like, mnist_like
     from repro.nn.training_loop import TrainingLoop
@@ -441,9 +444,8 @@ def _build_training_job(args):
         network = mnist_net(scale=args.scale, rng=rng, threads=threads,
                             backend=backend)
         data = mnist_like(args.samples, seed=0)
-    backend = ModelCostBackend(xeon_e5_2650(), cores=args.cores,
-                               batch=args.batch)
-    spg = SpgCNN(network, backend, recheck_epochs=args.recheck)
+    spg = SpgCNN(network, MeasuredCostBackend(),
+                 recheck_epochs=args.recheck)
     loop = TrainingLoop(
         network, data, batch_size=args.batch,
         scheduler=getattr(args, "scheduler", None),
@@ -517,7 +519,7 @@ def _cmd_train(args, out) -> int:
             loop.run(args.epochs)
     finally:
         _close_network(network)
-    report = monitor.report()
+    report = monitor.report(plan=spg.plan)
     if args.format == "json":
         print(json_module.dumps(report.to_dict()), file=out)
     else:
@@ -526,6 +528,9 @@ def _cmd_train(args, out) -> int:
         print(f"epochs: {totals['epochs']}  batches: {totals['batches']}  "
               f"final loss: {totals['final_loss']:.4f}  "
               f"retunes: {totals['retunes']}", file=out)
+        print(f"tuning: {totals['tuning_seconds']:.3f} s "
+              f"({totals['tuning_measured']} candidates measured, "
+              f"{totals['tuning_memo_hits']} memo hits)", file=out)
     if args.out is not None:
         if str(args.out).endswith(".md"):
             path = report.write_markdown(args.out)

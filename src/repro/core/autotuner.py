@@ -4,11 +4,14 @@ Two selection backends are provided:
 
 * :class:`ModelCostBackend` -- prices each candidate with the analytical
   machine model (:mod:`repro.machine`), reproducing the paper's selections
-  for the paper's machine without running anything.
+  for the paper's machine without running anything.  It serves the
+  paper book: ``repro plan``, ``repro schedule``, the figures and tables.
 * :class:`MeasuredCostBackend` -- wall-clock micro-benchmarks of the
   actual engine implementations on the host (the paper's approach: "it
   runs each layer with [each technique] ... and based on the measured
-  performance, chooses the fastest technique to deploy").
+  performance, chooses the fastest technique to deploy"), memoised and
+  probe-gated so that measuring is cheap enough to be what
+  ``repro train`` / ``repro trace`` deploy by.
 
 Selections follow Sec. 4.4: FP chooses among Parallel-GEMM,
 GEMM-in-Parallel and Stencil-Kernel; BP among Parallel-GEMM,
@@ -18,8 +21,10 @@ current error sparsity.
 
 from __future__ import annotations
 
+import math
 import time
 from abc import ABC, abstractmethod
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,10 +53,39 @@ from repro.ops.engine import make_engine
 class CostBackend(ABC):
     """Produces a time estimate for (technique, phase) on one layer."""
 
+    #: Fraction by which a challenger must undercut the deployed engine
+    #: to replace it.  Zero for a deterministic model; a measuring
+    #: backend sets its noise margin.
+    hysteresis = 0.0
+    #: Candidates priced by running engines / answered from a memo
+    #: (only a measuring backend ever counts).
+    measured = 0
+    memo_hits = 0
+
     @abstractmethod
     def time(self, technique: str, phase: str, spec: ConvSpec,
              sparsity: float) -> float:
         """Seconds for one batch of the layer's phase under ``technique``."""
+
+    def rank(self, candidates: Sequence[str], phase: str, spec: ConvSpec,
+             sparsity: float, incumbent: str | None = None,
+             input_error: bool = True) -> dict[str, float]:
+        """Seconds per candidate.
+
+        ``incumbent`` names the engine the layer runs now and
+        ``input_error=False`` says BP-data will not be called (the conv
+        fed by the images); a model prices every candidate alike and
+        ignores both.
+        """
+        return {tech: self.time(tech, phase, spec, sparsity)
+                for tech in candidates}
+
+
+def _check_phase(technique: str, phase: str) -> None:
+    if technique in ("stencil", "fft") and phase != "fp":
+        raise PlanError(f"{technique} kernels serve forward propagation only")
+    if technique == "sparse" and phase != "bp":
+        raise PlanError("sparse kernels serve backward propagation only")
 
 
 class ModelCostBackend(CostBackend):
@@ -68,6 +102,7 @@ class ModelCostBackend(CostBackend):
 
     def time(self, technique: str, phase: str, spec: ConvSpec,
              sparsity: float) -> float:
+        _check_phase(technique, phase)
         if technique == "parallel-gemm":
             return parallel_gemm_conv_time(
                 spec, phase, self.batch, self.machine, self.cores, self.profile
@@ -77,63 +112,160 @@ class ModelCostBackend(CostBackend):
                 spec, phase, self.batch, self.machine, self.cores, self.profile
             )
         if technique == "stencil":
-            if phase != "fp":
-                raise PlanError("stencil kernels serve forward propagation only")
             return stencil_fp_time(spec, self.batch, self.machine, self.cores)
         if technique == "sparse":
-            if phase != "bp":
-                raise PlanError("sparse kernels serve backward propagation only")
             return sparse_bp_time(
                 spec, self.batch, sparsity, self.machine, self.cores
             )
         if technique == "fft":
             from repro.machine.fft_model import fft_conv_time
 
-            if phase != "fp":
-                raise PlanError("the fft engine serves forward propagation only")
             return fft_conv_time(spec, self.batch, self.machine, self.cores)
         raise PlanError(f"unknown technique {technique!r}")
 
 
 class MeasuredCostBackend(CostBackend):
-    """Wall-clock micro-benchmarks of the real engines on this host."""
+    """Wall-clock micro-benchmarks of the real engines on this host.
+
+    Measuring is made cheap enough to be the training path's default:
+
+    * every result is memoised per (technique, phase, spec, sparsity
+      bucket) -- engines other than ``sparse`` do dense work and are
+      keyed sparsity-free -- so a recheck inside a known bucket calls no
+      engine;
+    * a challenger is first *probed* on one image and only timed on the
+      measuring batch when the probe is within :attr:`probe_gate` times
+      the incumbent's per-image time; a gated-out candidate is priced at
+      its probe, so a kernel that is 20x slower costs one image, once
+      per bucket;
+    * :attr:`hysteresis` keeps engines that measure within noise of each
+      other from flapping.
+
+    Buckets halve the error density (sparsity 0, 0.5, 0.75, 0.875, ...):
+    sparse-kernel work is proportional to the non-zero count, so a
+    bucket spans at most the 2x the gate already tolerates.  ``clock``
+    and ``engine_factory`` are injection points for tests.
+
+    Engines are timed bare and single-threaded.  A layer built with
+    ``threads > 1`` runs its engine through a ``ParallelExecutor`` over
+    a pool, which this does not time: there the ranking is that of the
+    per-worker kernel, not of the pooled layer.
+    """
+
+    hysteresis = 0.10
+    probe_gate = 2.0
 
     def __init__(self, batch: int = 2, repeats: int = 2, num_cores: int = 1,
-                 seed: int = 0):
+                 seed: int = 0,
+                 clock: Callable[[], float] = time.perf_counter,
+                 engine_factory: Callable[..., object] = make_engine):
         if batch <= 0 or repeats <= 0:
             raise PlanError(f"batch and repeats must be positive: {batch}, {repeats}")
         self.batch = batch
         self.repeats = repeats
         self.num_cores = num_cores
         self._rng = np.random.default_rng(seed)
+        self._clock = clock
+        self._engine_factory = engine_factory
+        #: key -> (seconds, priced by the one-image probe only)
+        self._memo: dict[tuple, tuple[float, bool]] = {}
+        self.measured = 0
+        self.memo_hits = 0
+
+    @staticmethod
+    def sparsity_bucket(sparsity: float) -> int:
+        """Index of the density octave ``sparsity`` falls in."""
+        density = max(1.0 - sparsity, 2.0 ** -16)
+        return int(-math.log2(density) + 1e-9)
+
+    def _key(self, technique: str, phase: str, spec: ConvSpec,
+             sparsity: float, input_error: bool) -> tuple:
+        bucket = self.sparsity_bucket(sparsity) if technique == "sparse" else None
+        return (technique, phase, phase == "fp" or input_error, spec, bucket)
+
+    def _operands(self, phase: str, spec: ConvSpec, sparsity: float):
+        """Random (primary, weights, inputs) at the measuring batch."""
+        rng = self._rng
+        inputs = rng.standard_normal(
+            (self.batch,) + spec.input_shape).astype(np.float32)
+        weights = rng.standard_normal(spec.weight_shape).astype(np.float32)
+        if phase == "fp":
+            return inputs, weights, inputs
+        out_error = rng.standard_normal(
+            (self.batch,) + spec.output_shape).astype(np.float32)
+        if sparsity > 0:
+            out_error[rng.random(out_error.shape) < sparsity] = 0.0
+        return out_error, weights, inputs
+
+    def _measure(self, technique: str, phase: str, spec: ConvSpec,
+                 operands, input_error: bool,
+                 limit: float | None) -> tuple[float, bool]:
+        """Seconds per measuring batch, and whether the probe gated it.
+
+        ``limit`` is the per-image time beyond which the one-image probe
+        ends the measurement (the price is then the probe's estimate).
+        Engines are called directly -- no layer, no guard, no quarantine
+        -- and scratch is released afterwards.
+        """
+        engine = self._engine_factory(technique, spec,
+                                      num_cores=self.num_cores)
+        primary, weights, inputs = operands
+
+        def run(n: int) -> float:
+            start = self._clock()
+            if phase == "fp":
+                engine.forward(primary[:n], weights)
+            else:
+                engine.backward_weights(primary[:n], inputs[:n])
+                if input_error:
+                    engine.backward_data(primary[:n], weights)
+            return self._clock() - start
+
+        try:
+            probe = run(1)
+            if limit is not None and probe > limit:
+                return probe * self.batch, True
+            return min(run(self.batch) for _ in range(self.repeats)), False
+        finally:
+            release = getattr(engine, "release_workspace", None)
+            if release is not None:
+                release()
+
+    def rank(self, candidates: Sequence[str], phase: str, spec: ConvSpec,
+             sparsity: float, incumbent: str | None = None,
+             input_error: bool = True) -> dict[str, float]:
+        for tech in candidates:
+            _check_phase(tech, phase)
+        # The incumbent goes first and ungated: it is the yardstick.
+        order = sorted(candidates, key=lambda tech: tech != incumbent)
+        timings: dict[str, float] = {}
+        operands = None
+        limit = None
+        for tech in order:
+            key = self._key(tech, phase, spec, sparsity, input_error)
+            cached = self._memo.get(key)
+            # A probe-only price stands while it is still beyond the gate
+            # (dense keys outlive the incumbent that gated them).
+            if cached is not None and cached[1] and (
+                    limit is None or cached[0] <= limit * self.batch):
+                cached = None
+            if cached is None:
+                if operands is None:
+                    operands = self._operands(phase, spec, sparsity)
+                cached = self._measure(tech, phase, spec, operands,
+                                       input_error, limit)
+                self._memo[key] = cached
+                self.measured += 1
+            else:
+                self.memo_hits += 1
+            timings[tech] = cached[0]
+            if tech == incumbent:
+                limit = self.probe_gate * cached[0] / self.batch
+        return {tech: timings[tech] for tech in candidates}
 
     def time(self, technique: str, phase: str, spec: ConvSpec,
              sparsity: float) -> float:
-        if technique in ("stencil", "fft") and phase != "fp":
-            raise PlanError(f"{technique} kernels serve forward propagation only")
-        if technique == "sparse" and phase != "bp":
-            raise PlanError("sparse kernels serve backward propagation only")
-        engine = make_engine(technique, spec, num_cores=self.num_cores)
-        inputs = self._rng.standard_normal(
-            (self.batch,) + spec.input_shape
-        ).astype(np.float32)
-        weights = self._rng.standard_normal(spec.weight_shape).astype(np.float32)
-        out_error = self._rng.standard_normal(
-            (self.batch,) + spec.output_shape
-        ).astype(np.float32)
-        if sparsity > 0:
-            mask = self._rng.random(out_error.shape) < sparsity
-            out_error[mask] = 0.0
-        best = float("inf")
-        for _ in range(self.repeats):
-            start = time.perf_counter()
-            if phase == "fp":
-                engine.forward(inputs, weights)
-            else:
-                engine.backward_data(out_error, weights)
-                engine.backward_weights(out_error, inputs)
-            best = min(best, time.perf_counter() - start)
-        return best
+        return self.rank((technique,), phase, spec, sparsity)[technique]
 
 
 class Autotuner:
@@ -181,29 +313,42 @@ class Autotuner:
         return fp_schedule, bp_schedule
 
     def _pick(self, candidates: tuple[str, ...], phase: str, spec: ConvSpec,
-              sparsity: float, layer_name: str = "") -> tuple[str, dict[str, float]]:
+              sparsity: float, layer_name: str = "",
+              incumbent: str | None = None,
+              input_error: bool = True) -> tuple[str, dict[str, float]]:
         eligible = self.quarantine.filter(candidates, layer_name, phase)
         if not eligible:
             # Every candidate is benched for this layer/phase; degrade to
             # the reference path (infinitely slow on paper, but correct).
             return FALLBACK_ENGINE, {FALLBACK_ENGINE: float("inf")}
-        timings = {
-            tech: self.backend.time(tech, phase, spec, sparsity)
-            for tech in eligible
-        }
+        timings = self.backend.rank(eligible, phase, spec, sparsity,
+                                    incumbent=incumbent,
+                                    input_error=input_error)
         chosen = min(timings, key=timings.get)
+        held = timings.get(incumbent)
+        if held is not None and (
+                timings[chosen] >= held * (1.0 - self.backend.hysteresis)):
+            chosen = incumbent
         return chosen, timings
 
     def plan_layer(self, spec: ConvSpec, layer_name: str = "",
-                   sparsity: float = 0.0) -> LayerPlan:
+                   sparsity: float = 0.0,
+                   deployed: tuple[str, str] | None = None,
+                   input_error: bool = True) -> LayerPlan:
         """Plan one convolution layer at the given error sparsity.
 
         ``spec`` should describe the engine-facing (pre-padded) geometry.
+        ``deployed`` names the (FP, BP) engines the layer runs now: the
+        incumbents a challenger must beat by the backend's hysteresis.
+        ``input_error=False`` marks the conv fed by the images, whose
+        training BP is dW only.
         """
+        fp_held, bp_held = deployed or (None, None)
         fp_engine, fp_timings = self._pick(self.fp_candidates, "fp", spec,
-                                           sparsity, layer_name)
+                                           sparsity, layer_name, fp_held)
         bp_engine, bp_timings = self._pick(BP_CANDIDATES, "bp", spec,
-                                           sparsity, layer_name)
+                                           sparsity, layer_name, bp_held,
+                                           input_error)
         fp_schedule, bp_schedule = self._schedules(spec, fp_engine, bp_engine)
         return LayerPlan(
             layer_name=layer_name or spec.name or "conv",
@@ -217,15 +362,40 @@ class Autotuner:
             bp_schedule=bp_schedule,
         )
 
-    def replan_bp(self, plan: LayerPlan, sparsity: float) -> LayerPlan:
+    def plan_fp(self, spec: ConvSpec, layer_name: str,
+                deployed: tuple[str, str]) -> LayerPlan:
+        """Plan FP only; BP stays on the ``deployed`` engine.
+
+        What a framework does before training has produced an error
+        gradient: the BP choice waits for :meth:`replan_bp` and a
+        measured sparsity, so the plan carries no BP timings yet.
+        """
+        fp_held, bp_held = deployed
+        fp_engine, fp_timings = self._pick(self.fp_candidates, "fp", spec,
+                                           0.0, layer_name, fp_held)
+        fp_schedule, bp_schedule = self._schedules(spec, fp_engine, bp_held)
+        return LayerPlan(
+            layer_name=layer_name or spec.name or "conv",
+            spec=spec,
+            fp_engine=fp_engine,
+            bp_engine=bp_held,
+            fp_timings=fp_timings,
+            fp_schedule=fp_schedule,
+            bp_schedule=bp_schedule,
+        )
+
+    def replan_bp(self, plan: LayerPlan, sparsity: float,
+                  input_error: bool = True) -> LayerPlan:
         """Re-select only the BP technique at a new sparsity level.
 
         This is the periodic re-check of Sec. 4.4: error-gradient sparsity
         drifts during training, so the BP choice is revisited while the FP
-        choice (sparsity-independent) is kept.
+        choice (sparsity-independent) is kept.  The plan's BP engine is
+        the incumbent.
         """
         bp_engine, bp_timings = self._pick(BP_CANDIDATES, "bp", plan.spec,
-                                           sparsity, plan.layer_name)
+                                           sparsity, plan.layer_name,
+                                           plan.bp_engine, input_error)
         _, bp_schedule = self._schedules(plan.spec, "", bp_engine)
         return LayerPlan(
             layer_name=plan.layer_name,

@@ -1,18 +1,30 @@
 """spg-CNN: the top-level optimization framework (paper Sec. 4).
 
 :class:`SpgCNN` attaches to a trainable :class:`repro.nn.network.Network`,
-plans every convolution layer with the autotuner, deploys the chosen
-engines onto the layers, and periodically re-checks the BP choice as the
-measured error-gradient sparsity drifts during training (Sec. 4.4).
+plans every convolution layer's FP with the autotuner, deploys the
+chosen engines onto the layers, and periodically re-checks the BP choice
+at the error-gradient sparsity measured during training (Sec. 4.4).
+
+Both entry points open a telemetry span (``spg/optimize``,
+``spg/replan``) carrying how many candidates the cost backend priced by
+running them (``measured``) and how many it answered from its memo
+(``memo_hits``), so the cost of tuning can be read off a run.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro import telemetry
 from repro.core.autotuner import Autotuner, CostBackend
-from repro.core.plan import ExecutionPlan, LayerPlan
+from repro.core.plan import (
+    BP_CANDIDATES,
+    FALLBACK_ENGINE,
+    ExecutionPlan,
+    LayerPlan,
+)
 from repro.errors import PlanError
 from repro.nn.network import Network
 
@@ -36,36 +48,61 @@ class SpgCNN:
         network: Network,
         backend: CostBackend,
         recheck_epochs: int = 2,
-        initial_sparsity: float = 0.0,
     ):
         if recheck_epochs <= 0:
             raise PlanError(f"recheck_epochs must be positive, got {recheck_epochs}")
-        if not 0.0 <= initial_sparsity <= 1.0:
-            raise PlanError(f"initial_sparsity must be in [0,1], got {initial_sparsity}")
         self.network = network
         self.autotuner = Autotuner(backend)
         self.recheck_epochs = recheck_epochs
-        self.initial_sparsity = initial_sparsity
         self._plans: dict[str, LayerPlan] = {}
         self.retune_events: list[RetuneEvent] = []
 
     # -- planning and deployment ------------------------------------------
 
+    def _needs_input_error(self, layer) -> bool:
+        """Whether training reads the layer's input error: the SGD step
+        discards the image gradient, so the first layer's BP is dW only."""
+        return layer is not self.network.layers[0]
+
+    @contextmanager
+    def _tuning_span(self, name: str, **attrs) -> Iterator[None]:
+        """A span annotated with what the backend did inside it."""
+        backend = self.autotuner.backend
+        measured, memo_hits = backend.measured, backend.memo_hits
+        with telemetry.span(name, **attrs) as span:
+            yield
+            span.annotate(measured=backend.measured - measured,
+                          memo_hits=backend.memo_hits - memo_hits)
+
     def optimize(self) -> ExecutionPlan:
-        """Plan every conv layer and deploy the chosen engines."""
+        """Plan FP for every conv layer and deploy the chosen engines.
+
+        BP stays on each layer's engine until the first
+        :meth:`after_epoch` recheck, when a measured error sparsity
+        exists.  Only a BP engine the plan cannot carry (one outside the
+        BP candidates) is replaced up front, planned for a dense error.
+        """
         conv_layers = self.network.conv_layers()
         if not conv_layers:
             raise PlanError("network has no convolution layers to optimize")
         plans = []
-        with telemetry.span("spg/optimize", layers=len(conv_layers)):
+        with self._tuning_span("spg/optimize", layers=len(conv_layers)):
             for layer in conv_layers:
-                plan = self.autotuner.plan_layer(
-                    layer.padded_spec,
-                    layer_name=layer.name,
-                    sparsity=self.initial_sparsity,
-                )
-                layer.set_fp_engine(plan.fp_engine)
-                layer.set_bp_engine(plan.bp_engine)
+                deployed = (layer.fp_engine_name, layer.bp_engine_name)
+                if deployed[1] in BP_CANDIDATES + (FALLBACK_ENGINE,):
+                    plan = self.autotuner.plan_fp(
+                        layer.padded_spec, layer.name, deployed)
+                else:
+                    plan = self.autotuner.plan_layer(
+                        layer.padded_spec,
+                        layer_name=layer.name,
+                        deployed=deployed,
+                        input_error=self._needs_input_error(layer),
+                    )
+                if plan.fp_engine != deployed[0]:
+                    layer.set_fp_engine(plan.fp_engine)
+                if plan.bp_engine != deployed[1]:
+                    layer.set_bp_engine(plan.bp_engine)
                 self._plans[layer.name] = plan
                 plans.append(plan)
         return ExecutionPlan(layers=tuple(plans))
@@ -93,11 +130,13 @@ class SpgCNN:
         if epoch % self.recheck_epochs != 0:
             return []
         events = []
-        with telemetry.span("spg/replan", epoch=epoch):
+        with self._tuning_span("spg/replan", epoch=epoch):
             for layer in self.network.conv_layers():
                 old_plan = self._plans[layer.name]
                 sparsity = layer.last_error_sparsity
-                new_plan = self.autotuner.replan_bp(old_plan, sparsity)
+                new_plan = self.autotuner.replan_bp(
+                    old_plan, sparsity,
+                    input_error=self._needs_input_error(layer))
                 self._plans[layer.name] = new_plan
                 if new_plan.bp_engine != old_plan.bp_engine:
                     layer.set_bp_engine(new_plan.bp_engine)

@@ -153,7 +153,7 @@ class Worker:
         net.zero_grads()
         logits = net.forward(batch_x, training=True)
         loss, grad = softmax_cross_entropy(logits, batch_y)
-        net.backward(grad)
+        net.backward(grad, need_input_error=False)
         grads = {name: g.copy() for name, _, g in net.parameters()}
         return grads, loss
 

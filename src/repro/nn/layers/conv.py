@@ -291,15 +291,25 @@ class ConvLayer(Layer):
             out += self.bias[None, :, None, None]
         return out
 
-    def backward(self, out_error: np.ndarray) -> np.ndarray:
+    def backward(self, out_error: np.ndarray,
+                 need_input_error: bool = True) -> np.ndarray | None:
+        """Accumulate dW/db and return the input error.
+
+        With ``need_input_error=False`` the BP-data call is skipped and
+        ``None`` returned: nothing consumes the error of the layer the
+        images feed (see :meth:`repro.nn.network.Network.backward`).
+        """
         if self._cached_padded_input is None:
             raise ShapeError(f"layer {self.name}: backward before forward")
         sparsity = measure_sparsity(out_error)
         self.last_error_sparsity = sparsity
         batch = int(out_error.shape[0])
-        # EI + dW at the engine-facing (padded) geometry, dense count.
-        total_flops = 2.0 * batch * self.padded_spec.flops
+        # dW (+ EI when computed) at the engine-facing (padded)
+        # geometry, dense count.
+        total_flops = ((2.0 if need_input_error else 1.0)
+                       * batch * self.padded_spec.flops)
         useful_flops = nonzero_conv_flops(total_flops, sparsity)
+        in_error_padded = None
         start = time.perf_counter()
         with telemetry.span(f"{self.name}/bp", layer=self.name, phase="bp",
                             engine=self.bp_engine_name, batch=batch,
@@ -308,15 +318,16 @@ class ConvLayer(Layer):
                 "bp", "backward_weights", out_error, self._cached_padded_input
             )
             self.d_bias += out_error.sum(axis=(0, 2, 3))
-            in_error_padded = self._run_engine(
-                "bp", "backward_data", out_error, self.weights
-            )
+            if need_input_error:
+                in_error_padded = self._run_engine(
+                    "bp", "backward_data", out_error, self.weights
+                )
         elapsed = max(time.perf_counter() - start, 1e-9)
         telemetry.add("conv.flops.total", total_flops)
         telemetry.add("conv.flops.useful", useful_flops)
         telemetry.gauge(f"goodput.{self.name}", useful_flops / elapsed)
         telemetry.gauge(f"throughput.{self.name}", total_flops / elapsed)
-        if self.spec.pad == 0:
+        if in_error_padded is None or self.spec.pad == 0:
             return in_error_padded
         p = self.spec.pad
         return in_error_padded[:, :, p:-p, p:-p]

@@ -72,14 +72,24 @@ class Network:
             activations = layer.forward(activations, training=training)
         return activations
 
-    def backward(self, out_error: np.ndarray) -> np.ndarray:
-        """Run BP through every layer in reverse; returns the input error."""
+    def backward(self, out_error: np.ndarray,
+                 need_input_error: bool = True) -> np.ndarray | None:
+        """Run BP through every layer in reverse; returns the input error.
+
+        A caller that discards the input error (the SGD step) passes
+        ``need_input_error=False``: a conv layer fed by the images then
+        skips its BP-data computation and ``None`` is returned.  Every
+        parameter gradient is bit-identical either way.
+        """
         if self.scheduler == "dag":
-            return self._dag().backward(out_error)
+            return self._dag().backward(out_error, need_input_error)
         error = out_error
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             error = layer.backward(error)
-        return error
+        first = self.layers[0]
+        if not need_input_error and isinstance(first, ConvLayer):
+            return first.backward(error, need_input_error=False)
+        return first.backward(error)
 
     def zero_grads(self) -> None:
         """Clear accumulated gradients on every layer."""

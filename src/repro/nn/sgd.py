@@ -80,7 +80,7 @@ class SGDTrainer:
                 skipped=True,
             )
         with telemetry.span("sgd/bp", batch=int(inputs.shape[0])):
-            net.backward(grad)
+            net.backward(grad, need_input_error=False)
         with telemetry.span("sgd/update"):
             for name, param, g in net.parameters():
                 vel = self._velocity.get(name)

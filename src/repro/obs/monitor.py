@@ -12,7 +12,9 @@ the duration of its ``with`` block), hooks the
   emits on every backward pass);
 * sparsity drift -- per layer (first vs. latest BP-span sparsity) and
   per epoch (mean error sparsity);
-* autotuner activity (``retune`` events, Sec. 4.4);
+* autotuner activity (``retune`` events, Sec. 4.4) and its cost
+  (``spg/optimize`` + ``spg/replan`` span time, candidates measured vs.
+  answered from the backend's memo);
 * resilience activity (retries, straggler backups, quarantine
   fallbacks, PS staleness rejects, skipped batches, checkpoints).
 
@@ -72,6 +74,9 @@ class RunReport:
     #: (:func:`repro.obs.critical.critical_path_report`); empty when the
     #: run recorded no DAG graphs.
     critical: dict[str, Any] = field(default_factory=dict)
+    #: The deployed engines per conv layer with the candidate timings
+    #: (seconds per measuring batch) each choice rested on.
+    plan: list[dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly snapshot of the full report."""
@@ -82,6 +87,7 @@ class RunReport:
             "resilience": dict(self.resilience),
             "totals": dict(self.totals),
             "critical": dict(self.critical),
+            "plan": [dict(row) for row in self.plan],
         }
 
     def to_markdown(self) -> str:
@@ -93,6 +99,11 @@ class RunReport:
                 f"{totals.get('epochs', 0)} epoch(s), "
                 f"{totals.get('batches', 0)} batch(es); final train loss "
                 f"{totals.get('final_loss', float('nan')):.4f}."
+            )
+            lines.append(
+                f"Autotuning took {totals.get('tuning_seconds', 0.0):.3f} s "
+                f"({totals.get('tuning_measured', 0)} candidates measured, "
+                f"{totals.get('tuning_memo_hits', 0)} memo hits)."
             )
             lines.append("")
         if self.layers:
@@ -139,6 +150,18 @@ class RunReport:
                         skip=e.get("skipped_batches", 0),
                     )
                 )
+            lines.append("")
+        if self.plan:
+            lines += ["## Deployed plan", ""]
+            for row in self.plan:
+                for phase in ("fp", "bp"):
+                    timings = ", ".join(
+                        f"{name} {seconds * 1e3:.2f} ms" for name, seconds
+                        in sorted(row[f"{phase}_timings"].items(),
+                                  key=lambda item: item[1])
+                    ) or "not measured yet"
+                    lines.append(f"- {row['layer']} {phase.upper()}: "
+                                 f"{row[f'{phase}_engine']} ({timings})")
             lines.append("")
         lines.append("## Autotuner retunes")
         lines.append("")
@@ -313,6 +336,17 @@ class TrainingMonitor:
             if recorded.name == "retune"
         ]
 
+    def tuning_cost(self) -> dict[str, Any]:
+        """Seconds inside the autotuner and what it spent them on."""
+        spans = [s for s in list(self.collector.spans)
+                 if s.name in ("spg/optimize", "spg/replan")]
+        return {
+            "tuning_seconds": sum(s.seconds for s in spans),
+            "tuning_measured": sum(s.attrs.get("measured", 0) for s in spans),
+            "tuning_memo_hits": sum(s.attrs.get("memo_hits", 0)
+                                    for s in spans),
+        }
+
     def resilience_counters(self) -> dict[str, float]:
         """The resilience counters observed so far (absent ones as 0)."""
         counters = self.collector.counters
@@ -343,8 +377,12 @@ class TrainingMonitor:
             rows, title=title,
         )
 
-    def report(self) -> RunReport:
-        """The final run report (markdown/JSON-exportable)."""
+    def report(self, plan=None) -> RunReport:
+        """The final run report (markdown/JSON-exportable).
+
+        ``plan`` is the :class:`~repro.core.plan.ExecutionPlan` the run
+        ended on, when the caller tuned one.
+        """
         resilience = self.resilience_counters()
         final_loss = (
             self._epochs[-1]["train_loss"] if self._epochs else float("nan")
@@ -358,6 +396,7 @@ class TrainingMonitor:
             "flops_useful": self.collector.counters.get(
                 "conv.flops.useful", 0.0
             ),
+            **self.tuning_cost(),
         }
         retunes = self.retune_log()
         totals["retunes"] = len(retunes)
@@ -371,4 +410,10 @@ class TrainingMonitor:
             resilience=resilience,
             totals=totals,
             critical=critical.to_dict() if critical is not None else {},
+            plan=[
+                {"layer": p.layer_name, "sparsity": p.sparsity,
+                 "fp_engine": p.fp_engine, "fp_timings": dict(p.fp_timings),
+                 "bp_engine": p.bp_engine, "bp_timings": dict(p.bp_timings)}
+                for p in (plan.layers if plan is not None else ())
+            ],
         )

@@ -555,9 +555,15 @@ def _add_sliced_forward(graph: TaskGraph, layer: Any,
     )
 
 
-def build_backward_graph(network: "Network", out_error: np.ndarray
+def build_backward_graph(network: "Network", out_error: np.ndarray,
+                         need_input_error: bool = True
                          ) -> tuple[TaskGraph, list[Any]]:
     """Compile one backward pass; ``ecells[0]`` holds the input error.
+
+    With ``need_input_error=False`` (the SGD step, which discards it) a
+    conv layer fed by the images gets no BP-data chain -- no
+    ``bd_prep``/``bd/*``/``bd_finish`` nodes -- and ``ecells[0]`` stays
+    ``None``; every parameter gradient is computed by the same nodes.
 
     This is where the barriers die: a sliced conv forks into a dW chain
     (prep -> per-range partials -> fixed-order reduce) and a BP-data
@@ -576,15 +582,20 @@ def build_backward_graph(network: "Network", out_error: np.ndarray
     for i in reversed(range(count)):
         layer = network.layers[i]
         deps = (producer,) if producer is not None else ()
+        is_conv = isinstance(layer, ConvLayer)
+        skip_bd = is_conv and i == 0 and not need_input_error
         executor = (_sliced_executor(layer, layer._bp_engine)
-                    if isinstance(layer, ConvLayer) else None)
+                    if is_conv else None)
         if executor is None:
-            def whole(i: int = i, layer: Any = layer) -> None:
-                ecells[i] = layer.backward(ecells[i + 1])
+            kwargs = {"need_input_error": False} if skip_bd else {}
+
+            def whole(i: int = i, layer: Any = layer,
+                      kwargs: dict[str, bool] = kwargs) -> None:
+                ecells[i] = layer.backward(ecells[i + 1], **kwargs)
 
             reads = [Region(f"err:{i + 1}"), Region(f"weights:{layer.name}"),
                      Region(f"state:{layer.name}")]
-            if isinstance(layer, ConvLayer):
+            if is_conv:
                 # Unsliced conv backward consumes the forward's cache.
                 reads.append(Region(f"cache:{layer.name}"))
             producer = graph.add_node(
@@ -596,16 +607,17 @@ def build_backward_graph(network: "Network", out_error: np.ndarray
             )
         else:
             producer = _add_sliced_backward(graph, layer, executor, i,
-                                            ecells, batch, deps)
+                                            ecells, batch, deps,
+                                            with_bd=not skip_bd)
     return graph, ecells
 
 
 def _add_sliced_backward(graph: TaskGraph, layer: Any,
                          executor: "ParallelExecutor", i: int,
                          ecells: list[Any], batch: int,
-                         deps: tuple[TaskNode, ...]) -> TaskNode:
+                         deps: tuple[TaskNode, ...],
+                         with_bd: bool = True) -> TaskNode:
     from repro.core.goodput import measure_sparsity, nonzero_conv_flops
-    from repro.runtime.parallel import adopt_slice
 
     ranges = executor.pool.assignment(batch)
     ctx: dict[str, Any] = {}
@@ -674,16 +686,56 @@ def _add_sliced_backward(graph: TaskGraph, layer: Any,
         reduce_order=tuple(range(len(ranges))),
     )
 
-    # BP-data chain.  Its prep waits on dw_prep only because both publish
-    # into the same (unlocked) ShmArena under the process backend; the
-    # range nodes of the two chains still overlap freely.
+    bd_finish_node = (
+        _add_bd_chain(graph, layer, executor, i, ecells, ranges, ctx,
+                      (head_node, dw_prep_node))
+        if with_bd else None
+    )
+
+    # Bookkeeping once the chains land: flop counters and goodput
+    # gauges, mirroring the barrier path's per-backward emission.
+    def done() -> None:
+        sparsity = layer.last_error_sparsity
+        total_flops = ((2.0 if with_bd else 1.0)
+                       * batch * layer.padded_spec.flops)
+        useful_flops = nonzero_conv_flops(total_flops, sparsity)
+        elapsed = max(time.perf_counter() - ctx["begun"], 1e-9)
+        telemetry.add("conv.flops.total", total_flops)
+        telemetry.add("conv.flops.useful", useful_flops)
+        telemetry.gauge(f"goodput.{layer.name}", useful_flops / elapsed)
+        telemetry.gauge(f"throughput.{layer.name}", total_flops / elapsed)
+
+    done_node = graph.add_node(
+        f"bp/{layer.name}/done", done,
+        (dw_reduce_node,) if bd_finish_node is None
+        else (dw_reduce_node, bd_finish_node),
+        reads=(Region(f"state:{L}"),),
+        layer=layer.name, phase="bp")
+    # Downstream layers wait on BP-data only -- the overlap win.
+    return done_node if bd_finish_node is None else bd_finish_node
+
+
+def _add_bd_chain(graph: TaskGraph, layer: Any,
+                  executor: "ParallelExecutor", i: int, ecells: list[Any],
+                  ranges: Sequence[tuple[int, int]], ctx: dict[str, Any],
+                  deps: tuple[TaskNode, ...]) -> TaskNode:
+    """The BP-data chain of a sliced conv: prep -> per-range -> unpad.
+
+    Its prep waits on dw_prep (in ``deps``) only because both publish
+    into the same (unlocked) ShmArena under the process backend; the
+    range nodes of the two chains still overlap freely.
+    """
+    from repro.runtime.parallel import adopt_slice
+
+    L = layer.name
+
     def bd_prep() -> None:
         ctx["bd_out"], ctx["bd_tasks"] = executor.slice_plan(
             "backward_data", ecells[i + 1], layer.weights
         )
 
     bd_prep_node = graph.add_node(
-        f"bp/{layer.name}/bd_prep", bd_prep, (head_node, dw_prep_node),
+        f"bp/{layer.name}/bd_prep", bd_prep, deps,
         reads=(Region(f"err:{i + 1}"), Region(f"weights:{L}")),
         writes=(Region(f"plan:{L}:bd"),) + _shm_regions(executor),
         layer=layer.name, phase="bp",
@@ -707,31 +759,12 @@ def _add_sliced_backward(graph: TaskGraph, layer: Any,
         p = layer.spec.pad
         ecells[i] = padded if p == 0 else padded[:, :, p:-p, p:-p]
 
-    bd_finish_node = graph.add_node(
+    return graph.add_node(
         f"bp/{layer.name}/bd_finish", bd_finish, tuple(bd_nodes),
         reads=(Region(f"plan:{L}:bd"), Region(f"bdout:{L}")),
         writes=(Region(f"err:{i}"),),
         layer=layer.name, phase="bp",
     )
-
-    # Bookkeeping once both chains land: flop counters and goodput
-    # gauges, mirroring the barrier path's per-backward emission.
-    def done() -> None:
-        sparsity = layer.last_error_sparsity
-        total_flops = 2.0 * batch * layer.padded_spec.flops
-        useful_flops = nonzero_conv_flops(total_flops, sparsity)
-        elapsed = max(time.perf_counter() - ctx["begun"], 1e-9)
-        telemetry.add("conv.flops.total", total_flops)
-        telemetry.add("conv.flops.useful", useful_flops)
-        telemetry.gauge(f"goodput.{layer.name}", useful_flops / elapsed)
-        telemetry.gauge(f"throughput.{layer.name}", total_flops / elapsed)
-
-    graph.add_node(f"bp/{layer.name}/done", done,
-                   (dw_reduce_node, bd_finish_node),
-                   reads=(Region(f"state:{L}"),),
-                   layer=layer.name, phase="bp")
-    # Downstream layers wait on BP-data only -- the overlap win.
-    return bd_finish_node
 
 
 def dag_worker_count(network: "Network") -> int:
@@ -768,8 +801,10 @@ class NetworkDagRunner:
             self.scheduler.run(graph)
         return cells[-1]
 
-    def backward(self, out_error: np.ndarray) -> np.ndarray:
-        graph, ecells = build_backward_graph(self.network, out_error)
+    def backward(self, out_error: np.ndarray,
+                 need_input_error: bool = True) -> np.ndarray | None:
+        graph, ecells = build_backward_graph(self.network, out_error,
+                                             need_input_error)
         with telemetry.span("dag/backward", nodes=len(graph),
                             graph_id=graph.graph_id,
                             workers=self.scheduler.num_workers):

@@ -337,6 +337,11 @@ class _MultiSpan:
         for collector, opened in reversed(self._entries):
             collector.finish_span(opened)
 
+    def annotate(self, **attrs: Any) -> None:
+        """Add attributes only known once the spanned work has run."""
+        for _, opened in self._entries:
+            opened.attrs.update(attrs)
+
 
 class _NullSpan:
     """No-op stand-in when no collector is active."""
@@ -347,6 +352,9 @@ class _NullSpan:
         return self
 
     def __exit__(self, *exc_info) -> None:
+        return None
+
+    def annotate(self, **attrs: Any) -> None:
         return None
 
 

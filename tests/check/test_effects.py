@@ -50,7 +50,7 @@ class TestZooCorpusRaceFree:
         finally:
             _close(network)
         assert findings == []
-        assert meta["effect_graphs"] == 2
+        assert meta["effect_graphs"] == 3  # fp, bp, bp-step
         assert meta["effect_nodes"] > 0
 
 

@@ -70,12 +70,22 @@ class TestOptimize:
         with pytest.raises(PlanError):
             make_spg(net).optimize()
 
-    def test_initial_sparsity_influences_bp_choice(self):
+    def test_bp_waits_for_a_measured_sparsity(self):
         net = small_net()
-        spg = make_spg(net, initial_sparsity=0.95)
-        plan = spg.optimize()
-        # At 95% sparsity the sparse kernel must win BP somewhere.
-        assert any(p.bp_engine == "sparse" for p in plan.layers)
+        before = [layer.bp_engine_name for layer in net.conv_layers()]
+        plan = make_spg(net).optimize()
+        assert [p.bp_engine for p in plan.layers] == before
+        assert all(p.bp_timings == {} for p in plan.layers)
+        assert all(p.fp_timings for p in plan.layers)
+
+    def test_bp_engine_outside_the_candidates_is_replanned_up_front(self):
+        net = small_net()
+        net.conv_layers()[0].set_bp_engine("fft")
+        plan = make_spg(net).optimize()
+        planned = plan.for_layer("convA")
+        assert planned.bp_engine in planned.bp_timings
+        assert net.conv_layers()[0].bp_engine_name == planned.bp_engine
+        assert plan.for_layer("convB").bp_timings == {}
 
 
 class TestRetuning:
@@ -127,9 +137,6 @@ class TestRetuning:
             spg.after_epoch(0)
         with pytest.raises(PlanError):
             SpgCNN(small_net(), ModelCostBackend(MACHINE, 1, 1), recheck_epochs=0)
-        with pytest.raises(PlanError):
-            SpgCNN(small_net(), ModelCostBackend(MACHINE, 1, 1),
-                   initial_sparsity=2.0)
 
 
 class TestEndToEndTrainingWithSpg:

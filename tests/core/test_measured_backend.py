@@ -1,0 +1,329 @@
+"""Functional tests of the memoised, probe-gated measuring backend.
+
+No wall-clock inequalities: the backend reads a fake clock that only
+the stub engines advance, so every "timing" below is a planted number
+and every assertion is about which engine calls were (not) made.
+"""
+
+import numpy as np
+import pytest
+
+from repro import telemetry
+from repro.core.autotuner import Autotuner, MeasuredCostBackend
+from repro.core.convspec import ConvSpec
+from repro.core.framework import SpgCNN
+from repro.errors import PlanError
+from repro.nn.netdef import build_network
+from repro.resilience.quarantine import default_registry
+
+SPEC = ConvSpec(nc=2, ny=10, nx=10, nf=3, fy=3, fx=3)
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+class StubEngines:
+    """An engine factory whose engines only advance the fake clock.
+
+    ``cost[name]`` is seconds per image and call; a callable cost
+    receives the error density, which is how the sparse stub gets
+    cheaper as the error empties.
+    """
+
+    def __init__(self, clock, cost):
+        self.clock = clock
+        self.cost = cost
+        self.calls = []          # (engine, method, images, spec)
+        self.released = []
+
+    def __call__(self, name, spec, **kwargs):
+        return _StubEngine(name, spec, self)
+
+    def images(self, engine):
+        return [n for e, _, n, _ in self.calls if e == engine]
+
+    def methods(self, spec=None):
+        return {m for _, m, _, s in self.calls if spec is None or s == spec}
+
+
+class _StubEngine:
+    def __init__(self, name, spec, owner):
+        self.name = name
+        self.spec = spec
+        self.owner = owner
+
+    def _call(self, method, primary):
+        cost = self.owner.cost[self.name]
+        if callable(cost):
+            cost = cost(np.count_nonzero(primary) / primary.size)
+        self.owner.calls.append((self.name, method, len(primary), self.spec))
+        self.owner.clock.now += cost * len(primary)
+
+    def forward(self, inputs, weights):
+        self._call("forward", inputs)
+
+    def backward_data(self, out_error, weights):
+        self._call("backward_data", out_error)
+
+    def backward_weights(self, out_error, inputs):
+        self._call("backward_weights", out_error)
+
+    def release_workspace(self):
+        self.owner.released.append(self.name)
+
+
+def make_backend(cost, **kwargs):
+    clock = FakeClock()
+    engines = StubEngines(clock, cost)
+    backend = MeasuredCostBackend(clock=clock, engine_factory=engines,
+                                  **kwargs)
+    return backend, engines
+
+
+DENSE = {"parallel-gemm": 1.0, "gemm-in-parallel": 1.0, "stencil": 1.0}
+
+
+class TestMemo:
+    def test_second_replan_in_the_same_bucket_calls_no_engine(self):
+        backend, engines = make_backend({**DENSE, "stencil": 1.0,
+                                         "sparse": 30.0})
+        tuner = Autotuner(backend)
+        plan = tuner.plan_fp(SPEC, "c", ("gemm-in-parallel",
+                                         "gemm-in-parallel"))
+        plan = tuner.replan_bp(plan, 0.85)
+        made = len(engines.calls)
+        measured = backend.measured
+        again = tuner.replan_bp(plan, 0.86)       # same density octave
+        assert len(engines.calls) == made
+        assert backend.measured == measured
+        assert backend.memo_hits >= 3
+        assert again.bp_timings == plan.bp_timings
+
+    def test_dense_engines_are_keyed_sparsity_free(self):
+        backend, engines = make_backend({**DENSE, "sparse": 30.0})
+        tuner = Autotuner(backend)
+        plan = tuner.plan_layer(SPEC, "c", sparsity=0.5)
+        engines.calls.clear()
+        tuner.replan_bp(plan, 0.99)               # a new bucket
+        assert {call[0] for call in engines.calls} == {"sparse"}
+
+    def test_buckets_halve_the_density(self):
+        bucket = MeasuredCostBackend.sparsity_bucket
+        assert [bucket(s) for s in (0.0, 0.49, 0.5, 0.75, 0.85, 0.875)] == \
+            [0, 0, 1, 2, 2, 3]
+        assert bucket(0.98) == 5
+        assert bucket(1.0) == 16
+
+    def test_time_is_memoised_too(self):
+        backend, engines = make_backend(DENSE)
+        first = backend.time("gemm-in-parallel", "fp", SPEC, 0.0)
+        made = len(engines.calls)
+        assert backend.time("gemm-in-parallel", "fp", SPEC, 0.3) == first
+        assert len(engines.calls) == made
+
+
+class TestProbeGate:
+    def test_slow_probe_is_never_run_at_the_measuring_batch(self):
+        backend, engines = make_backend({**DENSE, "sparse": 30.0})
+        timings = backend.rank(("parallel-gemm", "gemm-in-parallel",
+                                "sparse"), "bp", SPEC, 0.85,
+                               incumbent="gemm-in-parallel")
+        # One image through dW and one through BP-data: the probe only.
+        assert engines.images("sparse") == [1, 1]
+        # Priced at the probe, scaled to the measuring batch.
+        assert timings["sparse"] == pytest.approx(2 * 30.0 * backend.batch)
+        # The incumbent and the challenger within the gate were timed.
+        assert backend.batch in engines.images("gemm-in-parallel")
+        assert backend.batch in engines.images("parallel-gemm")
+
+    def test_probe_within_the_gate_is_timed(self):
+        backend, engines = make_backend({**DENSE, "sparse": 1.9})
+        backend.rank(("gemm-in-parallel", "sparse"), "bp", SPEC, 0.85,
+                     incumbent="gemm-in-parallel")
+        assert backend.batch in engines.images("sparse")
+
+    def test_incumbent_is_never_gated(self):
+        backend, engines = make_backend({**DENSE, "sparse": 50.0})
+        backend.rank(("gemm-in-parallel", "sparse"), "bp", SPEC, 0.85,
+                     incumbent="sparse")
+        assert backend.batch in engines.images("sparse")
+
+    def test_probe_only_price_is_retimed_once_inside_the_gate(self):
+        sparse = lambda density: 10.0 * density         # noqa: E731
+        backend, engines = make_backend({**DENSE, "sparse": sparse})
+        candidates = ("gemm-in-parallel", "sparse")
+        # A nearly empty error: the dense challenger is gated out.
+        backend.rank(candidates, "bp", SPEC, 0.99, incumbent="sparse")
+        assert engines.images("gemm-in-parallel") == [1, 1]
+        # Same incumbent price: the probe-only answer still stands.
+        engines.calls.clear()
+        backend.rank(candidates, "bp", SPEC, 0.99, incumbent="sparse")
+        assert engines.calls == []
+        # A denser error slows the incumbent past the gate: the dense
+        # key is sparsity-free, but its probe must not stand in now.
+        timings = backend.rank(candidates, "bp", SPEC, 0.5,
+                               incumbent="sparse")
+        assert backend.batch in engines.images("gemm-in-parallel")
+        assert timings["gemm-in-parallel"] == pytest.approx(
+            2 * 1.0 * backend.batch)
+
+    def test_without_an_incumbent_nothing_is_gated(self):
+        backend, engines = make_backend({**DENSE, "sparse": 50.0})
+        backend.rank(("gemm-in-parallel", "sparse"), "bp", SPEC, 0.85)
+        assert backend.batch in engines.images("sparse")
+
+    def test_gated_candidate_costs_one_probe_per_bucket(self):
+        sparse = lambda density: 200.0 * density        # noqa: E731
+        backend, engines = make_backend({**DENSE, "sparse": sparse})
+        tuner = Autotuner(backend)
+        plan = tuner.plan_fp(SPEC, "c", ("gemm-in-parallel",
+                                         "gemm-in-parallel"))
+        for sparsity in (0.85, 0.86, 0.84, 0.98, 0.975):
+            plan = tuner.replan_bp(plan, sparsity)
+        # Two buckets seen -> two probes (dW + BP-data each), no more.
+        assert engines.images("sparse") == [1, 1, 1, 1]
+        assert plan.bp_engine == "gemm-in-parallel"
+
+
+class TestHysteresis:
+    def test_challenger_within_ten_percent_keeps_the_incumbent(self):
+        backend, _ = make_backend({**DENSE, "parallel-gemm": 0.95,
+                                   "sparse": 9.0})
+        tuner = Autotuner(backend)
+        plan = tuner.plan_layer(SPEC, "c", sparsity=0.5,
+                                deployed=("gemm-in-parallel",
+                                          "gemm-in-parallel"))
+        assert plan.bp_timings["parallel-gemm"] < \
+            plan.bp_timings["gemm-in-parallel"]
+        assert plan.bp_engine == "gemm-in-parallel"
+        assert tuner.replan_bp(plan, 0.5).bp_engine == "gemm-in-parallel"
+
+    def test_challenger_beyond_ten_percent_replaces_it(self):
+        backend, _ = make_backend({**DENSE, "parallel-gemm": 0.85,
+                                   "sparse": 9.0})
+        plan = Autotuner(backend).plan_layer(
+            SPEC, "c", sparsity=0.5,
+            deployed=("gemm-in-parallel", "gemm-in-parallel"))
+        assert plan.bp_engine == "parallel-gemm"
+
+    def test_no_incumbent_means_plain_argmin(self):
+        backend, _ = make_backend({"parallel-gemm": 0.95,
+                                   "gemm-in-parallel": 1.0, "sparse": 9.0,
+                                   "stencil": 0.99})
+        plan = Autotuner(backend).plan_layer(SPEC, "c", sparsity=0.5)
+        assert plan.bp_engine == "parallel-gemm"
+        assert plan.fp_engine == "parallel-gemm"
+
+
+class TestMeasurementHygiene:
+    def test_scratch_engines_release_their_workspaces(self):
+        backend, engines = make_backend({**DENSE, "stencil": 5.0})
+        backend.rank(("parallel-gemm", "gemm-in-parallel", "stencil"),
+                     "fp", SPEC, 0.0, incumbent="gemm-in-parallel")
+        assert sorted(engines.released) == ["gemm-in-parallel",
+                                            "parallel-gemm", "stencil"]
+
+    def test_workspace_released_when_an_engine_raises(self):
+        backend, engines = make_backend({**DENSE})
+        engines.cost["stencil"] = lambda density: 1 / 0
+        with pytest.raises(ZeroDivisionError):
+            backend.rank(("stencil",), "fp", SPEC, 0.0)
+        assert engines.released == ["stencil"]
+        assert default_registry().records() == ()
+
+    def test_dw_only_bp_skips_backward_data(self):
+        backend, engines = make_backend(DENSE)
+        backend.rank(("gemm-in-parallel",), "bp", SPEC, 0.5,
+                     input_error=False)
+        assert engines.methods() == {"backward_weights"}
+        made = len(engines.calls)
+        # ...and is memoised apart from the full BP of the same layer.
+        backend.rank(("gemm-in-parallel",), "bp", SPEC, 0.5)
+        assert len(engines.calls) > made
+
+    def test_phase_constraints(self):
+        backend, _ = make_backend(DENSE)
+        with pytest.raises(PlanError):
+            backend.rank(("stencil",), "bp", SPEC, 0.0)
+        with pytest.raises(PlanError):
+            backend.rank(("sparse",), "fp", SPEC, 0.0)
+
+    def test_real_engines_leave_nothing_quarantined(self):
+        backend = MeasuredCostBackend(batch=1, repeats=1)
+        plan = Autotuner(backend).plan_layer(SPEC, "c", sparsity=0.9)
+        assert set(plan.bp_timings) == {"parallel-gemm", "gemm-in-parallel",
+                                        "sparse"}
+        assert default_registry().records() == ()
+
+
+def two_conv_net():
+    return build_network(
+        {
+            "name": "small",
+            "input": [1, 16, 16],
+            "layers": [
+                {"type": "conv", "features": 4, "kernel": 3, "name": "convA"},
+                {"type": "relu"},
+                {"type": "conv", "features": 4, "kernel": 3, "name": "convB"},
+                {"type": "relu"},
+                {"type": "flatten"},
+                {"type": "dense", "features": 3},
+            ],
+        },
+        rng=np.random.default_rng(0),
+    )
+
+
+class TestSpgCNNOnTheMeasuredBackend:
+    COST = {**DENSE, "stencil": 3.0, "sparse": 30.0}
+
+    def test_optimize_makes_no_bp_engine_call(self):
+        backend, engines = make_backend(self.COST)
+        net = two_conv_net()
+        spg = SpgCNN(net, backend)
+        plan = spg.optimize()
+        assert engines.methods() == {"forward"}
+        for layer, layer_plan in zip(net.conv_layers(), plan.layers):
+            assert layer_plan.bp_timings == {}
+            assert layer_plan.bp_engine == layer.bp_engine_name
+
+    def test_first_recheck_measures_bp_and_input_conv_as_dw_only(self):
+        backend, engines = make_backend(self.COST)
+        net = two_conv_net()
+        spg = SpgCNN(net, backend, recheck_epochs=1)
+        spg.optimize()
+        engines.calls.clear()
+        for layer in net.conv_layers():
+            layer.last_error_sparsity = 0.85
+        spg.after_epoch(1)
+        conv_a, conv_b = (layer.padded_spec for layer in net.conv_layers())
+        for plan in spg.plan.layers:
+            assert set(plan.bp_timings) == {"parallel-gemm",
+                                            "gemm-in-parallel", "sparse"}
+        # convA is fed by the images: the layer will only ever call dW.
+        assert engines.methods(conv_a) == {"backward_weights"}
+        assert engines.methods(conv_b) == {"backward_weights",
+                                           "backward_data"}
+
+    def test_spans_carry_measured_and_memo_hit_counts(self):
+        backend, _ = make_backend(self.COST)
+        net = two_conv_net()
+        spg = SpgCNN(net, backend, recheck_epochs=1)
+        with telemetry.collect() as tel:
+            spg.optimize()
+            for layer in net.conv_layers():
+                layer.last_error_sparsity = 0.85
+            spg.after_epoch(1)
+            spg.after_epoch(2)
+        (optimize,) = tel.find_spans("spg/optimize")
+        first, second = tel.find_spans("spg/replan")
+        assert optimize.attrs["measured"] == 6      # 2 layers x 3 FP
+        assert optimize.attrs["memo_hits"] == 0
+        assert first.attrs["measured"] == 6         # 2 layers x 3 BP
+        assert second.attrs["measured"] == 0
+        assert second.attrs["memo_hits"] == 6

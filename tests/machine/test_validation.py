@@ -14,6 +14,7 @@ SPEC = ConvSpec(nc=16, ny=32, nx=32, nf=32, fy=3, fx=3)
 
 
 class TestIndividualChecks:
+    @pytest.mark.wallclock
     def test_unfold_overhead_exists_on_this_host(self):
         check = check_unfold_overhead(SPEC, repeats=3)
         assert check.passed, check.measured_ratio

@@ -127,6 +127,47 @@ class TestExport:
         assert "- none" in text
 
 
+class TestTuningCost:
+    def test_untuned_run_reports_zero_tuning(self, monitored):
+        monitor, _ = monitored
+        totals = monitor.report().totals
+        assert totals["tuning_seconds"] == 0
+        assert totals["tuning_measured"] == totals["tuning_memo_hits"] == 0
+        assert monitor.report().plan == []
+
+    def test_tuned_run_reports_span_time_counts_and_plan(self):
+        from repro.core.autotuner import MeasuredCostBackend
+        from repro.core.framework import SpgCNN
+
+        network = _small_net()
+        spg = SpgCNN(network, MeasuredCostBackend(batch=1, repeats=1),
+                     recheck_epochs=1)
+        loop = TrainingLoop(
+            network, make_dataset(16, 4, (1, 12, 12), seed=0), batch_size=8,
+            shuffle_seed=0, preflight=False,
+            epoch_end_hook=lambda epoch, _net: spg.after_epoch(epoch),
+        )
+        monitor = TrainingMonitor()
+        monitor.attach(loop)
+        with monitor:
+            spg.optimize()
+            loop.run(2)
+        report = monitor.report(plan=spg.plan)
+        spans = [s for s in monitor.collector.spans
+                 if s.name in ("spg/optimize", "spg/replan")]
+        assert len(spans) == 3
+        assert report.totals["tuning_seconds"] == pytest.approx(
+            sum(s.seconds for s in spans))
+        assert report.totals["tuning_measured"] >= 6    # 3 FP + 3 BP
+        (row,) = report.plan
+        assert row["layer"] == "conv"
+        assert row["fp_engine"] in row["fp_timings"]
+        assert row["bp_engine"] in row["bp_timings"]
+        text = report.to_markdown()
+        assert "Autotuning took" in text and "## Deployed plan" in text
+        assert json.loads(json.dumps(report.to_dict()))["plan"] == report.plan
+
+
 class TestCriticalPathSection:
     def test_non_dag_run_reports_empty_critical(self, monitored):
         monitor, _ = monitored

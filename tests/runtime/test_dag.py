@@ -393,6 +393,7 @@ class TestChaosThroughDag:
         assert tel.counters["dag.retries"] >= 1
 
 
+@pytest.mark.wallclock
 @pytest.mark.skipif(os.cpu_count() < 2,
                     reason="idle win needs real hardware concurrency")
 class TestIdleWin:

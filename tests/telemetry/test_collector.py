@@ -116,6 +116,16 @@ class TestActiveStack:
             telemetry.gauge("gauge", 1.0)
             telemetry.event("event")
 
+    def test_annotate_adds_attrs_known_only_after_the_work(self):
+        with telemetry.span("nobody-listening") as quiet:
+            quiet.annotate(measured=3)              # a no-op, not an error
+        with telemetry.collect() as outer, telemetry.collect() as inner:
+            with telemetry.span("tune", epoch=1) as span:
+                span.annotate(measured=3, memo_hits=9)
+        for tel in (outer, inner):
+            assert tel.spans[0].attrs == {"epoch": 1, "measured": 3,
+                                          "memo_hits": 9}
+
     def test_collect_records_module_level_emission(self):
         with telemetry.collect() as tel:
             with telemetry.span("work", phase="fp"):
