@@ -75,9 +75,9 @@ def check_unfold_overhead(spec: ConvSpec, repeats: int = 3,
     w_mat = uf.weights_matrix(spec, weights)
     unfolded = uf.unfold(spec, image)
 
-    gemm_only = _best_of(lambda: w_mat @ unfolded.T, repeats)
+    gemm_only = _best_of(lambda: w_mat @ unfolded, repeats)
     with_unfold = _best_of(
-        lambda: w_mat @ uf.unfold(spec, image).T, repeats
+        lambda: w_mat @ uf.unfold(spec, image), repeats
     )
     ratio = with_unfold / gemm_only if gemm_only > 0 else float("inf")
     return Check(

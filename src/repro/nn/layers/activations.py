@@ -16,7 +16,18 @@ from repro.nn.layers.base import Layer
 
 
 class ReLULayer(Layer):
-    """Elementwise ``max(0, x)``."""
+    """Elementwise ``max(0, x)``.
+
+    Both passes are single arithmetic sweeps (``np.maximum`` and a
+    multiply by the boolean mask) rather than ``np.where`` selects, so
+    non-finite values are *not* laundered into zeros: a ``NaN``
+    activation stays ``NaN`` in the output (``+inf`` passes, ``-inf``
+    clamps to 0), and a masked ``inf``/``NaN`` error comes back as
+    ``NaN`` (``inf * 0``).  Poison therefore reaches the loss, where the
+    SGD non-finite guard drops the batch, instead of vanishing here.  On
+    finite values the results equal the select formulation's; a masked
+    negative error reads ``-0.0``, which compares and counts as zero.
+    """
 
     kind = "relu"
 
@@ -25,10 +36,9 @@ class ReLULayer(Layer):
         self._cached_mask: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray, training: bool = True) -> np.ndarray:
-        mask = inputs > 0
         if training:
-            self._cached_mask = mask
-        return np.where(mask, inputs, 0).astype(inputs.dtype, copy=False)
+            self._cached_mask = inputs > 0
+        return np.maximum(inputs, 0)
 
     def backward(self, out_error: np.ndarray) -> np.ndarray:
         if self._cached_mask is None:
@@ -38,9 +48,7 @@ class ReLULayer(Layer):
                 f"relu backward shape {out_error.shape} != "
                 f"{self._cached_mask.shape}"
             )
-        return np.where(self._cached_mask, out_error, 0).astype(
-            out_error.dtype, copy=False
-        )
+        return out_error * self._cached_mask
 
 
 class FlattenLayer(Layer):

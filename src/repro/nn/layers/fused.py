@@ -12,8 +12,9 @@ Bit-exactness contract: the fused forward is bitwise identical to the
 unfused chain ``ConvLayer(stencil FP) -> ReLULayer -> MaxPoolLayer``,
 because the emission accumulates the same taps in the same order over
 row blocks (spatial blocking of the accumulating ``np.tensordot`` is
-bit-exact) and reduces pool windows with the same strided-view /
-``argmax`` / ``take_along_axis`` sequence as ``MaxPoolLayer``.
+bit-exact) and reduces pool windows with a strided-view / ``argmax`` /
+``take_along_axis`` sequence that selects the same element (the first
+maximum in row-major window order) as ``MaxPoolLayer``'s tap walk.
 
 Training caches shrink accordingly: the unfused chain keeps the padded
 input, the ReLU mask (activation-sized) and the pool argmax; the fused

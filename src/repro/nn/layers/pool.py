@@ -42,22 +42,36 @@ class MaxPoolLayer(Layer):
         c, y, x = input_shape
         return (c, self._out_extent(y), self._out_extent(x))
 
-    def _window_view(self, inputs: np.ndarray) -> np.ndarray:
-        b, c, y, x = inputs.shape
-        oy, ox = self._out_extent(y), self._out_extent(x)
-        bs, cs, ys, xs = inputs.strides
-        shape = (b, c, oy, ox, self.kernel, self.kernel)
-        strides = (bs, cs, ys * self.stride, xs * self.stride, ys, xs)
-        return np.lib.stride_tricks.as_strided(inputs, shape=shape, strides=strides)
+    def _taps(self, plane: np.ndarray, oy: int, ox: int) -> list[np.ndarray]:
+        """The ``kernel**2`` window taps of ``plane`` as strided views.
+
+        Tap ``t = ky * kernel + kx`` is the ``[B, C, oy, ox]`` view of the
+        element every window holds at offset ``(ky, kx)``.
+        """
+        span_y = (oy - 1) * self.stride + 1
+        span_x = (ox - 1) * self.stride + 1
+        return [
+            plane[:, :, ky : ky + span_y : self.stride,
+                  kx : kx + span_x : self.stride]
+            for ky in range(self.kernel)
+            for kx in range(self.kernel)
+        ]
 
     def forward(self, inputs: np.ndarray, training: bool = True) -> np.ndarray:
         if inputs.ndim != 4:
             raise ShapeError(f"expected [B, C, Y, X] input, got {inputs.shape}")
-        windows = self._window_view(inputs)
-        b, c, oy, ox = windows.shape[:4]
-        flat = windows.reshape(b, c, oy, ox, -1)
-        argmax = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
+        oy, ox = self._out_extent(inputs.shape[2]), self._out_extent(inputs.shape[3])
+        taps = self._taps(inputs, oy, ox)
+        # Running max over the taps.  Strict ``>`` keeps the first tap in
+        # row-major window order on ties, as ``argmax`` does.
+        out = taps[0].copy()
+        argmax = np.zeros(
+            out.shape, dtype=np.min_scalar_type(self.kernel ** 2 - 1)
+        )
+        for t, tap in enumerate(taps[1:], start=1):
+            better = tap > out
+            np.maximum(out, tap, out=out)
+            np.putmask(argmax, better, t)
         if training:
             self._cached_input_shape = inputs.shape
             self._cached_argmax = argmax
@@ -74,11 +88,11 @@ class MaxPoolLayer(Layer):
                 f"pool backward shape {out_error.shape} != {(b, c, oy, ox)}"
             )
         in_error = np.zeros(self._cached_input_shape, dtype=out_error.dtype)
-        ky, kx = np.divmod(argmax, self.kernel)
-        bi, ci, yi, xi = np.indices((b, c, oy, ox), sparse=False)
-        np.add.at(
-            in_error,
-            (bi, ci, yi * self.stride + ky, xi * self.stride + kx),
-            out_error,
-        )
+        # Each tap receives the error of the windows it won.  Overlapping
+        # windows (stride < kernel) accumulate; walking the taps last to
+        # first adds them in row-major window order, the order of a
+        # ``np.add.at`` scatter over the output positions.
+        taps = self._taps(in_error, oy, ox)
+        for t in reversed(range(len(taps))):
+            taps[t] += out_error * (argmax == t)
         return in_error

@@ -12,7 +12,9 @@ Two formats share one ``.npz`` container:
   (``__velocity__.<param>`` keys), the completed-epoch count and the
   epoch metric history (``__meta__``, JSON), and the shuffle RNG's
   bit-generator state (``__rng__``, JSON) so the resumed run draws the
-  exact permutations the uninterrupted run would have.
+  exact permutations the uninterrupted run would have.  Written
+  atomically, like the journals below: a kill mid-write leaves the
+  previous ``epoch-*.npz`` (or none), never a torn one.
 
 A third format rides on the training-checkpoint layout:
 
@@ -21,8 +23,9 @@ A third format rides on the training-checkpoint layout:
   checkpoint's payload plus the epoch's shuffled index order
   (``__order__``), the completed-batch index and the partial epoch
   metrics.  Journals are written atomically (tmp file + ``fsync`` +
-  ``rename`` + directory ``fsync``) so a kill at any instant leaves
-  either the previous journal or the new one, never a torn file.
+  ``rename`` + directory ``fsync``, :func:`_write_npz_atomic`) so a kill
+  at any instant leaves either the previous journal or the new one,
+  never a torn file.
 
 Both formats carry the same fingerprint and the same mismatch guarantee:
 loading into a structurally different network raises
@@ -31,7 +34,6 @@ loading into a structurally different network raises
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -115,6 +117,32 @@ def _array_json(array: np.ndarray) -> Any:
     return json.loads(bytes(array).decode("utf-8"))
 
 
+def _write_npz_atomic(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    """``np.savez`` to ``path`` so that no reader ever sees a torn file.
+
+    The archive is written and fsync'd under a temp name in the same
+    directory, renamed over ``path``, and the directory entry fsync'd.
+    A failure (or kill) at any point leaves the previous ``path``
+    intact; a failure this process survives also removes the temp file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            np.savez(handle, **arrays)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 @dataclass
 class CheckpointState:
     """Everything a training checkpoint restores besides the parameters."""
@@ -163,8 +191,10 @@ def save_checkpoint(
     if trainer is not None:
         for name, velocity in trainer.velocity_state().items():
             arrays[_VELOCITY_PREFIX + name] = velocity
-    np.savez(path, **arrays)
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+    if path.suffix != ".npz":
+        path = path.with_suffix(path.suffix + ".npz")
+    _write_npz_atomic(path, arrays)
+    return path
 
 
 def load_checkpoint(
@@ -287,20 +317,7 @@ def save_journal(
     if trainer is not None:
         for name, velocity in trainer.velocity_state().items():
             arrays[_VELOCITY_PREFIX + name] = velocity
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(buffer.getvalue())
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    dir_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    _write_npz_atomic(path, arrays)
     return path
 
 

@@ -193,10 +193,8 @@ class TrainingLoop:
 
     def save_checkpoint(self, epoch: int) -> Path:
         """Write the resumable state after ``epoch`` completed epochs."""
-        path = self.checkpoint_path(epoch)
-        path.parent.mkdir(parents=True, exist_ok=True)
         written = save_checkpoint(
-            self.network, path,
+            self.network, self.checkpoint_path(epoch),
             epoch=epoch,
             trainer=self.trainer,
             rng=self._shuffle_rng,

@@ -1,9 +1,14 @@
 """Unfold+GEMM convolution engines (paper Secs. 2.3 and 4.1).
 
-Forward propagation unfolds each image (Fig. 2b) and computes
-``O = W_mat . U^T`` (Fig. 2c).  Backward-data computes the unfolded error
+Forward propagation unfolds each image to the K-major matrix ``U^T``
+(Fig. 2b, see :mod:`repro.ops.unfold`) and computes ``O = W_mat . U^T``
+(Fig. 2c).  Backward-data computes the unfolded error
 ``U_err^T = W_mat^T . EO_mat`` and folds it back onto the input; backward-
-weights computes ``dW_mat = EO_mat . U``.
+weights computes ``dW_mat = EO_mat . (U^T)^T``.  Each of the three is one
+BLAS call per image: no operand is copied into another orientation and
+no product is re-blocked in Python (OpenBLAS blocks for the cache
+itself; :mod:`repro.blas.gemm` keeps the Goto loop structure as the
+paper-book exhibit, the engines do not route through it).
 
 Two engines share this math and differ only in scheduling, which is what
 the machine model prices:
@@ -13,204 +18,113 @@ the machine model prices:
   core streaming the full unfolded matrix).
 * :class:`GemmInParallelEngine` -- the paper's Sec. 4.1 technique: the
   batch is partitioned across cores and each core runs single-threaded
-  blocked GEMMs on whole images, preserving per-core AIT.
+  GEMMs on whole images, preserving per-core AIT.
+
+An image's result depends on that image alone -- never on its position
+in the batch or on its neighbours -- which is what lets the thread and
+process backends slice a batch anywhere and stay bit-identical to the
+serial run.
 
 Memory behavior: each engine owns a :class:`repro.ops.workspace.Workspace`
-and reuses its unfolded matrix, GEMM output panels and fold scratch
-across images and calls while the geometry is stable; batch outputs are
-written image-by-image into one pre-allocated array (no ``np.stack``).
+and reuses one unfolded matrix and one GEMM panel per phase across images
+and calls while the geometry is stable; forward products are written
+straight into the pre-allocated batch output (no ``np.stack``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.blas.gemm import BlockingParams, gemm, parallel_gemm, partition_rows
+from repro.blas.gemm import partition_rows
 from repro.core.convspec import ConvSpec
 from repro.ops import unfold as uf
 from repro.ops.engine import ConvEngine, register_engine
 from repro.ops.workspace import Workspace
 
 
-def _batch_probe(inputs: np.ndarray) -> tuple:
-    """A cheap content probe for a batch: geometry plus strided samples.
-
-    Content hashing the whole batch would cost as much as re-unfolding,
-    so the probe samples 64 elements evenly strided across the *entire*
-    buffer.  Leading bytes alone would be degenerate: convolution layers
-    zero-pad their batches, so the head is identically zero for every
-    batch and zero-leading data (MNIST-style images) collides the same
-    way.  The interior samples catch an in-place refill of the same
-    buffer with new values.
-    """
-    flat = inputs.reshape(-1)
-    if flat.size <= 64:
-        sample = flat.tobytes()
-    else:
-        offsets = np.linspace(0, flat.size - 1, num=64, dtype=np.int64)
-        sample = flat[offsets].tobytes()
-    return (inputs.shape, inputs.dtype.str, sample)
-
-
 class _UnfoldGemmBase(ConvEngine):
-    """Shared unfold/fold + GEMM math of both schedules.
+    """Shared unfold/fold + GEMM math of both schedules."""
 
-    With ``cache_unfold=True`` the unfolded matrices computed during the
-    forward pass are kept and reused by the following ``backward_weights``
-    call on the same batch, halving the unfolding work of one training
-    step (the paper's ``2|U|`` accounting assumes the re-read; the cache
-    trades memory for it).  The cache pins the batch object it was
-    filled from and records a strided content probe of it, silently
-    invalidating itself when any other batch (or the same buffer with
-    new contents) arrives, so stale unfolds can never leak into a
-    gradient.
-    """
-
-    def __init__(self, spec: ConvSpec, num_cores: int = 1,
-                 blocking: BlockingParams | None = None,
-                 cache_unfold: bool = False):
+    def __init__(self, spec: ConvSpec, num_cores: int = 1):
         super().__init__(spec)
         if num_cores <= 0:
             raise ValueError(f"num_cores must be positive, got {num_cores}")
         self.num_cores = num_cores
-        self.blocking = blocking or BlockingParams()
-        self.cache_unfold = cache_unfold
-        self._unfold_cache: dict[int, np.ndarray] = {}
-        # The exact batch object the cache was filled from, held as a
-        # strong reference: while it is alive no new array can reuse its
-        # address, so the ``is`` check below can never falsely match a
-        # different batch (plain ``id()`` comparison could, because
-        # CPython reuses freed addresses).
-        self._unfold_cache_batch: np.ndarray | None = None
-        self._unfold_cache_probe: tuple | None = None
-        #: Unfold computations avoided via the cache (for tests/metrics).
-        self.unfold_cache_hits = 0
-        #: Reusable scratch buffers (unfolded matrix, GEMM panels, fold).
+        #: Reusable scratch buffers (unfolded matrix, GEMM panels).
         self.workspace = Workspace()
 
-    @property
-    def _unfold_shape(self) -> tuple[int, int]:
-        s = self.spec
-        return (s.out_ny * s.out_nx, s.nc * s.fy * s.fx)
-
-    def _sync_unfold_cache(self, inputs: np.ndarray) -> None:
-        """Invalidate the cache unless it was filled from this batch.
-
-        Reuse requires the *same array object* (identity is sound here
-        because the engine holds the cached batch alive) with unchanged
-        contents at the probed offsets (catching in-place refills).
-        """
-        if not self.cache_unfold:
-            return
-        probe = _batch_probe(inputs)
-        if (inputs is not self._unfold_cache_batch
-                or probe != self._unfold_cache_probe):
-            self._unfold_cache.clear()
-            self._unfold_cache_batch = inputs
-            self._unfold_cache_probe = probe
-
-    def _unfold_image(self, index: int, image: np.ndarray) -> np.ndarray:
-        if not self.cache_unfold:
-            out = self.workspace.scratch(
-                "unfold", self._unfold_shape, image.dtype
-            )
-            return uf.unfold(self.spec, image, out=out)
-        cached = self._unfold_cache.get(index)
-        if cached is not None:
-            self.unfold_cache_hits += 1
-            return cached
-        # Cached entries must own their storage; the workspace buffer
-        # would be overwritten by the next image.
-        unfolded = uf.unfold(self.spec, image)
-        self._unfold_cache[index] = unfolded
-        return unfolded
-
-    def clear_unfold_cache(self) -> None:
-        """Drop cached unfolded matrices (call between batches)."""
-        self._unfold_cache.clear()
-        self._unfold_cache_batch = None
-        self._unfold_cache_probe = None
-
     def release_workspace(self) -> None:
-        """Drop the reusable scratch buffers and the unfold cache."""
+        """Drop the reusable scratch buffers."""
         self.workspace.release()
-        self.clear_unfold_cache()
 
-    # Subclasses choose how a single GEMM is executed.  ``out`` is a
-    # zeroed workspace panel the product is accumulated into.
-    def _gemm(self, a: np.ndarray, b: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
+    # Subclasses choose how a single product is executed; ``out`` is
+    # fully overwritten.
+    def _matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         raise NotImplementedError
-
-    def _gemm_panel(self, tag: str, a: np.ndarray,
-                    b: np.ndarray) -> np.ndarray:
-        out = self.workspace.zeros(
-            tag, (a.shape[0], b.shape[1]), np.result_type(a, b)
-        )
-        return self._gemm(a, b, out)
-
-    def _forward_image(self, index: int, image: np.ndarray,
-                       w_mat: np.ndarray) -> np.ndarray:
-        unfolded = self._unfold_image(index, image)
-        out_mat = self._gemm_panel("fp/out_mat", w_mat, unfolded.T)
-        return uf.output_matrix_to_image(self.spec, out_mat)
-
-    def _backward_data_image(self, err: np.ndarray, w_mat: np.ndarray,
-                             out: np.ndarray | None = None) -> np.ndarray:
-        err_mat = uf.output_image_to_matrix(self.spec, err)
-        unfolded_err = self._gemm_panel("bd/unfolded_err", w_mat.T, err_mat)
-        return uf.fold(self.spec, unfolded_err.T, out=out)
-
-    def _backward_weights_image(self, index: int, err: np.ndarray,
-                                image: np.ndarray) -> np.ndarray:
-        unfolded = self._unfold_image(index, image)
-        err_mat = uf.output_image_to_matrix(self.spec, err)
-        dw_mat = self._gemm_panel("bw/dw_mat", err_mat, unfolded)
-        return dw_mat.reshape(self.spec.weight_shape)
 
     def forward(self, inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
         self._check_batch_inputs(inputs)
         self._check_weights(weights)
-        self._sync_unfold_cache(inputs)
         w_mat = uf.weights_matrix(self.spec, weights)
-        out = np.empty(
-            (inputs.shape[0],) + self.spec.output_shape,
-            dtype=np.result_type(inputs, weights),
-        )
-        for i, img in enumerate(inputs):
-            out[i] = self._forward_image(i, img, w_mat)
+        dtype = np.result_type(inputs, weights)
+        out = np.empty((inputs.shape[0],) + self.spec.output_shape, dtype=dtype)
+        nf, k, p = self.spec.gemm_dims
+        out_mats = out.reshape(inputs.shape[0], nf, p)
+        unfolded = self.workspace.scratch("unfold", (k, p), inputs.dtype)
+        for image, out_mat in zip(inputs, out_mats):
+            uf.unfold(self.spec, image, out=unfolded)
+            self._matmul(w_mat, unfolded, out_mat)
         return out
 
     def backward_data(self, out_error: np.ndarray, weights: np.ndarray) -> np.ndarray:
         self._check_batch_out_error(out_error)
         self._check_weights(weights)
-        w_mat = uf.weights_matrix(self.spec, weights)
-        out = np.empty(
-            (out_error.shape[0],) + self.spec.input_shape,
-            dtype=np.result_type(out_error, weights),
+        w_mat_t = uf.weights_matrix(self.spec, weights).T
+        dtype = np.result_type(out_error, weights)
+        out = np.empty((out_error.shape[0],) + self.spec.input_shape, dtype=dtype)
+        unfolded_err = self.workspace.scratch(
+            "bd/unfolded_err", self.spec.gemm_dims[1:], dtype
         )
-        for i, err in enumerate(out_error):
-            self._backward_data_image(err, w_mat, out=out[i])
+        for err, in_error in zip(out_error, out):
+            err_mat = uf.output_image_to_matrix(self.spec, err)
+            self._matmul(w_mat_t, err_mat, unfolded_err)
+            uf.fold(self.spec, unfolded_err, out=in_error)
         return out
 
     def backward_weights(self, out_error: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         self._check_batch_out_error(out_error)
         self._check_batch_inputs(inputs)
-        self._sync_unfold_cache(inputs)
         dw = np.zeros(self.spec.weight_shape, dtype=out_error.dtype)
-        for i, (err, img) in enumerate(zip(out_error, inputs)):
-            dw += self._backward_weights_image(i, err, img)
+        dw_mat = uf.weights_matrix(self.spec, dw)
+        unfolded = self.workspace.scratch(
+            "unfold", self.spec.gemm_dims[1:], inputs.dtype
+        )
+        panel = self.workspace.scratch(
+            "bw/dw_mat", dw_mat.shape, np.result_type(out_error, inputs)
+        )
+        for err, image in zip(out_error, inputs):
+            uf.unfold(self.spec, image, out=unfolded)
+            err_mat = uf.output_image_to_matrix(self.spec, err)
+            self._matmul(err_mat, unfolded.T, panel)
+            dw_mat += panel
         return dw
 
 
 @register_engine("parallel-gemm")
 class ParallelGemmEngine(_UnfoldGemmBase):
-    """Baseline Unfold+Parallel-GEMM: each image's GEMM spans all cores."""
+    """Baseline Unfold+Parallel-GEMM: each image's GEMM spans all cores.
 
-    def _gemm(self, a: np.ndarray, b: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
-        return parallel_gemm(a, b, num_cores=self.num_cores,
-                             blocking=self.blocking, out=out)
+    Mirrors the paper's model of BLAS parallelization (Sec. 3.2): the
+    rows of the product are divided among ``num_cores`` while every
+    slice streams all of the right-hand operand.  Execution here is
+    sequential over the slices, one BLAS call each; concurrency is
+    accounted for by the machine model.
+    """
+
+    def _matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        for lo, hi in partition_rows(a.shape[0], self.num_cores):
+            if lo < hi:
+                np.matmul(a[lo:hi], b, out=out[lo:hi])
 
 
 @register_engine("gemm-in-parallel")
@@ -222,9 +136,8 @@ class GemmInParallelEngine(_UnfoldGemmBase):
     image->core mapping so the simulated executor can compute the makespan.
     """
 
-    def _gemm(self, a: np.ndarray, b: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
-        return gemm(a, b, out=out, blocking=self.blocking)
+    def _matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(a, b, out=out)
 
     def core_assignment(self, batch_size: int) -> list[tuple[int, int]]:
         """Contiguous ``[lo, hi)`` image ranges per core."""

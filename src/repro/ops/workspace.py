@@ -2,7 +2,7 @@
 
 The unfold/fold/GEMM pipeline and the sparse BP kernels allocate the
 same intermediate arrays for every image of every batch: the unfolded
-matrix ``U``, the GEMM output panel, the HWC error scratch, the sparse
+matrix ``U^T``, the GEMM output panel, the HWC error scratch, the sparse
 ``dW`` layout.  Allocating them per call dominates small-layer runtime
 and fragments the allocator under the process backend's long-lived
 workers.  A :class:`Workspace` keeps one buffer per ``tag`` and hands
@@ -13,9 +13,9 @@ batch size).
 Two access modes:
 
 * :meth:`scratch` -- contents undefined; for buffers the caller fully
-  overwrites (unfold targets, pack buffers).
+  overwrites (unfold targets, GEMM ``out=`` panels, pack buffers).
 * :meth:`zeros` -- zero-filled on every call; for accumulation targets
-  (GEMM ``out=`` panels, fold images, sparse layouts).
+  (the sparse kernels' HWC error image and ``dW`` layout).
 
 Buffers are plain process-local ndarrays.  The shared-memory analogue
 used by the process execution backend is

@@ -318,10 +318,10 @@ def emit_fused_forward_kernel(
     The emission processes one pool-row block at a time: the conv taps
     accumulate into a block-scoped scratch ``act`` covering exactly the
     producer rows the block's pool windows read, ReLU is applied in
-    cache, and the pool reduces via the same strided window view /
-    ``argmax`` / ``take_along_axis`` sequence as the unfused
-    ``MaxPoolLayer`` -- which is what makes the fusion bit-exact against
-    the layer chain.
+    cache, and the pool reduces via a strided window view / ``argmax`` /
+    ``take_along_axis`` sequence that picks the element the unfused
+    ``MaxPoolLayer`` picks (first maximum in row-major window order) --
+    which is what makes the fusion bit-exact against the layer chain.
     """
     if spec.pad != 0:
         raise CodegenError("emit_fused_forward_kernel requires a pre-padded spec")

@@ -128,6 +128,39 @@ class TestConvLayer:
             layer.forward(np.zeros((1, 2, 5, 6), np.float32))
 
 
+POOL_CASES = [
+    (2, 2, (3, 4, 8, 8)),
+    (3, 2, (2, 3, 9, 11)),     # overlapping, non-square
+    (3, 1, (2, 2, 7, 6)),      # every interior input in nine windows
+    (2, 3, (2, 2, 8, 9)),      # gaps between windows
+    (2, 2, (1, 2, 5, 7)),      # trailing row/column dropped
+]
+
+
+def pool_forward_oracle(x, kernel, stride):
+    """Window copy + ``argmax``: the first maximum in row-major order."""
+    b, c, y, xx = x.shape
+    oy, ox = (y - kernel) // stride + 1, (xx - kernel) // stride + 1
+    out = np.empty((b, c, oy, ox), x.dtype)
+    argmax = np.empty((b, c, oy, ox), np.int64)
+    for i in range(oy):
+        for j in range(ox):
+            window = x[:, :, i * stride : i * stride + kernel,
+                       j * stride : j * stride + kernel].reshape(b, c, -1)
+            argmax[:, :, i, j] = window.argmax(axis=-1)
+            out[:, :, i, j] = window.max(axis=-1)
+    return out, argmax
+
+
+def pool_backward_oracle(err, argmax, input_shape, kernel, stride):
+    """``np.add.at`` scatter of each window's error onto its winner."""
+    in_error = np.zeros(input_shape, err.dtype)
+    ky, kx = np.divmod(argmax, kernel)
+    bi, ci, yi, xi = np.indices(err.shape)
+    np.add.at(in_error, (bi, ci, yi * stride + ky, xi * stride + kx), err)
+    return in_error
+
+
 class TestMaxPool:
     def test_forward_takes_window_max(self):
         layer = MaxPoolLayer(kernel=2, stride=2)
@@ -163,6 +196,61 @@ class TestMaxPool:
         out = layer.forward(x)
         assert out.shape == (1, 1, 3, 3)
 
+    @pytest.mark.parametrize("kernel,stride,shape", POOL_CASES)
+    def test_matches_argmax_scatter_oracle(self, kernel, stride, shape, rng):
+        # Coarse integer data plants ties in most windows; the float
+        # trial has none.  Both must reproduce first-in-row-major.
+        for x in (rng.integers(-2, 3, size=shape).astype(np.float32),
+                  rng.standard_normal(shape).astype(np.float32)):
+            layer = MaxPoolLayer(kernel, stride)
+            out = layer.forward(x)
+            want_out, want_argmax = pool_forward_oracle(x, kernel, stride)
+            np.testing.assert_array_equal(out, want_out)
+            np.testing.assert_array_equal(layer._cached_argmax, want_argmax)
+            err = rng.standard_normal(out.shape).astype(np.float32)
+            got = layer.backward(err)
+            want = pool_backward_oracle(err, want_argmax, x.shape,
+                                       kernel, stride)
+            assert got.dtype == want.dtype
+            # Bitwise: overlapping windows must accumulate in the
+            # scatter's order, not merely to the same rounded sum.
+            assert got.tobytes() == want.tobytes()
+
+    def test_all_equal_window_routes_to_first_tap(self):
+        layer = MaxPoolLayer(kernel=3, stride=2)
+        layer.forward(np.zeros((1, 1, 5, 5), np.float32))
+        in_err = layer.backward(np.ones((1, 1, 2, 2), np.float32))
+        expected = np.zeros((5, 5), np.float32)
+        expected[0, 0] = expected[0, 2] = expected[2, 0] = expected[2, 2] = 1
+        np.testing.assert_array_equal(in_err[0, 0], expected)
+
+    def test_overlapping_windows_sum_at_a_shared_winner(self):
+        # One dominant input covered by all four 3x3/stride-2 windows.
+        x = np.zeros((1, 1, 5, 5), np.float32)
+        x[0, 0, 2, 2] = 9.0
+        layer = MaxPoolLayer(kernel=3, stride=2)
+        np.testing.assert_array_equal(layer.forward(x)[0, 0], [[9, 9], [9, 9]])
+        err = np.array([[[[1, 2], [4, 8]]]], np.float32)
+        in_err = layer.backward(err)
+        assert in_err[0, 0, 2, 2] == 15.0
+        assert np.count_nonzero(in_err) == 1
+
+    def test_eval_forward_keeps_training_cache(self, rng):
+        layer = MaxPoolLayer(2)
+        x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
+        layer.forward(x)
+        cached = layer._cached_argmax
+        layer.forward(-x, training=False)
+        assert layer._cached_argmax is cached
+
+    def test_nan_in_a_window_reaches_the_output(self):
+        # The non-finite guards sit downstream (the SGD loss check):
+        # pooling must not launder a poisoned activation.
+        x = np.zeros((1, 1, 2, 4), np.float32)
+        x[0, 0, 1, 1] = np.nan
+        out = MaxPoolLayer(2).forward(x)
+        assert np.isnan(out[0, 0, 0, 0]) and out[0, 0, 0, 1] == 0.0
+
     def test_output_shape_helper(self):
         assert MaxPoolLayer(2).output_shape((8, 10, 12)) == (8, 5, 6)
 
@@ -187,6 +275,56 @@ class TestReLU:
         layer.forward(x)
         err = np.array([[3.0, 4.0, 5.0]], dtype=np.float32)
         np.testing.assert_array_equal(layer.backward(err), [[0, 4, 5]])
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_equals_select_formulation_on_finite_values(self, dtype, rng):
+        x = rng.standard_normal((4, 3, 6, 6)).astype(dtype)
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[0, 0, 0, :2] = (-0.0, np.finfo(dtype).tiny)
+        err = rng.standard_normal(x.shape).astype(dtype)
+        layer = ReLULayer()
+        out, in_err = layer.forward(x), layer.backward(err)
+        mask = x > 0
+        assert out.dtype == in_err.dtype == dtype
+        assert np.array_equal(out, np.where(mask, x, 0))
+        assert np.array_equal(in_err, np.where(mask, err, 0))
+        assert np.array_equal(layer._cached_mask, mask)
+
+    def test_masked_negative_error_counts_as_zero(self):
+        # ``err * False`` is -0.0 for negative err.  Everything that
+        # decides "is this gradient zero?" must agree that it is.
+        from repro.blas.sparse import csr_from_dense
+        from repro.core.goodput import measure_sparsity
+
+        layer = ReLULayer()
+        layer.forward(np.array([[-1.0, -2.0, 3.0, -4.0]], np.float32))
+        in_err = layer.backward(np.array([[-5.0, 6.0, -7.0, -8.0]], np.float32))
+        assert np.signbit(in_err[0, 0]) and in_err[0, 0] == 0
+        assert measure_sparsity(in_err) == 0.75
+        assert np.count_nonzero(in_err) == 1
+        compressed = csr_from_dense(in_err)
+        assert compressed.nnz == 1 and compressed.values[0] == -7.0
+
+    def test_non_finite_values_are_propagated_not_zeroed(self):
+        layer = ReLULayer()
+        x = np.array([[np.nan, np.inf, -np.inf, -1.0, 2.0]], np.float32)
+        out = layer.forward(x)
+        assert np.isnan(out[0, 0]) and np.isinf(out[0, 1])
+        np.testing.assert_array_equal(out[0, 2:], [0, 0, 2])
+        # mask: NaN, -inf and -1 are "not > 0".
+        err = np.array([[1.0, np.inf, np.inf, np.nan, np.nan]], np.float32)
+        with np.errstate(invalid="ignore"):
+            in_err = layer.backward(err)
+        assert in_err[0, 0] == 0 and np.isinf(in_err[0, 1])
+        # A masked inf/NaN error comes back NaN (inf * 0), so the
+        # gradient guard sees it; the select formulation returned 0.
+        assert np.isnan(in_err[0, 2:]).all()
+
+    def test_eval_forward_keeps_training_mask(self):
+        layer = ReLULayer()
+        layer.forward(np.array([[1.0, -1.0]], np.float32))
+        layer.forward(np.array([[-1.0, 1.0]], np.float32), training=False)
+        np.testing.assert_array_equal(layer._cached_mask, [[True, False]])
 
     def test_backward_before_forward_raises(self):
         with pytest.raises(ShapeError):

@@ -107,6 +107,30 @@ class TestTrainingCheckpoint:
         # The RNG continues exactly where the source RNG would.
         np.testing.assert_array_equal(target_rng.random(5), rng.random(5))
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path,
+                                                    monkeypatch):
+        # A write that dies part-way (the SIGKILL-inside-np.savez case of
+        # the kill-chaos suite) must leave the earlier file loadable and
+        # nothing else in the directory for ``epoch-*.npz`` to pick up.
+        from repro.nn import serialize
+
+        network, trainer, rng = self._trained(seed=1)
+        path = save_checkpoint(network, tmp_path / "epoch-0001.npz", epoch=1,
+                               trainer=trainer, rng=rng)
+        before = path.read_bytes()
+
+        def torn_savez(handle, **arrays):
+            handle.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(serialize.np, "savez", torn_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(network, path, epoch=2, trainer=trainer, rng=rng)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["epoch-0001.npz"]
+        assert load_checkpoint(net(seed=2), path).epoch == 1
+
     def test_mutated_network_rejected(self, tmp_path):
         # Satellite S4: a checkpoint must not load into a network whose
         # structure changed after the save.

@@ -1,0 +1,148 @@
+"""The unfold+GEMM engines: differential agreement and batch independence.
+
+Two properties the rest of the system leans on:
+
+* both engines compute Eqs. 2-4 for *any* geometry -- stride, padding,
+  non-square extents -- not only the zoo's (a seeded Hypothesis
+  differential against the loop-nest oracles of ``ops.reference``);
+* an image's result does not depend on the batch it arrives in, bit for
+  bit.  The serial/thread/process and barrier/dag identity contracts
+  slice batches at arbitrary points and compare with ``==``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.check.runner import engine_spec
+from repro.core.convspec import ConvSpec
+from repro.ops import reference as ref
+from repro.ops.engine import make_engine
+from repro.ops.layout import pad_input
+from tests.conftest import SMALL_SPECS, random_conv_data
+
+GEMM_ENGINES = ("parallel-gemm", "gemm-in-parallel")
+
+# Kernels never exceed the padded extent: ny + 2*pad >= 5 + 0 > fy.
+conv_specs = st.builds(
+    ConvSpec,
+    nc=st.integers(1, 4),
+    ny=st.integers(5, 11),
+    nx=st.integers(5, 13),
+    nf=st.integers(1, 5),
+    fy=st.integers(1, 4),
+    fx=st.integers(1, 5),
+    sy=st.integers(1, 3),
+    sx=st.integers(1, 3),
+    pad=st.integers(0, 2),
+)
+
+
+def _case(spec: ConvSpec, seed: int, batch: int = 2):
+    rng = np.random.default_rng(seed)
+    images = rng.standard_normal((batch,) + spec.input_shape).astype(np.float32)
+    padded = np.stack([pad_input(spec, image) for image in images])
+    inner = engine_spec(spec)  # the pad=0 geometry engines run on
+    weights = rng.standard_normal(inner.weight_shape).astype(np.float32)
+    err = rng.standard_normal((batch,) + inner.output_shape).astype(np.float32)
+    return inner, padded, weights, err
+
+
+@pytest.mark.parametrize("name", GEMM_ENGINES)
+@pytest.mark.parametrize("cores", (1, 3))
+@given(spec=conv_specs, seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_gemm_engines_match_loop_oracles(name, cores, spec, seed):
+    inner, padded, weights, err = _case(spec, seed)
+    engine = make_engine(name, inner, num_cores=cores)
+    # Twice through one engine: the second pass runs on reused scratch.
+    for _ in range(2):
+        np.testing.assert_allclose(
+            engine.forward(padded, weights),
+            np.stack([ref.forward_loops(inner, x, weights) for x in padded]),
+            atol=2e-3, err_msg=f"{name} fp {inner.describe()}",
+        )
+        np.testing.assert_allclose(
+            engine.backward_data(err, weights),
+            np.stack([ref.backward_data_loops(inner, e, weights) for e in err]),
+            atol=2e-3, err_msg=f"{name} bd {inner.describe()}",
+        )
+        np.testing.assert_allclose(
+            engine.backward_weights(err, padded),
+            sum(ref.backward_weights_loops(inner, e, x)
+                for e, x in zip(err, padded)),
+            atol=5e-3, err_msg=f"{name} dw {inner.describe()}",
+        )
+
+
+@pytest.mark.parametrize("name", GEMM_ENGINES)
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: s.describe())
+class TestBatchIndependence:
+    def test_forward_image_equals_singleton_call(self, name, spec, rng):
+        inputs, weights, _ = random_conv_data(spec, rng, batch=5)
+        engine = make_engine(name, spec, num_cores=2)
+        batched = engine.forward(inputs, weights)
+        for i in range(len(inputs)):
+            alone = make_engine(name, spec, num_cores=2).forward(
+                inputs[i : i + 1], weights
+            )
+            assert batched[i].tobytes() == alone[0].tobytes()
+        # ... and a slice taken anywhere, through the warm engine.
+        assert engine.forward(inputs[2:4], weights).tobytes() == \
+            batched[2:4].tobytes()
+
+    def test_backward_data_image_equals_singleton_call(self, name, spec, rng):
+        _, weights, err = random_conv_data(spec, rng, batch=5)
+        engine = make_engine(name, spec, num_cores=2)
+        batched = engine.backward_data(err, weights)
+        for i in range(len(err)):
+            alone = make_engine(name, spec, num_cores=2).backward_data(
+                err[i : i + 1], weights
+            )
+            assert batched[i].tobytes() == alone[0].tobytes()
+        assert engine.backward_data(err[1:3], weights).tobytes() == \
+            batched[1:3].tobytes()
+
+
+class TestScheduling:
+    def test_more_cores_than_rows_leaves_no_row_unwritten(self, rng):
+        # parallel-gemm's row partition has empty slices here; every row
+        # of the (uninitialised) scratch panel must still be produced.
+        spec = ConvSpec(nc=2, ny=6, nx=6, nf=2, fy=2, fx=2)
+        inputs, weights, err = random_conv_data(spec, rng, batch=2)
+        engine = make_engine("parallel-gemm", spec, num_cores=16)
+        oracle = make_engine("reference", spec)
+        np.testing.assert_allclose(
+            engine.forward(inputs, weights), oracle.forward(inputs, weights),
+            atol=1e-3,
+        )
+        np.testing.assert_allclose(
+            engine.backward_weights(err, inputs),
+            oracle.backward_weights(err, inputs), atol=1e-3,
+        )
+
+    def test_returned_arrays_do_not_alias_scratch(self, rng):
+        spec = SMALL_SPECS[1]
+        inputs, weights, err = random_conv_data(spec, rng, batch=2)
+        engine = make_engine("gemm-in-parallel", spec)
+        out = engine.forward(inputs, weights)
+        ei = engine.backward_data(err, weights)
+        dw = engine.backward_weights(err, inputs)
+        kept = [a.copy() for a in (out, ei, dw)]
+        # A second batch through the same engine overwrites its scratch.
+        engine.forward(inputs + 1, weights)
+        engine.backward_data(err + 1, weights)
+        engine.backward_weights(err + 1, inputs + 1)
+        for got, want in zip((out, ei, dw), kept):
+            np.testing.assert_array_equal(got, want)
+
+    def test_empty_batch(self):
+        spec = SMALL_SPECS[0]
+        weights = np.zeros(spec.weight_shape, np.float32)
+        engine = make_engine("gemm-in-parallel", spec)
+        empty_in = np.zeros((0,) + spec.input_shape, np.float32)
+        empty_err = np.zeros((0,) + spec.output_shape, np.float32)
+        assert engine.forward(empty_in, weights).shape == (0,) + spec.output_shape
+        assert engine.backward_data(empty_err, weights).shape == empty_in.shape
+        assert not engine.backward_weights(empty_err, empty_in).any()

@@ -10,36 +10,66 @@ from repro.ops import unfold as uf
 from tests.conftest import SMALL_SPECS, random_conv_data
 
 
+def _k(spec):
+    return spec.gemm_dims[1]
+
+
+def _p(spec):
+    return spec.gemm_dims[2]
+
+
 class TestUnfoldStructure:
-    def test_shape(self):
+    def test_shape_is_k_major(self):
         spec = ConvSpec(nc=2, ny=5, nx=6, nf=3, fy=2, fx=3)
         image = np.arange(2 * 5 * 6, dtype=np.float32).reshape(2, 5, 6)
         unfolded = uf.unfold(spec, image)
-        assert unfolded.shape == (spec.out_ny * spec.out_nx, 2 * 2 * 3)
+        assert unfolded.shape == (2 * 2 * 3, spec.out_ny * spec.out_nx)
+        assert unfolded.flags.c_contiguous
 
-    def test_rows_are_kernel_windows(self):
-        # Row r of U must equal the flattened window of output position r
-        # with channel the slowest column group (Fig. 2b).
-        spec = ConvSpec(nc=2, ny=4, nx=4, nf=1, fy=2, fx=2)
-        image = np.arange(32, dtype=np.float32).reshape(2, 4, 4)
+    def test_columns_are_kernel_windows(self):
+        # Column p of U^T must equal the flattened window of output
+        # position p with channel the slowest row group (Fig. 2b).
+        spec = ConvSpec(nc=2, ny=4, nx=5, nf=1, fy=2, fx=3)
+        image = np.arange(40, dtype=np.float32).reshape(2, 4, 5)
         unfolded = uf.unfold(spec, image)
         for y in range(spec.out_ny):
             for x in range(spec.out_nx):
-                row = unfolded[y * spec.out_nx + x]
-                window = image[:, y : y + 2, x : x + 2].reshape(-1)
-                np.testing.assert_array_equal(row, window)
+                column = unfolded[:, y * spec.out_nx + x]
+                window = image[:, y : y + 2, x : x + 3].reshape(-1)
+                np.testing.assert_array_equal(column, window)
+
+    def test_rows_are_shifted_input_planes(self):
+        # Row (c, ky, kx) is the input plane of channel c shifted by the
+        # tap offset -- the long runs the K-major gather copies.
+        spec = ConvSpec(nc=2, ny=6, nx=7, nf=1, fy=3, fx=2)
+        image = np.arange(84, dtype=np.float32).reshape(2, 6, 7)
+        unfolded = uf.unfold(spec, image).reshape(
+            spec.nc, spec.fy, spec.fx, spec.out_ny, spec.out_nx
+        )
+        for c in range(spec.nc):
+            for ky in range(spec.fy):
+                for kx in range(spec.fx):
+                    np.testing.assert_array_equal(
+                        unfolded[c, ky, kx],
+                        image[c, ky : ky + spec.out_ny, kx : kx + spec.out_nx],
+                    )
 
     def test_paper_figure2b_example(self):
-        # 3x3 image, 2 channels, 2x2 kernel -> 4 rows of 8 columns.
+        # 3x3 image, 2 channels, 2x2 kernel: the figure's U (4 rows of 8
+        # columns) is the transpose of what unfold builds.
         spec = ConvSpec(nc=2, ny=3, nx=3, nf=1, fy=2, fx=2)
         image = np.stack(
             [np.arange(9, dtype=np.float32).reshape(3, 3),
              10 + np.arange(9, dtype=np.float32).reshape(3, 3)]
         )
-        unfolded = uf.unfold(spec, image)
-        assert unfolded.shape == (4, 8)
+        figure_u = uf.unfold(spec, image).T
+        assert figure_u.shape == (4, 8)
         np.testing.assert_array_equal(
-            unfolded[0], [0, 1, 3, 4, 10, 11, 13, 14]
+            figure_u,
+            [[0, 1, 3, 4, 10, 11, 13, 14],
+             [1, 2, 4, 5, 11, 12, 14, 15],
+             [3, 4, 6, 7, 13, 14, 16, 17],
+             [4, 5, 7, 8, 14, 15, 17, 18]],
         )
 
     def test_strided_unfold_skips_positions(self):
@@ -47,7 +77,44 @@ class TestUnfoldStructure:
         image = np.arange(25, dtype=np.float32).reshape(1, 5, 5)
         unfolded = uf.unfold(spec, image)
         assert unfolded.shape == (4, 4)
-        np.testing.assert_array_equal(unfolded[1], [2, 3, 7, 8])
+        np.testing.assert_array_equal(unfolded[:, 1], [2, 3, 7, 8])
+
+    def test_non_square_strides(self):
+        spec = ConvSpec(nc=1, ny=5, nx=8, nf=1, fy=2, fx=2, sy=1, sx=3)
+        image = np.arange(40, dtype=np.float32).reshape(1, 5, 8)
+        unfolded = uf.unfold(spec, image)
+        assert unfolded.shape == (4, spec.out_ny * spec.out_nx)
+        # Output position (y=2, x=1) reads the window at rows 2-3, cols 3-4.
+        np.testing.assert_array_equal(
+            unfolded[:, 2 * spec.out_nx + 1], [19, 20, 27, 28]
+        )
+
+    def test_non_contiguous_input(self):
+        spec = ConvSpec(nc=2, ny=4, nx=4, nf=1, fy=2, fx=2)
+        wide = np.arange(2 * 4 * 8, dtype=np.float32).reshape(2, 4, 8)
+        view = wide[:, :, ::2]
+        np.testing.assert_array_equal(
+            uf.unfold(spec, view), uf.unfold(spec, view.copy())
+        )
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: s.describe())
+    def test_out_buffer_is_filled_and_returned(self, spec, rng):
+        inputs, _, _ = random_conv_data(spec, rng, batch=1)
+        out = np.full((_k(spec), _p(spec)), np.nan, dtype=np.float32)
+        assert uf.unfold(spec, inputs[0], out=out) is out
+        np.testing.assert_array_equal(out, uf.unfold(spec, inputs[0]))
+
+    def test_rejects_bad_out_buffer(self):
+        spec = SMALL_SPECS[1]
+        image = np.zeros(spec.input_shape, np.float32)
+        with pytest.raises(ShapeError):
+            # The [P, K] orientation is gone, not an alternative.
+            uf.unfold(spec, image, out=np.empty((_p(spec), _k(spec)), np.float32))
+        with pytest.raises(ShapeError):
+            uf.unfold(
+                spec, image,
+                out=np.empty((_p(spec), _k(spec)), np.float32).T,
+            )
 
     def test_rejects_padded_spec(self):
         spec = ConvSpec(nc=1, ny=4, nx=4, nf=1, fy=2, fx=2, pad=1)
@@ -61,7 +128,7 @@ class TestGemmEquivalence:
         inputs, weights, _ = random_conv_data(spec, rng, batch=1)
         unfolded = uf.unfold(spec, inputs[0])
         w_mat = uf.weights_matrix(spec, weights)
-        out = uf.output_matrix_to_image(spec, w_mat @ unfolded.T)
+        out = uf.output_matrix_to_image(spec, w_mat @ unfolded)
         want = ref.forward(spec, inputs[0], weights)
         np.testing.assert_allclose(out, want, atol=1e-3)
 
@@ -71,12 +138,19 @@ class TestFold:
     def test_fold_is_adjoint_of_unfold(self, spec, rng):
         # <unfold(x), u> == <x, fold(u)> for all x, u.
         inputs, _, _ = random_conv_data(spec, rng, batch=1)
-        u = rng.standard_normal(
-            (spec.out_ny * spec.out_nx, spec.nc * spec.fy * spec.fx)
-        ).astype(np.float32)
+        u = rng.standard_normal((_k(spec), _p(spec))).astype(np.float32)
         lhs = float(np.vdot(uf.unfold(spec, inputs[0]), u))
         rhs = float(np.vdot(inputs[0], uf.fold(spec, u)))
         assert lhs == pytest.approx(rhs, rel=1e-3, abs=1e-2)
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: s.describe())
+    def test_fold_of_gemm_equals_reference_backward_data(self, spec, rng):
+        _, weights, err = random_conv_data(spec, rng, batch=1)
+        w_mat = uf.weights_matrix(spec, weights)
+        err_mat = uf.output_image_to_matrix(spec, err[0])
+        got = uf.fold(spec, w_mat.T @ err_mat)
+        want = ref.backward_data(spec, err[0], weights)
+        np.testing.assert_allclose(got, want, atol=1e-3)
 
     def test_fold_unfold_counts_multiplicity(self):
         # fold(unfold(ones)) equals, at each input position, the number of
@@ -90,10 +164,19 @@ class TestFold:
         )[None]
         np.testing.assert_array_equal(counted, expected)
 
+    def test_fold_into_out_overwrites_stale_contents(self, rng):
+        spec = SMALL_SPECS[2]
+        u = rng.standard_normal((_k(spec), _p(spec))).astype(np.float32)
+        out = np.full(spec.input_shape, 7.0, dtype=np.float32)
+        assert uf.fold(spec, u, out=out) is out
+        np.testing.assert_array_equal(out, uf.fold(spec, u))
+
     def test_fold_rejects_bad_shape(self):
         spec = SMALL_SPECS[0]
         with pytest.raises(ShapeError):
             uf.fold(spec, np.zeros((3, 3), np.float32))
+        with pytest.raises(ShapeError):
+            uf.fold(spec, np.zeros((_p(spec), _k(spec)), np.float32))
 
 
 class TestMatrixHelpers:
