@@ -168,7 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--scale", type=float, default=0.25,
                        help="feature-count scale of the zoo network")
     trace.add_argument("--threads", type=int, default=2,
-                       help="worker threads per conv layer (1 = inline)")
+                       help="workers in the network's one pool; a training step "
+                            "runs one whole-network shard on each (1 = inline)")
     trace.add_argument("--backend", choices=_BACKENDS, default="thread",
                        help="execution backend of the conv worker pools")
     trace.add_argument("--scheduler", choices=("barrier", "dag"),
@@ -220,7 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--batch", type=int, default=8)
     chaos.add_argument("--samples", type=int, default=48)
     chaos.add_argument("--threads", type=int, default=2,
-                       help="worker threads per conv layer (1 = inline)")
+                       help="workers in the network's one pool; a training step "
+                            "runs one whole-network shard on each (1 = inline)")
     chaos.add_argument("--backend", choices=_BACKENDS, default="thread",
                        help="execution backend of the conv worker pools")
     chaos.add_argument("--scheduler", choices=("barrier", "dag"),
@@ -242,7 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--scale", type=float, default=0.25,
                        help="feature-count scale of the zoo network")
     train.add_argument("--threads", type=int, default=1,
-                       help="worker threads per conv layer (1 = inline)")
+                       help="workers in the network's one pool; a training step "
+                            "runs one whole-network shard on each (1 = inline)")
     train.add_argument("--backend", choices=_BACKENDS, default="thread",
                        help="execution backend of the conv worker pools")
     train.add_argument("--scheduler", choices=("barrier", "dag"),
@@ -729,10 +732,11 @@ def _cmd_workers(args, out) -> int:
                 worker["outstanding"],
                 diag.get("engines_cached", "-"),
                 diag.get("segments_attached", "-"),
+                diag.get("blas_threads", "-"),
             ])
         print(format_table(
             ["pid", "slot", "status", "state", "beats", "outstanding",
-             "engines", "segments"],
+             "engines", "segments", "blas"],
             rows, title="process-backend workers",
         ), file=out)
         deadline = state["task_deadline"]

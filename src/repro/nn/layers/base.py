@@ -9,8 +9,12 @@ can update any layer uniformly.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Any
 
 import numpy as np
+
+#: ``(kind, name, constructor options)`` -- see :meth:`Layer.structure`.
+LayerStructure = tuple[str, str, tuple[tuple[str, Any], ...]]
 
 
 class Layer(ABC):
@@ -34,6 +38,19 @@ class Layer(ABC):
         cached activations are available.
         """
 
+    def structure(self) -> LayerStructure:
+        """What rebuilds this layer without its parameters or its pool.
+
+        A picklable, hashable ``(kind, name, options)`` triple:
+        ``LAYER_KINDS[kind](name=name, **dict(options))`` constructs an
+        inline layer computing the same function once the parameter
+        arrays are rebound (:meth:`bind_params`).  The sharded training
+        step ships it to the workers, whose replicas are cached under
+        it -- so it must change whenever the computation does (a conv
+        layer's options carry the engines deployed right now).
+        """
+        return (self.kind, self.name, ())
+
     def params(self) -> dict[str, np.ndarray]:
         """Trainable parameter arrays, by name.  Default: none."""
         return {}
@@ -41,6 +58,32 @@ class Layer(ABC):
     def grads(self) -> dict[str, np.ndarray]:
         """Gradient arrays matching :meth:`params` keys.  Default: none."""
         return {}
+
+    def bind_params(self, params: dict[str, np.ndarray],
+                    grads: dict[str, np.ndarray] | None = None) -> None:
+        """Rebind parameter (and gradient) arrays, e.g. to shared views.
+
+        Keys are those of :meth:`params`; a parameter ``key`` lives in
+        the attribute ``key`` and its gradient in ``d_<key>``.
+        """
+        for key, array in params.items():
+            setattr(self, key, array)
+        for key, array in (grads or {}).items():
+            setattr(self, f"d_{key}", array)
+
+    def draw_noise(self, shape: tuple[int, ...]) -> np.ndarray | None:
+        """Draw this step's random state for a batch of ``shape``.
+
+        ``None`` for deterministic layers.  A stochastic layer advances
+        its generator exactly as its ``forward`` would; the sharded step
+        draws the whole batch's noise in the parent, in layer order, and
+        hands each shard its rows through :meth:`preset_noise`.
+        """
+        return None
+
+    def preset_noise(self, noise: np.ndarray) -> None:
+        """Use ``noise`` (rows of :meth:`draw_noise`) in the next forward."""
+        raise NotImplementedError(f"{self.kind} layers draw no noise")
 
     def zero_grads(self) -> None:
         """Reset accumulated gradients to zero before a new batch."""

@@ -10,10 +10,16 @@ The layer also measures the sparsity of the incoming error gradients on
 every backward pass, which both reproduces Fig. 3b and drives the
 autotuner's periodic BP re-selection.
 
-When constructed with ``threads > 1`` the layer executes its engines
-through a :class:`repro.runtime.parallel.ParallelExecutor` backed by one
-shared :class:`repro.runtime.pool.WorkerPool`, so FP/BP genuinely run the
-paper's image-level parallel schedule on real threads.
+When constructed with ``threads > 1`` (a private
+:class:`repro.runtime.pool.WorkerPool`) or ``pool=`` (one shared by the
+whole network -- what :func:`repro.nn.netdef.build_network` passes) the
+layer executes its engines through a
+:class:`repro.runtime.parallel.ParallelExecutor`, so a direct
+``forward``/``backward`` call runs the paper's image-level parallel
+schedule on real workers.  A *training step* of a pooled network does
+not come through here at all: the trainer shards the whole step over the
+same pool (:class:`repro.runtime.parallel.ShardedStep`) and each worker
+runs an inline replica of this layer built from :meth:`structure`.
 
 Every FP/BP pass emits a telemetry span (``<name>/fp``, ``<name>/bp``)
 and the backward pass additionally records total/useful flop counters
@@ -40,8 +46,8 @@ from repro import telemetry
 from repro.core.convspec import ConvSpec
 from repro.core.goodput import measure_sparsity, nonzero_conv_flops
 from repro.core.plan import FALLBACK_ENGINE
-from repro.errors import ShapeError
-from repro.nn.layers.base import Layer
+from repro.errors import InjectedFault, ShapeError
+from repro.nn.layers.base import Layer, LayerStructure
 from repro.ops.engine import ConvEngine, make_engine
 from repro.resilience import faults
 from repro.resilience.quarantine import QuarantineRegistry, default_registry
@@ -74,6 +80,7 @@ class ConvLayer(Layer):
         backend: str = "thread",
         rng: np.random.Generator | None = None,
         quarantine: QuarantineRegistry | None = None,
+        pool: WorkerPool | None = None,
     ):
         super().__init__(name or spec.name or self.kind)
         self.spec = spec
@@ -91,11 +98,12 @@ class ConvLayer(Layer):
             name=spec.name,
         )
         self.num_cores = num_cores
-        self.threads = threads
-        self.backend = backend
-        # One pool shared by the FP and BP executors; engines swapped by
-        # the autotuner reuse it rather than spawning new workers.
-        self._pool = self._build_pool()
+        self.threads = pool.num_workers if pool is not None else threads
+        self.backend = pool.backend_name if pool is not None else backend
+        # One pool serves the FP and BP executors (and, when the network
+        # passed it in, every other layer and the sharded step); engines
+        # swapped by the autotuner reuse it rather than spawning workers.
+        self._pool = pool if pool is not None else self._build_pool()
         rng = rng or np.random.default_rng(0)
         fan_in = spec.nc * spec.fy * spec.fx
         scale = np.sqrt(2.0 / fan_in)
@@ -109,6 +117,8 @@ class ConvLayer(Layer):
         self._cached_padded_input: np.ndarray | None = None
         #: Sparsity of the most recent incoming error gradient.
         self.last_error_sparsity: float = 0.0
+        #: ``(total flops, useful flops, seconds)`` of the last backward.
+        self.last_bp_account: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     # -- engine management ----------------------------------------------
 
@@ -134,11 +144,13 @@ class ConvLayer(Layer):
             release()
 
     def set_backend(self, backend: str) -> None:
-        """Switch the execution backend, rebuilding pool and engines.
+        """Switch the execution backend, rebuilding the engines.
 
-        A no-op when the backend already matches.  Only meaningful for
-        layers running with ``threads > 1``; single-threaded layers just
-        record the choice (their engines run inline either way).
+        A no-op when the backend already matches.  The pool object is
+        kept and retargeted in place, so layers sharing it swap it once:
+        the first to be switched moves the workers, the rest only
+        rebuild their executors.  Single-threaded layers just record the
+        choice (their engines run inline either way).
         """
         if backend == self.backend:
             return
@@ -146,18 +158,30 @@ class ConvLayer(Layer):
         self._retire_engine(self._fp_engine)
         self._retire_engine(self._bp_engine)
         if self._pool is not None:
-            self._pool.shutdown()
+            self._pool.set_backend(backend)
         self.backend = backend
-        self._pool = self._build_pool()
         self._fp_engine = self._build_engine(fp_name)
         self._bp_engine = self._build_engine(bp_name)
 
     def close(self) -> None:
-        """Release engine workspaces and shut down the worker pool."""
+        """Release engine workspaces and shut down the worker pool.
+
+        Idempotent, and enough on its own for a shared pool: shutting it
+        down also releases what the sharded step keeps there (parameter,
+        batch and gradient segments, see ``WorkerPool.at_shutdown``).
+        """
         self._retire_engine(self._fp_engine)
         self._retire_engine(self._bp_engine)
         if self._pool is not None:
             self._pool.shutdown()
+
+    def structure(self) -> LayerStructure:
+        return (self.kind, self.name, (
+            ("spec", self.spec),
+            ("fp_engine", self.fp_engine_name),
+            ("bp_engine", self.bp_engine_name),
+            ("num_cores", self.num_cores),
+        ))
 
     @property
     def fp_engine_name(self) -> str:
@@ -209,13 +233,20 @@ class ConvLayer(Layer):
             return f"{method} produced non-finite values"
         return None
 
-    def _degrade(self, phase: str, engine_name: str, reason: str) -> None:
-        """Quarantine a misbehaving engine and deploy the fallback."""
+    def degrade(self, phase: str, engine_name: str, reason: str) -> None:
+        """Quarantine a misbehaving engine and deploy the fallback.
+
+        Called by the guard below, and by the sharded step for a failure
+        one of this layer's worker-side replicas reported.
+        """
         self._quarantine.quarantine(self.name, phase, engine_name,
                                     reason=reason)
         telemetry.add("engine.fallbacks", 1)
         telemetry.event("engine.fallback", layer=self.name, phase=phase,
                         engine=engine_name, reason=reason)
+        self._deploy_fallback(phase)
+
+    def _deploy_fallback(self, phase: str) -> None:
         fallback = self._build_engine(FALLBACK_ENGINE)
         if phase == "fp":
             self._retire_engine(self._fp_engine)
@@ -239,8 +270,7 @@ class ConvLayer(Layer):
             return getattr(engine, method)(primary, shared)
         batch = int(primary.shape[0])
         try:
-            faults.perturb(f"engine.{phase}", layer=self.name,
-                           engine=engine.name, method=method)
+            self._visit_fault_site(phase, method, engine.name)
             out = getattr(engine, method)(primary, shared)
             failure = self._numeric_failure(method, batch, out)
             if failure is None:
@@ -249,9 +279,39 @@ class ConvLayer(Layer):
                 return out  # poisoned inputs: not the engine's fault
         except Exception as error:  # noqa: BLE001 -- any engine failure degrades
             failure = f"{type(error).__name__}: {error}"
-        self._degrade(phase, engine.name, failure)
+        self.degrade(phase, engine.name, failure)
         fallback = self._fp_engine if phase == "fp" else self._bp_engine
         return getattr(fallback, method)(primary, shared)
+
+    def _visit_fault_site(self, phase: str, method: str,
+                          engine_name: str) -> None:
+        faults.perturb(f"engine.{phase}", layer=self.name,
+                       engine=engine_name, method=method)
+
+    def rehearse_engine_faults(self, phase: str,
+                               need_input_error: bool = True) -> None:
+        """Visit the ``engine.<phase>`` fault site as one step's engine
+        calls of that phase would, without running them.
+
+        For a sharded step, whose engine calls run in worker replicas
+        that visit no site: the parent rehearses them before dispatch,
+        once per call as inline, so a plan fires at the same invocation
+        under every backend.  A fired raise degrades the engine exactly
+        as the guard above does; the step's replicas are then built with
+        the fallback.
+        """
+        methods = ("forward",) if phase == "fp" else (
+            ("backward_weights", "backward_data") if need_input_error
+            else ("backward_weights",))
+        for method in methods:
+            engine = self._fp_engine if phase == "fp" else self._bp_engine
+            if engine.name == FALLBACK_ENGINE:
+                return
+            try:
+                self._visit_fault_site(phase, method, engine.name)
+            except InjectedFault as error:
+                self.degrade(phase, engine.name,
+                             f"{type(error).__name__}: {error}")
 
     # -- Layer interface -------------------------------------------------
 
@@ -323,6 +383,7 @@ class ConvLayer(Layer):
                     "bp", "backward_data", out_error, self.weights
                 )
         elapsed = max(time.perf_counter() - start, 1e-9)
+        self.last_bp_account = (total_flops, useful_flops, elapsed)
         telemetry.add("conv.flops.total", total_flops)
         telemetry.add("conv.flops.useful", useful_flops)
         telemetry.gauge(f"goodput.{self.name}", useful_flops / elapsed)
@@ -331,3 +392,32 @@ class ConvLayer(Layer):
             return in_error_padded
         p = self.spec.pad
         return in_error_padded[:, :, p:-p, p:-p]
+
+
+class ReplicaConvLayer(ConvLayer):
+    """A conv layer inside a step shard's replica of the network.
+
+    Its numeric guard still swaps a failed engine for the fallback and
+    re-runs the call, but the failure is *reported*, not recorded: the
+    quarantine registry and the telemetry are the parent's, which applies
+    :meth:`ConvLayer.degrade` to the layer this one replicates.  It
+    visits no fault site either: the parent rehearsed this step's
+    (:meth:`ConvLayer.rehearse_engine_faults`).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._failures: list[tuple[str, str, str]] = []
+
+    def _visit_fault_site(self, phase: str, method: str,
+                          engine_name: str) -> None:
+        pass
+
+    def degrade(self, phase: str, engine_name: str, reason: str) -> None:
+        self._failures.append((phase, engine_name, reason))
+        self._deploy_fallback(phase)
+
+    def take_failures(self) -> list[tuple[str, str, str]]:
+        """``(phase, engine, reason)`` of each swap since the last call."""
+        failures, self._failures = self._failures, []
+        return failures

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.layers.base import Layer
+from repro.nn.layers.base import Layer, LayerStructure
 
 
 class DenseLayer(Layer):
@@ -36,6 +36,11 @@ class DenseLayer(Layer):
         self.d_weights = np.zeros_like(self.weights)
         self.d_bias = np.zeros_like(self.bias)
         self._cached_input: np.ndarray | None = None
+
+    def structure(self) -> LayerStructure:
+        return (self.kind, self.name,
+                (("in_features", self.in_features),
+                 ("out_features", self.out_features)))
 
     def params(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights, "bias": self.bias}

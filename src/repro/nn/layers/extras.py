@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.layers.base import Layer
+from repro.nn.layers.base import Layer, LayerStructure
 
 
 class AvgPoolLayer(Layer):
@@ -29,6 +29,10 @@ class AvgPoolLayer(Layer):
         if self.stride <= 0:
             raise ShapeError(f"pool stride must be positive, got {self.stride}")
         self._cached_input_shape: tuple[int, ...] | None = None
+
+    def structure(self) -> LayerStructure:
+        return (self.kind, self.name,
+                (("kernel", self.kernel), ("stride", self.stride)))
 
     def _out_extent(self, extent: int) -> int:
         if extent < self.kernel:
@@ -93,6 +97,11 @@ class LocalResponseNormLayer(Layer):
         self.k = k
         self._cached: tuple[np.ndarray, np.ndarray] | None = None
 
+    def structure(self) -> LayerStructure:
+        return (self.kind, self.name,
+                (("size", self.size), ("alpha", self.alpha),
+                 ("beta", self.beta), ("k", self.k)))
+
     def _window_sums(self, squares: np.ndarray) -> np.ndarray:
         half = self.size // 2
         c = squares.shape[1]
@@ -141,14 +150,29 @@ class DropoutLayer(Layer):
         self.rate = rate
         self._rng = np.random.default_rng(seed)
         self._cached_mask: np.ndarray | None = None
+        self._preset_keep: np.ndarray | None = None
+
+    def structure(self) -> LayerStructure:
+        # No seed: a replica never draws, it is handed the parent's rows.
+        return (self.kind, self.name, (("rate", self.rate),))
+
+    def draw_noise(self, shape: tuple[int, ...]) -> np.ndarray | None:
+        """The boolean keep-mask of one training forward over ``shape``."""
+        if self.rate == 0.0:
+            return None
+        return self._rng.random(shape) < 1.0 - self.rate
+
+    def preset_noise(self, noise: np.ndarray) -> None:
+        self._preset_keep = noise
 
     def forward(self, inputs: np.ndarray, training: bool = True) -> np.ndarray:
         if not training or self.rate == 0.0:
             self._cached_mask = None
             return inputs
-        keep = 1.0 - self.rate
-        mask = (self._rng.random(inputs.shape) < keep) / keep
-        self._cached_mask = mask.astype(inputs.dtype)
+        keep, self._preset_keep = self._preset_keep, None
+        if keep is None:
+            keep = self.draw_noise(inputs.shape)
+        self._cached_mask = (keep / (1.0 - self.rate)).astype(inputs.dtype)
         return inputs * self._cached_mask
 
     def backward(self, out_error: np.ndarray) -> np.ndarray:

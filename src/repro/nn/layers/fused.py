@@ -27,7 +27,10 @@ The backward convolution reuses the standard engine machinery (stencil
 kernels by default, behind a :class:`~repro.runtime.parallel.
 ParallelExecutor` when the layer runs on a worker pool), so the fused
 layer executes on all three backends -- serial, thread, process -- with
-the forward batch partitioned over workers via ``map_batches``.
+the forward batch partitioned over workers via ``map_batches``.  As for
+:class:`~repro.nn.layers.conv.ConvLayer`, that is the path of a direct
+``forward``/``backward`` call; a training step of a pooled network runs
+inline replicas of this layer inside the sharded step's workers.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from repro import telemetry
 from repro.core.convspec import ConvSpec
 from repro.core.goodput import measure_sparsity
 from repro.errors import ShapeError
-from repro.nn.layers.base import Layer
+from repro.nn.layers.base import Layer, LayerStructure
 from repro.nn.layers.conv import ConvLayer
 from repro.nn.layers.pool import MaxPoolLayer
 from repro.ops.engine import ConvEngine, make_engine
@@ -102,6 +105,7 @@ class FusedConvReluPool(Layer):
         backend: str = "thread",
         rng: np.random.Generator | None = None,
         pipeline: SchedulePipeline | None = None,
+        pool: WorkerPool | None = None,
     ):
         super().__init__(name or spec.name or self.kind)
         self.spec = spec
@@ -121,8 +125,8 @@ class FusedConvReluPool(Layer):
         self.pool_ny = self.pool.out_extent(self.padded_spec.out_ny)
         self.pool_nx = self.pool.out_extent(self.padded_spec.out_nx)
         self.num_cores = num_cores
-        self.threads = threads
-        self.backend = backend
+        self.threads = pool.num_workers if pool is not None else threads
+        self.backend = pool.backend_name if pool is not None else backend
         self.pipeline = pipeline or default_pipeline(
             "fused_fp",
             pool_kernel=self.pool.kernel,
@@ -133,9 +137,9 @@ class FusedConvReluPool(Layer):
         emit_fused_forward_kernel(
             self.padded_spec, self.pool.kernel, self.pool.stride, self.pipeline
         )
-        self._pool_workers: WorkerPool | None = None
-        if threads and threads > 1:
-            self._pool_workers = WorkerPool(threads, backend=backend)
+        self._pool = pool
+        if pool is None and threads and threads > 1:
+            self._pool = WorkerPool(threads, backend=backend)
         rng = rng or np.random.default_rng(0)
         fan_in = spec.nc * spec.fy * spec.fx
         scale = np.sqrt(2.0 / fan_in)
@@ -157,9 +161,9 @@ class FusedConvReluPool(Layer):
         kwargs = {"num_cores": self.num_cores}
         if engine_name == "reference":
             kwargs = {}
-        if self._pool_workers is not None:
+        if self._pool is not None:
             return ParallelExecutor(
-                engine_name, self.padded_spec, pool=self._pool_workers, **kwargs
+                engine_name, self.padded_spec, pool=self._pool, **kwargs
             )
         return make_engine(engine_name, self.padded_spec, **kwargs)
 
@@ -168,13 +172,23 @@ class FusedConvReluPool(Layer):
         """Name of the engine serving the backward convolution."""
         return self._bp_engine.name
 
+    def structure(self) -> LayerStructure:
+        return (self.kind, self.name, (
+            ("spec", self.spec),
+            ("pool_kernel", self.pool.kernel),
+            ("pool_stride", self.pool.stride),
+            ("bp_engine", self.bp_engine_name),
+            ("num_cores", self.num_cores),
+            ("pipeline", self.pipeline),
+        ))
+
     def close(self) -> None:
         """Release engine workspaces and shut down the worker pool."""
         release = getattr(self._bp_engine, "release_workspace", None)
         if release is not None:
             release()
-        if self._pool_workers is not None:
-            self._pool_workers.shutdown()
+        if self._pool is not None:
+            self._pool.shutdown()
 
     # -- traffic accounting ----------------------------------------------
 
@@ -225,9 +239,9 @@ class FusedConvReluPool(Layer):
             self.weights,
             self.bias,
         )
-        if self._pool_workers is None:
+        if self._pool is None:
             return task(0, batch)
-        chunks = self._pool_workers.map_batches(task, batch)
+        chunks = self._pool.map_batches(task, batch)
         out = np.concatenate([c[0] for c in chunks], axis=0)
         argmax = np.concatenate([c[1] for c in chunks], axis=0)
         return out, argmax
@@ -303,7 +317,7 @@ def fuse_conv_relu_pool(
 
     Copies the conv layer's parameters (weights, bias) so the fused
     layer's forward is bitwise comparable against the unfused chain.
-    The conv layer's pool geometry (threads/backend) is carried over.
+    The fused layer runs on the conv layer's worker pool, if it has one.
     """
     fused = FusedConvReluPool(
         conv.spec,
@@ -311,9 +325,8 @@ def fuse_conv_relu_pool(
         pool_stride=pool.stride,
         name=name or f"{conv.name}+relu+pool",
         num_cores=conv.num_cores,
-        threads=conv.threads,
-        backend=conv.backend,
         pipeline=pipeline,
+        pool=conv._pool,
     )
     fused.weights = conv.weights.copy()
     fused.bias = conv.bias.copy()

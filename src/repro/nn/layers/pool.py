@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.layers.base import Layer
+from repro.nn.layers.base import Layer, LayerStructure
 
 
 class MaxPoolLayer(Layer):
@@ -30,6 +30,10 @@ class MaxPoolLayer(Layer):
             raise ShapeError(f"pool stride must be positive, got {self.stride}")
         self._cached_input_shape: tuple[int, ...] | None = None
         self._cached_argmax: np.ndarray | None = None
+
+    def structure(self) -> LayerStructure:
+        return (self.kind, self.name,
+                (("kernel", self.kernel), ("stride", self.stride)))
 
     def _out_extent(self, extent: int) -> int:
         if extent < self.kernel:

@@ -38,6 +38,7 @@ from repro.nn.layers.extras import (
 )
 from repro.nn.layers.pool import MaxPoolLayer
 from repro.nn.network import Network
+from repro.runtime.pool import WorkerPool
 
 
 def _require(layer_def: dict, key: str, layer_type: str):
@@ -58,11 +59,17 @@ def build_network(
     The description carries ``input`` (per-image ``[C, Y, X]`` shape) and a
     ``layers`` list; convolution shapes are inferred from the running
     activation shape so only features/kernel/stride/pad are specified.
-    With ``threads > 1`` the convolution layers execute on a real worker
-    pool on the chosen execution backend (see
-    :class:`repro.nn.layers.conv.ConvLayer`).
+    With ``threads > 1`` the network gets **one** worker pool of that
+    many workers on the chosen execution backend, shared by every
+    convolution layer: a training step is sharded over it whole
+    (:class:`repro.runtime.parallel.ShardedStep`), a direct
+    ``forward``/``backward`` call slices each conv layer over it (see
+    :class:`repro.nn.layers.conv.ConvLayer`).  Closing the conv layers
+    shuts it down.
     """
     rng = rng or np.random.default_rng(0)
+    pool = (WorkerPool(threads, backend=backend)
+            if threads and threads > 1 else None)
     input_shape = tuple(int(v) for v in _require(definition, "input", "network"))
     if len(input_shape) != 3:
         raise ShapeError(f"network input must be [C, Y, X], got {input_shape}")
@@ -88,7 +95,7 @@ def build_network(
                 name=name,
             )
             layer = ConvLayer(spec, name=name, num_cores=num_cores,
-                              threads=threads, backend=backend, rng=rng)
+                              backend=backend, rng=rng, pool=pool)
         elif layer_type == "relu":
             layer = ReLULayer(name=name)
         elif layer_type == "pool":

@@ -7,8 +7,9 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.layers.base import Layer
-from repro.nn.layers.conv import ConvLayer
+from repro.nn.layers.base import Layer, LayerStructure
+from repro.nn.layers.conv import ConvLayer, ReplicaConvLayer
+from repro.runtime.parallel import ShardedStep
 
 
 class Network:
@@ -21,11 +22,14 @@ class Network:
         self.layers = list(layers)
         self.input_shape = tuple(input_shape)
         self.name = name
-        #: Step-execution strategy: ``"barrier"`` fork/joins per layer
-        #: and phase; ``"dag"`` compiles each pass into a task graph
-        #: (see :mod:`repro.runtime.dag`).  Both are bit-identical.
+        #: Step-execution strategy of a pooled network.  ``"barrier"``:
+        #: a training step is one fork/join of whole-network shards
+        #: (:meth:`step_sharder`), a direct forward/backward fork/joins
+        #: per conv layer and phase; ``"dag"`` compiles each pass into a
+        #: task graph (see :mod:`repro.runtime.dag`).
         self.scheduler = "barrier"
         self._dag_runner = None
+        self._sharder: ShardedStep | None = None
         # Validate the shape chain eagerly so misconfigured nets fail fast.
         self.layer_shapes = [self.input_shape]
         shape = self.input_shape
@@ -41,6 +45,46 @@ class Network:
     def conv_layers(self) -> list[ConvLayer]:
         """The convolution layers, in order (spg-CNN's optimization targets)."""
         return [layer for layer in self.layers if isinstance(layer, ConvLayer)]
+
+    def structure(self) -> tuple[LayerStructure, ...]:
+        """Every layer's :meth:`Layer.structure`, in order."""
+        return tuple(layer.structure() for layer in self.layers)
+
+    @classmethod
+    def replica(cls, structure: tuple[LayerStructure, ...],
+                input_shape: tuple[int, ...]) -> "Network":
+        """An inline network rebuilt from :meth:`structure`.
+
+        Freshly initialised: the caller rebinds the parameters
+        (:meth:`Layer.bind_params`).  Conv layers report engine failures
+        instead of recording them (:class:`ReplicaConvLayer`).
+        """
+        from repro.nn.layers import LAYER_KINDS
+
+        kinds = {**LAYER_KINDS, ConvLayer.kind: ReplicaConvLayer}
+        return cls([kinds[kind](name=name, **dict(options))
+                    for kind, name, options in structure], input_shape)
+
+    def step_sharder(self) -> ShardedStep | None:
+        """What runs a training step as one shard per worker, if anything.
+
+        ``None`` unless the network has a worker pool and the barrier
+        scheduler: then the trainer takes the per-layer path below.
+        """
+        if self.scheduler != "barrier":
+            return None
+        for layer in self.layers:
+            pool = getattr(layer, "_pool", None)
+            if pool is not None:
+                break
+        else:
+            return None
+        sharder = self._sharder
+        if sharder is None or sharder.pool is not pool:
+            if sharder is not None:
+                sharder.release()
+            sharder = self._sharder = ShardedStep(self, pool)
+        return sharder
 
     def set_scheduler(self, scheduler: str) -> None:
         """Select the step-execution strategy (``"barrier"`` or ``"dag"``)."""
@@ -83,13 +127,19 @@ class Network:
         """
         if self.scheduler == "dag":
             return self._dag().backward(out_error, need_input_error)
-        error = out_error
-        for layer in reversed(self.layers[1:]):
-            error = layer.backward(error)
-        first = self.layers[0]
-        if not need_input_error and isinstance(first, ConvLayer):
-            return first.backward(error, need_input_error=False)
-        return first.backward(error)
+        error: np.ndarray | None = out_error
+        for index in range(len(self.layers) - 1, -1, -1):
+            error = self.backward_layer(index, error, need_input_error)
+        return error
+
+    def backward_layer(self, index: int, out_error: np.ndarray,
+                       need_input_error: bool = True) -> np.ndarray | None:
+        """One layer's step of :meth:`backward` (a step shard runs them
+        one by one, each under its own span)."""
+        layer = self.layers[index]
+        if index == 0 and not need_input_error and isinstance(layer, ConvLayer):
+            return layer.backward(out_error, need_input_error=False)
+        return layer.backward(out_error)
 
     def zero_grads(self) -> None:
         """Clear accumulated gradients on every layer."""

@@ -14,9 +14,10 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import ReproError
-from repro.nn.losses import accuracy, softmax_cross_entropy
+from repro.nn.losses import accuracy, check_labels, softmax_cross_entropy
 from repro.nn.network import Network
 from repro.resilience import faults
+from repro.runtime.parallel import ShardedStep
 
 
 @dataclass
@@ -64,23 +65,56 @@ class SGDTrainer:
         not destroy the model.
         """
         net = self.network
+        sharder = net.step_sharder()
+        if sharder is not None:
+            return self._sharded_step(sharder, inputs, labels)
         net.zero_grads()
         with telemetry.span("sgd/fp", batch=int(inputs.shape[0])):
             logits = net.forward(inputs, training=True)
         loss, grad = softmax_cross_entropy(logits, labels)
         grad = faults.corrupt_array("sgd.gradient", grad)
         if not (np.isfinite(loss) and np.isfinite(grad).all()):
-            telemetry.add("sgd.skipped_batches", 1)
-            telemetry.event("sgd.nonfinite_batch", batch=int(inputs.shape[0]),
-                            loss=float(loss))
-            return StepResult(
-                loss=float(loss),
-                accuracy=accuracy(logits, labels),
-                error_sparsities=net.error_sparsities(),
-                skipped=True,
-            )
+            return self._skipped(loss, logits, labels)
         with telemetry.span("sgd/bp", batch=int(inputs.shape[0])):
             net.backward(grad, need_input_error=False)
+        return self._update(loss, logits, labels)
+
+    def _sharded_step(self, sharder: ShardedStep, inputs: np.ndarray,
+                      labels: np.ndarray) -> StepResult:
+        """The step of a pooled network: one FP+BP shard per worker.
+
+        The workers ran BP before the loss is known here, so the guard
+        decides whether to *adopt* it: a non-finite loss, loss gradient
+        (the ``sgd.gradient`` site poisons it on cue) or reduced
+        parameter gradient skips the batch with parameters and momentum
+        untouched.  The site therefore only gates here: a corruption
+        that stays finite is not back-propagated, as it is inline.
+        """
+        check_labels(labels, int(inputs.shape[0]),
+                     self.network.output_shape[0])
+        logits = sharder.run(inputs, labels)
+        loss, grad = softmax_cross_entropy(logits, labels)
+        grad = faults.corrupt_array("sgd.gradient", grad)
+        if not (np.isfinite(loss) and np.isfinite(grad).all()
+                and sharder.reduce()):
+            return self._skipped(loss, logits, labels)
+        return self._update(loss, logits, labels)
+
+    def _skipped(self, loss: float, logits: np.ndarray,
+                 labels: np.ndarray) -> StepResult:
+        telemetry.add("sgd.skipped_batches", 1)
+        telemetry.event("sgd.nonfinite_batch", batch=int(labels.shape[0]),
+                        loss=float(loss))
+        return StepResult(
+            loss=float(loss),
+            accuracy=accuracy(logits, labels),
+            error_sparsities=self.network.error_sparsities(),
+            skipped=True,
+        )
+
+    def _update(self, loss: float, logits: np.ndarray,
+                labels: np.ndarray) -> StepResult:
+        net = self.network
         with telemetry.span("sgd/update"):
             for name, param, g in net.parameters():
                 vel = self._velocity.get(name)
@@ -93,7 +127,7 @@ class SGDTrainer:
                 vel *= self.momentum
                 vel -= self.learning_rate * update
                 param += vel
-        telemetry.add("images.processed", int(inputs.shape[0]))
+        telemetry.add("images.processed", int(labels.shape[0]))
         telemetry.add("sgd.steps", 1)
         return StepResult(
             loss=loss,

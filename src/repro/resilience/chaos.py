@@ -273,12 +273,13 @@ def kill_chaos_policy() -> RetryPolicy:
 
 
 def _process_backends(network) -> list[ProcessBackend]:
-    """The live :class:`ProcessBackend` of every conv layer's pool."""
+    """The live :class:`ProcessBackend` of each distinct conv-layer pool
+    (one, for a network :func:`build_network` made)."""
     backends: list[ProcessBackend] = []
     for layer in network.conv_layers():
         pool = getattr(layer, "_pool", None)
         backend = pool.backend if pool is not None else None
-        if isinstance(backend, ProcessBackend):
+        if isinstance(backend, ProcessBackend) and backend not in backends:
             backends.append(backend)
     return backends
 
@@ -348,10 +349,10 @@ def _check_journal_resume(seed: int, samples: int, threads: int, batch: int,
         time.sleep(0.5)
         shm.reap_orphans()
         # Resume in this process from whatever the journal pinned.
-        # The serial backend is bit-identical to the process backend,
-        # and much cheaper for the replay.
+        # The serial backend is bit-identical to the process backend
+        # under the same scheduler, and much cheaper for the replay.
         resumed = _build_job(seed, samples, threads, batch, tmp,
-                             "serial", "barrier")
+                             "serial", scheduler)
         with apply_policy(policy):
             resumed.resume_latest()
             resumed.run(epochs)
@@ -367,9 +368,12 @@ def _run_real_kill(report: ChaosReport, plan_name: str, seed: int,
     sig = signal.SIGKILL if plan_name == "kill9" else signal.SIGSTOP
 
     # Unfaulted serial reference: same worker count, so the partition
-    # geometry (and hence the fixed dW reduction order) is identical.
+    # geometry (and hence the fixed gradient reduction order) is
+    # identical, and same scheduler -- the barrier step shards the whole
+    # network, the dag slices each conv layer, and the two sum the dense
+    # layers' products over different row sets.
     reference = _build_job(seed, samples, threads, batch, None,
-                           "serial", "barrier")
+                           "serial", scheduler)
     ref_history = reference.run(epochs)
     ref_bytes = _params_bytes(reference.network)
     _close(reference)

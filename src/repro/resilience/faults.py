@@ -22,6 +22,17 @@ site                      instrumented at
 ``ps.push``               every parameter-server push (drop / hang)
 ========================  ====================================================
 
+A pooled network's training step runs its layers in worker replicas
+(:class:`repro.runtime.parallel.ShardedStep`), which visit no site.  The
+parent visits ``engine.fp`` / ``engine.bp`` for them before dispatch,
+once per engine call of the step as inline would (also on a step the
+NaN guard then skips, whose BP inline never runs), and a fired raise
+degrades the layer before the replicas are built -- the same under
+every backend.  ``sgd.gradient`` corrupts the parent's copy of the loss
+gradient there: it gates the skip, but the shards have back-propagated
+their own rows by then, so a corruption that stays finite does not
+reach the parameter gradients as it does inline.
+
 Fault kinds: ``"raise"`` (throw :class:`~repro.errors.InjectedFault`),
 ``"hang"`` (sleep ``delay`` seconds -- a straggler), ``"corrupt"``
 (write ``value``, NaN by default, into a seeded fraction of an array),

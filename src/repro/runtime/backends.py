@@ -45,13 +45,21 @@ task (see :mod:`repro.runtime.supervisor`), and a supervisor thread
 sweeps the worker table -- dead *and* hung workers are escalated
 ``terminate`` -> ``kill``, respawned, and their in-flight jobs
 re-dispatched to surviving workers (bounded by ``max_redispatch``;
-engine-slice tasks are idempotent, they write disjoint shared-memory
-ranges).  Backend start also runs the shm janitor, reclaiming segments
-orphaned by a previous hard-killed process.
+engine-slice and step-shard tasks are idempotent, they write disjoint
+shared-memory ranges).  Backend start also runs the shm janitor,
+reclaiming segments orphaned by a previous hard-killed process.
+
+BLAS threads: the runtime's unit of parallelism is the worker, one
+single-threaded kernel per core (Sec. 4.1), so spawned workers get
+``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` / ``MKL_NUM_THREADS`` set
+to 1 unless the parent's environment already sets them -- N workers x M
+BLAS threads oversubscribe the host.  :func:`worker_diagnostics` and the
+``worker/step_shard`` span report what each worker runs under.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import sys
@@ -59,8 +67,11 @@ import threading
 import time
 import traceback
 from collections import OrderedDict
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Union
+
+import numpy as np
 
 from repro import telemetry
 from repro.errors import ReproError
@@ -83,8 +94,13 @@ BACKEND_NAMES = ("serial", "thread", "process")
 #: writes to the shm telemetry ring via :mod:`repro.telemetry.remote`.
 __worker_side__: tuple[str, ...] = (
     "_worker_main", "run_engine_slice", "_cached_engine", "_cached_attach",
-    "worker_diagnostics",
+    "worker_diagnostics", "run_step_shard", "_run_shard", "_resolve",
+    "worker_ready",
 )
+
+#: The BLAS thread-count variables the runtime pins for its workers.
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                   "MKL_NUM_THREADS")
 
 #: Attached-segment LRU size in each worker process.  Segments are
 #: reused across calls while their geometry is stable; a reallocated
@@ -301,7 +317,7 @@ class ProcessBackend(ExecutionBackend):
         self._result_conns: set[Any] = set()
         self._stop_reader: Any = None
         self._stop_writer: Any = None
-        self._old_path: str | None = None
+        self._saved_env: dict[str, str | None] = {}
         self._workers: list[_Worker] = []
         self._free_slots: list[int] = []
         self._heartbeat: HeartbeatBoard | None = None
@@ -314,6 +330,9 @@ class ProcessBackend(ExecutionBackend):
         #: collector activation changes, not per dispatch).
         self._ring_board: Any = None
         self._calibrations: dict[tuple[int, int], Any] = {}
+        #: Per slot: worker spans merged before the span enclosing them
+        #: arrived (a ring can be drained mid-job).
+        self._span_orphans: dict[int, list[Any]] = {}
         self._perf_minus_mono = 0.0
         self._rings_enabled: bool | None = None
         self._drain_lock = threading.Lock()
@@ -355,6 +374,7 @@ class ProcessBackend(ExecutionBackend):
             self._ring_board = remote.RingBoard.create(self.num_workers)
             self._perf_minus_mono = remote.parent_perf_minus_mono()
             self._calibrations = {}
+            self._span_orphans = {}
             self._rings_enabled = None
             self._free_slots = list(range(self.num_workers - 1, -1, -1))
             with self._spawn_env():
@@ -373,24 +393,34 @@ class ProcessBackend(ExecutionBackend):
             self._supervisor.start()
 
     def _spawn_env(self) -> Any:
-        """Ensure spawned interpreters can import the repro package."""
+        """The environment spawned interpreters start in.
+
+        They must be able to import the repro package, and they run one
+        BLAS thread each unless the user's environment says otherwise
+        (an explicit value wins).
+        """
         import repro
 
         src_root = str(Path(repro.__file__).resolve().parents[1])
 
         class _Env:
             def __enter__(_self) -> None:
-                self._old_path = os.environ.get("PYTHONPATH")
-                parts = [src_root]
-                if self._old_path:
-                    parts.append(self._old_path)
-                os.environ["PYTHONPATH"] = os.pathsep.join(parts)
+                old_path = os.environ.get("PYTHONPATH")
+                spawn_env = {"PYTHONPATH": os.pathsep.join(
+                    [src_root] + ([old_path] if old_path else []))}
+                for var in BLAS_THREAD_ENV:
+                    if var not in os.environ:
+                        spawn_env[var] = "1"
+                self._saved_env = {var: os.environ.get(var)
+                                   for var in spawn_env}
+                os.environ.update(spawn_env)
 
             def __exit__(_self, *exc_info: object) -> None:
-                if self._old_path is None:
-                    os.environ.pop("PYTHONPATH", None)
-                else:
-                    os.environ["PYTHONPATH"] = self._old_path
+                for var, value in self._saved_env.items():
+                    if value is None:
+                        os.environ.pop(var, None)
+                    else:
+                        os.environ[var] = value
 
         return _Env()
 
@@ -545,8 +575,9 @@ class ProcessBackend(ExecutionBackend):
             if not records or not collectors:
                 return
             calibration = self._calibration_for(slot, ring)
-            remote.merge_records(records, calibration, collectors,
-                                 pid=ring.pid)
+            remote.merge_records(
+                records, calibration, collectors, pid=ring.pid,
+                orphans=self._span_orphans.setdefault(slot, []))
 
     def drain_worker_telemetry(self) -> None:
         """Merge every worker's ring records into the active collectors.
@@ -1037,12 +1068,314 @@ def run_engine_slice(
             out[lo:hi] = getattr(engine, method)(primary[lo:hi], shared)
 
 
+# -- worker-side whole-step shards --------------------------------------------
+#
+# The barrier scheduler's training step is one dispatch: each worker runs
+# FP -> loss gradient -> BP for its image range through an inline
+# *replica* of the network's layer chain and only gradients meet in the
+# parent (see ``repro.runtime.parallel.ShardedStep``).  The same function
+# runs under every backend; what differs is how it reaches the arrays.
+
+#: What a shard reads or writes: the array itself (serial and thread
+#: backends share the parent's address space) or the descriptor of the
+#: shared-memory segment holding it (process backend).
+ArrayHandle = Union[np.ndarray, shm.ShmDescriptor]
+
+#: One parameter's place in the flat parameter and gradient buffers:
+#: byte offset, shape, dtype.
+ParamSlot = tuple[int, tuple[int, ...], str]
+
+
+def _resolve(handle: ArrayHandle) -> np.ndarray:
+    if isinstance(handle, shm.ShmDescriptor):
+        array: np.ndarray = _cached_attach(handle)
+        return array
+    return handle
+
+
+def param_views(flat: np.ndarray,
+                layout: tuple[ParamSlot, ...]) -> list[np.ndarray]:
+    """Views of the flat byte buffer ``flat`` at the slots of ``layout``."""
+    views = []
+    for offset, shape, dtype in layout:
+        item = np.dtype(dtype)
+        end = offset + math.prod(shape) * item.itemsize
+        views.append(flat[offset:end].view(item).reshape(shape))
+    return views
+
+
+def blas_threads() -> str:
+    """The BLAS thread count this process's environment asks for."""
+    for var in BLAS_THREAD_ENV:
+        value = os.environ.get(var)
+        if value:
+            return value
+    return "unset"
+
+
+@dataclass(frozen=True)
+class ShardJob:
+    """What one step's shards read and where they write (picklable).
+
+    A shard is a pure function of this and its range: everything that
+    varies per step lives in the buffers, so a retried, duplicated or
+    re-dispatched attempt recomputes the identical bytes.
+    """
+
+    #: Identifies the sharded step this job belongs to: the replica
+    #: cache's key.
+    token: str
+    #: The step the buffers were published for; see ``stamp``.
+    step: int
+    #: ``Network.structure()``: the layer chain with the engines deployed
+    #: for this step.
+    structure: tuple[Any, ...]
+    input_shape: tuple[int, ...]
+    layout: tuple[ParamSlot, ...]
+    #: Images in the whole batch: the denominator of the mean loss.
+    batch: int
+    #: ``[1]`` int64, rewritten at every publish.  An attempt whose
+    #: ``step`` no longer matches was abandoned steps ago (a straggler's
+    #: original); it must not write into buffers that now serve another
+    #: step.
+    stamp: ArrayHandle
+    #: ``[nbytes]`` uint8, the parameters at the slots of ``layout``.
+    params: ArrayHandle
+    inputs: ArrayHandle
+    labels: ArrayHandle
+    #: ``(layer index, whole-batch noise)`` of each stochastic layer.
+    noise: tuple[tuple[int, ArrayHandle], ...]
+    #: ``[batch, classes]``; a shard writes rows ``[lo, hi)``.
+    logits: ArrayHandle
+    #: ``[shards, nbytes]`` uint8; shard ``index`` writes its gradient
+    #: partial into row ``index``, laid out as ``params``.
+    grads: ArrayHandle
+
+
+@dataclass(frozen=True)
+class ShardReport:
+    """What a shard tells the parent beyond the arrays it wrote."""
+
+    #: ``(layer index, zero elements, elements)`` of the output error
+    #: each conv-like layer received.
+    zeros: tuple[tuple[int, int, int], ...]
+    #: ``(layer index, phase, engine, reason)`` of every engine the
+    #: replica's numeric guard replaced by the fallback.
+    failures: tuple[tuple[int, str, str, str], ...]
+
+
+def _span_attrs(layer: Any, phase: str, rows: int) -> dict[str, Any]:
+    """Attrs of a replica layer's worker span; conv-like layers carry
+    the keys the parent-side layer spans do (the monitor reads them)."""
+    engine = getattr(layer, f"{phase}_engine_name", None)
+    if engine is None:
+        return {"phase": phase}
+    return {"layer": layer.name, "phase": phase, "engine": engine,
+            "batch": rows}
+
+
+class _Replica:
+    """An inline copy of a network's layer chain over shared parameters.
+
+    Layers are rebuilt from the structure; their parameter arrays are
+    views of the job's parameter buffer (never copies -- the parent
+    updates it in place between steps), their gradient arrays views of a
+    private flat buffer that is copied out whole at the end, so two
+    attempts of one shard running at once never share an accumulator.
+    """
+
+    def __init__(self, job: ShardJob) -> None:
+        from repro.nn.network import Network
+
+        self.structure = job.structure
+        self.network: Any = Network.replica(job.structure, job.input_shape)
+        self._layout = job.layout
+        self.grads = np.zeros(job.grads.shape[-1], dtype=np.uint8)
+        self._keys = [(layer, list(layer.params()))
+                      for layer in self.network.layers if layer.params()]
+        self._params_of: object = None
+
+    def _bind(self, flat: np.ndarray | None) -> None:
+        if flat is None:
+            for layer, keys in self._keys:
+                layer.bind_params(dict.fromkeys(keys))
+            return
+        params = iter(param_views(flat, self._layout))
+        grads = iter(param_views(self.grads, self._layout))
+        for layer, keys in self._keys:
+            layer.bind_params({key: next(params) for key in keys},
+                              {key: next(grads) for key in keys})
+
+    def unbind(self) -> None:
+        """Let go of the parameter buffer (its segment may be closing)."""
+        self._bind(None)
+        self._params_of = None
+
+    def bind_parameters(self, handle: ArrayHandle) -> None:
+        """View the parameter buffer ``handle`` names (cheap when bound)."""
+        current = (handle.name if isinstance(handle, shm.ShmDescriptor)
+                   else id(handle))
+        if current == self._params_of:
+            return
+        # Drop the old views first: attaching a reallocated segment
+        # closes the stale mapping, which must not have exports left.
+        self.unbind()
+        self._bind(_resolve(handle))
+        self._params_of = current
+
+
+def _run_shard(replica: _Replica, job: ShardJob, index: int, lo: int,
+               hi: int) -> ShardReport | None:
+    """The body of :func:`run_step_shard` on a checked-out replica."""
+    from repro.nn.layers.conv import ConvLayer, ReplicaConvLayer
+    from repro.nn.losses import cross_entropy_grad
+
+    stamp = _resolve(job.stamp)
+    if int(stamp[0]) != job.step:
+        return None
+    replica.bind_parameters(job.params)
+    layers = replica.network.layers
+    rows = hi - lo
+    # Private copies: layers cache their input across the call, and
+    # the buffers are rewritten by the next publish.
+    activations = np.array(_resolve(job.inputs)[lo:hi])
+    labels = np.array(_resolve(job.labels)[lo:hi])
+    for i, handle in job.noise:
+        layers[i].preset_noise(np.array(_resolve(handle)[lo:hi]))
+    replica.grads[:] = 0
+
+    for layer in layers:
+        with remote.worker_span(f"{layer.name}/fp",
+                                **_span_attrs(layer, "fp", rows)):
+            activations = layer.forward(activations, training=True)
+    error = cross_entropy_grad(activations, labels, job.batch)
+    for i in range(len(layers) - 1, -1, -1):
+        layer = layers[i]
+        with remote.worker_span(f"{layer.name}/bp",
+                                **_span_attrs(layer, "bp", rows)) as span:
+            error = replica.network.backward_layer(
+                i, error, need_input_error=False)
+            if isinstance(layer, ConvLayer):
+                span["sparsity"] = layer.last_error_sparsity
+                # What ConvLayer.backward told a parent-side collector,
+                # told to the ring too.
+                total, useful, elapsed = layer.last_bp_account
+                remote.record_counter("conv.flops.total", total)
+                remote.record_counter("conv.flops.useful", useful)
+                remote.record_gauge(f"goodput.{layer.name}",
+                                    useful / elapsed)
+                remote.record_gauge(f"throughput.{layer.name}",
+                                    total / elapsed)
+
+    zeros: list[tuple[int, int, int]] = []
+    failures: list[tuple[int, str, str, str]] = []
+    shapes = replica.network.layer_shapes
+    for i, layer in enumerate(layers):
+        measured = getattr(layer, "last_error_sparsity", None)
+        if measured is not None:
+            size = rows * math.prod(shapes[i + 1])
+            zeros.append((i, round(measured * size), size))
+        if isinstance(layer, ReplicaConvLayer):
+            for phase, engine, reason in layer.take_failures():
+                failures.append((i, phase, engine, reason))
+    # Publish only if the buffers are still this step's (checked
+    # again here: the compute above is the long part).
+    if int(stamp[0]) != job.step:
+        return None
+    _resolve(job.logits)[lo:hi] = activations
+    _resolve(job.grads)[index] = replica.grads
+    return ShardReport(tuple(zeros), tuple(failures))
+
+
+class ReplicaCache:
+    """Built replicas: one free-list per sharded step.
+
+    One replica per *concurrent attempt*: an attempt checks a replica
+    out and back in, and the list grows when a straggler's backup
+    overlaps its original -- replicas hold cached activations that two
+    attempts must never share.  A step whose structure changed (an
+    engine was redeployed or quarantined) drops the stale replicas.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._free: dict[str, tuple[tuple[Any, ...], list[_Replica]]] = {}
+
+    def __len__(self) -> int:
+        with self._lock:
+            return sum(len(free) for _, free in self._free.values())
+
+    def checkout(self, job: ShardJob) -> _Replica:
+        stale: list[_Replica] = []
+        with self._lock:
+            entry = self._free.get(job.token)
+            if entry is not None and entry[0] == job.structure:
+                if entry[1]:
+                    return entry[1].pop()
+            else:
+                if entry is not None:
+                    stale = entry[1]
+                self._free[job.token] = (job.structure, [])
+        for replica in stale:
+            replica.unbind()
+        # A miss means layer construction (engines, generated kernels,
+        # workspaces) in the hot path -- worth a trace record.
+        remote.record_counter("worker.replica_builds")
+        return _Replica(job)
+
+    def checkin(self, job: ShardJob, replica: _Replica) -> None:
+        with self._lock:
+            entry = self._free.get(job.token)
+            if entry is not None and entry[0] == replica.structure:
+                entry[1].append(replica)
+                return
+        replica.unbind()
+
+    def discard(self, token: str) -> None:
+        """Drop the replicas of one sharded step (it was released)."""
+        with self._lock:
+            entry = self._free.pop(token, None)
+        for replica in entry[1] if entry is not None else ():
+            replica.unbind()
+
+
+#: The replicas of a spawned worker process (in-process backends pass
+#: the cache their ``ShardedStep`` owns instead).
+_WORKER_REPLICAS = ReplicaCache()
+
+
+def run_step_shard(job: ShardJob, index: int, lo: int, hi: int,
+                   replicas: ReplicaCache | None = None) -> ShardReport | None:
+    """One whole-network FP + loss gradient + BP over images ``[lo, hi)``.
+
+    Writes the logits rows into ``job.logits[lo:hi]`` and the flat
+    gradient partial into ``job.grads[index]``; returns the small rest.
+    ``None`` means the attempt found the buffers serving a later step
+    and wrote nothing.
+    """
+    cache = replicas if replicas is not None else _WORKER_REPLICAS
+    with remote.worker_span("worker/step_shard", shard=index, lo=lo, hi=hi,
+                            blas=blas_threads()):
+        replica = cache.checkout(job)
+        try:
+            return _run_shard(replica, job, index, lo, hi)
+        finally:
+            cache.checkin(job, replica)
+
+
+def worker_ready() -> int:
+    """A no-op round trip: returns once this worker has booted."""
+    return os.getpid()
+
+
 def worker_diagnostics() -> dict[str, Any]:
     """Worker-side cache/identity info (shipped back for tests)."""
     info = {
         "pid": os.getpid(),
         "engines_cached": len(_ENGINE_CACHE),
         "segments_attached": len(_ATTACH_CACHE),
+        "replicas_cached": len(_WORKER_REPLICAS),
+        "blas_threads": blas_threads(),
         "executable": sys.executable,
     }
     info.update(remote.worker_ring_stats())

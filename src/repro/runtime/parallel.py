@@ -1,6 +1,14 @@
-"""Parallel execution of convolution engines over a pluggable backend.
+"""Parallel execution over a pluggable backend: per layer, and per step.
 
-Wraps any registered single-threaded :class:`repro.ops.engine.ConvEngine`
+Two units of parallel work live here.  :class:`ParallelExecutor` slices
+*one conv engine call* over the workers -- what a direct
+``forward``/``backward`` of a pooled layer (evaluation, the DAG
+scheduler) runs.  :class:`ShardedStep` slices *a whole training step*:
+one task per worker runs FP, the loss gradient and BP through the whole
+network for its image range, and only gradients meet in the parent --
+what ``SGDTrainer.step`` runs on a pooled network (bottom of this file).
+
+The executor wraps any registered single-threaded :class:`repro.ops.engine.ConvEngine`
 and executes its batch methods with image-level parallelism on a
 :class:`repro.runtime.pool.WorkerPool` -- the executable counterpart of
 the machine model's GEMM-in-Parallel scheduling.  Each attempt processes
@@ -31,6 +39,7 @@ wall-clock guess (see :mod:`repro.runtime.supervisor`).
 
 from __future__ import annotations
 
+import secrets
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -44,7 +53,17 @@ from repro.machine.gemm_model import gemm_in_parallel_conv_time
 from repro.machine.spec import xeon_e5_2650
 from repro.ops.engine import ConvEngine, make_engine
 from repro.resilience.policy import RetryPolicy
-from repro.runtime.backends import run_engine_slice
+from repro.runtime.backends import (
+    ArrayHandle,
+    ParamSlot,
+    ReplicaCache,
+    ShardJob,
+    ShardReport,
+    param_views,
+    run_engine_slice,
+    run_step_shard,
+    worker_ready,
+)
 from repro.runtime.pool import WorkerPool
 from repro.runtime.shm import SharedArray, ShmArena
 from repro.runtime.supervisor import derive_task_deadline
@@ -67,6 +86,17 @@ class SliceTask:
     lo: int
     hi: int
     run: Callable[[], np.ndarray]
+
+
+def _modeled_seconds(spec: ConvSpec, phase: str, batch: int,
+                     workers: int) -> float | None:
+    """The machine model's GEMM-in-Parallel estimate for one layer phase
+    over ``batch`` images (None for a spec the model cannot price)."""
+    try:
+        return gemm_in_parallel_conv_time(
+            spec, phase, batch, xeon_e5_2650(), cores=max(1, workers))
+    except ReproError:  # pragma: no cover - degenerate spec
+        return None
 
 
 def adopt_slice(out: np.ndarray, task: SliceTask, result: object) -> None:
@@ -175,14 +205,9 @@ class ParallelExecutor:
         deadline = self._deadline_cache.get(key)
         if deadline is None:
             phase = "fp" if method == "forward" else "bp"
-            try:
-                modeled = gemm_in_parallel_conv_time(
-                    self.spec, phase, batch, xeon_e5_2650(),
-                    cores=max(1, self.pool.num_workers),
-                )
-            except ReproError:  # pragma: no cover - degenerate spec
-                modeled = 0.0
-            deadline = derive_task_deadline(modeled)
+            modeled = _modeled_seconds(self.spec, phase, batch,
+                                       self.pool.num_workers)
+            deadline = derive_task_deadline(modeled or 0.0)
             self._deadline_cache[key] = deadline
         propose(deadline)
 
@@ -206,12 +231,9 @@ class ParallelExecutor:
             return
         self._estimates_emitted.add(key)
         phase = "fp" if method == "forward" else "bp"
-        try:
-            modeled = gemm_in_parallel_conv_time(
-                self.spec, phase, batch, xeon_e5_2650(),
-                cores=max(1, self.pool.num_workers),
-            )
-        except ReproError:  # pragma: no cover - degenerate spec
+        modeled = _modeled_seconds(self.spec, phase, batch,
+                                   self.pool.num_workers)
+        if modeled is None:  # pragma: no cover - degenerate spec
             return
         telemetry.event(
             "model.estimate", layer=self.spec.name, method=method,
@@ -384,3 +406,276 @@ class ParallelExecutor:
             if partial is not None:
                 total += partial
         return total
+
+
+class ShardedStep:
+    """A training step as one whole-network task per worker.
+
+    Dispatch and ownership::
+
+        parent                                  worker k (of pool.num_workers)
+        ------                                  ------------------------------
+        engine.fp / engine.bp fault sites
+        draw dropout masks (layer order)
+        publish batch, labels, masks, stamp
+        one task per range of assignment(B) --> replica FP -> loss grad -> BP
+                                                logits[lo:hi], grads[k] written
+        loss from the gathered logits      <--  zero counts, engine failures
+        sgd.gradient site, non-finite guard
+        reduce grads[0] + grads[1] + ...
+        momentum update, in place
+
+    The parent owns the parameters -- one flat buffer that its layers'
+    arrays and every replica's are views of, so an in-place update is
+    all the "broadcast" there is -- the loss, the guard, the reduction
+    (fixed range order, for conv, dense and bias alike) and the update.
+    A worker owns a cached replica of the layer chain
+    (:class:`repro.runtime.backends.ReplicaCache`) and its private
+    gradient accumulator, nothing that outlives a step.
+
+    The same task runs under ``serial`` (in range order), ``thread`` and
+    ``process``; under ``process`` the buffers are shared-memory
+    segments, otherwise plain arrays.  Results are bit-identical across
+    the three *on the same split* (same worker count, hence same ranges
+    and same reduction order) with the same BLAS build and thread count
+    -- spawned workers run one BLAS thread unless the environment says
+    otherwise, so the parent must be pinned the same way for ``process``
+    to equal the in-parent backends.
+    A task is a pure function of (buffers, range), so the pool's retry
+    policy, the ``pool.task`` / ``pool.result`` fault sites, straggler
+    duplicates and the supervisor's redispatch all apply at this one
+    dispatch point.
+
+    The buffers live as long as the pool's workers: they are released at
+    ``pool.shutdown()`` (which hands the layers private copies of their
+    parameters back) and rebuilt by the next step.
+    """
+
+    def __init__(self, network: Any, pool: WorkerPool) -> None:
+        self.network = network
+        self.pool = pool
+        #: Distinguishes this step's replicas from another network's on
+        #: the same pool.
+        self.token = secrets.token_hex(4)
+        self._arena = ShmArena()
+        self._local: dict[str, np.ndarray] = {}
+        self._replicas = ReplicaCache()
+        #: ``(layer, key, view)`` per parameter, in layout order.
+        self._bound: list[tuple[Any, str, np.ndarray]] = []
+        self._layout: tuple[ParamSlot, ...] = ()
+        self._nbytes = 0
+        self._params: ArrayHandle = np.empty(0, dtype=np.uint8)
+        self._step = 0
+        #: Whether ``release`` is registered with the pool and its
+        #: workers were seen booted; per pool start, cleared by release.
+        self._attached = False
+        self._deadlines: dict[int, float] = {}
+        #: Last dispatch: gradient partials in range order, and reports.
+        self._partials: list[np.ndarray] = []
+        self._reports: list[ShardReport] = []
+
+    # -- buffers ----------------------------------------------------------
+
+    def _buffer(self, role: str, shape: tuple[int, ...],
+                dtype: Any) -> tuple[np.ndarray, ArrayHandle]:
+        """The reusable array for ``role`` and what names it to a shard."""
+        if self.pool.backend_name == "process":
+            seg = self._arena.ensure(role, shape, dtype)
+            return seg.ndarray, seg.descriptor
+        array = self._local.get(role)
+        if array is None or array.shape != shape or array.dtype != dtype:
+            array = self._local[role] = np.empty(shape, dtype=dtype)
+        return array, array
+
+    def _bind(self) -> None:
+        """Move the parameters into one flat buffer the layers view."""
+        entries = [(layer, key, array) for layer in self.network.layers
+                   for key, array in layer.params().items()]
+        layout: list[ParamSlot] = []
+        nbytes = 0
+        for _, _, array in entries:
+            layout.append((nbytes, tuple(array.shape), array.dtype.str))
+            nbytes = -(-(nbytes + array.nbytes) // 64) * 64
+        flat, self._params = self._buffer("params", (nbytes,), np.uint8)
+        self._layout, self._nbytes = tuple(layout), nbytes
+        self._bound = []
+        for (layer, key, array), view in zip(
+                entries, param_views(flat, self._layout)):
+            view[...] = array
+            layer.bind_params({key: view})
+            self._bound.append((layer, key, view))
+
+    def _attach(self, backend: Any) -> None:
+        """Tie the buffers' lifetime to the pool's workers (once per
+        pool start) and wait for the workers to boot."""
+        self._attached = True
+        self.pool.at_shutdown(self.release)
+        broadcast = getattr(backend, "broadcast", None)
+        if broadcast is not None:
+            # Freshly spawned workers are still importing: wait for them
+            # here, not inside the first step's supervised dispatch,
+            # where a retry policy's deadline would read boot as a hang.
+            broadcast(worker_ready)
+
+    def _unbind(self) -> None:
+        """Hand every layer still viewing the buffer a private copy."""
+        for layer, key, view in self._bound:
+            if getattr(layer, key) is view:
+                layer.bind_params({key: view.copy()})
+        self._bound = []
+
+    def release(self) -> None:
+        """Free every buffer (idempotent); the next step rebuilds them."""
+        self._attached = False
+        self._unbind()
+        self._partials = []
+        self._local.clear()
+        self._arena.release()
+        self._replicas.discard(self.token)
+
+    def _propose_deadline(self, backend: Any, batch: int) -> None:
+        """Calibrate the hang deadline to a whole step's shard.
+
+        The sum of the conv layers' model estimates for both phases --
+        a shard runs all of them back to back -- under the supervisor's
+        floor and safety multiple.
+        """
+        propose = getattr(backend, "propose_task_deadline", None)
+        if propose is None:
+            return
+        deadline = self._deadlines.get(batch)
+        if deadline is None:
+            specs = [layer.padded_spec for layer in self.network.layers
+                     if hasattr(layer, "padded_spec")]
+            modeled = sum(
+                _modeled_seconds(spec, phase, batch,
+                                 self.pool.num_workers) or 0.0
+                for spec in specs for phase in ("fp", "bp"))
+            deadline = self._deadlines[batch] = derive_task_deadline(modeled)
+        propose(deadline)
+
+    # -- the step ---------------------------------------------------------
+
+    def run(self, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """FP + BP of the batch, one shard per worker; returns the logits.
+
+        The gradient partials stay in the shards' slots until
+        :meth:`reduce`.  The returned array is a buffer the next step
+        overwrites.
+        """
+        network = self.network
+        batch = int(inputs.shape[0])
+        if inputs.shape[1:] != network.input_shape:
+            raise ReproError(
+                f"batch input shape {inputs.shape} != "
+                f"(B, *{network.input_shape})"
+            )
+        ranges = self.pool.assignment(batch)
+        backend = self.pool._require_backend()
+        if any(getattr(layer, key) is not view
+               for layer, key, view in self._bound):
+            self._unbind()  # a parameter array was replaced under us
+        if not self._bound:
+            self._bind()
+        if not self._attached:
+            self._attach(backend)
+        self._propose_deadline(backend, batch)
+        # The engine fault sites are the parent's: replicas visit none,
+        # so rehearse this step's engine calls here, in inline's order.
+        # A fired fault degrades the layer before its structure ships.
+        convs = [(i, layer) for i, layer in enumerate(network.layers)
+                 if hasattr(layer, "rehearse_engine_faults")]
+        for _, layer in convs:
+            layer.rehearse_engine_faults("fp")
+        for i, layer in reversed(convs):
+            layer.rehearse_engine_faults("bp", need_input_error=i > 0)
+        with telemetry.span("step/publish", batch=batch, shards=len(ranges)):
+            self._step += 1
+            stamp, stamp_handle = self._buffer("stamp", (1,), np.int64)
+            stamp[0] = self._step
+            published, inputs_handle = self._buffer(
+                "inputs", inputs.shape, inputs.dtype)
+            published[...] = inputs
+            published, labels_handle = self._buffer(
+                "labels", labels.shape, labels.dtype)
+            published[...] = labels
+            # Stochastic layers draw for the whole batch here, in layer
+            # order, exactly as an inline forward would; shards get rows.
+            noise: list[tuple[int, ArrayHandle]] = []
+            for i, layer in enumerate(network.layers):
+                drawn = layer.draw_noise((batch,) + network.layer_shapes[i])
+                if drawn is not None:
+                    published, handle = self._buffer(
+                        f"noise{i}", drawn.shape, drawn.dtype)
+                    published[...] = drawn
+                    noise.append((i, handle))
+            dtype = np.result_type(
+                inputs.dtype, *(view.dtype for _, _, view in self._bound))
+            logits, logits_handle = self._buffer(
+                "logits", (batch,) + network.output_shape, dtype)
+            grads, grads_handle = self._buffer(
+                "grads", (len(ranges), self._nbytes), np.uint8)
+        job = ShardJob(
+            token=self.token, step=self._step,
+            structure=network.structure(), input_shape=network.input_shape,
+            layout=self._layout, batch=batch, stamp=stamp_handle,
+            params=self._params, inputs=inputs_handle, labels=labels_handle,
+            noise=tuple(noise), logits=logits_handle, grads=grads_handle,
+        )
+        reports: list[ShardReport | None] = [None] * len(ranges)
+        replicas = (None if self.pool.backend_name == "process"
+                    else self._replicas)
+        # The ``pool.result`` corrupt site sees the partial as numbers.
+        as_numbers = np.dtype(self._layout[0][2])
+
+        def make(index: int, lo: int, hi: int) -> Callable[[], np.ndarray]:
+            def thunk() -> np.ndarray:
+                reports[index] = backend.call(
+                    run_step_shard, job, index, lo, hi, replicas)
+                return grads[index].view(as_numbers)
+
+            return thunk
+
+        thunks = [make(i, lo, hi) for i, (lo, hi) in enumerate(ranges)]
+        metas = [{"lo": lo, "hi": hi} for lo, hi in ranges]
+        with telemetry.span("step/dispatch", batch=batch, shards=len(ranges)):
+            self._partials = self.pool.run_tasks(thunks, metas)
+        self._reports = [report for report in reports if report is not None]
+        if len(self._reports) < len(ranges):
+            # Only an attempt abandoned steps ago reports None.
+            raise ReproError("a step shard found its buffers republished")
+        for report in self._reports:
+            for index, phase, engine, reason in report.failures:
+                layer = network.layers[index]
+                if getattr(layer, f"{phase}_engine_name") == engine:
+                    layer.degrade(phase, engine, reason)
+        return logits
+
+    def reduce(self) -> bool:
+        """Adopt the last run's BP: reduced gradients, error sparsities.
+
+        Sums the shards' partials **in range order** into the layers'
+        gradient arrays; False when the reduced gradient is not finite
+        (the caller skips the batch).
+        """
+        layers = self.network.layers
+        with telemetry.span("step/reduce", shards=len(self._partials)):
+            shards = [param_views(partial.view(np.uint8), self._layout)
+                      for partial in self._partials]
+            grads = [array for layer in layers
+                     for array in layer.grads().values()]
+            finite = True
+            for slot, grad in enumerate(grads):
+                grad[...] = shards[0][slot]
+                for views in shards[1:]:
+                    grad += views[slot]
+                finite = finite and bool(np.isfinite(grad).all())
+            zeros: dict[int, list[int]] = {}
+            for report in self._reports:
+                for index, count, size in report.zeros:
+                    total = zeros.setdefault(index, [0, 0])
+                    total[0] += count
+                    total[1] += size
+            for index, (count, size) in zeros.items():
+                layers[index].last_error_sparsity = count / size
+        return finite

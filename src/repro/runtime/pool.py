@@ -106,6 +106,7 @@ class WorkerPool:
         self._executor: ThreadPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
         self._backend_finalizer: weakref.finalize | None = None
+        self._at_shutdown: list[Callable[[], None]] = []
 
     # -- lifecycle --------------------------------------------------------
 
@@ -117,6 +118,35 @@ class WorkerPool:
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
 
+    def at_shutdown(self, release: Callable[[], None]) -> None:
+        """Run ``release`` once, at the start of the next :meth:`shutdown`.
+
+        For state whose lifetime is the workers': the sharded step keeps
+        its parameter, batch and gradient segments on the pool this way,
+        so whoever shuts the pool down also frees them.
+        """
+        self._at_shutdown.append(release)
+
+    def set_backend(self, backend: str) -> None:
+        """Retarget this pool at another backend (workers restart lazily).
+
+        In place, so every holder of the pool moves together; a no-op
+        when the backend already matches.  Otherwise the current backend
+        is shut down and let go -- also an :class:`ExecutionBackend`
+        instance the constructor was handed -- and the next dispatch
+        builds a default one of the new kind.
+        """
+        if backend not in BACKEND_NAMES:
+            raise ReproError(
+                f"unknown execution backend {backend!r}; "
+                f"known: {BACKEND_NAMES}"
+            )
+        if backend == self.backend_name:
+            return
+        self.shutdown()
+        self._backend = None
+        self.backend_name = backend
+
     def shutdown(self) -> None:
         """Stop the workers (idempotent; the pool may be reused).
 
@@ -126,6 +156,9 @@ class WorkerPool:
         (``start()`` is idempotent and, for the process backend,
         respawns the worker set).
         """
+        releases, self._at_shutdown = self._at_shutdown, []
+        for release in releases:
+            release()
         if self._finalizer is not None:
             self._finalizer.detach()
             self._finalizer = None

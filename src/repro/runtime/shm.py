@@ -452,9 +452,13 @@ class SharedArray:
             shm.unlink()
         except FileNotFoundError:  # pragma: no cover - double unlink race
             pass
-        shm.close()
-        _unregister_owned(name)
-        _manifest_remove(name)
+        try:
+            # Raises BufferError while a caller still holds a view; the
+            # name is gone either way, so the books must say so.
+            shm.close()
+        finally:
+            _unregister_owned(name)
+            _manifest_remove(name)
 
     def __enter__(self) -> "SharedArray":
         return self

@@ -48,18 +48,26 @@ def write_json(collector: TelemetryCollector, path: str | Path) -> Path:
 
 
 def aggregate_spans(collector: TelemetryCollector) -> dict[str, tuple[int, float]]:
-    """Per span name: ``(count, total_seconds)`` over finished spans."""
+    """Per span name: ``(count, total_seconds)`` over finished spans.
+
+    Spans merged from a worker process's ring are kept apart per worker,
+    under ``"<name> @w<slot>"``.
+    """
     totals: dict[str, tuple[int, float]] = {}
     for s in collector.spans:
         if s.end is None:
             continue
-        count, seconds = totals.get(s.name, (0, 0.0))
-        totals[s.name] = (count + 1, seconds + s.seconds)
+        name = s.name
+        if "worker_slot" in s.attrs:
+            name = f"{name} @w{s.attrs['worker_slot']}"
+        count, seconds = totals.get(name, (0, 0.0))
+        totals[name] = (count + 1, seconds + s.seconds)
     return totals
 
 
 def spans_table(collector: TelemetryCollector, title: str = "spans") -> str:
-    """Aggregated span table, hottest span name first."""
+    """Aggregated span table, hottest span name first; what ran in a
+    worker process gets one row per worker."""
     totals = aggregate_spans(collector)
     rows = [
         [name, count, f"{seconds * 1e3:.2f}", f"{seconds / count * 1e3:.3f}"]

@@ -511,20 +511,21 @@ def worker_ring_stats() -> dict[str, int]:
 
 
 @contextmanager
-def worker_span(name: str, **attrs: Any) -> Iterator[None]:
+def worker_span(name: str, **attrs: Any) -> Iterator[dict[str, Any]]:
     """Time a worker-side region into the ring (no-op when disabled).
 
     The record is written on exit -- after the timed work -- so the span
     is already in the ring before the worker posts its result, and the
-    parent's drain-after-await deterministically sees it.
+    parent's drain-after-await deterministically sees it.  Yields the
+    span's attrs, so the body can add what it only learns by running.
     """
     ring = _WORKER.ring
     if ring is None or not ring.enabled:
-        yield
+        yield attrs
         return
     start = time.monotonic()
     try:
-        yield
+        yield attrs
     finally:
         ring.try_record(KIND_SPAN, name, start=start, end=time.monotonic(),
                         job=_WORKER.job, slot=_WORKER.slot, attrs=attrs)
@@ -565,7 +566,9 @@ def record_event(name: str, **attrs: Any) -> None:
 def merge_records(records: list[RemoteRecord],
                   calibration: ClockCalibration,
                   collectors: "tuple[TelemetryCollector, ...]",
-                  *, pid: int) -> int:
+                  *, pid: int,
+                  orphans: "list[tuple[RemoteRecord, list[Any]]] | None" = None,
+                  ) -> int:
     """Fold drained records into the active collectors; returns count.
 
     Span/gauge/event timestamps are mapped through ``calibration`` onto
@@ -573,8 +576,15 @@ def merge_records(records: list[RemoteRecord],
     ``thread_id = pid`` plus ``process_pid`` / ``worker_slot`` (and
     ``job``, when tagged) attributes -- the keys the Chrome-trace
     exporter uses to build per-worker-process tracks and flow events.
+    A job's nested spans are linked: a worker writes a span on exit, so
+    inner spans precede the one enclosing them, which adopts them
+    (``parent_id``) when it arrives.  ``orphans`` carries the spans still
+    waiting for theirs (each with its per-collector copies); a caller
+    that drains a ring mid-job passes the same list to the next merge.
     """
     merged = 0
+    if orphans is None:
+        orphans = []
     for record in records:
         if record.kind == KIND_SPAN:
             attrs = dict(record.attrs)
@@ -584,9 +594,19 @@ def merge_records(records: list[RemoteRecord],
                 attrs.setdefault("job", record.job)
             start = calibration.to_parent(record.start)
             end = calibration.to_parent(record.end)
-            for collector in collectors:
-                collector.record_span(record.name, start, end,
-                                      thread_id=pid, attrs=attrs)
+            spans = [collector.record_span(record.name, start, end,
+                                           thread_id=pid, attrs=attrs)
+                     for collector in collectors]
+            waiting = []
+            for inner, copies in orphans:
+                if inner.job != record.job or not record.job:
+                    continue  # another job's: its parent will not come
+                if record.start <= inner.start and inner.end <= record.end:
+                    for child, parent in zip(copies, spans):
+                        child.parent_id = parent.span_id
+                else:
+                    waiting.append((inner, copies))
+            orphans[:] = waiting + [(record, spans)]
         elif record.kind == KIND_COUNTER:
             for collector in collectors:
                 collector.add(record.name, record.value)

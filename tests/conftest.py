@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
-import numpy as np
+import os
+
+# One BLAS thread in this process, set before numpy loads its BLAS: the
+# runtime gives spawned workers one each, and process == thread == serial
+# bit-identity holds only at equal BLAS thread counts (DESIGN.md).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from repro.core.convspec import ConvSpec
