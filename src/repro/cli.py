@@ -733,10 +733,11 @@ def _cmd_workers(args, out) -> int:
                 diag.get("engines_cached", "-"),
                 diag.get("segments_attached", "-"),
                 diag.get("blas_threads", "-"),
+                diag.get("malloc_thresholds", "-"),
             ])
         print(format_table(
             ["pid", "slot", "status", "state", "beats", "outstanding",
-             "engines", "segments", "blas"],
+             "engines", "segments", "blas", "malloc"],
             rows, title="process-backend workers",
         ), file=out)
         deadline = state["task_deadline"]

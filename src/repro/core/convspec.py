@@ -15,6 +15,7 @@ by the machine model (:mod:`repro.machine`), not here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from repro.errors import ShapeError
 
@@ -95,6 +96,20 @@ class ConvSpec:
     def padded_input_shape(self) -> tuple[int, int, int]:
         """Padded input activation shape."""
         return (self.nc, self.padded_ny, self.padded_nx)
+
+    def cropped_input_shape(self, crop: int) -> tuple[int, int, int]:
+        """Input shape without a border of ``crop`` pixels per side.
+
+        What BP-data returns when the caller discards that border (a
+        conv layer's zero padding, seen from the pre-padded spec the
+        engines run on); see :func:`backward_data_correlation`.
+        """
+        if not isinstance(crop, int) or crop < 0 \
+                or 2 * crop >= min(self.ny, self.nx):
+            raise ShapeError(
+                f"crop {crop!r} leaves nothing of a {self.ny}x{self.nx} input"
+            )
+        return (self.nc, self.ny - 2 * crop, self.nx - 2 * crop)
 
     @property
     def weight_shape(self) -> tuple[int, int, int, int]:
@@ -243,4 +258,46 @@ def backward_data_spec(spec: ConvSpec) -> ConvSpec:
         sx=1,
         pad=max(spec.fy, spec.fx) - 1,
         name=(spec.name + ":bp") if spec.name else "bp",
+    )
+
+
+@lru_cache(maxsize=256)
+def backward_data_correlation(spec: ConvSpec, crop: int = 0) -> ConvSpec | None:
+    """BP-data (Eq. 3) of pre-padded ``spec`` as a *forward* convolution.
+
+    For a stride-1 convolution the input error is the correlation of the
+    output error, zero-bordered by ``F - 1`` pixels, with the weights
+    rotated by 180 degrees and their feature axes swapped.  A caller that
+    discards a border of ``crop`` pixels of the input error needs only
+    ``F - 1 - crop`` of that zero border, and the correlation then
+    produces exactly the interior it keeps.  The returned spec describes
+    that forward problem: input ``[Nf, out_Ny + 2(Fy-1-crop), ...]``,
+    output ``spec.cropped_input_shape(crop)``.
+
+    Returns None when the adjoint form (GEMM + ``fold``) is the cheaper
+    one -- the geometry rule, the only thing that selects between them:
+
+    * strided convolutions (the error would have to be dilated, and
+      ``sy*sx - 1`` of every ``sy*sx`` gathered elements would be zeros);
+    * ``crop`` larger than ``min(Fy, Fx) - 1`` (the border would be
+      negative);
+    * geometries where the correlation's GEMM has more columns than the
+      adjoint's, ``(Ny-2crop)(Nx-2crop) > out_Ny*out_Nx`` -- every
+      unpadded convolution with a kernel larger than 1x1.  With "same"
+      padding (``2*crop == F - 1``) the two GEMMs cost the same flops.
+    """
+    if spec.pad != 0:
+        raise ShapeError("backward_data_correlation expects a pre-padded spec")
+    nc, ny, nx = spec.cropped_input_shape(crop)
+    if (spec.sy, spec.sx) != (1, 1) or crop > min(spec.fy, spec.fx) - 1:
+        return None
+    if ny * nx > spec.out_ny * spec.out_nx:
+        return None
+    return ConvSpec(
+        nc=spec.nf,
+        ny=spec.out_ny + 2 * (spec.fy - 1 - crop),
+        nx=spec.out_nx + 2 * (spec.fx - 1 - crop),
+        nf=nc,
+        fy=spec.fy,
+        fx=spec.fx,
     )

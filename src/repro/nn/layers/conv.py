@@ -21,6 +21,16 @@ not come through here at all: the trainer shards the whole step over the
 same pool (:class:`repro.runtime.parallel.ShardedStep`) and each worker
 runs an inline replica of this layer built from :meth:`structure`.
 
+Padding: engines see the padded geometry only.  The training forward
+copies the batch into a persistent zero-bordered buffer (the border is
+written once, at allocation) which is also what ``backward`` later
+differentiates against; an evaluation forward pads into a fresh array so
+it can never overwrite that cache.  On the way back the layer asks the
+BP engine for the input error *without* the pad border
+(``backward_data(..., crop=pad)``), which the GEMM engines compute as a
+forward correlation that never materialises the border (see
+:mod:`repro.ops.gemm_conv`).
+
 Every FP/BP pass emits a telemetry span (``<name>/fp``, ``<name>/bp``)
 and the backward pass additionally records total/useful flop counters
 and a measured goodput gauge (Eqs. 9-10) -- no-ops unless a collector is
@@ -49,6 +59,7 @@ from repro.core.plan import FALLBACK_ENGINE
 from repro.errors import InjectedFault, ShapeError
 from repro.nn.layers.base import Layer, LayerStructure
 from repro.ops.engine import ConvEngine, make_engine
+from repro.ops.workspace import Workspace
 from repro.resilience import faults
 from repro.resilience.quarantine import QuarantineRegistry, default_registry
 from repro.runtime.parallel import ParallelExecutor
@@ -115,6 +126,8 @@ class ConvLayer(Layer):
         self._fp_engine = self._build_engine(fp_engine)
         self._bp_engine = self._build_engine(bp_engine)
         self._cached_padded_input: np.ndarray | None = None
+        # Holds the training path's zero-bordered batch (``_pad_batch``).
+        self._workspace = Workspace()
         #: Sparsity of the most recent incoming error gradient.
         self.last_error_sparsity: float = 0.0
         #: ``(total flops, useful flops, seconds)`` of the last backward.
@@ -219,7 +232,8 @@ class ConvLayer(Layer):
         if method == "forward":
             return (batch,) + self.padded_spec.output_shape
         if method == "backward_data":
-            return (batch,) + self.padded_spec.input_shape
+            # The engines crop the pad border (``crop=spec.pad``).
+            return (batch,) + self.spec.input_shape
         return self.padded_spec.weight_shape
 
     def _numeric_failure(self, method: str, batch: int,
@@ -259,6 +273,9 @@ class ConvLayer(Layer):
                     shared: np.ndarray) -> np.ndarray:
         """One engine call behind the numeric guard and fault site.
 
+        ``backward_data`` is asked for the input error without the pad
+        border, the only part the layer returns.
+
         A raising engine, a wrong-shape result, or non-finite output from
         finite inputs quarantines the engine and re-runs the call on the
         reference fallback.  Non-finite *inputs* are passed through -- the
@@ -266,12 +283,14 @@ class ConvLayer(Layer):
         (the SGD NaN-batch skip) own that case.
         """
         engine = self._fp_engine if phase == "fp" else self._bp_engine
+        options = ({"crop": self.spec.pad} if method == "backward_data"
+                   else {})
         if engine.name == FALLBACK_ENGINE:
-            return getattr(engine, method)(primary, shared)
+            return getattr(engine, method)(primary, shared, **options)
         batch = int(primary.shape[0])
         try:
             self._visit_fault_site(phase, method, engine.name)
-            out = getattr(engine, method)(primary, shared)
+            out = getattr(engine, method)(primary, shared, **options)
             failure = self._numeric_failure(method, batch, out)
             if failure is None:
                 return out
@@ -281,7 +300,7 @@ class ConvLayer(Layer):
             failure = f"{type(error).__name__}: {error}"
         self.degrade(phase, engine.name, failure)
         fallback = self._fp_engine if phase == "fp" else self._bp_engine
-        return getattr(fallback, method)(primary, shared)
+        return getattr(fallback, method)(primary, shared, **options)
 
     def _visit_fault_site(self, phase: str, method: str,
                           engine_name: str) -> None:
@@ -329,11 +348,26 @@ class ConvLayer(Layer):
             )
         return self.spec.output_shape
 
-    def _pad_batch(self, inputs: np.ndarray) -> np.ndarray:
+    def _pad_batch(self, inputs: np.ndarray,
+                   training: bool = False) -> np.ndarray:
+        """The batch at the engines' (padded) geometry.
+
+        A training forward fills the interior of one persistent
+        zero-bordered buffer -- the array ``_cached_padded_input`` then
+        points at until the next training forward.  Any other caller
+        gets a fresh array, so an evaluation pass in between leaves the
+        cached activations intact.
+        """
         if self.spec.pad == 0:
             return inputs
         p = self.spec.pad
-        return np.pad(inputs, ((0, 0), (0, 0), (p, p), (p, p)))
+        if not training:
+            return np.pad(inputs, ((0, 0), (0, 0), (p, p), (p, p)))
+        buf = self._workspace.zeroed_once(
+            "padded_batch", (inputs.shape[0],) + self.padded_spec.input_shape,
+            inputs.dtype)
+        buf[:, :, p:-p, p:-p] = inputs
+        return buf
 
     def forward(self, inputs: np.ndarray, training: bool = True) -> np.ndarray:
         if inputs.ndim != 4 or inputs.shape[1:] != self.spec.input_shape:
@@ -341,7 +375,7 @@ class ConvLayer(Layer):
                 f"layer {self.name}: batch input shape {inputs.shape} != "
                 f"(B, *{self.spec.input_shape})"
             )
-        padded = self._pad_batch(inputs)
+        padded = self._pad_batch(inputs, training)
         if training:
             self._cached_padded_input = padded
         with telemetry.span(f"{self.name}/fp", layer=self.name, phase="fp",
@@ -369,7 +403,7 @@ class ConvLayer(Layer):
         total_flops = ((2.0 if need_input_error else 1.0)
                        * batch * self.padded_spec.flops)
         useful_flops = nonzero_conv_flops(total_flops, sparsity)
-        in_error_padded = None
+        in_error = None
         start = time.perf_counter()
         with telemetry.span(f"{self.name}/bp", layer=self.name, phase="bp",
                             engine=self.bp_engine_name, batch=batch,
@@ -379,7 +413,7 @@ class ConvLayer(Layer):
             )
             self.d_bias += out_error.sum(axis=(0, 2, 3))
             if need_input_error:
-                in_error_padded = self._run_engine(
+                in_error = self._run_engine(
                     "bp", "backward_data", out_error, self.weights
                 )
         elapsed = max(time.perf_counter() - start, 1e-9)
@@ -388,10 +422,7 @@ class ConvLayer(Layer):
         telemetry.add("conv.flops.useful", useful_flops)
         telemetry.gauge(f"goodput.{self.name}", useful_flops / elapsed)
         telemetry.gauge(f"throughput.{self.name}", total_flops / elapsed)
-        if in_error_padded is None or self.spec.pad == 0:
-            return in_error_padded
-        p = self.spec.pad
-        return in_error_padded[:, :, p:-p, p:-p]
+        return in_error
 
 
 class ReplicaConvLayer(ConvLayer):

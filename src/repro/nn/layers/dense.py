@@ -36,6 +36,8 @@ class DenseLayer(Layer):
         self.d_weights = np.zeros_like(self.weights)
         self.d_bias = np.zeros_like(self.bias)
         self._cached_input: np.ndarray | None = None
+        # Where backward's ``out_error.T @ x`` lands before it is added.
+        self._dw_scratch: np.ndarray | None = None
 
     def structure(self) -> LayerStructure:
         return (self.kind, self.name,
@@ -74,6 +76,11 @@ class DenseLayer(Layer):
                 f"dense backward shape {out_error.shape} incompatible with "
                 f"({self._cached_input.shape[0]}, {self.out_features})"
             )
-        self.d_weights += out_error.T @ self._cached_input
+        dtype = np.result_type(out_error, self._cached_input)
+        product = self._dw_scratch
+        if product is None or product.dtype != dtype:
+            product = self._dw_scratch = np.empty(self.weights.shape, dtype)
+        np.matmul(out_error.T, self._cached_input, out=product)
+        self.d_weights += product
         self.d_bias += out_error.sum(axis=0)
         return out_error @ self.weights

@@ -298,13 +298,9 @@ class FusedConvReluPool(Layer):
                 conv_error, self._cached_padded_input
             )
             self.d_bias += conv_error.sum(axis=(0, 2, 3))
-            in_error_padded = self._bp_engine.backward_data(
-                conv_error, self.weights
+            return self._bp_engine.backward_data(
+                conv_error, self.weights, crop=self.spec.pad
             )
-        if self.spec.pad == 0:
-            return in_error_padded
-        p = self.spec.pad
-        return in_error_padded[:, :, p:-p, p:-p]
 
 
 def fuse_conv_relu_pool(

@@ -17,6 +17,7 @@ from repro.errors import ReproError
 from repro.nn.losses import accuracy, check_labels, softmax_cross_entropy
 from repro.nn.network import Network
 from repro.resilience import faults
+from repro.runtime.backends import pin_malloc_thresholds
 from repro.runtime.parallel import ShardedStep
 
 
@@ -48,6 +49,11 @@ class SGDTrainer:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._velocity: dict[str, np.ndarray] = {}
+        # ``lr * update`` is computed here, one parameter at a time.
+        self._scratch = np.empty(0, dtype=np.float32)
+        # A step's megabyte-sized temporaries must come from a heap
+        # that keeps its pages (see ``runtime.backends``).
+        pin_malloc_thresholds()
 
     def set_learning_rate(self, value: float) -> None:
         """Update the learning rate (LR-schedule hook)."""
@@ -121,11 +127,18 @@ class SGDTrainer:
                 if vel is None:
                     vel = np.zeros_like(param)
                     self._velocity[name] = vel
-                update = g
+                # vel = momentum * vel - lr * (g + weight_decay * param),
+                # the products landing in the scratch instead of fresh
+                # parameter-sized arrays; ``g`` is left as it is.
+                scaled = self._scratch_like(param)
                 if self.weight_decay:
-                    update = g + self.weight_decay * param
+                    np.multiply(param, self.weight_decay, out=scaled)
+                    np.add(g, scaled, out=scaled)
+                    scaled *= self.learning_rate
+                else:
+                    np.multiply(g, self.learning_rate, out=scaled)
                 vel *= self.momentum
-                vel -= self.learning_rate * update
+                vel -= scaled
                 param += vel
         telemetry.add("images.processed", int(labels.shape[0]))
         telemetry.add("sgd.steps", 1)
@@ -134,6 +147,12 @@ class SGDTrainer:
             accuracy=accuracy(logits, labels),
             error_sparsities=net.error_sparsities(),
         )
+
+    def _scratch_like(self, param: np.ndarray) -> np.ndarray:
+        """A ``param``-shaped view of the update scratch, grown on demand."""
+        if self._scratch.size < param.size or self._scratch.dtype != param.dtype:
+            self._scratch = np.empty(param.size, dtype=param.dtype)
+        return self._scratch[: param.size].reshape(param.shape)
 
     # -- optimizer state (checkpointing) ---------------------------------
 

@@ -16,6 +16,13 @@ All engines produce bit-identical layer semantics (verified against
 which the machine model (:mod:`repro.machine`) prices.  Batches are
 ``[B, C, Y, X]`` arrays; engines receive pre-padded inputs and pad=0 specs
 (the conv layer handles padding).
+
+The one place the layer's padding shows through is ``backward_data``'s
+``crop``: the layer discards the input error of its zero border, so it
+asks for the interior only and an engine that can avoid computing the
+border does (the GEMM engines, see :mod:`repro.ops.gemm_conv`); the
+others compute the full plane and return :meth:`ConvEngine._cropped` of
+it.
 """
 
 from __future__ import annotations
@@ -52,14 +59,27 @@ class ConvEngine(ABC):
     # -- backward ------------------------------------------------------
 
     @abstractmethod
-    def backward_data(self, out_error: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Compute input-error activations EI (Eq. 3) for a batch."""
+    def backward_data(self, out_error: np.ndarray, weights: np.ndarray,
+                      crop: int = 0) -> np.ndarray:
+        """Compute input-error activations EI (Eq. 3) for a batch.
+
+        Returns ``[B, *spec.cropped_input_shape(crop)]``: the input error
+        without its outermost ``crop`` pixels per side, each element
+        equal to the one the full (``crop=0``) result holds there.
+        """
 
     @abstractmethod
     def backward_weights(self, out_error: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Compute the summed weight gradient dW (Eq. 4) over the batch."""
 
     # -- shared helpers --------------------------------------------------
+
+    def _cropped(self, in_error: np.ndarray, crop: int) -> np.ndarray:
+        """The interior of a full ``[B, Nc, Ny, Nx]`` input error."""
+        self.spec.cropped_input_shape(crop)  # validates crop
+        if crop == 0:
+            return in_error
+        return in_error[:, :, crop:-crop, crop:-crop]
 
     def _check_batch_inputs(self, inputs: np.ndarray) -> None:
         if inputs.ndim != 4 or inputs.shape[1:] != self.spec.input_shape:

@@ -91,7 +91,8 @@ class FFTConvEngine(ConvEngine):
             out[b] = valid.astype(inputs.dtype, copy=False)
         return out
 
-    def backward_data(self, out_error: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def backward_data(self, out_error: np.ndarray, weights: np.ndarray,
+                      crop: int = 0) -> np.ndarray:
         """Adjoint of forward: full correlation with the *unconjugated* kernel.
 
         Upsample the strided error back onto the unit grid, then convolve
@@ -117,7 +118,7 @@ class FFTConvEngine(ConvEngine):
             in_err[b] = full[:, : spec.padded_ny, : spec.padded_nx].astype(
                 err.dtype, copy=False
             )
-        return in_err
+        return self._cropped(in_err, crop)
 
     def backward_weights(self, out_error: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Eq. 4 via frequency-domain correlation of inputs with errors."""

@@ -2,13 +2,29 @@
 
 Forward propagation unfolds each image to the K-major matrix ``U^T``
 (Fig. 2b, see :mod:`repro.ops.unfold`) and computes ``O = W_mat . U^T``
-(Fig. 2c).  Backward-data computes the unfolded error
-``U_err^T = W_mat^T . EO_mat`` and folds it back onto the input; backward-
-weights computes ``dW_mat = EO_mat . (U^T)^T``.  Each of the three is one
-BLAS call per image: no operand is copied into another orientation and
-no product is re-blocked in Python (OpenBLAS blocks for the cache
-itself; :mod:`repro.blas.gemm` keeps the Goto loop structure as the
-paper-book exhibit, the engines do not route through it).
+(Fig. 2c).  Backward-weights computes ``dW_mat = EO_mat . (U^T)^T``.
+Backward-data has two forms, chosen by the convolution's geometry alone
+(:func:`repro.core.convspec.backward_data_correlation`):
+
+* **as a forward correlation** -- stride-1 convolutions whose layer
+  discards a pad border of ``crop`` pixels (every padded layer of the
+  zoo).  The error is copied into a plane zero-bordered by
+  ``F - 1 - crop``, unfolded with the same K-major gather FP uses, and
+  multiplied by the rotated weights
+  ``W_rot[c, (f, ky, kx)] = W[f, c, Fy-1-ky, Fx-1-kx]``: one GEMM per
+  image that writes the interior the layer keeps straight into the
+  result.  Same GEMM flops as the adjoint form, and no ``fold``, no
+  padded result, no crop view.
+* **as the adjoint of FP** -- strided or unpadded geometries, where the
+  correlation would need a dilated error or a larger GEMM:
+  ``U_err^T = W_mat^T . EO_mat`` folded back onto the input, the border
+  cropped afterwards.
+
+Each of the three computations is one BLAS call per image: no operand is
+copied into another orientation per image and no product is re-blocked
+in Python (OpenBLAS blocks for the cache itself; :mod:`repro.blas.gemm`
+keeps the Goto loop structure as the paper-book exhibit, the engines do
+not route through it).
 
 Two engines share this math and differ only in scheduling, which is what
 the machine model prices:
@@ -26,9 +42,11 @@ process backends slice a batch anywhere and stay bit-identical to the
 serial run.
 
 Memory behavior: each engine owns a :class:`repro.ops.workspace.Workspace`
-and reuses one unfolded matrix and one GEMM panel per phase across images
-and calls while the geometry is stable; forward products are written
-straight into the pre-allocated batch output (no ``np.stack``).
+and reuses one unfolded matrix across images, calls and -- when the
+shapes agree, as they do for a same-padded layer with ``Nc == Nf`` --
+across FP/dW and BP-data; the zero-bordered error plane is zeroed once
+and only its interior rewritten; products are written straight into the
+pre-allocated batch result (no ``np.stack``).
 """
 
 from __future__ import annotations
@@ -36,14 +54,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.blas.gemm import partition_rows
-from repro.core.convspec import ConvSpec
+from repro.core.convspec import ConvSpec, backward_data_correlation
 from repro.ops import unfold as uf
 from repro.ops.engine import ConvEngine, register_engine
 from repro.ops.workspace import Workspace
 
 
 class _UnfoldGemmBase(ConvEngine):
-    """Shared unfold/fold + GEMM math of both schedules."""
+    """Shared unfold + GEMM (+ fold) math of both schedules."""
 
     def __init__(self, spec: ConvSpec, num_cores: int = 1):
         super().__init__(spec)
@@ -76,9 +94,38 @@ class _UnfoldGemmBase(ConvEngine):
             self._matmul(w_mat, unfolded, out_mat)
         return out
 
-    def backward_data(self, out_error: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def backward_data(self, out_error: np.ndarray, weights: np.ndarray,
+                      crop: int = 0) -> np.ndarray:
         self._check_batch_out_error(out_error)
         self._check_weights(weights)
+        corr = backward_data_correlation(self.spec, crop)
+        if corr is None:
+            return self._cropped(self._fold_backward_data(out_error, weights),
+                                 crop)
+        spec = self.spec
+        batch = out_error.shape[0]
+        nc, k, p = corr.gemm_dims
+        # W_rot[c, (f, ky, kx)] = W[f, c, Fy-1-ky, Fx-1-kx]
+        w_rot = np.ascontiguousarray(
+            weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(nc, k)
+        out = np.empty((batch,) + corr.output_shape,
+                       dtype=np.result_type(out_error, weights))
+        bordered = self.workspace.zeroed_once(
+            "bd/bordered_err", corr.input_shape, out_error.dtype)
+        by, bx = spec.fy - 1 - crop, spec.fx - 1 - crop
+        interior = bordered[:, by:by + spec.out_ny, bx:bx + spec.out_nx]
+        # FP/dW's U^T when the shapes agree, so the two never hold one each.
+        tag = "unfold" if (k, p) == spec.gemm_dims[1:] else "bd/unfold"
+        unfolded = self.workspace.scratch(tag, (k, p), out_error.dtype)
+        for err, out_mat in zip(out_error, out.reshape(batch, nc, p)):
+            np.copyto(interior, err)
+            uf.unfold(corr, bordered, out=unfolded)
+            self._matmul(w_rot, unfolded, out_mat)
+        return out
+
+    def _fold_backward_data(self, out_error: np.ndarray,
+                            weights: np.ndarray) -> np.ndarray:
+        """The adjoint form: full input error, one GEMM + fold per image."""
         w_mat_t = uf.weights_matrix(self.spec, weights).T
         dtype = np.result_type(out_error, weights)
         out = np.empty((out_error.shape[0],) + self.spec.input_shape, dtype=dtype)

@@ -21,12 +21,13 @@ class ReferenceEngine(ConvEngine):
         self._check_weights(weights)
         return np.stack([reference.forward(self.spec, img, weights) for img in inputs])
 
-    def backward_data(self, out_error: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def backward_data(self, out_error: np.ndarray, weights: np.ndarray,
+                      crop: int = 0) -> np.ndarray:
         self._check_batch_out_error(out_error)
         self._check_weights(weights)
-        return np.stack(
+        return self._cropped(np.stack(
             [reference.backward_data(self.spec, err, weights) for err in out_error]
-        )
+        ), crop)
 
     def backward_weights(self, out_error: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         self._check_batch_out_error(out_error)

@@ -21,6 +21,10 @@ axis shuffle.  The three GEMMs that use it are in
 ``fold`` is the exact adjoint (transpose) of ``unfold`` -- each unfolded
 element is scattered back (accumulating) to the input position it came
 from -- which is what back-propagation through the unfolding requires.
+It is the BP-data path of strided and unpadded convolutions only: for a
+stride-1 layer that discards its pad border the engines :func:`unfold`
+the zero-bordered *error* instead and never fold (the geometry rule is
+:func:`repro.core.convspec.backward_data_correlation`).
 """
 
 from __future__ import annotations

@@ -10,12 +10,15 @@ it back as long as the requested geometry matches, reallocating only
 when a shape or dtype changes (e.g. the engine is pointed at a new
 batch size).
 
-Two access modes:
+Three access modes:
 
 * :meth:`scratch` -- contents undefined; for buffers the caller fully
   overwrites (unfold targets, GEMM ``out=`` panels, pack buffers).
 * :meth:`zeros` -- zero-filled on every call; for accumulation targets
   (the sparse kernels' HWC error image and ``dW`` layout).
+* :meth:`zeroed_once` -- zero-filled when (re)allocated and then left as
+  the caller wrote it; for a plane whose zero border is never written
+  (the zero-bordered error of BP-data, the conv layer's padded batch).
 
 Buffers are plain process-local ndarrays.  The shared-memory analogue
 used by the process execution backend is
@@ -61,6 +64,15 @@ class Workspace:
         """The buffer for ``tag``, zero-filled for accumulation."""
         buf = self._ensure(tag, shape, dtype)
         buf.fill(0)
+        return buf
+
+    def zeroed_once(self, tag: str, shape: tuple[int, ...],
+                    dtype: np.dtype | str) -> np.ndarray:
+        """The buffer for ``tag``: zeros when new, else as last written."""
+        before = self.allocations
+        buf = self._ensure(tag, shape, dtype)
+        if self.allocations != before:
+            buf.fill(0)
         return buf
 
     def release(self) -> None:

@@ -514,7 +514,7 @@ def _add_sliced_forward(graph: TaskGraph, layer: Any,
                 f"layer {layer.name}: batch input shape {x.shape} != "
                 f"(B, *{layer.spec.input_shape})"
             )
-        padded = layer._pad_batch(x)
+        padded = layer._pad_batch(x, training)
         if training:
             layer._cached_padded_input = padded
         ctx["out"], ctx["tasks"] = executor.slice_plan(
@@ -731,7 +731,8 @@ def _add_bd_chain(graph: TaskGraph, layer: Any,
 
     def bd_prep() -> None:
         ctx["bd_out"], ctx["bd_tasks"] = executor.slice_plan(
-            "backward_data", ecells[i + 1], layer.weights
+            "backward_data", ecells[i + 1], layer.weights,
+            crop=layer.spec.pad,
         )
 
     bd_prep_node = graph.add_node(
@@ -755,9 +756,7 @@ def _add_bd_chain(graph: TaskGraph, layer: Any,
         ))
 
     def bd_finish() -> None:
-        padded = ctx["bd_out"]
-        p = layer.spec.pad
-        ecells[i] = padded if p == 0 else padded[:, :, p:-p, p:-p]
+        ecells[i] = ctx["bd_out"]
 
     return graph.add_node(
         f"bp/{layer.name}/bd_finish", bd_finish, tuple(bd_nodes),

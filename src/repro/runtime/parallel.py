@@ -251,6 +251,7 @@ class ParallelExecutor:
         self, method: str, primary: np.ndarray, shared: np.ndarray,
         out_shape: tuple[int, ...], out_dtype: np.dtype,
         ranges: list[tuple[int, int]], per_worker_out: bool,
+        options: tuple[tuple[str, Any], ...] = (),
     ) -> list[Callable[[], np.ndarray]]:
         """Thunks that run the engine slices inside worker processes."""
         backend = self.pool._require_backend()
@@ -269,6 +270,7 @@ class ParallelExecutor:
                     run_engine_slice, self.engine_name, self.spec,
                     kwargs_items, method, primary_seg.descriptor,
                     shared_seg.descriptor, out_seg.descriptor, lo, hi, slot,
+                    options,
                 )
                 # Return the freshly written region: the pool's
                 # ``pool.result`` corrupt site applies to it, and the
@@ -282,8 +284,14 @@ class ParallelExecutor:
     # -- sliced execution -------------------------------------------------
 
     def slice_plan(self, method: str, primary: np.ndarray,
-                   shared: np.ndarray) -> tuple[np.ndarray, list[SliceTask]]:
+                   shared: np.ndarray,
+                   crop: int = 0) -> tuple[np.ndarray, list[SliceTask]]:
         """Preallocate the output and build one :class:`SliceTask` per range.
+
+        ``crop`` is ``backward_data``'s (see :class:`ConvEngine`): every
+        slice is asked for the cropped input error and the output (and
+        its shared-memory segment) is sized for it, so the sliced call
+        runs the same BP-data form as the inline engine.
 
         Each task's engine is checked out of the free-list at run time
         (never captured), so concurrent tasks -- barrier siblings, DAG
@@ -299,15 +307,16 @@ class ParallelExecutor:
             raise ReproError("empty batch")
         self._emit_model_estimate(method, batch)
         ranges = self.pool.assignment(batch)
+        options = {} if method == "forward" else {"crop": crop}
         item_shape = (self.spec.output_shape if method == "forward"
-                      else self.spec.input_shape)
+                      else self.spec.cropped_input_shape(crop))
         dtype = np.result_type(primary, shared)
         out = np.empty((batch,) + item_shape, dtype=dtype)
 
         if self.pool.backend_name == "process":
             thunks = self._shipped_thunks(
                 method, primary, shared, out.shape, dtype, ranges,
-                per_worker_out=False,
+                per_worker_out=False, options=tuple(options.items()),
             )
         else:
             def make(lo: int, hi: int) -> Callable[[], np.ndarray]:
@@ -315,7 +324,7 @@ class ParallelExecutor:
                     engine = self._checkout_engine()
                     try:
                         out[lo:hi] = getattr(engine, method)(
-                            primary[lo:hi], shared
+                            primary[lo:hi], shared, **options
                         )
                     finally:
                         self._checkin_engine(engine)
@@ -330,8 +339,8 @@ class ParallelExecutor:
         return out, tasks
 
     def _run_sliced(self, method: str, primary: np.ndarray,
-                    shared: np.ndarray) -> np.ndarray:
-        out, tasks = self.slice_plan(method, primary, shared)
+                    shared: np.ndarray, crop: int = 0) -> np.ndarray:
+        out, tasks = self.slice_plan(method, primary, shared, crop)
         metas = [{"lo": task.lo, "hi": task.hi} for task in tasks]
         with telemetry.span(f"executor/{method}", engine=self.engine_name,
                             batch=primary.shape[0], workers=len(tasks)):
@@ -346,9 +355,10 @@ class ParallelExecutor:
         """Forward-propagate the batch across the workers."""
         return self._run_sliced("forward", inputs, weights)
 
-    def backward_data(self, out_error: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def backward_data(self, out_error: np.ndarray, weights: np.ndarray,
+                      crop: int = 0) -> np.ndarray:
         """Back-propagate the error batch across the workers."""
-        return self._run_sliced("backward_data", out_error, weights)
+        return self._run_sliced("backward_data", out_error, weights, crop)
 
     def weights_plan(self, out_error: np.ndarray,
                      inputs: np.ndarray) -> list[SliceTask]:

@@ -59,7 +59,8 @@ class SparseBPEngine(ConvEngine):
             out[b] = reference.forward(self.spec, img, weights)
         return out
 
-    def backward_data(self, out_error: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def backward_data(self, out_error: np.ndarray, weights: np.ndarray,
+                      crop: int = 0) -> np.ndarray:
         self._check_batch_out_error(out_error)
         self._check_weights(weights)
         w_layout = layout.weights_to_sparse_layout(self.spec, weights)
@@ -73,7 +74,7 @@ class SparseBPEngine(ConvEngine):
             )
             self._bp_kernel(eo, w_layout, ei_hwc)
             in_err[b] = layout.hwc_to_chw(ei_hwc)
-        return in_err
+        return self._cropped(in_err, crop)
 
     def backward_weights(self, out_error: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         self._check_batch_out_error(out_error)

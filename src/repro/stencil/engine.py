@@ -90,7 +90,8 @@ class StencilEngine(ConvEngine):
             self._fp_kernel(img, weights, dst)
         return out
 
-    def backward_data(self, out_error: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def backward_data(self, out_error: np.ndarray, weights: np.ndarray,
+                      crop: int = 0) -> np.ndarray:
         self._check_batch_out_error(out_error)
         self._check_weights(weights)
         in_err = np.zeros(
@@ -98,7 +99,7 @@ class StencilEngine(ConvEngine):
         )
         for err, dst in zip(out_error, in_err):
             self._bp_kernel(err, weights, dst)
-        return in_err
+        return self._cropped(in_err, crop)
 
     def backward_weights(self, out_error: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         self._check_batch_out_error(out_error)

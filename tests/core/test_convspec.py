@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.convspec import ConvSpec, backward_data_spec, square_conv
+from repro.core.convspec import (ConvSpec, backward_data_correlation,
+                                 backward_data_spec, square_conv)
 from repro.errors import ShapeError
 
 
@@ -124,6 +125,42 @@ class TestBackwardDataSpec:
         bp = backward_data_spec(spec)
         assert bp.nc == spec.nf and bp.nf == spec.nc
         assert bp.fy == spec.fy and bp.fx == spec.fx
+
+
+class TestBackwardDataCorrelation:
+    # Pre-padded (engine-facing) geometries, as the conv layer builds.
+    def test_same_padded_layer_is_a_forward_problem_of_equal_flops(self):
+        spec = ConvSpec(nc=64, ny=20, nx=20, nf=64, fy=5, fx=5)  # 16 + 2*2
+        corr = backward_data_correlation(spec, 2)
+        assert corr.input_shape == (64, 20, 20)   # error + border of 2
+        assert corr.output_shape == spec.cropped_input_shape(2) == (64, 16, 16)
+        assert corr.flops == spec.flops
+
+    def test_non_square_kernel_borders_each_axis_by_its_own_side(self):
+        spec = ConvSpec(nc=3, ny=10, nx=13, nf=4, fy=3, fx=5)
+        corr = backward_data_correlation(spec, 2)
+        # out 8x9, bordered by (3-1-2, 5-1-2) per side.
+        assert corr.input_shape == (4, 8, 13)
+        assert corr.output_shape == (3, 6, 9)
+
+    @pytest.mark.parametrize("spec,crop", [
+        (ConvSpec(nc=2, ny=11, nx=11, nf=2, fy=3, fx=3, sy=2, sx=1), 1),
+        (ConvSpec(nc=2, ny=11, nx=11, nf=2, fy=3, fx=3), 0),  # unpadded
+        (ConvSpec(nc=2, ny=12, nx=12, nf=2, fy=5, fx=5), 1),  # GEMM grows
+        (ConvSpec(nc=2, ny=12, nx=12, nf=2, fy=2, fx=5), 2),  # crop > Fy-1
+    ])
+    def test_rule_keeps_the_adjoint_form(self, spec, crop):
+        assert backward_data_correlation(spec, crop) is None
+
+    def test_rejects_padded_spec_and_empty_crop(self):
+        with pytest.raises(ShapeError):
+            backward_data_correlation(
+                ConvSpec(nc=1, ny=8, nx=8, nf=1, fy=3, fx=3, pad=1), 1)
+        spec = ConvSpec(nc=1, ny=8, nx=6, nf=1, fy=3, fx=3)
+        for crop in (3, -1):
+            with pytest.raises(ShapeError):
+                spec.cropped_input_shape(crop)
+        assert spec.cropped_input_shape(0) == spec.input_shape
 
 
 conv_specs = st.builds(

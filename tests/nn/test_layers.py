@@ -9,6 +9,7 @@ from repro.nn.layers.activations import FlattenLayer, ReLULayer
 from repro.nn.layers.conv import ConvLayer
 from repro.nn.layers.dense import DenseLayer
 from repro.nn.layers.pool import MaxPoolLayer
+from repro.ops import reference
 
 
 def numeric_param_grad(layer, param, inputs, err, eps=1e-3):
@@ -127,6 +128,55 @@ class TestConvLayer:
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((1, 2, 5, 6), np.float32))
 
+    def test_eval_forward_keeps_training_cache(self, rng):
+        # The training forward pads into a buffer the layer keeps; an
+        # evaluation pass in between must not write it.
+        x1 = rng.standard_normal((2, 2, 6, 6)).astype(np.float32)
+        x2 = rng.standard_normal((2, 2, 6, 6)).astype(np.float32)
+        err = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+        want = self.make(pad=1)
+        want.forward(x1)
+        want_in_err = want.backward(err)
+        layer = self.make(pad=1)
+        layer.forward(x1, training=True)
+        layer.forward(x2, training=False)
+        np.testing.assert_array_equal(layer.backward(err), want_in_err)
+        np.testing.assert_array_equal(layer.d_weights, want.d_weights)
+
+    def test_training_forward_reuses_one_padded_buffer(self, rng):
+        layer = self.make(pad=1)
+        x1 = rng.standard_normal((2, 2, 6, 6)).astype(np.float32)
+        x2 = rng.standard_normal((2, 2, 6, 6)).astype(np.float32)
+        layer.forward(x1)
+        first = layer._cached_padded_input
+        out = layer.forward(x2)
+        assert layer._cached_padded_input is first
+        np.testing.assert_array_equal(first, np.pad(
+            x2, ((0, 0), (0, 0), (1, 1), (1, 1))))
+        np.testing.assert_array_equal(out, layer.forward(x2, training=False))
+        # A new batch size gets a new buffer, zero border included.
+        layer.forward(x1[:1])
+        assert layer._cached_padded_input.shape == (1, 2, 8, 8)
+        assert not layer._cached_padded_input[:, :, 0].any()
+
+    @pytest.mark.parametrize("engine", ["gemm-in-parallel", "parallel-gemm",
+                                        "stencil", "sparse", "reference"])
+    @pytest.mark.parametrize("pad,stride", [(1, 1), (1, 2), (2, 1), (0, 1)])
+    def test_backward_returns_unpadded_error(self, engine, pad, stride, rng):
+        layer = self.make(pad=pad, stride=stride, engine=engine)
+        x = rng.standard_normal((2, 2, 6, 6)).astype(np.float32)
+        out = layer.forward(x)
+        err = rng.standard_normal(out.shape).astype(np.float32)
+        in_err = layer.backward(err)
+        assert layer.bp_engine_name == engine  # the guard accepted it
+        assert in_err.shape == x.shape
+        want = np.stack([
+            reference.backward_data(layer.padded_spec, e, layer.weights)
+            for e in err])
+        if pad:
+            want = want[:, :, pad:-pad, pad:-pad]
+        np.testing.assert_allclose(in_err, want, rtol=1e-4, atol=1e-5)
+
 
 POOL_CASES = [
     (2, 2, (3, 4, 8, 8)),
@@ -134,6 +184,10 @@ POOL_CASES = [
     (3, 1, (2, 2, 7, 6)),      # every interior input in nine windows
     (2, 3, (2, 2, 8, 9)),      # gaps between windows
     (2, 2, (1, 2, 5, 7)),      # trailing row/column dropped
+    (2, 2, (2, 3, 7, 9)),      # odd extents, both axes
+    (3, 3, (2, 2, 7, 9)),      # odd extents, 3x3 tiles
+    (1, 2, (2, 2, 7, 9)),      # kernel < stride: one-tap windows
+    (2, 5, (1, 3, 7, 9)),      # kernel < stride, wide gaps
 ]
 
 
@@ -205,15 +259,18 @@ class TestMaxPool:
             layer = MaxPoolLayer(kernel, stride)
             out = layer.forward(x)
             want_out, want_argmax = pool_forward_oracle(x, kernel, stride)
-            np.testing.assert_array_equal(out, want_out)
-            np.testing.assert_array_equal(layer._cached_argmax, want_argmax)
+            assert out.tobytes() == want_out.tobytes()
+            # Where the winners are is judged by where the gradient
+            # lands: distinct errors per window, so a tie broken the
+            # wrong way moves a value the comparison sees.
             err = rng.standard_normal(out.shape).astype(np.float32)
             got = layer.backward(err)
             want = pool_backward_oracle(err, want_argmax, x.shape,
                                        kernel, stride)
             assert got.dtype == want.dtype
             # Bitwise: overlapping windows must accumulate in the
-            # scatter's order, not merely to the same rounded sum.
+            # scatter's order, not merely to the same rounded sum, and
+            # a losing tap holds +0.0 whatever the sign of the error.
             assert got.tobytes() == want.tobytes()
 
     def test_all_equal_window_routes_to_first_tap(self):
@@ -238,10 +295,11 @@ class TestMaxPool:
     def test_eval_forward_keeps_training_cache(self, rng):
         layer = MaxPoolLayer(2)
         x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
+        err = rng.standard_normal((1, 2, 2, 2)).astype(np.float32)
         layer.forward(x)
-        cached = layer._cached_argmax
+        want = layer.backward(err)
         layer.forward(-x, training=False)
-        assert layer._cached_argmax is cached
+        np.testing.assert_array_equal(layer.backward(err), want)
 
     def test_nan_in_a_window_reaches_the_output(self):
         # The non-finite guards sit downstream (the SGD loss check):
@@ -364,6 +422,23 @@ class TestDense:
         numeric = numeric_param_grad(layer, layer.weights, x, err)
         np.testing.assert_allclose(layer.d_weights, numeric, atol=1e-5)
         np.testing.assert_allclose(in_err, err @ layer.weights, atol=1e-6)
+
+    def test_backward_accumulates_the_naive_product_bit_for_bit(self, rng):
+        # The product lands in a reused scratch before it is added; two
+        # backward calls accumulate exactly ``+= out_error.T @ x`` twice
+        # and leave their operands alone.
+        layer = DenseLayer(6, 4, rng=rng)
+        want = np.zeros_like(layer.weights)
+        for batch in (5, 3):
+            x = rng.standard_normal((batch, 6)).astype(np.float32)
+            err = rng.standard_normal((batch, 4)).astype(np.float32)
+            x0, err0 = x.copy(), err.copy()
+            layer.forward(x)
+            layer.backward(err)
+            want += err0.T @ x0
+            assert layer.d_weights.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(x, x0)
+            np.testing.assert_array_equal(err, err0)
 
     def test_rejects_bad_shapes(self, rng):
         layer = DenseLayer(4, 3, rng=rng)

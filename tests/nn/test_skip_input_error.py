@@ -71,9 +71,10 @@ def test_skipped_path_calls_no_backward_data_on_the_input_conv():
         engine = layer._bp_engine
         original = engine.backward_data
 
-        def spy(out_error, weights, name=layer.name, original=original):
+        def spy(out_error, weights, crop=0, name=layer.name,
+                original=original):
             calls.append(name)
-            return original(out_error, weights)
+            return original(out_error, weights, crop=crop)
 
         engine.backward_data = spy
     _grads(network, x, err, need_input_error=False)

@@ -1,10 +1,13 @@
 """The unfold+GEMM engines: differential agreement and batch independence.
 
-Two properties the rest of the system leans on:
+Three properties the rest of the system leans on:
 
 * both engines compute Eqs. 2-4 for *any* geometry -- stride, padding,
   non-square extents -- not only the zoo's (a seeded Hypothesis
   differential against the loop-nest oracles of ``ops.reference``);
+* ``backward_data(..., crop=)`` of *every* registered engine is the
+  interior of the full input error, whichever of the two BP-data forms
+  (forward correlation, GEMM + fold) the geometry selects;
 * an image's result does not depend on the batch it arrives in, bit for
   bit.  The serial/thread/process and barrier/dag identity contracts
   slice batches at arbitrary points and compare with ``==``.
@@ -16,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check.runner import engine_spec
-from repro.core.convspec import ConvSpec
+from repro.core.convspec import ConvSpec, backward_data_correlation
+from repro.errors import ShapeError
 from repro.ops import reference as ref
-from repro.ops.engine import make_engine
+from repro.ops.engine import engine_names, make_engine
 from repro.ops.layout import pad_input
 from tests.conftest import SMALL_SPECS, random_conv_data
 
@@ -74,6 +78,120 @@ def test_gemm_engines_match_loop_oracles(name, cores, spec, seed):
                 for e, x in zip(err, padded)),
             atol=5e-3, err_msg=f"{name} dw {inner.describe()}",
         )
+
+
+def _cropped_oracle(inner: ConvSpec, err, weights, crop: int):
+    full = np.stack([ref.backward_data_loops(inner, e, weights) for e in err])
+    return full[:, :, crop:full.shape[2] - crop, crop:full.shape[3] - crop]
+
+
+@st.composite
+def cropped_cases(draw):
+    """``(spec, crop)`` with ``crop`` in ``[0, pad]``.
+
+    Half the draws are any geometry (strided ones included: they keep
+    ``fold`` and crop afterwards); the other half look like a padded
+    layer -- stride 1, ``crop == pad``, each kernel side between
+    ``pad + 1`` and ``2*pad + 1``, non-square allowed -- which is where
+    the geometry rule picks the correlation form.
+    """
+    spec = draw(conv_specs)
+    if draw(st.booleans()):
+        return spec, draw(st.integers(0, spec.pad))
+    pad = draw(st.integers(1, 2))
+    side = st.integers(pad + 1, 2 * pad + 1)
+    return ConvSpec(nc=spec.nc, ny=spec.ny, nx=spec.nx, nf=spec.nf,
+                    fy=draw(side), fx=draw(side), pad=pad), pad
+
+
+@given(case=cropped_cases(), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_cropped_backward_data_matches_cropped_loop_oracle(case, seed):
+    spec, crop = case
+    inner, _, weights, err = _case(spec, seed)
+    want = _cropped_oracle(inner, err, weights, crop)
+    assert want.shape[1:] == inner.cropped_input_shape(crop)
+    for name in engine_names():
+        engine = make_engine(name, inner)
+        for _ in range(2):  # the second pass runs on reused scratch
+            got = engine.backward_data(err, weights, crop=crop)
+            assert got.shape == want.shape, name
+            np.testing.assert_allclose(
+                got, want, atol=2e-3,
+                err_msg=f"{name} bd crop={crop} {inner.describe()}")
+
+
+# (spec, crop) pairs the geometry rule sends down the correlation form:
+# the zoo's "same" 5x5, a 3x3, a non-square kernel cropped by its shorter
+# side, a partial crop, and a 1x1 (no border at all).
+CORRELATION_CASES = [
+    (ConvSpec(nc=3, ny=12, nx=12, nf=4, fy=5, fx=5), 2),
+    (ConvSpec(nc=2, ny=9, nx=11, nf=5, fy=3, fx=3), 1),
+    (ConvSpec(nc=4, ny=10, nx=13, nf=3, fy=3, fx=5), 2),
+    (ConvSpec(nc=2, ny=11, nx=10, nf=2, fy=4, fx=4), 2),
+    (ConvSpec(nc=3, ny=8, nx=8, nf=6, fy=1, fx=1), 0),
+]
+# ... and pairs it leaves on GEMM + fold: strided, unpadded, a crop too
+# small to shrink the correlation's GEMM to the adjoint's.
+FOLD_CASES = [
+    (ConvSpec(nc=2, ny=11, nx=13, nf=5, fy=3, fx=3, sy=2, sx=2), 1),
+    (ConvSpec(nc=3, ny=9, nx=8, nf=4, fy=2, fx=3), 0),
+    (ConvSpec(nc=3, ny=12, nx=12, nf=2, fy=5, fx=5), 1),
+    (ConvSpec(nc=4, ny=10, nx=13, nf=3, fy=3, fx=5), 1),
+]
+
+
+class TestBackwardDataForms:
+    def test_geometry_rule_selects_the_form(self):
+        for spec, crop in CORRELATION_CASES:
+            corr = backward_data_correlation(spec, crop)
+            assert corr is not None, spec.describe()
+            assert corr.output_shape == spec.cropped_input_shape(crop)
+            # Same GEMM work as the adjoint form, or less.
+            assert corr.flops <= spec.flops
+        for spec, crop in FOLD_CASES:
+            assert backward_data_correlation(spec, crop) is None
+
+    @pytest.mark.parametrize("name", GEMM_ENGINES)
+    @pytest.mark.parametrize("spec,crop", CORRELATION_CASES + FOLD_CASES,
+                             ids=lambda v: v.describe()
+                             if isinstance(v, ConvSpec) else f"crop{v}")
+    def test_image_equals_singleton_call(self, name, spec, crop, rng):
+        # Batch independence of the cropped call, bit for bit: the
+        # sliced executors and the sharded step cut batches anywhere.
+        _, weights, err = random_conv_data(spec, rng, batch=5)
+        engine = make_engine(name, spec, num_cores=2)
+        batched = engine.backward_data(err, weights, crop=crop)
+        np.testing.assert_allclose(
+            batched, _cropped_oracle(spec, err, weights, crop), atol=2e-3)
+        for i in range(len(err)):
+            alone = make_engine(name, spec, num_cores=2).backward_data(
+                err[i : i + 1], weights, crop=crop)
+            assert batched[i].tobytes() == alone[0].tobytes()
+        # A slice taken anywhere, through the warm engine: the zero
+        # border of the reused error plane is still zero.
+        assert engine.backward_data(err[1:3], weights, crop=crop) \
+            .tobytes() == batched[1:3].tobytes()
+
+    def test_bp_data_shares_fp_unfold_scratch_when_shapes_agree(self, rng):
+        # A same-padded layer with Nc == Nf: FP/dW and BP-data gather
+        # into one U^T buffer, not one each.
+        spec = ConvSpec(nc=4, ny=12, nx=12, nf=4, fy=5, fx=5)
+        inputs, weights, err = random_conv_data(spec, rng, batch=2)
+        engine = make_engine("gemm-in-parallel", spec)
+        engine.forward(inputs, weights)
+        fp_only = engine.workspace.nbytes
+        engine.backward_data(err, weights, crop=2)
+        bordered = 4 * (4 * 12 * 12)  # float32 [Nf, 8 + 2*2, 8 + 2*2]
+        assert engine.workspace.nbytes == fp_only + bordered
+
+    def test_crop_that_leaves_nothing_is_rejected(self):
+        spec = SMALL_SPECS[0]
+        weights = np.zeros(spec.weight_shape, np.float32)
+        err = np.zeros((1,) + spec.output_shape, np.float32)
+        for name in ("gemm-in-parallel", "stencil", "reference"):
+            with pytest.raises(ShapeError):
+                make_engine(name, spec).backward_data(err, weights, crop=3)
 
 
 @pytest.mark.parametrize("name", GEMM_ENGINES)

@@ -57,6 +57,21 @@ class TestWorkspace:
         assert ws.allocations == 2
 
 
+def test_zeroed_once_zeroes_on_allocation_only():
+    ws = Workspace()
+    buf = ws.zeroed_once("plane", (4, 4), np.float32)
+    assert not buf.any()
+    buf[1:3, 1:3] = 7.0
+    again = ws.zeroed_once("plane", (4, 4), np.float32)
+    assert again is buf and again[1, 1] == 7.0 and again[0, 0] == 0.0
+    # A new geometry is a new, zeroed buffer ...
+    assert not ws.zeroed_once("plane", (5, 4), np.float32).any()
+    # ... and so is the first request after a release.
+    ws.zeroed_once("plane", (5, 4), np.float32)[:] = 1.0
+    ws.release()
+    assert not ws.zeroed_once("plane", (5, 4), np.float32).any()
+
+
 class TestEngineWorkspaceReuse:
     def test_gemm_engine_reuses_buffers_across_batches(self, rng):
         inputs, weights, err = random_conv_data(SPEC, rng, batch=3)

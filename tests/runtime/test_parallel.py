@@ -56,6 +56,22 @@ class TestParallelEquivalence:
         np.testing.assert_allclose(got, oracle["bw"], atol=1e-2)
 
 
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("engine_name", ["gemm-in-parallel", "stencil"])
+def test_cropped_backward_data_equals_the_inline_engine(engine_name, backend,
+                                                        data):
+    # crop=1 on this 3x3 spec is the correlation form for the GEMM
+    # engine and crop-after for the stencil: the slices must run the
+    # form the inline engine runs, into an output sized for the result.
+    _, weights, err = data
+    want = make_engine(engine_name, SPEC).backward_data(err, weights, crop=1)
+    assert want.shape == (9,) + SPEC.cropped_input_shape(1)
+    with ParallelExecutor(engine_name, SPEC,
+                          pool=WorkerPool(3, backend=backend)) as executor:
+        got = executor.backward_data(err, weights, crop=1)
+    assert got.tobytes() == want.tobytes()
+
+
 class TestExecutorBehaviour:
     def test_more_workers_than_images(self, data, oracle):
         inputs, weights, _ = data

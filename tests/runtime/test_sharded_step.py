@@ -11,6 +11,7 @@ bit-identical to the unfaulted serial one.
 """
 
 import os
+import platform
 import signal
 import threading
 from pathlib import Path
@@ -33,7 +34,8 @@ from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.resilience.policy import RetryPolicy, apply_policy
 from repro.resilience.quarantine import default_registry
 from repro.runtime import shm
-from repro.runtime.backends import ProcessBackend, worker_diagnostics
+from repro.runtime.backends import (ProcessBackend, pin_malloc_thresholds,
+                                    worker_diagnostics)
 from repro.runtime.pool import WorkerPool
 
 BACKENDS = ("serial", "thread", "process")
@@ -498,6 +500,7 @@ class TestWorkersStayLegible:
             assert shard.attrs["job"] > 0
             assert str(shard.attrs["blas"]) == os.environ.get(
                 "OPENBLAS_NUM_THREADS", "1")
+            assert shard.attrs["malloc"] == pin_malloc_thresholds()
             children = [s for s in tel.spans
                         if s.parent_id == shard.span_id]
             names = [s.name for s in children]
@@ -541,6 +544,22 @@ class TestWorkerBlasThreads:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         assert self._seen() == "3"
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+class TestWorkerHeap:
+    def test_workers_report_the_thresholds_the_trainer_runs_under(self):
+        backend = ProcessBackend(1)
+        try:
+            seen = backend.broadcast(worker_diagnostics)[0]
+        finally:
+            backend.shutdown()
+        assert seen["malloc_thresholds"] == pin_malloc_thresholds()
+
+    def test_glibc_takes_both_settings(self):
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("mallopt thresholds are glibc's")
+        assert pin_malloc_thresholds() == "mmap:32M,trim:512M"
+        assert pin_malloc_thresholds() == "mmap:32M,trim:512M"  # idempotent
 
 
 def test_stale_attempt_does_not_write_into_a_later_steps_buffers():
