@@ -23,17 +23,28 @@ proves, per generated kernel:
 * fused conv+ReLU+pool kernels additionally carry the pool geometry
   contract: a ``bias`` parameter, and the pool-row blocks written to
   ``out``/``argmax`` must partition the pooled rows exactly once.
+
+The sparse kernels' C lowering (:mod:`repro.sparse.codegen_c`) gets the
+same "emitted == nest" treatment without parsing C: the printer returns
+the literals it emitted (the ``#define`` table and the per-kernel tap
+order) alongside the text, and :func:`verify_native_unit` recomputes
+each of them from the spec and the scheduled nest -- tap multiset and
+order, every tap's shifted-slice bounds, every scratch section's extent
+and placement -- and checks that the text carries exactly those
+``#define`` lines and tap tables.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.check.findings import Finding
 from repro.core.convspec import ConvSpec
 from repro.sparse import codegen as sparse_codegen
+from repro.sparse import codegen_c as sparse_codegen_c
 from repro.stencil import emit as stencil_emit
 from repro.stencil.loopir import PoolWindow
 
@@ -537,6 +548,124 @@ def verify_kernel_source(
     return findings
 
 
+def _emitted_table(source: str, name: str) -> list[int] | None:
+    """The literal initialiser of ``static const int <name>[NT]``."""
+    match = re.search(
+        rf"^static const int {name}\[NT\] = \{{([-0-9, ]*)\}};$",
+        source, re.MULTILINE)
+    if match is None:
+        return None
+    return [int(v) for v in match.group(1).split(",") if v.strip()]
+
+
+def verify_native_unit(spec: ConvSpec) -> list[Finding]:
+    """Verify the sparse kernels' C unit for ``spec`` against the nest.
+
+    Everything is recomputed here from the spec and the family's
+    scheduled nest and compared with what the printer says it emitted
+    and with the ``#define`` / tap-table lines of the text itself.
+    """
+    from repro.stencil.passes import default_pipeline
+
+    location = f"{spec.name or spec.describe()}/sparse-c"
+    try:
+        unit = sparse_codegen_c.emit_sparse_c_unit(spec)
+    except Exception as exc:  # noqa: BLE001 - report, don't crash
+        return [_finding("error", location, f"emitter failed: {exc}")]
+    findings: list[Finding] = []
+
+    def error(message: str) -> None:
+        findings.append(_finding("error", location, message))
+
+    lit = dict(unit.literals)
+    emitted = {m.group(1): int(m.group(2)) for m in re.finditer(
+        r"^#define (\w+) (-?\d+)$", unit.source, re.MULTILINE)}
+    if emitted != lit:
+        error(f"#define lines {sorted(emitted.items())} differ from the "
+              f"literals the printer reported {sorted(lit.items())}")
+
+    # Geometry literals restate the spec.
+    oy, ox = spec.out_ny, spec.out_nx
+    geometry = {
+        "NC": spec.nc, "NF": spec.nf, "NY": spec.ny, "NX": spec.nx,
+        "OY": oy, "OX": ox, "P": oy * ox, "SY": spec.sy, "SX": spec.sx,
+        "FY": spec.fy, "FX": spec.fx, "NT": spec.fy * spec.fx,
+    }
+    for name, want in geometry.items():
+        if lit.get(name) != want:
+            error(f"{name} emitted as {lit.get(name)}, the spec gives {want}")
+    ncp, vw, cv = lit.get("NCP", 0), lit.get("VW", 0), lit.get("CV", 0)
+    if vw <= 0 or cv <= 0 or ncp < spec.nc or ncp % max(vw * cv, 1):
+        error(f"channel tiling NCP={ncp} VW={vw} CV={cv} does not cover "
+              f"{spec.nc} channels in whole chunks")
+        return findings
+
+    # Scratch sections: big enough for what the kernels index, disjoint,
+    # inside the capacity the engine is told to provide.
+    needed = {
+        "PANEL": spec.fy * spec.fx * spec.nf * ncp,
+        "HWC": spec.ny * spec.nx * ncp,
+        "VAL": oy * ox * spec.nf,
+        "IDX": oy * ox * spec.nf,
+        "PTR": max(oy * ox, spec.nf) + 1,
+    }
+    end = 0
+    for name, floats in needed.items():
+        size, offset = lit.get(f"{name}_FLOATS", -1), lit.get(f"{name}_OFF", -1)
+        if size < floats:
+            error(f"scratch section {name} holds {size} floats, the "
+                  f"kernels index {floats}")
+        if offset < end:
+            error(f"scratch section {name} at {offset} overlaps the "
+                  f"section before it (ends {end})")
+        end = max(end, offset + max(size, floats))
+    if lit.get("SCRATCH_FLOATS", -1) < end:
+        error(f"SCRATCH_FLOATS {lit.get('SCRATCH_FLOATS')} is short of "
+              f"the sections' end {end}")
+
+    # Taps: each kernel's emission is the nest's enumeration -- the
+    # support exactly once, in the scheduled order -- and every tap's
+    # shifted slice stays inside the HWC image.
+    support = sorted((ky, kx) for ky in range(spec.fy)
+                     for kx in range(spec.fx))
+    for prefix, family, taps in (
+            ("BD", "sparse_bp_data", unit.bd_taps),
+            ("DW", "sparse_bp_weights", unit.dw_taps)):
+        if sorted(taps) != support:
+            error(f"{prefix} taps {sorted(taps)} are not the kernel "
+                  f"support exactly once")
+            continue
+        scheduled = sparse_codegen._taps(spec, default_pipeline(family))
+        if list(taps) != scheduled:
+            error(f"{prefix} taps are emitted in {list(taps)}, the "
+                  f"scheduled nest enumerates {scheduled}")
+        for ky, kx in taps:
+            y_stop = ky + (oy - 1) * spec.sy + 1
+            x_stop = kx + (ox - 1) * spec.sx + 1
+            if y_stop > spec.ny or x_stop > spec.nx:
+                error(f"{prefix} tap {(ky, kx)}: shifted slice "
+                      f"{ky}:{y_stop}, {kx}:{x_stop} exceeds the "
+                      f"{spec.ny}x{spec.nx} image")
+        tables = {
+            f"{prefix}_TAP_W": [ky * spec.fx + kx for ky, kx in taps],
+            f"{prefix}_TAP_OFF": [(ky * spec.nx + kx) * ncp
+                                  for ky, kx in taps],
+        }
+        for name, want in tables.items():
+            got = _emitted_table(unit.source, name)
+            if got != want:
+                error(f"table {name} emitted as {got}, the nest gives "
+                      f"{want}")
+            elif name.endswith("_OFF"):
+                # Last float a tap's last position touches.
+                reach = max(want) + ((oy - 1) * spec.sy * spec.nx
+                                     + (ox - 1) * spec.sx) * ncp + ncp
+                if reach > lit.get("HWC_FLOATS", 0):
+                    error(f"table {name}: furthest access {reach} is "
+                          f"outside the HWC section")
+    return findings
+
+
 def verify_generated_sources(specs: list[ConvSpec]) -> list[Finding]:
     """Emit and statically verify every kernel family for every spec.
 
@@ -544,10 +673,12 @@ def verify_generated_sources(specs: list[ConvSpec]) -> list[Finding]:
     padded specs and that rejection is reported as a finding rather
     than raised.  Specs whose output plane admits a 2x2 max pool also
     get their fused conv+ReLU+pool emission verified against the
-    extended fused contract.
+    extended fused contract, and every spec its sparse C unit
+    (:func:`verify_native_unit`).
     """
     findings: list[Finding] = []
     for spec in specs:
+        findings.extend(verify_native_unit(spec))
         contracts = _contracts(spec)
         for family, (module, attr) in _EMITTERS.items():
             location = f"{spec.name or spec.describe()}/{family}"

@@ -122,6 +122,8 @@ def run_all(
         report.meta["kernels"] = 5 * len(specs or []) + sum(
             1 for s in (specs or []) if s.out_ny >= 2 and s.out_nx >= 2
         )
+        # ... and the sparse kernels' C unit of every spec.
+        report.meta["native_units"] = len(specs or [])
     if "graph" in selected:
         report.extend(verify_networks(networks or []))
         report.meta["networks"] = len(networks or [])

@@ -143,8 +143,12 @@ class MeasuredCostBackend(CostBackend):
 
     Buckets halve the error density (sparsity 0, 0.5, 0.75, 0.875, ...):
     sparse-kernel work is proportional to the non-zero count, so a
-    bucket spans at most the 2x the gate already tolerates.  ``clock``
-    and ``engine_factory`` are injection points for tests.
+    bucket spans at most the 2x the gate already tolerates.  The error
+    a bucket is measured on is drawn at the bucket's geometric-mean
+    density (:meth:`bucket_sparsity`), not at whatever sparsity the
+    first query inside it happened to carry: the memoised price is then
+    a property of the key, within sqrt(2) of every query it answers.
+    ``clock`` and ``engine_factory`` are injection points for tests.
 
     Engines are timed bare and single-threaded.  A layer built with
     ``threads > 1`` runs its engine through a ``ParallelExecutor`` over
@@ -178,13 +182,20 @@ class MeasuredCostBackend(CostBackend):
         density = max(1.0 - sparsity, 2.0 ** -16)
         return int(-math.log2(density) + 1e-9)
 
+    @staticmethod
+    def bucket_sparsity(bucket: int) -> float:
+        """Sparsity at the geometric mean of the bucket's density range
+        ``(2^-(bucket+1), 2^-bucket]``."""
+        return 1.0 - 2.0 ** -(bucket + 0.5)
+
     def _key(self, technique: str, phase: str, spec: ConvSpec,
              sparsity: float, input_error: bool) -> tuple:
         bucket = self.sparsity_bucket(sparsity) if technique == "sparse" else None
         return (technique, phase, phase == "fp" or input_error, spec, bucket)
 
     def _operands(self, phase: str, spec: ConvSpec, sparsity: float):
-        """Random (primary, weights, inputs) at the measuring batch."""
+        """Random (primary, weights, inputs) at the measuring batch; a BP
+        error is zeroed at the density of ``sparsity``'s bucket."""
         rng = self._rng
         inputs = rng.standard_normal(
             (self.batch,) + spec.input_shape).astype(np.float32)
@@ -193,8 +204,8 @@ class MeasuredCostBackend(CostBackend):
             return inputs, weights, inputs
         out_error = rng.standard_normal(
             (self.batch,) + spec.output_shape).astype(np.float32)
-        if sparsity > 0:
-            out_error[rng.random(out_error.shape) < sparsity] = 0.0
+        measured_at = self.bucket_sparsity(self.sparsity_bucket(sparsity))
+        out_error[rng.random(out_error.shape) < measured_at] = 0.0
         return out_error, weights, inputs
 
     def _measure(self, technique: str, phase: str, spec: ConvSpec,
@@ -283,34 +294,12 @@ class Autotuner:
     """
 
     def __init__(self, backend: CostBackend, extended: bool = False,
-                 quarantine: QuarantineRegistry | None = None,
-                 schedule_search: "object | None" = None):
+                 quarantine: QuarantineRegistry | None = None):
         self.backend = backend
         self.fp_candidates = (
             FP_CANDIDATES_EXTENDED if extended else FP_CANDIDATES
         )
         self.quarantine = quarantine or default_registry()
-        #: Optional :class:`repro.nn.schedule.ScheduleSearch`.  When set,
-        #: layers that deploy a generated kernel additionally get their
-        #: loop-IR schedule searched, and the winning pipeline is
-        #: recorded on the plan (``fp_schedule`` / ``bp_schedule``).
-        self.schedule_search = schedule_search
-
-    def _schedules(self, spec: ConvSpec, fp_engine: str,
-                   bp_engine: str) -> tuple[str, str]:
-        """Schedule descriptions for the chosen generated kernels."""
-        search = self.schedule_search
-        if search is None:
-            return "", ""
-        fp_schedule = ""
-        bp_schedule = ""
-        if fp_engine == "stencil":
-            fp_schedule = search.search(spec, "fp").pipeline.describe()
-        if bp_engine == "sparse":
-            bp_schedule = search.search(
-                spec, "sparse_bp_weights"
-            ).pipeline.describe()
-        return fp_schedule, bp_schedule
 
     def _pick(self, candidates: tuple[str, ...], phase: str, spec: ConvSpec,
               sparsity: float, layer_name: str = "",
@@ -349,7 +338,6 @@ class Autotuner:
         bp_engine, bp_timings = self._pick(BP_CANDIDATES, "bp", spec,
                                            sparsity, layer_name, bp_held,
                                            input_error)
-        fp_schedule, bp_schedule = self._schedules(spec, fp_engine, bp_engine)
         return LayerPlan(
             layer_name=layer_name or spec.name or "conv",
             spec=spec,
@@ -358,8 +346,6 @@ class Autotuner:
             fp_timings=fp_timings,
             bp_timings=bp_timings,
             sparsity=sparsity,
-            fp_schedule=fp_schedule,
-            bp_schedule=bp_schedule,
         )
 
     def plan_fp(self, spec: ConvSpec, layer_name: str,
@@ -373,15 +359,12 @@ class Autotuner:
         fp_held, bp_held = deployed
         fp_engine, fp_timings = self._pick(self.fp_candidates, "fp", spec,
                                            0.0, layer_name, fp_held)
-        fp_schedule, bp_schedule = self._schedules(spec, fp_engine, bp_held)
         return LayerPlan(
             layer_name=layer_name or spec.name or "conv",
             spec=spec,
             fp_engine=fp_engine,
             bp_engine=bp_held,
             fp_timings=fp_timings,
-            fp_schedule=fp_schedule,
-            bp_schedule=bp_schedule,
         )
 
     def replan_bp(self, plan: LayerPlan, sparsity: float,
@@ -396,7 +379,6 @@ class Autotuner:
         bp_engine, bp_timings = self._pick(BP_CANDIDATES, "bp", plan.spec,
                                            sparsity, plan.layer_name,
                                            plan.bp_engine, input_error)
-        _, bp_schedule = self._schedules(plan.spec, "", bp_engine)
         return LayerPlan(
             layer_name=plan.layer_name,
             spec=plan.spec,
@@ -405,6 +387,4 @@ class Autotuner:
             fp_timings=plan.fp_timings,
             bp_timings=bp_timings,
             sparsity=sparsity,
-            fp_schedule=plan.fp_schedule,
-            bp_schedule=bp_schedule,
         )

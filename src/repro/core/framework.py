@@ -14,7 +14,7 @@ running them (``measured``) and how many it answered from its memo
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from repro import telemetry
@@ -27,6 +27,7 @@ from repro.core.plan import (
 )
 from repro.errors import PlanError
 from repro.nn.network import Network
+from repro.ops.engine import make_engine
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,11 @@ class SpgCNN:
             span.annotate(measured=backend.measured - measured,
                           memo_hits=backend.memo_hits - memo_hits)
 
+    def _deployed(self, layer, plan: LayerPlan) -> LayerPlan:
+        """``plan`` as it now runs on ``layer``: with the lowering of the
+        BP engine the layer actually built."""
+        return replace(plan, bp_lowering=layer.bp_lowering or "")
+
     def optimize(self) -> ExecutionPlan:
         """Plan FP for every conv layer and deploy the chosen engines.
 
@@ -81,6 +87,11 @@ class SpgCNN:
         :meth:`after_epoch` recheck, when a measured error sparsity
         exists.  Only a BP engine the plan cannot carry (one outside the
         BP candidates) is replaced up front, planned for a dense error.
+
+        Every BP candidate is constructed once here, so whatever its
+        generated kernels need -- emission, a cold C compile and its
+        self-check, the load -- is paid during set-up and a recheck
+        between two training steps finds them built.
         """
         conv_layers = self.network.conv_layers()
         if not conv_layers:
@@ -88,6 +99,8 @@ class SpgCNN:
         plans = []
         with self._tuning_span("spg/optimize", layers=len(conv_layers)):
             for layer in conv_layers:
+                for candidate in BP_CANDIDATES:
+                    make_engine(candidate, layer.padded_spec)
                 deployed = (layer.fp_engine_name, layer.bp_engine_name)
                 if deployed[1] in BP_CANDIDATES + (FALLBACK_ENGINE,):
                     plan = self.autotuner.plan_fp(
@@ -103,7 +116,7 @@ class SpgCNN:
                     layer.set_fp_engine(plan.fp_engine)
                 if plan.bp_engine != deployed[1]:
                     layer.set_bp_engine(plan.bp_engine)
-                self._plans[layer.name] = plan
+                plan = self._plans[layer.name] = self._deployed(layer, plan)
                 plans.append(plan)
         return ExecutionPlan(layers=tuple(plans))
 
@@ -137,9 +150,11 @@ class SpgCNN:
                 new_plan = self.autotuner.replan_bp(
                     old_plan, sparsity,
                     input_error=self._needs_input_error(layer))
-                self._plans[layer.name] = new_plan
-                if new_plan.bp_engine != old_plan.bp_engine:
+                retuned = new_plan.bp_engine != old_plan.bp_engine
+                if retuned:
                     layer.set_bp_engine(new_plan.bp_engine)
+                self._plans[layer.name] = self._deployed(layer, new_plan)
+                if retuned:
                     events.append(
                         RetuneEvent(
                             epoch=epoch,

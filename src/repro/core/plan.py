@@ -42,12 +42,10 @@ class LayerPlan:
     fp_timings: dict[str, float] = field(default_factory=dict)
     bp_timings: dict[str, float] = field(default_factory=dict)
     sparsity: float = 0.0
-    #: Schedule-pipeline descriptions chosen by the loop-IR schedule
-    #: search (:class:`repro.nn.schedule.ScheduleSearch`), when the
-    #: technique deploys a generated kernel; empty otherwise.  The
-    #: fingerprint of these strings keys the emitter codegen caches.
-    fp_schedule: str = ""
-    bp_schedule: str = ""
+    #: What the deployed BP engine's generated kernels were lowered to
+    #: (``"c"`` / ``"python"``), filled in by whoever deploys the plan;
+    #: empty for engines with a single form and for undeployed plans.
+    bp_lowering: str = ""
 
     def __post_init__(self) -> None:
         if self.fp_engine not in FP_CANDIDATES_EXTENDED + (FALLBACK_ENGINE,):

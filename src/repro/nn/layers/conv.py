@@ -194,6 +194,7 @@ class ConvLayer(Layer):
             ("fp_engine", self.fp_engine_name),
             ("bp_engine", self.bp_engine_name),
             ("num_cores", self.num_cores),
+            ("bp_artifact", self.bp_artifact),
         ))
 
     @property
@@ -205,6 +206,23 @@ class ConvLayer(Layer):
     def bp_engine_name(self) -> str:
         """Name of the engine currently serving backward propagation."""
         return self._bp_engine.name
+
+    @property
+    def bp_lowering(self) -> str | None:
+        """What the BP engine's generated kernels were lowered to
+        (``"c"`` / ``"python"``); ``None`` for single-form engines."""
+        return self._bp_engine.lowering
+
+    @property
+    def bp_artifact(self) -> str | None:
+        """Which compiled unit the BP engine computes with, if any.
+
+        Part of :meth:`structure`: a step shard's replica must compute
+        with the same machine code (same summation order) as every other
+        shard, so it is told which and reports a mismatch as an engine
+        failure (:class:`ReplicaConvLayer`).
+        """
+        return self._bp_engine.artifact
 
     def _admitted(self, phase: str, engine_name: str) -> str:
         """The engine to actually deploy: benched engines become fallback."""
@@ -407,7 +425,7 @@ class ConvLayer(Layer):
         start = time.perf_counter()
         with telemetry.span(f"{self.name}/bp", layer=self.name, phase="bp",
                             engine=self.bp_engine_name, batch=batch,
-                            sparsity=sparsity):
+                            sparsity=sparsity, lowering=self.bp_lowering):
             self.d_weights += self._run_engine(
                 "bp", "backward_weights", out_error, self._cached_padded_input
             )
@@ -436,9 +454,18 @@ class ReplicaConvLayer(ConvLayer):
     (:meth:`ConvLayer.rehearse_engine_faults`).
     """
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, bp_artifact: str | None = None, **kwargs):
         super().__init__(*args, **kwargs)
         self._failures: list[tuple[str, str, str]] = []
+        if self.bp_artifact != bp_artifact:
+            # Not the machine code the parent's structure names (no
+            # compiler here, an unloadable cache entry, another host):
+            # computing on would put this shard in a different summation
+            # order from its siblings, silently.
+            self.degrade(
+                "bp", self.bp_engine_name,
+                f"replica loaded BP artefact {self.bp_artifact!r}, "
+                f"the step was planned on {bp_artifact!r}")
 
     def _visit_fault_site(self, phase: str, method: str,
                           engine_name: str) -> None:

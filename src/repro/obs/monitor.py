@@ -160,8 +160,11 @@ class RunReport:
                         in sorted(row[f"{phase}_timings"].items(),
                                   key=lambda item: item[1])
                     ) or "not measured yet"
+                    engine = row[f"{phase}_engine"]
+                    if phase == "bp" and row.get("bp_lowering"):
+                        engine += f" [{row['bp_lowering']}]"
                     lines.append(f"- {row['layer']} {phase.upper()}: "
-                                 f"{row[f'{phase}_engine']} ({timings})")
+                                 f"{engine} ({timings})")
             lines.append("")
         lines.append("## Autotuner retunes")
         lines.append("")
@@ -300,12 +303,14 @@ class TrainingMonitor:
             entry = stats.setdefault(str(layer), {
                 "fp_count": 0, "fp_seconds": 0.0,
                 "bp_count": 0, "bp_seconds": 0.0,
-                "fp_engine": None, "bp_engine": None,
+                "fp_engine": None, "bp_engine": None, "bp_lowering": None,
                 "sparsity_first": None, "sparsity_last": None,
             })
             entry[f"{phase}_count"] += 1
             entry[f"{phase}_seconds"] += span.seconds
             entry[f"{phase}_engine"] = span.attrs.get("engine")
+            if phase == "bp":
+                entry["bp_lowering"] = span.attrs.get("lowering")
             if phase == "bp" and "sparsity" in span.attrs:
                 sparsity = float(span.attrs["sparsity"])
                 if entry["sparsity_first"] is None:
@@ -364,6 +369,7 @@ class TrainingMonitor:
                 s["fp_engine"] or "-",
                 f"{s['fp_seconds'] * 1e3:.1f}",
                 s["bp_engine"] or "-",
+                s["bp_lowering"] or "-",
                 f"{s['bp_seconds'] * 1e3:.1f}",
                 f"{gp / 1e6:.1f}" if gp else "-",
                 f"{tp / 1e6:.1f}" if tp else "-",
@@ -372,7 +378,7 @@ class TrainingMonitor:
                 f"{drift:+.2f}" if drift is not None else "-",
             ])
         return format_table(
-            ["layer", "FP engine", "FP ms", "BP engine", "BP ms",
+            ["layer", "FP engine", "FP ms", "BP engine", "lowering", "BP ms",
              "goodput MF/s", "thruput MF/s", "sparsity", "drift"],
             rows, title=title,
         )
@@ -413,7 +419,8 @@ class TrainingMonitor:
             plan=[
                 {"layer": p.layer_name, "sparsity": p.sparsity,
                  "fp_engine": p.fp_engine, "fp_timings": dict(p.fp_timings),
-                 "bp_engine": p.bp_engine, "bp_timings": dict(p.bp_timings)}
+                 "bp_engine": p.bp_engine, "bp_lowering": p.bp_lowering,
+                 "bp_timings": dict(p.bp_timings)}
                 for p in (plan.layers if plan is not None else ())
             ],
         )

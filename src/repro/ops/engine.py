@@ -41,6 +41,11 @@ class ConvEngine(ABC):
 
     #: Registry key; subclasses override.
     name = "abstract"
+    #: What the engine's generated kernels were lowered to (``"c"`` /
+    #: ``"python"``) and, when that is compiled code, what names the
+    #: loaded unit; ``None`` for engines with a single form.
+    lowering: str | None = None
+    artifact: str | None = None
 
     def __init__(self, spec: ConvSpec):
         if spec.pad != 0:

@@ -1224,8 +1224,11 @@ def _span_attrs(layer: Any, phase: str, rows: int) -> dict[str, Any]:
     engine = getattr(layer, f"{phase}_engine_name", None)
     if engine is None:
         return {"phase": phase}
-    return {"layer": layer.name, "phase": phase, "engine": engine,
-            "batch": rows}
+    attrs = {"layer": layer.name, "phase": phase, "engine": engine,
+             "batch": rows}
+    if phase == "bp":
+        attrs["lowering"] = getattr(layer, "bp_lowering", None)
+    return attrs
 
 
 class _Replica:

@@ -142,10 +142,16 @@ class ParallelExecutor:
         self._engine_lock = threading.Lock()
         self._engines: list[ConvEngine] = []
         self._free_engines: list[ConvEngine] = []
+        first = make_engine(engine_name, spec, **engine_kwargs)
+        #: The wrapped engine's lowering and compiled artefact, as built
+        #: in this process (ConvEngine-compatible; the workers of the
+        #: process backend build theirs from the same cache).
+        self.lowering = first.lowering
+        self.artifact = first.artifact
         if self.pool.backend_name != "process":
-            self._engines = [
+            self._engines = [first] + [
                 make_engine(engine_name, spec, **engine_kwargs)
-                for _ in range(self.pool.num_workers)
+                for _ in range(self.pool.num_workers - 1)
             ]
             self._free_engines = list(self._engines)
 

@@ -8,19 +8,144 @@ than error gradients flow and the paper exploits no sparsity).
 
 Like GEMM-in-Parallel, the sparse engine parallelizes across training
 inputs, one image's kernels per core.
+
+Two lowerings
+-------------
+The kernels exist as generated numpy statements
+(:mod:`repro.sparse.codegen`) and as generated C
+(:mod:`repro.sparse.codegen_c`), compiled at first use and loaded
+through ``ctypes`` (:mod:`repro.native`).  Which one an engine runs is
+decided by what it can observe, never by an option:
+
+* at construction -- a compiler was found, the unit built (or was in the
+  cache), loaded, and a freshly built unit agreed with the Python
+  lowering on random and edge-position operands: ``lowering == "c"``;
+  anything else leaves ``"python"`` and the reason in
+  :attr:`SparseBPEngine.lowering_reason`;
+* per call -- the C kernels take C-contiguous ``float32`` operands;
+  anything else is served by the Python lowering.
+
+The two lowerings sum in different orders, so they agree to rounding
+(both inside the shared tolerance against :mod:`repro.ops.reference`),
+not bitwise.  Equal :attr:`SparseBPEngine.artifact` means equal bits.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.convspec import ConvSpec
+from repro.errors import ReproError
 from repro.ops import layout, reference
 from repro.ops.engine import ConvEngine, register_engine
 from repro.ops.workspace import Workspace
 from repro.sparse.codegen import emit_sparse_backward_data, emit_sparse_backward_weights
 from repro.sparse.ctcsr import DEFAULT_TILE_COLS
 from repro.sparse.kernels import compress_error
+
+#: Largest |native - python| the build-time self-check accepts, as a
+#: share of the Python result's largest magnitude: float32 sums of a few
+#: thousand terms in two orders differ by ~1e-6 of it, an indexing bug
+#: by ~1.
+_SELF_CHECK_RTOL = 1e-4
+
+
+def _python_backward_data(spec: ConvSpec, out_error: np.ndarray,
+                          weights: np.ndarray, workspace: Workspace,
+                          tile_cols: int) -> np.ndarray:
+    """Full (uncropped) input error through the Python lowering."""
+    kernel = emit_sparse_backward_data(spec)
+    w_layout = layout.weights_to_sparse_layout(spec, weights)
+    batch = out_error.shape[0]
+    in_err = np.empty((batch,) + spec.input_shape, dtype=out_error.dtype)
+    for b in range(batch):
+        eo = compress_error(spec, out_error[b], tile_cols=tile_cols)
+        ei_hwc = workspace.zeros(
+            "bp/ei_hwc", (spec.ny, spec.nx, spec.nc), out_error.dtype)
+        kernel(eo, w_layout, ei_hwc)
+        in_err[b] = layout.hwc_to_chw(ei_hwc)
+    return in_err
+
+
+def _python_backward_weights(spec: ConvSpec, out_error: np.ndarray,
+                             inputs: np.ndarray, workspace: Workspace,
+                             tile_cols: int) -> np.ndarray:
+    """Batch-summed weight gradient through the Python lowering."""
+    kernel = emit_sparse_backward_weights(spec)
+    dw_layout = workspace.zeros(
+        "bw/dw_layout", (spec.fy, spec.fx, spec.nf, spec.nc), out_error.dtype)
+    for b in range(out_error.shape[0]):
+        eo = compress_error(spec, out_error[b], tile_cols=tile_cols)
+        kernel(eo, layout.chw_to_hwc(inputs[b]), dw_layout)
+    # [Ky, Kx, Nf, Nc] -> [Nf, Nc, Ky, Kx]
+    return np.ascontiguousarray(np.transpose(dw_layout, (2, 3, 0, 1)))
+
+
+def _self_check(kernels) -> None:
+    """Differential check of a freshly built unit against the Python
+    lowering: a random sparse batch, then an error that is non-zero
+    only at the plane's corner positions (where an off-by-one tap
+    offset or slice bound lands outside the image)."""
+    from repro.native import NativeBuildError
+
+    spec = kernels.spec
+    rng = np.random.default_rng(0)
+    workspace = Workspace()
+    scratch = kernels.scratch(workspace)
+    inputs = rng.standard_normal((2,) + spec.input_shape).astype(np.float32)
+    weights = rng.standard_normal(spec.weight_shape).astype(np.float32)
+    random = rng.standard_normal((2,) + spec.output_shape).astype(np.float32)
+    # 90% sparse (the Python oracle's cost is the non-zero count), but
+    # never so sparse that a small plane is left with a handful.
+    keep = max(0.1, min(1.0, 512 / random.size))
+    random[rng.random(random.shape) >= keep] = 0.0
+    corners = np.zeros_like(random[:1])
+    corners[:, :, ::max(spec.out_ny - 1, 1), ::max(spec.out_nx - 1, 1)] = 1.0
+    crop = min(1, (min(spec.ny, spec.nx) - 1) // 2)
+
+    def compare(what: str, got: np.ndarray, want: np.ndarray) -> None:
+        scale = float(np.abs(want).max()) or 1.0
+        if got.shape != want.shape or not (
+                np.abs(got - want).max() <= _SELF_CHECK_RTOL * scale):
+            raise NativeBuildError(
+                f"native {what} for {spec.describe()} disagrees with the "
+                f"Python lowering")
+
+    for name, error in (("random", random), ("corner", corners)):
+        full = _python_backward_data(spec, error, weights, workspace,
+                                     DEFAULT_TILE_COLS)
+        compare(f"backward_data({name})",
+                kernels.backward_data(error, weights, 0, scratch), full)
+        compare(f"backward_data({name}, crop={crop})",
+                kernels.backward_data(error, weights, crop, scratch),
+                full[:, :, crop:spec.ny - crop, crop:spec.nx - crop])
+        images = inputs[:error.shape[0]]
+        compare(f"backward_weights({name})",
+                kernels.backward_weights(error, images, scratch),
+                _python_backward_weights(spec, error, images, workspace,
+                                         DEFAULT_TILE_COLS))
+
+
+@functools.lru_cache(maxsize=256)
+def _native_kernels(spec: ConvSpec, cache_dir: str, compiler: str | None):
+    """``(kernels, "")`` or ``(None, why not)`` -- once per process.
+
+    Keyed by where units are cached and which compiler was found, so a
+    failed build is not retried by every engine the tuner constructs,
+    while a changed environment is.
+    """
+    from repro.sparse.codegen_c import load_sparse_c_kernels
+
+    try:
+        return load_sparse_c_kernels(spec, _self_check), ""
+    except ReproError as error:  # NativeBuildError, CodegenError
+        return None, f"{type(error).__name__}: {error}"
+
+
+def _native_operand(array: np.ndarray) -> bool:
+    return array.dtype == np.float32 and array.flags.c_contiguous
 
 
 @register_engine("sparse")
@@ -34,10 +159,41 @@ class SparseBPEngine(ConvEngine):
             raise ValueError(f"num_cores must be positive, got {num_cores}")
         self.num_cores = num_cores
         self.tile_cols = tile_cols
-        self._bp_kernel = emit_sparse_backward_data(spec)
-        self._dw_kernel = emit_sparse_backward_weights(spec)
-        #: Reusable scratch (HWC error image, sparse dW layout).
+        # Emitted (and memoised) now, so a spec the generator rejects
+        # fails at construction and no call pays for emission.
+        emit_sparse_backward_data(spec)
+        emit_sparse_backward_weights(spec)
+        self._resolve_native()
+        #: Reusable scratch (HWC error image, sparse dW layout, the C
+        #: kernels' working memory).
         self.workspace = Workspace()
+
+    def _resolve_native(self) -> None:
+        from repro import native
+
+        #: The loaded C kernels (or None) and, if None, why.
+        self._native, self.lowering_reason = _native_kernels(
+            self.spec, str(native.cache_dir()), native.find_compiler())
+
+    def __getstate__(self) -> dict:
+        # Loaded code does not pickle; the far side loads its own.
+        state = dict(self.__dict__)
+        del state["_native"], state["lowering_reason"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._resolve_native()
+
+    @property
+    def lowering(self) -> str:
+        """``"c"`` when the compiled kernels serve, else ``"python"``."""
+        return "c" if self._native is not None else "python"
+
+    @property
+    def artifact(self) -> str | None:
+        """What names the loaded machine code, if any is loaded."""
+        return self._native.artifact if self._native is not None else None
 
     def release_workspace(self) -> None:
         """Drop the reusable scratch buffers."""
@@ -45,8 +201,8 @@ class SparseBPEngine(ConvEngine):
 
     @property
     def backward_data_source(self) -> str:
-        """Source text of the generated EI kernel."""
-        return self._bp_kernel.source
+        """Source text of the generated (Python) EI kernel."""
+        return emit_sparse_backward_data(self.spec).source
 
     def forward(self, inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
         self._check_batch_inputs(inputs)
@@ -63,30 +219,22 @@ class SparseBPEngine(ConvEngine):
                       crop: int = 0) -> np.ndarray:
         self._check_batch_out_error(out_error)
         self._check_weights(weights)
-        w_layout = layout.weights_to_sparse_layout(self.spec, weights)
-        batch = out_error.shape[0]
-        in_err = np.empty((batch,) + self.spec.input_shape, dtype=out_error.dtype)
-        for b in range(batch):
-            eo = compress_error(self.spec, out_error[b], tile_cols=self.tile_cols)
-            ei_hwc = self.workspace.zeros(
-                "bp/ei_hwc", (self.spec.ny, self.spec.nx, self.spec.nc),
-                out_error.dtype,
-            )
-            self._bp_kernel(eo, w_layout, ei_hwc)
-            in_err[b] = layout.hwc_to_chw(ei_hwc)
-        return self._cropped(in_err, crop)
+        native = self._native
+        if native is not None and _native_operand(out_error) \
+                and _native_operand(weights):
+            return native.backward_data(out_error, weights, crop,
+                                        native.scratch(self.workspace))
+        return self._cropped(
+            _python_backward_data(self.spec, out_error, weights,
+                                  self.workspace, self.tile_cols), crop)
 
     def backward_weights(self, out_error: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         self._check_batch_out_error(out_error)
         self._check_batch_inputs(inputs)
-        dw_layout = self.workspace.zeros(
-            "bw/dw_layout",
-            (self.spec.fy, self.spec.fx, self.spec.nf, self.spec.nc),
-            out_error.dtype,
-        )
-        for b in range(out_error.shape[0]):
-            eo = compress_error(self.spec, out_error[b], tile_cols=self.tile_cols)
-            inputs_hwc = layout.chw_to_hwc(inputs[b])
-            self._dw_kernel(eo, inputs_hwc, dw_layout)
-        # [Ky, Kx, Nf, Nc] -> [Nf, Nc, Ky, Kx]
-        return np.ascontiguousarray(np.transpose(dw_layout, (2, 3, 0, 1)))
+        native = self._native
+        if native is not None and _native_operand(out_error) \
+                and _native_operand(inputs):
+            return native.backward_weights(out_error, inputs,
+                                           native.scratch(self.workspace))
+        return _python_backward_weights(self.spec, out_error, inputs,
+                                        self.workspace, self.tile_cols)

@@ -4,10 +4,13 @@ introduce) are caught without ever executing the kernel."""
 
 import pytest
 
+import dataclasses
+
 from repro.check.gen_source import (
     _contracts,
     verify_generated_sources,
     verify_kernel_source,
+    verify_native_unit,
 )
 from repro.core.convspec import ConvSpec
 from repro.stencil.emit import emit_forward_kernel
@@ -192,4 +195,74 @@ class TestScheduledEmissionContracts:
         contract = contract_for(TINY, pipeline)
         findings = verify_kernel_source(source, contract, "fp-tiled")
         assert any("overlap" in f.message or "cover" in f.message
+                   for f in findings), _messages(findings)
+
+
+class TestNativeUnit:
+    """The sparse kernels' C unit: emitted literals == the nest's."""
+
+    STRIDED = ConvSpec(nc=5, ny=11, nx=13, nf=4, fy=3, fx=2, sy=2, sx=3,
+                       name="strided-c")
+
+    @pytest.fixture
+    def doctor(self, monkeypatch):
+        """Make the printer return a unit edited by ``edit(unit)``."""
+        from repro.sparse import codegen_c
+
+        real = codegen_c.emit_sparse_c_unit
+
+        def install(edit):
+            monkeypatch.setattr(codegen_c, "emit_sparse_c_unit",
+                                lambda spec: edit(real(spec)))
+        return install
+
+    @pytest.mark.parametrize("spec", [TINY, STRIDED])
+    def test_emitted_unit_verifies_clean(self, spec):
+        assert verify_native_unit(spec) == []
+
+    def test_shifted_tap_offset_is_caught(self, doctor):
+        def shift(unit):
+            offsets = unit.source.split("BD_TAP_OFF[NT] = {")[1].split("}")[0]
+            first = offsets.split(", ")[1]
+            return dataclasses.replace(unit, source=unit.source.replace(
+                f"BD_TAP_OFF[NT] = {{0, {first},",
+                f"BD_TAP_OFF[NT] = {{0, {int(first) + 1},"))
+
+        doctor(shift)
+        findings = verify_native_unit(TINY)
+        assert any("table BD_TAP_OFF" in f.message for f in findings), \
+            _messages(findings)
+
+    def test_dropped_and_reordered_taps_are_caught(self, doctor):
+        doctor(lambda unit: dataclasses.replace(
+            unit, bd_taps=unit.bd_taps[:-1]))
+        assert any("not the kernel support exactly once" in f.message
+                   for f in verify_native_unit(TINY))
+        doctor(lambda unit: dataclasses.replace(
+            unit, bd_taps=unit.bd_taps[::-1]))
+        assert any("scheduled nest enumerates" in f.message
+                   for f in verify_native_unit(TINY))
+
+    def test_short_scratch_section_is_caught(self, doctor):
+        def shrink(unit):
+            literals = tuple((k, v - 1 if k == "HWC_FLOATS" else v)
+                             for k, v in unit.literals)
+            return dataclasses.replace(unit, literals=literals)
+
+        doctor(shrink)
+        messages = _messages(verify_native_unit(TINY))
+        assert "scratch section HWC holds" in messages
+        # ... and the text no longer says what the printer reports.
+        assert "#define lines" in messages
+
+    def test_every_spec_gets_its_unit_checked(self, monkeypatch):
+        from repro.sparse import codegen_c
+
+        def broken(spec):
+            raise RuntimeError("printer exploded")
+
+        monkeypatch.setattr(codegen_c, "emit_sparse_c_unit", broken)
+        findings = verify_generated_sources([TINY])
+        assert any("sparse-c" in f.location
+                   and "emitter failed: printer exploded" in f.message
                    for f in findings), _messages(findings)

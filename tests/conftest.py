@@ -22,6 +22,21 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _native_cache(tmp_path_factory):
+    """Compiled kernel units go to a per-session directory, never to the
+    user's cache (spawned workers inherit the variable)."""
+    from repro.native import CACHE_ENV
+
+    previous = os.environ.get(CACHE_ENV)
+    os.environ[CACHE_ENV] = str(tmp_path_factory.mktemp("native-cache"))
+    yield
+    if previous is None:
+        del os.environ[CACHE_ENV]
+    else:
+        os.environ[CACHE_ENV] = previous
+
+
 @pytest.fixture(autouse=True)
 def _clean_resilience_state():
     """Empty the process-wide quarantine registry after every test.

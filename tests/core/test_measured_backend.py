@@ -104,6 +104,31 @@ class TestMemo:
         assert backend.memo_hits >= 3
         assert again.bp_timings == plan.bp_timings
 
+    def test_a_bucket_is_measured_at_its_own_density_not_the_first_querys(
+            self):
+        # The memo key is the density octave, so the operand must be a
+        # property of the octave too: first queries at its two ends see
+        # the same error density (the geometric mean, 2^-2.5 here) ...
+        seen = {}
+        for first_query in (0.76, 0.874):         # both in (1/8, 1/4]
+            densities = []
+            backend, engines = make_backend(
+                {**DENSE, "sparse": lambda d: densities.append(d) or 1.0})
+            tuner = Autotuner(backend)
+            plan = tuner.plan_fp(SPEC, "c", ("gemm-in-parallel",
+                                             "gemm-in-parallel"))
+            plan = tuner.replan_bp(plan, first_query)
+            assert densities
+            seen[first_query] = densities
+            # ... and a recheck anywhere inside it calls no engine.
+            made = len(engines.calls)
+            tuner.replan_bp(plan, 0.80)
+            assert len(engines.calls) == made
+        assert seen[0.76] == seen[0.874]          # same seed, same draw
+        assert all(abs(d - 2 ** -2.5) < 0.06 for d in seen[0.76])
+        assert MeasuredCostBackend.bucket_sparsity(2) == \
+            pytest.approx(1 - 2 ** -2.5)
+
     def test_dense_engines_are_keyed_sparsity_free(self):
         backend, engines = make_backend({**DENSE, "sparse": 30.0})
         tuner = Autotuner(backend)

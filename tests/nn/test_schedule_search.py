@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.autotuner import Autotuner, ModelCostBackend
 from repro.core.convspec import ConvSpec
-from repro.machine.spec import xeon_e5_2650
 from repro.nn.schedule import ScheduleSearch
 
 SPEC = ConvSpec(nc=3, ny=14, nx=14, nf=4, fy=3, fx=3, name="search-t")
@@ -82,23 +80,3 @@ class TestSearch:
         slow = ScheduleSearch(cores=1).search(SPEC, "fp")
         fast = ScheduleSearch(cores=16).search(SPEC, "fp")
         assert fast.seconds <= slow.seconds
-
-
-class TestAutotunerIntegration:
-    def test_plans_record_the_searched_schedules(self):
-        tuner = Autotuner(
-            ModelCostBackend(xeon_e5_2650(), cores=16, batch=64),
-            schedule_search=ScheduleSearch(cores=16, batch=64),
-        )
-        plan = tuner.plan_layer(SPEC, sparsity=0.9)
-        assert (plan.fp_engine == "stencil") == bool(plan.fp_schedule)
-        assert (plan.bp_engine == "sparse") == bool(plan.bp_schedule)
-        replanned = tuner.replan_bp(plan, sparsity=0.0)
-        assert replanned.fp_schedule == plan.fp_schedule
-
-    def test_without_a_searcher_plans_carry_no_schedule(self):
-        tuner = Autotuner(ModelCostBackend(xeon_e5_2650(), cores=16,
-                                           batch=64))
-        plan = tuner.plan_layer(SPEC)
-        assert plan.fp_schedule == ""
-        assert plan.bp_schedule == ""

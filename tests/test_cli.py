@@ -244,6 +244,9 @@ class TestTrain:
             # FP is planned once, before the first step, and ran as such.
             assert report["layers"][row["layer"]]["fp_engine"] \
                 == row["fp_engine"]
+            # The plan says what the deployed BP kernels were lowered to.
+            assert (row["bp_lowering"] in ("c", "python")) \
+                == (row["bp_engine"] == "sparse")
         totals = report["totals"]
         assert totals["tuning_seconds"] > 0
         assert totals["tuning_measured"] >= 12          # 2 convs x (3 + 3)
