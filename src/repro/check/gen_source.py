@@ -24,14 +24,14 @@ proves, per generated kernel:
   contract: a ``bias`` parameter, and the pool-row blocks written to
   ``out``/``argmax`` must partition the pooled rows exactly once.
 
-The sparse kernels' C lowering (:mod:`repro.sparse.codegen_c`) gets the
-same "emitted == nest" treatment without parsing C: the printer returns
-the literals it emitted (the ``#define`` table and the per-kernel tap
-order) alongside the text, and :func:`verify_native_unit` recomputes
-each of them from the spec and the scheduled nest -- tap multiset and
-order, every tap's shifted-slice bounds, every scratch section's extent
-and placement -- and checks that the text carries exactly those
-``#define`` lines and tap tables.
+The C lowerings (:mod:`repro.sparse.codegen_c`,
+:mod:`repro.stencil.emit_c`) get the same "emitted == nest" treatment
+without a C parser: a printer returns the facts it emitted alongside
+the text (:class:`repro.native.CUnit`: the ``#define`` table and, per
+kernel, tap order, tap tables and blocks written), and
+:func:`verify_native_unit` -- one function for every family --
+recomputes each from the scheduled nest the kernel was printed from and
+reads the ``#define`` and tap-table lines back out of the text.
 """
 
 from __future__ import annotations
@@ -41,12 +41,17 @@ import re
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.check.findings import Finding
 from repro.core.convspec import ConvSpec
+from repro.native import CUnit
 from repro.sparse import codegen as sparse_codegen
 from repro.sparse import codegen_c as sparse_codegen_c
 from repro.stencil import emit as stencil_emit
-from repro.stencil.loopir import PoolWindow
+from repro.stencil import emit_c as stencil_emit_c
+from repro.stencil.loopir import LoopNest, PoolWindow
+from repro.stencil.passes import default_pipeline
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from repro.stencil.passes import SchedulePipeline
@@ -548,30 +553,48 @@ def verify_kernel_source(
     return findings
 
 
-def _emitted_table(source: str, name: str) -> list[int] | None:
+def _emitted_table(source: str, name: str) -> tuple[int, ...] | None:
     """The literal initialiser of ``static const int <name>[NT]``."""
     match = re.search(
         rf"^static const int {name}\[NT\] = \{{([-0-9, ]*)\}};$",
         source, re.MULTILINE)
     if match is None:
         return None
-    return [int(v) for v in match.group(1).split(",") if v.strip()]
+    return tuple(int(v) for v in match.group(1).split(",") if v.strip())
 
 
-def verify_native_unit(spec: ConvSpec) -> list[Finding]:
-    """Verify the sparse kernels' C unit for ``spec`` against the nest.
+def _scratch_needs(nest: LoopNest, lit: dict[str, int]) -> dict[str, int]:
+    """Floats ``nest``'s kernels index in each scratch section: the
+    sparse kernels' panel, HWC image and CSR arrays, the fused kernel's
+    ``act`` tile -- from the spec, not from what the printer reports."""
+    spec, ncp = nest.spec, lit.get("NCP", 0)
+    positions = spec.out_ny * spec.out_nx
+    if nest.pool is not None:
+        rows = nest.stage("maxpool").loop("py").tile or 1
+        rows = nest.pool.rows_needed(
+            min(rows, nest.pool.out_extent(spec.out_ny)))
+        return {"ACT": lit.get("FB", spec.nf) * rows * spec.out_nx}
+    return {"PANEL": spec.fy * spec.fx * spec.nf * ncp,
+            "HWC": spec.ny * spec.nx * ncp,
+            "VAL": positions * spec.nf, "IDX": positions * spec.nf,
+            "PTR": max(positions, spec.nf) + 1}
 
-    Everything is recomputed here from the spec and the family's
-    scheduled nest and compared with what the printer says it emitted
-    and with the ``#define`` / tap-table lines of the text itself.
+
+def verify_native_unit(unit: CUnit, nests: dict[str, LoopNest],
+                       location: str) -> list[Finding]:
+    """Verify one C unit against the nests its kernels were printed from
+    (``nests``: exported kernel symbol -> scheduled nest).
+
+    Everything is recomputed here from the nests and compared with what
+    the printer says it emitted *and* with the ``#define`` / tap-table
+    lines of the text itself: geometry literals restate the spec,
+    channel padding is whole vectors, scratch sections hold what the
+    kernels index, are disjoint and inside the capacity the caller is
+    told to provide, taps are the support exactly once in the expected
+    order, each tap's weight index and shifted offset are the nest's and
+    stay inside the image, and the blocks written tile the output
+    exactly once.
     """
-    from repro.stencil.passes import default_pipeline
-
-    location = f"{spec.name or spec.describe()}/sparse-c"
-    try:
-        unit = sparse_codegen_c.emit_sparse_c_unit(spec)
-    except Exception as exc:  # noqa: BLE001 - report, don't crash
-        return [_finding("error", location, f"emitter failed: {exc}")]
     findings: list[Finding] = []
 
     def error(message: str) -> None:
@@ -583,86 +606,150 @@ def verify_native_unit(spec: ConvSpec) -> list[Finding]:
     if emitted != lit:
         error(f"#define lines {sorted(emitted.items())} differ from the "
               f"literals the printer reported {sorted(lit.items())}")
-
-    # Geometry literals restate the spec.
-    oy, ox = spec.out_ny, spec.out_nx
-    geometry = {
-        "NC": spec.nc, "NF": spec.nf, "NY": spec.ny, "NX": spec.nx,
-        "OY": oy, "OX": ox, "P": oy * ox, "SY": spec.sy, "SX": spec.sx,
-        "FY": spec.fy, "FX": spec.fx, "NT": spec.fy * spec.fx,
-    }
-    for name, want in geometry.items():
-        if lit.get(name) != want:
-            error(f"{name} emitted as {lit.get(name)}, the spec gives {want}")
-    ncp, vw, cv = lit.get("NCP", 0), lit.get("VW", 0), lit.get("CV", 0)
-    if vw <= 0 or cv <= 0 or ncp < spec.nc or ncp % max(vw * cv, 1):
-        error(f"channel tiling NCP={ncp} VW={vw} CV={cv} does not cover "
-              f"{spec.nc} channels in whole chunks")
+    if set(nests) != {k.symbol for k in unit.kernels}:
+        error(f"kernels {[k.symbol for k in unit.kernels]} are not the "
+              f"expected {sorted(nests)}")
         return findings
+    # Channel-fastest images pad every position to NCP floats; planar
+    # ones (no NCP) have a pitch of one.
+    pitch = lit.get("NCP", 1)
+    if "NCP" in lit:
+        vw, cv = lit.get("VW", 0), lit.get("CV", 0)
+        if vw <= 0 or cv <= 0 or pitch < lit.get("NC", 0) \
+                or pitch % max(vw * cv, 1):
+            error(f"channel tiling NCP={pitch} VW={vw} CV={cv} does not "
+                  f"cover {lit.get('NC')} channels in whole chunks")
+            return findings
 
-    # Scratch sections: big enough for what the kernels index, disjoint,
-    # inside the capacity the engine is told to provide.
-    needed = {
-        "PANEL": spec.fy * spec.fx * spec.nf * ncp,
-        "HWC": spec.ny * spec.nx * ncp,
-        "VAL": oy * ox * spec.nf,
-        "IDX": oy * ox * spec.nf,
-        "PTR": max(oy * ox, spec.nf) + 1,
-    }
+    needs: dict[str, int] = {}
+    for nest in nests.values():
+        needs.update(_scratch_needs(nest, lit))
     end = 0
-    for name, floats in needed.items():
-        size, offset = lit.get(f"{name}_FLOATS", -1), lit.get(f"{name}_OFF", -1)
-        if size < floats:
+    for name in (n[:-4] for n in lit if n.endswith("_OFF")):
+        size, offset = lit.get(f"{name}_FLOATS", -1), lit[f"{name}_OFF"]
+        if size < needs.get(name, size + 1):
             error(f"scratch section {name} holds {size} floats, the "
-                  f"kernels index {floats}")
+                  f"kernels index {needs.get(name, 'no such section')}")
         if offset < end:
             error(f"scratch section {name} at {offset} overlaps the "
                   f"section before it (ends {end})")
-        end = max(end, offset + max(size, floats))
+        end = max(end, offset + max(size, needs.get(name, 0)))
     if lit.get("SCRATCH_FLOATS", -1) < end:
         error(f"SCRATCH_FLOATS {lit.get('SCRATCH_FLOATS')} is short of "
               f"the sections' end {end}")
 
-    # Taps: each kernel's emission is the nest's enumeration -- the
-    # support exactly once, in the scheduled order -- and every tap's
-    # shifted slice stays inside the HWC image.
-    support = sorted((ky, kx) for ky in range(spec.fy)
-                     for kx in range(spec.fx))
-    for prefix, family, taps in (
-            ("BD", "sparse_bp_data", unit.bd_taps),
-            ("DW", "sparse_bp_weights", unit.dw_taps)):
-        if sorted(taps) != support:
-            error(f"{prefix} taps {sorted(taps)} are not the kernel "
+    for facts in unit.kernels:
+        nest = nests[facts.symbol]
+        spec, where = nest.spec, f"kernel {facts.symbol}"
+        oy, ox = spec.out_ny, spec.out_nx
+        geometry = {"NC": spec.nc, "NF": spec.nf, "NY": spec.ny,
+                    "NX": spec.nx, "OY": oy, "OX": ox, "SY": spec.sy,
+                    "SX": spec.sx, "FY": spec.fy, "FX": spec.fx,
+                    "NT": spec.fy * spec.fx}
+        if nest.pool is not None:
+            geometry.update(PK=nest.pool.kernel, PS=nest.pool.stride,
+                            PY=nest.pool.out_extent(oy),
+                            PX=nest.pool.out_extent(ox))
+        # Derived extents restate the spec wherever a unit emits them.
+        geometry.update({name: want for name, want in (
+            ("P", oy * ox), ("WF", spec.nc * spec.fy * spec.fx))
+            if name in lit})
+        for name, want in geometry.items():
+            if lit.get(name) != want:
+                error(f"{name} emitted as {lit.get(name)}, the nest "
+                      f"gives {want}")
+
+        # Taps: the support exactly once, in the nest's loop order for
+        # the sparse kernels and in the stencil C printer's own constant
+        # one (kx, then ky, whatever the pipeline) for the vectorized
+        # nests it prints; the tables the kernel indexes with say the
+        # same, in the text too, and no tap leaves the image.
+        expected = list(stencil_emit_c.column_taps(spec)) \
+            if nest.vectorized else sparse_codegen._taps(nest)
+        if sorted(facts.taps) != sorted(expected):
+            error(f"{where}: taps {sorted(facts.taps)} are not the kernel "
                   f"support exactly once")
-            continue
-        scheduled = sparse_codegen._taps(spec, default_pipeline(family))
-        if list(taps) != scheduled:
-            error(f"{prefix} taps are emitted in {list(taps)}, the "
-                  f"scheduled nest enumerates {scheduled}")
-        for ky, kx in taps:
-            y_stop = ky + (oy - 1) * spec.sy + 1
-            x_stop = kx + (ox - 1) * spec.sx + 1
-            if y_stop > spec.ny or x_stop > spec.nx:
-                error(f"{prefix} tap {(ky, kx)}: shifted slice "
-                      f"{ky}:{y_stop}, {kx}:{x_stop} exceeds the "
-                      f"{spec.ny}x{spec.nx} image")
-        tables = {
-            f"{prefix}_TAP_W": [ky * spec.fx + kx for ky, kx in taps],
-            f"{prefix}_TAP_OFF": [(ky * spec.nx + kx) * ncp
-                                  for ky, kx in taps],
-        }
-        for name, want in tables.items():
+        elif list(facts.taps) != expected:
+            error(f"{where}: taps are emitted in {list(facts.taps)}, the "
+                  f"expected order is {expected}")
+        for suffix, reported, want in (
+                ("TAP_W", facts.tap_w,
+                 tuple(ky * spec.fx + kx for ky, kx in expected)),
+                ("TAP_OFF", facts.tap_off,
+                 tuple((ky * spec.nx + kx) * pitch for ky, kx in expected))):
+            name = f"{facts.symbol.upper()}_{suffix}"
             got = _emitted_table(unit.source, name)
+            if got != tuple(reported):
+                error(f"table {name} reads {got} in the text, the printer "
+                      f"reported {tuple(reported)}")
             if got != want:
                 error(f"table {name} emitted as {got}, the nest gives "
                       f"{want}")
-            elif name.endswith("_OFF"):
-                # Last float a tap's last position touches.
-                reach = max(want) + ((oy - 1) * spec.sy * spec.nx
-                                     + (ox - 1) * spec.sx) * ncp + ncp
-                if reach > lit.get("HWC_FLOATS", 0):
+            if suffix == "TAP_OFF" and got:
+                # One past the last float the last position's tap reads.
+                reach = max(got) + ((oy - 1) * spec.sy * spec.nx
+                                    + (ox - 1) * spec.sx + 1) * pitch
+                if min(got) < 0 or reach > spec.ny * spec.nx * pitch:
                     error(f"table {name}: furthest access {reach} is "
-                          f"outside the HWC section")
+                          f"outside the {spec.ny}x{spec.nx} image")
+
+        domain = nest.buffer(nest.stages[-1].stmt.out.buffer).shape
+        written = np.zeros(domain, dtype=np.int64)
+        for block in facts.blocks:
+            if len(block) != len(domain) or any(
+                    start < 0 or extent <= 0 or start + extent > full
+                    for (start, extent), full in zip(block, domain)):
+                error(f"{where}: block {block} leaves the output {domain}")
+                continue
+            written[tuple(slice(start, start + extent)
+                          for start, extent in block)] += 1
+        if (written != 1).any():
+            error(f"{where}: blocks write {int((written == 0).sum())} "
+                  f"output elements never and "
+                  f"{int((written > 1).sum())} more than once")
+    return findings
+
+
+def native_units(spec: ConvSpec) -> list[tuple[
+        str, dict[str, "SchedulePipeline"]]]:
+    """``(family, {kernel symbol: pipeline})`` of every C unit ``spec``
+    has: the sparse BP pair always; the stencil FP kernel and (where a
+    2x2 pool fits) the fused kernel for the stride-1 specs the stencil
+    printer covers."""
+    units = [("sparse-c", {"bd": default_pipeline("sparse_bp_data"),
+                           "dw": default_pipeline("sparse_bp_weights")})]
+    if (spec.sy, spec.sx) == (1, 1):
+        host = stencil_emit_c.host_pipeline
+        units.append(("stencil-fp-c", {"fp": host(None, "fp")}))
+        if spec.out_ny >= 2 and spec.out_nx >= 2:
+            units.append(("stencil-fused-fp-c",
+                          {"fused": host(None, "fused_fp", 2, 2)}))
+    return units
+
+
+def _emitted(emit, location: str, findings: list[Finding]):
+    """``emit()``, or ``None`` and a finding if the emitter raised."""
+    try:
+        return emit()
+    except Exception as exc:  # noqa: BLE001 - report, don't crash
+        findings.append(_finding("error", location, f"emitter failed: {exc}"))
+        return None
+
+
+def verify_native_units(spec: ConvSpec) -> list[Finding]:
+    """Emit (printers resolved late, so tests can seed faults) and verify
+    every C unit of ``spec``."""
+    findings: list[Finding] = []
+    for family, pipelines in native_units(spec):
+        location = f"{spec.name or spec.describe()}/{family}"
+        unit = _emitted(
+            lambda: sparse_codegen_c.emit_sparse_c_unit(spec)
+            if family == "sparse-c" else stencil_emit_c.emit_stencil_c_unit(
+                spec, *pipelines.values()), location, findings)
+        if unit is not None:
+            findings.extend(verify_native_unit(
+                unit, {symbol: pipeline.build_nest(spec)
+                       for symbol, pipeline in pipelines.items()}, location))
     return findings
 
 
@@ -673,35 +760,24 @@ def verify_generated_sources(specs: list[ConvSpec]) -> list[Finding]:
     padded specs and that rejection is reported as a finding rather
     than raised.  Specs whose output plane admits a 2x2 max pool also
     get their fused conv+ReLU+pool emission verified against the
-    extended fused contract, and every spec its sparse C unit
-    (:func:`verify_native_unit`).
+    extended fused contract, and every spec its C units
+    (:func:`verify_native_units`).
     """
     findings: list[Finding] = []
     for spec in specs:
-        findings.extend(verify_native_unit(spec))
+        findings.extend(verify_native_units(spec))
         contracts = _contracts(spec)
-        for family, (module, attr) in _EMITTERS.items():
-            location = f"{spec.name or spec.describe()}/{family}"
-            try:
-                kernel = getattr(module, attr)(spec)
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                findings.append(_finding(
-                    "error", location, f"emitter failed: {exc}"
-                ))
-                continue
-            findings.extend(
-                verify_kernel_source(kernel.source, contracts[family], location)
-            )
+        emissions = [(family, contracts[family],
+                      lambda m=module, a=attr: getattr(m, a)(spec))
+                     for family, (module, attr) in _EMITTERS.items()]
         if spec.out_ny >= 2 and spec.out_nx >= 2:
-            location = f"{spec.name or spec.describe()}/stencil-fused-fp"
-            try:
-                kernel = stencil_emit.emit_fused_forward_kernel(spec, 2)
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                findings.append(_finding(
-                    "error", location, f"emitter failed: {exc}"
-                ))
-                continue
-            findings.extend(verify_kernel_source(
-                kernel.source, fused_contract(spec, 2), location
-            ))
+            emissions.append((
+                "stencil-fused-fp", fused_contract(spec, 2),
+                lambda: stencil_emit.emit_fused_forward_kernel(spec, 2)))
+        for family, contract, emit in emissions:
+            location = f"{spec.name or spec.describe()}/{family}"
+            kernel = _emitted(emit, location, findings)
+            if kernel is not None:
+                findings.extend(
+                    verify_kernel_source(kernel.source, contract, location))
     return findings

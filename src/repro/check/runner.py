@@ -16,7 +16,7 @@ from pathlib import Path
 from repro.check.concurrency import lint_package
 from repro.check.effects import verify_networks as verify_network_effects
 from repro.check.findings import CheckReport
-from repro.check.gen_source import verify_generated_sources
+from repro.check.gen_source import native_units, verify_generated_sources
 from repro.check.graph import verify_networks
 from repro.check.kernel_ir import verify_kernel_ir
 from repro.check.lifecycle import lint_lifecycle
@@ -37,13 +37,7 @@ ANALYZER_ALIASES = {
 
 def engine_spec(spec: ConvSpec) -> ConvSpec:
     """The engine-facing (pre-padded, ``pad == 0``) variant of a spec."""
-    if spec.pad == 0:
-        return spec
-    return ConvSpec(
-        nc=spec.nc, ny=spec.padded_ny, nx=spec.padded_nx, nf=spec.nf,
-        fy=spec.fy, fx=spec.fx, sy=spec.sy, sx=spec.sx, pad=0,
-        name=spec.name,
-    )
+    return spec.pre_padded()
 
 
 def default_networks() -> list:
@@ -122,8 +116,9 @@ def run_all(
         report.meta["kernels"] = 5 * len(specs or []) + sum(
             1 for s in (specs or []) if s.out_ny >= 2 and s.out_nx >= 2
         )
-        # ... and the sparse kernels' C unit of every spec.
-        report.meta["native_units"] = len(specs or [])
+        # ... and every spec's C units (sparse BP; stencil FP and fused).
+        report.meta["native_units"] = sum(
+            len(native_units(s)) for s in specs or [])
     if "graph" in selected:
         report.extend(verify_networks(networks or []))
         report.meta["networks"] = len(networks or [])

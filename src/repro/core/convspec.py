@@ -77,6 +77,10 @@ class ConvSpec:
         """Spatial width after zero padding."""
         return self.nx + 2 * self.pad
 
+    def pre_padded(self) -> "ConvSpec":
+        """The engine-facing variant: the padded extents, ``pad == 0``."""
+        return replace(self, ny=self.padded_ny, nx=self.padded_nx, pad=0)
+
     @property
     def out_ny(self) -> int:
         """Output spatial height of the valid-mode strided convolution."""

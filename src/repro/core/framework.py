@@ -76,9 +76,10 @@ class SpgCNN:
                           memo_hits=backend.memo_hits - memo_hits)
 
     def _deployed(self, layer, plan: LayerPlan) -> LayerPlan:
-        """``plan`` as it now runs on ``layer``: with the lowering of the
-        BP engine the layer actually built."""
-        return replace(plan, bp_lowering=layer.bp_lowering or "")
+        """``plan`` as it now runs on ``layer``: with the lowerings of
+        the engines the layer actually built."""
+        return replace(plan, fp_lowering=layer.fp_lowering or "",
+                       bp_lowering=layer.bp_lowering or "")
 
     def optimize(self) -> ExecutionPlan:
         """Plan FP for every conv layer and deploy the chosen engines.

@@ -42,9 +42,10 @@ class LayerPlan:
     fp_timings: dict[str, float] = field(default_factory=dict)
     bp_timings: dict[str, float] = field(default_factory=dict)
     sparsity: float = 0.0
-    #: What the deployed BP engine's generated kernels were lowered to
+    #: What the deployed engines' generated kernels were lowered to
     #: (``"c"`` / ``"python"``), filled in by whoever deploys the plan;
     #: empty for engines with a single form and for undeployed plans.
+    fp_lowering: str = ""
     bp_lowering: str = ""
 
     def __post_init__(self) -> None:

@@ -1,11 +1,15 @@
 """Build one C translation unit with the host's ``cc`` and load it.
 
 The generated-kernel packages print C for a layer shape
-(:mod:`repro.sparse.codegen_c`); this module turns that text into a
-loaded ``ctypes`` library: find ``cc``, compile with
-``-O3 -march=native -fPIC -shared`` into a per-user cache directory and
-``ctypes``-load the result.  Stdlib only, and imported lazily by the one
-engine that has a native lowering -- ``import repro`` does not reach it.
+(:mod:`repro.sparse.codegen_c`, :mod:`repro.stencil.emit_c`); this
+module turns that text into a loaded ``ctypes`` library: find ``cc``,
+compile with :data:`CFLAGS` into a per-user cache directory and
+``ctypes``-load the result.  It also holds what the native families
+share: what a printer hands over (:class:`CUnit`), the wrapper guarding
+each foreign call (:class:`Kernels`), the build-time check's verdict
+(:func:`check_agrees`) and the per-process memo (:func:`kernels_for`).
+Imported lazily by what has a native lowering -- ``import repro`` does
+not reach it.
 
 The cache
 ---------
@@ -38,34 +42,34 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
-from repro.errors import ReproError
+import numpy as np
+
+from repro.errors import ReproError, ShapeError
+from repro.ops.workspace import Workspace
 
 #: Environment override for the cache directory (tests point it at a
 #: tmpdir; deployments at wherever a build artefact may live).
 CACHE_ENV = "REPRO_NATIVE_CACHE_DIR"
 
-CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared")
+#: Part of every artefact key.  ``-ffp-contract=fast`` states what gcc's
+#: GNU-C mode does anyway (``a * b + c`` becomes one FMA where the CPU
+#: has it) because clang's default differs: the summation's rounding is
+#: decided by this line, not by the compiler's mood.
+CFLAGS = ("-O3", "-march=native", "-ffp-contract=fast", "-fPIC", "-shared",
+          "-Wall", "-Wextra", "-Werror")
+
+#: Largest |native - python| a build-time self-check accepts, as a share
+#: of the Python result's largest magnitude: float32 sums of thousands of
+#: terms in two orders differ by ~1e-6 of it, an indexing bug by ~1.
+SELF_CHECK_RTOL = 1e-4
 
 _COMPILE_TIMEOUT_S = 120.0
 
 
 class NativeBuildError(ReproError):
     """No loadable native unit could be produced for the request."""
-
-
-@dataclass(frozen=True)
-class NativeUnit:
-    """A loaded translation unit.
-
-    ``artifact`` names exactly what was loaded (source + compiler + CPU
-    flags): two processes computing with the same ``artifact`` run the
-    same machine code.
-    """
-
-    lib: ctypes.CDLL
-    artifact: str
 
 
 def find_compiler() -> str | None:
@@ -169,29 +173,171 @@ def _load(path: Path) -> ctypes.CDLL:
         raise NativeBuildError(f"cannot load {path}: {error}") from error
 
 
-def load_unit(source: str, stem: str,
-              verify: Callable[[ctypes.CDLL], None]) -> NativeUnit:
-    """The loaded unit for ``source``, built first if the cache lacks it.
+# -- what the native families share ------------------------------------------
 
-    ``verify`` is called on a *freshly built* library before it enters
-    the cache and raises :class:`NativeBuildError` to reject it; a unit
+def vector_registers() -> tuple[int, int]:
+    """``(vector registers, floats per vector)`` of this host's CPU, read
+    off the flags the artefact key hashes."""
+    flags = cpu_flags().split()
+    if "avx512f" in flags:
+        return 32, 16
+    return (16, 8) if "avx" in flags else (16, 4)
+
+
+@dataclass(frozen=True)
+class KernelFacts:
+    """What a printer says it emitted for one exported kernel; ``repro
+    check`` recomputes each fact from the nest it was printed from."""
+
+    symbol: str
+    #: Kernel taps in the order one output element accumulates them.
+    taps: tuple[tuple[int, int], ...]
+    #: Per tap, in that order, what the kernel indexes with: the tap's
+    #: place in an ``[Fy, Fx]`` weight plane, and the float offset of its
+    #: shifted origin in the image the taps walk over.
+    tap_w: tuple[int, ...]
+    tap_off: tuple[int, ...]
+    #: ``(start, extent)`` per output dim of every block written.
+    blocks: tuple[tuple[tuple[int, int], ...], ...]
+
+    def table_lines(self) -> list[str]:
+        """The two tap tables, as the C lines ``repro check`` reads back."""
+        return [f"static const int {self.symbol.upper()}_{name}[NT] = {{"
+                + ", ".join(str(v) for v in values) + "};"
+                for name, values in (("TAP_W", self.tap_w),
+                                     ("TAP_OFF", self.tap_off))]
+
+
+@dataclass(frozen=True)
+class CUnit:
+    """One C translation unit and the facts it was printed from."""
+
+    name: str
+    source: str
+    #: ``#define`` name -> value, exactly as emitted.  ``<S>_OFF`` /
+    #: ``<S>_FLOATS`` pairs place the sections of the caller's scratch.
+    literals: tuple[tuple[str, int], ...]
+    kernels: tuple[KernelFacts, ...]
+
+    def literal(self, name: str) -> int:
+        return dict(self.literals)[name]
+
+    @property
+    def scratch_floats(self) -> int:
+        """Capacity the caller's scratch must have, in floats."""
+        return self.literal("SCRATCH_FLOATS")
+
+
+def require(role: str, array: Any, shape: tuple[int, ...]) -> None:
+    """Refuse anything the C side would misread."""
+    if not isinstance(array, np.ndarray) or array.dtype != np.float32 \
+            or not array.flags.c_contiguous or tuple(array.shape) != shape:
+        raise ShapeError(
+            f"native kernel needs {role} as a C-contiguous float32 array "
+            f"of shape {shape}, got {getattr(array, 'dtype', type(array))} "
+            f"{getattr(array, 'shape', '')}")
+
+
+class Kernels:
+    """The exported kernels of one loaded unit, callable on numpy arrays.
+
+    Subclasses name what units may export in :attr:`EXPORTS` (symbol
+    suffix -> argument codes, ``p`` pointer, ``i`` ``int64``) and check
+    shape, dtype, contiguity and scratch capacity with :func:`require`
+    before every :meth:`call`: past it the C side trusts its literals.
+    """
+
+    EXPORTS: dict[str, str] = {}
+
+    def __init__(self, spec: Any, unit: CUnit, lib: ctypes.CDLL,
+                 artifact: str) -> None:
+        self.spec = spec
+        self.unit = unit
+        #: Names the loaded machine code (source + compiler + CPU flags).
+        self.artifact = artifact
+        codes = {"p": ctypes.c_void_p, "i": ctypes.c_int64}
+        self._functions = {}
+        for suffix in (kernel.symbol for kernel in unit.kernels):
+            try:
+                function = getattr(lib, f"{unit.name}_{suffix}")
+            except AttributeError as error:
+                raise NativeBuildError(
+                    f"loaded unit does not export {unit.name}_{suffix}"
+                ) from error
+            function.argtypes = [codes[c] for c in self.EXPORTS[suffix]]
+            function.restype = None
+            self._functions[suffix] = function
+
+    def scratch(self, workspace: Workspace) -> np.ndarray:
+        """The (reused) working memory the kernels run in."""
+        return workspace.zeroed_once(
+            "native/scratch", (self.unit.scratch_floats,), np.float32)
+
+    def call(self, suffix: str, *arguments: Any) -> None:
+        self._functions[suffix](*(
+            a.ctypes.data if isinstance(a, np.ndarray) else a
+            for a in arguments))
+
+
+def check_agrees(what: str, got: np.ndarray, want: np.ndarray,
+                 exact: bool = False) -> None:
+    """The build-time differential check's verdict on one result:
+    within :data:`SELF_CHECK_RTOL` of the Python lowering's, or -- for
+    two native kernels that promise equal bits -- ``exact``."""
+    scale = float(np.abs(want).max(initial=0.0)) or 1.0
+    if got.shape != want.shape or not (
+            np.abs(got - want).max(initial=0.0)
+            <= (0.0 if exact else SELF_CHECK_RTOL * scale)):
+        raise NativeBuildError(
+            f"native {what} disagrees with "
+            f"{'its chain' if exact else 'the Python lowering'}")
+
+
+def load_kernels(wrapper: type[Kernels], spec: Any, unit: CUnit,
+                 verify: Callable[[Any], None]) -> Kernels:
+    """``unit`` loaded as a ``wrapper``, built first if the cache lacks it.
+
+    ``verify`` is called on a *freshly built* unit before it enters the
+    cache and raises :class:`NativeBuildError` to reject it; a unit
     found in the cache passed it when it was built (on this host key).
+    The wrapper's ``artifact`` names exactly what was loaded (source +
+    compiler + flags + CPU flags): two processes computing with the
+    same artefact run the same machine code.
     """
     compiler = find_compiler()
     if compiler is None:
         raise NativeBuildError("no C compiler (cc) on PATH")
     directory = _usable_cache(cache_dir())
-    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(unit.source.encode()).hexdigest()[:16]
     artifact = f"{digest}-{host_key(compiler)}"
-    path = directory / f"{stem}-{artifact}.so"
+    path = directory / f"{unit.name}-{artifact}.so"
     if path.exists():
-        return NativeUnit(_load(path), artifact)
-    built = _compile(compiler, source, directory, stem)
+        return wrapper(spec, unit, _load(path), artifact)
+    built = _compile(compiler, unit.source, directory, unit.name)
     try:
         lib = _load(built)
-        verify(lib)
+        verify(wrapper(spec, unit, lib, "unverified"))
         os.replace(built, path)
     except BaseException:
         built.unlink(missing_ok=True)
         raise
-    return NativeUnit(lib, artifact)
+    return wrapper(spec, unit, lib, artifact)
+
+
+@functools.lru_cache(maxsize=512)
+def _resolved(loader: Callable[..., Kernels], key: tuple[Any, ...],
+              directory: str, compiler: str | None
+              ) -> tuple[Kernels | None, str]:
+    try:
+        return loader(*key), ""
+    except ReproError as error:  # NativeBuildError, CodegenError
+        return None, f"{type(error).__name__}: {error}"
+
+
+def kernels_for(loader: Callable[..., Kernels],
+                *key: Any) -> tuple[Kernels | None, str]:
+    """``(loader(*key), "")`` or ``(None, why not)`` -- once per process,
+    and per cache directory and compiler found: a failed build is not
+    retried by every engine the tuner constructs, a changed environment
+    is."""
+    return _resolved(loader, key, str(cache_dir()), find_compiler())

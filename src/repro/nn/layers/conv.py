@@ -96,18 +96,7 @@ class ConvLayer(Layer):
         super().__init__(name or spec.name or self.kind)
         self.spec = spec
         # Engines operate on the padded geometry.
-        self.padded_spec = ConvSpec(
-            nc=spec.nc,
-            ny=spec.padded_ny,
-            nx=spec.padded_nx,
-            nf=spec.nf,
-            fy=spec.fy,
-            fx=spec.fx,
-            sy=spec.sy,
-            sx=spec.sx,
-            pad=0,
-            name=spec.name,
-        )
+        self.padded_spec = spec.pre_padded()
         self.num_cores = num_cores
         self.threads = pool.num_workers if pool is not None else threads
         self.backend = pool.backend_name if pool is not None else backend
@@ -194,6 +183,7 @@ class ConvLayer(Layer):
             ("fp_engine", self.fp_engine_name),
             ("bp_engine", self.bp_engine_name),
             ("num_cores", self.num_cores),
+            ("fp_artifact", self.fp_artifact),
             ("bp_artifact", self.bp_artifact),
         ))
 
@@ -207,22 +197,39 @@ class ConvLayer(Layer):
         """Name of the engine currently serving backward propagation."""
         return self._bp_engine.name
 
-    @property
-    def bp_lowering(self) -> str | None:
-        """What the BP engine's generated kernels were lowered to
-        (``"c"`` / ``"python"``); ``None`` for single-form engines."""
-        return self._bp_engine.lowering
+    def _lowered(self, phase: str, what: str) -> str | None:
+        """``what`` of ``phase``'s engine, if it describes the kernels
+        that engine runs in this phase (stencil: FP only; sparse: BP)."""
+        engine = getattr(self, f"_{phase}_engine")
+        return getattr(engine, what) if phase in engine.lowered_phases \
+            else None
 
     @property
-    def bp_artifact(self) -> str | None:
-        """Which compiled unit the BP engine computes with, if any.
+    def fp_lowering(self) -> str | None:
+        """What the FP engine's generated FP kernels were lowered to
+        (``"c"`` / ``"python"``); ``None`` where they have one form."""
+        return self._lowered("fp", "lowering")
+
+    @property
+    def bp_lowering(self) -> str | None:
+        """The same for the BP engine's BP kernels."""
+        return self._lowered("bp", "lowering")
+
+    @property
+    def fp_artifact(self) -> str | None:
+        """Which compiled unit the FP engine computes FP with, if any.
 
         Part of :meth:`structure`: a step shard's replica must compute
         with the same machine code (same summation order) as every other
         shard, so it is told which and reports a mismatch as an engine
         failure (:class:`ReplicaConvLayer`).
         """
-        return self._bp_engine.artifact
+        return self._lowered("fp", "artifact")
+
+    @property
+    def bp_artifact(self) -> str | None:
+        """The same for the BP engine's BP kernels."""
+        return self._lowered("bp", "artifact")
 
     def _admitted(self, phase: str, engine_name: str) -> str:
         """The engine to actually deploy: benched engines become fallback."""
@@ -398,7 +405,8 @@ class ConvLayer(Layer):
             self._cached_padded_input = padded
         with telemetry.span(f"{self.name}/fp", layer=self.name, phase="fp",
                             engine=self.fp_engine_name,
-                            batch=int(inputs.shape[0])):
+                            batch=int(inputs.shape[0]),
+                            lowering=self.fp_lowering):
             out = self._run_engine("fp", "forward", padded, self.weights)
             out += self.bias[None, :, None, None]
         return out
@@ -454,18 +462,21 @@ class ReplicaConvLayer(ConvLayer):
     (:meth:`ConvLayer.rehearse_engine_faults`).
     """
 
-    def __init__(self, *args, bp_artifact: str | None = None, **kwargs):
+    def __init__(self, *args, fp_artifact: str | None = None,
+                 bp_artifact: str | None = None, **kwargs):
         super().__init__(*args, **kwargs)
         self._failures: list[tuple[str, str, str]] = []
-        if self.bp_artifact != bp_artifact:
-            # Not the machine code the parent's structure names (no
-            # compiler here, an unloadable cache entry, another host):
-            # computing on would put this shard in a different summation
-            # order from its siblings, silently.
-            self.degrade(
-                "bp", self.bp_engine_name,
-                f"replica loaded BP artefact {self.bp_artifact!r}, "
-                f"the step was planned on {bp_artifact!r}")
+        for phase, planned in (("fp", fp_artifact), ("bp", bp_artifact)):
+            loaded = getattr(self, f"{phase}_artifact")
+            if loaded != planned:
+                # Not the machine code the parent's structure names (no
+                # compiler here, an unloadable cache entry, another host):
+                # computing on would silently put this shard in another
+                # summation order than its siblings.
+                self.degrade(
+                    phase, getattr(self, f"{phase}_engine_name"),
+                    f"replica loaded {phase.upper()} artefact {loaded!r}, "
+                    f"the step was planned on {planned!r}")
 
     def _visit_fault_site(self, phase: str, method: str,
                           engine_name: str) -> None:

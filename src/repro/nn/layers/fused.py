@@ -16,6 +16,11 @@ bit-exact) and reduces pool windows with a strided-view / ``argmax`` /
 ``take_along_axis`` sequence that selects the same element (the first
 maximum in row-major window order) as ``MaxPoolLayer``'s tap walk.
 
+The kernel also exists as C (:mod:`repro.stencil.emit_c`;
+:class:`repro.ops.engine.NativeLowering` chooses) and the contract holds
+lowering by lowering: the C unit runs the conv code of the chain's C
+kernel; one of each lowering agrees to rounding only.
+
 Training caches shrink accordingly: the unfused chain keeps the padded
 input, the ReLU mask (activation-sized) and the pool argmax; the fused
 layer keeps only the padded input, the *pooled* output and the argmax --
@@ -42,11 +47,12 @@ import numpy as np
 from repro import telemetry
 from repro.core.convspec import ConvSpec
 from repro.core.goodput import measure_sparsity
-from repro.errors import ShapeError
+from repro.errors import ReproError, ShapeError
 from repro.nn.layers.base import Layer, LayerStructure
 from repro.nn.layers.conv import ConvLayer
 from repro.nn.layers.pool import MaxPoolLayer
-from repro.ops.engine import ConvEngine, make_engine
+from repro.ops.engine import ConvEngine, NativeLowering, make_engine
+from repro.ops.workspace import Workspace
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.pool import WorkerPool
 from repro.stencil.emit import emit_fused_forward_kernel
@@ -61,34 +67,40 @@ DEFAULT_BP_ENGINE = "stencil"
 
 
 def _fused_forward_range(
-    spec: ConvSpec,
-    pool_kernel: int,
-    pool_stride: int,
-    pipeline: SchedulePipeline | None,
-    inputs: np.ndarray,
-    weights: np.ndarray,
-    bias: np.ndarray,
-    lo: int,
-    hi: int,
+    spec: ConvSpec, pool: PoolWindow, pipeline: SchedulePipeline | None,
+    artifact: str | None, inputs: np.ndarray, weights: np.ndarray,
+    bias: np.ndarray, lo: int, hi: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the fused kernel over images ``[lo, hi)`` (picklable for spawn).
 
-    The emitter's lru cache makes the per-worker kernel lookup free after
-    the first call, and codegen determinism guarantees every process
-    worker compiles the identical kernel.
+    ``artifact`` names the C unit the layer computes with (``None``: the
+    Python lowering); a worker that cannot load that very unit refuses
+    rather than compute its range in another summation order.  The
+    emitters' and the loader's memos make the lookup free after the
+    first call.
     """
-    kernel = emit_fused_forward_kernel(spec, pool_kernel, pool_stride, pipeline)
-    pool = PoolWindow(pool_kernel, pool_stride)
-    py = pool.out_extent(spec.out_ny)
-    px = pool.out_extent(spec.out_nx)
-    out = np.zeros((hi - lo, spec.nf, py, px), dtype=inputs.dtype)
-    argmax = np.zeros((hi - lo, spec.nf, py, px), dtype=np.int64)
+    if artifact is not None:
+        from repro import native
+        from repro.stencil.emit_c import load_stencil_kernels
+
+        kernels, reason = native.kernels_for(load_stencil_kernels, spec,
+                                             pipeline, pool)
+        if kernels is None or kernels.artifact != artifact:
+            raise ReproError(f"fused kernel: the layer computes with artefact "
+                             f"{artifact!r}, this worker cannot ({reason})")
+        return kernels.fused_forward(inputs[lo:hi], weights, bias,
+                                     kernels.scratch(Workspace()))
+    kernel = emit_fused_forward_kernel(spec, pool.kernel, pool.stride, pipeline)
+    shape = (hi - lo, spec.nf, pool.out_extent(spec.out_ny),
+             pool.out_extent(spec.out_nx))
+    out = np.zeros(shape, dtype=inputs.dtype)
+    argmax = np.zeros(shape, dtype=np.int64)
     for i in range(lo, hi):
         kernel(inputs[i], weights, bias, out[i - lo], argmax[i - lo])
     return out, argmax
 
 
-class FusedConvReluPool(Layer):
+class FusedConvReluPool(NativeLowering, Layer):
     """Conv + ReLU + max-pool executed as one generated kernel."""
 
     kind = "fused-conv-relu-pool"
@@ -109,18 +121,7 @@ class FusedConvReluPool(Layer):
     ):
         super().__init__(name or spec.name or self.kind)
         self.spec = spec
-        self.padded_spec = ConvSpec(
-            nc=spec.nc,
-            ny=spec.padded_ny,
-            nx=spec.padded_nx,
-            nf=spec.nf,
-            fy=spec.fy,
-            fx=spec.fx,
-            sy=spec.sy,
-            sx=spec.sx,
-            pad=0,
-            name=spec.name,
-        )
+        self.padded_spec = spec.pre_padded()
         self.pool = PoolWindow(pool_kernel, pool_stride or pool_kernel)
         self.pool_ny = self.pool.out_extent(self.padded_spec.out_ny)
         self.pool_nx = self.pool.out_extent(self.padded_spec.out_nx)
@@ -150,6 +151,7 @@ class FusedConvReluPool(Layer):
         self.d_weights = np.zeros_like(self.weights)
         self.d_bias = np.zeros_like(self.bias)
         self._bp_engine = self._build_bp_engine(bp_engine)
+        self._resolve_native()
         self._cached_padded_input: np.ndarray | None = None
         self._cached_out: np.ndarray | None = None
         self._cached_argmax: np.ndarray | None = None
@@ -167,10 +169,24 @@ class FusedConvReluPool(Layer):
             )
         return make_engine(engine_name, self.padded_spec, **kwargs)
 
+    def _native_loader(self) -> tuple:
+        from repro.stencil.emit_c import load_stencil_kernels
+
+        return load_stencil_kernels, self.padded_spec, self.pipeline, self.pool
+
     @property
     def bp_engine_name(self) -> str:
         """Name of the engine serving the backward convolution."""
         return self._bp_engine.name
+
+    @property
+    def artifacts(self) -> tuple[str | None, str | None]:
+        """Which compiled units the fused kernel and the BP engine's BP
+        kernels compute with; shipped in :meth:`structure` so a step
+        shard's replica can tell (:class:`ReplicaFusedConvReluPool`)."""
+        engine = self._bp_engine
+        return (self.artifact,
+                engine.artifact if "bp" in engine.lowered_phases else None)
 
     def structure(self) -> LayerStructure:
         return (self.kind, self.name, (
@@ -180,6 +196,7 @@ class FusedConvReluPool(Layer):
             ("bp_engine", self.bp_engine_name),
             ("num_cores", self.num_cores),
             ("pipeline", self.pipeline),
+            ("artifacts", self.artifacts),
         ))
 
     def close(self) -> None:
@@ -232,9 +249,11 @@ class FusedConvReluPool(Layer):
         task = functools.partial(
             _fused_forward_range,
             self.padded_spec,
-            self.pool.kernel,
-            self.pool.stride,
+            self.pool,
             self.pipeline,
+            # Operands the C kernel cannot read take the Python path.
+            self.artifact if self._native_operands(
+                padded, self.weights, self.bias) else None,
             padded,
             self.weights,
             self.bias,
@@ -254,7 +273,7 @@ class FusedConvReluPool(Layer):
             )
         padded = self._pad_batch(inputs)
         with telemetry.span(f"{self.name}/fp", layer=self.name, phase="fp",
-                            engine="fused-stencil",
+                            engine="fused-stencil", lowering=self.lowering,
                             batch=int(inputs.shape[0])):
             out, argmax = self._run_fused(padded)
         if training:
@@ -301,6 +320,21 @@ class FusedConvReluPool(Layer):
             return self._bp_engine.backward_data(
                 conv_error, self.weights, crop=self.spec.pad
             )
+
+
+class ReplicaFusedConvReluPool(FusedConvReluPool):
+    """The fused layer inside a step shard's replica.  It has no
+    fallback to degrade to, so a replica that did not load the machine
+    code the step was planned on refuses to be built: the shard fails
+    loudly instead of computing in another summation order."""
+
+    def __init__(self, *args, artifacts=(None, None), **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.artifacts != tuple(artifacts):
+            raise ReproError(
+                f"replica of {self.name} loaded artefacts {self.artifacts!r}"
+                f" ({self.lowering_reason or 'ok'}), the step was planned "
+                f"on {tuple(artifacts)!r}")
 
 
 def fuse_conv_relu_pool(

@@ -57,11 +57,13 @@ class Network:
 
         Freshly initialised: the caller rebinds the parameters
         (:meth:`Layer.bind_params`).  Conv layers report engine failures
-        instead of recording them (:class:`ReplicaConvLayer`).
+        instead of recording them (:class:`ReplicaConvLayer`); a fused
+        layer that loaded other machine code than planned refuses.
         """
-        from repro.nn.layers import LAYER_KINDS
+        from repro.nn.layers import LAYER_KINDS, fused
 
-        kinds = {**LAYER_KINDS, ConvLayer.kind: ReplicaConvLayer}
+        kinds = {**LAYER_KINDS, ConvLayer.kind: ReplicaConvLayer,
+                 fused.FusedConvReluPool.kind: fused.ReplicaFusedConvReluPool}
         return cls([kinds[kind](name=name, **dict(options))
                     for kind, name, options in structure], input_shape)
 

@@ -161,8 +161,8 @@ class RunReport:
                                   key=lambda item: item[1])
                     ) or "not measured yet"
                     engine = row[f"{phase}_engine"]
-                    if phase == "bp" and row.get("bp_lowering"):
-                        engine += f" [{row['bp_lowering']}]"
+                    if row.get(f"{phase}_lowering"):
+                        engine += f" [{row[f'{phase}_lowering']}]"
                     lines.append(f"- {row['layer']} {phase.upper()}: "
                                  f"{engine} ({timings})")
             lines.append("")
@@ -303,14 +303,14 @@ class TrainingMonitor:
             entry = stats.setdefault(str(layer), {
                 "fp_count": 0, "fp_seconds": 0.0,
                 "bp_count": 0, "bp_seconds": 0.0,
-                "fp_engine": None, "bp_engine": None, "bp_lowering": None,
+                "fp_engine": None, "bp_engine": None,
+                "fp_lowering": None, "bp_lowering": None,
                 "sparsity_first": None, "sparsity_last": None,
             })
             entry[f"{phase}_count"] += 1
             entry[f"{phase}_seconds"] += span.seconds
             entry[f"{phase}_engine"] = span.attrs.get("engine")
-            if phase == "bp":
-                entry["bp_lowering"] = span.attrs.get("lowering")
+            entry[f"{phase}_lowering"] = span.attrs.get("lowering")
             if phase == "bp" and "sparsity" in span.attrs:
                 sparsity = float(span.attrs["sparsity"])
                 if entry["sparsity_first"] is None:
@@ -367,6 +367,7 @@ class TrainingMonitor:
             rows.append([
                 name,
                 s["fp_engine"] or "-",
+                s["fp_lowering"] or "-",
                 f"{s['fp_seconds'] * 1e3:.1f}",
                 s["bp_engine"] or "-",
                 s["bp_lowering"] or "-",
@@ -378,7 +379,8 @@ class TrainingMonitor:
                 f"{drift:+.2f}" if drift is not None else "-",
             ])
         return format_table(
-            ["layer", "FP engine", "FP ms", "BP engine", "lowering", "BP ms",
+            ["layer", "FP engine", "lowering", "FP ms", "BP engine",
+             "lowering", "BP ms",
              "goodput MF/s", "thruput MF/s", "sparsity", "drift"],
             rows, title=title,
         )
@@ -418,7 +420,8 @@ class TrainingMonitor:
             critical=critical.to_dict() if critical is not None else {},
             plan=[
                 {"layer": p.layer_name, "sparsity": p.sparsity,
-                 "fp_engine": p.fp_engine, "fp_timings": dict(p.fp_timings),
+                 "fp_engine": p.fp_engine, "fp_lowering": p.fp_lowering,
+                 "fp_timings": dict(p.fp_timings),
                  "bp_engine": p.bp_engine, "bp_lowering": p.bp_lowering,
                  "bp_timings": dict(p.bp_timings)}
                 for p in (plan.layers if plan is not None else ())

@@ -28,7 +28,7 @@ it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -46,6 +46,9 @@ class ConvEngine(ABC):
     #: loaded unit; ``None`` for engines with a single form.
     lowering: str | None = None
     artifact: str | None = None
+    #: The phases (``"fp"`` / ``"bp"``) whose kernels those two describe;
+    #: an engine's other phase has one form, whatever they say.
+    lowered_phases: tuple[str, ...] = ()
 
     def __init__(self, spec: ConvSpec):
         if spec.pad != 0:
@@ -104,6 +107,59 @@ class ConvEngine(ABC):
             raise ShapeError(
                 f"weight shape {weights.shape} != spec {self.spec.weight_shape}"
             )
+
+
+class NativeLowering:
+    """Mixin for an object whose generated kernels also exist as C.
+
+    Which lowering serves is decided by what can be observed, never by
+    an option.  At construction: a compiler was found, the geometry is
+    one the printer covers, the unit built (or was cached), loaded, and
+    a fresh build agreed with the Python lowering on random and
+    edge-position operands -- ``lowering == "c"``; anything else leaves
+    ``"python"`` and the reason in :attr:`lowering_reason`.  Per call:
+    the C kernels take C-contiguous ``float32`` operands, anything else
+    is served by the Python lowering.  Equal :attr:`artifact`, equal bits.
+    """
+
+    #: The loaded C kernels (or None) and, if None, why.
+    _native: Any = None
+    lowering_reason = ""
+
+    def _native_loader(self) -> tuple[Any, ...]:
+        """``(loader, *key)`` for :func:`repro.native.kernels_for`."""
+        raise NotImplementedError
+
+    def _resolve_native(self) -> None:
+        from repro import native
+
+        self._native, self.lowering_reason = native.kernels_for(
+            *self._native_loader())
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Loaded code does not pickle; the far side loads its own.
+        return {key: value for key, value in self.__dict__.items()
+                if key not in ("_native", "lowering_reason")}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._resolve_native()
+
+    @property
+    def lowering(self) -> str:
+        """``"c"`` when the compiled kernels serve, else ``"python"``."""
+        return "c" if self._native is not None else "python"
+
+    @property
+    def artifact(self) -> str | None:
+        """What names the loaded machine code, if any is loaded."""
+        return self._native.artifact if self._native is not None else None
+
+    @staticmethod
+    def _native_operands(*arrays: np.ndarray) -> bool:
+        """Whether the C kernels can read ``arrays`` as they are."""
+        return all(a.dtype == np.float32 and a.flags.c_contiguous
+                   for a in arrays)
 
 
 _ENGINE_FACTORIES: dict[str, Callable[..., ConvEngine]] = {}

@@ -1224,11 +1224,9 @@ def _span_attrs(layer: Any, phase: str, rows: int) -> dict[str, Any]:
     engine = getattr(layer, f"{phase}_engine_name", None)
     if engine is None:
         return {"phase": phase}
-    attrs = {"layer": layer.name, "phase": phase, "engine": engine,
-             "batch": rows}
-    if phase == "bp":
-        attrs["lowering"] = getattr(layer, "bp_lowering", None)
-    return attrs
+    return {"layer": layer.name, "phase": phase, "engine": engine,
+            "batch": rows,
+            "lowering": getattr(layer, f"{phase}_lowering", None)}
 
 
 class _Replica:

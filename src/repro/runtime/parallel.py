@@ -148,6 +148,7 @@ class ParallelExecutor:
         #: process backend build theirs from the same cache).
         self.lowering = first.lowering
         self.artifact = first.artifact
+        self.lowered_phases = first.lowered_phases
         if self.pool.backend_name != "process":
             self._engines = [first] + [
                 make_engine(engine_name, spec, **engine_kwargs)

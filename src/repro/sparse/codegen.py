@@ -23,6 +23,7 @@ import functools
 from repro.core.convspec import ConvSpec
 from repro.errors import CodegenError
 from repro.stencil.emit import GeneratedKernel
+from repro.stencil.loopir import LoopNest
 from repro.stencil.passes import SchedulePipeline, default_pipeline
 import numpy as np
 
@@ -44,12 +45,11 @@ def _slice_expr(start: int, count: int, stride: int) -> str:
     return f"{start}:{stop}:{stride}"
 
 
-def _taps(spec: ConvSpec, pipeline: SchedulePipeline) -> list[tuple[int, int]]:
-    """Kernel taps in the scheduled enumeration order."""
-    nest = pipeline.build_nest(spec)
+def _taps(nest: LoopNest) -> list[tuple[int, int]]:
+    """Kernel taps in the scheduled nest's enumeration order."""
     stage = nest.stages[0]
     order = [li.dim.name for li in stage.loops if li.dim.name in ("ky", "kx")]
-    extents = {"ky": spec.fy, "kx": spec.fx}
+    extents = {"ky": nest.spec.fy, "kx": nest.spec.fx}
     taps = []
     for first in range(extents[order[0]]):
         for second in range(extents[order[1]]):
@@ -93,7 +93,7 @@ def emit_sparse_backward_data(
         f"    assert eo.shape == {(oy * ox, spec.nf)!r}, eo.shape",
         f"    assert in_error_hwc.shape == {(spec.ny, spec.nx, nc)!r}, in_error_hwc.shape",
     ]
-    for ky, kx in _taps(spec, pipeline):
+    for ky, kx in _taps(pipeline.build_nest(spec)):
         ys = _slice_expr(ky, oy, spec.sy)
         xs = _slice_expr(kx, ox, spec.sx)
         lines.append(
@@ -132,7 +132,7 @@ def emit_sparse_backward_weights(
         f"    assert inputs_hwc.shape == {(spec.ny, spec.nx, nc)!r}, inputs_hwc.shape",
         f"    assert dw_layout.shape == {(spec.fy, spec.fx, spec.nf, nc)!r}, dw_layout.shape",
     ]
-    for ky, kx in _taps(spec, pipeline):
+    for ky, kx in _taps(pipeline.build_nest(spec)):
         ys = _slice_expr(ky, oy, spec.sy)
         xs = _slice_expr(kx, ox, spec.sx)
         lines.append(

@@ -29,23 +29,22 @@ reports.  The summation order differs from the Python printer's (and
 from GEMM's); it is fixed by the source, so equal artefacts compute
 equal bits.
 
-The printer returns the literals it emitted alongside the text
-(:attr:`CUnitSource.literals`, ``bd_taps``, ``dw_taps``); ``repro
-check`` recomputes them from the nest and compares, without parsing C.
+The printer returns the facts it emitted alongside the text
+(:class:`repro.native.CUnit`: the literals and, per kernel, the tap
+order, the two tap tables and the output it writes); ``repro check``
+recomputes them from the nest and compares -- with each other and with
+the ``#define`` and table lines of the text.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from repro.core.convspec import ConvSpec
-from repro.errors import CodegenError, ShapeError
-from repro.ops.workspace import Workspace
+from repro.errors import CodegenError
+from repro.native import CUnit, KernelFacts, Kernels, require
 from repro.sparse.codegen import _taps
 from repro.stencil.passes import default_pipeline
 
@@ -66,27 +65,6 @@ def channel_tiling(nc: int) -> tuple[int, int, int]:
     vectors = -(-nc // vw)
     chunks = -(-vectors // CHUNK_VECTORS)
     return vw, -(-vectors // chunks), chunks
-
-
-@dataclass(frozen=True)
-class CUnitSource:
-    """One spec's C translation unit and the facts it was printed from."""
-
-    name: str
-    source: str
-    #: ``#define`` name -> value, exactly as emitted.
-    literals: tuple[tuple[str, int], ...]
-    #: Kernel taps in emission order, per kernel.
-    bd_taps: tuple[tuple[int, int], ...]
-    dw_taps: tuple[tuple[int, int], ...]
-
-    def literal(self, name: str) -> int:
-        return dict(self.literals)[name]
-
-    @property
-    def scratch_floats(self) -> int:
-        """Capacity the caller's scratch must have, in floats."""
-        return self.literal("SCRATCH_FLOATS")
 
 
 def _round_up(value: int, multiple: int) -> int:
@@ -125,16 +103,6 @@ def unit_literals(spec: ConvSpec) -> dict[str, int]:
             f"native sparse kernels index with int32; {spec.describe()} "
             f"needs {offset} scratch floats")
     return lit
-
-
-def tap_offset(spec: ConvSpec, ky: int, kx: int, ncp: int) -> int:
-    """Float offset of tap ``(ky, kx)``'s shifted origin in an HWC image."""
-    return (ky * spec.nx + kx) * ncp
-
-
-def _table(name: str, values: list[int]) -> str:
-    return (f"static const int {name}[NT] = {{"
-            + ", ".join(str(v) for v in values) + "};")
 
 
 _PRELUDE = """\
@@ -286,13 +254,8 @@ void {name}_dw(const float *eo, const float *in, float *dw,
 """
 
 
-def unit_name(spec: ConvSpec) -> str:
-    return (f"sparse_{spec.nc}x{spec.ny}x{spec.nx}_{spec.nf}"
-            f"_{spec.fy}x{spec.fx}_s{spec.sy}{spec.sx}")
-
-
 @functools.lru_cache(maxsize=256)
-def emit_sparse_c_unit(spec: ConvSpec) -> CUnitSource:
+def emit_sparse_c_unit(spec: ConvSpec) -> CUnit:
     """Print the two sparse BP kernels for ``spec`` as one C unit.
 
     Exports ``<name>_bd(eo, w, ei, batch, crop, scratch)`` and
@@ -304,83 +267,45 @@ def emit_sparse_c_unit(spec: ConvSpec) -> CUnitSource:
         raise CodegenError("emit_sparse_c_unit requires a pre-padded spec")
     literals = unit_literals(spec)
     ncp = literals["NCP"]
-    bd_taps = tuple(_taps(spec, default_pipeline("sparse_bp_data")))
-    dw_taps = tuple(_taps(spec, default_pipeline("sparse_bp_weights")))
-    name = unit_name(spec)
+    name = (f"sparse_{spec.nc}x{spec.ny}x{spec.nx}_{spec.nf}"
+            f"_{spec.fy}x{spec.fx}_s{spec.sy}{spec.sx}")
     lines = [f"/* Generated sparse BP kernels for {spec.describe()}. */"]
     lines += [f"#define {key} {value}" for key, value in literals.items()]
     lines.append(_PRELUDE)
-    for prefix, taps in (("BD", bd_taps), ("DW", dw_taps)):
-        lines.append(_table(f"{prefix}_TAP_W",
-                            [ky * spec.fx + kx for ky, kx in taps]))
-        lines.append(_table(f"{prefix}_TAP_OFF",
-                            [tap_offset(spec, ky, kx, ncp)
-                             for ky, kx in taps]))
+    kernels = []
+    for symbol, family, written in (
+            ("bd", "sparse_bp_data", spec.input_shape),
+            ("dw", "sparse_bp_weights", spec.weight_shape)):
+        taps = tuple(_taps(default_pipeline(family).build_nest(spec)))
+        kernels.append(KernelFacts(
+            symbol=symbol, taps=taps,
+            tap_w=tuple(ky * spec.fx + kx for ky, kx in taps),
+            tap_off=tuple((ky * spec.nx + kx) * ncp for ky, kx in taps),
+            blocks=(tuple((0, extent) for extent in written),)))
+        lines += kernels[-1].table_lines()
     lines.append(_BODY.format(name=name))
-    return CUnitSource(
-        name=name, source="\n".join(lines),
-        literals=tuple(literals.items()), bd_taps=bd_taps, dw_taps=dw_taps,
-    )
+    return CUnit(name=name, source="\n".join(lines),
+                 literals=tuple(literals.items()), kernels=tuple(kernels))
 
 
 # -- the loaded unit ----------------------------------------------------------
 
-def _require(role: str, array: np.ndarray, shape: tuple[int, ...]) -> None:
-    """Refuse anything the C side would misread."""
-    if not isinstance(array, np.ndarray) or array.dtype != np.float32 \
-            or not array.flags.c_contiguous or tuple(array.shape) != shape:
-        raise ShapeError(
-            f"native sparse kernel needs {role} as a C-contiguous float32 "
-            f"array of shape {shape}, got "
-            f"{getattr(array, 'dtype', type(array))} "
-            f"{getattr(array, 'shape', '')}")
+class NativeSparseKernels(Kernels):
+    """The two C kernels of one spec, callable on numpy arrays."""
 
-
-class NativeSparseKernels:
-    """The two C kernels of one spec, callable on numpy arrays.
-
-    Every call validates shape, dtype, contiguity and scratch capacity
-    first: past that point the C side trusts its literals.
-    """
-
-    def __init__(self, spec: ConvSpec, unit: CUnitSource,
-                 lib: ctypes.CDLL, artifact: str) -> None:
-        self.spec = spec
-        self.unit = unit
-        #: Names the loaded machine code (source + compiler + CPU flags).
-        self.artifact = artifact
-        pointer, i64 = ctypes.c_void_p, ctypes.c_int64
-        try:
-            self._bd = getattr(lib, f"{unit.name}_bd")
-            self._dw = getattr(lib, f"{unit.name}_dw")
-        except AttributeError as error:
-            from repro.native import NativeBuildError
-
-            raise NativeBuildError(
-                f"loaded unit does not export {unit.name}: {error}"
-            ) from error
-        self._bd.argtypes = [pointer, pointer, pointer, i64, i64, pointer]
-        self._bd.restype = None
-        self._dw.argtypes = [pointer, pointer, pointer, i64, pointer]
-        self._dw.restype = None
-
-    def scratch(self, workspace: Workspace) -> np.ndarray:
-        """The (reused) working memory both kernels run in."""
-        return workspace.zeroed_once(
-            "native/scratch", (self.unit.scratch_floats,), np.float32)
+    EXPORTS = {"bd": "pppiip", "dw": "pppip"}
 
     def backward_data(self, out_error: np.ndarray, weights: np.ndarray,
                       crop: int, scratch: np.ndarray) -> np.ndarray:
         """``[B, *spec.cropped_input_shape(crop)]`` input error (Eq. 3)."""
         spec = self.spec
         batch = int(out_error.shape[0])
-        _require("out_error", out_error, (batch,) + spec.output_shape)
-        _require("weights", weights, spec.weight_shape)
-        _require("scratch", scratch, (self.unit.scratch_floats,))
+        require("out_error", out_error, (batch,) + spec.output_shape)
+        require("weights", weights, spec.weight_shape)
+        require("scratch", scratch, (self.unit.scratch_floats,))
         in_error = np.empty((batch,) + spec.cropped_input_shape(crop),
                             dtype=np.float32)
-        self._bd(out_error.ctypes.data, weights.ctypes.data,
-                 in_error.ctypes.data, batch, crop, scratch.ctypes.data)
+        self.call("bd", out_error, weights, in_error, batch, crop, scratch)
         return in_error
 
     def backward_weights(self, out_error: np.ndarray, inputs: np.ndarray,
@@ -388,31 +313,9 @@ class NativeSparseKernels:
         """``[Nf, Nc, Ky, Kx]`` weight gradient summed over the batch."""
         spec = self.spec
         batch = int(out_error.shape[0])
-        _require("out_error", out_error, (batch,) + spec.output_shape)
-        _require("inputs", inputs, (batch,) + spec.input_shape)
-        _require("scratch", scratch, (self.unit.scratch_floats,))
+        require("out_error", out_error, (batch,) + spec.output_shape)
+        require("inputs", inputs, (batch,) + spec.input_shape)
+        require("scratch", scratch, (self.unit.scratch_floats,))
         d_weights = np.empty(spec.weight_shape, dtype=np.float32)
-        self._dw(out_error.ctypes.data, inputs.ctypes.data,
-                 d_weights.ctypes.data, batch, scratch.ctypes.data)
+        self.call("dw", out_error, inputs, d_weights, batch, scratch)
         return d_weights
-
-
-def load_sparse_c_kernels(
-    spec: ConvSpec,
-    verify: Callable[[NativeSparseKernels], None],
-) -> NativeSparseKernels:
-    """Build (or fetch from the cache) and load ``spec``'s C kernels.
-
-    ``verify`` judges a freshly built unit before it may enter the
-    cache.  Raises :class:`repro.native.NativeBuildError` when this host
-    cannot produce or load the unit.
-    """
-    from repro import native
-
-    unit = emit_sparse_c_unit(spec)
-
-    def verify_lib(lib: ctypes.CDLL) -> None:
-        verify(NativeSparseKernels(spec, unit, lib, "unverified"))
-
-    loaded = native.load_unit(unit.source, unit.name, verify_lib)
-    return NativeSparseKernels(spec, unit, loaded.lib, loaded.artifact)

@@ -15,15 +15,8 @@ The kernels exist as generated numpy statements
 (:mod:`repro.sparse.codegen`) and as generated C
 (:mod:`repro.sparse.codegen_c`), compiled at first use and loaded
 through ``ctypes`` (:mod:`repro.native`).  Which one an engine runs is
-decided by what it can observe, never by an option:
-
-* at construction -- a compiler was found, the unit built (or was in the
-  cache), loaded, and a freshly built unit agreed with the Python
-  lowering on random and edge-position operands: ``lowering == "c"``;
-  anything else leaves ``"python"`` and the reason in
-  :attr:`SparseBPEngine.lowering_reason`;
-* per call -- the C kernels take C-contiguous ``float32`` operands;
-  anything else is served by the Python lowering.
+decided by what it can observe, never by an option
+(:class:`repro.ops.engine.NativeLowering`).
 
 The two lowerings sum in different orders, so they agree to rounding
 (both inside the shared tolerance against :mod:`repro.ops.reference`),
@@ -32,24 +25,15 @@ not bitwise.  Equal :attr:`SparseBPEngine.artifact` means equal bits.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from repro.core.convspec import ConvSpec
-from repro.errors import ReproError
 from repro.ops import layout, reference
-from repro.ops.engine import ConvEngine, register_engine
+from repro.ops.engine import ConvEngine, NativeLowering, register_engine
 from repro.ops.workspace import Workspace
 from repro.sparse.codegen import emit_sparse_backward_data, emit_sparse_backward_weights
 from repro.sparse.ctcsr import DEFAULT_TILE_COLS
 from repro.sparse.kernels import compress_error
-
-#: Largest |native - python| the build-time self-check accepts, as a
-#: share of the Python result's largest magnitude: float32 sums of a few
-#: thousand terms in two orders differ by ~1e-6 of it, an indexing bug
-#: by ~1.
-_SELF_CHECK_RTOL = 1e-4
 
 
 def _python_backward_data(spec: ConvSpec, out_error: np.ndarray,
@@ -88,7 +72,7 @@ def _self_check(kernels) -> None:
     lowering: a random sparse batch, then an error that is non-zero
     only at the plane's corner positions (where an off-by-one tap
     offset or slice bound lands outside the image)."""
-    from repro.native import NativeBuildError
+    from repro.native import check_agrees
 
     spec = kernels.spec
     rng = np.random.default_rng(0)
@@ -105,52 +89,36 @@ def _self_check(kernels) -> None:
     corners[:, :, ::max(spec.out_ny - 1, 1), ::max(spec.out_nx - 1, 1)] = 1.0
     crop = min(1, (min(spec.ny, spec.nx) - 1) // 2)
 
-    def compare(what: str, got: np.ndarray, want: np.ndarray) -> None:
-        scale = float(np.abs(want).max()) or 1.0
-        if got.shape != want.shape or not (
-                np.abs(got - want).max() <= _SELF_CHECK_RTOL * scale):
-            raise NativeBuildError(
-                f"native {what} for {spec.describe()} disagrees with the "
-                f"Python lowering")
-
     for name, error in (("random", random), ("corner", corners)):
+        where = f"({name}) for {spec.describe()}"
         full = _python_backward_data(spec, error, weights, workspace,
                                      DEFAULT_TILE_COLS)
-        compare(f"backward_data({name})",
-                kernels.backward_data(error, weights, 0, scratch), full)
-        compare(f"backward_data({name}, crop={crop})",
-                kernels.backward_data(error, weights, crop, scratch),
-                full[:, :, crop:spec.ny - crop, crop:spec.nx - crop])
+        check_agrees(f"backward_data{where}",
+                     kernels.backward_data(error, weights, 0, scratch), full)
+        check_agrees(f"backward_data{where}, crop={crop}",
+                     kernels.backward_data(error, weights, crop, scratch),
+                     full[:, :, crop:spec.ny - crop, crop:spec.nx - crop])
         images = inputs[:error.shape[0]]
-        compare(f"backward_weights({name})",
-                kernels.backward_weights(error, images, scratch),
-                _python_backward_weights(spec, error, images, workspace,
-                                         DEFAULT_TILE_COLS))
+        check_agrees(f"backward_weights{where}",
+                     kernels.backward_weights(error, images, scratch),
+                     _python_backward_weights(spec, error, images, workspace,
+                                              DEFAULT_TILE_COLS))
 
 
-@functools.lru_cache(maxsize=256)
-def _native_kernels(spec: ConvSpec, cache_dir: str, compiler: str | None):
-    """``(kernels, "")`` or ``(None, why not)`` -- once per process.
+def _load_native(spec: ConvSpec):
+    """Build or fetch, self-check and load ``spec``'s C kernels."""
+    from repro import native
+    from repro.sparse.codegen_c import NativeSparseKernels, emit_sparse_c_unit
 
-    Keyed by where units are cached and which compiler was found, so a
-    failed build is not retried by every engine the tuner constructs,
-    while a changed environment is.
-    """
-    from repro.sparse.codegen_c import load_sparse_c_kernels
-
-    try:
-        return load_sparse_c_kernels(spec, _self_check), ""
-    except ReproError as error:  # NativeBuildError, CodegenError
-        return None, f"{type(error).__name__}: {error}"
-
-
-def _native_operand(array: np.ndarray) -> bool:
-    return array.dtype == np.float32 and array.flags.c_contiguous
+    return native.load_kernels(NativeSparseKernels, spec,
+                               emit_sparse_c_unit(spec), _self_check)
 
 
 @register_engine("sparse")
-class SparseBPEngine(ConvEngine):
+class SparseBPEngine(NativeLowering, ConvEngine):
     """CT-CSR pointer-shifting sparse kernels for backward propagation."""
+
+    lowered_phases = ("bp",)
 
     def __init__(self, spec: ConvSpec, num_cores: int = 1,
                  tile_cols: int = DEFAULT_TILE_COLS):
@@ -168,32 +136,8 @@ class SparseBPEngine(ConvEngine):
         #: kernels' working memory).
         self.workspace = Workspace()
 
-    def _resolve_native(self) -> None:
-        from repro import native
-
-        #: The loaded C kernels (or None) and, if None, why.
-        self._native, self.lowering_reason = _native_kernels(
-            self.spec, str(native.cache_dir()), native.find_compiler())
-
-    def __getstate__(self) -> dict:
-        # Loaded code does not pickle; the far side loads its own.
-        state = dict(self.__dict__)
-        del state["_native"], state["lowering_reason"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._resolve_native()
-
-    @property
-    def lowering(self) -> str:
-        """``"c"`` when the compiled kernels serve, else ``"python"``."""
-        return "c" if self._native is not None else "python"
-
-    @property
-    def artifact(self) -> str | None:
-        """What names the loaded machine code, if any is loaded."""
-        return self._native.artifact if self._native is not None else None
+    def _native_loader(self) -> tuple:
+        return (_load_native, self.spec)
 
     def release_workspace(self) -> None:
         """Drop the reusable scratch buffers."""
@@ -220,8 +164,7 @@ class SparseBPEngine(ConvEngine):
         self._check_batch_out_error(out_error)
         self._check_weights(weights)
         native = self._native
-        if native is not None and _native_operand(out_error) \
-                and _native_operand(weights):
+        if native is not None and self._native_operands(out_error, weights):
             return native.backward_data(out_error, weights, crop,
                                         native.scratch(self.workspace))
         return self._cropped(
@@ -232,8 +175,7 @@ class SparseBPEngine(ConvEngine):
         self._check_batch_out_error(out_error)
         self._check_batch_inputs(inputs)
         native = self._native
-        if native is not None and _native_operand(out_error) \
-                and _native_operand(inputs):
+        if native is not None and self._native_operands(out_error, inputs):
             return native.backward_weights(out_error, inputs,
                                            native.scratch(self.workspace))
         return _python_backward_weights(self.spec, out_error, inputs,

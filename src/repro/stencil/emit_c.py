@@ -1,0 +1,405 @@
+"""The C lowering of the stencil FP kernels (paper Sec. 4.3, Figs. 4c-4d, 7).
+
+:mod:`repro.stencil.emit` lowers a scheduled nest to numpy statements,
+one interpreter dispatch per tap.  This printer walks the *same* nest
+(:meth:`SchedulePipeline.build_nest`) for the ``fp`` and ``fused_fp``
+families and writes one C unit per ``(spec, pipeline)``, every extent a
+literal, compiled at first use through :mod:`repro.native` -- the
+register-blocked, per-shape direct convolution of Georganas et al.:
+
+* ``ox`` is the vector dimension (the ``vectorize`` pass's width, the
+  row tail in narrower powers of two: MNIST's 24 prints as 16 + 8);
+* the nest's parallel ``f`` / ``oy`` dims are blocked into an
+  accumulator tile (:func:`accumulator_block`) held in registers across
+  ``c`` and the taps, which come out of the emitted tap tables one
+  kernel column at a time: the ``rows + Fy - 1`` input vectors of a
+  column are loaded once per ``(c, kx)`` and each feeds all its ``ky``
+  taps (Fig. 7's load reuse) for every feature of the block;
+* ``Nf`` / ``Oy`` remainders are literal blocks of their own; the
+  schedule's ``oy`` / ``ox`` / ``py`` tiles bound where blocks are laid
+  (its ``reorder`` / ``unroll_and_jam`` print nothing: the tile is the jam);
+* operands are the engines' own ``[B, C, Y, X]`` / ``[F, C, Ky, Kx]``
+  arrays: no layout change, no scratch -- except ``fused_fp``, where the
+  same block code fills the nest's TILE-scoped ``act`` buffer (caller's
+  scratch) and bias + ReLU + max-pool (first maximum in row-major window
+  order) + argmax run from it before anything reaches memory.
+
+The FMA order per output element is this printer's constant
+(:func:`column_taps`), which keeps fused == chain bitwise under this
+lowering too.  Stride-1 nests only: anything else raises
+:class:`CodegenError` and the caller keeps its Python lowering.  The
+facts emitted travel with the text (:class:`repro.native.CUnit`);
+``repro check`` recomputes them from the nest.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import replace
+from itertools import product
+from typing import Callable
+
+import numpy as np
+
+from repro.core.convspec import ConvSpec
+from repro.errors import CodegenError
+from repro.native import (
+    CUnit,
+    KernelFacts,
+    Kernels,
+    check_agrees,
+    kernels_for,
+    load_kernels,
+    require,
+    vector_registers,
+)
+from repro.ops.workspace import Workspace
+from repro.stencil.engine import python_forward
+from repro.stencil.loopir import LoopNest, PoolWindow
+from repro.stencil.passes import SchedulePipeline, Vectorize, default_pipeline
+
+Blocks = list[tuple[int, int]]
+
+
+def host_pipeline(pipeline: SchedulePipeline | None, family: str,
+                  pool_kernel: int = 0, pool_stride: int = 0) -> SchedulePipeline:
+    """The schedule the C lowering prints: ``pipeline`` if the caller
+    brought one of its own, else the family's default vectorized for
+    *this* host's register file instead of the paper's AVX."""
+    base = default_pipeline(family, pool_kernel, pool_stride)
+    if pipeline is not None and pipeline != base:
+        return pipeline
+    return replace(base, passes=base.passes[:-1]
+                   + (Vectorize(*vector_registers()),))
+
+
+def column_taps(spec: ConvSpec) -> tuple[tuple[int, int], ...]:
+    """The order an output element accumulates its taps in, from ``+0``
+    and inside each ``c``: ``kx``, then ``ky`` -- whatever the pipeline,
+    the register tile or the vector width.  A constant of this printer,
+    not read off the nest (whose tap loops run ``ky``, ``kx``): Fig. 7's
+    load reuse needs ``ky`` innermost, the input vector of row ``r + ky``
+    serving output row ``r`` for every ``ky``.  So the C lowering sums in
+    another order than the Python one, and ``repro check`` compares
+    against this function."""
+    return tuple((ky, kx) for kx in range(spec.fx) for ky in range(spec.fy))
+
+
+def accumulator_block(nest: LoopNest, rows: int) -> tuple[int, int]:
+    """``(features, rows)`` of the accumulator tile for ``rows`` rows.
+
+    Of the nest's register budget one register broadcasts the weight,
+    ``rows + Fy - 1`` hold the input column, the rest accumulate: the
+    largest square that fits (an input vector is reused by every
+    feature, a weight by every row) clipped to the rows there are, and
+    what that frees goes to features, rounded down to a power of two so
+    the feature counts networks use divide evenly.
+    """
+    spec = nest.spec
+    budget = nest.num_registers - 1
+    side = max((n for n in range(1, budget)
+                if n * n + n + spec.fy - 1 <= budget), default=1)
+    block_rows = min(side, rows)
+    fill = max((budget - (block_rows + spec.fy - 1)) // block_rows, 1)
+    return min(spec.nf, 1 << (fill.bit_length() - 1)), block_rows
+
+
+def _split(extent: int, size: int, tile: int | None = None) -> Blocks:
+    """``[0, extent)`` as ``(start, size)`` blocks laid inside each tile,
+    a tile's remainder a block of its own."""
+    tile = tile or extent
+    return [(start, min(size, min(lo + tile, extent) - start))
+            for lo in range(0, extent, tile)
+            for start in range(lo, min(lo + tile, extent), size)]
+
+
+def _row_chunks(extent: int, widest: int, tile: int | None = None) -> Blocks:
+    """A row as vectors of ``widest`` floats, the tail of each tile as
+    narrower powers of two."""
+    chunks = []
+    for lo, length in _split(extent, tile or extent):
+        x, width = lo, widest
+        while x < lo + length:
+            while width > lo + length - x:
+                width //= 2
+            chunks.append((x, width))
+            x += width
+    return chunks
+
+
+def _for_runs(var: str, blocks: Blocks, indent: str,
+              inner: Callable[[str, int, str], list[str]]) -> list[str]:
+    """``inner(expr, size, indent)`` for every block: consecutive equal
+    blocks become one loop over ``var``, a lone block a literal."""
+    lines: list[str] = []
+    runs: list[list[int]] = []
+    for start, size in blocks:
+        if runs and runs[-1][1] == size \
+                and runs[-1][0] + size * runs[-1][2] == start:
+            runs[-1][2] += 1
+        else:
+            runs.append([start, size, 1])
+    for start, size, count in runs:
+        if count == 1:
+            lines += inner(str(start), size, indent)
+            continue
+        lines.append(f"{indent}for (int {var} = {start}; {var} < "
+                     f"{start + size * count}; {var} += {size}) {{")
+        lines += inner(var, size, indent + "    ")
+        lines.append(f"{indent}}}")
+    return lines
+
+
+def _block_function(spec: ConvSpec, tables: str, features: int, rows: int,
+                    width: int) -> tuple[str, list[str]]:
+    """One accumulator block: ``features x rows`` vectors of ``width``
+    floats, held across ``c`` and the taps, stored once.  The taps come
+    ``Fy`` at a time out of the ``<tables>_TAP_*`` tables: one column of
+    the kernel, whose input vectors are loaded once for all its ``ky``."""
+    name = f"block_{features}x{rows}x{width}"
+    cells = list(product(range(features), range(rows)))
+    lines = [f"static void {name}(const float *in, const float *wt, "
+             f"float *out)", "{"]
+    lines += [f"    v{width} a{f}_{r} = (v{width}){{0}};" for f, r in cells]
+    lines += ["    for (int c = 0; c < NC; c++, in += NY * NX, wt += FY * FX)",
+              "        for (int t = 0; t < NT; t += FY) {",
+              f"            const float *col = in + {tables}_TAP_OFF[t];"]
+    lines += [f"            const v{width} i{r} = "
+              f"*(const v{width} *)(col + {r} * NX);"
+              for r in range(rows + spec.fy - 1)]
+    for ky, f in product(range(spec.fy), range(features)):
+        lines.append(f"            {{ const float w = "
+                     f"wt[{f} * WF + {tables}_TAP_W[t + {ky}]];"
+                     + "".join(f" a{f}_{r} += w * i{r + ky};"
+                               for r in range(rows)) + " }")
+    lines.append("        }")
+    lines += [f"    *(v{width} *)(out + {f} * OUT_F + {r} * OX) = a{f}_{r};"
+              for f, r in cells]
+    lines.append("}")
+    return name, lines
+
+
+_POOL_STORE = """\
+/* bias + ReLU + max-pool of `features` x `rows` pooled rows of the act
+   tile: the first maximum in row-major window order and its index. */
+static void pool_store(const float *act, const float *bias, float *out,
+                       int64_t *arg, int features, int rows)
+{
+    for (int f = 0; f < features; f++)
+        for (int p = 0; p < rows; p++)
+            for (int q = 0; q < PX; q++) {
+                const float *a = act + f * OUT_F + p * PS * OX + q * PS;
+                float best = -1.0f;
+                int64_t at = 0;
+                for (int wy = 0; wy < PK; wy++)
+                    for (int wx = 0; wx < PK; wx++) {
+                        float v = a[wy * OX + wx] + bias[f];
+                        v = v > 0 ? v : 0;
+                        if (v > best) { best = v; at = wy * PK + wx; }
+                    }
+                out[(f * PY + p) * PX + q] = best;
+                arg[(f * PY + p) * PX + q] = at;
+            }
+}
+"""
+
+
+@functools.lru_cache(maxsize=256)
+def emit_stencil_c_unit(spec: ConvSpec,
+                        pipeline: SchedulePipeline) -> CUnit:
+    """Print ``pipeline``'s scheduled nest for ``spec`` as one C unit.
+
+    ``fp`` exports ``<name>_fp(in, w, out, batch)``; ``fused_fp`` exports
+    ``<name>_fused(in, w, bias, out, argmax, batch, scratch)`` with
+    ``argmax`` an ``int64`` array and ``scratch`` ``SCRATCH_FLOATS``
+    floats.  All arrays are C-contiguous in the engines' layouts.
+    """
+    if (spec.sy, spec.sx) != (1, 1):
+        raise CodegenError(f"the stencil C printer covers stride-1 "
+                           f"convolutions, not {spec.describe()}")
+    nest = pipeline.build_nest(spec)    # vectorized: the pipeline ends so
+    conv = nest.stage("conv")           # (other families have no such stage)
+    oy, ox, pool = spec.out_ny, spec.out_nx, nest.pool
+    chunks = _row_chunks(ox, nest.vector_width, conv.loop("ox").tile)
+    shape = (f"{spec.nc}x{spec.ny}x{spec.nx}_{spec.nf}_{spec.fy}x{spec.fx}"
+             + (f"_p{pool.kernel}s{pool.stride}" if pool else "")
+             + f"_{pipeline.fingerprint()}")
+    literals = {"NC": spec.nc, "NY": spec.ny, "NX": spec.nx, "NF": spec.nf,
+                "FY": spec.fy, "FX": spec.fx, "NT": spec.fy * spec.fx,
+                "SY": 1, "SX": 1, "OY": oy, "OX": ox,
+                "WF": spec.nc * spec.fy * spec.fx}
+    symbol, name = ("fp", f"stencil_fp_{shape}") if pool is None else \
+        ("fused", f"fused_fp_{shape}")
+    blocks_used: dict[str, list[str]] = {}
+
+    def conv_blocks(f: str, nf: int, rows: Blocks, in_row: str, out: str,
+                    indent: str) -> list[str]:
+        """Calls computing features ``[f, f + nf)`` over ``rows`` x
+        ``chunks`` into ``out``; row 0 of ``rows`` is conv row ``in_row``."""
+        def call(y: str, ny: int, x: str, nx: int, pad: str) -> list[str]:
+            name, text = _block_function(spec, symbol.upper(), nf, ny, nx)
+            blocks_used.setdefault(name, text)
+            return [f"{pad}{name}(ib + ({in_row} + {y}) * NX + {x}, "
+                    f"wt + {f} * WF, {out} + {y} * OX + {x});"]
+        return _for_runs("y", rows, indent, lambda y, ny, i2: _for_runs(
+            "x", chunks, i2, lambda x, nx, i3: call(y, ny, x, nx, i3)))
+
+    if pool is None:
+        block = accumulator_block(nest, oy)
+        features = _split(spec.nf, block[0])
+        rows = _split(oy, block[1], conv.loop("oy").tile)
+        literals.update(FB=block[0], RB=block[1], OUT_F=oy * ox,
+                        SCRATCH_FLOATS=0)
+        main = [
+            f"void {name}_fp(const float *in, const float *wt, float *out, "
+            f"int64_t batch)", "{",
+            "    for (int64_t b = 0; b < batch; b++) {",
+            "        const float *ib = in + b * (NC * NY * NX);",
+            "        float *ob = out + b * (NF * OY * OX);",
+            *_for_runs("f", features, "        ", lambda f, nf, pad:
+                       conv_blocks(f, nf, rows, "0", f"ob + {f} * OUT_F",
+                                   pad)),
+            "    }", "}"]
+        written = tuple(product(features, rows, chunks))
+    else:
+        py, px = pool.out_extent(oy), pool.out_extent(ox)
+        pool_rows = _split(py, nest.stage("maxpool").loop("py").tile or 1)
+        tile_rows = pool.rows_needed(pool_rows[0][1])
+        block = accumulator_block(nest, tile_rows)
+        features = _split(spec.nf, block[0])
+        literals.update(FB=block[0], RB=block[1], PK=pool.kernel,
+                        PS=pool.stride, PY=py, PX=px, OUT_F=tile_rows * ox,
+                        ACT_OFF=0, ACT_FLOATS=block[0] * tile_rows * ox,
+                        SCRATCH_FLOATS=block[0] * tile_rows * ox)
+
+        def pool_block(p: str, np_: int, indent: str) -> list[str]:
+            rows = _split(pool.rows_needed(np_), block[1])
+            return _for_runs("f", features, indent, lambda f, nf, pad: [
+                *conv_blocks(f, nf, rows, f"{p} * PS", "act", pad),
+                f"{pad}pool_store(act, bias + {f}, "
+                f"ob + ({f} * PY + {p}) * PX, ab + ({f} * PY + {p}) * PX, "
+                f"{nf}, {np_});"])
+
+        main = [
+            f"void {name}_fused(const float *in, const float *wt, "
+            f"const float *bias,",
+            "        float *out, int64_t *arg, int64_t batch, "
+            "float *scratch)", "{",
+            "    float *act = scratch + ACT_OFF;",
+            "    for (int64_t b = 0; b < batch; b++) {",
+            "        const float *ib = in + b * (NC * NY * NX);",
+            "        float *ob = out + b * (NF * PY * PX);",
+            "        int64_t *ab = arg + b * (NF * PY * PX);",
+            *_for_runs("p", pool_rows, "        ", pool_block),
+            "    }", "}"]
+        written = tuple(product(features, pool_rows, [(0, px)]))
+    taps = column_taps(spec)
+    facts = KernelFacts(
+        symbol=symbol, taps=taps, blocks=written,
+        tap_w=tuple(ky * spec.fx + kx for ky, kx in taps),
+        tap_off=tuple(ky * spec.nx + kx for ky, kx in taps))
+    lines = [f"/* Generated stencil kernel for {spec.describe()}: "
+             f"{pipeline.describe()}. */", "#include <stdint.h>"]
+    lines += [f"#define {key} {value}" for key, value in literals.items()]
+    # One-float "vectors" too: scalar code would be open to the
+    # auto-vectorizer, which regroups multiplies and so decides per block
+    # shape what contracts into an FMA.
+    lines += [f"typedef float v{w} __attribute__((vector_size({4 * w}), "
+              f"aligned(4), may_alias));"
+              for w in sorted({w for _, w in chunks})]
+    lines += facts.table_lines()
+    for text in blocks_used.values():
+        lines += ["", *text]
+    lines += ["", *([_POOL_STORE] if pool else []), *main, ""]
+    return CUnit(name=name, source="\n".join(lines),
+                 literals=tuple(literals.items()), kernels=(facts,))
+
+
+# -- the loaded unit ----------------------------------------------------------
+
+class NativeStencilKernels(Kernels):
+    """The C kernel of one ``(spec, pipeline)``, callable on numpy arrays."""
+
+    EXPORTS = {"fp": "pppi", "fused": "pppppip"}
+
+    def forward(self, inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``[B, Nf, Oy, Ox]`` convolution of a batch (Eq. 2, no bias)."""
+        spec = self.spec
+        batch = int(inputs.shape[0])
+        require("inputs", inputs, (batch,) + spec.input_shape)
+        require("weights", weights, spec.weight_shape)
+        out = np.empty((batch,) + spec.output_shape, dtype=np.float32)
+        self.call("fp", inputs, weights, out, batch)
+        return out
+
+    def fused_forward(self, inputs: np.ndarray, weights: np.ndarray,
+                      bias: np.ndarray, scratch: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """Pooled activations ``[B, Nf, Py, Px]`` of conv + bias + ReLU
+        + max-pool and their ``int64`` flat window indices."""
+        spec, unit = self.spec, self.unit
+        batch = int(inputs.shape[0])
+        require("inputs", inputs, (batch,) + spec.input_shape)
+        require("weights", weights, spec.weight_shape)
+        require("bias", bias, (spec.nf,))
+        require("scratch", scratch, (unit.scratch_floats,))
+        shape = (batch, spec.nf, unit.literal("PY"), unit.literal("PX"))
+        out = np.empty(shape, dtype=np.float32)
+        argmax = np.empty(shape, dtype=np.int64)
+        self.call("fused", inputs, weights, bias, out, argmax, batch, scratch)
+        return out, argmax
+
+
+def _self_check(kernels: NativeStencilKernels,
+                pipeline: SchedulePipeline | None,
+                pool: PoolWindow | None) -> None:
+    """Differential check of a freshly built unit against the Python
+    lowering, on a random batch and on one image that is non-zero only at
+    each plane's four corners (where an off-by-one tap offset or block
+    bound lands outside the array, or on the wrong weight).
+
+    The fused kernel is judged through its chain -- conv, bias, ReLU,
+    window maximum; pooled values and the elements the argmax names --
+    and bit for bit where the chain's conv is the FP kernel's C unit:
+    what the fused layer promises is checked where a compiler could
+    break it.
+    """
+    spec = kernels.spec
+    rng = np.random.default_rng(0)
+    weights = rng.standard_normal(spec.weight_shape).astype(np.float32)
+    bias = rng.standard_normal(spec.nf).astype(np.float32)
+    random = rng.standard_normal((2,) + spec.input_shape).astype(np.float32)
+    edge = np.zeros_like(random[:1])
+    edge[:, :, ::max(spec.ny - 1, 1), ::max(spec.nx - 1, 1)] = 1.0
+    chain = kernels_for(load_stencil_kernels, spec, None)[0] if pool else None
+    for name, inputs in (("random", random), ("edge", edge)):
+        where = f"({name}) for {spec.describe()}"
+        if pool is None:
+            check_agrees(f"forward{where}", kernels.forward(inputs, weights),
+                         python_forward(spec, pipeline, inputs, weights))
+            continue
+        out, argmax = kernels.fused_forward(inputs, weights, bias,
+                                            kernels.scratch(Workspace()))
+        conv = chain.forward(inputs, weights) if chain else \
+            python_forward(spec, None, inputs, weights)
+        act = np.maximum(conv + bias[None, :, None, None], 0)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            act, (pool.kernel,) * 2, axis=(2, 3)
+        )[:, :, ::pool.stride, ::pool.stride]
+        wy, wx = np.divmod(argmax, pool.kernel)
+        b, f, p, q = np.indices(argmax.shape)
+        for what, want in (("forward", windows.max(axis=(4, 5))),
+                           ("argmax", windows[b, f, p, q, wy, wx])):
+            check_agrees(f"fused {what}{where}", out, want, exact=bool(chain))
+
+
+def load_stencil_kernels(spec: ConvSpec, pipeline: SchedulePipeline | None,
+                         pool: PoolWindow | None = None
+                         ) -> NativeStencilKernels:
+    """Build or fetch, self-check and load the C unit of the FP kernel
+    or, given a pool window, of the fused kernel."""
+    printed = host_pipeline(pipeline, "fp") if pool is None else \
+        host_pipeline(pipeline, "fused_fp", pool.kernel, pool.stride)
+    return load_kernels(
+        NativeStencilKernels, spec, emit_stencil_c_unit(spec, printed),
+        lambda kernels: _self_check(kernels, pipeline, pool))

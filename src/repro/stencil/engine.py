@@ -1,17 +1,24 @@
 """The stencil convolution engine (paper Sec. 4.3).
 
-Combines the register-tile optimizer, the tiling schedule and the emitted
-kernels into a :class:`repro.ops.engine.ConvEngine`.  The paper deploys the
-stencil kernels for forward propagation (Stencil-Kernel (FP)); for
-interface completeness this engine also provides the transposed-stencil
-backward kernels, which spg-CNN's autotuner may use when they win.
+Wraps the emitted kernels into a :class:`repro.ops.engine.ConvEngine`.
+The paper deploys the stencil kernels for forward propagation
+(Stencil-Kernel (FP)); for interface completeness this engine also
+provides the transposed-stencil backward kernels, which spg-CNN's
+autotuner may use when they win.
 
-Since the loop-IR refactor the engine is schedule-parameterized: each
-kernel family accepts a :class:`repro.stencil.passes.SchedulePipeline`
-(``None`` means the default pipeline, which reproduces the original
-emission byte for byte).  Pipelines are frozen and picklable, so an
-engine carrying a searched schedule crosses the process-backend spawn
-boundary intact.
+The engine is schedule-parameterized: each kernel family accepts a
+:class:`repro.stencil.passes.SchedulePipeline` (``None`` means the
+default pipeline).  Pipelines are frozen and picklable, so an engine
+carrying a searched schedule crosses the process-backend spawn boundary
+intact.
+
+The FP kernel has two lowerings: generated numpy statements
+(:mod:`repro.stencil.emit`) and, for stride-1 specs, generated C
+(:mod:`repro.stencil.emit_c`, compiled at first use through
+:mod:`repro.native`); :class:`repro.ops.engine.NativeLowering` chooses,
+and ``lowering`` / ``artifact`` name the FP kernel.  The two sum in
+different orders, so they agree to rounding, not bitwise.  The backward
+kernels have the Python form only.
 
 Like GEMM-in-Parallel, the stencil engine parallelizes across training
 inputs: each core runs the generated single-threaded kernel on whole
@@ -23,33 +30,36 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.convspec import ConvSpec
-from repro.ops.engine import ConvEngine, register_engine
-from repro.stencil.basic_block import (
-    DEFAULT_NUM_REGISTERS,
-    DEFAULT_VECTOR_WIDTH,
-    TileChoice,
-    optimize_register_tile,
-)
+from repro.ops.engine import ConvEngine, NativeLowering, register_engine
+from repro.stencil.basic_block import TileChoice
 from repro.stencil.emit import (
     emit_backward_data_kernel,
     emit_backward_weights_kernel,
     emit_forward_kernel,
 )
-from repro.stencil.passes import SchedulePipeline
-from repro.stencil.schedule import StencilSchedule, generate_schedule
+from repro.stencil.passes import SchedulePipeline, default_pipeline
+
+
+def python_forward(spec: ConvSpec, pipeline: SchedulePipeline | None,
+                   inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The batch's convolution through the Python lowering."""
+    kernel = emit_forward_kernel(spec, pipeline)
+    out = np.zeros((inputs.shape[0],) + spec.output_shape, dtype=inputs.dtype)
+    for img, dst in zip(inputs, out):
+        kernel(img, weights, dst)
+    return out
 
 
 @register_engine("stencil")
-class StencilEngine(ConvEngine):
+class StencilEngine(NativeLowering, ConvEngine):
     """Direct convolution via generated, shape-specialized stencil kernels."""
+
+    lowered_phases = ("fp",)
 
     def __init__(
         self,
         spec: ConvSpec,
         num_cores: int = 1,
-        num_registers: int = DEFAULT_NUM_REGISTERS,
-        vector_width: int = DEFAULT_VECTOR_WIDTH,
-        cache_bytes: int = 256 * 1024,
         pipeline: SchedulePipeline | None = None,
         bp_pipeline: SchedulePipeline | None = None,
         dw_pipeline: SchedulePipeline | None = None,
@@ -58,26 +68,39 @@ class StencilEngine(ConvEngine):
         if num_cores <= 0:
             raise ValueError(f"num_cores must be positive, got {num_cores}")
         self.num_cores = num_cores
-        self.tile: TileChoice = optimize_register_tile(
-            spec.fy, spec.fx, num_registers=num_registers, vector_width=vector_width
-        )
-        self.schedule: StencilSchedule = generate_schedule(spec, cache_bytes=cache_bytes)
         self.pipeline = pipeline
         self.bp_pipeline = bp_pipeline
         self.dw_pipeline = dw_pipeline
         self._fp_kernel = emit_forward_kernel(spec, pipeline)
         self._bp_kernel = emit_backward_data_kernel(spec, bp_pipeline)
         self._dw_kernel = emit_backward_weights_kernel(spec, dw_pipeline)
+        self._resolve_native()
+
+    def _native_loader(self) -> tuple:
+        from repro.stencil.emit_c import load_stencil_kernels
+
+        return (load_stencil_kernels, self.spec, self.pipeline)
 
     # -- generated-code accessors (for tests and inspection) ------------
 
     @property
     def forward_source(self) -> str:
-        """Source text of the generated FP kernel."""
+        """Source text of the generated (Python) FP kernel."""
         return self._fp_kernel.source
 
+    @property
+    def tile(self) -> TileChoice:
+        """The register-tiled block of the schedule the serving printer
+        lowered (its ``vectorize`` pass's budget and width)."""
+        pipeline = self.pipeline or default_pipeline("fp")
+        if self._native is not None:
+            from repro.stencil.emit_c import host_pipeline
+
+            pipeline = host_pipeline(self.pipeline, "fp")
+        return pipeline.vector_block(self.spec)
+
     def block_stats(self) -> dict[str, float]:
-        """Instruction statistics of the optimized basic block."""
+        """Instruction statistics of that basic block."""
         return self.tile.block.summary()
 
     # -- ConvEngine interface -------------------------------------------
@@ -85,10 +108,9 @@ class StencilEngine(ConvEngine):
     def forward(self, inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
         self._check_batch_inputs(inputs)
         self._check_weights(weights)
-        out = np.zeros((inputs.shape[0],) + self.spec.output_shape, dtype=inputs.dtype)
-        for img, dst in zip(inputs, out):
-            self._fp_kernel(img, weights, dst)
-        return out
+        if self._native is not None and self._native_operands(inputs, weights):
+            return self._native.forward(inputs, weights)
+        return python_forward(self.spec, self.pipeline, inputs, weights)
 
     def backward_data(self, out_error: np.ndarray, weights: np.ndarray,
                       crop: int = 0) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import shutil
 
 # One BLAS thread in this process, set before numpy loads its BLAS: the
 # runtime gives spawned workers one each, and process == thread == serial
@@ -14,6 +15,24 @@ import numpy as np  # noqa: E402
 import pytest
 
 from repro.core.convspec import ConvSpec
+
+
+#: For cases that build native units; the fallback cases run everywhere.
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler on this machine")
+
+
+def fake_compiler(tmp_path, build_line: str) -> str:
+    """A ``cc`` that answers ``--version`` and then runs ``build_line``
+    (a shell line; ``$out`` is the ``-o`` operand)."""
+    path = tmp_path / "cc"
+    path.write_text(
+        "#!/bin/sh\n"
+        'if [ "$1" = "--version" ]; then echo "fake cc 1.0"; exit 0; fi\n'
+        'while [ "$1" != "-o" ]; do shift; done; out="$2"\n'
+        f"{build_line}\n")
+    path.chmod(0o755)
+    return str(path)
 
 
 @pytest.fixture

@@ -42,10 +42,12 @@ from repro.ops.workspace import Workspace
 from repro.resilience.quarantine import default_registry
 from repro.sparse import engine as sparse_engine
 from repro.sparse.codegen_c import channel_tiling, emit_sparse_c_unit
-from tests.conftest import SMALL_SPECS, random_conv_data
-
-needs_cc = pytest.mark.skipif(native.find_compiler() is None,
-                              reason="no C compiler on this machine")
+from tests.conftest import (
+    SMALL_SPECS,
+    fake_compiler,
+    needs_cc,
+    random_conv_data,
+)
 
 SPEC = ConvSpec(nc=5, ny=9, nx=8, nf=4, fy=3, fx=2)
 
@@ -55,9 +57,9 @@ def cache(tmp_path, monkeypatch):
     """A private, empty unit cache (and no memo of earlier loads)."""
     directory = tmp_path / "native-cache"
     monkeypatch.setenv(native.CACHE_ENV, str(directory))
-    sparse_engine._native_kernels.cache_clear()
+    native._resolved.cache_clear()
     yield directory
-    sparse_engine._native_kernels.cache_clear()
+    native._resolved.cache_clear()
 
 
 def _units(directory):
@@ -164,7 +166,7 @@ def test_reloaded_unit_computes_the_same_bits(rng):
     first = make_engine("sparse", SPEC)
     bd, dw = first.backward_data(err, weights, crop=1), \
         first.backward_weights(err, inputs)
-    sparse_engine._native_kernels.cache_clear()      # as a new process
+    native._resolved.cache_clear()      # as a new process
     again = make_engine("sparse", SPEC)
     assert again.artifact == first.artifact
     assert again.backward_data(err, weights, crop=1).tobytes() == bd.tobytes()
@@ -187,15 +189,6 @@ def _assert_python_serves(engine, rng):
                                _oracle_dw(SPEC, err, inputs), atol=5e-3)
 
 
-def _fake_compiler(tmp_path, build_line):
-    path = tmp_path / "cc"
-    path.write_text("#!/bin/sh\n"
-                    'if [ "$1" = "--version" ]; then echo "fake cc 1.0"; '
-                    f"exit 0; fi\n{build_line}\n")
-    path.chmod(0o755)
-    return str(path)
-
-
 class TestFallback:
     def test_no_compiler(self, monkeypatch, cache, rng):
         monkeypatch.setattr(native, "find_compiler", lambda: None)
@@ -205,7 +198,7 @@ class TestFallback:
         assert not cache.exists()
 
     def test_compiler_that_exits_1(self, monkeypatch, tmp_path, cache, rng):
-        fake = _fake_compiler(tmp_path, 'echo "boom" >&2; exit 1')
+        fake = fake_compiler(tmp_path, 'echo "boom" >&2; exit 1')
         monkeypatch.setattr(native, "find_compiler", lambda: fake)
         engine = make_engine("sparse", SPEC)
         _assert_python_serves(engine, rng)
@@ -214,8 +207,7 @@ class TestFallback:
 
     def test_compiler_that_writes_garbage(self, monkeypatch, tmp_path, cache,
                                           rng):
-        # $6 is the -o operand: an "object" that is not loadable.
-        fake = _fake_compiler(tmp_path, 'echo "not elf" > "$6"')
+        fake = fake_compiler(tmp_path, 'echo "not elf" > "$out"')
         monkeypatch.setattr(native, "find_compiler", lambda: fake)
         engine = make_engine("sparse", SPEC)
         _assert_python_serves(engine, rng)
@@ -231,7 +223,7 @@ class TestFallback:
         stub = unit.with_suffix(".tmp")
         stub.write_bytes(unit.read_bytes()[:100])
         os.replace(stub, unit)
-        sparse_engine._native_kernels.cache_clear()
+        native._resolved.cache_clear()
         engine = make_engine("sparse", SPEC)
         _assert_python_serves(engine, rng)
         assert "cannot load" in engine.lowering_reason
@@ -252,10 +244,10 @@ class TestFallback:
     def test_self_check_catches_a_shifted_tap(self, monkeypatch, cache):
         from repro.sparse import codegen_c
 
-        def shifted(spec, ky, kx, ncp):
-            return (ky * spec.nx + kx + (ky == 1)) * ncp
-
-        monkeypatch.setattr(codegen_c, "tap_offset", shifted)
+        # Row 1's taps land one pixel to the right: in bounds, wrong tap.
+        assert "hwc + BD_TAP_OFF[t];" in codegen_c._BODY
+        monkeypatch.setattr(codegen_c, "_BODY", codegen_c._BODY.replace(
+            "hwc + BD_TAP_OFF[t];", "hwc + BD_TAP_OFF[t] + (t / FX == 1) * NCP;"))
         codegen_c.emit_sparse_c_unit.cache_clear()
         try:
             engine = make_engine("sparse", ConvSpec(nc=2, ny=8, nx=8, nf=3,
@@ -339,7 +331,7 @@ class TestCache:
         first = make_engine("sparse", SPEC)
         assert len(compiles) == 1 and len(_units(cache)) == 1
         make_engine("sparse", SPEC)                      # the memo
-        sparse_engine._native_kernels.cache_clear()
+        native._resolved.cache_clear()
         again = make_engine("sparse", SPEC)              # the file
         assert len(compiles) == 1
         assert again.lowering == "c" and again.artifact == first.artifact
@@ -348,7 +340,7 @@ class TestCache:
                                                     monkeypatch):
         first = make_engine("sparse", SPEC)
         monkeypatch.setattr(native, "cpu_flags", lambda: "another cpu")
-        sparse_engine._native_kernels.cache_clear()
+        native._resolved.cache_clear()
         other = make_engine("sparse", SPEC)
         assert len(compiles) == 2 and len(_units(cache)) == 2
         assert other.artifact != first.artifact

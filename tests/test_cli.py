@@ -244,7 +244,9 @@ class TestTrain:
             # FP is planned once, before the first step, and ran as such.
             assert report["layers"][row["layer"]]["fp_engine"] \
                 == row["fp_engine"]
-            # The plan says what the deployed BP kernels were lowered to.
+            # The plan says what the deployed kernels were lowered to.
+            assert (row["fp_lowering"] in ("c", "python")) \
+                == (row["fp_engine"] == "stencil")
             assert (row["bp_lowering"] in ("c", "python")) \
                 == (row["bp_engine"] == "sparse")
         totals = report["totals"]
