@@ -39,7 +39,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -610,6 +610,12 @@ def verify_native_unit(unit: CUnit, nests: dict[str, LoopNest],
         error(f"kernels {[k.symbol for k in unit.kernels]} are not the "
               f"expected {sorted(nests)}")
         return findings
+    pooled = any(nest.pool is not None for nest in nests.values())
+    if unit.helpers != (("unpool",) if pooled else ()):
+        error(f"helpers {unit.helpers} are not the expected "
+              f"{('unpool',) if pooled else ()}")
+    elif pooled:
+        _verify_unpool(unit, lit, error)
     # Channel-fastest images pad every position to NCP floats; planar
     # ones (no NCP) have a pitch of one.
     pitch = lit.get("NCP", 1)
@@ -708,6 +714,23 @@ def verify_native_unit(unit: CUnit, nests: dict[str, LoopNest],
                   f"output elements never and "
                   f"{int((written > 1).sum())} more than once")
     return findings
+
+
+def _verify_unpool(unit: CUnit, lit: dict[str, int],
+                   error: Callable[[str], None]) -> None:
+    """The fused unit's backward writes only inside the conv-shaped error
+    it is handed: its text is the scatter whose two writes are the
+    ``OY * OX`` zeroing of each plane and the add at window ``(p, q)``'s
+    argmax ``t`` (checked to lie in ``[0, PK * PK)``), and from the
+    literals -- which the fused kernel's check holds to the spec and the
+    pool window -- the last window's reach stays inside ``OY x OX``."""
+    if stencil_emit_c.UNPOOL.format(name=unit.name) not in unit.source:
+        error("the unpool export is not the scatter the printer emits")
+    for pooled, extent in (("PY", "OY"), ("PX", "OX")):
+        reach = (lit.get(pooled, 0) - 1) * lit.get("PS", 0) + lit.get("PK", 0)
+        if lit.get(pooled, 0) < 1 or reach > lit.get(extent, 0):
+            error(f"unpool: {lit.get(pooled)} windows reach {reach}, "
+                  f"outside {extent}={lit.get(extent)}")
 
 
 def native_units(spec: ConvSpec) -> list[tuple[

@@ -534,6 +534,10 @@ def _cmd_train(args, out) -> int:
         print(f"tuning: {totals['tuning_seconds']:.3f} s "
               f"({totals['tuning_measured']} candidates measured, "
               f"{totals['tuning_memo_hits']} memo hits)", file=out)
+        fused = [f"{row['layer']} ({row['fused']})" for row in report.plan
+                 if row["fused"]]
+        print(f"fused with ReLU + max-pool: {', '.join(fused) or 'none'}",
+              file=out)
     if args.out is not None:
         if str(args.out).endswith(".md"):
             path = report.write_markdown(args.out)

@@ -77,9 +77,13 @@ class SpgCNN:
 
     def _deployed(self, layer, plan: LayerPlan) -> LayerPlan:
         """``plan`` as it now runs on ``layer``: with the lowerings of
-        the engines the layer actually built."""
+        the engines the layer actually built and the fused unit its FP
+        runs as, if any -- resolved here, so a cold build is set-up."""
+        pool = self.network.run_pool(layer)
+        unit = layer.fused_unit(pool) if pool is not None else None
         return replace(plan, fp_lowering=layer.fp_lowering or "",
-                       bp_lowering=layer.bp_lowering or "")
+                       bp_lowering=layer.bp_lowering or "",
+                       fused=unit.artifact if unit is not None else "")
 
     def optimize(self) -> ExecutionPlan:
         """Plan FP for every conv layer and deploy the chosen engines.
@@ -89,10 +93,12 @@ class SpgCNN:
         exists.  Only a BP engine the plan cannot carry (one outside the
         BP candidates) is replaced up front, planned for a dense error.
 
-        Every BP candidate is constructed once here, so whatever its
-        generated kernels need -- emission, a cold C compile and its
-        self-check, the load -- is paid during set-up and a recheck
-        between two training steps finds them built.
+        Every BP candidate is constructed once here, and so is the fused
+        conv + ReLU + max-pool unit of a layer whose FP is deployed on
+        the C stencil kernel, so whatever their generated kernels need --
+        emission, a cold C compile and its self-check, the load -- is
+        paid during set-up and neither a recheck between two training
+        steps nor the first step finds it unbuilt.
         """
         conv_layers = self.network.conv_layers()
         if not conv_layers:

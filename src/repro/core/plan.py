@@ -47,6 +47,10 @@ class LayerPlan:
     #: empty for engines with a single form and for undeployed plans.
     fp_lowering: str = ""
     bp_lowering: str = ""
+    #: The artefact of the compiled conv + ReLU + max-pool unit the
+    #: layer's FP runs as where the network fuses it with the pool after
+    #: its ReLU; empty where the chain runs.
+    fused: str = ""
 
     def __post_init__(self) -> None:
         if self.fp_engine not in FP_CANDIDATES_EXTENDED + (FALLBACK_ENGINE,):

@@ -218,6 +218,14 @@ class CUnit:
     #: ``<S>_FLOATS`` pairs place the sections of the caller's scratch.
     literals: tuple[tuple[str, int], ...]
     kernels: tuple[KernelFacts, ...]
+    #: Exported functions that walk no taps (the fused unit's backward
+    #: scatter), beside one per entry of ``kernels``.
+    helpers: tuple[str, ...] = ()
+
+    @property
+    def exports(self) -> tuple[str, ...]:
+        """The symbol suffix of every exported function."""
+        return tuple(k.symbol for k in self.kernels) + self.helpers
 
     def literal(self, name: str) -> int:
         return dict(self.literals)[name]
@@ -228,13 +236,15 @@ class CUnit:
         return self.literal("SCRATCH_FLOATS")
 
 
-def require(role: str, array: Any, shape: tuple[int, ...]) -> None:
+def require(role: str, array: Any, shape: tuple[int, ...],
+            dtype: type = np.float32) -> None:
     """Refuse anything the C side would misread."""
-    if not isinstance(array, np.ndarray) or array.dtype != np.float32 \
+    if not isinstance(array, np.ndarray) or array.dtype != dtype \
             or not array.flags.c_contiguous or tuple(array.shape) != shape:
         raise ShapeError(
-            f"native kernel needs {role} as a C-contiguous float32 array "
-            f"of shape {shape}, got {getattr(array, 'dtype', type(array))} "
+            f"native kernel needs {role} as a C-contiguous "
+            f"{np.dtype(dtype).name} array of shape {shape}, got "
+            f"{getattr(array, 'dtype', type(array))} "
             f"{getattr(array, 'shape', '')}")
 
 
@@ -257,7 +267,7 @@ class Kernels:
         self.artifact = artifact
         codes = {"p": ctypes.c_void_p, "i": ctypes.c_int64}
         self._functions = {}
-        for suffix in (kernel.symbol for kernel in unit.kernels):
+        for suffix in unit.exports:
             try:
                 function = getattr(lib, f"{unit.name}_{suffix}")
             except AttributeError as error:

@@ -9,14 +9,14 @@ from repro.nn.layers.extras import (
     DropoutLayer,
     LocalResponseNormLayer,
 )
-from repro.nn.layers.fused import FusedConvReluPool, fuse_conv_relu_pool
+from repro.nn.layers.fused import fuse_conv_relu_pool
 from repro.nn.layers.pool import MaxPoolLayer
 
 #: Every layer kind, by the ``kind`` its :meth:`Layer.structure` names:
 #: what rebuilds a network's layer chain from its structure.
 LAYER_KINDS: dict[str, type[Layer]] = {
     cls.kind: cls
-    for cls in (ConvLayer, FusedConvReluPool, ReLULayer, MaxPoolLayer,
+    for cls in (ConvLayer, ReLULayer, MaxPoolLayer,
                 AvgPoolLayer, LocalResponseNormLayer, DropoutLayer,
                 FlattenLayer, DenseLayer)
 }
@@ -30,6 +30,5 @@ __all__ = [
     "ReLULayer",
     "FlattenLayer",
     "DenseLayer",
-    "FusedConvReluPool",
     "fuse_conv_relu_pool",
 ]

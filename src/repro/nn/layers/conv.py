@@ -31,6 +31,13 @@ BP engine for the input error *without* the pad border
 forward correlation that never materialises the border (see
 :mod:`repro.ops.gemm_conv`).
 
+Handed the max-pool after its ReLU (``pool=``, what
+:class:`repro.nn.network.Network` does for every ``conv -> ReLU ->
+max-pool`` run) the layer computes ``pool(relu(conv(x)))`` and its
+backward: one C pass and one C scatter where :meth:`ConvLayer.fused_unit`
+has a unit (bitwise the chain, which is what admits it), the chain
+itself otherwise or when a value is not finite.
+
 Every FP/BP pass emits a telemetry span (``<name>/fp``, ``<name>/bp``)
 and the backward pass additionally records total/useful flop counters
 and a measured goodput gauge (Eqs. 9-10) -- no-ops unless a collector is
@@ -49,6 +56,7 @@ failed on.
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -58,18 +66,23 @@ from repro.core.goodput import measure_sparsity, nonzero_conv_flops
 from repro.core.plan import FALLBACK_ENGINE
 from repro.errors import InjectedFault, ShapeError
 from repro.nn.layers.base import Layer, LayerStructure
-from repro.ops.engine import ConvEngine, make_engine
+from repro.nn.layers.pool import MaxPoolLayer
+from repro.ops.engine import ConvEngine, NativeLowering, make_engine
 from repro.ops.workspace import Workspace
 from repro.resilience import faults
 from repro.resilience.quarantine import QuarantineRegistry, default_registry
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.pool import WorkerPool
+from repro.stencil.loopir import PoolWindow
 
 # Engine modules register themselves on import.
 import repro.ops.gemm_conv  # noqa: F401
 import repro.ops.reference_engine  # noqa: F401
 import repro.sparse.engine  # noqa: F401
 import repro.stencil.engine  # noqa: F401
+
+if TYPE_CHECKING:  # pragma: no cover - loaded only where a unit is built
+    from repro.stencil.emit_c import NativeStencilKernels
 
 DEFAULT_FP_ENGINE = "gemm-in-parallel"
 DEFAULT_BP_ENGINE = "gemm-in-parallel"
@@ -115,7 +128,15 @@ class ConvLayer(Layer):
         self._fp_engine = self._build_engine(fp_engine)
         self._bp_engine = self._build_engine(bp_engine)
         self._cached_padded_input: np.ndarray | None = None
-        # Holds the training path's zero-bordered batch (``_pad_batch``).
+        # What the last training forward given a pool keeps for the
+        # backward given it: ``(unit, pooled out, argmax)`` when it ran
+        # fused, ``(None, ReLU mask, None)`` when it ran the chain.
+        self._pooled: tuple | None = None
+        # ``(FP engine, {pool window: fused unit or None})``: resolved
+        # once per deployed FP engine.
+        self._fusion: tuple[object, dict] = (None, {})
+        # Holds the training path's zero-bordered batch (``_pad_batch``)
+        # and the fused unit's scratch.
         self._workspace = Workspace()
         #: Sparsity of the most recent incoming error gradient.
         self.last_error_sparsity: float = 0.0
@@ -295,11 +316,12 @@ class ConvLayer(Layer):
             self._bp_engine = fallback
 
     def _run_engine(self, phase: str, method: str, primary: np.ndarray,
-                    shared: np.ndarray) -> np.ndarray:
+                    shared: np.ndarray, visited: bool = False) -> np.ndarray:
         """One engine call behind the numeric guard and fault site.
 
         ``backward_data`` is asked for the input error without the pad
-        border, the only part the layer returns.
+        border, the only part the layer returns.  ``visited``: the fused
+        unit already visited the fault site for this call.
 
         A raising engine, a wrong-shape result, or non-finite output from
         finite inputs quarantines the engine and re-runs the call on the
@@ -314,7 +336,8 @@ class ConvLayer(Layer):
             return getattr(engine, method)(primary, shared, **options)
         batch = int(primary.shape[0])
         try:
-            self._visit_fault_site(phase, method, engine.name)
+            if not visited:
+                self._visit_fault_site(phase, method, engine.name)
             out = getattr(engine, method)(primary, shared, **options)
             failure = self._numeric_failure(method, batch, out)
             if failure is None:
@@ -357,6 +380,83 @@ class ConvLayer(Layer):
                 self.degrade(phase, engine.name,
                              f"{type(error).__name__}: {error}")
 
+    # -- fusion with the ReLU + max-pool that follow ------------------------
+
+    def fused_unit(self, pool: MaxPoolLayer) -> NativeStencilKernels | None:
+        """The compiled conv + bias + ReLU + max-pool unit that
+        ``forward(..., pool=pool)`` runs, or ``None``: the chain runs.
+
+        A unit serves where the chain's conv runs the C stencil kernel
+        inline (a pooled layer maps its FP over the workers instead) and
+        the unit of ``(padded spec, pool window)`` resolves: it was
+        admitted only bitwise equal to that chain, forward and backward
+        (:func:`repro.stencil.emit_c.load_stencil_kernels`).  Resolved
+        once per deployed FP engine.
+        """
+        engine, units = self._fusion
+        if engine is not self._fp_engine:
+            engine, units = self._fusion = (self._fp_engine, {})
+        window = PoolWindow(pool.kernel, pool.stride)
+        if window not in units:
+            units[window] = None
+            if (self._pool is None and self.fp_engine_name == "stencil"
+                    and self.fp_lowering == "c"):
+                from repro import native
+                from repro.stencil.emit_c import load_stencil_kernels
+
+                units[window] = native.kernels_for(
+                    load_stencil_kernels, self.padded_spec, None, window)[0]
+        return units[window]
+
+    def _run_fused(self, unit: NativeStencilKernels, padded: np.ndarray,
+                   training: bool) -> np.ndarray | None:
+        """The fused unit's pooled output behind the FP fault site and
+        guard, or ``None`` where the chain must run instead: the unit
+        raised (degraded here, as the guard degrades a raising engine) or
+        read a non-finite conv output (the guard then judges the chain's
+        conv: an engine fault, or poison in the input)."""
+        engine = self.fp_engine_name
+        try:
+            self._visit_fault_site("fp", "forward", engine)
+            out, argmax, nonfinite = unit.fused_forward(
+                padded, self.weights, self.bias,
+                unit.scratch(self._workspace))
+        except Exception as error:  # noqa: BLE001 -- as in _run_engine
+            self.degrade("fp", engine, f"{type(error).__name__}: {error}")
+            return None
+        if nonfinite:
+            return None
+        if training:
+            self._pooled = (unit, out, argmax)
+        return out
+
+    def _relu_pool(self, out: np.ndarray, pool: MaxPoolLayer,
+                   training: bool) -> np.ndarray:
+        """``pool(relu(out))`` as the chain's layers compute it."""
+        if training:
+            self._pooled = (None, out > 0, None)
+        return pool.forward(np.maximum(out, 0), training)
+
+    def _unpool(self, out_error: np.ndarray,
+                pool: MaxPoolLayer) -> np.ndarray:
+        """The conv-shaped error of ``pool``'s output error: the ReLU +
+        max-pool backward of the last training ``forward(..., pool=)``."""
+        if self._pooled is None:
+            raise ShapeError(f"layer {self.name}: backward before forward")
+        unit, out, argmax = self._pooled
+        if unit is not None:
+            conv_error, rejected = unit.unpool(
+                out, argmax, np.ascontiguousarray(out_error))
+            if not rejected:
+                return conv_error
+            # A non-finite error, which the chain's backward spreads over
+            # its whole window: rebuild the chain's caches and run it.
+            act = self._fp_engine.forward(self._cached_padded_input,
+                                          self.weights)
+            act += self.bias[None, :, None, None]
+            self._relu_pool(act, pool, training=True)
+        return pool.backward(out_error) * self._pooled[1]
+
     # -- Layer interface -------------------------------------------------
 
     def params(self) -> dict[str, np.ndarray]:
@@ -394,7 +494,11 @@ class ConvLayer(Layer):
         buf[:, :, p:-p, p:-p] = inputs
         return buf
 
-    def forward(self, inputs: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, inputs: np.ndarray, training: bool = True,
+                pool: MaxPoolLayer | None = None) -> np.ndarray:
+        """The layer's output or, given ``pool`` (the max-pool after this
+        layer's ReLU), ``pool(relu(output))``: fused where
+        :meth:`fused_unit` has a unit, else as the chain."""
         if inputs.ndim != 4 or inputs.shape[1:] != self.spec.input_shape:
             raise ShapeError(
                 f"layer {self.name}: batch input shape {inputs.shape} != "
@@ -403,24 +507,40 @@ class ConvLayer(Layer):
         padded = self._pad_batch(inputs, training)
         if training:
             self._cached_padded_input = padded
+            self._pooled = None
+        unit = self.fused_unit(pool) if pool is not None else None
+        if unit is not None and not NativeLowering._native_operands(
+                padded, self.weights, self.bias):
+            unit = None
         with telemetry.span(f"{self.name}/fp", layer=self.name, phase="fp",
                             engine=self.fp_engine_name,
                             batch=int(inputs.shape[0]),
-                            lowering=self.fp_lowering):
-            out = self._run_engine("fp", "forward", padded, self.weights)
+                            lowering=self.fp_lowering,
+                            **({} if unit is None else {"fused": "relu+pool"})):
+            if unit is not None:
+                pooled = self._run_fused(unit, padded, training)
+                if pooled is not None:
+                    return pooled
+            out = self._run_engine("fp", "forward", padded, self.weights,
+                                   visited=unit is not None)
             out += self.bias[None, :, None, None]
-        return out
+        return out if pool is None else self._relu_pool(out, pool, training)
 
-    def backward(self, out_error: np.ndarray,
-                 need_input_error: bool = True) -> np.ndarray | None:
+    def backward(self, out_error: np.ndarray, need_input_error: bool = True,
+                 pool: MaxPoolLayer | None = None) -> np.ndarray | None:
         """Accumulate dW/db and return the input error.
 
         With ``need_input_error=False`` the BP-data call is skipped and
         ``None`` returned: nothing consumes the error of the layer the
         images feed (see :meth:`repro.nn.network.Network.backward`).
+        Given ``pool``, ``out_error`` is the pool's output error and the
+        ReLU + max-pool backward of the last ``forward(..., pool=pool)``
+        runs first.
         """
         if self._cached_padded_input is None:
             raise ShapeError(f"layer {self.name}: backward before forward")
+        if pool is not None:
+            out_error = self._unpool(out_error, pool)
         sparsity = measure_sparsity(out_error)
         self.last_error_sparsity = sparsity
         batch = int(out_error.shape[0])

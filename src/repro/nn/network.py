@@ -7,8 +7,10 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.nn.layers.activations import ReLULayer
 from repro.nn.layers.base import Layer, LayerStructure
 from repro.nn.layers.conv import ConvLayer, ReplicaConvLayer
+from repro.nn.layers.pool import MaxPoolLayer
 from repro.runtime.parallel import ShardedStep
 
 
@@ -30,6 +32,15 @@ class Network:
         self.scheduler = "barrier"
         self._dag_runner = None
         self._sharder: ShardedStep | None = None
+        #: Every ``conv -> ReLU -> max-pool`` run, by the conv's index:
+        #: what :meth:`forward` fuses where the conv has a unit for it.
+        self._runs = {
+            index: (conv, relu, pool) for index, (conv, relu, pool)
+            in enumerate(zip(self.layers, self.layers[1:], self.layers[2:]))
+            if isinstance(conv, ConvLayer) and isinstance(relu, ReLULayer)
+            and isinstance(pool, MaxPoolLayer)}
+        # The runs the last training forward fused: backward's to undo.
+        self._fused: set[int] = set()
         # Validate the shape chain eagerly so misconfigured nets fail fast.
         self.layer_shapes = [self.input_shape]
         shape = self.input_shape
@@ -46,6 +57,12 @@ class Network:
         """The convolution layers, in order (spg-CNN's optimization targets)."""
         return [layer for layer in self.layers if isinstance(layer, ConvLayer)]
 
+    def run_pool(self, conv: ConvLayer) -> MaxPoolLayer | None:
+        """The max-pool ending the ``conv -> ReLU -> max-pool`` run that
+        ``conv`` starts, if it starts one."""
+        return next((pool for first, _, pool in self._runs.values()
+                     if first is conv), None)
+
     def structure(self) -> tuple[LayerStructure, ...]:
         """Every layer's :meth:`Layer.structure`, in order."""
         return tuple(layer.structure() for layer in self.layers)
@@ -57,13 +74,11 @@ class Network:
 
         Freshly initialised: the caller rebinds the parameters
         (:meth:`Layer.bind_params`).  Conv layers report engine failures
-        instead of recording them (:class:`ReplicaConvLayer`); a fused
-        layer that loaded other machine code than planned refuses.
+        instead of recording them (:class:`ReplicaConvLayer`).
         """
-        from repro.nn.layers import LAYER_KINDS, fused
+        from repro.nn.layers import LAYER_KINDS
 
-        kinds = {**LAYER_KINDS, ConvLayer.kind: ReplicaConvLayer,
-                 fused.FusedConvReluPool.kind: fused.ReplicaFusedConvReluPool}
+        kinds = {**LAYER_KINDS, ConvLayer.kind: ReplicaConvLayer}
         return cls([kinds[kind](name=name, **dict(options))
                     for kind, name, options in structure], input_shape)
 
@@ -106,16 +121,37 @@ class Network:
         return runner
 
     def forward(self, inputs: np.ndarray, training: bool = True) -> np.ndarray:
-        """Run FP through every layer."""
+        """Run FP through every layer.
+
+        A ``conv -> ReLU -> max-pool`` run whose conv has a fused unit
+        for the window (:meth:`ConvLayer.fused_unit`) runs as one call of
+        the conv given the pool; the ReLU and pool layers' caches are
+        cleared, so a stray per-layer backward raises instead of reading
+        stale ones.  Every other layer runs on its own.
+        """
         if self.scheduler == "dag":
             return self._dag().forward(inputs, training=training)
         if inputs.shape[1:] != self.input_shape:
             raise ShapeError(
                 f"batch input shape {inputs.shape} != (B, *{self.input_shape})"
             )
+        if training:
+            self._fused = set()
         activations = inputs
-        for layer in self.layers:
-            activations = layer.forward(activations, training=training)
+        index = 0
+        while index < len(self.layers):
+            run = self._runs.get(index)
+            if run is None or run[0].fused_unit(run[2]) is None:
+                activations = self.layers[index].forward(activations,
+                                                         training=training)
+                index += 1
+                continue
+            conv, relu, pool = run
+            if training:
+                relu._cached_mask = pool._cached_selectors = None
+                self._fused.add(index)
+            activations = conv.forward(activations, training, pool=pool)
+            index += 3
         return activations
 
     def backward(self, out_error: np.ndarray,
@@ -130,8 +166,17 @@ class Network:
         if self.scheduler == "dag":
             return self._dag().backward(out_error, need_input_error)
         error: np.ndarray | None = out_error
-        for index in range(len(self.layers) - 1, -1, -1):
-            error = self.backward_layer(index, error, need_input_error)
+        index = len(self.layers) - 1
+        while index >= 0:
+            start = index - 2
+            if start in self._fused:
+                error = self.layers[start].backward(
+                    error, need_input_error or start > 0,
+                    pool=self.layers[index])
+                index = start - 1
+            else:
+                error = self.backward_layer(index, error, need_input_error)
+                index -= 1
         return error
 
     def backward_layer(self, index: int, out_error: np.ndarray,

@@ -163,6 +163,8 @@ class RunReport:
                     engine = row[f"{phase}_engine"]
                     if row.get(f"{phase}_lowering"):
                         engine += f" [{row[f'{phase}_lowering']}]"
+                    if phase == "fp" and row.get("fused"):
+                        engine += f" fused with ReLU + pool ({row['fused']})"
                     lines.append(f"- {row['layer']} {phase.upper()}: "
                                  f"{engine} ({timings})")
             lines.append("")
@@ -304,13 +306,16 @@ class TrainingMonitor:
                 "fp_count": 0, "fp_seconds": 0.0,
                 "bp_count": 0, "bp_seconds": 0.0,
                 "fp_engine": None, "bp_engine": None,
-                "fp_lowering": None, "bp_lowering": None,
+                "fp_lowering": None, "bp_lowering": None, "fp_fused": None,
                 "sparsity_first": None, "sparsity_last": None,
             })
             entry[f"{phase}_count"] += 1
             entry[f"{phase}_seconds"] += span.seconds
             entry[f"{phase}_engine"] = span.attrs.get("engine")
             entry[f"{phase}_lowering"] = span.attrs.get("lowering")
+            if phase == "fp":
+                # What the conv ran fused with ("relu+pool"), if anything.
+                entry["fp_fused"] = span.attrs.get("fused")
             if phase == "bp" and "sparsity" in span.attrs:
                 sparsity = float(span.attrs["sparsity"])
                 if entry["sparsity_first"] is None:
@@ -367,7 +372,8 @@ class TrainingMonitor:
             rows.append([
                 name,
                 s["fp_engine"] or "-",
-                s["fp_lowering"] or "-",
+                "+".join(filter(None, (s["fp_lowering"], s["fp_fused"])))
+                or "-",
                 f"{s['fp_seconds'] * 1e3:.1f}",
                 s["bp_engine"] or "-",
                 s["bp_lowering"] or "-",
@@ -423,7 +429,7 @@ class TrainingMonitor:
                  "fp_engine": p.fp_engine, "fp_lowering": p.fp_lowering,
                  "fp_timings": dict(p.fp_timings),
                  "bp_engine": p.bp_engine, "bp_lowering": p.bp_lowering,
-                 "bp_timings": dict(p.bp_timings)}
+                 "bp_timings": dict(p.bp_timings), "fused": p.fused}
                 for p in (plan.layers if plan is not None else ())
             ],
         )

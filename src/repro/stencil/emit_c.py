@@ -22,7 +22,10 @@ register-blocked, per-shape direct convolution of Georganas et al.:
   arrays: no layout change, no scratch -- except ``fused_fp``, where the
   same block code fills the nest's TILE-scoped ``act`` buffer (caller's
   scratch) and bias + ReLU + max-pool (first maximum in row-major window
-  order) + argmax run from it before anything reaches memory.
+  order) + argmax run from it before anything reaches memory, counting
+  the non-finite values it read; the unit's second export is the matching
+  backward (ReLU mask + argmax scatter into the conv-shaped error), which
+  :class:`repro.nn.layers.conv.ConvLayer` runs when it fuses.
 
 The FMA order per output element is this printer's constant
 (:func:`column_taps`), which keeps fused == chain bitwise under this
@@ -47,6 +50,7 @@ from repro.native import (
     CUnit,
     KernelFacts,
     Kernels,
+    NativeBuildError,
     check_agrees,
     kernels_for,
     load_kernels,
@@ -181,10 +185,13 @@ def _block_function(spec: ConvSpec, tables: str, features: int, rows: int,
 
 _POOL_STORE = """\
 /* bias + ReLU + max-pool of `features` x `rows` pooled rows of the act
-   tile: the first maximum in row-major window order and its index. */
-static void pool_store(const float *act, const float *bias, float *out,
-                       int64_t *arg, int features, int rows)
+   tile: the first maximum in row-major window order and its index.
+   Returns how many biased conv outputs it read were not finite: the
+   compares below drop NaN, where the chain's np.maximum keeps it. */
+static int64_t pool_store(const float *act, const float *bias, float *out,
+                          int64_t *arg, int features, int rows)
 {
+    int64_t nonfinite = 0;
     for (int f = 0; f < features; f++)
         for (int p = 0; p < rows; p++)
             for (int q = 0; q < PX; q++) {
@@ -194,13 +201,46 @@ static void pool_store(const float *act, const float *bias, float *out,
                 for (int wy = 0; wy < PK; wy++)
                     for (int wx = 0; wx < PK; wx++) {
                         float v = a[wy * OX + wx] + bias[f];
+                        nonfinite += !isfinite(v);
                         v = v > 0 ? v : 0;
                         if (v > best) { best = v; at = wy * PK + wx; }
                     }
                 out[(f * PY + p) * PX + q] = best;
                 arg[(f * PY + p) * PX + q] = at;
             }
+    return nonfinite;
 }
+"""
+
+#: The fused unit's backward: ReLU mask (pooled output > 0) and max-pool
+#: routing of a pooled error into the conv-shaped one, each window's
+#: error added at its argmax in row-major window order -- the order the
+#: chain's max-pool backward sums overlapping windows in.
+UNPOOL = """\
+void {name}_unpool(const float *out, const int64_t *arg, const float *err,
+        float *conv_err, int64_t *rejected, int64_t batch)
+{{
+    int64_t bad = 0;
+    for (int64_t i = 0; i < batch * NF; i++) {{
+        const float *o = out + i * (PY * PX), *e = err + i * (PY * PX);
+        const int64_t *a = arg + i * (PY * PX);
+        float *c = conv_err + i * (OY * OX);
+        for (int k = 0; k < OY * OX; k++)
+            c[k] = 0;
+        for (int p = 0; p < PY; p++)
+            for (int q = 0; q < PX; q++) {{
+                const int w = p * PX + q;
+                const int64_t t = a[w];
+                if (!isfinite(e[w]) || t < 0 || t >= PK * PK) {{
+                    bad++;
+                    continue;
+                }}
+                if (o[w] > 0)
+                    c[(p * PS + t / PK) * OX + q * PS + t % PK] += e[w];
+            }}
+    }}
+    *rejected = bad;
+}}
 """
 
 
@@ -210,9 +250,11 @@ def emit_stencil_c_unit(spec: ConvSpec,
     """Print ``pipeline``'s scheduled nest for ``spec`` as one C unit.
 
     ``fp`` exports ``<name>_fp(in, w, out, batch)``; ``fused_fp`` exports
-    ``<name>_fused(in, w, bias, out, argmax, batch, scratch)`` with
-    ``argmax`` an ``int64`` array and ``scratch`` ``SCRATCH_FLOATS``
-    floats.  All arrays are C-contiguous in the engines' layouts.
+    ``<name>_fused(in, w, bias, out, argmax, batch, scratch, nonfinite)``
+    with ``argmax`` an ``int64`` array, ``scratch`` ``SCRATCH_FLOATS``
+    floats and ``nonfinite`` one ``int64``, and its backward
+    ``<name>_unpool(out, argmax, err, conv_err, rejected, batch)``.  All
+    arrays are C-contiguous in the engines' layouts.
     """
     if (spec.sy, spec.sx) != (1, 1):
         raise CodegenError(f"the stencil C printer covers stride-1 "
@@ -276,7 +318,7 @@ def emit_stencil_c_unit(spec: ConvSpec,
             rows = _split(pool.rows_needed(np_), block[1])
             return _for_runs("f", features, indent, lambda f, nf, pad: [
                 *conv_blocks(f, nf, rows, f"{p} * PS", "act", pad),
-                f"{pad}pool_store(act, bias + {f}, "
+                f"{pad}bad += pool_store(act, bias + {f}, "
                 f"ob + ({f} * PY + {p}) * PX, ab + ({f} * PY + {p}) * PX, "
                 f"{nf}, {np_});"])
 
@@ -284,14 +326,16 @@ def emit_stencil_c_unit(spec: ConvSpec,
             f"void {name}_fused(const float *in, const float *wt, "
             f"const float *bias,",
             "        float *out, int64_t *arg, int64_t batch, "
-            "float *scratch)", "{",
+            "float *scratch, int64_t *nonfinite)", "{",
             "    float *act = scratch + ACT_OFF;",
+            "    int64_t bad = 0;",
             "    for (int64_t b = 0; b < batch; b++) {",
             "        const float *ib = in + b * (NC * NY * NX);",
             "        float *ob = out + b * (NF * PY * PX);",
             "        int64_t *ab = arg + b * (NF * PY * PX);",
             *_for_runs("p", pool_rows, "        ", pool_block),
-            "    }", "}"]
+            "    }", "    *nonfinite = bad;", "}", "",
+            UNPOOL.format(name=name)]
         written = tuple(product(features, pool_rows, [(0, px)]))
     taps = column_taps(spec)
     facts = KernelFacts(
@@ -299,7 +343,8 @@ def emit_stencil_c_unit(spec: ConvSpec,
         tap_w=tuple(ky * spec.fx + kx for ky, kx in taps),
         tap_off=tuple(ky * spec.nx + kx for ky, kx in taps))
     lines = [f"/* Generated stencil kernel for {spec.describe()}: "
-             f"{pipeline.describe()}. */", "#include <stdint.h>"]
+             f"{pipeline.describe()}. */", "#include <stdint.h>",
+             *(["#include <math.h>"] if pool else [])]
     lines += [f"#define {key} {value}" for key, value in literals.items()]
     # One-float "vectors" too: scalar code would be open to the
     # auto-vectorizer, which regroups multiplies and so decides per block
@@ -312,7 +357,8 @@ def emit_stencil_c_unit(spec: ConvSpec,
         lines += ["", *text]
     lines += ["", *([_POOL_STORE] if pool else []), *main, ""]
     return CUnit(name=name, source="\n".join(lines),
-                 literals=tuple(literals.items()), kernels=(facts,))
+                 literals=tuple(literals.items()), kernels=(facts,),
+                 helpers=("unpool",) if pool else ())
 
 
 # -- the loaded unit ----------------------------------------------------------
@@ -320,7 +366,7 @@ def emit_stencil_c_unit(spec: ConvSpec,
 class NativeStencilKernels(Kernels):
     """The C kernel of one ``(spec, pipeline)``, callable on numpy arrays."""
 
-    EXPORTS = {"fp": "pppi", "fused": "pppppip"}
+    EXPORTS = {"fp": "pppi", "fused": "pppppipp", "unpool": "pppppi"}
 
     def forward(self, inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """``[B, Nf, Oy, Ox]`` convolution of a batch (Eq. 2, no bias)."""
@@ -332,22 +378,45 @@ class NativeStencilKernels(Kernels):
         self.call("fp", inputs, weights, out, batch)
         return out
 
+    def _pooled_shape(self, batch: int) -> tuple[int, ...]:
+        unit = self.unit
+        return (batch, self.spec.nf, unit.literal("PY"), unit.literal("PX"))
+
     def fused_forward(self, inputs: np.ndarray, weights: np.ndarray,
                       bias: np.ndarray, scratch: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      ) -> tuple[np.ndarray, np.ndarray, int]:
         """Pooled activations ``[B, Nf, Py, Px]`` of conv + bias + ReLU
-        + max-pool and their ``int64`` flat window indices."""
-        spec, unit = self.spec, self.unit
+        + max-pool, their ``int64`` flat window indices, and how many of
+        the biased conv outputs read were not finite (where that is not
+        0 the pooled values are not the chain's)."""
+        spec = self.spec
         batch = int(inputs.shape[0])
         require("inputs", inputs, (batch,) + spec.input_shape)
         require("weights", weights, spec.weight_shape)
         require("bias", bias, (spec.nf,))
-        require("scratch", scratch, (unit.scratch_floats,))
-        shape = (batch, spec.nf, unit.literal("PY"), unit.literal("PX"))
-        out = np.empty(shape, dtype=np.float32)
-        argmax = np.empty(shape, dtype=np.int64)
-        self.call("fused", inputs, weights, bias, out, argmax, batch, scratch)
-        return out, argmax
+        require("scratch", scratch, (self.unit.scratch_floats,))
+        out = np.empty(self._pooled_shape(batch), dtype=np.float32)
+        argmax = np.empty(out.shape, dtype=np.int64)
+        nonfinite = np.zeros(1, dtype=np.int64)
+        self.call("fused", inputs, weights, bias, out, argmax, batch, scratch,
+                  nonfinite)
+        return out, argmax, int(nonfinite[0])
+
+    def unpool(self, out: np.ndarray, argmax: np.ndarray, error: np.ndarray
+               ) -> tuple[np.ndarray, int]:
+        """The conv-shaped error ``[B, Nf, Oy, Ox]`` of the pooled
+        ``error`` (masked where ``out`` is not positive, added at each
+        window's ``argmax``), and how many windows it left out: their
+        error was not finite, or their index named no window element."""
+        batch = int(out.shape[0])
+        shape = self._pooled_shape(batch)
+        require("out", out, shape)
+        require("argmax", argmax, shape, np.int64)
+        require("error", error, shape)
+        conv_error = np.empty((batch,) + self.spec.output_shape, np.float32)
+        rejected = np.zeros(1, dtype=np.int64)
+        self.call("unpool", out, argmax, error, conv_error, rejected, batch)
+        return conv_error, int(rejected[0])
 
 
 def _self_check(kernels: NativeStencilKernels,
@@ -358,11 +427,14 @@ def _self_check(kernels: NativeStencilKernels,
     each plane's four corners (where an off-by-one tap offset or block
     bound lands outside the array, or on the wrong weight).
 
-    The fused kernel is judged through its chain -- conv, bias, ReLU,
-    window maximum; pooled values and the elements the argmax names --
-    and bit for bit where the chain's conv is the FP kernel's C unit:
-    what the fused layer promises is checked where a compiler could
-    break it.
+    The fused unit is judged through its chain, bit for bit, and only
+    where that chain's conv is the FP kernel's C unit: conv, bias, ReLU,
+    window maximum (pooled values and the elements the argmax names),
+    and backward the error masked by ``out > 0`` and added at the argmax
+    in row-major window order.  A poisoned input and a poisoned error
+    must be counted, not swallowed: the conv layer re-runs the chain on
+    that count.  So what a conv layer deploys in place of its chain is
+    checked on every host where a compiler could break it.
     """
     spec = kernels.spec
     rng = np.random.default_rng(0)
@@ -371,26 +443,50 @@ def _self_check(kernels: NativeStencilKernels,
     random = rng.standard_normal((2,) + spec.input_shape).astype(np.float32)
     edge = np.zeros_like(random[:1])
     edge[:, :, ::max(spec.ny - 1, 1), ::max(spec.nx - 1, 1)] = 1.0
-    chain = kernels_for(load_stencil_kernels, spec, None)[0] if pool else None
-    for name, inputs in (("random", random), ("edge", edge)):
-        where = f"({name}) for {spec.describe()}"
-        if pool is None:
-            check_agrees(f"forward{where}", kernels.forward(inputs, weights),
+    if pool is None:
+        for name, inputs in (("random", random), ("edge", edge)):
+            check_agrees(f"forward ({name}) for {spec.describe()}",
+                         kernels.forward(inputs, weights),
                          python_forward(spec, pipeline, inputs, weights))
+        return
+    chain, reason = kernels_for(load_stencil_kernels, spec, None)
+    if chain is None:
+        raise NativeBuildError(f"no C FP unit to check the fused unit "
+                               f"against: {reason}")
+    poisoned = random[:1].copy()
+    poisoned[0, 0, 0, 0] = np.nan
+    for name, inputs in (("random", random), ("edge", edge),
+                         ("poisoned", poisoned)):
+        where = f"({name}) for {spec.describe()}"
+        out, argmax, nonfinite = kernels.fused_forward(
+            inputs, weights, bias, kernels.scratch(Workspace()))
+        error = rng.standard_normal(out.shape).astype(np.float32)
+        conv_error, rejected = kernels.unpool(out, argmax, error)
+        if (nonfinite > 0) != (name == "poisoned") or rejected:
+            raise NativeBuildError(f"native fused kernel counted {nonfinite} "
+                                   f"non-finite outputs, rejected {rejected} "
+                                   f"errors {where}")
+        if nonfinite:
             continue
-        out, argmax = kernels.fused_forward(inputs, weights, bias,
-                                            kernels.scratch(Workspace()))
-        conv = chain.forward(inputs, weights) if chain else \
-            python_forward(spec, None, inputs, weights)
-        act = np.maximum(conv + bias[None, :, None, None], 0)
+        act = np.maximum(chain.forward(inputs, weights)
+                         + bias[None, :, None, None], 0)
         windows = np.lib.stride_tricks.sliding_window_view(
             act, (pool.kernel,) * 2, axis=(2, 3)
         )[:, :, ::pool.stride, ::pool.stride]
         wy, wx = np.divmod(argmax, pool.kernel)
         b, f, p, q = np.indices(argmax.shape)
-        for what, want in (("forward", windows.max(axis=(4, 5))),
-                           ("argmax", windows[b, f, p, q, wy, wx])):
-            check_agrees(f"fused {what}{where}", out, want, exact=bool(chain))
+        routed = np.zeros_like(act)
+        np.add.at(routed, (b, f, p * pool.stride + wy, q * pool.stride + wx),
+                  np.where(out > 0, error, 0))
+        for what, got, want in (
+                ("forward", out, windows.max(axis=(4, 5))),
+                ("argmax", out, windows[b, f, p, q, wy, wx]),
+                ("backward", conv_error, routed)):
+            check_agrees(f"fused {what}{where}", got, want, exact=True)
+    error[0, 0, 0, 0] = np.inf
+    if kernels.unpool(out, argmax, error)[1] != 1:
+        raise NativeBuildError(f"native fused backward routed a non-finite "
+                               f"error for {spec.describe()}")
 
 
 def load_stencil_kernels(spec: ConvSpec, pipeline: SchedulePipeline | None,

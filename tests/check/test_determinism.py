@@ -111,3 +111,20 @@ class TestPipelineKeyedCache:
         k2b = stencil_emit.emit_fused_forward_kernel(_spec(), 2)
         assert k2b is k2
         assert stencil_emit.emit_fused_forward_kernel.cache_info().hits == 1
+
+    def test_fused_c_units_are_keyed_by_the_pool_window(self):
+        """What a conv layer deploys when it fuses: one C unit per
+        ``(spec, pool window)``, byte-identical on re-emission, named (so
+        cached) apart from every other window's."""
+        from repro.stencil import emit_c
+
+        def unit(kernel, stride):
+            return emit_c.emit_stencil_c_unit(_spec(), emit_c.host_pipeline(
+                None, "fused_fp", kernel, stride))
+
+        first = unit(3, 2)
+        emit_c.emit_stencil_c_unit.cache_clear()
+        again = unit(3, 2)
+        assert again.source == first.source and again.name == first.name
+        assert again.exports == ("fused", "unpool")
+        assert len({unit(k, s).name for k, s in ((2, 2), (3, 2), (2, 1))}) == 3

@@ -440,6 +440,40 @@ class TestNativeUnit:
         assert "scratch section ACT holds" in _messages(verify_native_unit(
             with_literals(FB=unit.literal("FB") + 1), nests, "ragged"))
 
+    @pytest.mark.parametrize("window", [(2, 2), (3, 2)], ids=["2/2", "3/2"])
+    def test_fused_backward_writes_stay_inside_the_conv_error(self, window):
+        """The unpool export: its literals restate the spec and the pool
+        window, the last window's reach stays inside ``OY x OX``, and the
+        scatter is the one whose writes that bound covers."""
+        from repro.stencil.emit_c import emit_stencil_c_unit, host_pipeline
+
+        pipeline = host_pipeline(None, "fused_fp", *window)
+        unit = emit_stencil_c_unit(self.RAGGED, pipeline)
+        nests = {"fused": pipeline.build_nest(self.RAGGED)}
+        assert unit.helpers == ("unpool",)
+        assert verify_native_unit(unit, nests, "ragged") == []
+
+        def changed(source=unit.source, **literals):
+            for key, value in literals.items():
+                source = source.replace(f"#define {key} {unit.literal(key)}\n",
+                                        f"#define {key} {value}\n")
+            return dataclasses.replace(unit, source=source, literals=tuple(
+                (k, literals.get(k, v)) for k, v in unit.literals))
+
+        messages = _messages(verify_native_unit(
+            changed(PY=unit.literal("PY") + 1), nests, "ragged"))
+        assert "PY emitted as" in messages
+        assert "unpool: " in messages and "outside OY=" in messages
+        assert "outside OX=" in _messages(verify_native_unit(
+            changed(PS=unit.literal("PS") + 1), nests, "ragged"))
+        unguarded = changed(source=unit.source.replace(
+            "t < 0 || t >= PK * PK", "t < 0"))
+        assert "not the scatter the printer emits" in _messages(
+            verify_native_unit(unguarded, nests, "ragged"))
+        assert "helpers () are not the expected" in _messages(
+            verify_native_unit(dataclasses.replace(unit, helpers=()),
+                               nests, "ragged"))
+
     def test_every_unit_of_every_spec_gets_checked(self, doctor):
         install, _ = doctor
 

@@ -1,9 +1,15 @@
-"""The fused conv+ReLU+pool layer: bit-identity and traffic payoff.
+"""Fusion as a deployment of the conv -> ReLU -> max-pool chain.
 
-Acceptance gate of the schedulable-IR PR: on every zoo network's
-conv->pool geometry the fused kernel must be *bitwise* identical to the
-unfused stencil chain -- forward and backward, on every backend -- while
-the machine model prices strictly less private+shared traffic.
+Where a conv's FP runs the C stencil kernel inline, ``Network`` runs each
+``conv -> ReLU -> max-pool`` run as one call of the conv given the pool:
+the compiled unit forward, its scatter backward.  Pinned here: that is
+the chain bit for bit -- outputs, argmax-routed errors, every gradient,
+for non-overlapping and overlapping windows -- and so is its handling of
+NaN / inf, of a unit that computes non-finite values from finite inputs
+and of a stray per-layer backward; without a compiler or with a GEMM FP
+engine the chain runs; ``repro train`` and the sharded step see the same
+numbers as the chain; the probe's call shape survives; the fusion model
+prices less traffic than the chain.
 """
 
 import os
@@ -11,11 +17,22 @@ import os
 import numpy as np
 import pytest
 
+from repro import native, telemetry
+from repro.core.autotuner import CostBackend
+from repro.errors import ShapeError
 from repro.nn.layers.activations import ReLULayer
 from repro.nn.layers.conv import ConvLayer
-from repro.nn.layers.fused import FusedConvReluPool, fuse_conv_relu_pool
+from repro.nn.layers.fused import fuse_conv_relu_pool
 from repro.nn.layers.pool import MaxPoolLayer
+from repro.nn.netdef import build_network
+from repro.nn.sgd import SGDTrainer
 from repro.nn.zoo import alexnet_small, cifar10_net, imagenet100_net, mnist_net
+from repro.resilience.faults import FaultPlan, FaultSpec, inject
+from repro.resilience.quarantine import default_registry
+from repro.stencil import emit_c
+from repro.stencil.loopir import chain_estimate, estimate_nest
+from repro.stencil.passes import default_pipeline
+from tests.conftest import needs_cc
 
 
 def _conv_pool_geometries():
@@ -38,6 +55,15 @@ def _conv_pool_geometries():
 GEOMETRIES = _conv_pool_geometries()
 
 
+def _twin(conv):
+    """A conv with ``conv``'s engines and parameters, run as the chain."""
+    twin = ConvLayer(conv.spec, name=conv.name, fp_engine=conv.fp_engine_name,
+                     bp_engine=conv.bp_engine_name)
+    twin.weights, twin.bias = conv.weights.copy(), conv.bias.copy()
+    twin.fused_unit = lambda pool: None
+    return twin
+
+
 @pytest.mark.parametrize(
     "net_name,spec,pk,ps", GEOMETRIES,
     ids=[f"{n}-{s.describe()}" for n, s, _, _ in GEOMETRIES],
@@ -51,103 +77,382 @@ class TestBitIdentityOnZooNetworks:
             spec.weight_shape
         ).astype(np.float32)
         conv.bias = rng.standard_normal(spec.nf).astype(np.float32)
-        pool = MaxPoolLayer(pk, ps)
+        chain, pool, relu = _twin(conv), MaxPoolLayer(pk, ps), ReLULayer()
         fused = fuse_conv_relu_pool(conv, pool)
-        try:
-            x = rng.standard_normal(
-                (2, *spec.input_shape)
-            ).astype(np.float32)
-            want = pool.forward(ReLULayer().forward(conv.forward(x)))
-            got = fused.forward(x)
-            assert np.array_equal(got, want)
+        x = rng.standard_normal((2, *spec.input_shape)).astype(np.float32)
+        got = fused.forward(x)
+        want = pool.forward(relu.forward(chain.forward(x)))
+        assert np.array_equal(got, want)
+        err = rng.standard_normal(want.shape).astype(np.float32)
+        want_err = chain.backward(relu.backward(pool.backward(err)))
+        assert np.array_equal(fused.backward(err), want_err)
+        assert np.array_equal(conv.d_weights, chain.d_weights)
+        assert np.array_equal(conv.d_bias, chain.d_bias)
 
-            err = rng.standard_normal(want.shape).astype(np.float32)
-            relu = ReLULayer()
-            relu.forward(conv.forward(x))  # rebuild the chain caches
-            pool.forward(relu.forward(conv.forward(x)))
-            conv.d_weights[:] = 0
-            conv.d_bias[:] = 0
-            want_err = conv.backward(relu.backward(pool.backward(err)))
-            got_err = fused.backward(err)
-            assert np.array_equal(got_err, want_err)
-            assert np.array_equal(fused.d_weights, conv.d_weights)
-            assert np.array_equal(fused.d_bias, conv.d_bias)
-        finally:
+    def test_fused_traffic_strictly_below_chain(self, net_name, spec, pk, ps):
+        padded = spec.pre_padded()
+        fused = estimate_nest(default_pipeline(
+            "fused_fp", pool_kernel=pk, pool_stride=ps).build_nest(padded))
+        chain = chain_estimate(padded, pk, ps)
+        assert (fused.private_elems + fused.shared_elems
+                < chain.private_elems + chain.shared_elems), spec.describe()
+
+
+# -- the network ----------------------------------------------------------------
+
+def _net(window, seed=0, fp_engine="stencil", threads=None,
+         backend="thread"):
+    """Two ``conv -> ReLU -> max-pool`` runs and a classifier, with FP on
+    ``fp_engine`` and biases that move the ReLU threshold."""
+    kernel, stride = window
+    pool = {"type": "pool", "kernel": kernel, "stride": stride}
+    net = build_network({"name": "fusable", "input": [3, 16, 16], "layers": [
+        {"type": "conv", "features": 6, "kernel": 3, "pad": 1}, {"type": "relu"},
+        pool,
+        {"type": "conv", "features": 5, "kernel": 3, "pad": 1}, {"type": "relu"},
+        pool,
+        {"type": "flatten"}, {"type": "dense", "features": 4}]},
+        rng=np.random.default_rng(seed), threads=threads, backend=backend)
+    bias = np.random.default_rng(seed + 1)
+    for conv in net.conv_layers():
+        conv.set_fp_engine(fp_engine)
+        conv.bias = bias.standard_normal(conv.spec.nf).astype(np.float32)
+    return net
+
+
+def _chain(net):
+    """``net``'s twin (same parameters and engines) that never fuses."""
+    twin = _net((net.layers[2].kernel, net.layers[2].stride),
+                fp_engine=net.conv_layers()[0].fp_engine_name)
+    for (_, mine, _), (_, theirs, _) in zip(twin.parameters(),
+                                             net.parameters()):
+        mine[...] = theirs
+    for conv in twin.conv_layers():
+        conv.fused_unit = lambda pool: None
+    return twin
+
+
+def _pass(net, x, err, need_input_error=True):
+    net.zero_grads()
+    out = net.forward(x)
+    in_err = net.backward(err, need_input_error=need_input_error)
+    return out, in_err, [g.copy() for _, _, g in net.parameters()]
+
+
+WINDOWS = pytest.mark.parametrize("window", [(2, 2), (3, 2)],
+                                  ids=["2/2", "3/2"])
+
+
+@needs_cc
+@WINDOWS
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("need_input_error", [True, False])
+def test_network_pass_equals_the_chain_bitwise(window, batch,
+                                               need_input_error, rng):
+    net = _net(window)
+    chain = _chain(net)
+    x = rng.standard_normal((batch, 3, 16, 16)).astype(np.float32)
+    err = rng.standard_normal((batch, 4)).astype(np.float32)
+    got = _pass(net, x, err, need_input_error)
+    assert net._fused == {0, 3}, "both runs fuse"
+    want = _pass(chain, x, err, need_input_error)
+    assert chain._fused == set()
+    assert np.array_equal(got[0], want[0])
+    if need_input_error:
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got[1] is None is want[1]
+    for mine, theirs in zip(got[2], want[2]):
+        assert np.array_equal(mine, theirs)
+
+
+@needs_cc
+@WINDOWS
+def test_routed_errors_are_the_chains(window, rng):
+    """The conv-shaped error the scatter builds is the one the chain's
+    max-pool and ReLU backward build, element for element."""
+    net = _net(window)
+    conv, relu, pool = net.layers[:3]
+    x = rng.standard_normal((3, 3, 16, 16)).astype(np.float32)
+    pooled = conv.forward(x, True, pool=pool)
+    assert conv._pooled[0] is not None           # it ran fused
+    err = rng.standard_normal(pooled.shape).astype(np.float32)
+    routed = conv._unpool(err, pool)
+    assert np.array_equal(pooled, pool.forward(relu.forward(
+        conv.forward(x))))
+    assert np.array_equal(routed, relu.backward(pool.backward(err)))
+
+
+def _poisoned(rng, batch=2):
+    x = rng.standard_normal((batch, 3, 16, 16)).astype(np.float32)
+    x[0, 0, 5, 5] = np.nan
+    x[-1, 1, 9, 3] = -np.inf
+    x[-1, 2, 0, 15] = np.inf
+    return x
+
+
+@needs_cc
+@WINDOWS
+def test_non_finite_operands_behave_as_in_the_chain(window, rng):
+    """The store counts what its compares would swallow, and such a call
+    re-runs as the chain: NaN propagates exactly as there."""
+    net = _net(window)
+    chain = _chain(net)
+    x = _poisoned(rng)
+    err = rng.standard_normal((2, 4)).astype(np.float32)
+    got, want = _pass(net, x, err), _pass(chain, x, err)
+    assert not np.isfinite(want[0]).all()
+    for mine, theirs in zip([got[0], got[1], *got[2]],
+                            [want[0], want[1], *want[2]]):
+        assert np.array_equal(mine, theirs, equal_nan=True)
+    assert not default_registry().records()      # the input's fault
+
+
+@needs_cc
+@WINDOWS
+def test_non_finite_errors_behave_as_in_the_chain(window, rng):
+    """A finite forward, a poisoned error: the chain spreads it over the
+    window, and so does the fused run's backward (by replaying it)."""
+    net = _net(window)
+    chain = _chain(net)
+    conv, _, pool = net.layers[:3]
+    twin, relu, twin_pool = chain.layers[:3]
+    x = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
+    out = conv.forward(x, True, pool=pool)
+    assert np.array_equal(out, twin_pool.forward(relu.forward(twin.forward(x))))
+    err = rng.standard_normal(out.shape).astype(np.float32)
+    err[0, 0, 0, 0], err[1, 2, 1, 1], err[1, 0, 2, 0] = np.nan, np.inf, -np.inf
+    got = conv.backward(err, pool=pool)
+    want = twin.backward(relu.backward(twin_pool.backward(err)))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(conv.d_weights, twin.d_weights, equal_nan=True)
+    assert np.array_equal(conv.d_bias, twin.d_bias, equal_nan=True)
+
+
+@needs_cc
+def test_a_unit_computing_non_finite_values_is_quarantined_as_in_the_chain(
+        monkeypatch, rng):
+    """A compiled unit that turns finite inputs into NaN: the fused store
+    counts it, the re-run's guard sees the FP kernel's NaN and benches
+    stencil FP exactly as the chain's guard does."""
+    real_forward = emit_c.NativeStencilKernels.forward
+    real_fused = emit_c.NativeStencilKernels.fused_forward
+
+    def broken_forward(kernels, inputs, weights):
+        out = real_forward(kernels, inputs, weights)
+        out[:, :, 0, 0] = np.nan
+        return out
+
+    def broken_fused(kernels, *args):
+        out, argmax, _ = real_fused(kernels, *args)
+        return out, argmax, 1
+
+    monkeypatch.setattr(emit_c.NativeStencilKernels, "forward",
+                        broken_forward)
+    monkeypatch.setattr(emit_c.NativeStencilKernels, "fused_forward",
+                        broken_fused)
+    x = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
+    results = []
+    for build in (lambda: _net((2, 2)), lambda: _chain(_net((2, 2)))):
+        default_registry().clear()
+        net = build()
+        with telemetry.collect() as tel:
+            out = net.forward(x)
+        assert np.isfinite(out).all()
+        assert [c.fp_engine_name for c in net.conv_layers()] == \
+            ["reference", "reference"]
+        assert all(default_registry().is_quarantined(c.name, "fp", "stencil")
+                   for c in net.conv_layers())
+        results.append((out, [e.attrs["reason"] for e in tel.events
+                              if e.name == "engine.fallback"]))
+    assert np.array_equal(results[0][0], results[1][0])
+    assert results[0][1] == results[1][1]
+
+
+@needs_cc
+@pytest.mark.parametrize("poisoned", [False, True], ids=["finite", "nan"])
+def test_the_engine_fault_site_is_visited_once_per_call(poisoned, rng):
+    """A fault plan fires at the same conv under fusion as in the chain,
+    also when a poisoned batch makes the fused call re-run as the chain:
+    the second invocation of ``engine.fp`` is conv3's, and a raise there
+    benches conv3's stencil FP in both."""
+    x = _poisoned(rng) if poisoned else \
+        rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
+    plan = FaultPlan(name="second-fp", specs=(
+        FaultSpec(site="engine.fp", kind="raise", at=(2,)),))
+    outs = []
+    for build in (lambda: _net((2, 2)), lambda: _chain(_net((2, 2)))):
+        default_registry().clear()
+        net = build()
+        with inject(plan):
+            outs.append(net.forward(x))
+        assert [c.fp_engine_name for c in net.conv_layers()] == \
+            ["stencil", "reference"]
+    assert np.array_equal(outs[0], outs[1], equal_nan=True)
+
+
+# -- where the chain runs ---------------------------------------------------------
+
+def _runs_the_chain(net, rng):
+    x = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
+    net.forward(x)
+    assert net._fused == set()
+    assert all(conv.fused_unit(pool) is None
+               for conv, _, pool in net._runs.values())
+    # The per-layer caches are live: the layers ran one by one.
+    net.backward(rng.standard_normal((2, 4)).astype(np.float32))
+
+
+def test_without_a_compiler_the_chain_runs(monkeypatch, rng):
+    monkeypatch.setattr(native, "find_compiler", lambda: None)
+    native._resolved.cache_clear()
+    try:
+        net = _net((2, 2))
+        assert [c.fp_lowering for c in net.conv_layers()] == \
+            ["python", "python"]
+        _runs_the_chain(net, rng)
+    finally:
+        native._resolved.cache_clear()
+
+
+@pytest.mark.parametrize("fp_engine", ["gemm-in-parallel", "parallel-gemm"])
+def test_a_gemm_fp_engine_runs_the_chain(fp_engine, rng):
+    _runs_the_chain(_net((2, 2), fp_engine=fp_engine), rng)
+
+
+@needs_cc
+def test_a_pooled_conv_runs_the_chain_over_its_workers(rng):
+    """A conv on a worker pool maps its FP over the workers; the handle
+    then computes the chain there, bitwise the inline fused run."""
+    pooled = _net((3, 2), threads=2)
+    inline = _net((3, 2))
+    try:
+        x = rng.standard_normal((4, 3, 16, 16)).astype(np.float32)
+        (conv, _, pool), (twin, _, twin_pool) = (pooled.layers[:3],
+                                                 inline.layers[:3])
+        assert conv.fused_unit(pool) is None
+        assert twin.fused_unit(twin_pool) is not None
+        assert np.array_equal(fuse_conv_relu_pool(conv, pool).forward(x),
+                              fuse_conv_relu_pool(twin, twin_pool).forward(x))
+    finally:
+        for conv in pooled.conv_layers():
             conv.close()
-            fused.close()
-
-    def test_fused_traffic_strictly_below_chain(self, net_name, spec, pk, ps,
-                                                rng):
-        fused = FusedConvReluPool(spec, pk, ps)
-        try:
-            est = fused.work_estimates()
-            fused_traffic = (est["fused"].private_elems
-                            + est["fused"].shared_elems)
-            chain_traffic = (est["chain"].private_elems
-                            + est["chain"].shared_elems)
-            assert fused_traffic < chain_traffic, spec.describe()
-        finally:
-            fused.close()
 
 
-BACKENDS = ["thread"] + (
-    ["process"] if (os.cpu_count() or 1) >= 2 else []
-)
+@needs_cc
+def test_stale_relu_and_pool_caches_raise(rng):
+    net = _net((2, 2))
+    x = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
+    activations = x
+    for layer in net.layers:     # the chain first: caches to go stale
+        activations = layer.forward(activations)
+    net.forward(x)
+    assert net._fused == {0, 3}
+    for index in (1, 2, 4, 5):
+        with pytest.raises(ShapeError, match="backward before forward"):
+            net.layers[index].backward(
+                np.zeros((2,) + net.layer_shapes[index + 1], np.float32))
+    conv, _, pool = net.layers[:3]
+    conv.forward(x)              # no pool: nothing for a pooled backward
+    with pytest.raises(ShapeError, match="backward before forward"):
+        conv.backward(np.zeros((2, 6, 8, 8), np.float32), pool=pool)
 
 
-class TestBackends:
-    SPEC = GEOMETRIES[0][1]
-    POOL = GEOMETRIES[0][2:]
+@needs_cc
+def test_the_fp_span_says_it_ran_fused(rng):
+    net = _net((2, 2))
+    with telemetry.collect() as tel:
+        net.forward(rng.standard_normal((1, 3, 16, 16)).astype(np.float32))
+    for name in ("conv0", "conv3"):
+        (span,) = tel.find_spans(f"{name}/fp")
+        assert span.attrs["engine"] == "stencil"
+        assert span.attrs["lowering"] == "c"
+        assert span.attrs["fused"] == "relu+pool"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fused_matches_the_chain_on_the_same_backend(self, backend, rng):
-        """Fused vs unfused chain, both on a 2-worker pool, bitwise.
 
-        (Serial-vs-pooled dW is *not* bitwise for either form -- batch
-        partitioning reorders the cross-image reduction -- so the
-        contract is fused == chain per backend, which is what the
-        autotuner actually swaps between.)
-        """
-        pk, ps = self.POOL
-        conv = ConvLayer(self.SPEC, fp_engine="stencil", bp_engine="stencil",
-                         threads=2, backend=backend)
-        conv.weights = rng.standard_normal(
-            self.SPEC.weight_shape
-        ).astype(np.float32)
-        conv.bias = rng.standard_normal(self.SPEC.nf).astype(np.float32)
-        pool = MaxPoolLayer(pk, ps)
-        relu = ReLULayer()
-        fused = fuse_conv_relu_pool(conv, pool)
-        try:
-            x = rng.standard_normal(
-                (4, *self.SPEC.input_shape)
-            ).astype(np.float32)
-            want = pool.forward(relu.forward(conv.forward(x)))
-            got = fused.forward(x)
-            assert np.array_equal(got, want)
-            err = rng.standard_normal(want.shape).astype(np.float32)
-            want_err = conv.backward(relu.backward(pool.backward(err)))
-            got_err = fused.backward(err)
-            assert np.array_equal(got_err, want_err)
-            assert np.array_equal(fused.d_weights, conv.d_weights)
-            assert np.array_equal(fused.d_bias, conv.d_bias)
-        finally:
+# -- the probe's handle -----------------------------------------------------------
+
+def test_the_probe_call_shape_is_kept(rng):
+    """``hostbook/probes.py``: ``fuse_conv_relu_pool(conv, pool)`` on a
+    zoo conv with stencil FP, then ``.forward(x)``."""
+    net = cifar10_net(scale=0.25, rng=np.random.default_rng(0))
+    conv, relu, pool = net.layers[:3]
+    conv.set_fp_engine("stencil")
+    fused = fuse_conv_relu_pool(conv, pool)
+    x = rng.standard_normal((4,) + conv.spec.input_shape).astype(np.float32)
+    got = fused.forward(x)
+    assert np.array_equal(got, pool.forward(relu.forward(conv.forward(x))))
+
+
+# -- end to end -------------------------------------------------------------------
+
+class _Deploy(CostBackend):
+    """Stencil FP, sparse BP: what the measured tuner deploys here."""
+
+    measured = memo_hits = 0
+
+    def time(self, technique, phase, spec, sparsity):
+        return 0.1 if technique in ("stencil", "sparse") else 1.0
+
+
+@needs_cc
+def test_repro_train_losses_equal_the_chains(monkeypatch, capsys):
+    from repro import cli
+    from repro.core import autotuner
+
+    monkeypatch.setattr(autotuner, "MeasuredCostBackend", _Deploy)
+    losses = []
+    step = SGDTrainer.step
+
+    def recording(trainer, inputs, labels):
+        result = step(trainer, inputs, labels)
+        losses[-1].append(result.loss)
+        return result
+
+    monkeypatch.setattr(SGDTrainer, "step", recording)
+    args = ["train", "--net", "cifar", "--scale", "0.25", "--batch", "8",
+            "--samples", "32", "--epochs", "2", "--recheck", "1",
+            "--threads", "1"]
+    for fuse in (True, False):
+        if not fuse:
+            monkeypatch.setattr(ConvLayer, "fused_unit", lambda self, pool: None)
+        losses.append([])
+        assert cli.main(args) == 0
+        report = capsys.readouterr().out
+        assert ("c+relu+pool" in report) is fuse
+        assert ("fused with ReLU + max-pool: none" in report) is not fuse
+    assert len(losses[0]) == 8
+    assert losses[0] == losses[1]
+
+
+def _train(net, steps=3, batch=1):
+    data = np.random.default_rng(3)
+    images = data.standard_normal((steps * batch, 3, 16, 16)).astype(np.float32)
+    labels = data.integers(0, 4, steps * batch)
+    trainer = SGDTrainer(net, learning_rate=0.05)
+    try:
+        losses = [trainer.step(images[i * batch:(i + 1) * batch],
+                               labels[i * batch:(i + 1) * batch]).loss
+                  for i in range(steps)]
+        return {"losses": losses,
+                "params": [p.tobytes() for _, p, _ in net.parameters()]}
+    finally:
+        for conv in net.conv_layers():
             conv.close()
-            fused.close()
 
-    def test_serial_and_pooled_forward_match_bitwise(self, rng):
-        """Forward batch partitioning is pure fan-out: bitwise stable."""
-        pk, ps = self.POOL
-        serial = FusedConvReluPool(self.SPEC, pk, ps)
-        pooled = FusedConvReluPool(self.SPEC, pk, ps, threads=2,
-                                   backend="thread")
-        pooled.weights = serial.weights.copy()
-        pooled.bias = serial.bias.copy()
-        try:
-            x = rng.standard_normal(
-                (4, *self.SPEC.input_shape)
-            ).astype(np.float32)
-            assert np.array_equal(pooled.forward(x), serial.forward(x))
-        finally:
-            serial.close()
-            pooled.close()
+
+BACKENDS = ["serial", "thread"] + (
+    ["process"] if (os.cpu_count() or 1) >= 2 else [])
+
+
+@needs_cc
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sharded_step_equals_the_inline_fused_step(backend):
+    """The sharded step's replicas run the chain with stencil C; on one
+    shard (batch 1) that is the inline fused step, bit for bit."""
+    inline = _net((3, 2))
+    inline_state = _train(inline)
+    assert inline._fused == {0, 3}
+    sharded = _train(_net((3, 2), threads=2, backend=backend))
+    assert sharded == inline_state
+    assert not default_registry().records()

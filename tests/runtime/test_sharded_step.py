@@ -24,8 +24,6 @@ from repro.core.autotuner import CostBackend
 from repro.core.framework import SpgCNN
 from repro.data.synthetic import Dataset, cifar10_like, mnist_like
 from repro.nn.layers.extras import DropoutLayer
-from repro.nn.layers.fused import fuse_conv_relu_pool
-from repro.nn.network import Network
 from repro.nn.sgd import SGDTrainer
 from repro.nn.zoo import alexnet_small, cifar10_net, mnist_net
 from repro.ops.engine import register_engine
@@ -42,12 +40,12 @@ BACKENDS = ("serial", "thread", "process")
 
 
 def _fused_cifar(scale, rng, threads, backend):
-    """The CIFAR net with both conv+ReLU+pool stages fused (hand-built)."""
+    """The CIFAR net with stencil FP on both convs: an inline step fuses
+    each conv with its ReLU and pool, a sharded one runs the chain."""
     net = cifar10_net(scale=scale, rng=rng, threads=threads, backend=backend)
-    layers = net.layers
-    fused = [fuse_conv_relu_pool(layers[0], layers[2]),
-             fuse_conv_relu_pool(layers[3], layers[5])]
-    return Network(fused + layers[6:], net.input_shape, name="cifar-fused")
+    for layer in net.conv_layers():
+        layer.set_fp_engine("stencil")
+    return net
 
 
 def _images(builder, count, seed):

@@ -9,8 +9,8 @@ conv + ReLU + pool kernel:
   multiple of the accumulator block, 1 and 3 channels, non-square
   kernels and images, 1 x 1 and full-image kernels, batches 0, 1 and 3);
 * equal artefacts compute equal bits -- across batch composition,
-  reloads, pickling, fused vs chain, and serial/thread/process execution
-  of one split;
+  reloads, pickling, a conv run fused vs as its chain, and
+  serial/thread/process execution of one split;
 * every way the native path can be unavailable ends on the Python
   lowering with ``lowering == "python"`` and the reason recorded;
 * ``optimize()`` builds the units, a recheck compiles nothing, and a
@@ -33,12 +33,11 @@ from repro.core.autotuner import CostBackend
 from repro.core.convspec import ConvSpec
 from repro.core.framework import SpgCNN
 from repro.data.synthetic import cifar10_like
-from repro.errors import ReproError, ShapeError
+from repro.errors import ShapeError
 from repro.nn.layers.activations import ReLULayer
 from repro.nn.layers.conv import ConvLayer
-from repro.nn.layers.fused import FusedConvReluPool, fuse_conv_relu_pool
+from repro.nn.layers.fused import fuse_conv_relu_pool
 from repro.nn.layers.pool import MaxPoolLayer
-from repro.nn.network import Network
 from repro.nn.sgd import SGDTrainer
 from repro.nn.zoo import cifar10_net
 from repro.ops import reference as ref
@@ -46,6 +45,7 @@ from repro.ops.engine import make_engine
 from repro.ops.workspace import Workspace
 from repro.resilience.quarantine import default_registry
 from repro.stencil import emit_c
+from repro.stencil.loopir import PoolWindow
 from repro.stencil.passes import Fuse, SchedulePipeline, Tile, Vectorize
 from tests.conftest import (
     SMALL_SPECS,
@@ -79,14 +79,24 @@ def _oracle(spec, inputs, weights):
     return np.stack([ref.forward(spec, x, weights) for x in inputs])
 
 
+def _fused_unit(spec, kernel=2, stride=2):
+    """``(unit, reason)`` of the fused conv + ReLU + pool C unit."""
+    return native.kernels_for(emit_c.load_stencil_kernels, spec, None,
+                              PoolWindow(kernel, stride))
+
+
 def _chain(spec, pool_kernel, pool_stride, rng):
-    """A stencil-FP conv -> ReLU -> pool chain and its fused twin, with
-    random weights and a trained-looking bias."""
-    conv = ConvLayer(spec, fp_engine="stencil", bp_engine="stencil")
-    conv.weights = rng.standard_normal(spec.weight_shape).astype(np.float32)
-    conv.bias = rng.standard_normal(spec.nf).astype(np.float32)
+    """A stencil-FP conv -> ReLU -> pool chain and, over a twin of the
+    conv with the same parameters, its fused run; random weights and a
+    trained-looking bias."""
+    convs = [ConvLayer(spec, fp_engine="stencil", bp_engine="stencil")
+             for _ in range(2)]
+    weights = rng.standard_normal(spec.weight_shape).astype(np.float32)
+    bias = rng.standard_normal(spec.nf).astype(np.float32)
+    for conv in convs:
+        conv.weights, conv.bias = weights.copy(), bias.copy()
     pool = MaxPoolLayer(pool_kernel, pool_stride)
-    return conv, ReLULayer(), pool, fuse_conv_relu_pool(conv, pool)
+    return convs[0], ReLULayer(), pool, fuse_conv_relu_pool(convs[1], pool)
 
 
 # -- differential ---------------------------------------------------------------
@@ -130,11 +140,12 @@ def test_native_fused_kernel_matches_the_reference(case, window, seed):
         return
     rng = np.random.default_rng(seed)
     inputs, weights, _ = random_conv_data(spec, rng, batch=batch)
-    layer = FusedConvReluPool(spec, kernel, stride)
-    assert layer.lowering == "c", layer.lowering_reason
+    layer, pool = ConvLayer(spec, fp_engine="stencil"), MaxPoolLayer(kernel,
+                                                                     stride)
+    assert layer.fused_unit(pool) is not None, _fused_unit(spec, *window)[1]
     layer.weights = weights
     layer.bias = rng.standard_normal(spec.nf).astype(np.float32)
-    got = layer.forward(inputs)
+    got = layer.forward(inputs, pool=pool)
     act = np.maximum(_oracle(spec, inputs, weights)
                      + layer.bias[None, :, None, None], 0)
     want = MaxPoolLayer(kernel, stride).forward(act)
@@ -214,38 +225,44 @@ def test_schedule_tiles_move_the_blocks_not_the_bits(rng):
 ], ids=lambda s: s.name)
 def test_fused_equals_chain_bitwise_under_the_c_lowering(spec, window, rng):
     conv, relu, pool, fused = _chain(spec, *window, rng)
-    assert conv.fp_lowering == "c" and fused.lowering == "c"
+    assert conv.fp_lowering == "c" and fused.conv.fused_unit(pool) is not None
     x = rng.standard_normal((3,) + spec.input_shape).astype(np.float32)
-    want = pool.forward(relu.forward(conv.forward(x)))
     got = fused.forward(x)
+    unit, _, argmax = fused.conv._pooled
+    assert unit is not None                     # it ran fused
+    want = pool.forward(relu.forward(conv.forward(x)))
     assert got.tobytes() == want.tobytes()
     # The argmax the fused backward scatters by is the chain's.
     selected = np.take_along_axis(
         np.lib.stride_tricks.sliding_window_view(
             relu.forward(conv.forward(x)), (pool.kernel,) * 2, axis=(2, 3)
         )[:, :, ::pool.stride, ::pool.stride].reshape(got.shape + (-1,)),
-        fused._cached_argmax[..., None], axis=-1)[..., 0]
+        argmax[..., None], axis=-1)[..., 0]
     assert selected.tobytes() == want.tobytes()
     err = rng.standard_normal(want.shape).astype(np.float32)
     want_err = conv.backward(relu.backward(pool.backward(err)))
     got_err = fused.backward(err)
     assert got_err.tobytes() == want_err.tobytes()
-    assert fused.d_weights.tobytes() == conv.d_weights.tobytes()
-    assert fused.d_bias.tobytes() == conv.d_bias.tobytes()
+    assert fused.conv.d_weights.tobytes() == conv.d_weights.tobytes()
+    assert fused.conv.d_bias.tobytes() == conv.d_bias.tobytes()
 
 
 @needs_cc
 def test_fused_pool_row_blocks_move_the_tile_not_the_bits(rng):
     spec = ConvSpec(nc=2, ny=14, nx=13, nf=4, fy=3, fx=3)
     x = rng.standard_normal((2,) + spec.input_shape).astype(np.float32)
+    w = rng.standard_normal(spec.weight_shape).astype(np.float32)
+    bias = rng.standard_normal(spec.nf).astype(np.float32)
     outs = []
     for rows in (1, 2, 4):
-        layer = FusedConvReluPool(spec, 3, 2, pipeline=SchedulePipeline(
-            "fused_fp", (Fuse(rows), Vectorize(*native.vector_registers())),
-            pool_kernel=3, pool_stride=2), rng=np.random.default_rng(5))
-        assert layer.lowering == "c", layer.lowering_reason
-        outs.append((layer.forward(x).tobytes(),
-                     layer._cached_argmax.tobytes()))
+        unit, reason = native.kernels_for(
+            emit_c.load_stencil_kernels, spec, SchedulePipeline(
+                "fused_fp", (Fuse(rows), Vectorize(*native.vector_registers())),
+                pool_kernel=3, pool_stride=2), PoolWindow(3, 2))
+        assert unit is not None, reason
+        out, argmax, _ = unit.fused_forward(x, w, bias,
+                                            unit.scratch(Workspace()))
+        outs.append((out.tobytes(), argmax.tobytes()))
     assert outs[0] == outs[1] == outs[2]
 
 
@@ -265,9 +282,9 @@ class TestFallback:
         engine = make_engine("stencil", SPEC)
         _assert_python_serves(engine, rng)
         assert "no C compiler" in engine.lowering_reason
-        fused = FusedConvReluPool(SPEC, 2)
-        assert fused.lowering == "python" and fused.artifacts == (None, None)
-        assert "no C compiler" in fused.lowering_reason
+        assert "no C compiler" in _fused_unit(SPEC)[1]
+        conv = ConvLayer(SPEC, fp_engine="stencil")
+        assert conv.fused_unit(MaxPoolLayer(2)) is None
         assert not cache.exists()
 
     def test_compiler_that_exits_1(self, monkeypatch, tmp_path, cache, rng):
@@ -284,7 +301,7 @@ class TestFallback:
         engine = make_engine("stencil", spec)
         _assert_python_serves(engine, rng, spec)
         assert "stride-1" in engine.lowering_reason
-        assert "stride-1" in FusedConvReluPool(spec, 2).lowering_reason
+        assert "stride-1" in _fused_unit(spec)[1]
         assert not cache.exists()
 
     @needs_cc
@@ -315,8 +332,10 @@ class TestFallback:
 
     @needs_cc
     @pytest.mark.parametrize("build", [
-        lambda spec: make_engine("stencil", spec),
-        lambda spec: FusedConvReluPool(spec, 2),
+        lambda spec: (lambda e: (e.lowering, e.lowering_reason))(
+            make_engine("stencil", spec)),
+        lambda spec: (lambda unit, reason: (
+            "python" if unit is None else "c", reason))(*_fused_unit(spec)),
     ], ids=["fp", "fused"])
     def test_self_check_catches_a_shifted_tap(self, monkeypatch, build):
         real = emit_c._block_function
@@ -334,8 +353,9 @@ class TestFallback:
             built = build(ConvSpec(nc=2, ny=8, nx=8, nf=3, fy=3, fx=3))
         finally:
             emit_c.emit_stencil_c_unit.cache_clear()
-        assert built.lowering == "python"
-        assert "disagrees with the Python lowering" in built.lowering_reason
+        lowering, reason = built
+        assert lowering == "python"
+        assert "disagrees with the Python lowering" in reason
 
     @needs_cc
     def test_foreign_operands_take_the_python_path_per_call(self, rng):
@@ -351,10 +371,13 @@ class TestFallback:
         assert not strided.flags.c_contiguous
         np.testing.assert_allclose(engine.forward(strided, weights), served,
                                    atol=1e-4)
-        fused = FusedConvReluPool(SPEC, 2)
-        assert fused.lowering == "c"
-        np.testing.assert_allclose(fused.forward(inputs.astype(np.float64)),
-                                   fused.forward(inputs), atol=1e-4)
+        conv, pool = ConvLayer(SPEC, fp_engine="stencil"), MaxPoolLayer(2)
+        assert conv.fused_unit(pool) is not None
+        wide = conv.forward(inputs.astype(np.float64), pool=pool)
+        assert conv._pooled[0] is None           # the chain served it
+        np.testing.assert_allclose(wide, conv.forward(inputs, pool=pool),
+                                   atol=1e-4)
+        assert conv._pooled[0] is not None
 
 
 @needs_cc
@@ -374,7 +397,7 @@ class TestForeignCallGuards:
     def test_fused_kernel_checks_bias_and_scratch_too(self, rng):
         inputs, weights, _ = random_conv_data(SPEC, rng, batch=2)
         bias = np.zeros(SPEC.nf, np.float32)
-        kernels = FusedConvReluPool(SPEC, 2)._native
+        kernels = _fused_unit(SPEC)[0]
         scratch = kernels.scratch(Workspace())
         kernels.fused_forward(inputs, weights, bias, scratch)
         with pytest.raises(ShapeError):
@@ -385,6 +408,25 @@ class TestForeignCallGuards:
             kernels.fused_forward(inputs, weights, bias, scratch[:-1])
         with pytest.raises(ShapeError):
             kernels.fused_forward(inputs, weights, bias.astype(np.float64), scratch)
+
+    def test_fused_backward_checks_the_argmax_too(self, rng):
+        inputs, weights, _ = random_conv_data(SPEC, rng, batch=2)
+        kernels = _fused_unit(SPEC)[0]
+        out, argmax, _ = kernels.fused_forward(
+            inputs, weights, np.zeros(SPEC.nf, np.float32),
+            kernels.scratch(Workspace()))
+        err = np.ones_like(out)
+        assert kernels.unpool(out, argmax, err)[1] == 0
+        for bad in ((out, argmax.astype(np.int32), err),
+                    (out, argmax, err[:, :, ::-1]),
+                    (out, argmax, err[:1]),
+                    (out[..., :-1], argmax, err)):
+            with pytest.raises(ShapeError):
+                kernels.unpool(*bad)
+        # An index naming no window element is left out and counted,
+        # never written outside the error it is handed.
+        argmax[0, 0, 0, 0] = 4
+        assert kernels.unpool(out, argmax, err)[1] == 1
 
 
 # -- deployment -------------------------------------------------------------------
@@ -410,6 +452,11 @@ class TestDeployment:
         assert [p.fp_engine for p in plan.layers] == ["stencil", "stencil"]
         assert [p.fp_lowering for p in plan.layers] == ["c", "c"]
         assert sum("stencil_fp" in name for name in _units(cache)) == 2
+        # Both convs run fused, their units built in set-up.
+        fused = [name for name in _units(cache) if "fused_fp" in name]
+        assert len(fused) == 2
+        assert all(p.fused and any(p.fused in name for name in fused)
+                   for p in plan.layers)
 
         def no_compile(*args):
             raise AssertionError("a recheck compiled")
@@ -452,32 +499,32 @@ class TestDeployment:
         (span,) = tel.find_spans("c0/bp")
         assert span.attrs["engine"] == "stencil"
         assert span.attrs["lowering"] is None
-        # The fused layer's default BP engine is that same stencil one.
-        fused = FusedConvReluPool(SPEC, 2)
-        assert fused.bp_engine_name == "stencil"
-        assert fused.artifacts == (fused.artifact, None)
-        assert FusedConvReluPool(SPEC, 2, bp_engine="sparse") \
-            .artifacts[1] is not None
 
-    def test_fused_layer_ships_its_artefacts(self, rng):
-        fused = FusedConvReluPool(SPEC, 2, name="f0")
-        assert dict(fused.structure()[2])["artifacts"] == fused.artifacts
-        assert fused.artifacts[0] == fused.artifact is not None
+    def test_a_fusing_conv_ships_the_chains_structure(self, rng):
+        """Fused or not, a conv describes the chain its replicas run: the
+        FP artefact is the stencil unit's, not the fused one's."""
+        conv, pool = ConvLayer(SPEC, name="f0", fp_engine="stencil"), \
+            MaxPoolLayer(2)
+        unit = conv.fused_unit(pool)
+        assert unit is not None and unit.artifact != conv.fp_artifact
+        before = conv.structure()
         with telemetry.collect() as tel:
-            fused.forward(rng.standard_normal(
-                (2,) + SPEC.input_shape).astype(np.float32))
-        assert tel.find_spans("f0/fp")[0].attrs["lowering"] == "c"
+            conv.forward(rng.standard_normal(
+                (2,) + SPEC.input_shape).astype(np.float32), pool=pool)
+        assert conv.structure() == before
+        assert dict(before[2])["fp_artifact"] == conv.fp_artifact
+        (span,) = tel.find_spans("f0/fp")
+        assert span.attrs["lowering"] == "c"
+        assert span.attrs["fused"] == "relu+pool"
 
 
-def _stencil_cifar(threads, backend, fuse=False):
+def _stencil_cifar(threads, backend, fuse=True):
     net = cifar10_net(scale=0.25, rng=np.random.default_rng(3),
                       threads=threads, backend=backend)
     for layer in net.conv_layers():
         layer.set_fp_engine("stencil")
-    if fuse:
-        layers = net.layers
-        net = Network([fuse_conv_relu_pool(layers[0], layers[2]),
-                       *layers[3:]], net.input_shape, name="cifar-fused")
+        if not fuse:
+            layer.fused_unit = lambda pool: None
     return net
 
 
@@ -538,13 +585,18 @@ class TestShardedStep:
         assert all("replica loaded FP artefact None" in reason
                    and "planned on" in reason for reason in reasons)
 
-    def test_fused_replica_without_the_artefact_refuses_to_compute(
+    def test_a_conv_whose_fused_unit_cannot_be_had_runs_the_chain(
             self, monkeypatch):
-        net = _stencil_cifar(2, "serial", fuse=True)
-        assert net.layers[0].lowering == "c"
+        """FP deployed on the C stencil unit, and then no compiler for the
+        fused one: the inline step runs the chain, with the numbers of a
+        network that never fuses."""
+        chain = _train(_stencil_cifar(None, "thread", fuse=False))
+        net = _stencil_cifar(None, "thread")
         monkeypatch.setattr(native, "find_compiler", lambda: None)
-        with pytest.raises(ReproError, match="the step was planned on"):
-            _train(net, steps=1)
+        native._resolved.cache_clear()
+        assert all(layer.fp_lowering == "c" for layer in net.conv_layers())
+        assert _train(net) == chain
+        assert net._fused == set()
 
 
 def test_c_unit_text_is_deterministic_and_names_every_literal():

@@ -5,9 +5,11 @@ the literals are put on trial: in a subprocess whose ``repro.native``
 appends ``-fsanitize=address,undefined`` to :data:`repro.native.CFLAGS`
 (the flag string is part of the artefact key, so instrumented units
 never meet the ordinary ones), every zoo conv spec's sparse BP unit and,
-for the stride-1 specs, its stencil FP and fused units are rebuilt --
-which runs their edge-position self-checks -- and then driven through a
-seeded differential against the reference engine.  Any out-of-bounds
+for the stride-1 specs, its stencil FP unit and its fused units for the
+2/2 and the overlapping 3/2 pool window are rebuilt -- which runs their
+edge-position and bitwise-vs-chain self-checks -- and then driven
+through a seeded differential against the reference engine (the fused
+ones forward and backward, as a conv layer deploys them).  Any out-of-bounds
 access, misaligned or overflowing operation aborts the subprocess.
 
 Needs a ``cc`` that links the sanitizer runtimes and can say where
@@ -64,7 +66,8 @@ from repro.ops.engine import make_engine
 """
 
 _LANE = _PRELUDE + """
-from repro.nn.layers.fused import FusedConvReluPool
+from repro.nn.layers.conv import ConvLayer
+from repro.nn.layers.pool import MaxPoolLayer
 from repro.nn.zoo import alexnet_small, cifar10_net, imagenet100_net, mnist_net
 
 rng = np.random.default_rng(0)
@@ -92,13 +95,18 @@ for build in (mnist_net, cifar10_net, imagenet100_net, alexnet_small):
         assert stencil.lowering == "c", stencil.lowering_reason
         out = stencil.forward(x, w)
         np.testing.assert_allclose(out, oracle.forward(x, w), atol=5e-3)
-        fused = FusedConvReluPool(spec, 2)
-        assert fused.lowering == "c", fused.lowering_reason
-        fused.weights = w
-        pooled = fused.forward(x)
-        assert pooled.shape[2:] == (spec.out_ny // 2, spec.out_nx // 2)
-        assert np.isfinite(pooled).all() and (pooled >= 0).all()
-        units += 2
+        units += 1
+        conv = ConvLayer(spec, fp_engine="stencil")
+        conv.weights = w
+        for kernel, stride in ((2, 2), (3, 2)):
+            pool = MaxPoolLayer(kernel, stride)
+            assert conv.fused_unit(pool) is not None, (spec, kernel, stride)
+            pooled = conv.forward(x, pool=pool)
+            assert conv._pooled[0] is not None          # it ran fused
+            assert pooled.shape[2:] == pool.output_shape(spec.output_shape)[1:]
+            assert np.isfinite(pooled).all() and (pooled >= 0).all()
+            conv.backward(np.ones_like(pooled), pool=pool)
+            units += 1
 print("instrumented units:", units)
 """
 
@@ -141,7 +149,7 @@ def test_every_zoo_unit_is_clean_under_the_sanitizers(tmp_path):
     done = _run(_LANE, tmp_path)
     assert done.returncode == 0, done.stderr[-3000:]
     assert "Sanitizer" not in done.stderr and "runtime error" not in done.stderr
-    # 8 sparse units, and FP + fused for the 6 stride-1 convs.
-    assert "instrumented units: 20" in done.stdout
+    # 8 sparse units, and FP + two fused for the 6 stride-1 convs.
+    assert "instrumented units: 26" in done.stdout
     built = list((tmp_path / "native-cache").glob("*.so"))
-    assert len(built) == 20
+    assert len(built) == 26
