@@ -11,7 +11,7 @@ more often relative to their compute).
 
 from repro.analysis.reporting import format_series, format_table
 from repro.data.tables import benchmark_layers
-from repro.distributed.cluster_model import (
+from repro.machine.cluster_model import (
     ClusterSpec,
     cluster_throughput,
     communication_bound_fraction,

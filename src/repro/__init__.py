@@ -34,7 +34,6 @@ from repro.telemetry import TelemetryCollector
 
 # Importing the engine modules registers them with make_engine.
 import repro.nn.layers.conv  # noqa: F401
-import repro.ops.fft_conv  # noqa: F401
 
 __version__ = "1.0.0"
 

@@ -26,23 +26,21 @@ Commands:
   and write the final run report.  ``train`` and ``trace`` deploy the
   engines this host measures fastest; the Xeon model prices ``plan``,
   ``schedule`` and ``figure`` only.
-* ``bench [--repeats N] ...`` -- run the microbenchmark suite, write
-  schema-versioned ``BENCH_<name>.json`` files and compare against the
-  committed baseline; exits 1 on regression (perf gate).
 * ``engines`` -- list the registered convolution engines.
 
-Reporting commands (``trace``, ``check``, ``chaos``, ``train``,
-``bench``) share one I/O contract: ``--format table|json`` selects the
-stdout rendering (human tables vs. machine JSON) and ``--out PATH``
-writes the durable JSON artifact -- ``trace`` additionally accepts
-``--format chrome`` for Chrome trace-event JSON, ``check`` accepts
-``--format sarif`` (stdout and ``--out`` both become SARIF 2.1.0), and
-``bench``'s ``--out`` is a directory (one ``BENCH_<name>.json`` per
-benchmark).
+Reporting commands (``trace``, ``check``, ``chaos``, ``train``) share
+one I/O contract: ``--format table|json`` selects the stdout rendering
+(human tables vs. machine JSON) and ``--out PATH`` writes the durable
+JSON artifact -- ``trace`` additionally accepts ``--format chrome`` for
+Chrome trace-event JSON, and ``check`` accepts ``--format sarif``
+(stdout and ``--out`` both become SARIF 2.1.0).
 
 Exit codes, uniformly: **0** success; **1** gate failure (error-severity
-check findings, a failed chaos run, a benchmark regression); **2** usage
-error (bad flags, unknown names -- raised by argparse).
+check findings, a failed chaos run); **2** usage error (bad flags,
+missing arguments, unknown names -- raised by argparse).
+
+The wall-clock benchmark is the host book (``hostbook/run.py``), not a
+subcommand.
 """
 
 from __future__ import annotations
@@ -107,6 +105,22 @@ def _add_output_args(
                         help="stdout rendering (default: %(default)s)")
 
 
+def _add_dims(parser: argparse.ArgumentParser) -> None:
+    """The ``Nx Nf Nc Fx`` positionals of a square convolution.
+
+    Four positionals rather than one ``nargs=4`` with a tuple metavar,
+    which argparse cannot name in its missing-argument error."""
+    for dim in ("Nx", "Nf", "Nc", "Fx"):
+        parser.add_argument(dim, type=int)
+
+
+def _dims_spec(args) -> ConvSpec:
+    """The square convolution named by the ``Nx Nf Nc Fx`` positionals."""
+    n, f = args.Nx, args.Fx
+    return ConvSpec(nc=args.Nc, ny=n, nx=n, nf=args.Nf, fy=f, fx=f,
+                    sy=args.stride, sx=args.stride, name="cli-conv")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="spg-CNN reproduction toolkit"
@@ -114,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     chz = sub.add_parser("characterize", help="characterize a convolution")
-    chz.add_argument("dims", type=int, nargs=4, metavar=("Nx", "Nf", "Nc", "Fx"))
+    _add_dims(chz)
     chz.add_argument("--stride", type=int, default=1)
     chz.add_argument("--sparsity", type=float, default=0.0)
 
@@ -122,8 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "schedule",
         help="search loop-IR schedule pipelines for one convolution",
     )
-    sched.add_argument("dims", type=int, nargs=4,
-                       metavar=("Nx", "Nf", "Nc", "Fx"))
+    _add_dims(sched)
     sched.add_argument("--stride", type=int, default=1)
     sched.add_argument("--pool", type=int, default=0, metavar="K",
                        help="fuse a KxK max-pool into the forward phase")
@@ -144,8 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     explain = sub.add_parser(
         "explain", help="per-lane time breakdown of each technique"
     )
-    explain.add_argument("dims", type=int, nargs=4,
-                         metavar=("Nx", "Nf", "Nc", "Fx"))
+    _add_dims(explain)
     explain.add_argument("--phase", choices=("fp", "bp"), default="fp")
     explain.add_argument("--stride", type=int, default=1)
     explain.add_argument("--cores", type=int, default=16)
@@ -258,35 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_args(train, out_help="write the run report (JSON, or "
                                      "markdown when PATH ends in .md)")
 
-    from repro.obs.bench import suite_names
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the microbenchmark suite and compare against baseline",
-    )
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timed repeats per benchmark (median wins)")
-    bench.add_argument("--backend", choices=_BACKENDS, default="thread",
-                       help="execution backend for the parallel benchmarks")
-    bench.add_argument("--filter", action="append", dest="filters",
-                       default=None, choices=suite_names(),
-                       help="run only the named benchmark (repeatable)")
-    bench.add_argument("--baseline", type=Path,
-                       default=Path("benchmarks/baseline.json"),
-                       help="baseline to compare against "
-                            "(default: %(default)s)")
-    bench.add_argument("--update-baseline", action="store_true",
-                       help="record these results as the new baseline "
-                            "instead of comparing")
-    bench.add_argument("--soft", action="store_true",
-                       help="report regressions but still exit 0 "
-                            "(noisy-runner CI smoke)")
-    bench.add_argument("--slowdown", action="append", default=None,
-                       metavar="NAME=FACTOR",
-                       help="test hook: scale a benchmark's measured time")
-    _add_output_args(bench, out_default=Path("results/bench"),
-                     out_help="directory for the BENCH_<name>.json files")
-
     shm_cmd = sub.add_parser(
         "shm",
         help="inspect or reap this host's repro shared-memory segments",
@@ -338,9 +321,7 @@ def _cmd_reproduce(args, out) -> int:
 def _cmd_explain(args, out) -> int:
     from repro.machine.explain import explain_conv, explain_report
 
-    n, nf, nc, f = args.dims
-    spec = ConvSpec(nc=nc, ny=n, nx=n, nf=nf, fy=f, fx=f,
-                    sy=args.stride, sx=args.stride, name="cli-conv")
+    spec = _dims_spec(args)
     breakdowns = explain_conv(
         spec, args.phase, args.batch, xeon_e5_2650(), args.cores,
         sparsity=args.sparsity,
@@ -351,9 +332,7 @@ def _cmd_explain(args, out) -> int:
 
 
 def _cmd_characterize(args, out) -> int:
-    n, nf, nc, f = args.dims
-    spec = ConvSpec(nc=nc, ny=n, nx=n, nf=nf, fy=f, fx=f,
-                    sy=args.stride, sx=args.stride, name="cli-conv")
+    spec = _dims_spec(args)
     ch = characterize(spec, sparsity=args.sparsity)
     print(spec.describe(), file=out)
     print(f"intrinsic AIT:   {ch.intrinsic_ait:.1f}", file=out)
@@ -368,9 +347,7 @@ def _cmd_characterize(args, out) -> int:
 def _cmd_schedule(args, out) -> int:
     from repro.nn.schedule import ScheduleSearch
 
-    n, nf, nc, f = args.dims
-    spec = ConvSpec(nc=nc, ny=n, nx=n, nf=nf, fy=f, fx=f,
-                    sy=args.stride, sx=args.stride, name="cli-conv")
+    spec = _dims_spec(args)
     search = ScheduleSearch(cores=args.cores, batch=args.batch,
                             seed=args.seed)
     choices = search.search_layer(spec, pool_kernel=args.pool)
@@ -545,79 +522,6 @@ def _cmd_train(args, out) -> int:
             path = report.write_json(args.out)
         print(f"wrote {path}", file=out)
     return 0
-
-
-def _cmd_bench(args, out) -> int:
-    import json as json_module
-
-    from repro.obs import bench as bench_module
-
-    slowdown = {}
-    for item in args.slowdown or ():
-        name, _, factor = item.partition("=")
-        try:
-            slowdown[name] = float(factor)
-        except ValueError:
-            raise SystemExit(
-                f"--slowdown expects NAME=FACTOR, got {item!r}"
-            ) from None
-    results = bench_module.run_suite(
-        names=tuple(args.filters) if args.filters else None,
-        repeats=args.repeats,
-        slowdown=slowdown,
-        backend=args.backend,
-    )
-    paths = bench_module.write_results(results, args.out)
-
-    if args.update_baseline:
-        baseline_path = bench_module.write_baseline(results, args.baseline)
-        if args.format == "json":
-            print(json_module.dumps(
-                {"results": [r.to_dict() for r in results],
-                 "baseline": str(baseline_path)}), file=out)
-        else:
-            print(_bench_results_table(results), file=out)
-            print(f"recorded baseline {baseline_path}", file=out)
-        return 0
-
-    comparison = None
-    if args.baseline.exists():
-        baseline = bench_module.load_baseline(args.baseline)
-        comparison = bench_module.compare_to_baseline(
-            results, baseline, baseline_path=str(args.baseline)
-        )
-    if args.format == "json":
-        payload = {
-            "results": [r.to_dict() for r in results],
-            "comparison": comparison.to_dict() if comparison else None,
-        }
-        print(json_module.dumps(payload), file=out)
-    else:
-        print(_bench_results_table(results), file=out)
-        for path in paths:
-            print(f"wrote {path}", file=out)
-        if comparison is None:
-            print(f"no baseline at {args.baseline}; comparison skipped "
-                  f"(record one with --update-baseline)", file=out)
-        else:
-            print(comparison.table(), file=out)
-    if comparison is None or comparison.ok:
-        print("bench: OK", file=out)
-        return 0
-    names = ", ".join(c.name for c in comparison.regressions)
-    print(f"bench: REGRESSED ({names})", file=out)
-    return 0 if args.soft else 1
-
-
-def _bench_results_table(results) -> str:
-    rows = [
-        [r.name, r.repeats, f"{r.seconds * 1e3:.3f}", f"{r.mflops:.1f}"]
-        for r in results
-    ]
-    return format_table(
-        ["benchmark", "repeats", "median (ms)", "MFLOP/s"], rows,
-        title="microbenchmarks",
-    )
 
 
 def _cmd_chaos(args, out) -> int:
@@ -814,8 +718,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return _cmd_chaos(args, out)
     if args.command in ("train", "monitor"):
         return _cmd_train(args, out)
-    if args.command == "bench":
-        return _cmd_bench(args, out)
     if args.command == "shm":
         return _cmd_shm(args, out)
     if args.command == "workers":

@@ -33,7 +33,6 @@ from repro.core.plan import (
     BP_CANDIDATES,
     FALLBACK_ENGINE,
     FP_CANDIDATES,
-    FP_CANDIDATES_EXTENDED,
     LayerPlan,
 )
 from repro.errors import PlanError
@@ -82,7 +81,7 @@ class CostBackend(ABC):
 
 
 def _check_phase(technique: str, phase: str) -> None:
-    if technique in ("stencil", "fft") and phase != "fp":
+    if technique == "stencil" and phase != "fp":
         raise PlanError(f"{technique} kernels serve forward propagation only")
     if technique == "sparse" and phase != "bp":
         raise PlanError("sparse kernels serve backward propagation only")
@@ -117,10 +116,6 @@ class ModelCostBackend(CostBackend):
             return sparse_bp_time(
                 spec, self.batch, sparsity, self.machine, self.cores
             )
-        if technique == "fft":
-            from repro.machine.fft_model import fft_conv_time
-
-            return fft_conv_time(spec, self.batch, self.machine, self.cores)
         raise PlanError(f"unknown technique {technique!r}")
 
 
@@ -282,10 +277,6 @@ class MeasuredCostBackend(CostBackend):
 class Autotuner:
     """Selects the fastest technique per layer/phase via a cost backend.
 
-    With ``extended=True`` the FP candidate set additionally includes the
-    FFT engine (the Sec. 6 complementary technique), which only wins on
-    kernel sizes far beyond the paper's benchmarks.
-
     Selection is quarantine-aware: engines benched for a layer/phase by
     the runtime's numeric guards (see :mod:`repro.resilience.quarantine`)
     are excluded from that layer's candidate set, and if every candidate
@@ -293,12 +284,9 @@ class Autotuner:
     than re-deploying a known-bad kernel.
     """
 
-    def __init__(self, backend: CostBackend, extended: bool = False,
+    def __init__(self, backend: CostBackend,
                  quarantine: QuarantineRegistry | None = None):
         self.backend = backend
-        self.fp_candidates = (
-            FP_CANDIDATES_EXTENDED if extended else FP_CANDIDATES
-        )
         self.quarantine = quarantine or default_registry()
 
     def _pick(self, candidates: tuple[str, ...], phase: str, spec: ConvSpec,
@@ -333,7 +321,7 @@ class Autotuner:
         training BP is dW only.
         """
         fp_held, bp_held = deployed or (None, None)
-        fp_engine, fp_timings = self._pick(self.fp_candidates, "fp", spec,
+        fp_engine, fp_timings = self._pick(FP_CANDIDATES, "fp", spec,
                                            sparsity, layer_name, fp_held)
         bp_engine, bp_timings = self._pick(BP_CANDIDATES, "bp", spec,
                                            sparsity, layer_name, bp_held,
@@ -357,7 +345,7 @@ class Autotuner:
         measured sparsity, so the plan carries no BP timings yet.
         """
         fp_held, bp_held = deployed
-        fp_engine, fp_timings = self._pick(self.fp_candidates, "fp", spec,
+        fp_engine, fp_timings = self._pick(FP_CANDIDATES, "fp", spec,
                                            0.0, layer_name, fp_held)
         return LayerPlan(
             layer_name=layer_name or spec.name or "conv",

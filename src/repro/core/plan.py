@@ -17,10 +17,6 @@ from repro.errors import PlanError
 #: Techniques eligible for forward propagation (Sec. 4.4).
 FP_CANDIDATES: tuple[str, ...] = ("parallel-gemm", "gemm-in-parallel", "stencil")
 
-#: FP candidates including the FFT extension engine (Sec. 6's
-#: complementary technique); opt-in via ``Autotuner(..., extended=True)``.
-FP_CANDIDATES_EXTENDED: tuple[str, ...] = FP_CANDIDATES + ("fft",)
-
 #: Techniques eligible for backward propagation (Sec. 4.4).
 BP_CANDIDATES: tuple[str, ...] = ("parallel-gemm", "gemm-in-parallel", "sparse")
 
@@ -53,10 +49,9 @@ class LayerPlan:
     fused: str = ""
 
     def __post_init__(self) -> None:
-        if self.fp_engine not in FP_CANDIDATES_EXTENDED + (FALLBACK_ENGINE,):
+        if self.fp_engine not in FP_CANDIDATES + (FALLBACK_ENGINE,):
             raise PlanError(
-                f"{self.fp_engine!r} is not an FP candidate "
-                f"{FP_CANDIDATES_EXTENDED}"
+                f"{self.fp_engine!r} is not an FP candidate {FP_CANDIDATES}"
             )
         if self.bp_engine not in BP_CANDIDATES + (FALLBACK_ENGINE,):
             raise PlanError(

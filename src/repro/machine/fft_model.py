@@ -1,4 +1,4 @@
-"""Time model for the FFT convolution engine (extension, paper Sec. 6).
+"""Time model of FFT convolution (paper Sec. 6 context, time model only).
 
 FFT convolution trades the ``O(Nf*Nc*Fy*Fx)`` per-position work of direct
 convolution for per-grid transforms plus an ``O(Nf*Nc)`` pointwise
@@ -16,7 +16,34 @@ from dataclasses import dataclass
 from repro.core.convspec import ELEMENT_BYTES, ConvSpec
 from repro.errors import MachineModelError
 from repro.machine.spec import MachineSpec
-from repro.ops.fft_conv import _fft_shape, fft_conv_flops
+
+
+def _fft_shape(spec: ConvSpec) -> tuple[int, int]:
+    # Linear (non-circular) correlation and convolution need
+    # ``N + F - 1`` points per axis; powers of two keep the transforms
+    # fast and mirror what FFT conv implementations do.
+    fy = 1 << (spec.padded_ny + spec.fy - 2).bit_length()
+    fx = 1 << (spec.padded_nx + spec.fx - 2).bit_length()
+    return fy, fx
+
+
+def fft_conv_flops(spec: ConvSpec) -> float:
+    """Approximate flop count of the FFT execution path.
+
+    ``Nc`` forward transforms of the input grids plus ``Nf`` inverse
+    transforms of the accumulated products (the pointwise multiply
+    accumulates *in the frequency domain*, so no per-(f, c) transform is
+    needed) at ``5 N log2 N`` each, plus the ``Nc*Nf`` pointwise complex
+    multiply-accumulates at 8 flops/point.  Weight transforms amortize
+    over a training batch and are excluded, matching how FFT conv
+    implementations cache them.
+    """
+    gy, gx = _fft_shape(spec)
+    points = gy * gx
+    transforms = spec.nc + spec.nf
+    fft_cost = transforms * 5.0 * points * math.log2(points)
+    pointwise = spec.nc * spec.nf * 8.0 * points
+    return fft_cost + pointwise
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,6 @@ artifacts a production training stack needs:
 * :mod:`repro.obs.monitor` -- :class:`TrainingMonitor`, a live view of a
   training run (per-layer FP/BP time, goodput, sparsity drift, retunes,
   resilience activity) plus a final markdown/JSON run report;
-* :mod:`repro.obs.bench` -- the benchmark regression harness behind
-  ``python -m repro bench``;
 * :mod:`repro.obs.idle` -- worker idle-time derivation from span data
   (the barrier-vs-DAG comparison metric), including the worker-process
   mode fed by merged shm-ring telemetry;

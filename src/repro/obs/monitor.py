@@ -16,7 +16,7 @@ the duration of its ``with`` block), hooks the
   (``spg/optimize`` + ``spg/replan`` span time, candidates measured vs.
   answered from the backend's memo);
 * resilience activity (retries, straggler backups, quarantine
-  fallbacks, PS staleness rejects, skipped batches, checkpoints).
+  fallbacks, skipped batches, checkpoints).
 
 With a writable ``out`` it renders a per-layer console table every
 ``every_batches`` batches (and at each epoch end); :meth:`report`
@@ -49,8 +49,6 @@ RESILIENCE_COUNTERS = (
     "engine.fallbacks",
     "quarantine.engines",
     "sgd.skipped_batches",
-    "ps.pushes.dropped",
-    "ps.pushes.rejected",
     "train.checkpoints",
 )
 

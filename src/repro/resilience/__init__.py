@@ -6,9 +6,9 @@ batch or process death must not lose the run.  This package provides the
 three fault-handling substrates the rest of the stack builds on:
 
 * :mod:`repro.resilience.faults` -- a deterministic, seeded fault
-  injector.  Instrumented sites (worker-pool tasks, gradients, parameter
-  pushes, engine calls) consult the active :class:`FaultPlan` and raise,
-  hang, corrupt or drop on cue; no-ops when no plan is active.
+  injector.  Instrumented sites (worker-pool tasks, gradients, engine
+  calls) consult the active :class:`FaultPlan` and raise, hang or
+  corrupt on cue; no-ops when no plan is active.
 * :mod:`repro.resilience.policy` -- the resilient execution policy:
   :class:`RetryPolicy` (bounded retries with exponential backoff,
   per-attempt timeouts, straggler reassignment) and the supervised
@@ -33,7 +33,6 @@ from repro.resilience.faults import (
     inject,
     perturb,
     plan_names,
-    should_drop,
 )
 from repro.resilience.policy import (
     RetryPolicy,
@@ -64,5 +63,4 @@ __all__ = [
     "perturb",
     "plan_names",
     "run_supervised",
-    "should_drop",
 ]

@@ -75,8 +75,6 @@ REPORT_COUNTERS = (
     "engine.fallbacks",
     "quarantine.engines",
     "sgd.skipped_batches",
-    "ps.pushes.dropped",
-    "ps.pushes.rejected",
     "train.checkpoints",
     "train.journal_writes",
 )
@@ -213,30 +211,6 @@ def _build_job(seed: int, samples: int, threads: int, batch: int,
 def _close(loop: TrainingLoop) -> None:
     for layer in loop.network.conv_layers():
         layer.close()
-
-
-def _run_ps_segment(seed: int) -> None:
-    """A short async parameter-server job (visits the ``ps.push`` site).
-
-    The single-process training loop never pushes to a parameter
-    server, so plans targeting ``ps.push`` additionally run this
-    data-parallel segment under the same injector; drops and delays
-    must not stop it from completing.
-    """
-    from repro.data.synthetic import mnist_like
-    from repro.distributed.trainer import DistributedTrainer
-    from repro.nn.zoo import mnist_net
-
-    trainer = DistributedTrainer(
-        mnist_net(scale=0.25, rng=np.random.default_rng(seed)),
-        mnist_like(32, seed=seed),
-        num_workers=2,
-        mode="async",
-        sync_interval=2,
-        max_staleness=2,
-        staleness_policy="refresh",
-    )
-    trainer.run(6)
 
 
 def _run_segment(loop: TrainingLoop, epochs: int,
@@ -544,8 +518,6 @@ def run_chaos(
                 with faults.inject(injector), apply_policy(policy):
                     default_registry().clear()
                     history = loop.run(epochs)
-                    if plan.for_site("ps.push"):
-                        _run_ps_segment(seed)
         except Exception as exc:  # noqa: BLE001 - survival is the result
             report.error = f"{type(exc).__name__}: {exc}"
             _close(loop)

@@ -3,8 +3,8 @@
 A :class:`FaultPlan` is a named set of :class:`FaultSpec` entries, each
 bound to an injection *site* -- a string naming an instrumented point in
 the runtime.  Instrumented code calls the module-level helpers
-(:func:`perturb`, :func:`corrupt_array`, :func:`should_drop`), which are
-no-ops unless a plan has been activated with :func:`inject`; the active
+(:func:`perturb`, :func:`corrupt_array`), which are no-ops unless a
+plan has been activated with :func:`inject`; the active
 injector counts invocations per site and fires each spec at its
 configured invocation indices (and/or at a seeded random rate), so a
 given plan + seed reproduces the same faults run after run.
@@ -19,7 +19,6 @@ site                      instrumented at
 ``engine.fp``             every non-fallback conv-engine FP call (raise/hang)
 ``engine.bp``             every non-fallback conv-engine BP call (raise/hang)
 ``sgd.gradient``          the loss gradient of every SGD step (corrupt)
-``ps.push``               every parameter-server push (drop / hang)
 ========================  ====================================================
 
 A pooled network's training step runs its layers in worker replicas
@@ -35,8 +34,7 @@ reach the parameter gradients as it does inline.
 
 Fault kinds: ``"raise"`` (throw :class:`~repro.errors.InjectedFault`),
 ``"hang"`` (sleep ``delay`` seconds -- a straggler), ``"corrupt"``
-(write ``value``, NaN by default, into a seeded fraction of an array),
-``"drop"`` (report True from :func:`should_drop`).
+(write ``value``, NaN by default, into a seeded fraction of an array).
 
 Invocation counters are process-local and reset with every
 :func:`inject` activation: a resumed run starts counting from zero.
@@ -55,7 +53,7 @@ import numpy as np
 from repro import telemetry
 from repro.errors import InjectedFault, ReproError
 
-FAULT_KINDS = ("raise", "hang", "corrupt", "drop")
+FAULT_KINDS = ("raise", "hang", "corrupt")
 
 
 @dataclass(frozen=True)
@@ -223,18 +221,6 @@ class FaultInjector:
             out.reshape(-1)[flat_idx] = spec.value
         return out
 
-    def should_drop(self, site: str, **attrs: Any) -> bool:
-        """Visit a drop site: True when the operation should be dropped."""
-        specs = [s for s in self.plan.for_site(site) if s.kind == "drop"]
-        if not specs:
-            return False
-        invocation = self._tick(site)
-        for spec in specs:
-            if self._triggers(spec, invocation):
-                self._record(spec, invocation, attrs)
-                return True
-        return False
-
 
 # -- the active injector stack ---------------------------------------------
 #
@@ -283,14 +269,6 @@ def corrupt_array(site: str, array):
     return injector.corrupt_array(site, array)
 
 
-def should_drop(site: str, **attrs: Any) -> bool:
-    """Drop site hook; always False when no injector is active."""
-    injector = active_injector()
-    if injector is None:
-        return False
-    return injector.should_drop(site, **attrs)
-
-
 # -- named plans -----------------------------------------------------------
 
 
@@ -332,26 +310,11 @@ def _numeric_plan() -> FaultPlan:
     ))
 
 
-def _ps_plan() -> FaultPlan:
-    """Parameter-server chaos: dropped and delayed pushes.
-
-    Every push visits the ``ps.push`` site twice (the perturb hook,
-    then the drop hook), so odd invocations are hang/raise ticks and
-    even invocations are drop ticks: push *n* hangs at ``2n - 1`` and
-    drops at ``2n``.
-    """
-    return FaultPlan(name="ps", specs=(
-        FaultSpec(site="ps.push", kind="drop", at=(4, 8)),
-        FaultSpec(site="ps.push", kind="hang", at=(5,), delay=0.05),
-    ))
-
-
 _PLAN_BUILDERS = {
     "none": _none_plan,
     "smoke": _smoke_plan,
     "workers": _workers_plan,
     "numeric": _numeric_plan,
-    "ps": _ps_plan,
 }
 
 #: Plans the chaos harness realizes with *real signals* against live

@@ -41,8 +41,8 @@ class QuarantineRegistry:
         self._records: dict[tuple[str, str, str], QuarantineRecord] = {}
 
     # A registry is process-wide infrastructure, not per-network state:
-    # replicating a network (copy.deepcopy in the distributed trainer)
-    # must share the original registry, not clone its lock.
+    # copying a network (copy.deepcopy) must share the original
+    # registry, not clone its lock.
     def __copy__(self) -> "QuarantineRegistry":
         return self
 

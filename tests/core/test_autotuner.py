@@ -59,30 +59,17 @@ class TestModelBackendSelections:
         assert plan.fp_engine in ("gemm-in-parallel", "parallel-gemm", "stencil")
 
 
-class TestExtendedCandidates:
-    def test_fft_absent_by_default(self):
+class TestFFTIsNotACandidate:
+    """FFT convolution is a time model only (``machine.fft_model``)."""
+
+    def test_fft_absent_from_plans(self):
         plan = model_tuner().plan_layer(TABLE1_CONVS[0])
         assert "fft" not in plan.fp_timings
 
-    def test_fft_timed_when_extended(self):
-        tuner = Autotuner(ModelCostBackend(MACHINE, cores=16, batch=16),
-                          extended=True)
-        plan = tuner.plan_layer(TABLE1_CONVS[0])
-        assert "fft" in plan.fp_timings
-        # For the paper's small kernels, FFT must not win.
-        assert plan.fp_engine != "fft"
-
-    def test_fft_wins_for_giant_kernels(self):
-        tuner = Autotuner(ModelCostBackend(MACHINE, cores=16, batch=16),
-                          extended=True)
-        giant = ConvSpec(nc=32, ny=64, nx=64, nf=32, fy=31, fx=31)
-        plan = tuner.plan_layer(giant)
-        assert plan.fp_engine == "fft"
-
-    def test_fft_rejected_for_bp(self):
+    def test_fft_rejected_by_the_model_backend(self):
         backend = ModelCostBackend(MACHINE, cores=1, batch=1)
         with pytest.raises(PlanError):
-            backend.time("fft", "bp", TABLE1_CONVS[0], 0.0)
+            backend.time("fft", "fp", TABLE1_CONVS[0], 0.0)
 
 
 class TestReplanBP:

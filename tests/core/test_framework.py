@@ -80,7 +80,7 @@ class TestOptimize:
 
     def test_bp_engine_outside_the_candidates_is_replanned_up_front(self):
         net = small_net()
-        net.conv_layers()[0].set_bp_engine("fft")
+        net.conv_layers()[0].set_bp_engine("stencil")
         plan = make_spg(net).optimize()
         planned = plan.for_layer("convA")
         assert planned.bp_engine in planned.bp_timings

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.data.tables import benchmark_layers
-from repro.distributed.cluster_model import (
+from repro.machine.cluster_model import (
     ClusterSpec,
     cluster_throughput,
     communication_bound_fraction,

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,3 +225,26 @@ class TestLiveRendering:
         )
         bare_history = bare.run(1)
         assert monitored_history.loss_curve() == bare_history.loss_curve()
+
+
+def _surfaced_counters() -> list[str]:
+    from repro.resilience.chaos import REPORT_COUNTERS
+
+    return sorted(set(RESILIENCE_COUNTERS) | set(REPORT_COUNTERS))
+
+
+class TestSurfacedCounters:
+    @pytest.mark.parametrize("counter", _surfaced_counters())
+    def test_some_module_emits_the_counter(self, counter):
+        # A counter the monitor or the chaos report surfaces must be
+        # named by the code that increments it; one whose emitter was
+        # deleted would read zero forever and look like a healthy run.
+        import repro
+
+        src = Path(repro.__file__).parent
+        surfacing = {src / "obs" / "monitor.py",
+                     src / "resilience" / "chaos.py"}
+        emitters = [path for path in sorted(src.rglob("*.py"))
+                    if path not in surfacing
+                    and f'"{counter}"' in path.read_text()]
+        assert emitters, f"nothing under {src} emits {counter!r}"

@@ -26,7 +26,7 @@ conv_specs = st.builds(
     sx=st.integers(1, 2),
 )
 
-ENGINES = ("parallel-gemm", "gemm-in-parallel", "stencil", "sparse", "fft")
+ENGINES = ("parallel-gemm", "gemm-in-parallel", "stencil", "sparse")
 
 
 def _data(spec, seed, sparsity):

@@ -15,10 +15,21 @@ from repro.resilience.faults import (
 )
 
 
+def fires(perturb, site="s"):
+    """Visit a raise site once; True when the fault fired."""
+    try:
+        perturb(site)
+    except InjectedFault:
+        return True
+    return False
+
+
 class TestFaultSpec:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ReproError):
             FaultSpec(site="pool.task", kind="explode")
+        with pytest.raises(ReproError):
+            FaultSpec(site="pool.task", kind="drop")
 
     def test_rejects_zero_based_indices(self):
         with pytest.raises(ReproError):
@@ -52,15 +63,15 @@ class TestInjector:
 
     def test_rate_faults_are_seeded(self):
         plan = FaultPlan("t", specs=(
-            FaultSpec(site="s", kind="drop", rate=0.3),
+            FaultSpec(site="s", kind="raise", rate=0.3),
         ), seed=7)
 
-        def drops(injector):
-            return [injector.should_drop("s") for _ in range(50)]
+        def raises(injector):
+            return [fires(injector.perturb) for _ in range(50)]
 
-        assert drops(FaultInjector(plan)) == drops(FaultInjector(plan))
+        assert raises(FaultInjector(plan)) == raises(FaultInjector(plan))
         reseeded = FaultInjector(plan.with_seed(8))
-        assert drops(FaultInjector(plan)) != drops(reseeded)
+        assert raises(FaultInjector(plan)) != raises(reseeded)
 
     def test_corrupt_poisons_a_copy(self):
         plan = FaultPlan("t", specs=(
@@ -104,7 +115,6 @@ class TestModuleHooks:
         faults.perturb("s")
         array = np.ones(3)
         assert faults.corrupt_array("s", array) is array
-        assert faults.should_drop("s") is False
 
     def test_inject_activates_and_deactivates(self):
         plan = FaultPlan("t", specs=(
@@ -120,12 +130,12 @@ class TestModuleHooks:
     def test_inject_nests_innermost_wins(self):
         outer = FaultPlan("outer")
         inner = FaultPlan("inner", specs=(
-            FaultSpec(site="s", kind="drop", at=(1,)),
+            FaultSpec(site="s", kind="raise", at=(1,)),
         ))
         with inject(outer):
             with inject(inner):
-                assert faults.should_drop("s") is True
-            assert faults.should_drop("s") is False
+                assert fires(faults.perturb) is True
+            assert fires(faults.perturb) is False
 
     def test_counters_reset_per_activation(self):
         plan = FaultPlan("t", specs=(
@@ -138,7 +148,26 @@ class TestModuleHooks:
                     faults.perturb("s")
 
 
+#: The instrumented sites of ``repro.resilience.faults`` and the fault
+#: kinds each one acts on (its module docstring's site table).
+SITE_KINDS = {
+    "pool.task": {"raise", "hang"},
+    "pool.result": {"corrupt"},
+    "engine.fp": {"raise", "hang"},
+    "engine.bp": {"raise", "hang"},
+    "sgd.gradient": {"corrupt"},
+}
+
+
 class TestNamedPlans:
+    @pytest.mark.parametrize("name", plan_names())
+    def test_plan_targets_only_instrumented_sites(self, name):
+        # A spec naming a site nothing visits (or a kind its site ignores)
+        # would never fire, and the chaos run would pass vacuously.
+        for spec in get_plan(name).specs:
+            assert spec.site in SITE_KINDS, spec
+            assert spec.kind in SITE_KINDS[spec.site], spec
+
     def test_all_names_build(self):
         for name in plan_names():
             plan = get_plan(name, seed=5)

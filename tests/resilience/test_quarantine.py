@@ -7,7 +7,7 @@ import pytest
 
 from repro import telemetry
 from repro.core.convspec import ConvSpec
-from repro.core.plan import FALLBACK_ENGINE
+from repro.core.plan import FALLBACK_ENGINE, FP_CANDIDATES
 from repro.errors import ReproError
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.resilience.quarantine import QuarantineRegistry, default_registry
@@ -47,12 +47,46 @@ class TestRegistry:
         assert not registry.is_quarantined("c1", "fp", "stencil")
 
     def test_deepcopy_shares_the_registry(self):
-        # Replicating a network (distributed trainer) deep-copies layers;
-        # the registry is process-wide infrastructure and must be shared,
-        # not cloned (its lock is unpicklable anyway).
+        # Copying a network deep-copies its layers; the registry is
+        # process-wide infrastructure and must be shared, not cloned (its
+        # lock is unpicklable anyway).
         registry = QuarantineRegistry()
         assert copy.deepcopy(registry) is registry
         assert copy.copy(registry) is registry
+
+    def test_deepcopied_network_shares_the_registry_not_the_weights(self):
+        net = small_net()
+        replica = copy.deepcopy(net)
+        original, copied = net.conv_layers()[0], replica.conv_layers()[0]
+        assert copied._quarantine is original._quarantine
+        assert copied._quarantine is default_registry()
+        copied.weights[0, 0, 0, 0] = 123.0
+        assert original.weights[0, 0, 0, 0] != 123.0
+
+    def test_deepcopied_network_computes_the_same_forward(self):
+        net = small_net()
+        replica = copy.deepcopy(net)
+        inputs = np.random.default_rng(1).standard_normal(
+            (2, 1, 8, 8)).astype(np.float32)
+        np.testing.assert_array_equal(replica.forward(inputs, training=False),
+                                      net.forward(inputs, training=False))
+
+
+def small_net():
+    from repro.nn.netdef import build_network
+
+    return build_network(
+        {
+            "input": [1, 8, 8],
+            "layers": [
+                {"type": "conv", "features": 3, "kernel": 3},
+                {"type": "relu"},
+                {"type": "flatten"},
+                {"type": "dense", "features": 3},
+            ],
+        },
+        rng=np.random.default_rng(0),
+    )
 
 
 def conv_layer(quarantine, threads=None):
@@ -158,7 +192,7 @@ class TestAutotunerIntegration:
         spec = ConvSpec(nc=8, ny=12, nx=12, nf=8, fy=3, fx=3, name="c1")
         backend = ModelCostBackend(xeon_e5_2650(), cores=4, batch=8)
         tuner = Autotuner(backend, quarantine=registry)
-        for engine in tuner.fp_candidates:
+        for engine in FP_CANDIDATES:
             registry.quarantine("c1", "fp", engine)
         plan = tuner.plan_layer(spec, layer_name="c1", sparsity=0.9)
         assert plan.fp_engine == FALLBACK_ENGINE

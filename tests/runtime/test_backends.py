@@ -1,8 +1,9 @@
 """Tests for the pluggable execution backends (repro.runtime.backends).
 
-The process-backend tasks used here are stdlib or ``repro`` module-level
-functions: anything shipped to a spawned worker must be importable by
-the fresh interpreter, and functions defined in a test module are not.
+The process-backend tasks used here are module-level functions: anything
+shipped to a spawned worker is pickled by reference and must be
+importable by the fresh interpreter, which inherits this one's
+``sys.path``.
 """
 
 import functools
@@ -15,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.obs.bench import _pool_slice_square_sum
 from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault, inject
 from repro.runtime.backends import (
     _ATTACH_CACHE,
@@ -29,6 +29,19 @@ from repro.runtime.backends import (
 )
 from repro.runtime.pool import WorkerPool
 from repro.runtime.shm import SharedArray, ShmArena, owned_segments
+
+
+def _pool_slice_square_sum(descriptor, lo: int, hi: int) -> float:
+    """Sum of squares of rows ``[lo, hi)`` of a shared-memory matrix.
+
+    Ships the data by descriptor, so the identical task runs on every
+    backend, the process one included.
+    """
+    seg = SharedArray.attach(descriptor)
+    try:
+        return float(np.square(seg.ndarray[lo:hi]).sum())
+    finally:
+        seg.close()
 
 
 @pytest.fixture(scope="module")

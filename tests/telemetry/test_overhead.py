@@ -3,14 +3,17 @@
 The telemetry helpers are called on every batch, every layer pass and
 every pool task.  With no active collector they must reduce to a cheap
 guard (iterate an empty tuple), so production runs that never activate a
-collector pay (almost) nothing.  This test pins that contract: an
-instrumented hot path with no collector active stays under 1.5x the
-uninstrumented path on the same workload.
+collector pay (almost) nothing.  The two wall-clock budgets below carry
+the ``wallclock`` marker (tier-1 deselects them; ``-m wallclock`` runs
+them): the host book's ``telemetry.overhead_share`` line is what judges
+telemetry cost.  ``test_disabled_helpers_record_nothing`` is exact and
+stays in tier-1.
 """
 
 import time
 
 import numpy as np
+import pytest
 
 from repro import telemetry
 
@@ -53,6 +56,7 @@ def _best_of(fn, data: np.ndarray, rounds: int = 5) -> float:
 
 
 class TestOverheadBudget:
+    @pytest.mark.wallclock
     def test_disabled_instrumentation_within_budget(self):
         assert not telemetry.active_collectors(), (
             "test requires no ambient collector")
@@ -91,6 +95,7 @@ WORKER_BUDGET = 1.10
 WORKER_SLACK_SECONDS = 0.25
 
 
+@pytest.mark.wallclock
 class TestWorkerTelemetryBudget:
     def test_enabled_worker_telemetry_within_budget(self):
         import statistics

@@ -1,16 +1,30 @@
 """Tests for the command-line interface."""
 
+import argparse
 import io
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 
 
 def run(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    """Every ``repro`` subcommand name (aliases included) -> its parser."""
+    action = next(a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return dict(action.choices)
+
+
+COMMANDS = _subcommands()
+#: The reporting commands: those sharing the ``--format`` contract.
+REPORTING = sorted(name for name, sub in COMMANDS.items()
+                   if "--format" in sub._option_string_actions)
 
 
 class TestCharacterize:
@@ -48,6 +62,51 @@ class TestPlan:
         code, text = run(["plan", str(netdef), "--sparsity", "0.9"])
         assert code == 0
         assert "FP engine" in text and "sparse" in text
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["characterize", "schedule", "explain"])
+    @pytest.mark.parametrize("args", [[], ["1", "2"]], ids=["none", "two"])
+    def test_missing_dims_exit_2_with_usage(self, command, args, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run([command, *args])
+        assert excinfo.value.code == 2
+        assert f"usage: repro {command} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_exits_0_with_usage(self, command, capsys):
+        # Rendering the help is where a malformed metavar (a tuple on an
+        # nargs=4 positional) crashes instead of printing.
+        with pytest.raises(SystemExit) as excinfo:
+            run([command, "--help"])
+        assert excinfo.value.code == 0
+        assert f"usage: {COMMANDS[command].prog} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unknown_flag_exits_2_with_usage(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run([command, "--no-such-flag"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro" in err and "error:" in err
+
+    @pytest.mark.parametrize("command", REPORTING)
+    def test_unknown_format_exits_2(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run([command, "--format", "xml"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"usage: {COMMANDS[command].prog} " in err
+        assert "invalid choice: 'xml'" in err
+
+    def test_reporting_commands_share_the_format_contract(self):
+        assert set(REPORTING) == {"trace", "check", "chaos", "train",
+                                  "monitor", "shm", "workers"}
+
+    def test_retired_ps_plan_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["chaos", "--plan", "ps"])
+        assert excinfo.value.code == 2
 
 
 class TestFigure:
@@ -93,9 +152,17 @@ class TestEngines:
     def test_lists_all_engines(self):
         code, text = run(["engines"])
         assert code == 0
+        names = text.split()
         for engine in ("parallel-gemm", "gemm-in-parallel", "stencil",
-                       "sparse", "fft"):
-            assert engine in text
+                       "sparse", "reference"):
+            assert engine in names
+        assert "fft" not in names
+
+    def test_help_lists_no_bench(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--help"])
+        assert excinfo.value.code == 0
+        assert "bench" not in capsys.readouterr().out
 
 
 class TestTrace:
@@ -269,112 +336,6 @@ class TestTrain:
         code, text = run(["train", *self.ARGS, "--every", "1"])
         assert code == 0
         assert "[monitor] epoch 1 batch 1" in text
-
-
-class TestBench:
-    ARGS = ["bench", "--filter", "gemm_blocked", "--repeats", "1"]
-
-    def _run(self, tmp_path, *extra):
-        return run([*self.ARGS, "--out", str(tmp_path / "bench"),
-                    "--baseline", str(tmp_path / "baseline.json"), *extra])
-
-    def test_no_baseline_skips_comparison(self, tmp_path):
-        code, text = self._run(tmp_path)
-        assert code == 0
-        assert "comparison skipped" in text
-        assert "bench: OK" in text
-        import json
-
-        payload = json.loads(
-            (tmp_path / "bench" / "BENCH_gemm_blocked.json").read_text())
-        assert payload["schema_version"] == 1
-
-    def test_update_then_compare_clean(self, tmp_path):
-        # Record the baseline artificially slow so the comparison run is
-        # deterministically inside the noise band on any machine.
-        code, text = self._run(tmp_path, "--update-baseline",
-                               "--slowdown", "gemm_blocked=20")
-        assert code == 0
-        assert "recorded baseline" in text
-        code, text = self._run(tmp_path)
-        assert code == 0
-        assert "bench: OK" in text
-
-    def test_injected_slowdown_trips_the_gate(self, tmp_path):
-        assert self._run(tmp_path, "--update-baseline")[0] == 0
-        code, text = self._run(tmp_path, "--slowdown", "gemm_blocked=100")
-        assert code == 1
-        assert "bench: REGRESSED (gemm_blocked)" in text
-
-    def test_soft_reports_but_exits_zero(self, tmp_path):
-        assert self._run(tmp_path, "--update-baseline")[0] == 0
-        code, text = self._run(tmp_path, "--slowdown", "gemm_blocked=100",
-                               "--soft")
-        assert code == 0
-        assert "REGRESSED" in text
-
-    def test_json_format(self, tmp_path):
-        assert self._run(tmp_path, "--update-baseline",
-                         "--slowdown", "gemm_blocked=20")[0] == 0
-        code, text = self._run(tmp_path, "--format", "json")
-        assert code == 0
-        import json
-
-        payload = json.loads(text.splitlines()[0])
-        assert payload["results"][0]["name"] == "gemm_blocked"
-        assert payload["comparison"]["ok"] is True
-
-    def test_bad_slowdown_spec_is_a_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit):
-            self._run(tmp_path, "--slowdown", "gemm_blocked")
-
-    def test_unknown_filter_rejected(self):
-        with pytest.raises(SystemExit):
-            run(["bench", "--filter", "bogus"])
-
-
-class TestBenchBackend:
-    def _run(self, tmp_path, *extra):
-        return run(["bench", "--repeats", "1",
-                    "--out", str(tmp_path / "bench"),
-                    "--baseline", str(tmp_path / "baseline.json"), *extra])
-
-    def test_backend_recorded_in_artifacts(self, tmp_path):
-        code, _ = self._run(tmp_path, "--filter", "pool_map",
-                            "--backend", "serial")
-        assert code == 0
-        import json
-
-        payload = json.loads(
-            (tmp_path / "bench" / "BENCH_pool_map.json").read_text())
-        assert payload["backend"] == "serial"
-        assert payload["cpu_count"] >= 1
-
-    def test_backend_free_benchmarks_compare_across_backends(self, tmp_path):
-        # gemm_blocked does not touch the pool: a baseline recorded under
-        # one backend must still gate a run under another.
-        assert self._run(tmp_path, "--filter", "gemm_blocked",
-                         "--backend", "serial", "--update-baseline",
-                         "--slowdown", "gemm_blocked=20")[0] == 0
-        code, text = self._run(tmp_path, "--filter", "gemm_blocked",
-                               "--backend", "thread")
-        assert code == 0
-        assert "bench: OK" in text
-        assert "new" not in text
-
-    def test_backend_mismatch_counts_as_new_not_regression(self, tmp_path):
-        assert self._run(tmp_path, "--filter", "pool_map",
-                         "--backend", "serial", "--update-baseline")[0] == 0
-        code, text = self._run(tmp_path, "--filter", "pool_map",
-                               "--backend", "thread",
-                               "--slowdown", "pool_map=100")
-        assert code == 0
-        assert "new" in text
-        assert "REGRESSED" not in text
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            run(["bench", "--backend", "fibers"])
 
 
 class TestCheckOutput:

@@ -57,8 +57,3 @@ class TestExamples:
         assert "hottest layer" in out
         assert "lane breakdown" in out
         assert "engines deployed" in out
-
-    def test_distributed_training(self):
-        out = run_example("distributed_training.py")
-        assert "staleness" in out
-        assert "Cluster CIFAR-10" in out
