@@ -10,20 +10,16 @@ minimum.
 
 from repro.analysis.reporting import format_table
 from repro.data.tables import TABLE1_CONVS
-from repro.stencil.basic_block import (
-    generate_basic_block,
-    instructions_per_output,
-    optimize_register_tile,
-)
+from repro.stencil.basic_block import TileChoice, optimize_register_tile
 
 
 def sweep():
     rows = []
     for spec in TABLE1_CONVS:
         fy = fx = spec.fy
-        naive = instructions_per_output(generate_basic_block(fy, fx, 1, 1))
-        wide = instructions_per_output(generate_basic_block(fy, fx, 1, 14))
-        tall = instructions_per_output(generate_basic_block(fy, fx, 14, 1))
+        naive = TileChoice(fy, fx, 1, 1).instructions_per_output
+        wide = TileChoice(fy, fx, 1, 14).instructions_per_output
+        tall = TileChoice(fy, fx, 14, 1).instructions_per_output
         best = optimize_register_tile(fy, fx)
         rows.append(
             {

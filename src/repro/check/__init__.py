@@ -1,16 +1,13 @@
 """``repro.check``: static verification of generated kernels, graphs
 and the parallel runtime.
 
-Six analyzers prove correctness properties *before* anything runs on
+Five analyzers prove correctness properties *before* anything runs on
 training data, so codegen drift and runtime races surface at check time
 instead of as silent numerical corruption mid-training:
 
-* :mod:`repro.check.kernel_ir` -- symbolic interpretation of stencil
-  basic blocks (bounds, register pressure, tap completeness, and the
-  IR <-> machine-model flop-count consistency invariant);
-* :mod:`repro.check.gen_source` -- ``ast`` verification of emitted
-  stencil/sparse Python (literal slice bounds, exact tap coverage,
-  name whitelisting);
+* :mod:`repro.check.gen_source` -- every emitted C unit against the
+  scheduled nest it was printed from (literals, tap order and tables,
+  scratch sections, blocks written exactly once), without a compiler;
 * :mod:`repro.check.graph` -- shape/dtype propagation over networks
   and netdefs, wired into :class:`TrainingLoop` as a fail-fast
   pre-flight;

@@ -1,4 +1,4 @@
-"""Analyzer 4: concurrency lint over the package source.
+"""Analyzer 3: concurrency lint over the package source.
 
 The parallel runtime (:class:`repro.runtime.pool.WorkerPool`,
 :class:`repro.runtime.parallel.ParallelExecutor`) runs closures on real
@@ -50,14 +50,6 @@ and flags:
   ``functools.partial(fn, scratch)`` (bound arguments, positional or
   keyword), and bare bound methods (``scratch.run`` captures its
   instance);
-* **CHK-SCHED-BYPASS** -- an emitter module (one defining ``emit_*``
-  functions) calls a raw basic-block entry point
-  (``generate_basic_block``/``optimize_register_tile``/
-  ``render_intrinsics``) directly.  Emitters must lower through the
-  schedule-pass pipeline (``SchedulePipeline.vector_block`` /
-  ``block_for_nest``) so the codegen cache key, the legality checks
-  and the work-estimate ledger all see the same schedule; a direct
-  call silently pins the default schedule regardless of the pipeline.
 """
 
 from __future__ import annotations
@@ -115,12 +107,6 @@ _FORK_UNSAFE_CALLS = {
         "re-attach worker-side)",
     "open": "an open file handle (OS handles do not pickle)",
 }
-
-#: Raw basic-block entry points (CHK-SCHED-BYPASS): emitter modules must
-#: reach these only through the schedule-pass pipeline.
-_SCHED_BYPASS_CALLS = frozenset(
-    ("generate_basic_block", "optimize_register_tile", "render_intrinsics")
-)
 
 #: Task-graph submission methods (CHK-DAG): node callables run
 #: concurrently on the work-stealing scheduler.
@@ -622,34 +608,6 @@ def lint_source(module_name: str, source: str) -> list[Finding]:
     )
     dag_visitor.visit(tree)
     findings.extend(dag_visitor.findings)
-
-    # CHK-SCHED-BYPASS: emitter modules reaching the basic-block layer
-    # without going through the schedule-pass pipeline.  Gated on the
-    # module defining ``emit_*`` functions so the pipeline/model modules
-    # that legitimately own these entry points stay clean.
-    is_emitter_module = any(
-        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("emit_")
-        for node in tree.body
-    )
-    if is_emitter_module:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            if name in _SCHED_BYPASS_CALLS:
-                findings.append(_finding(
-                    "error", f"{module_name}:{node.lineno}",
-                    f"emitter calls {name}() directly, bypassing the "
-                    f"schedule pass pipeline; lower through "
-                    f"SchedulePipeline.vector_block()/block_for_nest() so "
-                    f"the cache key and legality checks see the schedule",
-                ))
 
     # CHK-TEL-API: unknown telemetry attributes; import-time emission.
     aliases = _telemetry_aliases(tree)

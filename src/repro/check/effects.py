@@ -1,4 +1,4 @@
-"""Analyzer 5: effect-typed happens-before verification of task graphs.
+"""Analyzer 4: effect-typed happens-before verification of task graphs.
 
 The task-graph runtime (:mod:`repro.runtime.dag`) removed the per-layer
 barriers; this analyzer proves the removal never traded determinism for

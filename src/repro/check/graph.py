@@ -1,4 +1,4 @@
-"""Analyzer 3: network-graph verification before training starts.
+"""Analyzer 2: network-graph verification before training starts.
 
 Propagates shapes and dtypes through a :class:`repro.nn.network.Network`
 (or an unbuilt netdef dictionary) and reports, as structured findings:

@@ -1,4 +1,4 @@
-"""Analyzer 6: shared-memory buffer-lifecycle verification.
+"""Analyzer 5: shared-memory buffer-lifecycle verification.
 
 The shm state machine (:mod:`repro.runtime.shm`) is
 ``create -> attach -> close -> unlink``: owners create segments and must

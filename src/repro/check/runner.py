@@ -3,10 +3,10 @@
 The default corpus is everything the framework can deploy: the built-in
 zoo networks (graph checker and task-graph effects verifier), the
 engine-facing ConvSpec of every conv layer in those networks plus every
-Table 2 benchmark convolution (kernel-IR verifier and generated-source
-verifier, covering each (ConvSpec x technique) kernel the autotuner can
-emit), every module of the ``repro`` package itself (concurrency lint),
-and the shm-owning runtime modules (lifecycle analyzer).
+Table 2 benchmark convolution (generated-source verifier, covering each
+C unit the autotuner can deploy for them), every module of the
+``repro`` package itself (concurrency lint), and the shm-owning runtime
+modules (lifecycle analyzer).
 """
 
 from __future__ import annotations
@@ -16,23 +16,18 @@ from pathlib import Path
 from repro.check.concurrency import lint_package
 from repro.check.effects import verify_networks as verify_network_effects
 from repro.check.findings import CheckReport
-from repro.check.gen_source import native_units, verify_generated_sources
+from repro.check.gen_source import native_units, verify_native_units
 from repro.check.graph import verify_networks
-from repro.check.kernel_ir import verify_kernel_ir
 from repro.check.lifecycle import lint_lifecycle
 from repro.core.convspec import ConvSpec
 from repro.errors import CheckError
 from repro.machine.spec import MachineSpec, xeon_e5_2650
 
 #: The analyzers ``run_all`` knows, in run order.
-ANALYZERS = ("kernel-ir", "gen-source", "graph", "effects", "concurrency",
-             "lifecycle")
+ANALYZERS = ("gen-source", "graph", "effects", "concurrency", "lifecycle")
 
-#: Short aliases accepted by ``--only`` (``repro check --only ir,source``).
-ANALYZER_ALIASES = {
-    "ir": "kernel-ir",
-    "source": "gen-source",
-}
+#: Short aliases accepted by ``--only`` (``repro check --only source``).
+ANALYZER_ALIASES = {"source": "gen-source"}
 
 
 def engine_spec(spec: ConvSpec) -> ConvSpec:
@@ -80,7 +75,7 @@ def run_all(
     networks: list | None = None,
     lint_root: Path | None = None,
 ) -> CheckReport:
-    """Run the selected analyzers (all six by default) and aggregate.
+    """Run the selected analyzers (all five by default) and aggregate.
 
     Returns a :class:`CheckReport`; never raises on findings -- use
     :meth:`CheckReport.raise_if_errors` (or the CLI's exit code) to gate.
@@ -95,9 +90,9 @@ def run_all(
     machine = machine or xeon_e5_2650()
     report = CheckReport(meta={"machine": machine.name})
 
-    needs_specs = {"kernel-ir", "gen-source"} & set(selected)
+    needs_specs = "gen-source" in selected
     needs_networks = (
-        bool(needs_specs and specs is None)
+        (needs_specs and specs is None)
         or bool({"graph", "effects"} & set(selected))
     )
     if needs_networks and networks is None:
@@ -107,16 +102,10 @@ def run_all(
     if needs_specs:
         report.meta["specs"] = len(specs or [])
 
-    if "kernel-ir" in selected:
-        report.extend(verify_kernel_ir(specs or [], machine))
     if "gen-source" in selected:
-        report.extend(verify_generated_sources(specs or []))
-        # Five per-family kernels per spec, plus the fused conv+ReLU+pool
-        # emission for every spec whose output plane admits a 2x2 pool.
-        report.meta["kernels"] = 5 * len(specs or []) + sum(
-            1 for s in (specs or []) if s.out_ny >= 2 and s.out_nx >= 2
-        )
-        # ... and every spec's C units (sparse BP; stencil FP and fused).
+        for spec in specs or []:
+            report.extend(verify_native_units(spec))
+        # Every spec's C units (sparse BP; stencil FP and fused).
         report.meta["native_units"] = sum(
             len(native_units(s)) for s in specs or [])
     if "graph" in selected:

@@ -78,7 +78,7 @@ _FIGURES = {
 def _analyzer_list(text: str) -> tuple[str, ...]:
     """``--only`` type: comma-separated analyzer names, validated.
 
-    Accepts the short aliases too (``--only ir,source``)."""
+    Accepts the short alias too (``--only source``)."""
     names = tuple(
         _ANALYZER_ALIASES.get(name.strip(), name.strip())
         for name in text.split(",") if name.strip()
@@ -204,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--analyzer", action="append", dest="analyzers", default=None,
         choices=_ANALYZERS,
-        help="run only the named analyzer (repeatable; default: all six)",
+        help="run only the named analyzer (repeatable; default: all five)",
     )
     check.add_argument(
         "--only", type=_analyzer_list, default=None, metavar="A[,B...]",
@@ -515,6 +515,10 @@ def _cmd_train(args, out) -> int:
                  if row["fused"]]
         print(f"fused with ReLU + max-pool: {', '.join(fused) or 'none'}",
               file=out)
+        for row in report.plan:
+            for name, why in row["lowering_reasons"].items():
+                print(f"{row['layer']}: {name} timed on the reference "
+                      f"({why})", file=out)
     if args.out is not None:
         if str(args.out).endswith(".md"):
             path = report.write_markdown(args.out)

@@ -22,6 +22,7 @@ from repro.core.autotuner import Autotuner, CostBackend
 from repro.core.plan import (
     BP_CANDIDATES,
     FALLBACK_ENGINE,
+    FP_CANDIDATES,
     ExecutionPlan,
     LayerPlan,
 )
@@ -56,6 +57,8 @@ class SpgCNN:
         self.autotuner = Autotuner(backend)
         self.recheck_epochs = recheck_epochs
         self._plans: dict[str, LayerPlan] = {}
+        #: Layer -> candidate -> why it runs on the reference.
+        self._reasons: dict[str, dict[str, str]] = {}
         self.retune_events: list[RetuneEvent] = []
 
     # -- planning and deployment ------------------------------------------
@@ -77,13 +80,15 @@ class SpgCNN:
 
     def _deployed(self, layer, plan: LayerPlan) -> LayerPlan:
         """``plan`` as it now runs on ``layer``: with the lowerings of
-        the engines the layer actually built and the fused unit its FP
-        runs as, if any -- resolved here, so a cold build is set-up."""
+        the engines the layer actually built, why any candidate was
+        timed on the reference, and the fused unit its FP runs as, if
+        any -- resolved here, so a cold build is set-up."""
         pool = self.network.run_pool(layer)
         unit = layer.fused_unit(pool) if pool is not None else None
         return replace(plan, fp_lowering=layer.fp_lowering or "",
                        bp_lowering=layer.bp_lowering or "",
-                       fused=unit.artifact if unit is not None else "")
+                       fused=unit.artifact if unit is not None else "",
+                       lowering_reasons=self._reasons[layer.name])
 
     def optimize(self) -> ExecutionPlan:
         """Plan FP for every conv layer and deploy the chosen engines.
@@ -93,12 +98,13 @@ class SpgCNN:
         exists.  Only a BP engine the plan cannot carry (one outside the
         BP candidates) is replaced up front, planned for a dense error.
 
-        Every BP candidate is constructed once here, and so is the fused
+        Every candidate is constructed once here, and so is the fused
         conv + ReLU + max-pool unit of a layer whose FP is deployed on
         the C stencil kernel, so whatever their generated kernels need --
-        emission, a cold C compile and its self-check, the load -- is
-        paid during set-up and neither a recheck between two training
-        steps nor the first step finds it unbuilt.
+        a cold C compile and its self-check, the load -- is paid during
+        set-up and neither a recheck between two training steps nor the
+        first step finds it unbuilt.  Why a candidate's kernels run on
+        the reference instead, if they do, is recorded in every plan.
         """
         conv_layers = self.network.conv_layers()
         if not conv_layers:
@@ -106,8 +112,11 @@ class SpgCNN:
         plans = []
         with self._tuning_span("spg/optimize", layers=len(conv_layers)):
             for layer in conv_layers:
-                for candidate in BP_CANDIDATES:
-                    make_engine(candidate, layer.padded_spec)
+                engines = [make_engine(name, layer.padded_spec) for name
+                           in dict.fromkeys(FP_CANDIDATES + BP_CANDIDATES)]
+                self._reasons[layer.name] = {
+                    engine.name: engine.lowering_reason for engine in engines
+                    if engine.lowering == "reference"}
                 deployed = (layer.fp_engine_name, layer.bp_engine_name)
                 if deployed[1] in BP_CANDIDATES + (FALLBACK_ENGINE,):
                     plan = self.autotuner.plan_fp(

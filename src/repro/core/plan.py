@@ -39,7 +39,7 @@ class LayerPlan:
     bp_timings: dict[str, float] = field(default_factory=dict)
     sparsity: float = 0.0
     #: What the deployed engines' generated kernels were lowered to
-    #: (``"c"`` / ``"python"``), filled in by whoever deploys the plan;
+    #: (``"c"`` / ``"reference"``), filled in by whoever deploys the plan;
     #: empty for engines with a single form and for undeployed plans.
     fp_lowering: str = ""
     bp_lowering: str = ""
@@ -47,6 +47,10 @@ class LayerPlan:
     #: layer's FP runs as where the network fuses it with the pool after
     #: its ReLU; empty where the chain runs.
     fused: str = ""
+    #: Candidate -> why its generated kernels were timed (and would
+    #: run) on the reference instead of a C unit, filled in with the
+    #: lowerings; empty where every candidate's unit loaded.
+    lowering_reasons: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.fp_engine not in FP_CANDIDATES + (FALLBACK_ENGINE,):

@@ -2,7 +2,7 @@
 
 The stencil kernel's throughput is derived from the *generated code
 itself*: the register-tile optimizer's basic block supplies the vector
-instruction mix, and the model applies
+instruction mix (its closed-form counts), and the model applies
 
 * a **port model** -- the core issues up to as many vector loads as FMAs
   per cycle, so blocks whose loads (plus weight broadcasts) outnumber
@@ -67,9 +67,8 @@ def stencil_efficiency(
             num_registers=machine.num_vector_registers,
             vector_width=machine.vector_width,
         )
-    block = tile.block
     # Port pressure: load-bound blocks dilate execution time.
-    load_pressure = (block.loads + block.broadcasts) / max(block.fmas, 1)
+    load_pressure = (tile.loads + tile.broadcasts) / max(tile.fmas, 1)
     port = min(1.0, profile.loads_per_fma_budget / max(load_pressure, 1e-9))
     util_x = _utilization(spec.out_nx, machine.vector_width)
     util_y = _utilization(spec.out_ny, tile.ry)

@@ -26,7 +26,8 @@ loaded temp, so a reader never sees a half-written or unverified unit.
 
 Every failure -- no compiler, a compiler that exits non-zero, an
 unloadable file, a refused directory, a failed verification -- is a
-:class:`NativeBuildError`; callers keep their Python lowering.
+:class:`NativeBuildError`; the engines then serve every call with
+:mod:`repro.ops.reference`.
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ CACHE_ENV = "REPRO_NATIVE_CACHE_DIR"
 CFLAGS = ("-O3", "-march=native", "-ffp-contract=fast", "-fPIC", "-shared",
           "-Wall", "-Wextra", "-Werror")
 
-#: Largest |native - python| a build-time self-check accepts, as a share
-#: of the Python result's largest magnitude: float32 sums of thousands of
-#: terms in two orders differ by ~1e-6 of it, an indexing bug by ~1.
+#: Largest |native - reference| a build-time self-check accepts, as a
+#: share of the reference result's largest magnitude: float32 sums of
+#: thousands of terms in two orders differ by ~1e-6 of it, an indexing
+#: bug by ~1.
 SELF_CHECK_RTOL = 1e-4
 
 _COMPILE_TIMEOUT_S = 120.0
@@ -292,15 +294,15 @@ class Kernels:
 def check_agrees(what: str, got: np.ndarray, want: np.ndarray,
                  exact: bool = False) -> None:
     """The build-time differential check's verdict on one result:
-    within :data:`SELF_CHECK_RTOL` of the Python lowering's, or -- for
-    two native kernels that promise equal bits -- ``exact``."""
+    within :data:`SELF_CHECK_RTOL` of :mod:`repro.ops.reference`'s, or
+    -- for two native kernels that promise equal bits -- ``exact``."""
     scale = float(np.abs(want).max(initial=0.0)) or 1.0
     if got.shape != want.shape or not (
             np.abs(got - want).max(initial=0.0)
             <= (0.0 if exact else SELF_CHECK_RTOL * scale)):
         raise NativeBuildError(
             f"native {what} disagrees with "
-            f"{'its chain' if exact else 'the Python lowering'}")
+            f"{'its chain' if exact else 'the reference'}")
 
 
 def load_kernels(wrapper: type[Kernels], spec: Any, unit: CUnit,

@@ -228,7 +228,7 @@ class ConvLayer(Layer):
     @property
     def fp_lowering(self) -> str | None:
         """What the FP engine's generated FP kernels were lowered to
-        (``"c"`` / ``"python"``); ``None`` where they have one form."""
+        (``"c"`` / ``"reference"``); ``None`` where they have one form."""
         return self._lowered("fp", "lowering")
 
     @property

@@ -11,8 +11,9 @@ Two unrelated-but-neighbouring notions of "schedule" live here:
   deterministic set of candidate pass pipelines over the loop IR
   (:mod:`repro.stencil.passes`), prices each with the multi-level
   roofline via its :class:`~repro.stencil.loopir.WorkEstimate`, gates
-  the winner through the ``repro.check`` kernel-IR and generated-source
-  verifiers, and caches the choice per ``(spec, family)``.
+  the winner -- where a C printer lowers the family -- through the
+  ``repro.check`` verifier of its printed unit, and caches the choice
+  per ``(spec, family)``.
 """
 
 from __future__ import annotations
@@ -117,7 +118,9 @@ class ScheduleChoice:
     seconds: float
     #: ``pipeline.describe() -> roofline seconds`` per candidate searched.
     timings: tuple[tuple[str, float], ...]
-    #: True when the winner passed the kernel-IR + generated-source gate.
+    #: True when the winner's printed C unit passed ``repro.check``'s
+    #: verifier (``fp`` / ``fused_fp`` at stride 1); other families are
+    #: priced legal nests.
     verified: bool
 
     @property
@@ -144,8 +147,10 @@ class ScheduleSearch:
     + structured tile/reorder/jam variants + seeded-random samples),
     prices each candidate's :class:`~repro.stencil.loopir.WorkEstimate`
     with the machine roofline at the searched batch/core count, and
-    walks the candidates cheapest-first until one passes the
-    ``repro.check`` verifiers (basic-block IR plus emitted-source AST).
+    walks the candidates cheapest-first until one whose printed C unit
+    passes :func:`repro.check.gen_source.verify_native_unit` (for the
+    families a C printer lowers; the others take the cheapest legal
+    nest).
 
     Determinism: the random samples come from :class:`random.Random`
     seeded by a stable hash of ``(spec, family, seed)``, candidate order
@@ -351,49 +356,19 @@ class ScheduleSearch:
                              efficiency=efficiency)
 
     @staticmethod
-    def _emit(spec: ConvSpec, pipeline: SchedulePipeline):
-        from repro.sparse import codegen as sparse_codegen
-        from repro.stencil import emit as stencil_emit
+    def _passes_verifier(spec: ConvSpec, pipeline: SchedulePipeline) -> bool:
+        """Print a candidate's C unit and check the text against its nest
+        (:func:`repro.check.gen_source.verify_native_unit`; no compiler)."""
+        from repro.check.gen_source import verify_native_unit
+        from repro.stencil.emit_c import emit_stencil_c_unit
 
-        family = pipeline.family
-        if family == "fp":
-            return stencil_emit.emit_forward_kernel(spec, pipeline)
-        if family == "bp_data":
-            return stencil_emit.emit_backward_data_kernel(spec, pipeline)
-        if family == "bp_weights":
-            return stencil_emit.emit_backward_weights_kernel(spec, pipeline)
-        if family == "fused_fp":
-            return stencil_emit.emit_fused_forward_kernel(
-                spec, pipeline.pool_kernel, pipeline.pool_stride or None,
-                pipeline,
-            )
-        if family == "sparse_bp_data":
-            return sparse_codegen.emit_sparse_backward_data(spec, pipeline)
-        if family == "sparse_bp_weights":
-            return sparse_codegen.emit_sparse_backward_weights(spec, pipeline)
-        raise ReproError(f"no emitter for family {family!r}")
-
-    def _passes_verifiers(self, spec: ConvSpec,
-                          pipeline: SchedulePipeline) -> bool:
-        """Gate a candidate through the ``repro.check`` verifiers."""
-        from repro.check.gen_source import contract_for, verify_kernel_source
-        from repro.check.kernel_ir import verify_basic_block
-
+        symbol = "fp" if pipeline.family == "fp" else "fused"
         location = f"{spec.name or spec.describe()}/{pipeline.describe()}"
-        findings = []
         try:
-            if not pipeline.family.startswith("sparse"):
-                nest = pipeline.build_nest(spec)
-                tile = pipeline.vector_block(spec)
-                findings.extend(verify_basic_block(
-                    tile.block, num_registers=nest.num_registers,
-                    location=location,
-                ))
-            kernel = self._emit(spec, pipeline)
-            findings.extend(verify_kernel_source(
-                kernel.source, contract_for(spec, pipeline), location,
-            ))
-        except Exception:  # noqa: BLE001 - an unemittable schedule loses
+            findings = verify_native_unit(
+                emit_stencil_c_unit(spec, pipeline),
+                {symbol: pipeline.build_nest(spec)}, location)
+        except Exception:  # noqa: BLE001 - an unprintable schedule loses
             return False
         return not any(f.severity == "error" for f in findings)
 
@@ -414,13 +389,16 @@ class ScheduleSearch:
                   for i, pipe in enumerate(cands)]
         timings = tuple((pipe.describe(), seconds)
                         for seconds, _, pipe in priced)
+        # Gated wherever the C printer lowers the family.
+        gated = self.verify and family in ("fp", "fused_fp") \
+            and (spec.sy, spec.sx) == (1, 1)
         chosen: SchedulePipeline | None = None
         seconds = float("inf")
         verified = False
         for cand_seconds, _, pipe in sorted(priced,
                                             key=lambda t: (t[0], t[1])):
-            if not self.verify or self._passes_verifiers(spec, pipe):
-                chosen, seconds, verified = pipe, cand_seconds, self.verify
+            if not gated or self._passes_verifier(spec, pipe):
+                chosen, seconds, verified = pipe, cand_seconds, gated
                 break
         if chosen is None:  # pragma: no cover - default always verifies
             chosen = default_pipeline(family, pool_kernel=pool_kernel,

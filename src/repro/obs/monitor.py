@@ -165,6 +165,9 @@ class RunReport:
                         engine += f" fused with ReLU + pool ({row['fused']})"
                     lines.append(f"- {row['layer']} {phase.upper()}: "
                                  f"{engine} ({timings})")
+                for name, why in row.get("lowering_reasons", {}).items():
+                    lines.append(f"- {row['layer']}: {name} timed on the "
+                                 f"reference ({why})")
             lines.append("")
         lines.append("## Autotuner retunes")
         lines.append("")
@@ -427,7 +430,8 @@ class TrainingMonitor:
                  "fp_engine": p.fp_engine, "fp_lowering": p.fp_lowering,
                  "fp_timings": dict(p.fp_timings),
                  "bp_engine": p.bp_engine, "bp_lowering": p.bp_lowering,
-                 "bp_timings": dict(p.bp_timings), "fused": p.fused}
+                 "bp_timings": dict(p.bp_timings), "fused": p.fused,
+                 "lowering_reasons": dict(p.lowering_reasons)}
                 for p in (plan.layers if plan is not None else ())
             ],
         )

@@ -41,8 +41,8 @@ class ConvEngine(ABC):
 
     #: Registry key; subclasses override.
     name = "abstract"
-    #: What the engine's generated kernels were lowered to (``"c"`` /
-    #: ``"python"``) and, when that is compiled code, what names the
+    #: What serves the engine's generated kernels (``"c"`` /
+    #: ``"reference"``) and, when that is compiled code, what names the
     #: loaded unit; ``None`` for engines with a single form.
     lowering: str | None = None
     artifact: str | None = None
@@ -110,16 +110,19 @@ class ConvEngine(ABC):
 
 
 class NativeLowering:
-    """Mixin for an object whose generated kernels also exist as C.
+    """Mixin for an engine whose generated kernels are C units.
 
-    Which lowering serves is decided by what can be observed, never by
-    an option.  At construction: a compiler was found, the geometry is
-    one the printer covers, the unit built (or was cached), loaded, and
-    a fresh build agreed with the Python lowering on random and
-    edge-position operands -- ``lowering == "c"``; anything else leaves
-    ``"python"`` and the reason in :attr:`lowering_reason`.  Per call:
-    the C kernels take C-contiguous ``float32`` operands, anything else
-    is served by the Python lowering.  Equal :attr:`artifact`, equal bits.
+    One fallback rule: every call a C unit does not serve is served by
+    :mod:`repro.ops.reference`.  Which one serves is decided by what can
+    be observed, never by an option.  At construction: a compiler was
+    found, the geometry is one the printer covers, the unit built (or
+    was cached), loaded, and a fresh build agreed with the reference on
+    random and edge-position operands -- ``lowering == "c"``; anything
+    else leaves ``"reference"`` and the reason in
+    :attr:`lowering_reason`.  Per call: the C kernels take C-contiguous
+    ``float32`` operands, anything else goes to the reference, as does
+    every phase outside :attr:`ConvEngine.lowered_phases`.  Equal
+    :attr:`artifact`, equal bits.
     """
 
     #: The loaded C kernels (or None) and, if None, why.
@@ -147,8 +150,8 @@ class NativeLowering:
 
     @property
     def lowering(self) -> str:
-        """``"c"`` when the compiled kernels serve, else ``"python"``."""
-        return "c" if self._native is not None else "python"
+        """``"c"`` when the compiled kernels serve, else ``"reference"``."""
+        return "c" if self._native is not None else "reference"
 
     @property
     def artifact(self) -> str | None:

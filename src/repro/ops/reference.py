@@ -175,3 +175,36 @@ def backward_weights(spec: ConvSpec, out_error: np.ndarray, inputs: np.ndarray) 
     return np.einsum("fyx,cyxab->fcab", out_error, patches, optimize=True).astype(
         out_error.dtype, copy=False
     )
+
+
+# ----------------------------------------------------------------------
+# Batches ([B, C, Y, X]), as the engines call them
+# ----------------------------------------------------------------------
+
+
+def batch_forward(spec: ConvSpec, inputs: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    """:func:`forward` of every image of a batch."""
+    out = np.empty((len(inputs),) + spec.output_shape, dtype=inputs.dtype)
+    for b, img in enumerate(inputs):
+        out[b] = forward(spec, img, weights)
+    return out
+
+
+def batch_backward_data(spec: ConvSpec, out_error: np.ndarray,
+                        weights: np.ndarray) -> np.ndarray:
+    """:func:`backward_data` of every image of a batch."""
+    in_error = np.empty((len(out_error),) + spec.input_shape,
+                        dtype=out_error.dtype)
+    for b, err in enumerate(out_error):
+        in_error[b] = backward_data(spec, err, weights)
+    return in_error
+
+
+def batch_backward_weights(spec: ConvSpec, out_error: np.ndarray,
+                           inputs: np.ndarray) -> np.ndarray:
+    """:func:`backward_weights` summed over a batch."""
+    dw = np.zeros(spec.weight_shape, dtype=out_error.dtype)
+    for err, img in zip(out_error, inputs):
+        dw += backward_weights(spec, err, img)
+    return dw

@@ -19,20 +19,16 @@ class ReferenceEngine(ConvEngine):
     def forward(self, inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
         self._check_batch_inputs(inputs)
         self._check_weights(weights)
-        return np.stack([reference.forward(self.spec, img, weights) for img in inputs])
+        return reference.batch_forward(self.spec, inputs, weights)
 
     def backward_data(self, out_error: np.ndarray, weights: np.ndarray,
                       crop: int = 0) -> np.ndarray:
         self._check_batch_out_error(out_error)
         self._check_weights(weights)
-        return self._cropped(np.stack(
-            [reference.backward_data(self.spec, err, weights) for err in out_error]
-        ), crop)
+        return self._cropped(
+            reference.batch_backward_data(self.spec, out_error, weights), crop)
 
     def backward_weights(self, out_error: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         self._check_batch_out_error(out_error)
         self._check_batch_inputs(inputs)
-        dw = np.zeros(self.spec.weight_shape, dtype=out_error.dtype)
-        for err, img in zip(out_error, inputs):
-            dw += reference.backward_weights(self.spec, err, img)
-        return dw
+        return reference.batch_backward_weights(self.spec, out_error, inputs)

@@ -1,12 +1,12 @@
 """The C lowering of the sparse BP kernels (paper Sec. 4.2, Figs. 5-6).
 
-The paper's generator emits C; :mod:`repro.sparse.codegen` emits numpy
-statements, which cost a Python dispatch per tap and per CT-CSR tile.
-This printer writes the same two kernels -- ``backward_data`` (Eq. 3) and
-``backward_weights`` (Eq. 4) -- for one :class:`ConvSpec` as one C
-translation unit, from the *same* scheduled nest: the tap order is
-:func:`repro.sparse.codegen._taps` of the family's pipeline, and every
-extent is a literal ``#define``.
+The paper's generator emits C, and so does this printer: the two
+kernels -- ``backward_data`` (Eq. 3) and ``backward_weights`` (Eq. 4) --
+for one :class:`ConvSpec` as one C translation unit, from the scheduled
+nest of each family's pipeline: the tap order is :func:`_taps` of it,
+and every extent is a literal ``#define``.  Each tap is one arrow of
+Fig. 6: one sparse MM whose result lands at the tap's pointer-shifted
+offset.
 
 Shape of the emitted code (both kernels, per image):
 
@@ -25,9 +25,9 @@ Shape of the emitted code (both kernels, per image):
 
 All working memory is one caller-owned ``float`` scratch (no ``malloc``,
 no statics: two engines never share state), whose size the printer
-reports.  The summation order differs from the Python printer's (and
-from GEMM's); it is fixed by the source, so equal artefacts compute
-equal bits.
+reports.  The summation order differs from the reference's (and from
+GEMM's); it is fixed by the source, so equal artefacts compute equal
+bits.
 
 The printer returns the facts it emitted alongside the text
 (:class:`repro.native.CUnit`: the literals and, per kernel, the tap
@@ -45,13 +45,26 @@ import numpy as np
 from repro.core.convspec import ConvSpec
 from repro.errors import CodegenError
 from repro.native import CUnit, KernelFacts, Kernels, require
-from repro.sparse.codegen import _taps
+from repro.stencil.loopir import LoopNest
 from repro.stencil.passes import default_pipeline
 
 #: Accumulator vectors held in registers at once (of 32 zmm / 16 ymm).
 CHUNK_VECTORS = 8
 
 _INT32_MAX = 2 ** 31 - 1
+
+
+def _taps(nest: LoopNest) -> list[tuple[int, int]]:
+    """Kernel taps in the scheduled nest's enumeration order."""
+    stage = nest.stages[0]
+    order = [li.dim.name for li in stage.loops if li.dim.name in ("ky", "kx")]
+    extents = {"ky": nest.spec.fy, "kx": nest.spec.fx}
+    taps = []
+    for first in range(extents[order[0]]):
+        for second in range(extents[order[1]]):
+            tap = {order[0]: first, order[1]: second}
+            taps.append((tap["ky"], tap["kx"]))
+    return taps
 
 
 def channel_tiling(nc: int) -> tuple[int, int, int]:

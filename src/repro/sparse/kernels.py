@@ -1,23 +1,12 @@
-"""Pointer-shifting sparse BP kernels (paper Sec. 4.2, Eqs. 11-15, Fig. 6).
+"""The sparse BP kernels' error layout (paper Sec. 4.2, Eqs. 11-15).
 
 The sparse convolution is composed, in place and without unfolding, as a
-series of small dense MMs -- one per kernel tap ``(ky, kx)``.  For the
-error-gradient computation (Eq. 3), the tap's sparse-dense product
-
-    ``S = EO_mat . W'[ky, kx]``             (Eq. 13)
-
-is scattered onto the output *vector* positions given by the pointer-
-shifting relation
-
-    ``EO[y', x', f] -> EI[y'*sy + ky, x'*sx + kx, *]``   (Eq. 15)
-
-which, over all output positions at once, is exactly the strided slice
-``EI[ky::sy, kx::sx, :]``.  Channels ``c`` are the fastest dimension of
-``EI`` and ``W'`` so the per-non-zero work is a contiguous vector FMA
-(Fig. 5b).
-
-The weight-gradient computation (Eq. 4) reuses the same tap structure with
-the transposed sparse operand: ``dW'[ky, kx] = EO_mat^T . I[ky::sy, kx::sx, :]``.
+series of small dense MMs -- one per kernel tap ``(ky, kx)`` -- whose
+sparse operand is the output error as the matrix ``EO_mat [Ny*Nx, Nf]``
+(Eq. 13), compressed to CT-CSR.  The kernels themselves are generated C
+(:mod:`repro.sparse.codegen_c`), which compresses inside the kernel;
+these helpers build the same operand in numpy, which is what the
+compression benchmarks and the host book's probes time.
 """
 
 from __future__ import annotations
@@ -47,79 +36,3 @@ def compress_error(
 ) -> CTCSRMatrix:
     """Build the CT-CSR representation of an output-error tensor."""
     return ctcsr_from_dense(error_matrix(spec, out_error), tile_cols=tile_cols)
-
-
-def _tap_slices(spec: ConvSpec, ky: int, kx: int) -> tuple[slice, slice]:
-    span_y = (spec.out_ny - 1) * spec.sy + 1
-    span_x = (spec.out_nx - 1) * spec.sx + 1
-    return (
-        slice(ky, ky + span_y, spec.sy),
-        slice(kx, kx + span_x, spec.sx),
-    )
-
-
-def sparse_backward_data(
-    spec: ConvSpec,
-    eo: CTCSRMatrix,
-    w_layout: np.ndarray,
-    in_error_hwc: np.ndarray,
-) -> np.ndarray:
-    """Accumulate Eq. 3 into ``in_error_hwc`` (``[Ny, Nx, Nc]``, zeroed).
-
-    ``w_layout`` is the ``[Ky, Kx, Nf, Nc]`` weight layout produced by
-    :func:`repro.ops.layout.weights_to_sparse_layout`.  One sparse-dense
-    MM per tap, placed with pointer shifting.
-    """
-    expected_w = (spec.fy, spec.fx, spec.nf, spec.nc)
-    if w_layout.shape != expected_w:
-        raise ShapeError(f"w_layout shape {w_layout.shape} != {expected_w}")
-    expected_ei = (spec.padded_ny, spec.padded_nx, spec.nc)
-    if in_error_hwc.shape != expected_ei:
-        raise ShapeError(f"in_error shape {in_error_hwc.shape} != {expected_ei}")
-    if eo.shape != (spec.out_ny * spec.out_nx, spec.nf):
-        raise ShapeError(
-            f"EO matrix shape {eo.shape} != {(spec.out_ny * spec.out_nx, spec.nf)}"
-        )
-    for ky in range(spec.fy):
-        for kx in range(spec.fx):
-            contrib = eo.matmul_dense(w_layout[ky, kx])  # [rows, Nc]
-            ys, xs = _tap_slices(spec, ky, kx)
-            in_error_hwc[ys, xs, :] += contrib.reshape(spec.out_ny, spec.out_nx, spec.nc)
-    return in_error_hwc
-
-
-def sparse_backward_weights(
-    spec: ConvSpec,
-    eo: CTCSRMatrix,
-    inputs_hwc: np.ndarray,
-    dw_layout: np.ndarray,
-) -> np.ndarray:
-    """Accumulate Eq. 4 into ``dw_layout`` (``[Ky, Kx, Nf, Nc]``, zeroed).
-
-    For each tap, the transposed sparse operand correlates the output error
-    with the tap's strided input slice: only the rows of the input matrix
-    selected by non-zero errors are touched.
-    """
-    expected_i = (spec.padded_ny, spec.padded_nx, spec.nc)
-    if inputs_hwc.shape != expected_i:
-        raise ShapeError(f"inputs shape {inputs_hwc.shape} != {expected_i}")
-    expected_w = (spec.fy, spec.fx, spec.nf, spec.nc)
-    if dw_layout.shape != expected_w:
-        raise ShapeError(f"dw_layout shape {dw_layout.shape} != {expected_w}")
-    for ky in range(spec.fy):
-        for kx in range(spec.fx):
-            ys, xs = _tap_slices(spec, ky, kx)
-            patch = np.ascontiguousarray(inputs_hwc[ys, xs, :]).reshape(
-                spec.out_ny * spec.out_nx, spec.nc
-            )
-            dw_layout[ky, kx] += eo.t_matmul_dense(patch)
-    return dw_layout
-
-
-def sparse_bp_useful_flops(spec: ConvSpec, nnz: int) -> int:
-    """Useful flops of one sparse BP pass (per computation, not both).
-
-    Every non-zero error element produces ``Fy*Fx`` vector FMAs of width
-    ``Nc`` -- 2 flops per channel per tap.
-    """
-    return 2 * nnz * spec.fy * spec.fx * spec.nc

@@ -1,16 +1,15 @@
-"""Basic-block generation and register-tile optimization (paper Sec. 4.3).
+"""Register-tile counts and the tile optimizer (paper Sec. 4.3, Fig. 7).
 
 For an output register tile of ``ry`` rows by ``rx`` vectors (each
-``vector_width`` floats wide) and a kernel of ``Fy x Fx`` taps, the block
-generator enumerates every input vector that contributes to the tile,
-emits one load for it, and emits the FMAs for all of its contributions --
-exactly the structure of the paper's Fig. 7 example, where the load of
-``ivec1`` is reused by two output vectors.
-
-An input vector at row offset ``dy`` and column offset ``dx`` contributes
-to output vector ``(ty, tx)`` whenever ``dy = ty + ky`` and
-``dx = tx * V + kx`` for some kernel tap ``(ky, kx)``; spatial reuse along
-y grows with ``ry``, which is what makes tall tiles profitable.
+``vector_width`` floats wide) and a kernel of ``Fy x Fx`` taps, the
+basic block loads every input vector that contributes to the tile once
+and issues the FMAs of all its contributions -- the structure of the
+paper's Fig. 7, where the load of ``ivec1`` is reused by two output
+vectors.  An input vector at row offset ``dy`` and column offset ``dx``
+contributes to output vector ``(ty, tx)`` whenever ``dy = ty + ky`` and
+``dx = tx * V + kx`` for some tap ``(ky, kx)``, so the block's counts
+have a closed form (:class:`TileChoice`): spatial reuse along y grows
+with ``ry``, which is what makes tall tiles profitable.
 
 The tile optimizer solves the paper's "geometric optimization problem" by
 exhaustive search over all ``(ry, rx)`` with
@@ -18,13 +17,10 @@ exhaustive search over all ``(ry, rx)`` with
 instructions per output element (commodity machines have few vector
 registers, so the search space is tiny).
 
-In the loop-IR stack this module is the *lowering target* of the
-``vectorize`` schedule pass: :func:`block_for_nest` turns a vectorized
-:class:`~repro.stencil.loopir.LoopNest` into the register-tiled block
-that the machine model prices and the kernel-IR verifier checks.  Only
-that pass (via :mod:`repro.stencil.passes`) and the renderer should call
-the generator directly -- emitters that bypass the pass pipeline are
-flagged by the ``CHK-SCHED-BYPASS`` lint rule.
+In the loop-IR stack the ``vectorize`` schedule pass declares the
+register budget and vector width: :func:`block_for_nest` turns a
+vectorized :class:`~repro.stencil.loopir.LoopNest` into the tile the
+machine model prices.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import CodegenError
-from repro.stencil.ir import BasicBlock, VBroadcast, VFma, VLoad, VStore
 from repro.stencil.loopir import LoopNest
 
 #: AVX on the paper's Xeon: 16 ymm registers, 8 floats each.
@@ -40,74 +35,76 @@ DEFAULT_NUM_REGISTERS = 16
 DEFAULT_VECTOR_WIDTH = 8
 
 
-def generate_basic_block(
-    fy: int,
-    fx: int,
-    ry: int,
-    rx: int,
-    vector_width: int = DEFAULT_VECTOR_WIDTH,
-) -> BasicBlock:
-    """Emit the IR for one ``(ry, rx)`` register-tiled stencil block."""
-    if min(fy, fx, ry, rx, vector_width) <= 0:
-        raise CodegenError(
-            f"all block parameters must be positive: fy={fy} fx={fx} ry={ry} "
-            f"rx={rx} vector_width={vector_width}"
-        )
-    block = BasicBlock(fy=fy, fx=fx, ry=ry, rx=rx, vector_width=vector_width)
-    instrs = block.instructions
-
-    # Weight broadcasts: one register reused for all taps (re-broadcast per tap).
-    for ky in range(fy):
-        for kx in range(fx):
-            instrs.append(VBroadcast(dst=f"wvec_{ky}_{kx}", ky=ky, kx=kx))
-
-    # Distinct input vectors touched by the tile, in row-major order, each
-    # loaded once and immediately consumed by all of its FMAs (Fig. 7).
-    seen: set[tuple[int, int]] = set()
-    for dy in range(ry + fy - 1):
-        for tx in range(rx):
-            for kx in range(fx):
-                dx = tx * vector_width + kx
-                if (dy, dx) in seen:
-                    continue
-                seen.add((dy, dx))
-                name = f"ivec_{dy}_{dx}"
-                instrs.append(VLoad(dst=name, y_off=dy, x_off=dx))
-                for ky in range(fy):
-                    ty = dy - ky
-                    if not 0 <= ty < ry:
-                        continue
-                    for tx2 in range(rx):
-                        kx2 = dx - tx2 * vector_width
-                        if 0 <= kx2 < fx:
-                            instrs.append(
-                                VFma(
-                                    acc=f"ovec_{ty}_{tx2}",
-                                    vec=name,
-                                    wvec=f"wvec_{ky}_{kx2}",
-                                )
-                            )
-
-    for ty in range(ry):
-        for tx in range(rx):
-            instrs.append(VStore(acc=f"ovec_{ty}_{tx}", ty=ty, tx=tx))
-    return block
-
-
 @dataclass(frozen=True)
 class TileChoice:
-    """The selected register tile and its cost in instructions/output."""
+    """One ``ry x rx`` register tile of an ``fy x fx`` stencil and the
+    vector instructions one execution of its basic block issues."""
 
+    fy: int
+    fx: int
     ry: int
     rx: int
-    instructions_per_output: float
-    block: BasicBlock
+    vector_width: int = DEFAULT_VECTOR_WIDTH
 
+    def __post_init__(self) -> None:
+        if min(self.fy, self.fx, self.ry, self.rx, self.vector_width) <= 0:
+            raise CodegenError(f"all block parameters must be positive: {self}")
 
-def instructions_per_output(block: BasicBlock) -> float:
-    """Vector instructions (load+fma+broadcast+store) per output element."""
-    total = block.loads + block.fmas + block.broadcasts + block.stores
-    return total / block.outputs_per_block
+    @property
+    def loads(self) -> int:
+        """Distinct input vectors: ``ry + fy - 1`` rows of the columns
+        ``tx * V + kx``, which overlap across ``tx`` once ``fx > V``."""
+        columns = min(self.rx * self.fx,
+                      (self.rx - 1) * self.vector_width + self.fx)
+        return (self.ry + self.fy - 1) * columns
+
+    @property
+    def fmas(self) -> int:
+        """One per accumulator and tap."""
+        return self.ry * self.rx * self.fy * self.fx
+
+    @property
+    def broadcasts(self) -> int:
+        """One weight register per tap."""
+        return self.fy * self.fx
+
+    @property
+    def stores(self) -> int:
+        """One per accumulator."""
+        return self.ry * self.rx
+
+    @property
+    def outputs_per_block(self) -> int:
+        """Output elements produced by one execution of the block."""
+        return self.ry * self.rx * self.vector_width
+
+    @property
+    def instructions_per_output(self) -> float:
+        """Vector instructions (load+fma+broadcast+store) per output element."""
+        total = self.loads + self.fmas + self.broadcasts + self.stores
+        return total / self.outputs_per_block
+
+    @property
+    def loads_per_fma(self) -> float:
+        """Input-load pressure: vector loads issued per vector FMA."""
+        return self.loads / self.fmas
+
+    @property
+    def registers_used(self) -> int:
+        """Vector registers live at once: accumulators + 1 input + 1 weight."""
+        return self.ry * self.rx + 2
+
+    def summary(self) -> dict[str, float]:
+        """Statistics dictionary consumed by the machine model."""
+        return {
+            "loads": self.loads,
+            "broadcasts": self.broadcasts,
+            "fmas": self.fmas,
+            "stores": self.stores,
+            "outputs_per_block": self.outputs_per_block,
+            "loads_per_fma": self.loads_per_fma,
+            "registers_used": self.registers_used,
+        }
 
 
 def optimize_register_tile(
@@ -131,22 +128,17 @@ def optimize_register_tile(
     rx_limit = max_rx or budget
     for ry in range(1, min(budget, ry_limit) + 1):
         for rx in range(1, min(budget // ry, rx_limit) + 1):
-            block = generate_basic_block(fy, fx, ry, rx, vector_width)
-            cost = instructions_per_output(block)
-            if best is None or cost < best.instructions_per_output - 1e-12:
-                best = TileChoice(ry=ry, rx=rx, instructions_per_output=cost, block=block)
+            tile = TileChoice(fy, fx, ry, rx, vector_width)
+            if best is None or tile.instructions_per_output \
+                    < best.instructions_per_output - 1e-12:
+                best = tile
     assert best is not None  # budget >= 1 guarantees at least one candidate
     return best
 
 
 def block_for_nest(nest: LoopNest) -> TileChoice:
-    """Lower a vectorized loop nest's innermost plane to its basic block.
-
-    This is the bridge the ``vectorize`` pass declares: the nest's
-    register budget and vector width select the register tile for the
-    nest's kernel taps, and the resulting block is what
-    ``repro.check.kernel_ir`` verifies for every scheduled kernel.
-    """
+    """The register tile of a vectorized loop nest: the nest's register
+    budget and vector width select it for the nest's kernel taps."""
     if not nest.vectorized:
         raise CodegenError(
             "block_for_nest requires a vectorized nest; run the vectorize "

@@ -1,11 +1,10 @@
 """The C lowering of the stencil FP kernels (paper Sec. 4.3, Figs. 4c-4d, 7).
 
-:mod:`repro.stencil.emit` lowers a scheduled nest to numpy statements,
-one interpreter dispatch per tap.  This printer walks the *same* nest
-(:meth:`SchedulePipeline.build_nest`) for the ``fp`` and ``fused_fp``
-families and writes one C unit per ``(spec, pipeline)``, every extent a
-literal, compiled at first use through :mod:`repro.native` -- the
-register-blocked, per-shape direct convolution of Georganas et al.:
+This printer walks the scheduled nest (:meth:`SchedulePipeline.build_nest`)
+of the ``fp`` and ``fused_fp`` families and writes one C unit per
+``(spec, pipeline)``, every extent a literal, compiled at first use
+through :mod:`repro.native` -- the register-blocked, per-shape direct
+convolution of Georganas et al.:
 
 * ``ox`` is the vector dimension (the ``vectorize`` pass's width, the
   row tail in narrower powers of two: MNIST's 24 prints as 16 + 8);
@@ -28,11 +27,11 @@ register-blocked, per-shape direct convolution of Georganas et al.:
   :class:`repro.nn.layers.conv.ConvLayer` runs when it fuses.
 
 The FMA order per output element is this printer's constant
-(:func:`column_taps`), which keeps fused == chain bitwise under this
-lowering too.  Stride-1 nests only: anything else raises
-:class:`CodegenError` and the caller keeps its Python lowering.  The
-facts emitted travel with the text (:class:`repro.native.CUnit`);
-``repro check`` recomputes them from the nest.
+(:func:`column_taps`), which keeps fused == chain bitwise.  Stride-1
+nests only: anything else raises :class:`CodegenError` and the engine
+is served by :mod:`repro.ops.reference`.  The facts emitted travel with
+the text (:class:`repro.native.CUnit`); ``repro check`` recomputes them
+from the nest.
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ from repro.native import (
     require,
     vector_registers,
 )
+from repro.ops import reference
 from repro.ops.workspace import Workspace
-from repro.stencil.engine import python_forward
 from repro.stencil.loopir import LoopNest, PoolWindow
 from repro.stencil.passes import SchedulePipeline, Vectorize, default_pipeline
 
@@ -83,9 +82,8 @@ def column_taps(spec: ConvSpec) -> tuple[tuple[int, int], ...]:
     the register tile or the vector width.  A constant of this printer,
     not read off the nest (whose tap loops run ``ky``, ``kx``): Fig. 7's
     load reuse needs ``ky`` innermost, the input vector of row ``r + ky``
-    serving output row ``r`` for every ``ky``.  So the C lowering sums in
-    another order than the Python one, and ``repro check`` compares
-    against this function."""
+    serving output row ``r`` for every ``ky``.  So ``repro check``
+    compares against this function."""
     return tuple((ky, kx) for kx in range(spec.fx) for ky in range(spec.fy))
 
 
@@ -420,12 +418,12 @@ class NativeStencilKernels(Kernels):
 
 
 def _self_check(kernels: NativeStencilKernels,
-                pipeline: SchedulePipeline | None,
                 pool: PoolWindow | None) -> None:
-    """Differential check of a freshly built unit against the Python
-    lowering, on a random batch and on one image that is non-zero only at
-    each plane's four corners (where an off-by-one tap offset or block
-    bound lands outside the array, or on the wrong weight).
+    """Differential check of a freshly built unit against
+    :mod:`repro.ops.reference`, on a random batch and on one image that
+    is non-zero only at each plane's four corners (where an off-by-one
+    tap offset or block bound lands outside the array, or on the wrong
+    weight).
 
     The fused unit is judged through its chain, bit for bit, and only
     where that chain's conv is the FP kernel's C unit: conv, bias, ReLU,
@@ -447,7 +445,7 @@ def _self_check(kernels: NativeStencilKernels,
         for name, inputs in (("random", random), ("edge", edge)):
             check_agrees(f"forward ({name}) for {spec.describe()}",
                          kernels.forward(inputs, weights),
-                         python_forward(spec, pipeline, inputs, weights))
+                         reference.batch_forward(spec, inputs, weights))
         return
     chain, reason = kernels_for(load_stencil_kernels, spec, None)
     if chain is None:
@@ -498,4 +496,4 @@ def load_stencil_kernels(spec: ConvSpec, pipeline: SchedulePipeline | None,
         host_pipeline(pipeline, "fused_fp", pool.kernel, pool.stride)
     return load_kernels(
         NativeStencilKernels, spec, emit_stencil_c_unit(spec, printed),
-        lambda kernels: _self_check(kernels, pipeline, pool))
+        lambda kernels: _self_check(kernels, pool))

@@ -1,12 +1,12 @@
 """Loop-level IR for the stencil code generators (the schedulable layer).
 
-The original generators each baked *one* schedule into their emitter:
-``emit.py`` always produced the taps-outer, fully-vectorized-plane
-emission and ``schedule.py`` chose one cache tiling.  This module keeps
-the *algorithm* -- what is computed -- as a small loop-level IR, so that
+This module is the one description of a generated kernel: it keeps the
+*algorithm* -- what is computed -- as a small loop-level IR, so that
 *schedules* -- in what order, at what tile granularity, with what fusion
 -- become composable, individually verified transformation passes
-(:mod:`repro.stencil.passes`), in the style of Exo/SYS_ATL.
+(:mod:`repro.stencil.passes`), in the style of Exo/SYS_ATL, and the C
+printers (:mod:`repro.stencil.emit_c`, :mod:`repro.sparse.codegen_c`)
+write what the scheduled nest says.
 
 Vocabulary
 ----------
@@ -21,9 +21,9 @@ Vocabulary
     *relative* order is observable in float arithmetic, so passes must
     preserve it.
   - ``REDUCE_ATOMIC``: the reduction happens inside one vectorized
-    primitive (the channel contraction inside ``np.tensordot``).  It
+    primitive (the channel contraction held in one accumulator).  It
     cannot be split or reordered at all -- splitting it changes the
-    accumulation order inside the BLAS kernel.
+    accumulation order.
 
 * :class:`Affine` / :class:`Access` -- affine access maps from loop
   variables to buffer coordinates (``inputs[c, oy*sy + ky, ox*sx + kx]``).
@@ -219,7 +219,7 @@ class LoopNest:
     #: Pool geometry when the nest is a fused conv+ReLU+pool program.
     pool: PoolWindow | None = None
     #: True once the ``vectorize`` pass ran (innermost dims lowered to
-    #: the vector primitive / basic-block IR).
+    #: the vector primitive).
     vectorized: bool = False
     #: Register budget / vector width the ``vectorize`` pass lowered with.
     num_registers: int = 16
@@ -435,7 +435,7 @@ def fused_fp_nest(spec: ConvSpec, pool_kernel: int,
     )
 
 
-#: Builders by kernel family (the vocabulary the emitters understand).
+#: Builders by kernel family.
 NEST_BUILDERS = {
     "fp": conv_fp_nest,
     "bp_data": conv_bp_data_nest,

@@ -3,13 +3,12 @@
 Each pass is a frozen, hashable rewrite of a :class:`~repro.stencil.loopir.
 LoopNest`.  Legality is checked structurally at apply time against the
 dimension kinds declared by the nest builders, which encode the bit-exact
-transformation envelope established empirically for the numpy vector
-primitives:
+transformation envelope:
 
 * ``tile`` may split only PARALLEL spatial dims (``oy``/``ox``, or the
   pool-row dim ``py`` of fused nests).  Splitting a REDUCE_ATOMIC dim
-  (the channel contraction inside ``np.tensordot``) changes the
-  accumulation order inside the BLAS kernel and is rejected.
+  (the channel contraction inside the vector primitive) changes the
+  accumulation order and is rejected.
 * ``reorder`` may permute a stage's loops as long as the *relative*
   order of REDUCE_ORDERED dims (the accumulating kernel taps) is
   preserved.  In the dW nest the taps are PARALLEL -- each ``dw``
@@ -18,15 +17,15 @@ primitives:
   moves the group members innermost; per output element the tap order
   is untouched, so the rewrite is bit-exact.
 * ``vectorize`` lowers the innermost parallel plane plus the atomic
-  contraction onto the vector primitive, attaching the register-tiled
-  basic block (:mod:`repro.stencil.basic_block`) that the machine model
-  prices and :func:`repro.check.kernel_ir.verify_basic_block` verifies.
+  contraction onto the vector primitive, with the register budget and
+  width that select the register tile (:mod:`repro.stencil.basic_block`)
+  the machine model prices and the C printer blocks by.
 * ``fuse`` demotes the conv+ReLU+pool intermediate activation to a
   tile-scoped scratch buffer and tiles the pool rows, eliminating the
   materialized activation / pre-pool tensors from shared traffic.
 
 A :class:`SchedulePipeline` is an ordered pass list with a stable
-fingerprint; the emitters key their codegen caches on it, and every pass
+fingerprint; the C printers name their units by it, and every pass
 reports the :class:`~repro.stencil.loopir.WorkDelta` it produced so the
 autotuner can explain a schedule choice in roofline terms.
 """
@@ -216,9 +215,8 @@ class UnrollAndJam:
 class Vectorize:
     """Lower the innermost parallel plane to the vector primitive.
 
-    This is the bridge to the existing basic-block IR: the register tile
-    chosen for ``(fy, fx)`` under the declared register budget is what
-    the machine model prices and the kernel-IR verifier checks.
+    The register tile chosen for ``(fy, fx)`` under the declared
+    register budget is what the machine model prices.
     """
 
     num_registers: int = DEFAULT_NUM_REGISTERS
@@ -324,7 +322,7 @@ class SchedulePipeline:
         if len(vec) != 1 or vec[0] != len(self.passes) - 1:
             raise CodegenError(
                 "pipeline must end with exactly one vectorize pass "
-                "(the lowering to the basic-block IR)"
+                "(the lowering to the vector primitive)"
             )
 
     # -- identity -------------------------------------------------------
@@ -342,7 +340,7 @@ class SchedulePipeline:
 
     @property
     def is_default(self) -> bool:
-        """True when this pipeline reproduces the original emission."""
+        """True when this pipeline is the family's default schedule."""
         return self == default_pipeline(self.family,
                                         pool_kernel=self.pool_kernel,
                                         pool_stride=self.pool_stride)
@@ -366,7 +364,7 @@ class SchedulePipeline:
         return nest
 
     def vector_block(self, spec: ConvSpec) -> TileChoice:
-        """The register-tiled basic block the vectorize pass lowered to."""
+        """The register tile the vectorize pass lowered to."""
         return block_for_nest(self.build_nest(spec))
 
     # -- work accounting ------------------------------------------------
@@ -404,15 +402,15 @@ class PassReport:
         return f"{self.name}: {self.delta.describe()}"
 
 
-# -- default pipelines (the original emitters, as schedules) ---------------
+# -- default pipelines -------------------------------------------------------
 
 
 def default_pipeline(family: str, pool_kernel: int = 0,
                      pool_stride: int = 0) -> SchedulePipeline:
-    """The pass pipeline reproducing the pre-loop-IR emission byte for
-    byte: taps enumerated in (ky, kx) order, full output plane vectorized,
-    no tiling.  The fused family's default processes one pool row block at
-    a time, which is the smallest legal fusion granularity."""
+    """The family's unscheduled pipeline: taps enumerated in (ky, kx)
+    order, full output plane vectorized, no tiling.  The fused family's
+    default processes one pool row block at a time, which is the
+    smallest legal fusion granularity."""
     if family == "fused_fp":
         return SchedulePipeline(
             family=family,

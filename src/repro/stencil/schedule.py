@@ -12,8 +12,7 @@ the machine model uses to price the kernel.
 Since the loop-IR refactor this cache-derived tiling is also expressible
 as a pass pipeline (:meth:`StencilSchedule.as_pipeline`): the halving
 search below seeds the autotuner's schedule search with the
-capacity-feasible starting point, and the pipeline form is what the
-emitters actually consume.
+capacity-feasible starting point.
 """
 
 from __future__ import annotations

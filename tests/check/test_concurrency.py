@@ -601,43 +601,3 @@ class TestDagWrappedCallables:
         findings = _lint(code)
         assert len(findings) == 1
         assert "functools.partial(...)" in findings[0].message
-
-
-class TestSchedBypassRule:
-    """CHK-SCHED-BYPASS: emitters must lower through the pass pipeline."""
-
-    def test_emitter_calling_basic_block_directly_is_an_error(self):
-        findings = _lint("""
-            def emit_conv_kernel(spec):
-                block = generate_basic_block(spec)
-                return block
-        """)
-        assert any("bypassing the schedule pass pipeline" in f.message
-                   for f in _errors(findings))
-
-    def test_attribute_call_is_also_flagged(self):
-        findings = _lint("""
-            from repro.stencil import basic_block
-
-            def emit_conv_kernel(spec):
-                return basic_block.optimize_register_tile(spec)
-        """)
-        assert any("bypassing the schedule pass pipeline" in f.message
-                   for f in _errors(findings))
-
-    def test_non_emitter_module_is_not_flagged(self):
-        # The basic-block layer itself (no emit_* definitions) may call
-        # its own entry points freely.
-        findings = _lint("""
-            def optimize(spec):
-                return generate_basic_block(spec)
-        """)
-        assert not any("bypassing" in f.message for f in findings)
-
-    def test_pipeline_path_is_sanctioned(self):
-        findings = _lint("""
-            def emit_conv_kernel(spec, pipeline):
-                nest = pipeline.build_nest(spec)
-                return pipeline.vector_block(spec)
-        """)
-        assert not any("bypassing" in f.message for f in findings)

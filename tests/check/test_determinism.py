@@ -1,123 +1,142 @@
 """Codegen determinism (satellite of the verification layer).
 
-The static verifiers reason about *the* source a spec emits, which is
-only sound if emission is deterministic: the same ConvSpec must produce
-byte-identical source, and the ``functools.lru_cache`` on the emitters
-must serve repeat requests from cache (specs are frozen/hashable).
+The static verifier and the artefact cache reason about *the* C text a
+spec prints, which is only sound if printing is deterministic: the same
+``(spec, pipeline)`` must produce byte-identical text -- in this process
+and in a fresh interpreter -- the ``functools.lru_cache`` on the printers
+must serve repeat requests from cache (specs are frozen/hashable), and
+distinct pipelines must never share a unit name.
 """
+
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.convspec import ConvSpec
-from repro.sparse import codegen as sparse_codegen
-from repro.stencil import emit as stencil_emit
+from repro.sparse import codegen_c
+from repro.stencil import emit_c
+from repro.stencil.passes import tiled_pipeline
 
-EMITTERS = [
-    stencil_emit.emit_forward_kernel,
-    stencil_emit.emit_backward_data_kernel,
-    stencil_emit.emit_backward_weights_kernel,
-    sparse_codegen.emit_sparse_backward_data,
-    sparse_codegen.emit_sparse_backward_weights,
-]
+#: Printer -> the arguments after the spec, per unit family.
+PRINTERS = {
+    "sparse": (codegen_c.emit_sparse_c_unit, ()),
+    "stencil-fp": (emit_c.emit_stencil_c_unit,
+                   (emit_c.host_pipeline(None, "fp"),)),
+    "stencil-fused": (emit_c.emit_stencil_c_unit,
+                      (emit_c.host_pipeline(None, "fused_fp", 2, 2),)),
+}
 
 
 def _spec(name="det"):
     return ConvSpec(nc=2, ny=10, nx=8, nf=3, fy=3, fx=3, name=name)
 
 
-@pytest.mark.parametrize("emitter", EMITTERS,
-                         ids=lambda e: e.__wrapped__.__name__)
-def test_same_spec_emits_byte_identical_source(emitter):
-    first = emitter(_spec())
-    second = emitter(_spec())
-    assert first.source == second.source
+def _print(family, spec):
+    printer, args = PRINTERS[family]
+    return printer(spec, *args)
+
+
+@pytest.mark.parametrize("family", PRINTERS)
+def test_same_spec_prints_byte_identical_text(family):
+    first = _print(family, _spec())
+    PRINTERS[family][0].cache_clear()
+    second = _print(family, _spec())
+    assert second is not first
     assert first.source.encode() == second.source.encode()
+    assert first.literals == second.literals and first.name == second.name
 
 
-@pytest.mark.parametrize("emitter", EMITTERS,
-                         ids=lambda e: e.__wrapped__.__name__)
-def test_repeat_emission_is_an_lru_cache_hit(emitter):
-    emitter.cache_clear()
-    kernel = emitter(_spec())
-    hits_before = emitter.cache_info().hits
-    again = emitter(_spec())
-    assert emitter.cache_info().hits == hits_before + 1
-    assert again is kernel  # served from cache, not re-generated
+def test_a_fresh_interpreter_prints_the_same_bytes():
+    script = (
+        "import hashlib\n"
+        "from repro.core.convspec import ConvSpec\n"
+        "from repro.sparse import codegen_c\n"
+        "from repro.stencil import emit_c\n"
+        "spec = ConvSpec(nc=2, ny=10, nx=8, nf=3, fy=3, fx=3, name='det')\n"
+        "for unit in (codegen_c.emit_sparse_c_unit(spec),\n"
+        "             emit_c.emit_stencil_c_unit(spec, emit_c.host_pipeline(\n"
+        "                 None, 'fp')),\n"
+        "             emit_c.emit_stencil_c_unit(spec, emit_c.host_pipeline(\n"
+        "                 None, 'fused_fp', 2, 2))):\n"
+        "    print(hashlib.sha256(unit.source.encode()).hexdigest())\n")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, check=True)
+    # The text names the spec, and the caches may hold a namesake's.
+    codegen_c.emit_sparse_c_unit.cache_clear()
+    emit_c.emit_stencil_c_unit.cache_clear()
+    here = [hashlib.sha256(_print(family, _spec()).source.encode()).hexdigest()
+            for family in PRINTERS]
+    assert done.stdout.split() == here
 
 
-@pytest.mark.parametrize("emitter", EMITTERS,
-                         ids=lambda e: e.__wrapped__.__name__)
-def test_spec_name_does_not_fragment_the_cache(emitter):
+@pytest.mark.parametrize("family", PRINTERS)
+def test_repeat_printing_is_an_lru_cache_hit(family):
+    printer = PRINTERS[family][0]
+    printer.cache_clear()
+    unit = _print(family, _spec())
+    hits_before = printer.cache_info().hits
+    again = _print(family, _spec())
+    assert printer.cache_info().hits == hits_before + 1
+    assert again is unit  # served from cache, not re-printed
+
+
+@pytest.mark.parametrize("family", PRINTERS)
+def test_spec_name_does_not_fragment_the_cache(family):
     # ConvSpec.name is compare=False: two specs differing only in name
-    # are equal, so they must share one cache entry (and one source).
-    emitter.cache_clear()
-    kernel = emitter(_spec(name="alpha"))
-    again = emitter(_spec(name="beta"))
-    assert again is kernel
-    assert emitter.cache_info().hits == 1
-    assert emitter.cache_info().misses == 1
+    # are equal, so they must share one cache entry (and one text).
+    printer = PRINTERS[family][0]
+    printer.cache_clear()
+    unit = _print(family, _spec(name="alpha"))
+    again = _print(family, _spec(name="beta"))
+    assert again is unit
+    assert printer.cache_info().hits == 1
+    assert printer.cache_info().misses == 1
 
 
 class TestPipelineKeyedCache:
     """Schedules are part of the cache key: satellite of the loop IR.
 
-    A (spec, pipeline) pair must re-emit byte-identically, distinct
-    pipelines must never collide (the fingerprint is baked into the
-    kernel name), and repeats must be lru_cache hits.
+    A (spec, pipeline) pair must re-print byte-identically, distinct
+    pipelines must never collide (the fingerprint is baked into the unit
+    name, which names its cached artefact), and repeats must be
+    lru_cache hits.
     """
 
-    def _tiled(self):
-        from repro.stencil.passes import tiled_pipeline
-
-        return tiled_pipeline("fp", tile_y=3)
-
-    def test_scheduled_emission_is_byte_identical(self):
-        from repro.stencil.passes import tiled_pipeline
-
-        first = stencil_emit.emit_forward_kernel(_spec(), tiled_pipeline(
+    def test_scheduled_printing_is_byte_identical(self):
+        first = emit_c.emit_stencil_c_unit(_spec(), tiled_pipeline(
             "fp", tile_y=3))
-        second = stencil_emit.emit_forward_kernel(_spec(), tiled_pipeline(
+        emit_c.emit_stencil_c_unit.cache_clear()
+        second = emit_c.emit_stencil_c_unit(_spec(), tiled_pipeline(
             "fp", tile_y=3))
         assert first.source == second.source
 
     def test_distinct_pipelines_never_collide(self):
-        from repro.stencil.passes import default_pipeline, tiled_pipeline
-
-        default = stencil_emit.emit_forward_kernel(_spec())
-        t3 = stencil_emit.emit_forward_kernel(
-            _spec(), tiled_pipeline("fp", tile_y=3))
-        t5 = stencil_emit.emit_forward_kernel(
-            _spec(), tiled_pipeline("fp", tile_y=5))
-        names = {default.name, t3.name, t5.name}
-        assert len(names) == 3
+        default = _print("stencil-fp", _spec())
+        t3 = emit_c.emit_stencil_c_unit(_spec(), tiled_pipeline("fp", tile_y=3))
+        t5 = emit_c.emit_stencil_c_unit(_spec(), tiled_pipeline("fp", tile_y=5))
+        assert len({default.name, t3.name, t5.name}) == 3
         assert t3.source != t5.source
         # The fingerprint is the collision guard: it is in the name.
         fp3 = tiled_pipeline("fp", tile_y=3).fingerprint()
-        assert t3.name.endswith(f"__s{fp3}")
-        assert default.name == stencil_emit.emit_forward_kernel(
-            _spec(), default_pipeline("fp")).name
+        assert t3.name.endswith(f"_{fp3}")
 
     def test_repeat_spec_pipeline_pair_is_a_cache_hit(self):
-        stencil_emit.emit_forward_kernel.cache_clear()
-        kernel = stencil_emit.emit_forward_kernel(_spec(), self._tiled())
-        hits = stencil_emit.emit_forward_kernel.cache_info().hits
-        again = stencil_emit.emit_forward_kernel(_spec(), self._tiled())
-        assert again is kernel
-        assert stencil_emit.emit_forward_kernel.cache_info().hits == hits + 1
-
-    def test_fused_cache_keys_carry_the_pool_window(self):
-        stencil_emit.emit_fused_forward_kernel.cache_clear()
-        k2 = stencil_emit.emit_fused_forward_kernel(_spec(), 2)
-        k2b = stencil_emit.emit_fused_forward_kernel(_spec(), 2)
-        assert k2b is k2
-        assert stencil_emit.emit_fused_forward_kernel.cache_info().hits == 1
+        emit_c.emit_stencil_c_unit.cache_clear()
+        unit = emit_c.emit_stencil_c_unit(_spec(), tiled_pipeline("fp", tile_y=3))
+        hits = emit_c.emit_stencil_c_unit.cache_info().hits
+        again = emit_c.emit_stencil_c_unit(_spec(), tiled_pipeline("fp", tile_y=3))
+        assert again is unit
+        assert emit_c.emit_stencil_c_unit.cache_info().hits == hits + 1
 
     def test_fused_c_units_are_keyed_by_the_pool_window(self):
         """What a conv layer deploys when it fuses: one C unit per
         ``(spec, pool window)``, byte-identical on re-emission, named (so
         cached) apart from every other window's."""
-        from repro.stencil import emit_c
-
         def unit(kernel, stride):
             return emit_c.emit_stencil_c_unit(_spec(), emit_c.host_pipeline(
                 None, "fused_fp", kernel, stride))

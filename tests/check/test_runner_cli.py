@@ -1,10 +1,11 @@
 """End-to-end tests for run_all and the ``repro check`` CLI.
 
 Covers the two acceptance gates: a clean tree yields zero errors and
-exit code 0; a seeded codegen fault (out-of-range pointer-shifted
-slice) flips the exit code to 1.
+exit code 0; a seeded codegen fault (a pointer-shifted tap offset that
+leaves the image) flips the exit code to 1.
 """
 
+import dataclasses
 import io
 import json
 
@@ -21,8 +22,7 @@ from repro.check.runner import (
 from repro.cli import main
 from repro.core.convspec import ConvSpec
 from repro.errors import CheckError
-from repro.stencil import emit as stencil_emit
-from repro.stencil.emit import GeneratedKernel
+from repro.stencil import emit_c
 
 TINY = ConvSpec(nc=2, ny=8, nx=8, nf=3, fy=3, fx=3, name="tiny")
 
@@ -32,28 +32,27 @@ class TestRunAll:
         report = run_all()
         assert report.ok, [f.message for f in report.errors]
         assert report.meta["specs"] > 0
-        # Five per-family kernels per spec plus one fused emission per
-        # spec whose output plane admits a 2x2 pool.
-        assert report.meta["kernels"] >= 5 * report.meta["specs"]
+        # The sparse pair per spec, plus stencil FP and fused units.
+        assert report.meta["native_units"] >= report.meta["specs"]
         assert report.meta["networks"] == 4
         assert report.meta["files_linted"] > 50
 
     def test_analyzer_subset_runs_only_that_analyzer(self):
         report = run_all(analyzers=("graph",), specs=[], networks=None)
         assert set(f.analyzer for f in report.findings) <= {"graph"}
-        assert "kernels" not in report.meta
+        assert "native_units" not in report.meta
         assert report.meta["networks"] == 4
 
     def test_unknown_analyzer_raises(self):
         with pytest.raises(CheckError, match="unknown analyzer"):
-            run_all(analyzers=("kernel-ir", "spellcheck"))
+            run_all(analyzers=("gen-source", "spellcheck"))
 
     def test_explicit_specs_are_used(self):
-        report = run_all(analyzers=("kernel-ir", "gen-source"), specs=[TINY])
+        report = run_all(analyzers=("gen-source",), specs=[TINY])
         assert report.ok
         assert report.meta["specs"] == 1
-        # TINY's 6x6 output admits a 2x2 pool: 5 families + 1 fused.
-        assert report.meta["kernels"] == 6
+        # TINY's 6x6 output admits a 2x2 pool: sparse, stencil FP, fused.
+        assert report.meta["native_units"] == 3
 
     def test_default_specs_are_deduplicated_and_engine_facing(self):
         specs = default_specs(default_networks())
@@ -65,16 +64,16 @@ class TestRunAll:
                                                  networks=[]))
 
     def test_analyzers_registry_matches_cli_choices(self):
-        assert ANALYZERS == ("kernel-ir", "gen-source", "graph", "effects",
+        assert ANALYZERS == ("gen-source", "graph", "effects",
                              "concurrency", "lifecycle")
 
     def test_short_aliases_resolve_to_the_pass_correctness_gate(self):
-        # CI runs ``repro check --only ir,source``: the aliases must keep
-        # resolving to the kernel-IR and gen-source verifiers.
-        assert ANALYZER_ALIASES == {"ir": "kernel-ir", "source": "gen-source"}
-        report = run_all(analyzers=("ir", "source"), specs=[TINY])
+        # CI runs ``repro check --only source``: the alias must keep
+        # resolving to the gen-source verifier.
+        assert ANALYZER_ALIASES == {"source": "gen-source"}
+        report = run_all(analyzers=("source",), specs=[TINY])
         assert report.ok
-        assert report.meta["kernels"] == 6
+        assert report.meta["native_units"] == 3
         assert "files_linted" not in report.meta
 
 
@@ -126,21 +125,21 @@ class TestCheckCli:
         assert run["properties"]["lifecycle_files"] == 3
 
     def test_seeded_codegen_fault_exits_nonzero(self, monkeypatch, tmp_path):
-        # Acceptance gate: an off-by-one pointer-shifted slice in an
-        # emitted kernel must flip the CLI to a non-zero exit.
-        real = stencil_emit.emit_forward_kernel
+        # Acceptance gate: an off-by-one pointer shift in an emitted
+        # kernel's tap table must flip the CLI to a non-zero exit.
+        real = emit_c.emit_stencil_c_unit
 
-        def faulty_emitter(spec):
-            kernel = real(spec)
-            doctored = kernel.source.replace(
-                f"{spec.fx - 1}:{spec.nx}]", f"{spec.fx - 1}:{spec.nx + 1}]"
-            )
-            assert doctored != kernel.source, "fault was not seeded"
-            return GeneratedKernel(name=kernel.name, source=doctored,
-                                   func=kernel.func)
+        def faulty_printer(spec, pipeline):
+            unit = real(spec, pipeline)
+            (facts,) = unit.kernels
+            table = facts.table_lines()[1]
+            last = f"{facts.tap_off[-1]}}};"
+            doctored = unit.source.replace(
+                table, table.replace(last, f"{facts.tap_off[-1] + 1}}};"))
+            assert doctored != unit.source, "fault was not seeded"
+            return dataclasses.replace(unit, source=doctored)
 
-        monkeypatch.setattr(stencil_emit, "emit_forward_kernel",
-                            faulty_emitter)
+        monkeypatch.setattr(emit_c, "emit_stencil_c_unit", faulty_printer)
         out = io.StringIO()
         json_path = tmp_path / "check.json"
         code = main(
@@ -149,7 +148,7 @@ class TestCheckCli:
         )
         assert code == 1
         text = out.getvalue()
-        assert "exceeds" in text  # the findings table names the fault
+        assert "furthest access" in text  # the findings table names it
         payload = json.loads(json_path.read_text())
         assert payload["meta"]["ok"] is False
         assert payload["meta"]["num_errors"] > 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import native
 from repro.core.autotuner import ModelCostBackend
 from repro.core.framework import SpgCNN
 from repro.data.synthetic import make_dataset
@@ -10,6 +11,7 @@ from repro.errors import PlanError
 from repro.machine.spec import xeon_e5_2650
 from repro.nn.netdef import build_network
 from repro.nn.sgd import SGDTrainer
+from tests.conftest import needs_cc
 
 MACHINE = xeon_e5_2650()
 
@@ -86,6 +88,44 @@ class TestOptimize:
         assert planned.bp_engine in planned.bp_timings
         assert net.conv_layers()[0].bp_engine_name == planned.bp_engine
         assert plan.for_layer("convB").bp_timings == {}
+
+
+class TestLoweringReasons:
+    """Every plan says why a candidate's kernels run on the reference."""
+
+    def test_without_a_compiler_both_generated_engines_say_why(
+            self, monkeypatch):
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+        native._resolved.cache_clear()
+        try:
+            spg = make_spg(small_net(), recheck_epochs=1)
+            plans = [spg.optimize(), spg.plan]
+            spg.after_epoch(1)
+            plans.append(spg.plan)
+        finally:
+            native._resolved.cache_clear()
+        for plan in plans:
+            for layer_plan in plan.layers:
+                reasons = layer_plan.lowering_reasons
+                assert set(reasons) == {"stencil", "sparse"}
+                assert all("no C compiler" in why for why in reasons.values())
+
+    @needs_cc
+    def test_with_a_compiler_only_a_stride_the_printer_lacks_is_named(self):
+        net = build_network(
+            {"input": [1, 24, 24], "layers": [
+                {"type": "conv", "features": 4, "kernel": 3, "stride": 2,
+                 "name": "strided"},
+                {"type": "relu"},
+                {"type": "conv", "features": 4, "kernel": 3, "name": "plain"},
+                {"type": "flatten"}, {"type": "dense", "features": 2},
+            ]},
+            rng=np.random.default_rng(0))
+        plan = make_spg(net).optimize()
+        (why,) = plan.for_layer("strided").lowering_reasons.values()
+        assert "stencil" in plan.for_layer("strided").lowering_reasons
+        assert "stride-1" in why
+        assert plan.for_layer("plain").lowering_reasons == {}
 
 
 class TestRetuning:

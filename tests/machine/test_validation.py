@@ -11,6 +11,8 @@ from repro.machine.validation import (
     check_unfold_overhead,
     validate_model,
 )
+from repro.ops.engine import make_engine
+from tests.conftest import needs_cc
 
 SPEC = ConvSpec(nc=16, ny=32, nx=32, nf=32, fy=3, fx=3)
 
@@ -21,6 +23,7 @@ class TestIndividualChecks:
         check = check_unfold_overhead(SPEC, repeats=3)
         assert check.passed, check.measured_ratio
 
+    @needs_cc
     def test_sparsity_payoff_exists_on_this_host(self):
         check = check_sparsity_payoff(SPEC, repeats=3)
         assert check.passed, check.measured_ratio
@@ -36,8 +39,10 @@ class TestFullValidation:
     def test_relative_claims_hold(self):
         # Tier-1 asserts what holds on every host: all three checks run
         # and measure something, and the one effect far outside timing
-        # noise (> 3x) has the claimed sign.  The two near-1.0 ratios are
-        # judged under ``-m wallclock`` below.
+        # noise (> 3x) has the claimed sign -- where the sparse engine has
+        # its C kernel: without one it runs the dense reference, which
+        # has no payoff to show.  The two near-1.0 ratios are judged
+        # under ``-m wallclock`` below.
         report = validate_model(SPEC, repeats=2)
         ratios = {c.name: c.measured_ratio for c in report.checks}
         assert set(ratios) == {
@@ -45,7 +50,8 @@ class TestFullValidation:
         }
         assert all(math.isfinite(r) and r > 0 for r in ratios.values()), ratios
         payoff = next(c for c in report.checks if c.name == "sparsity-payoff")
-        assert payoff.passed, report.describe()
+        if make_engine("sparse", SPEC).lowering == "c":
+            assert payoff.passed, report.describe()
 
     @pytest.mark.wallclock
     def test_timing_claims_hold_on_this_host(self):

@@ -309,7 +309,7 @@ def test_without_a_compiler_the_chain_runs(monkeypatch, rng):
     try:
         net = _net((2, 2))
         assert [c.fp_lowering for c in net.conv_layers()] == \
-            ["python", "python"]
+            ["reference", "reference"]
         _runs_the_chain(net, rng)
     finally:
         native._resolved.cache_clear()

@@ -1,9 +1,12 @@
 """The schedule-searching autotuner: bounded, deterministic, cached."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.convspec import ConvSpec
+from repro.check.runner import default_specs
 from repro.nn.schedule import ScheduleSearch
 
 SPEC = ConvSpec(nc=3, ny=14, nx=14, nf=4, fy=3, fx=3, name="search-t")
@@ -51,6 +54,35 @@ class TestSearch:
         assert choice.verified
         assert choice.pipeline.family == "fused_fp"
 
+    def test_only_families_a_c_printer_lowers_are_verified(self):
+        """The gate reads the printed C unit; the backward families and
+        strided FP have none, and stay priced legal nests."""
+        search = ScheduleSearch()
+        for family in ("bp_data", "bp_weights", "sparse_bp_weights"):
+            choice = search.search(SPEC, family)
+            assert not choice.verified, family
+            assert choice.seconds == min(t for _, t in choice.timings)
+        strided = ConvSpec(nc=3, ny=15, nx=15, nf=4, fy=3, fx=3, sy=2, sx=2)
+        assert not search.search(strided, "fp").verified
+
+    def test_a_candidate_the_checker_rejects_is_passed_over(self,
+                                                             monkeypatch):
+        from repro.stencil import emit_c
+
+        search = ScheduleSearch()
+        cheapest = search.search(SPEC, "fp").pipeline
+        real = emit_c.emit_stencil_c_unit
+
+        def corrupt(spec, pipeline):
+            unit = real(spec, pipeline)
+            if pipeline != cheapest:
+                return unit
+            return dataclasses.replace(unit, literals=unit.literals[1:])
+
+        monkeypatch.setattr(emit_c, "emit_stencil_c_unit", corrupt)
+        choice = ScheduleSearch().search(SPEC, "fp")
+        assert choice.verified and choice.pipeline != cheapest
+
     def test_deterministic_under_fixed_seed(self):
         a = ScheduleSearch(seed=11).search(SPEC, "fp")
         b = ScheduleSearch(seed=11).search(SPEC, "fp")
@@ -80,3 +112,17 @@ class TestSearch:
         slow = ScheduleSearch(cores=1).search(SPEC, "fp")
         fast = ScheduleSearch(cores=16).search(SPEC, "fp")
         assert fast.seconds <= slow.seconds
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in default_specs() if (s.sy, s.sx) == (1, 1)],
+    ids=lambda s: s.name or s.describe())
+def test_every_deployable_geometry_gets_a_verified_schedule(spec):
+    """For every stride-1 conv ``repro check`` covers, the searched FP and
+    fused schedules are ones whose printed C units pass the checker."""
+    layer = ScheduleSearch().search_layer(spec, pool_kernel=2)
+    assert layer["fp"].family == "fused_fp" and layer["fp"].verified
+    plain = ScheduleSearch().search(spec, "fp")
+    assert plain.verified
+    for choice in (layer["fp"], plain):
+        assert ScheduleSearch._passes_verifier(spec, choice.pipeline)

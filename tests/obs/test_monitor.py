@@ -127,6 +127,16 @@ class TestExport:
         assert "# Training run report" in text
         assert "- none" in text
 
+    def test_plan_rows_say_why_a_candidate_ran_on_the_reference(self):
+        row = {"layer": "conv0", "fp_engine": "gemm-in-parallel",
+               "fp_lowering": "", "fp_timings": {}, "bp_engine": "sparse",
+               "bp_lowering": "reference", "bp_timings": {}, "fused": "",
+               "lowering_reasons": {"sparse": "no C compiler (cc) on PATH"}}
+        text = RunReport(plan=[row]).to_markdown()
+        assert "- conv0 BP: sparse [reference]" in text
+        assert ("- conv0: sparse timed on the reference "
+                "(no C compiler (cc) on PATH)") in text
+
 
 class TestTuningCost:
     def test_untuned_run_reports_zero_tuning(self, monitored):

@@ -134,3 +134,35 @@ class TestProperties:
         combined = ref.forward(spec, inputs[0], w1 + w2)
         separate = ref.forward(spec, inputs[0], w1) + ref.forward(spec, inputs[0], w2)
         np.testing.assert_allclose(combined, separate, atol=1e-3)
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: s.describe())
+class TestBatches:
+    """The batched forms the engines fall back to: image by image, bit
+    for bit, and an empty batch is an empty result of the right shape."""
+
+    def test_forward(self, spec, rng):
+        inputs, weights, _ = random_conv_data(spec, rng, batch=3)
+        got = ref.batch_forward(spec, inputs, weights)
+        for b, img in enumerate(inputs):
+            assert got[b].tobytes() == ref.forward(spec, img, weights).tobytes()
+        assert ref.batch_forward(spec, inputs[:0], weights).shape \
+            == (0,) + spec.output_shape
+
+    def test_backward_data(self, spec, rng):
+        _, weights, err = random_conv_data(spec, rng, batch=3)
+        got = ref.batch_backward_data(spec, err, weights)
+        for b, e in enumerate(err):
+            assert got[b].tobytes() == \
+                ref.backward_data(spec, e, weights).tobytes()
+        assert ref.batch_backward_data(spec, err[:0], weights).shape \
+            == (0,) + spec.input_shape
+
+    def test_backward_weights_sums_the_images_in_order(self, spec, rng):
+        inputs, _, err = random_conv_data(spec, rng, batch=3)
+        want = np.zeros(spec.weight_shape, np.float32)
+        for e, img in zip(err, inputs):
+            want += ref.backward_weights(spec, e, img)
+        got = ref.batch_backward_weights(spec, err, inputs)
+        assert got.tobytes() == want.tobytes()
+        assert not ref.batch_backward_weights(spec, err[:0], inputs[:0]).any()

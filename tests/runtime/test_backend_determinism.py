@@ -85,24 +85,11 @@ class TestSpawnSafetyPickling:
                                       expected)
 
     def test_generated_kernel_round_trips(self):
-        from repro.stencil.emit import emit_forward_kernel
+        from repro.stencil.emit_c import emit_stencil_c_unit, host_pipeline
 
-        kernel = emit_forward_kernel(SPEC)
-        clone = pickle.loads(pickle.dumps(kernel))
-        assert clone.name == kernel.name
-        assert clone.source == kernel.source
-
-    def test_ir_ops_round_trip(self):
-        from repro.stencil.ir import VBroadcast, VFma, VLoad, VStore
-
-        ops = (
-            VLoad(dst="r0", y_off=0, x_off=1),
-            VBroadcast(dst="r1", ky=0, kx=2),
-            VFma(acc="acc", vec="r0", wvec="r1"),
-            VStore(acc="acc", ty=0, tx=1),
-        )
-        for op in ops:
-            assert pickle.loads(pickle.dumps(op)) == op
+        unit = emit_stencil_c_unit(SPEC, host_pipeline(None, "fp"))
+        clone = pickle.loads(pickle.dumps(unit))
+        assert clone == unit and clone.source == unit.source
 
     def test_fault_plan_round_trips(self):
         plan = FaultPlan(

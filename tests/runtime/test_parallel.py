@@ -150,8 +150,11 @@ class TestEngineCheckout:
         executor.close()  # must not raise
 
     def test_engine_kwargs_forwarded(self):
+        from repro.stencil.passes import tiled_pipeline
+
+        pipeline = tiled_pipeline("fp", tile_y=4)
         executor = ParallelExecutor(
-            "sparse", SPEC, pool=WorkerPool(2), tile_cols=16
+            "stencil", SPEC, pool=WorkerPool(2), pipeline=pipeline
         )
-        assert executor._engines[0].tile_cols == 16
+        assert executor._engines[0].pipeline == pipeline
         executor.close()

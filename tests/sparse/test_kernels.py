@@ -1,19 +1,12 @@
-"""Tests for the pointer-shifting sparse BP kernels."""
+"""Tests for the sparse BP kernels' error layout and pointer shifting."""
 
 import numpy as np
 import pytest
 
 from repro.core.convspec import ConvSpec
 from repro.errors import ShapeError
-from repro.ops import layout
-from repro.ops import reference as ref
-from repro.sparse.kernels import (
-    compress_error,
-    error_matrix,
-    sparse_backward_data,
-    sparse_backward_weights,
-    sparse_bp_useful_flops,
-)
+from repro.ops.engine import make_engine
+from repro.sparse.kernels import compress_error, error_matrix
 from tests.conftest import SMALL_SPECS, random_conv_data
 
 
@@ -39,76 +32,23 @@ class TestErrorMatrix:
         assert eo.nnz == np.count_nonzero(err[0])
 
 
-@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: s.describe())
-@pytest.mark.parametrize("sparsity", [0.0, 0.7, 0.95])
-class TestSparseKernelsMatchReference:
-    def test_backward_data(self, spec, sparsity, rng):
-        _, weights, err = random_conv_data(spec, rng, batch=1,
-                                           error_sparsity=sparsity)
-        eo = compress_error(spec, err[0])
-        w_layout = layout.weights_to_sparse_layout(spec, weights)
-        ei_hwc = np.zeros((spec.ny, spec.nx, spec.nc), dtype=np.float32)
-        sparse_backward_data(spec, eo, w_layout, ei_hwc)
-        want = ref.backward_data(spec, err[0], weights)
-        np.testing.assert_allclose(layout.hwc_to_chw(ei_hwc), want, atol=1e-3)
-
-    def test_backward_weights(self, spec, sparsity, rng):
-        inputs, _, err = random_conv_data(spec, rng, batch=1,
-                                          error_sparsity=sparsity)
-        eo = compress_error(spec, err[0])
-        inputs_hwc = layout.chw_to_hwc(inputs[0])
-        dw_layout = np.zeros((spec.fy, spec.fx, spec.nf, spec.nc), np.float32)
-        sparse_backward_weights(spec, eo, inputs_hwc, dw_layout)
-        got = np.transpose(dw_layout, (2, 3, 0, 1))
-        want = ref.backward_weights(spec, err[0], inputs[0])
-        np.testing.assert_allclose(got, want, atol=1e-3)
-
-
 class TestPointerShifting:
     def test_single_nonzero_scatters_to_window(self, rng):
         # One non-zero error at output (y', x') must touch exactly the
         # Fy x Fx input window starting at (y'*sy, x'*sx) -- Eq. 15.
         spec = ConvSpec(nc=2, ny=8, nx=8, nf=1, fy=3, fx=3, sy=1, sx=1)
         weights = rng.standard_normal(spec.weight_shape).astype(np.float32)
-        err = np.zeros(spec.output_shape, dtype=np.float32)
-        err[0, 2, 3] = 1.0
-        eo = compress_error(spec, err)
-        w_layout = layout.weights_to_sparse_layout(spec, weights)
-        ei_hwc = np.zeros((spec.ny, spec.nx, spec.nc), np.float32)
-        sparse_backward_data(spec, eo, w_layout, ei_hwc)
-        touched = np.argwhere(ei_hwc.sum(axis=2) != 0)
+        err = np.zeros((1,) + spec.output_shape, dtype=np.float32)
+        err[0, 0, 2, 3] = 1.0
+        in_error = make_engine("sparse", spec).backward_data(err, weights)
+        touched = np.argwhere(np.abs(in_error[0]).sum(axis=0) != 0)
         assert touched[:, 0].min() >= 2 and touched[:, 0].max() <= 4
         assert touched[:, 1].min() >= 3 and touched[:, 1].max() <= 5
 
     def test_zero_error_produces_zero_gradients(self, rng):
         spec = SMALL_SPECS[2]
         inputs, weights, _ = random_conv_data(spec, rng, batch=1)
-        err = np.zeros(spec.output_shape, dtype=np.float32)
-        eo = compress_error(spec, err)
-        w_layout = layout.weights_to_sparse_layout(spec, weights)
-        ei_hwc = np.zeros((spec.ny, spec.nx, spec.nc), np.float32)
-        sparse_backward_data(spec, eo, w_layout, ei_hwc)
-        assert not ei_hwc.any()
-
-
-class TestValidation:
-    def test_backward_data_shape_checks(self, rng):
-        spec = SMALL_SPECS[0]
-        _, weights, err = random_conv_data(spec, rng, batch=1)
-        eo = compress_error(spec, err[0])
-        w_layout = layout.weights_to_sparse_layout(spec, weights)
-        with pytest.raises(ShapeError):
-            sparse_backward_data(
-                spec, eo, w_layout, np.zeros((2, 2, 2), np.float32)
-            )
-        with pytest.raises(ShapeError):
-            sparse_backward_data(
-                spec, eo, np.zeros((1, 1, 1, 1), np.float32),
-                np.zeros((spec.ny, spec.nx, spec.nc), np.float32),
-            )
-
-
-class TestFlops:
-    def test_useful_flops_formula(self):
-        spec = ConvSpec(nc=4, ny=8, nx=8, nf=2, fy=3, fx=3)
-        assert sparse_bp_useful_flops(spec, nnz=10) == 2 * 10 * 9 * 4
+        err = np.zeros((1,) + spec.output_shape, dtype=np.float32)
+        engine = make_engine("sparse", spec)
+        assert not engine.backward_data(err, weights).any()
+        assert not engine.backward_weights(err, inputs).any()

@@ -8,9 +8,9 @@ What is pinned here:
   extents, every legal ``crop``, empty / dense errors, batches 0 and 1);
 * equal artefacts compute equal bits -- across calls, engines, reloads,
   batch composition, and serial/thread/process execution of one split;
-* every way the native path can be unavailable ends on the Python
-  lowering with ``lowering == "python"``, and nothing unverified enters
-  the cache;
+* every way the native path can be unavailable ends on
+  ``ops.reference`` with ``lowering == "reference"``, and nothing
+  unverified enters the cache;
 * the cache is keyed by source *and* host, and a warm cache compiles
   nothing.
 
@@ -178,8 +178,8 @@ def test_reloaded_unit_computes_the_same_bits(rng):
 
 # -- choosing the lowering ------------------------------------------------------
 
-def _assert_python_serves(engine, rng):
-    assert engine.lowering == "python" and engine.artifact is None
+def _assert_reference_serves(engine, rng):
+    assert engine.lowering == "reference" and engine.artifact is None
     assert engine.lowering_reason
     inputs, weights, err = random_conv_data(SPEC, rng, batch=2,
                                             error_sparsity=0.7)
@@ -193,7 +193,7 @@ class TestFallback:
     def test_no_compiler(self, monkeypatch, cache, rng):
         monkeypatch.setattr(native, "find_compiler", lambda: None)
         engine = make_engine("sparse", SPEC)
-        _assert_python_serves(engine, rng)
+        _assert_reference_serves(engine, rng)
         assert "no C compiler" in engine.lowering_reason
         assert not cache.exists()
 
@@ -201,7 +201,7 @@ class TestFallback:
         fake = fake_compiler(tmp_path, 'echo "boom" >&2; exit 1')
         monkeypatch.setattr(native, "find_compiler", lambda: fake)
         engine = make_engine("sparse", SPEC)
-        _assert_python_serves(engine, rng)
+        _assert_reference_serves(engine, rng)
         assert "exited 1" in engine.lowering_reason
         assert list(cache.iterdir()) == []      # no temp left behind either
 
@@ -210,7 +210,7 @@ class TestFallback:
         fake = fake_compiler(tmp_path, 'echo "not elf" > "$out"')
         monkeypatch.setattr(native, "find_compiler", lambda: fake)
         engine = make_engine("sparse", SPEC)
-        _assert_python_serves(engine, rng)
+        _assert_reference_serves(engine, rng)
         assert "cannot load" in engine.lowering_reason
         assert list(cache.iterdir()) == []
 
@@ -225,7 +225,7 @@ class TestFallback:
         os.replace(stub, unit)
         native._resolved.cache_clear()
         engine = make_engine("sparse", SPEC)
-        _assert_python_serves(engine, rng)
+        _assert_reference_serves(engine, rng)
         assert "cannot load" in engine.lowering_reason
 
     @needs_cc
@@ -236,7 +236,7 @@ class TestFallback:
 
         monkeypatch.setattr(sparse_engine, "_self_check", reject)
         engine = make_engine("sparse", SPEC)
-        _assert_python_serves(engine, rng)
+        _assert_reference_serves(engine, rng)
         assert "planted disagreement" in engine.lowering_reason
         assert list(cache.iterdir()) == []
 
@@ -254,27 +254,27 @@ class TestFallback:
                                                     fy=3, fx=3))
         finally:
             codegen_c.emit_sparse_c_unit.cache_clear()
-        assert engine.lowering == "python"
-        assert "disagrees with the Python lowering" in engine.lowering_reason
+        assert engine.lowering == "reference"
+        assert "disagrees with the reference" in engine.lowering_reason
 
     @needs_cc
     def test_cache_directory_open_to_others_is_refused(self, cache, rng):
         cache.mkdir()
         cache.chmod(0o777)
         engine = make_engine("sparse", SPEC)
-        _assert_python_serves(engine, rng)
+        _assert_reference_serves(engine, rng)
         assert "writable by group or others" in engine.lowering_reason
         assert list(cache.iterdir()) == []
 
     @needs_cc
-    def test_foreign_operands_take_the_python_path_per_call(self, rng):
+    def test_foreign_operands_take_the_reference_per_call(self, rng):
         inputs, weights, err = random_conv_data(SPEC, rng, batch=2,
                                                 error_sparsity=0.7)
         engine = make_engine("sparse", SPEC)
         assert engine.lowering == "c"
         native_bd = engine.backward_data(err, weights)
         wide = engine.backward_data(err.astype(np.float64), weights)
-        assert wide.dtype == np.float64           # the Python lowering's
+        assert wide.dtype == np.float64           # the reference's
         np.testing.assert_allclose(wide, native_bd, atol=1e-4)
         strided = np.ascontiguousarray(err.transpose(0, 1, 3, 2)) \
             .transpose(0, 1, 3, 2)
@@ -372,7 +372,12 @@ class TestDeployment:
         net = cifar10_net(scale=0.25, rng=np.random.default_rng(0))
         spg = SpgCNN(net, _Table({("bp", "sparse"): 0.1}), recheck_epochs=1)
         plan = spg.optimize()
-        assert len(_units(cache)) == len(net.conv_layers())
+        # Every candidate is built in set-up: each conv's sparse BP unit
+        # and, the convs being stride 1, its stencil FP unit.
+        units = _units(cache)
+        for prefix in ("sparse_", "stencil_fp_"):
+            assert sum(name.startswith(prefix) for name in units) \
+                == len(net.conv_layers())
         assert [p.bp_lowering for p in plan.layers] == ["", ""]  # still GEMM
 
         def no_compile(*args):
@@ -443,7 +448,7 @@ class TestShardedStep:
         net = _sparse_cifar(2, "thread")
         names = [layer.name for layer in net.conv_layers()]
         # From here on nothing native can be built or found: the
-        # replicas of the step below come up on the Python lowering.
+        # replicas of the step below come up on the reference.
         monkeypatch.setattr(native, "find_compiler", lambda: None)
         with telemetry.collect() as tel:
             state = _train(net, steps=2)

@@ -1,73 +1,87 @@
-"""Tests for the stencil basic-block generator and register-tile optimizer."""
+"""Tests for the register tile's closed-form counts and the tile optimizer."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.tables import TABLE2_LAYERS
 from repro.errors import CodegenError
-from repro.stencil.basic_block import (
-    generate_basic_block,
-    instructions_per_output,
-    optimize_register_tile,
-)
-from repro.stencil.ir import VFma, VLoad
+from repro.machine.spec import xeon_e5_2650
+from repro.stencil.basic_block import TileChoice, optimize_register_tile
+
+
+def _enumerated_loads(tile: TileChoice) -> int:
+    """The block's loads by walking Fig. 7's structure: one per distinct
+    input vector (row ``ty + ky``, column ``tx * V + kx``)."""
+    return len({(ty + ky, tx * tile.vector_width + kx)
+                for ty in range(tile.ry) for tx in range(tile.rx)
+                for ky in range(tile.fy) for kx in range(tile.fx)})
 
 
 class TestFigure7Example:
     """The paper's Fig. 7: a 1x2 stencil (Fx=1, Fy=2) with rx=1, ry=2."""
 
     def test_instruction_counts(self):
-        block = generate_basic_block(fy=2, fx=1, ry=2, rx=1, vector_width=8)
-        assert block.loads == 3  # ivec0, ivec1, ivec2
-        assert block.fmas == 4  # ivec1 contributes twice, ivec0/2 once each
-        assert block.broadcasts == 2  # one weight per tap
-        assert block.stores == 2  # the two accumulators
+        tile = TileChoice(fy=2, fx=1, ry=2, rx=1, vector_width=8)
+        assert tile.loads == 3  # ivec0, ivec1, ivec2
+        assert tile.fmas == 4  # ivec1 contributes twice, ivec0/2 once each
+        assert tile.broadcasts == 2  # one weight per tap
+        assert tile.stores == 2  # the two accumulators
 
     def test_middle_load_is_reused(self):
-        block = generate_basic_block(fy=2, fx=1, ry=2, rx=1, vector_width=8)
-        uses = {}
-        for instr in block.instructions:
-            if isinstance(instr, VFma):
-                uses[instr.vec] = uses.get(instr.vec, 0) + 1
-        assert sorted(uses.values()) == [1, 1, 2]
+        # Four FMAs from three loads: exactly one input vector feeds two.
+        tile = TileChoice(fy=2, fx=1, ry=2, rx=1, vector_width=8)
+        assert tile.fmas - tile.loads == 1
+        assert tile.loads_per_fma == pytest.approx(0.75)
 
 
-class TestBlockStructure:
-    def test_loads_are_deduplicated(self):
-        block = generate_basic_block(fy=3, fx=3, ry=4, rx=2, vector_width=8)
-        loads = [i for i in block.instructions if isinstance(i, VLoad)]
-        offsets = {(ld.y_off, ld.x_off) for ld in loads}
-        assert len(offsets) == len(loads)
+class TestTable2Layers:
+    """The tile the optimizer picks for every Table 2 layer on the
+    paper's Xeon (16 ymm registers, 8 floats) and its counts."""
 
-    def test_fma_count_is_tile_times_taps(self):
-        block = generate_basic_block(fy=3, fx=2, ry=4, rx=3, vector_width=8)
-        assert block.fmas == 4 * 3 * 3 * 2
+    #: kernel size -> (loads, fmas, broadcasts, stores) of the 14x1 tile.
+    COUNTS = {3: (48, 126, 9, 14), 5: (90, 350, 25, 14),
+              7: (140, 686, 49, 14), 11: (264, 1694, 121, 14)}
 
-    def test_load_count_formula_when_kernel_narrower_than_vector(self):
-        # With Fx <= V, column offsets tx*V + kx never collide across tx,
-        # so loads = (ry + Fy - 1) * rx * Fx.
-        fy, fx, ry, rx = 3, 3, 4, 2
-        block = generate_basic_block(fy, fx, ry, rx, vector_width=8)
-        assert block.loads == (ry + fy - 1) * rx * fx
+    @pytest.mark.parametrize("spec", [s for table in TABLE2_LAYERS.values()
+                                      for s in table], ids=lambda s: s.name)
+    def test_counts(self, spec):
+        machine = xeon_e5_2650()
+        tile = optimize_register_tile(spec.fy, spec.fx,
+                                      machine.num_vector_registers,
+                                      machine.vector_width)
+        assert (tile.ry, tile.rx) == (14, 1)
+        assert (tile.loads, tile.fmas, tile.broadcasts, tile.stores) \
+            == self.COUNTS[spec.fy]
+        assert tile.loads == _enumerated_loads(tile)
 
-    def test_every_fma_reads_a_loaded_vector(self):
-        block = generate_basic_block(fy=2, fx=2, ry=3, rx=2, vector_width=8)
-        loaded = {i.dst for i in block.instructions if isinstance(i, VLoad)}
-        for instr in block.instructions:
-            if isinstance(instr, VFma):
-                assert instr.vec in loaded
 
-    def test_outputs_per_block(self):
-        block = generate_basic_block(fy=1, fx=1, ry=2, rx=3, vector_width=4)
-        assert block.outputs_per_block == 2 * 3 * 4
+class TestClosedForm:
+    @given(st.integers(1, 7), st.integers(1, 11), st.integers(1, 8),
+           st.integers(1, 8), st.sampled_from((1, 2, 4, 8, 16)))
+    @settings(max_examples=200, deadline=None)
+    def test_loads_match_the_enumerated_block(self, fy, fx, ry, rx, v):
+        tile = TileChoice(fy, fx, ry, rx, v)
+        assert tile.loads == _enumerated_loads(tile)
+        assert tile.fmas == ry * rx * fy * fx
+        assert tile.broadcasts == fy * fx and tile.stores == ry * rx
 
-    def test_registers_used(self):
-        block = generate_basic_block(fy=2, fx=2, ry=3, rx=4, vector_width=8)
-        assert block.registers_used == 3 * 4 + 2
+    def test_kernels_wider_than_a_vector_share_columns(self):
+        # With Fx > V the columns tx * V + kx overlap across tx.
+        fy, fx, ry, rx = 1, 5, 1, 3
+        assert TileChoice(fy, fx, ry, rx, vector_width=2).loads \
+            == (rx - 1) * 2 + fx
+        assert TileChoice(fy, fx, ry, rx, vector_width=8).loads == rx * fx
+
+    def test_outputs_and_registers(self):
+        tile = TileChoice(fy=2, fx=2, ry=3, rx=4, vector_width=8)
+        assert tile.outputs_per_block == 3 * 4 * 8
+        assert tile.registers_used == 3 * 4 + 2
+        assert tile.summary()["registers_used"] == 14
 
     def test_rejects_nonpositive_params(self):
         with pytest.raises(CodegenError):
-            generate_basic_block(fy=0, fx=1, ry=1, rx=1)
+            TileChoice(fy=0, fx=1, ry=1, rx=1)
 
 
 class TestSpatialReuse:
@@ -75,13 +89,13 @@ class TestSpatialReuse:
     @settings(max_examples=40, deadline=None)
     def test_taller_tiles_reuse_loads_better(self, fy, fx, ry):
         # Loads per FMA = (ry + Fy - 1) / (ry * Fy): decreasing in ry.
-        short = generate_basic_block(fy, fx, ry, rx=1, vector_width=8)
-        tall = generate_basic_block(fy, fx, ry + 1, rx=1, vector_width=8)
+        short = TileChoice(fy, fx, ry, rx=1, vector_width=8)
+        tall = TileChoice(fy, fx, ry + 1, rx=1, vector_width=8)
         assert tall.loads_per_fma <= short.loads_per_fma + 1e-12
 
     def test_single_tap_kernel_has_one_load_per_fma(self):
-        block = generate_basic_block(fy=1, fx=1, ry=4, rx=2, vector_width=8)
-        assert block.loads_per_fma == pytest.approx(1.0)
+        tile = TileChoice(fy=1, fx=1, ry=4, rx=2, vector_width=8)
+        assert tile.loads_per_fma == pytest.approx(1.0)
 
 
 class TestTileOptimizer:
@@ -94,18 +108,10 @@ class TestTileOptimizer:
         choice = optimize_register_tile(fy=5, fx=5, num_registers=16)
         assert choice.ry > choice.rx
 
-    def test_cost_matches_block(self):
-        choice = optimize_register_tile(fy=2, fx=2, num_registers=16)
-        assert choice.instructions_per_output == pytest.approx(
-            instructions_per_output(choice.block)
-        )
-
     def test_optimum_beats_1x1_tile(self):
         choice = optimize_register_tile(fy=3, fx=3, num_registers=16)
-        naive = instructions_per_output(
-            generate_basic_block(3, 3, 1, 1, vector_width=8)
-        )
-        assert choice.instructions_per_output <= naive
+        naive = TileChoice(3, 3, 1, 1, vector_width=8)
+        assert choice.instructions_per_output <= naive.instructions_per_output
 
     def test_rejects_tiny_register_file(self):
         with pytest.raises(CodegenError):
@@ -118,7 +124,5 @@ class TestTileOptimizer:
         budget = 16 - 2
         for ry in range(1, budget + 1):
             for rx in range(1, budget // ry + 1):
-                cost = instructions_per_output(
-                    generate_basic_block(fy, fx, ry, rx, vector_width=8)
-                )
+                cost = TileChoice(fy, fx, ry, rx, 8).instructions_per_output
                 assert choice.instructions_per_output <= cost + 1e-12

@@ -14,16 +14,15 @@ from tests.conftest import SMALL_SPECS, random_conv_data
 class TestConstruction:
     def test_engine_reports_the_block_its_printer_used(self):
         engine = StencilEngine(SMALL_SPECS[1])
-        stats = engine.block_stats()
-        assert stats["fmas"] > 0
+        assert engine.tile.fmas > 0
         budget = native.vector_registers()[0] \
             if engine.lowering == "c" else 16
-        assert stats["registers_used"] <= budget
+        assert engine.tile.registers_used <= budget
 
-    def test_forward_source_is_specialized(self):
-        spec = ConvSpec(nc=2, ny=10, nx=10, nf=4, fy=3, fx=3)
-        engine = StencilEngine(spec)
-        assert engine.forward_source.count("np.tensordot") == 9
+    def test_a_pipeline_no_printer_covers_is_served_by_the_reference(self):
+        pipeline = SchedulePipeline("bp_data", (Vectorize(),))
+        engine = StencilEngine(SMALL_SPECS[0], pipeline=pipeline)
+        assert engine.lowering == "reference" and engine.lowering_reason
 
     def test_custom_register_file(self):
         """The register budget is the schedule's: a pipeline vectorized

@@ -11,8 +11,9 @@ conv + ReLU + pool kernel:
 * equal artefacts compute equal bits -- across batch composition,
   reloads, pickling, a conv run fused vs as its chain, and
   serial/thread/process execution of one split;
-* every way the native path can be unavailable ends on the Python
-  lowering with ``lowering == "python"`` and the reason recorded;
+* every way the native path can be unavailable ends on
+  ``ops.reference`` with ``lowering == "reference"`` and the reason
+  recorded;
 * ``optimize()`` builds the units, a recheck compiles nothing, and a
   replica that loads another artefact is reported and quarantined.
 
@@ -268,8 +269,8 @@ def test_fused_pool_row_blocks_move_the_tile_not_the_bits(rng):
 
 # -- choosing the lowering ------------------------------------------------------
 
-def _assert_python_serves(engine, rng, spec=SPEC):
-    assert engine.lowering == "python" and engine.artifact is None
+def _assert_reference_serves(engine, rng, spec=SPEC):
+    assert engine.lowering == "reference" and engine.artifact is None
     assert engine.lowering_reason
     inputs, weights, _ = random_conv_data(spec, rng, batch=2)
     np.testing.assert_allclose(engine.forward(inputs, weights),
@@ -280,7 +281,7 @@ class TestFallback:
     def test_no_compiler(self, monkeypatch, cache, rng):
         monkeypatch.setattr(native, "find_compiler", lambda: None)
         engine = make_engine("stencil", SPEC)
-        _assert_python_serves(engine, rng)
+        _assert_reference_serves(engine, rng)
         assert "no C compiler" in engine.lowering_reason
         assert "no C compiler" in _fused_unit(SPEC)[1]
         conv = ConvLayer(SPEC, fp_engine="stencil")
@@ -291,15 +292,15 @@ class TestFallback:
         fake = fake_compiler(tmp_path, 'echo "boom" >&2; exit 1')
         monkeypatch.setattr(native, "find_compiler", lambda: fake)
         engine = make_engine("stencil", SPEC)
-        _assert_python_serves(engine, rng)
+        _assert_reference_serves(engine, rng)
         assert "exited 1" in engine.lowering_reason
         assert list(cache.iterdir()) == []      # no temp left behind either
 
-    def test_strided_spec_keeps_the_python_lowering(self, cache, rng):
+    def test_strided_spec_is_served_by_the_reference(self, cache, rng):
         spec = SMALL_SPECS[2]
         assert (spec.sy, spec.sx) == (2, 2)
         engine = make_engine("stencil", spec)
-        _assert_python_serves(engine, rng, spec)
+        _assert_reference_serves(engine, rng, spec)
         assert "stride-1" in engine.lowering_reason
         assert "stride-1" in _fused_unit(spec)[1]
         assert not cache.exists()
@@ -315,18 +316,18 @@ class TestFallback:
         os.replace(stub, unit)
         native._resolved.cache_clear()
         engine = make_engine("stencil", SPEC)
-        _assert_python_serves(engine, rng)
+        _assert_reference_serves(engine, rng)
         assert "cannot load" in engine.lowering_reason
 
     @needs_cc
     def test_unit_failing_its_self_check_never_enters_the_cache(
             self, monkeypatch, cache, rng):
-        def reject(kernels, pipeline, pool):
+        def reject(kernels, pool):
             raise native.NativeBuildError("planted disagreement")
 
         monkeypatch.setattr(emit_c, "_self_check", reject)
         engine = make_engine("stencil", SPEC)
-        _assert_python_serves(engine, rng)
+        _assert_reference_serves(engine, rng)
         assert "planted disagreement" in engine.lowering_reason
         assert list(cache.iterdir()) == []
 
@@ -335,7 +336,7 @@ class TestFallback:
         lambda spec: (lambda e: (e.lowering, e.lowering_reason))(
             make_engine("stencil", spec)),
         lambda spec: (lambda unit, reason: (
-            "python" if unit is None else "c", reason))(*_fused_unit(spec)),
+            "reference" if unit is None else "c", reason))(*_fused_unit(spec)),
     ], ids=["fp", "fused"])
     def test_self_check_catches_a_shifted_tap(self, monkeypatch, build):
         real = emit_c._block_function
@@ -354,17 +355,17 @@ class TestFallback:
         finally:
             emit_c.emit_stencil_c_unit.cache_clear()
         lowering, reason = built
-        assert lowering == "python"
-        assert "disagrees with the Python lowering" in reason
+        assert lowering == "reference"
+        assert "disagrees with the reference" in reason
 
     @needs_cc
-    def test_foreign_operands_take_the_python_path_per_call(self, rng):
+    def test_foreign_operands_take_the_reference_per_call(self, rng):
         inputs, weights, _ = random_conv_data(SPEC, rng, batch=2)
         engine = make_engine("stencil", SPEC)
         assert engine.lowering == "c"
         served = engine.forward(inputs, weights)
         wide = engine.forward(inputs.astype(np.float64), weights)
-        assert wide.dtype == np.float64           # the Python lowering's
+        assert wide.dtype == np.float64           # the reference's
         np.testing.assert_allclose(wide, served, atol=1e-4)
         strided = np.ascontiguousarray(inputs.transpose(0, 1, 3, 2)) \
             .transpose(0, 1, 3, 2)
@@ -482,8 +483,8 @@ class TestDeployment:
         assert gemm.fp_lowering is None and gemm.fp_artifact is None
 
     def test_lowering_is_reported_for_the_phase_the_unit_serves(self, rng):
-        """The stencil engine's C unit is its FP kernel (its BP kernels
-        are Python), the sparse engine's its BP kernels: the other phase
+        """The stencil engine's C unit is its FP kernel (its BP is the
+        reference's), the sparse engine's its BP kernels: the other phase
         reports no lowering and ships no artefact, so a replica is never
         degraded over machine code that phase does not run."""
         spec = ConvSpec(nc=3, ny=8, nx=8, nf=4, fy=3, fx=3, pad=1, name="c0")
@@ -571,7 +572,7 @@ class TestShardedStep:
         net = _stencil_cifar(2, "thread")
         names = [layer.name for layer in net.conv_layers()]
         # From here on nothing native can be built or found: the
-        # replicas of the step below come up on the Python lowering.
+        # replicas of the step below come up on the reference.
         monkeypatch.setattr(native, "find_compiler", lambda: None)
         with telemetry.collect() as tel:
             state = _train(net, steps=2)

@@ -1,23 +1,21 @@
 """Differential pass-correctness suite (the schedulable-IR gate).
 
-Every pipeline the schedule search can enumerate -- default,
-cache-derived tiling, structured tile/reorder/jam variants and the
-seeded-random samples -- must emit a kernel whose output is *bitwise*
-identical to the unscheduled emission on the same data.  Schedules only
-rearrange work the bit-exactness envelope allows; any drift is a bug in
-a pass, not noise.
+Every pipeline the schedule search can enumerate for the families the C
+printer lowers (``fp`` and ``fused_fp`` at stride 1) -- default,
+cache-derived tiling, structured tile/reorder/jam variants, register
+budgets and vector widths, and the seeded-random samples -- must print
+a unit whose output is *bitwise* identical to the default schedule's on
+the same data.  Schedules only rearrange work the bit-exactness envelope
+allows; any drift is a bug in a pass or the printer, not noise.
 """
 
 import numpy as np
 import pytest
 
+from repro import native
 from repro.nn.schedule import ScheduleSearch
-from repro.stencil.emit import (
-    emit_backward_data_kernel,
-    emit_backward_weights_kernel,
-    emit_forward_kernel,
-    emit_fused_forward_kernel,
-)
+from repro.ops.workspace import Workspace
+from repro.stencil import emit_c
 from repro.stencil.loopir import PoolWindow
 from repro.stencil.passes import (
     IllegalSchedule,
@@ -26,7 +24,7 @@ from repro.stencil.passes import (
     Tile,
     default_pipeline,
 )
-from tests.conftest import SMALL_SPECS, random_conv_data
+from tests.conftest import SMALL_SPECS, needs_cc, random_conv_data
 
 #: Seeded searcher: its candidate sets include the random tile/order
 #: samples, so iterating them exercises the whole enumerable space.
@@ -35,87 +33,68 @@ SEARCH = ScheduleSearch(seed=7, verify=False)
 POOL = 2
 
 
-def _fused_buffers(spec, rng):
-    inputs, weights, _ = random_conv_data(spec, rng, batch=1)
-    bias = rng.standard_normal(spec.nf).astype(np.float32)
-    window = PoolWindow(POOL, POOL)
-    py = window.out_extent(spec.out_ny)
-    px = window.out_extent(spec.out_nx)
-    out = np.zeros((spec.nf, py, px), dtype=np.float32)
-    argmax = np.zeros((spec.nf, py, px), dtype=np.int64)
-    return inputs[0], weights, bias, out, argmax
+def _zoo_specs():
+    """The convs the tuned workloads deploy the C units on."""
+    from repro.nn.zoo import cifar10_net, mnist_net
+
+    return [layer.padded_spec for net in (cifar10_net(scale=0.25),
+                                          mnist_net(scale=0.25))
+            for layer in net.conv_layers()]
 
 
-@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: s.describe())
+STRIDE_1 = [s for s in SMALL_SPECS + _zoo_specs() if (s.sy, s.sx) == (1, 1)]
+
+
+def _unit(spec, pipeline, pool=None):
+    unit, reason = native.kernels_for(emit_c.load_stencil_kernels, spec,
+                                      pipeline, pool)
+    assert unit is not None, reason
+    return unit
+
+
+def _fused(spec, pipeline, inputs, weights, bias):
+    unit = _unit(spec, pipeline, PoolWindow(POOL, POOL))
+    out, argmax, _ = unit.fused_forward(inputs, weights, bias,
+                                        unit.scratch(Workspace()))
+    return out, argmax
+
+
+@needs_cc
+@pytest.mark.parametrize("spec", STRIDE_1, ids=lambda s: s.describe())
 class TestBitIdentity:
     def test_fp_candidates(self, spec, rng):
-        inputs, weights, _ = random_conv_data(spec, rng, batch=1)
-        want = np.zeros(spec.output_shape, dtype=np.float32)
-        emit_forward_kernel(spec)(inputs[0], weights, want)
+        inputs, weights, _ = random_conv_data(spec, rng, batch=2)
+        want = _unit(spec, None).forward(inputs, weights)
         for pipeline in SEARCH.candidates(spec, "fp"):
-            got = np.zeros_like(want)
-            emit_forward_kernel(spec, pipeline)(inputs[0], weights, got)
-            assert np.array_equal(got, want), pipeline.describe()
-
-    def test_bp_data_candidates(self, spec, rng):
-        _, weights, err = random_conv_data(spec, rng, batch=1)
-        want = np.zeros(spec.input_shape, dtype=np.float32)
-        emit_backward_data_kernel(spec)(err[0], weights, want)
-        for pipeline in SEARCH.candidates(spec, "bp_data"):
-            got = np.zeros_like(want)
-            emit_backward_data_kernel(spec, pipeline)(err[0], weights, got)
-            assert np.array_equal(got, want), pipeline.describe()
-
-    def test_bp_weights_candidates(self, spec, rng):
-        inputs, _, err = random_conv_data(spec, rng, batch=1)
-        want = np.zeros(spec.weight_shape, dtype=np.float32)
-        emit_backward_weights_kernel(spec)(err[0], inputs[0], want)
-        for pipeline in SEARCH.candidates(spec, "bp_weights"):
-            got = np.zeros_like(want)
-            emit_backward_weights_kernel(spec, pipeline)(
-                err[0], inputs[0], got
-            )
-            assert np.array_equal(got, want), pipeline.describe()
+            got = _unit(spec, pipeline).forward(inputs, weights)
+            assert got.tobytes() == want.tobytes(), pipeline.describe()
 
     def test_fused_candidates(self, spec, rng):
-        inputs, weights, bias, want, want_arg = _fused_buffers(spec, rng)
-        emit_fused_forward_kernel(spec, POOL)(
-            inputs, weights, bias, want, want_arg
-        )
+        inputs, weights, _ = random_conv_data(spec, rng, batch=2)
+        bias = rng.standard_normal(spec.nf).astype(np.float32)
+        want = _fused(spec, None, inputs, weights, bias)
         for pipeline in SEARCH.candidates(spec, "fused_fp",
                                           pool_kernel=POOL,
                                           pool_stride=POOL):
-            got = np.zeros_like(want)
-            got_arg = np.zeros_like(want_arg)
-            emit_fused_forward_kernel(spec, POOL, POOL, pipeline)(
-                inputs, weights, bias, got, got_arg
-            )
-            assert np.array_equal(got, want), pipeline.describe()
-            assert np.array_equal(got_arg, want_arg), pipeline.describe()
+            got = _fused(spec, pipeline, inputs, weights, bias)
+            assert got[0].tobytes() == want[0].tobytes(), pipeline.describe()
+            assert got[1].tobytes() == want[1].tobytes(), pipeline.describe()
 
     def test_fused_matches_unfused_chain(self, spec, rng):
         """Fusion is a schedule, not a new algorithm: the fused kernel
         must reproduce conv -> bias -> ReLU -> max-pool bit for bit."""
-        inputs, weights, bias, got, got_arg = _fused_buffers(spec, rng)
-        emit_fused_forward_kernel(spec, POOL)(
-            inputs, weights, bias, got, got_arg
-        )
-        conv = np.zeros(spec.output_shape, dtype=np.float32)
-        emit_forward_kernel(spec)(inputs, weights, conv)
-        act = np.maximum(conv + bias[:, None, None], 0)
-        py, px = got.shape[1:]
-        windows = np.lib.stride_tricks.as_strided(
-            act,
-            shape=(spec.nf, py, px, POOL, POOL),
-            strides=(act.strides[0],
-                     act.strides[1] * POOL, act.strides[2] * POOL,
-                     act.strides[1], act.strides[2]),
-        ).reshape(spec.nf, py, px, POOL * POOL)
+        inputs, weights, _ = random_conv_data(spec, rng, batch=2)
+        bias = rng.standard_normal(spec.nf).astype(np.float32)
+        got, got_arg = _fused(spec, None, inputs, weights, bias)
+        conv = _unit(spec, None).forward(inputs, weights)
+        act = np.maximum(conv + bias[None, :, None, None], 0)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            act, (POOL, POOL), axis=(2, 3))[:, :, ::POOL, ::POOL]
+        windows = windows.reshape(got.shape + (POOL * POOL,))
         want_arg = windows.argmax(axis=-1)
-        want = np.take_along_axis(
-            windows, want_arg[..., None], axis=-1
-        )[..., 0]
-        assert np.array_equal(got, want)
+        want = np.take_along_axis(windows, want_arg[..., None],
+                                  axis=-1)[..., 0]
+        assert got.tobytes() == want.tobytes()
         assert np.array_equal(got_arg, want_arg)
 
 

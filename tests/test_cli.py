@@ -312,15 +312,44 @@ class TestTrain:
             assert report["layers"][row["layer"]]["fp_engine"] \
                 == row["fp_engine"]
             # The plan says what the deployed kernels were lowered to.
-            assert (row["fp_lowering"] in ("c", "python")) \
+            assert (row["fp_lowering"] in ("c", "reference")) \
                 == (row["fp_engine"] == "stencil")
-            assert (row["bp_lowering"] in ("c", "python")) \
+            assert (row["bp_lowering"] in ("c", "reference")) \
                 == (row["bp_engine"] == "sparse")
         totals = report["totals"]
         assert totals["tuning_seconds"] > 0
         assert totals["tuning_measured"] >= 12          # 2 convs x (3 + 3)
         assert totals["tuning_memo_hits"] >= 0
         assert totals["retunes"] == len(report["retunes"])
+
+    def test_without_a_compiler_the_plan_says_why(self, monkeypatch):
+        """The generated engines are timed on the reference like any
+        candidate, and every plan row names why they ran there.  (Which
+        one deploys is the measurement's: the reference ties GEMM within
+        noise on some small convs' dW, so no engine is pinned here.)"""
+        import json
+
+        from repro import native
+
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+        native._resolved.cache_clear()
+        try:
+            code, text = run(["train", "--net", "cifar", "--scale", "0.25",
+                              "--epochs", "1", "--format", "json"])
+        finally:
+            native._resolved.cache_clear()
+        assert code == 0
+        report = json.loads(text.splitlines()[0])
+        generated = {"fp": "stencil", "bp": "sparse"}
+        for row in report["plan"]:
+            assert set(row["lowering_reasons"]) == {"stencil", "sparse"}
+            assert all("no C compiler" in why
+                       for why in row["lowering_reasons"].values())
+            for phase, engine in generated.items():
+                deployed = row[f"{phase}_engine"] == engine
+                assert row[f"{phase}_lowering"] == \
+                    ("reference" if deployed else "")
+                assert not row["fused"]
 
     def test_table_output_has_the_tuning_line(self):
         code, text = run(["train", *self.ARGS])
