@@ -614,7 +614,12 @@ class ProcessBackend(ExecutionBackend):
             self._drain_slot(slot)
 
     def _note_inflight(self, slot: int, count: int) -> None:
-        """Publish one worker's in-flight job-count gauge."""
+        """Publish one worker's in-flight job-count gauge.
+
+        Callers hold ``self._lock``: the dispatcher's increment and the
+        collector's decrement then publish in the order they mutated
+        ``outstanding``, so the gauge's last value is the true count.
+        """
         telemetry.gauge(f"pool.inflight.w{slot}", float(count))
 
     # -- dispatch ---------------------------------------------------------
@@ -644,16 +649,13 @@ class ProcessBackend(ExecutionBackend):
                         conn.close()
                         continue
                     job_id, status, payload = pickle.loads(body)
-                    owner: tuple[int, int] | None = None
                     with self._lock:
                         job = self._jobs.pop(job_id, None)
                         for worker in self._workers:
                             if job_id in worker.outstanding:
                                 worker.outstanding.discard(job_id)
-                                owner = (worker.slot,
-                                         len(worker.outstanding))
-                    if owner is not None:
-                        self._note_inflight(*owner)
+                                self._note_inflight(
+                                    worker.slot, len(worker.outstanding))
                     if job is None:
                         continue  # already failed, or redispatch duplicate
                     if status == "ok":
@@ -761,6 +763,9 @@ class ProcessBackend(ExecutionBackend):
             for worker in dead:
                 self._workers.remove(worker)
                 self._free_slots.append(worker.slot)
+                # The dead worker holds nothing any more; zero its gauge
+                # so the in-flight tracks drain even across a crash.
+                self._note_inflight(worker.slot, 0)
                 for job_id in sorted(worker.outstanding):
                     job = self._jobs.get(job_id)
                     if job is None:
@@ -782,9 +787,6 @@ class ProcessBackend(ExecutionBackend):
             telemetry.event("supervisor.worker_dead",
                             pid=worker.process.pid, slot=worker.slot,
                             stranded=len(worker.outstanding))
-            # The dead worker holds nothing any more; zero its gauge so
-            # the in-flight tracks drain even across a crash.
-            self._note_inflight(worker.slot, 0)
         respawned: list[tuple[int, int | None]] = []
         if not self._closed:
             with self._respawn_lock:
@@ -808,7 +810,7 @@ class ProcessBackend(ExecutionBackend):
         if self._closed:
             return
         # Re-dispatch stranded jobs to the (possibly fresh) survivors.
-        shipments: list[tuple[_Worker, int, bytes, int]] = []
+        shipments: list[tuple[_Worker, int, bytes]] = []
         with self._lock:
             for job_id, job in redispatch:
                 target = min(
@@ -826,15 +828,14 @@ class ProcessBackend(ExecutionBackend):
                     continue
                 target.outstanding.add(job_id)
                 job.dispatched = time.monotonic()
-                shipments.append((target, job_id, job.payload,
-                                  len(target.outstanding)))
-        for target, job_id, payload, count in shipments:
+                self._note_inflight(target.slot, len(target.outstanding))
+                shipments.append((target, job_id, job.payload))
+        for target, job_id, payload in shipments:
             target.requests.put((job_id, payload))
             self.redispatches += 1
             telemetry.add("supervisor.redispatches", 1)
             telemetry.event("supervisor.redispatch", job=job_id,
                             slot=target.slot, pid=target.process.pid)
-            self._note_inflight(target.slot, count)
 
     def _next_job_id(self) -> int:
         with self._lock:
@@ -856,9 +857,8 @@ class ProcessBackend(ExecutionBackend):
             target.outstanding.add(job_id)
             job.dispatched = time.monotonic()
             self._jobs[job_id] = job
-            slot, count = target.slot, len(target.outstanding)
+            self._note_inflight(target.slot, len(target.outstanding))
         target.requests.put((job_id, job.payload))
-        self._note_inflight(slot, count)
         return True
 
     def _await(self, job: _Job) -> Any:

@@ -5,12 +5,13 @@ spec prints, which is only sound if printing is deterministic: the same
 ``(spec, pipeline)`` must produce byte-identical text -- in this process
 and in a fresh interpreter -- the ``functools.lru_cache`` on the printers
 must serve repeat requests from cache (specs are frozen/hashable), and
-distinct pipelines must never share a unit name.
+distinct geometries or pipelines must never share a unit name.
 """
 
 import hashlib
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,18 @@ def test_spec_name_does_not_fragment_the_cache(family):
     assert again is unit
     assert printer.cache_info().hits == 1
     assert printer.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("family", PRINTERS)
+def test_distinct_geometries_never_collide(family):
+    # Each extent the text bakes in as a literal is also in the unit's
+    # name, so no two geometries share a name (or a cache entry).
+    base = _spec()
+    variants = [base] + [replace(base, **{field: getattr(base, field) + 1})
+                         for field in ("nc", "ny", "nx", "nf", "fy", "fx")]
+    units = [_print(family, spec) for spec in variants]
+    assert len({unit.name for unit in units}) == len(variants)
+    assert len({unit.source for unit in units}) == len(variants)
 
 
 class TestPipelineKeyedCache:

@@ -12,6 +12,8 @@ import functools
 import math
 import operator
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -113,6 +115,43 @@ class TestInflightGauges:
         series = [v for slot in observed
                   for _, v in tel.gauge_series[f"pool.inflight.w{slot}"]]
         assert max(series) >= 1.0  # the dispatch itself was observable
+
+    def test_a_preempted_dispatcher_cannot_strand_the_gauge(
+            self, process_executor, monkeypatch):
+        # Hold every increment back long enough for the worker to answer:
+        # the collector's decrement must still publish after it.
+        publish = telemetry.gauge
+
+        def late_increment(name, value):
+            if (value > 0 and threading.current_thread().name
+                    != "repro-shm-collector"):
+                time.sleep(0.2)
+            publish(name, value)
+
+        _forward(process_executor)  # spawn before collecting
+        monkeypatch.setattr(telemetry, "gauge", late_increment)
+        with telemetry.collect() as tel:
+            _forward(process_executor)
+        finals = {name: value for name, value in tel.gauges.items()
+                  if name.startswith("pool.inflight.")}
+        assert finals
+        assert set(finals.values()) == {0.0}
+
+    def test_inflight_gauges_drain_to_zero_after_a_worker_crash(self):
+        pool = WorkerPool(2, backend="process")
+        try:
+            pool.map_items(math.factorial, 2)  # spawn before collecting
+            with telemetry.collect() as tel:
+                with pytest.raises(Exception):
+                    pool.map_items(os._exit, 1)
+                pool.map_items(math.factorial, 2)
+            assert "supervisor.worker_dead" in [e.name for e in tel.events]
+            finals = {name: value for name, value in tel.gauges.items()
+                      if name.startswith("pool.inflight.")}
+            assert finals
+            assert set(finals.values()) == {0.0}
+        finally:
+            pool.shutdown()
 
 
 class TestWorkerDiagnostics:

@@ -1,10 +1,12 @@
-"""Tests for the sparse BP kernels' error layout and pointer shifting."""
+"""Tests for the sparse BP kernels: error layout, pointer shifting, and
+agreement with the reference across error sparsities."""
 
 import numpy as np
 import pytest
 
 from repro.core.convspec import ConvSpec
 from repro.errors import ShapeError
+from repro.ops import reference as ref
 from repro.ops.engine import make_engine
 from repro.sparse.kernels import compress_error, error_matrix
 from tests.conftest import SMALL_SPECS, random_conv_data
@@ -32,6 +34,24 @@ class TestErrorMatrix:
         assert eo.nnz == np.count_nonzero(err[0])
 
 
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: s.describe())
+@pytest.mark.parametrize("sparsity", [0.0, 0.7, 0.95])
+class TestSparseKernelsMatchReference:
+    def test_backward_data(self, spec, sparsity, rng):
+        _, weights, err = random_conv_data(spec, rng, batch=1,
+                                           error_sparsity=sparsity)
+        got = make_engine("sparse", spec).backward_data(err, weights)
+        want = ref.backward_data(spec, err[0], weights)
+        np.testing.assert_allclose(got[0], want, atol=1e-3)
+
+    def test_backward_weights(self, spec, sparsity, rng):
+        inputs, _, err = random_conv_data(spec, rng, batch=1,
+                                          error_sparsity=sparsity)
+        got = make_engine("sparse", spec).backward_weights(err, inputs)
+        want = ref.backward_weights(spec, err[0], inputs[0])
+        np.testing.assert_allclose(got, want, atol=1e-3)
+
+
 class TestPointerShifting:
     def test_single_nonzero_scatters_to_window(self, rng):
         # One non-zero error at output (y', x') must touch exactly the
@@ -52,3 +72,14 @@ class TestPointerShifting:
         engine = make_engine("sparse", spec)
         assert not engine.backward_data(err, weights).any()
         assert not engine.backward_weights(err, inputs).any()
+
+
+class TestValidation:
+    def test_backward_data_shape_checks(self, rng):
+        spec = SMALL_SPECS[0]
+        _, weights, err = random_conv_data(spec, rng, batch=1)
+        engine = make_engine("sparse", spec)
+        with pytest.raises(ShapeError):
+            engine.backward_data(err[0], weights)  # missing batch axis
+        with pytest.raises(ShapeError):
+            engine.backward_data(err, np.zeros((1, 1, 1, 1), np.float32))

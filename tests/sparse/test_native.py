@@ -32,7 +32,7 @@ from repro.core.autotuner import CostBackend
 from repro.core.convspec import ConvSpec
 from repro.core.framework import SpgCNN
 from repro.data.synthetic import cifar10_like
-from repro.errors import ShapeError
+from repro.errors import CodegenError, ShapeError
 from repro.nn.layers.conv import ConvLayer
 from repro.nn.sgd import SGDTrainer
 from repro.nn.zoo import cifar10_net
@@ -460,6 +460,32 @@ class TestShardedStep:
                    if e.name == "engine.fallback"]
         assert len(reasons) == 2
         assert all("planned on" in reason for reason in reasons)
+
+
+class TestGeneratedSource:
+    def test_one_table_entry_per_tap(self):
+        unit = emit_sparse_c_unit(ConvSpec(nc=2, ny=8, nx=8, nf=3, fy=3,
+                                           fx=2))
+        assert [k.symbol for k in unit.kernels] == ["bd", "dw"]
+        for kernel in unit.kernels:
+            assert sorted(kernel.tap_w) == list(range(6))
+            table = f"static const int {kernel.symbol.upper()}_TAP_W[NT] = "
+            assert unit.source.count(table) == 1
+
+    def test_pointer_shift_offsets_are_literal(self):
+        # Fig. 6's arrows: tap (ky, kx) lands (ky * NX + kx) HWC pixels
+        # in, one pixel being NCP = 4 padded channels.
+        unit = emit_sparse_c_unit(ConvSpec(nc=1, ny=6, nx=6, nf=1, fy=2,
+                                           fx=2))
+        assert unit.literal("NCP") == 4
+        for symbol in ("BD", "DW"):
+            assert (f"static const int {symbol}_TAP_OFF[NT] = "
+                    f"{{0, 4, 24, 28}};") in unit.source
+
+    def test_rejects_padded_spec(self):
+        with pytest.raises(CodegenError):
+            emit_sparse_c_unit(ConvSpec(nc=1, ny=6, nx=6, nf=1, fy=2, fx=2,
+                                        pad=1))
 
 
 def test_c_unit_text_is_deterministic_and_names_every_literal():

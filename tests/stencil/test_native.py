@@ -34,7 +34,7 @@ from repro.core.autotuner import CostBackend
 from repro.core.convspec import ConvSpec
 from repro.core.framework import SpgCNN
 from repro.data.synthetic import cifar10_like
-from repro.errors import ShapeError
+from repro.errors import CodegenError, ShapeError
 from repro.nn.layers.activations import ReLULayer
 from repro.nn.layers.conv import ConvLayer
 from repro.nn.layers.fused import fuse_conv_relu_pool
@@ -598,6 +598,35 @@ class TestShardedStep:
         assert all(layer.fp_lowering == "c" for layer in net.conv_layers())
         assert _train(net) == chain
         assert net._fused == set()
+
+
+class TestGeneratedSource:
+    GEOMETRY = ConvSpec(nc=2, ny=8, nx=8, nf=3, fy=3, fx=2)
+
+    def test_taps_walk_the_kernel_a_column_at_a_time(self):
+        # Fig. 7's reuse: the Fy taps of one kernel column are adjacent,
+        # so each input row vector is loaded once for all of them.
+        unit = emit_c.emit_stencil_c_unit(
+            self.GEOMETRY, emit_c.host_pipeline(None, "fp"))
+        assert ("static const int FP_TAP_W[NT] = {0, 2, 4, 1, 3, 5};"
+                in unit.source)
+        assert ("static const int FP_TAP_OFF[NT] = {0, 8, 16, 1, 9, 17};"
+                in unit.source)
+
+    def test_kernel_names_encode_shape_and_window(self):
+        plain = emit_c.emit_stencil_c_unit(
+            self.GEOMETRY, emit_c.host_pipeline(None, "fp"))
+        fused = emit_c.emit_stencil_c_unit(
+            self.GEOMETRY, emit_c.host_pipeline(None, "fused_fp", 2, 2))
+        assert plain.name.startswith("stencil_fp_2x8x8_3_3x2_")
+        assert fused.name.startswith("fused_fp_2x8x8_3_3x2_p2s2_")
+        assert plain.exports == ("fp",)
+        assert f"void {plain.name}_fp(" in plain.source
+
+    def test_strided_spec_is_refused(self):
+        spec = ConvSpec(nc=1, ny=9, nx=9, nf=1, fy=3, fx=3, sy=2, sx=2)
+        with pytest.raises(CodegenError):
+            emit_c.emit_stencil_c_unit(spec, emit_c.host_pipeline(None, "fp"))
 
 
 def test_c_unit_text_is_deterministic_and_names_every_literal():
