@@ -2,7 +2,8 @@
 
 The workflow a performance engineer would follow with this library:
 
-1. profile a real training step to find which layers dominate wall clock;
+1. time real training steps from the conv layers' own ``<layer>/fp|bp``
+   spans to find which convolution dominates wall clock;
 2. ask the machine model *why* each technique is fast or slow on the
    hottest convolution (per-lane breakdown, Secs. 3-4);
 3. autotune the layers with the host-measured backend -- the paper's
@@ -15,27 +16,33 @@ Run with:  python examples/explain_and_profile.py
 
 import numpy as np
 
-from repro.analysis.profiler import profile_training_steps
 from repro.core.autotuner import Autotuner, MeasuredCostBackend
 from repro.data.synthetic import cifar10_like
 from repro.machine.explain import explain_conv, explain_report
 from repro.machine.spec import xeon_e5_2650
+from repro.nn.sgd import SGDTrainer
 from repro.nn.zoo import cifar10_net
+from repro.obs.monitor import TrainingMonitor
 
 
 def main() -> None:
     net = cifar10_net(scale=0.5, rng=np.random.default_rng(0))
     data = cifar10_like(16, seed=0)
 
-    print("== 1. Profile a real training step ==")
-    report = profile_training_steps(net, data.images[:8], data.labels[:8],
-                                    steps=2)
-    print(report.describe())
-    hottest = report.hottest()
-    print(f"\nhottest layer: {hottest.name} ({hottest.kind}, "
-          f"{report.fraction(hottest.name):.0%} of step time)")
+    print("== 1. Profile real training steps ==")
+    trainer = SGDTrainer(net)
+    monitor = TrainingMonitor()
+    with monitor:
+        for _ in range(2):
+            trainer.step(data.images[:8], data.labels[:8])
+    print(monitor.render(title="per-layer FP/BP time"))
+    seconds = {name: s["fp_seconds"] + s["bp_seconds"]
+               for name, s in monitor.layer_stats().items()}
+    hottest = max(seconds, key=seconds.__getitem__)
+    print(f"\nhottest layer: {hottest} "
+          f"({seconds[hottest] / sum(seconds.values()):.0%} of conv time)")
 
-    conv = net.conv_layers()[0]
+    conv = next(c for c in net.conv_layers() if c.name == hottest)
     spec = conv.padded_spec
     print(f"\n== 2. Why: machine-model lanes for {spec.describe()} ==")
     print("forward propagation:")

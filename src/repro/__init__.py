@@ -18,8 +18,6 @@ from repro.core.autotuner import Autotuner, MeasuredCostBackend, ModelCostBacken
 from repro.core.characterization import Region, characterize, classify
 from repro.core.convspec import ConvSpec, square_conv
 from repro.core.framework import SpgCNN
-from repro.core.scheduler import WorkItem, schedule
-from repro.core.workload import TrainingWorkload, estimate_training_time
 from repro.core.goodput import GoodputReport, dense_goodput_bound, measure_sparsity
 from repro.core.plan import ExecutionPlan, LayerPlan
 from repro.machine.spec import MachineSpec, xeon_e5_2650
@@ -64,10 +62,6 @@ __all__ = [
     "network_from_text",
     "SGDTrainer",
     "TrainingLoop",
-    "WorkItem",
-    "schedule",
-    "TrainingWorkload",
-    "estimate_training_time",
     "ParallelExecutor",
     "WorkerPool",
     "TelemetryCollector",

@@ -125,30 +125,3 @@ def parallel_gemm(
         gemm(a[lo:hi], b, out=out[lo:hi], blocking=blocking)
     return out
 
-
-def gemm_flops(m: int, k: int, n: int) -> int:
-    """Flop count of an ``m x k . k x n`` multiplication (fused as 2 flops)."""
-    return 2 * m * k * n
-
-
-def gemm_elems(m: int, k: int, n: int) -> int:
-    """Minimum element accesses of a GEMM: read A and B, write C."""
-    return m * k + k * n + m * n
-
-
-def parallel_gemm_percore_elems(m: int, k: int, n: int, num_cores: int) -> float:
-    """Per-core element accesses under row-partitioned Parallel-GEMM.
-
-    Each core reads its A slice (``MK/p``), writes its C slice (``MN/p``)
-    and streams *all* of B (``KN``) -- the paper's Sec. 3.2 accounting.
-    """
-    if num_cores <= 0:
-        raise ValueError(f"num_cores must be positive, got {num_cores}")
-    p = num_cores
-    return m * k / p + k * n + m * n / p
-
-
-def parallel_gemm_percore_ait(m: int, k: int, n: int, num_cores: int) -> float:
-    """Per-core AIT (flops per element) of row-partitioned Parallel-GEMM."""
-    flops_per_core = gemm_flops(m, k, n) / num_cores
-    return flops_per_core / parallel_gemm_percore_elems(m, k, n, num_cores)

@@ -111,7 +111,3 @@ def csr_matmul_dense(sparse: CSRMatrix, dense: np.ndarray) -> np.ndarray:
     np.add.at(out, row_of_value, contributions)
     return out
 
-
-def csr_nnz_flops(sparse: CSRMatrix, dense_cols: int) -> int:
-    """Useful flops of ``csr_matmul_dense``: 2 per non-zero per dense column."""
-    return 2 * sparse.nnz * dense_cols

@@ -8,8 +8,8 @@ instead of as silent numerical corruption mid-training:
 * :mod:`repro.check.gen_source` -- every emitted C unit against the
   scheduled nest it was printed from (literals, tap order and tables,
   scratch sections, blocks written exactly once), without a compiler;
-* :mod:`repro.check.graph` -- shape/dtype propagation over networks
-  and netdefs, wired into :class:`TrainingLoop` as a fail-fast
+* :mod:`repro.check.graph` -- shape/dtype propagation over networks,
+  wired into :class:`TrainingLoop` as a fail-fast
   pre-flight;
 * :mod:`repro.check.effects` -- effect-typed happens-before verifier
   over compiled task graphs: every node declares the buffer regions it

@@ -1,7 +1,7 @@
 """Analyzer 2: network-graph verification before training starts.
 
 Propagates shapes and dtypes through a :class:`repro.nn.network.Network`
-(or an unbuilt netdef dictionary) and reports, as structured findings:
+and reports, as structured findings:
 
 * **shape mismatches** -- a layer whose declared geometry is
   inconsistent with the activation shape reaching it (re-derived here,
@@ -177,111 +177,6 @@ def verify_network(network: Network) -> list[Finding]:
                 "error", f"{network.name}/output",
                 f"declared output shape {declared} != re-derived {shape}",
             ))
-    return findings
-
-
-#: netdef layer types whose geometry the dict-level checker understands.
-_NETDEF_TYPES = ("conv", "relu", "pool", "avgpool", "lrn", "dropout",
-                 "flatten", "dense")
-
-
-def verify_netdef(definition: dict) -> list[Finding]:
-    """Shape-propagate an unbuilt netdef dictionary (no allocation).
-
-    Reports every inconsistency it can find rather than stopping at the
-    first, which is what makes it more useful than just attempting
-    :func:`repro.nn.netdef.build_network`.
-    """
-    findings: list[Finding] = []
-    name = definition.get("name", "netdef")
-    raw_input = definition.get("input")
-    if not raw_input or len(tuple(raw_input)) != 3:
-        return [_finding(
-            "error", name, f"netdef input must be [C, Y, X], got {raw_input!r}"
-        )]
-    shape = tuple(int(v) for v in raw_input)
-    if min(shape) <= 0:
-        return [_finding(
-            "error", name, f"netdef input extents must be positive: {shape}"
-        )]
-    for i, layer_def in enumerate(definition.get("layers", [])):
-        layer_type = layer_def.get("type", "?")
-        loc = f"{name}/{layer_def.get('name', f'{layer_type}{i}')}"
-        if layer_type not in _NETDEF_TYPES:
-            findings.append(_finding(
-                "error", loc, f"unknown layer type {layer_type!r}"
-            ))
-            continue
-        if layer_type == "conv":
-            if len(shape) != 3:
-                findings.append(_finding(
-                    "error", loc, f"conv needs [C, Y, X] input, got {shape}"
-                ))
-                break
-            kernel = int(layer_def.get("kernel", 0))
-            stride = int(layer_def.get("stride", 1))
-            pad = int(layer_def.get("pad", 0))
-            features = int(layer_def.get("features", 0))
-            if kernel <= 0 or features <= 0 or stride <= 0 or pad < 0:
-                findings.append(_finding(
-                    "error", loc,
-                    f"conv needs positive kernel/features/stride, got "
-                    f"kernel={kernel} features={features} stride={stride} "
-                    f"pad={pad}",
-                ))
-                break
-            py, px = shape[1] + 2 * pad, shape[2] + 2 * pad
-            if kernel > py or kernel > px:
-                findings.append(_finding(
-                    "error", loc,
-                    f"kernel {kernel} larger than padded input {py}x{px}",
-                ))
-                break
-            shape = (features, (py - kernel) // stride + 1,
-                     (px - kernel) // stride + 1)
-        elif layer_type in ("pool", "avgpool"):
-            if len(shape) != 3:
-                findings.append(_finding(
-                    "error", loc, f"pool needs [C, Y, X] input, got {shape}"
-                ))
-                break
-            kernel = int(layer_def.get("kernel", 0))
-            stride = int(layer_def.get("stride", kernel) or kernel)
-            if kernel <= 0 or stride <= 0:
-                findings.append(_finding(
-                    "error", loc, f"pool needs positive kernel, got {kernel}"
-                ))
-                break
-            if kernel > shape[1] or kernel > shape[2]:
-                findings.append(_finding(
-                    "error", loc,
-                    f"pool kernel {kernel} larger than input "
-                    f"{shape[1]}x{shape[2]}",
-                ))
-                break
-            shape = (shape[0], (shape[1] - kernel) // stride + 1,
-                     (shape[2] - kernel) // stride + 1)
-        elif layer_type == "flatten":
-            size = 1
-            for extent in shape:
-                size *= extent
-            shape = (size,)
-        elif layer_type == "dense":
-            if len(shape) != 1:
-                findings.append(_finding(
-                    "error", loc,
-                    f"dense needs flattened input, got {shape}; insert a "
-                    f"flatten layer",
-                ))
-                break
-            features = int(layer_def.get("features", 0))
-            if features <= 0:
-                findings.append(_finding(
-                    "error", loc, "dense needs a positive feature count"
-                ))
-                break
-            shape = (features,)
-        # relu / lrn / dropout are shape-preserving.
     return findings
 
 

@@ -37,7 +37,8 @@ Chrome trace-event JSON, and ``check`` accepts ``--format sarif``
 
 Exit codes, uniformly: **0** success; **1** gate failure (error-severity
 check findings, a failed chaos run); **2** usage error (bad flags,
-missing arguments, unknown names -- raised by argparse).
+missing arguments, unknown names, out-of-range numbers, a convolution
+or netdef that cannot be built -- reported through argparse).
 
 The wall-clock benchmark is the host book (``hostbook/run.py``), not a
 subcommand.
@@ -56,8 +57,10 @@ from repro.check.runner import ANALYZERS as _ANALYZERS
 from repro.core.autotuner import Autotuner, ModelCostBackend
 from repro.core.characterization import characterize
 from repro.core.convspec import ConvSpec
+from repro.errors import ReproError
 from repro.machine.spec import xeon_e5_2650
 from repro.nn.netdef import network_from_text
+from repro.nn.network import Network
 from repro.ops.engine import engine_names
 from repro.runtime.backends import BACKEND_NAMES as _BACKENDS
 
@@ -92,6 +95,30 @@ def _analyzer_list(text: str) -> tuple[str, ...]:
     return names
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer greater than zero."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a number greater than zero."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """argparse type: a number in [0, 1] (a sparsity)."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _add_output_args(
     parser: argparse.ArgumentParser,
     formats: tuple[str, ...] = ("table", "json"),
@@ -111,14 +138,29 @@ def _add_dims(parser: argparse.ArgumentParser) -> None:
     Four positionals rather than one ``nargs=4`` with a tuple metavar,
     which argparse cannot name in its missing-argument error."""
     for dim in ("Nx", "Nf", "Nc", "Fx"):
-        parser.add_argument(dim, type=int)
+        parser.add_argument(dim, type=_positive_int)
+    parser.add_argument("--stride", type=_positive_int, default=1)
 
 
-def _dims_spec(args) -> ConvSpec:
-    """The square convolution named by the ``Nx Nf Nc Fx`` positionals."""
+def _dims_spec(args, parser: argparse.ArgumentParser) -> ConvSpec:
+    """The square convolution named by the ``Nx Nf Nc Fx`` positionals;
+    one that cannot exist (a kernel larger than the input) is a usage
+    error."""
     n, f = args.Nx, args.Fx
-    return ConvSpec(nc=args.Nc, ny=n, nx=n, nf=args.Nf, fy=f, fx=f,
-                    sy=args.stride, sx=args.stride, name="cli-conv")
+    try:
+        return ConvSpec(nc=args.Nc, ny=n, nx=n, nf=args.Nf, fy=f, fx=f,
+                        sy=args.stride, sx=args.stride, name="cli-conv")
+    except ReproError as exc:
+        parser.error(str(exc))
+
+
+def _load_netdef(path: Path, parser: argparse.ArgumentParser) -> Network:
+    """The network of a netdef file; an unreadable or malformed file is a
+    usage error."""
+    try:
+        return network_from_text(path.read_text())
+    except (ReproError, OSError, ValueError) as exc:
+        parser.error(f"netdef {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,27 +171,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chz = sub.add_parser("characterize", help="characterize a convolution")
     _add_dims(chz)
-    chz.add_argument("--stride", type=int, default=1)
-    chz.add_argument("--sparsity", type=float, default=0.0)
+    chz.add_argument("--sparsity", type=_fraction, default=0.0)
 
     sched = sub.add_parser(
         "schedule",
         help="search loop-IR schedule pipelines for one convolution",
     )
     _add_dims(sched)
-    sched.add_argument("--stride", type=int, default=1)
     sched.add_argument("--pool", type=int, default=0, metavar="K",
                        help="fuse a KxK max-pool into the forward phase")
     sched.add_argument("--seed", type=int, default=0,
                        help="seed for the random schedule samples")
-    sched.add_argument("--cores", type=int, default=1)
-    sched.add_argument("--batch", type=int, default=1)
+    sched.add_argument("--cores", type=_positive_int, default=1)
+    sched.add_argument("--batch", type=_positive_int, default=1)
 
     plan = sub.add_parser("plan", help="autotune a network description")
     plan.add_argument("netdef", type=Path)
-    plan.add_argument("--cores", type=int, default=16)
-    plan.add_argument("--batch", type=int, default=64)
-    plan.add_argument("--sparsity", type=float, default=0.85)
+    plan.add_argument("--cores", type=_positive_int, default=16)
+    plan.add_argument("--batch", type=_positive_int, default=64)
+    plan.add_argument("--sparsity", type=_fraction, default=0.85)
 
     fig = sub.add_parser("figure", help="regenerate a paper exhibit")
     fig.add_argument("name", choices=sorted(_FIGURES))
@@ -159,10 +199,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_dims(explain)
     explain.add_argument("--phase", choices=("fp", "bp"), default="fp")
-    explain.add_argument("--stride", type=int, default=1)
-    explain.add_argument("--cores", type=int, default=16)
-    explain.add_argument("--batch", type=int, default=16)
-    explain.add_argument("--sparsity", type=float, default=0.85)
+    explain.add_argument("--cores", type=_positive_int, default=16)
+    explain.add_argument("--batch", type=_positive_int, default=16)
+    explain.add_argument("--sparsity", type=_fraction, default=0.85)
 
     repro_cmd = sub.add_parser(
         "reproduce", help="write every paper exhibit to an output directory"
@@ -174,10 +213,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="profile a training run with telemetry; writes a JSON trace",
     )
     trace.add_argument("--net", choices=("mnist", "cifar"), default="cifar")
-    trace.add_argument("--epochs", type=int, default=2)
-    trace.add_argument("--batch", type=int, default=8)
-    trace.add_argument("--samples", type=int, default=32)
-    trace.add_argument("--scale", type=float, default=0.25,
+    trace.add_argument("--epochs", type=_positive_int, default=2)
+    trace.add_argument("--batch", type=_positive_int, default=8)
+    trace.add_argument("--samples", type=_positive_int, default=32)
+    trace.add_argument("--scale", type=_positive_float, default=0.25,
                        help="feature-count scale of the zoo network")
     trace.add_argument("--threads", type=int, default=2,
                        help="workers in the network's one pool; a training step "
@@ -229,9 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=plan_names() + tuple(REAL_KILL_PLANS),
                        default="smoke")
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--epochs", type=int, default=3)
-    chaos.add_argument("--batch", type=int, default=8)
-    chaos.add_argument("--samples", type=int, default=48)
+    chaos.add_argument("--epochs", type=_positive_int, default=3)
+    chaos.add_argument("--batch", type=_positive_int, default=8)
+    chaos.add_argument("--samples", type=_positive_int, default=48)
     chaos.add_argument("--threads", type=int, default=2,
                        help="workers in the network's one pool; a training step "
                             "runs one whole-network shard on each (1 = inline)")
@@ -250,10 +289,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="train under the live monitor; writes the run report",
     )
     train.add_argument("--net", choices=("mnist", "cifar"), default="mnist")
-    train.add_argument("--epochs", type=int, default=2)
-    train.add_argument("--batch", type=int, default=8)
-    train.add_argument("--samples", type=int, default=32)
-    train.add_argument("--scale", type=float, default=0.25,
+    train.add_argument("--epochs", type=_positive_int, default=2)
+    train.add_argument("--batch", type=_positive_int, default=8)
+    train.add_argument("--samples", type=_positive_int, default=32)
+    train.add_argument("--scale", type=_positive_float, default=0.25,
                        help="feature-count scale of the zoo network")
     train.add_argument("--threads", type=int, default=1,
                        help="workers in the network's one pool; a training step "
@@ -321,7 +360,7 @@ def _cmd_reproduce(args, out) -> int:
 def _cmd_explain(args, out) -> int:
     from repro.machine.explain import explain_conv, explain_report
 
-    spec = _dims_spec(args)
+    spec = args.spec
     breakdowns = explain_conv(
         spec, args.phase, args.batch, xeon_e5_2650(), args.cores,
         sparsity=args.sparsity,
@@ -332,7 +371,7 @@ def _cmd_explain(args, out) -> int:
 
 
 def _cmd_characterize(args, out) -> int:
-    spec = _dims_spec(args)
+    spec = args.spec
     ch = characterize(spec, sparsity=args.sparsity)
     print(spec.describe(), file=out)
     print(f"intrinsic AIT:   {ch.intrinsic_ait:.1f}", file=out)
@@ -347,7 +386,7 @@ def _cmd_characterize(args, out) -> int:
 def _cmd_schedule(args, out) -> int:
     from repro.nn.schedule import ScheduleSearch
 
-    spec = _dims_spec(args)
+    spec = args.spec
     search = ScheduleSearch(cores=args.cores, batch=args.batch,
                             seed=args.seed)
     choices = search.search_layer(spec, pool_kernel=args.pool)
@@ -371,8 +410,7 @@ def _cmd_schedule(args, out) -> int:
 
 
 def _cmd_plan(args, out) -> int:
-    text = args.netdef.read_text()
-    network = network_from_text(text)
+    network = args.network
     tuner = Autotuner(
         ModelCostBackend(xeon_e5_2650(), cores=args.cores, batch=args.batch)
     )
@@ -701,7 +739,12 @@ def _cmd_check(args, out) -> int:
 def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if "Nx" in vars(args):
+        args.spec = _dims_spec(args, parser)
+    if args.command == "plan":
+        args.network = _load_netdef(args.netdef, parser)
     if args.command == "characterize":
         return _cmd_characterize(args, out)
     if args.command == "schedule":

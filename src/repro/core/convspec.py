@@ -243,28 +243,6 @@ def square_conv(
     )
 
 
-def backward_data_spec(spec: ConvSpec) -> ConvSpec:
-    """Shape of the BP error-gradient computation (Eq. 3) as a ConvSpec.
-
-    Back-propagating the output error through the weights is itself a
-    convolution-shaped computation with the roles of input/output feature
-    counts swapped; the flop count is identical to FP, which is the only
-    property the machine model needs.
-    """
-    return ConvSpec(
-        nc=spec.nf,
-        ny=spec.out_ny,
-        nx=spec.out_nx,
-        nf=spec.nc,
-        fy=spec.fy,
-        fx=spec.fx,
-        sy=1,
-        sx=1,
-        pad=max(spec.fy, spec.fx) - 1,
-        name=(spec.name + ":bp") if spec.name else "bp",
-    )
-
-
 @lru_cache(maxsize=256)
 def backward_data_correlation(spec: ConvSpec, crop: int = 0) -> ConvSpec | None:
     """BP-data (Eq. 3) of pre-padded ``spec`` as a *forward* convolution.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.reporting import format_table
 from repro.core.convspec import ConvSpec
 from repro.errors import PlanError
 
@@ -101,10 +102,8 @@ class ExecutionPlan:
 
     def describe(self) -> str:
         """Tabular summary of the plan."""
-        lines = [f"{'layer':<20s} {'FP engine':<18s} {'BP engine':<18s} sparsity"]
-        for p in self.layers:
-            lines.append(
-                f"{p.layer_name:<20s} {p.fp_engine:<18s} {p.bp_engine:<18s} "
-                f"{p.sparsity:.2f}"
-            )
-        return "\n".join(lines)
+        return format_table(
+            ["layer", "FP engine", "BP engine", "sparsity"],
+            [[p.layer_name, p.fp_engine, p.bp_engine, f"{p.sparsity:.2f}"]
+             for p in self.layers],
+        )

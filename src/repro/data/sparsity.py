@@ -10,8 +10,6 @@ the gradient wherever activations were clamped.
 :func:`measure_sparsity_trajectory` reproduces the measurement by
 actually training the small zoo networks on synthetic data and recording
 the mean conv-layer error sparsity per epoch.
-:func:`analytic_sparsity_trajectory` provides the closed-form expectation
-used by fast tests and as a cross-check.
 """
 
 from __future__ import annotations
@@ -64,41 +62,3 @@ def measure_sparsity_trajectory(
         sparsity=tuple(values),
     )
 
-
-def expected_pool_relu_sparsity(pool_kernel: int, relu_dead_fraction: float) -> float:
-    """Expected error sparsity after a ReLU feeding a pooling layer.
-
-    A ``k x k`` max-pool window passes gradient to one of ``k^2``
-    positions; of those survivors, a ``relu_dead_fraction`` are zeroed by
-    the ReLU mask.  Zero patterns compose multiplicatively because the
-    pool winner and the ReLU mask are (approximately) independent.
-    """
-    if pool_kernel <= 0:
-        raise ValueError(f"pool_kernel must be positive, got {pool_kernel}")
-    if not 0 <= relu_dead_fraction <= 1:
-        raise ValueError(f"relu_dead_fraction must be in [0,1], got {relu_dead_fraction}")
-    survive = (1.0 / (pool_kernel * pool_kernel)) * (1.0 - relu_dead_fraction)
-    return 1.0 - survive
-
-
-def analytic_sparsity_trajectory(
-    benchmark: str,
-    num_epochs: int = 10,
-    initial: float = 0.82,
-    asymptote: float = 0.97,
-    rate: float = 0.45,
-) -> SparsityTrajectory:
-    """Closed-form rising trajectory matching the Fig. 3b shape.
-
-    Sparsity starts above the pool+ReLU floor and saturates towards the
-    asymptote as the model's predictions sharpen; the defaults land above
-    85% from epoch 2 onward, as the paper reports.
-    """
-    if num_epochs <= 0:
-        raise ValueError(f"num_epochs must be positive, got {num_epochs}")
-    epochs = tuple(range(1, num_epochs + 1))
-    values = tuple(
-        asymptote - (asymptote - initial) * float(np.exp(-rate * (e - 1)))
-        for e in epochs
-    )
-    return SparsityTrajectory(benchmark=benchmark, epochs=epochs, sparsity=values)

@@ -84,15 +84,8 @@ TABLE2_LAYERS: dict[str, tuple[ConvSpec, ...]] = {
     ),
 }
 
-#: Display names used in figures, in the order of Fig. 8's x-axis.
+#: Table 2 benchmarks in the order of Fig. 8's x-axis.
 BENCHMARK_ORDER: tuple[str, ...] = ("imagenet-22k", "imagenet-1k", "cifar-10", "mnist")
-
-BENCHMARK_TITLES: dict[str, str] = {
-    "imagenet-22k": "ADAM-ImageNet",
-    "imagenet-1k": "AlexNet",
-    "cifar-10": "CIFAR-10",
-    "mnist": "MNIST",
-}
 
 
 def table1_conv(conv_id: int) -> ConvSpec:

@@ -73,9 +73,3 @@ def copy_time(bytes_moved: float, machine: MachineSpec, cores: int,
     shared = bytes_moved / machine.dram_bandwidth
     return max(private, shared)
 
-
-def serial_fraction_speedup(cores: float, serial_fraction: float) -> float:
-    """Amdahl speedup, used by sanity checks and the analysis helpers."""
-    if not 0 <= serial_fraction <= 1:
-        raise MachineModelError(f"serial_fraction must be in [0,1], got {serial_fraction}")
-    return 1.0 / (serial_fraction + (1.0 - serial_fraction) / cores)

@@ -166,26 +166,6 @@ class ConvLayer(Layer):
         if release is not None:
             release()
 
-    def set_backend(self, backend: str) -> None:
-        """Switch the execution backend, rebuilding the engines.
-
-        A no-op when the backend already matches.  The pool object is
-        kept and retargeted in place, so layers sharing it swap it once:
-        the first to be switched moves the workers, the rest only
-        rebuild their executors.  Single-threaded layers just record the
-        choice (their engines run inline either way).
-        """
-        if backend == self.backend:
-            return
-        fp_name, bp_name = self.fp_engine_name, self.bp_engine_name
-        self._retire_engine(self._fp_engine)
-        self._retire_engine(self._bp_engine)
-        if self._pool is not None:
-            self._pool.set_backend(backend)
-        self.backend = backend
-        self._fp_engine = self._build_engine(fp_name)
-        self._bp_engine = self._build_engine(bp_name)
-
     def close(self) -> None:
         """Release engine workspaces and shut down the worker pool.
 

@@ -216,30 +216,3 @@ def network_from_text(
     return build_network(parse_netdef(text), num_cores=num_cores, rng=rng,
                          threads=threads)
 
-
-def _format_value(value) -> str:
-    if isinstance(value, str):
-        return f'"{value}"'
-    return str(value)
-
-
-def format_netdef(definition: dict) -> str:
-    """Serialize a dict description back to the text format.
-
-    Inverse of :func:`parse_netdef`: ``parse_netdef(format_netdef(d))``
-    reproduces ``d`` for any well-formed description.
-    """
-    if "input" not in definition:
-        raise ShapeError("definition missing 'input'")
-    lines = []
-    for key, value in definition.items():
-        if key in ("layers", "input"):
-            continue
-        lines.append(f"{key}: {_format_value(value)}")
-    lines.append("input: " + " ".join(str(int(v)) for v in definition["input"]))
-    for layer_def in definition.get("layers", []):
-        fields = " ".join(
-            f"{k}: {_format_value(v)}" for k, v in layer_def.items()
-        )
-        lines.append(f"layer {{ {fields} }}")
-    return "\n".join(lines) + "\n"

@@ -1,26 +1,19 @@
-"""Training-time schedules: learning rates and kernel loop schedules.
+"""Kernel schedule search: the loop-IR autotuner.
 
-Two unrelated-but-neighbouring notions of "schedule" live here:
-
-* **Learning-rate schedules** map the 1-based epoch number to a learning
-  rate; the trainer's ``set_learning_rate`` hook applies them between
-  epochs.
-* **Kernel schedule search** (:class:`ScheduleSearch`) upgrades the
-  technique-level autotuner (:mod:`repro.core.autotuner`): once a layer
-  deploys a generated kernel, the searcher enumerates a bounded,
-  deterministic set of candidate pass pipelines over the loop IR
-  (:mod:`repro.stencil.passes`), prices each with the multi-level
-  roofline via its :class:`~repro.stencil.loopir.WorkEstimate`, gates
-  the winner -- where a C printer lowers the family -- through the
-  ``repro.check`` verifier of its printed unit, and caches the choice
-  per ``(spec, family)``.
+:class:`ScheduleSearch` upgrades the technique-level autotuner
+(:mod:`repro.core.autotuner`): once a layer deploys a generated kernel,
+the searcher enumerates a bounded, deterministic set of candidate pass
+pipelines over the loop IR (:mod:`repro.stencil.passes`), prices each
+with the multi-level roofline via its
+:class:`~repro.stencil.loopir.WorkEstimate`, gates the winner -- where a
+C printer lowers the family -- through the ``repro.check`` verifier of
+its printed unit, and caches the choice per ``(spec, family)``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from repro.core.convspec import ConvSpec
@@ -37,70 +30,6 @@ from repro.stencil.passes import (
     tiled_pipeline,
 )
 from repro.stencil.schedule import generate_schedule
-
-
-class LRSchedule(ABC):
-    """Epoch -> learning-rate mapping."""
-
-    @abstractmethod
-    def rate(self, epoch: int) -> float:
-        """Learning rate to use *during* the given 1-based epoch."""
-
-    def _check_epoch(self, epoch: int) -> None:
-        if epoch <= 0:
-            raise ReproError(f"epoch must be positive, got {epoch}")
-
-
-class ConstantLR(LRSchedule):
-    """A fixed learning rate."""
-
-    def __init__(self, value: float):
-        if value <= 0:
-            raise ReproError(f"learning rate must be positive, got {value}")
-        self.value = value
-
-    def rate(self, epoch: int) -> float:
-        self._check_epoch(epoch)
-        return self.value
-
-
-class StepDecayLR(LRSchedule):
-    """Multiply the rate by ``factor`` every ``step_epochs`` epochs."""
-
-    def __init__(self, initial: float, factor: float = 0.1,
-                 step_epochs: int = 10):
-        if initial <= 0 or not 0 < factor <= 1 or step_epochs <= 0:
-            raise ReproError(
-                f"invalid step decay: initial={initial}, factor={factor}, "
-                f"step_epochs={step_epochs}"
-            )
-        self.initial = initial
-        self.factor = factor
-        self.step_epochs = step_epochs
-
-    def rate(self, epoch: int) -> float:
-        self._check_epoch(epoch)
-        drops = (epoch - 1) // self.step_epochs
-        return self.initial * self.factor**drops
-
-
-class ExponentialLR(LRSchedule):
-    """Multiply the rate by ``gamma`` every epoch."""
-
-    def __init__(self, initial: float, gamma: float = 0.95):
-        if initial <= 0 or not 0 < gamma <= 1:
-            raise ReproError(
-                f"invalid exponential decay: initial={initial}, gamma={gamma}"
-            )
-        self.initial = initial
-        self.gamma = gamma
-
-    def rate(self, epoch: int) -> float:
-        self._check_epoch(epoch)
-        return self.initial * self.gamma ** (epoch - 1)
-
-
-# -- kernel schedule search (the loop-IR autotuner) ------------------------
 
 
 #: Register budgets used to diversify vectorize-pass candidates when a

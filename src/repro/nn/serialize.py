@@ -1,23 +1,17 @@
-"""Model checkpointing: save and restore network and training state.
+"""Training-state checkpointing: save and restore a run in progress.
 
 Two formats share one ``.npz`` container:
 
-* **Model checkpoints** (:func:`save_network` / :func:`load_network`) --
-  just the parameters, keyed by the network's qualified parameter names
-  (``<index>.<layer>.<param>``), with a structural fingerprint so a
-  checkpoint cannot be silently loaded into a mismatched architecture.
 * **Training checkpoints** (:func:`save_checkpoint` /
   :func:`load_checkpoint`) -- everything a killed run needs to resume
-  *bit-identically*: the parameters, the optimizer's momentum buffers
-  (``__velocity__.<param>`` keys), the completed-epoch count and the
-  epoch metric history (``__meta__``, JSON), and the shuffle RNG's
-  bit-generator state (``__rng__``, JSON) so the resumed run draws the
-  exact permutations the uninterrupted run would have.  Written
-  atomically, like the journals below: a kill mid-write leaves the
-  previous ``epoch-*.npz`` (or none), never a torn one.
-
-A third format rides on the training-checkpoint layout:
-
+  *bit-identically*: the parameters, keyed by the network's qualified
+  parameter names (``<index>.<layer>.<param>``), the optimizer's
+  momentum buffers (``__velocity__.<param>`` keys), the completed-epoch
+  count and the epoch metric history (``__meta__``, JSON), and the
+  shuffle RNG's bit-generator state (``__rng__``, JSON) so the resumed
+  run draws the exact permutations the uninterrupted run would have.
+  Written atomically, like the journals below: a kill mid-write leaves
+  the previous ``epoch-*.npz`` (or none), never a torn one.
 * **Batch journals** (:func:`save_journal` / :func:`load_journal`) -- a
   *mid-epoch* snapshot for crash-consistent recovery: the training
   checkpoint's payload plus the epoch's shuffled index order
@@ -27,8 +21,8 @@ A third format rides on the training-checkpoint layout:
   at any instant leaves either the previous journal or the new one,
   never a torn file.
 
-Both formats carry the same fingerprint and the same mismatch guarantee:
-loading into a structurally different network raises
+Both formats carry a structural fingerprint and the same mismatch
+guarantee: loading into a structurally different network raises
 :class:`~repro.errors.ReproError` instead of corrupting it.
 """
 
@@ -68,33 +62,6 @@ def structure_fingerprint(network: Network) -> str:
         },
     }
     return json.dumps(structure, sort_keys=True)
-
-
-def save_network(network: Network, path: str | Path) -> Path:
-    """Write all parameters (and the fingerprint) to ``path`` (.npz)."""
-    path = Path(path)
-    arrays = {name: param for name, param, _ in network.parameters()}
-    if _FINGERPRINT_KEY in arrays:
-        raise ReproError(f"parameter name collides with {_FINGERPRINT_KEY}")
-    arrays[_FINGERPRINT_KEY] = np.frombuffer(
-        structure_fingerprint(network).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez(path, **arrays)
-    # np.savez appends .npz when missing; normalize the returned path.
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_network(network: Network, path: str | Path) -> Network:
-    """Restore parameters from ``path`` into ``network`` (in place).
-
-    The checkpoint's structural fingerprint must match the network's;
-    otherwise a :class:`ReproError` explains the mismatch.
-    """
-    with np.load(Path(path)) as archive:
-        _verify_fingerprint(archive, network, path)
-        for name, param, _ in network.parameters():
-            param[...] = archive[name]
-    return network
 
 
 def _verify_fingerprint(archive, network: Network, path) -> None:
@@ -206,7 +173,7 @@ def load_checkpoint(
 ) -> CheckpointState:
     """Restore a training checkpoint into ``network`` (and co) in place.
 
-    The fingerprint must match, exactly as in :func:`load_network`.
+    The checkpoint's structural fingerprint must match the network's.
     When ``trainer`` / ``rng`` are given, their momentum buffers and
     bit-generator state are restored too; a checkpoint saved without
     that state leaves them untouched.  Returns the bookkeeping the
@@ -216,8 +183,7 @@ def load_checkpoint(
         _verify_fingerprint(archive, network, path)
         if _META_KEY not in archive:
             raise ReproError(
-                f"{path} is a model checkpoint, not a training checkpoint; "
-                "use load_network()"
+                f"{path} is not a training checkpoint (no {_META_KEY})"
             )
         meta = _array_json(archive[_META_KEY])
         if meta.get("format") != CHECKPOINT_FORMAT:

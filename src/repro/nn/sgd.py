@@ -37,29 +37,20 @@ class SGDTrainer:
     """Minibatch SGD with momentum."""
 
     def __init__(self, network: Network, learning_rate: float = 0.01,
-                 momentum: float = 0.9, weight_decay: float = 0.0):
+                 momentum: float = 0.9):
         if learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         if not 0 <= momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
         self.network = network
         self.learning_rate = learning_rate
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity: dict[str, np.ndarray] = {}
         # ``lr * update`` is computed here, one parameter at a time.
         self._scratch = np.empty(0, dtype=np.float32)
         # A step's megabyte-sized temporaries must come from a heap
         # that keeps its pages (see ``runtime.backends``).
         pin_malloc_thresholds()
-
-    def set_learning_rate(self, value: float) -> None:
-        """Update the learning rate (LR-schedule hook)."""
-        if value <= 0:
-            raise ValueError(f"learning rate must be positive, got {value}")
-        self.learning_rate = value
 
     def step(self, inputs: np.ndarray, labels: np.ndarray) -> StepResult:
         """One FP + BP + update pass over a minibatch.
@@ -127,16 +118,11 @@ class SGDTrainer:
                 if vel is None:
                     vel = np.zeros_like(param)
                     self._velocity[name] = vel
-                # vel = momentum * vel - lr * (g + weight_decay * param),
-                # the products landing in the scratch instead of fresh
-                # parameter-sized arrays; ``g`` is left as it is.
+                # vel = momentum * vel - lr * g, the product landing in
+                # the scratch instead of a fresh parameter-sized array;
+                # ``g`` is left as it is.
                 scaled = self._scratch_like(param)
-                if self.weight_decay:
-                    np.multiply(param, self.weight_decay, out=scaled)
-                    np.add(g, scaled, out=scaled)
-                    scaled *= self.learning_rate
-                else:
-                    np.multiply(g, self.learning_rate, out=scaled)
+                np.multiply(g, self.learning_rate, out=scaled)
                 vel *= self.momentum
                 vel -= scaled
                 param += vel

@@ -1,13 +1,12 @@
 """A full training loop tying the stack together.
 
 :class:`TrainingLoop` runs multi-epoch SGD with the pieces a real
-training job uses: shuffling, optional augmentation, a learning-rate
-schedule, evaluation on held-out data, and an epoch-end hook where
-spg-CNN's periodic re-tuning (Sec. 4.4) plugs in.
+training job uses: shuffling, evaluation on held-out data, and an
+epoch-end hook where spg-CNN's periodic re-tuning (Sec. 4.4) plugs in.
+It trains at the :class:`~repro.nn.sgd.SGDTrainer`'s default rate.
 
-With a ``checkpoint_dir``, the loop writes a resumable checkpoint every
-``checkpoint_every`` epochs, plus always after the final completed
-epoch -- weights, momentum buffers, schedule position and shuffle-RNG
+With a ``checkpoint_dir``, the loop writes a resumable checkpoint after
+every epoch -- weights, momentum buffers, epoch history and shuffle-RNG
 state (see :mod:`repro.nn.serialize`) -- and
 :meth:`restore` brings a fresh loop back to exactly that point: the
 resumed run's weights are bit-identical to those of an uninterrupted run
@@ -39,7 +38,6 @@ from repro import telemetry
 from repro.data.synthetic import Dataset
 from repro.errors import ReproError
 from repro.nn.network import Network
-from repro.nn.schedule import ConstantLR, LRSchedule
 from repro.nn.serialize import (
     JournalState,
     load_checkpoint,
@@ -88,7 +86,7 @@ class TrainingHistory:
 
 
 class TrainingLoop:
-    """Multi-epoch training with schedule, augmentation and hooks."""
+    """Multi-epoch training with evaluation, checkpoints and hooks."""
 
     def __init__(
         self,
@@ -96,25 +94,16 @@ class TrainingLoop:
         train_data: Dataset,
         eval_data: Dataset | None = None,
         batch_size: int = 16,
-        schedule: LRSchedule | None = None,
         momentum: float = 0.9,
-        weight_decay: float = 0.0,
-        augment: Callable[[np.ndarray, bool], np.ndarray] | None = None,
         epoch_end_hook: Callable[[int, Network], None] | None = None,
         shuffle_seed: int = 0,
         preflight: bool = True,
         checkpoint_dir: str | Path | None = None,
-        checkpoint_every: int = 1,
         journal_every: int = 0,
-        backend: str | None = None,
         scheduler: str | None = None,
     ):
         if batch_size <= 0:
             raise ReproError(f"batch_size must be positive, got {batch_size}")
-        if checkpoint_every <= 0:
-            raise ReproError(
-                f"checkpoint_every must be positive, got {checkpoint_every}"
-            )
         if journal_every < 0:
             raise ReproError(
                 f"journal_every must be non-negative, got {journal_every}"
@@ -125,14 +114,6 @@ class TrainingLoop:
                 "journal into"
             )
         self.network = network
-        if backend is not None:
-            # Config-level execution-backend override: retarget every
-            # conv layer (their pools and engines are rebuilt); layers
-            # already on the requested backend are untouched.
-            for layer in network.layers:
-                set_backend = getattr(layer, "set_backend", None)
-                if set_backend is not None:
-                    set_backend(backend)
         if scheduler is not None:
             # Step-execution strategy ("barrier" | "dag"); set before
             # preflight so the probe exercises the path training uses.
@@ -154,14 +135,7 @@ class TrainingLoop:
         self.train_data = train_data
         self.eval_data = eval_data
         self.batch_size = batch_size
-        self.schedule = schedule or ConstantLR(0.01)
-        self.trainer = SGDTrainer(
-            network,
-            learning_rate=self.schedule.rate(1),
-            momentum=momentum,
-            weight_decay=weight_decay,
-        )
-        self.augment = augment
+        self.trainer = SGDTrainer(network, momentum=momentum)
         self.epoch_end_hook = epoch_end_hook
         # Observer hooks (see add_batch_hook / add_epoch_hook): unlike
         # epoch_end_hook they must not mutate the network -- the monitor
@@ -170,7 +144,6 @@ class TrainingLoop:
         self._epoch_hooks: list[Callable[[int, EpochRecord], None]] = []
         self._shuffle_rng = np.random.default_rng(shuffle_seed)
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
-        self.checkpoint_every = checkpoint_every
         self.journal_every = journal_every
         self._completed_epochs = 0
         self._history = TrainingHistory()
@@ -359,8 +332,6 @@ class TrainingLoop:
             raise ReproError(f"epochs must be positive, got {epochs}")
         history = self._history
         for epoch in range(self._completed_epochs + 1, epochs + 1):
-            rate = self.schedule.rate(epoch)
-            self.trainer.set_learning_rate(rate)
             resume = self._journal_resume
             self._journal_resume = None
             if resume is not None and resume.epoch == epoch:
@@ -385,8 +356,6 @@ class TrainingLoop:
             with telemetry.span("train/epoch", epoch=epoch):
                 for batch_x, batch_y in self._epoch_batches(order,
                                                             start_batch):
-                    if self.augment is not None:
-                        batch_x = self.augment(batch_x, True)
                     result = self.trainer.step(batch_x, batch_y)
                     for hook in self._batch_hooks:
                         hook(epoch, len(sizes) + skipped, result)
@@ -411,12 +380,9 @@ class TrainingLoop:
                         )
                 eval_loss = eval_acc = None
                 if self.eval_data is not None:
-                    eval_images = self.eval_data.images
-                    if self.augment is not None:
-                        eval_images = self.augment(eval_images, False)
                     with telemetry.span("train/eval", epoch=epoch):
                         eval_loss, eval_acc = self.trainer.evaluate(
-                            eval_images, self.eval_data.labels
+                            self.eval_data.images, self.eval_data.labels
                         )
             # Batch-size-weighted means: a short final batch contributes
             # in proportion to the images it actually held.
@@ -441,7 +407,7 @@ class TrainingLoop:
                     train_accuracy=train_acc,
                     eval_loss=eval_loss,
                     eval_accuracy=eval_acc,
-                    learning_rate=rate,
+                    learning_rate=self.trainer.learning_rate,
                     mean_error_sparsity=(
                         float(np.mean(sparsities)) if sparsities else 0.0
                     ),
@@ -453,16 +419,10 @@ class TrainingLoop:
                 self.epoch_end_hook(epoch, self.network)
             for hook in self._epoch_hooks:
                 hook(epoch, history.epochs[-1])
-            if (self.checkpoint_dir is not None
-                    and (epoch % self.checkpoint_every == 0
-                         or epoch == epochs)):
-                # The final completed epoch is always checkpointed, even
-                # off-cadence -- otherwise checkpoint_every=2, epochs=5
-                # silently loses the epoch-5 state.
+            if self.checkpoint_dir is not None:
                 self.save_checkpoint(epoch)
                 if self.journal_every:
                     # The epoch checkpoint supersedes any mid-epoch
-                    # journal; off-cadence epochs keep theirs as the
-                    # best available recovery point.
+                    # journal.
                     self.journal_path.unlink(missing_ok=True)
         return history

@@ -1,16 +1,11 @@
-"""Model zoo: the paper's four benchmarks plus trainable small variants.
+"""Model zoo: small trainable variants of the paper's benchmarks.
 
-Two families live here:
-
-* ``*_convolutions()`` -- the exact Table 2 convolution specifications,
-  used by the Fig. 8 / Fig. 9 benchmarks (these networks are far too
-  large to train in pure Python, but their *shapes* are what the
-  performance experiments need).
-* ``mnist_net()`` / ``cifar10_net()`` / ``imagenet100_net()`` -- small
-  trainable networks with the same structural ingredients (conv + ReLU +
-  max-pool stacks), used for the end-to-end training tests and for
-  reproducing the Fig. 3b sparsity trajectories.  ``scale`` shrinks
-  feature counts for fast tests.
+``mnist_net()`` / ``cifar10_net()`` / ``imagenet100_net()`` are small
+trainable networks with the structural ingredients of Table 2's
+benchmarks (conv + ReLU + max-pool stacks), used for the end-to-end
+training tests and for reproducing the Fig. 3b sparsity trajectories.
+``scale`` shrinks feature counts for fast tests.  The exact Table 2
+convolution specifications are :func:`repro.data.tables.benchmark_layers`.
 
 Note on Table 2's CIFAR-10 spatial sizes: the listed extents (36, 8)
 include the paper's image padding; the trainable variant uses explicit
@@ -22,16 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.convspec import ConvSpec
-from repro.data.tables import benchmark_layers
 from repro.errors import ShapeError
 from repro.nn.netdef import build_network
 from repro.nn.network import Network
-
-
-def benchmark_convolutions(benchmark: str) -> tuple[ConvSpec, ...]:
-    """The Table 2 convolution layers of a named benchmark."""
-    return benchmark_layers(benchmark)
 
 
 def _scaled(features: int, scale: float) -> int:
@@ -151,10 +139,3 @@ def alexnet_small(num_cores: int = 1, scale: float = 1.0,
     return build_network(definition, num_cores=num_cores, rng=rng,
                          threads=threads, backend=backend)
 
-
-#: Builders for the Fig. 3b sparsity experiment, keyed by display name.
-SPARSITY_BENCHMARKS = {
-    "MNIST": mnist_net,
-    "CIFAR": cifar10_net,
-    "ImageNet100": imagenet100_net,
-}

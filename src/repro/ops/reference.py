@@ -12,7 +12,7 @@ Two oracles are provided for each of the three training computations
 
 All functions operate on single images: inputs ``[Nc, Ny, Nx]``, weights
 ``[Nf, Nc, Fy, Fx]``, outputs ``[Nf, out_Ny, out_Nx]``.  Padding is applied
-by the caller (see :func:`repro.ops.layout.pad_input`); specs passed here
+by the caller (``ConvLayer`` zero-pads the batch); specs passed here
 must describe the already-padded input (``pad == 0``).
 """
 
@@ -27,8 +27,8 @@ from repro.errors import ShapeError
 def _check_input(spec: ConvSpec, inputs: np.ndarray) -> None:
     if spec.pad != 0:
         raise ShapeError(
-            "reference kernels expect pre-padded inputs; apply "
-            "repro.ops.layout.pad_input and use a pad=0 spec"
+            "reference kernels expect pre-padded inputs; zero-pad the "
+            "image and use its pad=0 spec (ConvSpec.pre_padded)"
         )
     if inputs.shape != spec.input_shape:
         raise ShapeError(f"input shape {inputs.shape} != spec {spec.input_shape}")

@@ -111,16 +111,8 @@ def weights_matrix(spec: ConvSpec, weights: np.ndarray) -> np.ndarray:
     return weights.reshape(spec.nf, spec.nc * spec.fy * spec.fx)
 
 
-def output_matrix_to_image(spec: ConvSpec, out_mat: np.ndarray) -> np.ndarray:
-    """Reshape the GEMM result ``[Nf, out_Ny*out_Nx]`` to ``[Nf, out_Ny, out_Nx]``."""
-    expected = (spec.nf, spec.out_ny * spec.out_nx)
-    if out_mat.shape != expected:
-        raise ShapeError(f"output matrix shape {out_mat.shape} != expected {expected}")
-    return out_mat.reshape(spec.output_shape)
-
-
 def output_image_to_matrix(spec: ConvSpec, out_img: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`output_matrix_to_image`."""
+    """Flatten ``[Nf, out_Ny, out_Nx]`` to the GEMM layout ``[Nf, out_Ny*out_Nx]``."""
     if out_img.shape != spec.output_shape:
         raise ShapeError(f"output shape {out_img.shape} != spec {spec.output_shape}")
     return out_img.reshape(spec.nf, spec.out_ny * spec.out_nx)

@@ -203,7 +203,6 @@ def _build_job(seed: int, samples: int, threads: int, batch: int,
         batch_size=batch,
         shuffle_seed=seed,
         checkpoint_dir=checkpoint_dir,
-        checkpoint_every=1,
         scheduler=scheduler,
     )
 

@@ -127,26 +127,6 @@ class WorkerPool:
         """
         self._at_shutdown.append(release)
 
-    def set_backend(self, backend: str) -> None:
-        """Retarget this pool at another backend (workers restart lazily).
-
-        In place, so every holder of the pool moves together; a no-op
-        when the backend already matches.  Otherwise the current backend
-        is shut down and let go -- also an :class:`ExecutionBackend`
-        instance the constructor was handed -- and the next dispatch
-        builds a default one of the new kind.
-        """
-        if backend not in BACKEND_NAMES:
-            raise ReproError(
-                f"unknown execution backend {backend!r}; "
-                f"known: {BACKEND_NAMES}"
-            )
-        if backend == self.backend_name:
-            return
-        self.shutdown()
-        self._backend = None
-        self.backend_name = backend
-
     def shutdown(self) -> None:
         """Stop the workers (idempotent; the pool may be reused).
 

@@ -55,10 +55,6 @@ DEADLINE_FLOOR = 5.0
 #: verdict kills a healthy worker mid-task.
 DEADLINE_SAFETY = 200.0
 
-#: How long the escalation path waits on ``join`` after SIGTERM and
-#: again after SIGKILL before giving up on the handle.
-ESCALATE_GRACE = 2.0
-
 #: Supervisor sweep cadence, in seconds.
 POLL_INTERVAL = 0.1
 

@@ -132,9 +132,3 @@ def ctcsr_from_dense(dense: np.ndarray, tile_cols: int = DEFAULT_TILE_COLS) -> C
     )
     return CTCSRMatrix(shape=dense.shape, tile_cols=tile_cols, tiles=tiles)
 
-
-def build_cost_elems(shape: tuple[int, int], nnz: int) -> int:
-    """Element traffic of building CT-CSR: scan the dense matrix once and
-    write values + column indices + row pointers (counted in elements)."""
-    rows, cols = shape
-    return rows * cols + 2 * nnz + rows + 1

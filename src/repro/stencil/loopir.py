@@ -58,11 +58,6 @@ PARALLEL = "parallel"
 REDUCE_ORDERED = "reduce-ordered"
 REDUCE_ATOMIC = "reduce-atomic"
 
-#: Loop execution modes assigned by schedule passes.
-MODE_SERIAL = "serial"          # enumerated one iteration at a time
-MODE_UNROLLED = "unrolled"      # fully unrolled into literal statements
-MODE_VECTORIZED = "vectorized"  # absorbed into one vector primitive
-
 GLOBAL = "global"
 TILE = "tile"
 
@@ -155,7 +150,6 @@ class LoopInfo:
     """One loop of a stage's nest, with its schedule annotations."""
 
     dim: Dim
-    mode: str = MODE_SERIAL
     #: Tile width assigned by the ``tile`` pass (None = untiled).
     tile: int | None = None
     #: Unroll-and-jam factor assigned by ``unroll_and_jam`` (1 = off).
@@ -287,7 +281,7 @@ def conv_fp_nest(spec: ConvSpec) -> LoopNest:
     if spec.pad != 0:
         raise CodegenError("loop nests are built from pre-padded specs")
     dims = _conv_dims(spec)
-    loops = tuple(LoopInfo(dims[n], MODE_SERIAL)
+    loops = tuple(LoopInfo(dims[n])
                   for n in ("ky", "kx", "f", "c", "oy", "ox"))
     buffers = (
         Buffer("inputs", spec.input_shape, "input"),
@@ -322,7 +316,7 @@ def conv_bp_data_nest(spec: ConvSpec) -> LoopNest:
         ),
         accumulate=True,
     )
-    loops = tuple(LoopInfo(dims[n], MODE_SERIAL)
+    loops = tuple(LoopInfo(dims[n])
                   for n in ("ky", "kx", "c", "f", "oy", "ox"))
     buffers = (
         Buffer("out_error", spec.output_shape, "input"),
@@ -362,7 +356,7 @@ def conv_bp_weights_nest(spec: ConvSpec) -> LoopNest:
         "oy": Dim("oy", spec.out_ny, REDUCE_ATOMIC),
         "ox": Dim("ox", spec.out_nx, REDUCE_ATOMIC),
     }
-    loops = tuple(LoopInfo(dims[n], MODE_SERIAL)
+    loops = tuple(LoopInfo(dims[n])
                   for n in ("ky", "kx", "f", "c", "oy", "ox"))
     buffers = (
         Buffer("out_error", spec.output_shape, "input"),
@@ -617,14 +611,6 @@ def estimate_nest(nest: LoopNest,
         private_elems=private,
         shared_elems=shared,
     )
-
-
-def chain_estimate(spec: ConvSpec, pool_kernel: int,
-                   pool_stride: int | None = None,
-                   cache_bytes: int = 256 * 1024) -> WorkEstimate:
-    """Estimate of the *unfused* conv -> ReLU -> pool layer chain."""
-    nest = fused_fp_nest(spec, pool_kernel, pool_stride)
-    return estimate_nest(nest, cache_bytes=cache_bytes)
 
 
 # -- fingerprinting --------------------------------------------------------

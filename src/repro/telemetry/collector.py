@@ -18,8 +18,8 @@ When no collector is active the helpers are no-ops, so the instrumented
 hot paths cost one tuple lookup when nobody is measuring.
 
 Collectors may be nested (``collect`` inside ``collect``): emission goes
-to all of them, which is what lets two :class:`NetworkProfiler`\\ s wrap
-the same network without corrupting each other.
+to all of them, so a monitor and a trace can watch the same run without
+corrupting each other.
 """
 
 from __future__ import annotations

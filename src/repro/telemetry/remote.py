@@ -37,7 +37,7 @@ This module is the bridge:
   traces real per-worker-process tracks and flow-event linkage.
 
 Worker-side code must emit through :func:`worker_span` /
-:func:`record_counter` / :func:`record_event` here -- never through the
+:func:`record_counter` / :func:`record_gauge` here -- never through the
 parent-only ``telemetry.*`` helpers (the CHK-TEL-WORKER lint enforces
 this for functions named in a module's ``__worker_side__`` tuple).
 """
@@ -482,21 +482,6 @@ def install_worker_ring(descriptor: "ShmDescriptor", slot: int) -> None:
     _WORKER.job = 0
 
 
-def uninstall_worker_ring() -> None:
-    """Drop the worker-side attachment (tests; process exit also works)."""
-    board = _WORKER.board
-    _WORKER.board = None
-    _WORKER.ring = None
-    _WORKER.job = 0
-    if board is not None:
-        board.close()
-
-
-def worker_ring() -> TelemetryRing | None:
-    """This process's installed ring, if any."""
-    return _WORKER.ring
-
-
 def set_current_job(job_id: int) -> None:
     """Tag subsequent records with the dispatched job's id."""
     _WORKER.job = job_id
@@ -548,16 +533,6 @@ def record_gauge(name: str, value: float) -> None:
     now = time.monotonic()
     ring.try_record(KIND_GAUGE, name, start=now, end=now, value=value,
                     job=_WORKER.job, slot=_WORKER.slot)
-
-
-def record_event(name: str, **attrs: Any) -> None:
-    """Record a point event from worker code (stamped worker-side)."""
-    ring = _WORKER.ring
-    if ring is None or not ring.enabled:
-        return
-    now = time.monotonic()
-    ring.try_record(KIND_EVENT, name, start=now, end=now, job=_WORKER.job,
-                    slot=_WORKER.slot, attrs=attrs)
 
 
 # -- parent-side merge -------------------------------------------------------

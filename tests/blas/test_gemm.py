@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 from repro.blas.gemm import (
     BlockingParams,
     gemm,
-    gemm_elems,
-    gemm_flops,
     parallel_gemm,
-    parallel_gemm_percore_ait,
-    parallel_gemm_percore_elems,
     partition_rows,
 )
 from repro.errors import ShapeError
@@ -107,32 +103,3 @@ class TestParallelGemm:
     def test_rejects_nonpositive_cores(self, rng):
         with pytest.raises(ValueError):
             parallel_gemm(np.ones((2, 2)), np.ones((2, 2)), num_cores=0)
-
-
-class TestAitAccounting:
-    def test_flops_and_elems(self):
-        assert gemm_flops(2, 3, 4) == 48
-        assert gemm_elems(2, 3, 4) == 6 + 12 + 8
-
-    def test_paper_dual_core_example(self):
-        # Sec. 3.2: square n x n MM on 2 cores has per-core AIT n/2
-        # (half of A, all of B, half of C).
-        n = 64
-        assert parallel_gemm_percore_ait(n, n, n, 2) == pytest.approx(n / 2)
-
-    def test_single_core_recovers_full_ait(self):
-        n = 100
-        full = gemm_flops(n, n, n) / gemm_elems(n, n, n)
-        assert parallel_gemm_percore_ait(n, n, n, 1) == pytest.approx(full)
-
-    @given(st.integers(2, 512), st.integers(1, 64))
-    @settings(max_examples=60, deadline=None)
-    def test_percore_ait_decreases_with_cores(self, n, cores):
-        a1 = parallel_gemm_percore_ait(n, n, n, cores)
-        a2 = parallel_gemm_percore_ait(n, n, n, cores + 1)
-        assert a2 < a1 + 1e-12
-
-    def test_percore_elems_dominated_by_b(self):
-        # With many cores, per-core accesses approach |B| = K*N.
-        elems = parallel_gemm_percore_elems(64, 128, 256, 10**6)
-        assert elems == pytest.approx(128 * 256, rel=1e-3)

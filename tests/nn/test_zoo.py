@@ -3,32 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.data.tables import TABLE2_LAYERS
 from repro.errors import ShapeError
-from repro.nn.zoo import (
-    SPARSITY_BENCHMARKS,
-    benchmark_convolutions,
-    cifar10_net,
-    imagenet100_net,
-    mnist_net,
-)
-
-
-class TestBenchmarkConvolutions:
-    def test_table2_passthrough(self):
-        for name, layers in TABLE2_LAYERS.items():
-            assert benchmark_convolutions(name) == layers
-
-    def test_mnist_single_conv(self):
-        layers = benchmark_convolutions("mnist")
-        assert len(layers) == 1
-        spec = layers[0]
-        assert (spec.nx, spec.nf, spec.nc, spec.fx, spec.sx) == (28, 20, 1, 5, 1)
-
-    def test_alexnet_strides(self):
-        layers = benchmark_convolutions("imagenet-1k")
-        assert layers[0].sx == 4  # the famous 11x11 stride-4 first layer
-        assert layers[0].fx == 11
+from repro.nn.zoo import cifar10_net, imagenet100_net, mnist_net
 
 
 class TestTrainableNets:
@@ -63,8 +39,9 @@ class TestTrainableNets:
         with pytest.raises(ShapeError):
             mnist_net(scale=0.0)
 
-    def test_all_sparsity_benchmarks_forward(self):
-        for name, builder in SPARSITY_BENCHMARKS.items():
+    def test_all_trainable_nets_forward(self):
+        for name, builder in (("MNIST", mnist_net), ("CIFAR", cifar10_net),
+                              ("ImageNet100", imagenet100_net)):
             net = builder(scale=0.2)
             x = np.zeros((1,) + net.input_shape, dtype=np.float32)
             out = net.forward(x, training=False)

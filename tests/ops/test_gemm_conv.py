@@ -23,7 +23,6 @@ from repro.core.convspec import ConvSpec, backward_data_correlation
 from repro.errors import ShapeError
 from repro.ops import reference as ref
 from repro.ops.engine import engine_names, make_engine
-from repro.ops.layout import pad_input
 from tests.conftest import SMALL_SPECS, random_conv_data
 
 GEMM_ENGINES = ("parallel-gemm", "gemm-in-parallel")
@@ -46,7 +45,8 @@ conv_specs = st.builds(
 def _case(spec: ConvSpec, seed: int, batch: int = 2):
     rng = np.random.default_rng(seed)
     images = rng.standard_normal((batch,) + spec.input_shape).astype(np.float32)
-    padded = np.stack([pad_input(spec, image) for image in images])
+    p = spec.pad
+    padded = np.pad(images, ((0, 0), (0, 0), (p, p), (p, p)))
     inner = engine_spec(spec)  # the pad=0 geometry engines run on
     weights = rng.standard_normal(inner.weight_shape).astype(np.float32)
     err = rng.standard_normal((batch,) + inner.output_shape).astype(np.float32)

@@ -176,16 +176,6 @@ class TestOnePoolPerNetwork:
         b = ConvLayer(spec, threads=2, backend="serial")
         assert a._pool is not None and a._pool is not b._pool
 
-    def test_set_backend_swaps_the_shared_pool_once(self):
-        net = cifar10_net(scale=0.25, threads=2, backend="thread")
-        pool = net.conv_layers()[0]._pool
-        for layer in net.conv_layers():
-            layer.set_backend("serial")
-        assert pool.backend_name == "serial"
-        assert all(layer._pool is pool and layer.backend == "serial"
-                   for layer in net.conv_layers())
-        _close(net)
-
     def test_process_net_owns_exactly_threads_workers_and_closes_clean(
             self, tmp_path, monkeypatch):
         monkeypatch.setenv(shm.MANIFEST_ENV, str(tmp_path))

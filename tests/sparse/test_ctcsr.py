@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
-from repro.sparse.ctcsr import CTCSRMatrix, build_cost_elems, ctcsr_from_dense
+from repro.sparse.ctcsr import CTCSRMatrix, ctcsr_from_dense
 
 
 def sparse_dense(rng, rows, cols, sparsity):
@@ -119,7 +119,3 @@ class TestMatmul:
         ct = ctcsr_from_dense(dense, tile_cols=7)
         np.testing.assert_allclose(ct.matmul_dense(other), dense @ other, atol=1e-3)
 
-
-class TestBuildCost:
-    def test_cost_formula(self):
-        assert build_cost_elems((10, 20), 15) == 200 + 30 + 11

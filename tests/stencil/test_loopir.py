@@ -11,7 +11,6 @@ from repro.stencil.loopir import (
     REDUCE_ORDERED,
     Dim,
     PoolWindow,
-    chain_estimate,
     conv_bp_data_nest,
     conv_bp_weights_nest,
     conv_fp_nest,
@@ -94,7 +93,7 @@ class TestEstimates:
         fused = default_pipeline(
             "fused_fp", pool_kernel=2, pool_stride=2
         ).estimate(SPEC)
-        chain = chain_estimate(SPEC, 2, 2)
+        chain = estimate_nest(fused_fp_nest(SPEC, 2, 2))  # unfused
         assert (fused.private_elems + fused.shared_elems
                 < chain.private_elems + chain.shared_elems)
         assert fused.shared_elems < chain.shared_elems

@@ -103,6 +103,35 @@ class TestUsageErrors:
         assert set(REPORTING) == {"trace", "check", "chaos", "train",
                                   "monitor", "shm", "workers"}
 
+    @pytest.mark.parametrize("argv", [
+        "explain 8 4 3 3 --cores 0",
+        "characterize 4 8 3 9",
+        "explain 4 8 3 9",
+        "schedule 4 8 3 9",
+        "characterize 8 4 3 3 --stride 0",
+        "train --batch 0",
+        "train --epochs 0",
+        "train --samples 0",
+        "train --scale 0",
+        "plan {tmp}/missing.txt",
+        "plan {tmp}",
+        "plan {tmp}/arity.txt",
+        "plan {tmp}/type.txt",
+    ])
+    def test_out_of_range_input_exits_2_in_one_line(self, argv, tmp_path,
+                                                     capsys):
+        # Usage errors, not crashes: exit 2 and one ``error:`` line, where
+        # a traceback and exit 1 would claim a gate failed.
+        (tmp_path / "arity.txt").write_text("input: 1 8\n")
+        (tmp_path / "type.txt").write_text(
+            "input: 1 8 8\nlayer { type: warp }\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv.format(tmp=tmp_path).split())
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("repro") and "error:" in err[-1]
+        assert not any("Traceback" in line for line in err)
+
     def test_retired_ps_plan_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             run(["chaos", "--plan", "ps"])
