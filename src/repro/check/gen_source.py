@@ -49,8 +49,10 @@ def _emitted_table(source: str, name: str) -> tuple[int, ...] | None:
 
 def _scratch_needs(nest: LoopNest, lit: dict[str, int]) -> dict[str, int]:
     """Floats ``nest``'s kernels index in each scratch section: the
-    sparse kernels' panel, HWC image and CSR arrays, the fused kernel's
-    ``act`` tile -- from the spec, not from what the printer reports."""
+    sparse kernels' panel, HWC image (in dW's row order up to the last
+    patch row's last vector), CSR arrays and the pooled export's routed
+    row, the fused kernel's ``act`` tile -- from the spec and the
+    host, not from what the printer reports."""
     spec, ncp = nest.spec, lit.get("NCP", 0)
     positions = spec.out_ny * spec.out_nx
     if nest.pool is not None:
@@ -58,10 +60,19 @@ def _scratch_needs(nest: LoopNest, lit: dict[str, int]) -> dict[str, int]:
         rows = nest.pool.rows_needed(
             min(rows, nest.pool.out_extent(spec.out_ny)))
         return {"ACT": lit.get("FB", spec.nf) * rows * spec.out_nx}
-    return {"PANEL": spec.fy * spec.fx * spec.nf * ncp,
-            "HWC": spec.ny * spec.nx * ncp,
+    panel = spec.fy * spec.fx * spec.nf * ncp
+    hwc = spec.ny * spec.nx * ncp
+    order = sparse_codegen_c.dw_rows(spec)
+    if order is not None:
+        row = order[0] * order[1]
+        panel = max(panel, spec.nf * spec.fy * row)
+        hwc = max(hwc, ((spec.out_ny - 1) * spec.sy * spec.nx
+                        + (spec.out_nx - 1) * spec.sx
+                        + (spec.fy - 1) * spec.nx) * spec.nc + row)
+    return {"PANEL": panel, "HWC": hwc,
             "VAL": positions * spec.nf, "IDX": positions * spec.nf,
-            "PTR": max(positions, spec.nf) + 1}
+            "PTR": max(positions, spec.nf) + 1,
+            "ROW": 3 * spec.out_nx}
 
 
 def verify_native_unit(unit: CUnit, nests: dict[str, LoopNest],
@@ -95,13 +106,20 @@ def verify_native_unit(unit: CUnit, nests: dict[str, LoopNest],
               f"expected {sorted(nests)}")
         return findings
     pooled = any(nest.pool is not None for nest in nests.values())
-    if unit.helpers != (("unpool",) if pooled else ()):
-        error(f"helpers {unit.helpers} are not the expected "
-              f"{('unpool',) if pooled else ()}")
+    helpers = ("unpool",) if pooled else ("pooled",) if "dw" in nests \
+        else ()
+    if unit.helpers != helpers:
+        error(f"helpers {unit.helpers} are not the expected {helpers}")
     elif pooled:
         _verify_unpool(unit, lit, error)
-    # Channel-fastest images pad every position to NCP floats; planar
-    # ones (no NCP) have a pitch of one.
+    elif helpers:
+        _verify_dw_order(unit, lit, nests["dw"].spec, error)
+        if sparse_codegen_c.POOLED.format(name=unit.name) not in unit.source:
+            error("the pooled export is not the routing the printer emits")
+    # Channel-fastest images pad every position to NCP floats (dW's row
+    # order packs them to NC: DWP); planar ones (no NCP) have a pitch of
+    # one.
+    pitches = {"dw": lit.get("DWP", 1)}
     pitch = lit.get("NCP", 1)
     if "NCP" in lit:
         vw, cv = lit.get("VW", 0), lit.get("CV", 0)
@@ -131,6 +149,7 @@ def verify_native_unit(unit: CUnit, nests: dict[str, LoopNest],
     for facts in unit.kernels:
         nest = nests[facts.symbol]
         spec, where = nest.spec, f"kernel {facts.symbol}"
+        pitch = pitches.get(facts.symbol, lit.get("NCP", 1))
         oy, ox = spec.out_ny, spec.out_nx
         geometry = {"NC": spec.nc, "NF": spec.nf, "NY": spec.ny,
                     "NX": spec.nx, "OY": oy, "OX": ox, "SY": spec.sy,
@@ -200,6 +219,32 @@ def verify_native_unit(unit: CUnit, nests: dict[str, LoopNest],
     return findings
 
 
+def _verify_dw_order(unit: CUnit, lit: dict[str, int], spec: ConvSpec,
+                     error: Callable[[str], None]) -> None:
+    """dW runs in the loop order the spec and this host's vector
+    registers give (:func:`repro.sparse.codegen_c.dw_rows`), with its
+    text and literals: the tap order over a channel-padded image, or the
+    row order over a packed one whose ``RV`` vectors of ``RVW`` floats
+    cover a tap row's ``FX * NC``."""
+    order = sparse_codegen_c.dw_rows(spec)
+    if order is None:
+        name, text = "tap", sparse_codegen_c.DW_TAPS
+        want = {"DWP": lit.get("NCP"), "RVW": None, "RV": None, "RW": None}
+    else:
+        name, text = "row", sparse_codegen_c.DW_ROWS
+        want = {"DWP": spec.nc, "RVW": order[0], "RV": order[1],
+                "RW": order[0] * order[1]}
+        if lit.get("RW", 0) < spec.fx * spec.nc:
+            error(f"dW's row order: RW={lit.get('RW')} floats do not hold "
+                  f"a tap row's {spec.fx * spec.nc}")
+    for key, value in want.items():
+        if lit.get(key) != value:
+            error(f"dW's {name} order: {key} emitted as {lit.get(key)}, "
+                  f"the spec and the host's vector registers give {value}")
+    if text not in unit.source:
+        error(f"dW's loops are not the {name} order the printer emits")
+
+
 def _verify_unpool(unit: CUnit, lit: dict[str, int],
                    error: Callable[[str], None]) -> None:
     """The fused unit's backward writes only inside the conv-shaped error
@@ -220,7 +265,8 @@ def _verify_unpool(unit: CUnit, lit: dict[str, int],
 def native_units(spec: ConvSpec) -> list[tuple[
         str, dict[str, "SchedulePipeline"]]]:
     """``(family, {kernel symbol: pipeline})`` of every C unit ``spec``
-    has: the sparse BP pair always; the stencil FP kernel and (where a
+    has: the sparse BP pair (and its pooled export) always; the stencil
+    FP kernel and (where a
     2x2 pool fits) the fused kernel for the stride-1 specs the stencil
     printer covers."""
     units = [("sparse-c", {"bd": default_pipeline("sparse_bp_data"),

@@ -103,6 +103,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer that is zero or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     """argparse type: a number greater than zero."""
     value = float(text)
@@ -144,14 +152,19 @@ def _add_dims(parser: argparse.ArgumentParser) -> None:
 
 def _dims_spec(args, parser: argparse.ArgumentParser) -> ConvSpec:
     """The square convolution named by the ``Nx Nf Nc Fx`` positionals;
-    one that cannot exist (a kernel larger than the input) is a usage
-    error."""
+    one that cannot exist (a kernel larger than the input, a pool larger
+    than the output) is a usage error."""
     n, f = args.Nx, args.Fx
     try:
-        return ConvSpec(nc=args.Nc, ny=n, nx=n, nf=args.Nf, fy=f, fx=f,
+        spec = ConvSpec(nc=args.Nc, ny=n, nx=n, nf=args.Nf, fy=f, fx=f,
                         sy=args.stride, sx=args.stride, name="cli-conv")
     except ReproError as exc:
         parser.error(str(exc))
+    pool = getattr(args, "pool", 0)
+    if pool > min(spec.out_ny, spec.out_nx):
+        parser.error(f"pool {pool} larger than the {spec.out_ny}x"
+                     f"{spec.out_nx} conv output")
+    return spec
 
 
 def _load_netdef(path: Path, parser: argparse.ArgumentParser) -> Network:
@@ -178,7 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="search loop-IR schedule pipelines for one convolution",
     )
     _add_dims(sched)
-    sched.add_argument("--pool", type=int, default=0, metavar="K",
+    sched.add_argument("--pool", type=_non_negative_int, default=0,
+                       metavar="K",
                        help="fuse a KxK max-pool into the forward phase")
     sched.add_argument("--seed", type=int, default=0,
                        help="seed for the random schedule samples")
@@ -218,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--samples", type=_positive_int, default=32)
     trace.add_argument("--scale", type=_positive_float, default=0.25,
                        help="feature-count scale of the zoo network")
-    trace.add_argument("--threads", type=int, default=2,
+    trace.add_argument("--threads", type=_positive_int, default=2,
                        help="workers in the network's one pool; a training step "
                             "runs one whole-network shard on each (1 = inline)")
     trace.add_argument("--backend", choices=_BACKENDS, default="thread",
@@ -229,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--critical-path", action="store_true",
                        help="print the DAG critical-path / goodput "
                             "attribution table (needs --scheduler dag)")
-    trace.add_argument("--recheck", type=int, default=1,
+    trace.add_argument("--recheck", type=_positive_int, default=1,
                        help="re-check the BP choice every N epochs")
     _add_output_args(trace, formats=("table", "json", "chrome"),
                      out_default=Path("results/trace.json"),
@@ -271,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--epochs", type=_positive_int, default=3)
     chaos.add_argument("--batch", type=_positive_int, default=8)
     chaos.add_argument("--samples", type=_positive_int, default=48)
-    chaos.add_argument("--threads", type=int, default=2,
+    chaos.add_argument("--threads", type=_positive_int, default=2,
                        help="workers in the network's one pool; a training step "
                             "runs one whole-network shard on each (1 = inline)")
     chaos.add_argument("--backend", choices=_BACKENDS, default="thread",
@@ -294,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--samples", type=_positive_int, default=32)
     train.add_argument("--scale", type=_positive_float, default=0.25,
                        help="feature-count scale of the zoo network")
-    train.add_argument("--threads", type=int, default=1,
+    train.add_argument("--threads", type=_positive_int, default=1,
                        help="workers in the network's one pool; a training step "
                             "runs one whole-network shard on each (1 = inline)")
     train.add_argument("--backend", choices=_BACKENDS, default="thread",
@@ -302,9 +316,10 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--scheduler", choices=("barrier", "dag"),
                        default="barrier",
                        help="per-layer barriers or the task-graph runtime")
-    train.add_argument("--recheck", type=int, default=1,
+    train.add_argument("--recheck", type=_positive_int, default=1,
                        help="re-check the BP choice every N epochs")
-    train.add_argument("--every", type=int, default=0, metavar="N",
+    train.add_argument("--every", type=_non_negative_int, default=0,
+                       metavar="N",
                        help="also render the live table every N batches")
     _add_output_args(train, out_help="write the run report (JSON, or "
                                      "markdown when PATH ends in .md)")
@@ -322,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "workers",
         help="spin up the process backend and report worker diagnostics",
     )
-    workers.add_argument("--workers", type=int, default=2,
+    workers.add_argument("--workers", type=_positive_int, default=2,
                          help="worker processes to spawn (default: 2)")
     _add_output_args(workers, out_help="write the worker report as JSON")
 

@@ -96,11 +96,6 @@ class ConvSpec:
         """Unpadded input activation shape ``(Nc, Ny, Nx)``."""
         return (self.nc, self.ny, self.nx)
 
-    @property
-    def padded_input_shape(self) -> tuple[int, int, int]:
-        """Padded input activation shape."""
-        return (self.nc, self.padded_ny, self.padded_nx)
-
     def cropped_input_shape(self, crop: int) -> tuple[int, int, int]:
         """Input shape without a border of ``crop`` pixels per side.
 

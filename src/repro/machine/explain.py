@@ -47,11 +47,6 @@ class LaneBreakdown:
             raise MachineModelError("empty breakdown")
         return max(self.lanes, key=self.lanes.get)
 
-    @property
-    def total_estimate(self) -> float:
-        """Sum of lanes -- an upper-bound view (lanes partially overlap)."""
-        return sum(self.lanes.values())
-
 
 def explain_parallel_gemm(
     spec: ConvSpec, phase: str, batch: int, machine: MachineSpec,

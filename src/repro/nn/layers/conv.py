@@ -73,12 +73,12 @@ from repro.resilience import faults
 from repro.resilience.quarantine import QuarantineRegistry, default_registry
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.pool import WorkerPool
+from repro.sparse.engine import SparseBPEngine
 from repro.stencil.loopir import PoolWindow
 
 # Engine modules register themselves on import.
 import repro.ops.gemm_conv  # noqa: F401
 import repro.ops.reference_engine  # noqa: F401
-import repro.sparse.engine  # noqa: F401
 import repro.stencil.engine  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - loaded only where a unit is built
@@ -296,12 +296,15 @@ class ConvLayer(Layer):
             self._bp_engine = fallback
 
     def _run_engine(self, phase: str, method: str, primary: np.ndarray,
-                    shared: np.ndarray, visited: bool = False) -> np.ndarray:
+                    shared: np.ndarray, visited: bool = False,
+                    out: np.ndarray | None = None) -> np.ndarray:
         """One engine call behind the numeric guard and fault site.
 
         ``backward_data`` is asked for the input error without the pad
-        border, the only part the layer returns.  ``visited``: the fused
-        unit already visited the fault site for this call.
+        border, the only part the layer returns.  ``visited``: a fused
+        unit or the sparse unit's pooled export already visited the fault
+        site for this call; ``out``: and the export computed its result,
+        which only the guard is left to judge.
 
         A raising engine, a wrong-shape result, or non-finite output from
         finite inputs quarantines the engine and re-runs the call on the
@@ -316,9 +319,10 @@ class ConvLayer(Layer):
             return getattr(engine, method)(primary, shared, **options)
         batch = int(primary.shape[0])
         try:
-            if not visited:
-                self._visit_fault_site(phase, method, engine.name)
-            out = getattr(engine, method)(primary, shared, **options)
+            if out is None:
+                if not visited:
+                    self._visit_fault_site(phase, method, engine.name)
+                out = getattr(engine, method)(primary, shared, **options)
             failure = self._numeric_failure(method, batch, out)
             if failure is None:
                 return out
@@ -437,6 +441,39 @@ class ConvLayer(Layer):
             self._relu_pool(act, pool, training=True)
         return pool.backward(out_error) * self._pooled[1]
 
+    def _pooled_backward(self, out_error: np.ndarray, pool: MaxPoolLayer
+                         ) -> tuple[np.ndarray, np.ndarray | None,
+                                    int | None, bool]:
+        """:meth:`_unpool` of ``out_error`` and, where the sparse unit's
+        pooled export serves, the dW and non-zero count it computed from
+        the pooled error in the same C pass.
+
+        The export serves after a fused forward, with the BP engine the
+        inline sparse one lowered to C and a window that does not
+        overlap; it stands in for ``backward_weights`` at the ``engine.bp``
+        fault site (visited once, then not again by that call) and a
+        raise there degrades the engine.  A poisoned error replays the
+        chain, as :meth:`_unpool` does.  Returns ``(conv error, dW or
+        None, non-zeros or None, whether the fault site was visited)``.
+        """
+        engine = self._bp_engine
+        if (self._pooled is None or self._pooled[0] is None
+                or not isinstance(engine, SparseBPEngine)):
+            return self._unpool(out_error, pool), None, None, False
+        _, out, argmax = self._pooled
+        try:
+            self._visit_fault_site("bp", "backward_weights", engine.name)
+            served = engine.pooled_backward(
+                out, argmax, np.ascontiguousarray(out_error),
+                PoolWindow(pool.kernel, pool.stride),
+                self._cached_padded_input)
+        except Exception as error:  # noqa: BLE001 -- as in _run_engine
+            self.degrade("bp", engine.name, f"{type(error).__name__}: {error}")
+            served = None
+        if served is None or served[3]:
+            return self._unpool(out_error, pool), None, None, True
+        return served[0], served[1], served[2], True
+
     # -- Layer interface -------------------------------------------------
 
     def params(self) -> dict[str, np.ndarray]:
@@ -519,30 +556,38 @@ class ConvLayer(Layer):
         """
         if self._cached_padded_input is None:
             raise ShapeError(f"layer {self.name}: backward before forward")
-        if pool is not None:
-            out_error = self._unpool(out_error, pool)
-        sparsity = measure_sparsity(out_error)
-        self.last_error_sparsity = sparsity
         batch = int(out_error.shape[0])
-        # dW (+ EI when computed) at the engine-facing (padded)
-        # geometry, dense count.
-        total_flops = ((2.0 if need_input_error else 1.0)
-                       * batch * self.padded_spec.flops)
-        useful_flops = nonzero_conv_flops(total_flops, sparsity)
-        in_error = None
+        in_error = d_weights = nonzero = None
+        visited = False
         start = time.perf_counter()
         with telemetry.span(f"{self.name}/bp", layer=self.name, phase="bp",
                             engine=self.bp_engine_name, batch=batch,
-                            sparsity=sparsity, lowering=self.bp_lowering):
+                            lowering=self.bp_lowering) as span:
+            if pool is not None:
+                out_error, d_weights, nonzero, visited = \
+                    self._pooled_backward(out_error, pool)
+            if nonzero is None:
+                sparsity = measure_sparsity(out_error)
+            else:
+                # measure_sparsity's count, from the export's.
+                sparsity = (out_error.size - nonzero) / out_error.size
+                span.annotate(fused="relu+pool")
+            self.last_error_sparsity = sparsity
+            span.annotate(sparsity=sparsity)
             self.d_weights += self._run_engine(
-                "bp", "backward_weights", out_error, self._cached_padded_input
-            )
+                "bp", "backward_weights", out_error,
+                self._cached_padded_input, visited=visited, out=d_weights)
             self.d_bias += out_error.sum(axis=(0, 2, 3))
             if need_input_error:
                 in_error = self._run_engine(
                     "bp", "backward_data", out_error, self.weights
                 )
         elapsed = max(time.perf_counter() - start, 1e-9)
+        # dW (+ EI when computed) at the engine-facing (padded)
+        # geometry, dense count.
+        total_flops = ((2.0 if need_input_error else 1.0)
+                       * batch * self.padded_spec.flops)
+        useful_flops = nonzero_conv_flops(total_flops, sparsity)
         self.last_bp_account = (total_flops, useful_flops, elapsed)
         telemetry.add("conv.flops.total", total_flops)
         telemetry.add("conv.flops.useful", useful_flops)

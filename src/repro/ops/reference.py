@@ -208,3 +208,17 @@ def batch_backward_weights(spec: ConvSpec, out_error: np.ndarray,
     for err, img in zip(out_error, inputs):
         dw += backward_weights(spec, err, img)
     return dw
+
+
+def unpool(out: np.ndarray, argmax: np.ndarray, error: np.ndarray,
+           kernel: int, stride: int, conv_shape: tuple[int, ...]) -> np.ndarray:
+    """The ReLU + max-pool backward of a fused forward, as its C exports
+    must compute it: the pooled ``error`` masked where the pooled ``out``
+    is not positive and added, in row-major window order, at each
+    window's flat ``argmax`` of the ``[B, F, Oy, Ox]`` conv-shaped error."""
+    wy, wx = np.divmod(argmax, kernel)
+    b, f, p, q = np.indices(argmax.shape)
+    routed = np.zeros(conv_shape, dtype=error.dtype)
+    np.add.at(routed, (b, f, p * stride + wy, q * stride + wx),
+              np.where(out > 0, error, 0))
+    return routed

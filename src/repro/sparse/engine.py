@@ -23,13 +23,15 @@ from repro.ops import reference
 from repro.ops.engine import NativeLowering, register_engine
 from repro.ops.reference_engine import ReferenceEngine
 from repro.ops.workspace import Workspace
+from repro.stencil.loopir import PoolWindow
 
 
 def _self_check(kernels) -> None:
     """Differential check of a freshly built unit against
     :mod:`repro.ops.reference`: a random sparse batch, then an error
     that is non-zero only at the plane's corner positions (where an
-    off-by-one tap offset or slice bound lands outside the image)."""
+    off-by-one tap offset or slice bound lands outside the image); then
+    the pooled export (:func:`_check_pooled`)."""
     from repro.native import check_agrees
 
     spec = kernels.spec
@@ -58,6 +60,58 @@ def _self_check(kernels) -> None:
         check_agrees(f"backward_weights{where}",
                      kernels.backward_weights(error, images, scratch),
                      reference.batch_backward_weights(spec, error, images))
+    _check_pooled(kernels, inputs, scratch, rng)
+
+
+def _check_pooled(kernels, images: np.ndarray, scratch: np.ndarray,
+                  rng: np.random.Generator) -> None:
+    """The pooled export is admitted only bit for bit what it replaces:
+    the fused unit's ``unpool`` (its contract, :func:`reference.unpool`)
+    and then this unit's own ``dw`` -- conv error, dW and non-zero count
+    -- on random operands and on an error non-zero only at the corner
+    windows, each routed to its window's last element; for tiling,
+    gapped and one-element windows where they fit.  A poisoned error and
+    an argmax outside its window must be counted."""
+    from repro.native import NativeBuildError
+
+    spec = kernels.spec
+    conv_shape = (len(images),) + spec.output_shape
+    for window in (PoolWindow(2, 2), PoolWindow(2, 3), PoolWindow(1, 1)):
+        if window.kernel > min(spec.out_ny, spec.out_nx):
+            continue
+        where = (f"for {spec.describe()}, window "
+                 f"{window.kernel}/{window.stride}")
+        shape = (len(images), spec.nf, window.out_extent(spec.out_ny),
+                 window.out_extent(spec.out_nx))
+        out = rng.standard_normal(shape).astype(np.float32)
+        random = rng.standard_normal(shape).astype(np.float32)
+        random[rng.random(shape) < 0.3] = 0.0
+        corners = np.zeros_like(random)
+        corners[:, :, ::max(shape[2] - 1, 1), ::max(shape[3] - 1, 1)] = -1.5
+        last = np.full(shape, window.kernel ** 2 - 1, np.int64)
+        for name, pooled, error, argmax in (
+                ("random", out, random,
+                 rng.integers(0, window.kernel ** 2, shape)),
+                ("corner", np.abs(out), corners, last)):
+            conv_error, d_weights, nonzero, rejected = \
+                kernels.pooled_backward(pooled, argmax, error, window,
+                                        images, scratch)
+            routed = reference.unpool(pooled, argmax, error, window.kernel,
+                                      window.stride, conv_shape)
+            if (conv_error.tobytes() != routed.tobytes()
+                    or d_weights.tobytes() != kernels.backward_weights(
+                        routed, images, scratch).tobytes()
+                    or nonzero != np.count_nonzero(routed) or rejected):
+                raise NativeBuildError(
+                    f"native pooled export ({name}) disagrees with its "
+                    f"chain {where}")
+        error[0, 0, 0, 0] = np.nan
+        argmax[-1, -1, -1, -1] = window.kernel ** 2
+        if kernels.pooled_backward(out, argmax, error, window, images,
+                                   scratch)[3] != 2:
+            raise NativeBuildError(
+                f"native pooled export miscounted a poisoned error or a "
+                f"stray argmax {where}")
 
 
 def _load_native(spec: ConvSpec):
@@ -110,3 +164,19 @@ class SparseBPEngine(NativeLowering, ReferenceEngine):
             return native.backward_weights(out_error, inputs,
                                            native.scratch(self.workspace))
         return reference.batch_backward_weights(self.spec, out_error, inputs)
+
+    def pooled_backward(self, out: np.ndarray, argmax: np.ndarray,
+                        error: np.ndarray, window: PoolWindow,
+                        inputs: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, int, int] | None:
+        """The ReLU + max-pool backward of a fused forward and Eq. 4 on
+        it, in one C call (:meth:`NativeSparseKernels.pooled_backward`):
+        ``(conv error, dW, its non-zeros, windows rejected)``; ``None``
+        where the unit does not serve it -- no C lowering, operands it
+        cannot read, windows that overlap."""
+        native = self._native
+        if native is None or window.stride < window.kernel \
+                or not self._native_operands(out, error, inputs):
+            return None
+        return native.pooled_backward(out, argmax, error, window, inputs,
+                                      native.scratch(self.workspace))

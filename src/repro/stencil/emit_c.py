@@ -473,13 +473,12 @@ def _self_check(kernels: NativeStencilKernels,
         )[:, :, ::pool.stride, ::pool.stride]
         wy, wx = np.divmod(argmax, pool.kernel)
         b, f, p, q = np.indices(argmax.shape)
-        routed = np.zeros_like(act)
-        np.add.at(routed, (b, f, p * pool.stride + wy, q * pool.stride + wx),
-                  np.where(out > 0, error, 0))
         for what, got, want in (
                 ("forward", out, windows.max(axis=(4, 5))),
                 ("argmax", out, windows[b, f, p, q, wy, wx]),
-                ("backward", conv_error, routed)):
+                ("backward", conv_error, reference.unpool(
+                    out, argmax, error, pool.kernel, pool.stride,
+                    act.shape))):
             check_agrees(f"fused {what}{where}", got, want, exact=True)
     error[0, 0, 0, 0] = np.inf
     if kernels.unpool(out, argmax, error)[1] != 1:

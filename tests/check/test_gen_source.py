@@ -317,6 +317,58 @@ class TestNativeUnit:
             verify_native_unit(dataclasses.replace(unit, helpers=()),
                                nests, "ragged"))
 
+    def test_dw_loop_order_is_the_one_the_host_gives(self, monkeypatch):
+        """A unit printed in the row order where the spec and the host
+        give the tap order (and the reverse) is caught: literals, text,
+        and the pitch of dW's tap table."""
+        from repro.sparse import codegen_c
+
+        spec = ConvSpec(nc=3, ny=12, nx=12, nf=4, fy=5, fx=5, name="narrow")
+        (_, pipelines), *_ = native_units(spec)
+        nests = {s: p.build_nest(spec) for s, p in pipelines.items()}
+        rows = codegen_c.emit_sparse_c_unit(spec)
+        assert rows.literal("DWP") == 3 and "RV" in dict(rows.literals)
+        assert verify_native_unit(rows, nests, "narrow") == []
+        monkeypatch.setattr(codegen_c, "dw_rows", lambda spec: None)
+        messages = _messages(verify_native_unit(rows, nests, "narrow"))
+        assert "dW's tap order: DWP emitted as 3" in messages
+        assert "dW's loops are not the tap order" in messages
+        assert "table DW_TAP_OFF emitted as" not in messages  # DWP's pitch
+        codegen_c.emit_sparse_c_unit.cache_clear()
+        try:
+            taps = codegen_c.emit_sparse_c_unit(spec)
+        finally:
+            codegen_c.emit_sparse_c_unit.cache_clear()
+        assert verify_native_unit(taps, nests, "narrow") == []
+        monkeypatch.undo()
+        assert "dW's loops are not the row order" in _messages(
+            verify_native_unit(taps, nests, "narrow"))
+
+    def test_pooled_export_is_checked(self):
+        """The sparse unit's third export: the printer's routing, its
+        routed row inside the scratch, and listed as a helper."""
+        from repro.sparse.codegen_c import emit_sparse_c_unit
+
+        unit = emit_sparse_c_unit(TINY)
+        (_, pipelines), *_ = native_units(TINY)
+        nests = {s: p.build_nest(TINY) for s, p in pipelines.items()}
+        assert unit.helpers == ("pooled",)
+        assert verify_native_unit(unit, nests, "tiny") == []
+        unmasked = dataclasses.replace(unit, source=unit.source.replace(
+            "ry[q] = wy | -(v == 0.0f);", "ry[q] = wy;"))
+        assert "not the routing the printer emits" in _messages(
+            verify_native_unit(unmasked, nests, "tiny"))
+        short = unit.literal("ROW_FLOATS") - 1
+        assert "scratch section ROW holds" in _messages(verify_native_unit(
+            dataclasses.replace(unit, source=unit.source.replace(
+                f"#define ROW_FLOATS {short + 1}\n",
+                f"#define ROW_FLOATS {short}\n"), literals=tuple(
+                (k, short if k == "ROW_FLOATS" else v)
+                for k, v in unit.literals)), nests, "tiny"))
+        assert "helpers () are not the expected ('pooled',)" in _messages(
+            verify_native_unit(dataclasses.replace(unit, helpers=()),
+                               nests, "tiny"))
+
     def test_every_unit_of_every_spec_gets_checked(self, doctor):
         install, _ = doctor
 

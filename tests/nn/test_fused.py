@@ -29,6 +29,7 @@ from repro.nn.sgd import SGDTrainer
 from repro.nn.zoo import alexnet_small, cifar10_net, imagenet100_net, mnist_net
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.resilience.quarantine import default_registry
+from repro.sparse.engine import SparseBPEngine
 from repro.stencil import emit_c
 from repro.stencil.loopir import estimate_nest, fused_fp_nest
 from repro.stencil.passes import default_pipeline
@@ -101,9 +102,10 @@ class TestBitIdentityOnZooNetworks:
 # -- the network ----------------------------------------------------------------
 
 def _net(window, seed=0, fp_engine="stencil", threads=None,
-         backend="thread"):
+         backend="thread", bp_engine="gemm-in-parallel"):
     """Two ``conv -> ReLU -> max-pool`` runs and a classifier, with FP on
-    ``fp_engine`` and biases that move the ReLU threshold."""
+    ``fp_engine``, BP on ``bp_engine`` and biases that move the ReLU
+    threshold."""
     kernel, stride = window
     pool = {"type": "pool", "kernel": kernel, "stride": stride}
     net = build_network({"name": "fusable", "input": [3, 16, 16], "layers": [
@@ -116,14 +118,17 @@ def _net(window, seed=0, fp_engine="stencil", threads=None,
     bias = np.random.default_rng(seed + 1)
     for conv in net.conv_layers():
         conv.set_fp_engine(fp_engine)
+        conv.set_bp_engine(bp_engine)
         conv.bias = bias.standard_normal(conv.spec.nf).astype(np.float32)
     return net
 
 
 def _chain(net):
     """``net``'s twin (same parameters and engines) that never fuses."""
+    first = net.conv_layers()[0]
     twin = _net((net.layers[2].kernel, net.layers[2].stride),
-                fp_engine=net.conv_layers()[0].fp_engine_name)
+                fp_engine=first.fp_engine_name,
+                bp_engine=first.bp_engine_name)
     for (_, mine, _), (_, theirs, _) in zip(twin.parameters(),
                                              net.parameters()):
         mine[...] = theirs
@@ -141,22 +146,41 @@ def _pass(net, x, err, need_input_error=True):
 
 WINDOWS = pytest.mark.parametrize("window", [(2, 2), (3, 2)],
                                   ids=["2/2", "3/2"])
+BP_ENGINES = pytest.mark.parametrize("bp_engine",
+                                     ["gemm-in-parallel", "sparse"])
+
+
+def _exported(tel):
+    """The convs whose BP ran the sparse unit's pooled export."""
+    return sorted(span.attrs["layer"] for span in tel.spans
+                  if span.attrs.get("phase") == "bp"
+                  and span.attrs.get("fused") == "relu+pool")
 
 
 @needs_cc
 @WINDOWS
+@BP_ENGINES
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("need_input_error", [True, False])
-def test_network_pass_equals_the_chain_bitwise(window, batch,
+def test_network_pass_equals_the_chain_bitwise(window, bp_engine, batch,
                                                need_input_error, rng):
-    net = _net(window)
+    """With sparse BP on a window that does not overlap, both convs'
+    backward runs the pooled export: conv error, dW and sparsity from one
+    C pass over the pooled error -- and still the chain's bits, the
+    bias gradient included.  The overlapping window keeps the scatter."""
+    net = _net(window, bp_engine=bp_engine)
     chain = _chain(net)
     x = rng.standard_normal((batch, 3, 16, 16)).astype(np.float32)
     err = rng.standard_normal((batch, 4)).astype(np.float32)
-    got = _pass(net, x, err, need_input_error)
+    with telemetry.collect() as tel:
+        got = _pass(net, x, err, need_input_error)
     assert net._fused == {0, 3}, "both runs fuse"
+    assert _exported(tel) == (["conv0", "conv3"] if window == (2, 2)
+                              and bp_engine == "sparse" else [])
+    sparsity = [c.last_error_sparsity for c in net.conv_layers()]
     want = _pass(chain, x, err, need_input_error)
     assert chain._fused == set()
+    assert sparsity == [c.last_error_sparsity for c in chain.conv_layers()]
     assert np.array_equal(got[0], want[0])
     if need_input_error:
         assert np.array_equal(got[1], want[1])
@@ -210,10 +234,12 @@ def test_non_finite_operands_behave_as_in_the_chain(window, rng):
 
 @needs_cc
 @WINDOWS
-def test_non_finite_errors_behave_as_in_the_chain(window, rng):
+@BP_ENGINES
+def test_non_finite_errors_behave_as_in_the_chain(window, bp_engine, rng):
     """A finite forward, a poisoned error: the chain spreads it over the
-    window, and so does the fused run's backward (by replaying it)."""
-    net = _net(window)
+    window, and so does the fused run's backward (by replaying it, also
+    where the pooled export counted the poison)."""
+    net = _net(window, bp_engine=bp_engine)
     chain = _chain(net)
     conv, _, pool = net.layers[:3]
     twin, relu, twin_pool = chain.layers[:3]
@@ -222,11 +248,15 @@ def test_non_finite_errors_behave_as_in_the_chain(window, rng):
     assert np.array_equal(out, twin_pool.forward(relu.forward(twin.forward(x))))
     err = rng.standard_normal(out.shape).astype(np.float32)
     err[0, 0, 0, 0], err[1, 2, 1, 1], err[1, 0, 2, 0] = np.nan, np.inf, -np.inf
-    got = conv.backward(err, pool=pool)
+    with telemetry.collect() as tel:
+        got = conv.backward(err, pool=pool)
+    assert _exported(tel) == []
     want = twin.backward(relu.backward(twin_pool.backward(err)))
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(conv.d_weights, twin.d_weights, equal_nan=True)
     assert np.array_equal(conv.d_bias, twin.d_bias, equal_nan=True)
+    assert conv.bp_engine_name == bp_engine
+    assert conv.last_error_sparsity == twin.last_error_sparsity
 
 
 @needs_cc
@@ -289,6 +319,32 @@ def test_the_engine_fault_site_is_visited_once_per_call(poisoned, rng):
         assert [c.fp_engine_name for c in net.conv_layers()] == \
             ["stencil", "reference"]
     assert np.array_equal(outs[0], outs[1], equal_nan=True)
+
+
+@needs_cc
+@pytest.mark.parametrize("at", [1, 2, 3], ids=["conv3-dw", "conv3-bd",
+                                               "conv0-dw"])
+def test_the_bp_fault_site_is_visited_once_per_call(at, rng):
+    """The pooled export stands in for ``backward_weights`` at the
+    ``engine.bp`` site: a plan's n-th invocation lands on the same call
+    as in the chain, and benches the same conv's sparse BP."""
+    x = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
+    err = rng.standard_normal((2, 4)).astype(np.float32)
+    plan = FaultPlan(name="nth-bp", specs=(
+        FaultSpec(site="engine.bp", kind="raise", at=(at,)),))
+    results = []
+    for build in (lambda: _net((2, 2), bp_engine="sparse"),
+                  lambda: _chain(_net((2, 2), bp_engine="sparse"))):
+        default_registry().clear()
+        net = build()
+        with inject(plan):
+            results.append(_pass(net, x, err))
+        assert [c.bp_engine_name for c in net.conv_layers()] == \
+            [["sparse", "reference"], ["sparse", "reference"],
+             ["reference", "sparse"]][at - 1]
+    for mine, theirs in zip([results[0][1], *results[0][2]],
+                            [results[1][1], *results[1][2]]):
+        assert np.array_equal(mine, theirs)
 
 
 # -- where the chain runs ---------------------------------------------------------
@@ -410,6 +466,15 @@ def test_repro_train_losses_equal_the_chains(monkeypatch, capsys):
         return result
 
     monkeypatch.setattr(SGDTrainer, "step", recording)
+    exported = []
+    export = SparseBPEngine.pooled_backward
+
+    def counting(engine, *args):
+        served = export(engine, *args)
+        exported[-1] += served is not None
+        return served
+
+    monkeypatch.setattr(SparseBPEngine, "pooled_backward", counting)
     args = ["train", "--net", "cifar", "--scale", "0.25", "--batch", "8",
             "--samples", "32", "--epochs", "2", "--recheck", "1",
             "--threads", "1"]
@@ -417,12 +482,16 @@ def test_repro_train_losses_equal_the_chains(monkeypatch, capsys):
         if not fuse:
             monkeypatch.setattr(ConvLayer, "fused_unit", lambda self, pool: None)
         losses.append([])
+        exported.append(0)
         assert cli.main(args) == 0
         report = capsys.readouterr().out
         assert ("c+relu+pool" in report) is fuse
         assert ("fused with ReLU + max-pool: none" in report) is not fuse
     assert len(losses[0]) == 8
     assert losses[0] == losses[1]
+    # Sparse BP from epoch 2: both convs' backward of its 4 steps ran
+    # the pooled export.
+    assert exported == [8, 0]
 
 
 def _train(net, steps=3, batch=1):
@@ -447,12 +516,20 @@ BACKENDS = ["serial", "thread"] + (
 
 @needs_cc
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_sharded_step_equals_the_inline_fused_step(backend):
+@pytest.mark.parametrize("window,bp_engine", [((3, 2), "gemm-in-parallel"),
+                                              ((2, 2), "sparse")],
+                         ids=["3/2-gemm", "2/2-sparse"])
+def test_sharded_step_equals_the_inline_fused_step(backend, window,
+                                                   bp_engine):
     """The sharded step's replicas run the chain with stencil C; on one
-    shard (batch 1) that is the inline fused step, bit for bit."""
-    inline = _net((3, 2))
-    inline_state = _train(inline)
+    shard (batch 1) that is the inline fused step, bit for bit -- also
+    where inline BP runs the sparse unit's pooled export."""
+    inline = _net(window, bp_engine=bp_engine)
+    with telemetry.collect() as tel:
+        inline_state = _train(inline)
     assert inline._fused == {0, 3}
-    sharded = _train(_net((3, 2), threads=2, backend=backend))
+    assert bool(_exported(tel)) == (bp_engine == "sparse")
+    sharded = _train(_net(window, threads=2, backend=backend,
+                          bp_engine=bp_engine))
     assert sharded == inline_state
     assert not default_registry().records()

@@ -35,13 +35,14 @@ from repro.data.synthetic import cifar10_like
 from repro.errors import CodegenError, ShapeError
 from repro.nn.layers.conv import ConvLayer
 from repro.nn.sgd import SGDTrainer
-from repro.nn.zoo import cifar10_net
+from repro.nn.zoo import cifar10_net, mnist_net
 from repro.ops import reference as ref
 from repro.ops.engine import make_engine
 from repro.ops.workspace import Workspace
 from repro.resilience.quarantine import default_registry
 from repro.sparse import engine as sparse_engine
-from repro.sparse.codegen_c import channel_tiling, emit_sparse_c_unit
+from repro.sparse.codegen_c import channel_tiling, dw_rows, emit_sparse_c_unit
+from repro.stencil.loopir import PoolWindow
 from tests.conftest import (
     SMALL_SPECS,
     fake_compiler,
@@ -462,6 +463,105 @@ class TestShardedStep:
         assert all("planned on" in reason for reason in reasons)
 
 
+# -- dW's two loop orders and the pooled export ---------------------------------
+
+CONV_IN, CONV_DEEP = (layer.padded_spec for layer in
+                      cifar10_net(rng=np.random.default_rng(0)).conv_layers())
+MNIST_CONV = mnist_net(rng=np.random.default_rng(0)).conv_layers()[0] \
+    .padded_spec
+
+
+def test_narrow_layers_take_the_row_order():
+    assert dw_rows(CONV_IN) is not None and dw_rows(MNIST_CONV) is not None
+    assert dw_rows(CONV_DEEP) is None               # 320 floats a tap row
+    assert "RV" in dict(emit_sparse_c_unit(CONV_IN).literals)
+    assert "RV" not in dict(emit_sparse_c_unit(CONV_DEEP).literals)
+
+
+@needs_cc
+@pytest.mark.parametrize("spec", [CONV_IN, MNIST_CONV],
+                         ids=["conv_in", "mnist"])
+def test_row_order_dw_is_the_tap_order_bitwise(spec, monkeypatch, rng):
+    """Same FMA sequence per dW element -- images in order, per image the
+    feature's non-zeros in raster order, from +0 -- in either loop order."""
+    from repro.sparse import codegen_c
+
+    inputs, _, err = random_conv_data(spec, rng, batch=3,
+                                      error_sparsity=0.79)
+    rows = make_engine("sparse", spec)
+    monkeypatch.setattr(codegen_c, "dw_rows", lambda spec: None)
+    emit_sparse_c_unit.cache_clear()
+    native._resolved.cache_clear()
+    try:
+        taps = make_engine("sparse", spec)
+    finally:
+        emit_sparse_c_unit.cache_clear()
+    assert rows.lowering == taps.lowering == "c"
+    assert rows.artifact != taps.artifact
+    assert rows.backward_weights(err, inputs).tobytes() == \
+        taps.backward_weights(err, inputs).tobytes()
+
+
+def _fused_pass(spec, window, rng, batch=3):
+    """A fused stencil-C forward of ``spec`` through ``window``: the unit,
+    the padded batch, its pooled output and argmax, a pooled error."""
+    from repro.stencil.emit_c import load_stencil_kernels
+
+    unit, reason = native.kernels_for(load_stencil_kernels, spec, None,
+                                      window)
+    assert unit is not None, reason
+    inputs = rng.standard_normal((batch,) + spec.input_shape) \
+        .astype(np.float32)
+    weights = rng.standard_normal(spec.weight_shape).astype(np.float32)
+    bias = rng.standard_normal(spec.nf).astype(np.float32)
+    out, argmax, nonfinite = unit.fused_forward(
+        inputs, weights, bias, unit.scratch(Workspace()))
+    assert nonfinite == 0
+    error = rng.standard_normal(out.shape).astype(np.float32)
+    error[rng.random(out.shape) < 0.1] = 0.0
+    return unit, inputs, out, argmax, error
+
+
+@needs_cc
+@pytest.mark.parametrize("spec", [CONV_IN, CONV_DEEP, MNIST_CONV],
+                         ids=["conv_in", "conv_deep", "mnist"])
+def test_pooled_export_is_unpool_then_dw_bitwise(spec, rng):
+    """One C pass over the pooled error: the conv error the fused unit's
+    scatter writes, the dW the unit's own ``dw`` computes on it, and the
+    non-zero count ``measure_sparsity`` would find."""
+    window = PoolWindow(2, 2)
+    unit, inputs, out, argmax, error = _fused_pass(spec, window, rng)
+    engine = make_engine("sparse", spec)
+    conv_error, d_weights, nonzero, rejected = engine.pooled_backward(
+        out, argmax, error, window, inputs)
+    want, _ = unit.unpool(out, argmax, error)
+    assert rejected == 0
+    assert conv_error.tobytes() == want.tobytes()
+    assert d_weights.tobytes() == \
+        engine.backward_weights(want, inputs).tobytes()
+    assert nonzero == np.count_nonzero(want)
+
+
+@needs_cc
+def test_pooled_export_counts_poison_and_declines_overlap(rng):
+    window = PoolWindow(2, 2)
+    _, inputs, out, argmax, error = _fused_pass(CONV_IN, window, rng,
+                                                batch=2)
+    engine = make_engine("sparse", CONV_IN)
+    error[1, 3, 2, 1] = np.nan
+    argmax[0, 0, 0, 0] = 4
+    assert engine.pooled_backward(out, argmax, error, window, inputs)[3] == 2
+    assert engine.pooled_backward(out, argmax, error, PoolWindow(3, 2),
+                                  inputs) is None
+    scratch = engine._native.scratch(Workspace())
+    with pytest.raises(ShapeError):       # inputs of another batch
+        engine._native.pooled_backward(out, argmax, error, window,
+                                       inputs[:1], scratch)
+    with pytest.raises(ShapeError):       # windows that overlap
+        engine._native.pooled_backward(out, argmax, error, PoolWindow(3, 2),
+                                       inputs, scratch)
+
+
 class TestGeneratedSource:
     def test_one_table_entry_per_tap(self):
         unit = emit_sparse_c_unit(ConvSpec(nc=2, ny=8, nx=8, nf=3, fy=3,
@@ -474,13 +574,15 @@ class TestGeneratedSource:
 
     def test_pointer_shift_offsets_are_literal(self):
         # Fig. 6's arrows: tap (ky, kx) lands (ky * NX + kx) HWC pixels
-        # in, one pixel being NCP = 4 padded channels.
+        # in, one pixel being NCP = 4 padded channels for BP-data and the
+        # one packed channel of dW's row order.
         unit = emit_sparse_c_unit(ConvSpec(nc=1, ny=6, nx=6, nf=1, fy=2,
                                            fx=2))
-        assert unit.literal("NCP") == 4
-        for symbol in ("BD", "DW"):
-            assert (f"static const int {symbol}_TAP_OFF[NT] = "
-                    f"{{0, 4, 24, 28}};") in unit.source
+        assert unit.literal("NCP") == 4 and unit.literal("DWP") == 1
+        assert "static const int BD_TAP_OFF[NT] = {0, 4, 24, 28};" \
+            in unit.source
+        assert "static const int DW_TAP_OFF[NT] = {0, 1, 6, 7};" \
+            in unit.source
 
     def test_rejects_padded_spec(self):
         with pytest.raises(CodegenError):

@@ -113,6 +113,16 @@ class TestUsageErrors:
         "train --epochs 0",
         "train --samples 0",
         "train --scale 0",
+        "train --recheck 0",
+        "trace --recheck -1",
+        "train --threads -3",
+        "trace --threads 0",
+        "chaos --threads 0",
+        "train --every -1",
+        "workers --workers 0",
+        "workers --workers -1",
+        "schedule 4 8 3 3 --pool 9",
+        "schedule 4 8 3 3 --pool -1",
         "plan {tmp}/missing.txt",
         "plan {tmp}",
         "plan {tmp}/arity.txt",

@@ -7,10 +7,13 @@ appends ``-fsanitize=address,undefined`` to :data:`repro.native.CFLAGS`
 never meet the ordinary ones), every zoo conv spec's sparse BP unit and,
 for the stride-1 specs, its stencil FP unit and its fused units for the
 2/2 and the overlapping 3/2 pool window are rebuilt -- which runs their
-edge-position and bitwise-vs-chain self-checks -- and then driven
-through a seeded differential against the reference engine (the fused
-ones forward and backward, as a conv layer deploys them).  Any out-of-bounds
-access, misaligned or overflowing operation aborts the subprocess.
+edge-position and bitwise-vs-chain self-checks, the sparse unit's pooled
+export's among them -- and then driven through a seeded differential
+against the reference engine (the fused ones forward and backward, as a
+conv layer deploys them; behind the 2/2 window with sparse BP, whose
+backward is the sparse unit's pooled export).  The narrow convs (CIFAR's
+first, MNIST's) run dW in the row order.  Any out-of-bounds access,
+misaligned or overflowing operation aborts the subprocess.
 
 Needs a ``cc`` that links the sanitizer runtimes and can say where
 ``libasan.so`` is (an instrumented unit loaded into an uninstrumented
@@ -66,12 +69,13 @@ from repro.ops.engine import make_engine
 """
 
 _LANE = _PRELUDE + """
+from repro import telemetry
 from repro.nn.layers.conv import ConvLayer
 from repro.nn.layers.pool import MaxPoolLayer
 from repro.nn.zoo import alexnet_small, cifar10_net, imagenet100_net, mnist_net
 
 rng = np.random.default_rng(0)
-units = 0
+units = exports = rows = 0
 for build in (mnist_net, cifar10_net, imagenet100_net, alexnet_small):
     for layer in build().conv_layers():
         spec = layer.padded_spec
@@ -89,6 +93,9 @@ for build in (mnist_net, cifar10_net, imagenet100_net, alexnet_small):
         np.testing.assert_allclose(sparse.backward_weights(e, x),
                                    oracle.backward_weights(e, x), atol=2e-2)
         units += 1
+        if build in (mnist_net, cifar10_net) and spec.nc <= 3:
+            assert "RV" in dict(sparse._native.unit.literals), spec
+            rows += 1
         if (spec.sy, spec.sx) != (1, 1):
             continue
         stencil = make_engine("stencil", spec)
@@ -107,7 +114,16 @@ for build in (mnist_net, cifar10_net, imagenet100_net, alexnet_small):
             assert np.isfinite(pooled).all() and (pooled >= 0).all()
             conv.backward(np.ones_like(pooled), pool=pool)
             units += 1
-print("instrumented units:", units)
+        conv.set_bp_engine("sparse")
+        pool = MaxPoolLayer(2, 2)
+        pooled = conv.forward(x, pool=pool)
+        with telemetry.collect() as tel:
+            conv.backward(rng.standard_normal(pooled.shape).astype(np.float32),
+                          pool=pool)
+        assert tel.spans[-1].attrs.get("fused") == "relu+pool", spec
+        exports += 1
+print("instrumented units:", units, "pooled exports:", exports,
+      "row orders:", rows)
 """
 
 _OVERFLOW = _PRELUDE + """
@@ -149,7 +165,9 @@ def test_every_zoo_unit_is_clean_under_the_sanitizers(tmp_path):
     done = _run(_LANE, tmp_path)
     assert done.returncode == 0, done.stderr[-3000:]
     assert "Sanitizer" not in done.stderr and "runtime error" not in done.stderr
-    # 8 sparse units, and FP + two fused for the 6 stride-1 convs.
-    assert "instrumented units: 26" in done.stdout
+    # 8 sparse units, and FP + two fused for the 6 stride-1 convs; the
+    # pooled export behind each of those 6; dW's row order on 2 convs.
+    assert "instrumented units: 26 pooled exports: 6 row orders: 2" \
+        in done.stdout
     built = list((tmp_path / "native-cache").glob("*.so"))
     assert len(built) == 26
