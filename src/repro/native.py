@@ -220,8 +220,9 @@ class CUnit:
     #: ``<S>_FLOATS`` pairs place the sections of the caller's scratch.
     literals: tuple[tuple[str, int], ...]
     kernels: tuple[KernelFacts, ...]
-    #: Exported functions that walk no taps (the fused unit's backward
-    #: scatter), beside one per entry of ``kernels``.
+    #: Exported functions that walk no taps of their own (the fused
+    #: unit's backward scatter, the sparse unit's pooled export), beside
+    #: one per entry of ``kernels``.
     helpers: tuple[str, ...] = ()
 
     @property
