@@ -23,12 +23,6 @@ and flags:
   inside a nested (per-element) loop: each call takes the collector
   lock per active collector, so per-element emission turns a hot
   kernel loop into a lock convoy -- aggregate outside the loop instead;
-* **CHK-TEL-WORKER** -- a function the module declares worker-side (via
-  a module-level ``__worker_side__`` tuple of function names) calls a
-  parent-only ``telemetry`` helper.  Worker processes are spawned with
-  an empty collector stack, so the emission is silently lost; worker
-  code must write to its shared-memory telemetry ring instead
-  (:mod:`repro.telemetry.remote`);
 * **CHK-FORK** -- a closure submitted to the worker pool
   (``run_tasks``/``map_batches``/``map_items``/``submit``) captures a
   fork/pickle-unsafe handle: a threading lock, a live
@@ -517,32 +511,6 @@ class _CaptureSafetyVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _worker_side_names(tree: ast.Module) -> set[str]:
-    """Function names a module declares as running in worker processes.
-
-    Reads the module-level ``__worker_side__ = ("fn", ...)`` marker
-    (a tuple or list of string constants); anything else yields the
-    empty set, so the CHK-TEL-WORKER rule stays opt-in per module.
-    """
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        else:
-            continue
-        if not any(isinstance(t, ast.Name) and t.id == "__worker_side__"
-                   for t in targets):
-            continue
-        if isinstance(value, (ast.Tuple, ast.List)):
-            return {
-                elt.value for elt in value.elts
-                if isinstance(elt, ast.Constant)
-                and isinstance(elt.value, str)
-            }
-    return set()
-
-
 def _telemetry_aliases(tree: ast.Module) -> set[str]:
     """Local names under which the telemetry module is imported."""
     aliases: set[str] = set()
@@ -647,27 +615,6 @@ def lint_source(module_name: str, source: str) -> list[Finding]:
         use_visitor.visit(tree)
         findings.extend(use_visitor.findings)
 
-        # CHK-TEL-WORKER: declared worker-side functions emitting via
-        # the parent-only telemetry module.  A spawned worker's
-        # collector stack is empty, so the emission silently vanishes.
-        worker_names = _worker_side_names(tree)
-        for node in tree.body:
-            if not (isinstance(node, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef))
-                    and node.name in worker_names):
-                continue
-            for sub in ast.walk(node):
-                if (isinstance(sub, ast.Attribute)
-                        and isinstance(sub.value, ast.Name)
-                        and sub.value.id in aliases):
-                    findings.append(_finding(
-                        "error", f"{module_name}:{sub.lineno}",
-                        f"worker-side function {node.name!r} calls "
-                        f"telemetry.{sub.attr}; a spawned worker's "
-                        f"collector stack is empty, so the record is "
-                        f"silently lost -- write to the shm telemetry "
-                        f"ring via repro.telemetry.remote instead",
-                    ))
     return findings
 
 

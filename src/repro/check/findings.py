@@ -75,13 +75,6 @@ class CheckReport:
         """Append another analyzer's findings."""
         self.findings.extend(findings)
 
-    def by_analyzer(self) -> dict[str, list[Finding]]:
-        """Findings grouped by the analyzer that produced them."""
-        grouped: dict[str, list[Finding]] = {}
-        for finding in self.findings:
-            grouped.setdefault(finding.analyzer, []).append(finding)
-        return grouped
-
     def raise_if_errors(self, context: str = "") -> None:
         """Raise :class:`CheckError` summarizing any error findings."""
         errors = self.errors

@@ -760,6 +760,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args.spec = _dims_spec(args, parser)
     if args.command == "plan":
         args.network = _load_netdef(args.netdef, parser)
+    if getattr(args, "critical_path", False) and args.scheduler != "dag":
+        parser.error("trace --critical-path needs --scheduler dag")
     if args.command == "characterize":
         return _cmd_characterize(args, out)
     if args.command == "schedule":

@@ -73,21 +73,6 @@ class Characterization:
     unfold_ait: float
     region: Region
 
-    @property
-    def scales_under_parallel_gemm(self) -> bool:
-        """Parallel-GEMM only scales in the high-AIT band (regions 0/1)."""
-        return self.region.ait_band == "high"
-
-    @property
-    def good_single_core(self) -> bool:
-        """Single-core Unfold+GEMM performance is poor only when AIT is low."""
-        return self.region.ait_band != "low"
-
-    @property
-    def good_goodput(self) -> bool:
-        """Dense execution only achieves good goodput on dense inputs."""
-        return not self.region.is_sparse
-
     def recommended_fp(self) -> str:
         """The spg-CNN FP technique recommended for this region (Sec. 4.4)."""
         if self.region.ait_band == "high":

@@ -182,23 +182,6 @@ class ConvSpec:
         denom = 2 * self.unfolded_elems_nominal + self.weight_elems + self.output_elems
         return self.flops / denom
 
-    @property
-    def unfold_gemm_ait_exact(self) -> float:
-        """Unfold+GEMM AIT with the exact |U| (physical unfolded size).
-
-        Differs from :attr:`unfold_gemm_ait` only in using the true
-        ``out_Ny * out_Nx`` unfolded row count; this is the quantity whose
-        kernel-size limit behaviour Sec. 3.1 describes (``r -> 1`` as the
-        kernel approaches the input size).
-        """
-        denom = 2 * self.unfolded_elems + self.weight_elems + self.output_elems
-        return self.flops / denom
-
-    @property
-    def unfold_ait_fraction(self) -> float:
-        """The ratio *r* from Sec. 3.1: achievable fraction of intrinsic AIT."""
-        return self.unfold_gemm_ait / self.intrinsic_ait
-
     # ------------------------------------------------------------------
     # GEMM view (Fig. 2c): O = W . U^T
     # ------------------------------------------------------------------

@@ -93,13 +93,6 @@ class ExecutionPlan:
         if len(set(names)) != len(names):
             raise PlanError(f"duplicate layer names in plan: {names}")
 
-    def for_layer(self, layer_name: str) -> LayerPlan:
-        """The plan for the named layer."""
-        for plan in self.layers:
-            if plan.layer_name == layer_name:
-                return plan
-        raise PlanError(f"no plan for layer {layer_name!r}")
-
     def describe(self) -> str:
         """Tabular summary of the plan."""
         return format_table(

@@ -11,7 +11,7 @@ All bandwidths are bytes/second; times are seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import MachineModelError
 
@@ -90,13 +90,6 @@ class MachineSpec:
         rounds = max(1, (cores - 1).bit_length())
         return self.sync_base_seconds * rounds
 
-    def with_cores(self, physical: int, logical: int | None = None) -> "MachineSpec":
-        """A copy of this spec with a different core count (for sweeps)."""
-        return replace(
-            self,
-            physical_cores=physical,
-            logical_cores=logical if logical is not None else physical,
-        )
 
 
 def xeon_e5_2650() -> MachineSpec:

@@ -371,26 +371,41 @@ class ConvLayer(Layer):
         ``forward(..., pool=pool)`` runs, or ``None``: the chain runs.
 
         A unit serves where the chain's conv runs the C stencil kernel
-        inline (a pooled layer maps its FP over the workers instead) and
-        the unit of ``(padded spec, pool window)`` resolves: it was
+        inline (a pooled layer maps its FP over the workers instead; its
+        step shards' inline replicas fuse, see :meth:`fused_artifact`)
+        and the unit of ``(padded spec, pool window)`` resolves: it was
         admitted only bitwise equal to that chain, forward and backward
         (:func:`repro.stencil.emit_c.load_stencil_kernels`).  Resolved
         once per deployed FP engine.
         """
+        return self._fused(pool) if self._pool is None else None
+
+    def fused_artifact(self, pool: MaxPoolLayer) -> str | None:
+        """Which fused unit an inline copy of this layer runs for
+        ``pool``'s window, if any: what a step shard's replica must load
+        (:meth:`repro.nn.network.Network.structure`)."""
+        unit = self._fused(pool)
+        return unit.artifact if unit is not None else None
+
+    def _fused(self, pool: MaxPoolLayer) -> NativeStencilKernels | None:
+        """:meth:`fused_unit` of this layer run inline."""
         engine, units = self._fusion
         if engine is not self._fp_engine:
             engine, units = self._fusion = (self._fp_engine, {})
         window = PoolWindow(pool.kernel, pool.stride)
         if window not in units:
-            units[window] = None
-            if (self._pool is None and self.fp_engine_name == "stencil"
-                    and self.fp_lowering == "c"):
-                from repro import native
-                from repro.stencil.emit_c import load_stencil_kernels
-
-                units[window] = native.kernels_for(
-                    load_stencil_kernels, self.padded_spec, None, window)[0]
+            units[window] = self._load_fused(window)
         return units[window]
+
+    def _load_fused(self, window: PoolWindow
+                    ) -> NativeStencilKernels | None:
+        if self.fp_engine_name != "stencil" or self.fp_lowering != "c":
+            return None
+        from repro import native
+        from repro.stencil.emit_c import load_stencil_kernels
+
+        return native.kernels_for(
+            load_stencil_kernels, self.padded_spec, None, window)[0]
 
     def _run_fused(self, unit: NativeStencilKernels, padded: np.ndarray,
                    training: bool) -> np.ndarray | None:
@@ -608,9 +623,11 @@ class ReplicaConvLayer(ConvLayer):
     """
 
     def __init__(self, *args, fp_artifact: str | None = None,
-                 bp_artifact: str | None = None, **kwargs):
+                 bp_artifact: str | None = None,
+                 fused_artifact: str | None = None, **kwargs):
         super().__init__(*args, **kwargs)
         self._failures: list[tuple[str, str, str]] = []
+        self._fused_artifact = fused_artifact
         for phase, planned in (("fp", fp_artifact), ("bp", bp_artifact)):
             loaded = getattr(self, f"{phase}_artifact")
             if loaded != planned:
@@ -622,6 +639,23 @@ class ReplicaConvLayer(ConvLayer):
                     phase, getattr(self, f"{phase}_engine_name"),
                     f"replica loaded {phase.upper()} artefact {loaded!r}, "
                     f"the step was planned on {planned!r}")
+
+    def _load_fused(self, window: PoolWindow
+                    ) -> NativeStencilKernels | None:
+        """The planned fused unit, or ``None``: the chain runs.  A unit
+        the step was planned on but this replica cannot load the same is
+        an FP failure (unless the FP engine already failed over)."""
+        unit = super()._load_fused(window)
+        loaded = unit.artifact if unit is not None else None
+        planned = self._fused_artifact
+        if loaded == planned:
+            return unit
+        if planned is not None and self.fp_engine_name != FALLBACK_ENGINE:
+            self._failures.append((
+                "fp", self.fp_engine_name,
+                f"replica loaded fused artefact {loaded!r}, the step was "
+                f"planned on {planned!r}"))
+        return None
 
     def _visit_fault_site(self, phase: str, method: str,
                           engine_name: str) -> None:

@@ -6,6 +6,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro import telemetry
 from repro.errors import ShapeError
 from repro.nn.layers.activations import ReLULayer
 from repro.nn.layers.base import Layer, LayerStructure
@@ -64,8 +65,19 @@ class Network:
                      if first is conv), None)
 
     def structure(self) -> tuple[LayerStructure, ...]:
-        """Every layer's :meth:`Layer.structure`, in order."""
-        return tuple(layer.structure() for layer in self.layers)
+        """Every layer's :meth:`Layer.structure`, in order.
+
+        A conv that starts a ``conv -> ReLU -> max-pool`` run also names
+        the artefact of the fused unit its inline replicas run for the
+        run's window (``fused_artifact``, ``None`` for the chain): the
+        window is the network's to know, not the layer's.
+        """
+        structure = [layer.structure() for layer in self.layers]
+        for index, (conv, _, pool) in self._runs.items():
+            kind, name, options = structure[index]
+            structure[index] = (kind, name, options + (
+                ("fused_artifact", conv.fused_artifact(pool)),))
+        return tuple(structure)
 
     @classmethod
     def replica(cls, structure: tuple[LayerStructure, ...],
@@ -74,7 +86,8 @@ class Network:
 
         Freshly initialised: the caller rebinds the parameters
         (:meth:`Layer.bind_params`).  Conv layers report engine failures
-        instead of recording them (:class:`ReplicaConvLayer`).
+        -- a unit other than the planned one among them -- instead of
+        recording them (:class:`ReplicaConvLayer`).
         """
         from repro.nn.layers import LAYER_KINDS
 
@@ -128,6 +141,10 @@ class Network:
         the conv given the pool; the ReLU and pool layers' caches are
         cleared, so a stray per-layer backward raises instead of reading
         stale ones.  Every other layer runs on its own.
+
+        A conv layer records its own ``<name>/fp`` span (a fused run is
+        one such span); every other layer's call runs under a
+        ``<name>/fp`` span opened here, carrying only the phase.
         """
         if self.scheduler == "dag":
             return self._dag().forward(inputs, training=training)
@@ -141,17 +158,22 @@ class Network:
         index = 0
         while index < len(self.layers):
             run = self._runs.get(index)
-            if run is None or run[0].fused_unit(run[2]) is None:
-                activations = self.layers[index].forward(activations,
-                                                         training=training)
-                index += 1
+            if run is not None and run[0].fused_unit(run[2]) is not None:
+                conv, relu, pool = run
+                if training:
+                    relu._cached_mask = pool._cached_selectors = None
+                    self._fused.add(index)
+                activations = conv.forward(activations, training, pool=pool)
+                index += 3
                 continue
-            conv, relu, pool = run
-            if training:
-                relu._cached_mask = pool._cached_selectors = None
-                self._fused.add(index)
-            activations = conv.forward(activations, training, pool=pool)
-            index += 3
+            layer = self.layers[index]
+            if isinstance(layer, ConvLayer):
+                activations = layer.forward(activations, training=training)
+            else:
+                with telemetry.span(f"{layer.name}/fp", phase="fp"):
+                    activations = layer.forward(activations,
+                                                training=training)
+            index += 1
         return activations
 
     def backward(self, out_error: np.ndarray,
@@ -161,7 +183,8 @@ class Network:
         A caller that discards the input error (the SGD step) passes
         ``need_input_error=False``: a conv layer fed by the images then
         skips its BP-data computation and ``None`` is returned.  Every
-        parameter gradient is bit-identical either way.
+        parameter gradient is bit-identical either way.  Spans as in
+        :meth:`forward`, named ``<name>/bp``.
         """
         if self.scheduler == "dag":
             return self._dag().backward(out_error, need_input_error)
@@ -174,19 +197,15 @@ class Network:
                     error, need_input_error or start > 0,
                     pool=self.layers[index])
                 index = start - 1
+                continue
+            layer = self.layers[index]
+            if isinstance(layer, ConvLayer):
+                error = layer.backward(error, need_input_error or index > 0)
             else:
-                error = self.backward_layer(index, error, need_input_error)
-                index -= 1
+                with telemetry.span(f"{layer.name}/bp", phase="bp"):
+                    error = layer.backward(error)
+            index -= 1
         return error
-
-    def backward_layer(self, index: int, out_error: np.ndarray,
-                       need_input_error: bool = True) -> np.ndarray | None:
-        """One layer's step of :meth:`backward` (a step shard runs them
-        one by one, each under its own span)."""
-        layer = self.layers[index]
-        if index == 0 and not need_input_error and isinstance(layer, ConvLayer):
-            return layer.backward(out_error, need_input_error=False)
-        return layer.backward(out_error)
 
     def zero_grads(self) -> None:
         """Clear accumulated gradients on every layer."""

@@ -195,11 +195,6 @@ class TrainingLoop:
         telemetry.event("resume", epoch=state.epoch, path=str(path))
         return state.epoch
 
-    @property
-    def completed_epochs(self) -> int:
-        """Epochs finished so far (restored ones included)."""
-        return self._completed_epochs
-
     # -- batch journal (mid-epoch crash recovery) -------------------------
 
     @property

@@ -17,10 +17,11 @@ gaps on the Chrome trace).
 Under the process backend the parent-side ``pool/task`` spans measure
 dispatch occupancy, not worker occupancy -- queueing and pipe latency
 hide inside them.  :func:`worker_process_idle` instead consumes the
-spans merged from each worker's shared-memory telemetry ring
-(:mod:`repro.telemetry.remote`): they carry a ``process_pid`` attribute
-and bound the time the worker process truly spent executing, so the
-gaps are true in-worker starvation.
+``worker/*`` spans a worker's own ``telemetry.span`` calls recorded into
+its shared-memory ring (:mod:`repro.telemetry.remote`) and the parent
+merged: they carry a ``process_pid`` attribute and bound the time the
+worker process truly spent executing, so the gaps are true in-worker
+starvation.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ def worker_process_idle(source) -> dict[int, float]:
     record drained from a worker's telemetry ring) by that pid and sums
     the positive gaps between consecutive executions, exactly like
     :func:`worker_idle_times` does per thread.  Only ``worker/*`` spans
-    count as executions -- merged counters-turned-spans or future
-    worker-side bookkeeping spans would otherwise mask starvation gaps.
+    count as executions -- the layer spans a shard records inside them
+    add nothing, and any other worker-side span between two tasks would
+    mask a starvation gap.
     """
     by_pid: dict[int, list[Span]] = defaultdict(list)
     spans: Iterable[Span] = (

@@ -30,9 +30,10 @@ the task functions it receives by reference.
 Fault injection remains parent-side: the pool's ``pool.task`` /
 ``pool.result`` sites wrap the *dispatch* of a task, so a chaos plan
 fires identically (and deterministically) under every backend.
-Telemetry, by contrast, crosses the process boundary: each worker
-writes execution spans and counters into its own lock-free
-shared-memory ring (:mod:`repro.telemetry.remote`), and the parent
+Telemetry, by contrast, crosses the process boundary: in a worker the
+ordinary ``telemetry.*`` calls write spans, counters, gauges and events
+into its own lock-free shared-memory ring
+(:mod:`repro.telemetry.remote`), and the parent
 drains the rings -- after every awaited job and at shutdown -- merging
 the records into the active collectors with each worker's monotonic
 clock calibrated against the parent's timeline.  Every dispatched job
@@ -97,17 +98,6 @@ from repro.telemetry import remote
 
 #: Names accepted by ``WorkerPool(backend=...)``.
 BACKEND_NAMES = ("serial", "thread", "process")
-
-#: Functions in this module that execute inside worker processes.  The
-#: CHK-TEL-WORKER lint reads this tuple: code listed here must never
-#: call the parent-only ``telemetry.*`` helpers (a spawned worker's
-#: collector stack is empty, so they silently record nothing) -- it
-#: writes to the shm telemetry ring via :mod:`repro.telemetry.remote`.
-__worker_side__: tuple[str, ...] = (
-    "_worker_main", "run_engine_slice", "_cached_engine", "_cached_attach",
-    "worker_diagnostics", "run_step_shard", "_run_shard", "_resolve",
-    "worker_ready", "pin_malloc_thresholds",
-)
 
 #: The BLAS thread-count variables the runtime pins for its workers.
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -1029,7 +1019,7 @@ def _cached_engine(engine_name: str, spec: Any,
 
         # A miss means codegen + workspace allocation in the hot path --
         # worth a trace record; steady-state hits stay silent.
-        remote.record_counter("worker.engine_cache_misses")
+        telemetry.add("worker.engine_cache_misses")
         engine = make_engine(engine_name, spec, **dict(kwargs_items))
         _ENGINE_CACHE[key] = engine
     return engine
@@ -1049,7 +1039,7 @@ def _cached_attach(descriptor: shm.ShmDescriptor) -> Any:
             return seg.ndarray
         del _ATTACH_CACHE[key]
         seg.close()
-    remote.record_counter("worker.attach_cache_misses")
+    telemetry.add("worker.attach_cache_misses")
     seg = shm.SharedArray.attach(descriptor)
     _ATTACH_CACHE[key] = seg
     while len(_ATTACH_CACHE) > _ATTACH_CACHE_SIZE:
@@ -1080,8 +1070,8 @@ def run_engine_slice(
     ``crop``).  The return value is None on purpose -- results live in
     the segments.
     """
-    with remote.worker_span(f"worker/{method}",
-                            engine=engine_name, lo=lo, hi=hi):
+    with telemetry.span(f"worker/{method}", engine=engine_name, lo=lo,
+                        hi=hi):
         engine = _cached_engine(engine_name, spec, kwargs_items)
         primary = _cached_attach(primary_desc)
         shared = _cached_attach(shared_desc)
@@ -1096,10 +1086,13 @@ def run_engine_slice(
 # -- worker-side whole-step shards --------------------------------------------
 #
 # The barrier scheduler's training step is one dispatch: each worker runs
-# FP -> loss gradient -> BP for its image range through an inline
-# *replica* of the network's layer chain and only gradients meet in the
-# parent (see ``repro.runtime.parallel.ShardedStep``).  The same function
-# runs under every backend; what differs is how it reaches the arrays.
+# ``Network.forward`` -> loss gradient -> ``Network.backward`` for its
+# image range on an inline *replica* of the network -- fusion and the
+# pooled export included -- and only gradients meet in the parent (see
+# ``repro.runtime.parallel.ShardedStep``).  The same function runs under
+# every backend; what differs is how it reaches the arrays, and where
+# the layers' own telemetry lands (the parent's collectors, or the
+# worker's ring).
 
 #: What a shard reads or writes: the array itself (serial and thread
 #: backends share the parent's address space) or the descriptor of the
@@ -1218,17 +1211,6 @@ class ShardReport:
     failures: tuple[tuple[int, str, str, str], ...]
 
 
-def _span_attrs(layer: Any, phase: str, rows: int) -> dict[str, Any]:
-    """Attrs of a replica layer's worker span; conv-like layers carry
-    the keys the parent-side layer spans do (the monitor reads them)."""
-    engine = getattr(layer, f"{phase}_engine_name", None)
-    if engine is None:
-        return {"phase": phase}
-    return {"layer": layer.name, "phase": phase, "engine": engine,
-            "batch": rows,
-            "lowering": getattr(layer, f"{phase}_lowering", None)}
-
-
 class _Replica:
     """An inline copy of a network's layer chain over shared parameters.
 
@@ -1282,50 +1264,30 @@ class _Replica:
 def _run_shard(replica: _Replica, job: ShardJob, index: int, lo: int,
                hi: int) -> ShardReport | None:
     """The body of :func:`run_step_shard` on a checked-out replica."""
-    from repro.nn.layers.conv import ConvLayer, ReplicaConvLayer
+    from repro.nn.layers.conv import ReplicaConvLayer
     from repro.nn.losses import cross_entropy_grad
 
     stamp = _resolve(job.stamp)
     if int(stamp[0]) != job.step:
         return None
     replica.bind_parameters(job.params)
-    layers = replica.network.layers
+    network = replica.network
     rows = hi - lo
     # Private copies: layers cache their input across the call, and
     # the buffers are rewritten by the next publish.
-    activations = np.array(_resolve(job.inputs)[lo:hi])
+    inputs = np.array(_resolve(job.inputs)[lo:hi])
     labels = np.array(_resolve(job.labels)[lo:hi])
     for i, handle in job.noise:
-        layers[i].preset_noise(np.array(_resolve(handle)[lo:hi]))
+        network.layers[i].preset_noise(np.array(_resolve(handle)[lo:hi]))
     replica.grads[:] = 0
-
-    for layer in layers:
-        with remote.worker_span(f"{layer.name}/fp",
-                                **_span_attrs(layer, "fp", rows)):
-            activations = layer.forward(activations, training=True)
-    error = cross_entropy_grad(activations, labels, job.batch)
-    for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i]
-        with remote.worker_span(f"{layer.name}/bp",
-                                **_span_attrs(layer, "bp", rows)) as span:
-            error = replica.network.backward_layer(
-                i, error, need_input_error=False)
-            if isinstance(layer, ConvLayer):
-                span["sparsity"] = layer.last_error_sparsity
-                # What ConvLayer.backward told a parent-side collector,
-                # told to the ring too.
-                total, useful, elapsed = layer.last_bp_account
-                remote.record_counter("conv.flops.total", total)
-                remote.record_counter("conv.flops.useful", useful)
-                remote.record_gauge(f"goodput.{layer.name}",
-                                    useful / elapsed)
-                remote.record_gauge(f"throughput.{layer.name}",
-                                    total / elapsed)
+    logits = network.forward(inputs)
+    network.backward(cross_entropy_grad(logits, labels, job.batch),
+                     need_input_error=False)
 
     zeros: list[tuple[int, int, int]] = []
     failures: list[tuple[int, str, str, str]] = []
-    shapes = replica.network.layer_shapes
-    for i, layer in enumerate(layers):
+    shapes = network.layer_shapes
+    for i, layer in enumerate(network.layers):
         measured = getattr(layer, "last_error_sparsity", None)
         if measured is not None:
             size = rows * math.prod(shapes[i + 1])
@@ -1337,7 +1299,7 @@ def _run_shard(replica: _Replica, job: ShardJob, index: int, lo: int,
     # again here: the compute above is the long part).
     if int(stamp[0]) != job.step:
         return None
-    _resolve(job.logits)[lo:hi] = activations
+    _resolve(job.logits)[lo:hi] = logits
     _resolve(job.grads)[index] = replica.grads
     return ShardReport(tuple(zeros), tuple(failures))
 
@@ -1375,7 +1337,7 @@ class ReplicaCache:
             replica.unbind()
         # A miss means layer construction (engines, generated kernels,
         # workspaces) in the hot path -- worth a trace record.
-        remote.record_counter("worker.replica_builds")
+        telemetry.add("worker.replica_builds")
         return _Replica(job)
 
     def checkin(self, job: ShardJob, replica: _Replica) -> None:
@@ -1409,9 +1371,8 @@ def run_step_shard(job: ShardJob, index: int, lo: int, hi: int,
     and wrote nothing.
     """
     cache = replicas if replicas is not None else _WORKER_REPLICAS
-    with remote.worker_span("worker/step_shard", shard=index, lo=lo, hi=hi,
-                            blas=blas_threads(),
-                            malloc=pin_malloc_thresholds()):
+    with telemetry.span("worker/step_shard", shard=index, lo=lo, hi=hi,
+                        blas=blas_threads(), malloc=pin_malloc_thresholds()):
         replica = cache.checkout(job)
         try:
             return _run_shard(replica, job, index, lo, hi)

@@ -4,9 +4,12 @@ Two units of parallel work live here.  :class:`ParallelExecutor` slices
 *one conv engine call* over the workers -- what a direct
 ``forward``/``backward`` of a pooled layer (evaluation, the DAG
 scheduler) runs.  :class:`ShardedStep` slices *a whole training step*:
-one task per worker runs FP, the loss gradient and BP through the whole
-network for its image range, and only gradients meet in the parent --
-what ``SGDTrainer.step`` runs on a pooled network (bottom of this file).
+one task per worker runs ``Network.forward``, the loss gradient and
+``Network.backward`` on an inline replica of the network for its image
+range -- fusion and the pooled export included, its layers' telemetry
+reaching the parent from whichever process they ran in -- and only
+gradients meet in the parent: what ``SGDTrainer.step`` runs on a pooled
+network (bottom of this file).
 
 The executor wraps any registered single-threaded :class:`repro.ops.engine.ConvEngine`
 and executes its batch methods with image-level parallelism on a
@@ -435,7 +438,8 @@ class ShardedStep:
         engine.fp / engine.bp fault sites
         draw dropout masks (layer order)
         publish batch, labels, masks, stamp
-        one task per range of assignment(B) --> replica FP -> loss grad -> BP
+        one task per range of assignment(B) --> replica.forward -> loss grad
+                                                -> replica.backward
                                                 logits[lo:hi], grads[k] written
         loss from the gathered logits      <--  zero counts, engine failures
         sgd.gradient site, non-finite guard
@@ -446,7 +450,7 @@ class ShardedStep:
     arrays and every replica's are views of, so an in-place update is
     all the "broadcast" there is -- the loss, the guard, the reduction
     (fixed range order, for conv, dense and bias alike) and the update.
-    A worker owns a cached replica of the layer chain
+    A worker owns a cached replica of the network
     (:class:`repro.runtime.backends.ReplicaCache`) and its private
     gradient accumulator, nothing that outlives a step.
 

@@ -100,25 +100,6 @@ class CTCSRMatrix:
                 out += csr_matmul_dense(tile, band)
         return out
 
-    def t_matmul_dense(self, dense: np.ndarray) -> np.ndarray:
-        """``self^T . dense`` -- used by the sparse dW kernel (Eq. 4)."""
-        rows, cols = self.shape
-        if dense.ndim != 2 or dense.shape[0] != rows:
-            raise ShapeError(
-                f"dense shape {dense.shape} incompatible with CT-CSR^T {self.shape}"
-            )
-        out = np.zeros((cols, dense.shape[1]), dtype=dense.dtype)
-        for t, tile in enumerate(self.tiles):
-            if not tile.nnz:
-                continue
-            lo = t * self.tile_cols
-            row_of_value = np.repeat(
-                np.arange(rows), np.diff(tile.row_ptr).astype(np.int64)
-            )
-            contrib = dense[row_of_value] * tile.values[:, None]
-            np.add.at(out, lo + tile.col_indices, contrib)
-        return out
-
 
 def ctcsr_from_dense(dense: np.ndarray, tile_cols: int = DEFAULT_TILE_COLS) -> CTCSRMatrix:
     """Compress a dense 2-d array into CT-CSR with the given tile width."""

@@ -338,13 +338,6 @@ class SchedulePipeline:
         """Stable short hash of the full pass sequence and family."""
         return stable_fingerprint(self.describe())
 
-    @property
-    def is_default(self) -> bool:
-        """True when this pipeline is the family's default schedule."""
-        return self == default_pipeline(self.family,
-                                        pool_kernel=self.pool_kernel,
-                                        pool_stride=self.pool_stride)
-
     # -- application ----------------------------------------------------
 
     def base_nest(self, spec: ConvSpec) -> LoopNest:

@@ -10,7 +10,9 @@ Usage, from measuring code::
     print(telemetry.histograms_table(tel))
     telemetry.write_json(tel, "results/trace.json")
 
-and from instrumented code (no-ops unless a collector is active)::
+and from instrumented code -- the one telemetry API, in every process
+(no-ops unless a collector is active or, in a spawned worker, the
+parent has enabled the worker's ring; see :mod:`repro.telemetry.remote`)::
 
     with telemetry.span("conv1/fp", engine="stencil", batch=16):
         ...
@@ -21,6 +23,7 @@ and from instrumented code (no-ops unless a collector is active)::
 
 Span durations are additionally auto-fed into a streaming histogram per
 span name, so p50/p95/p99 latencies come for free with every trace.
+``observe`` is parent-only: the worker ring has no histogram record.
 """
 
 from repro.telemetry.collector import (

@@ -13,9 +13,14 @@ actually did.  This module provides that substrate:
 
 Instrumented code never talks to a collector directly: it calls the
 module-level :func:`span` / :func:`add` / :func:`gauge` / :func:`event`
-helpers, which fan out to every *active* collector (see :func:`collect`).
-When no collector is active the helpers are no-ops, so the instrumented
-hot paths cost one tuple lookup when nobody is measuring.
+helpers -- the one telemetry API, in every process.  In the parent they
+fan out to every *active* collector (see :func:`collect`).  In a spawned
+worker, whose collector stack is always empty, they write to the
+worker's shared-memory ring while the parent has it enabled
+(:mod:`repro.telemetry.remote`); the parent drains the ring into its own
+collectors.  With neither a collector nor a ring the helpers are
+no-ops, so the instrumented hot paths cost one tuple lookup and one
+attribute check when nobody is measuring.
 
 Collectors may be nested (``collect`` inside ``collect``): emission goes
 to all of them, so a monitor and a trace can watch the same run without
@@ -33,6 +38,13 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import ReproError
 from repro.telemetry.histogram import StreamingHistogram
+from repro.telemetry.remote import (
+    KIND_COUNTER,
+    KIND_EVENT,
+    KIND_GAUGE,
+    KIND_SPAN,
+    WORKER,
+)
 
 
 @dataclass
@@ -267,11 +279,6 @@ class TelemetryCollector:
         """Summed duration of every finished span with the given name."""
         return sum(s.seconds for s in self.find_spans(name))
 
-    def span_names(self) -> tuple[str, ...]:
-        """Distinct recorded span names, sorted."""
-        with self._lock:
-            return tuple(sorted({s.name for s in self.spans}))
-
 
 # -- the active-collector stack -------------------------------------------
 #
@@ -344,7 +351,7 @@ class _MultiSpan:
 
 
 class _NullSpan:
-    """No-op stand-in when no collector is active."""
+    """No-op stand-in when nothing records."""
 
     __slots__ = ()
 
@@ -361,33 +368,75 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
+class _RingSpan:
+    """A worker's span: timed on ``time.monotonic``, written to its ring
+    on exit -- before the worker posts its result, so the parent's
+    drain-after-await sees it."""
+
+    __slots__ = ("_name", "_attrs", "_start")
+
+    def __init__(self, name: str, attrs: dict[str, Any]):
+        self._name = name
+        self._attrs = attrs
+        self._start = time.monotonic()
+
+    def __enter__(self) -> "_RingSpan":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        WORKER.record(KIND_SPAN, self._name, start=self._start,
+                      attrs=self._attrs)
+
+    def annotate(self, **attrs: Any) -> None:
+        self._attrs.update(attrs)
+
+
 def span(name: str, **attrs: Any):
-    """Record a span into every active collector (no-op when none)."""
+    """Record a span into every active collector, else into this
+    worker's ring (no-op when neither records)."""
     collectors = active_collectors()
-    if not collectors:
+    if collectors:
+        return _MultiSpan(name, attrs, collectors)
+    if WORKER.ring is None or not WORKER.ring.enabled:
         return _NULL_SPAN
-    return _MultiSpan(name, attrs, collectors)
+    return _RingSpan(name, attrs)
 
 
 def add(name: str, value: float = 1.0) -> None:
-    """Increment a counter in every active collector (no-op when none)."""
-    for collector in active_collectors():
-        collector.add(name, value)
+    """Increment a counter in every active collector, else in this
+    worker's ring (no-op when neither records)."""
+    collectors = active_collectors()
+    if collectors:
+        for collector in collectors:
+            collector.add(name, value)
+    elif WORKER.ring is not None:
+        WORKER.record(KIND_COUNTER, name, value=value)
 
 
 def observe(name: str, value: float) -> None:
-    """Feed a histogram sample into every active collector (no-op when none)."""
+    """Feed a histogram sample into every active collector (no-op when
+    none; a ring has no histogram record)."""
     for collector in active_collectors():
         collector.observe(name, value)
 
 
 def gauge(name: str, value: float) -> None:
-    """Set a gauge in every active collector (no-op when none)."""
-    for collector in active_collectors():
-        collector.gauge(name, value)
+    """Set a gauge in every active collector, else in this worker's ring
+    (no-op when neither records)."""
+    collectors = active_collectors()
+    if collectors:
+        for collector in collectors:
+            collector.gauge(name, value)
+    elif WORKER.ring is not None:
+        WORKER.record(KIND_GAUGE, name, value=value)
 
 
 def event(name: str, **attrs: Any) -> None:
-    """Record an event in every active collector (no-op when none)."""
-    for collector in active_collectors():
-        collector.event(name, **attrs)
+    """Record an event in every active collector, else in this worker's
+    ring (no-op when neither records)."""
+    collectors = active_collectors()
+    if collectors:
+        for collector in collectors:
+            collector.event(name, **attrs)
+    elif WORKER.ring is not None:
+        WORKER.record(KIND_EVENT, name, attrs=attrs)

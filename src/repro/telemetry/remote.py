@@ -36,19 +36,19 @@ This module is the bridge:
   ``worker_slot`` / ``job`` attributes, which is what gives Chrome
   traces real per-worker-process tracks and flow-event linkage.
 
-Worker-side code must emit through :func:`worker_span` /
-:func:`record_counter` / :func:`record_gauge` here -- never through the
-parent-only ``telemetry.*`` helpers (the CHK-TEL-WORKER lint enforces
-this for functions named in a module's ``__worker_side__`` tuple).
+Worker-side code emits through the ordinary ``telemetry.span`` /
+``add`` / ``gauge`` / ``event`` helpers: with no active collector and
+:data:`WORKER`'s ring installed and enabled they record into the ring
+(see :mod:`repro.telemetry.collector`), so the same instrumented code
+reports from the parent and from a spawned worker.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -451,7 +451,7 @@ def calibrate(parent_send: float, worker_hello: float, parent_recv: float,
     )
 
 
-# -- worker-side emission API ------------------------------------------------
+# -- the worker-side writer -------------------------------------------------
 #
 # One process-global writer per worker process, installed by the worker
 # entry point.  Worker processes run their task loop single-threaded,
@@ -467,8 +467,24 @@ class _WorkerState:
         self.slot = 0
         self.job = 0
 
+    def record(self, kind: int, name: str, *, start: float | None = None,
+               value: float = 0.0,
+               attrs: dict[str, Any] | None = None) -> None:
+        """Write one record tagged with the current job, ending now (and
+        starting now, unless ``start`` says when); a no-op unless the
+        ring is installed and enabled."""
+        ring = self.ring
+        if ring is None or not ring.enabled:
+            return
+        end = time.monotonic()
+        ring.try_record(kind, name, start=end if start is None else start,
+                        end=end, value=value, job=self.job, slot=self.slot,
+                        attrs=attrs)
 
-_WORKER = _WorkerState()
+
+#: This process's writer; the ``telemetry.*`` helpers record through it
+#: when no collector is active.
+WORKER = _WorkerState()
 
 
 def install_worker_ring(descriptor: "ShmDescriptor", slot: int) -> None:
@@ -476,63 +492,23 @@ def install_worker_ring(descriptor: "ShmDescriptor", slot: int) -> None:
     board = RingBoard.attach(descriptor)
     ring = board.ring(slot)
     ring.stamp_hello_worker()
-    _WORKER.board = board
-    _WORKER.ring = ring
-    _WORKER.slot = slot
-    _WORKER.job = 0
+    WORKER.board = board
+    WORKER.ring = ring
+    WORKER.slot = slot
+    WORKER.job = 0
 
 
 def set_current_job(job_id: int) -> None:
     """Tag subsequent records with the dispatched job's id."""
-    _WORKER.job = job_id
+    WORKER.job = job_id
 
 
 def worker_ring_stats() -> dict[str, int]:
     """Producer-side ring counters (shipped back by diagnostics)."""
-    ring = _WORKER.ring
+    ring = WORKER.ring
     if ring is None:
         return {"installed": 0, "written": 0, "dropped": 0}
     return {"installed": 1, "written": ring.written, "dropped": ring.dropped}
-
-
-@contextmanager
-def worker_span(name: str, **attrs: Any) -> Iterator[dict[str, Any]]:
-    """Time a worker-side region into the ring (no-op when disabled).
-
-    The record is written on exit -- after the timed work -- so the span
-    is already in the ring before the worker posts its result, and the
-    parent's drain-after-await deterministically sees it.  Yields the
-    span's attrs, so the body can add what it only learns by running.
-    """
-    ring = _WORKER.ring
-    if ring is None or not ring.enabled:
-        yield attrs
-        return
-    start = time.monotonic()
-    try:
-        yield attrs
-    finally:
-        ring.try_record(KIND_SPAN, name, start=start, end=time.monotonic(),
-                        job=_WORKER.job, slot=_WORKER.slot, attrs=attrs)
-
-
-def record_counter(name: str, value: float = 1.0) -> None:
-    """Increment a parent-side counter from worker code (ring-buffered)."""
-    ring = _WORKER.ring
-    if ring is None or not ring.enabled:
-        return
-    ring.try_record(KIND_COUNTER, name, value=value, job=_WORKER.job,
-                    slot=_WORKER.slot)
-
-
-def record_gauge(name: str, value: float) -> None:
-    """Set a parent-side gauge from worker code (stamped worker-side)."""
-    ring = _WORKER.ring
-    if ring is None or not ring.enabled:
-        return
-    now = time.monotonic()
-    ring.try_record(KIND_GAUGE, name, start=now, end=now, value=value,
-                    job=_WORKER.job, slot=_WORKER.slot)
 
 
 # -- parent-side merge -------------------------------------------------------

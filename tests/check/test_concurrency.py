@@ -168,87 +168,6 @@ class TestTelemetryApi:
         assert _lint(code) == []
 
 
-class TestWorkerSideTelemetry:
-    def test_worker_function_calling_collector_api_is_an_error(self):
-        # CHK-TEL-WORKER: a spawned worker's collector stack is empty,
-        # so telemetry.* calls in declared worker-side functions are
-        # silently lost.
-        code = """
-        from repro import telemetry
-
-        __worker_side__ = ("run_slice",)
-
-        def run_slice(lo, hi):
-            telemetry.add("worker.slices", 1)
-        """
-        findings = _lint(code)
-        assert any("worker-side function" in f.message
-                   and "telemetry ring" in f.message
-                   and f.severity == "error" for f in findings)
-
-    def test_span_helper_in_worker_function_also_flagged(self):
-        code = """
-        from repro import telemetry
-
-        __worker_side__ = ("run_slice",)
-
-        def run_slice(lo, hi):
-            with telemetry.span("worker/slice"):
-                pass
-        """
-        findings = _lint(code)
-        assert any("worker-side function" in f.message for f in findings)
-
-    def test_parent_side_functions_unaffected(self):
-        code = """
-        from repro import telemetry
-
-        __worker_side__ = ("run_slice",)
-
-        def run_slice(lo, hi):
-            return lo + hi
-
-        def dispatch():
-            telemetry.add("pool.jobs", 1)
-        """
-        assert _lint(code) == []
-
-    def test_remote_ring_use_in_worker_function_is_clean(self):
-        # The sanctioned remediation: repro.telemetry.remote writes to
-        # the shm ring, not the parent-only collector stack.
-        code = """
-        from repro.telemetry import remote
-
-        __worker_side__ = ("run_slice",)
-
-        def run_slice(lo, hi):
-            with remote.worker_span("worker/slice", lo=lo, hi=hi):
-                remote.record_counter("worker.slices")
-        """
-        assert _lint(code) == []
-
-    def test_without_marker_no_worker_rule_fires(self):
-        code = """
-        from repro import telemetry
-
-        def run_slice(lo, hi):
-            telemetry.add("worker.slices", 1)
-        """
-        assert _lint(code) == []
-
-    def test_aliased_import_tracked_in_worker_functions(self):
-        code = """
-        from repro import telemetry as tel
-
-        __worker_side__ = ("worker_main",)
-
-        def worker_main():
-            tel.event("worker.start")
-        """
-        findings = _lint(code)
-        assert any("worker-side function" in f.message for f in findings)
-
-
 class TestSpanLeak:
     def test_span_outside_with_is_an_error(self):
         code = """

@@ -70,15 +70,6 @@ class TestCheckReport:
         ]
         assert [f.analyzer for f in ordered[:2]] == ["a", "z"]
 
-    def test_by_analyzer_groups(self):
-        report = CheckReport(findings=[
-            _finding(analyzer="graph"), _finding(analyzer="kernel-ir"),
-            _finding(analyzer="graph"),
-        ])
-        grouped = report.by_analyzer()
-        assert len(grouped["graph"]) == 2
-        assert len(grouped["kernel-ir"]) == 1
-
     def test_table_renders_every_column(self):
         report = CheckReport(findings=[_finding(location="spot",
                                                 message="broken thing")])

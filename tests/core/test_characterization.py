@@ -63,15 +63,13 @@ class TestClassification:
 class TestCharacterization:
     def test_high_ait_scales(self):
         ch = characterize(TABLE1_CONVS[1])
-        assert ch.scales_under_parallel_gemm
-        assert ch.good_single_core
-        assert ch.good_goodput
+        assert ch.region.ait_band == "high"
+        assert not ch.region.is_sparse
 
     def test_low_ait_poor_everything_when_sparse(self):
         ch = characterize(TABLE1_CONVS[0], sparsity=0.9)
-        assert not ch.scales_under_parallel_gemm
-        assert not ch.good_single_core
-        assert not ch.good_goodput
+        assert ch.region.ait_band == "low"
+        assert ch.region.is_sparse
 
     def test_recommendations_follow_section_4_4(self):
         # Small feature counts -> stencil FP; sparse -> sparse BP.

@@ -35,6 +35,11 @@ def small_net(seed=0):
     )
 
 
+def _for_layer(plan, name):
+    (layer_plan,) = [p for p in plan.layers if p.layer_name == name]
+    return layer_plan
+
+
 def make_spg(net, **kwargs):
     backend = ModelCostBackend(MACHINE, cores=16, batch=64)
     return SpgCNN(net, backend, **kwargs)
@@ -52,7 +57,7 @@ class TestOptimize:
         spg = make_spg(net)
         plan = spg.optimize()
         for layer in net.conv_layers():
-            layer_plan = plan.for_layer(layer.name)
+            layer_plan = _for_layer(plan, layer.name)
             assert layer.fp_engine_name == layer_plan.fp_engine
             assert layer.bp_engine_name == layer_plan.bp_engine
 
@@ -84,10 +89,10 @@ class TestOptimize:
         net = small_net()
         net.conv_layers()[0].set_bp_engine("stencil")
         plan = make_spg(net).optimize()
-        planned = plan.for_layer("convA")
+        planned = _for_layer(plan, "convA")
         assert planned.bp_engine in planned.bp_timings
         assert net.conv_layers()[0].bp_engine_name == planned.bp_engine
-        assert plan.for_layer("convB").bp_timings == {}
+        assert _for_layer(plan, "convB").bp_timings == {}
 
 
 class TestLoweringReasons:
@@ -122,10 +127,10 @@ class TestLoweringReasons:
             ]},
             rng=np.random.default_rng(0))
         plan = make_spg(net).optimize()
-        (why,) = plan.for_layer("strided").lowering_reasons.values()
-        assert "stencil" in plan.for_layer("strided").lowering_reasons
+        (why,) = _for_layer(plan, "strided").lowering_reasons.values()
+        assert "stencil" in _for_layer(plan, "strided").lowering_reasons
         assert "stride-1" in why
-        assert plan.for_layer("plain").lowering_reasons == {}
+        assert _for_layer(plan, "plain").lowering_reasons == {}
 
 
 class TestRetuning:
@@ -149,7 +154,8 @@ class TestRetuning:
             assert event.new_engine == "sparse"
             assert event.sparsity == 0.95
         for layer in net.conv_layers():
-            assert layer.bp_engine_name == spg.plan.for_layer(layer.name).bp_engine
+            assert (layer.bp_engine_name
+                    == _for_layer(spg.plan, layer.name).bp_engine)
 
     def test_no_event_when_choice_is_stable(self):
         net = small_net()
@@ -251,4 +257,4 @@ class TestAfterEpochContract:
                 assert event.sparsity == 0.95
                 # ...and the layer actually executes the new engine now.
                 assert layer.bp_engine_name == "sparse"
-                assert spg.plan.for_layer(layer.name).bp_engine == "sparse"
+                assert _for_layer(spg.plan, layer.name).bp_engine == "sparse"

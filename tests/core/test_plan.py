@@ -41,15 +41,6 @@ class TestLayerPlan:
 
 
 class TestExecutionPlan:
-    def test_lookup_by_name(self):
-        plan = ExecutionPlan(layers=(make_plan("a"), make_plan("b")))
-        assert plan.for_layer("b").layer_name == "b"
-
-    def test_missing_layer_raises(self):
-        plan = ExecutionPlan(layers=(make_plan("a"),))
-        with pytest.raises(PlanError):
-            plan.for_layer("zz")
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(PlanError):
             ExecutionPlan(layers=(make_plan("a"), make_plan("a")))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.data.synthetic import make_dataset
 from repro.errors import ShapeError
 from repro.nn.netdef import build_network
@@ -81,6 +82,26 @@ class TestNetwork:
         sparsities = net.error_sparsities()
         assert set(sparsities) == {"conv0"}
         assert 0 <= sparsities["conv0"] <= 1
+
+
+    def test_every_layer_call_has_one_span(self, rng):
+        # Conv layers open their own (with layer, engine, lowering); the
+        # network opens one for every other layer call, carrying only
+        # the phase -- so the monitor's per-layer rows stay conv rows.
+        net = tiny_net()
+        x = rng.standard_normal((2, 1, 8, 8)).astype(np.float32)
+        with telemetry.collect() as tel:
+            net.backward(net.forward(x), need_input_error=False)
+        names = [s.name for s in tel.spans]
+        assert sorted(names) == sorted(
+            f"{layer.name}/{phase}" for layer in net.layers
+            for phase in ("fp", "bp"))
+        for span in tel.spans:
+            phase = span.name.rsplit("/", 1)[1]
+            if span.name.startswith(net.layers[0].name + "/"):
+                assert span.attrs["layer"] == net.layers[0].name
+            else:
+                assert span.attrs == {"phase": phase}
 
 
 class TestSGDTrainer:

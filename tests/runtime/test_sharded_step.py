@@ -504,11 +504,6 @@ class TestWorkersStayLegible:
         # No per-layer fork/join left in a training step.
         assert not [s for s in tel.spans if s.name.startswith("executor/")]
 
-    def test_worker_side_lint_lists_the_shard_function(self):
-        from repro.runtime import backends
-
-        assert "run_step_shard" in backends.__worker_side__
-
 
 class TestWorkerBlasThreads:
     def _seen(self):

@@ -85,27 +85,15 @@ class TestMatmul:
         for r in results[1:]:
             np.testing.assert_allclose(r, results[0], atol=1e-3)
 
-    def test_transposed_product(self, rng):
-        dense = sparse_dense(rng, 14, 20, 0.7)
-        other = rng.standard_normal((14, 6)).astype(np.float32)
-        ct = ctcsr_from_dense(dense, tile_cols=8)
-        np.testing.assert_allclose(
-            ct.t_matmul_dense(other), dense.T @ other, atol=1e-3
-        )
-
     def test_empty_matrix_products(self, rng):
         ct = ctcsr_from_dense(np.zeros((4, 10), np.float32), tile_cols=4)
         other = rng.standard_normal((10, 3)).astype(np.float32)
         np.testing.assert_array_equal(ct.matmul_dense(other), np.zeros((4, 3)))
-        other_t = rng.standard_normal((4, 3)).astype(np.float32)
-        np.testing.assert_array_equal(ct.t_matmul_dense(other_t), np.zeros((10, 3)))
 
     def test_rejects_incompatible_shapes(self, rng):
         ct = ctcsr_from_dense(sparse_dense(rng, 4, 10, 0.5))
         with pytest.raises(ShapeError):
             ct.matmul_dense(np.ones((9, 2)))
-        with pytest.raises(ShapeError):
-            ct.t_matmul_dense(np.ones((9, 2)))
 
     @given(
         st.integers(1, 10), st.integers(1, 20), st.integers(1, 8),

@@ -65,7 +65,6 @@ class TestSpans:
         assert len(tel.find_spans(phase="bp")) == 1
         assert tel.find_spans(phase="nope") == []
         assert tel.total_seconds("conv/fp") >= 0
-        assert tel.span_names() == ("conv/bp", "conv/fp")
 
 
 class TestCountersGaugesEvents:

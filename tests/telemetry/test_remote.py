@@ -125,25 +125,60 @@ class TestTornRecords:
         assert ring.torn == 1
 
 
+@pytest.fixture
+def worker_ring():
+    """This process's writer given a private ring, as a spawned worker's
+    is given its slot of the board."""
+    ring = TelemetryRing.local(capacity=8)
+    remote.WORKER.ring = ring
+    try:
+        yield ring
+    finally:
+        remote.WORKER.ring = None
+        remote.WORKER.job = 0
+
+
 class TestEnabledGate:
-    def test_disabled_ring_suppresses_worker_helpers(self):
-        ring = TelemetryRing.local(capacity=8)
-        remote._WORKER.ring = ring
-        try:
-            remote.set_current_job(5)
-            with remote.worker_span("worker/forward"):
-                pass
-            remote.record_counter("c")
-            assert ring.written == 0  # never enabled -> all no-ops
-            ring.set_enabled(True)
-            with remote.worker_span("worker/forward"):
-                pass
-            remote.record_counter("c")
-            assert ring.written == 2
-            assert all(r.job == 5 for r in ring.drain())
-        finally:
-            remote._WORKER.ring = None
-            remote._WORKER.job = 0
+    def test_disabled_ring_suppresses_worker_helpers(self, worker_ring):
+        remote.set_current_job(5)
+        with telemetry.span("worker/forward"):
+            pass
+        telemetry.add("c")
+        assert worker_ring.written == 0  # never enabled -> all no-ops
+        worker_ring.set_enabled(True)
+        with telemetry.span("worker/forward"):
+            pass
+        telemetry.add("c")
+        assert worker_ring.written == 2
+        assert all(r.job == 5 for r in worker_ring.drain())
+
+
+class TestOneSink:
+    def test_every_helper_but_observe_reaches_the_ring(self, worker_ring):
+        worker_ring.set_enabled(True)
+        with telemetry.span("conv0/bp", phase="bp") as span:
+            span.annotate(sparsity=0.5)
+        telemetry.add("conv.flops.total", 8.0)
+        telemetry.gauge("goodput.conv0", 2.0)
+        telemetry.event("engine.fallback", layer="conv0")
+        telemetry.observe("never", 1.0)
+        records = worker_ring.drain()
+        assert [(r.kind, r.name) for r in records] == [
+            (KIND_SPAN, "conv0/bp"), (KIND_COUNTER, "conv.flops.total"),
+            (KIND_GAUGE, "goodput.conv0"), (KIND_EVENT, "engine.fallback")]
+        assert records[0].attrs == {"phase": "bp", "sparsity": 0.5}
+        assert records[0].start <= records[0].end
+        assert records[1].value == 8.0 and records[2].value == 2.0
+        assert records[3].attrs == {"layer": "conv0"}
+
+    def test_an_active_collector_takes_the_records(self, worker_ring):
+        worker_ring.set_enabled(True)
+        with telemetry.collect() as tel:
+            with telemetry.span("conv0/fp"):
+                telemetry.add("c")
+        assert worker_ring.written == 0
+        assert [s.name for s in tel.spans] == ["conv0/fp"]
+        assert tel.counters == {"c": 1.0}
 
 
 class TestClockCalibration:

@@ -115,6 +115,7 @@ class TestUsageErrors:
         "train --scale 0",
         "train --recheck 0",
         "trace --recheck -1",
+        "trace --critical-path",
         "train --threads -3",
         "trace --threads 0",
         "chaos --threads 0",

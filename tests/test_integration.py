@@ -82,8 +82,9 @@ class TestFullPipeline:
         net = cifar10_net(scale=0.1, rng=np.random.default_rng(1))
         spg = SpgCNN(net, MeasuredCostBackend(batch=1, repeats=1))
         plan = spg.optimize()
-        for layer in net.conv_layers():
-            assert layer.fp_engine_name == plan.for_layer(layer.name).fp_engine
+        for layer, layer_plan in zip(net.conv_layers(), plan.layers):
+            assert layer_plan.layer_name == layer.name
+            assert layer.fp_engine_name == layer_plan.fp_engine
 
     def test_public_api_surface(self):
         # Everything __all__ promises must resolve.
