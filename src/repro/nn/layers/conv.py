@@ -140,8 +140,6 @@ class ConvLayer(Layer):
         self._workspace = Workspace()
         #: Sparsity of the most recent incoming error gradient.
         self.last_error_sparsity: float = 0.0
-        #: ``(total flops, useful flops, seconds)`` of the last backward.
-        self.last_bp_account: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     # -- engine management ----------------------------------------------
 
@@ -603,7 +601,6 @@ class ConvLayer(Layer):
         total_flops = ((2.0 if need_input_error else 1.0)
                        * batch * self.padded_spec.flops)
         useful_flops = nonzero_conv_flops(total_flops, sparsity)
-        self.last_bp_account = (total_flops, useful_flops, elapsed)
         telemetry.add("conv.flops.total", total_flops)
         telemetry.add("conv.flops.useful", useful_flops)
         telemetry.gauge(f"goodput.{self.name}", useful_flops / elapsed)
