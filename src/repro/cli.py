@@ -11,7 +11,7 @@ Commands:
 * ``trace [--net cifar|mnist] [--epochs N] ...`` -- run a real training
   job with spg-CNN retuning under the telemetry collector, print the
   span/counter/event tables and write a JSON trace (profiling command).
-* ``check [--only A,B] [--analyzer A ...] [--json PATH]`` -- statically
+* ``check [--only A,B] [--out PATH]`` -- statically
   verify the generated kernels, network graphs, task-graph effects,
   shm buffer lifecycles and parallel runtime; ``--only`` takes a
   comma-separated analyzer list, ``--format sarif`` emits SARIF 2.1.0
@@ -255,16 +255,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="statically verify generated kernels, graphs and runtime",
     )
     check.add_argument(
-        "--analyzer", action="append", dest="analyzers", default=None,
-        choices=_ANALYZERS,
-        help="run only the named analyzer (repeatable; default: all five)",
-    )
-    check.add_argument(
         "--only", type=_analyzer_list, default=None, metavar="A[,B...]",
-        help="comma-separated analyzer list (combined with --analyzer)",
+        help="comma-separated analyzer list (default: all five)",
     )
-    check.add_argument("--json", type=Path, default=None, dest="json_alias",
-                       help="alias for --out (kept for compatibility)")
     check.add_argument("--quiet", action="store_true",
                        help="print only the summary line, not the table")
     _add_output_args(check, formats=("table", "json", "sarif"),
@@ -728,11 +721,7 @@ def _cmd_check(args, out) -> int:
     from repro.check.runner import run_all
     from repro.check.sarif import to_sarif, write_sarif
 
-    selected = list(args.analyzers or ())
-    for name in args.only or ():
-        if name not in selected:
-            selected.append(name)
-    report = run_all(analyzers=tuple(selected) if selected else None)
+    report = run_all(analyzers=args.only or None)
     if args.format == "json":
         print(json_module.dumps(report.to_dict()), file=out)
     elif args.format == "sarif":
@@ -741,12 +730,11 @@ def _cmd_check(args, out) -> int:
         if report.findings and not args.quiet:
             print(report.table(), file=out)
         print(report.summary(), file=out)
-    out_path = args.out if args.out is not None else args.json_alias
-    if out_path is not None:
+    if args.out is not None:
         if args.format == "sarif":
-            path = write_sarif(report, out_path)
+            path = write_sarif(report, args.out)
         else:
-            path = report.write_json(out_path)
+            path = report.write_json(args.out)
         print(f"wrote {path}", file=out)
     return 0 if report.ok else 1
 

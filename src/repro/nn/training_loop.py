@@ -4,26 +4,23 @@
 training job uses: shuffling, evaluation on held-out data, and an
 epoch-end hook where spg-CNN's periodic re-tuning (Sec. 4.4) plugs in.
 It trains at the :class:`~repro.nn.sgd.SGDTrainer`'s default rate.
-
-With a ``checkpoint_dir``, the loop writes a resumable checkpoint after
-every epoch -- weights, momentum buffers, epoch history and shuffle-RNG
-state (see :mod:`repro.nn.serialize`) -- and
-:meth:`restore` brings a fresh loop back to exactly that point: the
-resumed run's weights are bit-identical to those of an uninterrupted run
-with the same seed.  Batches the SGD trainer skipped for non-finite
-loss/gradients are excluded from epoch metrics (and counted in
+Batches the SGD trainer skipped for non-finite loss/gradients are
+excluded from epoch metrics (and counted in
 ``EpochRecord.skipped_batches``); the remaining per-batch metrics are
-weighted by batch size, so a short final batch no longer skews the epoch
+weighted by batch size, so a short final batch does not skew the epoch
 mean.
 
-With ``journal_every > 0`` the loop additionally writes a *batch
-journal* (``journal.npz`` next to the checkpoints) every that many
-completed batches: weights, momentum, the epoch's shuffled order, the
-completed-batch cursor, the RNG cursor and the partial epoch metrics,
-fsync'd atomically.  After a mid-epoch kill, :meth:`resume_latest`
-restores whichever of (latest checkpoint, journal) is further along and
-:meth:`run` replays exactly the remaining batches -- the recovered run's
-weights and epoch records are bit-identical to an uninterrupted run.
+With a ``checkpoint_dir``, one writer saves the loop's
+:class:`~repro.nn.serialize.TrainingState` -- weights, momentum
+buffers, epoch history, shuffle-RNG state and, mid-epoch, the epoch's
+order and :class:`EpochProgress` -- to ``epoch-NNNN.npz`` after every
+epoch and, with ``journal_every > 0``, to ``journal.npz`` every that
+many completed batches (the epoch file supersedes and removes the
+journal).  :meth:`restore` brings a fresh loop back to either kind of
+file and :meth:`resume_latest` to the one furthest along; a following
+:meth:`run` replays exactly the remaining batches, and the recovered
+run's weights and epoch records are bit-identical to an uninterrupted
+run's.
 """
 
 from __future__ import annotations
@@ -39,11 +36,10 @@ from repro.data.synthetic import Dataset
 from repro.errors import ReproError
 from repro.nn.network import Network
 from repro.nn.serialize import (
-    JournalState,
-    load_checkpoint,
-    load_journal,
-    save_checkpoint,
-    save_journal,
+    TrainingState,
+    load_state,
+    save_state,
+    state_position,
 )
 from repro.nn.sgd import SGDTrainer, StepResult
 
@@ -61,6 +57,48 @@ class EpochRecord:
     mean_error_sparsity: float
     #: Batches dropped by the non-finite guard this epoch.
     skipped_batches: int = 0
+
+
+@dataclass
+class EpochProgress:
+    """The running metrics of the epoch in flight.
+
+    Stored as a mid-epoch state's ``partial`` (these field names are its
+    JSON keys), so a resumed epoch ends in the uninterrupted record.
+    """
+
+    losses: list[float] = field(default_factory=list)
+    accuracies: list[float] = field(default_factory=list)
+    sparsities: list[float] = field(default_factory=list)
+    sizes: list[int] = field(default_factory=list)
+    skipped: int = 0
+
+    @property
+    def batches(self) -> int:
+        """Batches of the epoch applied (or skipped) so far."""
+        return len(self.sizes) + self.skipped
+
+    def add(self, result: StepResult, size: int) -> None:
+        if result.skipped:
+            self.skipped += 1
+            return
+        self.losses.append(float(result.loss))
+        self.accuracies.append(float(result.accuracy))
+        self.sizes.append(size)
+        if result.error_sparsities:
+            self.sparsities.append(
+                float(np.mean(list(result.error_sparsities.values())))
+            )
+
+    def mean_sparsity(self) -> float:
+        return float(np.mean(self.sparsities)) if self.sparsities else 0.0
+
+    def mean(self, values: list[float]) -> float:
+        """Batch-size-weighted mean: a short final batch contributes in
+        proportion to the images it actually held."""
+        if not values:
+            return float("nan")
+        return float(np.average(values, weights=self.sizes))
 
 
 @dataclass
@@ -147,134 +185,94 @@ class TrainingLoop:
         self.journal_every = journal_every
         self._completed_epochs = 0
         self._history = TrainingHistory()
-        # Pending mid-epoch resume state set by restore_journal().
-        self._journal_resume: JournalState | None = None
+        # The epoch in flight: its order (None until drawn) and metrics.
+        self._order: np.ndarray | None = None
+        self._progress = EpochProgress()
 
-    # -- checkpointing ----------------------------------------------------
+    # -- training state ---------------------------------------------------
 
     def checkpoint_path(self, epoch: int) -> Path:
-        """Where the checkpoint for ``epoch`` lives."""
+        """Where the state after ``epoch`` completed epochs lives."""
         if self.checkpoint_dir is None:
             raise ReproError("this loop has no checkpoint_dir configured")
         return self.checkpoint_dir / f"epoch-{epoch:04d}.npz"
 
-    @staticmethod
-    def latest_checkpoint(checkpoint_dir: str | Path) -> Path | None:
-        """The highest-epoch checkpoint in a directory, or None."""
-        paths = sorted(Path(checkpoint_dir).glob("epoch-*.npz"))
-        return paths[-1] if paths else None
-
-    def save_checkpoint(self, epoch: int) -> Path:
-        """Write the resumable state after ``epoch`` completed epochs."""
-        written = save_checkpoint(
-            self.network, self.checkpoint_path(epoch),
-            epoch=epoch,
-            trainer=self.trainer,
-            rng=self._shuffle_rng,
-            history=[asdict(record) for record in self._history.epochs],
-        )
-        telemetry.add("train.checkpoints", 1)
-        telemetry.event("checkpoint", epoch=epoch, path=str(written))
-        return written
-
-    def restore(self, path: str | Path) -> int:
-        """Resume from a checkpoint written by :meth:`save_checkpoint`.
-
-        Restores weights, momentum, shuffle-RNG state and the epoch
-        history in place; a following :meth:`run` continues from the next
-        epoch bit-identically to a run that was never interrupted.
-        Returns the number of epochs the checkpoint had completed.
-        """
-        state = load_checkpoint(
-            self.network, path, trainer=self.trainer, rng=self._shuffle_rng
-        )
-        self._completed_epochs = state.epoch
-        self._history = TrainingHistory(
-            epochs=[EpochRecord(**record) for record in state.history]
-        )
-        telemetry.event("resume", epoch=state.epoch, path=str(path))
-        return state.epoch
-
-    # -- batch journal (mid-epoch crash recovery) -------------------------
-
     @property
     def journal_path(self) -> Path:
-        """Where this loop's batch journal lives."""
+        """Where this loop's mid-epoch state lives."""
         if self.checkpoint_dir is None:
             raise ReproError("this loop has no checkpoint_dir configured")
         return self.checkpoint_dir / "journal.npz"
 
-    def _write_journal(self, epoch: int, order: np.ndarray,
-                       batches_done: int, losses: list, accuracies: list,
-                       sparsities: list, sizes: list, skipped: int) -> None:
-        partial = {
-            "losses": [float(x) for x in losses],
-            "accuracies": [float(x) for x in accuracies],
-            "sparsities": [float(x) for x in sparsities],
-            "sizes": [int(x) for x in sizes],
-            "skipped": int(skipped),
-        }
-        save_journal(
-            self.network, self.journal_path,
-            epoch=epoch, batches_done=batches_done, order=order,
-            trainer=self.trainer, rng=self._shuffle_rng,
+    @property
+    def position(self) -> tuple[int, int]:
+        """``(epoch, batches_done)``: where the next :meth:`run` starts."""
+        return self._completed_epochs + 1, self._progress.batches
+
+    def _save_state(self, path: Path) -> None:
+        epoch, batches_done = self.position
+        state = TrainingState(
+            epoch=epoch,
+            batches_done=batches_done,
+            order=self._order,
             history=[asdict(record) for record in self._history.epochs],
-            partial=partial,
+            partial=asdict(self._progress),
         )
-        telemetry.add("train.journal_writes", 1)
+        save_state(self.network, path, state, trainer=self.trainer,
+                   rng=self._shuffle_rng)
+        if self._order is not None:
+            telemetry.add("train.journal_writes", 1)
+        else:
+            telemetry.add("train.checkpoints", 1)
+            telemetry.event("checkpoint", epoch=epoch - 1, path=str(path))
 
-    def restore_journal(self, path: str | Path) -> tuple[int, int]:
-        """Resume mid-epoch from a batch journal.
+    def restore(self, path: str | Path) -> tuple[int, int]:
+        """Resume from a state file of either kind.
 
-        Restores weights, momentum and RNG in place and arms the next
-        :meth:`run` to replay exactly the remaining batches of the
-        journaled epoch (using the journal's stored permutation -- it is
-        never re-drawn).  Returns ``(epoch, batches_done)``.
+        Restores weights, momentum, shuffle-RNG state and the epoch
+        history in place and replaces the whole resume state: a
+        mid-epoch file arms the next :meth:`run` to replay exactly the
+        remaining batches of its stored order, an epoch-boundary file
+        clears any replay armed before.  The resumed run is
+        bit-identical to one that was never interrupted.  Returns the
+        restored position ``(epoch, batches_done)``.
         """
-        state = load_journal(
+        state = load_state(
             self.network, path, trainer=self.trainer, rng=self._shuffle_rng
         )
+        progress = EpochProgress(**state.partial)
+        if progress.batches != state.batches_done:
+            raise ReproError(
+                f"{path}: partial metrics cover {progress.batches} batches, "
+                f"batches_done says {state.batches_done}"
+            )
         self._completed_epochs = state.epoch - 1
+        self._order = state.order
+        self._progress = progress
         self._history = TrainingHistory(
             epochs=[EpochRecord(**record) for record in state.history]
         )
-        self._journal_resume = state
-        telemetry.event("resume_journal", epoch=state.epoch,
+        telemetry.event("resume", epoch=state.epoch,
                         batches_done=state.batches_done, path=str(path))
-        return state.epoch, state.batches_done
+        return self.position
 
-    def resume_latest(self) -> int:
-        """Restore the furthest recovery point in ``checkpoint_dir``.
+    def resume_latest(self) -> tuple[int, int]:
+        """Restore the furthest state file in ``checkpoint_dir``.
 
-        Prefers the batch journal when its in-progress epoch is ahead of
-        the newest epoch checkpoint (the crash happened mid-epoch after
-        the checkpoint); otherwise restores the checkpoint and discards
-        the stale journal.  A no-op (returning 0) when the directory has
-        neither.  Returns the completed-epoch count restored to.
+        Considers every ``epoch-*.npz`` and ``journal.npz``, skips files
+        whose metadata cannot be read, and restores the one with the
+        furthest ``(epoch, batches_done)``; no file is deleted or
+        modified.  With none, a no-op.  Returns the loop's position.
         """
         if self.checkpoint_dir is None:
             raise ReproError("this loop has no checkpoint_dir configured")
-        ckpt = self.latest_checkpoint(self.checkpoint_dir)
-        ckpt_epoch = 0
-        if ckpt is not None:
-            try:
-                ckpt_epoch = int(ckpt.stem.split("-")[1])
-            except (IndexError, ValueError):  # pragma: no cover - foreign file
-                ckpt_epoch = 0
-        journal = self.journal_path
-        if journal.exists():
-            try:
-                journal_epoch, _ = self.restore_journal(journal)
-                if journal_epoch > ckpt_epoch:
-                    return self._completed_epochs
-            except Exception:
-                # Torn or foreign journal: fall back to the checkpoint.
-                pass
-            self._journal_resume = None
-            journal.unlink(missing_ok=True)
-        if ckpt is not None:
-            return self.restore(ckpt)
-        return self._completed_epochs
+        candidates = [*self.checkpoint_dir.glob("epoch-*.npz"),
+                      self.journal_path]
+        positioned = [(position, path) for path in candidates
+                      if (position := state_position(path)) is not None]
+        if not positioned:
+            return self.position
+        return self.restore(max(positioned)[1])
 
     # -- observer hooks ---------------------------------------------------
 
@@ -304,7 +302,7 @@ class TrainingLoop:
         # Fancy-index one batch at a time: materializing the whole
         # shuffled dataset up front (images[order]) doubles peak memory
         # and copies every image before the first batch even runs.
-        # ``start_batch`` skips batches a journal already replayed.
+        # ``start_batch`` skips batches a mid-epoch state already applied.
         if order is None:
             order = self._shuffle_rng.permutation(len(self.train_data))
         images = self.train_data.images
@@ -318,106 +316,63 @@ class TrainingLoop:
         """Train until ``epochs`` total epochs are complete.
 
         ``epochs`` counts from the start of the run, restored epochs
-        included: after ``restore`` of an epoch-2 checkpoint, ``run(3)``
-        trains exactly one more epoch.  Returns the full metric history
-        (restored epochs included); calling with ``epochs`` already
-        completed is a no-op.
+        included: after ``restore`` of ``epoch-0002.npz``, ``run(3)``
+        trains exactly one more epoch, and after ``restore`` of a
+        mid-epoch file it first finishes that file's epoch.  Returns the
+        full metric history (restored epochs included); calling with
+        ``epochs`` already completed is a no-op.
         """
         if epochs <= 0:
             raise ReproError(f"epochs must be positive, got {epochs}")
         history = self._history
         for epoch in range(self._completed_epochs + 1, epochs + 1):
-            resume = self._journal_resume
-            self._journal_resume = None
-            if resume is not None and resume.epoch == epoch:
-                # Mid-epoch recovery: replay the journaled permutation
-                # from the completed-batch cursor; the partial metrics
-                # seed the epoch's accumulators so its final record is
-                # identical to the uninterrupted run's.
-                order = resume.order
-                start_batch = resume.batches_done
-                partial = resume.partial
-                losses = [float(x) for x in partial.get("losses", [])]
-                accuracies = [float(x) for x in partial.get("accuracies", [])]
-                sparsities = [float(x) for x in partial.get("sparsities", [])]
-                sizes = [int(x) for x in partial.get("sizes", [])]
-                skipped = int(partial.get("skipped", 0))
-            else:
-                order = self._shuffle_rng.permutation(len(self.train_data))
-                start_batch = 0
-                losses, accuracies, sparsities, sizes = [], [], [], []
-                skipped = 0
-            batches_done = start_batch
+            if self._order is None:
+                self._order = self._shuffle_rng.permutation(
+                    len(self.train_data)
+                )
+            progress = self._progress
             with telemetry.span("train/epoch", epoch=epoch):
-                for batch_x, batch_y in self._epoch_batches(order,
-                                                            start_batch):
+                for batch_x, batch_y in self._epoch_batches(
+                        self._order, progress.batches):
                     result = self.trainer.step(batch_x, batch_y)
                     for hook in self._batch_hooks:
-                        hook(epoch, len(sizes) + skipped, result)
-                    if result.skipped:
-                        skipped += 1
-                    else:
-                        losses.append(result.loss)
-                        accuracies.append(result.accuracy)
-                        sizes.append(len(batch_x))
-                        if result.error_sparsities:
-                            sparsities.append(
-                                float(np.mean(
-                                    list(result.error_sparsities.values())
-                                ))
-                            )
-                    batches_done += 1
+                        hook(epoch, progress.batches, result)
+                    progress.add(result, len(batch_x))
                     if (self.journal_every
-                            and batches_done % self.journal_every == 0):
-                        self._write_journal(
-                            epoch, order, batches_done, losses,
-                            accuracies, sparsities, sizes, skipped,
-                        )
+                            and progress.batches % self.journal_every == 0):
+                        self._save_state(self.journal_path)
                 eval_loss = eval_acc = None
                 if self.eval_data is not None:
                     with telemetry.span("train/eval", epoch=epoch):
                         eval_loss, eval_acc = self.trainer.evaluate(
                             self.eval_data.images, self.eval_data.labels
                         )
-            # Batch-size-weighted means: a short final batch contributes
-            # in proportion to the images it actually held.
-            train_loss = (
-                float(np.average(losses, weights=sizes))
-                if losses else float("nan")
-            )
-            train_acc = (
-                float(np.average(accuracies, weights=sizes))
-                if accuracies else float("nan")
-            )
+            train_loss = progress.mean(progress.losses)
             telemetry.add("train.epochs", 1)
             telemetry.gauge("train.loss", train_loss)
-            telemetry.gauge(
-                "train.error_sparsity",
-                float(np.mean(sparsities)) if sparsities else 0.0,
-            )
+            telemetry.gauge("train.error_sparsity", progress.mean_sparsity())
             history.epochs.append(
                 EpochRecord(
                     epoch=epoch,
                     train_loss=train_loss,
-                    train_accuracy=train_acc,
+                    train_accuracy=progress.mean(progress.accuracies),
                     eval_loss=eval_loss,
                     eval_accuracy=eval_acc,
                     learning_rate=self.trainer.learning_rate,
-                    mean_error_sparsity=(
-                        float(np.mean(sparsities)) if sparsities else 0.0
-                    ),
-                    skipped_batches=skipped,
+                    mean_error_sparsity=progress.mean_sparsity(),
+                    skipped_batches=progress.skipped,
                 )
             )
             self._completed_epochs = epoch
+            self._order = None
+            self._progress = EpochProgress()
             if self.epoch_end_hook is not None:
                 self.epoch_end_hook(epoch, self.network)
             for hook in self._epoch_hooks:
                 hook(epoch, history.epochs[-1])
             if self.checkpoint_dir is not None:
-                self.save_checkpoint(epoch)
+                self._save_state(self.checkpoint_path(epoch))
                 if self.journal_every:
-                    # The epoch checkpoint supersedes any mid-epoch
-                    # journal.
+                    # The epoch file supersedes the mid-epoch one.
                     self.journal_path.unlink(missing_ok=True)
         return history

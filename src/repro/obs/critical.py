@@ -39,7 +39,7 @@ from repro.telemetry.collector import Span, TelemetryCollector
 
 #: Fraction by which measured aggregates may exceed their wall-clock
 #: bound before the report refuses to reconcile.  Spans are recorded
-#: with independent clock reads (plus cross-process calibration), so
+#: with independent clock reads (in the parent and in the workers), so
 #: sums carry jitter; 25% is generous for CI hosts while still catching
 #: structural double-counting.
 TOLERANCE = 0.25
@@ -126,8 +126,8 @@ class GraphAnalysis:
         The critical path is a latency lower bound, so it must not
         exceed the observed makespan (plus tolerance); total busy time
         cannot exceed ``workers x makespan`` (plus tolerance).  A
-        failure means the graph reconstruction or the clock calibration
-        is wrong -- not merely that the schedule was inefficient.
+        failure means the graph reconstruction or the span timing is
+        wrong -- not merely that the schedule was inefficient.
         """
         wall = self.wall_seconds
         if wall <= 0.0:

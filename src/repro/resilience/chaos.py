@@ -5,9 +5,10 @@
 execution policy applied, then reports whether the job *survived*
 (completed all epochs), whether its loss still *improved*, and which
 faults actually fired.  With ``check_resume`` it additionally replays
-the same job killed after ``epochs - 1`` epochs and resumes it from the
-checkpoint, asserting the resumed run's parameters are bit-identical to
-the uninterrupted run's.
+the same job stopped after ``epochs - 1`` epochs and resumes it with
+``resume_latest()`` from the directory the stopped run left, asserting
+the resumed run's parameters are bit-identical to the uninterrupted
+run's.
 
 The resume comparison relies on two properties of the stack:
 
@@ -51,7 +52,7 @@ from typing import Any
 import numpy as np
 
 from repro import telemetry
-from repro.nn.serialize import journal_position
+from repro.nn.serialize import state_position
 from repro.nn.training_loop import TrainingHistory, TrainingLoop
 from repro.obs.monitor import TrainingMonitor
 from repro.resilience import faults
@@ -309,7 +310,7 @@ def _check_journal_resume(seed: int, samples: int, threads: int, batch: int,
         # the kill then lands mid-epoch with batches still remaining.
         deadline = time.monotonic() + 300.0
         while child.is_alive() and time.monotonic() < deadline:
-            position = journal_position(journal)
+            position = state_position(journal)
             if position is not None and position[0] >= epochs:
                 break
             time.sleep(0.02)
@@ -480,8 +481,8 @@ def run_chaos(
 
     The job itself is fixed (quarter-scale MNIST net, synthetic data)
     so a plan + seed is fully reproducible; ``check_resume`` replays it
-    killed after ``epochs - 1`` epochs and resumes from the checkpoint,
-    comparing final parameter bytes against the uninterrupted run.
+    stopped after ``epochs - 1`` epochs and resumes the directory it
+    left, comparing final parameter bytes against the uninterrupted run.
 
     The real-kill plans (``kill9``, ``hang``) ignore ``backend`` (they
     require the process backend -- real signals need real processes) and
@@ -548,14 +549,13 @@ def run_chaos(
                                 backend, scheduler)
             _run_segment(killed, epochs - 1, plan, policy)
             _close(killed)
-            ckpt = TrainingLoop.latest_checkpoint(tmp_dir / "b")
             # The resumed run: a fresh process would rebuild the job from
-            # scratch, so we do too -- then restore and finish.  No fault
+            # scratch, so we do too -- then resume and finish.  No fault
             # plan: the named plans are spent before the resume point,
             # and re-activating one would replay first-epoch faults.
-            resumed = _build_job(seed, samples, threads, batch, None, backend,
-                                 scheduler)
-            resumed.restore(ckpt)
+            resumed = _build_job(seed, samples, threads, batch, tmp_dir / "b",
+                                 backend, scheduler)
+            resumed.resume_latest()
             resumed_history = _run_segment(resumed, epochs, None, policy)
             _close(resumed)
             report.resume_identical = (

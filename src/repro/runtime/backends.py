@@ -35,8 +35,8 @@ ordinary ``telemetry.*`` calls write spans, counters, gauges and events
 into its own lock-free shared-memory ring
 (:mod:`repro.telemetry.remote`), and the parent
 drains the rings -- after every awaited job and at shutdown -- merging
-the records into the active collectors with each worker's monotonic
-clock calibrated against the parent's timeline.  Every dispatched job
+the records into the active collectors (workers stamp them on the
+``perf_counter`` clock the parent's own spans use).  Every dispatched job
 carries a ``job_id`` that both the parent's ``pool/dispatch`` span and
 the worker's execution span record, which is what lets the Chrome
 trace draw dispatch -> worker -> collection flow arrows.
@@ -152,8 +152,8 @@ def _worker_main(requests: Any, results: Any,
     worker actually owes.
 
     ``ring_descriptor`` names the shared telemetry ring board; the
-    worker adopts its slot's ring (stamping the clock-handshake hello)
-    and tags every record with the job id currently being executed.
+    worker adopts its slot's ring (writing its pid into the header) and
+    tags every record with the job id currently being executed.
     Telemetry is strictly best-effort -- a failed ring install degrades
     to a blind worker, never a dead one.
 
@@ -335,16 +335,13 @@ class ProcessBackend(ExecutionBackend):
         self._supervisor: WorkerSupervisor | None = None
         self._jobs: dict[int, _Job] = {}
         self._job_seq = 0
-        #: Worker telemetry: the shm ring board, per-(slot, pid) clock
-        #: calibrations, the parent clock constant, and the last enabled
+        #: Worker telemetry: the shm ring board and the last enabled
         #: state pushed to the rings (so the flag is only rewritten on
         #: collector activation changes, not per dispatch).
         self._ring_board: Any = None
-        self._calibrations: dict[tuple[int, int], Any] = {}
         #: Per slot: worker spans merged before the span enclosing them
         #: arrived (a ring can be drained mid-job).
         self._span_orphans: dict[int, list[Any]] = {}
-        self._perf_minus_mono = 0.0
         self._rings_enabled: bool | None = None
         self._drain_lock = threading.Lock()
         self._lock = threading.Lock()
@@ -383,8 +380,6 @@ class ProcessBackend(ExecutionBackend):
             )
             self._heartbeat = HeartbeatBoard(self.num_workers, self._ctx)
             self._ring_board = remote.RingBoard.create(self.num_workers)
-            self._perf_minus_mono = remote.parent_perf_minus_mono()
-            self._calibrations = {}
             self._span_orphans = {}
             self._rings_enabled = None
             self._free_slots = list(range(self.num_workers - 1, -1, -1))
@@ -442,12 +437,11 @@ class ProcessBackend(ExecutionBackend):
         ring_descriptor = None
         if self._ring_board is not None:
             # A respawn reuses the dead predecessor's slot: flush its
-            # undrained records first (they calibrate against the *old*
-            # pid's handshake), then restamp the handshake for the new
-            # occupant.
+            # undrained records first (they carry the *old* pid), then
+            # clear the pid until the new occupant writes its own.
             self._drain_slot(slot)
             ring = self._ring_board.ring(slot)
-            ring.stamp_hello_parent()
+            ring.set_pid(0)
             ring.set_enabled(bool(telemetry.active_collectors()))
             ring_descriptor = self._ring_board.descriptor
         process = self._ctx.Process(
@@ -511,7 +505,6 @@ class ProcessBackend(ExecutionBackend):
             except Exception:  # pragma: no cover - already reaped
                 pass
             self._ring_board = None
-        self._calibrations = {}
         self._rings_enabled = None
         with self._lock:
             for job in self._jobs.values():
@@ -554,21 +547,6 @@ class ProcessBackend(ExecutionBackend):
             self._rings_enabled = enabled
             board.set_enabled(enabled)
 
-    def _calibration_for(self, slot: int, ring: Any) -> Any:
-        """This slot occupant's clock calibration (cached per pid)."""
-        pid = ring.pid
-        key = (slot, pid)
-        calibration = self._calibrations.get(key)
-        if calibration is None:
-            calibration = remote.calibrate(
-                parent_send=ring.hello_parent,
-                worker_hello=ring.hello_worker,
-                parent_recv=time.monotonic(),
-                perf_minus_mono=self._perf_minus_mono,
-            )
-            self._calibrations[key] = calibration
-        return calibration
-
     def _drain_slot(self, slot: int) -> None:
         """Drain one worker ring into the active collectors."""
         board = self._ring_board
@@ -585,9 +563,8 @@ class ProcessBackend(ExecutionBackend):
             collectors = telemetry.active_collectors()
             if not records or not collectors:
                 return
-            calibration = self._calibration_for(slot, ring)
             remote.merge_records(
-                records, calibration, collectors, pid=ring.pid,
+                records, collectors, pid=ring.pid,
                 orphans=self._span_orphans.setdefault(slot, []))
 
     def drain_worker_telemetry(self) -> None:

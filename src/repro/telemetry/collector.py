@@ -203,8 +203,8 @@ class TelemetryCollector:
     #
     # The remote-telemetry drainer (:mod:`repro.telemetry.remote`) folds
     # worker-process measurements into the parent's collectors.  Those
-    # records arrive already timed -- on the parent's ``perf_counter``
-    # timeline after clock calibration -- so they bypass the span stack
+    # records arrive already timed -- on the ``perf_counter`` timeline
+    # every process shares -- so they bypass the span stack
     # and the collector's own clock reads.
 
     def record_span(self, name: str, start: float, end: float, *,
@@ -369,7 +369,7 @@ _NULL_SPAN = _NullSpan()
 
 
 class _RingSpan:
-    """A worker's span: timed on ``time.monotonic``, written to its ring
+    """A worker's span: timed on ``time.perf_counter``, written to its ring
     on exit -- before the worker posts its result, so the parent's
     drain-after-await sees it."""
 
@@ -378,7 +378,7 @@ class _RingSpan:
     def __init__(self, name: str, attrs: dict[str, Any]):
         self._name = name
         self._attrs = attrs
-        self._start = time.monotonic()
+        self._start = time.perf_counter()
 
     def __enter__(self) -> "_RingSpan":
         return self

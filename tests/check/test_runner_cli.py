@@ -81,7 +81,7 @@ class TestCheckCli:
     def test_clean_tree_exits_zero(self, tmp_path):
         out = io.StringIO()
         json_path = tmp_path / "check.json"
-        code = main(["check", "--quiet", "--json", str(json_path)], out=out)
+        code = main(["check", "--quiet", "--out", str(json_path)], out=out)
         assert code == 0
         text = out.getvalue()
         assert "repro check:" in text and "0 error(s)" in text
@@ -89,10 +89,9 @@ class TestCheckCli:
         assert payload["meta"]["ok"] is True
         assert payload["meta"]["num_errors"] == 0
 
-    def test_analyzer_flag_limits_the_run(self):
+    def test_only_flag_limits_the_run(self):
         out = io.StringIO()
-        code = main(["check", "--quiet", "--analyzer", "concurrency"],
-                    out=out)
+        code = main(["check", "--quiet", "--only", "concurrency"], out=out)
         assert code == 0
         assert "files_linted" in out.getvalue()
         assert "specs" not in out.getvalue()
@@ -143,7 +142,7 @@ class TestCheckCli:
         out = io.StringIO()
         json_path = tmp_path / "check.json"
         code = main(
-            ["check", "--analyzer", "gen-source", "--json", str(json_path)],
+            ["check", "--only", "gen-source", "--out", str(json_path)],
             out=out,
         )
         assert code == 1

@@ -185,8 +185,6 @@ class TestCheckpointResume:
         names = sorted(p.name for p in tmp_path.glob("epoch-*.npz"))
         assert names == ["epoch-0001.npz", "epoch-0002.npz",
                          "epoch-0003.npz"]
-        assert TrainingLoop.latest_checkpoint(tmp_path).name == \
-            "epoch-0003.npz"
 
     def test_killed_run_resumes_bit_identically(self, datasets, tmp_path):
         # The uninterrupted run.
@@ -200,10 +198,7 @@ class TestCheckpointResume:
         # seeds, all overwritten by restore().
         resumed = self._loop(datasets, tmp_path, net_seed=99,
                              shuffle_seed=99)
-        restored_epoch = resumed.restore(
-            TrainingLoop.latest_checkpoint(tmp_path / "b")
-        )
-        assert restored_epoch == 2
+        assert resumed.restore(tmp_path / "b" / "epoch-0002.npz") == (3, 0)
         resumed_history = resumed.run(epochs=4)
         assert self._params_bytes(resumed.network) == \
             self._params_bytes(full.network)
@@ -242,7 +237,7 @@ class TestCheckpointResume:
             datasets[0], batch_size=8,
         )
         with pytest.raises(ReproError, match="structure"):
-            other.restore(TrainingLoop.latest_checkpoint(tmp_path))
+            other.restore(tmp_path / "epoch-0001.npz")
 
 
 class TestJournalResume:
@@ -298,7 +293,7 @@ class TestJournalResume:
         resumed = self._loop(datasets, tmp_path, net_seed=99,
                              shuffle_seed=1, checkpoint_dir=tmp_path / "b",
                              journal_every=1)
-        assert resumed.resume_latest() == 1  # epoch 2 was in flight
+        assert resumed.resume_latest() == (2, 2)  # epoch 2 was in flight
         resumed_history = resumed.run(epochs=4)
         assert self._params_bytes(resumed.network) == \
             self._params_bytes(full.network)
@@ -312,24 +307,22 @@ class TestJournalResume:
         # Every epoch ended in a checkpoint, so no journal should remain
         # as a (stale) recovery point.
         assert not loop.journal_path.exists()
-        assert TrainingLoop.latest_checkpoint(tmp_path) is not None
+        assert (tmp_path / "epoch-0002.npz").exists()
 
     def test_resume_latest_with_empty_directory_is_a_noop(self, datasets,
                                                           tmp_path):
         loop = self._loop(datasets, tmp_path, checkpoint_dir=tmp_path)
-        assert loop.resume_latest() == 0
+        assert loop.resume_latest() == (1, 0)
 
-    def test_resume_latest_falls_back_to_checkpoint_on_torn_journal(
-            self, datasets, tmp_path):
+    def test_resume_latest_skips_a_torn_journal(self, datasets, tmp_path):
         first = self._loop(datasets, tmp_path, checkpoint_dir=tmp_path)
         first.run(epochs=2)
         (tmp_path / "journal.npz").write_bytes(b"torn")
         resumed = self._loop(datasets, tmp_path, net_seed=7,
                              checkpoint_dir=tmp_path)
-        assert resumed.resume_latest() == 2
-        # The garbage journal was discarded, not left to confuse the
-        # next recovery.
-        assert not (tmp_path / "journal.npz").exists()
+        assert resumed.resume_latest() == (3, 0)
+        # Recovery reads files; it never deletes or rewrites one.
+        assert (tmp_path / "journal.npz").read_bytes() == b"torn"
 
     def test_stale_journal_loses_to_newer_checkpoint(self, datasets,
                                                      tmp_path):
@@ -350,5 +343,5 @@ class TestJournalResume:
         finished.run(epochs=2)
         resumed = self._loop(datasets, tmp_path, net_seed=3,
                              checkpoint_dir=tmp_path, journal_every=1)
-        assert resumed.resume_latest() == 2
-        assert not resumed.journal_path.exists()
+        assert resumed.resume_latest() == (3, 0)
+        assert resumed.journal_path.exists()  # left as it was

@@ -69,6 +69,22 @@ class TestWorkerSpans:
             assert dispatch.start <= span.start
             assert span.end <= dispatch.end
 
+    def test_worker_stamps_fall_between_the_parent_reads(
+            self, process_executor):
+        # Workers and parent read one clock (perf_counter), and records
+        # merge without any correction: every worker stamp must lie
+        # between the parent's reads around the round trip.
+        _forward(process_executor)  # workers up before the bracket opens
+        with telemetry.collect() as tel:
+            before = time.perf_counter()
+            _forward(process_executor, seed=3)
+            after = time.perf_counter()
+        stamps = [t for s in tel.spans if "process_pid" in s.attrs
+                  for t in (s.start, s.end)]
+        stamps += [e.time for e in tel.events if "process_pid" in e.attrs]
+        assert stamps, "no worker-side records merged"
+        assert all(before <= t <= after for t in stamps)
+
     def test_spans_cover_all_three_methods(self, process_executor):
         rng = np.random.default_rng(1)
         spec = process_executor.spec

@@ -410,21 +410,15 @@ class TestTrain:
 class TestCheckOutput:
     def test_out_writes_findings_json(self, tmp_path):
         out = tmp_path / "check.json"
-        code, text = run(["check", "--analyzer", "graph",
+        code, text = run(["check", "--only", "graph",
                           "--out", str(out)])
         assert code == 0
         import json
 
         assert "findings" in json.loads(out.read_text())
 
-    def test_json_alias_still_works(self, tmp_path):
-        out = tmp_path / "check.json"
-        code, _ = run(["check", "--analyzer", "graph", "--json", str(out)])
-        assert code == 0
-        assert out.exists()
-
     def test_json_format_prints_report(self):
-        code, text = run(["check", "--analyzer", "graph",
+        code, text = run(["check", "--only", "graph",
                           "--format", "json"])
         assert code == 0
         import json
