@@ -19,7 +19,7 @@ and flags:
 * **CHK-TEL-LEAK** -- ``telemetry.span(...)`` opened outside a ``with``
   item: the span object is a context manager, and without ``with`` it
   is never finished, leaking an open span on the thread's stack;
-* **CHK-TEL-HOT** -- ``telemetry.add``/``gauge``/``observe`` called
+* **CHK-TEL-HOT** -- ``telemetry.add``/``gauge`` called
   inside a nested (per-element) loop: each call takes the collector
   lock per active collector, so per-element emission turns a hot
   kernel loop into a lock convoy -- aggregate outside the loop instead;
@@ -52,24 +52,19 @@ import ast
 from pathlib import Path
 from typing import Any
 
+import repro.telemetry
 from repro.check.findings import Finding
 
 ANALYZER = "concurrency"
 
 #: Attribute names that constitute the telemetry module's public API.
-_TELEMETRY_PUBLIC = frozenset(
-    ("Event", "Span", "StreamingHistogram", "TelemetryCollector",
-     "active_collectors", "add", "aggregate_spans", "collect",
-     "collector_to_dict", "counters_table", "event", "events_table",
-     "gauge", "histograms_table", "observe", "span", "spans_table",
-     "write_json")
-)
+_TELEMETRY_PUBLIC = frozenset(repro.telemetry.__all__)
 
 #: Telemetry helpers that emit (pointless before any collector exists).
-_TELEMETRY_EMITTERS = frozenset(("add", "gauge", "observe", "event", "span"))
+_TELEMETRY_EMITTERS = frozenset(("add", "gauge", "event", "span"))
 
 #: Scalar emitters whose per-element use in tight loops is a lock convoy.
-_TELEMETRY_HOT_EMITTERS = frozenset(("add", "gauge", "observe"))
+_TELEMETRY_HOT_EMITTERS = frozenset(("add", "gauge"))
 
 _POOL_NAMES = ("WorkerPool", "ParallelExecutor", "ThreadPoolExecutor")
 

@@ -8,9 +8,6 @@ Commands:
   autotuner over every conv layer of a network description.
 * ``figure <name>`` -- regenerate one of the paper's exhibits
   (``table1``, ``table2``, ``fig3a``, ``fig4a`` ... ``fig4f``, ``fig9``).
-* ``trace [--net cifar|mnist] [--epochs N] ...`` -- run a real training
-  job with spg-CNN retuning under the telemetry collector, print the
-  span/counter/event tables and write a JSON trace (profiling command).
 * ``check [--only A,B] [--out PATH]`` -- statically
   verify the generated kernels, network graphs, task-graph effects,
   shm buffer lifecycles and parallel runtime; ``--only`` takes a
@@ -21,19 +18,22 @@ Commands:
   a small job under a named fault plan with the resilient policy active
   and report survival; exits 1 when the run dies, stops improving, or
   fails the kill/resume bit-identity check (CI chaos gate).
-* ``train [--net cifar|mnist] ...`` (alias: ``monitor``) -- run a
-  training job under the live :class:`repro.obs.monitor.TrainingMonitor`
-  and write the final run report.  ``train`` and ``trace`` deploy the
-  engines this host measures fastest; the Xeon model prices ``plan``,
-  ``schedule`` and ``figure`` only.
+* ``train [--net cifar|mnist] ...`` -- run a training job with spg-CNN
+  retuning under the live :class:`repro.obs.monitor.TrainingMonitor`
+  and print its run report (with the DAG critical-path table when the
+  run used ``--scheduler dag``); ``--out`` writes the report, or with
+  ``--format chrome`` the run's Chrome trace-event timeline.  ``train``
+  deploys the engines this host measures fastest; the Xeon model prices
+  ``plan``, ``schedule`` and ``figure`` only.
 * ``engines`` -- list the registered convolution engines.
 
-Reporting commands (``trace``, ``check``, ``chaos``, ``train``) share
-one I/O contract: ``--format table|json`` selects the stdout rendering
-(human tables vs. machine JSON) and ``--out PATH`` writes the durable
-JSON artifact -- ``trace`` additionally accepts ``--format chrome`` for
-Chrome trace-event JSON, and ``check`` accepts ``--format sarif``
-(stdout and ``--out`` both become SARIF 2.1.0).
+Reporting commands (``check``, ``chaos``, ``train``, ``shm``,
+``workers``) share one I/O contract: ``--format table|json`` selects the
+stdout rendering (human tables vs. machine JSON) and ``--out PATH``
+writes the durable JSON artifact -- ``train`` additionally accepts
+``--format chrome`` (stdout as ``table``, ``--out`` the Chrome
+trace-event JSON), and ``check`` accepts ``--format sarif`` (stdout and
+``--out`` both become SARIF 2.1.0).
 
 Exit codes, uniformly: **0** success; **1** gate failure (error-severity
 check findings, a failed chaos run); **2** usage error (bad flags,
@@ -130,11 +130,10 @@ def _fraction(text: str) -> float:
 def _add_output_args(
     parser: argparse.ArgumentParser,
     formats: tuple[str, ...] = ("table", "json"),
-    out_default: Path | None = None,
     out_help: str = "write the JSON artifact to PATH",
 ) -> None:
     """The shared ``--out`` / ``--format`` contract of reporting commands."""
-    parser.add_argument("--out", type=Path, default=out_default,
+    parser.add_argument("--out", type=Path, default=None,
                         metavar="PATH", help=out_help)
     parser.add_argument("--format", choices=formats, default=formats[0],
                         help="stdout rendering (default: %(default)s)")
@@ -222,34 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     repro_cmd.add_argument("--out", type=Path, default=Path("results"))
 
-    trace = sub.add_parser(
-        "trace",
-        help="profile a training run with telemetry; writes a JSON trace",
-    )
-    trace.add_argument("--net", choices=("mnist", "cifar"), default="cifar")
-    trace.add_argument("--epochs", type=_positive_int, default=2)
-    trace.add_argument("--batch", type=_positive_int, default=8)
-    trace.add_argument("--samples", type=_positive_int, default=32)
-    trace.add_argument("--scale", type=_positive_float, default=0.25,
-                       help="feature-count scale of the zoo network")
-    trace.add_argument("--threads", type=_positive_int, default=2,
-                       help="workers in the network's one pool; a training step "
-                            "runs one whole-network shard on each (1 = inline)")
-    trace.add_argument("--backend", choices=_BACKENDS, default="thread",
-                       help="execution backend of the conv worker pools")
-    trace.add_argument("--scheduler", choices=("barrier", "dag"),
-                       default="barrier",
-                       help="per-layer barriers or the task-graph runtime")
-    trace.add_argument("--critical-path", action="store_true",
-                       help="print the DAG critical-path / goodput "
-                            "attribution table (needs --scheduler dag)")
-    trace.add_argument("--recheck", type=_positive_int, default=1,
-                       help="re-check the BP choice every N epochs")
-    _add_output_args(trace, formats=("table", "json", "chrome"),
-                     out_default=Path("results/trace.json"),
-                     out_help="trace file to write (JSON, or Chrome "
-                              "trace-event JSON with --format chrome)")
-
     check = sub.add_parser(
         "check",
         help="statically verify generated kernels, graphs and runtime",
@@ -292,8 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "as JSON")
 
     train = sub.add_parser(
-        "train", aliases=["monitor"],
-        help="train under the live monitor; writes the run report",
+        "train", help="train under the live monitor; writes the run report",
     )
     train.add_argument("--net", choices=("mnist", "cifar"), default="mnist")
     train.add_argument("--epochs", type=_positive_int, default=2)
@@ -314,8 +284,10 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--every", type=_non_negative_int, default=0,
                        metavar="N",
                        help="also render the live table every N batches")
-    _add_output_args(train, out_help="write the run report (JSON, or "
-                                     "markdown when PATH ends in .md)")
+    _add_output_args(train, formats=("table", "json", "chrome"),
+                     out_help="write the run report (JSON, or markdown "
+                              "when PATH ends in .md); with --format "
+                              "chrome, the Chrome trace-event file")
 
     shm_cmd = sub.add_parser(
         "shm",
@@ -445,12 +417,14 @@ def _cmd_figure(args, out) -> int:
     return 0
 
 
-def _build_training_job(args):
-    """Network + data + spg-CNN + loop shared by ``trace`` and ``train``.
+def _cmd_train(args, out) -> int:
+    """Train under the monitor and print its run report.
 
     Engines are deployed by what this host measures (the paper's
     Sec. 4.4 procedure); the Xeon model serves ``plan``/``figure`` only.
     """
+    import json as json_module
+
     import numpy as np
 
     from repro.core.autotuner import MeasuredCostBackend
@@ -458,85 +432,22 @@ def _build_training_job(args):
     from repro.data.synthetic import cifar10_like, mnist_like
     from repro.nn.training_loop import TrainingLoop
     from repro.nn.zoo import cifar10_net, mnist_net
+    from repro.obs.critical import critical_path_report
+    from repro.obs.monitor import TrainingMonitor
 
-    threads = args.threads if args.threads and args.threads > 1 else None
-    backend = getattr(args, "backend", "thread")
-    rng = np.random.default_rng(0)
-    if args.net == "cifar":
-        network = cifar10_net(scale=args.scale, rng=rng, threads=threads,
-                              backend=backend)
-        data = cifar10_like(args.samples, seed=0)
-    else:
-        network = mnist_net(scale=args.scale, rng=rng, threads=threads,
-                            backend=backend)
-        data = mnist_like(args.samples, seed=0)
+    threads = args.threads if args.threads > 1 else None
+    build, data = ((cifar10_net, cifar10_like) if args.net == "cifar"
+                   else (mnist_net, mnist_like))
+    network = build(scale=args.scale, rng=np.random.default_rng(0),
+                    threads=threads, backend=args.backend)
     spg = SpgCNN(network, MeasuredCostBackend(),
                  recheck_epochs=args.recheck)
     loop = TrainingLoop(
-        network, data, batch_size=args.batch,
-        scheduler=getattr(args, "scheduler", None),
+        network, data(args.samples, seed=0), batch_size=args.batch,
+        scheduler=args.scheduler,
         epoch_end_hook=lambda epoch, _net: spg.after_epoch(epoch),
     )
-    return network, spg, loop
-
-
-def _close_network(network) -> None:
-    for layer in network.conv_layers():
-        layer.close()
-
-
-def _cmd_trace(args, out) -> int:
-    import json as json_module
-
-    from repro import telemetry
-
-    network, spg, loop = _build_training_job(args)
-    try:
-        with telemetry.collect() as tel:
-            spg.optimize()
-            history = loop.run(args.epochs)
-    finally:
-        _close_network(network)
-    if args.format == "json":
-        print(json_module.dumps(telemetry.collector_to_dict(tel)), file=out)
-    else:
-        print(network.describe(), file=out)
-        print(telemetry.spans_table(tel, title=f"trace: {network.name}"),
-              file=out)
-        print(telemetry.histograms_table(tel), file=out)
-        print(telemetry.counters_table(tel), file=out)
-        if tel.events:
-            print(telemetry.events_table(tel), file=out)
-        print(f"final train loss: {history.final.train_loss:.4f}  "
-              f"mean error sparsity: {history.final.mean_error_sparsity:.2f}",
-              file=out)
-    if getattr(args, "critical_path", False):
-        from repro.obs.critical import critical_path_report
-
-        report = critical_path_report(tel)
-        if report is None:
-            print("no dag graphs recorded (run with --scheduler dag)",
-                  file=out)
-        else:
-            print(report.table(), file=out)
-    if args.out is not None:
-        if args.format == "chrome":
-            from repro.obs.chrome_trace import write_chrome_trace
-
-            path = write_chrome_trace(tel, args.out)
-        else:
-            path = telemetry.write_json(tel, args.out)
-        print(f"wrote {path}", file=out)
-    return 0
-
-
-def _cmd_train(args, out) -> int:
-    import json as json_module
-
-    from repro.obs.monitor import TrainingMonitor
-
-    network, spg, loop = _build_training_job(args)
-    live_out = out if args.format == "table" else None
+    live_out = out if args.format != "json" else None
     monitor = TrainingMonitor(every_batches=args.every, out=live_out)
     monitor.attach(loop)
     try:
@@ -544,7 +455,8 @@ def _cmd_train(args, out) -> int:
             spg.optimize()
             loop.run(args.epochs)
     finally:
-        _close_network(network)
+        for layer in network.conv_layers():
+            layer.close()
     report = monitor.report(plan=spg.plan)
     if args.format == "json":
         print(json_module.dumps(report.to_dict()), file=out)
@@ -565,8 +477,15 @@ def _cmd_train(args, out) -> int:
             for name, why in row["lowering_reasons"].items():
                 print(f"{row['layer']}: {name} timed on the reference "
                       f"({why})", file=out)
+        critical = critical_path_report(monitor.collector)
+        if critical is not None:
+            print(critical.table(), file=out)
     if args.out is not None:
-        if str(args.out).endswith(".md"):
+        if args.format == "chrome":
+            from repro.obs.chrome_trace import write_chrome_trace
+
+            path = write_chrome_trace(monitor.collector, args.out)
+        elif str(args.out).endswith(".md"):
             path = report.write_markdown(args.out)
         else:
             path = report.write_json(args.out)
@@ -748,8 +667,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args.spec = _dims_spec(args, parser)
     if args.command == "plan":
         args.network = _load_netdef(args.netdef, parser)
-    if getattr(args, "critical_path", False) and args.scheduler != "dag":
-        parser.error("trace --critical-path needs --scheduler dag")
     if args.command == "characterize":
         return _cmd_characterize(args, out)
     if args.command == "schedule":
@@ -762,13 +679,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return _cmd_explain(args, out)
     if args.command == "reproduce":
         return _cmd_reproduce(args, out)
-    if args.command == "trace":
-        return _cmd_trace(args, out)
     if args.command == "check":
         return _cmd_check(args, out)
     if args.command == "chaos":
         return _cmd_chaos(args, out)
-    if args.command in ("train", "monitor"):
+    if args.command == "train":
         return _cmd_train(args, out)
     if args.command == "shm":
         return _cmd_shm(args, out)

@@ -11,7 +11,7 @@ Two selection backends are provided:
   runs each layer with [each technique] ... and based on the measured
   performance, chooses the fastest technique to deploy"), memoised and
   probe-gated so that measuring is cheap enough to be what
-  ``repro train`` / ``repro trace`` deploy by.
+  ``repro train`` deploys by.
 
 Selections follow Sec. 4.4: FP chooses among Parallel-GEMM,
 GEMM-in-Parallel and Stencil-Kernel; BP among Parallel-GEMM,

@@ -144,7 +144,8 @@ class Network:
 
         A conv layer records its own ``<name>/fp`` span (a fused run is
         one such span); every other layer's call runs under a
-        ``<name>/fp`` span opened here, carrying only the phase.
+        ``<name>/fp`` span opened here, carrying the phase and the
+        layer's name.
         """
         if self.scheduler == "dag":
             return self._dag().forward(inputs, training=training)
@@ -170,7 +171,8 @@ class Network:
             if isinstance(layer, ConvLayer):
                 activations = layer.forward(activations, training=training)
             else:
-                with telemetry.span(f"{layer.name}/fp", phase="fp"):
+                with telemetry.span(f"{layer.name}/fp", phase="fp",
+                                    layer=layer.name):
                     activations = layer.forward(activations,
                                                 training=training)
             index += 1
@@ -202,7 +204,8 @@ class Network:
             if isinstance(layer, ConvLayer):
                 error = layer.backward(error, need_input_error or index > 0)
             else:
-                with telemetry.span(f"{layer.name}/bp", phase="bp"):
+                with telemetry.span(f"{layer.name}/bp", phase="bp",
+                                    layer=layer.name):
                     error = layer.backward(error)
             index -= 1
         return error

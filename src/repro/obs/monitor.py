@@ -6,8 +6,8 @@ the duration of its ``with`` block), hooks the
 :class:`~repro.nn.training_loop.TrainingLoop` observer points
 (``after_batch`` / ``after_epoch``), and tracks:
 
-* per-layer FP/BP wall-clock (count, total, p95 from the span-duration
-  histograms);
+* per-layer FP/BP wall-clock (count, total, and the BP p95 computed
+  from the layer's BP spans);
 * per-layer goodput and throughput (the Eq. 9-10 gauges the conv layer
   emits on every backward pass);
 * sparsity drift -- per layer (first vs. latest BP-span sparsity) and
@@ -295,9 +295,16 @@ class TrainingMonitor:
     # -- derived state ----------------------------------------------------
 
     def layer_stats(self) -> dict[str, dict[str, Any]]:
-        """Per-layer FP/BP time, goodput and sparsity, from telemetry."""
+        """Per-layer FP/BP time, goodput and sparsity, from telemetry.
+
+        ``bp_p95_seconds`` is the nearest-rank 95th percentile of the
+        layer's BP span durations: the ``ceil(0.95 * n)``-th smallest of
+        its ``n`` spans, so always one measured duration (``None`` when
+        the layer ran no BP span).
+        """
         collector = self.collector
         stats: dict[str, dict[str, Any]] = {}
+        bp_durations: dict[str, list[float]] = {}
         for span in list(collector.spans):
             layer = span.attrs.get("layer")
             phase = span.attrs.get("phase")
@@ -312,6 +319,8 @@ class TrainingMonitor:
             })
             entry[f"{phase}_count"] += 1
             entry[f"{phase}_seconds"] += span.seconds
+            if phase == "bp":
+                bp_durations.setdefault(str(layer), []).append(span.seconds)
             entry[f"{phase}_engine"] = span.attrs.get("engine")
             entry[f"{phase}_lowering"] = span.attrs.get("lowering")
             if phase == "fp":
@@ -325,10 +334,10 @@ class TrainingMonitor:
         for layer, entry in stats.items():
             entry["goodput"] = collector.gauges.get(f"goodput.{layer}")
             entry["throughput"] = collector.gauges.get(f"throughput.{layer}")
-            histogram = collector.histograms.get(f"{layer}/bp")
+            durations = sorted(bp_durations.get(layer, ()))
             entry["bp_p95_seconds"] = (
-                histogram.p95 if histogram is not None and histogram.count
-                else None
+                durations[math.ceil(0.95 * len(durations)) - 1]
+                if durations else None
             )
             if (entry["sparsity_first"] is not None
                     and entry["sparsity_last"] is not None):

@@ -86,8 +86,8 @@ class TestNetwork:
 
     def test_every_layer_call_has_one_span(self, rng):
         # Conv layers open their own (with layer, engine, lowering); the
-        # network opens one for every other layer call, carrying only
-        # the phase -- so the monitor's per-layer rows stay conv rows.
+        # network opens one for every other layer call, carrying the
+        # phase and the layer -- so the run report has a row per layer.
         net = tiny_net()
         x = rng.standard_normal((2, 1, 8, 8)).astype(np.float32)
         with telemetry.collect() as tel:
@@ -97,11 +97,10 @@ class TestNetwork:
             f"{layer.name}/{phase}" for layer in net.layers
             for phase in ("fp", "bp"))
         for span in tel.spans:
-            phase = span.name.rsplit("/", 1)[1]
-            if span.name.startswith(net.layers[0].name + "/"):
-                assert span.attrs["layer"] == net.layers[0].name
-            else:
-                assert span.attrs == {"phase": phase}
+            layer, phase = span.name.rsplit("/", 1)
+            assert span.attrs["layer"] == layer
+            if layer != net.layers[0].name:
+                assert span.attrs == {"phase": phase, "layer": layer}
 
 
 class TestSGDTrainer:

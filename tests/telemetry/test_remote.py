@@ -151,14 +151,13 @@ class TestEnabledGate:
 
 
 class TestOneSink:
-    def test_every_helper_but_observe_reaches_the_ring(self, worker_ring):
+    def test_every_helper_reaches_the_ring(self, worker_ring):
         worker_ring.set_enabled(True)
         with telemetry.span("conv0/bp", phase="bp") as span:
             span.annotate(sparsity=0.5)
         telemetry.add("conv.flops.total", 8.0)
         telemetry.gauge("goodput.conv0", 2.0)
         telemetry.event("engine.fallback", layer="conv0")
-        telemetry.observe("never", 1.0)
         records = worker_ring.drain()
         assert [(r.kind, r.name) for r in records] == [
             (KIND_SPAN, "conv0/bp"), (KIND_COUNTER, "conv.flops.total"),
