@@ -6,10 +6,11 @@ measurement instead, see ``examples/explain_and_profile.py``):
 
 * the autotuner plans each conv layer's FP before training; BP keeps
   the layer's GEMM engine until an error sparsity has been measured;
-* training with ReLU + max pooling drives error-gradient sparsity up
-  (the Fig. 3b dynamic);
-* at the periodic re-check, spg-CNN prices BP at that sparsity, switches
-  the BP engines over to the sparse kernels and reports the switch.
+* ReLU + max pooling make the error gradient sparse from the first step
+  on (the Fig. 3b dynamic), so right after that step spg-CNN prices BP
+  at the measured sparsity, switches the BP engines over to the sparse
+  kernels and reports the switch;
+* at the periodic re-check it prices BP again at the drifted sparsity.
 
 Run with:  python examples/train_with_spgcnn.py
 """
@@ -19,6 +20,15 @@ import numpy as np
 from repro import ModelCostBackend, SGDTrainer, SpgCNN, xeon_e5_2650
 from repro.data.synthetic import make_dataset
 from repro.nn.zoo import cifar10_net
+
+
+def report(events, when: str) -> None:
+    for event in events:
+        print(
+            f"  -> {when}, re-tuned {event.layer_name}: BP "
+            f"{event.old_engine} -> {event.new_engine} "
+            f"(measured sparsity {event.sparsity:.2f})"
+        )
 
 
 def main() -> None:
@@ -39,7 +49,14 @@ def main() -> None:
 
     print("\nTraining:")
     for epoch in range(1, 7):
-        results = trainer.train_epoch(data.images, data.labels, batch_size=16)
+        results = []
+        for lo in range(0, len(data.images), 16):
+            result = trainer.step(data.images[lo:lo + 16],
+                                  data.labels[lo:lo + 16])
+            results.append(result)
+            # Plans BP once, after the first step that was applied.
+            report(spg.after_batch(epoch, len(results) - 1, result),
+                   f"after step {len(results)}")
         loss = float(np.mean([r.loss for r in results]))
         acc = float(np.mean([r.accuracy for r in results]))
         sparsities = net.error_sparsities()
@@ -50,12 +67,7 @@ def main() -> None:
             f"epoch {epoch}: loss {loss:6.3f}  acc {acc:5.2f}  "
             f"error sparsity [{sparsity_text}]"
         )
-        for event in spg.after_epoch(epoch):
-            print(
-                f"  -> re-tuned {event.layer_name}: BP "
-                f"{event.old_engine} -> {event.new_engine} "
-                f"(measured sparsity {event.sparsity:.2f})"
-            )
+        report(spg.after_epoch(epoch), "re-check")
 
     print("\nFinal plan:")
     print(spg.plan.describe())

@@ -447,6 +447,7 @@ def _cmd_train(args, out) -> int:
         scheduler=args.scheduler,
         epoch_end_hook=lambda epoch, _net: spg.after_epoch(epoch),
     )
+    loop.add_batch_hook(spg.after_batch)
     live_out = out if args.format != "json" else None
     monitor = TrainingMonitor(every_batches=args.every, out=live_out)
     monitor.attach(loop)

@@ -130,9 +130,13 @@ class MeasuredCostBackend(CostBackend):
       engine;
     * a challenger is first *probed* on one image and only timed on the
       measuring batch when the probe is within :attr:`probe_gate` times
-      the incumbent's per-image time; a gated-out candidate is priced at
-      its probe, so a kernel that is 20x slower costs one image, once
-      per bucket;
+      the incumbent's per-image time; a probe beyond the gate is taken
+      once more and the faster reading kept, so one slow reading cannot
+      pin a price for the bucket, and a kernel that is 20x slower costs
+      two images, once per bucket;
+    * on one core ``parallel-gemm`` splits the rows into one slice and
+      issues exactly the ``np.matmul`` that ``gemm-in-parallel`` issues,
+      so the two share one price (a tie keeps the incumbent);
     * :attr:`hysteresis` keeps engines that measure within noise of each
       other from flapping.
 
@@ -143,12 +147,17 @@ class MeasuredCostBackend(CostBackend):
     density (:meth:`bucket_sparsity`), not at whatever sparsity the
     first query inside it happened to carry: the memoised price is then
     a property of the key, within sqrt(2) of every query it answers.
+    The operands are drawn once per spec: inputs, weights, a dense error
+    and a uniform field, and a bucket's error is the dense one zeroed
+    where the field is below the bucket's sparsity.
     ``clock`` and ``engine_factory`` are injection points for tests.
 
-    Engines are timed bare and single-threaded.  A layer built with
-    ``threads > 1`` runs its engine through a ``ParallelExecutor`` over
-    a pool, which this does not time: there the ranking is that of the
-    per-worker kernel, not of the pooled layer.
+    Engines are timed bare and single-threaded.  A network built with
+    ``threads > 1`` shards each training step: every worker's inline
+    replica calls the chosen engine directly on its B/N images, so the
+    ranking is that of the kernel each shard runs.  What this does not
+    price is the split itself -- the per-worker minibatch and the
+    dispatch and reduce around it.
     """
 
     hysteresis = 0.10
@@ -166,6 +175,8 @@ class MeasuredCostBackend(CostBackend):
         self._rng = np.random.default_rng(seed)
         self._clock = clock
         self._engine_factory = engine_factory
+        #: spec -> (inputs, weights, dense error, uniform field)
+        self._draws: dict[ConvSpec, tuple[np.ndarray, ...]] = {}
         #: key -> (seconds, priced by the one-image probe only)
         self._memo: dict[tuple, tuple[float, bool]] = {}
         self.measured = 0
@@ -185,22 +196,30 @@ class MeasuredCostBackend(CostBackend):
 
     def _key(self, technique: str, phase: str, spec: ConvSpec,
              sparsity: float, input_error: bool) -> tuple:
+        if technique == "parallel-gemm" and self.num_cores == 1:
+            technique = "gemm-in-parallel"      # the same one BLAS call
         bucket = self.sparsity_bucket(sparsity) if technique == "sparse" else None
         return (technique, phase, phase == "fp" or input_error, spec, bucket)
 
     def _operands(self, phase: str, spec: ConvSpec, sparsity: float):
         """Random (primary, weights, inputs) at the measuring batch; a BP
         error is zeroed at the density of ``sparsity``'s bucket."""
-        rng = self._rng
-        inputs = rng.standard_normal(
-            (self.batch,) + spec.input_shape).astype(np.float32)
-        weights = rng.standard_normal(spec.weight_shape).astype(np.float32)
+        draws = self._draws.get(spec)
+        if draws is None:
+            rng = self._rng
+            out_shape = (self.batch,) + spec.output_shape
+            draws = self._draws[spec] = (
+                rng.standard_normal((self.batch,) + spec.input_shape,
+                                    dtype=np.float32),
+                rng.standard_normal(spec.weight_shape, dtype=np.float32),
+                rng.standard_normal(out_shape, dtype=np.float32),
+                rng.random(out_shape, dtype=np.float32))
+        inputs, weights, error, field = draws
         if phase == "fp":
             return inputs, weights, inputs
-        out_error = rng.standard_normal(
-            (self.batch,) + spec.output_shape).astype(np.float32)
         measured_at = self.bucket_sparsity(self.sparsity_bucket(sparsity))
-        out_error[rng.random(out_error.shape) < measured_at] = 0.0
+        out_error = error.copy()
+        out_error[field < measured_at] = 0.0
         return out_error, weights, inputs
 
     def _measure(self, technique: str, phase: str, spec: ConvSpec,
@@ -209,7 +228,8 @@ class MeasuredCostBackend(CostBackend):
         """Seconds per measuring batch, and whether the probe gated it.
 
         ``limit`` is the per-image time beyond which the one-image probe
-        ends the measurement (the price is then the probe's estimate).
+        ends the measurement once a second probe agrees (the price is
+        then the faster probe's estimate).
         Engines are called directly -- no layer, no guard, no quarantine
         -- and scratch is released afterwards.
         """
@@ -230,7 +250,9 @@ class MeasuredCostBackend(CostBackend):
         try:
             probe = run(1)
             if limit is not None and probe > limit:
-                return probe * self.batch, True
+                probe = min(probe, run(1))
+                if probe > limit:
+                    return probe * self.batch, True
             return min(run(self.batch) for _ in range(self.repeats)), False
         finally:
             release = getattr(engine, "release_workspace", None)

@@ -2,13 +2,15 @@
 
 :class:`SpgCNN` attaches to a trainable :class:`repro.nn.network.Network`,
 plans every convolution layer's FP with the autotuner, deploys the
-chosen engines onto the layers, and periodically re-checks the BP choice
-at the error-gradient sparsity measured during training (Sec. 4.4).
+chosen engines onto the layers, plans BP at the error-gradient sparsity
+of the first training step, and periodically re-checks that choice as
+the sparsity drifts (Sec. 4.4).
 
-Both entry points open a telemetry span (``spg/optimize``,
-``spg/replan``) carrying how many candidates the cost backend priced by
-running them (``measured``) and how many it answered from its memo
-(``memo_hits``), so the cost of tuning can be read off a run.
+Every entry point opens a telemetry span (``spg/optimize``, or
+``spg/replan`` for the first BP plan and each recheck) carrying how many
+candidates the cost backend priced by running them (``measured``) and
+how many it answered from its memo (``memo_hits``), so the cost of
+tuning can be read off a run.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.core.plan import (
 )
 from repro.errors import PlanError
 from repro.nn.network import Network
+from repro.nn.sgd import StepResult
 from repro.ops.engine import make_engine
 
 
@@ -60,6 +63,7 @@ class SpgCNN:
         #: Layer -> candidate -> why it runs on the reference.
         self._reasons: dict[str, dict[str, str]] = {}
         self.retune_events: list[RetuneEvent] = []
+        self._bp_planned = False
 
     # -- planning and deployment ------------------------------------------
 
@@ -93,10 +97,10 @@ class SpgCNN:
     def optimize(self) -> ExecutionPlan:
         """Plan FP for every conv layer and deploy the chosen engines.
 
-        BP stays on each layer's engine until the first
-        :meth:`after_epoch` recheck, when a measured error sparsity
-        exists.  Only a BP engine the plan cannot carry (one outside the
-        BP candidates) is replaced up front, planned for a dense error.
+        BP stays on each layer's engine until :meth:`after_batch` plans
+        it at the error sparsity the first training step measured.  Only
+        a BP engine the plan cannot carry (one outside the BP
+        candidates) is replaced up front, planned for a dense error.
 
         Every candidate is constructed once here, and so is the fused
         conv + ReLU + max-pool unit of a layer whose FP is deployed on
@@ -143,7 +147,25 @@ class SpgCNN:
             raise PlanError("optimize() has not been called yet")
         return ExecutionPlan(layers=tuple(self._plans.values()))
 
-    # -- periodic re-tuning -------------------------------------------------
+    # -- BP planning and periodic re-tuning ---------------------------------
+
+    def after_batch(self, epoch: int, batch: int,
+                    result: StepResult) -> list[RetuneEvent]:
+        """Hook for :meth:`TrainingLoop.add_batch_hook
+        <repro.nn.training_loop.TrainingLoop.add_batch_hook>`.
+
+        After the first step that was applied (a skipped step measured
+        nothing), plans the BP technique of each conv layer at the error
+        sparsity that step measured and re-deploys any changed choice,
+        between that step and the next, as :meth:`after_epoch` does.
+        Every later call returns at once.  Returns the changes made.
+        """
+        if not self._plans:
+            raise PlanError("optimize() has not been called yet")
+        if self._bp_planned or result.skipped:
+            return []
+        self._bp_planned = True
+        return self._replan_bp(epoch, batch=batch)
 
     def after_epoch(self, epoch: int) -> list[RetuneEvent]:
         """Hook to call after each training epoch (1-based).
@@ -158,8 +180,12 @@ class SpgCNN:
             raise PlanError("optimize() has not been called yet")
         if epoch % self.recheck_epochs != 0:
             return []
+        return self._replan_bp(epoch)
+
+    def _replan_bp(self, epoch: int, **attrs) -> list[RetuneEvent]:
+        """Re-select every conv layer's BP at its measured sparsity."""
         events = []
-        with self._tuning_span("spg/replan", epoch=epoch):
+        with self._tuning_span("spg/replan", epoch=epoch, **attrs):
             for layer in self.network.conv_layers():
                 old_plan = self._plans[layer.name]
                 sparsity = layer.last_error_sparsity

@@ -282,8 +282,10 @@ class TrainingLoop:
         """Call ``hook(epoch, batch_index, result)`` after every SGD step.
 
         Skipped (non-finite) batches are reported too, flagged on the
-        :class:`~repro.nn.sgd.StepResult`.  Hooks are observers: they run
-        inside the epoch and must not mutate the network.
+        :class:`~repro.nn.sgd.StepResult`.  Hooks run inside the epoch,
+        between two steps: they may swap a layer's engine (as
+        :meth:`repro.core.framework.SpgCNN.after_batch` does) but must not
+        change the network's parameters or its layers.
         """
         self._batch_hooks.append(hook)
 

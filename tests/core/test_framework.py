@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from repro import native
-from repro.core.autotuner import ModelCostBackend
+from repro import native, telemetry
+from repro.core.autotuner import CostBackend, ModelCostBackend
 from repro.core.framework import SpgCNN
 from repro.data.synthetic import make_dataset
 from repro.errors import PlanError
 from repro.machine.spec import xeon_e5_2650
 from repro.nn.netdef import build_network
-from repro.nn.sgd import SGDTrainer
+from repro.nn.sgd import SGDTrainer, StepResult
+from repro.nn.training_loop import TrainingLoop
 from tests.conftest import needs_cc
 
 MACHINE = xeon_e5_2650()
@@ -183,6 +184,74 @@ class TestRetuning:
             spg.after_epoch(0)
         with pytest.raises(PlanError):
             SpgCNN(small_net(), ModelCostBackend(MACHINE, 1, 1), recheck_epochs=0)
+
+
+class _SparseBpWins(CostBackend):
+    """Every candidate costs 1 but sparse BP, which costs 0.1."""
+
+    def time(self, technique, phase, spec, sparsity):
+        return 0.1 if technique == "sparse" else 1.0
+
+
+def _step(skipped=False):
+    return StepResult(loss=1.0, accuracy=0.0, skipped=skipped)
+
+
+class TestAfterBatch:
+    """BP is planned after the first applied step, once."""
+
+    def test_requires_optimize(self):
+        with pytest.raises(PlanError):
+            make_spg(small_net()).after_batch(1, 0, _step())
+
+    def test_first_applied_step_plans_bp_once(self):
+        net = small_net()
+        spg = make_spg(net)
+        spg.optimize()
+        for layer in net.conv_layers():
+            layer.last_error_sparsity = 0.95
+        with telemetry.collect() as tel:
+            assert spg.after_batch(1, 0, _step(skipped=True)) == []
+            assert spg.plan.layers[0].bp_timings == {}
+            events = spg.after_batch(1, 1, _step())
+            planned = spg.plan.layers
+            assert spg.after_batch(1, 2, _step()) == []
+            assert spg.after_batch(2, 0, _step()) == []
+        assert events and all(e.new_engine == "sparse" for e in events)
+        assert all(e.epoch == 1 and e.sparsity == 0.95 for e in events)
+        assert all(p.bp_timings for p in planned)
+        # Later calls leave the very same plan objects deployed.
+        assert all(a is b for a, b in zip(spg.plan.layers, planned))
+        (replan,) = tel.find_spans("spg/replan")
+        assert (replan.attrs["epoch"], replan.attrs["batch"]) == (1, 1)
+        assert tel.counters["retune.count"] == len(events)
+        assert spg.retune_events == events
+
+    def test_epoch_rechecks_keep_their_cadence(self):
+        net = small_net()
+        spg = make_spg(net, recheck_epochs=2)
+        spg.optimize()
+        with telemetry.collect() as tel:
+            spg.after_batch(1, 0, _step())
+            assert spg.after_epoch(1) == []
+            spg.after_epoch(2)
+        assert [s.attrs.get("batch") for s in tel.find_spans("spg/replan")] \
+            == [0, None]
+
+    def test_a_loop_runs_the_planned_bp_from_its_second_step(self):
+        net = small_net(seed=2)
+        spg = SpgCNN(net, _SparseBpWins())
+        spg.optimize()
+        loop = TrainingLoop(
+            net, make_dataset(32, 4, (1, 24, 24), noise=0.2, seed=2),
+            batch_size=8, shuffle_seed=0, preflight=False)
+        loop.add_batch_hook(spg.after_batch)
+        with telemetry.collect() as tel:
+            loop.run(1)
+        for layer in net.conv_layers():
+            engines = [s.attrs["engine"]
+                       for s in tel.find_spans(f"{layer.name}/bp")]
+            assert engines == ["gemm-in-parallel"] + ["sparse"] * 3
 
 
 class TestEndToEndTrainingWithSpg:

@@ -14,6 +14,7 @@ from repro.core.convspec import ConvSpec
 from repro.core.framework import SpgCNN
 from repro.errors import PlanError
 from repro.nn.netdef import build_network
+from repro.nn.sgd import StepResult
 from repro.resilience.quarantine import default_registry
 
 SPEC = ConvSpec(nc=2, ny=10, nx=10, nf=3, fy=3, fx=3)
@@ -154,12 +155,15 @@ class TestMemo:
 
 class TestProbeGate:
     def test_slow_probe_is_never_run_at_the_measuring_batch(self):
-        backend, engines = make_backend({**DENSE, "sparse": 30.0})
+        # Two cores: the two GEMM engines issue different BLAS calls.
+        backend, engines = make_backend({**DENSE, "sparse": 30.0},
+                                        num_cores=2)
         timings = backend.rank(("parallel-gemm", "gemm-in-parallel",
                                 "sparse"), "bp", SPEC, 0.85,
                                incumbent="gemm-in-parallel")
-        # One image through dW and one through BP-data: the probe only.
-        assert engines.images("sparse") == [1, 1]
+        # One image through dW and one through BP-data, twice: the two
+        # probes only.
+        assert engines.images("sparse") == [1, 1, 1, 1]
         # Priced at the probe, scaled to the measuring batch.
         assert timings["sparse"] == pytest.approx(2 * 30.0 * backend.batch)
         # The incumbent and the challenger within the gate were timed.
@@ -184,7 +188,7 @@ class TestProbeGate:
         candidates = ("gemm-in-parallel", "sparse")
         # A nearly empty error: the dense challenger is gated out.
         backend.rank(candidates, "bp", SPEC, 0.99, incumbent="sparse")
-        assert engines.images("gemm-in-parallel") == [1, 1]
+        assert engines.images("gemm-in-parallel") == [1, 1, 1, 1]
         # Same incumbent price: the probe-only answer still stands.
         engines.calls.clear()
         backend.rank(candidates, "bp", SPEC, 0.99, incumbent="sparse")
@@ -202,7 +206,7 @@ class TestProbeGate:
         backend.rank(("gemm-in-parallel", "sparse"), "bp", SPEC, 0.85)
         assert backend.batch in engines.images("sparse")
 
-    def test_gated_candidate_costs_one_probe_per_bucket(self):
+    def test_gated_candidate_costs_two_probes_per_bucket(self):
         sparse = lambda density: 200.0 * density        # noqa: E731
         backend, engines = make_backend({**DENSE, "sparse": sparse})
         tuner = Autotuner(backend)
@@ -210,15 +214,38 @@ class TestProbeGate:
                                          "gemm-in-parallel"))
         for sparsity in (0.85, 0.86, 0.84, 0.98, 0.975):
             plan = tuner.replan_bp(plan, sparsity)
-        # Two buckets seen -> two probes (dW + BP-data each), no more.
-        assert engines.images("sparse") == [1, 1, 1, 1]
+        # Two buckets seen -> two probes each (dW + BP-data each), no more.
+        assert engines.images("sparse") == [1] * 8
         assert plan.bp_engine == "gemm-in-parallel"
+
+    def test_one_slow_probe_does_not_pin_the_price(self):
+        # The first probe reads 40x (a preempted run); the second reads
+        # the kernel's real cost, so it is timed and deployed.
+        readings = iter([40.0])
+        stencil = lambda density: next(readings, 0.5)   # noqa: E731
+        backend, engines = make_backend({**DENSE, "stencil": stencil})
+        plan = Autotuner(backend).plan_fp(
+            SPEC, "c", ("gemm-in-parallel", "gemm-in-parallel"))
+        assert engines.images("stencil")[:2] == [1, 1]
+        assert backend.batch in engines.images("stencil")
+        assert plan.fp_timings["stencil"] == pytest.approx(
+            0.5 * backend.batch)
+        assert plan.fp_engine == "stencil"
+
+    def test_slow_on_both_probes_stays_gated_after_two_images(self):
+        backend, engines = make_backend({**DENSE, "stencil": 40.0})
+        plan = Autotuner(backend).plan_fp(
+            SPEC, "c", ("gemm-in-parallel", "gemm-in-parallel"))
+        assert engines.images("stencil") == [1, 1]
+        assert plan.fp_timings["stencil"] == pytest.approx(
+            40.0 * backend.batch)
+        assert plan.fp_engine == "gemm-in-parallel"
 
 
 class TestHysteresis:
     def test_challenger_within_ten_percent_keeps_the_incumbent(self):
         backend, _ = make_backend({**DENSE, "parallel-gemm": 0.95,
-                                   "sparse": 9.0})
+                                   "sparse": 9.0}, num_cores=2)
         tuner = Autotuner(backend)
         plan = tuner.plan_layer(SPEC, "c", sparsity=0.5,
                                 deployed=("gemm-in-parallel",
@@ -230,7 +257,7 @@ class TestHysteresis:
 
     def test_challenger_beyond_ten_percent_replaces_it(self):
         backend, _ = make_backend({**DENSE, "parallel-gemm": 0.85,
-                                   "sparse": 9.0})
+                                   "sparse": 9.0}, num_cores=2)
         plan = Autotuner(backend).plan_layer(
             SPEC, "c", sparsity=0.5,
             deployed=("gemm-in-parallel", "gemm-in-parallel"))
@@ -247,7 +274,8 @@ class TestHysteresis:
 
 class TestMeasurementHygiene:
     def test_scratch_engines_release_their_workspaces(self):
-        backend, engines = make_backend({**DENSE, "stencil": 5.0})
+        backend, engines = make_backend({**DENSE, "stencil": 5.0},
+                                        num_cores=2)
         backend.rank(("parallel-gemm", "gemm-in-parallel", "stencil"),
                      "fp", SPEC, 0.0, incumbent="gemm-in-parallel")
         assert sorted(engines.released) == ["gemm-in-parallel",
@@ -284,6 +312,45 @@ class TestMeasurementHygiene:
         assert set(plan.bp_timings) == {"parallel-gemm", "gemm-in-parallel",
                                         "sparse"}
         assert default_registry().records() == ()
+
+
+class TestOnePriceForOneBlasCall:
+    """On one core ``parallel-gemm`` issues ``gemm-in-parallel``'s call."""
+
+    CANDIDATES = ("parallel-gemm", "gemm-in-parallel", "sparse")
+
+    def test_one_core_times_one_gemm_for_both_names(self):
+        backend, engines = make_backend({**DENSE, "sparse": 9.0})
+        timings = backend.rank(self.CANDIDATES, "bp", SPEC, 0.5,
+                               incumbent="gemm-in-parallel")
+        gemms = {name for name, *_ in engines.calls} - {"sparse"}
+        assert gemms == {"gemm-in-parallel"}
+        assert timings["parallel-gemm"] == timings["gemm-in-parallel"]
+        assert (backend.measured, backend.memo_hits) == (2, 1)
+        # The tie keeps the incumbent.
+        plan = Autotuner(backend).plan_layer(
+            SPEC, "c", sparsity=0.5,
+            deployed=("gemm-in-parallel", "gemm-in-parallel"))
+        assert plan.bp_engine == plan.fp_engine == "gemm-in-parallel"
+        assert plan.fp_timings["parallel-gemm"] == \
+            plan.fp_timings["gemm-in-parallel"]
+
+    def test_two_cores_time_both(self):
+        backend, engines = make_backend({**DENSE, "sparse": 9.0},
+                                        num_cores=2)
+        backend.rank(self.CANDIDATES, "bp", SPEC, 0.5,
+                     incumbent="gemm-in-parallel")
+        assert {name for name, *_ in engines.calls} == set(self.CANDIDATES)
+        assert (backend.measured, backend.memo_hits) == (3, 0)
+
+    def test_the_real_engines_compute_the_same_product(self, rng):
+        from repro.ops.engine import make_engine
+
+        x = rng.standard_normal((2,) + SPEC.input_shape).astype(np.float32)
+        w = rng.standard_normal(SPEC.weight_shape).astype(np.float32)
+        one, other = (make_engine(name, SPEC, num_cores=1)
+                      for name in ("parallel-gemm", "gemm-in-parallel"))
+        assert np.array_equal(one.forward(x, w), other.forward(x, w))
 
 
 def two_conv_net():
@@ -347,8 +414,85 @@ class TestSpgCNNOnTheMeasuredBackend:
             spg.after_epoch(2)
         (optimize,) = tel.find_spans("spg/optimize")
         first, second = tel.find_spans("spg/replan")
-        assert optimize.attrs["measured"] == 6      # 2 layers x 3 FP
-        assert optimize.attrs["memo_hits"] == 0
-        assert first.attrs["measured"] == 6         # 2 layers x 3 BP
+        # One core: the two GEMM names share one price per phase.
+        assert optimize.attrs["measured"] == 4      # 2 layers x 2 FP
+        assert optimize.attrs["memo_hits"] == 2
+        assert first.attrs["measured"] == 4         # 2 layers x 2 BP
+        assert first.attrs["memo_hits"] == 2
         assert second.attrs["measured"] == 0
         assert second.attrs["memo_hits"] == 6
+
+    @staticmethod
+    def _first_steps(spg, net, engines, skipped):
+        """``after_batch`` over steps flagged ``skipped`` or not, each
+        after a step that measured 0.85; the engine calls each made."""
+        made = []
+        for batch, dropped in enumerate(skipped):
+            for layer in net.conv_layers():
+                layer.last_error_sparsity = 0.85
+            before = len(engines.calls)
+            spg.after_batch(1, batch, StepResult(1.0, 0.0, skipped=dropped))
+            made.append(len(engines.calls) - before)
+        return made
+
+    def test_first_plan_runs_after_the_first_applied_step(self):
+        backend, engines = make_backend(self.COST)
+        net = two_conv_net()
+        spg = SpgCNN(net, backend)
+        spg.optimize()
+        with telemetry.collect() as tel:
+            made = self._first_steps(spg, net, engines, [False, False, False])
+        assert made[0] > 0 and made[1:] == [0, 0]
+        (replan,) = tel.find_spans("spg/replan")
+        assert replan.attrs["batch"] == 0
+        for plan in spg.plan.layers:
+            assert set(plan.bp_timings) == {"parallel-gemm",
+                                            "gemm-in-parallel", "sparse"}
+            assert plan.sparsity == 0.85
+
+    def test_a_skipped_first_step_defers_the_plan(self):
+        backend, engines = make_backend(self.COST)
+        net = two_conv_net()
+        spg = SpgCNN(net, backend)
+        spg.optimize()
+        with telemetry.collect() as tel:
+            made = self._first_steps(spg, net, engines, [True, True, False, False])
+        assert made[:2] == [0, 0] and made[2] > 0 and made[3] == 0
+        (replan,) = tel.find_spans("spg/replan")
+        assert replan.attrs["batch"] == 2
+
+    def test_first_plan_switches_engines_as_a_recheck_does(self):
+        backend, _ = make_backend({**DENSE, "sparse": 0.1})
+        net = two_conv_net()
+        spg = SpgCNN(net, backend)
+        spg.optimize()
+        for layer in net.conv_layers():
+            layer.last_error_sparsity = 0.9
+        with telemetry.collect() as tel:
+            events = spg.after_batch(1, 0, StepResult(1.0, 0.0))
+        assert [(e.layer_name, e.new_engine) for e in events] == [
+            ("convA", "sparse"), ("convB", "sparse")]
+        assert [layer.bp_engine_name for layer in net.conv_layers()] == [
+            "sparse", "sparse"]
+        assert spg.retune_events == events
+        assert [e.attrs["new_engine"] for e in tel.events
+                if e.name == "retune"] == ["sparse", "sparse"]
+
+    def test_operands_are_drawn_once_per_spec(self):
+        densities = []
+        backend, engines = make_backend(
+            {**DENSE, "sparse": lambda d: densities.append(d) or 30.0})
+        net = two_conv_net()
+        spg = SpgCNN(net, backend, recheck_epochs=1)
+        spg.optimize()
+        drawn = backend._rng.bit_generator.state
+        self._first_steps(spg, net, engines, [False])
+        first = list(densities)
+        for layer in net.conv_layers():
+            layer.last_error_sparsity = 0.98          # a new bucket
+        spg.after_epoch(1)
+        assert backend._rng.bit_generator.state == drawn
+        # ... and each bucket's error is still drawn at its own density.
+        assert first and len(densities) > len(first)
+        assert all(abs(d - 2 ** -2.5) < 0.06 for d in first)
+        assert all(abs(d - 2 ** -5.5) < 0.02 for d in densities[len(first):])

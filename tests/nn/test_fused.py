@@ -489,9 +489,9 @@ def test_repro_train_losses_equal_the_chains(monkeypatch, capsys):
         assert ("fused with ReLU + max-pool: none" in report) is not fuse
     assert len(losses[0]) == 8
     assert losses[0] == losses[1]
-    # Sparse BP from epoch 2: both convs' backward of its 4 steps ran
-    # the pooled export.
-    assert exported == [8, 0]
+    # Sparse BP from the second step (BP is planned after the first):
+    # both convs' backward of the 7 later steps ran the pooled export.
+    assert exported == [14, 0]
 
 
 def _train(net, steps=3, batch=1):

@@ -17,6 +17,8 @@ import shutil
 import numpy as np
 
 from repro import telemetry
+from repro.core.autotuner import CostBackend
+from repro.core.framework import SpgCNN
 from repro.data.synthetic import cifar10_like
 from repro.nn.network import Network
 from repro.nn.sgd import SGDTrainer
@@ -166,6 +168,63 @@ class TestThreeTechniquesInAShardedStep:
         assert replica._fused == set()
         assert all(layer.take_failures() == []
                    for layer in replica.conv_layers())
+
+
+class _SparseBpWins(CostBackend):
+    """Every candidate costs 1 but sparse BP, which costs 0.1."""
+
+    def time(self, technique, phase, spec, sparsity):
+        return 0.1 if technique == "sparse" else 1.0
+
+
+class TestFirstPlanUnderAPool:
+    """``SpgCNN.after_batch`` switches BP between the first and second
+    sharded steps: the parent's layers hold the shards' sparsity by then,
+    and every worker runs the new engine from the second step on."""
+
+    STEPS = 3
+
+    def _run(self, backend, batch=8):
+        net = _net(2, backend, techniques=False)
+        convs = [conv.name for conv in net.conv_layers()]
+        spg = SpgCNN(net, _SparseBpWins())
+        data = cifar10_like(self.STEPS * batch, seed=3)
+        trainer = SGDTrainer(net, learning_rate=0.01)
+        losses, engines, events = [], [], []
+        try:
+            spg.optimize()
+            for i in range(self.STEPS):
+                with telemetry.collect() as tel:
+                    result = trainer.step(
+                        data.images[i * batch:(i + 1) * batch],
+                        data.labels[i * batch:(i + 1) * batch])
+                losses.append(result.loss)
+                events.append(spg.after_batch(1, i, result))
+                shards = tel.find_spans("worker/step_shard")
+                assert len(shards) == 2, backend
+                engines.append({
+                    (shard.span_id, name): row.attrs["engine"]
+                    for shard in shards for row in _children(tel, shard)
+                    for name in convs if row.name == f"{name}/bp"})
+        finally:
+            _close(net)
+        return convs, losses, engines, events
+
+    def test_second_step_on_every_worker_runs_the_planned_engine(self):
+        runs = {backend: self._run(backend) for backend in BACKENDS}
+        convs, losses, _, _ = runs["serial"]
+        assert all(np.isfinite(losses))
+        for backend, (_, mine, engines, events) in runs.items():
+            assert mine[1:] == losses[1:], backend
+            assert [(e.layer_name, e.new_engine) for e in events[0]] == [
+                (name, "sparse") for name in convs], backend
+            assert events[1:] == [[]] * (self.STEPS - 1), backend
+            assert len(engines[0]) == 2 * len(convs), backend
+            assert set(engines[0].values()) == {"gemm-in-parallel"}
+            for step in engines[1:]:
+                assert len(step) == 2 * len(convs), backend
+                assert set(step.values()) == {"sparse"}, backend
+        assert not default_registry().records()
 
 
 class TestOneRowSetPerBackend:

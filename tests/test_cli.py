@@ -6,6 +6,7 @@ import io
 import pytest
 
 from repro.cli import _build_parser, main
+from tests.conftest import needs_cc
 
 
 def run(argv):
@@ -245,14 +246,15 @@ class TestTrainTrace:
         assert any(e["ph"] == "C" and e["name"].startswith("goodput.")
                    for e in events)
         # Engines are deployed by host measurement: FP is measured once
-        # in optimize, BP at each recheck (the first at a real error
-        # sparsity), and whether anything was retuned is this host's
-        # business.
+        # in optimize, BP after the first step (at its error sparsity)
+        # and at each recheck, and whether anything was retuned is this
+        # host's business.  On one core the two GEMM names share a price.
         (optimize,) = [e for e in spans if e["name"] == "spg/optimize"]
         replans = [e for e in spans if e["name"] == "spg/replan"]
-        assert len(replans) == 2                          # --recheck 1
-        assert optimize["args"]["measured"] == 6          # 2 convs x 3 FP
-        assert replans[0]["args"]["measured"] >= 6        # 2 convs x 3 BP
+        assert len(replans) == 3           # first plan + --recheck 1 x 2
+        assert replans[0]["args"]["batch"] == 0
+        assert optimize["args"]["measured"] == 4          # 2 convs x 2 FP
+        assert replans[0]["args"]["measured"] == 4        # 2 convs x 2 BP
         retunes = [e for e in events
                    if e["ph"] == "i" and e["name"] == "retune"]
         assert f"retunes: {len(retunes)}" in text
@@ -380,6 +382,27 @@ class TestTrain:
         totals = file_report["totals"]
         assert 0 < totals["flops_useful"] < totals["flops_total"]
 
+    @needs_cc
+    def test_one_epoch_trains_on_sparse_bp(self, tmp_path):
+        # BP is planned after the first step, so all but that step of a
+        # one-epoch run run the sparse kernels this host measures faster.
+        out = tmp_path / "trace.json"
+        code, text = run(["train", "--net", "cifar", "--scale", "1.0",
+                          "--batch", "8", "--samples", "64", "--epochs", "1",
+                          "--format", "chrome", "--out", str(out)])
+        assert code == 0
+        events = _chrome(out)
+        for conv in ("conv0", "conv3"):
+            engines = [e["args"]["engine"] for e in events
+                       if e["ph"] == "X" and e["name"] == f"{conv}/bp"]
+            assert len(engines) == 8
+            assert engines.count("sparse") >= 7, (conv, engines)
+        switches = sorted((e["args"]["layer"], e["args"]["new_engine"])
+                          for e in events
+                          if e["ph"] == "i" and e["name"] == "retune")
+        assert switches == [("conv0", "sparse"), ("conv3", "sparse")]
+        assert "retunes: 2" in text
+
     def test_deployed_engines_are_the_measured_argmin(self):
         # The paper's Sec. 4.4 procedure on this host: whatever ends up
         # deployed is the fastest candidate of its plan's own recorded
@@ -414,7 +437,7 @@ class TestTrain:
                 == (row["bp_engine"] == "sparse")
         totals = report["totals"]
         assert totals["tuning_seconds"] > 0
-        assert totals["tuning_measured"] >= 12          # 2 convs x (3 + 3)
+        assert totals["tuning_measured"] >= 8           # 2 convs x (2 + 2)
         assert totals["tuning_memo_hits"] >= 0
         assert totals["retunes"] == len(report["retunes"])
 

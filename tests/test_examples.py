@@ -46,6 +46,7 @@ class TestExamples:
         assert "Initial plan" in out
         assert "Final plan" in out
         assert "sparse" in out  # the retune to sparse BP happened
+        assert "after step 1, re-tuned" in out  # planned at step 1
 
     def test_cifar_end_to_end(self):
         out = run_example("cifar_end_to_end.py", ["0.85"])
