@@ -13,13 +13,14 @@ Examples::
 
 import sys
 
-from repro import ConvSpec, characterize, xeon_e5_2650
+from repro import ConvSpec, characterize
 from repro.analysis.reporting import format_series
 from repro.machine.gemm_model import (
     gemm_in_parallel_conv_time,
     parallel_gemm_conv_time,
 )
 from repro.machine.sparse_model import sparse_bp_time
+from repro.machine.spec import xeon_e5_2650
 from repro.machine.stencil_model import stencil_fp_time
 
 CORES = (1, 2, 4, 8, 16)

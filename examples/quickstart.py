@@ -14,14 +14,8 @@ Run with:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import (
-    Autotuner,
-    ConvSpec,
-    ModelCostBackend,
-    characterize,
-    make_engine,
-    xeon_e5_2650,
-)
+from repro import Autotuner, ConvSpec, characterize, make_engine
+from repro.machine import ModelCostBackend, xeon_e5_2650
 
 
 def main() -> None:

@@ -17,8 +17,9 @@ Run with:  python examples/train_with_spgcnn.py
 
 import numpy as np
 
-from repro import ModelCostBackend, SGDTrainer, SpgCNN, xeon_e5_2650
+from repro import SGDTrainer, SpgCNN
 from repro.data.synthetic import make_dataset
+from repro.machine import ModelCostBackend, xeon_e5_2650
 from repro.nn.zoo import cifar10_net
 
 

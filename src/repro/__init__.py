@@ -9,18 +9,19 @@ Public API highlights:
   (``parallel-gemm``, ``gemm-in-parallel``, ``stencil``, ``sparse``).
 * :class:`repro.SpgCNN` -- the optimization framework: plans, deploys and
   re-tunes the fastest engine per layer and phase of a network.
-* :func:`repro.xeon_e5_2650` -- the paper's machine for the performance
-  model; :mod:`repro.analysis.figures` regenerates every table/figure.
+* :mod:`repro.machine` -- the analytical model of the paper's machine
+  (``xeon_e5_2650``, ``ModelCostBackend``), which the paper book prices
+  with; :mod:`repro.analysis.figures` regenerates every table/figure.
+  Training never imports it.
 """
 
 from repro.check import CheckReport, Finding
-from repro.core.autotuner import Autotuner, MeasuredCostBackend, ModelCostBackend
+from repro.core.autotuner import Autotuner, MeasuredCostBackend
 from repro.core.characterization import Region, characterize, classify
 from repro.core.convspec import ConvSpec, square_conv
 from repro.core.framework import SpgCNN
 from repro.core.goodput import GoodputReport, dense_goodput_bound, measure_sparsity
 from repro.core.plan import ExecutionPlan, LayerPlan
-from repro.machine.spec import MachineSpec, xeon_e5_2650
 from repro.nn.netdef import build_network, network_from_text
 from repro.nn.network import Network
 from repro.nn.sgd import SGDTrainer
@@ -50,13 +51,10 @@ __all__ = [
     "engine_names",
     "make_engine",
     "Autotuner",
-    "ModelCostBackend",
     "MeasuredCostBackend",
     "ExecutionPlan",
     "LayerPlan",
     "SpgCNN",
-    "MachineSpec",
-    "xeon_e5_2650",
     "Network",
     "build_network",
     "network_from_text",

@@ -12,6 +12,7 @@ modules (lifecycle analyzer).
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.check.concurrency import lint_package
 from repro.check.effects import verify_networks as verify_network_effects
@@ -21,7 +22,9 @@ from repro.check.graph import verify_networks
 from repro.check.lifecycle import lint_lifecycle
 from repro.core.convspec import ConvSpec
 from repro.errors import CheckError
-from repro.machine.spec import MachineSpec, xeon_e5_2650
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.machine.spec import MachineSpec
 
 #: The analyzers ``run_all`` knows, in run order.
 ANALYZERS = ("gen-source", "graph", "effects", "concurrency", "lifecycle")
@@ -87,7 +90,10 @@ def run_all(
         raise CheckError(
             f"unknown analyzer(s) {sorted(unknown)}; known: {ANALYZERS}"
         )
-    machine = machine or xeon_e5_2650()
+    if machine is None:
+        from repro.machine.spec import xeon_e5_2650
+
+        machine = xeon_e5_2650()
     report = CheckReport(meta={"machine": machine.name})
 
     needs_specs = "gen-source" in selected

@@ -1,17 +1,13 @@
 """The spg-CNN autotuner: pick the fastest technique per layer and phase.
 
-Two selection backends are provided:
-
-* :class:`ModelCostBackend` -- prices each candidate with the analytical
-  machine model (:mod:`repro.machine`), reproducing the paper's selections
-  for the paper's machine without running anything.  It serves the
-  paper book: ``repro plan``, ``repro schedule``, the figures and tables.
-* :class:`MeasuredCostBackend` -- wall-clock micro-benchmarks of the
-  actual engine implementations on the host (the paper's approach: "it
-  runs each layer with [each technique] ... and based on the measured
-  performance, chooses the fastest technique to deploy"), memoised and
-  probe-gated so that measuring is cheap enough to be what
-  ``repro train`` deploys by.
+:class:`MeasuredCostBackend` prices candidates by wall-clock
+micro-benchmarks of the actual engine implementations on the host (the
+paper's approach: "it runs each layer with [each technique] ... and
+based on the measured performance, chooses the fastest technique to
+deploy"), memoised and probe-gated so that measuring is cheap enough to
+be what ``repro train`` deploys by.  The paper book prices them with
+the analytical model of the paper's machine instead (``ModelCostBackend``,
+beside that model), which this module does not import.
 
 Selections follow Sec. 4.4: FP chooses among Parallel-GEMM,
 GEMM-in-Parallel and Stencil-Kernel; BP among Parallel-GEMM,
@@ -37,15 +33,6 @@ from repro.core.plan import (
 )
 from repro.errors import PlanError
 from repro.resilience.quarantine import QuarantineRegistry, default_registry
-from repro.machine.gemm_model import (
-    DEFAULT_PROFILE,
-    GemmProfile,
-    gemm_in_parallel_conv_time,
-    parallel_gemm_conv_time,
-)
-from repro.machine.sparse_model import sparse_bp_time
-from repro.machine.spec import MachineSpec
-from repro.machine.stencil_model import stencil_fp_time
 from repro.ops.engine import make_engine
 
 
@@ -85,38 +72,6 @@ def _check_phase(technique: str, phase: str) -> None:
         raise PlanError(f"{technique} kernels serve forward propagation only")
     if technique == "sparse" and phase != "bp":
         raise PlanError("sparse kernels serve backward propagation only")
-
-
-class ModelCostBackend(CostBackend):
-    """Analytical machine-model pricing (paper's machine by default)."""
-
-    def __init__(self, machine: MachineSpec, cores: int, batch: int,
-                 profile: GemmProfile = DEFAULT_PROFILE):
-        if batch <= 0 or cores <= 0:
-            raise PlanError(f"batch and cores must be positive: {batch}, {cores}")
-        self.machine = machine
-        self.cores = cores
-        self.batch = batch
-        self.profile = profile
-
-    def time(self, technique: str, phase: str, spec: ConvSpec,
-             sparsity: float) -> float:
-        _check_phase(technique, phase)
-        if technique == "parallel-gemm":
-            return parallel_gemm_conv_time(
-                spec, phase, self.batch, self.machine, self.cores, self.profile
-            )
-        if technique == "gemm-in-parallel":
-            return gemm_in_parallel_conv_time(
-                spec, phase, self.batch, self.machine, self.cores, self.profile
-            )
-        if technique == "stencil":
-            return stencil_fp_time(spec, self.batch, self.machine, self.cores)
-        if technique == "sparse":
-            return sparse_bp_time(
-                spec, self.batch, sparsity, self.machine, self.cores
-            )
-        raise PlanError(f"unknown technique {technique!r}")
 
 
 class MeasuredCostBackend(CostBackend):

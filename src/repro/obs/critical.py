@@ -10,19 +10,17 @@ everything needed to answer per executed graph:
   (:meth:`repro.runtime.dag.TaskGraph.edge_list`);
 * one ``dag/node`` span per executed node, carrying ``graph_id``,
   ``node_id``, ``layer``, ``worker`` and the node name;
-* ``model.estimate`` events with the machine model's GEMM-in-Parallel
-  cost per (layer, method) -- the roofline the measured compute time is
-  checked against;
 * the ``dag.idle_seconds`` gauge and the ``conv.flops.*`` counters.
 
 :func:`critical_path_report` reconstructs each executed graph, runs the
 classic CPM recurrence over the *measured* node durations (ES/EF
 forward, LS/LF backward, slack = LS - ES), and aggregates a
-goodput-attribution table: per layer (compute vs pack vs reduce time,
-against the model's estimate) and per worker (busy vs idle).  Node
-kinds come from the fixed ``dag`` builder vocabulary: ``prep``/``head``
-nodes pack and publish operands, ``lo:hi`` range nodes run engine
-compute, ``reduce``/``finish``/``done`` nodes reduce and unpack.
+goodput-attribution table: per layer (compute vs pack vs reduce time)
+and per worker (busy vs idle), every column measured on this host.
+Node kinds come from the fixed ``dag`` builder vocabulary:
+``prep``/``head`` nodes pack and publish operands, ``lo:hi`` range nodes
+run engine compute, ``reduce``/``finish``/``done`` nodes reduce and
+unpack.
 
 The critical path is computed from edges, not wall-clock order, so it
 is the true lower bound on step latency for this schedule: nodes with
@@ -228,8 +226,6 @@ class CriticalPathReport:
     layer_seconds: dict[str, dict[str, float]] = field(default_factory=dict)
     #: worker -> busy seconds, summed across graphs.
     worker_seconds: dict[int, float] = field(default_factory=dict)
-    #: layer -> machine-model estimate seconds (from ``model.estimate``).
-    modeled_seconds: dict[str, float] = field(default_factory=dict)
     idle_seconds: float = 0.0
     flops_total: float = 0.0
     flops_useful: float = 0.0
@@ -272,7 +268,6 @@ class CriticalPathReport:
                 layer: dict(kinds)
                 for layer, kinds in sorted(self.layer_seconds.items())
             },
-            "modeled_seconds": dict(sorted(self.modeled_seconds.items())),
             "worker_seconds": dict(sorted(self.worker_seconds.items())),
             "flops_total": self.flops_total,
             "flops_useful": self.flops_useful,
@@ -310,21 +305,16 @@ class CriticalPathReport:
                 f"(goodput fraction {self.flops_useful / self.flops_total:.0%})"
             )
         header = (f"{'layer':<14} {'compute ms':>11} {'pack ms':>9} "
-                  f"{'reduce ms':>10} {'model ms':>9} {'meas/model':>10}")
+                  f"{'reduce ms':>10}")
         lines.append(header)
         lines.append("-" * len(header))
         for layer in sorted(self.layer_seconds):
             kinds = self.layer_seconds[layer]
-            compute = kinds.get("compute", 0.0)
-            modeled = self.modeled_seconds.get(layer)
-            ratio = (f"{compute / modeled:10.2f}"
-                     if modeled else f"{'-':>10}")
             lines.append(
                 f"{layer or '(unnamed)':<14} "
-                f"{compute * 1e3:11.3f} "
+                f"{kinds.get('compute', 0.0) * 1e3:11.3f} "
                 f"{kinds.get('pack', 0.0) * 1e3:9.3f} "
-                f"{kinds.get('reduce', 0.0) * 1e3:10.3f} "
-                f"{(modeled or 0.0) * 1e3:9.3f} {ratio}"
+                f"{kinds.get('reduce', 0.0) * 1e3:10.3f}"
             )
         worker_header = f"{'worker':<14} {'busy ms':>11} {'share':>9}"
         lines.append(worker_header)
@@ -395,15 +385,6 @@ def critical_path_report(
             report.worker_seconds[node.worker] = (
                 report.worker_seconds.get(node.worker, 0.0) + node.seconds
             )
-    # Machine-model roofline: sum each layer's modeled per-method cost.
-    for event in collector.events:
-        if event.name != "model.estimate":
-            continue
-        layer = str(event.attrs.get("layer", ""))
-        seconds = float(event.attrs.get("seconds", 0.0))
-        report.modeled_seconds[layer] = (
-            report.modeled_seconds.get(layer, 0.0) + seconds
-        )
     report.idle_seconds = float(collector.gauges.get("dag.idle_seconds", 0.0))
     report.flops_total = float(collector.counters.get("conv.flops.total", 0.0))
     report.flops_useful = float(

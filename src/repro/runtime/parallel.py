@@ -33,11 +33,9 @@ Weight gradients are accumulated per worker and reduced in the parent
 in fixed range order, so results are bit-identical across the serial,
 thread and process backends for a given worker count.
 
-Under the process backend the executor also feeds the supervisor: each
-dispatch proposes a *task deadline* derived from the machine model's
-GEMM-in-Parallel cost estimate for that (phase, batch), so hang
-detection is calibrated to the work actually shipped rather than a
-wall-clock guess (see :mod:`repro.runtime.supervisor`).
+Neither unit sets a hang deadline: the process backend derives its own
+from the task times its workers report (see
+:mod:`repro.runtime.supervisor`).
 """
 
 from __future__ import annotations
@@ -52,8 +50,6 @@ import numpy as np
 from repro import telemetry
 from repro.core.convspec import ConvSpec
 from repro.errors import ReproError
-from repro.machine.gemm_model import gemm_in_parallel_conv_time
-from repro.machine.spec import xeon_e5_2650
 from repro.ops.engine import ConvEngine, make_engine
 from repro.resilience.policy import RetryPolicy
 from repro.runtime.backends import (
@@ -69,7 +65,6 @@ from repro.runtime.backends import (
 )
 from repro.runtime.pool import WorkerPool
 from repro.runtime.shm import SharedArray, ShmArena
-from repro.runtime.supervisor import derive_task_deadline
 
 
 @dataclass(frozen=True)
@@ -89,17 +84,6 @@ class SliceTask:
     lo: int
     hi: int
     run: Callable[[], np.ndarray]
-
-
-def _modeled_seconds(spec: ConvSpec, phase: str, batch: int,
-                     workers: int) -> float | None:
-    """The machine model's GEMM-in-Parallel estimate for one layer phase
-    over ``batch`` images (None for a spec the model cannot price)."""
-    try:
-        return gemm_in_parallel_conv_time(
-            spec, phase, batch, xeon_e5_2650(), cores=max(1, workers))
-    except ReproError:  # pragma: no cover - degenerate spec
-        return None
 
 
 def adopt_slice(out: np.ndarray, task: SliceTask, result: object) -> None:
@@ -126,12 +110,6 @@ class ParallelExecutor:
         self._owns_pool = pool is None
         self._engine_kwargs = dict(engine_kwargs)
         self._arena = ShmArena()
-        # Machine-model hang deadlines, cached per (method, batch).
-        self._deadline_cache: dict[tuple[str, int], float] = {}
-        # (method, batch) pairs whose machine-model estimate was already
-        # published as a ``model.estimate`` event this collector epoch.
-        self._estimates_emitted: set[tuple[str, int]] = set()
-        self._estimates_epoch: tuple[int, ...] | None = None
         # One engine per concurrent attempt: engines hold mutable scratch
         # (unfold workspace, GEMM out= panels, CT-CSR buffers) that must
         # never be shared between two attempts running at once.  A fixed
@@ -200,57 +178,6 @@ class ParallelExecutor:
 
     # -- shared-memory dispatch (process backend) -------------------------
 
-    def _propose_deadline(self, backend: Any, method: str,
-                          batch: int) -> None:
-        """Calibrate the backend's hang deadline to this dispatch.
-
-        The machine model prices the slice work; the supervisor's floor
-        and safety multiple absorb model optimism.  A user-pinned
-        deadline wins (``propose_task_deadline`` is then a no-op).
-        """
-        propose = getattr(backend, "propose_task_deadline", None)
-        if propose is None:  # pragma: no cover - non-process backend
-            return
-        key = (method, batch)
-        deadline = self._deadline_cache.get(key)
-        if deadline is None:
-            phase = "fp" if method == "forward" else "bp"
-            modeled = _modeled_seconds(self.spec, phase, batch,
-                                       self.pool.num_workers)
-            deadline = derive_task_deadline(modeled or 0.0)
-            self._deadline_cache[key] = deadline
-        propose(deadline)
-
-    def _emit_model_estimate(self, method: str, batch: int) -> None:
-        """Publish the machine model's cost estimate for this dispatch.
-
-        One ``model.estimate`` event per (method, batch) per collector
-        activation: the critical-path report joins it against ``dag/node``
-        spans by layer name to build its roofline column.  Works on every
-        backend (thread and serial included), unlike the deadline path.
-        """
-        collectors = telemetry.active_collectors()
-        if not collectors:
-            return
-        epoch = tuple(id(c) for c in collectors)
-        if epoch != self._estimates_epoch:
-            self._estimates_epoch = epoch
-            self._estimates_emitted.clear()
-        key = (method, batch)
-        if key in self._estimates_emitted:
-            return
-        self._estimates_emitted.add(key)
-        phase = "fp" if method == "forward" else "bp"
-        modeled = _modeled_seconds(self.spec, phase, batch,
-                                   self.pool.num_workers)
-        if modeled is None:  # pragma: no cover - degenerate spec
-            return
-        telemetry.event(
-            "model.estimate", layer=self.spec.name, method=method,
-            phase=phase, batch=batch, seconds=modeled,
-            workers=max(1, self.pool.num_workers),
-        )
-
     def _publish(self, role: str, array: np.ndarray) -> SharedArray:
         """Copy ``array`` into the arena's reusable segment for ``role``."""
         seg = self._arena.ensure(role, array.shape, array.dtype)
@@ -265,7 +192,6 @@ class ParallelExecutor:
     ) -> list[Callable[[], np.ndarray]]:
         """Thunks that run the engine slices inside worker processes."""
         backend = self.pool._require_backend()
-        self._propose_deadline(backend, method, primary.shape[0])
         primary_seg = self._publish(f"{method}/primary", primary)
         shared_seg = self._publish(f"{method}/shared", shared)
         out_seg = self._arena.ensure(f"{method}/out", out_shape, out_dtype)
@@ -315,7 +241,6 @@ class ParallelExecutor:
         batch = primary.shape[0]
         if batch == 0:
             raise ReproError("empty batch")
-        self._emit_model_estimate(method, batch)
         ranges = self.pool.assignment(batch)
         options = {} if method == "forward" else {"crop": crop}
         item_shape = (self.spec.output_shape if method == "forward"
@@ -382,7 +307,6 @@ class ParallelExecutor:
         batch = out_error.shape[0]
         if batch == 0:
             raise ReproError("empty batch")
-        self._emit_model_estimate("backward_weights", batch)
         ranges = self.pool.assignment(batch)
         partial_shape = (len(ranges),) + self.spec.weight_shape
         dtype = out_error.dtype
@@ -490,7 +414,6 @@ class ShardedStep:
         #: Whether ``release`` is registered with the pool and its
         #: workers were seen booted; per pool start, cleared by release.
         self._attached = False
-        self._deadlines: dict[int, float] = {}
         #: Last dispatch: gradient partials in range order, and reports.
         self._partials: list[np.ndarray] = []
         self._reports: list[ShardReport] = []
@@ -554,27 +477,6 @@ class ShardedStep:
         self._arena.release()
         self._replicas.discard(self.token)
 
-    def _propose_deadline(self, backend: Any, batch: int) -> None:
-        """Calibrate the hang deadline to a whole step's shard.
-
-        The sum of the conv layers' model estimates for both phases --
-        a shard runs all of them back to back -- under the supervisor's
-        floor and safety multiple.
-        """
-        propose = getattr(backend, "propose_task_deadline", None)
-        if propose is None:
-            return
-        deadline = self._deadlines.get(batch)
-        if deadline is None:
-            specs = [layer.padded_spec for layer in self.network.layers
-                     if hasattr(layer, "padded_spec")]
-            modeled = sum(
-                _modeled_seconds(spec, phase, batch,
-                                 self.pool.num_workers) or 0.0
-                for spec in specs for phase in ("fp", "bp"))
-            deadline = self._deadlines[batch] = derive_task_deadline(modeled)
-        propose(deadline)
-
     # -- the step ---------------------------------------------------------
 
     def run(self, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -600,7 +502,6 @@ class ShardedStep:
             self._bind()
         if not self._attached:
             self._attach(backend)
-        self._propose_deadline(backend, batch)
         # The engine fault sites are the parent's: replicas visit none,
         # so rehearse this step's engine calls here, in inline's order.
         # A fired fault degrades the layer before its structure ships.

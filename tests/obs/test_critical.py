@@ -120,18 +120,6 @@ class TestDiamondCpm:
         assert restored["kind_seconds"]["compute"] == pytest.approx(4.0)
 
 
-class TestRoofline:
-    def test_model_estimates_join_by_layer(self):
-        tel = _diamond_collector()
-        tel.event("model.estimate", layer="conv0", method="forward",
-                  phase="fp", batch=8, seconds=2.5, workers=2)
-        tel.event("model.estimate", layer="conv0", method="backward_data",
-                  phase="bp", batch=8, seconds=1.5, workers=2)
-        report = critical_path_report(tel)
-        assert report.modeled_seconds["conv0"] == pytest.approx(4.0)
-        assert "conv0" in report.table()
-
-
 class TestNoData:
     def test_no_dag_events_yields_none(self):
         tel = telemetry.TelemetryCollector()
@@ -168,11 +156,10 @@ class TestEndToEnd:
         assert len(report.graphs) >= 2  # at least one fp + one bp graph
         assert report.reconciles
         assert report.flops_total > 0.0
-        # The conv layer appears with real compute time and a model
-        # estimate to compare against.
+        # The conv layer appears with real compute time.
         conv_layers = [name for name in report.layer_seconds
                        if name.startswith("conv")]
         assert conv_layers
-        assert any(report.modeled_seconds.get(name, 0.0) > 0.0
+        assert any(report.layer_seconds[name]["compute"] > 0.0
                    for name in conv_layers)
         assert report.table()

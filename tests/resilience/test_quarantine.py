@@ -168,7 +168,8 @@ class TestDegradation:
 
 class TestAutotunerIntegration:
     def test_plan_skips_quarantined_candidates(self):
-        from repro.core.autotuner import Autotuner, ModelCostBackend
+        from repro.core.autotuner import Autotuner
+        from repro.machine import ModelCostBackend
         from repro.machine.spec import xeon_e5_2650
 
         registry = QuarantineRegistry()
@@ -185,7 +186,8 @@ class TestAutotunerIntegration:
         assert baseline.fp_engine not in replanned.fp_timings
 
     def test_all_candidates_benched_degrades_to_fallback(self):
-        from repro.core.autotuner import Autotuner, ModelCostBackend
+        from repro.core.autotuner import Autotuner
+        from repro.machine import ModelCostBackend
         from repro.machine.spec import xeon_e5_2650
 
         registry = QuarantineRegistry()

@@ -628,3 +628,14 @@ class TestWorkersCommand:
         assert len(payload["diagnostics"]) == 2
         assert all("engines_cached" in d for d in payload["diagnostics"])
         assert json.loads(out_path.read_text())["ok"] is True
+
+    def test_json_reports_the_measured_deadline(self):
+        # The diagnostics broadcast is the pool's first completed work:
+        # short tasks, so the supervisor's floor is the deadline.
+        import json
+
+        from repro.runtime.supervisor import DEADLINE_FLOOR
+
+        code, text = run(["workers", "--workers", "2", "--format", "json"])
+        assert code == 0
+        assert json.loads(text)["state"]["task_deadline"] == DEADLINE_FLOOR

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.autotuner import MeasuredCostBackend, ModelCostBackend
+from repro.core.autotuner import MeasuredCostBackend
 from repro.core.framework import SpgCNN
 from repro.data.synthetic import make_dataset
+from repro.machine import ModelCostBackend
 from repro.machine.spec import xeon_e5_2650
 from repro.nn.netdef import network_from_text
 from repro.nn.sgd import SGDTrainer

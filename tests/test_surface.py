@@ -12,6 +12,11 @@ body counts even when no test executes that function.
   a module that exists and, for ``from`` imports, a submodule or an
   attribute of it.  A deletion that leaves a dangling import behind
   fails here even if nothing runs the importing line.
+* ``test_training_imports_no_machine_model`` -- ``repro train``, inline
+  and on process workers under both schedulers, loads no module of
+  ``repro.machine``: what is deployed and how long a worker may hold a
+  task are decided from measurements on this host, never from the
+  model of the paper's machine.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -134,3 +142,31 @@ def test_repro_imports_resolve(path):
             if not hasattr(importlib.import_module(module), name):
                 broken.append(f"{where}: {module} has no {name!r}")
     assert not broken, "\n".join(broken)
+
+
+_TRAIN_WITHOUT_MODEL = """
+import io, sys
+from repro import cli
+base = ["train", "--net", "cifar", "--scale", "0.25", "--batch", "8",
+        "--samples", "16", "--epochs", "1"]
+for extra in (["--recheck", "1"],
+              ["--threads", "2", "--backend", "process"],
+              ["--threads", "2", "--backend", "process", "--scheduler", "dag"]):
+    assert cli.main(base + extra, out=io.StringIO()) == 0, extra
+print(sorted(name for name in sys.modules
+             if name == "repro.machine" or name.startswith("repro.machine.")))
+"""
+
+
+def test_training_imports_no_machine_model(tmp_path):
+    from repro.runtime import shm
+
+    # The child inherits the native cache conftest points at a tmp
+    # directory; the shm manifest gets a tmp directory of its own.
+    env = dict(os.environ, PYTHONPATH=str(SRC),
+               **{shm.MANIFEST_ENV: str(tmp_path / "manifest")})
+    done = subprocess.run([sys.executable, "-c", _TRAIN_WITHOUT_MODEL],
+                          env=env, capture_output=True, text=True,
+                          timeout=600, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]", done.stdout
