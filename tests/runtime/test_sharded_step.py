@@ -31,7 +31,7 @@ from repro.ops.gemm_conv import GemmInParallelEngine
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.resilience.policy import RetryPolicy, apply_policy
 from repro.resilience.quarantine import default_registry
-from repro.runtime import shm
+from repro.runtime import shm, supervisor
 from repro.runtime.backends import (ProcessBackend, pin_malloc_thresholds,
                                     worker_diagnostics)
 from repro.runtime.pool import WorkerPool
@@ -463,6 +463,30 @@ class TestFaultsEndBitIdentical:
         finally:
             _close(net)
         assert shm.owned_segments() == ()
+
+    def test_first_shard_is_not_judged_by_the_readiness_probe(
+            self, monkeypatch):
+        # The bind-time worker_ready broadcast completes in microseconds.
+        # With the floor patched to 1 ms, a deadline learned from it
+        # would kill every worker running the first real shard (tens to
+        # hundreds of ms); shards are judged only by completed shards.
+        monkeypatch.setattr(supervisor, "DEADLINE_FLOOR", 0.001)
+        steps, batch = 2, 64
+        reference = _train(cifar10_net, 2, "serial", steps=steps,
+                           batch=batch, scale=1.0)
+        net = cifar10_net(rng=np.random.default_rng(3), threads=2,
+                          backend="process")
+        data = cifar10_like(steps * batch, seed=3)
+        trainer = SGDTrainer(net, learning_rate=0.01)
+        try:
+            losses = [trainer.step(data.images[lo:lo + batch],
+                                   data.labels[lo:lo + batch]).loss
+                      for lo in range(0, steps * batch, batch)]
+            backend = net.conv_layers()[0]._pool.backend
+            assert (backend.hung_workers, backend.respawns) == (0, 0)
+            assert losses == reference["losses"]
+        finally:
+            _close(net)
 
 
 class TestWorkersStayLegible:
