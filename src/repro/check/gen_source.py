@@ -170,9 +170,9 @@ def verify_native_unit(unit: CUnit, nests: dict[str, LoopNest],
 
         # Taps: the support exactly once, in the nest's loop order for
         # the sparse kernels and in the stencil C printer's own constant
-        # one (kx, then ky, whatever the pipeline) for the vectorized
-        # nests it prints; the tables the kernel indexes with say the
-        # same, in the text too, and no tap leaves the image.
+        # one (kx, then ky, whatever the register file) for the
+        # vectorized nests it prints; the tables the kernel indexes with
+        # say the same, in the text too, and no tap leaves the image.
         expected = list(stencil_emit_c.column_taps(spec)) \
             if nest.vectorized else sparse_codegen_c._taps(nest)
         if sorted(facts.taps) != sorted(expected):
@@ -273,10 +273,10 @@ def native_units(spec: ConvSpec) -> list[tuple[
                            "dw": default_pipeline("sparse_bp_weights")})]
     if (spec.sy, spec.sx) == (1, 1):
         host = stencil_emit_c.host_pipeline
-        units.append(("stencil-fp-c", {"fp": host(None, "fp")}))
+        units.append(("stencil-fp-c", {"fp": host("fp")}))
         if spec.out_ny >= 2 and spec.out_nx >= 2:
             units.append(("stencil-fused-fp-c",
-                          {"fused": host(None, "fused_fp", 2, 2)}))
+                          {"fused": host("fused_fp", 2, 2)}))
     return units
 
 

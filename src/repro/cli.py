@@ -24,7 +24,7 @@ Commands:
   run used ``--scheduler dag``); ``--out`` writes the report, or with
   ``--format chrome`` the run's Chrome trace-event timeline.  ``train``
   deploys the engines this host measures fastest; the Xeon model prices
-  ``plan``, ``schedule`` and ``figure`` only.
+  ``plan`` and ``figure`` only.
 * ``engines`` -- list the registered convolution engines.
 
 Reporting commands (``check``, ``chaos``, ``train``, ``shm``,
@@ -142,18 +142,14 @@ def _add_dims(parser: argparse.ArgumentParser) -> None:
 
 def _dims_spec(args, parser: argparse.ArgumentParser) -> ConvSpec:
     """The square convolution named by the ``Nx Nf Nc Fx`` positionals;
-    one that cannot exist (a kernel larger than the input, a pool larger
-    than the output) is a usage error."""
+    one that cannot exist (a kernel larger than the input) is a usage
+    error."""
     n, f = args.Nx, args.Fx
     try:
         spec = ConvSpec(nc=args.Nc, ny=n, nx=n, nf=args.Nf, fy=f, fx=f,
                         sy=args.stride, sx=args.stride, name="cli-conv")
     except ReproError as exc:
         parser.error(str(exc))
-    pool = getattr(args, "pool", 0)
-    if pool > min(spec.out_ny, spec.out_nx):
-        parser.error(f"pool {pool} larger than the {spec.out_ny}x"
-                     f"{spec.out_nx} conv output")
     return spec
 
 
@@ -175,19 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chz = sub.add_parser("characterize", help="characterize a convolution")
     _add_dims(chz)
     chz.add_argument("--sparsity", type=_fraction, default=0.0)
-
-    sched = sub.add_parser(
-        "schedule",
-        help="search loop-IR schedule pipelines for one convolution",
-    )
-    _add_dims(sched)
-    sched.add_argument("--pool", type=_non_negative_int, default=0,
-                       metavar="K",
-                       help="fuse a KxK max-pool into the forward phase")
-    sched.add_argument("--seed", type=int, default=0,
-                       help="seed for the random schedule samples")
-    sched.add_argument("--cores", type=_positive_int, default=1)
-    sched.add_argument("--batch", type=_positive_int, default=1)
 
     plan = sub.add_parser("plan", help="autotune a network description")
     plan.add_argument("netdef", type=Path)
@@ -354,32 +337,6 @@ def _cmd_characterize(args, out) -> int:
           f"{'sparse' if ch.region.is_sparse else 'dense'})", file=out)
     print(f"recommended FP:  {ch.recommended_fp()}", file=out)
     print(f"recommended BP:  {ch.recommended_bp()}", file=out)
-    return 0
-
-
-def _cmd_schedule(args, out) -> int:
-    from repro.nn.schedule import ScheduleSearch
-
-    spec = args.spec
-    search = ScheduleSearch(cores=args.cores, batch=args.batch,
-                            seed=args.seed)
-    choices = search.search_layer(spec, pool_kernel=args.pool)
-    rows = []
-    for phase, choice in choices.items():
-        rows.append([
-            phase, choice.family, choice.pipeline.describe(),
-            str(choice.num_candidates),
-            f"{choice.seconds * 1e6:.2f}",
-            f"{choice.speedup_over_default():.2f}x",
-            "yes" if choice.verified else "model-only",
-        ])
-    print(format_table(
-        ["phase", "family", "chosen schedule", "cands", "model us",
-         "vs default", "verified"],
-        rows,
-        title=f"{spec.describe()}: schedule search "
-              f"(seed {args.seed}, {args.cores} cores, batch {args.batch})",
-    ), file=out)
     return 0
 
 
@@ -666,8 +623,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args.network = _load_netdef(args.netdef, parser)
     if args.command == "characterize":
         return _cmd_characterize(args, out)
-    if args.command == "schedule":
-        return _cmd_schedule(args, out)
     if args.command == "plan":
         return _cmd_plan(args, out)
     if args.command == "figure":

@@ -403,7 +403,7 @@ class ConvLayer(Layer):
         from repro.stencil.emit_c import load_stencil_kernels
 
         return native.kernels_for(
-            load_stencil_kernels, self.padded_spec, None, window)[0]
+            load_stencil_kernels, self.padded_spec, window)[0]
 
     def _run_fused(self, unit: NativeStencilKernels, padded: np.ndarray,
                    training: bool) -> np.ndarray | None:

@@ -16,11 +16,6 @@ exhaustive search over all ``(ry, rx)`` with
 ``ry * rx <= available accumulator registers``, minimizing total vector
 instructions per output element (commodity machines have few vector
 registers, so the search space is tiny).
-
-In the loop-IR stack the ``vectorize`` schedule pass declares the
-register budget and vector width: :func:`block_for_nest` turns a
-vectorized :class:`~repro.stencil.loopir.LoopNest` into the tile the
-machine model prices.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import CodegenError
-from repro.stencil.loopir import LoopNest
 
 #: AVX on the paper's Xeon: 16 ymm registers, 8 floats each.
 DEFAULT_NUM_REGISTERS = 16
@@ -135,18 +129,3 @@ def optimize_register_tile(
     assert best is not None  # budget >= 1 guarantees at least one candidate
     return best
 
-
-def block_for_nest(nest: LoopNest) -> TileChoice:
-    """The register tile of a vectorized loop nest: the nest's register
-    budget and vector width select it for the nest's kernel taps."""
-    if not nest.vectorized:
-        raise CodegenError(
-            "block_for_nest requires a vectorized nest; run the vectorize "
-            "pass first"
-        )
-    return optimize_register_tile(
-        nest.spec.fy,
-        nest.spec.fx,
-        num_registers=nest.num_registers,
-        vector_width=nest.vector_width,
-    )

@@ -14,9 +14,8 @@ convolution of Georganas et al.:
   kernel column at a time: the ``rows + Fy - 1`` input vectors of a
   column are loaded once per ``(c, kx)`` and each feeds all its ``ky``
   taps (Fig. 7's load reuse) for every feature of the block;
-* ``Nf`` / ``Oy`` remainders are literal blocks of their own; the
-  schedule's ``oy`` / ``ox`` / ``py`` tiles bound where blocks are laid
-  (its ``reorder`` / ``unroll_and_jam`` print nothing: the tile is the jam);
+* ``Nf`` / ``Oy`` remainders are literal blocks of their own; the fused
+  nest's ``py`` tile is the pool rows one ``act`` tile holds;
 * operands are the engines' own ``[B, C, Y, X]`` / ``[F, C, Ky, Kx]``
   arrays: no layout change, no scratch -- except ``fused_fp``, where the
   same block code fills the nest's TILE-scoped ``act`` buffer (caller's
@@ -64,14 +63,12 @@ from repro.stencil.passes import SchedulePipeline, Vectorize, default_pipeline
 Blocks = list[tuple[int, int]]
 
 
-def host_pipeline(pipeline: SchedulePipeline | None, family: str,
-                  pool_kernel: int = 0, pool_stride: int = 0) -> SchedulePipeline:
-    """The schedule the C lowering prints: ``pipeline`` if the caller
-    brought one of its own, else the family's default vectorized for
-    *this* host's register file instead of the paper's AVX."""
+def host_pipeline(family: str, pool_kernel: int = 0,
+                  pool_stride: int = 0) -> SchedulePipeline:
+    """The schedule the C lowering prints: the family's default
+    vectorized for *this* host's register file instead of the paper's
+    AVX."""
     base = default_pipeline(family, pool_kernel, pool_stride)
-    if pipeline is not None and pipeline != base:
-        return pipeline
     return replace(base, passes=base.passes[:-1]
                    + (Vectorize(*vector_registers()),))
 
@@ -106,26 +103,23 @@ def accumulator_block(nest: LoopNest, rows: int) -> tuple[int, int]:
     return min(spec.nf, 1 << (fill.bit_length() - 1)), block_rows
 
 
-def _split(extent: int, size: int, tile: int | None = None) -> Blocks:
-    """``[0, extent)`` as ``(start, size)`` blocks laid inside each tile,
-    a tile's remainder a block of its own."""
-    tile = tile or extent
-    return [(start, min(size, min(lo + tile, extent) - start))
-            for lo in range(0, extent, tile)
-            for start in range(lo, min(lo + tile, extent), size)]
+def _split(extent: int, size: int) -> Blocks:
+    """``[0, extent)`` as ``(start, size)`` blocks, the remainder a block
+    of its own."""
+    return [(start, min(size, extent - start))
+            for start in range(0, extent, size)]
 
 
-def _row_chunks(extent: int, widest: int, tile: int | None = None) -> Blocks:
-    """A row as vectors of ``widest`` floats, the tail of each tile as
-    narrower powers of two."""
+def _row_chunks(extent: int, widest: int) -> Blocks:
+    """A row as vectors of ``widest`` floats, the tail as narrower powers
+    of two."""
     chunks = []
-    for lo, length in _split(extent, tile or extent):
-        x, width = lo, widest
-        while x < lo + length:
-            while width > lo + length - x:
-                width //= 2
-            chunks.append((x, width))
-            x += width
+    x, width = 0, widest
+    while x < extent:
+        while width > extent - x:
+            width //= 2
+        chunks.append((x, width))
+        x += width
     return chunks
 
 
@@ -258,9 +252,8 @@ def emit_stencil_c_unit(spec: ConvSpec,
         raise CodegenError(f"the stencil C printer covers stride-1 "
                            f"convolutions, not {spec.describe()}")
     nest = pipeline.build_nest(spec)    # vectorized: the pipeline ends so
-    conv = nest.stage("conv")           # (other families have no such stage)
     oy, ox, pool = spec.out_ny, spec.out_nx, nest.pool
-    chunks = _row_chunks(ox, nest.vector_width, conv.loop("ox").tile)
+    chunks = _row_chunks(ox, nest.vector_width)
     shape = (f"{spec.nc}x{spec.ny}x{spec.nx}_{spec.nf}_{spec.fy}x{spec.fx}"
              + (f"_p{pool.kernel}s{pool.stride}" if pool else "")
              + f"_{pipeline.fingerprint()}")
@@ -287,7 +280,7 @@ def emit_stencil_c_unit(spec: ConvSpec,
     if pool is None:
         block = accumulator_block(nest, oy)
         features = _split(spec.nf, block[0])
-        rows = _split(oy, block[1], conv.loop("oy").tile)
+        rows = _split(oy, block[1])
         literals.update(FB=block[0], RB=block[1], OUT_F=oy * ox,
                         SCRATCH_FLOATS=0)
         main = [
@@ -447,7 +440,7 @@ def _self_check(kernels: NativeStencilKernels,
                          kernels.forward(inputs, weights),
                          reference.batch_forward(spec, inputs, weights))
         return
-    chain, reason = kernels_for(load_stencil_kernels, spec, None)
+    chain, reason = kernels_for(load_stencil_kernels, spec)
     if chain is None:
         raise NativeBuildError(f"no C FP unit to check the fused unit "
                                f"against: {reason}")
@@ -486,13 +479,12 @@ def _self_check(kernels: NativeStencilKernels,
                                f"error for {spec.describe()}")
 
 
-def load_stencil_kernels(spec: ConvSpec, pipeline: SchedulePipeline | None,
-                         pool: PoolWindow | None = None
+def load_stencil_kernels(spec: ConvSpec, pool: PoolWindow | None = None
                          ) -> NativeStencilKernels:
     """Build or fetch, self-check and load the C unit of the FP kernel
     or, given a pool window, of the fused kernel."""
-    printed = host_pipeline(pipeline, "fp") if pool is None else \
-        host_pipeline(pipeline, "fused_fp", pool.kernel, pool.stride)
+    printed = host_pipeline("fp") if pool is None else \
+        host_pipeline("fused_fp", pool.kernel, pool.stride)
     return load_kernels(
         NativeStencilKernels, spec, emit_stencil_c_unit(spec, printed),
         lambda kernels: _self_check(kernels, pool))

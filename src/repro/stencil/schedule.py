@@ -7,25 +7,18 @@ memory first (as in the paper), so a tile touches
 ``ceil(tile_bytes / page_size)`` pages rather than one page per row.
 
 The chosen tile is reported with its private-cache traffic estimate, which
-the machine model uses to price the kernel.
-
-Since the loop-IR refactor this cache-derived tiling is also expressible
-as a pass pipeline (:meth:`StencilSchedule.as_pipeline`): the halving
-search below seeds the autotuner's schedule search with the
-capacity-feasible starting point.
+the Xeon model uses to price the kernel for the paper book.  The C units
+that run on the host are not tiled by it: they print the loop IR's
+default schedule (:mod:`repro.stencil.emit_c`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.convspec import ELEMENT_BYTES, ConvSpec
 from repro.errors import CodegenError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.stencil.passes import SchedulePipeline
 
 
 @dataclass(frozen=True)
@@ -80,35 +73,6 @@ class StencilSchedule:
         weight_reads = spec.weight_elems
         output_traffic = spec.output_elems * (2 * channel_passes)
         return input_reads + weight_reads + output_traffic
-
-    def as_pipeline(self, family: str = "fp") -> "SchedulePipeline":
-        """This tiling as a schedule-pass pipeline for the loop IR.
-
-        Channel splitting (``channels_per_pass < Nc``) is *not* carried
-        over: splitting the channel contraction changes the accumulation
-        order inside the vector primitive and is outside the bit-exact
-        pass envelope, so the pipeline keeps the full contraction and
-        lets the work estimate price the capacity overrun instead.  The
-        same envelope admits only *one* tiled spatial dim (2-D tiling
-        shrinks the vector primitive's operands enough to flip its
-        internal FMA path), so when this schedule shrank both extents
-        the pipeline carries the row tiling -- the dominant term of the
-        working set -- and prices the rest.
-        """
-        from repro.stencil.passes import (
-            SchedulePass,
-            SchedulePipeline,
-            Tile,
-            Vectorize,
-        )
-
-        passes: list[SchedulePass] = []
-        if self.tile_y < self.spec.out_ny:
-            passes.append(Tile("oy", self.tile_y))
-        elif self.tile_x < self.spec.out_nx:
-            passes.append(Tile("ox", self.tile_x))
-        passes.append(Vectorize())
-        return SchedulePipeline(family=family, passes=tuple(passes))
 
 
 def generate_schedule(

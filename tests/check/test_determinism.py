@@ -20,16 +20,21 @@ import repro
 from repro.core.convspec import ConvSpec
 from repro.sparse import codegen_c
 from repro.stencil import emit_c
-from repro.stencil.passes import tiled_pipeline
+from repro.stencil.passes import SchedulePipeline, Vectorize
 
 #: Printer -> the arguments after the spec, per unit family.
 PRINTERS = {
     "sparse": (codegen_c.emit_sparse_c_unit, ()),
     "stencil-fp": (emit_c.emit_stencil_c_unit,
-                   (emit_c.host_pipeline(None, "fp"),)),
+                   (emit_c.host_pipeline("fp"),)),
     "stencil-fused": (emit_c.emit_stencil_c_unit,
-                      (emit_c.host_pipeline(None, "fused_fp", 2, 2),)),
+                      (emit_c.host_pipeline("fused_fp", 2, 2),)),
 }
+
+
+def _vectorized(registers):
+    """An ``fp`` pipeline vectorized for ``registers`` registers."""
+    return SchedulePipeline("fp", (Vectorize(num_registers=registers),))
 
 
 def _spec(name="det"):
@@ -60,9 +65,9 @@ def test_a_fresh_interpreter_prints_the_same_bytes():
         "spec = ConvSpec(nc=2, ny=10, nx=8, nf=3, fy=3, fx=3, name='det')\n"
         "for unit in (codegen_c.emit_sparse_c_unit(spec),\n"
         "             emit_c.emit_stencil_c_unit(spec, emit_c.host_pipeline(\n"
-        "                 None, 'fp')),\n"
+        "                 'fp')),\n"
         "             emit_c.emit_stencil_c_unit(spec, emit_c.host_pipeline(\n"
-        "                 None, 'fused_fp', 2, 2))):\n"
+        "                 'fused_fp', 2, 2))):\n"
         "    print(hashlib.sha256(unit.source.encode()).hexdigest())\n")
     src = str(Path(repro.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -121,28 +126,25 @@ class TestPipelineKeyedCache:
     """
 
     def test_scheduled_printing_is_byte_identical(self):
-        first = emit_c.emit_stencil_c_unit(_spec(), tiled_pipeline(
-            "fp", tile_y=3))
+        first = emit_c.emit_stencil_c_unit(_spec(), _vectorized(8))
         emit_c.emit_stencil_c_unit.cache_clear()
-        second = emit_c.emit_stencil_c_unit(_spec(), tiled_pipeline(
-            "fp", tile_y=3))
+        second = emit_c.emit_stencil_c_unit(_spec(), _vectorized(8))
         assert first.source == second.source
 
     def test_distinct_pipelines_never_collide(self):
         default = _print("stencil-fp", _spec())
-        t3 = emit_c.emit_stencil_c_unit(_spec(), tiled_pipeline("fp", tile_y=3))
-        t5 = emit_c.emit_stencil_c_unit(_spec(), tiled_pipeline("fp", tile_y=5))
-        assert len({default.name, t3.name, t5.name}) == 3
-        assert t3.source != t5.source
+        small = emit_c.emit_stencil_c_unit(_spec(), _vectorized(8))
+        large = emit_c.emit_stencil_c_unit(_spec(), _vectorized(24))
+        assert len({default.name, small.name, large.name}) == 3
+        assert small.source != large.source
         # The fingerprint is the collision guard: it is in the name.
-        fp3 = tiled_pipeline("fp", tile_y=3).fingerprint()
-        assert t3.name.endswith(f"_{fp3}")
+        assert small.name.endswith(f"_{_vectorized(8).fingerprint()}")
 
     def test_repeat_spec_pipeline_pair_is_a_cache_hit(self):
         emit_c.emit_stencil_c_unit.cache_clear()
-        unit = emit_c.emit_stencil_c_unit(_spec(), tiled_pipeline("fp", tile_y=3))
+        unit = emit_c.emit_stencil_c_unit(_spec(), _vectorized(8))
         hits = emit_c.emit_stencil_c_unit.cache_info().hits
-        again = emit_c.emit_stencil_c_unit(_spec(), tiled_pipeline("fp", tile_y=3))
+        again = emit_c.emit_stencil_c_unit(_spec(), _vectorized(8))
         assert again is unit
         assert emit_c.emit_stencil_c_unit.cache_info().hits == hits + 1
 
@@ -152,7 +154,7 @@ class TestPipelineKeyedCache:
         cached) apart from every other window's."""
         def unit(kernel, stride):
             return emit_c.emit_stencil_c_unit(_spec(), emit_c.host_pipeline(
-                None, "fused_fp", kernel, stride))
+                "fused_fp", kernel, stride))
 
         first = unit(3, 2)
         emit_c.emit_stencil_c_unit.cache_clear()

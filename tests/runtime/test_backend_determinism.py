@@ -87,7 +87,7 @@ class TestSpawnSafetyPickling:
     def test_generated_kernel_round_trips(self):
         from repro.stencil.emit_c import emit_stencil_c_unit, host_pipeline
 
-        unit = emit_stencil_c_unit(SPEC, host_pipeline(None, "fp"))
+        unit = emit_stencil_c_unit(SPEC, host_pipeline("fp"))
         clone = pickle.loads(pickle.dumps(unit))
         assert clone == unit and clone.source == unit.source
 

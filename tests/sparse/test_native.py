@@ -507,8 +507,7 @@ def _fused_pass(spec, window, rng, batch=3):
     the padded batch, its pooled output and argmax, a pooled error."""
     from repro.stencil.emit_c import load_stencil_kernels
 
-    unit, reason = native.kernels_for(load_stencil_kernels, spec, None,
-                                      window)
+    unit, reason = native.kernels_for(load_stencil_kernels, spec, window)
     assert unit is not None, reason
     inputs = rng.standard_normal((batch,) + spec.input_shape) \
         .astype(np.float32)

@@ -6,38 +6,38 @@ import pytest
 from repro import native
 from repro.core.convspec import ConvSpec
 from repro.ops.engine import make_engine
+from repro.stencil.emit_c import emit_stencil_c_unit, host_pipeline
 from repro.stencil.engine import StencilEngine
 from repro.stencil.passes import SchedulePipeline, Vectorize
 from tests.conftest import SMALL_SPECS, random_conv_data
 
 
+def _fits_the_register_file(unit, spec, registers):
+    """The accumulator block, the input column and the broadcast weight
+    fit ``registers`` vector registers."""
+    features, rows = unit.literal("FB"), unit.literal("RB")
+    return features * rows + rows + spec.fy - 1 + 1 <= registers
+
+
 class TestConstruction:
     def test_engine_reports_the_block_its_printer_used(self):
-        engine = StencilEngine(SMALL_SPECS[1])
-        assert engine.tile.fmas > 0
-        budget = native.vector_registers()[0] \
-            if engine.lowering == "c" else 16
-        assert engine.tile.registers_used <= budget
-
-    def test_a_pipeline_no_printer_covers_is_served_by_the_reference(self):
-        pipeline = SchedulePipeline("bp_data", (Vectorize(),))
-        engine = StencilEngine(SMALL_SPECS[0], pipeline=pipeline)
-        assert engine.lowering == "reference" and engine.lowering_reason
+        """The host unit's block fits the host's register file, and it
+        is the unit a lowered engine runs."""
+        spec = SMALL_SPECS[1]
+        unit = emit_stencil_c_unit(spec, host_pipeline("fp"))
+        assert _fits_the_register_file(unit, spec,
+                                       native.vector_registers()[0])
+        engine = StencilEngine(spec)
+        if engine.lowering == "c":
+            assert engine._native.unit == unit
 
     def test_custom_register_file(self):
         """The register budget is the schedule's: a pipeline vectorized
-        for 8 registers yields that tile, and the C printer an
-        accumulator block inside that budget."""
+        for 8 registers prints an accumulator block inside that budget."""
         spec = SMALL_SPECS[0]
         pipeline = SchedulePipeline("fp", (Vectorize(num_registers=8),))
-        engine = StencilEngine(spec, pipeline=pipeline)
-        assert engine.tile == pipeline.vector_block(spec)
-        assert engine.tile.ry * engine.tile.rx + 2 <= 8
-        if engine.lowering == "c":
-            unit = engine._native.unit
-            features, rows = unit.literal("FB"), unit.literal("RB")
-            # accumulators + the input column + the broadcast weight
-            assert features * rows + rows + spec.fy - 1 + 1 <= 8
+        unit = emit_stencil_c_unit(spec, pipeline)
+        assert _fits_the_register_file(unit, spec, 8)
 
     def test_rejects_nonpositive_cores(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,9 @@
-"""Tests for the schedulable loop IR: vocabulary, estimates, fingerprints."""
+"""Tests for the schedulable loop IR: vocabulary and fingerprints."""
 
 import pytest
 
 from repro.core.convspec import ConvSpec
 from repro.errors import CodegenError
-from repro.machine.spec import xeon_e5_2650
 from repro.stencil.loopir import (
     PARALLEL,
     REDUCE_ATOMIC,
@@ -14,7 +13,6 @@ from repro.stencil.loopir import (
     conv_bp_data_nest,
     conv_bp_weights_nest,
     conv_fp_nest,
-    estimate_nest,
     fused_fp_nest,
     stable_fingerprint,
 )
@@ -78,38 +76,6 @@ class TestVocabulary:
             pool.out_extent(2)
         with pytest.raises(CodegenError):
             PoolWindow(0, 1)
-
-
-class TestEstimates:
-    def test_estimate_counts_flops_and_traffic(self):
-        est = estimate_nest(conv_fp_nest(SPEC))
-        assert est.flops == SPEC.flops
-        assert est.private_elems > 0
-        assert est.shared_elems > 0
-
-    def test_fused_traffic_strictly_below_chain(self):
-        from repro.stencil.passes import default_pipeline
-
-        fused = default_pipeline(
-            "fused_fp", pool_kernel=2, pool_stride=2
-        ).estimate(SPEC)
-        chain = estimate_nest(fused_fp_nest(SPEC, 2, 2))  # unfused
-        assert (fused.private_elems + fused.shared_elems
-                < chain.private_elems + chain.shared_elems)
-        assert fused.shared_elems < chain.shared_elems
-
-    def test_estimate_prices_on_the_roofline(self):
-        est = estimate_nest(conv_fp_nest(SPEC))
-        machine = xeon_e5_2650()
-        t1 = est.time(machine, cores=1)
-        t16 = est.time(machine, cores=16)
-        assert 0 < t16 <= t1
-
-    def test_work_delta_reports_direction(self):
-        a = estimate_nest(conv_fp_nest(SPEC))
-        b = estimate_nest(fused_fp_nest(SPEC, 2))
-        delta = b - a
-        assert isinstance(delta.describe(), str)
 
 
 class TestFingerprint:

@@ -47,7 +47,7 @@ from repro.ops.workspace import Workspace
 from repro.resilience.quarantine import default_registry
 from repro.stencil import emit_c
 from repro.stencil.loopir import PoolWindow
-from repro.stencil.passes import Fuse, SchedulePipeline, Tile, Vectorize
+from repro.stencil.passes import SchedulePipeline, Vectorize
 from tests.conftest import (
     SMALL_SPECS,
     fake_compiler,
@@ -82,7 +82,7 @@ def _oracle(spec, inputs, weights):
 
 def _fused_unit(spec, kernel=2, stride=2):
     """``(unit, reason)`` of the fused conv + ReLU + pool C unit."""
-    return native.kernels_for(emit_c.load_stencil_kernels, spec, None,
+    return native.kernels_for(emit_c.load_stencil_kernels, spec,
                               PoolWindow(kernel, stride))
 
 
@@ -205,20 +205,6 @@ def test_reloaded_and_pickled_engines_compute_the_same_bits(rng):
 
 
 @needs_cc
-def test_schedule_tiles_move_the_blocks_not_the_bits(rng):
-    """Tiles become the bounds the blocks are laid inside; per output
-    element the FMA sequence is the same."""
-    inputs, weights, _ = random_conv_data(SPEC, rng, batch=2)
-    vectorize = Vectorize(*native.vector_registers())
-    plain = make_engine("stencil", SPEC)
-    tiled = make_engine("stencil", SPEC, pipeline=SchedulePipeline(
-        "fp", (Tile("oy", 3), vectorize)))
-    assert tiled.lowering == "c" and tiled.artifact != plain.artifact
-    assert tiled.forward(inputs, weights).tobytes() == \
-        plain.forward(inputs, weights).tobytes()
-
-
-@needs_cc
 @pytest.mark.parametrize("window", [(2, 2), (3, 2)], ids=["2/2", "3/2"])
 @pytest.mark.parametrize("spec", [
     ConvSpec(nc=3, ny=12, nx=11, nf=5, fy=3, fx=3, pad=1, name="c"),
@@ -246,25 +232,6 @@ def test_fused_equals_chain_bitwise_under_the_c_lowering(spec, window, rng):
     assert got_err.tobytes() == want_err.tobytes()
     assert fused.conv.d_weights.tobytes() == conv.d_weights.tobytes()
     assert fused.conv.d_bias.tobytes() == conv.d_bias.tobytes()
-
-
-@needs_cc
-def test_fused_pool_row_blocks_move_the_tile_not_the_bits(rng):
-    spec = ConvSpec(nc=2, ny=14, nx=13, nf=4, fy=3, fx=3)
-    x = rng.standard_normal((2,) + spec.input_shape).astype(np.float32)
-    w = rng.standard_normal(spec.weight_shape).astype(np.float32)
-    bias = rng.standard_normal(spec.nf).astype(np.float32)
-    outs = []
-    for rows in (1, 2, 4):
-        unit, reason = native.kernels_for(
-            emit_c.load_stencil_kernels, spec, SchedulePipeline(
-                "fused_fp", (Fuse(rows), Vectorize(*native.vector_registers())),
-                pool_kernel=3, pool_stride=2), PoolWindow(3, 2))
-        assert unit is not None, reason
-        out, argmax, _ = unit.fused_forward(x, w, bias,
-                                            unit.scratch(Workspace()))
-        outs.append((out.tobytes(), argmax.tobytes()))
-    assert outs[0] == outs[1] == outs[2]
 
 
 # -- choosing the lowering ------------------------------------------------------
@@ -607,7 +574,7 @@ class TestGeneratedSource:
         # Fig. 7's reuse: the Fy taps of one kernel column are adjacent,
         # so each input row vector is loaded once for all of them.
         unit = emit_c.emit_stencil_c_unit(
-            self.GEOMETRY, emit_c.host_pipeline(None, "fp"))
+            self.GEOMETRY, emit_c.host_pipeline("fp"))
         assert ("static const int FP_TAP_W[NT] = {0, 2, 4, 1, 3, 5};"
                 in unit.source)
         assert ("static const int FP_TAP_OFF[NT] = {0, 8, 16, 1, 9, 17};"
@@ -615,9 +582,9 @@ class TestGeneratedSource:
 
     def test_kernel_names_encode_shape_and_window(self):
         plain = emit_c.emit_stencil_c_unit(
-            self.GEOMETRY, emit_c.host_pipeline(None, "fp"))
+            self.GEOMETRY, emit_c.host_pipeline("fp"))
         fused = emit_c.emit_stencil_c_unit(
-            self.GEOMETRY, emit_c.host_pipeline(None, "fused_fp", 2, 2))
+            self.GEOMETRY, emit_c.host_pipeline("fused_fp", 2, 2))
         assert plain.name.startswith("stencil_fp_2x8x8_3_3x2_")
         assert fused.name.startswith("fused_fp_2x8x8_3_3x2_p2s2_")
         assert plain.exports == ("fp",)
@@ -626,11 +593,11 @@ class TestGeneratedSource:
     def test_strided_spec_is_refused(self):
         spec = ConvSpec(nc=1, ny=9, nx=9, nf=1, fy=3, fx=3, sy=2, sx=2)
         with pytest.raises(CodegenError):
-            emit_c.emit_stencil_c_unit(spec, emit_c.host_pipeline(None, "fp"))
+            emit_c.emit_stencil_c_unit(spec, emit_c.host_pipeline("fp"))
 
 
 def test_c_unit_text_is_deterministic_and_names_every_literal():
-    pipeline = emit_c.host_pipeline(None, "fused_fp", 2, 2)
+    pipeline = emit_c.host_pipeline("fused_fp", 2, 2)
     unit = emit_c.emit_stencil_c_unit(SPEC, pipeline)
     emit_c.emit_stencil_c_unit.cache_clear()
     assert emit_c.emit_stencil_c_unit(SPEC, pipeline).source == unit.source
