@@ -51,8 +51,10 @@ shared-memory ranges).  A worker is hung once it holds a task longer
 than the deadline that task's kind earned in its own pool: 20x the
 longest completed task of the same function, at least 5 s, none before
 the first one completes (so a slow kind is never judged by a fast one's
-times).  Backend start also runs the shm janitor, reclaiming segments
-orphaned by a previous hard-killed process.
+times).  A worker still booting holds no task yet: work queued on it is
+judged against the boot times of its siblings, the same way.  Backend
+start also runs the shm janitor, reclaiming segments orphaned by a
+previous hard-killed process.
 
 BLAS threads: the runtime's unit of parallelism is the worker, one
 single-threaded kernel per core (Sec. 4.1), so spawned workers get
@@ -254,10 +256,10 @@ class _Worker:
     """Parent-side record of one spawned worker process."""
 
     __slots__ = ("process", "requests", "results", "outstanding", "slot",
-                 "escalating")
+                 "escalating", "spawned", "boot_seq", "ready")
 
     def __init__(self, process: Any, requests: Any, results: Any,
-                 slot: int) -> None:
+                 slot: int, spawned: float, boot_seq: int) -> None:
         self.process = process
         self.requests = requests
         #: Parent's receive end of this worker's private result pipe.
@@ -268,6 +270,14 @@ class _Worker:
         #: Set (under the backend lock) by the first sweep that decides
         #: to kill this worker, so concurrent sweeps never double-signal.
         self.escalating = False
+        #: ``time.monotonic()`` just before the process started, and the
+        #: slot's heartbeat sequence then.  The worker is booting until
+        #: the sequence moves: its first stamp is the idle one it posts
+        #: once it can take work.
+        self.spawned = spawned
+        self.boot_seq = boot_seq
+        #: Set by the first sweep that sees the sequence move.
+        self.ready = False
 
 
 class ExecutionBackend:
@@ -335,6 +345,12 @@ class ProcessBackend(ExecutionBackend):
         #: :func:`measured_deadline` of its kind's entry, and a kind with
         #: no entry yet is not judged.
         self.longest_tasks: dict[str, float] = {}
+        #: Seconds from spawn to readiness of the slowest worker seen
+        #: ready.  A job held by a worker still booting is judged
+        #: against :func:`measured_deadline` of this, never against its
+        #: kind's task times (interpreter boot is no task's time), and
+        #: not before some worker finished booting.
+        self.longest_boot: float | None = None
         #: A pinned deadline (``task_deadline=``, :meth:`set_task_deadline`)
         #: applies to every job; ``None`` pinned disables hang detection
         #: (dead-worker reaping still runs).
@@ -475,12 +491,16 @@ class ProcessBackend(ExecutionBackend):
                   ring_descriptor),
             daemon=True,
         )
+        # A respawn reuses a dead worker's slot, so the slot's sequence
+        # now, not zero, is what the new worker's first stamp moves.
+        boot_seq, _, _ = self._heartbeat.read(slot)
+        spawned = time.monotonic()
         process.start()
         # Drop the parent's copy of the send end: the pipe must hit EOF
         # (worker death detection) as soon as the worker's copy closes.
         send_end.close()
         self._result_conns.add(recv_end)
-        return _Worker(process, requests, recv_end, slot)
+        return _Worker(process, requests, recv_end, slot, spawned, boot_seq)
 
     def shutdown(self) -> None:
         with self._lifecycle_lock:
@@ -700,7 +720,8 @@ class ProcessBackend(ExecutionBackend):
         it owes results: its heartbeat is silent **and** its oldest
         outstanding dispatch -- the job a worker serving its queue in
         order runs -- is older than that job's deadline
-        (:meth:`_deadline_for`).
+        (:meth:`_deadline_for`), or, while the worker is still booting,
+        than the boot deadline (:attr:`longest_boot`).
         """
         if not self._started or self._closed:
             return
@@ -709,23 +730,31 @@ class ProcessBackend(ExecutionBackend):
             now = time.monotonic()
             with self._lock:
                 for worker in self._workers:
-                    if (worker.escalating or not worker.outstanding
-                            or not worker.process.is_alive()):
+                    if worker.escalating or not worker.process.is_alive():
                         continue
+                    seq, _, stamp = self._heartbeat.read(worker.slot)
+                    if not worker.ready and seq != worker.boot_seq:
+                        # Read at the first sweep after readiness, the
+                        # stamp may be a later pickup's: an upper bound.
+                        worker.ready = True
+                        self.longest_boot = max(self.longest_boot or 0.0,
+                                                stamp - worker.spawned)
                     oldest = min(
                         (self._jobs[j] for j in worker.outstanding
                          if j in self._jobs),
                         key=lambda job: job.dispatched, default=None)
                     if oldest is None:
                         continue
-                    deadline = self._deadline_for(oldest.kind)
-                    if deadline is None:
-                        continue
-                    _, _, stamp = self._heartbeat.read(worker.slot)
-                    # Busy worker: stamp is the running task's pickup
-                    # time.  Worker stopped while idle: the dispatch
-                    # timestamp starts the clock instead.
-                    if now - max(stamp, oldest.dispatched) > deadline:
+                    if worker.ready:
+                        # Busy worker: stamp is the running task's pickup
+                        # time.  Worker stopped while idle: the dispatch
+                        # timestamp starts the clock instead.
+                        deadline = self._deadline_for(oldest.kind)
+                        since = max(stamp, oldest.dispatched)
+                    else:
+                        deadline = self._deadline(self.longest_boot)
+                        since = max(worker.spawned, oldest.dispatched)
+                    if deadline is not None and now - since > deadline:
                         worker.escalating = True
                         hung.append((worker, deadline))
         for worker, deadline in hung:
@@ -734,9 +763,13 @@ class ProcessBackend(ExecutionBackend):
 
     def _deadline_for(self, kind: str) -> float | None:
         """Hang deadline of a job of ``kind`` (None: not judged)."""
+        return self._deadline(self.longest_tasks.get(kind))
+
+    def _deadline(self, longest: float | None) -> float | None:
+        """The pinned deadline, else :func:`measured_deadline` of the
+        ``longest`` reading (None: no reading yet, not judged)."""
         if self._deadline_pinned:
             return self._pinned_deadline
-        longest = self.longest_tasks.get(kind)
         return None if longest is None else measured_deadline(longest)
 
     def _escalate(self, worker: _Worker, deadline: float) -> None:

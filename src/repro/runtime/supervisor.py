@@ -35,7 +35,10 @@ A worker is only ever declared hung while it *owes* results: the rule is
 An idle worker blocks silently in ``queue.get()`` without stamping, so
 staleness alone is never evidence of a hang; conversely a worker that
 was SIGSTOP'd while idle is still caught the moment work is dispatched
-to it, via the dispatch timestamp.
+to it, via the dispatch timestamp.  A worker that has not stamped since
+it was spawned is still booting; work it owes is judged against
+:func:`measured_deadline` of the longest boot the backend has seen
+instead, from spawn or dispatch, whichever is later.
 """
 
 from __future__ import annotations

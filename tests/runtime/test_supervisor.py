@@ -22,7 +22,8 @@ import pytest
 
 from repro.resilience.policy import RetryPolicy, apply_policy
 from repro.runtime import shm, supervisor
-from repro.runtime.backends import ProcessBackend, WorkerCrashedError
+from repro.runtime.backends import (ProcessBackend, WorkerCrashedError,
+                                    worker_ready)
 from repro.runtime.pool import WorkerPool
 from repro.runtime.supervisor import (
     DEADLINE_FLOOR,
@@ -250,6 +251,78 @@ class TestHungWorkerEscalation:
             backend.sweep_workers()
             assert backend.hung_workers == 0
             assert backend.call(math.factorial, 3) == 6
+        finally:
+            backend.shutdown()
+
+
+class TestBootingWorkers:
+    """A worker that has not stamped since spawn holds no task yet."""
+
+    @staticmethod
+    def _start_with_first_worker_stopped(backend):
+        backend.start()
+        booting = backend.worker_pids()[0]
+        os.kill(booting, signal.SIGSTOP)
+        # Stopped before its first stamp: it is still booting.
+        assert backend.supervisor_state()["workers"][0]["beats"] == 0
+        return booting
+
+    def test_a_booting_worker_is_not_judged_by_its_siblings_tasks(
+            self, manifest_dir, monkeypatch):
+        # The sibling answers the readiness probe in microseconds, which
+        # earns the probe's kind the 1 ms floor.  The same probe queued
+        # on the worker still booting waits on boot times instead.
+        monkeypatch.setattr(supervisor, "DEADLINE_FLOOR", 0.001)
+        backend = ProcessBackend(2)
+        backend.escalate_grace = 0.5
+        try:
+            booting = self._start_with_first_worker_stopped(backend)
+            answers: list = []
+            caller = threading.Thread(
+                target=lambda: answers.append(backend.broadcast(worker_ready)),
+                daemon=True)
+            caller.start()
+            kind = "repro.runtime.backends.worker_ready"
+            waited = time.monotonic()
+            while (kind not in backend.longest_tasks
+                   and time.monotonic() - waited < 30.0):
+                time.sleep(0.05)
+            assert _deadlines(backend) == {kind: 0.001}
+            time.sleep(1.0)  # ten sweeps past the kind's deadline
+            assert backend.hung_workers == 0
+            os.kill(booting, signal.SIGCONT)
+            caller.join(timeout=30.0)
+            assert not caller.is_alive()
+            assert sorted(answers[0]) == sorted(backend.worker_pids())
+            assert booting in answers[0]
+            assert (backend.hung_workers, backend.respawns) == (0, 0)
+            assert backend.longest_boot > 0
+        finally:
+            backend.shutdown()
+
+    def test_a_worker_stuck_booting_is_caught_by_its_siblings_boot(
+            self, manifest_dir, monkeypatch):
+        # No task kind judges a booting worker, but its sibling's boot
+        # does: at twice the sibling's boot, the stuck one is killed and
+        # its probe answered by a live worker.
+        monkeypatch.setattr(supervisor, "DEADLINE_FLOOR", 0.001)
+        monkeypatch.setattr(supervisor, "DEADLINE_SAFETY", 2.0)
+        backend = ProcessBackend(2)
+        backend.escalate_grace = 0.5
+        try:
+            stuck = self._start_with_first_worker_stopped(backend)
+            answers: list = []
+            caller = threading.Thread(
+                target=lambda: answers.append(backend.broadcast(worker_ready)),
+                daemon=True)
+            caller.start()
+            caller.join(timeout=30.0)
+            assert not caller.is_alive(), (
+                f"still blocked: {backend.supervisor_state()}")
+            assert len(answers[0]) == 2 and stuck not in answers[0]
+            assert backend.hung_workers == 1
+            assert stuck not in backend.worker_pids()
+            assert backend.longest_boot > 0
         finally:
             backend.shutdown()
 
