@@ -12,7 +12,7 @@ events); this package turns one collected run into its reports:
   report of ``repro train``;
 * :mod:`repro.obs.idle` -- worker idle-time derivation from span data
   (the barrier-vs-DAG comparison metric), including the worker-process
-  mode fed by merged shm-ring telemetry;
+  mode fed by merged worker telemetry;
 * :mod:`repro.obs.critical` -- DAG critical-path analysis and goodput
   attribution over ``scheduler="dag"`` steps.
 """

@@ -69,7 +69,8 @@ def _track_ids(collector: TelemetryCollector) -> dict[tuple[int, int], int]:
     """Map ``(pid, os_thread_id)`` to small stable tids (record order).
 
     Tids restart from 1 within each pid: Perfetto namespaces threads by
-    process, and worker rings stamp one logical writer per process.
+    process, and merged worker records stamp one logical writer per
+    process.
     """
     tids: dict[tuple[int, int], int] = {}
     per_pid: dict[int, int] = {}

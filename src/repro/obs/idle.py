@@ -17,9 +17,9 @@ gaps on the Chrome trace).
 Under the process backend the parent-side ``pool/task`` spans measure
 dispatch occupancy, not worker occupancy -- queueing and pipe latency
 hide inside them.  :func:`worker_process_idle` instead consumes the
-``worker/*`` spans a worker's own ``telemetry.span`` calls recorded into
-its shared-memory ring (:mod:`repro.telemetry.remote`) and the parent
-merged: they carry a ``process_pid`` attribute and bound the time the
+``worker/*`` spans a worker's own ``telemetry.span`` calls recorded with
+its job (:mod:`repro.telemetry.remote`) and the parent merged from the
+job's result: they carry a ``process_pid`` attribute and bound the time the
 worker process truly spent executing, so the gaps are true in-worker
 starvation.
 """
@@ -84,7 +84,7 @@ def worker_process_idle(source) -> dict[int, float]:
     """Per-worker-process idle seconds from merged remote spans.
 
     Groups spans carrying a ``process_pid`` attribute (the mark of a
-    record drained from a worker's telemetry ring) by that pid and sums
+    record merged from a worker's job result) by that pid and sums
     the positive gaps between consecutive executions, exactly like
     :func:`worker_idle_times` does per thread.  Only ``worker/*`` spans
     count as executions -- the layer spans a shard records inside them

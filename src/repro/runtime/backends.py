@@ -30,16 +30,17 @@ the task functions it receives by reference.
 Fault injection remains parent-side: the pool's ``pool.task`` /
 ``pool.result`` sites wrap the *dispatch* of a task, so a chaos plan
 fires identically (and deterministically) under every backend.
-Telemetry, by contrast, crosses the process boundary: in a worker the
-ordinary ``telemetry.*`` calls write spans, counters, gauges and events
-into its own lock-free shared-memory ring
-(:mod:`repro.telemetry.remote`), and the parent
-drains the rings -- after every awaited job and at shutdown -- merging
-the records into the active collectors (workers stamp them on the
-``perf_counter`` clock the parent's own spans use).  Every dispatched job
-carries a ``job_id`` that both the parent's ``pool/dispatch`` span and
-the worker's execution span record, which is what lets the Chrome
-trace draw dispatch -> worker -> collection flow arrows.
+Telemetry, by contrast, crosses the process boundary: a job dispatched
+while a collector is active asks its worker to record, the ordinary
+``telemetry.*`` calls in the worker append spans, counters, gauges and
+events to that job's record list (:mod:`repro.telemetry.remote`), and
+the list rides home in the job's result message, for a result and for
+an error alike.  The parent merges it into the active collectors once
+it has awaited the job (workers stamp records on the ``perf_counter``
+clock the parent's own spans use), tagging every record with the job's
+``job_id`` -- the id the parent's ``pool/dispatch`` span records too,
+which is what lets the Chrome trace draw dispatch -> worker ->
+collection flow arrows.
 
 Supervision: every worker stamps a shared heartbeat slot around each
 task (see :mod:`repro.runtime.supervisor`), and a supervisor thread
@@ -149,8 +150,7 @@ def _portable_error(exc: BaseException) -> BaseException:
 
 
 def _worker_main(requests: Any, results: Any,
-                 heartbeat: Any, slot: int,
-                 ring_descriptor: Any = None) -> None:
+                 heartbeat: Any, slot: int) -> None:
     """Loop of one persistent worker process (spawn entry point).
 
     Stamps its heartbeat slot *busy* on task pickup and *idle* once the
@@ -160,11 +160,9 @@ def _worker_main(requests: Any, results: Any,
     ran (0 when it raised), the reading the parent derives the hang
     deadline of ``fn``'s kind from.
 
-    ``ring_descriptor`` names the shared telemetry ring board; the
-    worker adopts its slot's ring (writing its pid into the header) and
-    tags every record with the job id currently being executed.
-    Telemetry is strictly best-effort -- a failed ring install degrades
-    to a blind worker, never a dead one.
+    Each request is ``(job_id, payload, record)``: with ``record`` set,
+    the ``telemetry.*`` calls ``fn`` makes append to a fresh record list,
+    which the result message carries home as its last field.
 
     ``results`` is this worker's **private** pipe end.  A shared result
     queue would put a lock in shared memory between all workers -- a
@@ -186,11 +184,6 @@ def _worker_main(requests: Any, results: Any,
         requests._writer.close()
     except (AttributeError, OSError):  # pragma: no cover - impl drift
         pass
-    if ring_descriptor is not None:
-        try:
-            remote.install_worker_ring(ring_descriptor, slot)
-        except Exception:  # noqa: BLE001 - telemetry never kills a worker
-            pass
     HeartbeatBoard.stamp(heartbeat, slot, STATE_IDLE)
     while True:
         try:
@@ -201,19 +194,21 @@ def _worker_main(requests: Any, results: Any,
             return
         if item is None:
             return
-        job_id, payload = item
+        job_id, payload, record = item
         HeartbeatBoard.stamp(heartbeat, slot, STATE_BUSY)
-        remote.set_current_job(job_id)
+        remote.WORKER.records = [] if record else None
         seconds = 0.0
         try:
             fn, args = pickle.loads(payload)
             start = time.monotonic()
             result = fn(*args)
             seconds = time.monotonic() - start
-            body = pickle.dumps((job_id, "ok", result, seconds))
+            body = pickle.dumps((job_id, "ok", result, seconds,
+                                 remote.WORKER.records))
         except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-            body = pickle.dumps((job_id, "err", _portable_error(exc), seconds))
-        remote.set_current_job(0)
+            body = pickle.dumps((job_id, "err", _portable_error(exc), seconds,
+                                 remote.WORKER.records))
+        remote.WORKER.records = None
         try:
             results.send_bytes(body)
         except (BrokenPipeError, OSError):  # pragma: no cover - parent died
@@ -229,10 +224,11 @@ def _task_kind(fn: Callable[..., Any]) -> str:
 
 class _Job:
     __slots__ = ("event", "result", "error", "payload", "dispatched",
-                 "redispatches", "job_id", "kind")
+                 "redispatches", "job_id", "kind", "record", "records",
+                 "sender")
 
     def __init__(self, payload: bytes = b"", job_id: int = 0,
-                 kind: str = "") -> None:
+                 kind: str = "", record: bool = False) -> None:
         self.event = threading.Event()
         self.result: Any = None
         self.error: BaseException | None = None
@@ -250,6 +246,13 @@ class _Job:
         #: :func:`_task_kind` of the shipped function: the job is judged
         #: against the deadline completed jobs of this kind earned.
         self.kind = kind
+        #: Whether the worker records telemetry for this job: a collector
+        #: was active at dispatch.
+        self.record = record
+        #: The records of the attempt whose result was taken, and the
+        #: worker whose pipe delivered them.
+        self.records: list[remote.Record] | None = None
+        self.sender: _Worker | None = None
 
 
 class _Worker:
@@ -364,9 +367,10 @@ class ProcessBackend(ExecutionBackend):
         self.redispatches = 0
         self.hung_workers = 0
         self._ctx: Any = None
-        #: Receive ends the collector multiplexes over (one per worker,
-        #: plus the private shutdown pipe).  Guarded by ``_lock``.
-        self._result_conns: set[Any] = set()
+        #: Receive ends the collector multiplexes over (plus the private
+        #: shutdown pipe), each mapped to the worker it hears from -- also
+        #: after that worker left the table.  Guarded by ``_lock``.
+        self._result_conns: dict[Any, _Worker] = {}
         self._stop_reader: Any = None
         self._stop_writer: Any = None
         self._saved_env: dict[str, str | None] = {}
@@ -376,15 +380,6 @@ class ProcessBackend(ExecutionBackend):
         self._supervisor: WorkerSupervisor | None = None
         self._jobs: dict[int, _Job] = {}
         self._job_seq = 0
-        #: Worker telemetry: the shm ring board and the last enabled
-        #: state pushed to the rings (so the flag is only rewritten on
-        #: collector activation changes, not per dispatch).
-        self._ring_board: Any = None
-        #: Per slot: worker spans merged before the span enclosing them
-        #: arrived (a ring can be drained mid-job).
-        self._span_orphans: dict[int, list[Any]] = {}
-        self._rings_enabled: bool | None = None
-        self._drain_lock = threading.Lock()
         self._lock = threading.Lock()
         # Serializes start()/shutdown(); separate from ``_lock`` so the
         # collector and reaper never block behind process spawning.
@@ -420,9 +415,6 @@ class ProcessBackend(ExecutionBackend):
                 duplex=False
             )
             self._heartbeat = HeartbeatBoard(self.num_workers, self._ctx)
-            self._ring_board = remote.RingBoard.create(self.num_workers)
-            self._span_orphans = {}
-            self._rings_enabled = None
             self._free_slots = list(range(self.num_workers - 1, -1, -1))
             with self._spawn_env():
                 for _ in range(self.num_workers):
@@ -475,20 +467,9 @@ class ProcessBackend(ExecutionBackend):
         assert self._heartbeat is not None
         requests = self._ctx.SimpleQueue()
         recv_end, send_end = self._ctx.Pipe(duplex=False)
-        ring_descriptor = None
-        if self._ring_board is not None:
-            # A respawn reuses the dead predecessor's slot: flush its
-            # undrained records first (they carry the *old* pid), then
-            # clear the pid until the new occupant writes its own.
-            self._drain_slot(slot)
-            ring = self._ring_board.ring(slot)
-            ring.set_pid(0)
-            ring.set_enabled(bool(telemetry.active_collectors()))
-            ring_descriptor = self._ring_board.descriptor
         process = self._ctx.Process(
             target=_worker_main,
-            args=(requests, send_end, self._heartbeat.shared, slot,
-                  ring_descriptor),
+            args=(requests, send_end, self._heartbeat.shared, slot),
             daemon=True,
         )
         # A respawn reuses a dead worker's slot, so the slot's sequence
@@ -499,8 +480,9 @@ class ProcessBackend(ExecutionBackend):
         # Drop the parent's copy of the send end: the pipe must hit EOF
         # (worker death detection) as soon as the worker's copy closes.
         send_end.close()
-        self._result_conns.add(recv_end)
-        return _Worker(process, requests, recv_end, slot, spawned, boot_seq)
+        worker = _Worker(process, requests, recv_end, slot, spawned, boot_seq)
+        self._result_conns[recv_end] = worker
+        return worker
 
     def shutdown(self) -> None:
         with self._lifecycle_lock:
@@ -541,16 +523,6 @@ class ProcessBackend(ExecutionBackend):
             pass
         if self._collector is not None:
             self._collector.join(timeout=5.0)
-        # Last telemetry drain -- workers are down, so their final spans
-        # are published -- then retire the ring segment.
-        self.drain_worker_telemetry()
-        if self._ring_board is not None:
-            try:
-                self._ring_board.unlink()
-            except Exception:  # pragma: no cover - already reaped
-                pass
-            self._ring_board = None
-        self._rings_enabled = None
         with self._lock:
             for job in self._jobs.values():
                 job.error = ReproError("process backend shut down")
@@ -580,51 +552,6 @@ class ProcessBackend(ExecutionBackend):
         return tuple(w.process.pid for w in self._workers
                      if w.process.is_alive())
 
-    # -- worker telemetry -------------------------------------------------
-
-    def _refresh_ring_enabled(self) -> None:
-        """Push the collector-active state to the rings when it changes."""
-        board = self._ring_board
-        if board is None:
-            return
-        enabled = bool(telemetry.active_collectors())
-        if enabled != self._rings_enabled:
-            self._rings_enabled = enabled
-            board.set_enabled(enabled)
-
-    def _drain_slot(self, slot: int) -> None:
-        """Drain one worker ring into the active collectors."""
-        board = self._ring_board
-        if board is None:
-            return
-        with self._drain_lock:
-            ring = board.ring(slot)
-            if ring.pending == 0:
-                return
-            # Consume unconditionally: records belong to whoever is
-            # listening *now*; without a collector they are discarded
-            # rather than held to pollute a future collector's run.
-            records = ring.drain()
-            collectors = telemetry.active_collectors()
-            if not records or not collectors:
-                return
-            remote.merge_records(
-                records, collectors, pid=ring.pid,
-                orphans=self._span_orphans.setdefault(slot, []))
-
-    def drain_worker_telemetry(self) -> None:
-        """Merge every worker's ring records into the active collectors.
-
-        Runs after every awaited job and at shutdown; safe from any
-        thread (drains are serialized by a parent-side lock -- the rings
-        themselves are single-consumer).
-        """
-        board = self._ring_board
-        if board is None:
-            return
-        for slot in range(self.num_workers):
-            self._drain_slot(slot)
-
     def _note_inflight(self, slot: int, count: int) -> None:
         """Publish one worker's in-flight job-count gauge.
 
@@ -643,13 +570,13 @@ class ProcessBackend(ExecutionBackend):
         try:
             while True:
                 with self._lock:
-                    conns = list(self._result_conns)
-                conns.append(stop)
+                    senders = dict(self._result_conns)
                 # Bounded wait so pipes of workers respawned since the
                 # snapshot join the multiplex set on the next pass.
-                for conn in connection_wait(conns, timeout=0.2):
+                for conn in connection_wait([*senders, stop], timeout=0.2):
                     if conn is stop:
                         return
+                    sender = senders[conn]
                     try:
                         body = conn.recv_bytes()
                     except (EOFError, OSError):
@@ -657,10 +584,11 @@ class ProcessBackend(ExecutionBackend):
                         # message reads as EOF).  The sweep redispatches
                         # its jobs; here just retire the pipe.
                         with self._lock:
-                            self._result_conns.discard(conn)
+                            self._result_conns.pop(conn, None)
                         conn.close()
                         continue
-                    job_id, status, payload, seconds = pickle.loads(body)
+                    job_id, status, payload, seconds, records = (
+                        pickle.loads(body))
                     with self._lock:
                         job = self._jobs.pop(job_id, None)
                         if job is not None and status == "ok":
@@ -674,6 +602,7 @@ class ProcessBackend(ExecutionBackend):
                                     worker.slot, len(worker.outstanding))
                     if job is None:
                         continue  # already failed, or redispatch duplicate
+                    job.records, job.sender = records, sender
                     if status == "ok":
                         job.result = payload
                     else:
@@ -849,7 +778,7 @@ class ProcessBackend(ExecutionBackend):
         if self._closed:
             return
         # Re-dispatch stranded jobs to the (possibly fresh) survivors.
-        shipments: list[tuple[_Worker, int, bytes]] = []
+        shipments: list[tuple[_Worker, int, _Job]] = []
         with self._lock:
             for job_id, job in redispatch:
                 target = min(
@@ -868,9 +797,9 @@ class ProcessBackend(ExecutionBackend):
                 target.outstanding.add(job_id)
                 job.dispatched = time.monotonic()
                 self._note_inflight(target.slot, len(target.outstanding))
-                shipments.append((target, job_id, job.payload))
-        for target, job_id, payload in shipments:
-            target.requests.put((job_id, payload))
+                shipments.append((target, job_id, job))
+        for target, job_id, job in shipments:
+            target.requests.put((job_id, job.payload, job.record))
             self.redispatches += 1
             telemetry.add("supervisor.redispatches", 1)
             telemetry.event("supervisor.redispatch", job=job_id,
@@ -897,8 +826,16 @@ class ProcessBackend(ExecutionBackend):
             job.dispatched = time.monotonic()
             self._jobs[job_id] = job
             self._note_inflight(target.slot, len(target.outstanding))
-        target.requests.put((job_id, job.payload))
+        target.requests.put((job_id, job.payload, job.record))
         return True
+
+    def _merge_records(self, job: _Job) -> None:
+        """Fold a job's worker records into the active collectors."""
+        collectors = telemetry.active_collectors()
+        if job.records and job.sender is not None and collectors:
+            remote.merge_records(job.records, collectors,
+                                 pid=job.sender.process.pid,
+                                 slot=job.sender.slot, job=job.job_id)
 
     def _await(self, job: _Job) -> Any:
         """Block for a dispatched job, supervising while it waits."""
@@ -917,7 +854,6 @@ class ProcessBackend(ExecutionBackend):
         if self._closed:
             raise ReproError("process backend is shut down")
         self.start()
-        self._refresh_ring_enabled()
         try:
             payload = pickle.dumps((fn, args))
         except Exception as exc:
@@ -927,7 +863,8 @@ class ProcessBackend(ExecutionBackend):
                 f"their arguments must pickle (move array payloads into "
                 f"shared memory)"
             ) from exc
-        job = _Job(payload, job_id=self._next_job_id(), kind=_task_kind(fn))
+        job = _Job(payload, job_id=self._next_job_id(), kind=_task_kind(fn),
+                   record=bool(telemetry.active_collectors()))
         try:
             with telemetry.span("pool/dispatch", job=job.job_id,
                                 task=getattr(fn, "__name__", str(fn))):
@@ -940,9 +877,7 @@ class ProcessBackend(ExecutionBackend):
                 telemetry.add("pool.shipped_jobs", 1)
                 return self._await(job)
         finally:
-            # The worker wrote its spans before posting the result, so
-            # this drain deterministically captures this job's records.
-            self.drain_worker_telemetry()
+            self._merge_records(job)
 
     def broadcast(self, fn: Callable[..., Any], *args: Any) -> list[Any]:
         """Run ``fn(*args)`` once on every live worker; ordered results.
@@ -954,27 +889,29 @@ class ProcessBackend(ExecutionBackend):
         if self._closed:
             raise ReproError("process backend is shut down")
         self.start()
-        self._refresh_ring_enabled()
         payload = pickle.dumps((fn, args))
         kind = _task_kind(fn)
+        record = bool(telemetry.active_collectors())
         dispatched: list[tuple[_Worker, int, _Job]] = []
         with self._lock:
             for worker in self._workers:
                 if not worker.process.is_alive() or worker.escalating:
                     continue
                 self._job_seq += 1
-                job = _Job(payload, job_id=self._job_seq, kind=kind)
+                job = _Job(payload, job_id=self._job_seq, kind=kind,
+                           record=record)
                 worker.outstanding.add(self._job_seq)
                 job.dispatched = time.monotonic()
                 self._jobs[self._job_seq] = job
                 dispatched.append((worker, self._job_seq, job))
         for worker, job_id, _ in dispatched:
-            worker.requests.put((job_id, payload))
+            worker.requests.put((job_id, payload, record))
         telemetry.add("pool.shipped_jobs", len(dispatched))
         try:
             return [self._await(job) for _, _, job in dispatched]
         finally:
-            self.drain_worker_telemetry()
+            for _, _, job in dispatched:
+                self._merge_records(job)
 
     # -- supervision surface ----------------------------------------------
 
@@ -1138,7 +1075,7 @@ def run_engine_slice(
 # ``repro.runtime.parallel.ShardedStep``).  The same function runs under
 # every backend; what differs is how it reaches the arrays, and where
 # the layers' own telemetry lands (the parent's collectors, or the
-# worker's ring).
+# job's records).
 
 #: What a shard reads or writes: the array itself (serial and thread
 #: backends share the parent's address space) or the descriptor of the
@@ -1173,8 +1110,7 @@ def pin_malloc_thresholds() -> str:
 
     Returns what this process's heap runs under, for the diagnostics:
     ``"mmap:32M,trim:512M"`` where glibc took both settings, ``"default"``
-    where the C library is not glibc (or refused one) -- spelt without
-    ``=`` or ``;``, which the worker span ring reserves.  Idempotent and
+    where the C library is not glibc (or refused one).  Idempotent and
     safe to call from any thread: ``mallopt`` only changes how *later*
     frees and allocations are served.
     """
@@ -1433,7 +1369,7 @@ def worker_ready() -> int:
 
 def worker_diagnostics() -> dict[str, Any]:
     """Worker-side cache/identity info (shipped back for tests)."""
-    info = {
+    return {
         "pid": os.getpid(),
         "engines_cached": len(_ENGINE_CACHE),
         "segments_attached": len(_ATTACH_CACHE),
@@ -1442,5 +1378,3 @@ def worker_diagnostics() -> dict[str, Any]:
         "malloc_thresholds": pin_malloc_thresholds(),
         "executable": sys.executable,
     }
-    info.update(remote.worker_ring_stats())
-    return info

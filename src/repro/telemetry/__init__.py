@@ -11,7 +11,8 @@ Usage, from measuring code::
 
 and from instrumented code -- the one telemetry API, in every process
 (no-ops unless a collector is active or, in a spawned worker, the
-parent has enabled the worker's ring; see :mod:`repro.telemetry.remote`)::
+parent asked the running job for records; see
+:mod:`repro.telemetry.remote`)::
 
     with telemetry.span("conv1/fp", engine="stencil", batch=16):
         ...

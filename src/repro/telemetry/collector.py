@@ -15,12 +15,13 @@ Instrumented code never talks to a collector directly: it calls the
 module-level :func:`span` / :func:`add` / :func:`gauge` / :func:`event`
 helpers -- the one telemetry API, in every process.  In the parent they
 fan out to every *active* collector (see :func:`collect`).  In a spawned
-worker, whose collector stack is always empty, they write to the
-worker's shared-memory ring while the parent has it enabled
-(:mod:`repro.telemetry.remote`); the parent drains the ring into its own
-collectors.  With neither a collector nor a ring the helpers are
-no-ops, so the instrumented hot paths cost one tuple lookup and one
-attribute check when nobody is measuring.
+worker, whose collector stack is always empty, they append to the
+running job's record list while the parent listens
+(:mod:`repro.telemetry.remote`); the list rides home with the job's
+result and the parent merges it into its own collectors.  With neither
+a collector nor a record list the helpers are no-ops, so the
+instrumented hot paths cost one tuple lookup and one attribute check
+when nobody is measuring.
 
 Collectors may be nested (``collect`` inside ``collect``): emission goes
 to all of them, so a monitor and a caller's own collector can watch the
@@ -190,7 +191,7 @@ class TelemetryCollector:
 
     # -- merge API (externally measured records) ---------------------------
     #
-    # The remote-telemetry drainer (:mod:`repro.telemetry.remote`) folds
+    # The remote-telemetry merge (:mod:`repro.telemetry.remote`) folds
     # worker-process measurements into the parent's collectors.  Those
     # records arrive already timed -- on the ``perf_counter`` timeline
     # every process shares -- so they bypass the span stack
@@ -352,10 +353,9 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class _RingSpan:
-    """A worker's span: timed on ``time.perf_counter``, written to its ring
-    on exit -- before the worker posts its result, so the parent's
-    drain-after-await sees it."""
+class _WorkerSpan:
+    """A worker's span: timed on ``time.perf_counter``, recorded on exit --
+    before the worker posts the job's result, which carries it home."""
 
     __slots__ = ("_name", "_attrs", "_start")
 
@@ -364,7 +364,7 @@ class _RingSpan:
         self._attrs = attrs
         self._start = time.perf_counter()
 
-    def __enter__(self) -> "_RingSpan":
+    def __enter__(self) -> "_WorkerSpan":
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -377,43 +377,43 @@ class _RingSpan:
 
 def span(name: str, **attrs: Any):
     """Record a span into every active collector, else into this
-    worker's ring (no-op when neither records)."""
+    worker's job records (no-op when neither records)."""
     collectors = active_collectors()
     if collectors:
         return _MultiSpan(name, attrs, collectors)
-    if WORKER.ring is None or not WORKER.ring.enabled:
+    if WORKER.records is None:
         return _NULL_SPAN
-    return _RingSpan(name, attrs)
+    return _WorkerSpan(name, attrs)
 
 
 def add(name: str, value: float = 1.0) -> None:
     """Increment a counter in every active collector, else in this
-    worker's ring (no-op when neither records)."""
+    worker's job records (no-op when neither records)."""
     collectors = active_collectors()
     if collectors:
         for collector in collectors:
             collector.add(name, value)
-    elif WORKER.ring is not None:
+    elif WORKER.records is not None:
         WORKER.record(KIND_COUNTER, name, value=value)
 
 
 def gauge(name: str, value: float) -> None:
-    """Set a gauge in every active collector, else in this worker's ring
-    (no-op when neither records)."""
+    """Set a gauge in every active collector, else in this worker's job
+    records (no-op when neither records)."""
     collectors = active_collectors()
     if collectors:
         for collector in collectors:
             collector.gauge(name, value)
-    elif WORKER.ring is not None:
+    elif WORKER.records is not None:
         WORKER.record(KIND_GAUGE, name, value=value)
 
 
 def event(name: str, **attrs: Any) -> None:
     """Record an event in every active collector, else in this worker's
-    ring (no-op when neither records)."""
+    job records (no-op when neither records)."""
     collectors = active_collectors()
     if collectors:
         for collector in collectors:
             collector.event(name, **attrs)
-    elif WORKER.ring is not None:
+    elif WORKER.records is not None:
         WORKER.record(KIND_EVENT, name, attrs=attrs)

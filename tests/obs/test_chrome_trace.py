@@ -162,7 +162,7 @@ class TestFlowEvents:
 
     def test_unmatched_jobs_emit_no_flow(self):
         tel = _process_collector()
-        # A dispatch whose worker span was dropped (e.g. ring overflow).
+        # A dispatch whose job brought no worker span home.
         tel.record_span("pool/dispatch", 2.0, 3.0,
                         attrs={"job": 3, "task": "call"})
         events = chrome_trace_events(tel)

@@ -6,7 +6,7 @@ the structure deploys C ``stencil`` FP and ``sparse`` BP, bitwise equal
 across the serial, thread and process backends on the same split.  The
 rows a step records come from the layers and the network themselves,
 through the one ``telemetry`` API: into the parent's collectors in
-process, into the worker's ring (and from there into the parent's
+process, into the job's records (and with its result into the parent's
 collectors) in a spawned worker.  Runs with and without a compiler.
 """
 

@@ -1,11 +1,14 @@
-"""End-to-end worker-process telemetry: rings, merge, gauges, supervisor.
+"""End-to-end worker-process telemetry: job records, merge, gauges,
+supervisor.
 
 These tests drive real spawned workers through the process backend and
 assert the cross-process observability contract: in-worker execution
 spans arrive in the parent collector with ``process_pid``/``job``
-linkage, per-worker in-flight gauges drain to zero, supervisor recovery
-renders as events, and disabling telemetry changes nothing about the
-computed results.
+linkage, exactly as the worker recorded them and only from the attempt
+whose result the parent took, per-worker in-flight gauges drain to
+zero, supervisor recovery renders as events, and disabling telemetry
+changes nothing about the computed results.  The tasks shipped to a
+worker are module-level functions: they are pickled by reference.
 """
 
 import functools
@@ -14,13 +17,14 @@ import operator
 import os
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.core.convspec import ConvSpec
-from repro.runtime.backends import worker_diagnostics
+from repro.runtime import shm
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.pool import WorkerPool
 
@@ -37,6 +41,62 @@ def process_executor():
     yield executor
     executor.close()
     executor.pool.shutdown()
+
+
+#: A span name and attrs past any fixed-size record budget: 70
+#: characters, and attrs whose ``k=v;k=v`` form runs well over 112 bytes,
+#: with a string that reads as a number and a float.
+_LONG_NAME = "worker/" + "long_span_name_" * 4 + "x" * 3
+_LONG_ATTRS = {"code": "007", "scale": 0.1 + 0.2, "sep": "a=b;c",
+               "note": "n" * 100}
+
+
+def _long_span_task(i: int) -> int:
+    with telemetry.span(_LONG_NAME, **_LONG_ATTRS):
+        pass
+    return i
+
+
+def _span_pid_task() -> int:
+    with telemetry.span("task/probe"):
+        pass
+    return os.getpid()
+
+
+def _counting_task(i: int) -> int:
+    telemetry.add("task.items", 3.0)
+    telemetry.gauge("task.level", 0.5)
+    return i
+
+
+def _failing_task(i: int) -> int:
+    telemetry.event("task.note", stage="before")
+    with telemetry.span("task/doomed"):
+        pass
+    raise ValueError("task failed on purpose")
+
+
+def _die_once(marker: str, i: int) -> int:
+    """Records a span, then dies on the first attempt (no marker yet);
+    the redispatched attempt finds the marker and returns its pid."""
+    with telemetry.span("task/attempt"):
+        pass
+    path = Path(marker)
+    if not path.exists():
+        path.write_text("died")
+        os._exit(1)
+    return os.getpid()
+
+
+def _own_host_segments() -> set[str]:
+    """The host shm segments this process created (another suite on the
+    host may be creating its own meanwhile)."""
+    mine = f"{shm.SEGMENT_PREFIX}{os.getpid():x}-"
+    return {name for name in shm.host_segments() if name.startswith(mine)}
+
+
+def _worker_spans(tel, name: str) -> list:
+    return [s for s in tel.find_spans(name) if "process_pid" in s.attrs]
 
 
 def _forward(executor: ParallelExecutor, seed: int = 0) -> np.ndarray:
@@ -99,7 +159,7 @@ class TestWorkerSpans:
         assert {"worker/forward", "worker/backward_data",
                 "worker/backward_weights"} <= names
 
-    def test_no_collector_means_no_ring_traffic_and_same_results(
+    def test_no_collector_means_no_records_and_same_results(
             self, process_executor):
         with telemetry.collect() as tel:
             observed = _forward(process_executor, seed=7)
@@ -107,8 +167,8 @@ class TestWorkerSpans:
         # Telemetry off => bit-identical results.
         np.testing.assert_array_equal(observed, silent)
         assert tel.find_spans("pool/dispatch")
-        # With no collector active the rings are gated off, so the
-        # second run wrote nothing the next drain would deliver.
+        # With no collector active no job asks for records, so the
+        # second run left nothing behind for the next merge to deliver.
         with telemetry.collect() as after:
             _forward(process_executor, seed=7)
         merged = [s for s in after.spans if "process_pid" in s.attrs]
@@ -170,15 +230,85 @@ class TestInflightGauges:
             pool.shutdown()
 
 
-class TestWorkerDiagnostics:
-    def test_diagnostics_report_ring_stats(self, process_executor):
-        with telemetry.collect():
-            _forward(process_executor)
-            backend = process_executor.pool._require_backend()
-            diag = backend.call(worker_diagnostics)
-        assert diag["installed"] == 1
-        assert diag["written"] >= 0
-        assert diag["dropped"] == 0
+class TestRecordsRideTheResult:
+    @pytest.mark.parametrize("collecting", [False, True])
+    def test_a_pool_start_publishes_no_segment(self, collecting):
+        before = _own_host_segments()
+        pool = WorkerPool(2, backend="process")
+        try:
+            if collecting:
+                with telemetry.collect():
+                    assert pool.map_items(math.factorial, 2) == [1, 1]
+            else:
+                assert pool.map_items(math.factorial, 2) == [1, 1]
+            assert _own_host_segments() == before
+        finally:
+            pool.shutdown()
+
+    def test_records_cross_the_boundary_exactly(self, process_executor):
+        with telemetry.collect() as inline:
+            _long_span_task(0)
+        (expected,) = inline.find_spans(_LONG_NAME)
+        pool = process_executor.pool
+        with telemetry.collect() as tel:
+            assert pool.map_items(_long_span_task, 1) == [0]
+        (span,) = _worker_spans(tel, _LONG_NAME)
+        (dispatch,) = tel.find_spans("pool/dispatch")
+        assert span.name == _LONG_NAME and len(span.name) == 70
+        assert span.attrs["process_pid"] != os.getpid()
+        assert span.attrs["worker_slot"] in (0, 1)
+        assert span.attrs["job"] == dispatch.attrs["job"]
+        assert span.attrs == {**expected.attrs,
+                              "process_pid": span.attrs["process_pid"],
+                              "worker_slot": span.attrs["worker_slot"],
+                              "job": span.attrs["job"]}
+        assert span.attrs["code"] == "007"
+
+    def test_broadcast_merges_each_workers_records(self, process_executor):
+        backend = process_executor.pool._require_backend()
+        with telemetry.collect() as tel:
+            pids = backend.broadcast(_span_pid_task)
+        spans = _worker_spans(tel, "task/probe")
+        assert sorted(s.attrs["process_pid"] for s in spans) == sorted(pids)
+        assert len({s.attrs["job"] for s in spans}) == len(pids) == 2
+        assert {s.attrs["worker_slot"] for s in spans} == {0, 1}
+
+    def test_counters_and_gauges_cross_the_boundary(self, process_executor):
+        pool = process_executor.pool
+        with telemetry.collect() as tel:
+            assert pool.map_items(_counting_task, 1) == [0]
+        assert tel.counters["task.items"] == 3.0
+        assert tel.gauges["task.level"] == 0.5
+
+    def test_a_failing_job_still_brings_its_records(self, process_executor):
+        pool = process_executor.pool
+        with telemetry.collect() as tel:
+            with pytest.raises(ValueError, match="on purpose"):
+                pool.map_items(_failing_task, 1)
+        (dispatch,) = tel.find_spans("pool/dispatch")
+        job = dispatch.attrs["job"]
+        (span,) = _worker_spans(tel, "task/doomed")
+        assert span.attrs["job"] == job
+        (note,) = [e for e in tel.events if e.name == "task.note"]
+        assert note.attrs["job"] == job
+        assert note.attrs["stage"] == "before"
+        assert note.attrs["process_pid"] == span.attrs["process_pid"]
+
+    def test_one_job_reports_one_attempt(self, tmp_path):
+        pool = WorkerPool(2, backend="process")
+        try:
+            pool.map_items(math.factorial, 2)  # spawn before collecting
+            task = functools.partial(_die_once, str(tmp_path / "marker"))
+            with telemetry.collect() as tel:
+                (returned_by,) = pool.map_items(task, 1)
+            (dispatch,) = tel.find_spans("pool/dispatch")
+            spans = [s for s in _worker_spans(tel, "task/attempt")
+                     if s.attrs["job"] == dispatch.attrs["job"]]
+            assert len(spans) == 1
+            assert spans[0].attrs["process_pid"] == returned_by
+            assert "supervisor.redispatch" in [e.name for e in tel.events]
+        finally:
+            pool.shutdown()
 
 
 class TestSupervisorEvents:

@@ -81,9 +81,9 @@ class TestOverheadBudget:
         assert telemetry.active_collectors() == before == ()
 
 
-#: Worker-side telemetry budget: a process-backend epoch with rings
-#: enabled (collector active, spans merged) stays within 1.10x the
-#: median epoch with rings gated off.
+#: Worker-side telemetry budget: a process-backend epoch with worker
+#: records on (collector active, spans merged) stays within 1.10x the
+#: median epoch with no collector, where no job asks for records.
 WORKER_BUDGET = 1.10
 
 #: Absolute slack added to the budget: epochs this small run in tens of
