@@ -3,7 +3,9 @@
 The executable counterpart of GEMM-in-Parallel: batches of real kernel
 work distributed over worker threads.  numpy's kernels release the GIL,
 so the measured ratio should not collapse; the assertion is conservative
-(parallel no slower than 1.5x serial) because CI hosts vary.
+(parallel no slower than 1.5x serial) because CI hosts vary, and it
+carries the ``wallclock`` marker: deselected by default, run by
+``-m wallclock``.
 """
 
 import numpy as np
@@ -41,6 +43,7 @@ def test_threaded_forward(benchmark, workers):
     assert out.shape[0] == BATCH
 
 
+@pytest.mark.wallclock
 def test_threading_does_not_collapse(benchmark, show):
     import time
 

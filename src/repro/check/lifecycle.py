@@ -25,10 +25,6 @@ over the runtime modules that manage segments:
 * **LC-REGISTER-PAIR** -- a module calling ``_register_owned`` without
   ever calling ``_unregister_owned``: the leak registry
   (``owned_segments()``) could then never drain.
-* **LC-MANIFEST** -- a module calling ``_manifest_write`` without ever
-  calling ``_manifest_remove``: the on-disk segment manifest (the crash
-  janitor's ledger) would accrete an entry per segment forever, and
-  every healthy unlink would leave a stale record behind.
 * **LC-OWNER-RELEASE** -- a class owning a handle registry with no
   release path (no ``close``/``unlink``/``release`` call anywhere in
   the class) or no fault net (neither a ``weakref.finalize`` nor
@@ -416,7 +412,6 @@ def lint_lifecycle_source(module_name: str, source: str) -> list[Finding]:
     registries = _collect_registries(tree)
 
     registers = unregisters = False
-    manifests = unmanifests = False
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             dotted = _dotted(node.func)
@@ -424,8 +419,6 @@ def lint_lifecycle_source(module_name: str, source: str) -> list[Finding]:
                 leaf = dotted.rpartition(".")[2]
                 registers = registers or leaf == "_register_owned"
                 unregisters = unregisters or leaf == "_unregister_owned"
-                manifests = manifests or leaf == "_manifest_write"
-                unmanifests = unmanifests or leaf == "_manifest_remove"
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             walker = _FunctionLifecycle(module_name, node)
             walker.run(registries)
@@ -445,13 +438,6 @@ def lint_lifecycle_source(module_name: str, source: str) -> list[Finding]:
             "error", module_name,
             "module calls _register_owned but never _unregister_owned: "
             "owned_segments() can never drain [LC-REGISTER-PAIR]",
-        ))
-    if manifests and not unmanifests:
-        findings.append(_finding(
-            "error", module_name,
-            "module calls _manifest_write but never _manifest_remove: the "
-            "shm crash manifest would keep a stale entry for every "
-            "segment ever created [LC-MANIFEST]",
         ))
     findings.extend(_check_classes(module_name, tree, registries))
     return findings

@@ -268,8 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="inspect or reap this host's repro shared-memory segments",
     )
     shm_cmd.add_argument("action", choices=("list", "reap"),
-                         help="list manifest entries, or unlink segments "
-                              "whose owning process died")
+                         help="list segments and their owners, or unlink "
+                              "segments whose owning process died")
     _add_output_args(shm_cmd, out_help="write the segment report as JSON")
 
     workers = sub.add_parser(
@@ -481,41 +481,35 @@ def _cmd_shm(args, out) -> int:
     from repro.runtime import shm as shm_module
 
     reaped = shm_module.reap_orphans() if args.action == "reap" else ()
-    entries = shm_module.manifest_entries()
+    segments = shm_module.segments_on_host()
     payload = {
         "action": args.action,
         "reaped": list(reaped),
-        "entries": [
+        "segments": [
             {
-                "name": e.name,
-                "pid": e.pid,
-                "role": e.role,
-                "created": e.created,
-                "owner_alive": e.owner_alive,
-                "segment_exists": e.segment_exists,
-                "orphaned": e.orphaned,
+                "name": s.name,
+                "pid": s.pid,
+                "owner_alive": s.owner_alive,
+                "orphaned": s.orphaned,
             }
-            for e in entries
+            for s in segments
         ],
     }
     if args.format == "json":
         print(json_module.dumps(payload), file=out)
     else:
-        if entries:
+        if segments:
             rows = [
-                [e.name, e.pid, e.role or "-",
-                 "yes" if e.owner_alive else "no",
-                 "yes" if e.segment_exists else "no",
-                 "YES" if e.orphaned else "no"]
-                for e in entries
+                [s.name, s.pid, "yes" if s.owner_alive else "no",
+                 "YES" if s.orphaned else "no"]
+                for s in segments
             ]
             print(format_table(
-                ["segment", "owner pid", "role", "owner alive", "on host",
-                 "orphaned"],
-                rows, title="shm manifest",
+                ["segment", "owner pid", "owner alive", "orphaned"],
+                rows, title="shm segments",
             ), file=out)
         else:
-            print("shm manifest: no segments", file=out)
+            print("shm: no segments", file=out)
         if args.action == "reap":
             print(f"reaped {len(reaped)} orphaned segment(s)"
                   + (": " + ", ".join(reaped) if reaped else ""), file=out)
@@ -525,13 +519,12 @@ def _cmd_shm(args, out) -> int:
         print(f"wrote {args.out}", file=out)
     # Leak gate: orphaned segments surviving a list (or worse, a reap)
     # mean crashed owners are still pinning host memory.
-    return 1 if any(e.orphaned for e in entries) else 0
+    return 1 if any(s.orphaned for s in segments) else 0
 
 
 def _cmd_workers(args, out) -> int:
     import json as json_module
 
-    from repro.runtime import shm as shm_module
     from repro.runtime.backends import ProcessBackend, worker_diagnostics
 
     backend = ProcessBackend(args.workers)
@@ -546,8 +539,7 @@ def _cmd_workers(args, out) -> int:
     finally:
         backend.shutdown()
     ok = (len(diagnostics) == args.workers
-          and all(w["alive"] for w in state["workers"])
-          and state["supervisor_alive"])
+          and all(w["alive"] for w in state["workers"]))
     payload = {"ok": ok, "state": state, "diagnostics": diagnostics}
     if args.format == "json":
         print(json_module.dumps(payload), file=out)
@@ -556,30 +548,29 @@ def _cmd_workers(args, out) -> int:
         rows = []
         for worker in state["workers"]:
             diag = diag_by_pid.get(worker["pid"], {})
+            silent = worker["silent"]
             rows.append([
                 worker["pid"], worker["slot"],
-                "alive" if worker["alive"] else "dead",
-                worker["state"], int(worker["beats"]),
+                "dead" if not worker["alive"]
+                else "booting" if worker["booting"] else "alive",
                 worker["outstanding"],
+                "-" if silent is None else f"{silent:.1f}s",
                 diag.get("engines_cached", "-"),
                 diag.get("segments_attached", "-"),
                 diag.get("blas_threads", "-"),
                 diag.get("malloc_thresholds", "-"),
             ])
         print(format_table(
-            ["pid", "slot", "status", "state", "beats", "outstanding",
-             "engines", "segments", "blas", "malloc"],
+            ["pid", "slot", "status", "outstanding", "silent", "engines",
+             "segments", "blas", "malloc"],
             rows, title="process-backend workers",
         ), file=out)
         deadline = state["task_deadline"]
-        print(f"supervisor: {'alive' if state['supervisor_alive'] else 'dead'}"
-              f", deadline "
+        print(f"supervisor: deadline "
               f"{'none' if deadline is None else f'{deadline:.1f}s'}"
               f", respawns {state['respawns']}"
               f", redispatches {state['redispatches']}"
               f", hung {state['hung_workers']}", file=out)
-        print(f"manifest segments: {len(shm_module.manifest_entries())}",
-              file=out)
         print("workers: OK" if ok else "workers: DEGRADED", file=out)
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)

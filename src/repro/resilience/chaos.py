@@ -24,7 +24,7 @@ The resume comparison relies on two properties of the stack:
 Besides the injection plans, two **real-kill** plans
 (:data:`repro.resilience.faults.REAL_KILL_PLANS`) strike live worker
 processes with actual signals mid-step -- ``kill9`` sends SIGKILL,
-``hang`` sends SIGSTOP and relies on the supervisor's heartbeat deadline
+``hang`` sends SIGSTOP and relies on the process backend's hang deadline
 to escalate -- then assert the run survived, its final weights are
 bit-identical to an unfaulted serial run, and no ``/dev/shm`` segment
 leaked.  Their resume leg goes further: a child process trains with a
@@ -234,8 +234,8 @@ def default_policy() -> RetryPolicy:
 def kill_chaos_policy() -> RetryPolicy:
     """The policy for the real-kill plans.
 
-    No per-attempt deadline: hang recovery belongs to the supervisor's
-    heartbeat deadline (a Python-side timeout would race it and double
+    No per-attempt deadline: hang recovery belongs to the process
+    backend's hang deadline (a Python-side timeout would race it and double
     the work on a loaded host), while crash recovery gets generous retry
     and redispatch budgets.
     """
@@ -258,7 +258,7 @@ def _process_backends(network) -> list[ProcessBackend]:
     return backends
 
 
-#: Heartbeat deadline pinned by the ``hang`` plan: short enough that a
+#: Hang deadline pinned by the ``hang`` plan: short enough that a
 #: SIGSTOP'd worker is escalated within the test budget, long enough
 #: that a healthy small-batch task never trips it.
 HANG_PLAN_DEADLINE = 1.5
@@ -386,8 +386,8 @@ def _run_real_kill(report: ChaosReport, plan_name: str, seed: int,
         if not backends:  # pragma: no cover - layers not on process yet
             return
         if plan_name == "hang":
-            # SIGSTOP leaves the worker "alive"; only the heartbeat
-            # deadline unblocks it.  Pin a short one (and a short kill
+            # SIGSTOP leaves the worker "alive"; only the hang deadline
+            # unblocks it.  Pin a short one (and a short kill
             # grace) so escalation happens inside the test budget.
             for backend in backends:
                 backend.set_task_deadline(HANG_PLAN_DEADLINE)

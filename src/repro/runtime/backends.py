@@ -42,20 +42,25 @@ clock the parent's own spans use), tagging every record with the job's
 which is what lets the Chrome trace draw dispatch -> worker ->
 collection flow arrows.
 
-Supervision: every worker stamps a shared heartbeat slot around each
-task (see :mod:`repro.runtime.supervisor`), and a supervisor thread
-sweeps the worker table -- dead *and* hung workers are escalated
+Supervision needs no ledger beyond the result pipes.  Every outstanding
+job has a dispatcher blocked in :meth:`ProcessBackend._await`, and that
+poll loop sweeps the worker table: dead *and* hung workers are escalated
 ``terminate`` -> ``kill``, respawned, and their in-flight jobs
 re-dispatched to surviving workers (bounded by ``max_redispatch``;
 engine-slice and step-shard tasks are idempotent, they write disjoint
-shared-memory ranges).  A worker is hung once it holds a task longer
-than the deadline that task's kind earned in its own pool: 20x the
-longest completed task of the same function, at least 5 s, none before
-the first one completes (so a slow kind is never judged by a fast one's
-times).  A worker still booting holds no task yet: work queued on it is
-judged against the boot times of its siblings, the same way.  Backend
-start also runs the shm janitor, reclaiming segments orphaned by a
-previous hard-killed process.
+shared-memory ranges).  A dispatch first replaces workers that died
+while idle.  The parent times a worker's running job with its own
+clock, from the later of the job's dispatch and the arrival of the
+worker's previous message on its result pipe (a worker serves its queue
+in order, so that arrival is when it picked the job up).  A worker is
+hung once that clock passes the deadline the job's kind earned in its
+own pool: 20x the longest completed task of the same function, at least
+5 s, none before the first one completes (so a slow kind is never judged
+by a fast one's times).  A worker says hello on its pipe once it can
+take work; until then it is booting, and work queued on it is judged
+against the boot times (spawn to hello) of its siblings, the same way.
+Backend start also runs the shm janitor, reclaiming segments orphaned
+by a previous hard-killed process.
 
 BLAS threads: the runtime's unit of parallelism is the worker, one
 single-threaded kernel per core (Sec. 4.1), so spawned workers get
@@ -95,13 +100,6 @@ import numpy as np
 from repro import telemetry
 from repro.errors import ReproError
 from repro.runtime import shm
-from repro.runtime.supervisor import (
-    STATE_BUSY,
-    STATE_IDLE,
-    HeartbeatBoard,
-    WorkerSupervisor,
-    measured_deadline,
-)
 from repro.telemetry import remote
 
 #: Names accepted by ``WorkerPool(backend=...)``.
@@ -120,12 +118,32 @@ MALLOC_THRESHOLDS = {"mmap": (-3, 32 << 20), "trim": (-1, 512 << 20)}
 #: What :func:`pin_malloc_thresholds` did in this process (None: not yet).
 _malloc_state: str | None = None
 
+#: Floor under every measured task deadline, in seconds.  CI hosts are
+#: oversubscribed and a single slow task must not read as a hang.
+DEADLINE_FLOOR = 5.0
+
+#: Multiple of the longest completed task.  The reading comes from this
+#: host's own workers, so the multiple absorbs only noise (a preempted
+#: step, a cold cache), not a model's error on another machine; a false
+#: "hung" verdict still kills a healthy worker mid-task, hence 20x.
+DEADLINE_SAFETY = 20.0
+
+#: What a worker sends on its result pipe once it can take work (a
+#: pickled result never starts with these bytes).
+_HELLO = b"hello"
+
 #: Attached-segment LRU size in each worker process.  Segments are
 #: reused across calls while their geometry is stable; a reallocated
 #: role invalidates its stale mapping immediately (see
 #: :func:`_cached_attach`), the LRU bound only caps segments whose
 #: arenas went away entirely.
 _ATTACH_CACHE_SIZE = 32
+
+
+def measured_deadline(longest_task: float) -> float:
+    """Hang deadline of a task kind whose longest completed task took
+    ``longest_task`` seconds."""
+    return max(DEADLINE_FLOOR, DEADLINE_SAFETY * longest_task)
 
 
 def validate_backend(name: str) -> str:
@@ -149,16 +167,15 @@ def _portable_error(exc: BaseException) -> BaseException:
         return ReproError(f"{type(exc).__name__}: {exc}")
 
 
-def _worker_main(requests: Any, results: Any,
-                 heartbeat: Any, slot: int) -> None:
+def _worker_main(requests: Any, results: Any) -> None:
     """Loop of one persistent worker process (spawn entry point).
 
-    Stamps its heartbeat slot *busy* on task pickup and *idle* once the
-    result is posted; an idle worker blocks in ``get()`` without
-    stamping, so the supervisor only reads staleness against work the
-    worker actually owes.  Each result carries the seconds ``fn(*args)``
-    ran (0 when it raised), the reading the parent derives the hang
-    deadline of ``fn``'s kind from.
+    Sends one hello on its result pipe once it can take work, then one
+    result per task, in queue order: the parent starts a job's hang
+    clock at the previous message's arrival, so an idle worker says
+    nothing and is never judged.  Each result carries the seconds
+    ``fn(*args)`` ran (0 when it raised), the reading the parent derives
+    the hang deadline of ``fn``'s kind from.
 
     Each request is ``(job_id, payload, record)``: with ``record`` set,
     the ``telemetry.*`` calls ``fn`` makes append to a fresh record list,
@@ -171,8 +188,6 @@ def _worker_main(requests: Any, results: Any,
     forever.  One pipe per worker means a hard kill can only ever poison
     the dead worker's own channel, which the parent detects as EOF.
     """
-    from repro.runtime.supervisor import HeartbeatBoard
-
     pin_malloc_thresholds()
     # Drop this process's inherited copy of the request queue's write
     # end, mirroring the parent dropping its copy of the result send
@@ -184,7 +199,10 @@ def _worker_main(requests: Any, results: Any,
         requests._writer.close()
     except (AttributeError, OSError):  # pragma: no cover - impl drift
         pass
-    HeartbeatBoard.stamp(heartbeat, slot, STATE_IDLE)
+    try:
+        results.send_bytes(_HELLO)
+    except (BrokenPipeError, OSError):  # pragma: no cover - parent died
+        return
     while True:
         try:
             item = requests.get()
@@ -195,7 +213,6 @@ def _worker_main(requests: Any, results: Any,
         if item is None:
             return
         job_id, payload, record = item
-        HeartbeatBoard.stamp(heartbeat, slot, STATE_BUSY)
         remote.WORKER.records = [] if record else None
         seconds = 0.0
         try:
@@ -213,7 +230,6 @@ def _worker_main(requests: Any, results: Any,
             results.send_bytes(body)
         except (BrokenPipeError, OSError):  # pragma: no cover - parent died
             return
-        HeartbeatBoard.stamp(heartbeat, slot, STATE_IDLE)
 
 
 def _task_kind(fn: Callable[..., Any]) -> str:
@@ -259,28 +275,27 @@ class _Worker:
     """Parent-side record of one spawned worker process."""
 
     __slots__ = ("process", "requests", "results", "outstanding", "slot",
-                 "escalating", "spawned", "boot_seq", "ready")
+                 "escalating", "spawned", "heard")
 
     def __init__(self, process: Any, requests: Any, results: Any,
-                 slot: int, spawned: float, boot_seq: int) -> None:
+                 slot: int, spawned: float) -> None:
         self.process = process
         self.requests = requests
         #: Parent's receive end of this worker's private result pipe.
         self.results = results
         self.outstanding: set[int] = set()
-        #: Fixed heartbeat-slot index; respawns reuse freed slots.
+        #: Fixed position labelling the worker's telemetry; respawns
+        #: reuse freed slots.
         self.slot = slot
         #: Set (under the backend lock) by the first sweep that decides
         #: to kill this worker, so concurrent sweeps never double-signal.
         self.escalating = False
-        #: ``time.monotonic()`` just before the process started, and the
-        #: slot's heartbeat sequence then.  The worker is booting until
-        #: the sequence moves: its first stamp is the idle one it posts
-        #: once it can take work.
+        #: ``time.monotonic()`` just before the process started.
         self.spawned = spawned
-        self.boot_seq = boot_seq
-        #: Set by the first sweep that sees the sequence move.
-        self.ready = False
+        #: ``time.monotonic()`` at which the collector read this worker's
+        #: latest message (its hello, then each result); ``None`` while
+        #: the worker is still booting.
+        self.heard: float | None = None
 
 
 class ExecutionBackend:
@@ -348,8 +363,8 @@ class ProcessBackend(ExecutionBackend):
         #: :func:`measured_deadline` of its kind's entry, and a kind with
         #: no entry yet is not judged.
         self.longest_tasks: dict[str, float] = {}
-        #: Seconds from spawn to readiness of the slowest worker seen
-        #: ready.  A job held by a worker still booting is judged
+        #: Seconds from spawn to hello of the slowest worker heard from.
+        #: A job held by a worker still booting is judged
         #: against :func:`measured_deadline` of this, never against its
         #: kind's task times (interpreter boot is no task's time), and
         #: not before some worker finished booting.
@@ -376,8 +391,6 @@ class ProcessBackend(ExecutionBackend):
         self._saved_env: dict[str, str | None] = {}
         self._workers: list[_Worker] = []
         self._free_slots: list[int] = []
-        self._heartbeat: HeartbeatBoard | None = None
-        self._supervisor: WorkerSupervisor | None = None
         self._jobs: dict[int, _Job] = {}
         self._job_seq = 0
         self._lock = threading.Lock()
@@ -414,7 +427,6 @@ class ProcessBackend(ExecutionBackend):
             self._stop_reader, self._stop_writer = self._ctx.Pipe(
                 duplex=False
             )
-            self._heartbeat = HeartbeatBoard(self.num_workers, self._ctx)
             self._free_slots = list(range(self.num_workers - 1, -1, -1))
             with self._spawn_env():
                 for _ in range(self.num_workers):
@@ -428,8 +440,6 @@ class ProcessBackend(ExecutionBackend):
             self._collector.start()
             self._closed = False
             self._started = True
-            self._supervisor = WorkerSupervisor(self)
-            self._supervisor.start()
 
     def _spawn_env(self) -> Any:
         """The environment spawned interpreters start in.
@@ -464,23 +474,17 @@ class ProcessBackend(ExecutionBackend):
         return _Env()
 
     def _spawn_worker(self, slot: int) -> _Worker:
-        assert self._heartbeat is not None
         requests = self._ctx.SimpleQueue()
         recv_end, send_end = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
-            target=_worker_main,
-            args=(requests, send_end, self._heartbeat.shared, slot),
-            daemon=True,
+            target=_worker_main, args=(requests, send_end), daemon=True,
         )
-        # A respawn reuses a dead worker's slot, so the slot's sequence
-        # now, not zero, is what the new worker's first stamp moves.
-        boot_seq, _, _ = self._heartbeat.read(slot)
         spawned = time.monotonic()
         process.start()
         # Drop the parent's copy of the send end: the pipe must hit EOF
         # (worker death detection) as soon as the worker's copy closes.
         send_end.close()
-        worker = _Worker(process, requests, recv_end, slot, spawned, boot_seq)
+        worker = _Worker(process, requests, recv_end, slot, spawned)
         self._result_conns[recv_end] = worker
         return worker
 
@@ -491,12 +495,9 @@ class ProcessBackend(ExecutionBackend):
     def _shutdown_locked(self) -> None:
         if not self._started:
             return
-        self._closed = True
-        # Supervisor first: it must not escalate or respawn workers
+        # Closed first: a sweep must not escalate or respawn workers
         # while the table is being torn down underneath it.
-        if self._supervisor is not None:
-            self._supervisor.stop()
-            self._supervisor = None
+        self._closed = True
         for worker in self._workers:
             try:
                 worker.requests.put(None)
@@ -587,9 +588,17 @@ class ProcessBackend(ExecutionBackend):
                             self._result_conns.pop(conn, None)
                         conn.close()
                         continue
+                    heard = time.monotonic()
+                    if body == _HELLO:
+                        with self._lock:
+                            sender.heard = heard
+                            self.longest_boot = max(self.longest_boot or 0.0,
+                                                    heard - sender.spawned)
+                        continue
                     job_id, status, payload, seconds, records = (
                         pickle.loads(body))
                     with self._lock:
+                        sender.heard = heard
                         job = self._jobs.pop(job_id, None)
                         if job is not None and status == "ok":
                             longest = self.longest_tasks.get(job.kind, 0.0)
@@ -644,48 +653,38 @@ class ProcessBackend(ExecutionBackend):
     def sweep_workers(self) -> None:
         """One supervision pass: escalate hung workers, reap dead ones.
 
-        Run on a cadence by the supervisor thread and opportunistically
-        by dispatcher poll loops.  A worker counts as *hung* only while
-        it owes results: its heartbeat is silent **and** its oldest
-        outstanding dispatch -- the job a worker serving its queue in
-        order runs -- is older than that job's deadline
-        (:meth:`_deadline_for`), or, while the worker is still booting,
-        than the boot deadline (:attr:`longest_boot`).
+        Run by every dispatcher's poll loop while its job is out.  A
+        worker counts as *hung* only while it owes results: its oldest
+        outstanding job -- the one a worker serving its queue in order
+        runs -- has been running longer than that job's deadline
+        (:meth:`_deadline_for`), counted from the later of its dispatch
+        and the worker's previous message; or, while the worker is still
+        booting, the job has waited longer than the boot deadline
+        (:attr:`longest_boot`), counted from spawn or dispatch.
         """
         if not self._started or self._closed:
             return
         hung: list[tuple[_Worker, float]] = []
-        if self._heartbeat is not None:
-            now = time.monotonic()
-            with self._lock:
-                for worker in self._workers:
-                    if worker.escalating or not worker.process.is_alive():
-                        continue
-                    seq, _, stamp = self._heartbeat.read(worker.slot)
-                    if not worker.ready and seq != worker.boot_seq:
-                        # Read at the first sweep after readiness, the
-                        # stamp may be a later pickup's: an upper bound.
-                        worker.ready = True
-                        self.longest_boot = max(self.longest_boot or 0.0,
-                                                stamp - worker.spawned)
-                    oldest = min(
-                        (self._jobs[j] for j in worker.outstanding
-                         if j in self._jobs),
-                        key=lambda job: job.dispatched, default=None)
-                    if oldest is None:
-                        continue
-                    if worker.ready:
-                        # Busy worker: stamp is the running task's pickup
-                        # time.  Worker stopped while idle: the dispatch
-                        # timestamp starts the clock instead.
-                        deadline = self._deadline_for(oldest.kind)
-                        since = max(stamp, oldest.dispatched)
-                    else:
-                        deadline = self._deadline(self.longest_boot)
-                        since = max(worker.spawned, oldest.dispatched)
-                    if deadline is not None and now - since > deadline:
-                        worker.escalating = True
-                        hung.append((worker, deadline))
+        now = time.monotonic()
+        with self._lock:
+            for worker in self._workers:
+                if worker.escalating or not worker.process.is_alive():
+                    continue
+                oldest = min(
+                    (self._jobs[j] for j in worker.outstanding
+                     if j in self._jobs),
+                    key=lambda job: job.dispatched, default=None)
+                if oldest is None:
+                    continue
+                if worker.heard is None:
+                    deadline = self._deadline(self.longest_boot)
+                    since = max(worker.spawned, oldest.dispatched)
+                else:
+                    deadline = self._deadline_for(oldest.kind)
+                    since = max(worker.heard, oldest.dispatched)
+                if deadline is not None and now - since > deadline:
+                    worker.escalating = True
+                    hung.append((worker, deadline))
         for worker, deadline in hung:
             self._escalate(worker, deadline)
         self._reap_dead_workers()
@@ -811,7 +810,12 @@ class ProcessBackend(ExecutionBackend):
             return self._job_seq
 
     def _dispatch(self, job: _Job) -> bool:
-        """Ship ``job`` to the least-loaded live worker; False if none."""
+        """Ship ``job`` to the least-loaded live worker; False if none.
+
+        Workers that died since the last sweep (idle ones included:
+        nobody awaits them) are replaced first.
+        """
+        self._reap_dead_workers()
         with self._lock:
             target = min(
                 (w for w in self._workers
@@ -841,21 +845,18 @@ class ProcessBackend(ExecutionBackend):
         """Block for a dispatched job, supervising while it waits."""
         while not job.event.wait(timeout=0.2):
             self._check_collector()
-            supervisor = self._supervisor
-            if supervisor is None or not supervisor.alive:
-                # Degraded mode: no supervisor thread, so the waiters
-                # themselves keep dead-worker detection alive.
-                self.sweep_workers()
+            self.sweep_workers()
         if job.error is not None:
             raise job.error
         return job.result
 
-    def call(self, fn: Callable[..., Any], *args: Any) -> Any:
+    def _payload(self, fn: Callable[..., Any], args: tuple) -> bytes:
+        """Start the backend and pickle one task for shipping."""
         if self._closed:
             raise ReproError("process backend is shut down")
         self.start()
         try:
-            payload = pickle.dumps((fn, args))
+            return pickle.dumps((fn, args))
         except Exception as exc:
             raise ReproError(
                 f"task {getattr(fn, '__name__', fn)!r} cannot be shipped "
@@ -863,17 +864,16 @@ class ProcessBackend(ExecutionBackend):
                 f"their arguments must pickle (move array payloads into "
                 f"shared memory)"
             ) from exc
+
+    def call(self, fn: Callable[..., Any], *args: Any) -> Any:
+        payload = self._payload(fn, args)
         job = _Job(payload, job_id=self._next_job_id(), kind=_task_kind(fn),
                    record=bool(telemetry.active_collectors()))
         try:
             with telemetry.span("pool/dispatch", job=job.job_id,
                                 task=getattr(fn, "__name__", str(fn))):
                 if not self._dispatch(job):
-                    # Every worker is dead right now; reap (which
-                    # respawns replacements) and retry once.
-                    self._reap_dead_workers()
-                    if not self._dispatch(job):
-                        raise WorkerCrashedError("no live worker processes")
+                    raise WorkerCrashedError("no live worker processes")
                 telemetry.add("pool.shipped_jobs", 1)
                 return self._await(job)
         finally:
@@ -886,10 +886,8 @@ class ProcessBackend(ExecutionBackend):
         :meth:`call`, which targets the least-loaded worker, this ships
         one job to *each* worker's queue.
         """
-        if self._closed:
-            raise ReproError("process backend is shut down")
-        self.start()
-        payload = pickle.dumps((fn, args))
+        payload = self._payload(fn, args)
+        self._reap_dead_workers()
         kind = _task_kind(fn)
         record = bool(telemetry.active_collectors())
         dispatched: list[tuple[_Worker, int, _Job]] = []
@@ -925,28 +923,28 @@ class ProcessBackend(ExecutionBackend):
         self._deadline_pinned = True
 
     def supervisor_state(self) -> dict[str, Any]:
-        """Parent-side supervision snapshot (pids, heartbeats, counters)."""
+        """Parent-side supervision snapshot (pids, silences, counters).
+
+        A worker's ``silent`` is the seconds since it was last heard from
+        (since spawn, while booting), reported only while it owes work.
+        """
         workers: list[dict[str, Any]] = []
+        now = time.monotonic()
         with self._lock:
             for worker in self._workers:
-                if self._heartbeat is not None:
-                    seq, state, _ = self._heartbeat.read(worker.slot)
-                    age = self._heartbeat.age(worker.slot)
-                else:  # pragma: no cover - backend never started
-                    seq, state, age = 0, STATE_IDLE, float("inf")
+                last = (worker.spawned if worker.heard is None
+                        else worker.heard)
                 workers.append({
                     "pid": worker.process.pid,
                     "slot": worker.slot,
                     "alive": worker.process.is_alive(),
-                    "state": "busy" if state == STATE_BUSY else "idle",
-                    "beats": seq,
-                    "heartbeat_age": age,
+                    "booting": worker.heard is None,
                     "outstanding": len(worker.outstanding),
+                    "silent": (now - last) if worker.outstanding else None,
                 })
             deadlines = {kind: self._deadline_for(kind)
                          for kind in self.longest_tasks}
             longest = max(self.longest_tasks.values(), default=None)
-        supervisor = self._supervisor
         return {
             "backend": self.name,
             "num_workers": self.num_workers,
@@ -959,8 +957,6 @@ class ProcessBackend(ExecutionBackend):
             "respawns": self.respawns,
             "redispatches": self.redispatches,
             "hung_workers": self.hung_workers,
-            "supervisor_alive": bool(supervisor is not None
-                                     and supervisor.alive),
             "workers": workers,
         }
 

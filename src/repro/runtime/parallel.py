@@ -35,7 +35,7 @@ thread and process backends for a given worker count.
 
 Neither unit sets a hang deadline: the process backend derives its own
 from the task times its workers report (see
-:mod:`repro.runtime.supervisor`).
+:func:`repro.runtime.backends.measured_deadline`).
 """
 
 from __future__ import annotations

@@ -43,24 +43,19 @@ here, not by the tracker.
 
 **Crash reaping.**  The process-local ``owned_segments()`` registry dies
 with the process, so a SIGKILL'd owner orphans its segments in
-``/dev/shm`` with nobody left who knows to unlink them.  Every
-``create`` therefore also writes an *on-disk manifest entry* (owner pid,
-role, creation time) under :func:`manifest_dir`, removed again by
-``unlink``; :func:`reap_orphans` -- the janitor -- scans the manifest
-(and the raw ``/dev/shm`` namespace, whose segment names embed the
-creator pid) and unlinks every segment whose owner is dead.  The janitor
-runs at process-backend start, after kill-chaos runs, and from the
-``repro shm`` CLI.
+``/dev/shm`` with nobody left who knows to unlink them.  Every segment
+name embeds its creator's pid, so the host namespace alone says who
+owns what: :func:`segments_on_host` attributes each of our segments to
+its owner, and :func:`reap_orphans` -- the janitor -- unlinks every
+segment whose owner is dead.  The janitor runs at process-backend
+start, after kill-chaos runs, and from the ``repro shm`` CLI.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import secrets
-import tempfile
 import threading
-import time
 import weakref
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -74,12 +69,8 @@ from repro.errors import ReproError
 #: Prefix of every segment name this module creates; the CI leak check
 #: greps ``/dev/shm`` for it after the test run.  The hex field after
 #: the prefix is the *creator's pid*, which lets the janitor attribute
-#: even an unmanifested segment to its (possibly dead) owner.
+#: every segment to its (possibly dead) owner.
 SEGMENT_PREFIX = "repro-shm-"
-
-#: Environment override for the manifest directory (tests point it at a
-#: tmpdir so concurrent suites never see each other's entries).
-MANIFEST_ENV = "REPRO_SHM_MANIFEST_DIR"
 
 
 def _new_segment_name() -> str:
@@ -147,68 +138,22 @@ def owned_segments() -> tuple[str, ...]:
         return tuple(sorted(_OWNED))
 
 
-# -- on-disk manifest and crash janitor -------------------------------------
-
-
-def manifest_dir() -> Path:
-    """Directory holding one JSON manifest entry per live owned segment."""
-    override = os.environ.get(MANIFEST_ENV)
-    if override:
-        return Path(override)
-    return Path(tempfile.gettempdir()) / "repro-shm-manifest"
-
-
-def _manifest_path(name: str) -> Path:
-    return manifest_dir() / f"{name}.json"
-
-
-def _manifest_write(name: str, role: str | None) -> None:
-    """Record segment ownership on disk (atomic; best-effort).
-
-    Written at ``create`` time so that even a SIGKILL'd owner leaves a
-    record the janitor can act on; removed again by ``unlink``.
-    """
-    directory = manifest_dir()
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "name": name,
-            "pid": os.getpid(),
-            "role": role,
-            "created": time.time(),
-        }
-        tmp = directory / f".{name}.tmp"
-        tmp.write_text(json.dumps(entry))
-        os.replace(tmp, _manifest_path(name))
-    except OSError:  # pragma: no cover - manifest dir unwritable
-        pass
-
-
-def _manifest_remove(name: str) -> None:
-    """Drop the manifest entry for ``name`` (idempotent; best-effort)."""
-    try:
-        _manifest_path(name).unlink(missing_ok=True)
-    except OSError:  # pragma: no cover - manifest dir unwritable
-        pass
+# -- crash janitor ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ManifestEntry:
-    """One manifest record, joined against live pid and segment state."""
+class HostSegment:
+    """One of our segments in ``/dev/shm``, with the owner its name embeds."""
 
     name: str
     pid: int
-    role: str | None
-    created: float
     #: True when the owning process is still running.
     owner_alive: bool
-    #: True when the named segment still exists in ``/dev/shm``.
-    segment_exists: bool
 
     @property
     def orphaned(self) -> bool:
         """A reapable leak: the segment outlived its dead owner."""
-        return self.segment_exists and not self.owner_alive
+        return not self.owner_alive
 
 
 def _pid_alive(pid: int) -> bool:
@@ -219,22 +164,6 @@ def _pid_alive(pid: int) -> bool:
     except PermissionError:  # pragma: no cover - other-user pid
         return True
     return True
-
-
-def _segment_exists(name: str) -> bool:
-    # Stat the host namespace rather than attach-probing: attaching
-    # registers the segment with this process's resource tracker, and
-    # unregistering it back out would also strip the entry a live owner
-    # in this process still needs (double-unregister noise at exit).
-    shm_root = Path("/dev/shm")
-    if shm_root.is_dir():
-        return (shm_root / name).exists()
-    try:  # pragma: no cover - non-Linux host
-        probe = _attach_untracked(name)
-    except FileNotFoundError:  # pragma: no cover - non-Linux host
-        return False
-    probe.close()  # pragma: no cover - non-Linux host
-    return True  # pragma: no cover - non-Linux host
 
 
 def host_segments() -> tuple[str, ...]:
@@ -248,77 +177,43 @@ def host_segments() -> tuple[str, ...]:
     ))
 
 
-def manifest_entries() -> tuple[ManifestEntry, ...]:
-    """All manifest records plus unmanifested on-host segments.
-
-    Segments found in ``/dev/shm`` without a manifest entry (e.g. the
-    manifest dir was wiped) are synthesized from the creator pid embedded
-    in the segment name, so the janitor still sees them.
-    """
-    entries: dict[str, ManifestEntry] = {}
-    directory = manifest_dir()
-    if directory.is_dir():
-        for path in sorted(directory.glob("*.json")):
-            try:
-                raw = json.loads(path.read_text())
-                name = str(raw["name"])
-                pid = int(raw["pid"])
-            except (OSError, ValueError, KeyError):
-                continue
-            entries[name] = ManifestEntry(
-                name=name,
-                pid=pid,
-                role=raw.get("role"),
-                created=float(raw.get("created", 0.0)),
-                owner_alive=_pid_alive(pid),
-                segment_exists=_segment_exists(name),
-            )
+def segments_on_host() -> tuple[HostSegment, ...]:
+    """Each of our on-host segments, attributed to the pid in its name."""
+    segments: list[HostSegment] = []
     for name in host_segments():
-        if name in entries:
-            continue
         pid = _segment_owner_pid(name)
         if pid is None:  # pragma: no cover - foreign name under our prefix
             continue
-        entries[name] = ManifestEntry(
-            name=name, pid=pid, role=None, created=0.0,
-            owner_alive=_pid_alive(pid), segment_exists=True,
-        )
-    return tuple(entries[name] for name in sorted(entries))
+        segments.append(HostSegment(name, pid, _pid_alive(pid)))
+    return tuple(segments)
 
 
 def reap_orphans() -> tuple[str, ...]:
-    """Unlink every segment whose owning process died; prune stale entries.
+    """Unlink every segment whose owning process died.
 
     Returns the names of segments actually reclaimed.  Segments with a
     live owner are left strictly alone -- the janitor is safe to run
     concurrently with active pools in other processes.
     """
     reaped: list[str] = []
-    for entry in manifest_entries():
-        if entry.owner_alive:
+    for segment in segments_on_host():
+        if not segment.orphaned:
             continue
-        if entry.segment_exists:
-            try:
-                seg = shared_memory.SharedMemory(name=entry.name)
-            except FileNotFoundError:  # pragma: no cover - concurrent reap
-                seg = None
-            if seg is not None:
-                # Attaching registered the name with our resource
-                # tracker; unlink() unregisters it again, so the pair
-                # stays balanced (no explicit unregister here).
-                try:
-                    seg.unlink()
-                except FileNotFoundError:  # pragma: no cover - reap race
-                    pass
-                seg.close()
-                reaped.append(entry.name)
-                telemetry.add("shm.reaped_segments", 1)
-                telemetry.event(
-                    "shm.reap", segment=entry.name, owner=entry.pid,
-                    role=entry.role,
-                )
-        # Entry is stale either way: segment gone or just reclaimed.
-        _manifest_remove(entry.name)
+        try:
+            seg = shared_memory.SharedMemory(name=segment.name)
+        except FileNotFoundError:  # pragma: no cover - concurrent reap
+            continue
+        # Attaching registered the name with our resource tracker;
+        # unlink() unregisters it again, so the pair stays balanced (no
+        # explicit unregister here).
+        try:
+            seg.unlink()
+        except FileNotFoundError:  # pragma: no cover - reap race
+            pass
+        seg.close()
+        reaped.append(segment.name)
+        telemetry.add("shm.reaped_segments", 1)
+        telemetry.event("shm.reap", segment=segment.name, owner=segment.pid)
     return tuple(reaped)
 
 
@@ -374,7 +269,6 @@ class SharedArray:
             create=True, size=nbytes, name=_new_segment_name()
         )
         _register_owned(shm.name)
-        _manifest_write(shm.name, role)
         seg = cls(shm, tuple(shape), dtype, owner=True)
         seg.role = role
         return seg
@@ -458,7 +352,6 @@ class SharedArray:
             shm.close()
         finally:
             _unregister_owned(name)
-            _manifest_remove(name)
 
     def __enter__(self) -> "SharedArray":
         return self

@@ -177,24 +177,6 @@ class TestRegistryRules:
         tagged = _tagged(findings, "[LC-REGISTER-PAIR]")
         assert len(tagged) == 1
 
-    def test_manifest_write_without_remove_is_an_error(self):
-        findings = _lint("""
-            def own(name):
-                _manifest_write(name, role="input")
-        """)
-        tagged = _tagged(findings, "[LC-MANIFEST]")
-        assert len(tagged) == 1
-
-    def test_paired_manifest_write_and_remove_is_clean(self):
-        findings = _lint("""
-            def own(name):
-                _manifest_write(name, role="input")
-
-            def disown(name):
-                _manifest_remove(name)
-        """)
-        assert _tagged(findings, "[LC-MANIFEST]") == []
-
 
 class TestOwnerRelease:
     def test_registry_class_without_release_or_fault_net(self):

@@ -40,7 +40,7 @@ class TestRealKillPlans:
         assert shm.owned_segments() == ()
 
     def test_hang_barrier_escalates_and_stays_bit_identical(self):
-        # SIGSTOP leaves the worker alive but silent; only the heartbeat
+        # SIGSTOP leaves the worker alive but silent; only the hang
         # deadline (pinned short by the plan) gets the job unstuck.
         report = run_chaos(plan_name="hang", seed=0, epochs=2,
                            samples=24, threads=2, scheduler="barrier")
@@ -68,9 +68,9 @@ class TestPlanRegistry:
 
 class TestKillChaosPolicy:
     def test_no_per_attempt_deadline(self):
-        # Hang recovery belongs to the supervisor's heartbeat deadline;
+        # Hang recovery belongs to the process backend's hang deadline;
         # a per-attempt timeout on top would double-count the stall and
-        # fail jobs the supervisor is about to redispatch.
+        # fail jobs the backend is about to redispatch.
         policy = kill_chaos_policy()
         assert policy.timeout is None
         assert policy.max_redispatches >= 1

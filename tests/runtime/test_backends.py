@@ -117,6 +117,13 @@ class TestProcessExecution:
         with pytest.raises(ReproError, match="must pickle"):
             process_pool.map_batches(lambda lo, hi: None, 4)
 
+    @pytest.mark.parametrize("ship", ["call", "broadcast"])
+    def test_call_and_broadcast_refuse_a_lambda_alike(self, process_pool,
+                                                      ship):
+        backend = process_pool._require_backend()
+        with pytest.raises(ReproError, match="cannot be shipped.*must pickle"):
+            getattr(backend, ship)(lambda: None)
+
     def test_shared_memory_round_trip(self, process_pool):
         data = np.arange(12, dtype=np.float32).reshape(6, 2)
         with SharedArray.from_array(data) as seg:

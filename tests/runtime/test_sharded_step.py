@@ -31,7 +31,7 @@ from repro.ops.gemm_conv import GemmInParallelEngine
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.resilience.policy import RetryPolicy, apply_policy
 from repro.resilience.quarantine import default_registry
-from repro.runtime import shm, supervisor
+from repro.runtime import backends, shm
 from repro.runtime.backends import (ProcessBackend, pin_malloc_thresholds,
                                     worker_diagnostics)
 from repro.runtime.pool import WorkerPool
@@ -177,8 +177,7 @@ class TestOnePoolPerNetwork:
         assert a._pool is not None and a._pool is not b._pool
 
     def test_process_net_owns_exactly_threads_workers_and_closes_clean(
-            self, tmp_path, monkeypatch):
-        monkeypatch.setenv(shm.MANIFEST_ENV, str(tmp_path))
+            self):
         before = set(shm.host_segments())
         net = cifar10_net(scale=0.25, rng=np.random.default_rng(0),
                           threads=2, backend="process")
@@ -206,7 +205,6 @@ class TestOnePoolPerNetwork:
             assert not Path(f"/proc/{pid}").exists()
         assert set(shm.host_segments()) - before == set()
         assert shm.owned_segments() == ()
-        assert list(tmp_path.glob("*.json")) == []
         # The layers got their parameters back as private arrays.
         np.testing.assert_array_equal(net.conv_layers()[0].weights, weights)
 
@@ -470,7 +468,7 @@ class TestFaultsEndBitIdentical:
         # With the floor patched to 1 ms, a deadline learned from it
         # would kill every worker running the first real shard (tens to
         # hundreds of ms); shards are judged only by completed shards.
-        monkeypatch.setattr(supervisor, "DEADLINE_FLOOR", 0.001)
+        monkeypatch.setattr(backends, "DEADLINE_FLOOR", 0.001)
         steps, batch = 2, 64
         reference = _train(cifar10_net, 2, "serial", steps=steps,
                            batch=batch, scale=1.0)

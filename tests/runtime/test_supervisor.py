@@ -1,14 +1,16 @@
-"""Tests for worker supervision (repro.runtime.supervisor + backends).
+"""Tests for worker supervision in the process backend.
 
-Covers the heartbeat board, the hang deadline measured from task times,
-hung/dead worker escalation and redispatch, shutdown under a SIGSTOP'd
-worker, collector-death detection, and the shm crash manifest/janitor.
+Covers the hang deadline measured from task times, the hang clock the
+result pipe keeps (hello, then one message per result), hung/dead worker
+escalation, replacement and redispatch, shutdown under a SIGSTOP'd
+worker, collector-death detection, and the shm janitor.
 
 Real signals against real worker processes run here, so deadlines and
 grace periods are shrunk to keep the suite fast; every timing assertion
 leaves generous slack for a loaded single-core host.
 """
 
+import ctypes
 import math
 import multiprocessing
 import operator
@@ -21,26 +23,16 @@ import numpy as np
 import pytest
 
 from repro.resilience.policy import RetryPolicy, apply_policy
-from repro.runtime import shm, supervisor
-from repro.runtime.backends import (ProcessBackend, WorkerCrashedError,
-                                    worker_ready)
-from repro.runtime.pool import WorkerPool
-from repro.runtime.supervisor import (
+from repro.runtime import backends, shm
+from repro.runtime.backends import (
     DEADLINE_FLOOR,
     DEADLINE_SAFETY,
-    STATE_BUSY,
-    STATE_IDLE,
-    HeartbeatBoard,
+    ProcessBackend,
+    WorkerCrashedError,
     measured_deadline,
+    worker_ready,
 )
-
-
-@pytest.fixture()
-def manifest_dir(tmp_path, monkeypatch):
-    """Isolate the on-disk manifest so concurrent suites never collide."""
-    directory = tmp_path / "manifest"
-    monkeypatch.setenv(shm.MANIFEST_ENV, str(directory))
-    return directory
+from repro.runtime.pool import WorkerPool
 
 
 def _deadlines(backend):
@@ -48,7 +40,7 @@ def _deadlines(backend):
 
 
 class TestMeasuredDeadline:
-    def test_no_deadline_before_a_task_completes(self, manifest_dir):
+    def test_no_deadline_before_a_task_completes(self):
         backend = ProcessBackend(1)
         try:
             backend.start()
@@ -64,7 +56,7 @@ class TestMeasuredDeadline:
     def test_safety_multiple_scales_slow_tasks(self):
         assert measured_deadline(1.0) == DEADLINE_SAFETY * 1.0
 
-    def test_short_tasks_earn_the_floor(self, manifest_dir):
+    def test_short_tasks_earn_the_floor(self):
         backend = ProcessBackend(1)
         try:
             assert backend.call(math.factorial, 5) == 120
@@ -76,8 +68,8 @@ class TestMeasuredDeadline:
             backend.shutdown()
 
     def test_long_task_sets_the_multiple_and_only_rises(
-            self, manifest_dir, monkeypatch):
-        monkeypatch.setattr(supervisor, "DEADLINE_FLOOR", 0.01)
+            self, monkeypatch):
+        monkeypatch.setattr(backends, "DEADLINE_FLOOR", 0.01)
         backend = ProcessBackend(1)
         try:
             backend.call(time.sleep, 0.2)
@@ -92,7 +84,7 @@ class TestMeasuredDeadline:
         finally:
             backend.shutdown()
 
-    def test_each_kind_keeps_its_own_longest_task(self, manifest_dir):
+    def test_each_kind_keeps_its_own_longest_task(self):
         backend = ProcessBackend(1)
         try:
             backend.call(time.sleep, 0.2)
@@ -103,13 +95,12 @@ class TestMeasuredDeadline:
         finally:
             backend.shutdown()
 
-    def test_a_fast_kind_never_judges_a_slow_one(self, manifest_dir,
-                                                 monkeypatch):
+    def test_a_fast_kind_never_judges_a_slow_one(self, monkeypatch):
         # A microsecond task completes first (as the sharded step's
         # readiness probe does), then a healthy task of another kind
         # runs three times the floor: it has no completion of its own
         # kind yet, so it is not judged and its worker is not killed.
-        monkeypatch.setattr(supervisor, "DEADLINE_FLOOR", 0.5)
+        monkeypatch.setattr(backends, "DEADLINE_FLOOR", 0.5)
         backend = ProcessBackend(1)
         backend.escalate_grace = 0.5
         try:
@@ -123,7 +114,7 @@ class TestMeasuredDeadline:
         finally:
             backend.shutdown()
 
-    def test_pinned_deadline_never_moves(self, manifest_dir):
+    def test_pinned_deadline_never_moves(self):
         backend = ProcessBackend(1, task_deadline=2.0)
         try:
             backend.call(time.sleep, 0.2)
@@ -138,50 +129,72 @@ class TestMeasuredDeadline:
             backend.shutdown()
 
 
-class TestHeartbeatBoard:
-    def test_unstamped_slot_has_infinite_age(self):
-        board = HeartbeatBoard(2, multiprocessing.get_context("spawn"))
-        assert board.age(0) == float("inf")
-        assert board.read(1) == (0, STATE_IDLE, 0.0)
-
-    def test_stamp_advances_seq_and_state(self):
-        board = HeartbeatBoard(2, multiprocessing.get_context("spawn"))
-        HeartbeatBoard.stamp(board.shared, 0, STATE_BUSY)
-        seq, state, stamp = board.read(0)
-        assert (seq, state) == (1, STATE_BUSY)
-        assert stamp > 0.0
-        HeartbeatBoard.stamp(board.shared, 0, STATE_IDLE)
-        seq, state, _ = board.read(0)
-        assert (seq, state) == (2, STATE_IDLE)
-
-    def test_age_tracks_wall_clock(self):
-        board = HeartbeatBoard(1, multiprocessing.get_context("spawn"))
-        HeartbeatBoard.stamp(board.shared, 0, STATE_IDLE)
-        age = board.age(0)
-        assert 0.0 <= age < 5.0
-
-    def test_slots_are_independent(self):
-        board = HeartbeatBoard(3, multiprocessing.get_context("spawn"))
-        HeartbeatBoard.stamp(board.shared, 1, STATE_BUSY)
-        assert board.read(0)[0] == 0
-        assert board.read(1)[0] == 1
-        assert board.read(2)[0] == 0
-
-
 class TestSupervisorLifecycle:
-    def test_supervisor_runs_while_backend_lives(self, manifest_dir):
+    def test_supervisor_runs_while_backend_lives(self):
         backend = ProcessBackend(1)
         try:
             backend.start()
             state = backend.supervisor_state()
-            assert state["supervisor_alive"]
             assert len(state["workers"]) == 1
             assert state["workers"][0]["alive"]
         finally:
             backend.shutdown()
-        assert not backend.supervisor_state()["supervisor_alive"]
+        assert not any(w["alive"]
+                       for w in backend.supervisor_state()["workers"])
 
-    def test_policy_mirrors_redispatch_budget(self, manifest_dir):
+    def test_backend_runs_no_supervisor_thread(self, monkeypatch):
+        # Supervision rides on the dispatchers' poll loops and the result
+        # pipes: a started backend adds no thread but its collector, and
+        # ships its workers nothing but their two channels.
+        shipped: list = []
+        start = multiprocessing.context.SpawnProcess.start
+
+        def recording_start(process):
+            shipped.append(process._args)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start",
+                            recording_start)
+        before = {t.ident for t in threading.enumerate()}
+        backend = ProcessBackend(2)
+        try:
+            backend.start()
+            added = [t.name for t in threading.enumerate()
+                     if t.ident not in before]
+            assert added == ["repro-shm-collector"]
+            assert len(shipped) == 2
+            for args in shipped:
+                assert len(args) == 2
+                assert not any(isinstance(arg, ctypes.Array) for arg in args)
+            state = backend.supervisor_state()
+            assert len(state["workers"]) == 2
+            assert all(w["alive"] for w in state["workers"])
+        finally:
+            backend.shutdown()
+
+    def test_dead_idle_worker_is_replaced_at_next_dispatch(self):
+        # Nobody awaits an idle worker, so nothing notices its death
+        # until the next dispatch, which replaces it before placing work.
+        # One worker: the job has nowhere to go but the replacement.
+        backend = ProcessBackend(1)
+        try:
+            backend.call(worker_ready)
+            victim = backend._workers[0].process
+            os.kill(victim.pid, signal.SIGKILL)
+            waited = time.monotonic()
+            while victim.is_alive() and time.monotonic() - waited < 30.0:
+                time.sleep(0.01)
+            assert not victim.is_alive()
+            assert backend.respawns == 0
+            assert backend.call(math.factorial, 5) == 120
+            assert backend.respawns == 1
+            pids = backend.worker_pids()
+            assert len(pids) == backend.num_workers
+            assert victim.pid not in pids
+        finally:
+            backend.shutdown()
+
+    def test_policy_mirrors_redispatch_budget(self):
         pool = WorkerPool(1, backend="process")
         try:
             with apply_policy(RetryPolicy(max_redispatches=7)):
@@ -194,7 +207,7 @@ class TestSupervisorLifecycle:
 
 class TestHungWorkerEscalation:
     def test_sigstopped_worker_is_escalated_and_job_redispatched(
-            self, manifest_dir):
+            self):
         backend = ProcessBackend(2, task_deadline=1.0)
         backend.escalate_grace = 0.5
         try:
@@ -203,8 +216,8 @@ class TestHungWorkerEscalation:
             os.kill(victim, signal.SIGSTOP)
             # The least-loaded dispatch targets the stopped worker (all
             # are idle; list order breaks the tie), the dispatch
-            # timestamp starts the hang clock, and the supervisor must
-            # escalate + redispatch without any help from this thread.
+            # timestamp starts the hang clock, and this thread's own
+            # poll loop must escalate + redispatch.
             assert backend.call(math.factorial, 5) == 120
             assert backend.hung_workers >= 1
             assert backend.respawns >= 1
@@ -213,11 +226,10 @@ class TestHungWorkerEscalation:
         finally:
             backend.shutdown()
 
-    def test_bare_pool_detects_a_hung_worker(self, manifest_dir,
-                                             monkeypatch):
+    def test_bare_pool_detects_a_hung_worker(self, monkeypatch):
         # No executor fronts this pool: the deadline comes from the
         # first call's measured tasks alone.
-        monkeypatch.setattr(supervisor, "DEADLINE_FLOOR", 1.0)
+        monkeypatch.setattr(backends, "DEADLINE_FLOOR", 1.0)
         pool = WorkerPool(2, backend="process")
         try:
             first = pool.map_batches(operator.sub, 8)
@@ -243,36 +255,128 @@ class TestHungWorkerEscalation:
                 pool.backend.shutdown()
             pool.shutdown()
 
-    def test_idle_workers_are_never_flagged(self, manifest_dir):
+    def test_idle_workers_are_never_flagged(self):
         backend = ProcessBackend(1, task_deadline=0.2)
         try:
             backend.start()
-            time.sleep(1.0)  # several supervisor sweeps with no work
-            backend.sweep_workers()
+            for _ in range(5):  # sweeps with no work, past the deadline
+                time.sleep(0.2)
+                backend.sweep_workers()
             assert backend.hung_workers == 0
             assert backend.call(math.factorial, 3) == 6
         finally:
             backend.shutdown()
 
+    def test_clock_starts_at_the_previous_result(self):
+        # Two jobs queued on one worker at once: the second waits behind
+        # the first, so its dispatch is 0.7 D old when it starts and
+        # 1.3 D old when it ends.  Its clock starts when the first
+        # result arrives, so neither job runs longer than D.
+        deadline = 1.0
+        backend = ProcessBackend(1)
+        try:
+            backend.call(worker_ready)  # booted: the pin judges no boot
+            backend.set_task_deadline(deadline)
+            results: list = []
+            callers = [
+                threading.Thread(
+                    target=lambda s=s: results.append(
+                        backend.call(time.sleep, s)),
+                    daemon=True)
+                for s in (0.7 * deadline, 0.6 * deadline)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=30.0)
+                assert not caller.is_alive()
+            assert results == [None, None]
+            assert backend.hung_workers == 0
+            assert backend.respawns == 0
+        finally:
+            backend.shutdown()
+
+
+def _await_outstanding(backend, count: int) -> list:
+    """Poll until ``count`` jobs are owed; the snapshot's worker rows."""
+    waited = time.monotonic()
+    while time.monotonic() - waited < 30.0:
+        workers = backend.supervisor_state()["workers"]
+        if sum(w["outstanding"] for w in workers) == count:
+            return workers
+        time.sleep(0.01)
+    raise AssertionError(f"never owed {count}: {backend.supervisor_state()}")
+
+
+class TestSilence:
+    """The parent's own clock: seconds since a worker was last heard from."""
+
+    def test_hello_ends_booting(self):
+        backend = ProcessBackend(2)
+        try:
+            assert sorted(backend.broadcast(worker_ready)) == sorted(
+                backend.worker_pids())
+            workers = backend.supervisor_state()["workers"]
+            assert not any(w["booting"] for w in workers)
+            assert all(w["silent"] is None for w in workers)
+            assert backend.longest_boot > 0
+        finally:
+            backend.shutdown()
+
+    def test_silence_tracks_wall_clock(self):
+        backend = ProcessBackend(1)
+        try:
+            backend.call(worker_ready)
+            caller = threading.Thread(
+                target=lambda: backend.call(time.sleep, 1.0), daemon=True)
+            caller.start()
+            first = _await_outstanding(backend, 1)[0]["silent"]
+            time.sleep(0.3)
+            later = backend.supervisor_state()["workers"][0]["silent"]
+            assert 0.0 <= first < later < 5.0
+            assert later - first >= 0.25
+            caller.join(timeout=30.0)
+            assert not caller.is_alive()
+            assert backend.supervisor_state()["workers"][0]["silent"] is None
+        finally:
+            backend.shutdown()
+
+    def test_each_worker_has_its_own_clock(self):
+        # Least-loaded dispatch puts the one job on one worker: only that
+        # worker owes work, so only it is timed.
+        backend = ProcessBackend(2)
+        try:
+            backend.broadcast(worker_ready)
+            caller = threading.Thread(
+                target=lambda: backend.call(time.sleep, 0.5), daemon=True)
+            caller.start()
+            workers = _await_outstanding(backend, 1)
+            timed = [w["silent"] is not None for w in workers]
+            assert sorted(timed) == [False, True]
+            caller.join(timeout=30.0)
+            assert not caller.is_alive()
+        finally:
+            backend.shutdown()
+
 
 class TestBootingWorkers:
-    """A worker that has not stamped since spawn holds no task yet."""
+    """A worker that has not said hello since spawn holds no task yet."""
 
     @staticmethod
     def _start_with_first_worker_stopped(backend):
         backend.start()
         booting = backend.worker_pids()[0]
         os.kill(booting, signal.SIGSTOP)
-        # Stopped before its first stamp: it is still booting.
-        assert backend.supervisor_state()["workers"][0]["beats"] == 0
+        # Stopped before its hello arrived: it is still booting.
+        assert backend.supervisor_state()["workers"][0]["booting"]
         return booting
 
     def test_a_booting_worker_is_not_judged_by_its_siblings_tasks(
-            self, manifest_dir, monkeypatch):
+            self, monkeypatch):
         # The sibling answers the readiness probe in microseconds, which
         # earns the probe's kind the 1 ms floor.  The same probe queued
         # on the worker still booting waits on boot times instead.
-        monkeypatch.setattr(supervisor, "DEADLINE_FLOOR", 0.001)
+        monkeypatch.setattr(backends, "DEADLINE_FLOOR", 0.001)
         backend = ProcessBackend(2)
         backend.escalate_grace = 0.5
         try:
@@ -288,7 +392,7 @@ class TestBootingWorkers:
                    and time.monotonic() - waited < 30.0):
                 time.sleep(0.05)
             assert _deadlines(backend) == {kind: 0.001}
-            time.sleep(1.0)  # ten sweeps past the kind's deadline
+            time.sleep(1.0)  # the caller's sweeps, past the kind's deadline
             assert backend.hung_workers == 0
             os.kill(booting, signal.SIGCONT)
             caller.join(timeout=30.0)
@@ -301,12 +405,12 @@ class TestBootingWorkers:
             backend.shutdown()
 
     def test_a_worker_stuck_booting_is_caught_by_its_siblings_boot(
-            self, manifest_dir, monkeypatch):
+            self, monkeypatch):
         # No task kind judges a booting worker, but its sibling's boot
         # does: at twice the sibling's boot, the stuck one is killed and
         # its probe answered by a live worker.
-        monkeypatch.setattr(supervisor, "DEADLINE_FLOOR", 0.001)
-        monkeypatch.setattr(supervisor, "DEADLINE_SAFETY", 2.0)
+        monkeypatch.setattr(backends, "DEADLINE_FLOOR", 0.001)
+        monkeypatch.setattr(backends, "DEADLINE_SAFETY", 2.0)
         backend = ProcessBackend(2)
         backend.escalate_grace = 0.5
         try:
@@ -328,7 +432,7 @@ class TestBootingWorkers:
 
 
 class TestShutdownEscalation:
-    def test_shutdown_escalates_sigstopped_worker(self, manifest_dir):
+    def test_shutdown_escalates_sigstopped_worker(self):
         # Satellite: a SIGSTOP'd worker never drains its sentinel, and
         # SIGTERM is not delivered to a stopped process -- shutdown must
         # escalate to SIGKILL instead of hanging on the join.
@@ -346,7 +450,7 @@ class TestShutdownEscalation:
                 os.kill(pid, 0)
 
     def test_dead_worker_redispatch_budget_bounds_failure(
-            self, manifest_dir):
+            self):
         # os._exit kills every redispatch target too, so the job must
         # fail once the budget is spent instead of cycling forever.
         backend = ProcessBackend(1, max_redispatch=1)
@@ -379,7 +483,7 @@ def _gone_or_zombie(pid: int) -> bool:
 
 
 class TestOrphanedWorkers:
-    def test_workers_exit_when_owner_is_sigkilled(self, manifest_dir):
+    def test_workers_exit_when_owner_is_sigkilled(self):
         # A SIGKILL'd owner gets no chance to shut its workers down; the
         # workers must notice the request pipe's EOF and exit on their
         # own.  This only works because the worker drops its inherited
@@ -412,7 +516,7 @@ class TestOrphanedWorkers:
 
 
 class TestCollectorDeath:
-    def test_dead_collector_fails_calls_with_traceback(self, manifest_dir):
+    def test_dead_collector_fails_calls_with_traceback(self):
         # Satellite: if the collector thread dies, waiting on
         # ``job.event`` would poll forever -- the waiter must notice and
         # surface the collector's traceback instead.
@@ -433,31 +537,18 @@ class TestCollectorDeath:
             backend.shutdown()  # must not hang on the dead stop pipe
 
 
-class TestManifest:
-    def test_create_writes_entry_and_unlink_removes_it(self, manifest_dir):
+class TestHostSegments:
+    def test_live_segment_is_listed_with_its_owner(self):
         seg = shm.SharedArray.create((2, 2), np.float32, role="input")
         name = seg.name
         try:
-            entries = {e.name: e for e in shm.manifest_entries()}
-            entry = entries[name]
-            assert entry.pid == os.getpid()
-            assert entry.role == "input"
-            assert entry.owner_alive
-            assert entry.segment_exists
-            assert not entry.orphaned
+            listed = {s.name: s for s in shm.segments_on_host()}
+            assert listed[name].pid == os.getpid()
+            assert listed[name].owner_alive
+            assert not listed[name].orphaned
         finally:
             seg.unlink()
-        assert name not in {e.name for e in shm.manifest_entries()}
-
-    def test_arena_entries_carry_tagged_roles(self, manifest_dir):
-        arena = shm.ShmArena()
-        seg = arena.ensure("x", (2,), np.float32)
-        name = seg.name
-        entries = {e.name: e for e in shm.manifest_entries()}
-        assert entries[name].role is not None
-        assert entries[name].role.endswith(":x")
-        arena.release()
-        assert name not in {e.name for e in shm.manifest_entries()}
+        assert name not in shm.host_segments()
 
     def test_segment_name_embeds_owner_pid(self):
         seg = shm.SharedArray.create((2,), np.float32)
@@ -466,24 +557,50 @@ class TestManifest:
         finally:
             seg.unlink()
 
-    def test_unmanifested_segment_is_synthesized_from_name(
-            self, manifest_dir):
-        seg = shm.SharedArray.create((2,), np.float32)
+    def test_arena_segments_are_listed_until_release(self):
+        arena = shm.ShmArena()
+        seg = arena.ensure("x", (2,), np.float32)
+        name = seg.name
+        assert seg.descriptor.role.endswith(":x")
+        listed = {s.name: s for s in shm.segments_on_host()}
+        assert listed[name].pid == os.getpid()
+        arena.release()
+        assert name not in shm.host_segments()
+
+    def test_name_without_an_owner_is_neither_listed_nor_reaped(self):
+        from multiprocessing import shared_memory
+
+        name = f"{shm.SEGMENT_PREFIX}nothex-foreign"
+        assert shm._segment_owner_pid(name) is None
+        segment = shared_memory.SharedMemory(name=name, create=True, size=32)
         try:
-            shm._manifest_remove(seg.name)  # simulate a wiped manifest dir
-            entries = {e.name: e for e in shm.manifest_entries()}
-            assert entries[seg.name].pid == os.getpid()
-            assert entries[seg.name].owner_alive
+            assert name in shm.host_segments()
+            assert name not in {s.name for s in shm.segments_on_host()}
+            assert name not in shm.reap_orphans()
+            assert name in shm.host_segments()
+        finally:
+            segment.close()
+            segment.unlink()
+
+    def test_create_writes_no_file(self, tmp_path, monkeypatch):
+        # The segment's name is its only record: creating one leaves
+        # nothing on disk, even where the old manifest variable is set.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_SHM_MANIFEST_DIR", str(tmp_path))
+        seg = shm.SharedArray.create((2,), np.float32, role="input")
+        try:
+            assert list(tmp_path.iterdir()) == []
         finally:
             seg.unlink()
+        assert list(tmp_path.iterdir()) == []
 
 
-def _create_and_abandon(name: str) -> None:
+def _create_and_abandon() -> None:
     """Child entry: create a raw segment and exit without unlinking."""
     from multiprocessing import resource_tracker, shared_memory
 
+    name = f"{shm.SEGMENT_PREFIX}{os.getpid():x}-janitor"
     segment = shared_memory.SharedMemory(name=name, create=True, size=64)
-    shm._manifest_write(name, role="abandoned")
     # Keep the tracker from "helpfully" unlinking at child exit: the
     # point is to orphan the segment like SIGKILL would.
     resource_tracker.unregister(segment._name, "shared_memory")  # noqa: SLF001
@@ -493,41 +610,39 @@ def _create_and_abandon(name: str) -> None:
 class TestJanitor:
     def _orphan_segment(self) -> str:
         ctx = multiprocessing.get_context("spawn")
-        name = f"{shm.SEGMENT_PREFIX}{os.getpid():x}-janitor"
-        child = ctx.Process(target=_create_and_abandon, args=(name,))
+        child = ctx.Process(target=_create_and_abandon)
         child.start()
         child.join(timeout=60.0)
         assert child.exitcode == 0
-        # The manifest entry the child wrote carries the child's (now
-        # dead) pid, so the janitor sees a textbook orphan.
-        return name
+        # The segment's name carries the child's (now dead) pid, so the
+        # janitor sees a textbook orphan.
+        return f"{shm.SEGMENT_PREFIX}{child.pid:x}-janitor"
 
-    def test_reaps_segment_of_dead_owner(self, manifest_dir):
+    def test_reaps_segment_of_dead_owner(self):
         name = self._orphan_segment()
-        assert shm._segment_exists(name)
+        assert name in shm.host_segments()
         reaped = shm.reap_orphans()
         assert name in reaped
-        assert not shm._segment_exists(name)
-        assert name not in {e.name for e in shm.manifest_entries()}
+        assert name not in shm.host_segments()
 
-    def test_leaves_live_owners_alone(self, manifest_dir):
+    def test_leaves_live_owners_alone(self):
         seg = shm.SharedArray.create((2,), np.float32)
         try:
             assert shm.reap_orphans() == ()
-            assert shm._segment_exists(seg.name)
+            assert seg.name in shm.host_segments()
         finally:
             seg.unlink()
 
-    def test_reap_is_idempotent(self, manifest_dir):
+    def test_reap_is_idempotent(self):
         name = self._orphan_segment()
         assert name in shm.reap_orphans()
         assert shm.reap_orphans() == ()
 
-    def test_backend_start_runs_the_janitor(self, manifest_dir):
+    def test_backend_start_runs_the_janitor(self):
         name = self._orphan_segment()
         backend = ProcessBackend(1)
         try:
             backend.start()
-            assert not shm._segment_exists(name)
+            assert name not in shm.host_segments()
         finally:
             backend.shutdown()

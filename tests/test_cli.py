@@ -534,12 +534,6 @@ class TestCheckOutput:
 
 
 class TestShmCommand:
-    @pytest.fixture(autouse=True)
-    def _isolated_manifest(self, tmp_path, monkeypatch):
-        from repro.runtime import shm
-
-        monkeypatch.setenv(shm.MANIFEST_ENV, str(tmp_path / "manifest"))
-
     @staticmethod
     def _orphan_segment():
         """A /dev/shm segment whose name pins a pid that has exited."""
@@ -560,22 +554,25 @@ class TestShmCommand:
         seg.close()
         return name
 
-    def test_list_empty_manifest(self):
+    def test_list_without_segments(self):
         code, text = run(["shm", "list"])
         assert code == 0
         assert "no segments" in text
 
     def test_list_live_segment_exits_zero(self):
+        import os
+
         import numpy as np
 
         from repro.runtime.shm import SharedArray
 
-        seg = SharedArray.create((2,), np.float32, role="demo")
+        seg = SharedArray.create((2,), np.float32)
         try:
             code, text = run(["shm", "list"])
             assert code == 0
-            assert seg.name in text
-            assert "demo" in text
+            row = next(line for line in text.splitlines()
+                       if seg.name in line)
+            assert str(os.getpid()) in row and "yes" in row
         finally:
             seg.unlink()
 
@@ -600,7 +597,7 @@ class TestShmCommand:
         code, text = run(["shm", "reap", "--out", str(out_path)])
         assert code == 0
         assert "reaped 1 orphaned segment" in text
-        assert not shm._segment_exists(name)
+        assert name not in shm.host_segments()
         payload = json.loads(out_path.read_text())
         assert payload["reaped"] == [name]
 
@@ -611,21 +608,15 @@ class TestShmCommand:
         assert code == 0
         payload = json.loads(text.splitlines()[0])
         assert payload["action"] == "list"
-        assert payload["entries"] == []
+        assert payload["segments"] == []
 
 
 class TestWorkersCommand:
-    @pytest.fixture(autouse=True)
-    def _isolated_manifest(self, tmp_path, monkeypatch):
-        from repro.runtime import shm
-
-        monkeypatch.setenv(shm.MANIFEST_ENV, str(tmp_path / "manifest"))
-
     def test_table_reports_ok(self):
         code, text = run(["workers", "--workers", "1"])
         assert code == 0
         assert "process-backend workers" in text
-        assert "supervisor: alive" in text
+        assert "supervisor: deadline 5.0s, respawns 0" in text
         assert "workers: OK" in text
 
     def test_json_payload(self, tmp_path):
@@ -637,17 +628,22 @@ class TestWorkersCommand:
         assert code == 0
         payload = json.loads(text.splitlines()[0])
         assert payload["ok"] is True
-        assert len(payload["state"]["workers"]) == 2
+        workers = payload["state"]["workers"]
+        assert len(workers) == 2
+        # Every job answered: nobody owes work, so nobody is timed.
+        assert all(w["outstanding"] == 0 and w["silent"] is None
+                   and not w["booting"] for w in workers)
+        assert "supervisor_alive" not in payload["state"]
         assert len(payload["diagnostics"]) == 2
         assert all("engines_cached" in d for d in payload["diagnostics"])
         assert json.loads(out_path.read_text())["ok"] is True
 
     def test_json_reports_the_measured_deadline(self):
         # The diagnostics broadcast is the pool's first completed work:
-        # short tasks, so the supervisor's floor is the deadline.
+        # short tasks, so the floor is the deadline.
         import json
 
-        from repro.runtime.supervisor import DEADLINE_FLOOR
+        from repro.runtime.backends import DEADLINE_FLOOR
 
         code, text = run(["workers", "--workers", "2", "--format", "json"])
         assert code == 0

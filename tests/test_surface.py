@@ -158,13 +158,10 @@ print(sorted(name for name in sys.modules
 """
 
 
-def test_training_imports_no_machine_model(tmp_path):
-    from repro.runtime import shm
-
+def test_training_imports_no_machine_model():
     # The child inherits the native cache conftest points at a tmp
-    # directory; the shm manifest gets a tmp directory of its own.
-    env = dict(os.environ, PYTHONPATH=str(SRC),
-               **{shm.MANIFEST_ENV: str(tmp_path / "manifest")})
+    # directory.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", _TRAIN_WITHOUT_MODEL],
                           env=env, capture_output=True, text=True,
                           timeout=600, check=False)
