@@ -8,7 +8,10 @@ the facts it emitted alongside the text (:class:`repro.native.CUnit`:
 the ``#define`` table and, per kernel, tap order, tap tables and blocks
 written), and :func:`verify_native_unit` -- one function for every
 family -- recomputes each from the nest the kernel was printed from and
-reads the ``#define`` and tap-table lines back out of the text.
+reads the ``#define`` and tap-table lines back out of the text.  The
+GEMM epilogue walks no nest: :func:`verify_epilogue_unit` holds its
+literals to the conv output and the window, and its text to the fused
+unit's pooled store and scatter.
 """
 
 from __future__ import annotations
@@ -23,13 +26,16 @@ from repro.core.convspec import ConvSpec
 from repro.native import CUnit
 from repro.sparse import codegen_c as sparse_codegen_c
 from repro.stencil import emit_c as stencil_emit_c
-from repro.stencil.loopir import LoopNest
+from repro.stencil.loopir import LoopNest, PoolWindow
 from repro.stencil.passes import default_pipeline
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from repro.stencil.passes import SchedulePipeline
 
 ANALYZER = "gen-source"
+
+#: The pool window the fused and epilogue units are printed for here.
+CHECKED_WINDOW = PoolWindow(2, 2)
 
 
 def _finding(severity: str, location: str, message: str) -> Finding:
@@ -75,6 +81,19 @@ def _scratch_needs(nest: LoopNest, lit: dict[str, int]) -> dict[str, int]:
             "ROW": 3 * spec.out_nx}
 
 
+def _emitted_literals(unit: CUnit,
+                      error: Callable[[str], None]) -> dict[str, int]:
+    """The literals the printer reported, once the text's ``#define``
+    lines are checked to say the same."""
+    lit = dict(unit.literals)
+    emitted = {m.group(1): int(m.group(2)) for m in re.finditer(
+        r"^#define (\w+) (-?\d+)$", unit.source, re.MULTILINE)}
+    if emitted != lit:
+        error(f"#define lines {sorted(emitted.items())} differ from the "
+              f"literals the printer reported {sorted(lit.items())}")
+    return lit
+
+
 def verify_native_unit(unit: CUnit, nests: dict[str, LoopNest],
                        location: str) -> list[Finding]:
     """Verify one C unit against the nests its kernels were printed from
@@ -95,12 +114,7 @@ def verify_native_unit(unit: CUnit, nests: dict[str, LoopNest],
     def error(message: str) -> None:
         findings.append(_finding("error", location, message))
 
-    lit = dict(unit.literals)
-    emitted = {m.group(1): int(m.group(2)) for m in re.finditer(
-        r"^#define (\w+) (-?\d+)$", unit.source, re.MULTILINE)}
-    if emitted != lit:
-        error(f"#define lines {sorted(emitted.items())} differ from the "
-              f"literals the printer reported {sorted(lit.items())}")
+    lit = _emitted_literals(unit, error)
     if set(nests) != {k.symbol for k in unit.kernels}:
         error(f"kernels {[k.symbol for k in unit.kernels]} are not the "
               f"expected {sorted(nests)}")
@@ -266,18 +280,52 @@ def native_units(spec: ConvSpec) -> list[tuple[
         str, dict[str, "SchedulePipeline"]]]:
     """``(family, {kernel symbol: pipeline})`` of every C unit ``spec``
     has: the sparse BP pair (and its pooled export) always; the stencil
-    FP kernel and (where a
-    2x2 pool fits) the fused kernel for the stride-1 specs the stencil
-    printer covers."""
+    FP kernel and (where a :data:`CHECKED_WINDOW` pool fits) the fused
+    kernel for the stride-1 specs the stencil printer covers; and where
+    that pool fits, the GEMM epilogue of the conv output (no kernels)."""
     units = [("sparse-c", {"bd": default_pipeline("sparse_bp_data"),
                            "dw": default_pipeline("sparse_bp_weights")})]
+    pools = min(spec.out_ny, spec.out_nx) >= CHECKED_WINDOW.kernel
     if (spec.sy, spec.sx) == (1, 1):
         host = stencil_emit_c.host_pipeline
         units.append(("stencil-fp-c", {"fp": host("fp")}))
-        if spec.out_ny >= 2 and spec.out_nx >= 2:
-            units.append(("stencil-fused-fp-c",
-                          {"fused": host("fused_fp", 2, 2)}))
+        if pools:
+            units.append(("stencil-fused-fp-c", {"fused": host(
+                "fused_fp", CHECKED_WINDOW.kernel, CHECKED_WINDOW.stride)}))
+    if pools:
+        units.append(("gemm-epilogue-c", {}))
     return units
+
+
+def verify_epilogue_unit(unit: CUnit, spec: ConvSpec, pool: PoolWindow,
+                         location: str) -> list[Finding]:
+    """The GEMM epilogue of ``spec``'s conv output for ``pool``: its
+    ``#define`` lines are the literals reported, which restate the conv
+    output and the window; it exports exactly the pooled store and the
+    scatter, whose text is the fused unit's; and the last window stays
+    inside the conv output (:func:`_verify_unpool`)."""
+    findings: list[Finding] = []
+
+    def error(message: str) -> None:
+        findings.append(_finding("error", location, message))
+
+    lit = _emitted_literals(unit, error)
+    if unit.kernels or unit.helpers != ("pool", "unpool"):
+        error(f"exports {unit.exports} are not the expected "
+              f"('pool', 'unpool')")
+    nf, oy, ox = spec.output_shape
+    want = {"NF": nf, "OY": oy, "OX": ox, "PK": pool.kernel,
+            "PS": pool.stride, "PY": (oy - pool.kernel) // pool.stride + 1,
+            "PX": (ox - pool.kernel) // pool.stride + 1, "OUT_F": oy * ox,
+            "SCRATCH_FLOATS": 0}
+    for name, value in want.items():
+        if lit.get(name) != value:
+            error(f"{name} emitted as {lit.get(name)}, the conv output and "
+                  f"window give {value}")
+    if stencil_emit_c._POOL_STORE not in unit.source:
+        error("the pool export is not the fused unit's pooled store")
+    _verify_unpool(unit, lit, error)
+    return findings
 
 
 def verify_native_units(spec: ConvSpec) -> list[Finding]:
@@ -287,12 +335,21 @@ def verify_native_units(spec: ConvSpec) -> list[Finding]:
     for family, pipelines in native_units(spec):
         location = f"{spec.name or spec.describe()}/{family}"
         try:
-            unit = sparse_codegen_c.emit_sparse_c_unit(spec) \
-                if family == "sparse-c" else \
-                stencil_emit_c.emit_stencil_c_unit(spec, *pipelines.values())
+            if family == "sparse-c":
+                unit = sparse_codegen_c.emit_sparse_c_unit(spec)
+            elif family == "gemm-epilogue-c":
+                unit = stencil_emit_c.emit_epilogue_c_unit(spec,
+                                                           CHECKED_WINDOW)
+            else:
+                unit = stencil_emit_c.emit_stencil_c_unit(
+                    spec, *pipelines.values())
         except Exception as exc:  # noqa: BLE001 - report, don't crash
             findings.append(_finding("error", location,
                                      f"emitter failed: {exc}"))
+            continue
+        if family == "gemm-epilogue-c":
+            findings.extend(verify_epilogue_unit(unit, spec, CHECKED_WINDOW,
+                                                 location))
             continue
         findings.extend(verify_native_unit(
             unit, {symbol: pipeline.build_nest(spec)

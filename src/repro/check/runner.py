@@ -111,7 +111,8 @@ def run_all(
     if "gen-source" in selected:
         for spec in specs or []:
             report.extend(verify_native_units(spec))
-        # Every spec's C units (sparse BP; stencil FP and fused).
+        # Every spec's C units (sparse BP; stencil FP and fused; GEMM
+        # epilogue).
         report.meta["native_units"] = sum(
             len(native_units(s)) for s in specs or [])
     if "graph" in selected:

@@ -55,13 +55,14 @@ class CostBackend(ABC):
 
     def rank(self, candidates: Sequence[str], phase: str, spec: ConvSpec,
              sparsity: float, incumbent: str | None = None,
-             input_error: bool = True) -> dict[str, float]:
+             input_error: bool = True, crop: int = 0) -> dict[str, float]:
         """Seconds per candidate.
 
-        ``incumbent`` names the engine the layer runs now and
+        ``incumbent`` names the engine the layer runs now,
         ``input_error=False`` says BP-data will not be called (the conv
-        fed by the images); a model prices every candidate alike and
-        ignores both.
+        fed by the images) and ``crop`` is the pad border the layer
+        crops from its input error (``ConvEngine.backward``'s); a model
+        prices every candidate alike and ignores all three.
         """
         return {tech: self.time(tech, phase, spec, sparsity)
                 for tech in candidates}
@@ -150,11 +151,14 @@ class MeasuredCostBackend(CostBackend):
         return 1.0 - 2.0 ** -(bucket + 0.5)
 
     def _key(self, technique: str, phase: str, spec: ConvSpec,
-             sparsity: float, input_error: bool) -> tuple:
+             sparsity: float, input_error: bool, crop: int) -> tuple:
         if technique == "parallel-gemm" and self.num_cores == 1:
             technique = "gemm-in-parallel"      # the same one BLAS call
         bucket = self.sparsity_bucket(sparsity) if technique == "sparse" else None
-        return (technique, phase, phase == "fp" or input_error, spec, bucket)
+        # The crop only shapes BP-data: FP and dW-only BP ignore it.
+        bp_data = phase == "bp" and input_error
+        return (technique, phase, phase == "fp" or input_error,
+                crop if bp_data else 0, spec, bucket)
 
     def _operands(self, phase: str, spec: ConvSpec, sparsity: float):
         """Random (primary, weights, inputs) at the measuring batch; a BP
@@ -178,9 +182,12 @@ class MeasuredCostBackend(CostBackend):
         return out_error, weights, inputs
 
     def _measure(self, technique: str, phase: str, spec: ConvSpec,
-                 operands, input_error: bool,
+                 operands, input_error: bool, crop: int,
                  limit: float | None) -> tuple[float, bool]:
         """Seconds per measuring batch, and whether the probe gated it.
+
+        BP is timed as the layer runs it: one ``backward`` call at the
+        layer's ``crop`` (which selects the GEMM engines' BP-data form).
 
         ``limit`` is the per-image time beyond which the one-image probe
         ends the measurement once a second probe agrees (the price is
@@ -197,9 +204,8 @@ class MeasuredCostBackend(CostBackend):
             if phase == "fp":
                 engine.forward(primary[:n], weights)
             else:
-                engine.backward_weights(primary[:n], inputs[:n])
-                if input_error:
-                    engine.backward_data(primary[:n], weights)
+                engine.backward(primary[:n], inputs[:n], weights, crop,
+                                input_error)
             return self._clock() - start
 
         try:
@@ -216,7 +222,7 @@ class MeasuredCostBackend(CostBackend):
 
     def rank(self, candidates: Sequence[str], phase: str, spec: ConvSpec,
              sparsity: float, incumbent: str | None = None,
-             input_error: bool = True) -> dict[str, float]:
+             input_error: bool = True, crop: int = 0) -> dict[str, float]:
         for tech in candidates:
             _check_phase(tech, phase)
         # The incumbent goes first and ungated: it is the yardstick.
@@ -225,7 +231,7 @@ class MeasuredCostBackend(CostBackend):
         operands = None
         limit = None
         for tech in order:
-            key = self._key(tech, phase, spec, sparsity, input_error)
+            key = self._key(tech, phase, spec, sparsity, input_error, crop)
             cached = self._memo.get(key)
             # A probe-only price stands while it is still beyond the gate
             # (dense keys outlive the incumbent that gated them).
@@ -236,7 +242,7 @@ class MeasuredCostBackend(CostBackend):
                 if operands is None:
                     operands = self._operands(phase, spec, sparsity)
                 cached = self._measure(tech, phase, spec, operands,
-                                       input_error, limit)
+                                       input_error, crop, limit)
                 self._memo[key] = cached
                 self.measured += 1
             else:
@@ -269,7 +275,8 @@ class Autotuner:
     def _pick(self, candidates: tuple[str, ...], phase: str, spec: ConvSpec,
               sparsity: float, layer_name: str = "",
               incumbent: str | None = None,
-              input_error: bool = True) -> tuple[str, dict[str, float]]:
+              input_error: bool = True,
+              crop: int = 0) -> tuple[str, dict[str, float]]:
         eligible = self.quarantine.filter(candidates, layer_name, phase)
         if not eligible:
             # Every candidate is benched for this layer/phase; degrade to
@@ -277,7 +284,7 @@ class Autotuner:
             return FALLBACK_ENGINE, {FALLBACK_ENGINE: float("inf")}
         timings = self.backend.rank(eligible, phase, spec, sparsity,
                                     incumbent=incumbent,
-                                    input_error=input_error)
+                                    input_error=input_error, crop=crop)
         chosen = min(timings, key=timings.get)
         held = timings.get(incumbent)
         if held is not None and (
@@ -288,21 +295,22 @@ class Autotuner:
     def plan_layer(self, spec: ConvSpec, layer_name: str = "",
                    sparsity: float = 0.0,
                    deployed: tuple[str, str] | None = None,
-                   input_error: bool = True) -> LayerPlan:
+                   input_error: bool = True, crop: int = 0) -> LayerPlan:
         """Plan one convolution layer at the given error sparsity.
 
         ``spec`` should describe the engine-facing (pre-padded) geometry.
         ``deployed`` names the (FP, BP) engines the layer runs now: the
         incumbents a challenger must beat by the backend's hysteresis.
         ``input_error=False`` marks the conv fed by the images, whose
-        training BP is dW only.
+        training BP is dW only; ``crop`` is the layer's pad border, which
+        its BP-data crops.
         """
         fp_held, bp_held = deployed or (None, None)
         fp_engine, fp_timings = self._pick(FP_CANDIDATES, "fp", spec,
                                            sparsity, layer_name, fp_held)
         bp_engine, bp_timings = self._pick(BP_CANDIDATES, "bp", spec,
                                            sparsity, layer_name, bp_held,
-                                           input_error)
+                                           input_error, crop)
         return LayerPlan(
             layer_name=layer_name or spec.name or "conv",
             spec=spec,
@@ -333,7 +341,7 @@ class Autotuner:
         )
 
     def replan_bp(self, plan: LayerPlan, sparsity: float,
-                  input_error: bool = True) -> LayerPlan:
+                  input_error: bool = True, crop: int = 0) -> LayerPlan:
         """Re-select only the BP technique at a new sparsity level.
 
         This is the periodic re-check of Sec. 4.4: error-gradient sparsity
@@ -343,7 +351,7 @@ class Autotuner:
         """
         bp_engine, bp_timings = self._pick(BP_CANDIDATES, "bp", plan.spec,
                                            sparsity, plan.layer_name,
-                                           plan.bp_engine, input_error)
+                                           plan.bp_engine, input_error, crop)
         return LayerPlan(
             layer_name=plan.layer_name,
             spec=plan.spec,

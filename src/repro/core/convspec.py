@@ -221,8 +221,7 @@ def square_conv(
     )
 
 
-@lru_cache(maxsize=256)
-def backward_data_correlation(spec: ConvSpec, crop: int = 0) -> ConvSpec | None:
+def correlation_problem(spec: ConvSpec, crop: int = 0) -> ConvSpec | None:
     """BP-data (Eq. 3) of pre-padded ``spec`` as a *forward* convolution.
 
     For a stride-1 convolution the input error is the correlation of the
@@ -232,26 +231,16 @@ def backward_data_correlation(spec: ConvSpec, crop: int = 0) -> ConvSpec | None:
     ``F - 1 - crop`` of that zero border, and the correlation then
     produces exactly the interior it keeps.  The returned spec describes
     that forward problem: input ``[Nf, out_Ny + 2(Fy-1-crop), ...]``,
-    output ``spec.cropped_input_shape(crop)``.
-
-    Returns None when the adjoint form (GEMM + ``fold``) is the cheaper
-    one -- the geometry rule, the only thing that selects between them:
-
-    * strided convolutions (the error would have to be dilated, and
-      ``sy*sx - 1`` of every ``sy*sx`` gathered elements would be zeros);
-    * ``crop`` larger than ``min(Fy, Fx) - 1`` (the border would be
-      negative);
-    * geometries where the correlation's GEMM has more columns than the
-      adjoint's, ``(Ny-2crop)(Nx-2crop) > out_Ny*out_Nx`` -- every
-      unpadded convolution with a kernel larger than 1x1.  With "same"
-      padding (``2*crop == F - 1``) the two GEMMs cost the same flops.
+    output ``spec.cropped_input_shape(crop)``.  ``None`` where there is
+    no such problem: a strided convolution (the error would have to be
+    dilated) or ``crop`` larger than ``min(Fy, Fx) - 1`` (the border
+    would be negative).  Whether to *use* it is
+    :func:`backward_data_correlation`'s decision.
     """
     if spec.pad != 0:
-        raise ShapeError("backward_data_correlation expects a pre-padded spec")
-    nc, ny, nx = spec.cropped_input_shape(crop)
+        raise ShapeError("correlation_problem expects a pre-padded spec")
+    nc, _, _ = spec.cropped_input_shape(crop)
     if (spec.sy, spec.sx) != (1, 1) or crop > min(spec.fy, spec.fx) - 1:
-        return None
-    if ny * nx > spec.out_ny * spec.out_nx:
         return None
     return ConvSpec(
         nc=spec.nf,
@@ -261,3 +250,38 @@ def backward_data_correlation(spec: ConvSpec, crop: int = 0) -> ConvSpec | None:
         fy=spec.fy,
         fx=spec.fx,
     )
+
+
+@lru_cache(maxsize=256)
+def backward_data_correlation(spec: ConvSpec, crop: int = 0) -> ConvSpec | None:
+    """The :func:`correlation_problem` the GEMM engines compute BP-data
+    as, or None when the adjoint form (GEMM + ``fold``) is the cheaper
+    one.  Decided from the sizes the spec holds, nothing else:
+
+    * no correlation problem exists (strided, or ``crop`` beyond the
+      kernel);
+    * the correlation's GEMM has more columns than the adjoint's,
+      ``(Ny-2crop)(Nx-2crop) > out_Ny*out_Nx`` -- every unpadded
+      convolution with a kernel larger than 1x1.  With "same" padding
+      (``2*crop == F - 1``) the two GEMMs cost the same flops;
+    * the error has more than twice the input's channels,
+      ``Nf > 2*Nc``.  Past the GEMM the correlation copies an unfolded
+      error of ``Nf*Fy*Fx`` rows per position (a read and a write per
+      element) where the adjoint stores a GEMM result of ``Nc*Fy*Fx``
+      rows and folds it (a write, then two reads and a write): four
+      memory operations per adjoint element against two per
+      correlation element.  A layer fed few channels (CIFAR's first
+      conv, 3 -> 64: 1600 rows against 75) takes the adjoint; ``Nf ==
+      Nc`` keeps the correlation, whose unfolded error also serves dW
+      (:meth:`repro.ops.engine.ConvEngine.backward`).
+
+    ``benchmarks/bench_bp_data_forms.py`` times both forms on the zoo's
+    and Table 2's stride-1 specs (rows in EXPERIMENTS.md).
+    """
+    corr = correlation_problem(spec, crop)
+    if corr is None or spec.nf > 2 * spec.nc:
+        return None
+    _, ny, nx = corr.output_shape
+    if ny * nx > spec.out_ny * spec.out_nx:
+        return None
+    return corr

@@ -131,6 +131,7 @@ class SpgCNN:
                         layer_name=layer.name,
                         deployed=deployed,
                         input_error=self._needs_input_error(layer),
+                        crop=layer.spec.pad,
                     )
                 if plan.fp_engine != deployed[0]:
                     layer.set_fp_engine(plan.fp_engine)
@@ -191,7 +192,8 @@ class SpgCNN:
                 sparsity = layer.last_error_sparsity
                 new_plan = self.autotuner.replan_bp(
                     old_plan, sparsity,
-                    input_error=self._needs_input_error(layer))
+                    input_error=self._needs_input_error(layer),
+                    crop=layer.spec.pad)
                 retuned = new_plan.bp_engine != old_plan.bp_engine
                 if retuned:
                     layer.set_bp_engine(new_plan.bp_engine)

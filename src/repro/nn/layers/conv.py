@@ -36,7 +36,9 @@ Handed the max-pool after its ReLU (``pool=``, what
 max-pool`` run) the layer computes ``pool(relu(conv(x)))`` and its
 backward: one C pass and one C scatter where :meth:`ConvLayer.fused_unit`
 has a unit (bitwise the chain, which is what admits it), the chain
-itself otherwise or when a value is not finite.
+itself otherwise or when a value is not finite.  On the C stencil FP
+kernel the unit computes the conv too; on a GEMM FP engine it is the
+*epilogue* of the engine's guarded output (bias, ReLU, pool, argmax).
 
 Every FP/BP pass emits a telemetry span (``<name>/fp``, ``<name>/bp``)
 and the backward pass additionally records total/useful flop counters
@@ -56,7 +58,7 @@ failed on.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, cast
 
 import numpy as np
 
@@ -82,10 +84,14 @@ import repro.ops.reference_engine  # noqa: F401
 import repro.stencil.engine  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - loaded only where a unit is built
-    from repro.stencil.emit_c import NativeStencilKernels
+    from repro.stencil.emit_c import NativeEpilogueKernels, NativeStencilKernels
+
+    FusedUnit = NativeStencilKernels | NativeEpilogueKernels
 
 DEFAULT_FP_ENGINE = "gemm-in-parallel"
 DEFAULT_BP_ENGINE = "gemm-in-parallel"
+#: FP engines whose conv output a GEMM epilogue unit pools.
+_GEMM_ENGINES = ("parallel-gemm", "gemm-in-parallel")
 
 
 class ConvLayer(Layer):
@@ -321,16 +327,76 @@ class ConvLayer(Layer):
                 if not visited:
                     self._visit_fault_site(phase, method, engine.name)
                 out = getattr(engine, method)(primary, shared, **options)
-            failure = self._numeric_failure(method, batch, out)
+            failure = self._guard(method, batch, out, primary, shared)
             if failure is None:
                 return out
-            if not (np.isfinite(primary).all() and np.isfinite(shared).all()):
-                return out  # poisoned inputs: not the engine's fault
         except Exception as error:  # noqa: BLE001 -- any engine failure degrades
             failure = f"{type(error).__name__}: {error}"
         self.degrade(phase, engine.name, failure)
         fallback = self._fp_engine if phase == "fp" else self._bp_engine
         return getattr(fallback, method)(primary, shared, **options)
+
+    def _guard(self, method: str, batch: int, out: np.ndarray,
+               primary: np.ndarray, shared: np.ndarray) -> str | None:
+        """Why ``out`` of ``method(primary, shared)`` fails the guard, or
+        None: it is sound, or the inputs were poisoned -- the engine is
+        not at fault for poison it was fed."""
+        failure = self._numeric_failure(method, batch, out)
+        if failure is None or not (np.isfinite(primary).all()
+                                   and np.isfinite(shared).all()):
+            return None
+        return failure
+
+    def _run_backward(self, out_error: np.ndarray, need_input_error: bool,
+                      visited: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """dW and (``need_input_error``) the cropped input error, from
+        one :meth:`ConvEngine.backward` call behind the guard.
+
+        The ``engine.bp`` fault site is visited for dW (unless
+        ``visited``) and then for BP-data, as the two separate calls
+        visit it, and each output is judged as :meth:`_run_engine` judges
+        it.  A raise at dW's visit, a raising engine or a failed dW
+        degrades the engine and the fallback computes both; a raise at
+        BP-data's visit or a failed input error, BP-data only.
+        """
+        engine = self._bp_engine
+        padded, crop = self._cached_padded_input, self.spec.pad
+        if engine.name == FALLBACK_ENGINE:
+            return engine.backward(out_error, padded, self.weights, crop,
+                                   need_input_error)
+        batch = int(out_error.shape[0])
+        data_fault = None
+        try:
+            if not visited:
+                self._visit_fault_site("bp", "backward_weights", engine.name)
+            if need_input_error:
+                try:
+                    self._visit_fault_site("bp", "backward_data",
+                                           engine.name)
+                except Exception as error:  # noqa: BLE001 -- BP-data's own
+                    data_fault = f"{type(error).__name__}: {error}"
+            if data_fault is None:
+                d_weights, in_error = engine.backward(
+                    out_error, padded, self.weights, crop, need_input_error)
+            else:
+                d_weights = engine.backward_weights(out_error, padded)
+            failure = self._guard("backward_weights", batch, d_weights,
+                                  out_error, padded)
+        except Exception as error:  # noqa: BLE001 -- as in _run_engine
+            failure = f"{type(error).__name__}: {error}"
+        if failure is not None:
+            self.degrade("bp", engine.name, failure)
+            return self._bp_engine.backward(out_error, padded, self.weights,
+                                            crop, need_input_error)
+        if data_fault is not None:
+            self.degrade("bp", engine.name, data_fault)
+            in_error = self._bp_engine.backward_data(out_error, self.weights,
+                                                     crop=crop)
+        elif need_input_error:
+            in_error = self._run_engine("bp", "backward_data", out_error,
+                                        self.weights, visited=True,
+                                        out=in_error)
+        return d_weights, in_error
 
     def _visit_fault_site(self, phase: str, method: str,
                           engine_name: str) -> None:
@@ -364,17 +430,20 @@ class ConvLayer(Layer):
 
     # -- fusion with the ReLU + max-pool that follow ------------------------
 
-    def fused_unit(self, pool: MaxPoolLayer) -> NativeStencilKernels | None:
-        """The compiled conv + bias + ReLU + max-pool unit that
-        ``forward(..., pool=pool)`` runs, or ``None``: the chain runs.
+    def fused_unit(self, pool: MaxPoolLayer) -> FusedUnit | None:
+        """The compiled unit that ``forward(..., pool=pool)`` runs its
+        bias + ReLU + max-pool in, or ``None``: the chain runs.
 
-        A unit serves where the chain's conv runs the C stencil kernel
-        inline (a pooled layer maps its FP over the workers instead; its
-        step shards' inline replicas fuse, see :meth:`fused_artifact`)
-        and the unit of ``(padded spec, pool window)`` resolves: it was
-        admitted only bitwise equal to that chain, forward and backward
-        (:func:`repro.stencil.emit_c.load_stencil_kernels`).  Resolved
-        once per deployed FP engine.
+        A unit serves where the chain's conv runs inline (a pooled layer
+        maps its FP over the workers instead; its step shards' inline
+        replicas fuse, see :meth:`fused_artifact`) on the C stencil
+        kernel -- the fused unit, which computes the conv too
+        (:func:`repro.stencil.emit_c.load_stencil_kernels`) -- or on a
+        GEMM engine -- the epilogue of its output
+        (:func:`repro.stencil.emit_c.load_epilogue_kernels`) -- and the
+        unit of ``(padded spec, pool window)`` resolves: either was
+        admitted only bitwise equal to the chain it replaces, forward
+        and backward.  Resolved once per deployed FP engine.
         """
         return self._fused(pool) if self._pool is None else None
 
@@ -385,7 +454,7 @@ class ConvLayer(Layer):
         unit = self._fused(pool)
         return unit.artifact if unit is not None else None
 
-    def _fused(self, pool: MaxPoolLayer) -> NativeStencilKernels | None:
+    def _fused(self, pool: MaxPoolLayer) -> FusedUnit | None:
         """:meth:`fused_unit` of this layer run inline."""
         engine, units = self._fusion
         if engine is not self._fp_engine:
@@ -395,15 +464,17 @@ class ConvLayer(Layer):
             units[window] = self._load_fused(window)
         return units[window]
 
-    def _load_fused(self, window: PoolWindow
-                    ) -> NativeStencilKernels | None:
-        if self.fp_engine_name != "stencil" or self.fp_lowering != "c":
-            return None
+    def _load_fused(self, window: PoolWindow) -> FusedUnit | None:
         from repro import native
-        from repro.stencil.emit_c import load_stencil_kernels
+        from repro.stencil import emit_c
 
-        return native.kernels_for(
-            load_stencil_kernels, self.padded_spec, window)[0]
+        if self.fp_engine_name == "stencil" and self.fp_lowering == "c":
+            return native.kernels_for(emit_c.load_stencil_kernels,
+                                      self.padded_spec, window)[0]
+        if self.fp_engine_name in _GEMM_ENGINES:
+            return native.kernels_for(emit_c.load_epilogue_kernels,
+                                      self.padded_spec, window)[0]
+        return None
 
     def _run_fused(self, unit: NativeStencilKernels, padded: np.ndarray,
                    training: bool) -> np.ndarray | None:
@@ -426,6 +497,21 @@ class ConvLayer(Layer):
         if training:
             self._pooled = (unit, out, argmax)
         return out
+
+    def _run_epilogue(self, unit: NativeEpilogueKernels, out: np.ndarray,
+                      training: bool) -> np.ndarray | None:
+        """The epilogue's pooled output of the guarded conv output
+        ``out``, or ``None`` where the chain must run instead: ``out``
+        is not an array the unit reads, or holds a value that is not
+        finite once biased (the chain's ``np.maximum`` keeps a NaN)."""
+        if not NativeLowering._native_operands(out):
+            return None
+        pooled, argmax, nonfinite = unit.pool(out, self.bias)
+        if nonfinite:
+            return None
+        if training:
+            self._pooled = (unit, pooled, argmax)
+        return pooled
 
     def _relu_pool(self, out: np.ndarray, pool: MaxPoolLayer,
                    training: bool) -> np.ndarray:
@@ -542,17 +628,24 @@ class ConvLayer(Layer):
         if unit is not None and not NativeLowering._native_operands(
                 padded, self.weights, self.bias):
             unit = None
+        fused = unit is not None and not unit.takes_conv_output
         with telemetry.span(f"{self.name}/fp", layer=self.name, phase="fp",
                             engine=self.fp_engine_name,
                             batch=int(inputs.shape[0]),
                             lowering=self.fp_lowering,
                             **({} if unit is None else {"fused": "relu+pool"})):
-            if unit is not None:
-                pooled = self._run_fused(unit, padded, training)
+            if fused:
+                pooled = self._run_fused(
+                    cast("NativeStencilKernels", unit), padded, training)
                 if pooled is not None:
                     return pooled
             out = self._run_engine("fp", "forward", padded, self.weights,
-                                   visited=unit is not None)
+                                   visited=fused)
+            if unit is not None and not fused:
+                pooled = self._run_epilogue(
+                    cast("NativeEpilogueKernels", unit), out, training)
+                if pooled is not None:
+                    return pooled
             out += self.bias[None, :, None, None]
         return out if pool is None else self._relu_pool(out, pool, training)
 
@@ -587,14 +680,19 @@ class ConvLayer(Layer):
                 span.annotate(fused="relu+pool")
             self.last_error_sparsity = sparsity
             span.annotate(sparsity=sparsity)
-            self.d_weights += self._run_engine(
-                "bp", "backward_weights", out_error,
-                self._cached_padded_input, visited=visited, out=d_weights)
+            if d_weights is None:
+                d_weights, in_error = self._run_backward(
+                    out_error, need_input_error, visited)
+            else:
+                # The pooled export computed dW; only the guard judges it.
+                d_weights = self._run_engine(
+                    "bp", "backward_weights", out_error,
+                    self._cached_padded_input, visited=True, out=d_weights)
+                if need_input_error:
+                    in_error = self._run_engine(
+                        "bp", "backward_data", out_error, self.weights)
+            self.d_weights += d_weights
             self.d_bias += out_error.sum(axis=(0, 2, 3))
-            if need_input_error:
-                in_error = self._run_engine(
-                    "bp", "backward_data", out_error, self.weights
-                )
         elapsed = max(time.perf_counter() - start, 1e-9)
         # dW (+ EI when computed) at the engine-facing (padded)
         # geometry, dense count.
@@ -637,8 +735,7 @@ class ReplicaConvLayer(ConvLayer):
                     f"replica loaded {phase.upper()} artefact {loaded!r}, "
                     f"the step was planned on {planned!r}")
 
-    def _load_fused(self, window: PoolWindow
-                    ) -> NativeStencilKernels | None:
+    def _load_fused(self, window: PoolWindow) -> FusedUnit | None:
         """The planned fused unit, or ``None``: the chain runs.  A unit
         the step was planned on but this replica cannot load the same is
         an FP failure (unless the FP engine already failed over)."""

@@ -23,6 +23,12 @@ asks for the interior only and an engine that can avoid computing the
 border does (the GEMM engines, see :mod:`repro.ops.gemm_conv`); the
 others compute the full plane and return :meth:`ConvEngine._cropped` of
 it.
+
+A layer's backward pass is one :meth:`ConvEngine.backward` call: dW and,
+when asked, the cropped input error.  By default that is the two calls
+above; an engine whose two computations can share an operand overrides
+it (the GEMM engines unfold each image's zero-bordered error once for
+both, see :mod:`repro.ops.gemm_conv`).
 """
 
 from __future__ import annotations
@@ -79,6 +85,24 @@ class ConvEngine(ABC):
     @abstractmethod
     def backward_weights(self, out_error: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Compute the summed weight gradient dW (Eq. 4) over the batch."""
+
+    def backward(self, out_error: np.ndarray, inputs: np.ndarray,
+                 weights: np.ndarray, crop: int = 0,
+                 need_input_error: bool = True
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+        """dW and, with ``need_input_error``, the input error of a batch.
+
+        ``crop`` is :meth:`backward_data`'s and also names the layer's
+        pad border: ``inputs`` hold zeros in their outermost ``crop``
+        pixels per side, which an engine may rely on.  Returns
+        ``(backward_weights(...), backward_data(..., crop) or None)``,
+        each element equal to what those calls return (an override may
+        sum dW in another order, within rounding).
+        """
+        d_weights = self.backward_weights(out_error, inputs)
+        in_error = (self.backward_data(out_error, weights, crop)
+                    if need_input_error else None)
+        return d_weights, in_error
 
     # -- shared helpers --------------------------------------------------
 

@@ -18,6 +18,14 @@ instead of the ``Fx`` elements a ``[P, K]`` row offers, and the same
 axis shuffle.  The three GEMMs that use it are in
 :mod:`repro.ops.gemm_conv`.
 
+A stride-1 row is longer still: row ``(c, ky, kx)`` is the ``out_Ny``
+rows ``ky ..`` of the ``kx``-shifted plane, so once the ``Fx`` shifted
+planes of a channel are gathered into one ``[Nc, Fx, Ny, out_Nx]``
+column buffer, every row of ``U^T`` is a single contiguous
+``out_Ny*out_Nx`` run of it.  :func:`unfold_each` unfolds a batch that
+way -- two long-run copies per image, their strided views built once
+per batch -- and yields the same ``U^T`` the one-step gather gives.
+
 ``fold`` is the exact adjoint (transpose) of ``unfold`` -- each unfolded
 element is scattered back (accumulating) to the input position it came
 from -- which is what back-propagation through the unfolding requires.
@@ -29,7 +37,10 @@ the zero-bordered *error* instead and never fold (the geometry rule is
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.core.convspec import ConvSpec
 from repro.errors import ShapeError
@@ -38,6 +49,11 @@ from repro.errors import ShapeError
 def _patch_shape(spec: ConvSpec) -> tuple[int, int, int, int, int]:
     """``U^T`` seen as ``[Nc, Fy, Fx, out_Ny, out_Nx]``."""
     return (spec.nc, spec.fy, spec.fx, spec.out_ny, spec.out_nx)
+
+
+def column_shape(spec: ConvSpec) -> tuple[int, int, int, int]:
+    """The ``[Nc, Fx, Ny, out_Nx]`` column buffer of a stride-1 unfold."""
+    return (spec.nc, spec.fx, spec.ny, spec.out_nx)
 
 
 def unfold(spec: ConvSpec, inputs: np.ndarray,
@@ -49,27 +65,65 @@ def unfold(spec: ConvSpec, inputs: np.ndarray,
     output positions in row-major order, so ``unfold(...).T`` is the
     figure's ``U``.  When ``out`` is given (a C-contiguous array of the
     result shape) the patches are gathered straight into it and it is
-    returned -- the engines pass a reusable workspace buffer here to
-    avoid re-allocating ``U^T`` per image.
+    returned.
+    """
+    if inputs.shape != spec.input_shape:
+        raise ShapeError(f"input shape {inputs.shape} != spec {spec.input_shape}")
+    if out is None:
+        out = np.empty(spec.gemm_dims[1:], dtype=inputs.dtype)
+    return next(unfold_each(spec, inputs[None], out))
+
+
+def unfold_each(spec: ConvSpec, images: np.ndarray, out: np.ndarray,
+                columns: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """Unfold each ``[Nc, Ny, Nx]`` image of ``images`` into ``out`` in turn.
+
+    Yields ``out`` (C-contiguous, ``[Nc*Fy*Fx, out_Ny*out_Nx]``) once
+    per image, holding that image's :func:`unfold`; the next step
+    overwrites it.  Stride-1 specs gather through ``columns`` (a
+    C-contiguous :func:`column_shape` buffer, allocated when not given):
+    the ``Fx`` shifted planes, then each row of ``U^T`` as one run of
+    them.  Strided specs gather each patch directly.  Either way the
+    strided views are built once, here, not per image.
     """
     if spec.pad != 0:
         raise ShapeError("unfold expects pre-padded inputs (spec.pad must be 0)")
-    if inputs.shape != spec.input_shape:
-        raise ShapeError(f"input shape {inputs.shape} != spec {spec.input_shape}")
-    cs, ys, xs = inputs.strides
-    shape = _patch_shape(spec)
-    strides = (cs, ys, xs, ys * spec.sy, xs * spec.sx)
-    patches = np.lib.stride_tricks.as_strided(inputs, shape=shape, strides=strides)
+    if images.ndim != 4 or images.shape[1:] != spec.input_shape:
+        raise ShapeError(f"batch input shape {images.shape} != "
+                         f"(B, *{spec.input_shape})")
     result_shape = spec.gemm_dims[1:]
-    if out is None:
-        out = np.empty(result_shape, dtype=inputs.dtype)
-    elif out.shape != result_shape:
+    if out.shape != result_shape:
         raise ShapeError(f"out shape {out.shape} != expected {result_shape}")
-    elif not out.flags.c_contiguous:
+    if not out.flags.c_contiguous:
         # reshape on a non-contiguous target would silently copy.
         raise ShapeError("unfold out buffer must be C-contiguous")
-    np.copyto(out.reshape(shape), patches)
-    return out
+    nc, fy, fx, oy, ox = _patch_shape(spec)
+    bs, cs, ys, xs = images.strides
+    if (spec.sy, spec.sx) != (1, 1):
+        patches = as_strided(images, shape=(len(images),) + _patch_shape(spec),
+                             strides=(bs, cs, ys, xs, ys * spec.sy,
+                                      xs * spec.sx))
+        target = out.reshape(_patch_shape(spec))
+        for image in patches:
+            np.copyto(target, image)
+            yield out
+        return
+    if columns is None:
+        columns = np.empty(column_shape(spec), dtype=images.dtype)
+    elif columns.shape != column_shape(spec) \
+            or not columns.flags.c_contiguous:
+        raise ShapeError(f"columns buffer must be a C-contiguous "
+                         f"{column_shape(spec)} array")
+    shifted = as_strided(images, shape=(len(images),) + column_shape(spec),
+                         strides=(bs, cs, xs, ys, xs))
+    c_cs, c_kx, c_ys, c_xs = columns.strides
+    rows = as_strided(columns, shape=(nc, fy, fx, oy * ox),
+                      strides=(c_cs, c_ys, c_kx, c_xs))
+    target = out.reshape(nc, fy, fx, oy * ox)
+    for image in shifted:
+        np.copyto(columns, image)
+        np.copyto(target, rows)
+        yield out
 
 
 def fold(spec: ConvSpec, unfolded: np.ndarray,

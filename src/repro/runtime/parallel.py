@@ -295,6 +295,16 @@ class ParallelExecutor:
         """Back-propagate the error batch across the workers."""
         return self._run_sliced("backward_data", out_error, weights, crop)
 
+    def backward(self, out_error: np.ndarray, inputs: np.ndarray,
+                 weights: np.ndarray, crop: int = 0,
+                 need_input_error: bool = True
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+        """:meth:`ConvEngine.backward`'s two calls, each sliced as above."""
+        d_weights = self.backward_weights(out_error, inputs)
+        in_error = (self.backward_data(out_error, weights, crop)
+                    if need_input_error else None)
+        return d_weights, in_error
+
     def weights_plan(self, out_error: np.ndarray,
                      inputs: np.ndarray) -> list[SliceTask]:
         """One dW-partial :class:`SliceTask` per range.

@@ -8,11 +8,12 @@ pool runs those per-image kernels on a pluggable execution backend
 * ``backend="thread"``  (default) -- real threads; the numpy operations
   that dominate the GEMM kernels release the GIL, so image-level
   parallelism yields real concurrency even from Python.
-* ``backend="process"`` -- persistent spawned worker processes; the
-  pure-Python hot loops (generated stencil blocks, sparse accumulation,
-  unfold) run concurrently too, because each worker owns its own GIL.
-  Tasks must pickle; array payloads travel through
-  :mod:`repro.runtime.shm` segments.
+* ``backend="process"`` -- persistent spawned worker processes; each
+  owns its own GIL, so the Python and numpy glue between the kernel
+  calls (layer bookkeeping, the per-image loops around the BLAS and C
+  calls, the unfold copies) runs concurrently too, not only the calls
+  that release the GIL.  Tasks must pickle; array payloads travel
+  through :mod:`repro.runtime.shm` segments.
 * ``backend="serial"`` -- tasks run inline in range order: the
   determinism reference and the zero-overhead single-core baseline.
 

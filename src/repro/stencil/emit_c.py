@@ -31,6 +31,14 @@ nests only: anything else raises :class:`CodegenError` and the engine
 is served by :mod:`repro.ops.reference`.  The facts emitted travel with
 the text (:class:`repro.native.CUnit`); ``repro check`` recomputes them
 from the nest.
+
+The same two texts -- the pooled store and the backward scatter -- make
+a third, conv-free unit, the *GEMM epilogue*
+(:func:`emit_epilogue_c_unit`): bias + ReLU + max-pool + argmax of a
+conv output a GEMM engine already computed, in one pass over it, and
+its backward.  A conv layer on a GEMM FP engine runs its ``conv -> ReLU
+-> max-pool`` run through it; it is admitted only bitwise equal to the
+chain, as the fused unit is.
 """
 
 from __future__ import annotations
@@ -352,12 +360,75 @@ def emit_stencil_c_unit(spec: ConvSpec,
                  helpers=("unpool",) if pool else ())
 
 
+@functools.lru_cache(maxsize=256)
+def emit_epilogue_c_unit(spec: ConvSpec, pool: PoolWindow) -> CUnit:
+    """The GEMM epilogue of ``spec``'s conv output and ``pool``'s window.
+
+    Exports ``<name>_pool(act, bias, out, argmax, batch, nonfinite)``
+    -- :data:`_POOL_STORE` over each image's whole ``[Nf, Oy, Ox]`` conv
+    output -- and :data:`UNPOOL`'s ``<name>_unpool``, with the fused
+    unit's argument conventions.  Only the conv output's shape and the
+    window reach the text, so every spec with that output shares it.
+    """
+    nf, oy, ox = spec.output_shape
+    py, px = pool.out_extent(oy), pool.out_extent(ox)
+    name = f"gemm_epilogue_{nf}x{oy}x{ox}_p{pool.kernel}s{pool.stride}"
+    literals = {"NF": nf, "OY": oy, "OX": ox, "PK": pool.kernel,
+                "PS": pool.stride, "PY": py, "PX": px, "OUT_F": oy * ox,
+                "SCRATCH_FLOATS": 0}
+    lines = [f"/* Generated bias + ReLU + {pool.kernel}x{pool.kernel}/"
+             f"{pool.stride} max-pool epilogue of a GEMM conv output "
+             f"[{nf}, {oy}, {ox}]. */", "#include <stdint.h>",
+             "#include <math.h>"]
+    lines += [f"#define {key} {value}" for key, value in literals.items()]
+    lines += ["", _POOL_STORE,
+              f"void {name}_pool(const float *act, const float *bias, "
+              f"float *out,",
+              "        int64_t *arg, int64_t batch, int64_t *nonfinite)", "{",
+              "    int64_t bad = 0;",
+              "    for (int64_t b = 0; b < batch; b++)",
+              "        bad += pool_store(act + b * (NF * OY * OX), bias,",
+              "                          out + b * (NF * PY * PX), "
+              "arg + b * (NF * PY * PX),",
+              "                          NF, PY);",
+              "    *nonfinite = bad;", "}", "", UNPOOL.format(name=name)]
+    return CUnit(name=name, source="\n".join(lines),
+                 literals=tuple(literals.items()), kernels=(),
+                 helpers=("pool", "unpool"))
+
+
 # -- the loaded unit ----------------------------------------------------------
 
-class NativeStencilKernels(Kernels):
+class _PooledKernels(Kernels):
+    """The backward scatter every pooling unit exports."""
+
+    def _pooled_shape(self, batch: int) -> tuple[int, ...]:
+        unit = self.unit
+        return (batch, self.spec.nf, unit.literal("PY"), unit.literal("PX"))
+
+    def unpool(self, out: np.ndarray, argmax: np.ndarray, error: np.ndarray
+               ) -> tuple[np.ndarray, int]:
+        """The conv-shaped error ``[B, Nf, Oy, Ox]`` of the pooled
+        ``error`` (masked where ``out`` is not positive, added at each
+        window's ``argmax``), and how many windows it left out: their
+        error was not finite, or their index named no window element."""
+        batch = int(out.shape[0])
+        shape = self._pooled_shape(batch)
+        require("out", out, shape)
+        require("argmax", argmax, shape, np.int64)
+        require("error", error, shape)
+        conv_error = np.empty((batch,) + self.spec.output_shape, np.float32)
+        rejected = np.zeros(1, dtype=np.int64)
+        self.call("unpool", out, argmax, error, conv_error, rejected, batch)
+        return conv_error, int(rejected[0])
+
+
+class NativeStencilKernels(_PooledKernels):
     """The C kernel of one ``(spec, pipeline)``, callable on numpy arrays."""
 
     EXPORTS = {"fp": "pppi", "fused": "pppppipp", "unpool": "pppppi"}
+    #: The fused export computes the conv itself.
+    takes_conv_output = False
 
     def forward(self, inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """``[B, Nf, Oy, Ox]`` convolution of a batch (Eq. 2, no bias)."""
@@ -368,10 +439,6 @@ class NativeStencilKernels(Kernels):
         out = np.empty((batch,) + spec.output_shape, dtype=np.float32)
         self.call("fp", inputs, weights, out, batch)
         return out
-
-    def _pooled_shape(self, batch: int) -> tuple[int, ...]:
-        unit = self.unit
-        return (batch, self.spec.nf, unit.literal("PY"), unit.literal("PX"))
 
     def fused_forward(self, inputs: np.ndarray, weights: np.ndarray,
                       bias: np.ndarray, scratch: np.ndarray
@@ -393,21 +460,79 @@ class NativeStencilKernels(Kernels):
                   nonfinite)
         return out, argmax, int(nonfinite[0])
 
-    def unpool(self, out: np.ndarray, argmax: np.ndarray, error: np.ndarray
-               ) -> tuple[np.ndarray, int]:
-        """The conv-shaped error ``[B, Nf, Oy, Ox]`` of the pooled
-        ``error`` (masked where ``out`` is not positive, added at each
-        window's ``argmax``), and how many windows it left out: their
-        error was not finite, or their index named no window element."""
-        batch = int(out.shape[0])
-        shape = self._pooled_shape(batch)
-        require("out", out, shape)
-        require("argmax", argmax, shape, np.int64)
-        require("error", error, shape)
-        conv_error = np.empty((batch,) + self.spec.output_shape, np.float32)
-        rejected = np.zeros(1, dtype=np.int64)
-        self.call("unpool", out, argmax, error, conv_error, rejected, batch)
-        return conv_error, int(rejected[0])
+
+class NativeEpilogueKernels(_PooledKernels):
+    """The GEMM epilogue of one ``(conv output shape, pool window)``."""
+
+    EXPORTS = {"pool": "ppppip", "unpool": "pppppi"}
+    #: The pool export reads a conv output an engine computed.
+    takes_conv_output = True
+
+    def pool(self, act: np.ndarray, bias: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Pooled ``relu(act + bias)`` ``[B, Nf, Py, Px]``, its ``int64``
+        flat window indices, and how many biased values it read were not
+        finite (where that is not 0 the pooled values are not the
+        chain's): :meth:`NativeStencilKernels.fused_forward` of a conv
+        output ``act`` ``[B, Nf, Oy, Ox]`` already computed."""
+        batch = int(act.shape[0])
+        require("act", act, (batch,) + self.spec.output_shape)
+        require("bias", bias, (self.spec.nf,))
+        out = np.empty(self._pooled_shape(batch), dtype=np.float32)
+        argmax = np.empty(out.shape, dtype=np.int64)
+        nonfinite = np.zeros(1, dtype=np.int64)
+        self.call("pool", act, bias, out, argmax, batch, nonfinite)
+        return out, argmax, int(nonfinite[0])
+
+
+def _check_pooling(what: str, act: np.ndarray, pool: PoolWindow,
+                   out: np.ndarray, argmax: np.ndarray, error: np.ndarray,
+                   conv_error: np.ndarray) -> None:
+    """A pooling unit's forward and backward against the chain, bit for
+    bit: ``out`` is the window maxima of ``act`` (the ReLU'd, biased
+    conv output) and the elements ``argmax`` names, ``conv_error`` the
+    pooled ``error`` masked by ``out > 0`` and added at the argmax in
+    row-major window order."""
+    windows = np.lib.stride_tricks.sliding_window_view(
+        act, (pool.kernel,) * 2, axis=(2, 3)
+    )[:, :, ::pool.stride, ::pool.stride]
+    wy, wx = np.divmod(argmax, pool.kernel)
+    b, f, p, q = np.indices(argmax.shape)
+    for phase, got, want in (
+            ("forward", out, windows.max(axis=(4, 5))),
+            ("argmax", out, windows[b, f, p, q, wy, wx]),
+            ("backward", conv_error, reference.unpool(
+                out, argmax, error, pool.kernel, pool.stride, act.shape))):
+        check_agrees(f"{what} {phase}", got, want, exact=True)
+
+
+def _check_pooled_unit(
+        kernels: _PooledKernels, pool: PoolWindow, label: str,
+        cases: list[tuple[str, Callable[[], tuple[np.ndarray, np.ndarray,
+                                                  int]],
+                          Callable[[], np.ndarray]]]) -> None:
+    """A pooling unit against its chain (:func:`_check_pooling`) on each
+    ``(name, forward, act)`` case: ``forward()`` runs the unit's pooled
+    forward, ``act()`` computes the chain's ReLU'd, biased conv output.
+    The ``"poisoned"`` case must be counted, not swallowed (the conv
+    layer re-runs the chain on that count); no finite error may be
+    rejected, and a non-finite one must be."""
+    rng = np.random.default_rng(1)
+    for name, forward, act in cases:
+        what = f"{label} ({name}) for {kernels.spec.describe()}"
+        out, argmax, nonfinite = forward()
+        error = rng.standard_normal(out.shape).astype(np.float32)
+        conv_error, rejected = kernels.unpool(out, argmax, error)
+        if (nonfinite > 0) != (name == "poisoned") or rejected:
+            raise NativeBuildError(f"native {what} counted {nonfinite} "
+                                   f"non-finite outputs, rejected "
+                                   f"{rejected} errors")
+        if not nonfinite:
+            _check_pooling(what, act(), pool, out, argmax, error, conv_error)
+    error[0, 0, 0, 0] = np.inf
+    if kernels.unpool(out, argmax, error)[1] != 1:
+        raise NativeBuildError(f"native {label} backward routed a "
+                               f"non-finite error")
 
 
 def _self_check(kernels: NativeStencilKernels,
@@ -419,13 +544,10 @@ def _self_check(kernels: NativeStencilKernels,
     weight).
 
     The fused unit is judged through its chain, bit for bit, and only
-    where that chain's conv is the FP kernel's C unit: conv, bias, ReLU,
-    window maximum (pooled values and the elements the argmax names),
-    and backward the error masked by ``out > 0`` and added at the argmax
-    in row-major window order.  A poisoned input and a poisoned error
-    must be counted, not swallowed: the conv layer re-runs the chain on
-    that count.  So what a conv layer deploys in place of its chain is
-    checked on every host where a compiler could break it.
+    where that chain's conv is the FP kernel's C unit
+    (:func:`_check_pooled_unit`), on a poisoned input too.  So what a
+    conv layer deploys in place of its chain is checked on every host
+    where a compiler could break it.
     """
     spec = kernels.spec
     rng = np.random.default_rng(0)
@@ -446,37 +568,33 @@ def _self_check(kernels: NativeStencilKernels,
                                f"against: {reason}")
     poisoned = random[:1].copy()
     poisoned[0, 0, 0, 0] = np.nan
-    for name, inputs in (("random", random), ("edge", edge),
-                         ("poisoned", poisoned)):
-        where = f"({name}) for {spec.describe()}"
-        out, argmax, nonfinite = kernels.fused_forward(
-            inputs, weights, bias, kernels.scratch(Workspace()))
-        error = rng.standard_normal(out.shape).astype(np.float32)
-        conv_error, rejected = kernels.unpool(out, argmax, error)
-        if (nonfinite > 0) != (name == "poisoned") or rejected:
-            raise NativeBuildError(f"native fused kernel counted {nonfinite} "
-                                   f"non-finite outputs, rejected {rejected} "
-                                   f"errors {where}")
-        if nonfinite:
-            continue
-        act = np.maximum(chain.forward(inputs, weights)
-                         + bias[None, :, None, None], 0)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            act, (pool.kernel,) * 2, axis=(2, 3)
-        )[:, :, ::pool.stride, ::pool.stride]
-        wy, wx = np.divmod(argmax, pool.kernel)
-        b, f, p, q = np.indices(argmax.shape)
-        for what, got, want in (
-                ("forward", out, windows.max(axis=(4, 5))),
-                ("argmax", out, windows[b, f, p, q, wy, wx]),
-                ("backward", conv_error, reference.unpool(
-                    out, argmax, error, pool.kernel, pool.stride,
-                    act.shape))):
-            check_agrees(f"fused {what}{where}", got, want, exact=True)
-    error[0, 0, 0, 0] = np.inf
-    if kernels.unpool(out, argmax, error)[1] != 1:
-        raise NativeBuildError(f"native fused backward routed a non-finite "
-                               f"error for {spec.describe()}")
+    scratch = kernels.scratch(Workspace())
+    _check_pooled_unit(kernels, pool, "fused kernel", [
+        (name, lambda x=inputs: kernels.fused_forward(x, weights, bias,
+                                                       scratch),
+         lambda x=inputs: np.maximum(chain.forward(x, weights)
+                                     + bias[None, :, None, None], 0))
+        for name, inputs in (("random", random), ("edge", edge),
+                             ("poisoned", poisoned))])
+
+
+def _self_check_epilogue(kernels: NativeEpilogueKernels,
+                         pool: PoolWindow) -> None:
+    """The epilogue against the numpy chain (:func:`_check_pooled_unit`),
+    bit for bit, on a random conv output, the same rounded to integers
+    (ties within a window, where the first maximum must win) and a
+    poisoned one."""
+    spec = kernels.spec
+    rng = np.random.default_rng(0)
+    act = rng.standard_normal((2,) + spec.output_shape).astype(np.float32)
+    bias = rng.standard_normal(spec.nf).astype(np.float32)
+    poisoned = act[:1].copy()
+    poisoned[0, 0, 0, 0] = np.nan
+    _check_pooled_unit(kernels, pool, "GEMM epilogue", [
+        (name, lambda c=conv: kernels.pool(c, bias),
+         lambda c=conv: np.maximum(c + bias[None, :, None, None], 0))
+        for name, conv in (("random", act), ("ties", np.round(act)),
+                           ("poisoned", poisoned))])
 
 
 def load_stencil_kernels(spec: ConvSpec, pool: PoolWindow | None = None
@@ -488,3 +606,12 @@ def load_stencil_kernels(spec: ConvSpec, pool: PoolWindow | None = None
     return load_kernels(
         NativeStencilKernels, spec, emit_stencil_c_unit(spec, printed),
         lambda kernels: _self_check(kernels, pool))
+
+
+def load_epilogue_kernels(spec: ConvSpec,
+                          pool: PoolWindow) -> NativeEpilogueKernels:
+    """Build or fetch, self-check and load the GEMM epilogue of
+    ``spec``'s conv output for ``pool``'s window."""
+    return load_kernels(
+        NativeEpilogueKernels, spec, emit_epilogue_c_unit(spec, pool),
+        lambda kernels: _self_check_epilogue(kernels, pool))

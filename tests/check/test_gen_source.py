@@ -8,12 +8,14 @@ import pytest
 
 from repro.check.gen_source import (
     native_units,
+    verify_epilogue_unit,
     verify_native_unit,
     verify_native_units,
 )
 from repro.check.runner import default_specs
 from repro.core.convspec import ConvSpec
-from repro.stencil.emit_c import emit_stencil_c_unit
+from repro.stencil.emit_c import emit_epilogue_c_unit, emit_stencil_c_unit
+from repro.stencil.loopir import PoolWindow
 from repro.stencil.passes import Fuse, SchedulePipeline, Vectorize
 
 TINY = ConvSpec(nc=2, ny=8, nx=8, nf=3, fy=3, fx=3, name="tiny")
@@ -45,11 +47,14 @@ class TestCleanSources:
                              ids=lambda s: s.name or s.describe())
     def test_every_unit_repro_check_covers_verifies_clean(self, spec):
         """The zoo's and Table 2's specs: the sparse pair always, the
-        stencil FP and fused units where the printer covers the stride."""
+        stencil FP and fused units where the printer covers the stride,
+        the GEMM epilogue everywhere (every such conv output holds a
+        2x2 window)."""
         assert verify_native_units(spec) == []
         stride_1 = (spec.sy, spec.sx) == (1, 1)
         assert [family for family, _ in native_units(spec)] == \
-            ["sparse-c"] + ["stencil-fp-c", "stencil-fused-fp-c"] * stride_1
+            ["sparse-c"] + ["stencil-fp-c", "stencil-fused-fp-c"] * stride_1 \
+            + ["gemm-epilogue-c"]
 
 
 @pytest.mark.parametrize("spec", STRIDE_1,
@@ -121,8 +126,9 @@ class TestNativeUnit:
                              ids=lambda s: s.name)
     def test_emitted_units_verify_clean(self, spec):
         assert verify_native_units(spec) == []
-        # The sparse pair always; stencil FP + fused for stride 1 only.
-        assert len(native_units(spec)) == (1 if spec.sx > 1 else 3)
+        # The sparse pair always; stencil FP + fused for stride 1 only;
+        # the GEMM epilogue wherever a 2x2 window fits the conv output.
+        assert len(native_units(spec)) == (2 if spec.sx > 1 else 4)
 
     def test_dropped_and_reordered_taps_are_caught(self, doctor):
         install, symbol = doctor
@@ -354,6 +360,41 @@ class TestNativeUnit:
         assert "helpers () are not the expected" in _messages(
             verify_native_unit(dataclasses.replace(unit, helpers=()),
                                nests, "ragged"))
+
+    @pytest.mark.parametrize("window", [(2, 2), (3, 2)], ids=["2/2", "3/2"])
+    @pytest.mark.parametrize("spec", [RAGGED, STRIDED],
+                             ids=lambda s: s.name)
+    def test_epilogue_literals_and_text_are_the_fused_units(self, spec,
+                                                            window):
+        """The GEMM epilogue: literals restate the conv output and the
+        window, the text is the fused unit's store and scatter, and the
+        last window stays inside the conv output."""
+        pool = PoolWindow(*window)
+        unit = emit_epilogue_c_unit(spec, pool)
+        assert verify_epilogue_unit(unit, spec, pool, "epilogue") == []
+
+        def changed(source=unit.source, **literals):
+            for key, value in literals.items():
+                source = source.replace(f"#define {key} {unit.literal(key)}\n",
+                                        f"#define {key} {value}\n")
+            return dataclasses.replace(unit, source=source, literals=tuple(
+                (k, literals.get(k, v)) for k, v in unit.literals))
+
+        def messages(doctored):
+            return _messages(verify_epilogue_unit(doctored, spec, pool,
+                                                  "epilogue"))
+
+        wider = messages(changed(PY=unit.literal("PY") + 1))
+        assert "PY emitted as" in wider and "outside OY=" in wider
+        assert "OX emitted as" in messages(changed(OX=unit.literal("OX") - 1))
+        assert "differ from the literals" in messages(dataclasses.replace(
+            unit, literals=unit.literals + (("EXTRA", 1),)))
+        assert "not the fused unit's pooled store" in messages(changed(
+            source=unit.source.replace("v > best", "v >= best")))
+        assert "not the scatter the printer emits" in messages(changed(
+            source=unit.source.replace("t < 0 || t >= PK * PK", "t < 0")))
+        assert "exports ('pool',) are not" in messages(
+            dataclasses.replace(unit, helpers=("pool",)))
 
     def test_dw_loop_order_is_the_one_the_host_gives(self, monkeypatch):
         """A unit printed in the row order where the spec and the host

@@ -32,7 +32,8 @@ class TestRunAll:
         report = run_all()
         assert report.ok, [f.message for f in report.errors]
         assert report.meta["specs"] > 0
-        # The sparse pair per spec, plus stencil FP and fused units.
+        # The sparse pair per spec, plus stencil FP, fused and epilogue
+        # units.
         assert report.meta["native_units"] >= report.meta["specs"]
         assert report.meta["networks"] == 4
         assert report.meta["files_linted"] > 50
@@ -51,8 +52,9 @@ class TestRunAll:
         report = run_all(analyzers=("gen-source",), specs=[TINY])
         assert report.ok
         assert report.meta["specs"] == 1
-        # TINY's 6x6 output admits a 2x2 pool: sparse, stencil FP, fused.
-        assert report.meta["native_units"] == 3
+        # TINY's 6x6 output admits a 2x2 pool: sparse, stencil FP, fused,
+        # GEMM epilogue.
+        assert report.meta["native_units"] == 4
 
     def test_default_specs_are_deduplicated_and_engine_facing(self):
         specs = default_specs(default_networks())
@@ -73,7 +75,7 @@ class TestRunAll:
         assert ANALYZER_ALIASES == {"source": "gen-source"}
         report = run_all(analyzers=("source",), specs=[TINY])
         assert report.ok
-        assert report.meta["native_units"] == 3
+        assert report.meta["native_units"] == 4
         assert "files_linted" not in report.meta
 
 

@@ -22,6 +22,18 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler on this machine")
 
 
+def solo_layers(network) -> list:
+    """The layers of ``network`` a barrier step runs on their own, each
+    with its own spans: all but the ReLU and max-pool of every
+    ``conv -> ReLU -> max-pool`` run whose conv fuses them (the conv's
+    span covers them then)."""
+    fused = {index for start, (conv, _, pool) in network._runs.items()
+             if conv.fused_artifact(pool) is not None
+             for index in (start + 1, start + 2)}
+    return [layer for index, layer in enumerate(network.layers)
+            if index not in fused]
+
+
 def fake_compiler(tmp_path, build_line: str) -> str:
     """A ``cc`` that answers ``--version`` and then runs ``build_line``
     (a shell line; ``$out`` is the ``-o`` operand)."""

@@ -131,6 +131,7 @@ class TestBackwardDataCorrelation:
         (ConvSpec(nc=2, ny=11, nx=11, nf=2, fy=3, fx=3), 0),  # unpadded
         (ConvSpec(nc=2, ny=12, nx=12, nf=2, fy=5, fx=5), 1),  # GEMM grows
         (ConvSpec(nc=2, ny=12, nx=12, nf=2, fy=2, fx=5), 2),  # crop > Fy-1
+        (ConvSpec(nc=3, ny=36, nx=36, nf=64, fy=5, fx=5), 2),  # Nf > 2 Nc
     ])
     def test_rule_keeps_the_adjoint_form(self, spec, crop):
         assert backward_data_correlation(spec, crop) is None

@@ -40,6 +40,7 @@ class StubEngines:
         self.clock = clock
         self.cost = cost
         self.calls = []          # (engine, method, images, spec)
+        self.crops = []          # crop of each backward call
         self.released = []
 
     def __call__(self, name, spec, **kwargs):
@@ -73,6 +74,13 @@ class _StubEngine:
 
     def backward_weights(self, out_error, inputs):
         self._call("backward_weights", out_error)
+
+    def backward(self, out_error, inputs, weights, crop=0,
+                 need_input_error=True):
+        self.owner.crops.append(crop)
+        self.backward_weights(out_error, inputs)
+        if need_input_error:
+            self.backward_data(out_error, weights)
 
     def release_workspace(self):
         self.owner.released.append(self.name)
@@ -299,6 +307,24 @@ class TestMeasurementHygiene:
         backend.rank(("gemm-in-parallel",), "bp", SPEC, 0.5)
         assert len(engines.calls) > made
 
+    def test_bp_is_timed_at_the_layers_crop_and_memoised_per_crop(self):
+        backend, engines = make_backend(DENSE)
+        backend.rank(("gemm-in-parallel",), "bp", SPEC, 0.5, crop=1)
+        assert set(engines.crops) == {1}
+        made = len(engines.calls)
+        backend.rank(("gemm-in-parallel",), "bp", SPEC, 0.5, crop=1)
+        assert len(engines.calls) == made
+        # Another crop is another BP-data form: measured anew.
+        backend.rank(("gemm-in-parallel",), "bp", SPEC, 0.5, crop=0)
+        assert len(engines.calls) > made and engines.crops[-1] == 0
+        # dW alone reads no crop: one price for every crop.
+        backend.rank(("gemm-in-parallel",), "bp", SPEC, 0.5,
+                     input_error=False, crop=1)
+        made = len(engines.calls)
+        backend.rank(("gemm-in-parallel",), "bp", SPEC, 0.5,
+                     input_error=False, crop=0)
+        assert len(engines.calls) == made
+
     def test_phase_constraints(self):
         backend, _ = make_backend(DENSE)
         with pytest.raises(PlanError):
@@ -401,6 +427,20 @@ class TestSpgCNNOnTheMeasuredBackend:
         assert engines.methods(conv_a) == {"backward_weights"}
         assert engines.methods(conv_b) == {"backward_weights",
                                            "backward_data"}
+
+    def test_bp_is_priced_at_each_layers_own_crop(self):
+        backend, engines = make_backend(self.COST)
+        net = build_network({"input": [1, 12, 12], "layers": [
+            {"type": "conv", "features": 4, "kernel": 3},
+            {"type": "conv", "features": 4, "kernel": 3, "pad": 1},
+            {"type": "flatten"}, {"type": "dense", "features": 3}]},
+            rng=np.random.default_rng(0))
+        spg = SpgCNN(net, backend, recheck_epochs=1)
+        spg.optimize()
+        for layer in net.conv_layers():
+            layer.last_error_sparsity = 0.85
+        spg.after_epoch(1)
+        assert set(engines.crops) == {0, 1}
 
     def test_spans_carry_measured_and_memo_hit_counts(self):
         backend, _ = make_backend(self.COST)

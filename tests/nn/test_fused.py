@@ -1,15 +1,16 @@
 """Fusion as a deployment of the conv -> ReLU -> max-pool chain.
 
-Where a conv's FP runs the C stencil kernel inline, ``Network`` runs each
-``conv -> ReLU -> max-pool`` run as one call of the conv given the pool:
-the compiled unit forward, its scatter backward.  Pinned here: that is
-the chain bit for bit -- outputs, argmax-routed errors, every gradient,
-for non-overlapping and overlapping windows -- and so is its handling of
-NaN / inf, of a unit that computes non-finite values from finite inputs
-and of a stray per-layer backward; without a compiler or with a GEMM FP
-engine the chain runs; ``repro train`` and the sharded step see the same
-numbers as the chain; the probe's call shape survives; the fusion model
-prices less traffic than the chain.
+Where a conv's FP runs inline on the C stencil kernel or on a GEMM
+engine, ``Network`` runs each ``conv -> ReLU -> max-pool`` run as one
+call of the conv given the pool: the compiled unit forward (the fused
+conv, or the GEMM epilogue of the engine's output), its scatter
+backward.  Pinned here: that is the chain bit for bit -- outputs,
+argmax-routed errors, every gradient, for non-overlapping and
+overlapping windows -- and so is its handling of NaN / inf, of a unit
+that computes non-finite values from finite inputs and of a stray
+per-layer backward; without a compiler the chain runs; ``repro train``
+and the sharded step see the same numbers as the chain; the probe's call
+shape survives; the fusion model prices less traffic than the chain.
 """
 
 import os
@@ -65,15 +66,22 @@ def _twin(conv):
     return twin
 
 
+#: The FP engines a unit fuses behind: the stencil kernel's fused unit
+#: and the GEMM epilogue.
+FP_ENGINES = pytest.mark.parametrize("fp_engine",
+                                     ["stencil", "gemm-in-parallel"])
+
+
 @pytest.mark.parametrize(
     "net_name,spec,pk,ps", GEOMETRIES,
     ids=[f"{n}-{s.describe()}" for n, s, _, _ in GEOMETRIES],
 )
 class TestBitIdentityOnZooNetworks:
+    @FP_ENGINES
     def test_forward_and_backward_match_the_chain_bitwise(
-        self, net_name, spec, pk, ps, rng
+        self, net_name, spec, pk, ps, fp_engine, rng
     ):
-        conv = ConvLayer(spec, fp_engine="stencil", bp_engine="stencil")
+        conv = ConvLayer(spec, fp_engine=fp_engine, bp_engine=fp_engine)
         conv.weights = rng.standard_normal(
             spec.weight_shape
         ).astype(np.float32)
@@ -84,6 +92,8 @@ class TestBitIdentityOnZooNetworks:
         got = fused.forward(x)
         want = pool.forward(relu.forward(chain.forward(x)))
         assert np.array_equal(got, want)
+        if fp_engine != "stencil" and native.find_compiler() is not None:
+            assert conv._pooled[0].takes_conv_output    # the epilogue ran
         err = rng.standard_normal(want.shape).astype(np.float32)
         want_err = chain.backward(relu.backward(pool.backward(err)))
         assert np.array_equal(fused.backward(err), want_err)
@@ -170,17 +180,18 @@ def _exported(tel):
 
 
 @needs_cc
+@FP_ENGINES
 @WINDOWS
 @BP_ENGINES
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("need_input_error", [True, False])
-def test_network_pass_equals_the_chain_bitwise(window, bp_engine, batch,
-                                               need_input_error, rng):
+def test_network_pass_equals_the_chain_bitwise(fp_engine, window, bp_engine,
+                                               batch, need_input_error, rng):
     """With sparse BP on a window that does not overlap, both convs'
     backward runs the pooled export: conv error, dW and sparsity from one
     C pass over the pooled error -- and still the chain's bits, the
     bias gradient included.  The overlapping window keeps the scatter."""
-    net = _net(window, bp_engine=bp_engine)
+    net = _net(window, fp_engine=fp_engine, bp_engine=bp_engine)
     chain = _chain(net)
     x = rng.standard_normal((batch, 3, 16, 16)).astype(np.float32)
     err = rng.standard_normal((batch, 4)).astype(np.float32)
@@ -203,11 +214,12 @@ def test_network_pass_equals_the_chain_bitwise(window, bp_engine, batch,
 
 
 @needs_cc
+@FP_ENGINES
 @WINDOWS
-def test_routed_errors_are_the_chains(window, rng):
+def test_routed_errors_are_the_chains(fp_engine, window, rng):
     """The conv-shaped error the scatter builds is the one the chain's
     max-pool and ReLU backward build, element for element."""
-    net = _net(window)
+    net = _net(window, fp_engine=fp_engine)
     conv, relu, pool = net.layers[:3]
     x = rng.standard_normal((3, 3, 16, 16)).astype(np.float32)
     pooled = conv.forward(x, True, pool=pool)
@@ -228,11 +240,13 @@ def _poisoned(rng, batch=2):
 
 
 @needs_cc
+@FP_ENGINES
 @WINDOWS
-def test_non_finite_operands_behave_as_in_the_chain(window, rng):
+def test_non_finite_operands_behave_as_in_the_chain(fp_engine, window, rng):
     """The store counts what its compares would swallow, and such a call
-    re-runs as the chain: NaN propagates exactly as there."""
-    net = _net(window)
+    re-runs as the chain: NaN propagates exactly as there, and the guard
+    benches nothing (the input's fault)."""
+    net = _net(window, fp_engine=fp_engine)
     chain = _chain(net)
     x = _poisoned(rng)
     err = rng.standard_normal((2, 4)).astype(np.float32)
@@ -245,13 +259,15 @@ def test_non_finite_operands_behave_as_in_the_chain(window, rng):
 
 
 @needs_cc
+@FP_ENGINES
 @WINDOWS
 @BP_ENGINES
-def test_non_finite_errors_behave_as_in_the_chain(window, bp_engine, rng):
+def test_non_finite_errors_behave_as_in_the_chain(fp_engine, window,
+                                                  bp_engine, rng):
     """A finite forward, a poisoned error: the chain spreads it over the
     window, and so does the fused run's backward (by replaying it, also
     where the pooled export counted the poison)."""
-    net = _net(window, bp_engine=bp_engine)
+    net = _net(window, fp_engine=fp_engine, bp_engine=bp_engine)
     chain = _chain(net)
     conv, _, pool = net.layers[:3]
     twin, relu, twin_pool = chain.layers[:3]
@@ -312,24 +328,60 @@ def test_a_unit_computing_non_finite_values_is_quarantined_as_in_the_chain(
 
 
 @needs_cc
+def test_a_gemm_engine_computing_non_finite_values_is_quarantined_as_in_the_chain(
+        monkeypatch, rng):
+    """The epilogue reads the guarded GEMM output: a GEMM that turns
+    finite inputs into NaN is benched by the same guard, before the
+    epilogue, and the fallback's output is pooled to the chain's bits."""
+    from repro.ops.gemm_conv import GemmInParallelEngine
+
+    real_forward = GemmInParallelEngine.forward
+
+    def broken_forward(engine, inputs, weights):
+        out = real_forward(engine, inputs, weights)
+        out[:, :, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(GemmInParallelEngine, "forward", broken_forward)
+    x = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
+    results = []
+    for build in (lambda: _net((2, 2), fp_engine="gemm-in-parallel"),
+                  lambda: _chain(_net((2, 2), fp_engine="gemm-in-parallel"))):
+        default_registry().clear()
+        net = build()
+        with telemetry.collect() as tel:
+            out = net.forward(x)
+        assert np.isfinite(out).all()
+        assert [c.fp_engine_name for c in net.conv_layers()] == \
+            ["reference", "reference"]
+        results.append((out, [e.attrs["reason"] for e in tel.events
+                              if e.name == "engine.fallback"]))
+    assert np.array_equal(results[0][0], results[1][0])
+    assert results[0][1] == results[1][1]
+
+
+@needs_cc
+@FP_ENGINES
 @pytest.mark.parametrize("poisoned", [False, True], ids=["finite", "nan"])
-def test_the_engine_fault_site_is_visited_once_per_call(poisoned, rng):
+def test_the_engine_fault_site_is_visited_once_per_call(fp_engine, poisoned,
+                                                        rng):
     """A fault plan fires at the same conv under fusion as in the chain,
     also when a poisoned batch makes the fused call re-run as the chain:
     the second invocation of ``engine.fp`` is conv3's, and a raise there
-    benches conv3's stencil FP in both."""
+    benches conv3's FP engine in both."""
     x = _poisoned(rng) if poisoned else \
         rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
     plan = FaultPlan(name="second-fp", specs=(
         FaultSpec(site="engine.fp", kind="raise", at=(2,)),))
     outs = []
-    for build in (lambda: _net((2, 2)), lambda: _chain(_net((2, 2)))):
+    for build in (lambda: _net((2, 2), fp_engine=fp_engine),
+                  lambda: _chain(_net((2, 2), fp_engine=fp_engine))):
         default_registry().clear()
         net = build()
         with inject(plan):
             outs.append(net.forward(x))
         assert [c.fp_engine_name for c in net.conv_layers()] == \
-            ["stencil", "reference"]
+            [fp_engine, "reference"]
     assert np.array_equal(outs[0], outs[1], equal_nan=True)
 
 
@@ -383,9 +435,36 @@ def test_without_a_compiler_the_chain_runs(monkeypatch, rng):
         native._resolved.cache_clear()
 
 
+@needs_cc
 @pytest.mark.parametrize("fp_engine", ["gemm-in-parallel", "parallel-gemm"])
-def test_a_gemm_fp_engine_runs_the_chain(fp_engine, rng):
-    _runs_the_chain(_net((2, 2), fp_engine=fp_engine), rng)
+def test_a_gemm_fp_engine_runs_the_epilogue(fp_engine, rng):
+    """Both runs fuse behind the GEMM engine's own FP call: the unit is
+    the epilogue of its output, keyed by the conv output's shape and the
+    window, and the pass is the chain's bit for bit."""
+    net = _net((3, 2), fp_engine=fp_engine)
+    chain = _chain(net)
+    x = rng.standard_normal((3, 3, 16, 16)).astype(np.float32)
+    err = rng.standard_normal((3, 4)).astype(np.float32)
+    with telemetry.collect() as tel:
+        got = _pass(net, x, err)
+    assert net._fused == {0, 3}
+    for conv, _, pool in net._runs.values():
+        unit = conv.fused_unit(pool)
+        assert unit.takes_conv_output
+        assert unit.unit.name.startswith("gemm_epilogue_")
+        (span,) = tel.find_spans(f"{conv.name}/fp")
+        assert span.attrs["engine"] == fp_engine
+        assert span.attrs["fused"] == "relu+pool"
+    # The engine's FP ran; the ReLU and pool layers did not.
+    assert not tel.find_spans("relu1/fp") and not tel.find_spans("pool2/fp")
+    want = _pass(chain, x, err)
+    for mine, theirs in zip([got[0], got[1], *got[2]],
+                            [want[0], want[1], *want[2]]):
+        assert np.array_equal(mine, theirs)
+
+
+def test_the_reference_fp_engine_runs_the_chain(rng):
+    _runs_the_chain(_net((2, 2), fp_engine="reference"), rng)
 
 
 @needs_cc

@@ -9,6 +9,7 @@ from repro.errors import ShapeError
 from repro.nn.netdef import build_network
 from repro.nn.network import Network
 from repro.nn.sgd import SGDTrainer
+from tests.conftest import solo_layers
 
 
 def tiny_net(num_classes=4, seed=0):
@@ -87,20 +88,24 @@ class TestNetwork:
     def test_every_layer_call_has_one_span(self, rng):
         # Conv layers open their own (with layer, engine, lowering); the
         # network opens one for every other layer call, carrying the
-        # phase and the layer -- so the run report has a row per layer.
+        # phase and the layer -- so the run report has a row per layer
+        # that ran.  The ReLU and pool of a fused run are not called:
+        # the conv's span says it ran fused.
         net = tiny_net()
         x = rng.standard_normal((2, 1, 8, 8)).astype(np.float32)
         with telemetry.collect() as tel:
             net.backward(net.forward(x), need_input_error=False)
         names = [s.name for s in tel.spans]
         assert sorted(names) == sorted(
-            f"{layer.name}/{phase}" for layer in net.layers
+            f"{layer.name}/{phase}" for layer in solo_layers(net)
             for phase in ("fp", "bp"))
         for span in tel.spans:
             layer, phase = span.name.rsplit("/", 1)
             assert span.attrs["layer"] == layer
             if layer != net.layers[0].name:
                 assert span.attrs == {"phase": phase, "layer": layer}
+        (conv_fp,) = tel.find_spans(f"{net.layers[0].name}/fp")
+        assert ("fused" in conv_fp.attrs) == bool(net._fused)
 
 
 class TestSGDTrainer:

@@ -63,25 +63,30 @@ def test_parameter_gradients_are_bit_equal(builder, scheduler, threads,
 
 
 def test_skipped_path_calls_no_backward_data_on_the_input_conv():
+    # Each conv's backward is one engine call; the input conv's asks for
+    # no input error, and no BP-data runs for it.
     network = cifar10_net(scale=0.25, rng=np.random.default_rng(1))
     x, err = _batch(network)
     first, second = network.conv_layers()
     calls = []
     for layer in (first, second):
         engine = layer._bp_engine
-        original = engine.backward_data
+        original = engine.backward
 
-        def spy(out_error, weights, crop=0, name=layer.name,
-                original=original):
-            calls.append(name)
-            return original(out_error, weights, crop=crop)
+        def spy(out_error, inputs, weights, crop=0, need_input_error=True,
+                name=layer.name, original=original):
+            calls.append((name, need_input_error))
+            d_weights, in_error = original(out_error, inputs, weights, crop,
+                                           need_input_error)
+            assert (in_error is not None) == need_input_error
+            return d_weights, in_error
 
-        engine.backward_data = spy
+        engine.backward = spy
     _grads(network, x, err, need_input_error=False)
-    assert calls == [second.name]
+    assert calls == [(second.name, True), (first.name, False)]
     calls.clear()
     _grads(network, x, err)
-    assert calls == [second.name, first.name]
+    assert calls == [(second.name, True), (first.name, True)]
 
 
 def test_sgd_step_takes_the_skipped_path_and_halves_the_input_conv_flops():

@@ -10,7 +10,9 @@ Three properties the rest of the system leans on:
   (forward correlation, GEMM + fold) the geometry selects;
 * an image's result does not depend on the batch it arrives in, bit for
   bit.  The serial/thread/process and barrier/dag identity contracts
-  slice batches at arbitrary points and compare with ``==``.
+  slice batches at arbitrary points and compare with ``==``;
+* the one ``backward`` call a layer makes equals the two separate calls
+  and the reference, on every stride-1 zoo and Table 2 spec.
 """
 
 import numpy as np
@@ -20,8 +22,10 @@ from hypothesis import strategies as st
 
 from repro.check.runner import engine_spec
 from repro.core.convspec import ConvSpec, backward_data_correlation
+from repro.data.tables import TABLE2_LAYERS
 from repro.errors import ShapeError
 from repro.ops import reference as ref
+from repro.nn.zoo import alexnet_small, cifar10_net, imagenet100_net, mnist_net
 from repro.ops.engine import engine_names, make_engine
 from tests.conftest import SMALL_SPECS, random_conv_data
 
@@ -121,23 +125,25 @@ def test_cropped_backward_data_matches_cropped_loop_oracle(case, seed):
                 err_msg=f"{name} bd crop={crop} {inner.describe()}")
 
 
-# (spec, crop) pairs the geometry rule sends down the correlation form:
+# (spec, crop) pairs the size rule sends down the correlation form:
 # the zoo's "same" 5x5, a 3x3, a non-square kernel cropped by its shorter
-# side, a partial crop, and a 1x1 (no border at all).
+# side, a partial crop, and a 1x1 (no border at all) with Nf = 2 Nc.
 CORRELATION_CASES = [
     (ConvSpec(nc=3, ny=12, nx=12, nf=4, fy=5, fx=5), 2),
-    (ConvSpec(nc=2, ny=9, nx=11, nf=5, fy=3, fx=3), 1),
+    (ConvSpec(nc=3, ny=9, nx=11, nf=5, fy=3, fx=3), 1),
     (ConvSpec(nc=4, ny=10, nx=13, nf=3, fy=3, fx=5), 2),
     (ConvSpec(nc=2, ny=11, nx=10, nf=2, fy=4, fx=4), 2),
     (ConvSpec(nc=3, ny=8, nx=8, nf=6, fy=1, fx=1), 0),
 ]
 # ... and pairs it leaves on GEMM + fold: strided, unpadded, a crop too
-# small to shrink the correlation's GEMM to the adjoint's.
+# small to shrink the correlation's GEMM to the adjoint's, and an error
+# with more than twice the input's channels.
 FOLD_CASES = [
     (ConvSpec(nc=2, ny=11, nx=13, nf=5, fy=3, fx=3, sy=2, sx=2), 1),
     (ConvSpec(nc=3, ny=9, nx=8, nf=4, fy=2, fx=3), 0),
     (ConvSpec(nc=3, ny=12, nx=12, nf=2, fy=5, fx=5), 1),
     (ConvSpec(nc=4, ny=10, nx=13, nf=3, fy=3, fx=5), 1),
+    (ConvSpec(nc=2, ny=9, nx=11, nf=5, fy=3, fx=3), 1),
 ]
 
 
@@ -264,3 +270,101 @@ class TestScheduling:
         assert engine.forward(empty_in, weights).shape == (0,) + spec.output_shape
         assert engine.backward_data(empty_err, weights).shape == empty_in.shape
         assert not engine.backward_weights(empty_err, empty_in).any()
+
+
+def _stride1_cases():
+    """``(label, engine spec, crop)`` of the stride-1 zoo convs (at their
+    pad) and Table 2 convs (at the "same" crop, ``(F-1)//2``)."""
+    cases = {}
+    for build in (mnist_net, cifar10_net, imagenet100_net, alexnet_small):
+        network = build()
+        for layer in network.conv_layers():
+            if (layer.spec.sy, layer.spec.sx) == (1, 1):
+                cases.setdefault((layer.padded_spec, layer.spec.pad),
+                                 f"{network.name}/{layer.name}")
+    zoo = [(label, spec, crop) for (spec, crop), label in cases.items()]
+    table2 = [(spec.name, spec.pre_padded(), (min(spec.fy, spec.fx) - 1) // 2)
+              for table in TABLE2_LAYERS.values() for spec in table
+              if (spec.sy, spec.sx) == (1, 1)]
+    return zoo, table2
+
+
+ZOO_STRIDE_1, TABLE2_STRIDE_1 = _stride1_cases()
+#: Where the one call's dW differs from the separate call's in rounding
+#: (OpenBLAS blocks the two products' shapes differently); everywhere
+#: else it is bitwise.
+DW_ROUNDED = {"imagenet-1k-L2"}
+
+
+@pytest.mark.parametrize("name", GEMM_ENGINES)
+@pytest.mark.parametrize(
+    "label,spec,crop,batch",
+    [(*case, batch) for case in ZOO_STRIDE_1 for batch in (1, 3, 16)]
+    + [(*case, batch) for case in TABLE2_STRIDE_1 for batch in (1, 3)],
+    ids=lambda v: v if isinstance(v, str) else None)
+class TestOneBackward:
+    """``ConvEngine.backward`` against the two separate calls and the
+    reference, on a random, an all-zero and a poisoned error."""
+
+    def _operands(self, spec, crop, batch, error):
+        rng = np.random.default_rng(batch)
+        inputs = np.zeros((batch,) + spec.input_shape, np.float32)
+        _, ny, nx = spec.cropped_input_shape(crop)
+        inputs[:, :, crop:crop + ny, crop:crop + nx] = rng.standard_normal(
+            (batch, spec.nc, ny, nx), dtype=np.float32)
+        weights = rng.standard_normal(spec.weight_shape, dtype=np.float32)
+        err = np.zeros((batch,) + spec.output_shape, np.float32)
+        if error != "zero":
+            err[...] = rng.standard_normal(err.shape, dtype=np.float32)
+        if error == "poisoned":
+            err[-1, 0, 1, 1] = np.nan
+        return inputs, weights, err
+
+    @pytest.mark.parametrize("error", ["random", "zero"])
+    def test_equals_the_two_calls_and_the_reference(self, name, label, spec,
+                                                    crop, batch, error):
+        inputs, weights, err = self._operands(spec, crop, batch, error)
+        engine = make_engine(name, spec, num_cores=2)
+        d_weights, in_error = engine.backward(err, inputs, weights, crop)
+        apart = make_engine(name, spec, num_cores=2)
+        want_dw = apart.backward_weights(err, inputs)
+        want_bd = apart.backward_data(err, weights, crop=crop)
+        assert in_error.tobytes() == want_bd.tobytes()
+        if label in DW_ROUNDED:
+            np.testing.assert_allclose(d_weights, want_dw, rtol=1e-4,
+                                       atol=1e-3)
+        else:
+            assert d_weights.tobytes() == want_dw.tobytes()
+        scale = max(1.0, float(np.abs(err).max()))
+        np.testing.assert_allclose(
+            d_weights, ref.batch_backward_weights(spec, err, inputs),
+            rtol=1e-3, atol=2e-3 * scale * spec.out_ny)
+        full = ref.batch_backward_data(spec, err, weights)
+        np.testing.assert_allclose(
+            in_error, engine._cropped(full, crop), rtol=1e-3,
+            atol=2e-3 * scale)
+        # dW only: the input error is neither computed nor returned.
+        alone, none = engine.backward(err, inputs, weights, crop,
+                                      need_input_error=False)
+        assert none is None and alone.tobytes() == want_dw.tobytes()
+
+    def test_a_poisoned_error_is_not_swallowed(self, name, label, spec,
+                                               crop, batch):
+        """The input error is the separate call's, NaN for NaN; dW is
+        non-finite in every row of the poisoned feature and equal to the
+        separate call's elsewhere (the one call skips the zero pad
+        border the separate call multiplies by the NaN, so it spreads
+        the poison over no more taps)."""
+        inputs, weights, err = self._operands(spec, crop, batch, "poisoned")
+        engine = make_engine(name, spec, num_cores=2)
+        with np.errstate(invalid="ignore"):
+            d_weights, in_error = engine.backward(err, inputs, weights, crop)
+            want_bd = engine.backward_data(err, weights, crop=crop)
+            want_dw = engine.backward_weights(err, inputs)
+        assert np.array_equal(in_error, want_bd, equal_nan=True)
+        assert not np.isfinite(in_error).all()
+        assert not np.isfinite(d_weights[0]).all()
+        assert np.isfinite(want_dw[1:]).all()
+        np.testing.assert_allclose(d_weights[1:], want_dw[1:], rtol=1e-4,
+                                   atol=1e-3)
+        assert (np.isnan(d_weights) <= np.isnan(want_dw)).all()

@@ -25,7 +25,7 @@ from repro.nn.sgd import SGDTrainer
 from repro.nn.zoo import cifar10_net
 from repro.resilience.quarantine import default_registry
 from repro.runtime.backends import ProcessBackend, worker_ready
-from tests.conftest import needs_cc
+from tests.conftest import needs_cc, solo_layers
 
 BACKENDS = ("serial", "thread", "process")
 HAS_CC = shutil.which("cc") is not None
@@ -247,7 +247,7 @@ class TestOneRowSetPerBackend:
             shards = tel.find_spans("worker/step_shard")
             assert len(shards) == 2, backend
             want = collections.Counter(
-                f"{layer.name}/{phase}" for layer in net.layers
+                f"{layer.name}/{phase}" for layer in solo_layers(net)
                 for phase in ("fp", "bp"))
             for shard in shards:
                 rows = collections.Counter(

@@ -19,11 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import telemetry
+from repro import native, telemetry
 from repro.core.autotuner import CostBackend
 from repro.core.framework import SpgCNN
 from repro.data.synthetic import Dataset, cifar10_like, mnist_like
 from repro.nn.layers.extras import DropoutLayer
+from repro.nn.network import Network
 from repro.nn.sgd import SGDTrainer
 from repro.nn.zoo import alexnet_small, cifar10_net, mnist_net
 from repro.ops.engine import register_engine
@@ -35,6 +36,7 @@ from repro.runtime import backends, shm
 from repro.runtime.backends import (ProcessBackend, pin_malloc_thresholds,
                                     worker_diagnostics)
 from repro.runtime.pool import WorkerPool
+from tests.conftest import solo_layers
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -101,6 +103,60 @@ def test_backends_agree_bitwise_on_the_same_split(builder, threads):
     assert all(np.isfinite(serial["losses"]))
     for backend in ("thread", "process"):
         assert _train(builder, threads, backend) == serial, backend
+
+
+@pytest.mark.skipif(native.find_compiler() is None, reason="no cc")
+def test_replicas_run_the_gemm_epilogue_the_parent_planned():
+    """Untuned, both CIFAR runs are GEMM FP: the parent plans the GEMM
+    epilogue unit for each, every shard's replica runs it (its conv FP
+    spans say fused), and the step is bitwise across the backends."""
+    states = {}
+    for backend in BACKENDS:
+        net = cifar10_net(scale=0.25, rng=np.random.default_rng(3),
+                          threads=2, backend=backend)
+        data = cifar10_like(6, seed=3)
+        try:
+            planned = [dict(net.structure()[start][2])["fused_artifact"]
+                       for start in net._runs]
+            units = [conv.fused_artifact(pool) and conv._fused(pool)
+                     for conv, _, pool in net._runs.values()]
+            assert all(planned) and all(u.takes_conv_output for u in units)
+            with telemetry.collect() as tel:
+                loss = SGDTrainer(net).step(data.images, data.labels).loss
+            fused = [s for s in tel.spans if s.name.startswith("conv")
+                     and s.name.endswith("/fp")]
+            assert len(fused) == 2 * len(net._runs), backend
+            assert all(s.attrs.get("fused") == "relu+pool" for s in fused)
+            states[backend] = (loss, [p.tobytes() for _, p, _
+                                      in net.parameters()])
+        finally:
+            _close(net)
+    assert states["thread"] == states["serial"] == states["process"]
+
+
+@pytest.mark.skipif(native.find_compiler() is None, reason="no cc")
+def test_a_replica_that_cannot_load_the_planned_epilogue_reports_fp(rng):
+    """A replica handed an epilogue artefact it cannot load runs the
+    chain, bitwise, and reports an FP failure of its GEMM engine."""
+    net = cifar10_net(scale=0.25, rng=np.random.default_rng(0))
+    structure = list(net.structure())
+    kind, name, options = structure[0]
+    structure[0] = (kind, name, tuple(
+        (key, "foreign" if key == "fused_artifact" else value)
+        for key, value in options))
+    replica = Network.replica(tuple(structure), net.input_shape)
+    for mine, theirs in zip(replica.layers, net.layers):
+        mine.bind_params(theirs.params())
+    x = rng.standard_normal((4,) + net.input_shape).astype(np.float32)
+    chain = x
+    for layer in net.layers:
+        chain = layer.forward(chain)      # one by one: never fused
+    assert np.array_equal(replica.forward(x), chain)
+    assert replica._fused == {3}
+    ((phase, engine, reason),) = replica.layers[0].take_failures()
+    assert (phase, engine) == ("fp", "gemm-in-parallel")
+    assert "fused artefact" in reason and "'foreign'" in reason
+    assert replica.layers[3].take_failures() == []
 
 
 def test_sharded_step_tracks_the_inline_step():
@@ -514,7 +570,7 @@ class TestWorkersStayLegible:
             children = [s for s in tel.spans
                         if s.parent_id == shard.span_id]
             names = [s.name for s in children]
-            for layer in net.layers:
+            for layer in solo_layers(net):
                 assert f"{layer.name}/fp" in names
                 assert f"{layer.name}/bp" in names
             conv_bp = next(s for s in children

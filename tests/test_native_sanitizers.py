@@ -11,9 +11,12 @@ edge-position and bitwise-vs-chain self-checks, the sparse unit's pooled
 export's among them -- and then driven through a seeded differential
 against the reference engine (the fused ones forward and backward, as a
 conv layer deploys them; behind the 2/2 window with sparse BP, whose
-backward is the sparse unit's pooled export).  The narrow convs (CIFAR's
-first, MNIST's) run dW in the row order.  Any out-of-bounds access,
-misaligned or overflowing operation aborts the subprocess.
+backward is the sparse unit's pooled export).  Every spec's GEMM
+epilogue for both windows is rebuilt (its bitwise-vs-chain self-check)
+and run forward and backward behind a GEMM FP engine, as a conv layer
+deploys it.  The narrow convs (CIFAR's first, MNIST's) run dW in the
+row order.  Any out-of-bounds access, misaligned or overflowing
+operation aborts the subprocess.
 
 Needs a ``cc`` that links the sanitizer runtimes and can say where
 ``libasan.so`` is (an instrumented unit loaded into an uninstrumented
@@ -76,6 +79,7 @@ from repro.nn.zoo import alexnet_small, cifar10_net, imagenet100_net, mnist_net
 
 rng = np.random.default_rng(0)
 units = exports = rows = 0
+epilogues = set()
 for build in (mnist_net, cifar10_net, imagenet100_net, alexnet_small):
     for layer in build().conv_layers():
         spec = layer.padded_spec
@@ -96,6 +100,15 @@ for build in (mnist_net, cifar10_net, imagenet100_net, alexnet_small):
         if build in (mnist_net, cifar10_net) and spec.nc <= 3:
             assert "RV" in dict(sparse._native.unit.literals), spec
             rows += 1
+        gemm = ConvLayer(spec, fp_engine="gemm-in-parallel")
+        gemm.weights = w
+        for kernel, stride in ((2, 2), (3, 2)):
+            pool = MaxPoolLayer(kernel, stride)
+            assert gemm.fused_unit(pool) is not None, (spec, kernel, stride)
+            pooled = gemm.forward(x, pool=pool)
+            assert gemm._pooled[0].takes_conv_output    # the epilogue ran
+            gemm.backward(np.ones_like(pooled), pool=pool)
+            epilogues.add(gemm.fused_artifact(pool))
         if (spec.sy, spec.sx) != (1, 1):
             continue
         stencil = make_engine("stencil", spec)
@@ -123,7 +136,7 @@ for build in (mnist_net, cifar10_net, imagenet100_net, alexnet_small):
         assert tel.spans[-1].attrs.get("fused") == "relu+pool", spec
         exports += 1
 print("instrumented units:", units, "pooled exports:", exports,
-      "row orders:", rows)
+      "row orders:", rows, "epilogues:", len(epilogues))
 """
 
 _OVERFLOW = _PRELUDE + """
@@ -166,8 +179,9 @@ def test_every_zoo_unit_is_clean_under_the_sanitizers(tmp_path):
     assert done.returncode == 0, done.stderr[-3000:]
     assert "Sanitizer" not in done.stderr and "runtime error" not in done.stderr
     # 8 sparse units, and FP + two fused for the 6 stride-1 convs; the
-    # pooled export behind each of those 6; dW's row order on 2 convs.
-    assert "instrumented units: 26 pooled exports: 6 row orders: 2" \
-        in done.stdout
+    # pooled export behind each of those 6; dW's row order on 2 convs;
+    # a GEMM epilogue per distinct conv output (8) and window (2).
+    assert "instrumented units: 26 pooled exports: 6 row orders: 2 " \
+        "epilogues: 16" in done.stdout
     built = list((tmp_path / "native-cache").glob("*.so"))
-    assert len(built) == 26
+    assert len(built) == 26 + 16
