@@ -11,7 +11,9 @@ family -- recomputes each from the nest the kernel was printed from and
 reads the ``#define`` and tap-table lines back out of the text.  The
 GEMM epilogue walks no nest: :func:`verify_epilogue_unit` holds its
 literals to the conv output and the window, and its text to the fused
-unit's pooled store and scatter.
+unit's pooled store and scatter.  The SGD update unit walks none either:
+:func:`verify_update_unit` reads its no-contraction pragma and the
+order of its operations back out of its text.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from repro.check.findings import Finding
 from repro.core.convspec import ConvSpec
 from repro.native import CUnit
+from repro.nn import update_c
 from repro.sparse import codegen_c as sparse_codegen_c
 from repro.stencil import emit_c as stencil_emit_c
 from repro.stencil.loopir import LoopNest, PoolWindow
@@ -355,3 +358,68 @@ def verify_native_units(spec: ConvSpec) -> list[Finding]:
             unit, {symbol: pipeline.build_nest(spec)
                    for symbol, pipeline in pipelines.items()}, location))
     return findings
+
+
+#: The update loop's body, one statement a line: numpy's chain
+#: (:func:`repro.nn.sgd.momentum_chain`) in its order -- ``g + 0``
+#: times ``lr``, the velocity times the momentum, minus the scaled
+#: gradient, stored, added to the parameter.
+UPDATE_BODY = (
+    r"float scaled = \(g\[i\] \+ 0\.0f\) \* lr;",
+    r"float v = vel\[i\] \* momentum;",
+    r"v = v - scaled;",
+    r"vel\[i\] = v;",
+    r"param\[i\] = param\[i\] \+ v;",
+)
+
+#: Without it the repo's ``-ffp-contract=fast`` fuses ``v * m - s``.
+CONTRACTION_OFF = re.compile(
+    r'^#pragma GCC optimize \("fp-contract=off"\)$', re.MULTILINE)
+
+UPDATE_LOOP = "for (int64_t i = 0; i < n; i++) {"
+
+
+def verify_update_unit(unit: CUnit, location: str) -> list[Finding]:
+    """The SGD update unit: no literals, exactly the ``step`` export,
+    contraction turned off before any code, and a loop whose body is
+    :data:`UPDATE_BODY` -- those statements, in that order, and nothing
+    else."""
+    findings: list[Finding] = []
+
+    def error(message: str) -> None:
+        findings.append(_finding("error", location, message))
+
+    if _emitted_literals(unit, error):
+        error(f"literals {unit.literals} where the update has none")
+    if unit.kernels or unit.helpers != ("step",):
+        error(f"exports {unit.exports} are not the expected ('step',)")
+    source = unit.source
+    pragma = CONTRACTION_OFF.search(source)
+    code = source.find("#include")
+    if pragma is None or code < 0 or pragma.start() > code:
+        error("no fp-contract=off pragma ahead of the code: the compiler "
+              "may fuse the update's multiply and subtract")
+    lines = [line.strip() for line in source.splitlines()]
+    if lines.count(UPDATE_LOOP) != 1:
+        error("the text has no single update loop")
+        return findings
+    start = lines.index(UPDATE_LOOP) + 1
+    end = lines.index("}", start) if "}" in lines[start:] else len(lines)
+    body = lines[start:end]
+    if len(body) != len(UPDATE_BODY) or not all(
+            re.fullmatch(want, got) for want, got in zip(UPDATE_BODY, body)):
+        error(f"the loop body {body} is not numpy's chain in its order "
+              f"(scaled = (g + 0) * lr; v = vel * m; v = v - scaled; "
+              f"vel = v; param = param + v)")
+    return findings
+
+
+def verify_sgd_update() -> list[Finding]:
+    """Emit (printer resolved late, so tests can seed faults) and verify
+    the SGD update unit -- one per run: it has no shape."""
+    location = "sgd/update-c"
+    try:
+        unit = update_c.emit_update_c_unit()
+    except Exception as exc:  # noqa: BLE001 - report, don't crash
+        return [_finding("error", location, f"emitter failed: {exc}")]
+    return verify_update_unit(unit, location)

@@ -17,7 +17,11 @@ from typing import TYPE_CHECKING
 from repro.check.concurrency import lint_package
 from repro.check.effects import verify_networks as verify_network_effects
 from repro.check.findings import CheckReport
-from repro.check.gen_source import native_units, verify_native_units
+from repro.check.gen_source import (
+    native_units,
+    verify_native_units,
+    verify_sgd_update,
+)
 from repro.check.graph import verify_networks
 from repro.check.lifecycle import lint_lifecycle
 from repro.core.convspec import ConvSpec
@@ -111,10 +115,11 @@ def run_all(
     if "gen-source" in selected:
         for spec in specs or []:
             report.extend(verify_native_units(spec))
+        report.extend(verify_sgd_update())
         # Every spec's C units (sparse BP; stencil FP and fused; GEMM
-        # epilogue).
+        # epilogue), and the one SGD update unit.
         report.meta["native_units"] = sum(
-            len(native_units(s)) for s in specs or [])
+            len(native_units(s)) for s in specs or []) + 1
     if "graph" in selected:
         report.extend(verify_networks(networks or []))
         report.meta["networks"] = len(networks or [])

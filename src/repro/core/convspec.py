@@ -255,8 +255,9 @@ def correlation_problem(spec: ConvSpec, crop: int = 0) -> ConvSpec | None:
 @lru_cache(maxsize=256)
 def backward_data_correlation(spec: ConvSpec, crop: int = 0) -> ConvSpec | None:
     """The :func:`correlation_problem` the GEMM engines compute BP-data
-    as, or None when the adjoint form (GEMM + ``fold``) is the cheaper
-    one.  Decided from the sizes the spec holds, nothing else:
+    as, or None for the adjoint form (GEMM + ``fold``).  Decided from
+    the sizes the spec holds, nothing else, by a rule that picks the
+    faster backward on every zoo layer but not on every layer (below):
 
     * no correlation problem exists (strided, or ``crop`` beyond the
       kernel);
@@ -276,7 +277,13 @@ def backward_data_correlation(spec: ConvSpec, crop: int = 0) -> ConvSpec | None:
       (:meth:`repro.ops.engine.ConvEngine.backward`).
 
     ``benchmarks/bench_bp_data_forms.py`` times both forms on the zoo's
-    and Table 2's stride-1 specs (rows in EXPERIMENTS.md).
+    and Table 2's stride-1 specs (rows in EXPERIMENTS.md).  On three
+    Table 2 layers the rule keeps the correlation, ``Nf <= 2*Nc``,
+    although the adjoint backward measured faster (``--repeats 9``):
+    ``imagenet-22k-L2`` (250 -> 400) by 6%, ``imagenet-22k-L4``
+    (400 -> 600) by 19% and ``imagenet-1k-L3`` (192 -> 256) by 21%.
+    There BLAS's efficiency on the two GEMM shapes decides, which no
+    size rule sees.
     """
     corr = correlation_problem(spec, crop)
     if corr is None or spec.nf > 2 * spec.nc:

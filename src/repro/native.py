@@ -255,9 +255,10 @@ class Kernels:
     """The exported kernels of one loaded unit, callable on numpy arrays.
 
     Subclasses name what units may export in :attr:`EXPORTS` (symbol
-    suffix -> argument codes, ``p`` pointer, ``i`` ``int64``) and check
-    shape, dtype, contiguity and scratch capacity with :func:`require`
-    before every :meth:`call`: past it the C side trusts its literals.
+    suffix -> argument codes, ``p`` pointer, ``i`` ``int64``, ``f``
+    ``float``) and check shape, dtype, contiguity and scratch capacity
+    with :func:`require` before every :meth:`call`: past it the C side
+    trusts its literals.
     """
 
     EXPORTS: dict[str, str] = {}
@@ -268,7 +269,8 @@ class Kernels:
         self.unit = unit
         #: Names the loaded machine code (source + compiler + CPU flags).
         self.artifact = artifact
-        codes = {"p": ctypes.c_void_p, "i": ctypes.c_int64}
+        codes = {"p": ctypes.c_void_p, "i": ctypes.c_int64,
+                 "f": ctypes.c_float}
         self._functions = {}
         for suffix in unit.exports:
             try:

@@ -35,9 +35,29 @@ class DenseLayer(Layer):
         self.bias = np.zeros(out_features, dtype=np.float32)
         self.d_weights = np.zeros_like(self.weights)
         self.d_bias = np.zeros_like(self.bias)
+        # They are zeros: the first backward may write its product.
+        self._dw_owed = True
         self._cached_input: np.ndarray | None = None
-        # Where backward's ``out_error.T @ x`` lands before it is added.
-        self._dw_scratch: np.ndarray | None = None
+
+    # ``d_weights`` after :meth:`zero_grads` is *owed* zeros: the next
+    # backward writes ``out_error.T @ x`` straight into it, so the weight
+    # gradient is neither cleared nor added to.  Whoever reads it before
+    # that gets the zeros (and the next backward adds to them).
+    @property
+    def d_weights(self) -> np.ndarray:
+        if self._dw_owed:
+            self._d_weights[...] = 0.0
+            self._dw_owed = False
+        return self._d_weights
+
+    @d_weights.setter
+    def d_weights(self, array: np.ndarray) -> None:
+        self._d_weights = array
+        self._dw_owed = False
+
+    def zero_grads(self) -> None:
+        self.d_bias[...] = 0.0
+        self._dw_owed = True
 
     def structure(self) -> LayerStructure:
         return (self.kind, self.name,
@@ -66,7 +86,14 @@ class DenseLayer(Layer):
             )
         if training:
             self._cached_input = inputs
-        return inputs @ self.weights.T + self.bias
+        # ``W @ x^T`` is the faster orientation of the same BLAS product
+        # (2x at MNIST's 8x2880 . 2880x100); the bias add lays the result
+        # out C-ordered, as ``x @ W^T + b`` would, so what reduces over it
+        # downstream runs in the same order.
+        out = np.empty((inputs.shape[0], self.out_features),
+                       np.result_type(inputs, self.weights, self.bias))
+        np.add(np.matmul(self.weights, inputs.T).T, self.bias, out=out)
+        return out
 
     def backward(self, out_error: np.ndarray) -> np.ndarray:
         if self._cached_input is None:
@@ -76,11 +103,13 @@ class DenseLayer(Layer):
                 f"dense backward shape {out_error.shape} incompatible with "
                 f"({self._cached_input.shape[0]}, {self.out_features})"
             )
-        dtype = np.result_type(out_error, self._cached_input)
-        product = self._dw_scratch
-        if product is None or product.dtype != dtype:
-            product = self._dw_scratch = np.empty(self.weights.shape, dtype)
-        np.matmul(out_error.T, self._cached_input, out=product)
-        self.d_weights += product
+        x = self._cached_input
+        if self._dw_owed and \
+                self._d_weights.dtype == np.result_type(out_error, x):
+            np.matmul(out_error.T, x, out=self._d_weights)
+            self._dw_owed = False
+        else:
+            grad = self.d_weights
+            grad += out_error.T @ x
         self.d_bias += out_error.sum(axis=0)
         return out_error @ self.weights

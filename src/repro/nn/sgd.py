@@ -9,6 +9,7 @@ implement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -33,6 +34,29 @@ class StepResult:
     skipped: bool = False
 
 
+#: A trainer's native update before its first update looked for it.
+_UNRESOLVED = object()
+
+
+def momentum_chain(param: np.ndarray, vel: np.ndarray, g: np.ndarray,
+                   lr: float, momentum: float, scaled: np.ndarray) -> None:
+    """``vel = momentum * vel - lr * g; param += vel`` in place, as numpy
+    computes it, ``lr * g`` landing in the ``param``-shaped ``scaled``;
+    ``g`` is left as it is.
+
+    The reference of the native update (:mod:`repro.nn.update_c`) and
+    the path of every parameter it does not take.  ``g`` is read as
+    ``g + 0.0``: that maps ``-0.0`` to ``+0.0`` and leaves every other
+    value alone, so a gradient a BLAS call wrote fresh (which may hold a
+    ``-0.0``) updates exactly as one accumulated into a zeroed buffer.
+    """
+    np.add(g, 0.0, out=scaled)
+    scaled *= lr
+    vel *= momentum
+    vel -= scaled
+    param += vel
+
+
 class SGDTrainer:
     """Minibatch SGD with momentum."""
 
@@ -46,8 +70,11 @@ class SGDTrainer:
         self.learning_rate = learning_rate
         self.momentum = momentum
         self._velocity: dict[str, np.ndarray] = {}
-        # ``lr * update`` is computed here, one parameter at a time.
+        # The chain's ``lr * g``, one parameter at a time.
         self._scratch = np.empty(0, dtype=np.float32)
+        # The native update (repro.nn.update_c), resolved at the first
+        # update: None where no unit could be built.
+        self._unit: Any = _UNRESOLVED
         # A step's megabyte-sized temporaries must come from a heap
         # that keeps its pages (see ``runtime.backends``).
         pin_malloc_thresholds()
@@ -112,20 +139,18 @@ class SGDTrainer:
     def _update(self, loss: float, logits: np.ndarray,
                 labels: np.ndarray) -> StepResult:
         net = self.network
+        lr, momentum = self.learning_rate, self.momentum
         with telemetry.span("sgd/update"):
+            unit = self._native_update()
             for name, param, g in net.parameters():
                 vel = self._velocity.get(name)
                 if vel is None:
                     vel = np.zeros_like(param)
                     self._velocity[name] = vel
-                # vel = momentum * vel - lr * g, the product landing in
-                # the scratch instead of a fresh parameter-sized array;
-                # ``g`` is left as it is.
-                scaled = self._scratch_like(param)
-                np.multiply(g, self.learning_rate, out=scaled)
-                vel *= self.momentum
-                vel -= scaled
-                param += vel
+                if unit is None or not unit.update(param, vel, g, lr,
+                                                   momentum):
+                    momentum_chain(param, vel, g, lr, momentum,
+                                   self._scratch_like(param))
         telemetry.add("images.processed", int(labels.shape[0]))
         telemetry.add("sgd.steps", 1)
         return StepResult(
@@ -133,6 +158,21 @@ class SGDTrainer:
             accuracy=accuracy(logits, labels),
             error_sparsities=net.error_sparsities(),
         )
+
+    def _native_update(self) -> Any:
+        """The update unit, built or fetched at the first update of
+        this trainer; ``None`` -- every parameter takes the chain --
+        where none could be built, or where a coefficient is no Python
+        number (numpy would then compute the chain in its precision)."""
+        if self._unit is _UNRESOLVED:
+            self._unit = None
+            if all(type(c) in (int, float)
+                   for c in (self.learning_rate, self.momentum)):
+                from repro import native
+                from repro.nn.update_c import load_update_kernels
+
+                self._unit = native.kernels_for(load_update_kernels)[0]
+        return self._unit
 
     def _scratch_like(self, param: np.ndarray) -> np.ndarray:
         """A ``param``-shaped view of the update scratch, grown on demand."""

@@ -1257,7 +1257,9 @@ def _run_shard(replica: _Replica, job: ShardJob, index: int, lo: int,
     labels = np.array(_resolve(job.labels)[lo:hi])
     for i, handle in job.noise:
         network.layers[i].preset_noise(np.array(_resolve(handle)[lo:hi]))
-    replica.grads[:] = 0
+    # Per layer, so a dense layer's backward writes its weight gradient
+    # fresh instead of clearing it first and adding to the zeros.
+    network.zero_grads()
     logits = network.forward(inputs)
     network.backward(cross_entropy_grad(logits, labels, job.batch),
                      need_input_error=False)

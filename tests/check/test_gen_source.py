@@ -11,9 +11,12 @@ from repro.check.gen_source import (
     verify_epilogue_unit,
     verify_native_unit,
     verify_native_units,
+    verify_sgd_update,
+    verify_update_unit,
 )
 from repro.check.runner import default_specs
 from repro.core.convspec import ConvSpec
+from repro.nn import update_c
 from repro.stencil.emit_c import emit_epilogue_c_unit, emit_stencil_c_unit
 from repro.stencil.loopir import PoolWindow
 from repro.stencil.passes import Fuse, SchedulePipeline, Vectorize
@@ -459,3 +462,49 @@ class TestNativeUnit:
         assert any(f.location.endswith("-c")
                    and "emitter failed: printer exploded" in f.message
                    for f in findings), _messages(findings)
+
+
+class TestUpdateUnit:
+    """The SGD update unit is held to numpy's chain by its text: the
+    no-contraction pragma ahead of the code, the operations in the
+    chain's order, nothing else in the loop."""
+
+    def _doctored(self, old, new):
+        unit = update_c.emit_update_c_unit()
+        assert old in unit.source
+        return verify_update_unit(dataclasses.replace(
+            unit, source=unit.source.replace(old, new)), "sgd/update-c")
+
+    def test_the_printed_unit_is_clean(self):
+        assert verify_sgd_update() == []
+
+    def test_a_missing_pragma_is_caught(self):
+        assert "fp-contract=off" in _messages(
+            self._doctored(update_c.NO_CONTRACTION, ""))
+
+    def test_a_pragma_after_the_code_is_caught(self):
+        unit = update_c.emit_update_c_unit()
+        moved = unit.source.replace(update_c.NO_CONTRACTION + "\n", "") \
+            + update_c.NO_CONTRACTION + "\n"
+        assert "fp-contract=off" in _messages(verify_update_unit(
+            dataclasses.replace(unit, source=moved), "sgd/update-c"))
+
+    @pytest.mark.parametrize("old,new", [
+        # The FMA-shaped rewrite: momentum applied after the subtraction.
+        ("float v = vel[i] * momentum;\n        v = v - scaled;",
+         "float v = vel[i] - scaled / momentum;\n        v = v * momentum;"),
+        # Scaled without reading -0.0 as +0.0.
+        ("(g[i] + 0.0f) * lr", "g[i] * lr"),
+        # A statement more.
+        ("vel[i] = v;", "vel[i] = v;\n        v = v * 1.0f;"),
+    ], ids=["reordered", "unabsorbed", "extra"])
+    def test_a_body_that_is_not_the_chain_is_caught(self, old, new):
+        assert "is not numpy's chain in its order" in _messages(
+            self._doctored(old, new))
+
+    def test_an_emitter_failure_is_a_finding(self, monkeypatch):
+        def broken():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(update_c, "emit_update_c_unit", broken)
+        assert "emitter failed: boom" in _messages(verify_sgd_update())

@@ -53,8 +53,8 @@ class TestRunAll:
         assert report.ok
         assert report.meta["specs"] == 1
         # TINY's 6x6 output admits a 2x2 pool: sparse, stencil FP, fused,
-        # GEMM epilogue.
-        assert report.meta["native_units"] == 4
+        # GEMM epilogue; and the run's one SGD update unit.
+        assert report.meta["native_units"] == 5
 
     def test_default_specs_are_deduplicated_and_engine_facing(self):
         specs = default_specs(default_networks())
@@ -75,7 +75,7 @@ class TestRunAll:
         assert ANALYZER_ALIASES == {"source": "gen-source"}
         report = run_all(analyzers=("source",), specs=[TINY])
         assert report.ok
-        assert report.meta["native_units"] == 4
+        assert report.meta["native_units"] == 5
         assert "files_linted" not in report.meta
 
 

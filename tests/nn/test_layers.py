@@ -424,9 +424,9 @@ class TestDense:
         np.testing.assert_allclose(in_err, err @ layer.weights, atol=1e-6)
 
     def test_backward_accumulates_the_naive_product_bit_for_bit(self, rng):
-        # The product lands in a reused scratch before it is added; two
-        # backward calls accumulate exactly ``+= out_error.T @ x`` twice
-        # and leave their operands alone.
+        # The first backward of a fresh layer writes its product in
+        # place, the second adds to it: exactly ``+= out_error.T @ x``
+        # twice from zeros, operands left alone.
         layer = DenseLayer(6, 4, rng=rng)
         want = np.zeros_like(layer.weights)
         for batch in (5, 3):

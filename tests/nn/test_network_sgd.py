@@ -144,8 +144,8 @@ class TestSGDTrainer:
         assert trainer._velocity  # populated after first step
 
     def test_update_is_the_textbook_one_bit_for_bit(self):
-        # The update computes its products into a reusable scratch; the
-        # operations and their order are the naive expression's, and the
+        # The update (the C unit where one is built, else numpy's chain)
+        # runs the naive expression's operations in their order, and the
         # gradient arrays are still the step's gradients afterwards.
         net = tiny_net()
         data = make_dataset(8, 4, (1, 8, 8), seed=6)

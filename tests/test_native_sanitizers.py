@@ -14,9 +14,11 @@ conv layer deploys them; behind the 2/2 window with sparse BP, whose
 backward is the sparse unit's pooled export).  Every spec's GEMM
 epilogue for both windows is rebuilt (its bitwise-vs-chain self-check)
 and run forward and backward behind a GEMM FP engine, as a conv layer
-deploys it.  The narrow convs (CIFAR's first, MNIST's) run dW in the
-row order.  Any out-of-bounds access, misaligned or overflowing
-operation aborts the subprocess.
+deploys it.  The SGD update unit is rebuilt (its bitwise-vs-chain
+self-check) and updates every parameter of an MNIST training step.  The
+narrow convs (CIFAR's first, MNIST's) run dW in the row order.  Any
+out-of-bounds access, misaligned or overflowing operation aborts the
+subprocess.
 
 Needs a ``cc`` that links the sanitizer runtimes and can say where
 ``libasan.so`` is (an instrumented unit loaded into an uninstrumented
@@ -135,6 +137,17 @@ for build in (mnist_net, cifar10_net, imagenet100_net, alexnet_small):
                           pool=pool)
         assert tel.spans[-1].attrs.get("fused") == "relu+pool", spec
         exports += 1
+# The SGD update unit: its self-check, then one training step of the
+# MNIST net, whose every parameter it updates.
+from repro.nn.sgd import SGDTrainer
+net = mnist_net()
+trainer = SGDTrainer(net)
+trainer.step(rng.standard_normal((4,) + net.input_shape).astype(np.float32),
+             np.arange(4) % 10)
+assert trainer._unit is not None
+assert all(p.dtype == np.float32 and p.flags.c_contiguous
+           for _, p, _ in net.parameters())
+units += 1
 print("instrumented units:", units, "pooled exports:", exports,
       "row orders:", rows, "epilogues:", len(epilogues))
 """
@@ -178,10 +191,11 @@ def test_every_zoo_unit_is_clean_under_the_sanitizers(tmp_path):
     done = _run(_LANE, tmp_path)
     assert done.returncode == 0, done.stderr[-3000:]
     assert "Sanitizer" not in done.stderr and "runtime error" not in done.stderr
-    # 8 sparse units, and FP + two fused for the 6 stride-1 convs; the
-    # pooled export behind each of those 6; dW's row order on 2 convs;
-    # a GEMM epilogue per distinct conv output (8) and window (2).
-    assert "instrumented units: 26 pooled exports: 6 row orders: 2 " \
+    # 8 sparse units, and FP + two fused for the 6 stride-1 convs, and
+    # the SGD update unit; the pooled export behind each of those 6;
+    # dW's row order on 2 convs; a GEMM epilogue per distinct conv
+    # output (8) and window (2).
+    assert "instrumented units: 27 pooled exports: 6 row orders: 2 " \
         "epilogues: 16" in done.stdout
     built = list((tmp_path / "native-cache").glob("*.so"))
-    assert len(built) == 26 + 16
+    assert len(built) == 27 + 16
