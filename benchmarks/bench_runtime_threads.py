@@ -5,13 +5,22 @@ work distributed over worker threads.  numpy's kernels release the GIL,
 so the measured ratio should not collapse; the assertion is conservative
 (parallel no slower than 1.5x serial) because CI hosts vary, and it
 carries the ``wallclock`` marker: deselected by default, run by
-``-m wallclock``.
+``-m wallclock``.  So does the barrier-vs-DAG comparison of summed
+worker idle time (:mod:`repro.obs.idle`, EXPERIMENTS.md "Comparing
+barrier vs DAG idle time").
 """
+
+import os
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.convspec import ConvSpec
+from repro.data.synthetic import mnist_like
+from repro.nn.training_loop import TrainingLoop
+from repro.nn.zoo import mnist_net
+from repro.obs.idle import total_worker_idle
 from repro.ops.engine import make_engine
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.pool import WorkerPool
@@ -72,3 +81,23 @@ def test_threading_does_not_collapse(benchmark, show):
         f"(speedup {t_serial / t_parallel:.2f}x)"
     )
     assert t_parallel < 1.5 * t_serial
+
+
+@pytest.mark.wallclock
+@pytest.mark.skipif(os.cpu_count() < 2,
+                    reason="idle win needs real hardware concurrency")
+def test_dag_idles_less_than_barrier():
+    """With 2 workers on >= 2 cores, summed worker idle gaps under the
+    DAG stay below the barrier path's."""
+    idle = {}
+    for scheduler in ("barrier", "dag"):
+        network = mnist_net(scale=1.0, rng=np.random.default_rng(0),
+                            threads=2, backend="thread")
+        loop = TrainingLoop(network, mnist_like(64, seed=0), batch_size=16,
+                            scheduler=scheduler, preflight=False)
+        with telemetry.collect() as tel:
+            loop.run(1)
+        for layer in network.conv_layers():
+            layer.close()
+        idle[scheduler] = total_worker_idle(tel)
+    assert idle["dag"] < idle["barrier"]

@@ -15,7 +15,8 @@ Run with:  python examples/quickstart.py
 import numpy as np
 
 from repro import Autotuner, ConvSpec, characterize, make_engine
-from repro.machine import ModelCostBackend, xeon_e5_2650
+from repro.machine.cost_backend import ModelCostBackend
+from repro.machine.spec import xeon_e5_2650
 
 
 def main() -> None:

@@ -19,7 +19,8 @@ import numpy as np
 
 from repro import SGDTrainer, SpgCNN
 from repro.data.synthetic import make_dataset
-from repro.machine import ModelCostBackend, xeon_e5_2650
+from repro.machine.cost_backend import ModelCostBackend
+from repro.machine.spec import xeon_e5_2650
 from repro.nn.zoo import cifar10_net
 
 

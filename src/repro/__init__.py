@@ -10,58 +10,61 @@ Public API highlights:
 * :class:`repro.SpgCNN` -- the optimization framework: plans, deploys and
   re-tunes the fastest engine per layer and phase of a network.
 * :mod:`repro.machine` -- the analytical model of the paper's machine
-  (``xeon_e5_2650``, ``ModelCostBackend``), which the paper book prices
-  with; :mod:`repro.analysis.figures` regenerates every table/figure.
-  Training never imports it.
+  (``repro.machine.spec.xeon_e5_2650``,
+  ``repro.machine.cost_backend.ModelCostBackend``), which the paper book
+  prices with; :mod:`repro.analysis.figures` regenerates every
+  table/figure.  Training never imports it.
+
+``import repro`` imports nothing else: each top-level name loads its
+defining module on first access (:data:`_EXPORTS`), so ``import
+repro.cli`` or a spawned worker pays only for the modules its run
+executes.
 """
 
-from repro.check import CheckReport, Finding
-from repro.core.autotuner import Autotuner, MeasuredCostBackend
-from repro.core.characterization import Region, characterize, classify
-from repro.core.convspec import ConvSpec, square_conv
-from repro.core.framework import SpgCNN
-from repro.core.goodput import GoodputReport, dense_goodput_bound, measure_sparsity
-from repro.core.plan import ExecutionPlan, LayerPlan
-from repro.nn.netdef import build_network, network_from_text
-from repro.nn.network import Network
-from repro.nn.sgd import SGDTrainer
-from repro.nn.training_loop import TrainingLoop
-from repro.runtime.parallel import ParallelExecutor
-from repro.runtime.pool import WorkerPool
-from repro.ops.engine import ConvEngine, engine_names, make_engine
-from repro.telemetry import TelemetryCollector
+from __future__ import annotations
 
-# Importing the engine modules registers them with make_engine.
-import repro.nn.layers.conv  # noqa: F401
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CheckReport",
-    "Finding",
-    "ConvSpec",
-    "square_conv",
-    "Region",
-    "characterize",
-    "classify",
-    "GoodputReport",
-    "dense_goodput_bound",
-    "measure_sparsity",
-    "ConvEngine",
-    "engine_names",
-    "make_engine",
-    "Autotuner",
-    "MeasuredCostBackend",
-    "ExecutionPlan",
-    "LayerPlan",
-    "SpgCNN",
-    "Network",
-    "build_network",
-    "network_from_text",
-    "SGDTrainer",
-    "TrainingLoop",
-    "ParallelExecutor",
-    "WorkerPool",
-    "TelemetryCollector",
-    "__version__",
-]
+#: Each top-level name and the module that defines it.
+_EXPORTS = {
+    "CheckReport": "repro.check.findings",
+    "Finding": "repro.check.findings",
+    "ConvSpec": "repro.core.convspec",
+    "square_conv": "repro.core.convspec",
+    "Region": "repro.core.characterization",
+    "characterize": "repro.core.characterization",
+    "classify": "repro.core.characterization",
+    "GoodputReport": "repro.core.goodput",
+    "dense_goodput_bound": "repro.core.goodput",
+    "measure_sparsity": "repro.core.goodput",
+    "ConvEngine": "repro.ops.engine",
+    "engine_names": "repro.ops.engine",
+    "make_engine": "repro.ops.engine",
+    "Autotuner": "repro.core.autotuner",
+    "MeasuredCostBackend": "repro.core.autotuner",
+    "ExecutionPlan": "repro.core.plan",
+    "LayerPlan": "repro.core.plan",
+    "SpgCNN": "repro.core.framework",
+    "Network": "repro.nn.network",
+    "build_network": "repro.nn.netdef",
+    "network_from_text": "repro.nn.netdef",
+    "SGDTrainer": "repro.nn.sgd",
+    "TrainingLoop": "repro.nn.training_loop",
+    "ParallelExecutor": "repro.runtime.parallel",
+    "WorkerPool": "repro.runtime.pool",
+    "TelemetryCollector": "repro.telemetry.collector",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -1,5 +1,1 @@
 """Experiment regeneration and reporting."""
-
-from repro.analysis.reporting import format_series, format_table
-
-__all__ = ["format_series", "format_table"]

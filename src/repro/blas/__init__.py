@@ -1,13 +1,1 @@
 """A small BLAS: blocked GEMM, Parallel-GEMM and CSR sparse routines."""
-
-from repro.blas.gemm import BlockingParams, gemm, parallel_gemm
-from repro.blas.sparse import CSRMatrix, csr_from_dense, csr_matmul_dense
-
-__all__ = [
-    "BlockingParams",
-    "gemm",
-    "parallel_gemm",
-    "CSRMatrix",
-    "csr_from_dense",
-    "csr_matmul_dense",
-]

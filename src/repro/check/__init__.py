@@ -22,29 +22,14 @@ instead of as silent numerical corruption mid-training:
   analyzer over the shm-owning runtime modules (use-after-release,
   orphaned owners, unlink-by-attacher, registry evictions that leak).
 
+Like every package ``__init__`` here, this one imports nothing: the
+training pre-flight loads :mod:`repro.check.graph` alone.
+
 Usage::
 
-    from repro import check
+    from repro.check.runner import run_all
 
-    report = check.run_all()        # or: python -m repro check
+    report = run_all()              # or: python -m repro check
     if not report.ok:
         report.raise_if_errors()    # CheckError naming every violation
 """
-
-from typing import Any
-
-from repro.check.findings import SEVERITIES, CheckReport, Finding
-
-
-def run_all(**kwargs: Any) -> CheckReport:
-    """Run every analyzer over the default corpus; see ``runner.run_all``.
-
-    Imported lazily so ``repro.check`` stays cheap to import from the
-    training path's pre-flight hook.
-    """
-    from repro.check.runner import run_all as _run_all
-
-    return _run_all(**kwargs)
-
-
-__all__ = ["CheckReport", "Finding", "SEVERITIES", "run_all"]

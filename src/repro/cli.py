@@ -42,6 +42,11 @@ or netdef that cannot be built -- reported through argparse).
 
 The wall-clock benchmark is the host book (``hostbook/run.py``), not a
 subcommand.
+
+Each command imports what it runs inside its ``_cmd_*`` function, and
+the parser is built from literal name tuples (``tests/test_surface.py``
+holds them equal to the registries they name), so ``repro train``
+never loads the ``check`` analyzers.
 """
 
 from __future__ import annotations
@@ -49,24 +54,29 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.analysis.reporting import format_series, format_table
-from repro.check.runner import ANALYZER_ALIASES as _ANALYZER_ALIASES
-from repro.check.runner import ANALYZERS as _ANALYZERS
-from repro.core.autotuner import Autotuner
-from repro.core.characterization import characterize
-from repro.core.convspec import ConvSpec
 from repro.errors import ReproError
-from repro.nn.netdef import network_from_text
-from repro.nn.network import Network
-from repro.ops.engine import engine_names
-from repro.runtime.backends import BACKEND_NAMES as _BACKENDS
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.convspec import ConvSpec
+    from repro.nn.network import Network
 
 #: The paper's exhibits, each rendered by the :mod:`repro.analysis.figures`
 #: function of the same name (``fig4a`` -> ``figure4a``).  Names only, so
 #: building the parser loads no model.
 _FIGURES = ("table1", "table2", "fig3a", "fig4a", "fig4b", "fig4c", "fig4d",
             "fig4e", "fig4f", "fig9")
+
+#: ``repro.runtime.backends.BACKEND_NAMES``.
+_BACKENDS = ("serial", "thread", "process")
+
+#: ``repro.check.runner.ANALYZERS`` and ``ANALYZER_ALIASES``.
+_ANALYZERS = ("gen-source", "graph", "effects", "concurrency", "lifecycle")
+_ANALYZER_ALIASES = {"source": "gen-source"}
+
+#: ``repro.resilience.faults.plan_names()`` + ``REAL_KILL_PLANS``.
+_CHAOS_PLANS = ("none", "numeric", "smoke", "workers", "hang", "kill9")
 
 
 def _analyzer_list(text: str) -> tuple[str, ...]:
@@ -144,6 +154,8 @@ def _dims_spec(args, parser: argparse.ArgumentParser) -> ConvSpec:
     """The square convolution named by the ``Nx Nf Nc Fx`` positionals;
     one that cannot exist (a kernel larger than the input) is a usage
     error."""
+    from repro.core.convspec import ConvSpec
+
     n, f = args.Nx, args.Fx
     try:
         spec = ConvSpec(nc=args.Nc, ny=n, nx=n, nf=args.Nf, fy=f, fx=f,
@@ -156,6 +168,8 @@ def _dims_spec(args, parser: argparse.ArgumentParser) -> ConvSpec:
 def _load_netdef(path: Path, parser: argparse.ArgumentParser) -> Network:
     """The network of a netdef file; an unreadable or malformed file is a
     usage error."""
+    from repro.nn.netdef import network_from_text
+
     try:
         return network_from_text(path.read_text())
     except (ReproError, OSError, ValueError) as exc:
@@ -209,16 +223,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      out_help="write the findings report (JSON, or SARIF "
                               "with --format sarif)")
 
-    from repro.resilience import plan_names
-    from repro.resilience.faults import REAL_KILL_PLANS
-
     chaos = sub.add_parser(
         "chaos",
         help="train a small job under a fault plan and report survival",
     )
-    chaos.add_argument("--plan",
-                       choices=plan_names() + tuple(REAL_KILL_PLANS),
-                       default="smoke")
+    chaos.add_argument("--plan", choices=_CHAOS_PLANS, default="smoke")
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--epochs", type=_positive_int, default=3)
     chaos.add_argument("--batch", type=_positive_int, default=8)
@@ -286,6 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _render_exhibit(name: str) -> str:
     from repro.analysis import figures
+    from repro.analysis.reporting import format_series, format_table
 
     data = getattr(figures, name.replace("fig", "figure"))()
     if "rows" in data:
@@ -328,6 +338,8 @@ def _cmd_explain(args, out) -> int:
 
 
 def _cmd_characterize(args, out) -> int:
+    from repro.core.characterization import characterize
+
     spec = args.spec
     ch = characterize(spec, sparsity=args.sparsity)
     print(spec.describe(), file=out)
@@ -341,7 +353,10 @@ def _cmd_characterize(args, out) -> int:
 
 
 def _cmd_plan(args, out) -> int:
-    from repro.machine import ModelCostBackend, xeon_e5_2650
+    from repro.analysis.reporting import format_table
+    from repro.core.autotuner import Autotuner
+    from repro.machine.cost_backend import ModelCostBackend
+    from repro.machine.spec import xeon_e5_2650
 
     network = args.network
     tuner = Autotuner(
@@ -478,6 +493,7 @@ def _cmd_chaos(args, out) -> int:
 def _cmd_shm(args, out) -> int:
     import json as json_module
 
+    from repro.analysis.reporting import format_table
     from repro.runtime import shm as shm_module
 
     reaped = shm_module.reap_orphans() if args.action == "reap" else ()
@@ -525,6 +541,7 @@ def _cmd_shm(args, out) -> int:
 def _cmd_workers(args, out) -> int:
     import json as json_module
 
+    from repro.analysis.reporting import format_table
     from repro.runtime.backends import ProcessBackend, worker_diagnostics
 
     backend = ProcessBackend(args.workers)
@@ -633,6 +650,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     if args.command == "workers":
         return _cmd_workers(args, out)
     if args.command == "engines":
+        from repro.ops.engine import engine_names
+
         for name in engine_names():
             print(name, file=out)
         return 0

@@ -1,17 +1,1 @@
 """Core of the spg-CNN framework: characterization, plans and autotuning."""
-
-from repro.core.characterization import Region, characterize, classify, region_pair
-from repro.core.convspec import ConvSpec, square_conv
-from repro.core.goodput import GoodputReport, dense_goodput_bound, measure_sparsity
-
-__all__ = [
-    "ConvSpec",
-    "square_conv",
-    "Region",
-    "characterize",
-    "classify",
-    "region_pair",
-    "GoodputReport",
-    "dense_goodput_bound",
-    "measure_sparsity",
-]

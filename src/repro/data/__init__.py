@@ -1,20 +1,1 @@
 """Benchmark tables, synthetic datasets and sparsity measurement."""
-
-from repro.data.synthetic import Dataset, make_dataset
-from repro.data.tables import (
-    BENCHMARK_ORDER,
-    TABLE1_CONVS,
-    TABLE2_LAYERS,
-    benchmark_layers,
-    table1_conv,
-)
-
-__all__ = [
-    "TABLE1_CONVS",
-    "TABLE2_LAYERS",
-    "BENCHMARK_ORDER",
-    "table1_conv",
-    "benchmark_layers",
-    "Dataset",
-    "make_dataset",
-]

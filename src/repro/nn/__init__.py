@@ -1,13 +1,1 @@
 """The CNN training stack: layers, networks, SGD and the model zoo."""
-
-from repro.nn.netdef import build_network, network_from_text, parse_netdef
-from repro.nn.network import Network
-from repro.nn.sgd import SGDTrainer
-
-__all__ = [
-    "Network",
-    "SGDTrainer",
-    "build_network",
-    "network_from_text",
-    "parse_netdef",
-]

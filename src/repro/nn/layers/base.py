@@ -42,10 +42,11 @@ class Layer(ABC):
         """What rebuilds this layer without its parameters or its pool.
 
         A picklable, hashable ``(kind, name, options)`` triple:
-        ``LAYER_KINDS[kind](name=name, **dict(options))`` constructs an
-        inline layer computing the same function once the parameter
-        arrays are rebound (:meth:`bind_params`).  The sharded training
-        step ships it to the workers, whose replicas are cached under
+        ``LAYER_KINDS[kind](name=name, **dict(options))``
+        (:data:`repro.nn.network.LAYER_KINDS`) constructs an inline layer
+        computing the same function once the parameter arrays are
+        rebound (:meth:`bind_params`).  The sharded training step ships
+        it to the workers, whose replicas are cached under
         it -- so it must change whenever the computation does (a conv
         layer's options carry the engines deployed right now).
         """

@@ -73,17 +73,19 @@ from repro.ops.engine import ConvEngine, NativeLowering, make_engine
 from repro.ops.workspace import Workspace
 from repro.resilience import faults
 from repro.resilience.quarantine import QuarantineRegistry, default_registry
-from repro.runtime.parallel import ParallelExecutor
-from repro.runtime.pool import WorkerPool
 from repro.sparse.engine import SparseBPEngine
 from repro.stencil.loopir import PoolWindow
 
-# Engine modules register themselves on import.
+# Every engine class exists once a conv layer does (make_engine would
+# load them at first use; a profiler wrapping ConvEngine subclasses
+# needs them now).
 import repro.ops.gemm_conv  # noqa: F401
 import repro.ops.reference_engine  # noqa: F401
 import repro.stencil.engine  # noqa: F401
 
-if TYPE_CHECKING:  # pragma: no cover - loaded only where a unit is built
+if TYPE_CHECKING:  # pragma: no cover - loaded only where used
+    from repro.runtime.parallel import ParallelExecutor
+    from repro.runtime.pool import WorkerPool
     from repro.stencil.emit_c import NativeEpilogueKernels, NativeStencilKernels
 
     FusedUnit = NativeStencilKernels | NativeEpilogueKernels
@@ -151,6 +153,8 @@ class ConvLayer(Layer):
 
     def _build_pool(self) -> WorkerPool | None:
         if self.threads and self.threads > 1:
+            from repro.runtime.pool import WorkerPool
+
             return WorkerPool(self.threads, backend=self.backend)
         return None
 
@@ -158,6 +162,8 @@ class ConvLayer(Layer):
         # The reference fallback takes no tuning knobs.
         kwargs = {} if engine_name == FALLBACK_ENGINE else {"num_cores": self.num_cores}
         if self._pool is not None:
+            from repro.runtime.parallel import ParallelExecutor
+
             return ParallelExecutor(
                 engine_name, self.padded_spec, pool=self._pool, **kwargs
             )

@@ -38,7 +38,6 @@ from repro.nn.layers.extras import (
 )
 from repro.nn.layers.pool import MaxPoolLayer
 from repro.nn.network import Network
-from repro.runtime.pool import WorkerPool
 
 
 def _require(layer_def: dict, key: str, layer_type: str):
@@ -68,8 +67,11 @@ def build_network(
     shuts it down.
     """
     rng = rng or np.random.default_rng(0)
-    pool = (WorkerPool(threads, backend=backend)
-            if threads and threads > 1 else None)
+    pool = None
+    if threads and threads > 1:
+        from repro.runtime.pool import WorkerPool
+
+        pool = WorkerPool(threads, backend=backend)
     input_shape = tuple(int(v) for v in _require(definition, "input", "network"))
     if len(input_shape) != 3:
         raise ShapeError(f"network input must be [C, Y, X], got {input_shape}")

@@ -2,17 +2,34 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from repro import telemetry
 from repro.errors import ShapeError
-from repro.nn.layers.activations import ReLULayer
+from repro.nn.layers.activations import FlattenLayer, ReLULayer
 from repro.nn.layers.base import Layer, LayerStructure
 from repro.nn.layers.conv import ConvLayer, ReplicaConvLayer
+from repro.nn.layers.dense import DenseLayer
+from repro.nn.layers.extras import (
+    AvgPoolLayer,
+    DropoutLayer,
+    LocalResponseNormLayer,
+)
 from repro.nn.layers.pool import MaxPoolLayer
-from repro.runtime.parallel import ShardedStep
+
+if TYPE_CHECKING:  # pragma: no cover - built only for a pooled network
+    from repro.runtime.parallel import ShardedStep
+
+#: Every layer kind, by the ``kind`` its :meth:`Layer.structure` names:
+#: what rebuilds a network's layer chain from its structure.
+LAYER_KINDS: dict[str, type[Layer]] = {
+    cls.kind: cls
+    for cls in (ConvLayer, ReLULayer, MaxPoolLayer,
+                AvgPoolLayer, LocalResponseNormLayer, DropoutLayer,
+                FlattenLayer, DenseLayer)
+}
 
 
 class Network:
@@ -89,8 +106,6 @@ class Network:
         -- a unit other than the planned one among them -- instead of
         recording them (:class:`ReplicaConvLayer`).
         """
-        from repro.nn.layers import LAYER_KINDS
-
         kinds = {**LAYER_KINDS, ConvLayer.kind: ReplicaConvLayer}
         return cls([kinds[kind](name=name, **dict(options))
                     for kind, name, options in structure], input_shape)
@@ -109,6 +124,8 @@ class Network:
                 break
         else:
             return None
+        from repro.runtime.parallel import ShardedStep
+
         sharder = self._sharder
         if sharder is None or sharder.pool is not pool:
             if sharder is not None:

@@ -9,7 +9,7 @@ implement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -18,8 +18,10 @@ from repro.errors import ReproError
 from repro.nn.losses import accuracy, check_labels, softmax_cross_entropy
 from repro.nn.network import Network
 from repro.resilience import faults
-from repro.runtime.backends import pin_malloc_thresholds
-from repro.runtime.parallel import ShardedStep
+from repro.runtime.heap import pin_malloc_thresholds
+
+if TYPE_CHECKING:  # pragma: no cover - built by Network.step_sharder
+    from repro.runtime.parallel import ShardedStep
 
 
 @dataclass
@@ -76,7 +78,7 @@ class SGDTrainer:
         # update: None where no unit could be built.
         self._unit: Any = _UNRESOLVED
         # A step's megabyte-sized temporaries must come from a heap
-        # that keeps its pages (see ``runtime.backends``).
+        # that keeps its pages (see ``runtime.heap``).
         pin_malloc_thresholds()
 
     def step(self, inputs: np.ndarray, labels: np.ndarray) -> StepResult:

@@ -35,12 +35,6 @@ from repro import telemetry
 from repro.data.synthetic import Dataset
 from repro.errors import ReproError
 from repro.nn.network import Network
-from repro.nn.serialize import (
-    TrainingState,
-    load_state,
-    save_state,
-    state_position,
-)
 from repro.nn.sgd import SGDTrainer, StepResult
 
 
@@ -210,6 +204,8 @@ class TrainingLoop:
         return self._completed_epochs + 1, self._progress.batches
 
     def _save_state(self, path: Path) -> None:
+        from repro.nn.serialize import TrainingState, save_state
+
         epoch, batches_done = self.position
         state = TrainingState(
             epoch=epoch,
@@ -237,6 +233,8 @@ class TrainingLoop:
         bit-identical to one that was never interrupted.  Returns the
         restored position ``(epoch, batches_done)``.
         """
+        from repro.nn.serialize import load_state
+
         state = load_state(
             self.network, path, trainer=self.trainer, rng=self._shuffle_rng
         )
@@ -266,6 +264,8 @@ class TrainingLoop:
         """
         if self.checkpoint_dir is None:
             raise ReproError("this loop has no checkpoint_dir configured")
+        from repro.nn.serialize import state_position
+
         candidates = [*self.checkpoint_dir.glob("epoch-*.npz"),
                       self.journal_path]
         positioned = [(position, path) for path in candidates

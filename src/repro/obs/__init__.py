@@ -16,34 +16,3 @@ events); this package turns one collected run into its reports:
 * :mod:`repro.obs.critical` -- DAG critical-path analysis and goodput
   attribution over ``scheduler="dag"`` steps.
 """
-
-from repro.obs.chrome_trace import (
-    chrome_trace_dict,
-    chrome_trace_events,
-    write_chrome_trace,
-)
-from repro.obs.critical import (
-    CriticalPathReport,
-    critical_path_report,
-)
-from repro.obs.idle import (
-    total_worker_idle,
-    total_worker_process_idle,
-    worker_idle_times,
-    worker_process_idle,
-)
-from repro.obs.monitor import RunReport, TrainingMonitor
-
-__all__ = [
-    "CriticalPathReport",
-    "RunReport",
-    "TrainingMonitor",
-    "chrome_trace_dict",
-    "chrome_trace_events",
-    "critical_path_report",
-    "total_worker_idle",
-    "total_worker_process_idle",
-    "worker_idle_times",
-    "worker_process_idle",
-    "write_chrome_trace",
-]

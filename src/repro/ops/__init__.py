@@ -1,5 +1,1 @@
 """Convolution execution engines and shared tensor operations."""
-
-from repro.ops.engine import ConvEngine, engine_names, make_engine
-
-__all__ = ["ConvEngine", "engine_names", "make_engine"]

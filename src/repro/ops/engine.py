@@ -33,6 +33,7 @@ both, see :mod:`repro.ops.gemm_conv`).
 
 from __future__ import annotations
 
+import importlib
 from abc import ABC, abstractmethod
 from typing import Any, Callable
 
@@ -191,6 +192,19 @@ class NativeLowering:
 
 _ENGINE_FACTORIES: dict[str, Callable[..., ConvEngine]] = {}
 
+#: The modules whose ``@register_engine`` classes fill the registry.
+#: :func:`engine_names` and :func:`make_engine` import them before they
+#: read it, so no caller has to know where an engine is defined.
+ENGINE_MODULES = ("repro.ops.gemm_conv", "repro.ops.reference_engine",
+                  "repro.sparse.engine", "repro.stencil.engine")
+
+
+def _factories() -> dict[str, Callable[..., ConvEngine]]:
+    """The registry, every engine module imported."""
+    for module in ENGINE_MODULES:
+        importlib.import_module(module)
+    return _ENGINE_FACTORIES
+
 
 def register_engine(name: str) -> Callable[[type], type]:
     """Class decorator registering an engine under ``name``."""
@@ -205,13 +219,13 @@ def register_engine(name: str) -> Callable[[type], type]:
 
 def engine_names() -> tuple[str, ...]:
     """All registered engine names, sorted."""
-    return tuple(sorted(_ENGINE_FACTORIES))
+    return tuple(sorted(_factories()))
 
 
 def make_engine(name: str, spec: ConvSpec, **kwargs) -> ConvEngine:
     """Instantiate the engine registered under ``name`` for ``spec``."""
     try:
-        factory = _ENGINE_FACTORIES[name]
+        factory = _factories()[name]
     except KeyError:
         raise PlanError(f"unknown engine {name!r}; known: {engine_names()}") from None
     return factory(spec, **kwargs)

@@ -19,48 +19,6 @@ three fault-handling substrates the rest of the stack builds on:
   around it.
 
 The chaos harness (:mod:`repro.resilience.chaos`, ``python -m repro
-chaos``) is imported lazily by the CLI to keep this package free of
-heavyweight nn imports.
+chaos``) is the fourth module.  Like every package ``__init__`` here,
+this one imports nothing.
 """
-
-from repro.resilience.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    active_injector,
-    corrupt_array,
-    get_plan,
-    inject,
-    perturb,
-    plan_names,
-)
-from repro.resilience.policy import (
-    RetryPolicy,
-    active_policy,
-    apply_policy,
-    run_supervised,
-)
-from repro.resilience.quarantine import (
-    QuarantineRecord,
-    QuarantineRegistry,
-    default_registry,
-)
-
-__all__ = [
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "QuarantineRecord",
-    "QuarantineRegistry",
-    "RetryPolicy",
-    "active_injector",
-    "active_policy",
-    "apply_policy",
-    "corrupt_array",
-    "default_registry",
-    "get_plan",
-    "inject",
-    "perturb",
-    "plan_names",
-    "run_supervised",
-]

@@ -1,44 +1,1 @@
 """Parallel execution of the spg-CNN engines over pluggable backends."""
-
-from repro.runtime.backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    make_backend,
-)
-from repro.runtime.dag import (
-    SCHEDULER_NAMES,
-    DagScheduler,
-    NetworkDagRunner,
-    TaskGraph,
-    TaskNode,
-    validate_scheduler,
-)
-from repro.runtime.parallel import ParallelExecutor, SliceTask
-from repro.runtime.pool import WorkerPool, default_worker_count
-from repro.runtime.shm import SharedArray, ShmArena, ShmDescriptor, owned_segments
-
-__all__ = [
-    "BACKEND_NAMES",
-    "DagScheduler",
-    "ExecutionBackend",
-    "NetworkDagRunner",
-    "ParallelExecutor",
-    "ProcessBackend",
-    "SCHEDULER_NAMES",
-    "SerialBackend",
-    "SharedArray",
-    "ShmArena",
-    "ShmDescriptor",
-    "SliceTask",
-    "TaskGraph",
-    "TaskNode",
-    "ThreadBackend",
-    "WorkerPool",
-    "default_worker_count",
-    "make_backend",
-    "owned_segments",
-    "validate_scheduler",
-]

@@ -69,20 +69,12 @@ to 1 unless the parent's environment already sets them -- N workers x M
 BLAS threads oversubscribe the host.  :func:`worker_diagnostics` and the
 ``worker/step_shard`` span report what each worker runs under.
 
-Heap: a training step allocates and frees a few dozen 1-4 MB arrays.
-Under glibc's defaults those sizes straddle the *dynamic* mmap and trim
-thresholds, so the same step keeps mapping, faulting in and returning
-the same pages (2515 minor faults, 5-7 ms of system time per
-``cifar10_net`` step at batch 16).  :func:`pin_malloc_thresholds` --
-called by every trainer and every spawned worker -- fixes both
-thresholds above the step's working set, after which the heap reaches
-its steady size in the first steps and stops faulting.  Off glibc it
-does nothing.
+Heap: every spawned worker, like every trainer, pins glibc's malloc
+thresholds first (:func:`repro.runtime.heap.pin_malloc_thresholds`).
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 import pickle
@@ -100,6 +92,7 @@ import numpy as np
 from repro import telemetry
 from repro.errors import ReproError
 from repro.runtime import shm
+from repro.runtime.heap import pin_malloc_thresholds
 from repro.telemetry import remote
 
 #: Names accepted by ``WorkerPool(backend=...)``.
@@ -108,15 +101,6 @@ BACKEND_NAMES = ("serial", "thread", "process")
 #: The BLAS thread-count variables the runtime pins for its workers.
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                    "MKL_NUM_THREADS")
-
-#: glibc ``mallopt`` parameters the runtime pins, ``name: (param, bytes)``.
-#: Both, always: setting one switches glibc's dynamic adjustment off and
-#: freezes the *other* at its 128 KiB default, which triples the faults.
-#: 32 MiB is the largest mmap threshold glibc accepts on 64-bit.
-MALLOC_THRESHOLDS = {"mmap": (-3, 32 << 20), "trim": (-1, 512 << 20)}
-
-#: What :func:`pin_malloc_thresholds` did in this process (None: not yet).
-_malloc_state: str | None = None
 
 #: Floor under every measured task deadline, in seconds.  CI hosts are
 #: oversubscribed and a single slow task must not read as a hang.
@@ -159,7 +143,7 @@ class WorkerCrashedError(ReproError):
 
 
 def _portable_error(exc: BaseException) -> BaseException:
-    """An exception safe to send over the result queue."""
+    """An exception safe to send over the result pipe."""
     try:
         pickle.loads(pickle.dumps(exc))
         return exc
@@ -181,31 +165,24 @@ def _worker_main(requests: Any, results: Any) -> None:
     the ``telemetry.*`` calls ``fn`` makes append to a fresh record list,
     which the result message carries home as its last field.
 
-    ``results`` is this worker's **private** pipe end.  A shared result
-    queue would put a lock in shared memory between all workers -- a
-    worker SIGKILL'd mid-``put`` would die holding it and every sibling
-    (and the parent's shutdown sentinel) would block on that dead lock
-    forever.  One pipe per worker means a hard kill can only ever poison
-    the dead worker's own channel, which the parent detects as EOF.
+    ``requests`` and ``results`` are this worker's **private** one-way
+    pipe ends, and neither holds a lock in shared memory: a queue's
+    semaphores would die with a SIGKILL'd worker -- leaked, or held
+    forever by a worker killed mid-``put`` so that every sibling (and the
+    parent's shutdown sentinel) blocks on them.  A hard kill can only
+    ever break the dead worker's own pipes, which the parent detects as
+    EOF on the result end.  The parent is the request pipe's only writer
+    (a spawned worker inherits no copy of it), so a dead parent, even a
+    SIGKILL'd one, closes it and ``recv`` raises ``EOFError``.
     """
     pin_malloc_thresholds()
-    # Drop this process's inherited copy of the request queue's write
-    # end, mirroring the parent dropping its copy of the result send
-    # end.  The parent is then the pipe's only writer, so a dead parent
-    # (even SIGKILL'd) closes it and get() raises EOFError; with the
-    # copy still open the worker keeps its own pipe alive and blocks in
-    # get() forever as an orphan.
-    try:
-        requests._writer.close()
-    except (AttributeError, OSError):  # pragma: no cover - impl drift
-        pass
     try:
         results.send_bytes(_HELLO)
     except (BrokenPipeError, OSError):  # pragma: no cover - parent died
         return
     while True:
         try:
-            item = requests.get()
+            item = requests.recv()
         except (EOFError, OSError):
             # Parent died and took its end of the pipe with it; exit so
             # a hard-killed parent does not strand orphan workers.
@@ -274,13 +251,16 @@ class _Job:
 class _Worker:
     """Parent-side record of one spawned worker process."""
 
-    __slots__ = ("process", "requests", "results", "outstanding", "slot",
-                 "escalating", "spawned", "heard")
+    __slots__ = ("process", "requests", "send_lock", "results",
+                 "outstanding", "slot", "escalating", "spawned", "heard")
 
     def __init__(self, process: Any, requests: Any, results: Any,
                  slot: int, spawned: float) -> None:
         self.process = process
+        #: Parent's write end of this worker's private request pipe, and
+        #: the lock the dispatcher threads sharing it write under.
         self.requests = requests
+        self.send_lock = threading.Lock()
         #: Parent's receive end of this worker's private result pipe.
         self.results = results
         self.outstanding: set[int] = set()
@@ -296,6 +276,23 @@ class _Worker:
         #: latest message (its hello, then each result); ``None`` while
         #: the worker is still booting.
         self.heard: float | None = None
+
+    def send(self, item: Any) -> None:
+        """Write one request on this worker's pipe.
+
+        A worker that died before reading it broke the pipe; the sweep
+        reaps it and re-dispatches what it held, so that is no error.
+        """
+        with self.send_lock:
+            try:
+                self.requests.send(item)
+            except OSError:
+                pass
+
+    def close(self) -> None:
+        """Close the parent's end of the request pipe."""
+        with self.send_lock:
+            self.requests.close()
 
 
 class ExecutionBackend:
@@ -333,7 +330,7 @@ class ThreadBackend(ExecutionBackend):
 
 
 class ProcessBackend(ExecutionBackend):
-    """Persistent spawned worker processes fed over queues.
+    """Persistent spawned worker processes fed over private pipes.
 
     ``call`` is thread-safe: each dispatcher thread ships its job to the
     least-loaded live worker and blocks for the round-trip.  A worker
@@ -474,17 +471,20 @@ class ProcessBackend(ExecutionBackend):
         return _Env()
 
     def _spawn_worker(self, slot: int) -> _Worker:
-        requests = self._ctx.SimpleQueue()
+        request_end, request_writer = self._ctx.Pipe(duplex=False)
         recv_end, send_end = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
-            target=_worker_main, args=(requests, send_end), daemon=True,
+            target=_worker_main, args=(request_end, send_end), daemon=True,
         )
         spawned = time.monotonic()
         process.start()
-        # Drop the parent's copy of the send end: the pipe must hit EOF
-        # (worker death detection) as soon as the worker's copy closes.
+        # Drop the parent's copies of the worker's ends: the result pipe
+        # must hit EOF (worker death detection) as soon as the worker's
+        # copy closes, and a write to a dead worker's request pipe must
+        # fail instead of filling a buffer nobody reads.
+        request_end.close()
         send_end.close()
-        worker = _Worker(process, requests, recv_end, slot, spawned)
+        worker = _Worker(process, request_writer, recv_end, slot, spawned)
         self._result_conns[recv_end] = worker
         return worker
 
@@ -499,10 +499,7 @@ class ProcessBackend(ExecutionBackend):
         # while the table is being torn down underneath it.
         self._closed = True
         for worker in self._workers:
-            try:
-                worker.requests.put(None)
-            except Exception:  # pragma: no cover - queue already broken
-                pass
+            worker.send(None)
         for worker in self._workers:
             worker.process.join(timeout=self.shutdown_join)
             if worker.process.is_alive():
@@ -514,6 +511,7 @@ class ProcessBackend(ExecutionBackend):
                 if worker.process.is_alive():
                     worker.process.kill()
                     worker.process.join(timeout=self.escalate_grace)
+            worker.close()
         # Unblock and retire the collector thread.  The stop pipe has
         # the parent as its only writer, so this send can never block on
         # a lock a dead worker took with it (the failure mode a shared
@@ -751,6 +749,7 @@ class ProcessBackend(ExecutionBackend):
                         )))
         telemetry.add("pool.worker_crashes", len(dead))
         for worker in dead:
+            worker.close()
             telemetry.event("supervisor.worker_dead",
                             pid=worker.process.pid, slot=worker.slot,
                             stranded=len(worker.outstanding))
@@ -798,7 +797,7 @@ class ProcessBackend(ExecutionBackend):
                 self._note_inflight(target.slot, len(target.outstanding))
                 shipments.append((target, job_id, job))
         for target, job_id, job in shipments:
-            target.requests.put((job_id, job.payload, job.record))
+            target.send((job_id, job.payload, job.record))
             self.redispatches += 1
             telemetry.add("supervisor.redispatches", 1)
             telemetry.event("supervisor.redispatch", job=job_id,
@@ -830,7 +829,7 @@ class ProcessBackend(ExecutionBackend):
             job.dispatched = time.monotonic()
             self._jobs[job_id] = job
             self._note_inflight(target.slot, len(target.outstanding))
-        target.requests.put((job_id, job.payload, job.record))
+        target.send((job_id, job.payload, job.record))
         return True
 
     def _merge_records(self, job: _Job) -> None:
@@ -903,7 +902,7 @@ class ProcessBackend(ExecutionBackend):
                 self._jobs[self._job_seq] = job
                 dispatched.append((worker, self._job_seq, job))
         for worker, job_id, _ in dispatched:
-            worker.requests.put((job_id, payload, record))
+            worker.send((job_id, payload, record))
         telemetry.add("pool.shipped_jobs", len(dispatched))
         try:
             return [self._await(job) for _, _, job in dispatched]
@@ -988,12 +987,6 @@ def _cached_engine(engine_name: str, spec: Any,
     key = (engine_name, spec, kwargs_items)
     engine = _ENGINE_CACHE.get(key)
     if engine is None:
-        # Engine classes register themselves on import; a spawned
-        # interpreter starts with an empty registry.
-        import repro.ops.gemm_conv  # noqa: F401
-        import repro.ops.reference_engine  # noqa: F401
-        import repro.sparse.engine  # noqa: F401
-        import repro.stencil.engine  # noqa: F401
         from repro.ops.engine import make_engine
 
         # A miss means codegen + workspace allocation in the hot path --
@@ -1099,34 +1092,6 @@ def param_views(flat: np.ndarray,
         end = offset + math.prod(shape) * item.itemsize
         views.append(flat[offset:end].view(item).reshape(shape))
     return views
-
-
-def pin_malloc_thresholds() -> str:
-    """Fix glibc's mmap and trim thresholds for this process, once.
-
-    Returns what this process's heap runs under, for the diagnostics:
-    ``"mmap:32M,trim:512M"`` where glibc took both settings, ``"default"``
-    where the C library is not glibc (or refused one).  Idempotent and
-    safe to call from any thread: ``mallopt`` only changes how *later*
-    frees and allocations are served.
-    """
-    global _malloc_state
-    if _malloc_state is None:
-        state = "default"
-        try:
-            libc = ctypes.CDLL(None)
-            libc.gnu_get_libc_version  # AttributeError off glibc
-            libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-            libc.mallopt.restype = ctypes.c_int
-            if all(libc.mallopt(param, size) == 1
-                   for param, size in MALLOC_THRESHOLDS.values()):
-                state = ",".join(
-                    f"{name}:{size >> 20}M"
-                    for name, (_, size) in MALLOC_THRESHOLDS.items())
-        except (OSError, AttributeError, TypeError):
-            pass  # no libc handle (TypeError: Windows), or not glibc
-        _malloc_state = state
-    return _malloc_state
 
 
 def blas_threads() -> str:

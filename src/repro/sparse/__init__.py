@@ -1,6 +1,1 @@
 """Sparse-Kernel code generation and CT-CSR (paper Sec. 4.2)."""
-
-from repro.sparse.ctcsr import CTCSRMatrix, ctcsr_from_dense
-from repro.sparse.engine import SparseBPEngine
-
-__all__ = ["CTCSRMatrix", "ctcsr_from_dense", "SparseBPEngine"]

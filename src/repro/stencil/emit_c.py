@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 from dataclasses import replace
 from itertools import product
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -66,7 +66,9 @@ from repro.native import (
 from repro.ops import reference
 from repro.ops.workspace import Workspace
 from repro.stencil.loopir import LoopNest, PoolWindow
-from repro.stencil.passes import SchedulePipeline, Vectorize, default_pipeline
+
+if TYPE_CHECKING:  # pragma: no cover - loaded only to print a stencil unit
+    from repro.stencil.passes import SchedulePipeline
 
 Blocks = list[tuple[int, int]]
 
@@ -76,6 +78,8 @@ def host_pipeline(family: str, pool_kernel: int = 0,
     """The schedule the C lowering prints: the family's default
     vectorized for *this* host's register file instead of the paper's
     AVX."""
+    from repro.stencil.passes import Vectorize, default_pipeline
+
     base = default_pipeline(family, pool_kernel, pool_stride)
     return replace(base, passes=base.passes[:-1]
                    + (Vectorize(*vector_registers()),))

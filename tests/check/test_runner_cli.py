@@ -12,7 +12,7 @@ import json
 import pytest
 
 import repro
-from repro.check import run_all
+from repro.check.runner import run_all
 from repro.check.runner import (
     ANALYZER_ALIASES,
     ANALYZERS,

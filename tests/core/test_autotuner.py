@@ -6,7 +6,7 @@ from repro.core.autotuner import Autotuner, MeasuredCostBackend
 from repro.core.convspec import ConvSpec, square_conv
 from repro.data.tables import TABLE1_CONVS
 from repro.errors import PlanError
-from repro.machine import ModelCostBackend
+from repro.machine.cost_backend import ModelCostBackend
 from repro.machine.spec import xeon_e5_2650
 
 MACHINE = xeon_e5_2650()

@@ -8,7 +8,7 @@ from repro.core.autotuner import CostBackend
 from repro.core.framework import SpgCNN
 from repro.data.synthetic import make_dataset
 from repro.errors import PlanError
-from repro.machine import ModelCostBackend
+from repro.machine.cost_backend import ModelCostBackend
 from repro.machine.spec import xeon_e5_2650
 from repro.nn.netdef import build_network
 from repro.nn.sgd import SGDTrainer, StepResult

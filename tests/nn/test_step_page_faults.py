@@ -6,7 +6,7 @@ same pages are mapped, faulted in and returned every step on most
 environment-block layouts (~2500 minor faults, 5-7 ms of system time;
 held at their initial 128 KiB, on all of them); with the thresholds the
 runtime pins
-(:func:`repro.runtime.backends.pin_malloc_thresholds`) the heap reaches
+(:func:`repro.runtime.heap.pin_malloc_thresholds`) the heap reaches
 its steady size during warm-up.  ``ru_minflt`` is a count, so this gate
 is deterministic where a wall-clock assertion would not be.
 
@@ -49,11 +49,11 @@ if sys.argv[1] == "default-thresholds":
     # runtime's pin recorded as done: every large array is mapped and
     # returned each step -- the heap this gate is there to catch.
     import ctypes
-    from repro.runtime import backends
+    from repro.runtime import heap
     libc = ctypes.CDLL(None)
-    for param, _ in backends.MALLOC_THRESHOLDS.values():
+    for param, _ in heap.MALLOC_THRESHOLDS.values():
         assert libc.mallopt(param, 128 << 10) == 1
-    backends._malloc_state = "default"
+    heap._malloc_state = "default"
 net = cifar10_net(rng=np.random.default_rng(3))
 data = cifar10_like(64, seed=3)
 trainer = SGDTrainer(net)

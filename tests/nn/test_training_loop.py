@@ -60,7 +60,7 @@ class TestTrainingLoop:
         assert calls == [1, 2, 3]
 
     def test_spg_hook_integration(self, datasets):
-        from repro.machine import ModelCostBackend
+        from repro.machine.cost_backend import ModelCostBackend
         from repro.core.framework import SpgCNN
         from repro.machine.spec import xeon_e5_2650
 

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 
 from repro import telemetry
-from repro.obs import chrome_trace_dict, chrome_trace_events, write_chrome_trace
+from repro.obs.chrome_trace import chrome_trace_dict, chrome_trace_events, write_chrome_trace
 from repro.telemetry.collector import Span
 
 

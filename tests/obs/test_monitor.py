@@ -11,7 +11,7 @@ import pytest
 from repro.data.synthetic import make_dataset
 from repro.nn.netdef import build_network
 from repro.nn.training_loop import TrainingLoop
-from repro.obs import RunReport, TrainingMonitor
+from repro.obs.monitor import RunReport, TrainingMonitor
 from repro.obs.monitor import RESILIENCE_COUNTERS
 from tests.conftest import solo_layers
 

@@ -169,7 +169,7 @@ class TestDegradation:
 class TestAutotunerIntegration:
     def test_plan_skips_quarantined_candidates(self):
         from repro.core.autotuner import Autotuner
-        from repro.machine import ModelCostBackend
+        from repro.machine.cost_backend import ModelCostBackend
         from repro.machine.spec import xeon_e5_2650
 
         registry = QuarantineRegistry()
@@ -187,7 +187,7 @@ class TestAutotunerIntegration:
 
     def test_all_candidates_benched_degrades_to_fallback(self):
         from repro.core.autotuner import Autotuner
-        from repro.machine import ModelCostBackend
+        from repro.machine.cost_backend import ModelCostBackend
         from repro.machine.spec import xeon_e5_2650
 
         registry = QuarantineRegistry()

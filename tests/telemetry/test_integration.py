@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.machine import ModelCostBackend
+from repro.machine.cost_backend import ModelCostBackend
 from repro.core.convspec import ConvSpec
 from repro.core.framework import SpgCNN
 from repro.data.synthetic import make_dataset

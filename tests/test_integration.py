@@ -7,7 +7,7 @@ import repro
 from repro.core.autotuner import MeasuredCostBackend
 from repro.core.framework import SpgCNN
 from repro.data.synthetic import make_dataset
-from repro.machine import ModelCostBackend
+from repro.machine.cost_backend import ModelCostBackend
 from repro.machine.spec import xeon_e5_2650
 from repro.nn.netdef import network_from_text
 from repro.nn.sgd import SGDTrainer

@@ -17,6 +17,14 @@ body counts even when no test executes that function.
   ``repro.machine``: what is deployed and how long a worker may hold a
   task are decided from measurements on this host, never from the
   model of the paper's machine.
+* ``test_import_budget_*`` -- a process loads only the code its run
+  executes: a bare ``import repro.cli`` no analyzer, tuner or runtime;
+  an inline training run no pool, sharding, analyzer, tuner, report or
+  checkpoint code (and at most ``INLINE_LINE_BUDGET`` lines of
+  ``repro``); a process worker that ran a step shard no analyzer, tuner
+  or report code.
+* ``test_cli_choices_match_the_registries`` -- the CLI's literal name
+  tuples name exactly what the registries hold.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import io
+import json
 import os
 import subprocess
 import sys
@@ -167,3 +177,166 @@ def test_training_imports_no_machine_model():
                           timeout=600, check=False)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]", done.stdout
+
+
+#: Lines of ``repro`` source an inline ``mnist_net`` / ``cifar10_net``
+#: training run may import (17,125 when every package re-exported).
+INLINE_LINE_BUDGET = 9400
+
+_IMPORT_BUDGET = """
+import json, sys
+import numpy as np
+
+def loaded():
+    return sorted(name for name in sys.modules
+                  if name == "repro" or name.startswith("repro."))
+
+import repro.cli
+report = {"cli": loaded(), "cli_mp": "multiprocessing" in sys.modules}
+from repro.data.synthetic import cifar10_like, mnist_like
+from repro.nn.training_loop import TrainingLoop
+from repro.nn.zoo import cifar10_net, mnist_net
+for build, data in ((mnist_net, mnist_like), (cifar10_net, cifar10_like)):
+    network = build(scale=0.25, rng=np.random.default_rng(0))
+    TrainingLoop(network, data(16, seed=0), batch_size=8).run(1)
+report["run"] = loaded()
+report["run_mp"] = "multiprocessing" in sys.modules
+report["lines"] = sum(len(open(sys.modules[name].__file__).readlines())
+                      for name in report["run"])
+print(json.dumps(report))
+"""
+
+#: What ``repro check`` alone runs.
+_ANALYZER_MODULES = tuple(f"repro.check.{name}" for name in (
+    "runner", "gen_source", "graph", "effects", "concurrency", "lifecycle"))
+
+
+def _run_json(script: str, *args: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, *args, script], env=env,
+                          capture_output=True, text=True, timeout=600,
+                          check=False)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@lru_cache(maxsize=None)
+def _inline_imports() -> dict:
+    return _run_json(_IMPORT_BUDGET, "-c")
+
+
+def _under(modules: list[str], *prefixes: str) -> list[str]:
+    return [name for name in modules
+            if any(name == p or name.startswith(p + ".") for p in prefixes)]
+
+
+def test_import_budget_bare_cli():
+    report = _inline_imports()
+    assert not _under(report["cli"], "repro.check", "repro.core.autotuner",
+                      "repro.runtime"), report["cli"]
+    assert not report["cli_mp"]
+
+
+def test_import_budget_inline_training():
+    report = _inline_imports()
+    assert not _under(
+        report["run"], *(f"repro.runtime.{name}" for name in
+                         ("backends", "pool", "parallel", "shm", "dag")),
+        "repro.check.runner", "repro.check.effects",
+        "repro.check.concurrency", "repro.check.lifecycle",
+        "repro.check.gen_source", "repro.core.autotuner",
+        "repro.core.framework", "repro.obs", "repro.nn.serialize",
+    ), report["run"]
+    assert not report["run_mp"]
+    assert report["lines"] <= INLINE_LINE_BUDGET, report["lines"]
+
+
+_WORKER_IMPORTS = """
+import json
+import sys
+
+
+def loaded():
+    return sorted(name for name in sys.modules
+                  if name == "repro" or name.startswith("repro."))
+
+
+if __name__ == "__main__":
+    import numpy as np
+
+    from repro.data.synthetic import mnist_like
+    from repro.nn.sgd import SGDTrainer
+    from repro.nn.zoo import mnist_net
+
+    network = mnist_net(scale=0.25, rng=np.random.default_rng(0),
+                        threads=2, backend="process")
+    data = mnist_like(8, seed=0)
+    try:
+        SGDTrainer(network).step(data.images, data.labels)
+        backend = network.conv_layers()[0]._pool.backend
+        print(json.dumps(backend.broadcast(loaded)))
+    finally:
+        for layer in network.conv_layers():
+            layer.close()
+"""
+
+
+def test_import_budget_process_worker(tmp_path):
+    # A file, not ``-c``: spawned workers import ``loaded`` from it.
+    script = tmp_path / "worker_imports.py"
+    script.write_text(_WORKER_IMPORTS)
+    workers = _run_json(str(script))
+    assert len(workers) == 2
+    for modules in workers:
+        assert "repro.runtime.backends" in modules
+        assert not _under(modules, *_ANALYZER_MODULES,
+                          "repro.core.autotuner", "repro.obs"), modules
+
+
+def _subparser(parser, command: str):
+    commands = next(action for action in parser._actions
+                    if action.dest == "command")
+    return commands.choices[command]
+
+
+def _choices(parser, dest: str) -> tuple[str, ...]:
+    return tuple(next(action for action in parser._actions
+                      if action.dest == dest).choices)
+
+
+def test_cli_choices_match_the_registries():
+    from repro import cli
+    from repro.check.runner import ANALYZER_ALIASES, ANALYZERS
+    from repro.ops.engine import engine_names
+    from repro.resilience.faults import REAL_KILL_PLANS, plan_names
+    from repro.runtime.backends import BACKEND_NAMES
+
+    parser = cli._build_parser()
+    for command in ("train", "chaos"):
+        assert _choices(_subparser(parser, command), "backend") == BACKEND_NAMES
+    assert (_choices(_subparser(parser, "chaos"), "plan")
+            == plan_names() + REAL_KILL_PLANS)
+    assert cli._ANALYZERS == ANALYZERS
+    assert cli._ANALYZER_ALIASES == ANALYZER_ALIASES
+    for alias, name in ANALYZER_ALIASES.items():
+        assert parser.parse_args(["check", "--only", alias]).only == (name,)
+    out = io.StringIO()
+    assert cli.main(["engines"], out=out) == 0
+    assert tuple(out.getvalue().split()) == engine_names()
+
+
+_ENGINES_AFTER_INLINE_BUILD = """
+import json
+import numpy as np
+from repro.nn.zoo import mnist_net
+
+spec = mnist_net(scale=0.25, rng=np.random.default_rng(0)).conv_layers()[0].padded_spec
+from repro.ops.engine import engine_names, make_engine
+print(json.dumps([make_engine(name, spec).name for name in engine_names()]))
+"""
+
+
+def test_make_engine_resolves_every_engine_after_an_inline_build():
+    # This process's registry also holds engines other tests registered.
+    assert tuple(_run_json(_ENGINES_AFTER_INLINE_BUILD, "-c")) == (
+        "gemm-in-parallel", "parallel-gemm", "reference", "sparse", "stencil")
