@@ -30,14 +30,6 @@ class PlanError(ReproError):
     """An execution plan is invalid or refers to unknown engines."""
 
 
-class ResilienceError(ReproError):
-    """The resilient runtime exhausted its retry/timeout budget."""
-
-
-class TaskTimeoutError(ResilienceError):
-    """A worker-pool task exceeded its deadline with no straggler budget left."""
-
-
 class InjectedFault(ReproError):
     """A fault raised on purpose by :mod:`repro.resilience.faults`.
 

@@ -15,8 +15,8 @@ the duration of its ``with`` block), hooks the
 * autotuner activity (``retune`` events, Sec. 4.4) and its cost
   (``spg/optimize`` + ``spg/replan`` span time, candidates measured vs.
   answered from the backend's memo);
-* resilience activity (retries, straggler backups, quarantine
-  fallbacks, skipped batches, checkpoints).
+* resilience activity (retries, quarantine fallbacks, skipped
+  batches, checkpoints).
 
 With a writable ``out`` it renders a per-layer console table every
 ``every_batches`` batches (and at each epoch end); :meth:`report`
@@ -43,8 +43,6 @@ from repro.telemetry.collector import TelemetryCollector
 RESILIENCE_COUNTERS = (
     "faults.injected",
     "pool.retries",
-    "pool.stragglers",
-    "pool.timeouts",
     "pool.task_failures",
     "engine.fallbacks",
     "quarantine.engines",

@@ -7,12 +7,13 @@ three fault-handling substrates the rest of the stack builds on:
 
 * :mod:`repro.resilience.faults` -- a deterministic, seeded fault
   injector.  Instrumented sites (worker-pool tasks, gradients, engine
-  calls) consult the active :class:`FaultPlan` and raise, hang or
-  corrupt on cue; no-ops when no plan is active.
-* :mod:`repro.resilience.policy` -- the resilient execution policy:
-  :class:`RetryPolicy` (bounded retries with exponential backoff,
-  per-attempt timeouts, straggler reassignment) and the supervised
-  executor loop :func:`run_supervised` the worker pool delegates to.
+  calls) consult the active :class:`FaultPlan` and raise or corrupt on
+  cue; no-ops when no plan is active.
+* :mod:`repro.resilience.policy` -- the retry policy:
+  :class:`RetryPolicy` (bounded retries with exponential backoff, the
+  process backend's redispatch budget) and :func:`run_with_retries`,
+  the one loop the worker pool runs every task through.  Hangs are the
+  process backend's to judge, by its measured deadline.
 * :mod:`repro.resilience.quarantine` -- the engine quarantine registry:
   a generated kernel that raises or fails a numeric guard is benched for
   that layer/phase, and both the conv layer and the autotuner route

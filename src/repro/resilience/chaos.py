@@ -12,9 +12,9 @@ run's.
 
 The resume comparison relies on two properties of the stack:
 
-* retries and straggler reassignment are numerics-neutral (tasks are
-  pure and idempotent), so a faulted epoch still produces the exact
-  bytes a fault-free scheduler ordering would; and
+* retries are numerics-neutral (tasks are pure and idempotent), so a
+  faulted epoch still produces the exact bytes a fault-free scheduler
+  ordering would; and
 * the named plans fire all their ``at`` faults early (first epoch of
   the default geometry), so the epoch trained *after* the resume point
   is fault-free in both the uninterrupted and the resumed run --
@@ -65,8 +65,6 @@ from repro.runtime.backends import ProcessBackend
 REPORT_COUNTERS = (
     "faults.injected",
     "pool.retries",
-    "pool.stragglers",
-    "pool.timeouts",
     "pool.task_failures",
     "pool.worker_crashes",
     "supervisor.hung_workers",
@@ -214,33 +212,24 @@ def _close(loop: TrainingLoop) -> None:
 
 
 def _run_segment(loop: TrainingLoop, epochs: int,
-                 plan: faults.FaultPlan | None,
-                 policy: RetryPolicy) -> TrainingHistory:
-    """Run ``loop`` to ``epochs`` total epochs under plan + policy."""
+                 plan: faults.FaultPlan | None) -> TrainingHistory:
+    """Run ``loop`` to ``epochs`` total epochs under ``plan``."""
     default_registry().clear()
-    if plan is None:
-        with apply_policy(policy):
+    with apply_policy(default_policy()):
+        if plan is None:
             return loop.run(epochs)
-    with faults.inject(plan), apply_policy(policy):
-        return loop.run(epochs)
+        with faults.inject(plan):
+            return loop.run(epochs)
 
 
 def default_policy() -> RetryPolicy:
-    """The retry/timeout policy the chaos CLI trains under."""
-    return RetryPolicy(max_retries=2, backoff_base=0.01, timeout=0.25,
-                       max_stragglers=1)
+    """The retry policy every chaos plan trains under.
 
-
-def kill_chaos_policy() -> RetryPolicy:
-    """The policy for the real-kill plans.
-
-    No per-attempt deadline: hang recovery belongs to the process
-    backend's hang deadline (a Python-side timeout would race it and double
-    the work on a loaded host), while crash recovery gets generous retry
-    and redispatch budgets.
+    Generous crash budgets -- retries for a raising task, redispatches
+    for a job whose worker died -- and no deadline of its own: a hang is
+    the process backend's to judge.
     """
-    return RetryPolicy(max_retries=3, backoff_base=0.01, timeout=None,
-                       max_redispatches=2)
+    return RetryPolicy(max_retries=3, backoff_base=0.01, max_redispatches=2)
 
 
 # -- real-kill plans (kill9 / hang) ------------------------------------------
@@ -287,8 +276,8 @@ def run_journal_job(seed: int, samples: int, threads: int, batch: int,
 
 
 def _check_journal_resume(seed: int, samples: int, threads: int, batch: int,
-                          epochs: int, scheduler: str, ref_bytes: bytes,
-                          policy: RetryPolicy) -> bool:
+                          epochs: int, scheduler: str,
+                          ref_bytes: bytes) -> bool:
     """SIGKILL a journaling child mid-epoch; resume; compare weights.
 
     The child is a whole training process (process backend), so the kill
@@ -327,8 +316,8 @@ def _check_journal_resume(seed: int, samples: int, threads: int, batch: int,
         # under the same scheduler, and much cheaper for the replay.
         resumed = _build_job(seed, samples, threads, batch, tmp,
                              "serial", scheduler)
-        with apply_policy(policy):
-            resumed.resume_latest()
+        resumed.resume_latest()
+        with apply_policy(default_policy()):
             resumed.run(epochs)
         _close(resumed)
         return _params_bytes(resumed.network) == ref_bytes
@@ -336,8 +325,7 @@ def _check_journal_resume(seed: int, samples: int, threads: int, batch: int,
 
 def _run_real_kill(report: ChaosReport, plan_name: str, seed: int,
                    epochs: int, batch: int, samples: int, threads: int,
-                   scheduler: str, check_resume: bool,
-                   policy: RetryPolicy) -> ChaosReport:
+                   scheduler: str, check_resume: bool) -> ChaosReport:
     """Drive the ``kill9`` / ``hang`` plan and fill in ``report``."""
     sig = signal.SIGKILL if plan_name == "kill9" else signal.SIGSTOP
 
@@ -406,7 +394,7 @@ def _run_real_kill(report: ChaosReport, plan_name: str, seed: int,
     loop.add_batch_hook(strike)
     try:
         with telemetry.collect(monitor.collector) as collector:
-            with apply_policy(policy):
+            with apply_policy(default_policy()):
                 default_registry().clear()
                 history = loop.run(epochs)
                 # The mid-step strike can land in the run's final
@@ -459,7 +447,7 @@ def _run_real_kill(report: ChaosReport, plan_name: str, seed: int,
         report.resume_checked = True
         report.resume_identical = _check_journal_resume(
             seed, samples, threads, batch, epochs, scheduler,
-            ref_bytes, policy,
+            ref_bytes,
         )
     return report
 
@@ -475,7 +463,6 @@ def run_chaos(
     scheduler: str = "barrier",
     check_resume: bool = False,
     checkpoint_dir: str | Path | None = None,
-    policy: RetryPolicy | None = None,
 ) -> ChaosReport:
     """Train under a named fault plan and report survival.
 
@@ -487,22 +474,16 @@ def run_chaos(
     The real-kill plans (``kill9``, ``hang``) ignore ``backend`` (they
     require the process backend -- real signals need real processes) and
     route ``check_resume`` through the mid-epoch batch journal instead
-    of the epoch checkpoint.
+    of the epoch checkpoint.  Every plan trains under
+    :func:`default_policy`.
     """
-    if plan_name in REAL_KILL_PLANS:
-        report = ChaosReport(plan=plan_name, seed=seed, epochs=epochs,
-                             survived=False, improved=False,
-                             final_loss=float("nan"), skipped_batches=0)
-        return _run_real_kill(report, plan_name, seed, epochs, batch,
-                              samples, threads, scheduler, check_resume,
-                              policy or kill_chaos_policy())
-
-    plan = faults.get_plan(plan_name, seed)
-    policy = policy or default_policy()
     report = ChaosReport(plan=plan_name, seed=seed, epochs=epochs,
                          survived=False, improved=False,
                          final_loss=float("nan"), skipped_batches=0)
-
+    if plan_name in REAL_KILL_PLANS:
+        return _run_real_kill(report, plan_name, seed, epochs, batch,
+                              samples, threads, scheduler, check_resume)
+    plan = faults.get_plan(plan_name, seed)
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         tmp_dir = Path(tmp)
         ckpt_a = Path(checkpoint_dir) if checkpoint_dir else tmp_dir / "a"
@@ -515,7 +496,8 @@ def run_chaos(
         monitor.attach(loop)
         try:
             with telemetry.collect(monitor.collector) as collector:
-                with faults.inject(injector), apply_policy(policy):
+                with faults.inject(injector), \
+                        apply_policy(default_policy()):
                     default_registry().clear()
                     history = loop.run(epochs)
         except Exception as exc:  # noqa: BLE001 - survival is the result
@@ -547,7 +529,7 @@ def run_chaos(
             # short of the full run.
             killed = _build_job(seed, samples, threads, batch, tmp_dir / "b",
                                 backend, scheduler)
-            _run_segment(killed, epochs - 1, plan, policy)
+            _run_segment(killed, epochs - 1, plan)
             _close(killed)
             # The resumed run: a fresh process would rebuild the job from
             # scratch, so we do too -- then resume and finish.  No fault
@@ -556,7 +538,7 @@ def run_chaos(
             resumed = _build_job(seed, samples, threads, batch, tmp_dir / "b",
                                  backend, scheduler)
             resumed.resume_latest()
-            resumed_history = _run_segment(resumed, epochs, None, policy)
+            resumed_history = _run_segment(resumed, epochs, None)
             _close(resumed)
             report.resume_identical = (
                 _params_bytes(resumed.network) == final_bytes

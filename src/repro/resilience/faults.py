@@ -14,10 +14,10 @@ Instrumented sites:
 ========================  ====================================================
 site                      instrumented at
 ========================  ====================================================
-``pool.task``             every worker-pool task invocation (raise / hang)
+``pool.task``             every worker-pool task attempt (raise)
 ``pool.result``           every array-returning pool task result (corrupt)
-``engine.fp``             every non-fallback conv-engine FP call (raise/hang)
-``engine.bp``             every non-fallback conv-engine BP call (raise/hang)
+``engine.fp``             every non-fallback conv-engine FP call (raise)
+``engine.bp``             every non-fallback conv-engine BP call (raise)
 ``sgd.gradient``          the loss gradient of every SGD step (corrupt)
 ========================  ====================================================
 
@@ -32,9 +32,11 @@ gradient there: it gates the skip, but the shards have back-propagated
 their own rows by then, so a corruption that stays finite does not
 reach the parameter gradients as it does inline.
 
-Fault kinds: ``"raise"`` (throw :class:`~repro.errors.InjectedFault`),
-``"hang"`` (sleep ``delay`` seconds -- a straggler), ``"corrupt"``
-(write ``value``, NaN by default, into a seeded fraction of an array).
+Fault kinds: ``"raise"`` (throw :class:`~repro.errors.InjectedFault`)
+and ``"corrupt"`` (write ``value``, NaN by default, into a seeded
+fraction of an array).  There is no injected hang: every site runs in
+the parent, where a sleep is judged by nothing.  The ``hang`` chaos
+plan SIGSTOPs a live worker instead (:data:`REAL_KILL_PLANS`).
 
 Invocation counters are process-local and reset with every
 :func:`inject` activation: a resumed run starts counting from zero.
@@ -43,7 +45,6 @@ Invocation counters are process-local and reset with every
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -53,7 +54,7 @@ import numpy as np
 from repro import telemetry
 from repro.errors import InjectedFault, ReproError
 
-FAULT_KINDS = ("raise", "hang", "corrupt")
+FAULT_KINDS = ("raise", "corrupt")
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,6 @@ class FaultSpec:
     at: tuple[int, ...] = ()
     #: Additional seeded random trigger probability per invocation.
     rate: float = 0.0
-    #: Seconds to sleep for ``"hang"`` faults (a bounded straggler).
-    delay: float = 0.05
     #: Value written by ``"corrupt"`` faults (NaN by default).
     value: float = float("nan")
     #: Fraction of array elements a ``"corrupt"`` fault overwrites.
@@ -84,8 +83,6 @@ class FaultSpec:
             raise ReproError(f"invocation indices are 1-based: {self.at}")
         if not 0.0 <= self.rate <= 1.0:
             raise ReproError(f"rate must be in [0, 1], got {self.rate}")
-        if self.delay < 0:
-            raise ReproError(f"delay must be non-negative, got {self.delay}")
         if not 0.0 < self.fraction <= 1.0:
             raise ReproError(
                 f"fraction must be in (0, 1], got {self.fraction}"
@@ -181,21 +178,16 @@ class FaultInjector:
     # -- injection points -------------------------------------------------
 
     def perturb(self, site: str, **attrs: Any) -> None:
-        """Visit a raise/hang site: may sleep, may raise InjectedFault."""
+        """Visit a raise site: may raise InjectedFault."""
         specs = self.plan.for_site(site)
         if not specs:
             return
         invocation = self._tick(site)
         for spec in specs:
-            if spec.kind not in ("raise", "hang"):
-                continue
-            if not self._triggers(spec, invocation):
+            if spec.kind != "raise" or not self._triggers(spec, invocation):
                 continue
             self._record(spec, invocation, attrs)
-            if spec.kind == "hang":
-                time.sleep(spec.delay)
-            else:
-                raise InjectedFault(site, invocation)
+            raise InjectedFault(site, invocation)
 
     def corrupt_array(self, site: str, array: np.ndarray) -> np.ndarray:
         """Visit a corrupt site: returns the array, possibly poisoned.
@@ -255,7 +247,7 @@ def inject(plan: FaultPlan | FaultInjector) -> Iterator[FaultInjector]:
 
 
 def perturb(site: str, **attrs: Any) -> None:
-    """Raise/hang site hook; no-op when no injector is active."""
+    """Raise site hook; no-op when no injector is active."""
     injector = active_injector()
     if injector is not None:
         injector.perturb(site, **attrs)
@@ -278,25 +270,22 @@ def _none_plan() -> FaultPlan:
 
 
 def _smoke_plan() -> FaultPlan:
-    """The CI smoke plan: two worker crashes, one straggler, one NaN batch.
+    """The CI smoke plan: two worker crashes and one NaN batch.
 
     The ``at`` indices land inside the first epoch of the chaos CLI's
     default job (mnist, batch 8, threads 2), so a 3-epoch run exercises
-    retry, straggler reassignment and the NaN-batch guard, then finishes
-    clean.
+    retry and the NaN-batch guard, then finishes clean.
     """
     return FaultPlan(name="smoke", specs=(
         FaultSpec(site="pool.task", kind="raise", at=(3, 11)),
-        FaultSpec(site="pool.task", kind="hang", at=(17,), delay=0.6),
         FaultSpec(site="sgd.gradient", kind="corrupt", at=(4,)),
     ))
 
 
 def _workers_plan() -> FaultPlan:
-    """Heavier worker chaos: repeated crashes and stragglers."""
+    """Heavier worker chaos: repeated and random crashes."""
     return FaultPlan(name="workers", specs=(
         FaultSpec(site="pool.task", kind="raise", at=(2, 7, 19, 31)),
-        FaultSpec(site="pool.task", kind="hang", at=(12, 40), delay=0.6),
         FaultSpec(site="pool.task", kind="raise", rate=0.01),
     ))
 

@@ -1,47 +1,36 @@
-"""The resilient execution policy: retries, timeouts, stragglers.
+"""The retry policy: how often, and how patiently, a raising task re-runs.
 
-:class:`RetryPolicy` bounds how hard the runtime fights a failing or
-hanging task; :func:`run_supervised` is the supervision loop the worker
-pool delegates to when a policy is in force.  The loop mirrors the
-backup-task technique of synchronous distributed SGD ("Distributed Deep
-Learning Using Synchronous SGD"): a task that misses its deadline is
-*reassigned* -- a duplicate attempt is submitted and whichever attempt
-finishes first wins -- so one straggler does not stall its siblings.
-Tasks must therefore be idempotent, which the pool's image-range tasks
-are (pure functions of their input slice).
+:class:`RetryPolicy` bounds the retries of a task whose attempt raises;
+:func:`run_with_retries` is the one loop that spends that budget, and
+the worker pool runs every task through it, so tasks must be idempotent
+(the pool's image-range tasks are pure functions of their slice).  A
+hang is not the policy's business: the process backend judges it by its
+measured deadline (:func:`repro.runtime.backends.measured_deadline`).
+Counters: ``pool.retries`` (failed attempts re-executed) and
+``pool.task_failures`` (tasks that exhausted their budget).
 
-Counters flow through :mod:`repro.telemetry`:
-
-* ``pool.retries`` -- failed attempts re-executed;
-* ``pool.stragglers`` -- backup attempts submitted after a deadline miss;
-* ``pool.timeouts`` -- tasks abandoned with the straggler budget spent;
-* ``pool.task_failures`` -- tasks that exhausted their retry budget.
-
-A policy can be installed explicitly on a :class:`~repro.runtime.pool.
-WorkerPool`, or ambiently for a whole region of code with
-:func:`apply_policy` (mirroring ``telemetry.collect``), which is how the
-chaos harness arms every pool a training job creates without plumbing a
-parameter through every constructor.
+A policy arrives ambiently, for a region of code, with
+:func:`apply_policy` (mirroring ``telemetry.collect``): that is how the
+chaos harness arms every pool a training job creates.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
 from repro import telemetry
-from repro.errors import ReproError, TaskTimeoutError
+from repro.errors import ReproError
 
 T = TypeVar("T")
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounds on how the runtime handles failing and hanging tasks."""
+    """Bounds on how the runtime re-runs failing tasks."""
 
     #: Re-executions allowed after a task's first failed attempt.
     max_retries: int = 2
@@ -49,12 +38,6 @@ class RetryPolicy:
     #: ``backoff_base * 2**(n-1)``, capped at :attr:`backoff_cap`.
     backoff_base: float = 0.01
     backoff_cap: float = 0.5
-    #: Seconds one attempt may run before it counts as a straggler;
-    #: ``None`` disables deadlines (and straggler reassignment).
-    timeout: float | None = None
-    #: Backup attempts submitted per task after deadline misses; once
-    #: spent, the next miss abandons the task with TaskTimeoutError.
-    max_stragglers: int = 1
     #: Process-backend crash budget: how many times one in-flight job
     #: may be re-dispatched to a surviving worker after its worker died,
     #: before it fails with WorkerCrashedError.  The pool mirrors this
@@ -63,31 +46,15 @@ class RetryPolicy:
     max_redispatches: int = 2
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ReproError(
-                f"max_retries must be non-negative, got {self.max_retries}"
-            )
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ReproError(
-                f"backoff must be non-negative: base={self.backoff_base}, "
-                f"cap={self.backoff_cap}"
-            )
-        if self.timeout is not None and self.timeout <= 0:
-            raise ReproError(f"timeout must be positive, got {self.timeout}")
-        if self.max_stragglers < 0:
-            raise ReproError(
-                f"max_stragglers must be non-negative, got {self.max_stragglers}"
-            )
-        if self.max_redispatches < 0:
-            raise ReproError(
-                f"max_redispatches must be non-negative, "
-                f"got {self.max_redispatches}"
-            )
+        for name in ("max_retries", "backoff_base", "backoff_cap",
+                     "max_redispatches"):
+            if getattr(self, name) < 0:
+                raise ReproError(
+                    f"{name} must be non-negative, got {getattr(self, name)}"
+                )
 
     def backoff(self, retry_number: int) -> float:
         """Sleep before the ``retry_number``-th retry (1-based)."""
-        if self.backoff_base <= 0:
-            return 0.0
         return min(self.backoff_base * 2 ** (retry_number - 1),
                    self.backoff_cap)
 
@@ -108,8 +75,8 @@ def active_policy() -> RetryPolicy | None:
 def apply_policy(policy: RetryPolicy) -> Iterator[RetryPolicy]:
     """Install an ambient policy for the duration of the ``with`` block.
 
-    Every :class:`~repro.runtime.pool.WorkerPool` without an explicit
-    policy of its own picks it up at ``map_batches`` time.
+    Every :class:`~repro.runtime.pool.WorkerPool` picks it up when it
+    runs its tasks.
     """
     with _ACTIVE_LOCK:
         _ACTIVE.append(policy)
@@ -123,106 +90,27 @@ def apply_policy(policy: RetryPolicy) -> Iterator[RetryPolicy]:
                     break
 
 
-class _Supervised:
-    """Per-task supervision state inside :func:`run_supervised`."""
+def run_with_retries(thunk: Callable[[], T], policy: RetryPolicy | None,
+                     task: int = 0) -> T:
+    """Run the idempotent ``thunk``, retrying a raising attempt.
 
-    __slots__ = ("index", "thunk", "done", "result", "error",
-                 "retries", "stragglers", "deadline")
-
-    def __init__(self, index: int, thunk: Callable[[], T]):
-        self.index = index
-        self.thunk = thunk
-        self.done = False
-        self.result: T | None = None
-        self.error: BaseException | None = None
-        self.retries = 0
-        self.stragglers = 0
-        self.deadline: float | None = None
-
-
-def run_supervised(executor: Executor, thunks: list[Callable[[], T]],
-                   policy: RetryPolicy) -> list[T]:
-    """Run idempotent thunks under retry/timeout/straggler supervision.
-
-    Every thunk is submitted to ``executor``; attempts that raise are
-    retried (with backoff) up to ``policy.max_retries`` times, attempts
-    that outlive ``policy.timeout`` get up to ``policy.max_stragglers``
-    backup submissions (first finisher wins), and a task whose budgets
-    are both spent fails the whole call.  Like the pool's plain path,
-    errors propagate only after every task has been resolved, and the
-    first failure in task order wins.
-
-    Abandoned straggler attempts are left running (Python threads cannot
-    be killed); their results are discarded when they eventually finish.
+    Without a policy the first error propagates.  Under one, an attempt
+    that raises is re-run after :meth:`RetryPolicy.backoff` seconds, up
+    to ``policy.max_retries`` times; the last attempt's error then
+    propagates.  ``task`` names the task in the ``pool.retry`` event.
     """
-    states = [_Supervised(i, thunk) for i, thunk in enumerate(thunks)]
-    owner: dict[Future, _Supervised] = {}
-
-    def launch(state: _Supervised, backoff: float = 0.0) -> None:
-        def attempt():
-            if backoff > 0.0:
-                time.sleep(backoff)
-            return state.thunk()
-
-        future = executor.submit(attempt)
-        owner[future] = state
-        if policy.timeout is not None:
-            state.deadline = time.monotonic() + backoff + policy.timeout
-
-    for state in states:
-        launch(state)
-
-    while not all(state.done for state in states):
-        live = [f for f, state in owner.items() if not state.done]
-        wait_timeout = None
-        if policy.timeout is not None:
-            now = time.monotonic()
-            deadlines = [s.deadline for s in states
-                         if not s.done and s.deadline is not None]
-            if deadlines:
-                wait_timeout = max(0.0, min(deadlines) - now)
-        finished, _ = wait(live, timeout=wait_timeout,
-                           return_when=FIRST_COMPLETED)
-        for future in finished:
-            state = owner.pop(future)
-            if state.done:
-                continue  # a late attempt of an already-resolved task
-            error = future.exception()
-            if error is None:
-                state.result = future.result()
-                state.done = True
-            elif state.retries < policy.max_retries:
-                state.retries += 1
-                telemetry.add("pool.retries", 1)
-                telemetry.event("pool.retry", task=state.index,
-                                attempt=state.retries,
-                                error=type(error).__name__)
-                launch(state, backoff=policy.backoff(state.retries))
-            else:
-                state.error = error
-                state.done = True
+    if policy is None:
+        return thunk()
+    retries = 0
+    while True:
+        try:
+            return thunk()
+        except Exception as error:
+            if retries >= policy.max_retries:
                 telemetry.add("pool.task_failures", 1)
-        if policy.timeout is None:
-            continue
-        now = time.monotonic()
-        for state in states:
-            if state.done or state.deadline is None or now < state.deadline:
-                continue
-            if state.stragglers < policy.max_stragglers:
-                state.stragglers += 1
-                telemetry.add("pool.stragglers", 1)
-                telemetry.event("pool.straggler", task=state.index,
-                                backup=state.stragglers)
-                launch(state)  # backup attempt; first finisher wins
-            else:
-                state.error = TaskTimeoutError(
-                    f"task {state.index} missed its {policy.timeout}s "
-                    f"deadline with no straggler budget left"
-                )
-                state.done = True
-                telemetry.add("pool.timeouts", 1)
-
-    for state in states:
-        if state.error is not None:
-            raise state.error
-    return [state.result for state in states]
+                raise
+            retries += 1
+            telemetry.add("pool.retries", 1)
+            telemetry.event("pool.retry", task=task, attempt=retries,
+                            error=type(error).__name__)
+            time.sleep(policy.backoff(retries))

@@ -1108,15 +1108,13 @@ class ShardJob:
     """What one step's shards read and where they write (picklable).
 
     A shard is a pure function of this and its range: everything that
-    varies per step lives in the buffers, so a retried, duplicated or
-    re-dispatched attempt recomputes the identical bytes.
+    varies per step lives in the buffers, so a retried or re-dispatched
+    attempt recomputes the identical bytes.
     """
 
     #: Identifies the sharded step this job belongs to: the replica
     #: cache's key.
     token: str
-    #: The step the buffers were published for; see ``stamp``.
-    step: int
     #: ``Network.structure()``: the layer chain with the engines deployed
     #: for this step.
     structure: tuple[Any, ...]
@@ -1124,11 +1122,6 @@ class ShardJob:
     layout: tuple[ParamSlot, ...]
     #: Images in the whole batch: the denominator of the mean loss.
     batch: int
-    #: ``[1]`` int64, rewritten at every publish.  An attempt whose
-    #: ``step`` no longer matches was abandoned steps ago (a straggler's
-    #: original); it must not write into buffers that now serve another
-    #: step.
-    stamp: ArrayHandle
     #: ``[nbytes]`` uint8, the parameters at the slots of ``layout``.
     params: ArrayHandle
     inputs: ArrayHandle
@@ -1161,7 +1154,7 @@ class _Replica:
     views of the job's parameter buffer (never copies -- the parent
     updates it in place between steps), their gradient arrays views of a
     private flat buffer that is copied out whole at the end, so two
-    attempts of one shard running at once never share an accumulator.
+    shards running at once never share an accumulator.
     """
 
     def __init__(self, job: ShardJob) -> None:
@@ -1205,14 +1198,11 @@ class _Replica:
 
 
 def _run_shard(replica: _Replica, job: ShardJob, index: int, lo: int,
-               hi: int) -> ShardReport | None:
+               hi: int) -> ShardReport:
     """The body of :func:`run_step_shard` on a checked-out replica."""
     from repro.nn.layers.conv import ReplicaConvLayer
     from repro.nn.losses import cross_entropy_grad
 
-    stamp = _resolve(job.stamp)
-    if int(stamp[0]) != job.step:
-        return None
     replica.bind_parameters(job.params)
     network = replica.network
     rows = hi - lo
@@ -1240,10 +1230,6 @@ def _run_shard(replica: _Replica, job: ShardJob, index: int, lo: int,
         if isinstance(layer, ReplicaConvLayer):
             for phase, engine, reason in layer.take_failures():
                 failures.append((i, phase, engine, reason))
-    # Publish only if the buffers are still this step's (checked
-    # again here: the compute above is the long part).
-    if int(stamp[0]) != job.step:
-        return None
     _resolve(job.logits)[lo:hi] = logits
     _resolve(job.grads)[index] = replica.grads
     return ShardReport(tuple(zeros), tuple(failures))
@@ -1252,10 +1238,10 @@ def _run_shard(replica: _Replica, job: ShardJob, index: int, lo: int,
 class ReplicaCache:
     """Built replicas: one free-list per sharded step.
 
-    One replica per *concurrent attempt*: an attempt checks a replica
-    out and back in, and the list grows when a straggler's backup
-    overlaps its original -- replicas hold cached activations that two
-    attempts must never share.  A step whose structure changed (an
+    One replica per *concurrent shard*: a shard checks a replica out and
+    back in, and the list grows to the number of shards a step runs at
+    once (the thread backend runs them all in one process) -- replicas
+    hold cached activations that two shards must never share.  A step whose structure changed (an
     engine was redeployed or quarantined) drops the stale replicas.
     """
 
@@ -1307,13 +1293,11 @@ _WORKER_REPLICAS = ReplicaCache()
 
 
 def run_step_shard(job: ShardJob, index: int, lo: int, hi: int,
-                   replicas: ReplicaCache | None = None) -> ShardReport | None:
+                   replicas: ReplicaCache | None = None) -> ShardReport:
     """One whole-network FP + loss gradient + BP over images ``[lo, hi)``.
 
     Writes the logits rows into ``job.logits[lo:hi]`` and the flat
     gradient partial into ``job.grads[index]``; returns the small rest.
-    ``None`` means the attempt found the buffers serving a later step
-    and wrote nothing.
     """
     cache = replicas if replicas is not None else _WORKER_REPLICAS
     with telemetry.span("worker/step_shard", shard=index, lo=lo, hi=hi,

@@ -17,8 +17,8 @@ and executes its batch methods with image-level parallelism on a
 the machine model's GEMM-in-Parallel scheduling.  Each attempt processes
 a contiguous slice of the batch with an engine checked out of a
 free-list, so mutable engine scratch is never shared between attempts
-running at once -- not even when straggler reassignment makes a backup
-attempt overlap its still-running original.
+running at once -- not even when the DAG scheduler runs two phases of
+one layer concurrently.
 
 Memory behavior: the executor pre-allocates **one** output array per
 call and workers write their ``[lo, hi)`` slice in place -- there is no
@@ -51,7 +51,6 @@ from repro import telemetry
 from repro.core.convspec import ConvSpec
 from repro.errors import ReproError
 from repro.ops.engine import ConvEngine, make_engine
-from repro.resilience.policy import RetryPolicy
 from repro.runtime.backends import (
     ArrayHandle,
     ParamSlot,
@@ -76,8 +75,7 @@ class SliceTask:
     (:mod:`repro.runtime.dag`, which wraps it into graph nodes) -- both
     execute the identical callable, so the two paths cannot diverge
     numerically.  ``run`` is idempotent: it writes only its own output
-    slice (or returns a fresh partial), so retries and straggler
-    duplicates are safe.
+    slice (or returns a fresh partial), so retries are safe.
     """
 
     index: int
@@ -102,24 +100,23 @@ class ParallelExecutor:
 
     def __init__(self, engine_name: str, spec: ConvSpec,
                  pool: WorkerPool | None = None,
-                 policy: RetryPolicy | None = None,
                  backend: str = "thread", **engine_kwargs: Any) -> None:
         self.spec = spec
         self.engine_name = engine_name
-        self.pool = pool or WorkerPool(policy=policy, backend=backend)
+        self.pool = pool or WorkerPool(backend=backend)
         self._owns_pool = pool is None
         self._engine_kwargs = dict(engine_kwargs)
         self._arena = ShmArena()
         # One engine per concurrent attempt: engines hold mutable scratch
         # (unfold workspace, GEMM out= panels, CT-CSR buffers) that must
         # never be shared between two attempts running at once.  A fixed
-        # index->engine mapping is not enough under a RetryPolicy with
-        # straggler reassignment -- a backup attempt for an index can run
-        # concurrently with its still-running original -- so attempts
-        # check an engine out of a free-list and check it back in, and
-        # the list grows on demand when duplicates overlap.  Under the
-        # process backend the engines live in the worker processes
-        # instead (cached per construction key).
+        # index->engine mapping is not enough: the DAG scheduler can run
+        # two phases of one layer at once (its dW and BP-data nodes), so
+        # slice ``i`` of each can be in flight together.  Attempts check
+        # an engine out of a free-list and check it back in, and the
+        # list grows on demand when slices overlap.  Under the process
+        # backend the engines live in the worker processes instead
+        # (cached per construction key).
         self._engine_lock = threading.Lock()
         self._engines: list[ConvEngine] = []
         self._free_engines: list[ConvEngine] = []
@@ -163,9 +160,9 @@ class ParallelExecutor:
         with self._engine_lock:
             if self._free_engines:
                 return self._free_engines.pop()
-        # All engines busy: an original attempt and its reassigned
-        # duplicate overlap.  Engines are deterministic, so results do
-        # not depend on which instance an attempt lands on.
+        # All engines busy: slices of two phases overlap.  Engines are
+        # deterministic, so results do not depend on which instance an
+        # attempt lands on.
         engine = make_engine(self.engine_name, self.spec,
                              **self._engine_kwargs)
         with self._engine_lock:
@@ -230,12 +227,11 @@ class ParallelExecutor:
         runs the same BP-data form as the inline engine.
 
         Each task's engine is checked out of the free-list at run time
-        (never captured), so concurrent tasks -- barrier siblings, DAG
-        nodes or straggler duplicates -- never share mutable engine
-        scratch.  Under the process backend this also publishes the
-        operands into the executor's shared-memory arena, so building
-        the plan is itself the prefetch step the DAG overlaps with
-        other layers' GEMMs.  Task results that may live outside ``out``
+        (never captured), so concurrent tasks -- barrier siblings or DAG
+        nodes -- never share mutable engine scratch.  Under the process
+        backend this also publishes the operands into the executor's
+        shared-memory arena, so building the plan is itself the prefetch
+        step the DAG overlaps with other layers' GEMMs.  Task results that may live outside ``out``
         must be adopted via :func:`adopt_slice`.
         """
         batch = primary.shape[0]
@@ -371,7 +367,7 @@ class ShardedStep:
         ------                                  ------------------------------
         engine.fp / engine.bp fault sites
         draw dropout masks (layer order)
-        publish batch, labels, masks, stamp
+        publish batch, labels, masks
         one task per range of assignment(B) --> replica.forward -> loss grad
                                                 -> replica.backward
                                                 logits[lo:hi], grads[k] written
@@ -397,9 +393,10 @@ class ShardedStep:
     otherwise, so the parent must be pinned the same way for ``process``
     to equal the in-parent backends.
     A task is a pure function of (buffers, range), so the pool's retry
-    policy, the ``pool.task`` / ``pool.result`` fault sites, straggler
-    duplicates and the supervisor's redispatch all apply at this one
-    dispatch point.
+    policy, the ``pool.task`` / ``pool.result`` fault sites and the
+    supervisor's redispatch all apply at this one dispatch point.  No
+    attempt outlives its step: a retry follows a returned attempt, a
+    redispatch a worker seen dead.
 
     The buffers live as long as the pool's workers: they are released at
     ``pool.shutdown()`` (which hands the layers private copies of their
@@ -420,7 +417,6 @@ class ShardedStep:
         self._layout: tuple[ParamSlot, ...] = ()
         self._nbytes = 0
         self._params: ArrayHandle = np.empty(0, dtype=np.uint8)
-        self._step = 0
         #: Whether ``release`` is registered with the pool and its
         #: workers were seen booted; per pool start, cleared by release.
         self._attached = False
@@ -466,9 +462,9 @@ class ShardedStep:
         self.pool.at_shutdown(self.release)
         broadcast = getattr(backend, "broadcast", None)
         if broadcast is not None:
-            # Freshly spawned workers are still importing: wait for them
-            # here, not inside the first step's supervised dispatch,
-            # where a retry policy's deadline would read boot as a hang.
+            # Freshly spawned workers are still importing: wait for
+            # every one of them here, so their boot lands before the
+            # first step rather than inside its ``step/dispatch``.
             broadcast(worker_ready)
 
     def _unbind(self) -> None:
@@ -522,9 +518,6 @@ class ShardedStep:
         for i, layer in reversed(convs):
             layer.rehearse_engine_faults("bp", need_input_error=i > 0)
         with telemetry.span("step/publish", batch=batch, shards=len(ranges)):
-            self._step += 1
-            stamp, stamp_handle = self._buffer("stamp", (1,), np.int64)
-            stamp[0] = self._step
             published, inputs_handle = self._buffer(
                 "inputs", inputs.shape, inputs.dtype)
             published[...] = inputs
@@ -548,13 +541,13 @@ class ShardedStep:
             grads, grads_handle = self._buffer(
                 "grads", (len(ranges), self._nbytes), np.uint8)
         job = ShardJob(
-            token=self.token, step=self._step,
+            token=self.token,
             structure=network.structure(), input_shape=network.input_shape,
-            layout=self._layout, batch=batch, stamp=stamp_handle,
+            layout=self._layout, batch=batch,
             params=self._params, inputs=inputs_handle, labels=labels_handle,
             noise=tuple(noise), logits=logits_handle, grads=grads_handle,
         )
-        reports: list[ShardReport | None] = [None] * len(ranges)
+        reports: dict[int, ShardReport] = {}
         replicas = (None if self.pool.backend_name == "process"
                     else self._replicas)
         # The ``pool.result`` corrupt site sees the partial as numbers.
@@ -572,10 +565,7 @@ class ShardedStep:
         metas = [{"lo": lo, "hi": hi} for lo, hi in ranges]
         with telemetry.span("step/dispatch", batch=batch, shards=len(ranges)):
             self._partials = self.pool.run_tasks(thunks, metas)
-        self._reports = [report for report in reports if report is not None]
-        if len(self._reports) < len(ranges):
-            # Only an attempt abandoned steps ago reports None.
-            raise ReproError("a step shard found its buffers republished")
+        self._reports = [reports[i] for i in range(len(ranges))]
         for report in self._reports:
             for index, phase, engine, reason in report.failures:
                 layer = network.layers[index]

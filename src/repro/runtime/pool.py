@@ -21,14 +21,12 @@ The pool is deliberately minimal -- ``map_batches`` mirrors the paper's
 scheduling (contiguous image ranges per core, Sec. 4.1) and is what the
 :class:`repro.runtime.parallel.ParallelExecutor` builds on.
 
-Fault handling: when a :class:`repro.resilience.policy.RetryPolicy` is
-attached (explicitly, or ambiently via ``apply_policy``), tasks run
-under supervision -- bounded retries with backoff for attempts that
-raise, per-attempt deadlines with straggler reassignment for attempts
-that hang -- and the chaos sites ``pool.task`` / ``pool.result`` let
-:mod:`repro.resilience.faults` exercise exactly those paths
-deterministically.  Both sites wrap the *dispatch* of a task, on the
-parent side, so a chaos plan fires identically under every backend.
+Fault handling: every task runs through
+:func:`repro.resilience.policy.run_with_retries`, which retries a
+raising attempt under the ambient policy (``apply_policy``).  The chaos
+sites ``pool.task`` / ``pool.result`` wrap the *dispatch* of a task, on
+the parent side, so a chaos plan fires identically under every backend.
+The pool sets no hang deadline; the process backend measures its own.
 """
 
 from __future__ import annotations
@@ -36,14 +34,14 @@ from __future__ import annotations
 import functools
 import os
 import weakref
-from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from repro import telemetry
 from repro.blas.gemm import partition_rows
 from repro.errors import ReproError
 from repro.resilience import faults
-from repro.resilience.policy import RetryPolicy, active_policy, run_supervised
+from repro.resilience.policy import active_policy, run_with_retries
 from repro.runtime.backends import (
     BACKEND_NAMES,
     ExecutionBackend,
@@ -59,25 +57,6 @@ def default_worker_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-class _InlineExecutor(Executor):
-    """An Executor whose submit() runs the callable immediately.
-
-    Lets the serial backend reuse :func:`run_supervised` unchanged:
-    attempts execute inline in submission order, retries included
-    (deadlines never fire because every attempt finishes before the
-    supervision loop observes it).
-    """
-
-    def submit(self, fn: Callable[..., Any], /, *args: Any,
-               **kwargs: Any) -> "Future[Any]":  # noqa: D102
-        future: "Future[Any]" = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:  # noqa: BLE001 - routed via the future
-            future.set_exception(exc)
-        return future
-
-
 def _item_range_task(task: Callable[[int], T], lo: int, hi: int) -> list[T]:
     """Module-level body of ``map_items`` ranges (picklable for spawn)."""
     return [task(i) for i in range(lo, hi)]
@@ -87,12 +66,10 @@ class WorkerPool:
     """A fixed set of workers executing image-range tasks."""
 
     def __init__(self, num_workers: int | None = None,
-                 policy: RetryPolicy | None = None,
                  backend: str | ExecutionBackend = "thread") -> None:
         if num_workers is not None and num_workers <= 0:
             raise ReproError(f"num_workers must be positive, got {num_workers}")
         self.num_workers = num_workers or default_worker_count()
-        self.policy = policy
         if isinstance(backend, ExecutionBackend):
             self._backend: ExecutionBackend | None = backend
             self.backend_name = backend.name
@@ -170,7 +147,7 @@ class WorkerPool:
             # The retry policy is the user-facing fault-budget knob;
             # mirror its crash budget onto the backend's per-job
             # redispatch budget so one setting governs both layers.
-            policy = self._effective_policy()
+            policy = active_policy()
             if policy is not None:
                 self._backend.max_redispatch = policy.max_redispatches
         # start() is idempotent and revives a shut-down backend, so
@@ -203,59 +180,52 @@ class WorkerPool:
             raise ReproError(f"batch_size must be positive, got {batch_size}")
         return [r for r in partition_rows(batch_size, self.num_workers) if r[0] < r[1]]
 
-    def _effective_policy(self) -> RetryPolicy | None:
-        return self.policy if self.policy is not None else active_policy()
-
     def run_tasks(
         self,
         thunks: Sequence[Callable[[], T]],
         metas: Sequence[Mapping[str, Any]] | None = None,
     ) -> list[T]:
-        """Run parent-side thunks with spans, fault sites and supervision.
+        """Run parent-side thunks with spans, fault sites and retries.
 
         The scheduling primitive beneath ``map_batches``: each thunk is
         wrapped in a ``pool/task`` telemetry span and the ``pool.task``
-        / ``pool.result`` fault sites, then executed on this pool's
-        backend -- inline in order (serial), on the dispatcher threads
-        (thread), or blocking on a worker-process round-trip (process;
-        the thunk itself performs the shipping).  Results come back in
-        thunk order; the first failure propagates after every sibling
-        resolved.  Under a retry policy, thunks must be idempotent.
+        / ``pool.result`` fault sites, retried under the ambient policy
+        (:func:`~repro.resilience.policy.run_with_retries`; thunks must
+        then be idempotent), and executed on this pool's backend --
+        inline in order (serial), on the dispatcher threads (thread), or
+        blocking on a worker-process round-trip (process; the thunk
+        itself performs the shipping).  Results come back in thunk
+        order; the first failure in thunk order propagates after every
+        sibling resolved.
         """
         metas = metas or [{} for _ in thunks]
-        policy = self._effective_policy()
+        policy = active_policy()
         telemetry.add("pool.tasks", len(thunks))
         telemetry.gauge("pool.queue_occupancy", len(thunks))
 
-        def run(index: int) -> T:
+        def attempt(index: int) -> T:
             meta = dict(metas[index])
             with telemetry.span("pool/task", worker=index, **meta):
                 faults.perturb("pool.task", worker=index, **meta)
                 return faults.corrupt_array("pool.result", thunks[index]())
 
-        serial = self.backend_name == "serial"
+        def run(index: int) -> T:
+            return run_with_retries(lambda: attempt(index), policy, index)
+
         try:
-            if policy is None:
-                if serial or len(thunks) == 1:
-                    return [run(i) for i in range(len(thunks))]
-                executor = self._require_executor()
-                futures = [executor.submit(run, i) for i in range(len(thunks))]
-                # Let every sibling task finish before propagating any
-                # failure, as documented -- callers must never observe a
-                # task still running after run_tasks raised.
-                wait(futures)
-                for f in futures:
-                    error = f.exception()
-                    if error is not None:
-                        raise error
-                return [f.result() for f in futures]
-            supervisor: Executor = (
-                _InlineExecutor() if serial else self._require_executor()
-            )
-            wrapped = [
-                (lambda i=i: run(i)) for i in range(len(thunks))
-            ]
-            return run_supervised(supervisor, wrapped, policy)
+            if self.backend_name == "serial" or len(thunks) == 1:
+                return [run(i) for i in range(len(thunks))]
+            executor = self._require_executor()
+            futures = [executor.submit(run, i) for i in range(len(thunks))]
+            # Let every sibling task finish before propagating any
+            # failure, as documented -- callers must never observe a
+            # task still running after run_tasks raised.
+            wait(futures)
+            for f in futures:
+                error = f.exception()
+                if error is not None:
+                    raise error
+            return [f.result() for f in futures]
         finally:
             # Results collected (or the batch failed): the queue is
             # drained either way, and the gauge must say so -- a stuck
@@ -270,8 +240,8 @@ class WorkerPool:
 
         Results are returned in range order.  Exceptions propagate to the
         caller after all submitted tasks finish.  Under a retry policy,
-        failing attempts are retried and hanging attempts reassigned
-        first; tasks must be idempotent (pure functions of their range).
+        failing attempts are retried first; tasks must be idempotent
+        (pure functions of their range).
         Under the process backend the task and its captured state must
         pickle -- ship arrays through :mod:`repro.runtime.shm` instead
         of capturing them.

@@ -30,6 +30,8 @@ class TestFaultSpec:
             FaultSpec(site="pool.task", kind="explode")
         with pytest.raises(ReproError):
             FaultSpec(site="pool.task", kind="drop")
+        with pytest.raises(ReproError):  # hangs are the hang plan's
+            FaultSpec(site="pool.task", kind="hang")
 
     def test_rejects_zero_based_indices(self):
         with pytest.raises(ReproError):
@@ -38,8 +40,8 @@ class TestFaultSpec:
     def test_rejects_bad_rate_delay_fraction(self):
         with pytest.raises(ReproError):
             FaultSpec(site="s", kind="raise", rate=1.5)
-        with pytest.raises(ReproError):
-            FaultSpec(site="s", kind="hang", delay=-1.0)
+        with pytest.raises(TypeError):  # no delay: nothing sleeps
+            FaultSpec(site="s", kind="raise", delay=0.1)
         with pytest.raises(ReproError):
             FaultSpec(site="s", kind="corrupt", fraction=0.0)
 
@@ -151,10 +153,10 @@ class TestModuleHooks:
 #: The instrumented sites of ``repro.resilience.faults`` and the fault
 #: kinds each one acts on (its module docstring's site table).
 SITE_KINDS = {
-    "pool.task": {"raise", "hang"},
+    "pool.task": {"raise"},
     "pool.result": {"corrupt"},
-    "engine.fp": {"raise", "hang"},
-    "engine.bp": {"raise", "hang"},
+    "engine.fp": {"raise"},
+    "engine.bp": {"raise"},
     "sgd.gradient": {"corrupt"},
 }
 
@@ -178,9 +180,8 @@ class TestNamedPlans:
         with pytest.raises(ReproError, match="unknown fault plan"):
             get_plan("nope")
 
-    def test_smoke_plan_covers_crash_straggler_and_nan(self):
+    def test_smoke_plan_covers_crash_and_nan(self):
         plan = get_plan("smoke")
         kinds = {(s.site, s.kind) for s in plan.specs}
         assert ("pool.task", "raise") in kinds
-        assert ("pool.task", "hang") in kinds
         assert ("sgd.gradient", "corrupt") in kinds

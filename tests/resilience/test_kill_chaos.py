@@ -13,7 +13,7 @@ from repro.errors import ReproError
 from repro.resilience import faults
 from repro.resilience.chaos import (
     REAL_KILL_PLANS,
-    kill_chaos_policy,
+    default_policy,
     run_chaos,
 )
 from repro.runtime import shm
@@ -66,12 +66,12 @@ class TestPlanRegistry:
             faults.get_plan(name, seed=0)
 
 
-class TestKillChaosPolicy:
-    def test_no_per_attempt_deadline(self):
+class TestChaosPolicy:
+    def test_one_policy_with_crash_budgets_and_no_deadline(self):
         # Hang recovery belongs to the process backend's hang deadline;
-        # a per-attempt timeout on top would double-count the stall and
-        # fail jobs the backend is about to redispatch.
-        policy = kill_chaos_policy()
-        assert policy.timeout is None
+        # the policy only budgets retries and redispatches, for every
+        # plan alike.
+        policy = default_policy()
+        assert not hasattr(policy, "timeout")
         assert policy.max_redispatches >= 1
         assert policy.max_retries >= 1

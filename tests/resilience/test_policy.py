@@ -1,24 +1,25 @@
-"""Tests for the resilient execution policy and supervised runner."""
+"""Tests for the retry policy and the one retry loop."""
 
+import dataclasses
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import telemetry
-from repro.errors import ReproError, TaskTimeoutError
+from repro.errors import ReproError
 from repro.resilience.policy import (
     RetryPolicy,
     active_policy,
     apply_policy,
-    run_supervised,
+    run_with_retries,
 )
+from repro.runtime.pool import WorkerPool
 
 
 @pytest.fixture
-def executor():
-    with ThreadPoolExecutor(max_workers=4) as pool:
+def pool():
+    with WorkerPool(num_workers=4) as pool:
         yield pool
 
 
@@ -27,11 +28,9 @@ class TestRetryPolicy:
         with pytest.raises(ReproError):
             RetryPolicy(max_retries=-1)
         with pytest.raises(ReproError):
-            RetryPolicy(timeout=0.0)
-        with pytest.raises(ReproError):
-            RetryPolicy(max_stragglers=-1)
-        with pytest.raises(ReproError):
             RetryPolicy(backoff_base=-0.1)
+        with pytest.raises(ReproError):
+            RetryPolicy(max_redispatches=-1)
 
     def test_backoff_doubles_and_caps(self):
         policy = RetryPolicy(backoff_base=0.1, backoff_cap=0.35)
@@ -41,6 +40,11 @@ class TestRetryPolicy:
 
     def test_zero_base_means_no_sleep(self):
         assert RetryPolicy(backoff_base=0.0).backoff(3) == 0.0
+
+    def test_budgets_are_the_only_fields(self):
+        # No deadline of its own: hangs are the process backend's.
+        assert [f.name for f in dataclasses.fields(RetryPolicy)] == [
+            "max_retries", "backoff_base", "backoff_cap", "max_redispatches"]
 
 
 class TestAmbientPolicy:
@@ -58,13 +62,13 @@ class TestAmbientPolicy:
             assert active_policy() is inner
 
 
-class TestRunSupervised:
-    def test_results_in_task_order(self, executor):
+class TestRunWithRetries:
+    def test_results_in_task_order(self, pool):
         thunks = [lambda i=i: i * 10 for i in range(5)]
-        policy = RetryPolicy(max_retries=0)
-        assert run_supervised(executor, thunks, policy) == [0, 10, 20, 30, 40]
+        with apply_policy(RetryPolicy(max_retries=0)):
+            assert pool.run_tasks(thunks) == [0, 10, 20, 30, 40]
 
-    def test_failing_task_is_retried(self, executor):
+    def test_failing_task_is_retried(self):
         attempts = []
 
         def flaky():
@@ -74,58 +78,67 @@ class TestRunSupervised:
             return "ok"
 
         with telemetry.collect() as tel:
-            result = run_supervised(
-                executor, [flaky], RetryPolicy(max_retries=2,
-                                               backoff_base=0.0)
+            result = run_with_retries(
+                flaky, RetryPolicy(max_retries=2, backoff_base=0.0)
             )
-        assert result == ["ok"]
+        assert result == "ok"
         assert len(attempts) == 3
         assert tel.counters["pool.retries"] == 2
+        assert [e.attrs["attempt"] for e in tel.events
+                if e.name == "pool.retry"] == [1, 2]
 
-    def test_retry_budget_exhaustion_propagates_error(self, executor):
+    def test_retry_budget_exhaustion_propagates_error(self):
         def doomed():
             raise ValueError("permanent")
 
         with telemetry.collect() as tel:
             with pytest.raises(ValueError, match="permanent"):
-                run_supervised(
-                    executor, [doomed], RetryPolicy(max_retries=1,
-                                                    backoff_base=0.0)
+                run_with_retries(
+                    doomed, RetryPolicy(max_retries=1, backoff_base=0.0)
                 )
         assert tel.counters["pool.retries"] == 1
         assert tel.counters["pool.task_failures"] == 1
 
-    def test_straggler_gets_backup_attempt(self, executor):
-        calls = []
-        lock = threading.Lock()
+    def test_without_policy_the_first_error_propagates(self):
+        attempts = []
 
-        def slow_once():
-            with lock:
-                calls.append(1)
-                first = len(calls) == 1
-            if first:
-                time.sleep(0.5)  # the straggler
-            return "done"
+        def doomed():
+            attempts.append(1)
+            raise ValueError("once")
 
-        policy = RetryPolicy(timeout=0.05, max_stragglers=1,
-                             backoff_base=0.0)
         with telemetry.collect() as tel:
-            result = run_supervised(executor, [slow_once], policy)
-        assert result == ["done"]
-        assert len(calls) == 2  # original + backup
-        assert tel.counters["pool.stragglers"] == 1
+            with pytest.raises(ValueError, match="once"):
+                run_with_retries(doomed, None)
+        assert attempts == [1]
+        assert "pool.retries" not in tel.counters
+        assert "pool.task_failures" not in tel.counters
 
-    def test_timeout_after_straggler_budget_spent(self, executor):
-        def hang():
-            time.sleep(1.0)
+    def test_interrupt_is_never_retried(self):
+        attempts = []
 
-        policy = RetryPolicy(timeout=0.05, max_stragglers=0)
-        with telemetry.collect() as tel:
-            with pytest.raises(TaskTimeoutError):
-                run_supervised(executor, [hang], policy)
-        assert tel.counters["pool.timeouts"] == 1
+        def interrupted():
+            attempts.append(1)
+            raise KeyboardInterrupt
 
-    def test_first_error_in_task_order_wins(self, executor):
+        with pytest.raises(KeyboardInterrupt):
+            run_with_retries(interrupted, RetryPolicy(max_retries=3,
+                                                      backoff_base=0.0))
+        assert attempts == [1]
+
+    def test_backoff_sleeps_between_attempts(self):
+        stamps = []
+
+        def flaky():
+            stamps.append(time.monotonic())
+            if len(stamps) < 2:
+                raise RuntimeError("transient")
+            return "ok"
+
+        policy = RetryPolicy(max_retries=1, backoff_base=0.05)
+        assert run_with_retries(flaky, policy) == "ok"
+        assert stamps[1] - stamps[0] >= 0.05
+
+    def test_first_error_in_task_order_wins(self, pool):
         def make(index):
             def thunk():
                 if index >= 1:
@@ -133,11 +146,11 @@ class TestRunSupervised:
                 return index
             return thunk
 
-        with pytest.raises(RuntimeError, match="task 1"):
-            run_supervised(executor, [make(i) for i in range(4)],
-                           RetryPolicy(max_retries=0))
+        with apply_policy(RetryPolicy(max_retries=0)):
+            with pytest.raises(RuntimeError, match="task 1"):
+                pool.run_tasks([make(i) for i in range(4)])
 
-    def test_siblings_finish_despite_one_failure(self, executor):
+    def test_siblings_finish_despite_one_failure(self, pool):
         finished = []
         lock = threading.Lock()
 
@@ -151,7 +164,7 @@ class TestRunSupervised:
                 return index
             return thunk
 
-        with pytest.raises(RuntimeError, match="early"):
-            run_supervised(executor, [make(i) for i in range(4)],
-                           RetryPolicy(max_retries=0))
+        with apply_policy(RetryPolicy(max_retries=0)):
+            with pytest.raises(RuntimeError, match="early"):
+                pool.run_tasks([make(i) for i in range(4)])
         assert sorted(finished) == [1, 2, 3]

@@ -6,7 +6,6 @@ import pytest
 from repro.core.convspec import ConvSpec
 from repro.errors import ReproError
 from repro.ops.engine import make_engine
-from repro.resilience.policy import RetryPolicy
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.pool import WorkerPool
 from tests.conftest import random_conv_data
@@ -105,20 +104,6 @@ class TestExecutorBehaviour:
             assert not hasattr(executor, "_next_engine")
             assert executor.name == "gemm-in-parallel"
 
-    def test_correct_under_straggler_reassignment(self, data, oracle):
-        # A reassigned backup attempt may overlap its original; both
-        # must get their own engine (mutable Workspace scratch) or the
-        # adopted result can be corrupted.
-        inputs, weights, err = data
-        policy = RetryPolicy(max_retries=0, timeout=0.02,
-                             max_stragglers=100)
-        with ParallelExecutor("gemm-in-parallel", SPEC,
-                              pool=WorkerPool(3, policy=policy)) as executor:
-            got_fp = executor.forward(inputs, weights)
-            got_bw = executor.backward_weights(err, inputs)
-        np.testing.assert_allclose(got_fp, oracle["fp"], atol=1e-3)
-        np.testing.assert_allclose(got_bw, oracle["bw"], atol=1e-2)
-
 
 class TestEngineCheckout:
     """Concurrent attempts never share an engine's mutable scratch."""
@@ -128,8 +113,9 @@ class TestEngineCheckout:
                               pool=WorkerPool(2)) as executor:
             first = executor._checkout_engine()
             second = executor._checkout_engine()
-            # More live attempts than workers (straggler overlap): the
-            # free-list grows instead of handing out a busy engine.
+            # More live attempts than workers (two phases' slices
+            # overlapping under the DAG): the free-list grows instead of
+            # handing out a busy engine.
             third = executor._checkout_engine()
             assert first is not second
             assert second is not third and first is not third
@@ -152,8 +138,8 @@ class TestEngineCheckout:
     def test_engine_kwargs_forwarded(self):
         with ParallelExecutor("stencil", SPEC, pool=WorkerPool(2),
                               num_cores=3) as executor:
-            # The engines built up front and the one a straggler's
-            # overlap checks out on demand are built alike.
+            # The engines built up front and the one an overlap checks
+            # out on demand are built alike.
             extra = [executor._checkout_engine() for _ in range(3)]
             assert len(executor._engines) == 3
             assert [e.num_cores for e in executor._engines] == [3, 3, 3]

@@ -202,36 +202,70 @@ class TestReuseAfterShutdown:
         pool.shutdown()
 
 
+def _range(lo: int, hi: int) -> tuple[int, int]:
+    """A picklable range task: the process backend ships it by name."""
+    return lo, hi
+
+
 class TestSupervisedExecution:
     def test_injected_crash_is_retried(self):
         plan = FaultPlan("t", specs=(
             FaultSpec(site="pool.task", kind="raise", at=(2,)),
         ))
         policy = RetryPolicy(max_retries=2, backoff_base=0.0)
-        with WorkerPool(num_workers=2, policy=policy) as pool:
-            with telemetry.collect() as tel, inject(plan):
+        with WorkerPool(num_workers=2) as pool:
+            with telemetry.collect() as tel, inject(plan), \
+                    apply_policy(policy):
                 results = pool.map_batches(lambda lo, hi: (lo, hi), 8)
         assert results == [(0, 4), (4, 8)]
         assert tel.counters["pool.retries"] == 1
         assert tel.counters["faults.raise"] == 1
 
-    def test_injected_straggler_is_reassigned(self):
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_injected_raise_is_retried_on_the_same_range(self, backend):
         plan = FaultPlan("t", specs=(
-            FaultSpec(site="pool.task", kind="hang", at=(1,), delay=0.5),
+            FaultSpec(site="pool.task", kind="raise", at=(1,)),
         ))
-        policy = RetryPolicy(timeout=0.05, max_stragglers=1,
-                             backoff_base=0.0)
-        with WorkerPool(num_workers=2, policy=policy) as pool:
-            with telemetry.collect() as tel, inject(plan):
-                results = pool.map_batches(lambda lo, hi: hi - lo, 8)
+        policy = RetryPolicy(max_retries=1, backoff_base=0.0)
+        with WorkerPool(num_workers=2, backend=backend) as pool:
+            with telemetry.collect() as tel, inject(plan) as injector, \
+                    apply_policy(policy):
+                results = pool.map_batches(_range, 8)
+        assert results == [(0, 4), (4, 8)]
+        (fired,) = injector.fired()
+        faulted = (fired.attrs["lo"], fired.attrs["hi"])
+        attempts = sorted((s.attrs["lo"], s.attrs["hi"]) for s in tel.spans
+                          if s.name == "pool/task")
+        assert attempts == sorted([(0, 4), (4, 8), faulted])
+        (retry,) = [e for e in tel.events if e.name == "pool.retry"]
+        assert retry.attrs["task"] == fired.attrs["worker"]
+
+    def test_slow_task_runs_once_under_the_chaos_policy(self):
+        # No deadline of the policy's own: a slow attempt is waited for,
+        # never duplicated.
+        from repro.resilience.chaos import default_policy
+
+        attempts = []
+        lock = threading.Lock()
+
+        def slow(lo, hi):
+            with lock:
+                attempts.append((lo, hi))
+            time.sleep(0.4)
+            return hi - lo
+
+        with WorkerPool(num_workers=2, backend="thread") as pool:
+            with telemetry.collect() as tel, apply_policy(default_policy()):
+                results = pool.map_batches(slow, 8)
         assert results == [4, 4]
-        assert tel.counters["pool.stragglers"] == 1
+        assert len(attempts) == tel.counters["pool.tasks"] == 2
+        assert sorted(attempts) == [(0, 4), (4, 8)]
 
     def test_ambient_policy_picked_up(self):
         plan = FaultPlan("t", specs=(
             FaultSpec(site="pool.task", kind="raise", at=(1,)),
         ))
-        pool = WorkerPool(num_workers=2)  # no policy of its own
+        pool = WorkerPool(num_workers=2)
         with telemetry.collect() as tel, inject(plan):
             with apply_policy(RetryPolicy(max_retries=1, backoff_base=0.0)):
                 results = pool.map_batches(lambda lo, hi: hi - lo, 8)

@@ -623,31 +623,6 @@ class TestWorkerHeap:
         assert pin_malloc_thresholds() == "mmap:32M,trim:512M"  # idempotent
 
 
-def test_stale_attempt_does_not_write_into_a_later_steps_buffers():
-    # A straggler's abandoned original can outlive its step; the stamp
-    # tells it the buffers have moved on.
-    from repro.runtime.backends import ReplicaCache, run_step_shard
-
-    net = mnist_net(scale=0.25, rng=np.random.default_rng(0),
-                    threads=2, backend="serial")
-    data = mnist_like(8, seed=0)
-    sharder = net.step_sharder()
-    jobs = []
-    original = sharder.pool._require_backend().call
-
-    def capture(fn, job, *rest):
-        jobs.append(job)
-        return original(fn, job, *rest)
-
-    sharder.pool._require_backend().call = capture
-    sharder.run(data.images, data.labels)
-    stale = jobs[0]
-    logits = sharder.run(data.images[::-1], data.labels[::-1]).copy()
-    assert run_step_shard(stale, 0, 0, 4, ReplicaCache()) is None
-    np.testing.assert_array_equal(sharder._local["logits"], logits)
-    _close(net)
-
-
 def test_pool_runs_shutdown_releases_once():
     pool = WorkerPool(2, backend="serial")
     calls = []
