@@ -1,7 +1,7 @@
 """``repro.check``: static verification of generated kernels, graphs
 and the parallel runtime.
 
-Five analyzers prove correctness properties *before* anything runs on
+Four analyzers prove correctness properties *before* anything runs on
 training data, so codegen drift and runtime races surface at check time
 instead of as silent numerical corruption mid-training:
 
@@ -16,11 +16,9 @@ instead of as silent numerical corruption mid-training:
   reads/writes, an AST pass cross-checks the declarations against the
   node body, and a reachability pass proves no unordered pair of nodes
   conflicts (wired into :class:`TrainingLoop` when ``scheduler="dag"``);
-* :mod:`repro.check.concurrency` -- lint for mutable defaults, shared
-  mutable state under the worker pool, and telemetry misuse;
-* :mod:`repro.check.lifecycle` -- shared-memory buffer lifecycle
-  analyzer over the shm-owning runtime modules (use-after-release,
-  orphaned owners, unlink-by-attacher, registry evictions that leak).
+* :mod:`repro.check.concurrency` -- lint for shared mutable state
+  under the worker pool, telemetry misuse, and shm handles or engine
+  scratch captured by submitted callables.
 
 Like every package ``__init__`` here, this one imports nothing: the
 training pre-flight loads :mod:`repro.check.graph` alone.

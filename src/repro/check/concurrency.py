@@ -2,36 +2,32 @@
 
 The parallel runtime (:class:`repro.runtime.pool.WorkerPool`,
 :class:`repro.runtime.parallel.ParallelExecutor`) runs closures on real
-threads, so a small class of Python idioms become data races or silent
-aliasing bugs.  This ``ast`` pass walks every module under ``repro``
-and flags:
+threads and ships tasks to spawned processes, so a small class of
+Python idioms become data races or silent aliasing bugs that no run
+raises on.  This ``ast`` pass walks every module under ``repro`` and
+flags, each finding carrying its rule id:
 
-* **CHK-MUT-DEFAULT** -- mutable default arguments (``def f(x=[])``):
-  shared across calls and, under the pool, across threads;
 * **CHK-SHARED-MUT** -- module-level mutable state mutated inside a
   closure (a ``def``/``lambda`` nested in a function) in modules that
   use the worker pool, unless the mutation is guarded by a ``with``
   block naming a lock;
-* **CHK-TEL-API** -- telemetry misuse: attribute access on the
-  ``telemetry`` module outside its public API (typo'd helper names
-  emit nothing, silently), and emission helpers invoked at module
-  import time, which always runs outside any collector guard;
+* **CHK-TEL-API** -- attribute access on the ``telemetry`` module
+  outside ``repro.telemetry.__all__`` (a typo or retired helper raises
+  ``AttributeError`` only when its line runs, and the tests never run
+  some lines), and emission helpers invoked at module import time,
+  which always runs outside any collector guard;
 * **CHK-TEL-LEAK** -- ``telemetry.span(...)`` opened outside a ``with``
-  item: the span object is a context manager, and without ``with`` it
-  is never finished, leaking an open span on the thread's stack;
-* **CHK-TEL-HOT** -- ``telemetry.add``/``gauge`` called
-  inside a nested (per-element) loop: each call takes the collector
-  lock per active collector, so per-element emission turns a hot
-  kernel loop into a lock convoy -- aggregate outside the loop instead;
-* **CHK-FORK** -- a closure submitted to the worker pool
-  (``run_tasks``/``map_batches``/``map_items``/``submit``) captures a
-  fork/pickle-unsafe handle: a threading lock, a live
-  ``TelemetryCollector``, an open ``SharedMemory``/``SharedArray``
-  segment, or an open file.  Under ``backend="process"`` the closure is
-  pickled into a spawned worker, where the lock guards nothing, the
-  collector records into a dead copy, and OS-level handles either fail
-  to pickle or dangle.  Ship :class:`~repro.runtime.shm.ShmDescriptor`
-  values (and re-attach worker-side) instead;
+  item: with a collector active the span opens at the call and is
+  never finished, so it is missing from the trace and stays on the
+  thread's span stack;
+* **CHK-FORK** -- a ``functools.partial`` submitted to the worker pool
+  (``run_tasks``/``map_batches``/``map_items``/``submit``) binds an
+  open ``SharedMemory``/``SharedArray`` segment.  Such a handle
+  pickles silently: a process worker gets a private copy of the array
+  and an owner flag for the parent's segment.  Ship its
+  :class:`~repro.runtime.shm.ShmDescriptor` (and re-attach worker-side)
+  instead.  Lambdas, closures, locks, collectors and files need no
+  rule: ``ProcessBackend`` refuses whatever does not pickle;
 * **CHK-DAG** -- a node callable added to a task graph
   (``add_node``) captures mutable engine scratch bound ahead of time: a
   ``make_engine(...)`` result, a ``Workspace(...)``, or an engine
@@ -44,6 +40,7 @@ and flags:
   ``functools.partial(fn, scratch)`` (bound arguments, positional or
   keyword), and bare bound methods (``scratch.run`` captures its
   instance);
+* **CHK-PARSE** -- a file that does not parse is reported, not skipped.
 """
 
 from __future__ import annotations
@@ -63,9 +60,6 @@ _TELEMETRY_PUBLIC = frozenset(repro.telemetry.__all__)
 #: Telemetry helpers that emit (pointless before any collector exists).
 _TELEMETRY_EMITTERS = frozenset(("add", "gauge", "event", "span"))
 
-#: Scalar emitters whose per-element use in tight loops is a lock convoy.
-_TELEMETRY_HOT_EMITTERS = frozenset(("add", "gauge"))
-
 _POOL_NAMES = ("WorkerPool", "ParallelExecutor", "ThreadPoolExecutor")
 
 _MUTATING_METHODS = frozenset(
@@ -79,23 +73,10 @@ _SUBMIT_METHODS = frozenset(
     ("run_tasks", "map_batches", "map_items", "submit")
 )
 
-#: Constructors whose results must never be captured by a submitted
-#: closure: what each one means when pickled into a spawned worker.
-_FORK_UNSAFE_CALLS = {
-    "Lock": "a threading lock (guards nothing in a spawned worker)",
-    "RLock": "a threading lock (guards nothing in a spawned worker)",
-    "Condition": "a threading condition (dead in a spawned worker)",
-    "Semaphore": "a threading semaphore (dead in a spawned worker)",
-    "TelemetryCollector":
-        "a telemetry collector (the worker records into a dead copy)",
-    "SharedMemory":
-        "an open shared-memory handle (ship the ShmDescriptor and "
-        "re-attach worker-side)",
-    "SharedArray":
-        "an open shared-memory handle (ship the ShmDescriptor and "
-        "re-attach worker-side)",
-    "open": "an open file handle (OS handles do not pickle)",
-}
+#: Constructors whose results pickle without error, so a submitted
+#: partial that binds one is not refused at dispatch.
+_SHM_HANDLE = "an open shared-memory handle"
+_FORK_UNSAFE_CALLS = {"SharedMemory": _SHM_HANDLE, "SharedArray": _SHM_HANDLE}
 
 #: Task-graph submission methods (CHK-DAG): node callables run
 #: concurrently on the work-stealing scheduler.
@@ -117,8 +98,10 @@ _DAG_UNSAFE_CALLS = {
 }
 
 _FORK_MESSAGE = (
-    "{label} submitted via .{method}() captures {free!r}, {description}; "
-    "it cannot cross the process-backend pickle boundary"
+    "{label} submitted via .{method}() captures {free!r}, {description}, "
+    "which pickles silently: a process worker gets a private copy of the "
+    "array, not the parent's segment; ship its ShmDescriptor and "
+    "re-attach worker-side"
 )
 
 _DAG_MESSAGE = (
@@ -128,9 +111,10 @@ _DAG_MESSAGE = (
 )
 
 
-def _finding(severity: str, location: str, message: str) -> Finding:
+def _finding(rule: str, severity: str, location: str,
+             message: str) -> Finding:
     return Finding(severity=severity, analyzer=ANALYZER, location=location,
-                   message=message)
+                   message=message, rule=rule)
 
 
 def _is_mutable_literal(node: ast.expr) -> bool:
@@ -204,7 +188,7 @@ class _ClosureMutationVisitor(ast.NodeVisitor):
         if self._function_depth < 2 or self._lock_depth > 0:
             return
         self.findings.append(_finding(
-            "error", f"{self.module_name}:{lineno}",
+            "CHK-SHARED-MUT", "error", f"{self.module_name}:{lineno}",
             f"module-level mutable {name!r} {how} inside a closure without "
             f"a lock; worker-pool threads race on it",
         ))
@@ -240,59 +224,6 @@ class _ClosureMutationVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-class _TelemetryUseVisitor(ast.NodeVisitor):
-    """Instrumentation-misuse rules: span leaks and hot-loop emission."""
-
-    def __init__(self, module_name: str, aliases: set[str]) -> None:
-        self.module_name = module_name
-        self.aliases = aliases
-        self.findings: list[Finding] = []
-        self._loop_depth = 0
-        self._with_contexts: set[int] = set()
-
-    def _visit_loop(self, node: ast.AST) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    visit_For = _visit_loop
-    visit_AsyncFor = _visit_loop
-    visit_While = _visit_loop
-
-    def _visit_with(self, node: ast.With) -> None:
-        for item in node.items:
-            self._with_contexts.add(id(item.context_expr))
-        self.generic_visit(node)
-
-    visit_With = _visit_with
-    visit_AsyncWith = _visit_with
-
-    def _telemetry_attr(self, node: ast.Call) -> str | None:
-        func = node.func
-        if (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in self.aliases):
-            return func.attr
-        return None
-
-    def visit_Call(self, node: ast.Call) -> None:
-        attr = self._telemetry_attr(node)
-        if attr == "span" and id(node) not in self._with_contexts:
-            self.findings.append(_finding(
-                "error", f"{self.module_name}:{node.lineno}",
-                "telemetry.span(...) opened outside a 'with' item; the "
-                "span is never finished and leaks on the thread's stack",
-            ))
-        elif attr in _TELEMETRY_HOT_EMITTERS and self._loop_depth >= 2:
-            self.findings.append(_finding(
-                "warning", f"{self.module_name}:{node.lineno}",
-                f"telemetry.{attr} called inside a nested per-element "
-                f"loop; each call locks every active collector -- "
-                f"aggregate locally and emit once outside the loop",
-            ))
-        self.generic_visit(node)
-
-
 def _unsafe_call_description(node: ast.expr,
                              table: dict[str, str]) -> str | None:
     """What a value-producing expression binds, if listed in ``table``."""
@@ -303,10 +234,10 @@ def _unsafe_call_description(node: ast.expr,
     if isinstance(func, ast.Name):
         name = func.id
     elif isinstance(func, ast.Attribute):
-        # threading.Lock(), shared_memory.SharedMemory(...) and the
-        # SharedArray classmethods (create/attach/from_array) all bind
-        # a live handle, however deep the attribute chain -- so any
-        # table name appearing anywhere in the chain counts.
+        # shared_memory.SharedMemory(...) and the SharedArray
+        # classmethods (create/attach/from_array) all bind a live
+        # handle, however deep the attribute chain -- so any table name
+        # appearing anywhere in the chain counts.
         parts = []
         current: ast.expr = func
         while isinstance(current, ast.Attribute):
@@ -352,19 +283,20 @@ class _CaptureSafetyVisitor(ast.NodeVisitor):
     binding in any enclosing scope.
     """
 
-    def __init__(self, module_name: str, submit_methods: frozenset[str],
-                 table: dict[str, str], message: str,
-                 bound_methods: bool = False) -> None:
+    def __init__(self, module_name: str, rule: str,
+                 submit_methods: frozenset[str], table: dict[str, str],
+                 message: str, closures: bool = False) -> None:
         self.module_name = module_name
+        self.rule = rule
         self.submit_methods = submit_methods
         self.table = table
         self.message = message
-        # Flag bare bound-method callables (``obj.method``).  Only the
-        # DAG rule opts in: under CHK-FORK, attribute access on an
-        # unsafe handle is how the *sanctioned* pattern extracts the
-        # picklable descriptor (``seg.descriptor``), so the same shape
-        # is clean there.
-        self.bound_methods = bound_methods
+        # Check lambdas, closures and bare bound methods (``obj.method``)
+        # besides partials.  Only the DAG rule opts in: a pool task
+        # that does not pickle is refused at dispatch, and attribute
+        # access on a handle is how the *sanctioned* pattern extracts
+        # the picklable descriptor (``seg.descriptor``).
+        self.closures = closures
         self.findings: list[Finding] = []
         # Innermost scope last; index 0 is the module scope.
         self._scopes: list[dict] = [{"unsafe": {}, "funcs": {}}]
@@ -416,46 +348,32 @@ class _CaptureSafetyVisitor(ast.NodeVisitor):
                 return scope["funcs"][name]
         return None
 
+    def _report(self, lineno: int, label: str, method: str,
+                free: str) -> None:
+        description = self._lookup_unsafe(free)
+        if description is not None:
+            self.findings.append(_finding(
+                self.rule, "error", f"{self.module_name}:{lineno}",
+                self.message.format(label=label, method=method, free=free,
+                                    description=description),
+            ))
+
     def _check_callable(self, func_node: Any, lineno: int, method: str,
                         label: str) -> None:
         for free in sorted(_free_names(func_node)):
-            description = self._lookup_unsafe(free)
-            if description is not None:
-                self.findings.append(_finding(
-                    "error", f"{self.module_name}:{lineno}",
-                    self.message.format(label=label, method=method,
-                                        free=free,
-                                        description=description),
-                ))
+            self._report(lineno, label, method, free)
 
     @staticmethod
-    def _is_partial_call(node: ast.expr) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
+    def _is_partial(func: ast.expr) -> bool:
         return ((isinstance(func, ast.Name) and func.id == "partial")
                 or (isinstance(func, ast.Attribute)
                     and func.attr == "partial"))
-
-    def _check_partial(self, call: ast.Call, method: str) -> None:
-        """``functools.partial(fn, x, k=y)``: x/y are captured like a
-        closure's free names -- unsafe bindings among them race too."""
-        for value in list(call.args) + [kw.value for kw in call.keywords]:
-            if (isinstance(value, ast.Name)
-                    and isinstance(value.ctx, ast.Load)):
-                description = self._lookup_unsafe(value.id)
-                if description is not None:
-                    self.findings.append(_finding(
-                        "error", f"{self.module_name}:{value.lineno}",
-                        self.message.format(label="functools.partial(...)",
-                                            method=method, free=value.id,
-                                            description=description),
-                    ))
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if (isinstance(func, ast.Attribute)
                 and func.attr in self.submit_methods):
+            method = func.attr
             values = list(node.args) + [kw.value for kw in node.keywords]
             for value in values:
                 # Bound methods handed over bare (``obj.method``, not
@@ -474,35 +392,36 @@ class _CaptureSafetyVisitor(ast.NodeVisitor):
                     for inner in ast.walk(sub.body)
                 }
                 for sub in ast.walk(value):
-                    if isinstance(sub, ast.Lambda):
-                        self._check_callable(sub, sub.lineno, func.attr,
+                    if (isinstance(sub, ast.Call)
+                            and self._is_partial(sub.func)):
+                        # ``functools.partial(fn, x, k=y)``: x and y are
+                        # captured like a closure's free names.
+                        for arg in sub.args + [k.value for k in sub.keywords]:
+                            if (isinstance(arg, ast.Name)
+                                    and isinstance(arg.ctx, ast.Load)):
+                                self._report(arg.lineno,
+                                             "functools.partial(...)",
+                                             method, arg.id)
+                    elif not self.closures:
+                        continue
+                    elif isinstance(sub, ast.Lambda):
+                        self._check_callable(sub, sub.lineno, method,
                                              "lambda")
-                    elif self._is_partial_call(sub):
-                        self._check_partial(sub, func.attr)
                     elif (isinstance(sub, ast.Name)
                           and isinstance(sub.ctx, ast.Load)):
                         target = self._lookup_func(sub.id)
                         if target is not None:
-                            self._check_callable(
-                                target, sub.lineno, func.attr,
-                                f"closure {sub.id!r}")
-                    elif (self.bound_methods
-                          and isinstance(sub, ast.Attribute)
+                            self._check_callable(target, sub.lineno, method,
+                                                 f"closure {sub.id!r}")
+                    elif (isinstance(sub, ast.Attribute)
                           and isinstance(sub.ctx, ast.Load)
                           and isinstance(sub.value, ast.Name)
                           and id(sub) not in called
                           and id(sub) not in in_lambda):
-                        description = self._lookup_unsafe(sub.value.id)
-                        if description is not None:
-                            self.findings.append(_finding(
-                                "error",
-                                f"{self.module_name}:{sub.lineno}",
-                                self.message.format(
-                                    label=(f"bound method "
-                                           f"'{sub.value.id}.{sub.attr}'"),
-                                    method=func.attr, free=sub.value.id,
-                                    description=description),
-                            ))
+                        self._report(
+                            sub.lineno,
+                            f"bound method '{sub.value.id}.{sub.attr}'",
+                            method, sub.value.id)
         self.generic_visit(node)
 
 
@@ -527,24 +446,9 @@ def lint_source(module_name: str, source: str) -> list[Finding]:
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
-        return [_finding("error", module_name,
+        return [_finding("CHK-PARSE", "error", module_name,
                          f"source does not parse: {exc}")]
     findings: list[Finding] = []
-
-    # CHK-MUT-DEFAULT: mutable default arguments anywhere.
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            if _is_mutable_literal(default):
-                findings.append(_finding(
-                    "error", f"{module_name}:{node.lineno}",
-                    f"function {node.name!r} has a mutable default "
-                    f"argument; it is shared across calls and threads",
-                ))
 
     # CHK-SHARED-MUT: only in modules that touch the parallel runtime.
     if any(pool in source for pool in _POOL_NAMES):
@@ -554,62 +458,60 @@ def lint_source(module_name: str, source: str) -> list[Finding]:
             visitor.visit(tree)
             findings.extend(visitor.findings)
 
-    # CHK-FORK: fork/pickle-unsafe captures in pool submissions.  The
-    # rule fires on the submission sites themselves, so no module gate:
-    # a module without ``.run_tasks(...)``-style calls yields nothing.
-    fork_visitor = _CaptureSafetyVisitor(
-        module_name, _SUBMIT_METHODS, _FORK_UNSAFE_CALLS, _FORK_MESSAGE
-    )
-    fork_visitor.visit(tree)
-    findings.extend(fork_visitor.findings)
+    # CHK-FORK: shm handles bound into partials submitted to the pool;
+    # CHK-DAG: node callables capturing mutable engine scratch.  The
+    # rules fire on the submission sites themselves, so no module gate.
+    for visitor in (
+        _CaptureSafetyVisitor(module_name, "CHK-FORK", _SUBMIT_METHODS,
+                              _FORK_UNSAFE_CALLS, _FORK_MESSAGE),
+        _CaptureSafetyVisitor(module_name, "CHK-DAG", _DAG_SUBMIT_METHODS,
+                              _DAG_UNSAFE_CALLS, _DAG_MESSAGE,
+                              closures=True),
+    ):
+        visitor.visit(tree)
+        findings.extend(visitor.findings)
 
-    # CHK-DAG: node callables capturing mutable engine scratch.  Same
-    # machinery, different submission methods and unsafe-call table.
-    dag_visitor = _CaptureSafetyVisitor(
-        module_name, _DAG_SUBMIT_METHODS, _DAG_UNSAFE_CALLS, _DAG_MESSAGE,
-        bound_methods=True,
-    )
-    dag_visitor.visit(tree)
-    findings.extend(dag_visitor.findings)
-
-    # CHK-TEL-API: unknown telemetry attributes; import-time emission.
+    # CHK-TEL-API: names outside the API; import-time emission.
     aliases = _telemetry_aliases(tree)
-    if aliases:
-        in_function: set[int] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                for sub in ast.walk(node):
-                    in_function.add(id(sub))
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in aliases):
-                continue
-            if node.attr.startswith("_"):
-                findings.append(_finding(
-                    "error", f"{module_name}:{node.lineno}",
-                    f"access to private telemetry attribute "
-                    f"{node.attr!r} bypasses the collector guard",
-                ))
-            elif node.attr not in _TELEMETRY_PUBLIC:
-                findings.append(_finding(
-                    "error", f"{module_name}:{node.lineno}",
-                    f"telemetry.{node.attr} is not a public telemetry "
-                    f"helper; a typo here silently records nothing",
-                ))
-            elif (node.attr in _TELEMETRY_EMITTERS
-                  and id(node) not in in_function):
-                findings.append(_finding(
-                    "warning", f"{module_name}:{node.lineno}",
-                    f"telemetry.{node.attr} called at import time, before "
-                    f"any collector guard can be active",
-                ))
-        # CHK-TEL-LEAK / CHK-TEL-HOT: span leaks, hot-loop emission.
-        use_visitor = _TelemetryUseVisitor(module_name, aliases)
-        use_visitor.visit(tree)
-        findings.extend(use_visitor.findings)
-
+    if not aliases:
+        return findings
+    in_function: set[int] = set()
+    with_items: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            in_function.update(id(sub) for sub in ast.walk(node))
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            with_items.update(id(item.context_expr) for item in node.items)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and id(node) not in with_items
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "span"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in aliases):
+            findings.append(_finding(
+                "CHK-TEL-LEAK", "error", f"{module_name}:{node.lineno}",
+                "telemetry.span(...) opened outside a 'with' item; the "
+                "span is never finished and leaks on the thread's stack",
+            ))
+        if not (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            continue
+        if node.attr not in _TELEMETRY_PUBLIC:
+            findings.append(_finding(
+                "CHK-TEL-API", "error", f"{module_name}:{node.lineno}",
+                f"telemetry.{node.attr} is not a public telemetry helper "
+                f"(repro.telemetry.__all__); the line raises AttributeError "
+                f"only when it runs, and the tests may never run it",
+            ))
+        elif (node.attr in _TELEMETRY_EMITTERS
+              and id(node) not in in_function):
+            findings.append(_finding(
+                "CHK-TEL-API", "warning", f"{module_name}:{node.lineno}",
+                f"telemetry.{node.attr} called at import time, before "
+                f"any collector guard can be active",
+            ))
     return findings
 
 

@@ -30,6 +30,9 @@ class Finding:
     analyzer: str
     location: str
     message: str
+    #: The lint rule that fired (``CHK-*``); empty where the analyzer is
+    #: itself the rule (gen-source, graph, effects).
+    rule: str = ""
 
     def __post_init__(self) -> None:
         if self.severity not in SEVERITIES:
@@ -39,10 +42,11 @@ class Finding:
             )
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly representation."""
+        """JSON-friendly representation (``rule`` only when set)."""
         return {
             "severity": self.severity,
             "analyzer": self.analyzer,
+            **({"rule": self.rule} if self.rule else {}),
             "location": self.location,
             "message": self.message,
         }

@@ -4,15 +4,13 @@ The default corpus is everything the framework can deploy: the built-in
 zoo networks (graph checker and task-graph effects verifier), the
 engine-facing ConvSpec of every conv layer in those networks plus every
 Table 2 benchmark convolution (generated-source verifier, covering each
-C unit the autotuner can deploy for them), every module of the
-``repro`` package itself (concurrency lint), and the shm-owning runtime
-modules (lifecycle analyzer).
+C unit the autotuner can deploy for them), and every module of the
+``repro`` package itself (concurrency lint).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.check.concurrency import lint_package
 from repro.check.effects import verify_networks as verify_network_effects
@@ -23,15 +21,11 @@ from repro.check.gen_source import (
     verify_sgd_update,
 )
 from repro.check.graph import verify_networks
-from repro.check.lifecycle import lint_lifecycle
 from repro.core.convspec import ConvSpec
 from repro.errors import CheckError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.machine.spec import MachineSpec
-
 #: The analyzers ``run_all`` knows, in run order.
-ANALYZERS = ("gen-source", "graph", "effects", "concurrency", "lifecycle")
+ANALYZERS = ("gen-source", "graph", "effects", "concurrency")
 
 #: Short aliases accepted by ``--only`` (``repro check --only source``).
 ANALYZER_ALIASES = {"source": "gen-source"}
@@ -76,13 +70,12 @@ def default_specs(networks: list | None = None) -> list[ConvSpec]:
 
 
 def run_all(
-    machine: MachineSpec | None = None,
     analyzers: tuple[str, ...] | None = None,
     specs: list[ConvSpec] | None = None,
     networks: list | None = None,
     lint_root: Path | None = None,
 ) -> CheckReport:
-    """Run the selected analyzers (all five by default) and aggregate.
+    """Run the selected analyzers (all four by default) and aggregate.
 
     Returns a :class:`CheckReport`; never raises on findings -- use
     :meth:`CheckReport.raise_if_errors` (or the CLI's exit code) to gate.
@@ -94,11 +87,7 @@ def run_all(
         raise CheckError(
             f"unknown analyzer(s) {sorted(unknown)}; known: {ANALYZERS}"
         )
-    if machine is None:
-        from repro.machine.spec import xeon_e5_2650
-
-        machine = xeon_e5_2650()
-    report = CheckReport(meta={"machine": machine.name})
+    report = CheckReport()
 
     needs_specs = "gen-source" in selected
     needs_networks = (
@@ -131,8 +120,4 @@ def run_all(
         findings, files = lint_package(lint_root)
         report.extend(findings)
         report.meta["files_linted"] = files
-    if "lifecycle" in selected:
-        findings, files = lint_lifecycle(lint_root)
-        report.extend(findings)
-        report.meta["lifecycle_files"] = files
     return report

@@ -5,7 +5,8 @@ ingest to annotate pull requests inline; the CI ``check`` job uploads
 the file this module writes.  The mapping is deliberately small:
 
 * one ``run`` with one ``tool.driver`` (``repro-check``), one rule per
-  analyzer that contributed a finding;
+  rule id that contributed a finding (a lint rule's ``CHK-*`` id, else
+  the analyzer's name);
 * severities map ``error -> error``, ``warning -> warning``,
   ``info -> note``;
 * analyzer locations of the form ``pkg/module.py:NN`` (the source
@@ -39,7 +40,7 @@ def _split_location(location: str) -> "tuple[str, int] | None":
 
 def _result(finding: Finding) -> dict[str, Any]:
     result: dict[str, Any] = {
-        "ruleId": finding.analyzer,
+        "ruleId": finding.rule or finding.analyzer,
         "level": _LEVELS[finding.severity],
         "message": {"text": finding.message},
     }
@@ -61,7 +62,7 @@ def _result(finding: Finding) -> dict[str, Any]:
 
 def to_sarif(report: CheckReport) -> dict[str, Any]:
     """The report as a SARIF 2.1.0 log dictionary."""
-    analyzers = sorted({f.analyzer for f in report.findings})
+    rules = sorted({f.rule or f.analyzer for f in report.findings})
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
@@ -73,13 +74,12 @@ def to_sarif(report: CheckReport) -> dict[str, Any]:
                         "https://example.invalid/repro/check",
                     "rules": [
                         {
-                            "id": analyzer,
+                            "id": rule,
                             "shortDescription": {
-                                "text": f"repro check analyzer "
-                                        f"{analyzer!r}",
+                                "text": f"repro check rule {rule!r}",
                             },
                         }
-                        for analyzer in analyzers
+                        for rule in rules
                     ],
                 },
             },

@@ -9,11 +9,10 @@ Commands:
 * ``figure <name>`` -- regenerate one of the paper's exhibits
   (``table1``, ``table2``, ``fig3a``, ``fig4a`` ... ``fig4f``, ``fig9``).
 * ``check [--only A,B] [--out PATH]`` -- statically
-  verify the generated kernels, network graphs, task-graph effects,
-  shm buffer lifecycles and parallel runtime; ``--only`` takes a
-  comma-separated analyzer list, ``--format sarif`` emits SARIF 2.1.0
-  for code-host upload; exits 1 when any error-severity finding is
-  reported (CI gate).
+  verify the generated kernels, network graphs, task-graph effects
+  and parallel runtime; ``--only`` takes a comma-separated analyzer
+  list, ``--format sarif`` emits SARIF 2.1.0 for code-host upload;
+  exits 1 when any error-severity finding is reported (CI gate).
 * ``chaos [--plan P] [--seed N] [--scheduler barrier|dag] ...`` -- train
   a small job under a named fault plan with the resilient policy active
   and report survival; exits 1 when the run dies, stops improving, or
@@ -72,7 +71,7 @@ _FIGURES = ("table1", "table2", "fig3a", "fig4a", "fig4b", "fig4c", "fig4d",
 _BACKENDS = ("serial", "thread", "process")
 
 #: ``repro.check.runner.ANALYZERS`` and ``ANALYZER_ALIASES``.
-_ANALYZERS = ("gen-source", "graph", "effects", "concurrency", "lifecycle")
+_ANALYZERS = ("gen-source", "graph", "effects", "concurrency")
 _ANALYZER_ALIASES = {"source": "gen-source"}
 
 #: ``repro.resilience.faults.plan_names()`` + ``REAL_KILL_PLANS``.
@@ -215,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--only", type=_analyzer_list, default=None, metavar="A[,B...]",
-        help="comma-separated analyzer list (default: all five)",
+        help="comma-separated analyzer list (default: all four)",
     )
     check.add_argument("--quiet", action="store_true",
                        help="print only the summary line, not the table")

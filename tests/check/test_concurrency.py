@@ -17,23 +17,6 @@ def _errors(findings):
     return [f for f in findings if f.severity == "error"]
 
 
-class TestMutableDefaults:
-    def test_list_default_is_an_error(self):
-        findings = _lint("def f(x=[]):\n    return x\n")
-        assert any("mutable default" in f.message for f in findings)
-
-    def test_dict_call_default_is_an_error(self):
-        findings = _lint("def f(x=dict()):\n    return x\n")
-        assert any("mutable default" in f.message for f in findings)
-
-    def test_kwonly_default_is_checked(self):
-        findings = _lint("def f(*, x={}):\n    return x\n")
-        assert any("mutable default" in f.message for f in findings)
-
-    def test_immutable_defaults_are_fine(self):
-        assert _lint("def f(x=(), y=0, z=None):\n    return x\n") == []
-
-
 class TestSharedMutation:
     POOLED = """
     from repro.runtime.pool import WorkerPool
@@ -49,7 +32,7 @@ class TestSharedMutation:
     def test_closure_mutation_without_lock_is_an_error(self):
         findings = _lint(self.POOLED)
         assert any("worker-pool threads race" in f.message
-                   for f in findings), findings
+                   and f.rule == "CHK-SHARED-MUT" for f in findings), findings
 
     def test_lock_guard_suppresses_the_finding(self):
         code = """
@@ -115,8 +98,8 @@ class TestTelemetryApi:
             return telemetry._ACTIVE
         """
         findings = _lint(code)
-        assert any("private telemetry attribute" in f.message
-                   for f in findings)
+        assert [f.rule for f in findings] == ["CHK-TEL-API"]
+        assert "not a public telemetry helper" in findings[0].message
 
     def test_typoed_helper_is_an_error(self):
         code = """
@@ -126,8 +109,12 @@ class TestTelemetryApi:
             telemetry.guage("x", 1.0)
         """
         findings = _lint(code)
-        assert any("not a public telemetry helper" in f.message
-                   for f in findings)
+        assert [f.rule for f in findings] == ["CHK-TEL-API"]
+        # repro.telemetry has no module __getattr__: the typo raises
+        # when its line runs, so the rule guards lines tier-1 never runs.
+        assert "AttributeError" in findings[0].message
+        with pytest.raises(AttributeError):
+            telemetry.guage("x", 1.0)
 
     @pytest.mark.parametrize("name", sorted(telemetry.__all__))
     def test_public_names_are_clean(self, name):
@@ -171,7 +158,7 @@ class TestTelemetryApi:
         """
         findings = _lint(code)
         assert any("import time" in f.message and f.severity == "warning"
-                   for f in findings)
+                   and f.rule == "CHK-TEL-API" for f in findings)
 
     def test_guarded_emission_in_function_is_fine(self):
         code = """
@@ -216,7 +203,8 @@ class TestSpanLeak:
         """
         findings = _lint(code)
         assert any("never finished and leaks" in f.message
-                   and f.severity == "error" for f in findings)
+                   and f.severity == "error" and f.rule == "CHK-TEL-LEAK"
+                   for f in findings)
 
     def test_span_as_with_item_is_fine(self):
         code = """
@@ -241,58 +229,6 @@ class TestSpanLeak:
         assert any("never finished and leaks" in f.message for f in findings)
 
 
-class TestHotLoopEmission:
-    def test_emitter_in_nested_loop_is_a_warning(self):
-        code = """
-        from repro import telemetry
-
-        def f(rows):
-            for row in rows:
-                for value in row:
-                    telemetry.add("elements", 1)
-        """
-        findings = _lint(code)
-        assert any("nested per-element loop" in f.message
-                   and f.severity == "warning" for f in findings)
-
-    def test_add_and_gauge_are_hot_emitters(self):
-        code = """
-        from repro import telemetry
-
-        def f(rows):
-            for row in rows:
-                while row:
-                    telemetry.add("elements", 1)
-                    telemetry.gauge("depth", 1.0)
-                    row = row[1:]
-        """
-        findings = _lint(code)
-        hot = [f for f in findings if "per-element loop" in f.message]
-        assert len(hot) == 2
-
-    def test_single_loop_emission_is_fine(self):
-        code = """
-        from repro import telemetry
-
-        def f(batches):
-            for batch in batches:
-                telemetry.add("batches", 1)
-        """
-        assert _lint(code) == []
-
-    def test_span_in_nested_loop_is_not_a_hot_emitter(self):
-        code = """
-        from repro import telemetry
-
-        def f(rows):
-            for row in rows:
-                for value in row:
-                    with telemetry.span("cell"):
-                        do_work(value)
-        """
-        assert _lint(code) == []
-
-
 class TestPackageLint:
     def test_real_package_has_no_errors(self):
         findings, files = lint_package()
@@ -303,55 +239,42 @@ class TestPackageLint:
         findings = lint_source("broken.py", "def broken(:\n")
         assert len(findings) == 1
         assert "does not parse" in findings[0].message
+        assert findings[0].rule == "CHK-PARSE"
 
 
 class TestForkSafety:
-    """CHK-FORK: fork/pickle-unsafe captures in pool submissions."""
+    """CHK-FORK: shm handles bound into partials submitted to the pool."""
 
-    def test_lambda_capturing_lock_is_an_error(self):
+    def test_partial_binding_a_segment_by_keyword_is_an_error(self):
         code = """
-        import threading
+        import functools
+        from repro.runtime.shm import SharedArray
 
-        def run(pool):
-            lock = threading.Lock()
-            return pool.run_tasks([lambda: work(lock)])
+        def run(pool, data, task):
+            with SharedArray.from_array(data) as seg:
+                return pool.map_items(functools.partial(task, out=seg), 4)
         """
         findings = _lint(code)
-        assert any("threading lock" in f.message
-                   and "pickle boundary" in f.message for f in findings)
+        assert [f.rule for f in findings] == ["CHK-FORK"]
+        assert "pickles silently" in findings[0].message
 
-    def test_nested_function_capturing_shm_handle_is_an_error(self):
+    def test_callables_the_backend_refuses_are_left_to_it(self):
+        # A lambda or closure does not pickle, nor does a lock, a
+        # collector or a file: ProcessBackend refuses each at dispatch
+        # (tests/runtime/test_backends.py), so the lint stays quiet.
         code = """
+        import threading
         from repro.runtime.shm import SharedArray
 
         def run(pool, data):
+            lock = threading.Lock()
             seg = SharedArray.from_array(data)
             def task(lo, hi):
                 return seg.ndarray[lo:hi].sum()
+            pool.run_tasks([lambda: work(lock)])
             return pool.map_batches(task, data.shape[0])
         """
-        findings = _lint(code)
-        assert any("shared-memory handle" in f.message for f in findings)
-
-    def test_captured_collector_is_an_error(self):
-        code = """
-        from repro.telemetry import TelemetryCollector
-
-        def run(pool):
-            collector = TelemetryCollector()
-            return pool.map_items(lambda i: collector.add("n", i), 4)
-        """
-        findings = _lint(code)
-        assert any("telemetry collector" in f.message for f in findings)
-
-    def test_open_file_from_with_block_is_an_error(self):
-        code = """
-        def run(pool, path):
-            with open(path) as fh:
-                return pool.run_tasks([lambda: fh.read()])
-        """
-        findings = _lint(code)
-        assert any("file handle" in f.message for f in findings)
+        assert _lint(code) == []
 
     def test_descriptor_shipping_is_clean(self):
         code = """
@@ -371,12 +294,13 @@ class TestForkSafety:
 
     def test_unsafe_handle_outside_submission_is_clean(self):
         code = """
-        import threading
+        import functools
+        from repro.runtime.shm import SharedArray
 
-        def run(pool):
-            lock = threading.Lock()
-            with lock:
-                return pool.run_tasks([lambda: work()])
+        def run(pool, data, task):
+            seg = SharedArray.from_array(data)
+            total = seg.ndarray.sum()
+            return pool.run_tasks([functools.partial(task, total)])
         """
         assert _lint(code) == []
 
@@ -481,7 +405,7 @@ class TestDagWrappedCallables:
             )
         """
         findings = _lint(code)
-        assert len(findings) == 1
+        assert [f.rule for f in findings] == ["CHK-DAG"]
         assert "functools.partial(...)" in findings[0].message
 
     def test_partial_shipping_safe_arguments_is_clean(self):
@@ -555,5 +479,5 @@ class TestDagWrappedCallables:
                                     data.shape[0])
         """
         findings = _lint(code)
-        assert len(findings) == 1
+        assert [f.rule for f in findings] == ["CHK-FORK"]
         assert "functools.partial(...)" in findings[0].message

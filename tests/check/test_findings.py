@@ -9,9 +9,9 @@ from repro.errors import CheckError, ReproError
 
 
 def _finding(severity="error", analyzer="kernel-ir", location="loc",
-             message="msg"):
+             message="msg", rule=""):
     return Finding(severity=severity, analyzer=analyzer, location=location,
-                   message=message)
+                   message=message, rule=rule)
 
 
 class TestFinding:
@@ -32,6 +32,12 @@ class TestFinding:
             "severity": "warning", "analyzer": "kernel-ir",
             "location": "net/conv1", "message": "m",
         }
+        assert Finding(**f.to_dict()) == f
+
+    def test_a_lint_rule_id_rides_along(self):
+        f = _finding(rule="CHK-FORK")
+        assert f.to_dict()["rule"] == "CHK-FORK"
+        assert Finding(**f.to_dict()) == f
 
 
 class TestCheckReport:

@@ -67,7 +67,7 @@ class TestRunAll:
 
     def test_analyzers_registry_matches_cli_choices(self):
         assert ANALYZERS == ("gen-source", "graph", "effects",
-                             "concurrency", "lifecycle")
+                             "concurrency")
 
     def test_short_aliases_resolve_to_the_pass_correctness_gate(self):
         # CI runs ``repro check --only source``: the alias must keep
@@ -100,11 +100,11 @@ class TestCheckCli:
 
     def test_only_flag_takes_a_comma_separated_list(self):
         out = io.StringIO()
-        code = main(["check", "--quiet", "--only", "lifecycle,concurrency"],
+        code = main(["check", "--quiet", "--only", "graph,concurrency"],
                     out=out)
         assert code == 0
         text = out.getvalue()
-        assert "lifecycle_files" in text and "files_linted" in text
+        assert "networks=4" in text and "files_linted" in text
         assert "specs" not in text
 
     def test_only_flag_rejects_unknown_analyzer_with_usage_error(self):
@@ -115,7 +115,7 @@ class TestCheckCli:
     def test_sarif_format_writes_sarif_stdout_and_artifact(self, tmp_path):
         out = io.StringIO()
         sarif_path = tmp_path / "check.sarif"
-        code = main(["check", "--only", "lifecycle", "--format", "sarif",
+        code = main(["check", "--only", "concurrency", "--format", "sarif",
                      "--out", str(sarif_path)], out=out)
         assert code == 0
         log = json.loads(out.getvalue().splitlines()[0])
@@ -123,7 +123,7 @@ class TestCheckCli:
         payload = json.loads(sarif_path.read_text())
         run = payload["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-check"
-        assert run["properties"]["lifecycle_files"] == 3
+        assert run["properties"]["files_linted"] > 50
 
     def test_seeded_codegen_fault_exits_nonzero(self, monkeypatch, tmp_path):
         # Acceptance gate: an off-by-one pointer shift in an emitted

@@ -6,10 +6,10 @@ from repro.check.findings import CheckReport, Finding
 from repro.check.sarif import SARIF_VERSION, to_sarif, write_sarif
 
 
-def _finding(severity="error", analyzer="lifecycle",
-             location="repro/runtime/shm.py:42", message="boom"):
+def _finding(severity="error", analyzer="concurrency",
+             location="repro/runtime/shm.py:42", message="boom", rule=""):
     return Finding(severity=severity, analyzer=analyzer,
-                   location=location, message=message)
+                   location=location, message=message, rule=rule)
 
 
 def _report(findings, meta=None):
@@ -55,18 +55,30 @@ class TestToolMetadata:
         log = to_sarif(_report([
             _finding(analyzer="effects", location="fp/x"),
             _finding(analyzer="effects", location="fp/y"),
-            _finding(analyzer="lifecycle"),
+            _finding(analyzer="graph"),
         ]))
         driver = log["runs"][0]["tool"]["driver"]
         assert driver["name"] == "repro-check"
         assert [rule["id"] for rule in driver["rules"]] == \
-            ["effects", "lifecycle"]
+            ["effects", "graph"]
+
+    def test_lint_findings_carry_their_rule_id(self):
+        log = to_sarif(_report([
+            _finding(rule="CHK-FORK"),
+            _finding(rule="CHK-TEL-LEAK"),
+            _finding(rule="CHK-FORK", location="repro/runtime/pool.py:7"),
+        ]))
+        driver = log["runs"][0]["tool"]["driver"]
+        assert [rule["id"] for rule in driver["rules"]] == \
+            ["CHK-FORK", "CHK-TEL-LEAK"]
+        assert [r["ruleId"] for r in log["runs"][0]["results"]] == \
+            ["CHK-FORK", "CHK-FORK", "CHK-TEL-LEAK"]
 
     def test_report_meta_lands_in_run_properties(self):
         log = to_sarif(_report([], meta={"effect_graphs": 8,
-                                         "lifecycle_files": 3}))
+                                         "files_linted": 101}))
         assert log["runs"][0]["properties"] == {"effect_graphs": 8,
-                                                "lifecycle_files": 3}
+                                                "files_linted": 101}
         assert log["version"] == SARIF_VERSION
         assert log["runs"][0]["results"] == []
 
@@ -78,4 +90,4 @@ class TestWriteSarif:
         assert written == target
         payload = json.loads(target.read_text())
         assert payload["version"] == SARIF_VERSION
-        assert payload["runs"][0]["results"][0]["ruleId"] == "lifecycle"
+        assert payload["runs"][0]["results"][0]["ruleId"] == "concurrency"

@@ -6,6 +6,7 @@ importable by the fresh interpreter, which inherits this one's
 ``sys.path``.
 """
 
+import contextlib
 import functools
 import math
 import operator
@@ -29,6 +30,7 @@ from repro.runtime.backends import (
 )
 from repro.runtime.pool import WorkerPool
 from repro.runtime.shm import SharedArray, ShmArena, owned_segments
+from repro.telemetry import TelemetryCollector
 
 
 def _pool_slice_square_sum(descriptor, lo: int, hi: int) -> float:
@@ -123,6 +125,42 @@ class TestProcessExecution:
         backend = process_pool._require_backend()
         with pytest.raises(ReproError, match="cannot be shipped.*must pickle"):
             getattr(backend, ship)(lambda: None)
+
+    @pytest.mark.parametrize("handle", ["lock", "collector", "file"])
+    def test_partial_binding_a_live_handle_is_refused(self, process_pool,
+                                                      handle, tmp_path):
+        # What the concurrency lint leaves to run time: a lock, a
+        # collector or a file bound into a partial does not pickle.
+        with open(tmp_path / "f.txt", "w") as fh:
+            live = {"lock": threading.Lock(), "collector": TelemetryCollector(),
+                    "file": fh}[handle]
+            with pytest.raises(ReproError, match="must pickle"):
+                process_pool.map_items(functools.partial(operator.add, live),
+                                       2)
+
+    @pytest.mark.parametrize("handle", ["lock", "segment", "collector", "file"])
+    def test_closure_capturing_a_live_handle_is_refused(self, process_pool,
+                                                        handle, tmp_path):
+        # The capture shapes the concurrency lint no longer reports: a
+        # nested function over a lock, a segment, a collector or a file
+        # is refused at dispatch, and the refusal leaks no segment.
+        before = set(owned_segments())
+        with contextlib.ExitStack() as stack:
+            live = {
+                "lock": lambda: threading.Lock(),
+                "segment": lambda: stack.enter_context(
+                    SharedArray.from_array(np.ones(4, np.float32))),
+                "collector": lambda: TelemetryCollector(),
+                "file": lambda: stack.enter_context(
+                    open(tmp_path / "f.txt", "w")),
+            }[handle]()
+
+            def task(lo, hi):
+                return (live, lo, hi)
+
+            with pytest.raises(ReproError, match="must pickle"):
+                process_pool.map_batches(task, 4)
+        assert set(owned_segments()) == before
 
     def test_shared_memory_round_trip(self, process_pool):
         data = np.arange(12, dtype=np.float32).reshape(6, 2)

@@ -1,5 +1,6 @@
 """Tests for the shared-memory segment lifecycle (repro.runtime.shm)."""
 
+import contextlib
 import os
 import pickle
 
@@ -99,6 +100,69 @@ class TestSharedArray:
                 raise RuntimeError("boom")
         assert name not in owned_segments()
 
+    def test_close_is_idempotent(self, leak_check):
+        with SharedArray.create((2,), np.float32) as seg:
+            attached = SharedArray.attach(seg.descriptor)
+            attached.close()
+            attached.close()
+
+    def test_attacher_close_leaves_the_segment_to_its_owner(self, leak_check):
+        with SharedArray.create((3,), np.float32) as seg:
+            seg.ndarray[...] = 5.0
+            with SharedArray.attach(seg.descriptor) as attached:
+                assert not attached.owner
+            # The attacher's ``with`` closed its mapping and nothing
+            # more: the name, the registry entry and the data stand.
+            assert os.path.exists(f"/dev/shm/{seg.name}")
+            assert seg.name in owned_segments()
+            np.testing.assert_array_equal(seg.ndarray,
+                                          np.full(3, 5.0, np.float32))
+
+    def test_attacher_access_after_close_raises(self, leak_check):
+        with SharedArray.create((2,), np.float32) as seg:
+            attached = SharedArray.attach(seg.descriptor)
+            attached.close()
+            for attr in ("ndarray", "name", "descriptor"):
+                with pytest.raises(ReproError, match="closed"):
+                    getattr(attached, attr)
+
+    def test_attacher_outlives_the_owners_unlink(self, leak_check):
+        # POSIX keeps the pages mapped past the unlink: a worker still
+        # holding the segment reads it until it closes.
+        seg = SharedArray.from_array(np.arange(4, dtype=np.float32))
+        attached = SharedArray.attach(seg.descriptor)
+        seg.unlink()
+        try:
+            np.testing.assert_array_equal(attached.ndarray,
+                                          np.arange(4, dtype=np.float32))
+        finally:
+            attached.close()
+
+    def test_unlinked_name_cannot_be_attached(self, leak_check):
+        seg = SharedArray.create((2,), np.float32)
+        descriptor = seg.descriptor
+        seg.unlink()
+        with pytest.raises(FileNotFoundError):
+            SharedArray.attach(descriptor)
+
+    def test_unlink_with_a_live_view_still_settles_the_books(self,
+                                                             leak_check):
+        seg = SharedArray.create((2,), np.float32)
+        name = seg.name
+        view = seg.ndarray
+        # Closing the mapping may raise BufferError while ``view`` holds
+        # the buffer; the name is gone and unregistered either way.
+        with contextlib.suppress(BufferError):
+            seg.unlink()
+        assert not os.path.exists(f"/dev/shm/{name}")
+        assert name not in owned_segments()
+        del view
+
+    def test_matches_is_false_after_release(self, leak_check):
+        seg = SharedArray.create((2,), np.float32)
+        seg.unlink()
+        assert not seg.matches((2,), np.float32)
+
     def test_matches(self, leak_check):
         with SharedArray.create((2, 3), np.float32) as seg:
             assert seg.matches((2, 3), np.float32)
@@ -173,6 +237,41 @@ class TestShmArena:
         assert len(arena) == 0
         assert not set(names) & set(owned_segments())
         arena.release()  # idempotent
+
+    def test_release_removes_the_backing_files(self):
+        arena = ShmArena()
+        names = [arena.ensure(role, (2,), np.float32).name
+                 for role in ("p", "q")]
+        arena.release()
+        assert not [n for n in names if os.path.exists(f"/dev/shm/{n}")]
+
+    def test_reallocation_removes_the_stale_backing_file(self, leak_check):
+        with ShmArena() as arena:
+            old_name = arena.ensure("x", (2,), np.float32).name
+            arena.ensure("x", (4,), np.float32)
+            assert not os.path.exists(f"/dev/shm/{old_name}")
+
+    def test_context_releases_on_error(self):
+        names = []
+        with pytest.raises(RuntimeError):
+            with ShmArena() as arena:
+                names.append(arena.ensure("x", (2,), np.float32).name)
+                raise RuntimeError("boom")
+        assert not set(names) & set(owned_segments())
+
+    def test_release_after_a_segment_was_unlinked_directly(self, leak_check):
+        arena = ShmArena()
+        arena.ensure("x", (2,), np.float32).unlink()
+        arena.release()  # the second release of that segment is a no-op
+        assert len(arena) == 0
+
+    def test_ensure_after_release_allocates_afresh(self, leak_check):
+        with ShmArena() as arena:
+            first = arena.ensure("x", (2,), np.float32).name
+            arena.release()
+            again = arena.ensure("x", (2,), np.float32)
+            assert again.name != first
+            assert again.name in owned_segments()
 
     def test_finalizer_releases_dropped_arena(self):
         arena = ShmArena()

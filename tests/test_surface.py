@@ -17,6 +17,9 @@ body counts even when no test executes that function.
   ``repro.machine``: what is deployed and how long a worker may hold a
   task are decided from measurements on this host, never from the
   model of the paper's machine.
+* ``test_check_imports_no_machine_model`` -- ``repro check`` verifies
+  code and graphs, never a machine, so it loads no ``repro.machine``
+  module either.
 * ``test_import_budget_*`` -- a process loads only the code its run
   executes: a bare ``import repro.cli`` no analyzer, tuner or runtime;
   an inline training run no pool, sharding, analyzer, tuner, report or
@@ -179,6 +182,24 @@ def test_training_imports_no_machine_model():
     assert done.stdout.splitlines()[-1] == "[]", done.stdout
 
 
+_CHECK_WITHOUT_MODEL = """
+import io, sys
+from repro import cli
+assert cli.main(["check", "--quiet"], out=io.StringIO()) == 0
+print(sorted(name for name in sys.modules
+             if name == "repro.machine" or name.startswith("repro.machine.")))
+"""
+
+
+def test_check_imports_no_machine_model():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", _CHECK_WITHOUT_MODEL],
+                          env=env, capture_output=True, text=True,
+                          timeout=600, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]", done.stdout
+
+
 #: Lines of ``repro`` source an inline ``mnist_net`` / ``cifar10_net``
 #: training run may import (17,125 when every package re-exported).
 INLINE_LINE_BUDGET = 9400
@@ -208,7 +229,7 @@ print(json.dumps(report))
 
 #: What ``repro check`` alone runs.
 _ANALYZER_MODULES = tuple(f"repro.check.{name}" for name in (
-    "runner", "gen_source", "graph", "effects", "concurrency", "lifecycle"))
+    "runner", "gen_source", "graph", "effects", "concurrency"))
 
 
 def _run_json(script: str, *args: str) -> dict:
@@ -243,8 +264,7 @@ def test_import_budget_inline_training():
         report["run"], *(f"repro.runtime.{name}" for name in
                          ("backends", "pool", "parallel", "shm", "dag")),
         "repro.check.runner", "repro.check.effects",
-        "repro.check.concurrency", "repro.check.lifecycle",
-        "repro.check.gen_source", "repro.core.autotuner",
+        "repro.check.concurrency", "repro.check.gen_source", "repro.core.autotuner",
         "repro.core.framework", "repro.obs", "repro.nn.serialize",
     ), report["run"]
     assert not report["run_mp"]
