@@ -23,11 +23,12 @@ flags, each finding carrying its rule id:
 * **CHK-FORK** -- a ``functools.partial`` submitted to the worker pool
   (``run_tasks``/``map_batches``/``map_items``/``submit``) binds an
   open ``SharedMemory``/``SharedArray`` segment.  Such a handle
-  pickles silently: a process worker gets a private copy of the array
-  and an owner flag for the parent's segment.  Ship its
-  :class:`~repro.runtime.shm.ShmDescriptor` (and re-attach worker-side)
-  instead.  Lambdas, closures, locks, collectors and files need no
-  rule: ``ProcessBackend`` refuses whatever does not pickle;
+  must not cross to a process worker: a ``SharedArray`` refuses to
+  pickle (at dispatch, and only on a range a helper runs), a raw
+  ``SharedMemory`` re-attaches worker-side under the resource tracker.
+  Ship its :class:`~repro.runtime.shm.ShmDescriptor` (and re-attach
+  worker-side) instead.  Lambdas, closures, locks, collectors and files
+  need no rule: ``ProcessBackend`` refuses whatever does not pickle;
 * **CHK-DAG** -- a node callable added to a task graph
   (``add_node``) captures mutable engine scratch bound ahead of time: a
   ``make_engine(...)`` result, a ``Workspace(...)``, or an engine
@@ -99,9 +100,9 @@ _DAG_UNSAFE_CALLS = {
 
 _FORK_MESSAGE = (
     "{label} submitted via .{method}() captures {free!r}, {description}, "
-    "which pickles silently: a process worker gets a private copy of the "
-    "array, not the parent's segment; ship its ShmDescriptor and "
-    "re-attach worker-side"
+    "which must not cross to a process worker (a SharedArray refuses to "
+    "pickle, a raw SharedMemory re-attaches under the resource tracker); "
+    "ship its ShmDescriptor and re-attach worker-side"
 )
 
 _DAG_MESSAGE = (

@@ -10,12 +10,14 @@ persistent spawned worker processes instead, so every core executes
 Python bytecode concurrently, and moves the tensors through
 :mod:`repro.runtime.shm` segments rather than pickles.
 
-Three backends share one contract (:class:`ExecutionBackend`):
+Three backends share one contract (:class:`ExecutionBackend`).  A
+backend serves a pool's *helpers*: the pool's caller runs range 0
+itself, unshipped, so a pool of N asks its backend for N-1 workers
+(:class:`repro.runtime.pool.WorkerPool`):
 
 * ``serial``  -- tasks run inline on the caller's thread, in range
   order.  The determinism reference and the zero-overhead baseline.
-* ``thread``  -- tasks run on the pool's dispatcher threads (the
-  pre-existing behavior).
+* ``thread``  -- tasks run on the pool's dispatcher threads.
 * ``process`` -- tasks are shipped to persistent worker processes;
   the dispatcher thread blocks on the round-trip.  Tasks and their
   arguments must pickle; array payloads should travel via shared
@@ -66,8 +68,10 @@ BLAS threads: the runtime's unit of parallelism is the worker, one
 single-threaded kernel per core (Sec. 4.1), so spawned workers get
 ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` / ``MKL_NUM_THREADS`` set
 to 1 unless the parent's environment already sets them -- N workers x M
-BLAS threads oversubscribe the host.  :func:`worker_diagnostics` and the
-``worker/step_shard`` span report what each worker runs under.
+BLAS threads oversubscribe the host.  The parent, which runs range 0,
+pins its own OpenBLAS the same way (:func:`pin_caller_blas`).
+:func:`worker_diagnostics` and the ``worker/step_shard`` span report
+what each worker runs under.
 
 Heap: every spawned worker, like every trainer, pins glibc's malloc
 thresholds first (:func:`repro.runtime.heap.pin_malloc_thresholds`).
@@ -75,6 +79,7 @@ thresholds first (:func:`repro.runtime.heap.pin_malloc_thresholds`).
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import pickle
@@ -1062,13 +1067,14 @@ def run_engine_slice(
 # image range on an inline *replica* of the network -- fusion and the
 # pooled export included -- and only gradients meet in the parent (see
 # ``repro.runtime.parallel.ShardedStep``).  The same function runs under
-# every backend; what differs is how it reaches the arrays, and where
-# the layers' own telemetry lands (the parent's collectors, or the
-# job's records).
+# every backend, and in the parent for shard 0; what differs is how it
+# reaches the arrays, and where the layers' own telemetry lands (the
+# parent's collectors, or the job's records).
 
-#: What a shard reads or writes: the array itself (serial and thread
-#: backends share the parent's address space) or the descriptor of the
-#: shared-memory segment holding it (process backend).
+#: What a shard reads or writes: the array itself (in the parent, which
+#: every shard under serial and thread and shard 0 under process run in)
+#: or the descriptor of the shared-memory segment holding it (a helper
+#: process).
 ArrayHandle = Union[np.ndarray, shm.ShmDescriptor]
 
 #: One parameter's place in the flat parameter and gradient buffers:
@@ -1095,12 +1101,58 @@ def param_views(flat: np.ndarray,
 
 
 def blas_threads() -> str:
-    """The BLAS thread count this process's environment asks for."""
+    """The BLAS thread count this process's environment asks for, or
+    ``"1"`` once :func:`pin_caller_blas` pinned it."""
     for var in BLAS_THREAD_ENV:
         value = os.environ.get(var)
         if value:
             return value
-    return "unset"
+    return "1" if _caller_blas else "unset"
+
+
+#: OpenBLAS's thread-count setter under the names its builds export
+#: (numpy's wheels bundle a prefixed, 64-bit-integer ``scipy_openblas``).
+_BLAS_SETTERS = ("openblas_set_num_threads",
+                 "scipy_openblas_set_num_threads64_",
+                 "scipy_openblas_set_num_threads")
+
+#: Whether :func:`pin_caller_blas` pinned (None: it has not looked yet).
+_caller_blas: bool | None = None
+
+
+def pin_caller_blas() -> None:
+    """Run this process's OpenBLAS on one thread, as its helpers do.
+
+    The caller of a process pool computes range 0 beside helpers that
+    each run one BLAS thread (:meth:`ProcessBackend._spawn_env`).  Left
+    at OpenBLAS's default of a thread per core, the caller oversubscribes
+    the cores: a ``cifar10_net`` step at batch 16 took 1.7x as long on
+    two.  An explicit environment value wins, as it does for the
+    helpers.  Process-wide, once; does nothing where the process loaded
+    no OpenBLAS (it is found among the mapped libraries).
+    """
+    global _caller_blas
+    if _caller_blas is not None:
+        return
+    _caller_blas = False
+    if any(os.environ.get(var) for var in BLAS_THREAD_ENV):
+        return
+    try:
+        with open("/proc/self/maps", encoding="ascii",
+                  errors="replace") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line})
+    except OSError:  # pragma: no cover - no procfs
+        return
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = (ctypes.c_int,)
+                setter(1)
+                _caller_blas = True
+                return
 
 
 @dataclass(frozen=True)
@@ -1241,8 +1293,9 @@ class ReplicaCache:
     One replica per *concurrent shard*: a shard checks a replica out and
     back in, and the list grows to the number of shards a step runs at
     once (the thread backend runs them all in one process) -- replicas
-    hold cached activations that two shards must never share.  A step whose structure changed (an
-    engine was redeployed or quarantined) drops the stale replicas.
+    hold cached activations that two shards must never share.  A step
+    whose structure changed (an engine was redeployed or quarantined)
+    drops the stale replicas.
     """
 
     def __init__(self) -> None:
@@ -1307,11 +1360,6 @@ def run_step_shard(job: ShardJob, index: int, lo: int, hi: int,
             return _run_shard(replica, job, index, lo, hi)
         finally:
             cache.checkin(job, replica)
-
-
-def worker_ready() -> int:
-    """A no-op round trip: returns once this worker has booted."""
-    return os.getpid()
 
 
 def worker_diagnostics() -> dict[str, Any]:

@@ -440,13 +440,13 @@ def _sliced_executor(layer: Any, engine: Any) -> "ParallelExecutor | None":
 def _shm_regions(executor: "ParallelExecutor") -> tuple[Region, ...]:
     """The arena segment-map write of a publishing prep node.
 
-    Only the process backend publishes operands into the executor's
-    :class:`~repro.runtime.shm.ShmArena`; its segment dict is unlocked,
-    so any two nodes publishing into the same arena must be ordered --
-    which is precisely the ``bd_prep -> dw_prep`` edge the backward
-    builder adds, and what the effects verifier re-proves.
+    Only a pool with helper processes publishes operands into the
+    executor's :class:`~repro.runtime.shm.ShmArena`; its segment dict is
+    unlocked, so any two nodes publishing into the same arena must be
+    ordered -- which is precisely the ``bd_prep -> dw_prep`` edge the
+    backward builder adds, and what the effects verifier re-proves.
     """
-    if executor.pool.backend_name != "process":
+    if not executor.pool.ships:
         return ()
     return (Region(f"shm:{executor._arena._tag}"),)
 

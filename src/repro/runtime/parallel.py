@@ -23,11 +23,15 @@ one layer concurrently.
 Memory behavior: the executor pre-allocates **one** output array per
 call and workers write their ``[lo, hi)`` slice in place -- there is no
 per-worker chunk list and no final ``np.concatenate``/``np.stack``.
-Under the process backend the batch operands are published once into
-shared-memory segments (:mod:`repro.runtime.shm`) that workers attach
-zero-copy; segments are owned by a per-executor arena and *reused*
-across calls while shapes are stable, then unlinked on ``close()`` (or
-by the arena's finalizer -- never leaked, even when a task faults).
+Under every backend the first range runs on the calling thread, on the
+parent's own arrays (:meth:`repro.runtime.pool.WorkerPool.run_tasks`).
+Under the process backend the batch operands of ranges 1.. are
+published once into shared-memory segments (:mod:`repro.runtime.shm`)
+that the helper processes attach zero-copy -- the parent never attaches
+its own segments by name.  Segments are owned by a per-executor arena
+and *reused* across calls while shapes are stable, then unlinked on
+``close()`` (or by the arena's finalizer -- never leaked, even when a
+task faults).
 
 Weight gradients are accumulated per worker and reduced in the parent
 in fixed range order, so results are bit-identical across the serial,
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import secrets
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -60,7 +64,6 @@ from repro.runtime.backends import (
     param_views,
     run_engine_slice,
     run_step_shard,
-    worker_ready,
 )
 from repro.runtime.pool import WorkerPool
 from repro.runtime.shm import SharedArray, ShmArena
@@ -115,11 +118,9 @@ class ParallelExecutor:
         # slice ``i`` of each can be in flight together.  Attempts check
         # an engine out of a free-list and check it back in, and the
         # list grows on demand when slices overlap.  Under the process
-        # backend the engines live in the worker processes instead
-        # (cached per construction key).
+        # backend only range 0 runs here; the helpers' engines live in
+        # the worker processes (cached per construction key).
         self._engine_lock = threading.Lock()
-        self._engines: list[ConvEngine] = []
-        self._free_engines: list[ConvEngine] = []
         first = make_engine(engine_name, spec, **engine_kwargs)
         #: The wrapped engine's lowering and compiled artefact, as built
         #: in this process (ConvEngine-compatible; the workers of the
@@ -127,12 +128,12 @@ class ParallelExecutor:
         self.lowering = first.lowering
         self.artifact = first.artifact
         self.lowered_phases = first.lowered_phases
-        if self.pool.backend_name != "process":
-            self._engines = [first] + [
-                make_engine(engine_name, spec, **engine_kwargs)
-                for _ in range(self.pool.num_workers - 1)
-            ]
-            self._free_engines = list(self._engines)
+        local = 1 if self.pool.ships else self.pool.num_workers
+        self._engines = [first] + [
+            make_engine(engine_name, spec, **engine_kwargs)
+            for _ in range(local - 1)
+        ]
+        self._free_engines = list(self._engines)
 
     @property
     def name(self) -> str:
@@ -187,7 +188,8 @@ class ParallelExecutor:
         ranges: list[tuple[int, int]], per_worker_out: bool,
         options: tuple[tuple[str, Any], ...] = (),
     ) -> list[Callable[[], np.ndarray]]:
-        """Thunks that run the engine slices inside worker processes."""
+        """Thunks that run the engine slices of ranges 1.. inside the
+        helper processes (range 0 runs in the parent)."""
         backend = self.pool._require_backend()
         primary_seg = self._publish(f"{method}/primary", primary)
         shared_seg = self._publish(f"{method}/shared", shared)
@@ -212,7 +214,7 @@ class ParallelExecutor:
 
             return thunk
 
-        return [make(i, lo, hi) for i, (lo, hi) in enumerate(ranges)]
+        return [make(i, lo, hi) for i, (lo, hi) in enumerate(ranges) if i]
 
     # -- sliced execution -------------------------------------------------
 
@@ -226,13 +228,15 @@ class ParallelExecutor:
         its shared-memory segment) is sized for it, so the sliced call
         runs the same BP-data form as the inline engine.
 
-        Each task's engine is checked out of the free-list at run time
-        (never captured), so concurrent tasks -- barrier siblings or DAG
-        nodes -- never share mutable engine scratch.  Under the process
-        backend this also publishes the operands into the executor's
+        Each in-process task's engine is checked out of the free-list at
+        run time (never captured), so concurrent tasks -- barrier
+        siblings or DAG nodes -- never share mutable engine scratch.
+        Under the process backend, task 0 is still in-process; for the
+        others this publishes the operands into the executor's
         shared-memory arena, so building the plan is itself the prefetch
-        step the DAG overlaps with other layers' GEMMs.  Task results that may live outside ``out``
-        must be adopted via :func:`adopt_slice`.
+        step the DAG overlaps with other layers' GEMMs.  Task results
+        that may live outside ``out`` must be adopted via
+        :func:`adopt_slice`.
         """
         batch = primary.shape[0]
         if batch == 0:
@@ -244,26 +248,25 @@ class ParallelExecutor:
         dtype = np.result_type(primary, shared)
         out = np.empty((batch,) + item_shape, dtype=dtype)
 
-        if self.pool.backend_name == "process":
-            thunks = self._shipped_thunks(
+        def make(lo: int, hi: int) -> Callable[[], np.ndarray]:
+            def thunk() -> np.ndarray:
+                engine = self._checkout_engine()
+                try:
+                    out[lo:hi] = getattr(engine, method)(
+                        primary[lo:hi], shared, **options
+                    )
+                finally:
+                    self._checkin_engine(engine)
+                return out[lo:hi]
+
+            return thunk
+
+        thunks = [make(lo, hi) for lo, hi in ranges]
+        if self.pool.ships and len(ranges) > 1:
+            thunks[1:] = self._shipped_thunks(
                 method, primary, shared, out.shape, dtype, ranges,
                 per_worker_out=False, options=tuple(options.items()),
             )
-        else:
-            def make(lo: int, hi: int) -> Callable[[], np.ndarray]:
-                def thunk() -> np.ndarray:
-                    engine = self._checkout_engine()
-                    try:
-                        out[lo:hi] = getattr(engine, method)(
-                            primary[lo:hi], shared, **options
-                        )
-                    finally:
-                        self._checkin_engine(engine)
-                    return out[lo:hi]
-
-                return thunk
-
-            thunks = [make(lo, hi) for lo, hi in ranges]
 
         tasks = [SliceTask(i, lo, hi, thunk)
                  for i, ((lo, hi), thunk) in enumerate(zip(ranges, thunks))]
@@ -314,28 +317,28 @@ class ParallelExecutor:
         if batch == 0:
             raise ReproError("empty batch")
         ranges = self.pool.assignment(batch)
-        partial_shape = (len(ranges),) + self.spec.weight_shape
-        dtype = out_error.dtype
 
-        if self.pool.backend_name == "process":
-            thunks = self._shipped_thunks(
-                "backward_weights", out_error, inputs, partial_shape, dtype,
-                ranges, per_worker_out=True,
+        def make(lo: int, hi: int) -> Callable[[], np.ndarray]:
+            def thunk() -> np.ndarray:
+                engine = self._checkout_engine()
+                try:
+                    return engine.backward_weights(
+                        out_error[lo:hi], inputs[lo:hi]
+                    )
+                finally:
+                    self._checkin_engine(engine)
+
+            return thunk
+
+        thunks = [make(lo, hi) for lo, hi in ranges]
+        if self.pool.ships and len(ranges) > 1:
+            # One partial row per range; row 0 stays unused (range 0's
+            # partial is returned in-process).
+            partial_shape = (len(ranges),) + self.spec.weight_shape
+            thunks[1:] = self._shipped_thunks(
+                "backward_weights", out_error, inputs, partial_shape,
+                out_error.dtype, ranges, per_worker_out=True,
             )
-        else:
-            def make(lo: int, hi: int) -> Callable[[], np.ndarray]:
-                def thunk() -> np.ndarray:
-                    engine = self._checkout_engine()
-                    try:
-                        return engine.backward_weights(
-                            out_error[lo:hi], inputs[lo:hi]
-                        )
-                    finally:
-                        self._checkin_engine(engine)
-
-                return thunk
-
-            thunks = [make(lo, hi) for lo, hi in ranges]
 
         return [SliceTask(i, lo, hi, thunk)
                 for i, ((lo, hi), thunk) in enumerate(zip(ranges, thunks))]
@@ -363,13 +366,13 @@ class ShardedStep:
 
     Dispatch and ownership::
 
-        parent                                  worker k (of pool.num_workers)
-        ------                                  ------------------------------
+        parent (shard 0)                        helper k (1..pool.num_workers-1)
+        ----------------                        --------------------------------
         engine.fp / engine.bp fault sites
         draw dropout masks (layer order)
         publish batch, labels, masks
         one task per range of assignment(B) --> replica.forward -> loss grad
-                                                -> replica.backward
+        (shard 0 runs the same task here)       -> replica.backward
                                                 logits[lo:hi], grads[k] written
         loss from the gathered logits      <--  zero counts, engine failures
         sgd.gradient site, non-finite guard
@@ -385,8 +388,11 @@ class ShardedStep:
     gradient accumulator, nothing that outlives a step.
 
     The same task runs under ``serial`` (in range order), ``thread`` and
-    ``process``; under ``process`` the buffers are shared-memory
-    segments, otherwise plain arrays.  Results are bit-identical across
+    ``process``, and shard 0 runs it on the calling thread under every
+    backend.  Under ``process`` the buffers are shared-memory segments:
+    the helpers' shards name them by descriptor, shard 0 reads the
+    parent's own mapping of them.  Otherwise they are plain arrays.
+    Results are bit-identical across
     the three *on the same split* (same worker count, hence same ranges
     and same reduction order) with the same BLAS build and thread count
     -- spawned workers run one BLAS thread unless the environment says
@@ -416,9 +422,8 @@ class ShardedStep:
         self._bound: list[tuple[Any, str, np.ndarray]] = []
         self._layout: tuple[ParamSlot, ...] = ()
         self._nbytes = 0
-        self._params: ArrayHandle = np.empty(0, dtype=np.uint8)
-        #: Whether ``release`` is registered with the pool and its
-        #: workers were seen booted; per pool start, cleared by release.
+        #: Whether ``release`` is registered with the pool; per pool
+        #: start, cleared by release.
         self._attached = False
         #: Last dispatch: gradient partials in range order, and reports.
         self._partials: list[np.ndarray] = []
@@ -428,8 +433,8 @@ class ShardedStep:
 
     def _buffer(self, role: str, shape: tuple[int, ...],
                 dtype: Any) -> tuple[np.ndarray, ArrayHandle]:
-        """The reusable array for ``role`` and what names it to a shard."""
-        if self.pool.backend_name == "process":
+        """The reusable array for ``role`` and what names it to a helper."""
+        if self.pool.ships:
             seg = self._arena.ensure(role, shape, dtype)
             return seg.ndarray, seg.descriptor
         array = self._local.get(role)
@@ -446,7 +451,11 @@ class ShardedStep:
         for _, _, array in entries:
             layout.append((nbytes, tuple(array.shape), array.dtype.str))
             nbytes = -(-(nbytes + array.nbytes) // 64) * 64
-        flat, self._params = self._buffer("params", (nbytes,), np.uint8)
+        if nbytes != self._nbytes:
+            # The buffer is reallocated; shard 0's replica views the old
+            # one, whose mapping cannot close under its views.
+            self._replicas.discard(self.token)
+        flat, _ = self._buffer("params", (nbytes,), np.uint8)
         self._layout, self._nbytes = tuple(layout), nbytes
         self._bound = []
         for (layer, key, array), view in zip(
@@ -454,18 +463,6 @@ class ShardedStep:
             view[...] = array
             layer.bind_params({key: view})
             self._bound.append((layer, key, view))
-
-    def _attach(self, backend: Any) -> None:
-        """Tie the buffers' lifetime to the pool's workers (once per
-        pool start) and wait for the workers to boot."""
-        self._attached = True
-        self.pool.at_shutdown(self.release)
-        broadcast = getattr(backend, "broadcast", None)
-        if broadcast is not None:
-            # Freshly spawned workers are still importing: wait for
-            # every one of them here, so their boot lands before the
-            # first step rather than inside its ``step/dispatch``.
-            broadcast(worker_ready)
 
     def _unbind(self) -> None:
         """Hand every layer still viewing the buffer a private copy."""
@@ -480,8 +477,10 @@ class ShardedStep:
         self._unbind()
         self._partials = []
         self._local.clear()
-        self._arena.release()
+        # Shard 0's replica views the parameter segment: drop it before
+        # the segment is unmapped.
         self._replicas.discard(self.token)
+        self._arena.release()
 
     # -- the step ---------------------------------------------------------
 
@@ -500,14 +499,21 @@ class ShardedStep:
                 f"(B, *{network.input_shape})"
             )
         ranges = self.pool.assignment(batch)
-        backend = self.pool._require_backend()
+        # Started first, so freshly spawned helpers boot while the
+        # parent publishes and runs shard 0.
+        helpers = (self.pool._require_backend()
+                   if self.pool.ships and len(ranges) > 1 else None)
         if any(getattr(layer, key) is not view
                for layer, key, view in self._bound):
             self._unbind()  # a parameter array was replaced under us
         if not self._bound:
             self._bind()
         if not self._attached:
-            self._attach(backend)
+            # The buffers live as long as the pool's workers.  Nothing
+            # waits for helpers to boot: shard 0 (replica build
+            # included) runs meanwhile.
+            self._attached = True
+            self.pool.at_shutdown(self.release)
         # The engine fault sites are the parent's: replicas visit none,
         # so rehearse this step's engine calls here, in inline's order.
         # A fired fault degrades the layer before its structure ships.
@@ -517,46 +523,59 @@ class ShardedStep:
             layer.rehearse_engine_faults("fp")
         for i, layer in reversed(convs):
             layer.rehearse_engine_faults("bp", need_input_error=i > 0)
+        flat, params_handle = self._buffer("params", (self._nbytes,),
+                                           np.uint8)
         with telemetry.span("step/publish", batch=batch, shards=len(ranges)):
-            published, inputs_handle = self._buffer(
+            inputs_array, inputs_handle = self._buffer(
                 "inputs", inputs.shape, inputs.dtype)
-            published[...] = inputs
-            published, labels_handle = self._buffer(
+            inputs_array[...] = inputs
+            labels_array, labels_handle = self._buffer(
                 "labels", labels.shape, labels.dtype)
-            published[...] = labels
+            labels_array[...] = labels
             # Stochastic layers draw for the whole batch here, in layer
             # order, exactly as an inline forward would; shards get rows.
-            noise: list[tuple[int, ArrayHandle]] = []
+            noise: list[tuple[int, np.ndarray, ArrayHandle]] = []
             for i, layer in enumerate(network.layers):
                 drawn = layer.draw_noise((batch,) + network.layer_shapes[i])
                 if drawn is not None:
                     published, handle = self._buffer(
                         f"noise{i}", drawn.shape, drawn.dtype)
                     published[...] = drawn
-                    noise.append((i, handle))
+                    noise.append((i, published, handle))
             dtype = np.result_type(
                 inputs.dtype, *(view.dtype for _, _, view in self._bound))
             logits, logits_handle = self._buffer(
                 "logits", (batch,) + network.output_shape, dtype)
             grads, grads_handle = self._buffer(
                 "grads", (len(ranges), self._nbytes), np.uint8)
-        job = ShardJob(
+        # What the helpers are shipped (descriptors under ``process``),
+        # and its in-process twin over the parent's own arrays.
+        local = ShardJob(
             token=self.token,
             structure=network.structure(), input_shape=network.input_shape,
             layout=self._layout, batch=batch,
-            params=self._params, inputs=inputs_handle, labels=labels_handle,
-            noise=tuple(noise), logits=logits_handle, grads=grads_handle,
+            params=flat, inputs=inputs_array, labels=labels_array,
+            noise=tuple((i, array) for i, array, _ in noise),
+            logits=logits, grads=grads,
+        )
+        shipped = replace(
+            local, params=params_handle, inputs=inputs_handle,
+            labels=labels_handle,
+            noise=tuple((i, handle) for i, _, handle in noise),
+            logits=logits_handle, grads=grads_handle,
         )
         reports: dict[int, ShardReport] = {}
-        replicas = (None if self.pool.backend_name == "process"
-                    else self._replicas)
         # The ``pool.result`` corrupt site sees the partial as numbers.
         as_numbers = np.dtype(self._layout[0][2])
 
         def make(index: int, lo: int, hi: int) -> Callable[[], np.ndarray]:
             def thunk() -> np.ndarray:
-                reports[index] = backend.call(
-                    run_step_shard, job, index, lo, hi, replicas)
+                if index and helpers is not None:
+                    reports[index] = helpers.call(
+                        run_step_shard, shipped, index, lo, hi)
+                else:
+                    reports[index] = run_step_shard(local, index, lo, hi,
+                                                    self._replicas)
                 return grads[index].view(as_numbers)
 
             return thunk

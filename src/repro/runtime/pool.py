@@ -3,17 +3,21 @@
 The paper's spg-CNN techniques all parallelize at the *image* level
 (GEMM-in-Parallel, and likewise the stencil and sparse kernels).  This
 pool runs those per-image kernels on a pluggable execution backend
-(:mod:`repro.runtime.backends`):
+(:mod:`repro.runtime.backends`).  The caller is a worker: a pool of N
+runs the first range (thunk 0) on the calling thread and ranges 1..N-1
+on N-1 helpers, so no core sits idle waiting on the others:
 
-* ``backend="thread"``  (default) -- real threads; the numpy operations
-  that dominate the GEMM kernels release the GIL, so image-level
-  parallelism yields real concurrency even from Python.
-* ``backend="process"`` -- persistent spawned worker processes; each
-  owns its own GIL, so the Python and numpy glue between the kernel
-  calls (layer bookkeeping, the per-image loops around the BLAS and C
-  calls, the unfold copies) runs concurrently too, not only the calls
-  that release the GIL.  Tasks must pickle; array payloads travel
-  through :mod:`repro.runtime.shm` segments.
+* ``backend="thread"``  (default) -- N-1 helper threads; the numpy
+  operations that dominate the GEMM kernels release the GIL, so
+  image-level parallelism yields real concurrency even from Python.
+* ``backend="process"`` -- N-1 persistent spawned helper processes;
+  each owns its own GIL, so the Python and numpy glue between the
+  kernel calls (layer bookkeeping, the per-image loops around the BLAS
+  and C calls, the unfold copies) runs concurrently too, not only the
+  calls that release the GIL.  Shipped tasks must pickle; array
+  payloads travel through :mod:`repro.runtime.shm` segments.  Range 0
+  is never shipped: it runs the in-process task on the parent's own
+  arrays, and a one-worker pool starts no process at all.
 * ``backend="serial"`` -- tasks run inline in range order: the
   determinism reference and the zero-overhead single-core baseline.
 
@@ -47,6 +51,7 @@ from repro.runtime.backends import (
     ExecutionBackend,
     ProcessBackend,
     make_backend,
+    pin_caller_blas,
 )
 
 T = TypeVar("T")
@@ -89,7 +94,7 @@ class WorkerPool:
     # -- lifecycle --------------------------------------------------------
 
     def __enter__(self) -> "WorkerPool":
-        if self.backend_name != "serial":
+        if self.backend_name != "serial" and self.num_workers > 1:
             self._require_executor()
         return self
 
@@ -129,21 +134,34 @@ class WorkerPool:
         if self._backend is not None:
             self._backend.shutdown()
 
+    @property
+    def ships(self) -> bool:
+        """Whether ranges 1.. run in helper processes, so their operands
+        must travel through shared memory (range 0 never does)."""
+        return self.backend_name == "process" and self.num_workers > 1
+
     def _require_executor(self) -> ThreadPoolExecutor:
         if self._executor is None:
-            # Started lazily (or re-started after shutdown()).  The
+            # Started lazily (or re-started after shutdown()), with one
+            # dispatcher thread per helper: the caller runs thunk 0.  The
             # finalizer guarantees the threads are reaped even if the
             # owner never calls shutdown(): it fires when the pool is
             # garbage-collected, referencing only the executor itself.
-            executor = ThreadPoolExecutor(max_workers=self.num_workers)
+            executor = ThreadPoolExecutor(
+                max_workers=max(1, self.num_workers - 1))
             self._executor = executor
             self._finalizer = weakref.finalize(self, executor.shutdown, False)
         return self._executor
 
     def _require_backend(self) -> ExecutionBackend:
+        """The backend running ranges 1..; a process backend has one
+        worker per helper (the caller runs range 0 itself)."""
         if self._backend is None:
-            self._backend = make_backend(self.backend_name, self.num_workers)
+            self._backend = make_backend(self.backend_name,
+                                         self.num_workers - 1)
         if isinstance(self._backend, ProcessBackend):
+            # The caller runs range 0 beside single-threaded helpers.
+            pin_caller_blas()
             # The retry policy is the user-facing fault-budget knob;
             # mirror its crash budget onto the backend's per-job
             # redispatch budget so one setting governs both layers.
@@ -192,11 +210,12 @@ class WorkerPool:
         / ``pool.result`` fault sites, retried under the ambient policy
         (:func:`~repro.resilience.policy.run_with_retries`; thunks must
         then be idempotent), and executed on this pool's backend --
-        inline in order (serial), on the dispatcher threads (thread), or
-        blocking on a worker-process round-trip (process; the thunk
-        itself performs the shipping).  Results come back in thunk
-        order; the first failure in thunk order propagates after every
-        sibling resolved.
+        inline in order (serial); otherwise thunk 0 on the calling
+        thread and thunks 1.. on the dispatcher threads, which run them
+        (thread) or block on a worker-process round-trip (process; the
+        thunk itself performs the shipping, and thunk 0 ships nothing).
+        Results come back in thunk order; the first failure in thunk
+        order propagates after every sibling resolved.
         """
         metas = metas or [{} for _ in thunks]
         policy = active_policy()
@@ -213,19 +232,23 @@ class WorkerPool:
             return run_with_retries(lambda: attempt(index), policy, index)
 
         try:
-            if self.backend_name == "serial" or len(thunks) == 1:
+            if self.backend_name == "serial" or len(thunks) <= 1:
                 return [run(i) for i in range(len(thunks))]
             executor = self._require_executor()
-            futures = [executor.submit(run, i) for i in range(len(thunks))]
-            # Let every sibling task finish before propagating any
-            # failure, as documented -- callers must never observe a
-            # task still running after run_tasks raised.
-            wait(futures)
+            futures = [executor.submit(run, i)
+                       for i in range(1, len(thunks))]
+            try:
+                first = run(0)
+            finally:
+                # Let every sibling task finish before propagating any
+                # failure, as documented -- callers must never observe
+                # a task still running after run_tasks raised.
+                wait(futures)
             for f in futures:
                 error = f.exception()
                 if error is not None:
                     raise error
-            return [f.result() for f in futures]
+            return [first] + [f.result() for f in futures]
         finally:
             # Results collected (or the batch failed): the queue is
             # drained either way, and the gauge must say so -- a stuck
@@ -244,18 +267,15 @@ class WorkerPool:
         (pure functions of their range).
         Under the process backend the task and its captured state must
         pickle -- ship arrays through :mod:`repro.runtime.shm` instead
-        of capturing them.
+        of capturing them; the first range runs on the caller unshipped.
         """
         ranges = self.assignment(batch_size)
-        if self.backend_name == "process":
+        thunks = [(lambda lo=lo, hi=hi: task(lo, hi)) for lo, hi in ranges]
+        if self.ships and len(ranges) > 1:
             backend = self._require_backend()
-            thunks = [
+            thunks[1:] = [
                 (lambda lo=lo, hi=hi: backend.call(task, lo, hi))
-                for lo, hi in ranges
-            ]
-        else:
-            thunks = [
-                (lambda lo=lo, hi=hi: task(lo, hi)) for lo, hi in ranges
+                for lo, hi in ranges[1:]
             ]
         metas = [{"lo": lo, "hi": hi} for lo, hi in ranges]
         return self.run_tasks(thunks, metas)

@@ -18,6 +18,10 @@ segment as an ndarray with an explicit, leak-checked lifecycle:
   :meth:`close`; they never unlink.
 * both sides are context managers: ``with`` closes (and unlinks, for
   owners) even when the body raises.
+* an owner's :meth:`close` keeps the name: a later :meth:`unlink`
+  still removes it.
+* a ``SharedArray`` never pickles -- a copy would claim ownership of a
+  segment it did not create; ship its :attr:`descriptor` instead.
 
 Every owned segment is recorded in a process-local registry until it is
 unlinked, so tests (and the CI leak check) can assert that no segment
@@ -60,6 +64,7 @@ import weakref
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -247,6 +252,9 @@ class SharedArray:
                  shape: tuple[int, ...], dtype: np.dtype,
                  owner: bool) -> None:
         self._shm: shared_memory.SharedMemory | None = shm
+        #: The segment's name, kept past :meth:`close` so an owner can
+        #: still unlink it; cleared once unlinked.
+        self._name: str | None = shm.name
         self.shape = tuple(int(s) for s in shape)
         self.dtype = np.dtype(dtype)
         self.owner = owner
@@ -313,6 +321,13 @@ class SharedArray:
         return (self._shm is not None and self.shape == tuple(shape)
                 and self.dtype == np.dtype(dtype))
 
+    def __reduce__(self) -> NoReturn:
+        raise ReproError(
+            f"a SharedArray ({self._name}) does not pickle: the copy would "
+            f"own a segment it never created; ship its .descriptor and "
+            f"SharedArray.attach() it on the other side"
+        )
+
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
@@ -326,22 +341,34 @@ class SharedArray:
         self._shm = None
 
     def unlink(self) -> None:
-        """Destroy the segment (owner side; closes too; idempotent)."""
-        if self._shm is None:
-            return
+        """Destroy the segment (owner side; closes too; idempotent).
+
+        An owner that already closed its mapping still removes the name.
+        """
         if not self.owner:
-            raise ReproError(
-                f"segment {self._shm.name} was attached, not created; "
-                f"only the owner unlinks"
-            )
-        shm = self._shm
-        name = shm.name
-        # Unlink through the handle we already hold -- re-attaching by
-        # name would open (and leak until GC) a second fd + mapping.
+            if self._shm is not None:
+                raise ReproError(
+                    f"segment {self._shm.name} was attached, not created; "
+                    f"only the owner unlinks"
+                )
+            return
+        name, shm = self._name, self._shm
+        if name is None:
+            return
         # The ndarray view must be released before the buffer can be
         # unmapped, or SharedMemory.close() raises BufferError.
         self._ndarray = None
         self._shm = None
+        self._name = None
+        if shm is None:
+            # Closed first: map the name again, only to remove it.
+            try:
+                shm = _attach_untracked(name)
+            except FileNotFoundError:  # pragma: no cover - removed behind us
+                _unregister_owned(name)
+                return
+        # Otherwise unlink through the handle we already hold --
+        # re-attaching by name would open a second fd + mapping.
         try:
             shm.unlink()
         except FileNotFoundError:  # pragma: no cover - double unlink race

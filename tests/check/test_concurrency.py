@@ -256,7 +256,7 @@ class TestForkSafety:
         """
         findings = _lint(code)
         assert [f.rule for f in findings] == ["CHK-FORK"]
-        assert "pickles silently" in findings[0].message
+        assert "ship its ShmDescriptor" in findings[0].message
 
     def test_callables_the_backend_refuses_are_left_to_it(self):
         # A lambda or closure does not pickle, nor does a lock, a

@@ -217,7 +217,7 @@ def mapped_update_units() -> int:
                     reason="no /proc/self/maps")
 def test_only_the_process_that_updates_maps_the_unit():
     """The sharded step's parent loads the unit at its first update;
-    the workers that compute the shards never map it."""
+    the helper that computes the other shard never maps it."""
     net = mnist_net(threads=2, backend="process")
     try:
         data = make_dataset(16, 10, net.input_shape, seed=3)
@@ -226,7 +226,7 @@ def test_only_the_process_that_updates_maps_the_unit():
         assert trainer._unit is not None
         assert mapped_update_units() > 0
         backend = net.conv_layers()[0]._pool._require_backend()
-        assert backend.broadcast(mapped_update_units) == [0, 0]
+        assert backend.broadcast(mapped_update_units) == [0]  # one helper
     finally:
         for layer in net.conv_layers():
             layer.close()

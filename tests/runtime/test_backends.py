@@ -46,6 +46,11 @@ def _pool_slice_square_sum(descriptor, lo: int, hi: int) -> float:
         seg.close()
 
 
+def _second(_handle, item):
+    """A task that ignores the object bound into it."""
+    return item
+
+
 @pytest.fixture(scope="module")
 def process_pool():
     """One spawned two-worker pool shared across this module's tests."""
@@ -130,13 +135,14 @@ class TestProcessExecution:
     def test_partial_binding_a_live_handle_is_refused(self, process_pool,
                                                       handle, tmp_path):
         # What the concurrency lint leaves to run time: a lock, a
-        # collector or a file bound into a partial does not pickle.
+        # collector or a file bound into a partial does not pickle.  The
+        # task runs fine in-process, as item 0 does on the caller; the
+        # helper's item is refused at dispatch.
         with open(tmp_path / "f.txt", "w") as fh:
             live = {"lock": threading.Lock(), "collector": TelemetryCollector(),
                     "file": fh}[handle]
             with pytest.raises(ReproError, match="must pickle"):
-                process_pool.map_items(functools.partial(operator.add, live),
-                                       2)
+                process_pool.map_items(functools.partial(_second, live), 2)
 
     @pytest.mark.parametrize("handle", ["lock", "segment", "collector", "file"])
     def test_closure_capturing_a_live_handle_is_refused(self, process_pool,
@@ -170,8 +176,10 @@ class TestProcessExecution:
         assert sum(partials) == pytest.approx(float(np.square(data).sum()))
 
     def test_crashed_worker_fails_job_and_respawns(self, process_pool):
+        # Shipped straight to the helper: the pool would run a lone
+        # item on the caller.
         with pytest.raises(WorkerCrashedError):
-            process_pool.map_items(os._exit, 1)
+            process_pool._require_backend().call(os._exit, 1)
         # The backend respawned the dead worker; the pool still works.
         assert process_pool.map_items(math.factorial, 4) == [1, 1, 2, 6]
 
@@ -266,7 +274,7 @@ class TestProcessLifecycle:
         backend.shutdown()
 
     def test_call_after_shutdown_raises(self):
-        pool = WorkerPool(1, backend="process")
+        pool = WorkerPool(2, backend="process")
         pool.map_items(math.factorial, 2)
         backend = pool._backend
         pool.shutdown()

@@ -323,10 +323,11 @@ class TestBitIdentity:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_dag_matches_barrier_per_backend(self, backend, reference):
         x, err, (ref_out, ref_err, ref_grads) = reference
-        for scheduler in ("barrier", "dag"):
+        for threads, scheduler in [(2, "barrier"), (2, "dag"),
+                                   (3, "barrier"), (3, "dag")]:
             network = alexnet_small(scale=0.25,
                                     rng=np.random.default_rng(3),
-                                    threads=2, backend=backend)
+                                    threads=threads, backend=backend)
             network.set_scheduler(scheduler)
             out, in_err, grads = _step(network, x, err)
             close_network(network)

@@ -24,7 +24,7 @@ from repro.nn.network import Network
 from repro.nn.sgd import SGDTrainer
 from repro.nn.zoo import cifar10_net
 from repro.resilience.quarantine import default_registry
-from repro.runtime.backends import ProcessBackend, worker_ready
+from repro.runtime.backends import ProcessBackend
 from tests.conftest import needs_cc, solo_layers
 
 BACKENDS = ("serial", "thread", "process")
@@ -288,7 +288,7 @@ def _emit_through_the_one_api():
 def test_worker_telemetry_reaches_the_parents_collector():
     backend = ProcessBackend(1)
     try:
-        backend.call(worker_ready)
+        backend.call(os.getpid)
         with telemetry.collect() as tel:
             pid = backend.call(_emit_through_the_one_api)
     finally:

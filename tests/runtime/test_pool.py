@@ -101,6 +101,27 @@ class TestExecution:
             with pytest.raises(RuntimeError, match="early 3"):
                 pool.map_batches(task, 12)
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_the_caller_runs_thunk_zero(self, backend):
+        caller = threading.get_ident()
+        seen = {}
+
+        def thunk(index):
+            seen[index] = threading.get_ident()
+            return index
+
+        with WorkerPool(num_workers=3, backend=backend) as pool:
+            assert pool.run_tasks([lambda i=i: thunk(i)
+                                   for i in range(3)]) == [0, 1, 2]
+        assert seen[0] == caller
+        assert caller not in (seen[1], seen[2])
+
+    def test_one_process_worker_spawns_nothing(self):
+        pool = WorkerPool(num_workers=1, backend="process")
+        assert pool.map_items(_square, 3) == [0, 1, 4]
+        assert pool.backend is None
+        pool.shutdown()
+
     def test_single_worker_runs_inline(self):
         pool = WorkerPool(num_workers=1)
         assert pool.map_batches(lambda lo, hi: hi - lo, 5) == [5]
@@ -202,6 +223,11 @@ class TestReuseAfterShutdown:
         pool.shutdown()
 
 
+def _square(i: int) -> int:
+    """A picklable item task."""
+    return i * i
+
+
 def _range(lo: int, hi: int) -> tuple[int, int]:
     """A picklable range task: the process backend ships it by name."""
     return lo, hi
@@ -239,6 +265,26 @@ class TestSupervisedExecution:
         assert attempts == sorted([(0, 4), (4, 8), faulted])
         (retry,) = [e for e in tel.events if e.name == "pool.retry"]
         assert retry.attrs["task"] == fired.attrs["worker"]
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_fault_on_the_callers_thunk_is_retried(self, backend):
+        # Both first attempts fault, whichever reaches the site first.
+        plan = FaultPlan("t", specs=(
+            FaultSpec(site="pool.task", kind="raise", at=(1, 2)),
+        ))
+        policy = RetryPolicy(max_retries=1, backoff_base=0.0)
+        with WorkerPool(num_workers=2, backend=backend) as pool:
+            with telemetry.collect() as tel, inject(plan), \
+                    apply_policy(policy):
+                results = pool.map_batches(_range, 8)
+        assert results == [(0, 4), (4, 8)]
+        retried = sorted(e.attrs["task"] for e in tel.events
+                         if e.name == "pool.retry")
+        assert retried == [0, 1]
+        caller = [s for s in tel.spans
+                  if s.name == "pool/task" and s.attrs["worker"] == 0]
+        assert len(caller) == 2
+        assert {s.thread_id for s in caller} == {threading.get_ident()}
 
     def test_slow_task_runs_once_under_the_chaos_policy(self):
         # No deadline of the policy's own: a slow attempt is waited for,

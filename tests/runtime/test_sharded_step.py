@@ -10,9 +10,12 @@ the same split**, and every fault the pool can absorb leaves the run
 bit-identical to the unfaulted serial one.
 """
 
+import json
 import os
 import platform
 import signal
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -27,6 +30,8 @@ from repro.nn.layers.extras import DropoutLayer
 from repro.nn.network import Network
 from repro.nn.sgd import SGDTrainer
 from repro.nn.zoo import alexnet_small, cifar10_net, mnist_net
+from repro.obs.chrome_trace import PID as PARENT_PID
+from repro.obs.chrome_trace import chrome_trace_events
 from repro.ops.engine import register_engine
 from repro.ops.gemm_conv import GemmInParallelEngine
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
@@ -232,11 +237,12 @@ class TestOnePoolPerNetwork:
         b = ConvLayer(spec, threads=2, backend="serial")
         assert a._pool is not None and a._pool is not b._pool
 
-    def test_process_net_owns_exactly_threads_workers_and_closes_clean(
-            self):
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_process_net_spawns_a_helper_per_extra_thread_and_closes_clean(
+            self, threads):
         before = set(shm.host_segments())
         net = cifar10_net(scale=0.25, rng=np.random.default_rng(0),
-                          threads=2, backend="process")
+                          threads=threads, backend="process")
         data = cifar10_like(8, seed=0)
         trainer = SGDTrainer(net)
         try:
@@ -247,9 +253,9 @@ class TestOnePoolPerNetwork:
             backend = net.conv_layers()[0]._pool.backend
             assert isinstance(backend, ProcessBackend)
             pids = backend.worker_pids()
-            assert len(pids) == 2
-            # One dispatch per worker per step.
-            assert tel.counters["pool.shipped_jobs"] == 3 * 2
+            # The parent runs shard 0: one helper per other shard.
+            assert len(pids) == threads - 1
+            assert tel.counters["pool.shipped_jobs"] == 3 * (threads - 1)
             assert set(shm.host_segments()) - before  # params, batch, ...
             weights = net.conv_layers()[0].weights.copy()
         finally:
@@ -289,7 +295,7 @@ class TestOnePoolPerNetwork:
         np.testing.assert_array_equal(logits, np.zeros_like(logits))
         _close(net)
 
-    def test_rebinding_registers_and_boots_once_per_pool_start(self):
+    def test_rebinding_registers_once_per_pool_start(self):
         net = mnist_net(scale=0.25, rng=np.random.default_rng(0),
                         threads=2, backend="process")
         data = mnist_like(8, seed=0)
@@ -303,7 +309,7 @@ class TestOnePoolPerNetwork:
                     dense.bias = dense.bias.copy()  # forces a rebind
                     trainer.step(data.images, data.labels)
             assert len(pool._at_shutdown) == 1
-            assert tel.counters["pool.shipped_jobs"] == 3 * 2
+            assert tel.counters["pool.shipped_jobs"] == 3
         finally:
             _close(net)
         assert pool._at_shutdown == []
@@ -348,8 +354,9 @@ class TestEnginesReachTheReplicas:
         assert before.find_spans(f"{name}/bp", engine="gemm-in-parallel")
         assert not before.find_spans(f"{name}/bp", engine="sparse")
         sparse = after.find_spans(f"{name}/bp", engine="sparse")
-        assert len(sparse) == 2  # one per worker
-        assert all("process_pid" in span.attrs for span in sparse)
+        # One per shard: the parent's, and the helper's merged home.
+        assert len(sparse) == 2
+        assert sum("process_pid" in span.attrs for span in sparse) == 1
 
     def test_nan_engine_in_a_worker_is_quarantined_in_the_parent(self):
         # Thread backend: a test-module engine is not importable by a
@@ -520,10 +527,10 @@ class TestFaultsEndBitIdentical:
 
     def test_first_shard_is_not_judged_by_the_readiness_probe(
             self, monkeypatch):
-        # The bind-time worker_ready broadcast completes in microseconds.
-        # With the floor patched to 1 ms, a deadline learned from it
-        # would kill every worker running the first real shard (tens to
-        # hundreds of ms); shards are judged only by completed shards.
+        # With the floor patched to 1 ms, a deadline learned from any
+        # microsecond task (a readiness probe) would kill every worker
+        # running the first real shard (tens to hundreds of ms); shards
+        # are judged only by completed shards.
         monkeypatch.setattr(backends, "DEADLINE_FLOOR", 0.001)
         steps, batch = 2, 64
         reference = _train(cifar10_net, 2, "serial", steps=steps,
@@ -558,12 +565,21 @@ class TestWorkersStayLegible:
         for name in ("step/publish", "step/dispatch", "step/reduce",
                      "sgd/update"):
             assert len(tel.find_spans(name)) == 1, name
-        shards = tel.find_spans("worker/step_shard")
-        assert sorted((s.attrs["lo"], s.attrs["hi"]) for s in shards) == [
+        shards = sorted(tel.find_spans("worker/step_shard"),
+                        key=lambda s: s.attrs["lo"])
+        assert [(s.attrs["lo"], s.attrs["hi"]) for s in shards] == [
             (0, 4), (4, 8)]
-        assert len({s.attrs["process_pid"] for s in shards}) == 2
+        # Shard 0 ran in the parent: no worker pid, no job; the trace
+        # draws it on the parent's track.
+        assert "process_pid" not in shards[0].attrs
+        assert "job" not in shards[0].attrs
+        assert shards[1].attrs["process_pid"] != os.getpid()
+        assert shards[1].attrs["job"] > 0
+        trace = chrome_trace_events(tel)
+        assert [e["pid"] for e in trace if e["ph"] == "X"
+                and e["name"] == "worker/step_shard"
+                and e["args"]["lo"] == 0] == [PARENT_PID]
         for shard in shards:
-            assert shard.attrs["job"] > 0
             assert str(shard.attrs["blas"]) == os.environ.get(
                 "OPENBLAS_NUM_THREADS", "1")
             assert shard.attrs["malloc"] == pin_malloc_thresholds()
@@ -581,6 +597,43 @@ class TestWorkersStayLegible:
         assert tel.counters["conv.flops.total"] > 0
         # No per-layer fork/join left in a training step.
         assert not [s for s in tel.spans if s.name.startswith("executor/")]
+
+
+_CALLER_BLAS = """
+import ctypes
+import json
+
+from repro.runtime import backends
+from repro.runtime.pool import WorkerPool
+
+GETTERS = ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_",
+           "scipy_openblas_get_num_threads")
+
+
+def openblas_threads():
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split()[-1] for line in maps
+                        if "openblas" in line})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in GETTERS:
+            if hasattr(lib, name):
+                return getattr(lib, name)()
+    return None
+
+
+if __name__ == "__main__":
+    import numpy  # noqa: F401  (loads the BLAS)
+
+    before = openblas_threads()
+    pool = WorkerPool(2, backend="process")
+    try:
+        pool._require_backend()
+        print(json.dumps([before, openblas_threads(),
+                          backends.blas_threads()]))
+    finally:
+        pool.shutdown()
+"""
 
 
 class TestWorkerBlasThreads:
@@ -605,6 +658,27 @@ class TestWorkerBlasThreads:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         assert self._seen() == "3"
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+    @pytest.mark.parametrize("env", [None, "3"])
+    def test_the_caller_runs_one_blas_thread_beside_its_helpers(
+            self, tmp_path, env):
+        # A fresh interpreter: this one's BLAS was pinned at load.
+        script = tmp_path / "caller_blas.py"
+        script.write_text(_CALLER_BLAS)
+        run_env = {k: v for k, v in os.environ.items()
+                   if k not in backends.BLAS_THREAD_ENV}
+        if env is not None:
+            run_env["OPENBLAS_NUM_THREADS"] = env
+        done = subprocess.run([sys.executable, str(script)], env=run_env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        before, after, reported = json.loads(
+            done.stdout.strip().splitlines()[-1])
+        if before is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        # An explicit value wins (OpenBLAS caps it at the core count).
+        assert after == (1 if env is None else before)
+        assert reported == ("1" if env is None else env)
 
 
 class TestWorkerHeap:

@@ -26,6 +26,13 @@ def leak_check():
     assert not leaked, f"leaked shm segments: {sorted(leaked)}"
 
 
+def _fd_target(fd: str) -> str:
+    try:
+        return os.readlink(f"/proc/self/fd/{fd}")
+    except OSError:
+        return ""
+
+
 class TestSharedArray:
     def test_create_write_attach_read(self, leak_check):
         with SharedArray.create((3, 4), np.float32) as seg:
@@ -157,6 +164,37 @@ class TestSharedArray:
         assert not os.path.exists(f"/dev/shm/{name}")
         assert name not in owned_segments()
         del view
+
+    def test_owner_close_then_unlink_removes_the_segment(self, leak_check):
+        seg = SharedArray.create((2,), np.float32)
+        name = seg.name
+        seg.close()
+        assert os.path.exists(f"/dev/shm/{name}")
+        seg.unlink()
+        assert not os.path.exists(f"/dev/shm/{name}")
+        assert name not in owned_segments()
+        assert not [fd for fd in os.listdir("/proc/self/fd")
+                    if name in _fd_target(fd)]
+        seg.unlink()  # still idempotent
+
+    def test_a_shared_array_refuses_to_pickle(self, leak_check):
+        # A copy would claim ownership: its unlink() would remove the
+        # segment under its creator.
+        with SharedArray.create((2,), np.float32) as seg:
+            with pytest.raises(ReproError, match=r"\.descriptor"):
+                pickle.dumps(seg)
+            assert os.path.exists(f"/dev/shm/{seg.name}")
+
+    def test_process_dispatch_refuses_a_shared_array(self, leak_check):
+        from repro.runtime.backends import ProcessBackend
+
+        backend = ProcessBackend(1)
+        try:
+            with SharedArray.create((2,), np.float32) as seg:
+                with pytest.raises(ReproError, match="must pickle"):
+                    backend.call(len, seg)
+        finally:
+            backend.shutdown()
 
     def test_matches_is_false_after_release(self, leak_check):
         seg = SharedArray.create((2,), np.float32)

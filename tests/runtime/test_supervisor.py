@@ -29,8 +29,8 @@ from repro.runtime.backends import (
     DEADLINE_SAFETY,
     ProcessBackend,
     WorkerCrashedError,
+    _task_kind,
     measured_deadline,
-    worker_ready,
 )
 from repro.runtime.pool import WorkerPool
 
@@ -178,7 +178,7 @@ class TestSupervisorLifecycle:
         # One worker: the job has nowhere to go but the replacement.
         backend = ProcessBackend(1)
         try:
-            backend.call(worker_ready)
+            backend.call(os.getpid)
             victim = backend._workers[0].process
             os.kill(victim.pid, signal.SIGKILL)
             waited = time.monotonic()
@@ -195,7 +195,7 @@ class TestSupervisorLifecycle:
             backend.shutdown()
 
     def test_policy_mirrors_redispatch_budget(self):
-        pool = WorkerPool(1, backend="process")
+        pool = WorkerPool(2, backend="process")
         try:
             with apply_policy(RetryPolicy(max_redispatches=7)):
                 pool.map_items(math.factorial, 2)
@@ -275,7 +275,7 @@ class TestHungWorkerEscalation:
         deadline = 1.0
         backend = ProcessBackend(1)
         try:
-            backend.call(worker_ready)  # booted: the pin judges no boot
+            backend.call(os.getpid)  # booted: the pin judges no boot
             backend.set_task_deadline(deadline)
             results: list = []
             callers = [
@@ -308,13 +308,74 @@ def _await_outstanding(backend, count: int) -> list:
     raise AssertionError(f"never owed {count}: {backend.supervisor_state()}")
 
 
+def _nap(lo: int, hi: int) -> int:
+    """A range task slow enough to strike its helper mid-job."""
+    time.sleep(0.3)
+    return hi - lo
+
+
+class TestOneHelperPool:
+    """A two-worker process pool is the parent and one helper: a job
+    stranded on the helper has no sibling to go to, only the helper's
+    respawned replacement."""
+
+    def _strike_mid_dispatch(self, pool, task, sig):
+        backend = pool.backend
+        (victim,) = backend.worker_pids()
+        results: list = []
+        caller = threading.Thread(
+            target=lambda: results.append(pool.map_batches(task, 8)),
+            daemon=True)
+        if sig == signal.SIGSTOP:
+            os.kill(victim, sig)
+            caller.start()
+        else:
+            caller.start()
+            _await_outstanding(backend, 1)
+            os.kill(victim, sig)
+        caller.join(timeout=30.0)
+        assert not caller.is_alive(), (
+            f"still blocked: {backend.supervisor_state()}")
+        (helper,) = backend.worker_pids()
+        assert helper != victim
+        return results
+
+    def test_sigkilled_helper_job_goes_to_its_replacement(self):
+        pool = WorkerPool(2, backend="process")
+        try:
+            assert pool.map_batches(_nap, 8) == [4, 4]
+            results = self._strike_mid_dispatch(pool, _nap, signal.SIGKILL)
+            assert results == [[4, 4]]
+            backend = pool.backend
+            assert (backend.respawns, backend.redispatches) == (1, 1)
+        finally:
+            pool.shutdown()
+
+    def test_hung_helper_job_goes_to_its_replacement(self, monkeypatch):
+        monkeypatch.setattr(backends, "DEADLINE_FLOOR", 1.0)
+        pool = WorkerPool(2, backend="process")
+        try:
+            first = pool.map_batches(operator.sub, 8)
+            pool.backend.escalate_grace = 0.5
+            results = self._strike_mid_dispatch(pool, operator.sub,
+                                                signal.SIGSTOP)
+            assert results == [first]
+            backend = pool.backend
+            assert (backend.hung_workers, backend.respawns,
+                    backend.redispatches) == (1, 1, 1)
+        finally:
+            if pool.backend is not None:
+                pool.backend.shutdown()
+            pool.shutdown()
+
+
 class TestSilence:
     """The parent's own clock: seconds since a worker was last heard from."""
 
     def test_hello_ends_booting(self):
         backend = ProcessBackend(2)
         try:
-            assert sorted(backend.broadcast(worker_ready)) == sorted(
+            assert sorted(backend.broadcast(os.getpid)) == sorted(
                 backend.worker_pids())
             workers = backend.supervisor_state()["workers"]
             assert not any(w["booting"] for w in workers)
@@ -326,7 +387,7 @@ class TestSilence:
     def test_silence_tracks_wall_clock(self):
         backend = ProcessBackend(1)
         try:
-            backend.call(worker_ready)
+            backend.call(os.getpid)
             caller = threading.Thread(
                 target=lambda: backend.call(time.sleep, 1.0), daemon=True)
             caller.start()
@@ -346,7 +407,7 @@ class TestSilence:
         # worker owes work, so only it is timed.
         backend = ProcessBackend(2)
         try:
-            backend.broadcast(worker_ready)
+            backend.broadcast(os.getpid)
             caller = threading.Thread(
                 target=lambda: backend.call(time.sleep, 0.5), daemon=True)
             caller.start()
@@ -383,10 +444,10 @@ class TestBootingWorkers:
             booting = self._start_with_first_worker_stopped(backend)
             answers: list = []
             caller = threading.Thread(
-                target=lambda: answers.append(backend.broadcast(worker_ready)),
+                target=lambda: answers.append(backend.broadcast(os.getpid)),
                 daemon=True)
             caller.start()
-            kind = "repro.runtime.backends.worker_ready"
+            kind = _task_kind(os.getpid)
             waited = time.monotonic()
             while (kind not in backend.longest_tasks
                    and time.monotonic() - waited < 30.0):
@@ -417,7 +478,7 @@ class TestBootingWorkers:
             stuck = self._start_with_first_worker_stopped(backend)
             answers: list = []
             caller = threading.Thread(
-                target=lambda: answers.append(backend.broadcast(worker_ready)),
+                target=lambda: answers.append(backend.broadcast(os.getpid)),
                 daemon=True)
             caller.start()
             caller.join(timeout=30.0)

@@ -35,9 +35,10 @@ def _spec() -> ConvSpec:
 
 @pytest.fixture(scope="module")
 def process_executor():
-    """One spawned two-worker executor shared across this module."""
+    """One three-worker executor shared across this module: the caller
+    and two spawned helpers."""
     executor = ParallelExecutor("reference", _spec(), backend="process",
-                                pool=WorkerPool(2, backend="process"))
+                                pool=WorkerPool(3, backend="process"))
     yield executor
     executor.close()
     executor.pool.shutdown()
@@ -219,7 +220,7 @@ class TestInflightGauges:
             pool.map_items(math.factorial, 2)  # spawn before collecting
             with telemetry.collect() as tel:
                 with pytest.raises(Exception):
-                    pool.map_items(os._exit, 1)
+                    pool._require_backend().call(os._exit, 1)
                 pool.map_items(math.factorial, 2)
             assert "supervisor.worker_dead" in [e.name for e in tel.events]
             finals = {name: value for name, value in tel.gauges.items()
@@ -251,7 +252,8 @@ class TestRecordsRideTheResult:
         (expected,) = inline.find_spans(_LONG_NAME)
         pool = process_executor.pool
         with telemetry.collect() as tel:
-            assert pool.map_items(_long_span_task, 1) == [0]
+            # Item 0 runs on the caller; item 1 is the one helper job.
+            assert pool.map_items(_long_span_task, 2) == [0, 1]
         (span,) = _worker_spans(tel, _LONG_NAME)
         (dispatch,) = tel.find_spans("pool/dispatch")
         assert span.name == _LONG_NAME and len(span.name) == 70
@@ -276,7 +278,7 @@ class TestRecordsRideTheResult:
     def test_counters_and_gauges_cross_the_boundary(self, process_executor):
         pool = process_executor.pool
         with telemetry.collect() as tel:
-            assert pool.map_items(_counting_task, 1) == [0]
+            assert pool._require_backend().call(_counting_task, 0) == 0
         assert tel.counters["task.items"] == 3.0
         assert tel.gauges["task.level"] == 0.5
 
@@ -284,7 +286,7 @@ class TestRecordsRideTheResult:
         pool = process_executor.pool
         with telemetry.collect() as tel:
             with pytest.raises(ValueError, match="on purpose"):
-                pool.map_items(_failing_task, 1)
+                pool._require_backend().call(_failing_task, 0)
         (dispatch,) = tel.find_spans("pool/dispatch")
         job = dispatch.attrs["job"]
         (span,) = _worker_spans(tel, "task/doomed")
@@ -295,12 +297,13 @@ class TestRecordsRideTheResult:
         assert note.attrs["process_pid"] == span.attrs["process_pid"]
 
     def test_one_job_reports_one_attempt(self, tmp_path):
+        # One helper: the redispatch goes to its respawned successor.
         pool = WorkerPool(2, backend="process")
         try:
             pool.map_items(math.factorial, 2)  # spawn before collecting
             task = functools.partial(_die_once, str(tmp_path / "marker"))
             with telemetry.collect() as tel:
-                (returned_by,) = pool.map_items(task, 1)
+                returned_by = pool._require_backend().call(task, 0)
             (dispatch,) = tel.find_spans("pool/dispatch")
             spans = [s for s in _worker_spans(tel, "task/attempt")
                      if s.attrs["job"] == dispatch.attrs["job"]]
@@ -318,7 +321,7 @@ class TestSupervisorEvents:
             pool.map_items(math.factorial, 2)  # spawn before collecting
             with telemetry.collect() as tel:
                 with pytest.raises(Exception):
-                    pool.map_items(os._exit, 1)
+                    pool._require_backend().call(os._exit, 1)
                 pool.map_items(math.factorial, 2)
             names = [e.name for e in tel.events]
             assert "supervisor.worker_dead" in names

@@ -6,6 +6,7 @@ import io
 import pytest
 
 from repro.cli import _build_parser, main
+from repro.obs.chrome_trace import PID as PARENT_PID
 from tests.conftest import needs_cc
 
 
@@ -313,16 +314,21 @@ class TestTrainTrace:
         out = tmp_path / "process.json"
         code, _ = run([
             "train", "--net", "cifar", "--epochs", "1", "--samples", "16",
-            "--batch", "8", "--threads", "2", "--backend", "process",
+            "--batch", "8", "--threads", "3", "--backend", "process",
             "--format", "chrome", "--out", str(out),
         ])
         assert code == 0
         events = _chrome(out)
+        # The parent runs shard 0 of every step itself, unshipped.
+        parent = [e["name"] for e in events if e["ph"] == "X"
+                  and e["pid"] == PARENT_PID]
+        assert parent.count("worker/step_shard") == parent.count(
+            "step/dispatch") > 0
         tracks = {e["pid"]: e["args"]["name"] for e in events
                   if e["ph"] == "M" and e["name"] == "process_name"}
         workers = {pid: name for pid, name in tracks.items()
                    if name.startswith("worker-")}
-        # One pid track per worker process, beside the parent's.
+        # One pid track per helper process, beside the parent's.
         assert sorted(name.split(" ")[0] for name in workers.values()) \
             == ["worker-0", "worker-1"]
         assert all(f"(pid {pid})" in name for pid, name in workers.items())

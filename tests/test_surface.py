@@ -306,7 +306,7 @@ def test_import_budget_process_worker(tmp_path):
     script = tmp_path / "worker_imports.py"
     script.write_text(_WORKER_IMPORTS)
     workers = _run_json(str(script))
-    assert len(workers) == 2
+    assert len(workers) == 1  # threads=2: the parent and one helper
     for modules in workers:
         assert "repro.runtime.backends" in modules
         assert not _under(modules, *_ANALYZER_MODULES,
