@@ -30,29 +30,8 @@ from repro.core.convspec import (
     backward_data_correlation,
     correlation_problem,
 )
-from repro.data.tables import TABLE2_LAYERS
-from repro.nn.zoo import alexnet_small, cifar10_net, imagenet100_net, mnist_net
+from repro.nn.zoo import stride1_convs
 from repro.ops.engine import ConvEngine, make_engine
-
-
-def stride1_specs() -> list[tuple[str, ConvSpec, int]]:
-    """``(label, engine spec, crop)`` of every stride-1 zoo and Table 2
-    spec, zoo layers at their own pad, Table 2 at the same-padding crop."""
-    rows, seen = [], set()
-    for build in (mnist_net, cifar10_net, imagenet100_net, alexnet_small):
-        network = build()
-        for layer in network.conv_layers():
-            spec = layer.padded_spec
-            if (spec.sy, spec.sx) == (1, 1) and (spec, layer.spec.pad) not in seen:
-                seen.add((spec, layer.spec.pad))
-                rows.append((f"{network.name}/{layer.name}", spec,
-                             layer.spec.pad))
-    for table in TABLE2_LAYERS.values():
-        for spec in table:
-            if (spec.sy, spec.sx) == (1, 1):
-                crop = (min(spec.fy, spec.fx) - 1) // 2
-                rows.append((spec.name, spec.pre_padded(), crop))
-    return rows
 
 
 def _median_ms(call, repeats: int) -> float:
@@ -130,7 +109,7 @@ def main() -> None:
           "| backward adjoint | backward correlation | rule picks "
           "| faster backward |")
     print("|---|---|---|---|---|---|---|---|---|---|")
-    for label, spec, crop in stride1_specs():
+    for label, spec, crop in stride1_convs():
         if correlation_problem(spec, crop) is None:
             continue
         ms = time_forms(spec, crop, args.batch, args.repeats)

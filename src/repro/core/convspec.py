@@ -292,3 +292,44 @@ def backward_data_correlation(spec: ConvSpec, crop: int = 0) -> ConvSpec | None:
     if ny * nx > spec.out_ny * spec.out_nx:
         return None
     return corr
+
+
+#: The kernel-row depth ``Nc*Fx`` from which a stride-1 GEMM may
+#: multiply column-buffer views (:func:`implicit_gemm`).
+IMPLICIT_GEMM_DEPTH = 256
+
+
+def implicit_gemm(spec: ConvSpec) -> bool:
+    """Whether the GEMM engines multiply ``spec``'s input without
+    materialising ``U^T``: as ``Fy`` products ``W_ky . C_ky``, one per
+    kernel row, where ``C_ky`` is the ``[Nc*Fx, out_Ny*out_Nx]`` view at
+    row offset ``ky`` of the ``[Nc, Fx, Ny, out_Nx]`` column buffer
+    (:func:`repro.ops.unfold.kernel_row_views`).  Decided from the
+    spec's sizes alone:
+
+    * only a stride-1 spec has such views;
+    * the kernel row must be deep, ``Nc*Fx >=``
+      :data:`IMPLICIT_GEMM_DEPTH`: each of the ``Fy`` GEMMs then stays
+      large enough to pay for its call and for adding its product into
+      the output;
+    * one image's ``U^T`` must be at least four times the weights,
+      ``out_Ny*out_Nx >= 4*Nf``: a call pays for reordering the weights
+      into ``Fy`` blocks (a strided copy, several times slower per
+      element than streaming ``U^T``) and for the calls and additions
+      of ``Fy`` products, and an image saves writing and re-reading its
+      ``U^T``.
+
+    ``benchmarks/bench_gemm_lowering.py`` times both forms on the zoo's
+    and Table 2's stride-1 specs at batch 1 and 16 (rows in
+    EXPERIMENTS.md).  Each bound is set by those rows.  Rows of 96-144
+    (the small ImageNet nets') read slower in the implicit form, 320
+    (CIFAR's deep conv) faster.  A plane of 2.4 times the features (the
+    error of ``imagenet-1k-L2``) reads slower at batch 1, 4 times
+    (CIFAR's deep conv, at the bound) level, 10 (``imagenet-1k-L1``)
+    faster.  So the rule picks the views for CIFAR's deep conv and
+    ``imagenet-1k-L1``, input and error; every other spec keeps the
+    unfold.
+    """
+    return (spec.sy, spec.sx) == (1, 1) \
+        and spec.nc * spec.fx >= IMPLICIT_GEMM_DEPTH \
+        and spec.out_ny * spec.out_nx >= 4 * spec.nf

@@ -137,8 +137,8 @@ class ConvLayer(Layer):
         self._bp_engine = self._build_engine(bp_engine)
         self._cached_padded_input: np.ndarray | None = None
         # What the last training forward given a pool keeps for the
-        # backward given it: ``(unit, pooled out, argmax)`` when it ran
-        # fused, ``(None, ReLU mask, None)`` when it ran the chain.
+        # backward given it: ``(unit, pooled out, uint8 argmax)`` when it
+        # ran fused, ``(None, ReLU mask, None)`` when it ran the chain.
         self._pooled: tuple | None = None
         # ``(FP engine, {pool window: fused unit or None})``: resolved
         # once per deployed FP engine.

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.convspec import ConvSpec
+from repro.data.tables import TABLE2_LAYERS
 from repro.errors import ShapeError
 from repro.nn.netdef import build_network
 from repro.nn.network import Network
@@ -139,3 +141,24 @@ def alexnet_small(num_cores: int = 1, scale: float = 1.0,
     return build_network(definition, num_cores=num_cores, rng=rng,
                          threads=threads, backend=backend)
 
+
+def stride1_convs() -> list[tuple[str, ConvSpec, int]]:
+    """``(label, engine spec, crop)`` of every stride-1 convolution of
+    the four zoo nets, at the layer's own pad (each ``(spec, crop)``
+    once), then of Table 2, at the "same" crop ``(F - 1) // 2``: the
+    corpus ``benchmarks/`` times the GEMM lowering forms on."""
+    rows, seen = [], set()
+    for build in (mnist_net, cifar10_net, imagenet100_net, alexnet_small):
+        network = build()
+        for layer in network.conv_layers():
+            spec = layer.padded_spec
+            if (spec.sy, spec.sx) == (1, 1) and (spec, layer.spec.pad) not in seen:
+                seen.add((spec, layer.spec.pad))
+                rows.append((f"{network.name}/{layer.name}", spec,
+                             layer.spec.pad))
+    for table in TABLE2_LAYERS.values():
+        for spec in table:
+            if (spec.sy, spec.sx) == (1, 1):
+                rows.append((spec.name, spec.pre_padded(),
+                             (min(spec.fy, spec.fx) - 1) // 2))
+    return rows

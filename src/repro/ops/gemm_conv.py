@@ -1,8 +1,16 @@
 """Unfold+GEMM convolution engines (paper Secs. 2.3 and 4.1).
 
-Forward propagation unfolds each image to the K-major matrix ``U^T``
+Forward propagation lowers each image to the K-major matrix ``U^T``
 (Fig. 2b, see :mod:`repro.ops.unfold`) and computes ``O = W_mat . U^T``
 (Fig. 2c).  Backward-weights computes ``dW_mat = EO_mat . (U^T)^T``.
+Where :func:`repro.core.convspec.implicit_gemm` holds -- a stride-1
+spec with a deep kernel row and a large plane -- ``U^T`` is never
+materialised: the image is gathered into its ``[Nc, Fx, Ny, out_Nx]``
+column buffer only, and each product is the sum over kernel rows ``ky``
+of a product with ``C_ky``, the buffer's ``[Nc*Fx, out_Ny*out_Nx]``
+view at row offset ``ky`` (``O = sum_ky W_ky . C_ky``, ``W_ky`` the
+weights of kernel row ``ky``; dW one row block ``EO_mat . C_ky^T`` per
+``ky``).  Below, "unfold" means whichever of the two the rule picks.
 Backward-data has two forms, chosen from the convolution's sizes alone
 (:func:`repro.core.convspec.backward_data_correlation`):
 
@@ -28,7 +36,8 @@ pad border the layer promises is zero adds nothing), rotated back into
 ``dW`` once per batch.  No input is unfolded a second time for dW.
 Elsewhere dW unfolds the input as FP does.
 
-Every product is one BLAS call per image (a row slice of it per core
+Every product is one BLAS call per image, or one per kernel row on the
+implicit form (a row slice of it per core
 under :class:`ParallelGemmEngine`): no operand is copied into another
 orientation per image and no product is re-blocked in Python (OpenBLAS
 blocks for the cache itself; :mod:`repro.blas.gemm` keeps the Goto loop
@@ -51,8 +60,9 @@ process backends slice a batch anywhere and stay bit-identical to the
 serial run.
 
 Memory behavior: each engine owns a :class:`repro.ops.workspace.Workspace`
-and reuses one unfolded matrix (and one stride-1 column buffer) per
-operand shape across images and calls -- FP and dW share the input's;
+and reuses one stride-1 column buffer (and, where the spec is not
+lowered to views, one unfolded matrix) per operand shape across images
+and calls -- FP and dW share the input's;
 the zero-bordered error plane is zeroed once and only its interior
 rewritten; products are written straight into the pre-allocated batch
 result (no ``np.stack``).
@@ -65,7 +75,11 @@ from typing import Iterator
 import numpy as np
 
 from repro.blas.gemm import partition_rows
-from repro.core.convspec import ConvSpec, backward_data_correlation
+from repro.core.convspec import (
+    ConvSpec,
+    backward_data_correlation,
+    implicit_gemm,
+)
 from repro.ops import unfold as uf
 from repro.ops.engine import ConvEngine, register_engine
 from repro.ops.workspace import Workspace
@@ -91,31 +105,49 @@ class _UnfoldGemmBase(ConvEngine):
     def _matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         raise NotImplementedError
 
-    def _unfolded(self, spec: ConvSpec,
-                  images: np.ndarray) -> Iterator[np.ndarray]:
-        """:func:`repro.ops.unfold.unfold_each` into this engine's
-        buffers, one per shape: FP, dW and BP-data share them where
-        their shapes agree (a same-padded layer with ``Nc == Nf``)."""
+    def _operands(self, spec: ConvSpec,
+                  images: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+        """Each image's right-hand GEMM operands, in this engine's
+        buffers (one per shape, shared across calls and phases where
+        shapes agree): the ``Fy`` :func:`repro.ops.unfold.kernel_row_views`
+        of its column buffer where
+        :func:`repro.core.convspec.implicit_gemm` holds, else ``(U^T,)``
+        from :func:`repro.ops.unfold.unfold_each`.  Either pairs with
+        :func:`repro.ops.unfold.weight_blocks`."""
         dtype = images.dtype
-        shape = spec.gemm_dims[1:]
-        unfolded = self.workspace.scratch(f"unfold{shape}", shape, dtype)
         columns = None
         if (spec.sy, spec.sx) == (1, 1):
             shape = uf.column_shape(spec)
             columns = self.workspace.scratch(f"columns{shape}", shape, dtype)
-        return uf.unfold_each(spec, images, unfolded, columns)
+        if implicit_gemm(spec):
+            views = uf.kernel_row_views(spec, columns)
+            return (views for _ in uf.gather_columns(spec, images, columns))
+        shape = spec.gemm_dims[1:]
+        unfolded = self.workspace.scratch(f"unfold{shape}", shape, dtype)
+        return ((u,) for u in uf.unfold_each(spec, images, unfolded, columns))
+
+    def _product_sum(self, lefts: np.ndarray, rights: tuple[np.ndarray, ...],
+                     out: np.ndarray) -> None:
+        """``out = sum_i lefts[i] . rights[i]``, blocks added in order."""
+        self._matmul(lefts[0], rights[0], out)
+        if len(rights) > 1:
+            panel = self.workspace.scratch(f"panel{out.shape}", out.shape,
+                                           out.dtype)
+            for left, right in zip(lefts[1:], rights[1:]):
+                self._matmul(left, right, panel)
+                out += panel
 
     def forward(self, inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
         self._check_batch_inputs(inputs)
         self._check_weights(weights)
-        w_mat = uf.weights_matrix(self.spec, weights)
+        w_blocks = uf.weight_blocks(self.spec, weights)
         dtype = np.result_type(inputs, weights)
         out = np.empty((inputs.shape[0],) + self.spec.output_shape, dtype=dtype)
         nf, _, p = self.spec.gemm_dims
         out_mats = out.reshape(inputs.shape[0], nf, p)
-        for unfolded, out_mat in zip(
-                self._unfolded(self.spec, inputs), out_mats):
-            self._matmul(w_mat, unfolded, out_mat)
+        for blocks, out_mat in zip(self._operands(self.spec, inputs),
+                                   out_mats):
+            self._product_sum(w_blocks, blocks, out_mat)
         return out
 
     def backward_data(self, out_error: np.ndarray, weights: np.ndarray,
@@ -150,46 +182,49 @@ class _UnfoldGemmBase(ConvEngine):
         """BP-data as the forward correlation ``corr``
         (:func:`repro.core.convspec.correlation_problem`) and, given the
         ``inputs`` (zero in their outermost ``crop`` pixels), dW from the
-        same unfolded error: ``(dW or None, cropped input error)``."""
+        same lowered error: ``(dW or None, cropped input error)``."""
         spec = self.spec
         batch = out_error.shape[0]
-        nc, k, p = corr.gemm_dims
-        # W_rot[c, (f, ky, kx)] = W[f, c, Fy-1-ky, Fx-1-kx]
-        w_rot = np.ascontiguousarray(
-            weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(nc, k)
+        nc, _, p = corr.gemm_dims
+        # W_rot[c, f, ky, kx] = W[f, c, Fy-1-ky, Fx-1-kx]: corr's weights.
+        w_blocks = uf.weight_blocks(
+            corr, weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
         in_error = np.empty((batch,) + corr.output_shape,
                             dtype=np.result_type(out_error, weights))
         bordered = self.workspace.zeroed_once(
             "bd/bordered_err", corr.input_shape, out_error.dtype)
         by, bx = spec.fy - 1 - crop, spec.fx - 1 - crop
         interior = bordered[:, by:by + spec.out_ny, bx:bx + spec.out_nx]
-        # Every step unfolds the one bordered plane as it then stands.
+        # Every step lowers the one bordered plane as it then stands.
         planes = np.broadcast_to(bordered, (batch,) + bordered.shape)
-        unfolds = self._unfolded(corr, planes)
+        operands = self._operands(corr, planes)
         if inputs is None:
             for err, in_mat in zip(out_error, in_error.reshape(batch, nc, p)):
                 np.copyto(interior, err)
-                self._matmul(w_rot, next(unfolds), in_mat)
+                self._product_sum(w_blocks, next(operands), in_mat)
             return None, in_error
         # dW_rot[(f, ky, kx), c] = sum over kept positions of
-        # U_err[(f, ky, kx), pos] * X[c, pos] = dW[f, c, Fy-1-ky, Fx-1-kx].
+        # U_err[(f, ky, kx), pos] * X[c, pos] = dW[f, c, Fy-1-ky, Fx-1-kx],
+        # one row block of it per operand block.
         dtype = np.result_type(out_error, inputs)
-        dw_rot = np.zeros((k, nc), dtype=dtype)
-        panel = self.workspace.scratch("bw/dw_rot", (k, nc), dtype)
+        nb, _, kb = w_blocks.shape
+        dw_rot = np.zeros((nb, kb, nc), dtype=dtype)
+        panel = self.workspace.scratch("bw/dw_rot", (kb, nc), dtype)
         kept = self.workspace.scratch("bw/kept_input", (nc, p), inputs.dtype)
         _, ny, nx = corr.output_shape
         kept_planes = kept.reshape(nc, ny, nx)
         for err, image, in_mat in zip(out_error, inputs,
                                       in_error.reshape(batch, nc, p)):
             np.copyto(interior, err)
-            unfolded = next(unfolds)
-            self._matmul(w_rot, unfolded, in_mat)
+            blocks = next(operands)
+            self._product_sum(w_blocks, blocks, in_mat)
             np.copyto(kept_planes, image[:, crop:crop + ny, crop:crop + nx])
-            self._matmul(unfolded, kept.T, panel)
-            dw_rot += panel
-        d_weights = np.ascontiguousarray(
-            dw_rot.reshape(spec.nf, spec.fy, spec.fx, nc)[:, ::-1, ::-1]
-            .transpose(0, 3, 1, 2))
+            for dw_block, block in zip(dw_rot, blocks):
+                self._matmul(block, kept.T, panel)
+                dw_block += panel
+        d_weights = np.ascontiguousarray(uf.weights_from_blocks(
+            corr, dw_rot.transpose(0, 2, 1))[:, :, ::-1, ::-1]
+            .transpose(1, 0, 2, 3))
         return d_weights, in_error
 
     def _fold_backward_data(self, out_error: np.ndarray,
@@ -210,17 +245,20 @@ class _UnfoldGemmBase(ConvEngine):
     def backward_weights(self, out_error: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         self._check_batch_out_error(out_error)
         self._check_batch_inputs(inputs)
-        dw = np.zeros(self.spec.weight_shape, dtype=out_error.dtype)
-        dw_mat = uf.weights_matrix(self.spec, dw)
+        nf, k, _ = self.spec.gemm_dims
+        nb = self.spec.fy if implicit_gemm(self.spec) else 1
+        dw_blocks = np.zeros((nb, nf, k // nb), dtype=out_error.dtype)
         panel = self.workspace.scratch(
-            "bw/dw_mat", dw_mat.shape, np.result_type(out_error, inputs)
-        )
-        for err, unfolded in zip(out_error,
-                                 self._unfolded(self.spec, inputs)):
+            "bw/dw_mat", dw_blocks.shape[1:],
+            np.result_type(out_error, inputs))
+        for err, blocks in zip(out_error,
+                               self._operands(self.spec, inputs)):
             err_mat = uf.output_image_to_matrix(self.spec, err)
-            self._matmul(err_mat, unfolded.T, panel)
-            dw_mat += panel
-        return dw
+            for dw_block, block in zip(dw_blocks, blocks):
+                self._matmul(err_mat, block.T, panel)
+                dw_block += panel
+        return uf.copy_kernel_rows(
+            uf.weights_from_blocks(self.spec, dw_blocks))
 
 
 @register_engine("parallel-gemm")

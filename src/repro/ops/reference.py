@@ -215,7 +215,8 @@ def unpool(out: np.ndarray, argmax: np.ndarray, error: np.ndarray,
     """The ReLU + max-pool backward of a fused forward, as its C exports
     must compute it: the pooled ``error`` masked where the pooled ``out``
     is not positive and added, in row-major window order, at each
-    window's flat ``argmax`` of the ``[B, F, Oy, Ox]`` conv-shaped error."""
+    window's flat ``argmax`` (one byte per window in the C units) of the
+    ``[B, F, Oy, Ox]`` conv-shaped error."""
     wy, wx = np.divmod(argmax, kernel)
     b, f, p, q = np.indices(argmax.shape)
     routed = np.zeros(conv_shape, dtype=error.dtype)

@@ -26,6 +26,14 @@ column buffer, every row of ``U^T`` is a single contiguous
 way -- two long-run copies per image, their strided views built once
 per batch -- and yields the same ``U^T`` the one-step gather gives.
 
+The copy of those runs is what :func:`kernel_row_views` avoids: the
+rows of ``U^T`` that share one ``ky`` lie one plane apart in the column
+buffer, so they *are* a strided ``[Nc*Fx, out_Ny*out_Nx]`` matrix
+``C_ky`` that BLAS reads in place.  Where
+:func:`repro.core.convspec.implicit_gemm` holds the engines gather
+only the column buffer (:func:`gather_columns`) and multiply the ``Fy``
+views against :func:`weight_blocks` -- ``U^T`` is never built.
+
 ``fold`` is the exact adjoint (transpose) of ``unfold`` -- each unfolded
 element is scattered back (accumulating) to the input position it came
 from -- which is what back-propagation through the unfolding requires.
@@ -42,7 +50,7 @@ from typing import Iterator
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from repro.core.convspec import ConvSpec
+from repro.core.convspec import ConvSpec, implicit_gemm
 from repro.errors import ShapeError
 
 
@@ -98,8 +106,8 @@ def unfold_each(spec: ConvSpec, images: np.ndarray, out: np.ndarray,
         # reshape on a non-contiguous target would silently copy.
         raise ShapeError("unfold out buffer must be C-contiguous")
     nc, fy, fx, oy, ox = _patch_shape(spec)
-    bs, cs, ys, xs = images.strides
     if (spec.sy, spec.sx) != (1, 1):
+        bs, cs, ys, xs = images.strides
         patches = as_strided(images, shape=(len(images),) + _patch_shape(spec),
                              strides=(bs, cs, ys, xs, ys * spec.sy,
                                       xs * spec.sx))
@@ -108,22 +116,67 @@ def unfold_each(spec: ConvSpec, images: np.ndarray, out: np.ndarray,
             np.copyto(target, image)
             yield out
         return
-    if columns is None:
-        columns = np.empty(column_shape(spec), dtype=images.dtype)
-    elif columns.shape != column_shape(spec) \
-            or not columns.flags.c_contiguous:
-        raise ShapeError(f"columns buffer must be a C-contiguous "
-                         f"{column_shape(spec)} array")
-    shifted = as_strided(images, shape=(len(images),) + column_shape(spec),
-                         strides=(bs, cs, xs, ys, xs))
+    columns = _columns_buffer(spec, images.dtype, columns)
     c_cs, c_kx, c_ys, c_xs = columns.strides
     rows = as_strided(columns, shape=(nc, fy, fx, oy * ox),
                       strides=(c_cs, c_ys, c_kx, c_xs))
     target = out.reshape(nc, fy, fx, oy * ox)
-    for image in shifted:
-        np.copyto(columns, image)
+    for _ in gather_columns(spec, images, columns):
         np.copyto(target, rows)
         yield out
+
+
+def _columns_buffer(spec: ConvSpec, dtype: np.dtype,
+                    columns: np.ndarray | None) -> np.ndarray:
+    if columns is None:
+        return np.empty(column_shape(spec), dtype=dtype)
+    if columns.shape != column_shape(spec) or not columns.flags.c_contiguous:
+        raise ShapeError(f"columns buffer must be a C-contiguous "
+                         f"{column_shape(spec)} array")
+    return columns
+
+
+def gather_columns(spec: ConvSpec, images: np.ndarray,
+                   columns: np.ndarray | None = None
+                   ) -> Iterator[np.ndarray]:
+    """Gather each ``[Nc, Ny, Nx]`` image of a stride-1 batch into
+    ``columns`` in turn: its ``Fx`` shifted planes, ``columns[c, kx] =
+    image[c, :, kx:kx + out_Nx]``, one long-run copy per image from a
+    view built once per batch.  Yields ``columns`` (a C-contiguous
+    :func:`column_shape` buffer, allocated when not given); the next
+    step overwrites it."""
+    if (spec.sy, spec.sx) != (1, 1) or spec.pad != 0:
+        raise ShapeError("column buffers serve pre-padded stride-1 specs")
+    if images.ndim != 4 or images.shape[1:] != spec.input_shape:
+        raise ShapeError(f"batch input shape {images.shape} != "
+                         f"(B, *{spec.input_shape})")
+    columns = _columns_buffer(spec, images.dtype, columns)
+    bs, cs, ys, xs = images.strides
+    shifted = as_strided(images, shape=(len(images),) + column_shape(spec),
+                         strides=(bs, cs, xs, ys, xs))
+    for image in shifted:
+        np.copyto(columns, image)
+        yield columns
+
+
+def kernel_row_views(spec: ConvSpec,
+                     columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ``Fy`` GEMM operands ``C_ky`` of a column buffer, without a copy.
+
+    ``C_ky`` is ``[Nc*Fx, out_Ny*out_Nx]``: row ``(c, kx)`` is row
+    ``(c, ky, kx)`` of ``U^T``, the contiguous run of plane
+    ``columns[c, kx]`` that starts at row ``ky``.  Consecutive rows lie
+    one plane (``Ny*out_Nx`` elements) apart, so each view is a
+    row-major matrix with that leading dimension, which BLAS reads in
+    place.  The views alias ``columns``: they show whatever it holds.
+    """
+    plane = spec.ny * spec.out_nx
+    flat = _columns_buffer(spec, columns.dtype, columns).reshape(-1)
+    return tuple(
+        as_strided(flat[ky * spec.out_nx:],
+                   shape=(spec.nc * spec.fx, spec.out_ny * spec.out_nx),
+                   strides=(plane * flat.itemsize, flat.itemsize))
+        for ky in range(spec.fy))
 
 
 def fold(spec: ConvSpec, unfolded: np.ndarray,
@@ -156,6 +209,47 @@ def fold(spec: ConvSpec, unfolded: np.ndarray,
             target = image[:, ky : ky + span_y : spec.sy, kx : kx + span_x : spec.sx]
             target += patches[:, ky, kx]
     return image
+
+
+def weight_blocks(spec: ConvSpec, weights: np.ndarray) -> np.ndarray:
+    """``[M, Nc, Fy, Fx]`` weights as the left operands of ``spec``'s
+    GEMMs: ``[Fy, M, Nc*Fx]``, block ``ky`` pairing with
+    :func:`kernel_row_views`' ``C_ky``, where
+    :func:`repro.core.convspec.implicit_gemm` holds; else the one weight
+    matrix ``[1, M, Nc*Fy*Fx]`` that pairs with ``U^T``."""
+    if weights.shape[1:] != spec.weight_shape[1:]:
+        raise ShapeError(f"weight shape {weights.shape} != (M, "
+                         f"*{spec.weight_shape[1:]})")
+    m = weights.shape[0]
+    if not implicit_gemm(spec):
+        return np.ascontiguousarray(weights).reshape(1, m, -1)
+    return copy_kernel_rows(weights.transpose(2, 0, 1, 3)).reshape(
+        spec.fy, m, spec.nc * spec.fx)
+
+
+def weights_from_blocks(spec: ConvSpec, blocks: np.ndarray) -> np.ndarray:
+    """The ``[M, Nc, Fy, Fx]`` view of weights whose
+    :func:`weight_blocks` are ``blocks``."""
+    nb, m, _ = blocks.shape
+    if nb == 1:
+        return blocks.reshape(m, spec.nc, spec.fy, spec.fx)
+    return blocks.reshape(spec.fy, m, spec.nc, spec.fx).transpose(1, 2, 0, 3)
+
+
+def copy_kernel_rows(source: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``source`` (``source`` itself where it is
+    one).  Where its last axis -- a kernel row of ``Fx`` weights -- is
+    contiguous, each row moves as one item: numpy copies a run of a few
+    floats element by element, at half the speed."""
+    if source.flags.c_contiguous:
+        return source
+    out = np.empty(source.shape, source.dtype)
+    if source.strides[-1] != source.itemsize:
+        np.copyto(out, source)
+        return out
+    row = np.dtype((np.void, source.itemsize * source.shape[-1]))
+    np.copyto(out.view(row), source.view(row))
+    return out
 
 
 def weights_matrix(spec: ConvSpec, weights: np.ndarray) -> np.ndarray:

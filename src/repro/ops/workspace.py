@@ -1,7 +1,8 @@
 """Reusable per-engine scratch buffers keyed by role, shape and dtype.
 
 The unfold/fold/GEMM pipeline and the sparse BP kernels allocate the
-same intermediate arrays for every image of every batch: the unfolded
+same intermediate arrays for every image of every batch: the column
+buffer and (where a spec is not lowered to its views) the unfolded
 matrix ``U^T``, the GEMM output panel, the HWC error scratch, the sparse
 ``dW`` layout.  Allocating them per call dominates small-layer runtime
 and fragments the allocator under the process backend's long-lived

@@ -10,18 +10,17 @@ persistent spawned worker processes instead, so every core executes
 Python bytecode concurrently, and moves the tensors through
 :mod:`repro.runtime.shm` segments rather than pickles.
 
-Three backends share one contract (:class:`ExecutionBackend`).  A
-backend serves a pool's *helpers*: the pool's caller runs range 0
-itself, unshipped, so a pool of N asks its backend for N-1 workers
-(:class:`repro.runtime.pool.WorkerPool`):
-
-* ``serial``  -- tasks run inline on the caller's thread, in range
-  order.  The determinism reference and the zero-overhead baseline.
-* ``thread``  -- tasks run on the pool's dispatcher threads.
-* ``process`` -- tasks are shipped to persistent worker processes;
-  the dispatcher thread blocks on the round-trip.  Tasks and their
-  arguments must pickle; array payloads should travel via shared
-  memory (see :func:`run_engine_slice`), not through the pickle.
+A pool names one of three backends (:data:`BACKEND_NAMES`).  ``serial``
+runs its tasks inline on the caller's thread, in range order, and
+``thread`` on the pool's dispatcher threads: both call the task where
+it is (:class:`repro.runtime.pool.WorkerPool`), with no object of their
+own.  ``process`` is :class:`ProcessBackend`: it serves a pool's
+*helpers* -- the pool's caller runs range 0 itself, unshipped, so a
+pool of N asks it for N-1 workers -- by shipping tasks to persistent
+worker processes while the dispatcher thread blocks on the round-trip.
+Tasks and their arguments must pickle; array payloads should travel
+via shared memory (see :func:`run_engine_slice`), not through the
+pickle.
 
 Spawn-safety: workers are started with the ``spawn`` context (no
 inherited locks or collector state -- the fork-unsafety CHK-FORK lints
@@ -300,41 +299,7 @@ class _Worker:
             self.requests.close()
 
 
-class ExecutionBackend:
-    """How the pool turns a task into an executed result."""
-
-    name = "abstract"
-
-    def call(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Run ``fn(*args)`` to completion on this backend."""
-        raise NotImplementedError
-
-    def start(self) -> None:
-        """Acquire backend resources (idempotent)."""
-
-    def shutdown(self) -> None:
-        """Release backend resources (idempotent)."""
-
-
-class SerialBackend(ExecutionBackend):
-    """Inline execution on the calling thread."""
-
-    name = "serial"
-
-    def call(self, fn: Callable[..., Any], *args: Any) -> Any:
-        return fn(*args)
-
-
-class ThreadBackend(ExecutionBackend):
-    """Execution on the pool's dispatcher thread (which called us)."""
-
-    name = "thread"
-
-    def call(self, fn: Callable[..., Any], *args: Any) -> Any:
-        return fn(*args)
-
-
-class ProcessBackend(ExecutionBackend):
+class ProcessBackend:
     """Persistent spawned worker processes fed over private pipes.
 
     ``call`` is thread-safe: each dispatcher thread ships its job to the
@@ -963,16 +928,6 @@ class ProcessBackend(ExecutionBackend):
             "hung_workers": self.hung_workers,
             "workers": workers,
         }
-
-
-def make_backend(name: str, num_workers: int) -> ExecutionBackend:
-    """Instantiate the backend registered under ``name``."""
-    validate_backend(name)
-    if name == "serial":
-        return SerialBackend()
-    if name == "thread":
-        return ThreadBackend()
-    return ProcessBackend(num_workers)
 
 
 # -- worker-side engine execution over shared memory ------------------------

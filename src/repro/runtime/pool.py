@@ -47,11 +47,9 @@ from repro.errors import ReproError
 from repro.resilience import faults
 from repro.resilience.policy import active_policy, run_with_retries
 from repro.runtime.backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
     ProcessBackend,
-    make_backend,
     pin_caller_blas,
+    validate_backend,
 )
 
 T = TypeVar("T")
@@ -71,21 +69,14 @@ class WorkerPool:
     """A fixed set of workers executing image-range tasks."""
 
     def __init__(self, num_workers: int | None = None,
-                 backend: str | ExecutionBackend = "thread") -> None:
+                 backend: str = "thread") -> None:
         if num_workers is not None and num_workers <= 0:
             raise ReproError(f"num_workers must be positive, got {num_workers}")
         self.num_workers = num_workers or default_worker_count()
-        if isinstance(backend, ExecutionBackend):
-            self._backend: ExecutionBackend | None = backend
-            self.backend_name = backend.name
-        else:
-            if backend not in BACKEND_NAMES:
-                raise ReproError(
-                    f"unknown execution backend {backend!r}; "
-                    f"known: {BACKEND_NAMES}"
-                )
-            self._backend = None  # built lazily (process spawn is costly)
-            self.backend_name = backend
+        self.backend_name = validate_backend(backend)
+        # The helper processes of a pool that ships, built lazily
+        # (process spawn is costly); no other pool has a backend object.
+        self._backend: ProcessBackend | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
         self._backend_finalizer: weakref.finalize | None = None
@@ -113,11 +104,9 @@ class WorkerPool:
     def shutdown(self) -> None:
         """Stop the workers (idempotent; the pool may be reused).
 
-        The reuse contract is uniform across backends -- including a
-        pool constructed with an :class:`ExecutionBackend` *instance*:
-        the backend object is kept and the next dispatch restarts it
-        (``start()`` is idempotent and, for the process backend,
-        respawns the worker set).
+        A process pool keeps its backend object and the next dispatch
+        restarts it (``start()`` is idempotent and respawns the worker
+        set).
         """
         releases, self._at_shutdown = self._at_shutdown, []
         for release in releases:
@@ -153,34 +142,35 @@ class WorkerPool:
             self._finalizer = weakref.finalize(self, executor.shutdown, False)
         return self._executor
 
-    def _require_backend(self) -> ExecutionBackend:
-        """The backend running ranges 1..; a process backend has one
-        worker per helper (the caller runs range 0 itself)."""
+    def _require_backend(self) -> ProcessBackend:
+        """The helper processes running ranges 1.. of a pool that
+        :attr:`ships`: one worker per helper (the caller runs range 0
+        itself)."""
+        if not self.ships:
+            raise ReproError(f"a {self.num_workers}-worker "
+                             f"{self.backend_name} pool has no helper "
+                             f"processes")
         if self._backend is None:
-            self._backend = make_backend(self.backend_name,
-                                         self.num_workers - 1)
-        if isinstance(self._backend, ProcessBackend):
-            # The caller runs range 0 beside single-threaded helpers.
-            pin_caller_blas()
-            # The retry policy is the user-facing fault-budget knob;
-            # mirror its crash budget onto the backend's per-job
-            # redispatch budget so one setting governs both layers.
-            policy = active_policy()
-            if policy is not None:
-                self._backend.max_redispatch = policy.max_redispatches
-        # start() is idempotent and revives a shut-down backend, so
-        # reuse-after-shutdown behaves identically whether the pool was
-        # built from a backend name or a live instance.
+            self._backend = ProcessBackend(self.num_workers - 1)
+        # The caller runs range 0 beside single-threaded helpers.
+        pin_caller_blas()
+        # The retry policy is the user-facing fault-budget knob; mirror
+        # its crash budget onto the backend's per-job redispatch budget
+        # so one setting governs both layers.
+        policy = active_policy()
+        if policy is not None:
+            self._backend.max_redispatch = policy.max_redispatches
+        # start() is idempotent and revives a shut-down backend.
         needs_finalizer = self._backend_finalizer is None
         self._backend.start()
-        if needs_finalizer and isinstance(self._backend, ProcessBackend):
+        if needs_finalizer:
             self._backend_finalizer = weakref.finalize(
                 self, self._backend.shutdown
             )
         return self._backend
 
     @property
-    def backend(self) -> ExecutionBackend | None:
+    def backend(self) -> ProcessBackend | None:
         """The live backend instance, if one has been built yet.
 
         Supervision tooling (``repro workers``, the kill-chaos harness)

@@ -58,7 +58,7 @@ import numpy as np
 from repro.core.convspec import ConvSpec
 from repro.errors import CodegenError, ShapeError
 from repro.native import CUnit, KernelFacts, Kernels, require, vector_registers
-from repro.stencil.loopir import LoopNest, PoolWindow
+from repro.stencil.loopir import MAX_WINDOW_ELEMENTS, LoopNest, PoolWindow
 from repro.stencil.passes import default_pipeline
 
 #: Accumulator vectors held in registers at once (of 32 zmm / 16 ymm).
@@ -406,7 +406,7 @@ POOLED = """\
    nothing is routed, and conv_err and dw are not the result.  No two
    arrays overlap: restrict lets the routing loop keep its loads ahead of
    the scatter (a fifth of the call on conv_in). */
-void {name}_pooled(const float *restrict out, const int64_t *restrict arg,
+void {name}_pooled(const float *restrict out, const uint8_t *restrict arg,
                    const float *restrict err, int64_t pk, int64_t ps,
                    const float *in, float *restrict conv_err, float *dw,
                    int64_t batch, float *scratch, int64_t *counts)
@@ -423,7 +423,8 @@ void {name}_pooled(const float *restrict out, const int64_t *restrict arg,
     const int k2 = (int)(pk * pk), stride = (int)ps;
     const int py = (int)((OY - pk) / ps + 1), px = (int)((OX - pk) / ps + 1);
     /* Window element t -> row (t + 0.5) / pk, rounded down: exact in
-       double for any t < 2^31, and no divide (or table load) per window. */
+       double for any one-byte t, and no divide (or table load) per
+       window. */
     const double inv = 1.0 / (double)pk;
     int64_t nonzero = 0, bad = 0;
 
@@ -434,17 +435,17 @@ void {name}_pooled(const float *restrict out, const int64_t *restrict arg,
         for (int f = 0; f < NF; f++) {{
             const int64_t i = b * NF + f;
             const float *o = out + i * py * px, *e = err + i * py * px;
-            const int64_t *a = arg + i * py * px;
+            const uint8_t *a = arg + i * py * px;
             float *c = conv_err + i * P;
             ptr[f] = n;
             for (int w = 0; w < py * px; w++)
-                bad += !isfinite(e[w]) | ((uint64_t)a[w] >= (uint64_t)k2);
+                bad += !isfinite(e[w]) | (a[w] >= k2);
             if (bad)
                 continue;       /* the caller discards this call */
             memset(c, 0, sizeof(float) * P);
             for (int p = 0; p < py; p++) {{
                 for (int q = 0; q < px; q++) {{
-                    const int w = p * px + q, t = (int)a[w];
+                    const int w = p * px + q, t = a[w];
                     const int wy = (int)((t + 0.5) * inv);
                     const int x = q * stride + t - wy * (int)pk;
                     const float v = kept(0.0f + e[w], o[w] > 0);
@@ -484,7 +485,8 @@ def emit_sparse_c_unit(spec: ConvSpec) -> CUnit:
     ``<name>_dw(eo, in, dw, batch, scratch)`` and ``<name>_pooled(out,
     argmax, err, pk, ps, in, conv_err, dw, batch, scratch, counts)`` over
     C-contiguous ``float`` arrays in the engines' ``[B, C, Y, X]`` /
-    ``[F, C, Ky, Kx]`` layouts (``argmax`` and ``counts`` ``int64``);
+    ``[F, C, Ky, Kx]`` layouts (``argmax`` ``uint8``, ``counts``
+    ``int64``);
     ``scratch`` holds ``SCRATCH_FLOATS`` floats.
     """
     if spec.pad != 0:
@@ -554,19 +556,22 @@ class NativeSparseKernels(Kernels):
         (masked where ``out`` is not positive, routed to each window's
         ``argmax``), the ``[Nf, Nc, Ky, Kx]`` weight gradient of it, its
         non-zero count, and how many windows' error was not finite or
-        argmax named no window element.  Windows must not overlap."""
+        ``uint8`` argmax named no window element.  Windows must not
+        overlap."""
         spec = self.spec
         kernel, stride = window.kernel, window.stride
-        if not 1 <= kernel <= min(stride, spec.out_ny, spec.out_nx):
+        if not 1 <= kernel <= min(stride, spec.out_ny, spec.out_nx) \
+                or kernel ** 2 > MAX_WINDOW_ELEMENTS:
             raise ShapeError(
                 f"the pooled export takes windows that fit the "
-                f"{spec.out_ny}x{spec.out_nx} output and do not overlap, "
-                f"not {kernel}/{stride}")
+                f"{spec.out_ny}x{spec.out_nx} output, do not overlap and "
+                f"have at most {MAX_WINDOW_ELEMENTS} elements, not "
+                f"{kernel}/{stride}")
         batch = int(out.shape[0])
         pooled = (batch, spec.nf, window.out_extent(spec.out_ny),
                   window.out_extent(spec.out_nx))
         require("out", out, pooled)
-        require("argmax", argmax, pooled, np.int64)
+        require("argmax", argmax, pooled, np.uint8)
         require("error", error, pooled)
         require("inputs", inputs, (batch,) + spec.input_shape)
         require("scratch", scratch, (self.unit.scratch_floats,))

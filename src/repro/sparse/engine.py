@@ -88,10 +88,10 @@ def _check_pooled(kernels, images: np.ndarray, scratch: np.ndarray,
         random[rng.random(shape) < 0.3] = 0.0
         corners = np.zeros_like(random)
         corners[:, :, ::max(shape[2] - 1, 1), ::max(shape[3] - 1, 1)] = -1.5
-        last = np.full(shape, window.kernel ** 2 - 1, np.int64)
+        last = np.full(shape, window.kernel ** 2 - 1, np.uint8)
         for name, pooled, error, argmax in (
                 ("random", out, random,
-                 rng.integers(0, window.kernel ** 2, shape)),
+                 rng.integers(0, window.kernel ** 2, shape, np.uint8)),
                 ("corner", np.abs(out), corners, last)):
             conv_error, d_weights, nonzero, rejected = \
                 kernels.pooled_backward(pooled, argmax, error, window,

@@ -189,29 +189,38 @@ def _block_function(spec: ConvSpec, tables: str, features: int, rows: int,
 
 _POOL_STORE = """\
 /* bias + ReLU + max-pool of `features` x `rows` pooled rows of the act
-   tile: the first maximum in row-major window order and its index.
+   tile: the first maximum in row-major window order and its index, one
+   byte (a unit holds at most 256 window elements).  A row's indices are
+   chosen as int32 and narrowed afterwards: a byte store in the window
+   loop keeps gcc from vectorizing it, and the branches it is left with
+   mispredict on random data (a 12x slower pool).
    Returns how many biased conv outputs it read were not finite: the
    compares below drop NaN, where the chain's np.maximum keeps it. */
-static int64_t pool_store(const float *act, const float *bias, float *out,
-                          int64_t *arg, int features, int rows)
+static int64_t pool_store(const float *restrict act,
+                          const float *restrict bias, float *restrict out,
+                          uint8_t *restrict arg, int features, int rows)
 {
     int64_t nonfinite = 0;
     for (int f = 0; f < features; f++)
-        for (int p = 0; p < rows; p++)
+        for (int p = 0; p < rows; p++) {
+            int32_t at[PX];
             for (int q = 0; q < PX; q++) {
                 const float *a = act + f * OUT_F + p * PS * OX + q * PS;
                 float best = -1.0f;
-                int64_t at = 0;
+                int32_t t = 0;
                 for (int wy = 0; wy < PK; wy++)
                     for (int wx = 0; wx < PK; wx++) {
                         float v = a[wy * OX + wx] + bias[f];
                         nonfinite += !isfinite(v);
                         v = v > 0 ? v : 0;
-                        if (v > best) { best = v; at = wy * PK + wx; }
+                        if (v > best) { best = v; t = wy * PK + wx; }
                     }
                 out[(f * PY + p) * PX + q] = best;
-                arg[(f * PY + p) * PX + q] = at;
+                at[q] = t;
             }
+            for (int q = 0; q < PX; q++)
+                arg[(f * PY + p) * PX + q] = (uint8_t)at[q];
+        }
     return nonfinite;
 }
 """
@@ -221,21 +230,22 @@ static int64_t pool_store(const float *act, const float *bias, float *out,
 #: error added at its argmax in row-major window order -- the order the
 #: chain's max-pool backward sums overlapping windows in.
 UNPOOL = """\
-void {name}_unpool(const float *out, const int64_t *arg, const float *err,
-        float *conv_err, int64_t *rejected, int64_t batch)
+void {name}_unpool(const float *restrict out, const uint8_t *restrict arg,
+        const float *restrict err, float *restrict conv_err,
+        int64_t *rejected, int64_t batch)
 {{
     int64_t bad = 0;
     for (int64_t i = 0; i < batch * NF; i++) {{
         const float *o = out + i * (PY * PX), *e = err + i * (PY * PX);
-        const int64_t *a = arg + i * (PY * PX);
+        const uint8_t *a = arg + i * (PY * PX);
         float *c = conv_err + i * (OY * OX);
         for (int k = 0; k < OY * OX; k++)
             c[k] = 0;
         for (int p = 0; p < PY; p++)
             for (int q = 0; q < PX; q++) {{
                 const int w = p * PX + q;
-                const int64_t t = a[w];
-                if (!isfinite(e[w]) || t < 0 || t >= PK * PK) {{
+                const int t = a[w];
+                if (!isfinite(e[w]) || t >= PK * PK) {{
                     bad++;
                     continue;
                 }}
@@ -255,7 +265,7 @@ def emit_stencil_c_unit(spec: ConvSpec,
 
     ``fp`` exports ``<name>_fp(in, w, out, batch)``; ``fused_fp`` exports
     ``<name>_fused(in, w, bias, out, argmax, batch, scratch, nonfinite)``
-    with ``argmax`` an ``int64`` array, ``scratch`` ``SCRATCH_FLOATS``
+    with ``argmax`` a ``uint8`` array, ``scratch`` ``SCRATCH_FLOATS``
     floats and ``nonfinite`` one ``int64``, and its backward
     ``<name>_unpool(out, argmax, err, conv_err, rejected, batch)``.  All
     arrays are C-contiguous in the engines' layouts.
@@ -265,6 +275,8 @@ def emit_stencil_c_unit(spec: ConvSpec,
                            f"convolutions, not {spec.describe()}")
     nest = pipeline.build_nest(spec)    # vectorized: the pipeline ends so
     oy, ox, pool = spec.out_ny, spec.out_nx, nest.pool
+    if pool is not None:
+        pool.check_byte_indexed()
     chunks = _row_chunks(ox, nest.vector_width)
     shape = (f"{spec.nc}x{spec.ny}x{spec.nx}_{spec.nf}_{spec.fy}x{spec.fx}"
              + (f"_p{pool.kernel}s{pool.stride}" if pool else "")
@@ -328,14 +340,14 @@ def emit_stencil_c_unit(spec: ConvSpec,
         main = [
             f"void {name}_fused(const float *in, const float *wt, "
             f"const float *bias,",
-            "        float *out, int64_t *arg, int64_t batch, "
+            "        float *out, uint8_t *arg, int64_t batch, "
             "float *scratch, int64_t *nonfinite)", "{",
             "    float *act = scratch + ACT_OFF;",
             "    int64_t bad = 0;",
             "    for (int64_t b = 0; b < batch; b++) {",
             "        const float *ib = in + b * (NC * NY * NX);",
             "        float *ob = out + b * (NF * PY * PX);",
-            "        int64_t *ab = arg + b * (NF * PY * PX);",
+            "        uint8_t *ab = arg + b * (NF * PY * PX);",
             *_for_runs("p", pool_rows, "        ", pool_block),
             "    }", "    *nonfinite = bad;", "}", "",
             UNPOOL.format(name=name)]
@@ -374,6 +386,7 @@ def emit_epilogue_c_unit(spec: ConvSpec, pool: PoolWindow) -> CUnit:
     unit's argument conventions.  Only the conv output's shape and the
     window reach the text, so every spec with that output shares it.
     """
+    pool.check_byte_indexed()
     nf, oy, ox = spec.output_shape
     py, px = pool.out_extent(oy), pool.out_extent(ox)
     name = f"gemm_epilogue_{nf}x{oy}x{ox}_p{pool.kernel}s{pool.stride}"
@@ -388,7 +401,7 @@ def emit_epilogue_c_unit(spec: ConvSpec, pool: PoolWindow) -> CUnit:
     lines += ["", _POOL_STORE,
               f"void {name}_pool(const float *act, const float *bias, "
               f"float *out,",
-              "        int64_t *arg, int64_t batch, int64_t *nonfinite)", "{",
+              "        uint8_t *arg, int64_t batch, int64_t *nonfinite)", "{",
               "    int64_t bad = 0;",
               "    for (int64_t b = 0; b < batch; b++)",
               "        bad += pool_store(act + b * (NF * OY * OX), bias,",
@@ -419,7 +432,7 @@ class _PooledKernels(Kernels):
         batch = int(out.shape[0])
         shape = self._pooled_shape(batch)
         require("out", out, shape)
-        require("argmax", argmax, shape, np.int64)
+        require("argmax", argmax, shape, np.uint8)
         require("error", error, shape)
         conv_error = np.empty((batch,) + self.spec.output_shape, np.float32)
         rejected = np.zeros(1, dtype=np.int64)
@@ -448,7 +461,7 @@ class NativeStencilKernels(_PooledKernels):
                       bias: np.ndarray, scratch: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, int]:
         """Pooled activations ``[B, Nf, Py, Px]`` of conv + bias + ReLU
-        + max-pool, their ``int64`` flat window indices, and how many of
+        + max-pool, their ``uint8`` flat window indices, and how many of
         the biased conv outputs read were not finite (where that is not
         0 the pooled values are not the chain's)."""
         spec = self.spec
@@ -458,7 +471,7 @@ class NativeStencilKernels(_PooledKernels):
         require("bias", bias, (spec.nf,))
         require("scratch", scratch, (self.unit.scratch_floats,))
         out = np.empty(self._pooled_shape(batch), dtype=np.float32)
-        argmax = np.empty(out.shape, dtype=np.int64)
+        argmax = np.empty(out.shape, dtype=np.uint8)
         nonfinite = np.zeros(1, dtype=np.int64)
         self.call("fused", inputs, weights, bias, out, argmax, batch, scratch,
                   nonfinite)
@@ -474,7 +487,7 @@ class NativeEpilogueKernels(_PooledKernels):
 
     def pool(self, act: np.ndarray, bias: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Pooled ``relu(act + bias)`` ``[B, Nf, Py, Px]``, its ``int64``
+        """Pooled ``relu(act + bias)`` ``[B, Nf, Py, Px]``, its ``uint8``
         flat window indices, and how many biased values it read were not
         finite (where that is not 0 the pooled values are not the
         chain's): :meth:`NativeStencilKernels.fused_forward` of a conv
@@ -483,7 +496,7 @@ class NativeEpilogueKernels(_PooledKernels):
         require("act", act, (batch,) + self.spec.output_shape)
         require("bias", bias, (self.spec.nf,))
         out = np.empty(self._pooled_shape(batch), dtype=np.float32)
-        argmax = np.empty(out.shape, dtype=np.int64)
+        argmax = np.empty(out.shape, dtype=np.uint8)
         nonfinite = np.zeros(1, dtype=np.int64)
         self.call("pool", act, bias, out, argmax, batch, nonfinite)
         return out, argmax, int(nonfinite[0])

@@ -173,6 +173,10 @@ class Stage:
         return any(info.dim.name == dim_name for info in self.loops)
 
 
+#: The most window elements a pooling unit's one-byte indices can name.
+MAX_WINDOW_ELEMENTS = 256
+
+
 @dataclass(frozen=True)
 class PoolWindow:
     """Pool geometry carried by fused nests (kernel and stride)."""
@@ -190,6 +194,14 @@ class PoolWindow:
                 f"pool kernel {self.kernel} larger than input extent {extent}"
             )
         return (extent - self.kernel) // self.stride + 1
+
+    def check_byte_indexed(self) -> None:
+        """Refuse a window whose elements one byte cannot index."""
+        if self.kernel ** 2 > MAX_WINDOW_ELEMENTS:
+            raise CodegenError(
+                f"a {self.kernel}x{self.kernel} pool window has "
+                f"{self.kernel ** 2} elements; one-byte window indices "
+                f"name at most {MAX_WINDOW_ELEMENTS}")
 
     def rows_needed(self, pool_rows: int) -> int:
         """Producer rows required to compute ``pool_rows`` output rows."""

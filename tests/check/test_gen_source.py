@@ -357,7 +357,8 @@ class TestNativeUnit:
         assert "outside OX=" in _messages(verify_native_unit(
             changed(PS=unit.literal("PS") + 1), nests, "ragged"))
         unguarded = changed(source=unit.source.replace(
-            "t < 0 || t >= PK * PK", "t < 0"))
+            "!isfinite(e[w]) || t >= PK * PK", "!isfinite(e[w])"))
+        assert unguarded.source != unit.source
         assert "not the scatter the printer emits" in _messages(
             verify_native_unit(unguarded, nests, "ragged"))
         assert "helpers () are not the expected" in _messages(
@@ -394,8 +395,11 @@ class TestNativeUnit:
             unit, literals=unit.literals + (("EXTRA", 1),)))
         assert "not the fused unit's pooled store" in messages(changed(
             source=unit.source.replace("v > best", "v >= best")))
+        unguarded = unit.source.replace("!isfinite(e[w]) || t >= PK * PK",
+                                        "!isfinite(e[w])")
+        assert unguarded != unit.source
         assert "not the scatter the printer emits" in messages(changed(
-            source=unit.source.replace("t < 0 || t >= PK * PK", "t < 0")))
+            source=unguarded))
         assert "exports ('pool',) are not" in messages(
             dataclasses.replace(unit, helpers=("pool",)))
 

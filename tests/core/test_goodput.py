@@ -79,6 +79,14 @@ class TestMeasureSparsity:
     def test_empty_array(self):
         assert measure_sparsity(np.array([])) == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zero_nan_and_inf_count_as_an_equality_test_would(
+            self, dtype):
+        arr = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -0.0,
+                        np.nan], dtype=dtype).reshape(2, 4)
+        assert measure_sparsity(arr) == np.count_nonzero(arr == 0) / arr.size
+        assert measure_sparsity(arr) == 3 / 8
+
     def test_multidimensional(self):
         arr = np.zeros((3, 4, 5))
         arr[0, 0, 0] = 1.0

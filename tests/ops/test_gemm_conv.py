@@ -21,11 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check.runner import engine_spec
-from repro.core.convspec import ConvSpec, backward_data_correlation
-from repro.data.tables import TABLE2_LAYERS
+from repro.core.convspec import (
+    ConvSpec,
+    backward_data_correlation,
+    implicit_gemm,
+)
 from repro.errors import ShapeError
+from repro.ops import gemm_conv
 from repro.ops import reference as ref
-from repro.nn.zoo import alexnet_small, cifar10_net, imagenet100_net, mnist_net
+from repro.ops import unfold as uf
+from repro.nn.zoo import cifar10_net, mnist_net, stride1_convs
 from repro.ops.engine import engine_names, make_engine
 from tests.conftest import SMALL_SPECS, random_conv_data
 
@@ -272,24 +277,10 @@ class TestScheduling:
         assert not engine.backward_weights(empty_err, empty_in).any()
 
 
-def _stride1_cases():
-    """``(label, engine spec, crop)`` of the stride-1 zoo convs (at their
-    pad) and Table 2 convs (at the "same" crop, ``(F-1)//2``)."""
-    cases = {}
-    for build in (mnist_net, cifar10_net, imagenet100_net, alexnet_small):
-        network = build()
-        for layer in network.conv_layers():
-            if (layer.spec.sy, layer.spec.sx) == (1, 1):
-                cases.setdefault((layer.padded_spec, layer.spec.pad),
-                                 f"{network.name}/{layer.name}")
-    zoo = [(label, spec, crop) for (spec, crop), label in cases.items()]
-    table2 = [(spec.name, spec.pre_padded(), (min(spec.fy, spec.fx) - 1) // 2)
-              for table in TABLE2_LAYERS.values() for spec in table
-              if (spec.sy, spec.sx) == (1, 1)]
-    return zoo, table2
-
-
-ZOO_STRIDE_1, TABLE2_STRIDE_1 = _stride1_cases()
+#: The stride-1 zoo convs (at their pad) and Table 2 convs (at the
+#: "same" crop): zoo labels name their net.
+ZOO_STRIDE_1 = [case for case in stride1_convs() if "/" in case[0]]
+TABLE2_STRIDE_1 = [case for case in stride1_convs() if "/" not in case[0]]
 #: Where the one call's dW differs from the separate call's in rounding
 #: (OpenBLAS blocks the two products' shapes differently); everywhere
 #: else it is bitwise.
@@ -368,3 +359,86 @@ class TestOneBackward:
         np.testing.assert_allclose(d_weights[1:], want_dw[1:], rtol=1e-4,
                                    atol=1e-3)
         assert (np.isnan(d_weights) <= np.isnan(want_dw)).all()
+
+
+#: Stride-1 specs whose input or error the rule lowers to kernel-row
+#: views: the zoo's and Table 2's, and odd shapes (non-square kernels
+#: and planes, a 1x1 kernel).
+IMPLICIT_CASES = [
+    case for case in ZOO_STRIDE_1 + TABLE2_STRIDE_1
+    if implicit_gemm(case[1])
+    or implicit_gemm(backward_data_correlation(case[1], case[2]) or case[1])
+] + [
+    ("odd-3x5", ConvSpec(nc=64, ny=11, nx=14, nf=7, fy=3, fx=5), 1),
+    ("odd-5x5", ConvSpec(nc=52, ny=9, nx=9, nf=3, fy=5, fx=5), 2),
+    ("odd-1x1", ConvSpec(nc=256, ny=6, nx=7, nf=4, fy=1, fx=1), 0),
+]
+
+
+class TestImplicitGemm:
+    """The engines multiply kernel-row views of the column buffer where
+    :func:`implicit_gemm` holds, and compute what the unfold form does."""
+
+    def test_the_rule_separates_the_zoo(self):
+        convs = {f"{net.name}/{layer.name}": layer.padded_spec
+                 for build in (mnist_net, cifar10_net)
+                 for net in (build(),) for layer in net.conv_layers()}
+        assert {label for label, spec in convs.items()
+                if implicit_gemm(spec)} == {"cifar-10/conv3"}
+        strided = ConvSpec(nc=64, ny=20, nx=20, nf=8, fy=5, fx=5, sy=2, sx=2)
+        assert not implicit_gemm(strided)
+        assert {case[0] for case in IMPLICIT_CASES} >= {
+            "cifar-10/conv3", "imagenet-1k-L1"}
+
+    @pytest.mark.parametrize("label,spec,crop", IMPLICIT_CASES,
+                             ids=[case[0] for case in IMPLICIT_CASES])
+    @pytest.mark.parametrize("cropped", [False, True],
+                             ids=["crop0", "layer-crop"])
+    def test_matches_the_unfold_form(self, label, spec, crop, cropped,
+                                     monkeypatch):
+        crop = crop if cropped else 0
+        rng = np.random.default_rng(7)
+        inputs = np.zeros((2,) + spec.input_shape, np.float32)
+        _, ny, nx = spec.cropped_input_shape(crop)
+        inputs[:, :, crop:crop + ny, crop:crop + nx] = rng.standard_normal(
+            (2, spec.nc, ny, nx), dtype=np.float32)
+        weights = rng.standard_normal(spec.weight_shape, dtype=np.float32)
+        err = rng.standard_normal((2,) + spec.output_shape, dtype=np.float32)
+
+        def run():
+            engine = make_engine("parallel-gemm", spec, num_cores=2)
+            return (engine.forward(inputs, weights),
+                    engine.backward_weights(err, inputs),
+                    engine.backward_data(err, weights, crop=crop),
+                    *engine.backward(err, inputs, weights, crop))
+
+        implicit = run()
+        for module in (gemm_conv, uf):
+            monkeypatch.setattr(module, "implicit_gemm", lambda spec: False)
+        for got, want, what in zip(implicit, run(),
+                                   ("fp", "dw", "bd", "backward dw",
+                                    "backward bd")):
+            np.testing.assert_allclose(
+                got, want, rtol=1e-4, atol=1e-5 * float(np.abs(want).max()),
+                err_msg=f"{label} {what}")
+
+    @pytest.mark.parametrize("label,spec,crop", [
+        case for case in IMPLICIT_CASES
+        if implicit_gemm(case[1]) and case[1].fy > 1
+        and case[0] != "imagenet-1k-L1"],
+        ids=lambda v: v if isinstance(v, str) else None)
+    def test_workspace_holds_less_than_one_u_t(self, label, spec, crop, rng):
+        """A layer's FP engine keeps a column buffer and a product
+        panel, never an unfolded matrix; so does its BP engine where the
+        error is lowered to views too.  (A one-row kernel's ``U^T`` is
+        its column buffer.)"""
+        inputs, weights, err = random_conv_data(spec, rng, batch=3)
+        fp, bp = (make_engine("gemm-in-parallel", spec) for _ in range(2))
+        fp.forward(inputs, weights)
+        one_u_t = 4 * spec.unfolded_elems
+        assert 0 < fp.workspace.nbytes < one_u_t
+        corr = backward_data_correlation(spec, crop)
+        if corr is not None and implicit_gemm(corr):
+            bp.backward(err, inputs, weights, crop)
+            bp.backward_weights(err, inputs)
+            assert 0 < bp.workspace.nbytes < one_u_t

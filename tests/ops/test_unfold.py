@@ -199,3 +199,56 @@ class TestMatrixHelpers:
             uf.weights_matrix(spec, np.zeros((2, 2)))
         with pytest.raises(ShapeError):
             uf.output_image_to_matrix(spec, np.zeros((2, 2)))
+
+
+#: Deep enough for the implicit form: non-square kernels and planes.
+IMPLICIT_SPECS = [
+    ConvSpec(nc=64, ny=11, nx=14, nf=7, fy=3, fx=5),
+    ConvSpec(nc=52, ny=9, nx=9, nf=3, fy=5, fx=5),
+    ConvSpec(nc=256, ny=6, nx=7, nf=4, fy=1, fx=1),
+]
+
+
+class TestKernelRowViews:
+    @pytest.mark.parametrize("spec", IMPLICIT_SPECS + SMALL_SPECS[:1],
+                             ids=lambda s: s.describe())
+    def test_views_are_the_rows_of_u_t_without_a_copy(self, spec, rng):
+        if (spec.sy, spec.sx) != (1, 1):
+            pytest.skip("column buffers serve stride-1 specs")
+        images = rng.standard_normal((2,) + spec.input_shape) \
+            .astype(np.float32)
+        columns = np.empty(uf.column_shape(spec), np.float32)
+        views = uf.kernel_row_views(spec, columns)
+        assert len(views) == spec.fy
+        for image, gathered in zip(images, uf.gather_columns(spec, images,
+                                                            columns)):
+            assert gathered is columns
+            rows = np.stack(views).reshape(
+                spec.fy, spec.nc, spec.fx, -1).transpose(1, 0, 2, 3)
+            np.testing.assert_array_equal(
+                rows.reshape(spec.gemm_dims[1:]), uf.unfold(spec, image))
+        assert all(np.shares_memory(view, columns) for view in views)
+
+    def test_strided_specs_have_no_column_buffer(self):
+        spec = ConvSpec(nc=2, ny=9, nx=9, nf=2, fy=3, fx=3, sy=2, sx=2)
+        with pytest.raises(ShapeError):
+            next(uf.gather_columns(spec, np.zeros((1,) + spec.input_shape)))
+
+    @pytest.mark.parametrize("spec", IMPLICIT_SPECS + SMALL_SPECS[:2],
+                             ids=lambda s: s.describe())
+    def test_weight_blocks_roundtrip(self, spec, rng):
+        weights = rng.standard_normal(spec.weight_shape).astype(np.float32)
+        blocks = uf.weight_blocks(spec, weights)
+        assert blocks.flags.c_contiguous and blocks.shape[1] == spec.nf
+        assert blocks.shape[0] * blocks.shape[2] == spec.gemm_dims[1]
+        np.testing.assert_array_equal(
+            uf.copy_kernel_rows(uf.weights_from_blocks(spec, blocks)),
+            weights)
+
+    def test_copy_kernel_rows_is_a_contiguous_copy(self, rng):
+        source = rng.standard_normal((3, 4, 5, 6)).astype(np.float32)
+        assert uf.copy_kernel_rows(source) is source
+        for view in (source.transpose(2, 0, 1, 3), source[:, :, ::-1, ::-1]):
+            copied = uf.copy_kernel_rows(view)
+            assert copied.flags.c_contiguous
+            np.testing.assert_array_equal(copied, view)

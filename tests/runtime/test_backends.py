@@ -24,7 +24,6 @@ from repro.runtime.backends import (
     ProcessBackend,
     WorkerCrashedError,
     _cached_attach,
-    make_backend,
     validate_backend,
     worker_diagnostics,
 )
@@ -71,10 +70,16 @@ class TestSelection:
         with pytest.raises(ReproError, match="unknown execution backend"):
             validate_backend("fork")
 
-    def test_make_backend_dispatch(self):
-        assert make_backend("serial", 2).name == "serial"
-        assert make_backend("thread", 2).name == "thread"
-        assert make_backend("process", 2).name == "process"
+    @pytest.mark.parametrize("backend, workers",
+                             [("serial", 2), ("thread", 2), ("process", 1)])
+    def test_only_a_pool_with_helper_processes_has_a_backend(
+            self, backend, workers):
+        pool = WorkerPool(workers, backend=backend)
+        assert pool.map_items(math.factorial, 4) == [1, 1, 2, 6]
+        assert pool.backend is None
+        with pytest.raises(ReproError, match="no helper processes"):
+            pool._require_backend()
+        pool.shutdown()
 
     def test_pool_rejects_unknown_backend(self):
         with pytest.raises(ReproError, match="unknown execution backend"):

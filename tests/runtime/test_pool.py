@@ -211,17 +211,6 @@ class TestReuseAfterShutdown:
         assert backend.call(len, [1, 2, 3, 4]) == 4
         pool.shutdown()
 
-    def test_instance_constructed_pool_keeps_its_backend(self):
-        from repro.runtime.backends import SerialBackend
-
-        backend = SerialBackend()
-        pool = WorkerPool(num_workers=2, backend=backend)
-        assert pool.run_tasks([lambda: 1]) == [1]
-        pool.shutdown()
-        assert pool._backend is backend
-        assert pool.run_tasks([lambda: 2]) == [2]
-        pool.shutdown()
-
 
 def _square(i: int) -> int:
     """A picklable item task."""

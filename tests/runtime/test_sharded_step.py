@@ -24,6 +24,7 @@ import pytest
 
 from repro import native, telemetry
 from repro.core.autotuner import CostBackend
+from repro.core.convspec import backward_data_correlation, implicit_gemm
 from repro.core.framework import SpgCNN
 from repro.data.synthetic import Dataset, cifar10_like, mnist_like
 from repro.nn.layers.extras import DropoutLayer
@@ -108,6 +109,21 @@ def test_backends_agree_bitwise_on_the_same_split(builder, threads):
     assert all(np.isfinite(serial["losses"]))
     for backend in ("thread", "process"):
         assert _train(builder, threads, backend) == serial, backend
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_backends_agree_bitwise_through_kernel_row_views(threads):
+    """At full width CIFAR's deep conv multiplies views of its column
+    buffers (``implicit_gemm``, input and error), and one split still
+    computes the same bits under every backend."""
+    spec = cifar10_net().conv_layers()[1].padded_spec
+    assert implicit_gemm(spec)
+    assert implicit_gemm(backward_data_correlation(spec, 2))
+    serial = _train(cifar10_net, threads, "serial", steps=2, scale=1.0)
+    assert all(np.isfinite(serial["losses"]))
+    for backend in ("thread", "process"):
+        assert _train(cifar10_net, threads, backend, steps=2,
+                      scale=1.0) == serial, backend
 
 
 @pytest.mark.skipif(native.find_compiler() is None, reason="no cc")

@@ -561,6 +561,30 @@ def test_pooled_export_counts_poison_and_declines_overlap(rng):
                                        inputs, scratch)
 
 
+@needs_cc
+def test_pooled_export_reads_one_byte_indices_only(rng):
+    """The fused forward's ``uint8`` indices are what the export reads:
+    wider ones are refused, a byte naming no window element is counted,
+    and a window one byte cannot index is refused."""
+    window = PoolWindow(2, 2)
+    _, inputs, out, argmax, error = _fused_pass(CONV_IN, window, rng,
+                                                batch=2)
+    assert argmax.dtype == np.uint8
+    engine = make_engine("sparse", CONV_IN)
+    scratch = engine._native.scratch(Workspace())
+    with pytest.raises(ShapeError):
+        engine._native.pooled_backward(out, argmax.astype(np.int64), error,
+                                       window, inputs, scratch)
+    argmax[1, 2, 3, 4] = 255
+    assert engine.pooled_backward(out, argmax, error, window, inputs)[3] == 1
+    pooled = (2, CONV_IN.nf, 1, 1)
+    with pytest.raises(ShapeError, match="at most 256"):
+        engine._native.pooled_backward(
+            np.ones(pooled, np.float32), np.zeros(pooled, np.uint8),
+            np.ones(pooled, np.float32), PoolWindow(17, 17), inputs,
+            scratch)
+
+
 class TestGeneratedSource:
     def test_one_table_entry_per_tap(self):
         unit = emit_sparse_c_unit(ConvSpec(nc=2, ny=8, nx=8, nf=3, fy=3,

@@ -395,6 +395,45 @@ class TestForeignCallGuards:
         # never written outside the error it is handed.
         argmax[0, 0, 0, 0] = 4
         assert kernels.unpool(out, argmax, err)[1] == 1
+        argmax[0, 0, 0, 0] = 255
+        assert kernels.unpool(out, argmax, err)[1] == 1
+
+    def test_window_indices_take_one_byte_and_survive_unpool(self, rng):
+        """Both pooling units store each window's index in one byte, and
+        their scatter routes it as the chain's unpool does; an index
+        wider than a byte is refused."""
+        inputs, weights, _ = random_conv_data(SPEC, rng, batch=2)
+        bias = rng.standard_normal(SPEC.nf).astype(np.float32)
+        fused = _fused_unit(SPEC, 3, 2)[0]
+        epilogue, reason = native.kernels_for(
+            emit_c.load_epilogue_kernels, SPEC, PoolWindow(3, 2))
+        assert epilogue is not None, reason
+        act = ref.batch_forward(SPEC, inputs, weights)
+        for out, argmax, _ in (
+                fused.fused_forward(inputs, weights, bias,
+                                    fused.scratch(Workspace())),
+                epilogue.pool(act, bias)):
+            assert argmax.dtype == np.uint8 and argmax.max() < 9
+            err = rng.standard_normal(out.shape).astype(np.float32)
+            conv_error, rejected = epilogue.unpool(out, argmax, err)
+            assert rejected == 0
+            assert conv_error.tobytes() == ref.unpool(
+                out, argmax, err, 3, 2, act.shape).tobytes()
+            with pytest.raises(ShapeError):
+                epilogue.unpool(out, argmax.astype(np.int64), err)
+
+    def test_a_window_one_byte_cannot_index_is_refused_at_build(self):
+        spec = ConvSpec(nc=1, ny=20, nx=20, nf=2, fy=3, fx=3)
+        emit_c.emit_epilogue_c_unit(spec, PoolWindow(16, 2))    # 256
+        for emit in (
+                lambda: emit_c.emit_epilogue_c_unit(spec, PoolWindow(17, 1)),
+                lambda: emit_c.emit_stencil_c_unit(
+                    spec, emit_c.host_pipeline("fused_fp", 17, 1))):
+            with pytest.raises(CodegenError, match="one-byte"):
+                emit()
+        unit, reason = native.kernels_for(emit_c.load_epilogue_kernels,
+                                          spec, PoolWindow(17, 1))
+        assert unit is None and "one-byte" in reason
 
 
 # -- deployment -------------------------------------------------------------------
