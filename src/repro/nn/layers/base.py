@@ -22,6 +22,9 @@ class Layer(ABC):
 
     #: Human-readable layer-type name; subclasses override.
     kind = "layer"
+    #: The trainable parameters, by name: each lives in the attribute of
+    #: its name and its gradient in ``d_<name>``.
+    param_keys: tuple[str, ...] = ()
 
     def __init__(self, name: str = ""):
         self.name = name or self.kind
@@ -43,9 +46,11 @@ class Layer(ABC):
 
         A picklable, hashable ``(kind, name, options)`` triple:
         ``LAYER_KINDS[kind](name=name, **dict(options))``
-        (:data:`repro.nn.network.LAYER_KINDS`) constructs an inline layer
-        computing the same function once the parameter arrays are
-        rebound (:meth:`bind_params`).  The sharded training step ships
+        (:data:`repro.nn.network.LAYER_KINDS`), given the parameter and
+        gradient arrays where the layer has :attr:`param_keys`
+        (``params=`` / ``grads=``, see
+        :meth:`repro.nn.network.Network.replica`), constructs an inline
+        layer computing the same function.  The sharded training step ships
         it to the workers, whose replicas are cached under
         it -- so it must change whenever the computation does (a conv
         layer's options carry the engines deployed right now).
@@ -53,19 +58,18 @@ class Layer(ABC):
         return (self.kind, self.name, ())
 
     def params(self) -> dict[str, np.ndarray]:
-        """Trainable parameter arrays, by name.  Default: none."""
-        return {}
+        """Trainable parameter arrays, by :attr:`param_keys`."""
+        return {key: getattr(self, key) for key in self.param_keys}
 
     def grads(self) -> dict[str, np.ndarray]:
-        """Gradient arrays matching :meth:`params` keys.  Default: none."""
-        return {}
+        """Gradient arrays matching :meth:`params` keys."""
+        return {key: getattr(self, f"d_{key}") for key in self.param_keys}
 
     def bind_params(self, params: dict[str, np.ndarray],
                     grads: dict[str, np.ndarray] | None = None) -> None:
         """Rebind parameter (and gradient) arrays, e.g. to shared views.
 
-        Keys are those of :meth:`params`; a parameter ``key`` lives in
-        the attribute ``key`` and its gradient in ``d_<key>``.
+        Keys are those of :attr:`param_keys`.
         """
         for key, array in params.items():
             setattr(self, key, array)

@@ -100,6 +100,7 @@ class ConvLayer(Layer):
     """2-D convolution with bias, padding handled internally."""
 
     kind = "conv"
+    param_keys = ("weights", "bias")
 
     def __init__(
         self,
@@ -113,7 +114,12 @@ class ConvLayer(Layer):
         rng: np.random.Generator | None = None,
         quarantine: QuarantineRegistry | None = None,
         pool: WorkerPool | None = None,
+        params: dict[str, np.ndarray] | None = None,
+        grads: dict[str, np.ndarray] | None = None,
     ):
+        """``params`` / ``grads``: arrays to bind instead of drawing the
+        parameters from ``rng`` and allocating zeroed gradients (see
+        :meth:`repro.nn.network.Network.replica`)."""
         super().__init__(name or spec.name or self.kind)
         self.spec = spec
         # Engines operate on the padded geometry.
@@ -125,13 +131,16 @@ class ConvLayer(Layer):
         # passed it in, every other layer and the sharded step); engines
         # swapped by the autotuner reuse it rather than spawning workers.
         self._pool = pool if pool is not None else self._build_pool()
-        rng = rng or np.random.default_rng(0)
-        fan_in = spec.nc * spec.fy * spec.fx
-        scale = np.sqrt(2.0 / fan_in)
-        self.weights = (rng.standard_normal(spec.weight_shape) * scale).astype(np.float32)
-        self.bias = np.zeros(spec.nf, dtype=np.float32)
-        self.d_weights = np.zeros_like(self.weights)
-        self.d_bias = np.zeros_like(self.bias)
+        if params is None:
+            rng = rng or np.random.default_rng(0)
+            scale = np.sqrt(2.0 / (spec.nc * spec.fy * spec.fx))
+            params = {
+                "weights": (rng.standard_normal(spec.weight_shape)
+                            * scale).astype(np.float32),
+                "bias": np.zeros(spec.nf, dtype=np.float32),
+            }
+        self.bind_params(params, grads or {
+            key: np.zeros_like(array) for key, array in params.items()})
         self._quarantine = quarantine or default_registry()
         self._fp_engine = self._build_engine(fp_engine)
         self._bp_engine = self._build_engine(bp_engine)
@@ -580,12 +589,6 @@ class ConvLayer(Layer):
         return served[0], served[1], served[2], True
 
     # -- Layer interface -------------------------------------------------
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weights": self.weights, "bias": self.bias}
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {"weights": self.d_weights, "bias": self.d_bias}
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if tuple(input_shape) != self.spec.input_shape:

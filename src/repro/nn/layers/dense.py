@@ -12,6 +12,7 @@ class DenseLayer(Layer):
     """Affine layer ``y = x . W^T + b`` over flattened activations."""
 
     kind = "dense"
+    param_keys = ("weights", "bias")
 
     def __init__(
         self,
@@ -19,7 +20,12 @@ class DenseLayer(Layer):
         out_features: int,
         name: str = "",
         rng: np.random.Generator | None = None,
+        params: dict[str, np.ndarray] | None = None,
+        grads: dict[str, np.ndarray] | None = None,
     ):
+        """``params`` / ``grads``: arrays to bind instead of drawing the
+        parameters from ``rng`` and allocating zeroed gradients (see
+        :meth:`repro.nn.network.Network.replica`)."""
         super().__init__(name)
         if in_features <= 0 or out_features <= 0:
             raise ShapeError(
@@ -27,15 +33,17 @@ class DenseLayer(Layer):
             )
         self.in_features = in_features
         self.out_features = out_features
-        rng = rng or np.random.default_rng(0)
-        scale = np.sqrt(2.0 / in_features)
-        self.weights = (
-            rng.standard_normal((out_features, in_features)) * scale
-        ).astype(np.float32)
-        self.bias = np.zeros(out_features, dtype=np.float32)
-        self.d_weights = np.zeros_like(self.weights)
-        self.d_bias = np.zeros_like(self.bias)
-        # They are zeros: the first backward may write its product.
+        if params is None:
+            rng = rng or np.random.default_rng(0)
+            scale = np.sqrt(2.0 / in_features)
+            params = {
+                "weights": (rng.standard_normal((out_features, in_features))
+                            * scale).astype(np.float32),
+                "bias": np.zeros(out_features, dtype=np.float32),
+            }
+        self.bind_params(params, grads or {
+            key: np.zeros_like(array) for key, array in params.items()})
+        # Owed: the first backward may write its product.
         self._dw_owed = True
         self._cached_input: np.ndarray | None = None
 
@@ -63,12 +71,6 @@ class DenseLayer(Layer):
         return (self.kind, self.name,
                 (("in_features", self.in_features),
                  ("out_features", self.out_features)))
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weights": self.weights, "bias": self.bias}
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {"weights": self.d_weights, "bias": self.d_bias}
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if input_shape != (self.in_features,):

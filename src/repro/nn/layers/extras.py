@@ -148,7 +148,9 @@ class DropoutLayer(Layer):
         if not 0.0 <= rate < 1.0:
             raise ShapeError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
+        # Made at the first draw: a replica's never draws.
+        self._rng: np.random.Generator | None = None
         self._cached_mask: np.ndarray | None = None
         self._preset_keep: np.ndarray | None = None
 
@@ -160,6 +162,8 @@ class DropoutLayer(Layer):
         """The boolean keep-mask of one training forward over ``shape``."""
         if self.rate == 0.0:
             return None
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
         return self._rng.random(shape) < 1.0 - self.rate
 
     def preset_noise(self, noise: np.ndarray) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -98,17 +98,27 @@ class Network:
 
     @classmethod
     def replica(cls, structure: tuple[LayerStructure, ...],
-                input_shape: tuple[int, ...]) -> "Network":
-        """An inline network rebuilt from :meth:`structure`.
+                input_shape: tuple[int, ...], params: Iterable[np.ndarray],
+                grads: Iterable[np.ndarray]) -> "Network":
+        """An inline network rebuilt from :meth:`structure` over given arrays.
 
-        Freshly initialised: the caller rebinds the parameters
-        (:meth:`Layer.bind_params`).  Conv layers report engine failures
-        -- a unit other than the planned one among them -- instead of
-        recording them (:class:`ReplicaConvLayer`).
+        ``params`` and ``grads`` hold every parameter and gradient array
+        in :meth:`parameters` order; each layer is built over its share
+        (:attr:`Layer.param_keys`), so no layer draws, fills or allocates
+        one.  Conv layers report engine failures -- a unit other than
+        the planned one among them -- instead of recording them
+        (:class:`ReplicaConvLayer`).
         """
         kinds = {**LAYER_KINDS, ConvLayer.kind: ReplicaConvLayer}
-        return cls([kinds[kind](name=name, **dict(options))
-                    for kind, name, options in structure], input_shape)
+        params, grads = iter(params), iter(grads)
+        layers = []
+        for kind, name, options in structure:
+            keys = kinds[kind].param_keys
+            bound = {"params": {key: next(params) for key in keys},
+                     "grads": {key: next(grads) for key in keys}} \
+                if keys else {}
+            layers.append(kinds[kind](name=name, **dict(options), **bound))
+        return cls(layers, input_shape)
 
     def step_sharder(self) -> ShardedStep | None:
         """What runs a training step as one shard per worker, if anything.

@@ -43,6 +43,8 @@ from repro.telemetry.collector import TelemetryCollector
 RESILIENCE_COUNTERS = (
     "faults.injected",
     "pool.retries",
+    "dag.retries",
+    "dag.crash_retries",
     "pool.task_failures",
     "engine.fallbacks",
     "quarantine.engines",

@@ -65,6 +65,8 @@ from repro.runtime.backends import ProcessBackend
 REPORT_COUNTERS = (
     "faults.injected",
     "pool.retries",
+    "dag.retries",
+    "dag.crash_retries",
     "pool.task_failures",
     "pool.worker_crashes",
     "supervisor.hung_workers",

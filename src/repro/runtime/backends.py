@@ -1137,8 +1137,8 @@ class ShardJob:
     noise: tuple[tuple[int, ArrayHandle], ...]
     #: ``[batch, classes]``; a shard writes rows ``[lo, hi)``.
     logits: ArrayHandle
-    #: ``[shards, nbytes]`` uint8; shard ``index`` writes its gradient
-    #: partial into row ``index``, laid out as ``params``.
+    #: ``[workers, nbytes]`` uint8; shard ``index`` accumulates its
+    #: gradient partial in row ``index``, laid out as ``params``.
     grads: ArrayHandle
 
 
@@ -1154,54 +1154,61 @@ class ShardReport:
     failures: tuple[tuple[int, str, str, str], ...]
 
 
-class _Replica:
-    """An inline copy of a network's layer chain over shared parameters.
+def _identity(handle: ArrayHandle) -> object:
+    """What tells two of a step's buffers apart: the segment's name, or
+    the array itself (a view keeps it alive, so its id is not reused)."""
+    return handle.name if isinstance(handle, shm.ShmDescriptor) else id(handle)
 
-    Layers are rebuilt from the structure; their parameter arrays are
-    views of the job's parameter buffer (never copies -- the parent
-    updates it in place between steps), their gradient arrays views of a
-    private flat buffer that is copied out whole at the end, so two
-    shards running at once never share an accumulator.
+
+class _Replica:
+    """An inline copy of a network's layer chain over one shard's buffers.
+
+    Built over them (:meth:`repro.nn.network.Network.replica`): its
+    layers' parameter arrays are views of the job's parameter buffer
+    (never copies -- the parent updates it in place between steps),
+    their gradient arrays views of the shard's own row of the gradient
+    buffer, which the shard zeroes and accumulates in.  No other shard
+    writes that row, and no attempt outlives its step, so a retry or
+    redispatch of the shard rewrites it alone.  A cached replica serving
+    another shard, or reallocated buffers, is rebound.
     """
 
-    def __init__(self, job: ShardJob) -> None:
+    def __init__(self, job: ShardJob, index: int) -> None:
         from repro.nn.network import Network
 
         self.structure = job.structure
-        self.network: Any = Network.replica(job.structure, job.input_shape)
         self._layout = job.layout
-        self.grads = np.zeros(job.grads.shape[-1], dtype=np.uint8)
-        self._keys = [(layer, list(layer.params()))
-                      for layer in self.network.layers if layer.params()]
-        self._params_of: object = None
+        self.network: Any = Network.replica(
+            job.structure, job.input_shape, *self._views(job, index))
+        self._keys = [(layer, layer.param_keys)
+                      for layer in self.network.layers if layer.param_keys]
+        self._bound: object = (_identity(job.params), _identity(job.grads),
+                               index)
 
-    def _bind(self, flat: np.ndarray | None) -> None:
-        if flat is None:
-            for layer, keys in self._keys:
-                layer.bind_params(dict.fromkeys(keys))
-            return
-        params = iter(param_views(flat, self._layout))
-        grads = iter(param_views(self.grads, self._layout))
-        for layer, keys in self._keys:
-            layer.bind_params({key: next(params) for key in keys},
-                              {key: next(grads) for key in keys})
+    def _views(self, job: ShardJob,
+               index: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        return (param_views(_resolve(job.params), self._layout),
+                param_views(_resolve(job.grads)[index], self._layout))
 
     def unbind(self) -> None:
-        """Let go of the parameter buffer (its segment may be closing)."""
-        self._bind(None)
-        self._params_of = None
+        """Let go of the buffers (their segments may be closing)."""
+        for layer, keys in self._keys:
+            layer.bind_params(dict.fromkeys(keys), dict.fromkeys(keys))
+        self._bound = None
 
-    def bind_parameters(self, handle: ArrayHandle) -> None:
-        """View the parameter buffer ``handle`` names (cheap when bound)."""
-        current = (handle.name if isinstance(handle, shm.ShmDescriptor)
-                   else id(handle))
-        if current == self._params_of:
+    def bind(self, job: ShardJob, index: int) -> None:
+        """View ``job``'s buffers as shard ``index`` (cheap when bound)."""
+        bound = (_identity(job.params), _identity(job.grads), index)
+        if bound == self._bound:
             return
         # Drop the old views first: attaching a reallocated segment
         # closes the stale mapping, which must not have exports left.
         self.unbind()
-        self._bind(_resolve(handle))
-        self._params_of = current
+        params, grads = (iter(views) for views in self._views(job, index))
+        for layer, keys in self._keys:
+            layer.bind_params({key: next(params) for key in keys},
+                              {key: next(grads) for key in keys})
+        self._bound = bound
 
 
 def _run_shard(replica: _Replica, job: ShardJob, index: int, lo: int,
@@ -1210,7 +1217,7 @@ def _run_shard(replica: _Replica, job: ShardJob, index: int, lo: int,
     from repro.nn.layers.conv import ReplicaConvLayer
     from repro.nn.losses import cross_entropy_grad
 
-    replica.bind_parameters(job.params)
+    replica.bind(job, index)
     network = replica.network
     rows = hi - lo
     # Private copies: layers cache their input across the call, and
@@ -1238,7 +1245,6 @@ def _run_shard(replica: _Replica, job: ShardJob, index: int, lo: int,
             for phase, engine, reason in layer.take_failures():
                 failures.append((i, phase, engine, reason))
     _resolve(job.logits)[lo:hi] = logits
-    _resolve(job.grads)[index] = replica.grads
     return ShardReport(tuple(zeros), tuple(failures))
 
 
@@ -1248,9 +1254,10 @@ class ReplicaCache:
     One replica per *concurrent shard*: a shard checks a replica out and
     back in, and the list grows to the number of shards a step runs at
     once (the thread backend runs them all in one process) -- replicas
-    hold cached activations that two shards must never share.  A step
-    whose structure changed (an engine was redeployed or quarantined)
-    drops the stale replicas.
+    hold cached activations that two shards must never share.  Any free
+    replica serves any shard: it is rebound to the shard's gradient row
+    (:meth:`_Replica.bind`).  A step whose structure changed (an engine
+    was redeployed or quarantined) drops the stale replicas.
     """
 
     def __init__(self) -> None:
@@ -1261,7 +1268,7 @@ class ReplicaCache:
         with self._lock:
             return sum(len(free) for _, free in self._free.values())
 
-    def checkout(self, job: ShardJob) -> _Replica:
+    def checkout(self, job: ShardJob, index: int) -> _Replica:
         stale: list[_Replica] = []
         with self._lock:
             entry = self._free.get(job.token)
@@ -1277,7 +1284,7 @@ class ReplicaCache:
         # A miss means layer construction (engines, generated kernels,
         # workspaces) in the hot path -- worth a trace record.
         telemetry.add("worker.replica_builds")
-        return _Replica(job)
+        return _Replica(job, index)
 
     def checkin(self, job: ShardJob, replica: _Replica) -> None:
         with self._lock:
@@ -1304,13 +1311,14 @@ def run_step_shard(job: ShardJob, index: int, lo: int, hi: int,
                    replicas: ReplicaCache | None = None) -> ShardReport:
     """One whole-network FP + loss gradient + BP over images ``[lo, hi)``.
 
-    Writes the logits rows into ``job.logits[lo:hi]`` and the flat
-    gradient partial into ``job.grads[index]``; returns the small rest.
+    Writes the logits rows into ``job.logits[lo:hi]`` and accumulates
+    the flat gradient partial in ``job.grads[index]``, which the
+    replica's gradient arrays view; returns the small rest.
     """
     cache = replicas if replicas is not None else _WORKER_REPLICAS
     with telemetry.span("worker/step_shard", shard=index, lo=lo, hi=hi,
                         blas=blas_threads(), malloc=pin_malloc_thresholds()):
-        replica = cache.checkout(job)
+        replica = cache.checkout(job, index)
         try:
             return _run_shard(replica, job, index, lo, hi)
         finally:
@@ -1324,6 +1332,7 @@ def worker_diagnostics() -> dict[str, Any]:
         "engines_cached": len(_ENGINE_CACHE),
         "segments_attached": len(_ATTACH_CACHE),
         "replicas_cached": len(_WORKER_REPLICAS),
+        "numpy_random_loaded": "numpy.random" in sys.modules,
         "blas_threads": blas_threads(),
         "malloc_thresholds": pin_malloc_thresholds(),
         "executable": sys.executable,

@@ -373,19 +373,22 @@ class ShardedStep:
         publish batch, labels, masks
         one task per range of assignment(B) --> replica.forward -> loss grad
         (shard 0 runs the same task here)       -> replica.backward
-                                                logits[lo:hi], grads[k] written
+                                                logits[lo:hi] written,
+                                                grads[k] accumulated
         loss from the gathered logits      <--  zero counts, engine failures
         sgd.gradient site, non-finite guard
-        reduce grads[0] + grads[1] + ...
+        reduce: grads[0] += grads[1], += grads[2] ...
         momentum update, in place
 
     The parent owns the parameters -- one flat buffer that its layers'
     arrays and every replica's are views of, so an in-place update is
     all the "broadcast" there is -- the loss, the guard, the reduction
     (fixed range order, for conv, dense and bias alike) and the update.
-    A worker owns a cached replica of the network
-    (:class:`repro.runtime.backends.ReplicaCache`) and its private
-    gradient accumulator, nothing that outlives a step.
+    Its layers' gradient arrays are views of row 0 of the gradient
+    buffer, where shard 0 accumulates: the reduction adds rows 1.. into
+    them.  A worker owns a cached replica of the network
+    (:class:`repro.runtime.backends.ReplicaCache`), built over the
+    parameter buffer and its shard's row, nothing that outlives a step.
 
     The same task runs under ``serial`` (in range order), ``thread`` and
     ``process``, and shard 0 runs it on the calling thread under every
@@ -406,7 +409,7 @@ class ShardedStep:
 
     The buffers live as long as the pool's workers: they are released at
     ``pool.shutdown()`` (which hands the layers private copies of their
-    parameters back) and rebuilt by the next step.
+    parameters and gradients back) and rebuilt by the next step.
     """
 
     def __init__(self, network: Any, pool: WorkerPool) -> None:
@@ -418,15 +421,18 @@ class ShardedStep:
         self._arena = ShmArena()
         self._local: dict[str, np.ndarray] = {}
         self._replicas = ReplicaCache()
-        #: ``(layer, key, view)`` per parameter, in layout order.
-        self._bound: list[tuple[Any, str, np.ndarray]] = []
+        #: ``(layer, key, parameter view, gradient view)`` per
+        #: parameter, in layout order.
+        self._bound: list[tuple[Any, str, np.ndarray, np.ndarray]] = []
         self._layout: tuple[ParamSlot, ...] = ()
         self._nbytes = 0
         #: Whether ``release`` is registered with the pool; per pool
         #: start, cleared by release.
         self._attached = False
-        #: Last dispatch: gradient partials in range order, and reports.
+        #: Last dispatch: gradient partials in range order, the rows of
+        #: the gradient buffer they come from (as numbers), and reports.
         self._partials: list[np.ndarray] = []
+        self._rows: list[np.ndarray] = []
         self._reports: list[ShardReport] = []
 
     # -- buffers ----------------------------------------------------------
@@ -443,7 +449,8 @@ class ShardedStep:
         return array, array
 
     def _bind(self) -> None:
-        """Move the parameters into one flat buffer the layers view."""
+        """Move the parameters into one flat buffer the layers view, and
+        their gradients onto row 0 of the gradient buffer."""
         entries = [(layer, key, array) for layer in self.network.layers
                    for key, array in layer.params().items()]
         layout: list[ParamSlot] = []
@@ -452,33 +459,38 @@ class ShardedStep:
             layout.append((nbytes, tuple(array.shape), array.dtype.str))
             nbytes = -(-(nbytes + array.nbytes) // 64) * 64
         if nbytes != self._nbytes:
-            # The buffer is reallocated; shard 0's replica views the old
-            # one, whose mapping cannot close under its views.
+            # The buffers are reallocated; the replicas view the old
+            # ones, whose mappings cannot close under their views.
             self._replicas.discard(self.token)
         flat, _ = self._buffer("params", (nbytes,), np.uint8)
+        grads, _ = self._buffer("grads", (self.pool.num_workers, nbytes),
+                                np.uint8)
         self._layout, self._nbytes = tuple(layout), nbytes
         self._bound = []
-        for (layer, key, array), view in zip(
-                entries, param_views(flat, self._layout)):
-            view[...] = array
-            layer.bind_params({key: view})
-            self._bound.append((layer, key, view))
+        for (layer, key, array), param, grad in zip(
+                entries, param_views(flat, self._layout),
+                param_views(grads[0], self._layout)):
+            param[...] = array
+            layer.bind_params({key: param}, {key: grad})
+            self._bound.append((layer, key, param, grad))
 
     def _unbind(self) -> None:
-        """Hand every layer still viewing the buffer a private copy."""
-        for layer, key, view in self._bound:
-            if getattr(layer, key) is view:
-                layer.bind_params({key: view.copy()})
+        """Hand every layer still viewing the buffers a private copy."""
+        for layer, key, param, grad in self._bound:
+            if getattr(layer, key) is param:
+                layer.bind_params({key: param.copy()})
+            if getattr(layer, f"d_{key}") is grad:
+                layer.bind_params({}, {key: grad.copy()})
         self._bound = []
+        self._partials = self._rows = []
 
     def release(self) -> None:
         """Free every buffer (idempotent); the next step rebuilds them."""
         self._attached = False
         self._unbind()
-        self._partials = []
         self._local.clear()
-        # Shard 0's replica views the parameter segment: drop it before
-        # the segment is unmapped.
+        # The replicas view the segments: drop them before the segments
+        # are unmapped.
         self._replicas.discard(self.token)
         self._arena.release()
 
@@ -503,11 +515,16 @@ class ShardedStep:
         # parent publishes and runs shard 0.
         helpers = (self.pool._require_backend()
                    if self.pool.ships and len(ranges) > 1 else None)
-        if any(getattr(layer, key) is not view
-               for layer, key, view in self._bound):
+        if any(getattr(layer, key) is not param
+               for layer, key, param, _ in self._bound):
             self._unbind()  # a parameter array was replaced under us
         if not self._bound:
             self._bind()
+        for layer, key, _, grad in self._bound:
+            # Row 0 is the parent's gradient, whatever ran since: an
+            # inline pass may have left a dense layer's weight gradient
+            # owed, which would zero the row when the update reads it.
+            layer.bind_params({}, {key: grad})
         if not self._attached:
             # The buffers live as long as the pool's workers.  Nothing
             # waits for helpers to boot: shard 0 (replica build
@@ -543,11 +560,11 @@ class ShardedStep:
                     published[...] = drawn
                     noise.append((i, published, handle))
             dtype = np.result_type(
-                inputs.dtype, *(view.dtype for _, _, view in self._bound))
+                inputs.dtype, *(param.dtype for _, _, param, _ in self._bound))
             logits, logits_handle = self._buffer(
                 "logits", (batch,) + network.output_shape, dtype)
             grads, grads_handle = self._buffer(
-                "grads", (len(ranges), self._nbytes), np.uint8)
+                "grads", (self.pool.num_workers, self._nbytes), np.uint8)
         # What the helpers are shipped (descriptors under ``process``),
         # and its in-process twin over the parent's own arrays.
         local = ShardJob(
@@ -567,6 +584,8 @@ class ShardedStep:
         reports: dict[int, ShardReport] = {}
         # The ``pool.result`` corrupt site sees the partial as numbers.
         as_numbers = np.dtype(self._layout[0][2])
+        rows = self._rows = [grads[i].view(as_numbers)
+                             for i in range(len(ranges))]
 
         def make(index: int, lo: int, hi: int) -> Callable[[], np.ndarray]:
             def thunk() -> np.ndarray:
@@ -576,7 +595,7 @@ class ShardedStep:
                 else:
                     reports[index] = run_step_shard(local, index, lo, hi,
                                                     self._replicas)
-                return grads[index].view(as_numbers)
+                return rows[index]
 
             return thunk
 
@@ -595,20 +614,21 @@ class ShardedStep:
     def reduce(self) -> bool:
         """Adopt the last run's BP: reduced gradients, error sparsities.
 
-        Sums the shards' partials **in range order** into the layers'
-        gradient arrays; False when the reduced gradient is not finite
-        (the caller skips the batch).
+        Adds the shards' partials 1.. **in range order** into row 0, the
+        layers' gradient arrays; False when the reduced gradient is not
+        finite (the caller skips the batch).
         """
         layers = self.network.layers
         with telemetry.span("step/reduce", shards=len(self._partials)):
+            first, *rest = self._partials
+            if first is not self._rows[0]:
+                # The ``pool.result`` site handed back a corrupted copy.
+                self._rows[0][...] = first
             shards = [param_views(partial.view(np.uint8), self._layout)
-                      for partial in self._partials]
-            grads = [array for layer in layers
-                     for array in layer.grads().values()]
+                      for partial in rest]
             finite = True
-            for slot, grad in enumerate(grads):
-                grad[...] = shards[0][slot]
-                for views in shards[1:]:
+            for slot, (_, _, _, grad) in enumerate(self._bound):
+                for views in shards:
                     grad += views[slot]
                 finite = finite and bool(np.isfinite(grad).all())
             zeros: dict[int, list[int]] = {}

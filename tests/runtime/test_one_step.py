@@ -123,9 +123,10 @@ class TestThreeTechniquesInAShardedStep:
         structure[0] = (kind, name, tuple(
             (key, "foreign" if key == "fused_artifact" else value)
             for key, value in options))
-        replica = Network.replica(tuple(structure), net.input_shape)
-        for mine, theirs in zip(replica.layers, net.layers):
-            mine.bind_params(theirs.params())
+        replica = Network.replica(
+            tuple(structure), net.input_shape,
+            [p for _, p, _ in net.parameters()],
+            [g for _, _, g in net.parameters()])
         x = rng.standard_normal((4,) + net.input_shape).astype(np.float32)
         chain = x
         for layer in net.layers:
@@ -160,9 +161,10 @@ class TestThreeTechniquesInAShardedStep:
             (kind, name, tuple((key, None if key == "fused_artifact"
                                 else value) for key, value in options))
             for kind, name, options in net.structure())
-        replica = Network.replica(structure, net.input_shape)
-        for mine, theirs in zip(replica.layers, net.layers):
-            mine.bind_params(theirs.params())
+        replica = Network.replica(
+            structure, net.input_shape,
+            [p for _, p, _ in net.parameters()],
+            [g for _, _, g in net.parameters()])
         x = rng.standard_normal((4,) + net.input_shape).astype(np.float32)
         replica.forward(x)
         assert replica._fused == set()

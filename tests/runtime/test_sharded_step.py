@@ -165,9 +165,10 @@ def test_a_replica_that_cannot_load_the_planned_epilogue_reports_fp(rng):
     structure[0] = (kind, name, tuple(
         (key, "foreign" if key == "fused_artifact" else value)
         for key, value in options))
-    replica = Network.replica(tuple(structure), net.input_shape)
-    for mine, theirs in zip(replica.layers, net.layers):
-        mine.bind_params(theirs.params())
+    replica = Network.replica(
+        tuple(structure), net.input_shape,
+        [p for _, p, _ in net.parameters()],
+        [g for _, _, g in net.parameters()])
     x = rng.standard_normal((4,) + net.input_shape).astype(np.float32)
     chain = x
     for layer in net.layers:
@@ -310,6 +311,26 @@ class TestOnePoolPerNetwork:
         logits = sharder.run(data.images, data.labels)
         np.testing.assert_array_equal(logits, np.zeros_like(logits))
         _close(net)
+
+    def test_zeroed_gradients_between_steps_change_nothing(self):
+        # The parent's gradients are row 0 of the step's buffer; a
+        # ``zero_grads`` between steps (as an inline pass makes) must not
+        # leave them owed, or the update would read zeros.
+        states = []
+        for clear in (False, True):
+            net = mnist_net(scale=0.25, rng=np.random.default_rng(0),
+                            threads=2, backend="serial")
+            data = mnist_like(8, seed=0)
+            trainer = SGDTrainer(net)
+            try:
+                for _ in range(2):
+                    if clear:
+                        net.zero_grads()
+                    trainer.step(data.images, data.labels)
+                states.append([p.tobytes() for _, p, _ in net.parameters()])
+            finally:
+                _close(net)
+        assert states[0] == states[1]
 
     def test_rebinding_registers_once_per_pool_start(self):
         net = mnist_net(scale=0.25, rng=np.random.default_rng(0),
@@ -650,6 +671,101 @@ if __name__ == "__main__":
     finally:
         pool.shutdown()
 """
+
+
+def _replica_views(cache, params, grads):
+    """Per replica in ``cache``: its shard index, whether every parameter
+    views ``params``, and whether every gradient views its shard's row
+    of ``grads`` and no other."""
+    seen = []
+    for _, free in cache._free.values():
+        for replica in free:
+            index = replica._bound[2]
+            layers = [layer for layer in replica.network.layers
+                      if layer.param_keys]
+            own = all(np.shares_memory(g, grads[index])
+                      and not any(np.shares_memory(g, row) for k, row
+                                  in enumerate(grads) if k != index)
+                      for layer in layers for g in layer.grads().values())
+            seen.append((index,
+                         all(np.shares_memory(p, params) for layer in layers
+                             for p in layer.params().values()),
+                         own))
+    return seen
+
+
+def _helper_replica_views():
+    """:func:`_replica_views` over a helper process's cached replicas and
+    the step's segments it attached."""
+    attached = {key.rsplit(":", 1)[-1]: seg.ndarray
+                for key, seg in backends._ATTACH_CACHE.items()}
+    return _replica_views(backends._WORKER_REPLICAS, attached["params"],
+                          attached["grads"])
+
+
+class TestReplicasViewTheStepsBuffers:
+    """A shard's replica is built over the step's buffers: parameters
+    are views of the parameter buffer, gradients of the shard's own row
+    of the gradient buffer, and the parent's gradients are row 0."""
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_helpers_never_import_numpy_random(self, threads):
+        # No replica draws parameters, so nothing loads the generator.
+        net = cifar10_net(threads=threads, backend="process")
+        data = cifar10_like(8, seed=0)
+        try:
+            SGDTrainer(net).step(data.images, data.labels)
+            seen = net.conv_layers()[0]._pool.backend.broadcast(
+                worker_diagnostics)
+        finally:
+            _close(net)
+        assert len(seen) == threads - 1
+        assert [d["numpy_random_loaded"] for d in seen] == \
+            [False] * (threads - 1)
+
+    @staticmethod
+    def _views(net, threads):
+        """What :func:`_replica_views` sees of every replica of ``net``'s
+        step, and whether the parent's parameters view the parameter
+        buffer and its gradients row 0 (no arrays: shutdown unmaps
+        the buffers)."""
+        sharder = net.step_sharder()
+        params, _ = sharder._buffer("params", (sharder._nbytes,), np.uint8)
+        grads, _ = sharder._buffer("grads", (threads, sharder._nbytes),
+                                   np.uint8)
+        seen = _replica_views(sharder._replicas, params, grads)
+        pool = net.conv_layers()[0]._pool
+        if pool.ships:
+            helpers = pool.backend.broadcast(_helper_replica_views)
+            seen += [views for helper in helpers for views in helper]
+        parent = all(np.shares_memory(p, params)
+                     and np.shares_memory(g, grads[0])
+                     for _, p, g in net.parameters())
+        return seen, parent
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_replica_array_views_the_steps_buffers(
+            self, request, backend, threads):
+        net = mnist_net(scale=0.25, rng=np.random.default_rng(0),
+                        threads=threads, backend=backend)
+        data = mnist_like(12, seed=0)
+        trainer = SGDTrainer(net)
+        pool = net.conv_layers()[0]._pool
+        # On failure, after the report: it may print views of the buffers.
+        request.addfinalizer(pool.shutdown)
+        for _ in range(2):  # the second step reuses cached replicas
+            trainer.step(data.images, data.labels)
+        seen, parent = self._views(net, threads)
+        pool.shutdown()
+        # Under serial one replica serves every shard in turn; at most
+        # one per shard running at once otherwise.
+        assert 1 <= len(seen) <= (1 if backend == "serial" else threads)
+        assert all(index in range(threads) and p and g
+                   for index, p, g in seen), seen
+        assert parent
+        for _, p, g in net.parameters():
+            assert p.flags.owndata and g.flags.owndata
 
 
 class TestWorkerBlasThreads:

@@ -26,6 +26,16 @@ class TestRunChaos:
         assert report.resume_checked and report.resume_identical
         assert report.ok
 
+    def test_smoke_plan_under_dag_counts_its_retries(self):
+        # The DAG's node loop retries the two ``pool.task`` raises
+        # itself; the report counts them as the barrier's pool does.
+        report = run_chaos(plan_name="smoke", seed=0, epochs=3,
+                           scheduler="dag")
+        assert report.ok
+        assert report.counters["dag.retries"] >= 2
+        assert report.monitor_report["resilience"]["dag.retries"] >= 2
+        assert report.counters["faults.injected"] == 3
+
     def test_none_plan_fires_nothing(self):
         report = run_chaos(plan_name="none", seed=0, epochs=2,
                            samples=16, threads=1)
