@@ -19,8 +19,7 @@ Commands:
   fails the kill/resume bit-identity check (CI chaos gate).
 * ``train [--net cifar|mnist] ...`` -- run a training job with spg-CNN
   retuning under the live :class:`repro.obs.monitor.TrainingMonitor`
-  and print its run report (with the DAG critical-path table when the
-  run used ``--scheduler dag``); ``--out`` writes the report, or with
+  and print its run report; ``--out`` writes the report, or with
   ``--format chrome`` the run's Chrome trace-event timeline.  ``train``
   deploys the engines this host measures fastest; the Xeon model prices
   ``plan`` and ``figure`` only.
@@ -399,7 +398,6 @@ def _cmd_train(args, out) -> int:
     from repro.data.synthetic import cifar10_like, mnist_like
     from repro.nn.training_loop import TrainingLoop
     from repro.nn.zoo import cifar10_net, mnist_net
-    from repro.obs.critical import critical_path_report
     from repro.obs.monitor import TrainingMonitor
 
     threads = args.threads if args.threads > 1 else None
@@ -445,9 +443,6 @@ def _cmd_train(args, out) -> int:
             for name, why in row["lowering_reasons"].items():
                 print(f"{row['layer']}: {name} timed on the reference "
                       f"({why})", file=out)
-        critical = critical_path_report(monitor.collector)
-        if critical is not None:
-            print(critical.table(), file=out)
     if args.out is not None:
         if args.format == "chrome":
             from repro.obs.chrome_trace import write_chrome_trace

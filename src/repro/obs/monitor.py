@@ -68,10 +68,6 @@ class RunReport:
     retunes: list[dict[str, Any]] = field(default_factory=list)
     resilience: dict[str, float] = field(default_factory=dict)
     totals: dict[str, Any] = field(default_factory=dict)
-    #: Critical-path / goodput attribution of ``scheduler="dag"`` steps
-    #: (:func:`repro.obs.critical.critical_path_report`); empty when the
-    #: run recorded no DAG graphs.
-    critical: dict[str, Any] = field(default_factory=dict)
     #: The deployed engines per conv layer with the candidate timings
     #: (seconds per measuring batch) each choice rested on.
     plan: list[dict[str, Any]] = field(default_factory=list)
@@ -84,7 +80,6 @@ class RunReport:
             "retunes": list(self.retunes),
             "resilience": dict(self.resilience),
             "totals": dict(self.totals),
-            "critical": dict(self.critical),
             "plan": [dict(row) for row in self.plan],
         }
 
@@ -189,24 +184,6 @@ class RunReport:
                 lines.append(f"- {name}: {int(value)}")
         else:
             lines.append("- none")
-        if self.critical:
-            lines.append("")
-            lines.append("## DAG critical path")
-            lines.append("")
-            kinds = self.critical.get("kind_seconds", {})
-            lines.append(
-                f"- {self.critical.get('graphs', 0)} graph(s): critical "
-                f"{self.critical.get('critical_seconds', 0.0) * 1e3:.2f} ms "
-                f"/ wall {self.critical.get('wall_seconds', 0.0) * 1e3:.2f} "
-                f"ms ({'reconciles' if self.critical.get('reconciles') else 'DOES NOT reconcile'})"
-            )
-            lines.append(
-                f"- attribution: compute "
-                f"{kinds.get('compute', 0.0) * 1e3:.2f} ms, pack "
-                f"{kinds.get('pack', 0.0) * 1e3:.2f} ms, reduce "
-                f"{kinds.get('reduce', 0.0) * 1e3:.2f} ms, idle "
-                f"{self.critical.get('idle_seconds', 0.0) * 1e3:.2f} ms"
-            )
         return "\n".join(lines) + "\n"
 
     def write_json(self, path: str | Path) -> Path:
@@ -424,16 +401,12 @@ class TrainingMonitor:
         }
         retunes = self.retune_log()
         totals["retunes"] = len(retunes)
-        from repro.obs.critical import critical_path_report
-
-        critical = critical_path_report(self.collector)
         return RunReport(
             epochs=list(self._epochs),
             layers=self.layer_stats(),
             retunes=retunes,
             resilience=resilience,
             totals=totals,
-            critical=critical.to_dict() if critical is not None else {},
             plan=[
                 {"layer": p.layer_name, "sparsity": p.sparsity,
                  "fp_engine": p.fp_engine, "fp_lowering": p.fp_lowering,

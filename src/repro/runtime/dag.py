@@ -74,7 +74,7 @@ SCHEDULER_NAMES = ("barrier", "dag")
 
 #: Process-wide graph-id allocator.  Graphs are rebuilt every pass, so
 #: span attributes need a run-unique id to tell one executed graph's
-#: ``dag/node`` spans from the next pass's (see :mod:`repro.obs.critical`).
+#: ``dag/node`` spans from the next pass's.
 _GRAPH_IDS = itertools.count(1)
 
 
@@ -193,18 +193,6 @@ class TaskGraph:
         self.name = name
         self.graph_id = next(_GRAPH_IDS)
         self._nodes: list[TaskNode] = []
-
-    def edge_list(self) -> str:
-        """Edges as ``"dep>child|..."`` node-id pairs (event-attr friendly).
-
-        The compact string form survives the telemetry event attr dict
-        and the Chrome-trace JSON round trip unchanged, which is how
-        :mod:`repro.obs.critical` reconstructs the executed graph.
-        """
-        return "|".join(
-            f"{dep.node_id}>{node.node_id}"
-            for node in self._nodes for dep in node.deps
-        )
 
     @property
     def nodes(self) -> list[TaskNode]:
@@ -328,24 +316,16 @@ class DagScheduler:
         workers = min(self.num_workers, len(nodes))
         telemetry.event("dag.graph", graph=graph.name,
                         graph_id=graph.graph_id, nodes=len(nodes),
-                        workers=workers, edges=graph.edge_list())
-        start = time.perf_counter()
+                        workers=workers)
         if workers == 1:
-            busy = self._run_inline(nodes)
+            self._run_inline(nodes)
         else:
-            busy = self._run_stealing(nodes, workers)
-        wall = time.perf_counter() - start
-        # Aggregate idle = worker-seconds not spent inside a node.  The
-        # tail (waiting for the last node) is included on purpose: it is
-        # exactly the cost a barrier would have paid at every layer.
-        telemetry.gauge("dag.idle_seconds",
-                        max(0.0, wall * workers - sum(busy)))
+            self._run_stealing(nodes, workers)
 
-    def _run_inline(self, nodes: list[TaskNode]) -> list[float]:
+    def _run_inline(self, nodes: list[TaskNode]) -> None:
         ready = [n.node_id for n in nodes if n.pending == 0]
         heapq.heapify(ready)
         done = 0
-        start = time.perf_counter()
         while ready:
             node = nodes[heapq.heappop(ready)]
             self._execute(node, 0)
@@ -358,14 +338,11 @@ class DagScheduler:
             raise ReproError(
                 f"task graph stalled: {len(nodes) - done} nodes unreachable"
             )
-        return [time.perf_counter() - start]
 
-    def _run_stealing(self, nodes: list[TaskNode],
-                      workers: int) -> list[float]:
+    def _run_stealing(self, nodes: list[TaskNode], workers: int) -> None:
         deques: list[deque[TaskNode]] = [deque() for _ in range(workers)]
         cond = threading.Condition()
         state = {"remaining": len(nodes), "error": None, "steals": 0}
-        busy = [0.0] * workers
         for i, node in enumerate(n for n in nodes if n.pending == 0):
             deques[i % workers].append(node)
 
@@ -391,18 +368,15 @@ class DagScheduler:
                         if node is not None:
                             break
                         cond.wait()
-                begun = time.perf_counter()
                 try:
                     self._execute(node, worker)
                 except BaseException as exc:  # noqa: BLE001 - first error wins
-                    busy[worker] += time.perf_counter() - begun
                     with cond:
                         if state["error"] is None:
                             state["error"] = exc
                         state["remaining"] -= 1
                         cond.notify_all()
                     return
-                busy[worker] += time.perf_counter() - begun
                 with cond:
                     state["remaining"] -= 1
                     for child in node.children:
@@ -424,7 +398,6 @@ class DagScheduler:
             telemetry.add("dag.steals", state["steals"])
         if state["error"] is not None:
             raise state["error"]
-        return busy
 
 
 # -- compiling a network step into graphs -----------------------------------

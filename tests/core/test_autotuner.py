@@ -57,7 +57,8 @@ class TestModelBackendSelections:
 
 
 class TestFFTIsNotACandidate:
-    """FFT convolution is a time model only (``machine.fft_model``)."""
+    """FFT convolution is no engine: neither the planner nor a cost backend
+    knows the name."""
 
     def test_fft_absent_from_plans(self):
         plan = model_tuner().plan_layer(TABLE1_CONVS[0])

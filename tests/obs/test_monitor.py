@@ -287,38 +287,6 @@ class TestTuningCost:
         assert json.loads(json.dumps(report.to_dict()))["plan"] == report.plan
 
 
-class TestCriticalPathSection:
-    def test_non_dag_run_reports_empty_critical(self, monitored):
-        monitor, _ = monitored
-        report = monitor.report()
-        assert report.critical == {}
-        assert "## DAG critical path" not in report.to_markdown()
-        assert report.to_dict()["critical"] == {}
-
-    def test_dag_run_populates_critical_section(self):
-        loop = TrainingLoop(
-            _small_net(),
-            make_dataset(8, 4, (1, 12, 12), seed=0),
-            batch_size=8,
-            shuffle_seed=0,
-            preflight=False,
-            scheduler="dag",
-        )
-        monitor = TrainingMonitor()
-        monitor.attach(loop)
-        with monitor:
-            loop.run(1)
-        report = monitor.report()
-        assert report.critical
-        assert report.critical["reconciles"] is True
-        assert report.critical["graphs"] >= 1
-        assert report.critical["critical_seconds"] > 0.0
-        text = report.to_markdown()
-        assert "## DAG critical path" in text
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["critical"]["graphs"] == report.critical["graphs"]
-
-
 class TestLiveRendering:
     def test_periodic_console_output(self):
         out = io.StringIO()

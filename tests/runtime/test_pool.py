@@ -8,6 +8,7 @@ import pytest
 
 from repro import telemetry
 from repro.errors import ReproError
+from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.resilience.policy import RetryPolicy, apply_policy
 from repro.runtime.pool import WorkerPool, default_worker_count
@@ -256,12 +257,33 @@ class TestSupervisedExecution:
         assert retry.attrs["task"] == fired.attrs["worker"]
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_a_fault_on_the_callers_thunk_is_retried(self, backend):
-        # Both first attempts fault, whichever reaches the site first.
+    def test_a_fault_on_the_callers_thunk_is_retried(self, backend,
+                                                     monkeypatch):
+        # The plan faults the site's invocations 1 and 2; the test orders
+        # the visits so that those are both thunks' first attempts: the
+        # helper's first visit waits for the caller's first, and the
+        # caller's retry waits for the helper's first.
         plan = FaultPlan("t", specs=(
             FaultSpec(site="pool.task", kind="raise", at=(1, 2)),
         ))
         policy = RetryPolicy(max_retries=1, backoff_base=0.0)
+        perturb = faults.perturb
+        visited = {0: threading.Event(), 1: threading.Event()}
+
+        def sequenced(site, **attrs):
+            if site != "pool.task":
+                return perturb(site, **attrs)
+            worker = attrs["worker"]
+            if worker == 1 and not visited[1].is_set():
+                visited[0].wait(timeout=30)
+            elif worker == 0 and visited[0].is_set():
+                visited[1].wait(timeout=30)
+            try:
+                perturb(site, **attrs)
+            finally:
+                visited[worker].set()
+
+        monkeypatch.setattr(faults, "perturb", sequenced)
         with WorkerPool(num_workers=2, backend=backend) as pool:
             with telemetry.collect() as tel, inject(plan), \
                     apply_policy(policy):

@@ -1,8 +1,8 @@
 """Edge cases of span recording in the telemetry collector.
 
 A span's duration is stored once, in the span, and every report reads
-``collector.spans``: the run report's per-layer times and BP p95, the
-Chrome trace and the critical path.  So how the collector records
+``collector.spans``: the run report's per-layer times and BP p95 and
+the Chrome trace.  So how the collector records
 irregular inputs -- recursive same-name nesting, spans from worker
 threads, mismatched closes, spans merged in from another process -- is
 contract, not accident.

@@ -344,28 +344,14 @@ class TestTrainTrace:
             assert chain["t"]["pid"] in workers
             assert chain["f"]["pid"] not in workers
 
-    @pytest.mark.parametrize("scheduler", ["barrier", "dag"])
-    def test_table_prints_the_critical_path_of_dag_runs(self, scheduler):
-        code, text = run([
-            "train", "--net", "mnist", "--epochs", "1", "--samples", "8",
-            "--batch", "4", "--scale", "0.2", "--threads", "2",
-            "--scheduler", scheduler,
-        ])
-        assert code == 0
-        assert ("critical path over " in text) == (scheduler == "dag")
-
-    def test_dag_trace_has_node_spans_and_the_critical_path(self, tmp_path):
+    def test_dag_trace_has_node_spans(self, tmp_path):
         out = tmp_path / "dag.json"
-        code, text = run([
+        code, _ = run([
             "train", "--net", "mnist", "--epochs", "1", "--samples", "8",
             "--batch", "4", "--scale", "0.2", "--threads", "2",
             "--scheduler", "dag", "--format", "chrome", "--out", str(out),
         ])
         assert code == 0
-        # The table output carries the critical-path table, the file the
-        # DAG node spans it was computed from.
-        assert any(line.startswith("critical path over ")
-                   for line in text.splitlines())
         nodes = [e for e in _chrome(out)
                  if e["ph"] == "X" and e["name"] == "dag/node"]
         assert nodes and all("node" in e["args"] for e in nodes)
@@ -498,10 +484,9 @@ class TestTrain:
         assert code == 0
         report = json.loads(text.splitlines()[0])
         assert set(report) == {"epochs", "layers", "retunes", "resilience",
-                               "totals", "critical", "plan"}
+                               "totals", "plan"}
         (epoch,) = report["epochs"]
         assert {"epoch", "train_loss", "skipped_batches"} <= set(epoch)
-        assert report["critical"] == {}
 
     def test_table_output_has_the_tuning_line(self):
         code, text = run(["train", *self.ARGS])
