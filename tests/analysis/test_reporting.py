@@ -1,5 +1,7 @@
 """Tests for the reporting helpers."""
 
+import pytest
+
 from repro.analysis.reporting import format_series, format_table
 
 
@@ -34,3 +36,34 @@ class TestFormatSeries:
     def test_precision_respected(self):
         text = format_series("x", [1], {"s": [3.14159]}, precision=3)
         assert "3.142" in text
+
+
+class TestCellFormatting:
+    @pytest.mark.parametrize("value,text", [
+        (0.0, "0"),
+        (-0.0, "0"),
+        (1.0, "1.00"),
+        (999.994, "999.99"),
+        (1000.0, "1e+03"),
+        (-2500.0, "-2.5e+03"),
+        (0.01, "0.01"),
+        (0.00999, "0.00999"),
+        (7, "7"),
+        ("conv0", "conv0"),
+    ])
+    def test_single_cell(self, value, text):
+        assert format_table(["h"], [[value]]).splitlines()[-1].strip() == text
+
+    def test_headers_left_and_cells_right_aligned(self):
+        lines = format_table(["name", "n"], [["a", 1], ["bbbb", 22]]).splitlines()
+        assert lines[0] == "name  n "
+        assert lines[1] == "----  --"
+        assert lines[2] == "   a   1"
+        assert lines[3] == "bbbb  22"
+
+    def test_no_title_line_without_a_title(self):
+        assert format_table(["h"], [[1]]).splitlines()[0].strip() == "h"
+
+    def test_series_x_values_become_headers(self):
+        header = format_series("cores", [1, 2.5], {"s": [1.0, 2.0]}).splitlines()[0]
+        assert header.split() == ["cores", "1", "2.50"]
