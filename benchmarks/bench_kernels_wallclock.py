@@ -33,7 +33,7 @@ def _data(error_sparsity=0.0, batch=4, seed=0):
 )
 def test_forward_wallclock(benchmark, engine_name):
     inputs, weights, _ = _data()
-    engine = make_engine(engine_name, SPEC, num_cores=4)
+    engine = make_engine(engine_name, SPEC)
     out = benchmark(engine.forward, inputs, weights)
     assert out.shape == (4,) + SPEC.output_shape
 
@@ -43,7 +43,7 @@ def test_forward_wallclock(benchmark, engine_name):
 )
 def test_backward_wallclock(benchmark, engine_name):
     inputs, weights, err = _data(error_sparsity=0.9)
-    engine = make_engine(engine_name, SPEC, num_cores=4)
+    engine = make_engine(engine_name, SPEC)
 
     def backward():
         engine.backward_data(err, weights)

@@ -37,8 +37,8 @@ def test_serial_forward_baseline(benchmark):
 @pytest.mark.parametrize("workers", [2, 4])
 def test_threaded_forward(benchmark, workers):
     inputs, weights = _data()
-    with ParallelExecutor("gemm-in-parallel", SPEC,
-                          pool=WorkerPool(workers)) as executor:
+    with WorkerPool(workers) as pool, \
+            ParallelExecutor("gemm-in-parallel", SPEC, pool) as executor:
         out = benchmark(executor.forward, inputs, weights)
     assert out.shape[0] == BATCH
 
@@ -60,8 +60,8 @@ def test_threading_does_not_collapse(benchmark, show):
 
     def measure():
         t_serial = best_of(lambda: engine.forward(inputs, weights))
-        with ParallelExecutor("gemm-in-parallel", SPEC,
-                              pool=WorkerPool(4)) as executor:
+        with WorkerPool(4) as pool, \
+                ParallelExecutor("gemm-in-parallel", SPEC, pool) as executor:
             t_parallel = best_of(lambda: executor.forward(inputs, weights))
         return t_serial, t_parallel
 

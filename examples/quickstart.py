@@ -6,8 +6,11 @@ Walks the spg-CNN workflow on one convolution layer:
    space (AIT x sparsity);
 2. let the autotuner pick the fastest FP/BP techniques for the paper's
    16-core Xeon;
-3. execute the chosen engines on real data and verify they agree with
-   the reference convolution.
+3. execute the chosen FP engine on real data and verify it agrees with
+   the reference convolution.  An engine computes inline on its caller,
+   one image after another; spreading images over cores is the worker
+   pool's (``cifar10_net(threads=N)``), and the 16 cores of step 2 are
+   the machine model's.
 
 Run with:  python examples/quickstart.py
 """
@@ -51,7 +54,7 @@ def main() -> None:
     rng = np.random.default_rng(0)
     inputs = rng.standard_normal((2,) + spec.input_shape).astype(np.float32)
     weights = rng.standard_normal(spec.weight_shape).astype(np.float32)
-    fp_engine = make_engine(plan.fp_engine, spec, num_cores=4)
+    fp_engine = make_engine(plan.fp_engine, spec)
     out = fp_engine.forward(inputs, weights)
     reference = make_engine("reference", spec).forward(inputs, weights)
     max_err = float(np.abs(out - reference).max())

@@ -1,11 +1,11 @@
 """A small GEMM library: the repo's stand-in for OpenBLAS/MKL.
 
-Provides a cache-blocked single-threaded GEMM (the building block of
-GEMM-in-Parallel) and a partitioned Parallel-GEMM that mirrors how BLAS
-libraries split one multiplication across cores.  Functionally the results
-are identical; the *partitioning* matters because it determines per-core
-arithmetic intensity, which the machine model uses to reproduce the
-paper's scalability results (Sec. 3.2).
+Provides the cache-blocked single-threaded GEMM (the building block of
+GEMM-in-Parallel) and :func:`partition_rows`, the balanced contiguous
+split the worker pool assigns image ranges with.  How Parallel-GEMM
+splits one multiplication across cores, and what that costs in per-core
+arithmetic intensity (Sec. 3.2), is the machine model's
+(:mod:`repro.machine.gemm_model`).
 
 Blocking follows the classic Goto/van de Geijn structure: the K dimension
 is split into panels sized for cache residency, M into panels per block of
@@ -93,35 +93,4 @@ def partition_rows(m: int, parts: int) -> list[tuple[int, int]]:
     for i in range(parts):
         bounds.append(bounds[-1] + base + (1 if i < extra else 0))
     return [(bounds[i], bounds[i + 1]) for i in range(parts)]
-
-
-def parallel_gemm(
-    a: np.ndarray,
-    b: np.ndarray,
-    num_cores: int,
-    blocking: BlockingParams | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Parallel-GEMM: one multiplication partitioned across ``num_cores``.
-
-    Mirrors the paper's model of BLAS parallelization: the rows of C (and
-    of A) are divided among cores while *every core streams all of B*
-    through its private cache -- the source of the per-core AIT reduction
-    of Sec. 3.2.  Execution here is sequential over the partitions (the
-    functional result is identical); concurrency is accounted for by the
-    machine model.  When ``out`` is given the product is accumulated into
-    it, as with :func:`gemm`.
-    """
-    m, _, n = _check_operands(a, b)
-    if num_cores <= 0:
-        raise ValueError(f"num_cores must be positive, got {num_cores}")
-    if out is None:
-        out = np.zeros((m, n), dtype=np.result_type(a, b))
-    elif out.shape != (m, n):
-        raise ShapeError(f"out shape {out.shape} != ({m}, {n})")
-    for lo, hi in partition_rows(m, num_cores):
-        if lo == hi:
-            continue
-        gemm(a[lo:hi], b, out=out[lo:hi], blocking=blocking)
-    return out
 

@@ -51,13 +51,7 @@ from repro import telemetry
 from repro.check.findings import CheckReport, Finding
 from repro.errors import ReproError
 from repro.nn.network import Network
-from repro.runtime.dag import (
-    Region,
-    TaskGraph,
-    TaskNode,
-    build_backward_graph,
-    build_forward_graph,
-)
+from repro.runtime.dag import Region, TaskGraph, TaskNode
 
 ANALYZER = "effects"
 
@@ -509,18 +503,19 @@ def network_graphs(network: Network,
     Graph building is pure -- no node runs, no backend spawns -- so the
     verifier can compile process-backend graphs without forking.
     """
+    runner = network.dag_runner()
     inputs = np.zeros((batch,) + tuple(network.input_shape),
                       dtype=np.float32)
-    forward, _ = build_forward_graph(network, inputs, training=True)
-    backward, _ = build_backward_graph(network, _zero_error(network, batch))
+    forward, _ = runner.forward_graph(inputs, training=True)
+    backward, _ = runner.backward_graph(_zero_error(network, batch))
     return forward, backward
 
 
 def step_backward_graph(network: Network, batch: int = 4) -> TaskGraph:
     """The BP graph an SGD step runs: no input error requested, so the
     conv fed by the images has no BP-data chain."""
-    graph, _ = build_backward_graph(network, _zero_error(network, batch),
-                                    need_input_error=False)
+    graph, _ = network.dag_runner().backward_graph(
+        _zero_error(network, batch), need_input_error=False)
     graph.name += "-step"
     return graph
 

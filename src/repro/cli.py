@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="execution backend of the conv worker pools")
     chaos.add_argument("--scheduler", choices=("barrier", "dag"),
                        default="barrier",
-                       help="per-layer barriers or the task-graph runtime")
+                       help="whole-step shards or the task-graph runtime")
     chaos.add_argument("--no-resume-check", action="store_true",
                        help="skip the kill-and-resume bit-identity replay")
     _add_output_args(chaos, out_help="write the chaos + monitor report "
@@ -259,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="execution backend of the conv worker pools")
     train.add_argument("--scheduler", choices=("barrier", "dag"),
                        default="barrier",
-                       help="per-layer barriers or the task-graph runtime")
+                       help="whole-step shards or the task-graph runtime")
     train.add_argument("--recheck", type=_positive_int, default=1,
                        help="re-check the BP choice every N epochs")
     train.add_argument("--every", type=_non_negative_int, default=0,

@@ -90,9 +90,9 @@ class MeasuredCostBackend(CostBackend):
       once more and the faster reading kept, so one slow reading cannot
       pin a price for the bucket, and a kernel that is 20x slower costs
       two images, once per bucket;
-    * on one core ``parallel-gemm`` splits the rows into one slice and
-      issues exactly the ``np.matmul`` that ``gemm-in-parallel`` issues,
-      so the two share one price (a tie keeps the incumbent);
+    * ``parallel-gemm`` issues exactly the ``np.matmul`` calls that
+      ``gemm-in-parallel`` issues, so the two share one price (a tie
+      keeps the incumbent);
     * :attr:`hysteresis` keeps engines that measure within noise of each
       other from flapping.
 
@@ -119,15 +119,13 @@ class MeasuredCostBackend(CostBackend):
     hysteresis = 0.10
     probe_gate = 2.0
 
-    def __init__(self, batch: int = 2, repeats: int = 2, num_cores: int = 1,
-                 seed: int = 0,
+    def __init__(self, batch: int = 2, repeats: int = 2, seed: int = 0,
                  clock: Callable[[], float] = time.perf_counter,
                  engine_factory: Callable[..., object] = make_engine):
         if batch <= 0 or repeats <= 0:
             raise PlanError(f"batch and repeats must be positive: {batch}, {repeats}")
         self.batch = batch
         self.repeats = repeats
-        self.num_cores = num_cores
         self._rng = np.random.default_rng(seed)
         self._clock = clock
         self._engine_factory = engine_factory
@@ -152,7 +150,7 @@ class MeasuredCostBackend(CostBackend):
 
     def _key(self, technique: str, phase: str, spec: ConvSpec,
              sparsity: float, input_error: bool, crop: int) -> tuple:
-        if technique == "parallel-gemm" and self.num_cores == 1:
+        if technique == "parallel-gemm":
             technique = "gemm-in-parallel"      # the same one BLAS call
         bucket = self.sparsity_bucket(sparsity) if technique == "sparse" else None
         # The crop only shapes BP-data: FP and dW-only BP ignore it.
@@ -195,8 +193,7 @@ class MeasuredCostBackend(CostBackend):
         Engines are called directly -- no layer, no guard, no quarantine
         -- and scratch is released afterwards.
         """
-        engine = self._engine_factory(technique, spec,
-                                      num_cores=self.num_cores)
+        engine = self._engine_factory(technique, spec)
         primary, weights, inputs = operands
 
         def run(n: int) -> float:

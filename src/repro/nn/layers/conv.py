@@ -10,16 +10,18 @@ The layer also measures the sparsity of the incoming error gradients on
 every backward pass, which both reproduces Fig. 3b and drives the
 autotuner's periodic BP re-selection.
 
-When constructed with ``threads > 1`` (a private
-:class:`repro.runtime.pool.WorkerPool`) or ``pool=`` (one shared by the
-whole network -- what :func:`repro.nn.netdef.build_network` passes) the
-layer executes its engines through a
-:class:`repro.runtime.parallel.ParallelExecutor`, so a direct
-``forward``/``backward`` call runs the paper's image-level parallel
-schedule on real workers.  A *training step* of a pooled network does
-not come through here at all: the trainer shards the whole step over the
-same pool (:class:`repro.runtime.parallel.ShardedStep`) and each worker
-runs an inline replica of this layer built from :meth:`structure`.
+The layer computes inline: its engines are plain
+:func:`repro.ops.engine.make_engine` engines, called on the caller's
+thread.  A layer built with ``pool=`` (the network's one
+:class:`repro.runtime.pool.WorkerPool`, what
+:func:`repro.nn.netdef.build_network` passes) only holds that pool and
+shuts it down on :meth:`ConvLayer.close`; what runs work on it is the
+network's: a training step is sharded whole over it
+(:class:`repro.runtime.parallel.ShardedStep`, each worker running an
+inline replica of this layer built from :meth:`structure`), and the DAG
+scheduler slices this layer's passes over it
+(:mod:`repro.runtime.dag`).  A direct ``forward``/``backward`` call runs
+here, fused where a unit serves, with or without a pool.
 
 Padding: engines see the padded geometry only.  The training forward
 copies the batch into a persistent zero-bordered buffer (the border is
@@ -84,7 +86,6 @@ import repro.ops.reference_engine  # noqa: F401
 import repro.stencil.engine  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - loaded only where used
-    from repro.runtime.parallel import ParallelExecutor
     from repro.runtime.pool import WorkerPool
     from repro.stencil.emit_c import NativeEpilogueKernels, NativeStencilKernels
 
@@ -108,29 +109,21 @@ class ConvLayer(Layer):
         name: str = "",
         fp_engine: str = DEFAULT_FP_ENGINE,
         bp_engine: str = DEFAULT_BP_ENGINE,
-        num_cores: int = 1,
-        threads: int | None = None,
-        backend: str = "thread",
         rng: np.random.Generator | None = None,
         quarantine: QuarantineRegistry | None = None,
         pool: WorkerPool | None = None,
         params: dict[str, np.ndarray] | None = None,
         grads: dict[str, np.ndarray] | None = None,
     ):
-        """``params`` / ``grads``: arrays to bind instead of drawing the
-        parameters from ``rng`` and allocating zeroed gradients (see
-        :meth:`repro.nn.network.Network.replica`)."""
+        """``pool``: the network's worker pool, which :meth:`close`
+        shuts down; ``params`` / ``grads``: arrays to bind instead of
+        drawing the parameters from ``rng`` and allocating zeroed
+        gradients (see :meth:`repro.nn.network.Network.replica`)."""
         super().__init__(name or spec.name or self.kind)
         self.spec = spec
         # Engines operate on the padded geometry.
         self.padded_spec = spec.pre_padded()
-        self.num_cores = num_cores
-        self.threads = pool.num_workers if pool is not None else threads
-        self.backend = pool.backend_name if pool is not None else backend
-        # One pool serves the FP and BP executors (and, when the network
-        # passed it in, every other layer and the sharded step); engines
-        # swapped by the autotuner reuse it rather than spawning workers.
-        self._pool = pool if pool is not None else self._build_pool()
+        self._pool = pool
         if params is None:
             rng = rng or np.random.default_rng(0)
             scale = np.sqrt(2.0 / (spec.nc * spec.fy * spec.fx))
@@ -142,8 +135,8 @@ class ConvLayer(Layer):
         self.bind_params(params, grads or {
             key: np.zeros_like(array) for key, array in params.items()})
         self._quarantine = quarantine or default_registry()
-        self._fp_engine = self._build_engine(fp_engine)
-        self._bp_engine = self._build_engine(bp_engine)
+        self._fp_engine = make_engine(fp_engine, self.padded_spec)
+        self._bp_engine = make_engine(bp_engine, self.padded_spec)
         self._cached_padded_input: np.ndarray | None = None
         # What the last training forward given a pool keeps for the
         # backward given it: ``(unit, pooled out, uint8 argmax)`` when it
@@ -160,27 +153,9 @@ class ConvLayer(Layer):
 
     # -- engine management ----------------------------------------------
 
-    def _build_pool(self) -> WorkerPool | None:
-        if self.threads and self.threads > 1:
-            from repro.runtime.pool import WorkerPool
-
-            return WorkerPool(self.threads, backend=self.backend)
-        return None
-
-    def _build_engine(self, engine_name: str) -> ConvEngine | ParallelExecutor:
-        # The reference fallback takes no tuning knobs.
-        kwargs = {} if engine_name == FALLBACK_ENGINE else {"num_cores": self.num_cores}
-        if self._pool is not None:
-            from repro.runtime.parallel import ParallelExecutor
-
-            return ParallelExecutor(
-                engine_name, self.padded_spec, pool=self._pool, **kwargs
-            )
-        return make_engine(engine_name, self.padded_spec, **kwargs)
-
     @staticmethod
-    def _retire_engine(engine: ConvEngine | ParallelExecutor | None) -> None:
-        """Free a replaced engine's workspaces (shm segments, scratch)."""
+    def _retire_engine(engine: ConvEngine) -> None:
+        """Free a replaced engine's scratch."""
         release = getattr(engine, "release_workspace", None)
         if release is not None:
             release()
@@ -189,8 +164,9 @@ class ConvLayer(Layer):
         """Release engine workspaces and shut down the worker pool.
 
         Idempotent, and enough on its own for a shared pool: shutting it
-        down also releases what the sharded step keeps there (parameter,
-        batch and gradient segments, see ``WorkerPool.at_shutdown``).
+        down also releases what the sharded step and the DAG runner keep
+        there (parameter, batch, gradient and slice segments, see
+        ``WorkerPool.at_shutdown``).
         """
         self._retire_engine(self._fp_engine)
         self._retire_engine(self._bp_engine)
@@ -202,7 +178,6 @@ class ConvLayer(Layer):
             ("spec", self.spec),
             ("fp_engine", self.fp_engine_name),
             ("bp_engine", self.bp_engine_name),
-            ("num_cores", self.num_cores),
             ("fp_artifact", self.fp_artifact),
             ("bp_artifact", self.bp_artifact),
         ))
@@ -264,12 +239,14 @@ class ConvLayer(Layer):
     def set_fp_engine(self, engine_name: str) -> None:
         """Swap the forward-propagation engine (spg-CNN deployment)."""
         self._retire_engine(self._fp_engine)
-        self._fp_engine = self._build_engine(self._admitted("fp", engine_name))
+        self._fp_engine = make_engine(self._admitted("fp", engine_name),
+                                      self.padded_spec)
 
     def set_bp_engine(self, engine_name: str) -> None:
         """Swap the backward-propagation engine (spg-CNN deployment)."""
         self._retire_engine(self._bp_engine)
-        self._bp_engine = self._build_engine(self._admitted("bp", engine_name))
+        self._bp_engine = make_engine(self._admitted("bp", engine_name),
+                                      self.padded_spec)
 
     # -- guarded execution ------------------------------------------------
 
@@ -306,7 +283,7 @@ class ConvLayer(Layer):
         self._deploy_fallback(phase)
 
     def _deploy_fallback(self, phase: str) -> None:
-        fallback = self._build_engine(FALLBACK_ENGINE)
+        fallback = make_engine(FALLBACK_ENGINE, self.padded_spec)
         if phase == "fp":
             self._retire_engine(self._fp_engine)
             self._fp_engine = fallback
@@ -449,28 +426,17 @@ class ConvLayer(Layer):
         """The compiled unit that ``forward(..., pool=pool)`` runs its
         bias + ReLU + max-pool in, or ``None``: the chain runs.
 
-        A unit serves where the chain's conv runs inline (a pooled layer
-        maps its FP over the workers instead; its step shards' inline
-        replicas fuse, see :meth:`fused_artifact`) on the C stencil
-        kernel -- the fused unit, which computes the conv too
-        (:func:`repro.stencil.emit_c.load_stencil_kernels`) -- or on a
-        GEMM engine -- the epilogue of its output
+        A unit serves where the FP engine is the C stencil kernel -- the
+        fused unit, which computes the conv too
+        (:func:`repro.stencil.emit_c.load_stencil_kernels`) -- or a GEMM
+        engine -- the epilogue of its output
         (:func:`repro.stencil.emit_c.load_epilogue_kernels`) -- and the
         unit of ``(padded spec, pool window)`` resolves: either was
         admitted only bitwise equal to the chain it replaces, forward
-        and backward.  Resolved once per deployed FP engine.
+        and backward.  Resolved once per deployed FP engine; its
+        ``artifact`` is what a step shard's replica must load
+        (:meth:`repro.nn.network.Network.structure`).
         """
-        return self._fused(pool) if self._pool is None else None
-
-    def fused_artifact(self, pool: MaxPoolLayer) -> str | None:
-        """Which fused unit an inline copy of this layer runs for
-        ``pool``'s window, if any: what a step shard's replica must load
-        (:meth:`repro.nn.network.Network.structure`)."""
-        unit = self._fused(pool)
-        return unit.artifact if unit is not None else None
-
-    def _fused(self, pool: MaxPoolLayer) -> FusedUnit | None:
-        """:meth:`fused_unit` of this layer run inline."""
         engine, units = self._fusion
         if engine is not self._fp_engine:
             engine, units = self._fusion = (self._fp_engine, {})
@@ -728,10 +694,10 @@ class ReplicaConvLayer(ConvLayer):
 
     def __init__(self, *args, fp_artifact: str | None = None,
                  bp_artifact: str | None = None,
-                 fused_artifact: str | None = None, **kwargs):
+                 relu_pool_artifact: str | None = None, **kwargs):
         super().__init__(*args, **kwargs)
         self._failures: list[tuple[str, str, str]] = []
-        self._fused_artifact = fused_artifact
+        self._relu_pool_artifact = relu_pool_artifact
         for phase, planned in (("fp", fp_artifact), ("bp", bp_artifact)):
             loaded = getattr(self, f"{phase}_artifact")
             if loaded != planned:
@@ -750,7 +716,7 @@ class ReplicaConvLayer(ConvLayer):
         an FP failure (unless the FP engine already failed over)."""
         unit = super()._load_fused(window)
         loaded = unit.artifact if unit is not None else None
-        planned = self._fused_artifact
+        planned = self._relu_pool_artifact
         if loaded == planned:
             return unit
         if planned is not None and self.fp_engine_name != FALLBACK_ENGINE:

@@ -48,7 +48,6 @@ def _require(layer_def: dict, key: str, layer_type: str):
 
 def build_network(
     definition: dict,
-    num_cores: int = 1,
     rng: np.random.Generator | None = None,
     threads: int | None = None,
     backend: str = "thread",
@@ -59,12 +58,12 @@ def build_network(
     ``layers`` list; convolution shapes are inferred from the running
     activation shape so only features/kernel/stride/pad are specified.
     With ``threads > 1`` the network gets **one** worker pool of that
-    many workers on the chosen execution backend, shared by every
+    many workers on the chosen execution backend, held by every
     convolution layer: a training step is sharded over it whole
-    (:class:`repro.runtime.parallel.ShardedStep`), a direct
-    ``forward``/``backward`` call slices each conv layer over it (see
-    :class:`repro.nn.layers.conv.ConvLayer`).  Closing the conv layers
-    shuts it down.
+    (:class:`repro.runtime.parallel.ShardedStep`), and under the DAG
+    scheduler each conv layer's passes are sliced over it
+    (:mod:`repro.runtime.dag`); a direct ``forward``/``backward`` call
+    runs inline.  Closing the conv layers shuts it down.
     """
     rng = rng or np.random.default_rng(0)
     pool = None
@@ -96,8 +95,7 @@ def build_network(
                 pad=int(layer_def.get("pad", 0)),
                 name=name,
             )
-            layer = ConvLayer(spec, name=name, num_cores=num_cores,
-                              backend=backend, rng=rng, pool=pool)
+            layer = ConvLayer(spec, name=name, rng=rng, pool=pool)
         elif layer_type == "relu":
             layer = ReLULayer(name=name)
         elif layer_type == "pool":
@@ -211,10 +209,9 @@ def parse_netdef(text: str) -> dict:
 
 
 def network_from_text(
-    text: str, num_cores: int = 1, rng: np.random.Generator | None = None,
+    text: str, rng: np.random.Generator | None = None,
     threads: int | None = None,
 ) -> Network:
     """Parse and build a network from the text format in one call."""
-    return build_network(parse_netdef(text), num_cores=num_cores, rng=rng,
-                         threads=threads)
+    return build_network(parse_netdef(text), rng=rng, threads=threads)
 

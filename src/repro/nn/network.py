@@ -1,4 +1,13 @@
-"""The network container: a stack of layers trained with SGD."""
+"""The network container: a stack of layers trained with SGD.
+
+A network's direct :meth:`Network.forward` / :meth:`Network.backward`
+run inline on the caller, every ``conv -> ReLU -> max-pool`` run fused
+where its conv has a unit -- with or without a worker pool.  A pooled
+network's pool is used by two things only: the barrier scheduler's
+training step, sharded whole over it (:meth:`Network.step_sharder`),
+and the DAG scheduler, which compiles each pass into a task graph that
+slices every conv layer over it (:meth:`Network.dag_runner`).
+"""
 
 from __future__ import annotations
 
@@ -44,9 +53,9 @@ class Network:
         self.name = name
         #: Step-execution strategy of a pooled network.  ``"barrier"``:
         #: a training step is one fork/join of whole-network shards
-        #: (:meth:`step_sharder`), a direct forward/backward fork/joins
-        #: per conv layer and phase; ``"dag"`` compiles each pass into a
-        #: task graph (see :mod:`repro.runtime.dag`).
+        #: (:meth:`step_sharder`) and a direct forward/backward runs
+        #: inline; ``"dag"`` compiles each pass into a task graph (see
+        #: :mod:`repro.runtime.dag`).
         self.scheduler = "barrier"
         self._dag_runner = None
         self._sharder: ShardedStep | None = None
@@ -85,15 +94,18 @@ class Network:
         """Every layer's :meth:`Layer.structure`, in order.
 
         A conv that starts a ``conv -> ReLU -> max-pool`` run also names
-        the artefact of the fused unit its inline replicas run for the
-        run's window (``fused_artifact``, ``None`` for the chain): the
-        window is the network's to know, not the layer's.
+        the artefact of the fused unit it runs for the run's window
+        (``relu_pool_artifact``, ``None`` for the chain), which its
+        replicas must load: the window is the network's to know, not the
+        layer's.
         """
         structure = [layer.structure() for layer in self.layers]
         for index, (conv, _, pool) in self._runs.items():
             kind, name, options = structure[index]
+            unit = conv.fused_unit(pool)
             structure[index] = (kind, name, options + (
-                ("fused_artifact", conv.fused_artifact(pool)),))
+                ("relu_pool_artifact",
+                 unit.artifact if unit is not None else None),))
         return tuple(structure)
 
     @classmethod
@@ -124,7 +136,8 @@ class Network:
         """What runs a training step as one shard per worker, if anything.
 
         ``None`` unless the network has a worker pool and the barrier
-        scheduler: then the trainer takes the per-layer path below.
+        scheduler: then the trainer runs :meth:`forward` and
+        :meth:`backward`, inline or as task graphs.
         """
         if self.scheduler != "barrier":
             return None
@@ -149,7 +162,7 @@ class Network:
 
         self.scheduler = validate_scheduler(scheduler)
 
-    def _dag(self):
+    def dag_runner(self):
         """The cached DAG runner, rebuilt when the pool width changed."""
         from repro.runtime.dag import NetworkDagRunner, dag_worker_count
 
@@ -175,7 +188,7 @@ class Network:
         layer's name.
         """
         if self.scheduler == "dag":
-            return self._dag().forward(inputs, training=training)
+            return self.dag_runner().forward(inputs, training=training)
         if inputs.shape[1:] != self.input_shape:
             raise ShapeError(
                 f"batch input shape {inputs.shape} != (B, *{self.input_shape})"
@@ -216,7 +229,7 @@ class Network:
         :meth:`forward`, named ``<name>/bp``.
         """
         if self.scheduler == "dag":
-            return self._dag().backward(out_error, need_input_error)
+            return self.dag_runner().backward(out_error, need_input_error)
         error: np.ndarray | None = out_error
         index = len(self.layers) - 1
         while index >= 0:

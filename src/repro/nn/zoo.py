@@ -30,7 +30,7 @@ def _scaled(features: int, scale: float) -> int:
     return max(1, int(round(features * scale)))
 
 
-def mnist_net(num_cores: int = 1, scale: float = 1.0,
+def mnist_net(scale: float = 1.0,
               rng: np.random.Generator | None = None,
               threads: int | None = None,
               backend: str = "thread") -> Network:
@@ -48,11 +48,11 @@ def mnist_net(num_cores: int = 1, scale: float = 1.0,
             {"type": "dense", "features": 10},
         ],
     }
-    return build_network(definition, num_cores=num_cores, rng=rng,
-                         threads=threads, backend=backend)
+    return build_network(definition, rng=rng, threads=threads,
+                         backend=backend)
 
 
-def cifar10_net(num_cores: int = 1, scale: float = 1.0,
+def cifar10_net(scale: float = 1.0,
                 rng: np.random.Generator | None = None,
                 threads: int | None = None,
                 backend: str = "thread") -> Network:
@@ -71,11 +71,11 @@ def cifar10_net(num_cores: int = 1, scale: float = 1.0,
             {"type": "dense", "features": 10},
         ],
     }
-    return build_network(definition, num_cores=num_cores, rng=rng,
-                         threads=threads, backend=backend)
+    return build_network(definition, rng=rng, threads=threads,
+                         backend=backend)
 
 
-def imagenet100_net(num_cores: int = 1, scale: float = 1.0,
+def imagenet100_net(scale: float = 1.0,
                     rng: np.random.Generator | None = None,
                     threads: int | None = None,
                     backend: str = "thread") -> Network:
@@ -99,11 +99,11 @@ def imagenet100_net(num_cores: int = 1, scale: float = 1.0,
             {"type": "dense", "features": 100},
         ],
     }
-    return build_network(definition, num_cores=num_cores, rng=rng,
-                         threads=threads, backend=backend)
+    return build_network(definition, rng=rng, threads=threads,
+                         backend=backend)
 
 
-def alexnet_small(num_cores: int = 1, scale: float = 1.0,
+def alexnet_small(scale: float = 1.0,
                   rng: np.random.Generator | None = None,
                   threads: int | None = None,
                   backend: str = "thread") -> Network:
@@ -138,8 +138,8 @@ def alexnet_small(num_cores: int = 1, scale: float = 1.0,
             {"type": "dense", "features": 100},
         ],
     }
-    return build_network(definition, num_cores=num_cores, rng=rng,
-                         threads=threads, backend=backend)
+    return build_network(definition, rng=rng, threads=threads,
+                         backend=backend)
 
 
 def stride1_convs() -> list[tuple[str, ConvSpec, int]]:

@@ -222,10 +222,10 @@ def engine_names() -> tuple[str, ...]:
     return tuple(sorted(_factories()))
 
 
-def make_engine(name: str, spec: ConvSpec, **kwargs) -> ConvEngine:
+def make_engine(name: str, spec: ConvSpec) -> ConvEngine:
     """Instantiate the engine registered under ``name`` for ``spec``."""
     try:
         factory = _factories()[name]
     except KeyError:
         raise PlanError(f"unknown engine {name!r}; known: {engine_names()}") from None
-    return factory(spec, **kwargs)
+    return factory(spec)

@@ -37,22 +37,18 @@ pad border the layer promises is zero adds nothing), rotated back into
 Elsewhere dW unfolds the input as FP does.
 
 Every product is one BLAS call per image, or one per kernel row on the
-implicit form (a row slice of it per core
-under :class:`ParallelGemmEngine`): no operand is copied into another
-orientation per image and no product is re-blocked in Python (OpenBLAS
-blocks for the cache itself; :mod:`repro.blas.gemm` keeps the Goto loop
-structure as the paper-book exhibit, the engines do not route through
-it).
+implicit form: no operand is copied into another orientation per image
+and no product is re-blocked in Python (OpenBLAS blocks for the cache
+itself; :mod:`repro.blas.gemm` keeps the Goto loop structure as the
+paper-book exhibit, the engines do not route through it).
 
-Two engines share this math and differ only in scheduling, which is what
-the machine model prices:
-
-* :class:`ParallelGemmEngine` -- the baseline: images processed one after
-  another, each GEMM partitioned across all cores (row-partitioned, every
-  core streaming the full unfolded matrix).
-* :class:`GemmInParallelEngine` -- the paper's Sec. 4.1 technique: the
-  batch is partitioned across cores and each core runs single-threaded
-  GEMMs on whole images, preserving per-core AIT.
+Two engines share this math and name the paper's two schedules, which
+only the machine model (:mod:`repro.machine.gemm_model`) tells apart:
+:class:`ParallelGemmEngine`, the baseline that partitions each GEMM's
+rows across cores, and :class:`GemmInParallelEngine`, Sec. 4.1's
+technique that gives each core whole images.  On the host both issue
+the same single-threaded ``np.matmul`` per product; what runs images on
+several cores is the worker pool (:mod:`repro.runtime.pool`).
 
 An image's result depends on that image alone -- never on its position
 in the batch or on its neighbours -- which is what lets the thread and
@@ -74,7 +70,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.blas.gemm import partition_rows
 from repro.core.convspec import (
     ConvSpec,
     backward_data_correlation,
@@ -88,22 +83,14 @@ from repro.ops.workspace import Workspace
 class _UnfoldGemmBase(ConvEngine):
     """Shared unfold + GEMM (+ fold) math of both schedules."""
 
-    def __init__(self, spec: ConvSpec, num_cores: int = 1):
+    def __init__(self, spec: ConvSpec):
         super().__init__(spec)
-        if num_cores <= 0:
-            raise ValueError(f"num_cores must be positive, got {num_cores}")
-        self.num_cores = num_cores
         #: Reusable scratch buffers (unfolded matrix, GEMM panels).
         self.workspace = Workspace()
 
     def release_workspace(self) -> None:
         """Drop the reusable scratch buffers."""
         self.workspace.release()
-
-    # Subclasses choose how a single product is executed; ``out`` is
-    # fully overwritten.
-    def _matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        raise NotImplementedError
 
     def _operands(self, spec: ConvSpec,
                   images: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
@@ -129,12 +116,12 @@ class _UnfoldGemmBase(ConvEngine):
     def _product_sum(self, lefts: np.ndarray, rights: tuple[np.ndarray, ...],
                      out: np.ndarray) -> None:
         """``out = sum_i lefts[i] . rights[i]``, blocks added in order."""
-        self._matmul(lefts[0], rights[0], out)
+        np.matmul(lefts[0], rights[0], out=out)
         if len(rights) > 1:
             panel = self.workspace.scratch(f"panel{out.shape}", out.shape,
                                            out.dtype)
             for left, right in zip(lefts[1:], rights[1:]):
-                self._matmul(left, right, panel)
+                np.matmul(left, right, out=panel)
                 out += panel
 
     def forward(self, inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -220,7 +207,7 @@ class _UnfoldGemmBase(ConvEngine):
             self._product_sum(w_blocks, blocks, in_mat)
             np.copyto(kept_planes, image[:, crop:crop + ny, crop:crop + nx])
             for dw_block, block in zip(dw_rot, blocks):
-                self._matmul(block, kept.T, panel)
+                np.matmul(block, kept.T, out=panel)
                 dw_block += panel
         d_weights = np.ascontiguousarray(uf.weights_from_blocks(
             corr, dw_rot.transpose(0, 2, 1))[:, :, ::-1, ::-1]
@@ -238,7 +225,7 @@ class _UnfoldGemmBase(ConvEngine):
         )
         for err, in_error in zip(out_error, out):
             err_mat = uf.output_image_to_matrix(self.spec, err)
-            self._matmul(w_mat_t, err_mat, unfolded_err)
+            np.matmul(w_mat_t, err_mat, out=unfolded_err)
             uf.fold(self.spec, unfolded_err, out=in_error)
         return out
 
@@ -255,7 +242,7 @@ class _UnfoldGemmBase(ConvEngine):
                                self._operands(self.spec, inputs)):
             err_mat = uf.output_image_to_matrix(self.spec, err)
             for dw_block, block in zip(dw_blocks, blocks):
-                self._matmul(err_mat, block.T, panel)
+                np.matmul(err_mat, block.T, out=panel)
                 dw_block += panel
         return uf.copy_kernel_rows(
             uf.weights_from_blocks(self.spec, dw_blocks))
@@ -263,33 +250,14 @@ class _UnfoldGemmBase(ConvEngine):
 
 @register_engine("parallel-gemm")
 class ParallelGemmEngine(_UnfoldGemmBase):
-    """Baseline Unfold+Parallel-GEMM: each image's GEMM spans all cores.
-
-    Mirrors the paper's model of BLAS parallelization (Sec. 3.2): the
-    rows of the product are divided among ``num_cores`` while every
-    slice streams all of the right-hand operand.  Execution here is
-    sequential over the slices, one BLAS call each; concurrency is
-    accounted for by the machine model.
-    """
-
-    def _matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        for lo, hi in partition_rows(a.shape[0], self.num_cores):
-            if lo < hi:
-                np.matmul(a[lo:hi], b, out=out[lo:hi])
+    """Baseline Unfold+Parallel-GEMM (Sec. 3.2): each image's GEMM rows
+    split across cores, every core streaming the whole unfolded matrix.
+    The split is the machine model's to price; this engine runs the
+    shared math."""
 
 
 @register_engine("gemm-in-parallel")
 class GemmInParallelEngine(_UnfoldGemmBase):
-    """GEMM-in-Parallel (Sec. 4.1): whole images assigned to cores.
-
-    Functionally each image's GEMM runs single-threaded; the batch is
-    partitioned across cores.  :meth:`core_assignment` exposes the
-    image->core mapping so the simulated executor can compute the makespan.
-    """
-
-    def _matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        np.matmul(a, b, out=out)
-
-    def core_assignment(self, batch_size: int) -> list[tuple[int, int]]:
-        """Contiguous ``[lo, hi)`` image ranges per core."""
-        return partition_rows(batch_size, self.num_cores)
+    """GEMM-in-Parallel (Sec. 4.1): whole images assigned to cores, each
+    running single-threaded GEMMs.  The worker pool is what assigns
+    images to cores; this engine runs the shared math."""

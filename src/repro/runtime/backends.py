@@ -942,9 +942,8 @@ _ENGINE_CACHE: dict = {}
 _ATTACH_CACHE: "OrderedDict[str, shm.SharedArray]" = OrderedDict()
 
 
-def _cached_engine(engine_name: str, spec: Any,
-                   kwargs_items: tuple) -> Any:
-    key = (engine_name, spec, kwargs_items)
+def _cached_engine(engine_name: str, spec: Any) -> Any:
+    key = (engine_name, spec)
     engine = _ENGINE_CACHE.get(key)
     if engine is None:
         from repro.ops.engine import make_engine
@@ -952,7 +951,7 @@ def _cached_engine(engine_name: str, spec: Any,
         # A miss means codegen + workspace allocation in the hot path --
         # worth a trace record; steady-state hits stay silent.
         telemetry.add("worker.engine_cache_misses")
-        engine = make_engine(engine_name, spec, **dict(kwargs_items))
+        engine = make_engine(engine_name, spec)
         _ENGINE_CACHE[key] = engine
     return engine
 
@@ -983,7 +982,6 @@ def _cached_attach(descriptor: shm.ShmDescriptor) -> Any:
 def run_engine_slice(
     engine_name: str,
     spec: Any,
-    kwargs_items: tuple,
     method: str,
     primary_desc: shm.ShmDescriptor,
     shared_desc: shm.ShmDescriptor,
@@ -1004,7 +1002,7 @@ def run_engine_slice(
     """
     with telemetry.span(f"worker/{method}", engine=engine_name, lo=lo,
                         hi=hi):
-        engine = _cached_engine(engine_name, spec, kwargs_items)
+        engine = _cached_engine(engine_name, spec)
         primary = _cached_attach(primary_desc)
         shared = _cached_attach(shared_desc)
         out = _cached_attach(out_desc)

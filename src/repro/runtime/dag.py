@@ -1,20 +1,22 @@
 """Task-graph asynchronous execution of a training step.
 
-The barrier path (:class:`repro.runtime.parallel.ParallelExecutor`)
-fork/joins on the worker pool at *every* layer and phase -- FP, BP-data
-and dW each pay one synchronization per layer, and the machine model
-charges exactly that cost per parallel region (paper Sec. 4).  ZNN
-(Zlateski & Lee) shows the barriers are not load-bearing: compile the
-step into a dependency graph of fine-grained tasks and the only true
-sync points remain.
+Slicing each conv layer's engine calls over the worker pool
+(:class:`repro.runtime.parallel.ParallelExecutor`) and fork/joining at
+*every* layer and phase makes FP, BP-data and dW each pay one
+synchronization per layer, and the machine model charges exactly that
+cost per parallel region (paper Sec. 4).  ZNN (Zlateski & Lee) shows
+the barriers are not load-bearing: compile the step into a dependency
+graph of fine-grained tasks and the only true sync points remain.
 
-This module is that compilation.  One forward or backward pass becomes
-a :class:`TaskGraph` of nodes:
+This module is that compilation, and the one place a conv layer's
+passes are sliced: everywhere else a layer computes inline (the barrier
+scheduler shards whole steps, :class:`repro.runtime.parallel.ShardedStep`).
+One forward or backward pass becomes a :class:`TaskGraph` of nodes:
 
-* per layer and per image range, the engine-slice tasks the barrier
-  path would have run between fork and join (built from the same
-  :class:`~repro.runtime.parallel.SliceTask` plans, so the arithmetic
-  is byte-for-byte the same);
+* per pooled conv layer and per image range, the engine-slice tasks of
+  the executor :class:`NetworkDagRunner` keeps for that layer and phase
+  (:class:`~repro.runtime.parallel.SliceTask` plans; every image's
+  result is the inline engine's, byte for byte);
 * per sliced conv layer, a *prep* node (pad / cache / publish into
   Workspace or shared-memory buffers) and a *finish* node (bias add,
   unpad, fixed-order dW reduction).
@@ -28,7 +30,7 @@ for locality, steals taken FIFO from the oldest end).
 
 **The reduction-order invariant.**  The DAG is allowed to change
 wall-clock, never bits.  Every floating-point reduction keeps the fixed
-order of the barrier path: dW partials accumulate in range order inside
+order of a sliced call: dW partials accumulate in range order inside
 a single reduce node, sliced outputs are written to disjoint ``[lo,hi)``
 slices, and layers whose math reduces over the whole batch (dense
 layers, bias sums) stay single nodes.  Scheduling order therefore
@@ -50,6 +52,7 @@ gives per-node bounded retries with backoff.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import threading
@@ -403,13 +406,6 @@ class DagScheduler:
 # -- compiling a network step into graphs -----------------------------------
 
 
-def _sliced_executor(layer: Any, engine: Any) -> "ParallelExecutor | None":
-    """The layer's executor when the phase runs sliced, else ``None``."""
-    from repro.runtime.parallel import ParallelExecutor
-
-    return engine if isinstance(engine, ParallelExecutor) else None
-
-
 def _shm_regions(executor: "ParallelExecutor") -> tuple[Region, ...]:
     """The arena segment-map write of a publishing prep node.
 
@@ -422,52 +418,6 @@ def _shm_regions(executor: "ParallelExecutor") -> tuple[Region, ...]:
     if not executor.pool.ships:
         return ()
     return (Region(f"shm:{executor._arena._tag}"),)
-
-
-def build_forward_graph(network: "Network", inputs: np.ndarray,
-                        training: bool = True
-                        ) -> tuple[TaskGraph, list[Any]]:
-    """Compile one forward pass; ``cells[-1]`` holds the output after run.
-
-    Sliced conv layers expand into prep -> per-range -> finish nodes;
-    every other layer is a single whole-batch node (their reductions --
-    dense ``x.T @ e``, bias sums -- span the batch, so slicing them
-    would change summation order and break bit-identity; dropout draws
-    its RNG once per pass, which a single node preserves).
-    """
-    from repro.nn.layers.conv import ConvLayer
-
-    if inputs.shape[1:] != network.input_shape:
-        raise ShapeError(
-            f"batch input shape {inputs.shape} != (B, *{network.input_shape})"
-        )
-    graph = TaskGraph(name=f"{network.name}/fp")
-    cells: list[Any] = [None] * (len(network.layers) + 1)
-    cells[0] = inputs
-    batch = int(inputs.shape[0])
-    producer: TaskNode | None = None
-    for i, layer in enumerate(network.layers):
-        deps = (producer,) if producer is not None else ()
-        executor = (_sliced_executor(layer, layer._fp_engine)
-                    if isinstance(layer, ConvLayer) else None)
-        if executor is None:
-            def whole(i: int = i, layer: Any = layer) -> None:
-                cells[i + 1] = layer.forward(cells[i], training=training)
-
-            writes = [Region(f"act:{i + 1}"), Region(f"state:{layer.name}")]
-            if isinstance(layer, ConvLayer):
-                # Unsliced conv forward caches its padded input.
-                writes.append(Region(f"cache:{layer.name}"))
-            producer = graph.add_node(
-                f"fp/{layer.name}", whole, deps,
-                reads=(Region(f"act:{i}"), Region(f"weights:{layer.name}")),
-                writes=tuple(writes),
-                layer=layer.name, phase="fp",
-            )
-        else:
-            producer = _add_sliced_forward(graph, layer, executor, i, cells,
-                                           batch, training, deps)
-    return graph, cells
 
 
 def _add_sliced_forward(graph: TaskGraph, layer: Any,
@@ -526,63 +476,6 @@ def _add_sliced_forward(graph: TaskGraph, layer: Any,
         writes=(Region(f"act:{i + 1}"),),
         layer=layer.name, phase="fp",
     )
-
-
-def build_backward_graph(network: "Network", out_error: np.ndarray,
-                         need_input_error: bool = True
-                         ) -> tuple[TaskGraph, list[Any]]:
-    """Compile one backward pass; ``ecells[0]`` holds the input error.
-
-    With ``need_input_error=False`` (the SGD step, which discards it) a
-    conv layer fed by the images gets no BP-data chain -- no
-    ``bd_prep``/``bd/*``/``bd_finish`` nodes -- and ``ecells[0]`` stays
-    ``None``; every parameter gradient is computed by the same nodes.
-
-    This is where the barriers die: a sliced conv forks into a dW chain
-    (prep -> per-range partials -> fixed-order reduce) and a BP-data
-    chain (prep -> per-range slices -> unpad), and the next layer down
-    depends only on the BP-data chain -- so layer N-1's backward overlaps
-    layer N's dW reduction, which the barrier path serialized.
-    """
-    from repro.nn.layers.conv import ConvLayer
-
-    graph = TaskGraph(name=f"{network.name}/bp")
-    count = len(network.layers)
-    ecells: list[Any] = [None] * (count + 1)
-    ecells[count] = out_error
-    batch = int(out_error.shape[0])
-    producer: TaskNode | None = None
-    for i in reversed(range(count)):
-        layer = network.layers[i]
-        deps = (producer,) if producer is not None else ()
-        is_conv = isinstance(layer, ConvLayer)
-        skip_bd = is_conv and i == 0 and not need_input_error
-        executor = (_sliced_executor(layer, layer._bp_engine)
-                    if is_conv else None)
-        if executor is None:
-            kwargs = {"need_input_error": False} if skip_bd else {}
-
-            def whole(i: int = i, layer: Any = layer,
-                      kwargs: dict[str, bool] = kwargs) -> None:
-                ecells[i] = layer.backward(ecells[i + 1], **kwargs)
-
-            reads = [Region(f"err:{i + 1}"), Region(f"weights:{layer.name}"),
-                     Region(f"state:{layer.name}")]
-            if is_conv:
-                # Unsliced conv backward consumes the forward's cache.
-                reads.append(Region(f"cache:{layer.name}"))
-            producer = graph.add_node(
-                f"bp/{layer.name}", whole, deps,
-                reads=tuple(reads),
-                writes=(Region(f"err:{i}"), Region(f"grad:{layer.name}"),
-                        Region(f"state:{layer.name}")),
-                layer=layer.name, phase="bp",
-            )
-        else:
-            producer = _add_sliced_backward(graph, layer, executor, i,
-                                            ecells, batch, deps,
-                                            with_bd=not skip_bd)
-    return graph, ecells
 
 
 def _add_sliced_backward(graph: TaskGraph, layer: Any,
@@ -756,6 +649,13 @@ class NetworkDagRunner:
     geometry and training flag); the scheduler is reused.  With every
     conv pool on the serial backend the scheduler stays single-threaded,
     so ``scheduler="dag"`` remains a valid determinism reference there.
+
+    The runner owns the executors its sliced nodes run: one per pooled
+    conv layer and phase, over the layer's pool, for the engine the
+    layer deploys in that phase.  It is rebuilt when the layer deploys
+    another (a retune, a fallback), and every executor's shared-memory
+    segments are released at the pool's shutdown, as the sharded step's
+    are (``WorkerPool.at_shutdown``).
     """
 
     def __init__(self, network: "Network",
@@ -764,9 +664,143 @@ class NetworkDagRunner:
         self.scheduler = DagScheduler(
             num_workers or dag_worker_count(network)
         )
+        #: ``(layer name, phase) -> (deployed engine, its executor)``.
+        self._executors: dict[tuple[str, str],
+                              tuple[Any, "ParallelExecutor"]] = {}
+
+    def executor(self, layer: Any, phase: str) -> "ParallelExecutor | None":
+        """The executor slicing ``layer``'s ``phase`` engine over its
+        pool, or ``None`` when the layer has no pool (it runs whole)."""
+        from repro.runtime.parallel import ParallelExecutor
+
+        pool = layer._pool
+        if pool is None:
+            return None
+        engine = layer._fp_engine if phase == "fp" else layer._bp_engine
+        key = (layer.name, phase)
+        cached = self._executors.get(key)
+        if cached is not None and cached[0] is engine \
+                and cached[1].pool is pool:
+            return cached[1]
+        if not any(executor.pool is pool
+                   for _, executor in self._executors.values()):
+            pool.at_shutdown(functools.partial(self.release, pool))
+        if cached is not None:
+            cached[1].close()
+        executor = ParallelExecutor(engine.name, layer.padded_spec, pool)
+        self._executors[key] = (engine, executor)
+        return executor
+
+    def release(self, pool: Any) -> None:
+        """Close (and forget) every executor over ``pool``."""
+        for key, (_, executor) in list(self._executors.items()):
+            if executor.pool is pool:
+                executor.close()
+                del self._executors[key]
+
+    def forward_graph(self, inputs: np.ndarray, training: bool = True
+                      ) -> tuple[TaskGraph, list[Any]]:
+        """Compile one forward pass; ``cells[-1]`` holds the output after run.
+
+        Sliced conv layers expand into prep -> per-range -> finish nodes;
+        every other layer is a single whole-batch node (their reductions --
+        dense ``x.T @ e``, bias sums -- span the batch, so slicing them
+        would change summation order and break bit-identity; dropout draws
+        its RNG once per pass, which a single node preserves).
+        """
+        from repro.nn.layers.conv import ConvLayer
+
+        network = self.network
+        if inputs.shape[1:] != network.input_shape:
+            raise ShapeError(
+                f"batch input shape {inputs.shape} != (B, *{network.input_shape})"
+            )
+        graph = TaskGraph(name=f"{network.name}/fp")
+        cells: list[Any] = [None] * (len(network.layers) + 1)
+        cells[0] = inputs
+        batch = int(inputs.shape[0])
+        producer: TaskNode | None = None
+        for i, layer in enumerate(network.layers):
+            deps = (producer,) if producer is not None else ()
+            executor = (self.executor(layer, "fp")
+                        if isinstance(layer, ConvLayer) else None)
+            if executor is None:
+                def whole(i: int = i, layer: Any = layer) -> None:
+                    cells[i + 1] = layer.forward(cells[i], training=training)
+
+                writes = [Region(f"act:{i + 1}"), Region(f"state:{layer.name}")]
+                if isinstance(layer, ConvLayer):
+                    # Unsliced conv forward caches its padded input.
+                    writes.append(Region(f"cache:{layer.name}"))
+                producer = graph.add_node(
+                    f"fp/{layer.name}", whole, deps,
+                    reads=(Region(f"act:{i}"), Region(f"weights:{layer.name}")),
+                    writes=tuple(writes),
+                    layer=layer.name, phase="fp",
+                )
+            else:
+                producer = _add_sliced_forward(graph, layer, executor, i, cells,
+                                               batch, training, deps)
+        return graph, cells
+
+    def backward_graph(self, out_error: np.ndarray,
+                       need_input_error: bool = True
+                       ) -> tuple[TaskGraph, list[Any]]:
+        """Compile one backward pass; ``ecells[0]`` holds the input error.
+
+        With ``need_input_error=False`` (the SGD step, which discards it) a
+        conv layer fed by the images gets no BP-data chain -- no
+        ``bd_prep``/``bd/*``/``bd_finish`` nodes -- and ``ecells[0]`` stays
+        ``None``; every parameter gradient is computed by the same nodes.
+
+        This is where the barriers die: a sliced conv forks into a dW chain
+        (prep -> per-range partials -> fixed-order reduce) and a BP-data
+        chain (prep -> per-range slices -> unpad), and the next layer down
+        depends only on the BP-data chain -- so layer N-1's backward overlaps
+        layer N's dW reduction, which two fork/joins would serialize.
+        """
+        from repro.nn.layers.conv import ConvLayer
+
+        network = self.network
+        graph = TaskGraph(name=f"{network.name}/bp")
+        count = len(network.layers)
+        ecells: list[Any] = [None] * (count + 1)
+        ecells[count] = out_error
+        batch = int(out_error.shape[0])
+        producer: TaskNode | None = None
+        for i in reversed(range(count)):
+            layer = network.layers[i]
+            deps = (producer,) if producer is not None else ()
+            is_conv = isinstance(layer, ConvLayer)
+            skip_bd = is_conv and i == 0 and not need_input_error
+            executor = self.executor(layer, "bp") if is_conv else None
+            if executor is None:
+                kwargs = {"need_input_error": False} if skip_bd else {}
+
+                def whole(i: int = i, layer: Any = layer,
+                          kwargs: dict[str, bool] = kwargs) -> None:
+                    ecells[i] = layer.backward(ecells[i + 1], **kwargs)
+
+                reads = [Region(f"err:{i + 1}"), Region(f"weights:{layer.name}"),
+                         Region(f"state:{layer.name}")]
+                if is_conv:
+                    # Unsliced conv backward consumes the forward's cache.
+                    reads.append(Region(f"cache:{layer.name}"))
+                producer = graph.add_node(
+                    f"bp/{layer.name}", whole, deps,
+                    reads=tuple(reads),
+                    writes=(Region(f"err:{i}"), Region(f"grad:{layer.name}"),
+                            Region(f"state:{layer.name}")),
+                    layer=layer.name, phase="bp",
+                )
+            else:
+                producer = _add_sliced_backward(graph, layer, executor, i,
+                                                ecells, batch, deps,
+                                                with_bd=not skip_bd)
+        return graph, ecells
 
     def forward(self, inputs: np.ndarray, training: bool = True) -> np.ndarray:
-        graph, cells = build_forward_graph(self.network, inputs, training)
+        graph, cells = self.forward_graph(inputs, training)
         with telemetry.span("dag/forward", nodes=len(graph),
                             graph_id=graph.graph_id,
                             workers=self.scheduler.num_workers):
@@ -775,8 +809,7 @@ class NetworkDagRunner:
 
     def backward(self, out_error: np.ndarray,
                  need_input_error: bool = True) -> np.ndarray | None:
-        graph, ecells = build_backward_graph(self.network, out_error,
-                                             need_input_error)
+        graph, ecells = self.backward_graph(out_error, need_input_error)
         with telemetry.span("dag/backward", nodes=len(graph),
                             graph_id=graph.graph_id,
                             workers=self.scheduler.num_workers):

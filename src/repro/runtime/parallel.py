@@ -1,15 +1,17 @@
 """Parallel execution over a pluggable backend: per layer, and per step.
 
-Two units of parallel work live here.  :class:`ParallelExecutor` slices
-*one conv engine call* over the workers -- what a direct
-``forward``/``backward`` of a pooled layer (evaluation, the DAG
-scheduler) runs.  :class:`ShardedStep` slices *a whole training step*:
-one task per worker runs ``Network.forward``, the loss gradient and
-``Network.backward`` on an inline replica of the network for its image
-range -- fusion and the pooled export included, its layers' telemetry
-reaching the parent from whichever process they ran in -- and only
-gradients meet in the parent: what ``SGDTrainer.step`` runs on a pooled
-network (bottom of this file).
+Two units of parallel work live here, and they are the only ones:
+layers and engines compute inline on their caller.
+:class:`ShardedStep` slices *a whole training step*: one task per worker
+runs ``Network.forward``, the loss gradient and ``Network.backward`` on
+an inline replica of the network for its image range -- fusion and the
+pooled export included, its layers' telemetry reaching the parent from
+whichever process they ran in -- and only gradients meet in the parent:
+what ``SGDTrainer.step`` runs on a pooled network under the barrier
+scheduler (bottom of this file).  :class:`ParallelExecutor` slices *one
+conv engine call* over the workers: what the DAG scheduler's per-layer
+nodes run (:class:`repro.runtime.dag.NetworkDagRunner` builds one per
+conv layer and phase).
 
 The executor wraps any registered single-threaded :class:`repro.ops.engine.ConvEngine`
 and executes its batch methods with image-level parallelism on a
@@ -31,7 +33,8 @@ that the helper processes attach zero-copy -- the parent never attaches
 its own segments by name.  Segments are owned by a per-executor arena
 and *reused* across calls while shapes are stable, then unlinked on
 ``close()`` (or by the arena's finalizer -- never leaked, even when a
-task faults).
+task faults).  The pool is the caller's: closing an executor leaves it
+running.
 
 Weight gradients are accumulated per worker and reduced in the parent
 in fixed range order, so results are bit-identical across the serial,
@@ -99,16 +102,13 @@ def adopt_slice(out: np.ndarray, task: SliceTask, result: object) -> None:
 
 
 class ParallelExecutor:
-    """Run a named engine's FP/BP over a batch on the pool's backend."""
+    """Run a named engine's FP/BP over a batch on ``pool``'s backend."""
 
     def __init__(self, engine_name: str, spec: ConvSpec,
-                 pool: WorkerPool | None = None,
-                 backend: str = "thread", **engine_kwargs: Any) -> None:
+                 pool: WorkerPool) -> None:
         self.spec = spec
         self.engine_name = engine_name
-        self.pool = pool or WorkerPool(backend=backend)
-        self._owns_pool = pool is None
-        self._engine_kwargs = dict(engine_kwargs)
+        self.pool = pool
         self._arena = ShmArena()
         # One engine per concurrent attempt: engines hold mutable scratch
         # (unfold workspace, GEMM out= panels, CT-CSR buffers) that must
@@ -121,34 +121,19 @@ class ParallelExecutor:
         # backend only range 0 runs here; the helpers' engines live in
         # the worker processes (cached per construction key).
         self._engine_lock = threading.Lock()
-        first = make_engine(engine_name, spec, **engine_kwargs)
-        #: The wrapped engine's lowering and compiled artefact, as built
-        #: in this process (ConvEngine-compatible; the workers of the
-        #: process backend build theirs from the same cache).
-        self.lowering = first.lowering
-        self.artifact = first.artifact
-        self.lowered_phases = first.lowered_phases
-        local = 1 if self.pool.ships else self.pool.num_workers
-        self._engines = [first] + [
-            make_engine(engine_name, spec, **engine_kwargs)
-            for _ in range(local - 1)
-        ]
+        local = 1 if pool.ships else pool.num_workers
+        self._engines = [make_engine(engine_name, spec)
+                         for _ in range(local)]
         self._free_engines = list(self._engines)
 
     @property
     def name(self) -> str:
-        """The wrapped engine's registry name (ConvEngine-compatible)."""
+        """The wrapped engine's registry name."""
         return self.engine_name
 
-    def release_workspace(self) -> None:
+    def close(self) -> None:
         """Unlink this executor's shared-memory segments now."""
         self._arena.release()
-
-    def close(self) -> None:
-        """Release segments; shut the pool down if this executor made it."""
-        self.release_workspace()
-        if self._owns_pool:
-            self.pool.shutdown()
 
     def __enter__(self) -> "ParallelExecutor":
         return self
@@ -164,8 +149,7 @@ class ParallelExecutor:
         # All engines busy: slices of two phases overlap.  Engines are
         # deterministic, so results do not depend on which instance an
         # attempt lands on.
-        engine = make_engine(self.engine_name, self.spec,
-                             **self._engine_kwargs)
+        engine = make_engine(self.engine_name, self.spec)
         with self._engine_lock:
             self._engines.append(engine)
         return engine
@@ -194,7 +178,6 @@ class ParallelExecutor:
         primary_seg = self._publish(f"{method}/primary", primary)
         shared_seg = self._publish(f"{method}/shared", shared)
         out_seg = self._arena.ensure(f"{method}/out", out_shape, out_dtype)
-        kwargs_items = tuple(sorted(self._engine_kwargs.items()))
         out_view = out_seg.ndarray
 
         def make(index: int, lo: int, hi: int) -> Callable[[], np.ndarray]:
@@ -203,7 +186,7 @@ class ParallelExecutor:
             def thunk() -> np.ndarray:
                 backend.call(
                     run_engine_slice, self.engine_name, self.spec,
-                    kwargs_items, method, primary_seg.descriptor,
+                    method, primary_seg.descriptor,
                     shared_seg.descriptor, out_seg.descriptor, lo, hi, slot,
                     options,
                 )
@@ -283,7 +266,7 @@ class ParallelExecutor:
             adopt_slice(out, task, result)
         return out
 
-    # -- batch API mirroring ConvEngine -----------------------------------
+    # -- one sliced call per ConvEngine method ------------------------------
 
     def forward(self, inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Forward-propagate the batch across the workers."""
@@ -293,16 +276,6 @@ class ParallelExecutor:
                       crop: int = 0) -> np.ndarray:
         """Back-propagate the error batch across the workers."""
         return self._run_sliced("backward_data", out_error, weights, crop)
-
-    def backward(self, out_error: np.ndarray, inputs: np.ndarray,
-                 weights: np.ndarray, crop: int = 0,
-                 need_input_error: bool = True
-                 ) -> tuple[np.ndarray, np.ndarray | None]:
-        """:meth:`ConvEngine.backward`'s two calls, each sliced as above."""
-        d_weights = self.backward_weights(out_error, inputs)
-        in_error = (self.backward_data(out_error, weights, crop)
-                    if need_input_error else None)
-        return d_weights, in_error
 
     def weights_plan(self, out_error: np.ndarray,
                      inputs: np.ndarray) -> list[SliceTask]:

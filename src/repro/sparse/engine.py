@@ -129,11 +129,8 @@ class SparseBPEngine(NativeLowering, ReferenceEngine):
 
     lowered_phases = ("bp",)
 
-    def __init__(self, spec: ConvSpec, num_cores: int = 1):
+    def __init__(self, spec: ConvSpec):
         super().__init__(spec)
-        if num_cores <= 0:
-            raise ValueError(f"num_cores must be positive, got {num_cores}")
-        self.num_cores = num_cores
         self._resolve_native()
         #: Reusable scratch: the C kernels' working memory.
         self.workspace = Workspace()

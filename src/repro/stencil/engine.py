@@ -35,11 +35,8 @@ class StencilEngine(NativeLowering, ReferenceEngine):
 
     lowered_phases = ("fp",)
 
-    def __init__(self, spec: ConvSpec, num_cores: int = 1):
+    def __init__(self, spec: ConvSpec):
         super().__init__(spec)
-        if num_cores <= 0:
-            raise ValueError(f"num_cores must be positive, got {num_cores}")
-        self.num_cores = num_cores
         self._resolve_native()
 
     def _native_loader(self) -> tuple:

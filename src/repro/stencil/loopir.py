@@ -169,9 +169,6 @@ class Stage:
                 return info
         raise CodegenError(f"stage {self.name!r} has no loop {dim_name!r}")
 
-    def has_loop(self, dim_name: str) -> bool:
-        return any(info.dim.name == dim_name for info in self.loops)
-
 
 #: The most window elements a pooling unit's one-byte indices can name.
 MAX_WINDOW_ELEMENTS = 256

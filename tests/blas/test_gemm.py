@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.blas.gemm import (
     BlockingParams,
     gemm,
-    parallel_gemm,
     partition_rows,
 )
 from repro.errors import ShapeError
@@ -90,16 +89,3 @@ class TestPartitionRows:
         sizes = [hi - lo for lo, hi in ranges]
         assert max(sizes) - min(sizes) <= 1
 
-
-class TestParallelGemm:
-    def test_matches_single_threaded(self, rng):
-        a = rng.standard_normal((31, 17)).astype(np.float32)
-        b = rng.standard_normal((17, 23)).astype(np.float32)
-        for cores in (1, 2, 5, 31, 64):
-            np.testing.assert_allclose(
-                parallel_gemm(a, b, num_cores=cores), a @ b, atol=1e-3
-            )
-
-    def test_rejects_nonpositive_cores(self, rng):
-        with pytest.raises(ValueError):
-            parallel_gemm(np.ones((2, 2)), np.ones((2, 2)), num_cores=0)

@@ -28,7 +28,7 @@ def solo_layers(network) -> list:
     ``conv -> ReLU -> max-pool`` run whose conv fuses them (the conv's
     span covers them then)."""
     fused = {index for start, (conv, _, pool) in network._runs.items()
-             if conv.fused_artifact(pool) is not None
+             if conv.fused_unit(pool) is not None
              for index in (start + 1, start + 2)}
     return [layer for index, layer in enumerate(network.layers)
             if index not in fused]

@@ -468,17 +468,24 @@ def test_the_reference_fp_engine_runs_the_chain(rng):
 
 
 @needs_cc
-def test_a_pooled_conv_runs_the_chain_over_its_workers(rng):
-    """A conv on a worker pool maps its FP over the workers; the handle
-    then computes the chain there, bitwise the inline fused run."""
+def test_a_pooled_conv_fuses_as_the_inline_one(rng):
+    """A conv holding a worker pool computes inline, so it runs the same
+    fused unit as the inline conv, bitwise, on the caller."""
     pooled = _net((3, 2), threads=2)
     inline = _net((3, 2))
     try:
         x = rng.standard_normal((4, 3, 16, 16)).astype(np.float32)
         (conv, _, pool), (twin, _, twin_pool) = (pooled.layers[:3],
                                                  inline.layers[:3])
-        assert conv.fused_unit(pool) is None
-        assert twin.fused_unit(twin_pool) is not None
+        unit = twin.fused_unit(twin_pool)
+        assert unit is not None
+        assert conv.fused_unit(pool).artifact == unit.artifact
+        with telemetry.collect() as tel:
+            got = pooled.forward(x)
+        assert np.array_equal(got, inline.forward(x))
+        assert not tel.find_spans("pool/task")
+        (span,) = tel.find_spans(f"{conv.name}/fp")
+        assert span.attrs["fused"] == "relu+pool"
         assert np.array_equal(fuse_conv_relu_pool(conv, pool).forward(x),
                               fuse_conv_relu_pool(twin, twin_pool).forward(x))
     finally:

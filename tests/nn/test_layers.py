@@ -450,8 +450,10 @@ class TestDense:
 
 class TestConvLayerBackend:
     def make(self, backend="thread", threads=2):
+        from repro.runtime.pool import WorkerPool
+
         spec = ConvSpec(nc=2, ny=6, nx=6, nf=3, fy=3, fx=3, name="c")
-        return ConvLayer(spec, threads=threads, backend=backend,
+        return ConvLayer(spec, pool=WorkerPool(threads, backend=backend),
                          rng=np.random.default_rng(5))
 
     def test_backends_produce_identical_activations(self, rng):

@@ -81,9 +81,21 @@ class TestBuildNetwork:
                 {"input": [1, 4, 4], "layers": [{"type": "dense", "features": 2}]}
             )
 
-    def test_num_cores_propagates_to_conv_layers(self):
-        net = network_from_text(CIFAR_TEXT, num_cores=4)
-        assert net.conv_layers()[0].num_cores == 4
+    def test_threads_share_one_pool_and_plain_engines(self):
+        from repro.ops.engine import ConvEngine
+
+        net = network_from_text(CIFAR_TEXT, threads=2)
+        try:
+            convs = net.conv_layers()
+            assert len({id(conv._pool) for conv in convs}) == 1
+            assert convs[0]._pool.num_workers == 2
+            # The pool is the network's; each layer computes inline.
+            for conv in convs:
+                assert isinstance(conv._fp_engine, ConvEngine)
+                assert isinstance(conv._bp_engine, ConvEngine)
+        finally:
+            for conv in net.conv_layers():
+                conv.close()
 
     def test_built_network_trains_forward(self):
         net = network_from_text(CIFAR_TEXT)

@@ -13,7 +13,6 @@ from repro import telemetry
 from repro.nn.netdef import build_network
 from repro.nn.sgd import SGDTrainer
 from repro.nn.zoo import cifar10_net, mnist_net
-from repro.runtime.dag import build_backward_graph
 
 BATCH = 4
 
@@ -107,9 +106,9 @@ def test_dag_has_no_bd_nodes_for_the_input_conv(backend):
     try:
         _, err = _batch(network)
         first, second = (layer.name for layer in network.conv_layers())
-        full, _ = build_backward_graph(network, err)
-        step, ecells = build_backward_graph(network, err,
-                                            need_input_error=False)
+        runner = network.dag_runner()
+        full, _ = runner.backward_graph(err)
+        step, ecells = runner.backward_graph(err, need_input_error=False)
     finally:
         close_network(network)
     full_names = {node.name for node in full.nodes}

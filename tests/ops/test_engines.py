@@ -35,19 +35,19 @@ def oracle_results():
 class TestEngineEquivalence:
     def test_forward(self, engine_name, spec, oracle_results):
         inputs, weights, _ = oracle_results[spec]["data"]
-        engine = make_engine(engine_name, spec, num_cores=3)
+        engine = make_engine(engine_name, spec)
         got = engine.forward(inputs, weights)
         np.testing.assert_allclose(got, oracle_results[spec]["fp"], atol=1e-3)
 
     def test_backward_data(self, engine_name, spec, oracle_results):
         _, weights, err = oracle_results[spec]["data"]
-        engine = make_engine(engine_name, spec, num_cores=3)
+        engine = make_engine(engine_name, spec)
         got = engine.backward_data(err, weights)
         np.testing.assert_allclose(got, oracle_results[spec]["bd"], atol=1e-3)
 
     def test_backward_weights(self, engine_name, spec, oracle_results):
         inputs, _, err = oracle_results[spec]["data"]
-        engine = make_engine(engine_name, spec, num_cores=3)
+        engine = make_engine(engine_name, spec)
         got = engine.backward_weights(err, inputs)
         np.testing.assert_allclose(got, oracle_results[spec]["bw"], atol=1e-3)
 
@@ -80,25 +80,33 @@ class TestBatchValidation:
         with pytest.raises(ShapeError):
             engine.backward_data(err[:, :, :-1], weights)
 
-    def test_rejects_nonpositive_cores(self):
-        with pytest.raises(ValueError):
-            make_engine("parallel-gemm", SMALL_SPECS[0], num_cores=0)
+    def test_engines_take_no_core_count(self):
+        # Cores are the worker pool's and the machine model's, not an
+        # engine's: every engine is built from its spec alone.
+        for name in ALL_ENGINES + ("reference",):
+            with pytest.raises(TypeError):
+                make_engine(name, SMALL_SPECS[0], num_cores=2)
 
 
 class TestGemmInParallelScheduling:
-    def test_core_assignment_covers_batch(self):
-        engine = make_engine("gemm-in-parallel", SMALL_SPECS[0], num_cores=4)
-        assert isinstance(engine, GemmInParallelEngine)
-        ranges = engine.core_assignment(10)
-        assert len(ranges) == 4
-        assert sum(hi - lo for lo, hi in ranges) == 10
+    def test_the_two_gemm_schedules_compute_the_same_bits(self, rng):
+        # On the host both issue one np.matmul per product; only the
+        # machine model prices their schedules apart.
+        spec = SMALL_SPECS[1]
+        inputs, weights, err = random_conv_data(spec, rng, batch=3)
+        one = make_engine("gemm-in-parallel", spec)
+        other = make_engine("parallel-gemm", spec)
+        assert isinstance(one, GemmInParallelEngine)
+        for method, args in (("forward", (inputs, weights)),
+                             ("backward_data", (err, weights)),
+                             ("backward_weights", (err, inputs))):
+            assert getattr(one, method)(*args).tobytes() == \
+                getattr(other, method)(*args).tobytes(), method
 
     def test_single_image_batch(self, rng):
         spec = SMALL_SPECS[1]
         inputs, weights, _ = random_conv_data(spec, rng, batch=1)
-        got = make_engine("gemm-in-parallel", spec, num_cores=8).forward(
-            inputs, weights
-        )
+        got = make_engine("gemm-in-parallel", spec).forward(inputs, weights)
         want = make_engine("reference", spec).forward(inputs, weights)
         np.testing.assert_allclose(got, want, atol=1e-3)
 

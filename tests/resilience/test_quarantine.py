@@ -89,13 +89,12 @@ def small_net():
     )
 
 
-def conv_layer(quarantine, threads=None):
+def conv_layer(quarantine):
     from repro.nn.layers.conv import ConvLayer
 
     return ConvLayer(
         ConvSpec(nc=2, ny=8, nx=8, nf=3, fy=3, fx=3, name="c1"),
         rng=np.random.default_rng(0),
-        threads=threads,
         quarantine=quarantine,
     )
 

@@ -22,8 +22,6 @@ from repro.resilience.policy import RetryPolicy, apply_policy
 from repro.runtime.dag import (
     DagScheduler,
     TaskGraph,
-    build_backward_graph,
-    build_forward_graph,
     dag_worker_count,
     validate_scheduler,
 )
@@ -234,7 +232,7 @@ class TestGraphStructure:
     def test_forward_compiles_sliced_and_whole_nodes(self, zoo_network):
         x = np.random.default_rng(0).standard_normal(
             (4, *zoo_network.input_shape))
-        graph, cells = build_forward_graph(zoo_network, x, training=True)
+        graph, cells = zoo_network.dag_runner().forward_graph(x, training=True)
         names = [n.name for n in graph.nodes]
         # Each of the 3 sliced conv layers expands to prep/ranges/finish.
         assert sum(1 for n in names if n.endswith("/prep")) == 3
@@ -262,7 +260,7 @@ class TestGraphStructure:
             (4, *zoo_network.input_shape))
         out = zoo_network.forward(x, training=True)
         err = np.random.default_rng(1).standard_normal(out.shape)
-        graph, _ = build_backward_graph(zoo_network, err)
+        graph, _ = zoo_network.dag_runner().backward_graph(err)
         by_name = {n.name: n for n in graph.nodes}
         convs = [layer.name for layer in zoo_network.conv_layers()]
         deepest = convs[-1]  # first conv to run backward
@@ -277,7 +275,7 @@ class TestGraphStructure:
     def test_forward_rejects_bad_input_shape(self, zoo_network):
         bad = np.zeros((4, 1, 8, 8))
         with pytest.raises(Exception, match="input shape"):
-            build_forward_graph(zoo_network, bad)
+            zoo_network.dag_runner().forward_graph(bad)
 
     def test_dag_worker_count_tracks_widest_pool(self, zoo_network):
         assert dag_worker_count(zoo_network) == 2
@@ -346,10 +344,35 @@ class TestNetworkIntegration:
         network = mnist_net(scale=0.25, rng=np.random.default_rng(0),
                             threads=2, backend="thread")
         network.set_scheduler("dag")
-        runner = network._dag()
+        runner = network.dag_runner()
         assert runner.scheduler.num_workers == 2
-        assert network._dag() is runner
+        assert network.dag_runner() is runner
         close_network(network)
+
+    def test_runner_rebuilds_a_layers_executor_when_its_engine_changes(
+            self):
+        network = mnist_net(scale=0.25, rng=np.random.default_rng(0),
+                            threads=2, backend="thread")
+        runner = network.dag_runner()
+        (conv,) = network.conv_layers()
+        try:
+            first = runner.executor(conv, "bp")
+            assert runner.executor(conv, "bp") is first
+            assert first.name == conv.bp_engine_name
+            conv.set_bp_engine("sparse")
+            second = runner.executor(conv, "bp")
+            assert second is not first and second.name == "sparse"
+            assert runner.executor(conv, "fp").name == conv.fp_engine_name
+            network.set_scheduler("dag")
+            x = np.random.default_rng(1).standard_normal(
+                (4, *network.input_shape))
+            out = network.forward(x, training=True)
+            network.backward(np.ones_like(out))
+            assert runner.executor(conv, "bp") is second
+        finally:
+            close_network(network)
+        # The pool's shutdown released the runner's executors.
+        assert runner._executors == {}
 
     def test_dag_spans_emitted(self):
         network = mnist_net(scale=0.25, rng=np.random.default_rng(0),

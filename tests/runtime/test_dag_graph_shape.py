@@ -17,13 +17,7 @@ from repro import telemetry
 from repro.errors import ReproError
 from repro.nn.zoo import mnist_net
 from repro.runtime.backends import WorkerCrashedError
-from repro.runtime.dag import (
-    DagScheduler,
-    Region,
-    TaskGraph,
-    build_backward_graph,
-    build_forward_graph,
-)
+from repro.runtime.dag import DagScheduler, Region, TaskGraph
 
 BATCH = 4
 
@@ -35,9 +29,10 @@ def graphs():
                         threads=2, backend="thread")
     x = np.random.default_rng(0).standard_normal(
         (BATCH, *network.input_shape))
-    forward, _ = build_forward_graph(network, x, training=True)
+    runner = network.dag_runner()
+    forward, _ = runner.forward_graph(x, training=True)
     out = network.forward(x, training=True)
-    backward, _ = build_backward_graph(network, np.ones_like(out))
+    backward, _ = runner.backward_graph(np.ones_like(out))
     yield {"fp": forward, "bp": backward, "network": network, "x": x,
            "out": out}
     for layer in network.conv_layers():
@@ -148,7 +143,7 @@ class TestRunTelemetry:
                             threads=2, backend="thread")
         x = np.random.default_rng(0).standard_normal(
             (BATCH, *network.input_shape))
-        graph, _ = build_forward_graph(network, x, training=True)
+        graph, _ = network.dag_runner().forward_graph(x, training=True)
         with telemetry.collect() as tel:
             DagScheduler(num_workers=workers).run(graph)
         for layer in network.conv_layers():

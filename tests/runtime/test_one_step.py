@@ -62,6 +62,18 @@ def _train(net, steps=2, batch=8):
     return losses, params, tel
 
 
+_STRUCTURE = Network.structure
+
+
+def _foreign_relu_pool_units(network):
+    """``Network.structure`` naming a unit no replica can load for
+    every ``conv -> ReLU -> max-pool`` run."""
+    return tuple(
+        (kind, name, tuple((key, "foreign" if key == "relu_pool_artifact"
+                            else value) for key, value in options))
+        for kind, name, options in _STRUCTURE(network))
+
+
 def _children(tel, span):
     return [s for s in tel.spans if s.parent_id == span.span_id]
 
@@ -107,11 +119,11 @@ class TestThreeTechniquesInAShardedStep:
                 unit = conv.fused_unit(pool)
                 assert (unit is not None) == HAS_CC
                 planned = dict(pooled.structure()[position][2])
-                assert planned["fused_artifact"] == (
+                assert planned["relu_pool_artifact"] == (
                     unit.artifact if unit is not None else None), index
-                # The pooled parent maps its own FP over the workers.
+                # The pooled parent computes inline too: the same unit.
                 assert pooled.layers[position].fused_unit(
-                    pooled.layers[position + 2]) is None
+                    pooled.layers[position + 2]) is unit
         finally:
             _close(pooled)
 
@@ -121,7 +133,7 @@ class TestThreeTechniquesInAShardedStep:
         structure = list(net.structure())
         kind, name, options = structure[0]
         structure[0] = (kind, name, tuple(
-            (key, "foreign" if key == "fused_artifact" else value)
+            (key, "foreign" if key == "relu_pool_artifact" else value)
             for key, value in options))
         replica = Network.replica(
             tuple(structure), net.input_shape,
@@ -143,8 +155,7 @@ class TestThreeTechniquesInAShardedStep:
         net = _net(2, "thread")
         conv = net.conv_layers()[0]
         # The parent plans a unit no replica can load.
-        monkeypatch.setattr(type(conv), "fused_artifact",
-                            lambda self, pool: "foreign")
+        monkeypatch.setattr(Network, "structure", _foreign_relu_pool_units)
         losses, _, tel = _train(net, steps=1)
         assert np.isfinite(losses).all()
         assert default_registry().is_quarantined(conv.name, "fp", "stencil")
@@ -158,7 +169,7 @@ class TestThreeTechniquesInAShardedStep:
     def test_a_replica_runs_the_chain_the_parent_planned(self, rng):
         net = _net()
         structure = tuple(
-            (kind, name, tuple((key, None if key == "fused_artifact"
+            (kind, name, tuple((key, None if key == "relu_pool_artifact"
                                 else value) for key, value in options))
             for kind, name, options in net.structure())
         replica = Network.replica(

@@ -131,17 +131,26 @@ class TestEngineCheckout:
             assert executor._checkout_engine() is engine
             executor._checkin_engine(engine)
 
-    def test_owned_pool_closed_on_exit(self):
-        executor = ParallelExecutor("gemm-in-parallel", SPEC)
-        executor.close()  # must not raise
+    def test_close_leaves_the_callers_pool_running(self, data, oracle):
+        inputs, weights, _ = data
+        with WorkerPool(2) as pool:
+            with ParallelExecutor("gemm-in-parallel", SPEC, pool) as executor:
+                executor.forward(inputs, weights)
+            executor.close()  # idempotent
+            assert pool.map_batches(lambda lo, hi: hi - lo, 4) == [2, 2]
+            again = ParallelExecutor("gemm-in-parallel", SPEC, pool)
+            np.testing.assert_allclose(again.forward(inputs, weights),
+                                       oracle["fp"], atol=1e-3)
+            again.close()
 
-    def test_engine_kwargs_forwarded(self):
-        with ParallelExecutor("stencil", SPEC, pool=WorkerPool(2),
-                              num_cores=3) as executor:
+    def test_engines_checked_out_on_demand_are_built_alike(self):
+        with WorkerPool(2) as pool, \
+                ParallelExecutor("stencil", SPEC, pool) as executor:
             # The engines built up front and the one an overlap checks
             # out on demand are built alike.
             extra = [executor._checkout_engine() for _ in range(3)]
             assert len(executor._engines) == 3
-            assert [e.num_cores for e in executor._engines] == [3, 3, 3]
+            assert {(e.name, e.spec) for e in executor._engines} == \
+                {("stencil", SPEC)}
             for engine in extra:
                 executor._checkin_engine(engine)

@@ -137,9 +137,9 @@ def test_replicas_run_the_gemm_epilogue_the_parent_planned():
                           threads=2, backend=backend)
         data = cifar10_like(6, seed=3)
         try:
-            planned = [dict(net.structure()[start][2])["fused_artifact"]
+            planned = [dict(net.structure()[start][2])["relu_pool_artifact"]
                        for start in net._runs]
-            units = [conv.fused_artifact(pool) and conv._fused(pool)
+            units = [conv.fused_unit(pool)
                      for conv, _, pool in net._runs.values()]
             assert all(planned) and all(u.takes_conv_output for u in units)
             with telemetry.collect() as tel:
@@ -163,7 +163,7 @@ def test_a_replica_that_cannot_load_the_planned_epilogue_reports_fp(rng):
     structure = list(net.structure())
     kind, name, options = structure[0]
     structure[0] = (kind, name, tuple(
-        (key, "foreign" if key == "fused_artifact" else value)
+        (key, "foreign" if key == "relu_pool_artifact" else value)
         for key, value in options))
     replica = Network.replica(
         tuple(structure), net.input_shape,
@@ -245,14 +245,51 @@ class TestOnePoolPerNetwork:
         assert net.conv_layers()[0]._pool.num_workers == 2
         _close(net)
 
-    def test_standalone_layer_still_makes_a_private_pool(self):
+    def test_a_layer_holds_only_the_pool_it_is_given(self):
         from repro.core.convspec import ConvSpec
         from repro.nn.layers.conv import ConvLayer
+        from repro.runtime.pool import WorkerPool
 
         spec = ConvSpec(nc=1, ny=6, nx=6, nf=2, fy=3, fx=3)
-        a = ConvLayer(spec, threads=2, backend="serial")
-        b = ConvLayer(spec, threads=2, backend="serial")
-        assert a._pool is not None and a._pool is not b._pool
+        assert ConvLayer(spec)._pool is None
+        pool = WorkerPool(2, backend="thread")
+        layer = ConvLayer(spec, pool=pool)
+        x = np.ones((2,) + spec.input_shape, np.float32)
+        layer.forward(x)  # inline: the pool starts no worker
+        assert layer._pool is pool and pool._executor is None
+        pool.map_batches(lambda lo, hi: hi - lo, 2)
+        assert pool._executor is not None
+        layer.close()
+        assert pool._executor is None
+
+    @pytest.mark.parametrize("builder", [cifar10_net, mnist_net])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_a_pooled_nets_direct_passes_are_the_inline_nets(
+            self, builder, backend, threads):
+        """Evaluation and a direct training pass of a pooled network run
+        inline on the caller: outputs, input error and every gradient
+        are the inline network's, bit for bit, and no worker starts."""
+        inline = builder(scale=0.25, rng=np.random.default_rng(3))
+        pooled = builder(scale=0.25, rng=np.random.default_rng(3),
+                         threads=threads, backend=backend)
+        x = _images(builder, 5, seed=4).images
+        try:
+            runs = []
+            for net in (inline, pooled):
+                evaluated = net.forward(x, training=False)
+                out = net.forward(x, training=True)
+                err = np.sign(out).astype(np.float32)
+                in_err = net.backward(err)
+                runs.append([evaluated, out, in_err] + [
+                    np.array(g) for _, _, g in net.parameters()])
+            for index, (got, want) in enumerate(
+                    zip(runs[1], runs[0], strict=True)):
+                assert got.tobytes() == want.tobytes(), index
+            assert pooled.conv_layers()[0]._pool._executor is None
+        finally:
+            _close(inline)
+            _close(pooled)
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_process_net_spawns_a_helper_per_extra_thread_and_closes_clean(
@@ -286,6 +323,37 @@ class TestOnePoolPerNetwork:
         assert shm.owned_segments() == ()
         # The layers got their parameters back as private arrays.
         np.testing.assert_array_equal(net.conv_layers()[0].weights, weights)
+
+    def test_closing_the_convs_after_a_dag_and_a_barrier_step_frees_all(
+            self):
+        """The teardown a host-book child does (close every conv layer)
+        frees what both schedulers keep on the pool: the DAG runner's
+        slice executors and the sharded step's buffers, and the helper
+        processes both shipped to."""
+        import multiprocessing
+
+        mine = f"{shm.SEGMENT_PREFIX}{os.getpid():x}-"
+        net = cifar10_net(scale=0.25, rng=np.random.default_rng(0),
+                          threads=2, backend="process")
+        data = cifar10_like(8, seed=0)
+        trainer = SGDTrainer(net)
+        try:
+            net.set_scheduler("dag")
+            trainer.step(data.images, data.labels)
+            net.set_scheduler("barrier")
+            trainer.step(data.images, data.labels)
+            assert [s for s in shm.host_segments() if s.startswith(mine)]
+            pids = net.conv_layers()[0]._pool.backend.worker_pids()
+            assert len(pids) == 1
+        finally:
+            for layer in net.conv_layers():
+                layer.close()
+        assert not {child.pid for child in multiprocessing.active_children()
+                    } & set(pids)
+        for pid in pids:
+            assert not Path(f"/proc/{pid}").exists()
+        assert [s for s in shm.host_segments() if s.startswith(mine)] == []
+        assert shm.owned_segments() == ()
 
     def test_training_resumes_after_close(self):
         net = mnist_net(scale=0.25, rng=np.random.default_rng(0),

@@ -37,8 +37,8 @@ def _spec() -> ConvSpec:
 def process_executor():
     """One three-worker executor shared across this module: the caller
     and two spawned helpers."""
-    executor = ParallelExecutor("reference", _spec(), backend="process",
-                                pool=WorkerPool(3, backend="process"))
+    executor = ParallelExecutor("reference", _spec(),
+                                WorkerPool(3, backend="process"))
     yield executor
     executor.close()
     executor.pool.shutdown()

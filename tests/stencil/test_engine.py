@@ -39,10 +39,6 @@ class TestConstruction:
         unit = emit_stencil_c_unit(spec, pipeline)
         assert _fits_the_register_file(unit, spec, 8)
 
-    def test_rejects_nonpositive_cores(self):
-        with pytest.raises(ValueError):
-            StencilEngine(SMALL_SPECS[0], num_cores=0)
-
 
 class TestEquivalence:
     @pytest.mark.parametrize("spec", SMALL_SPECS[:3], ids=lambda s: s.describe())

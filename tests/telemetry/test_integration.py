@@ -83,44 +83,26 @@ class TestConvLayerTelemetry:
         assert tel.gauges["goodput.c0"] == pytest.approx(
             tel.gauges["throughput.c0"] * 0.25)
 
-    def test_threaded_layer_matches_inline_and_traces_pool(self):
+    def test_pooled_layer_computes_inline_and_traces_no_pool(self):
         rng_x = np.random.default_rng(2)
         x = rng_x.standard_normal((6,) + SPEC.input_shape).astype(np.float32)
         inline = ConvLayer(SPEC, rng=np.random.default_rng(3))
-        threaded = ConvLayer(SPEC, threads=3, rng=np.random.default_rng(3))
+        pooled = ConvLayer(SPEC, pool=WorkerPool(3),
+                           rng=np.random.default_rng(3))
         try:
             with telemetry.collect() as tel:
-                out_threaded = threaded.forward(x)
-            out_inline = inline.forward(x)
-            np.testing.assert_allclose(out_threaded, out_inline, atol=1e-4)
-            err = np.sign(out_inline).astype(np.float32)
-            np.testing.assert_allclose(
-                threaded.backward(err), inline.backward(err), atol=1e-4
-            )
-            np.testing.assert_allclose(
-                threaded.d_weights, inline.d_weights, atol=1e-3
-            )
-            # The threaded layer ran through the worker pool.
-            assert tel.find_spans("pool/task")
-            assert tel.find_spans("executor/forward")
+                out_pooled = pooled.forward(x)
+                err = np.sign(out_pooled).astype(np.float32)
+                in_error = pooled.backward(err)
+            assert out_pooled.tobytes() == inline.forward(x).tobytes()
+            assert in_error.tobytes() == inline.backward(err).tobytes()
+            assert pooled.d_weights.tobytes() == inline.d_weights.tobytes()
+            # The layer's own spans, and no dispatch: it ran on the caller.
+            assert tel.find_spans("c0/fp") and tel.find_spans("c0/bp")
+            assert not tel.find_spans("pool/task")
         finally:
-            threaded.close()
+            pooled.close()
             inline.close()  # no-op for inline layers
-
-    def test_engine_swap_keeps_threaded_mode(self):
-        layer = ConvLayer(SPEC, threads=2, rng=np.random.default_rng(0))
-        try:
-            layer.set_bp_engine("sparse")
-            assert layer.bp_engine_name == "sparse"
-            x = np.random.default_rng(1).standard_normal(
-                (4,) + SPEC.input_shape).astype(np.float32)
-            out = layer.forward(x)
-            with telemetry.collect() as tel:
-                layer.backward(np.sign(out).astype(np.float32))
-            assert tel.find_spans("executor/backward_weights",
-                                  engine="sparse")
-        finally:
-            layer.close()
 
 
 class TestTrainingTelemetry:

@@ -475,6 +475,38 @@ class TestTrain:
                     ("reference" if deployed else "")
                 assert not row["fused"]
 
+    @needs_cc
+    def test_a_pooled_run_names_the_fused_units_it_runs(self, monkeypatch):
+        # A pooled network's convs compute inline, as the inline
+        # network's do, so its plan rows name the same units.  Prices
+        # are pinned (stencil FP, GEMM BP) so both runs deploy alike.
+        import json
+
+        from repro.core.autotuner import MeasuredCostBackend
+
+        monkeypatch.setattr(
+            MeasuredCostBackend, "_measure",
+            lambda self, technique, *_: (
+                1.0 if technique == "stencil" else 2.0, False))
+        args = ["train", "--net", "cifar", "--scale", "0.25", "--epochs",
+                "1", "--samples", "16", "--batch", "8"]
+        rows = {}
+        for threads in ("1", "2"):
+            code, text = run([*args, "--threads", threads, "--format",
+                              "json"])
+            assert code == 0
+            rows[threads] = {row["layer"]: (row["fp_engine"], row["fused"])
+                             for row in json.loads(text.splitlines()[0])["plan"]}
+        assert rows["2"] == rows["1"]
+        assert all(engine == "stencil" and fused
+                   for engine, fused in rows["2"].values())
+        code, text = run([*args, "--threads", "2"])
+        assert code == 0
+        (line,) = [line for line in text.splitlines()
+                   if line.startswith("fused with ReLU + max-pool:")]
+        assert not line.endswith(" none")
+        assert all(layer in line for layer in rows["2"])
+
     def test_json_report_keys(self):
         # Scripts read these keys (the host book's cifar_spg workload
         # reads epochs[*].train_loss / skipped_batches and retunes).

@@ -110,7 +110,7 @@ for build in (mnist_net, cifar10_net, imagenet100_net, alexnet_small):
             pooled = gemm.forward(x, pool=pool)
             assert gemm._pooled[0].takes_conv_output    # the epilogue ran
             gemm.backward(np.ones_like(pooled), pool=pool)
-            epilogues.add(gemm.fused_artifact(pool))
+            epilogues.add(gemm.fused_unit(pool).artifact)
         if (spec.sy, spec.sx) != (1, 1):
             continue
         stencil = make_engine("stencil", spec)
